@@ -1226,7 +1226,7 @@ impl Tunable for rtree_server::SequentialEngine<rtree_pager::MemStore> {
     }
 }
 
-impl Tunable for rtree_server::ShardedEngine<rtree_pager::MemStore> {
+impl Tunable for rtree_server::WriterEngine<rtree_pager::SharedMemStore> {
     fn actuate(&self, setting: rtree_tune::Setting) -> std::io::Result<()> {
         use rtree_tune::Actuator;
         rtree_tune::ConcurrentActuator::new(self.tree()).apply(setting)
@@ -1362,7 +1362,7 @@ fn serve_adaptive<E: Tunable>(
 fn serve(args: &Args) -> Result<String, CliError> {
     use rtree_obs::{CountingSink, TraceSink};
     use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore, SharedMemStore};
-    use rtree_server::{SequentialEngine, ShardedEngine, WriterEngine};
+    use rtree_server::{SequentialEngine, WriterEngine};
     use std::sync::Arc;
 
     args.allow_flags(&[
@@ -1496,14 +1496,20 @@ fn serve(args: &Args) -> Result<String, CliError> {
         "sharded" => {
             let shards: usize = args.flag_or("shards", 1usize)?;
             let workers = config.batch.workers;
-            let mut disk =
-                ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, buffer, shards, {
+            let mut disk = ConcurrentDiskRTree::create_sharded(
+                SharedMemStore::new(),
+                &tree,
+                buffer,
+                shards,
+                {
                     let policy = policy;
                     move || policy.build()
-                })
-                .map_err(|e| err(format!("creating tree: {e}")))?;
+                },
+            )
+            .map_err(|e| err(format!("creating tree: {e}")))?;
             disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
-            let engine = ShardedEngine::new(disk, workers);
+            // Read-only tree: the write-side settings are never exercised.
+            let engine = WriterEngine::new(disk, workers, 1, false);
             if adaptive {
                 let desc = TreeDescription::from_tree(&tree);
                 serve_adaptive(

@@ -1,20 +1,20 @@
-//! The level-synchronous batch executor.
+//! The level-synchronous batch executor: configuration and entry point.
+//! The walk itself lives behind [`DiskRTree::query_batch`], written once
+//! against the pager's page-access seam.
 
-use rtree_buffer::PageId;
 use rtree_geom::Rect;
-use rtree_pager::{BufferManager, DiskRTree, NodeSoA, PageStore, PrefetchOutcome};
-use std::collections::BTreeMap;
+use rtree_pager::{BatchOutput, DiskRTree, PageStore};
 use std::io;
 
 /// Tuning knobs for a [`BatchExecutor`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// How many frontier pages ahead of the one being consumed the executor
-    /// keeps read-in through [`BufferManager::prefetch`]. `0` disables
-    /// readahead. The window is naturally bounded by the buffer: when every
-    /// frame is pinned the manager declines
-    /// ([`PrefetchOutcome::NoCapacity`]) and the executor falls back to
-    /// demand fetching until reservations free up.
+    /// keeps read-in through [`rtree_pager::BufferManager::prefetch`]. `0`
+    /// disables readahead. The window is naturally bounded by the buffer:
+    /// when every frame is pinned the manager declines
+    /// ([`rtree_pager::PrefetchOutcome::NoCapacity`]) and the executor falls
+    /// back to demand fetching until reservations free up.
     pub prefetch_window: usize,
 }
 
@@ -22,37 +22,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig { prefetch_window: 8 }
     }
-}
-
-/// Counters describing one batch execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Queries in the batch.
-    pub queries: u64,
-    /// Queries whose rectangle intersected the root MBR (the rest cost
-    /// nothing, mirroring the model semantics).
-    pub active_queries: u64,
-    /// Deduplicated `(page, query-set)` work items processed — every pool
-    /// access the batch performed.
-    pub work_items: u64,
-    /// Page requests *before* dedup: the accesses the same queries would
-    /// have made traversing alone. `page_requests - work_items` is the
-    /// traffic dedup removed.
-    pub page_requests: u64,
-    /// Frames filled by the readahead window.
-    pub prefetched: u64,
-    /// Frontier steps executed (tree levels touched).
-    pub levels: u32,
-}
-
-/// Per-query result sets plus execution counters.
-#[derive(Clone, Debug, Default)]
-pub struct BatchOutput {
-    /// `results[i]` are the item ids matching `queries[i]`, in traversal
-    /// order (sort before comparing across execution strategies).
-    pub results: Vec<Vec<u64>>,
-    /// What the execution did.
-    pub stats: BatchStats,
 }
 
 /// Executes batches of rectangle queries against a [`DiskRTree`] with page
@@ -120,170 +89,7 @@ impl BatchExecutor {
         tree: &mut DiskRTree<S>,
         queries: &[Rect],
     ) -> io::Result<BatchOutput> {
-        let mut out = BatchOutput {
-            results: vec![Vec::new(); queries.len()],
-            stats: BatchStats {
-                queries: queries.len() as u64,
-                ..BatchStats::default()
-            },
-        };
-        if queries.is_empty() {
-            return Ok(out);
-        }
-
-        let root = tree.meta().root;
-        let root_level = (tree.meta().height - 1) as i16;
-        #[cfg(feature = "trace")]
-        let span = tree.allocate_op_id();
-        let mgr = tree.manager_mut();
-        #[cfg(feature = "trace")]
-        mgr.set_trace_span(span, root_level);
-
-        let run = self.run_levels(mgr, root, root_level, queries, &mut out);
-        #[cfg(feature = "trace")]
-        mgr.set_trace_span(0, -1);
-        run?;
-        Ok(out)
-    }
-
-    /// The frontier loop. Any outstanding readahead reservations are
-    /// released before an error propagates, so a failed batch never leaks
-    /// pins into the pool.
-    // `root_level`/`level` only feed the trace span attribution.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
-    fn run_levels<S: PageStore>(
-        &self,
-        mgr: &mut BufferManager<S>,
-        root: u64,
-        root_level: i16,
-        queries: &[Rect],
-        out: &mut BatchOutput,
-    ) -> io::Result<()> {
-        // Uncharged root-MBR peek, mirroring `DiskRTree::query`: queries
-        // that miss the root MBR never touch the buffer at all.
-        let root_node = NodeSoA::decode(mgr.fetch_uncharged(PageId(root))?)?;
-        let Some(root_mbr) = root_node.rects.mbr() else {
-            return Ok(());
-        };
-        let active: Vec<u32> = (0..queries.len() as u32)
-            .filter(|&q| root_mbr.intersects(&queries[q as usize]))
-            .collect();
-        out.stats.active_queries = active.len() as u64;
-        if active.is_empty() {
-            return Ok(());
-        }
-
-        // The frontier: page -> ids of the queries that need it. A BTreeMap
-        // keys the dedup *and* yields each level in ascending page order.
-        let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        frontier.insert(root, active);
-        let mut level = root_level;
-
-        // Scratch node reused across the batch: on v3 pages the coordinate
-        // planes decode contiguously into the SoA, so the per-node gather
-        // loop this executor used to run is gone.
-        let mut node = NodeSoA::new();
-        let mut matched: Vec<u32> = Vec::new();
-        // Pages currently held by a readahead reservation, for cleanup on
-        // error (`drain_pins`) and hand-back on consumption.
-        let mut pinned: Vec<u64> = Vec::new();
-
-        while !frontier.is_empty() {
-            out.stats.levels += 1;
-            #[cfg(feature = "trace")]
-            mgr.set_trace_span(mgr.trace_span_id(), level);
-            let items: Vec<(u64, Vec<u32>)> = std::mem::take(&mut frontier).into_iter().collect();
-            let mut ahead = 0usize; // next item the readahead will consider
-
-            for (i, (page, qids)) in items.iter().enumerate() {
-                // Keep up to `prefetch_window` upcoming pages of this level
-                // read-in and reserved. `NoCapacity` pauses the window; it
-                // resumes once consumption unpins reservations.
-                while ahead < items.len() && ahead <= i + self.config.prefetch_window {
-                    if ahead <= i {
-                        ahead += 1;
-                        continue;
-                    }
-                    match self.guarded_prefetch(mgr, items[ahead].0, &mut pinned) {
-                        Ok(PrefetchOutcome::NoCapacity) => break,
-                        Ok(outcome) => {
-                            if outcome == PrefetchOutcome::Fetched {
-                                out.stats.prefetched += 1;
-                            }
-                            ahead += 1;
-                        }
-                        Err(e) => {
-                            drain_pins(mgr, &mut pinned);
-                            return Err(e);
-                        }
-                    }
-                }
-
-                if let Err(e) = fetch_node(mgr, *page, &mut node) {
-                    drain_pins(mgr, &mut pinned);
-                    return Err(e);
-                }
-                if let Some(pos) = pinned.iter().position(|&p| p == *page) {
-                    pinned.swap_remove(pos);
-                    mgr.unpin(PageId(*page));
-                }
-                out.stats.work_items += 1;
-                out.stats.page_requests += qids.len() as u64;
-
-                for &qid in qids {
-                    matched.clear();
-                    node.rects
-                        .intersecting(&queries[qid as usize], &mut matched);
-                    for &e in &matched {
-                        let ptr = node.ptrs[e as usize];
-                        if node.level == 0 {
-                            out.results[qid as usize].push(ptr);
-                        } else {
-                            frontier.entry(ptr).or_default().push(qid);
-                        }
-                    }
-                }
-            }
-            level -= 1;
-        }
-        debug_assert!(pinned.is_empty(), "every reservation was consumed");
-        drain_pins(mgr, &mut pinned);
-        Ok(())
-    }
-
-    /// One readahead probe, recording successful reservations in `pinned`.
-    fn guarded_prefetch<S: PageStore>(
-        &self,
-        mgr: &mut BufferManager<S>,
-        page: u64,
-        pinned: &mut Vec<u64>,
-    ) -> io::Result<PrefetchOutcome> {
-        let outcome = mgr.prefetch(PageId(page))?;
-        if outcome == PrefetchOutcome::Fetched {
-            pinned.push(page);
-        }
-        Ok(outcome)
-    }
-}
-
-/// Fetches one node page (the charged, demand access) and decodes it into
-/// the caller's scratch node, reusing its allocations. The manager behind a
-/// [`DiskRTree`] verifies checksums at page-in, so the decode trusts the
-/// frame and skips its own checksum pass.
-fn fetch_node<S: PageStore>(
-    mgr: &mut BufferManager<S>,
-    page: u64,
-    node: &mut NodeSoA,
-) -> io::Result<()> {
-    let frame = mgr.fetch(PageId(page))?;
-    node.decode_into_trusted(frame)?;
-    Ok(())
-}
-
-/// Releases every outstanding readahead reservation.
-fn drain_pins<S: PageStore>(mgr: &mut BufferManager<S>, pinned: &mut Vec<u64>) {
-    for page in pinned.drain(..) {
-        mgr.unpin(PageId(page));
+        tree.query_batch(queries, self.config.prefetch_window)
     }
 }
 
@@ -330,7 +136,7 @@ mod tests {
         }
         assert_eq!(out.stats.queries, 24);
         assert!(out.stats.work_items <= out.stats.page_requests);
-        assert_eq!(out.stats.levels as u32, disk.meta().height);
+        assert_eq!(out.stats.levels, disk.meta().height);
     }
 
     #[test]

@@ -30,4 +30,5 @@
 
 mod batch;
 
-pub use batch::{BatchConfig, BatchExecutor, BatchOutput, BatchStats};
+pub use batch::{BatchConfig, BatchExecutor};
+pub use rtree_pager::{BatchOutput, BatchStats};

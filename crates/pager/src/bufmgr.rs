@@ -12,6 +12,7 @@
 //!   image first, and a dirty page is never written back before the log is
 //!   synced — the write-ahead rule that makes crash recovery possible.
 
+use crate::seam::PageRead;
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
 #[cfg(feature = "trace")]
@@ -255,6 +256,35 @@ impl<S: PageStore> BufferManager<S> {
         Ok(())
     }
 
+    /// Completes an admission the pool has just made for `id` (a miss or a
+    /// pin): retires the evicted victim, reads the page into a fresh frame
+    /// and installs it. On any error the admission is backed out, so the
+    /// next access misses and re-reads instead of hitting a frameless
+    /// resident entry. `verify` is off only for before-image reads.
+    fn page_in(&mut self, id: PageId, evicted: Option<PageId>, verify: bool) -> io::Result<()> {
+        let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let loaded = (|| {
+            if let Some(victim) = evicted {
+                self.retire_victim(victim)?;
+            }
+            self.store.read_page(id, &mut frame)?;
+            if verify {
+                self.verify_read(id, &frame)?;
+            }
+            Ok(())
+        })();
+        if let Err(e) = loaded {
+            self.pool.unpin(id);
+            self.pool.discard(id);
+            return Err(e);
+        }
+        self.stats.reads += 1;
+        self.frames.insert(id, frame);
+        #[cfg(feature = "trace")]
+        self.tracer.emit(id, EventKind::Miss);
+        Ok(())
+    }
+
     /// Fetches a page, going to the store only on a miss.
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
         match self.pool.access(id) {
@@ -262,23 +292,7 @@ impl<S: PageStore> BufferManager<S> {
                 #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Hit);
             }
-            AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    self.retire_victim(victim)?;
-                }
-                let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                self.store.read_page(id, &mut frame)?;
-                if let Err(e) = self.verify_read(id, &frame) {
-                    // Back the admission out: the next access must miss and
-                    // re-read rather than hit a frameless resident entry.
-                    self.pool.discard(id);
-                    return Err(e);
-                }
-                self.stats.reads += 1;
-                self.frames.insert(id, frame);
-                #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::Miss);
-            }
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, true)?,
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
                 self.verify_read(id, &self.scratch)?;
@@ -298,23 +312,10 @@ impl<S: PageStore> BufferManager<S> {
             .pool
             .pin(id)
             .map_err(|e: PinError| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
-        if let Some(victim) = evicted {
-            self.retire_victim(victim)?;
+        if was_resident {
+            return Ok(());
         }
-        if !was_resident {
-            let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            self.store.read_page(id, &mut frame)?;
-            if let Err(e) = self.verify_read(id, &frame) {
-                self.pool.unpin(id);
-                self.pool.discard(id);
-                return Err(e);
-            }
-            self.stats.reads += 1;
-            self.frames.insert(id, frame);
-            #[cfg(feature = "trace")]
-            self.tracer.emit(id, EventKind::Miss);
-        }
-        Ok(())
+        self.page_in(id, evicted, true)
     }
 
     /// Reads a page ahead of its demand access. On [`PrefetchOutcome::Fetched`]
@@ -368,30 +369,23 @@ impl<S: PageStore> BufferManager<S> {
     /// peeked (no policy touch), a non-resident page goes through the
     /// scratch frame and counts only as a peek read. Used for the
     /// model-semantics root-MBR test (a node is accessed iff its MBR
-    /// intersects the query), by both the tree's own query path and the
-    /// batch executor.
-    pub fn fetch_uncharged(&mut self, id: PageId) -> io::Result<&[u8]> {
+    /// intersects the query); `level` attributes the peek in trace builds.
+    pub(crate) fn fetch_uncharged(&mut self, id: PageId, level: u16) -> io::Result<&[u8]> {
+        self.at_level(level);
         if self.pool.contains(id) {
             return Ok(self.peek_frame(id).expect("resident page has a frame"));
         }
         self.read_scratch(id)
     }
 
-    /// Sets the trace span subsequent events are attributed to: the
-    /// query/operation id (0 = none) and the on-page level of the pages
-    /// about to be touched (-1 = unknown). Only present with the `trace`
-    /// feature; external drivers like the batch executor use this the same
-    /// way the tree's own query path does internally.
-    #[cfg(feature = "trace")]
-    pub fn set_trace_span(&mut self, query_id: u64, level: i16) {
-        self.tracer.query_id = query_id;
-        self.tracer.level = level;
-    }
-
-    /// The operation id of the current trace span (0 = none).
-    #[cfg(feature = "trace")]
-    pub fn trace_span_id(&self) -> u64 {
-        self.tracer.query_id
+    /// Attributes subsequent trace events to tree level `level`.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    #[inline]
+    pub(crate) fn at_level(&mut self, level: u16) {
+        #[cfg(feature = "trace")]
+        {
+            self.tracer.level = level as i16;
+        }
     }
 
     /// Reads a page into the scratch frame, bypassing the pool and the
@@ -432,18 +426,9 @@ impl<S: PageStore> BufferManager<S> {
                 #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Hit);
             }
-            AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    self.retire_victim(victim)?;
-                }
-                // The before-image requires the current page contents.
-                let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                self.store.read_page(id, &mut frame)?;
-                self.stats.reads += 1;
-                self.frames.insert(id, frame);
-                #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::Miss);
-            }
+            // The before-image requires the current page contents
+            // (unverified: an overwrite must be able to repair a page).
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, false)?,
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
                 self.stats.reads += 1;
@@ -579,6 +564,25 @@ impl<S: PageStore> BufferManager<S> {
     }
 }
 
+/// The sequential read seam: one pool, no latches. Fetches are charged to
+/// the pool exactly as [`BufferManager::fetch`] charges them; the level
+/// only labels trace events.
+impl<S: PageStore> PageRead for BufferManager<S> {
+    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
+        self.at_level(level);
+        BufferManager::fetch(self, PageId(page))
+    }
+
+    fn prefetch(&mut self, page: u64, level: u16) -> io::Result<PrefetchOutcome> {
+        self.at_level(level);
+        BufferManager::prefetch(self, PageId(page))
+    }
+
+    fn release(&mut self, page: u64) {
+        self.unpin(PageId(page));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,6 +695,13 @@ mod tests {
     fn missing_page_errors() {
         let mut m = make(2, 2);
         assert!(m.fetch(PageId(77)).is_err());
+        // The failed admission was backed out: a retry errors again
+        // instead of "hitting" a resident page that has no frame.
+        assert!(m.fetch(PageId(77)).is_err());
+        assert!(m.pin(PageId(77)).is_err());
+        assert!(m.write_buffered(PageId(77), &page(1)).is_err());
+        assert!(!m.pool().contains(PageId(77)));
+        assert_eq!(m.pinned_count(), 0);
     }
 
     #[test]

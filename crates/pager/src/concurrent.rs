@@ -32,8 +32,11 @@
 
 use crate::disk_tree::materialize;
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
-use crate::mutate::{choose_subtree, mbr, quadratic_split};
+use crate::mutate::{choose_subtree, find_leaf, mbr, quadratic_split, remove_entry};
+use crate::page::PageLayout;
+use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
+use crate::walk::{self, BatchOutput};
 use crate::{IoStats, NodePage, NodeSoA, PageMeta, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
 use rtree_buffer::{
@@ -44,17 +47,18 @@ use rtree_index::{Neighbor, RTree};
 #[cfg(feature = "trace")]
 use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_wal::{GroupCommitStats, GroupWal, Lsn};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Per-query accounting carried through one traversal (trace builds only):
+/// Per-traversal accounting carried by a [`Cursor`] (trace builds only):
 /// the span id plus local read/access counters, recorded into the tree's
-/// [`rtree_obs::QueryMetrics`] when the query finishes.
+/// [`rtree_obs::QueryMetrics`] when the traversal finishes.
 #[cfg(feature = "trace")]
 struct QuerySpan {
     qid: u64,
+    start: u64,
     reads: u64,
     accesses: u64,
 }
@@ -106,7 +110,8 @@ struct WriterState {
     /// checkpoints and the exclusive delete fallback hold it exclusively.
     op_gate: RwLock<()>,
     /// Live metadata (root, height, counters). The open-time snapshot in
-    /// `ConcurrentDiskRTree::meta` is *not* updated by writes.
+    /// `ConcurrentDiskRTree::meta` is *not* updated by writes (its node
+    /// capacities, minimum fill and page layouts never change).
     meta: Mutex<PageMeta>,
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
@@ -118,14 +123,6 @@ struct WriterState {
     free: Mutex<Vec<u64>>,
     /// Group-commit write-ahead log (logical redo records).
     wal: GroupWal,
-    /// Leaf capacity (compressed trees pack internal pages denser; see
-    /// [`WriterState::cap`]).
-    max_entries: usize,
-    /// Internal-node capacity (`== max_entries` on uncompressed trees).
-    internal_max_entries: usize,
-    /// Whether internal pages are written in the Packed (v4) layout.
-    compressed: bool,
-    min_entries: usize,
     /// Latch acquisitions that had to wait (contention signal).
     latch_waits: AtomicU64,
     /// Physical page writes (checkpoint flushes).
@@ -139,10 +136,6 @@ impl WriterState {
         WriterState {
             latches: LatchTable::new(),
             op_gate: RwLock::new(()),
-            max_entries: meta.max_entries as usize,
-            internal_max_entries: meta.internal_max_entries as usize,
-            compressed: meta.compressed,
-            min_entries: meta.min_entries as usize,
             meta: Mutex::new(meta),
             overlay: RwLock::new(HashMap::new()),
             free: Mutex::new(Vec::new()),
@@ -150,25 +143,6 @@ impl WriterState {
             latch_waits: AtomicU64::new(0),
             page_writes: AtomicU64::new(0),
             logical_writes: AtomicU64::new(0),
-        }
-    }
-
-    /// Entry capacity of a node at `level` (0 = leaf).
-    fn cap(&self, level: u16) -> usize {
-        if level == 0 {
-            self.max_entries
-        } else {
-            self.internal_max_entries
-        }
-    }
-
-    /// Body layout written for a node at `level` (layout-preserving:
-    /// compressed trees keep their internal pages Packed across rewrites).
-    fn layout(&self, level: u16) -> crate::page::PageLayout {
-        if self.compressed && level > 0 {
-            crate::page::PageLayout::Packed
-        } else {
-            crate::page::PageLayout::Soa
         }
     }
 }
@@ -362,6 +336,17 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
     }
 
+    /// Emits the outcome of one charged pool access.
+    #[cfg(feature = "trace")]
+    fn emit_access(&self, query_id: u64, page: PageId, level: i16, missed: bool) {
+        let kind = if missed {
+            EventKind::Miss
+        } else {
+            EventKind::Hit
+        };
+        self.emit(query_id, page, level, kind);
+    }
+
     /// The shard owning `id`.
     fn shard(&self, id: PageId) -> &Shard {
         if self.shards.len() == 1 {
@@ -436,24 +421,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// are exempt from replacement in their shard.
     ///
     /// # Errors
-    /// `InvalidInput` if `p` exceeds the tree height; `OutOfMemory` if a
-    /// shard's capacity slice cannot hold its share of the pinned pages.
+    /// `InvalidInput` if `p` exceeds the tree height or the level table is
+    /// stale; `OutOfMemory` if a shard's capacity slice cannot hold its
+    /// share of the pinned pages.
     pub fn pin_top_levels(&self, p: usize) -> io::Result<()> {
-        if p > self.meta.level_starts.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "cannot pin {p} levels: the tree has {}",
-                    self.meta.level_starts.len()
-                ),
-            ));
-        }
-        let end = if p == self.meta.level_starts.len() {
-            self.meta.nodes + 1
-        } else {
-            self.meta.level_starts[p]
-        };
-        for page in 1..end {
+        for page in self.meta.top_level_pages(p)? {
             let id = PageId(page);
             let shard = self.shard(id);
             let mut s = shard.state.lock();
@@ -462,23 +434,13 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 .pool
                 .pin(id)
                 .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
-            if let Some(victim) = evicted {
-                s.frames.remove(&victim);
+            if was_resident {
+                continue;
             }
-            if !was_resident {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                if let Err(e) = Self::verify_read(id, &buf) {
-                    s.pool.unpin(id);
-                    s.pool.discard(id);
-                    return Err(e);
-                }
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                shard.stats.record_miss();
-                s.frames.insert(id, Arc::from(buf.into_boxed_slice()));
-                #[cfg(feature = "trace")]
-                self.emit(0, id, self.meta.onpage_level_of(page), EventKind::Miss);
-            }
+            self.page_in(shard, &mut s, id, evicted)?;
+            shard.stats.record_miss();
+            #[cfg(feature = "trace")]
+            self.emit_access(0, id, self.meta.onpage_level_of(page), true);
         }
         Ok(())
     }
@@ -593,74 +555,102 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(())
     }
 
-    /// Checksum gate for bytes freshly read from the store. Every miss
-    /// path runs it, so frames served from the shards are known-good and
-    /// the traversal loops decode them with
-    /// [`NodeSoA::decode_into_trusted`] — corruption is caught exactly
-    /// once, at page-in, not on every access to a resident frame.
-    fn verify_read(id: PageId, buf: &[u8]) -> io::Result<()> {
-        crate::page::verify_checksum(buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0)))
+    /// Reads a page from the store and gates it on its checksum. Every
+    /// page-in runs this, so frames served from the shards are known-good
+    /// and the walks decode them with [`NodeSoA::decode_into_trusted`] —
+    /// corruption is caught exactly once, not on every access to a
+    /// resident frame.
+    fn read_verified(&self, id: PageId) -> io::Result<Arc<[u8]>> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        self.store.read_page_shared(id, &mut buf)?;
+        crate::page::verify_checksum(&buf).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0))
+        })?;
+        Ok(Arc::from(buf.into_boxed_slice()))
     }
 
-    /// Fetches a page through its shard, charging the access to the pool.
-    /// Also reports whether the access missed (i.e. cost a physical read),
-    /// so the caller can attribute the event to its query span.
-    fn fetch(&self, id: PageId) -> io::Result<(Arc<[u8]>, bool)> {
+    /// Completes an admission `s.pool` has just made for `id` (a miss or a
+    /// pin): drops the victim's frame, reads the page and installs it. On a
+    /// failed read the admission is backed out, so the next access misses
+    /// and re-reads instead of hitting a frameless resident entry.
+    fn page_in(
+        &self,
+        shard: &Shard,
+        s: &mut ShardState,
+        id: PageId,
+        evicted: Option<PageId>,
+    ) -> io::Result<Arc<[u8]>> {
+        if let Some(victim) = evicted {
+            s.frames.remove(&victim);
+        }
+        match self.read_verified(id) {
+            Ok(frame) => {
+                shard.reads.fetch_add(1, Ordering::Relaxed);
+                s.frames.insert(id, Arc::clone(&frame));
+                Ok(frame)
+            }
+            Err(e) => {
+                s.pool.unpin(id);
+                s.pool.discard(id);
+                Err(e)
+            }
+        }
+    }
+
+    /// Fetches a page. On a writable tree the dirty overlay shadows both
+    /// the shard pools and the store (no-steal — the store never holds a
+    /// page newer than the overlay) and costs nothing; otherwise the access
+    /// is charged to the page's shard. Reports whether a charged access
+    /// missed (`None` = served by the overlay), so the caller can attribute
+    /// the event to its span.
+    fn fetch(&self, id: PageId) -> io::Result<(Arc<[u8]>, Option<bool>)> {
+        if let Some(frame) = self
+            .writer
+            .as_ref()
+            .and_then(|w| w.overlay.read().get(&id.0).cloned())
+        {
+            return Ok((frame, None));
+        }
         let shard = self.shard(id);
         let mut s = shard.state.lock();
         let outcome = s.pool.access(id);
         shard.stats.record(&outcome);
-        match outcome {
-            AccessOutcome::Hit => Ok((
-                Arc::clone(s.frames.get(&id).expect("resident page has a frame")),
-                false,
-            )),
-            AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    s.frames.remove(&victim);
-                }
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                if let Err(e) = Self::verify_read(id, &buf) {
-                    // Back the admission out so the next access misses and
-                    // re-reads instead of hitting a frameless entry.
-                    s.pool.discard(id);
-                    return Err(e);
-                }
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                let frame: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
-                s.frames.insert(id, Arc::clone(&frame));
-                Ok((frame, true))
-            }
+        let frame = match outcome {
+            AccessOutcome::Hit => Arc::clone(s.frames.get(&id).expect("resident page has a frame")),
+            AccessOutcome::Miss { evicted } => self.page_in(shard, &mut s, id, evicted)?,
             AccessOutcome::MissBypass => {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                Self::verify_read(id, &buf)?;
+                let frame = self.read_verified(id)?;
                 shard.reads.fetch_add(1, Ordering::Relaxed);
-                Ok((Arc::from(buf.into_boxed_slice()), true))
+                frame
             }
-        }
+        };
+        Ok((frame, Some(outcome.is_miss())))
     }
 
     /// The root frame for the uncharged MBR peek: read from the store at
     /// most once per tree (the tree is immutable) and cached outside the
     /// pool so the peek neither charges nor perturbs replacement state.
-    /// Also reports whether *this* call performed the physical read, so the
-    /// caller can emit the matching peek event.
-    fn root_frame(&self) -> io::Result<(Arc<[u8]>, bool)> {
+    fn root_frame(&self) -> io::Result<Arc<[u8]>> {
         if let Some(frame) = self.root_frame.get() {
-            return Ok((Arc::clone(frame), false));
+            return Ok(Arc::clone(frame));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.store
-            .read_page_shared(PageId(self.meta.root), &mut buf)?;
-        Self::verify_read(PageId(self.meta.root), &buf)?;
+        let root = PageId(self.meta.root);
+        let frame = self.read_verified(root)?;
         // Two racing threads may both read; both transfers really happened,
         // so both count, but only one frame is kept.
         self.peek_reads.fetch_add(1, Ordering::Relaxed);
-        let frame: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
-        Ok((Arc::clone(self.root_frame.get_or_init(|| frame)), true))
+        #[cfg(feature = "trace")]
+        self.emit(0, root, self.meta.root_level() as i16, EventKind::PeekRead);
+        Ok(Arc::clone(self.root_frame.get_or_init(|| frame)))
+    }
+
+    /// Runs `f` on the live metadata: the writer's when writable (updated
+    /// by every insert/delete), the open-time snapshot otherwise.
+    fn with_meta<R>(&self, f: impl FnOnce(&PageMeta) -> R) -> R {
+        match &self.writer {
+            Some(w) => f(&w.meta.lock()),
+            None => f(&self.meta),
+        }
     }
 
     /// Executes a region query; safe to call from many threads. On a
@@ -670,88 +660,18 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         if let Some(w) = &self.writer {
             return self.query_writer(w, query);
         }
-        #[cfg(feature = "trace")]
-        {
-            let mut span = QuerySpan {
-                qid: self.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
-                reads: 0,
-                accesses: 0,
-            };
-            let start = rtree_obs::now_ns();
-            let result = self.query_inner(query, &mut span);
-            self.metrics
-                .record_query(rtree_obs::now_ns() - start, span.reads, span.accesses);
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.query_inner(query)
-    }
-
-    fn query_inner(
-        &self,
-        query: &Rect,
-        #[cfg(feature = "trace")] span: &mut QuerySpan,
-    ) -> io::Result<Vec<u64>> {
-        let mut results = Vec::new();
-        let root = PageId(self.meta.root);
-        let root_level = (self.meta.height - 1) as u16;
-
+        let (root, level) = (self.meta.root, self.meta.root_level());
+        let mut cursor = Cursor::new(self);
         // Uncharged root peek (model semantics: a node is accessed iff its
         // MBR intersects the query).
-        let (root_frame, fresh_peek) = self.root_frame()?;
-        #[cfg(feature = "trace")]
-        if fresh_peek {
-            self.emit(span.qid, root, root_level as i16, EventKind::PeekRead);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = fresh_peek;
-        // Scratch node + match list reused across the walk (no per-page
-        // allocation); the SoA decode is gather-free on v3 pages.
         let mut node = NodeSoA::new();
-        let mut matches: Vec<u32> = Vec::new();
-        node.decode_into_trusted(&root_frame)?;
-        let Some(root_mbr) = node.rects.mbr() else {
-            return Ok(results);
-        };
-        if !root_mbr.intersects(query) {
-            return Ok(results);
-        }
-
-        // Each stack entry carries the node's level so every fetch can be
-        // attributed to it (children of a level-L node sit at L - 1).
-        let mut stack = vec![(root, root_level)];
-        while let Some((pid, level)) = stack.pop() {
-            let (frame, missed) = self.fetch(pid)?;
-            #[cfg(feature = "trace")]
-            {
-                span.accesses += 1;
-                if missed {
-                    span.reads += 1;
-                }
-                let kind = if missed {
-                    EventKind::Miss
-                } else {
-                    EventKind::Hit
-                };
-                self.emit(span.qid, pid, level as i16, kind);
+        node.decode_into_trusted(&self.root_frame()?)?;
+        match node.rects.mbr() {
+            Some(mbr) if mbr.intersects(query) => {
+                walk::region(&mut cursor, &mut node, root, level, query)
             }
-            #[cfg(not(feature = "trace"))]
-            let _ = missed;
-            node.decode_into_trusted(&frame)?;
-            debug_assert_eq!(node.level, level, "stack level mirrors the page");
-            matches.clear();
-            node.rects.intersecting(query, &mut matches);
-            if level == 0 {
-                results.extend(matches.iter().map(|&i| node.ptrs[i as usize]));
-            } else {
-                stack.extend(
-                    matches
-                        .iter()
-                        .map(|&i| (PageId(node.ptrs[i as usize]), level - 1)),
-                );
-            }
+            _ => Ok(Vec::new()),
         }
-        Ok(results)
     }
 
     /// Point query: item ids whose rectangle contains `p` (boundary
@@ -770,95 +690,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// freely concurrent.
     pub fn nearest_neighbors(&self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
         let _gate = self.writer.as_ref().map(|w| w.op_gate.write());
-        let root = match &self.writer {
-            Some(w) => w.meta.lock().root,
-            None => self.meta.root,
-        };
-        let mut result = Vec::new();
-        if k == 0 || (self.writer.is_none() && self.meta.items == 0) {
-            return Ok(result);
-        }
-        let mut node = NodeSoA::new();
-        let mut within: Vec<(u32, f64)> = Vec::new();
-        let mut queue = std::collections::BinaryHeap::new();
-        let mut best_k = std::collections::BinaryHeap::with_capacity(k + 1);
-        queue.push(crate::disk_tree::KnnEntry {
-            dist2: 0.0,
-            kind: crate::disk_tree::KnnKind::Node(root, u16::MAX),
-        });
-        #[cfg(feature = "trace")]
-        let qid = self.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
-        while let Some(entry) = queue.pop() {
-            match entry.kind {
-                crate::disk_tree::KnnKind::Item { rect, id } => {
-                    result.push(Neighbor {
-                        id,
-                        rect,
-                        distance: entry.dist2.sqrt(),
-                    });
-                    if result.len() == k {
-                        break;
-                    }
-                }
-                crate::disk_tree::KnnKind::Node(pid, _) => {
-                    let bound = if best_k.len() == k {
-                        let crate::disk_tree::OrdF64(b) = *best_k.peek().expect("k > 0");
-                        b
-                    } else {
-                        f64::INFINITY
-                    };
-                    // Writer overlay shadows the shards, as in load_w.
-                    let overlay = self
-                        .writer
-                        .as_ref()
-                        .and_then(|w| w.overlay.read().get(&pid).cloned());
-                    match overlay {
-                        Some(frame) => node.decode_into_trusted(&frame)?,
-                        None => {
-                            let (frame, missed) = self.fetch(PageId(pid))?;
-                            node.decode_into_trusted(&frame)?;
-                            #[cfg(feature = "trace")]
-                            {
-                                let kind = if missed {
-                                    EventKind::Miss
-                                } else {
-                                    EventKind::Hit
-                                };
-                                self.emit(qid, PageId(pid), node.level as i16, kind);
-                            }
-                            #[cfg(not(feature = "trace"))]
-                            let _ = missed;
-                        }
-                    }
-                    within.clear();
-                    node.rects.min_dist2_within(p, bound, &mut within);
-                    for &(i, d2) in &within {
-                        if node.level == 0 {
-                            queue.push(crate::disk_tree::KnnEntry {
-                                dist2: d2,
-                                kind: crate::disk_tree::KnnKind::Item {
-                                    rect: node.rects.get(i as usize),
-                                    id: node.ptrs[i as usize],
-                                },
-                            });
-                            best_k.push(crate::disk_tree::OrdF64(d2));
-                            if best_k.len() > k {
-                                best_k.pop();
-                            }
-                        } else {
-                            queue.push(crate::disk_tree::KnnEntry {
-                                dist2: d2,
-                                kind: crate::disk_tree::KnnKind::Node(
-                                    node.ptrs[i as usize],
-                                    node.level - 1,
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(result)
+        let (root, level, items) = self.with_meta(|m| (m.root, m.root_level(), m.items));
+        walk::nearest(&mut Cursor::new(self), root, level, items, p, k)
     }
 
     /// Runs a batch of region queries sharded across `threads` worker
@@ -892,31 +725,33 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         .min(queries.len());
 
         // Shared uncharged root peek; workers reuse the decoded MBR.
-        let (root_frame, fresh_peek) = self.root_frame()?;
-        #[cfg(feature = "trace")]
-        if fresh_peek {
-            self.emit(
-                0,
-                PageId(self.meta.root),
-                (self.meta.height - 1) as i16,
-                EventKind::PeekRead,
-            );
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = fresh_peek;
-        let root_node = NodeSoA::decode(&root_frame)?;
-        let Some(root_mbr) = root_node.rects.mbr() else {
+        let Some(root_mbr) = NodeSoA::decode(&self.root_frame()?)?.rects.mbr() else {
             return Ok(vec![Vec::new(); queries.len()]);
         };
-
+        let (root, level) = (self.meta.root, self.meta.root_level());
+        // One worker's walk over its contiguous slice of the batch.
+        let worker = |slice: &[Rect]| -> io::Result<Vec<Vec<u64>>> {
+            let mut out = BatchOutput::new(slice.len());
+            let mut cursor = Cursor::new(self);
+            walk::frontier(
+                &mut cursor,
+                root,
+                level,
+                Some(&root_mbr),
+                slice,
+                0,
+                &mut out,
+            )?;
+            Ok(out.results)
+        };
         if threads == 1 {
-            return self.batch_inner(queries, &root_mbr);
+            return worker(queries);
         }
         let chunk = queries.len().div_ceil(threads);
         let outputs: Vec<io::Result<Vec<Vec<u64>>>> = std::thread::scope(|scope| {
             let workers: Vec<_> = queries
                 .chunks(chunk)
-                .map(|slice| scope.spawn(move || self.batch_inner(slice, &root_mbr)))
+                .map(|slice| scope.spawn(|| worker(slice)))
                 .collect();
             workers
                 .into_iter()
@@ -929,86 +764,81 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
         Ok(results)
     }
+}
 
-    /// One worker's level-synchronous deduplicated traversal over its
-    /// contiguous slice of the batch.
-    fn batch_inner(&self, queries: &[Rect], root_mbr: &Rect) -> io::Result<Vec<Vec<u64>>> {
-        #[cfg(feature = "trace")]
-        {
-            let mut span = QuerySpan {
-                qid: self.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
+/// One traversal's read seam over the tree. Fetches go through
+/// [`ConcurrentDiskRTree::fetch`] (dirty overlay first, then the page's
+/// shard pool); region queries on a writable tree additionally couple
+/// shared latches between levels. In trace builds the cursor is also the
+/// traversal's span: its events carry one id, and its totals land in the
+/// tree's query metrics when it drops.
+struct Cursor<'a, S: SharedPageStore> {
+    tree: &'a ConcurrentDiskRTree<S>,
+    /// Latches held under the reader protocol; `None` when nothing can
+    /// change underneath (read-only tree, or the exclusive gate is held).
+    latches: Option<LatchSet<'a>>,
+    /// The frame the last fetch returned, kept alive for its borrower.
+    frame: Option<Arc<[u8]>>,
+    #[cfg(feature = "trace")]
+    span: QuerySpan,
+}
+
+impl<'a, S: SharedPageStore> Cursor<'a, S> {
+    fn new(tree: &'a ConcurrentDiskRTree<S>) -> Self {
+        Cursor {
+            tree,
+            latches: None,
+            frame: None,
+            #[cfg(feature = "trace")]
+            span: QuerySpan {
+                qid: tree.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
+                start: rtree_obs::now_ns(),
                 reads: 0,
                 accesses: 0,
-            };
-            let start = rtree_obs::now_ns();
-            let result = self.batch_levels(queries, root_mbr, &mut span);
-            self.metrics
-                .record_query(rtree_obs::now_ns() - start, span.reads, span.accesses);
-            result
+            },
         }
-        #[cfg(not(feature = "trace"))]
-        self.batch_levels(queries, root_mbr)
+    }
+}
+
+impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
+        let (frame, missed) = self.tree.fetch(PageId(page))?;
+        #[cfg(feature = "trace")]
+        if let Some(missed) = missed {
+            self.span.accesses += 1;
+            self.span.reads += u64::from(missed);
+            self.tree
+                .emit_access(self.span.qid, PageId(page), level as i16, missed);
+        }
+        Ok(self.frame.insert(frame))
     }
 
-    fn batch_levels(
-        &self,
-        queries: &[Rect],
-        root_mbr: &Rect,
-        #[cfg(feature = "trace")] span: &mut QuerySpan,
-    ) -> io::Result<Vec<Vec<u64>>> {
-        let mut results = vec![Vec::new(); queries.len()];
-        let active: Vec<u32> = (0..queries.len() as u32)
-            .filter(|&q| root_mbr.intersects(&queries[q as usize]))
-            .collect();
-        if active.is_empty() {
-            return Ok(results);
-        }
-
-        // Frontier: page -> ids of the sub-batch queries that need it. The
-        // BTreeMap is both the dedup and the per-level PageId sort.
-        let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        frontier.insert(self.meta.root, active);
-        // Pages decode straight into SoA — on v3 images the coordinate
-        // planes arrive contiguously, so the per-node gather loop the
-        // batch path used to run is gone entirely.
-        let mut node = NodeSoA::new();
-        let mut matched: Vec<u32> = Vec::new();
-
-        while !frontier.is_empty() {
-            for (pid, qids) in std::mem::take(&mut frontier) {
-                let (frame, missed) = self.fetch(PageId(pid))?;
-                #[cfg(feature = "trace")]
-                {
-                    span.accesses += 1;
-                    if missed {
-                        span.reads += 1;
-                    }
-                    let kind = if missed {
-                        EventKind::Miss
-                    } else {
-                        EventKind::Hit
-                    };
-                    self.emit(span.qid, PageId(pid), self.meta.onpage_level_of(pid), kind);
-                }
-                #[cfg(not(feature = "trace"))]
-                let _ = missed;
-                node.decode_into_trusted(&frame)?;
-                for qid in qids {
-                    matched.clear();
-                    node.rects
-                        .intersecting(&queries[qid as usize], &mut matched);
-                    for &e in &matched {
-                        let ptr = node.ptrs[e as usize];
-                        if node.level == 0 {
-                            results[qid as usize].push(ptr);
-                        } else {
-                            frontier.entry(ptr).or_default().push(qid);
-                        }
-                    }
-                }
+    /// Shared-latch *coupling*: every page of the next level is latched
+    /// before the level above is released, so a concurrent split can never
+    /// move an entry past the traversal. (Depth-first coupling would
+    /// re-acquire upward while backtracking and deadlock; level order keeps
+    /// every wait edge pointing down the tree.)
+    fn level_done(&mut self, next: impl Iterator<Item = u64>) {
+        if let (Some(set), Some(w)) = (&mut self.latches, &self.tree.writer) {
+            let mut coupled = 0;
+            for pid in next {
+                self.tree.latch_acquire(w, set, pid, false);
+                coupled += 1;
             }
+            set.release_all_but_last(coupled);
         }
-        Ok(results)
+    }
+}
+
+#[cfg(feature = "trace")]
+impl<S: SharedPageStore> Drop for Cursor<'_, S> {
+    fn drop(&mut self) {
+        self.tree.metrics.record_query(
+            rtree_obs::now_ns() - self.span.start,
+            self.span.reads,
+            self.span.accesses,
+        );
     }
 }
 
@@ -1042,12 +872,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         &self.store
     }
 
-    /// Live item count: the writer's metadata when writable (updated by
-    /// every insert/delete), the open-time snapshot otherwise.
+    /// Live item count (tracks every insert/delete on a writable tree).
     pub fn live_items(&self) -> u64 {
-        self.writer
-            .as_ref()
-            .map_or(self.meta.items, |w| w.meta.lock().items)
+        self.with_meta(|m| m.items)
     }
 
     /// Group-commit counters of the attached WAL (writable trees only).
@@ -1080,67 +907,37 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
     }
 
-    /// Loads a node in writer mode: the dirty overlay shadows both the
-    /// shard pools and the store (no-steal — the store never holds a page
-    /// newer than the overlay).
-    fn load_w(&self, w: &WriterState, id: u64) -> io::Result<NodePage> {
-        if let Some(frame) = w.overlay.read().get(&id) {
-            return Ok(NodePage::decode(frame)?);
-        }
+    /// Loads a node on the write path. Its buffer traffic shows up in the
+    /// trace stream like any query's (span 0, level unknown), so the miss
+    /// ledger stays reconcilable with the physical-read counters even on a
+    /// read-write server.
+    fn load_w(&self, id: u64) -> io::Result<NodePage> {
         let (frame, missed) = self.fetch(PageId(id))?;
-        // Buffer traffic from the write path shows up in the trace stream
-        // like any query's, so the miss ledger stays reconcilable with the
-        // physical-read counters even on a read-write server.
         #[cfg(feature = "trace")]
-        {
-            let kind = if missed {
-                EventKind::Miss
-            } else {
-                EventKind::Hit
-            };
-            self.emit(0, PageId(id), -1, kind);
+        if let Some(missed) = missed {
+            self.emit_access(0, PageId(id), -1, missed);
         }
         #[cfg(not(feature = "trace"))]
         let _ = missed;
         Ok(NodePage::decode(&frame)?)
     }
 
-    /// Region query under the reader latch protocol: breadth-first
-    /// shared-latch *coupling* — every relevant child of a level is
-    /// latched before the level above is released — so a concurrent split
-    /// can never move an entry past the traversal. Depth-first coupling
-    /// would re-acquire upward while backtracking and deadlock; BFS keeps
-    /// every wait edge pointing down the tree.
+    /// Region query under the reader latch protocol: the level-synchronous
+    /// walk from the live root, with the cursor coupling shared latches
+    /// between levels (see [`Cursor::level_done`]).
     fn query_writer(&self, w: &WriterState, query: &Rect) -> io::Result<Vec<u64>> {
         let _gate = w.op_gate.read();
         let mut set = LatchSet::new(&w.latches);
         self.latch_acquire(w, &mut set, META_LATCH, false);
-        let root = w.meta.lock().root;
+        let (root, level) = self.with_meta(|m| (m.root, m.root_level()));
         self.latch_acquire(w, &mut set, root, false);
         set.release_all_but_last(1);
-        let mut results = Vec::new();
-        let mut frontier = vec![root];
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &pid in &frontier {
-                let node = self.load_w(w, pid)?;
-                for (r, ptr) in &node.entries {
-                    if r.intersects(query) {
-                        if node.level == 0 {
-                            results.push(*ptr);
-                        } else {
-                            next.push(*ptr);
-                        }
-                    }
-                }
-            }
-            for &pid in &next {
-                self.latch_acquire(w, &mut set, pid, false);
-            }
-            set.release_all_but_last(next.len());
-            frontier = next;
-        }
-        Ok(results)
+        let mut cursor = Cursor::new(self);
+        cursor.latches = Some(set);
+        let mut out = BatchOutput::new(1);
+        let queries = std::slice::from_ref(query);
+        walk::frontier(&mut cursor, root, level, None, queries, 0, &mut out)?;
+        Ok(out.results.swap_remove(0))
     }
 }
 
@@ -1238,7 +1035,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// store: no-steal).
     fn store_w(&self, w: &WriterState, id: u64, node: &NodePage) {
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode_with(&mut buf, w.layout(node.level));
+        node.encode_with(&mut buf, self.meta.layout_at(node.level));
         w.overlay
             .write()
             .insert(id, Arc::from(buf.into_boxed_slice()));
@@ -1250,14 +1047,6 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             return Ok(id);
         }
         Ok(self.store.allocate_shared()?.0)
-    }
-
-    /// Returns a dissolved page to the session free list. Only the
-    /// exclusive delete path frees pages, so latched operations never
-    /// race a page recycling.
-    fn free_w(&self, w: &WriterState, id: u64) {
-        w.overlay.write().remove(&id);
-        w.free.lock().push(id);
     }
 
     /// Makes `lsn` durable through the group-commit protocol; when this
@@ -1306,12 +1095,12 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         self.latch_acquire(w, &mut set, META_LATCH, true);
         let mut cur = w.meta.lock().root;
         self.latch_acquire(w, &mut set, cur, true);
-        let mut node = self.load_w(w, cur)?;
+        let mut node = self.load_w(cur)?;
         // Ancestors still latched because a split could reach them, as
         // `(page, child slot)` pairs. Empty at the leaf means the whole
         // retained prefix is the meta latch (root split pending).
         let mut path: Vec<(u64, usize)> = Vec::new();
-        if node.entries.len() < w.cap(node.level) {
+        if node.entries.len() < self.meta.capacity_at(node.level) {
             // The root cannot split, so the root id cannot change: the
             // meta latch is not needed past this point.
             set.release_all_but_last(1);
@@ -1325,8 +1114,8 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             }
             let child = node.entries[slot].1;
             self.latch_acquire(w, &mut set, child, true);
-            let child_node = self.load_w(w, child)?;
-            if child_node.entries.len() < w.cap(child_node.level) {
+            let child_node = self.load_w(child)?;
+            if child_node.entries.len() < self.meta.capacity_at(child_node.level) {
                 set.release_all_but_last(1);
                 path.clear();
             } else {
@@ -1336,7 +1125,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             node = child_node;
         }
         node.entries.push((*rect, item));
-        if node.entries.len() <= w.cap(node.level) {
+        if node.entries.len() <= self.meta.capacity_at(node.level) {
             self.store_w(w, cur, &node);
         } else {
             self.split_latched(w, &mut path, cur, node)?;
@@ -1360,7 +1149,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         let mut level = node.level;
         let mut entries = node.entries;
         loop {
-            let (a, b) = quadratic_split(entries, w.min_entries);
+            let (a, b) = quadratic_split(entries, self.meta.min_entries as usize);
             let a_mbr = mbr(&a);
             let b_mbr = mbr(&b);
             self.store_w(w, child_id, &NodePage { level, entries: a });
@@ -1369,11 +1158,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             w.meta.lock().nodes += 1;
             match path.pop() {
                 Some((parent_id, slot)) => {
-                    let mut parent = self.load_w(w, parent_id)?;
+                    let mut parent = self.load_w(parent_id)?;
                     debug_assert_eq!(parent.entries[slot].1, child_id);
                     parent.entries[slot] = (a_mbr, child_id);
                     parent.entries.push((b_mbr, sib));
-                    if parent.entries.len() <= w.cap(parent.level) {
+                    if parent.entries.len() <= self.meta.capacity_at(parent.level) {
                         self.store_w(w, parent_id, &parent);
                         return Ok(());
                     }
@@ -1410,7 +1199,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// less selective). Underflow — or losing the shared→exclusive
     /// latch trade to a concurrent split — escalates to a full retry
     /// under the exclusive side of the operation gate, where Guttman's
-    /// CondenseTree runs exactly as on the sequential tree.
+    /// CondenseTree runs exactly as on the sequential tree (the same code).
     pub fn delete(&self, rect: &Rect, item: u64) -> io::Result<bool> {
         let w = self.writer_state()?;
         for _ in 0..3 {
@@ -1426,7 +1215,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                 FastDelete::Contended => {}
             }
         }
-        self.delete_exclusive(w, rect, item)
+        self.delete_quiesced(w, rect, item)
     }
 
     /// One optimistic delete attempt (see [`ConcurrentDiskRTree::delete`]).
@@ -1442,7 +1231,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             let mut found = None;
             let mut at_leaves = false;
             for &pid in &frontier {
-                let node = self.load_w(w, pid)?;
+                let node = self.load_w(pid)?;
                 if node.level == 0 {
                     at_leaves = true;
                     if node.entries.iter().any(|(r, p)| *p == item && r == rect) {
@@ -1480,7 +1269,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         drop(set);
         let mut xset = LatchSet::new(&w.latches);
         self.latch_acquire(w, &mut xset, leaf, true);
-        let mut node = self.load_w(w, leaf)?;
+        let mut node = self.load_w(leaf)?;
         let pos = if node.level == 0 {
             node.entries
                 .iter()
@@ -1493,7 +1282,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         };
         // A root leaf may legally underflow; anything else escalates.
         let is_root = w.meta.lock().root == leaf;
-        if node.entries.len() <= w.min_entries && !is_root {
+        if node.entries.len() <= self.meta.min_entries as usize && !is_root {
             return Ok(FastDelete::Contended);
         }
         // Logged only now, with the entry verified present under the
@@ -1506,203 +1295,28 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         Ok(FastDelete::Deleted(lsn))
     }
 
-    /// Exclusive-path delete: quiesces every other operation through the
-    /// write side of the operation gate, then runs FindLeaf/CondenseTree
-    /// exactly as the sequential tree does — dissolving underfull nodes,
-    /// reinserting orphans at their original level, shrinking the root.
-    /// Holding the gate for the whole operation keeps orphaned entries
-    /// invisible to nobody: no reader or writer can observe the window
-    /// where they are detached from the tree.
-    fn delete_exclusive(&self, w: &WriterState, rect: &Rect, item: u64) -> io::Result<bool> {
+    /// Slow-path delete: quiesces every other operation through the write
+    /// side of the operation gate, then runs the shared FindLeaf /
+    /// CondenseTree / ShrinkTree over the [`GatedPages`] view. Holding the
+    /// gate for the whole operation means no reader or writer can observe
+    /// the window where orphaned entries are detached from the tree.
+    fn delete_quiesced(&self, w: &WriterState, rect: &Rect, item: u64) -> io::Result<bool> {
         let gate = w.op_gate.write();
-        let root = w.meta.lock().root;
+        let mut meta = w.meta.lock();
+        let mut pages = GatedPages { tree: self, w };
         let mut path = Vec::new();
-        let Some(leaf_id) = self.find_leaf_x(w, root, rect, item, &mut path)? else {
+        let Some(leaf) = find_leaf(&mut pages, meta.root, rect, item, &mut path)? else {
             return Ok(false);
         };
-        let mut cur = self.load_w(w, leaf_id)?;
-        let pos = cur
-            .entries
-            .iter()
-            .position(|(r, p)| *p == item && r == rect)
-            .expect("find_leaf_x verified the entry");
+        // Logged only now, with the entry known present: a delete record
+        // in the WAL always replays.
         let lsn = w.wal.log_delete(rect_key(rect), item)?;
-        cur.entries.remove(pos);
-
-        let mut orphans: Vec<(u16, Vec<(Rect, u64)>)> = Vec::new();
-        let mut cur_id = leaf_id;
-        while let Some((parent_id, slot)) = path.pop() {
-            let mut parent = self.load_w(w, parent_id)?;
-            debug_assert_eq!(parent.entries[slot].1, cur_id);
-            if cur.entries.len() < w.min_entries {
-                orphans.push((cur.level, std::mem::take(&mut cur.entries)));
-                self.free_w(w, cur_id);
-                w.meta.lock().nodes -= 1;
-                parent.entries.remove(slot);
-            } else {
-                self.store_w(w, cur_id, &cur);
-                parent.entries[slot].0 = mbr(&cur.entries);
-            }
-            cur_id = parent_id;
-            cur = parent;
-        }
-        // `cur` is the root; it may legally underflow (or empty out when
-        // it is a leaf).
-        self.store_w(w, cur_id, &cur);
-
-        // Reinsert orphans highest level first, so subtrees land before
-        // entries that would go under them.
-        orphans.sort_by_key(|o| std::cmp::Reverse(o.0));
-        for (level, entries) in orphans {
-            for entry in entries {
-                self.insert_entry_exclusive(w, entry, level)?;
-            }
-        }
-
-        // ShrinkTree: while the root is internal with a single child, the
-        // child becomes the root.
-        loop {
-            let root_id = w.meta.lock().root;
-            let root = self.load_w(w, root_id)?;
-            if root.level > 0 && root.entries.len() == 1 {
-                {
-                    let mut m = w.meta.lock();
-                    m.root = root.entries[0].1;
-                    m.height -= 1;
-                    m.nodes -= 1;
-                }
-                self.free_w(w, root_id);
-            } else {
-                break;
-            }
-        }
-
-        w.meta.lock().items -= 1;
+        remove_entry(&mut pages, &mut meta, leaf, path, rect, item)?;
         w.logical_writes.fetch_add(1, Ordering::Relaxed);
+        drop(meta);
         drop(gate);
         self.group_commit(w, lsn)?;
         Ok(true)
-    }
-
-    /// Finds the leaf holding the exact `(rect, item)` entry, filling
-    /// `path` with `(page, slot)` pairs from the root down. Exclusive
-    /// gate held by the caller: no latches.
-    fn find_leaf_x(
-        &self,
-        w: &WriterState,
-        pid: u64,
-        rect: &Rect,
-        item: u64,
-        path: &mut Vec<(u64, usize)>,
-    ) -> io::Result<Option<u64>> {
-        let node = self.load_w(w, pid)?;
-        if node.level == 0 {
-            if node.entries.iter().any(|(r, p)| *p == item && r == rect) {
-                return Ok(Some(pid));
-            }
-            return Ok(None);
-        }
-        for (slot, (r, child)) in node.entries.iter().enumerate() {
-            if r.contains_rect(rect) {
-                path.push((pid, slot));
-                if let Some(leaf) = self.find_leaf_x(w, *child, rect, item, path)? {
-                    return Ok(Some(leaf));
-                }
-                path.pop();
-            }
-        }
-        Ok(None)
-    }
-
-    /// Orphan reinsertion under the exclusive gate: AdjustTree at an
-    /// arbitrary target level, latch-free (the gate already excludes
-    /// every other operation — calling the public `insert` here would
-    /// deadlock on the gate's read side).
-    fn insert_entry_exclusive(
-        &self,
-        w: &WriterState,
-        entry: (Rect, u64),
-        target_level: u16,
-    ) -> io::Result<()> {
-        let mut path: Vec<(u64, usize)> = Vec::new();
-        let mut cur_id = w.meta.lock().root;
-        let mut node = self.load_w(w, cur_id)?;
-        while node.level > target_level {
-            let slot = choose_subtree(&node.entries, &entry.0);
-            path.push((cur_id, slot));
-            cur_id = node.entries[slot].1;
-            node = self.load_w(w, cur_id)?;
-        }
-        debug_assert_eq!(node.level, target_level, "target level must exist");
-        node.entries.push(entry);
-
-        let mut level = node.level;
-        let mut split: Option<(Rect, u64)> = None;
-        let mut child_mbr;
-        if node.entries.len() > w.cap(node.level) {
-            let (a, b) = quadratic_split(std::mem::take(&mut node.entries), w.min_entries);
-            child_mbr = mbr(&a);
-            node.entries = a;
-            self.store_w(w, cur_id, &node);
-            split = Some(self.store_sibling_w(w, level, b)?);
-        } else {
-            child_mbr = mbr(&node.entries);
-            self.store_w(w, cur_id, &node);
-        }
-        let mut child_id = cur_id;
-
-        while let Some((pid, slot)) = path.pop() {
-            let mut parent = self.load_w(w, pid)?;
-            debug_assert_eq!(parent.entries[slot].1, child_id);
-            parent.entries[slot].0 = child_mbr;
-            if let Some(s) = split.take() {
-                parent.entries.push(s);
-            }
-            level = parent.level;
-            if parent.entries.len() > w.cap(parent.level) {
-                let (a, b) = quadratic_split(std::mem::take(&mut parent.entries), w.min_entries);
-                child_mbr = mbr(&a);
-                parent.entries = a;
-                self.store_w(w, pid, &parent);
-                split = Some(self.store_sibling_w(w, level, b)?);
-            } else {
-                child_mbr = mbr(&parent.entries);
-                self.store_w(w, pid, &parent);
-            }
-            child_id = pid;
-        }
-
-        if let Some(sibling) = split {
-            let new_root_id = self.alloc_w(w)?;
-            self.store_w(
-                w,
-                new_root_id,
-                &NodePage {
-                    level: level + 1,
-                    entries: vec![(child_mbr, child_id), sibling],
-                },
-            );
-            let mut m = w.meta.lock();
-            m.root = new_root_id;
-            m.height += 1;
-            m.nodes += 1;
-        }
-        Ok(())
-    }
-
-    /// Writes a freshly split-off sibling node and returns its parent
-    /// entry (exclusive-gate path only).
-    fn store_sibling_w(
-        &self,
-        w: &WriterState,
-        level: u16,
-        entries: Vec<(Rect, u64)>,
-    ) -> io::Result<(Rect, u64)> {
-        let rect = mbr(&entries);
-        let id = self.alloc_w(w)?;
-        self.store_w(w, id, &NodePage { level, entries });
-        w.meta.lock().nodes += 1;
-        Ok((rect, id))
     }
 
     /// Flushes every dirty page and the metadata to the store, fsyncs,
@@ -1747,6 +1361,37 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         self.store.flush_shared()?;
         w.wal.checkpoint()?;
         w.overlay.write().clear();
+        Ok(())
+    }
+}
+
+/// The write seam under the exclusive operation gate: nothing else is in
+/// flight, so node loads and stores need no latches. Stores land in the
+/// dirty overlay; dissolved pages go on the session free list — only this
+/// view frees pages, so latched operations never race a page recycling.
+struct GatedPages<'a, S: ConcurrentPageStore> {
+    tree: &'a ConcurrentDiskRTree<S>,
+    w: &'a WriterState,
+}
+
+impl<S: ConcurrentPageStore> PageWrite for GatedPages<'_, S> {
+    fn load(&mut self, id: u64) -> io::Result<NodePage> {
+        self.tree.load_w(id)
+    }
+
+    fn store(&mut self, id: u64, node: &NodePage, layout: PageLayout) -> io::Result<()> {
+        debug_assert_eq!(layout, self.tree.meta.layout_at(node.level));
+        self.tree.store_w(self.w, id, node);
+        Ok(())
+    }
+
+    fn alloc(&mut self, _meta: &mut PageMeta) -> io::Result<u64> {
+        self.tree.alloc_w(self.w)
+    }
+
+    fn free(&mut self, _meta: &mut PageMeta, id: u64) -> io::Result<()> {
+        self.w.overlay.write().remove(&id);
+        self.w.free.lock().push(id);
         Ok(())
     }
 }
@@ -2062,6 +1707,44 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         // The valid range still works afterwards.
         disk.pin_top_levels(1).unwrap();
+
+        // The sequential tree answers the same way, including for a level
+        // table gone stale through mutation.
+        let mut seq =
+            crate::DiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
+        let err = seq.pin_top_levels(levels + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let err = seq.set_pinned_levels(levels + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        seq.pin_top_levels(1).unwrap();
+        seq.insert(rects[0], 9_999).unwrap();
+        let err = seq.pin_top_levels(1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn failed_read_backs_out_the_admission() {
+        let tree = BulkLoader::hilbert(10).load(&sample_rects(300));
+        let q = Rect::new(0.2, 0.2, 0.5, 0.5);
+        // Store reads: 1 = meta page at open, then either the root pin, or
+        // the cached root peek followed by the root's demand fetch.
+        for (fail_at, pin) in [(2, true), (3, false)] {
+            let mut store = MemStore::new();
+            ConcurrentDiskRTree::create(&mut store, &tree, 64, LruPolicy::new()).unwrap();
+            let faulty =
+                crate::FaultStore::new(store, rtree_wal::CrashSwitch::new()).fail_read_at(fail_at);
+            let disk = ConcurrentDiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
+            let attempt = || match pin {
+                true => disk.pin_top_levels(1),
+                false => disk.query(&q).map(drop),
+            };
+            assert!(attempt().is_err(), "injected fault surfaces");
+            assert_eq!(disk.physical_reads(), 0);
+            // The retry misses again and re-reads: the root counts once.
+            attempt().unwrap();
+            let want = if pin { 1 } else { tree.count_accesses(&q) };
+            assert_eq!(disk.physical_reads(), want as u64, "pin {pin}");
+        }
     }
 
     #[test]
@@ -2348,7 +2031,8 @@ mod tests {
     /// are deterministic regardless of interleaving.
     #[test]
     fn concurrent_writers_match_sequential_across_policies() {
-        let policies: Vec<(&str, Box<dyn Fn() -> Box<dyn ReplacementPolicy>>)> = vec![
+        type PolicyFactory = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
+        let policies: Vec<(&str, PolicyFactory)> = vec![
             ("lru", Box::new(|| Box::new(rtree_buffer::LruPolicy::new()))),
             (
                 "lru2",

@@ -9,12 +9,12 @@
 //! `simd_vs_seed` suite compare against.
 
 use crate::page::PageLayout;
+use crate::seam::PageRead;
+use crate::walk::{self, BatchOutput};
 use crate::{BufferManager, NodePage, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::io;
 
 /// An R-tree materialized onto pages, queried through a buffer manager that
@@ -213,30 +213,14 @@ impl<S: PageStore> DiskRTree<S> {
 
     /// Pins the top `p` levels into the buffer (reads them once).
     ///
-    /// # Panics
-    /// Panics if `p` exceeds the height, or after a mutation (the
-    /// level-order layout no longer holds).
+    /// # Errors
+    /// `InvalidInput` if `p` exceeds the height, or after a mutation (the
+    /// level-order layout no longer holds); `OutOfMemory` if the pool
+    /// cannot hold the pinned pages.
     pub fn pin_top_levels(&mut self, p: usize) -> io::Result<()> {
-        assert!(
-            !self.meta.level_starts.is_empty(),
-            "level table is stale: the tree has been mutated since bulk load"
-        );
-        assert!(p <= self.meta.level_starts.len(), "not that many levels");
-        let end = if p == self.meta.level_starts.len() {
-            self.meta.nodes + 1
-        } else {
-            self.meta.level_starts[p]
-        };
-        for page in 1..end {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = self.meta.onpage_level_of(page);
-            }
+        for page in self.meta.top_level_pages(p)? {
+            self.mgr.at_level(self.meta.onpage_level_of(page) as u16);
             self.mgr.pin(PageId(page))?;
-        }
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = -1;
         }
         Ok(())
     }
@@ -245,10 +229,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// pinned is unpinned (frames stay resident, no I/O), then the top `p`
     /// levels are pinned. `p = 0` just unpins. The idempotent actuator the
     /// tuning controller calls — re-applying the current pinning is free.
-    ///
-    /// # Panics
-    /// Panics like [`DiskRTree::pin_top_levels`] if `p` exceeds the height
-    /// or the tree has been mutated since bulk load.
+    /// Errors like [`DiskRTree::pin_top_levels`].
     pub fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
         self.mgr.unpin_all();
         if p > 0 {
@@ -321,109 +302,91 @@ impl<S: PageStore> DiskRTree<S> {
         self.metrics.snapshot()
     }
 
-    /// Opens a traced mutation span: subsequent events carry a fresh
-    /// operation id (levels are unknown during mutation, so -1).
-    #[cfg(feature = "trace")]
-    pub(crate) fn begin_op(&mut self) {
-        self.next_query += 1;
-        self.mgr.tracer.query_id = self.next_query;
-        self.mgr.tracer.level = -1;
-    }
-
-    /// Closes the current traced span.
-    #[cfg(feature = "trace")]
-    pub(crate) fn end_op(&mut self) {
-        self.mgr.tracer.query_id = 0;
-        self.mgr.tracer.level = -1;
-    }
-
-    /// Mutable access to the underlying buffer manager — the hook external
-    /// execution engines (the batch executor in `rtree-exec`) use to drive
-    /// fetch/prefetch/pin against the same pool and counters as
-    /// [`DiskRTree::query`].
-    pub fn manager_mut(&mut self) -> &mut BufferManager<S> {
-        &mut self.mgr
-    }
-
-    /// Allocates a fresh operation-span id from the same sequence
-    /// [`DiskRTree::query`] uses, for external engines that attribute their
-    /// trace events to a span of their own. Only present with the `trace`
-    /// feature.
-    #[cfg(feature = "trace")]
-    pub fn allocate_op_id(&mut self) -> u64 {
-        self.next_query += 1;
-        self.next_query
+    /// Runs `f` as one operation span: in trace builds its events carry a
+    /// fresh operation id (and level -1 until a fetch names one).
+    pub(crate) fn in_span<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        #[cfg(feature = "trace")]
+        {
+            self.next_query += 1;
+            self.mgr.tracer.query_id = self.next_query;
+            self.mgr.tracer.level = -1;
+        }
+        let result = f(self);
+        #[cfg(feature = "trace")]
+        {
+            self.mgr.tracer.query_id = 0;
+            self.mgr.tracer.level = -1;
+        }
+        result
     }
 
     /// Executes a region query, returning matching item ids. Every page
     /// whose MBR intersects the query is fetched through the buffer
     /// manager; physical reads accumulate in [`DiskRTree::physical_reads`].
     pub fn query(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let start = rtree_obs::now_ns();
-            let reads_before = self.mgr.physical_reads();
-            let accesses_before = self.mgr.pool().stats().accesses;
-            let result = self.query_inner(query);
-            self.metrics.record_query(
-                rtree_obs::now_ns() - start,
-                self.mgr.physical_reads() - reads_before,
-                self.mgr.pool().stats().accesses - accesses_before,
+        self.in_span(|t| {
+            #[cfg(feature = "trace")]
+            let (start, reads, accesses) = (
+                rtree_obs::now_ns(),
+                t.mgr.physical_reads(),
+                t.mgr.pool().stats().accesses,
             );
-            self.end_op();
+            let result = t.query_inner(query);
+            #[cfg(feature = "trace")]
+            t.metrics.record_query(
+                rtree_obs::now_ns() - start,
+                t.mgr.physical_reads() - reads,
+                t.mgr.pool().stats().accesses - accesses,
+            );
             result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.query_inner(query)
+        })
     }
 
     fn query_inner(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        let mut results = Vec::new();
-        let root = PageId(self.meta.root);
-        let root_level = (self.meta.height - 1) as u16;
-        // One scratch node + match list reused across the whole walk:
-        // steady-state traversal does not allocate.
-        let mut node = NodeSoA::new();
-        let mut matches: Vec<u32> = Vec::new();
-
+        let (root, level) = (self.meta.root, self.meta.root_level());
         // Root handling mirrors the model: access it only if its MBR
         // intersects the query. Decode it from a cheap peek first.
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = root_level as i16;
+        let mut node = NodeSoA::new();
+        node.decode_into_trusted(self.mgr.fetch_uncharged(PageId(root), level)?)?;
+        match node.rects.mbr() {
+            Some(mbr) if mbr.intersects(query) => {
+                walk::region(&mut self.mgr, &mut node, root, level, query)
+            }
+            _ => Ok(Vec::new()),
         }
-        node.decode_into_trusted(self.mgr.fetch_uncharged(root)?)?;
-        let Some(root_mbr) = node.rects.mbr() else {
-            return Ok(results);
-        };
-        if !root_mbr.intersects(query) {
-            return Ok(results);
-        }
+    }
 
-        // Each stack entry carries the node's level so every fetch can be
-        // attributed to it (children of a level-L node sit at L - 1).
-        let mut stack = vec![(root, root_level)];
-        while let Some((pid, level)) = stack.pop() {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = level as i16;
-            }
-            node.decode_into_trusted(self.mgr.fetch(pid)?)?;
-            debug_assert_eq!(node.level, level, "stack level mirrors the page");
-            matches.clear();
-            node.rects.intersecting(query, &mut matches);
-            if level == 0 {
-                results.extend(matches.iter().map(|&i| node.ptrs[i as usize]));
-            } else {
-                stack.extend(
-                    matches
-                        .iter()
-                        .map(|&i| (PageId(node.ptrs[i as usize]), level - 1)),
-                );
-            }
+    /// Runs `queries` as one batch — the same result sets as
+    /// [`DiskRTree::query`] per query, but level-synchronously: a page
+    /// shared between queries is fetched once, each level is visited in
+    /// page order, and up to `prefetch_window` upcoming pages of the level
+    /// are kept read-in ahead of their demand access (0 = no readahead).
+    pub fn query_batch(
+        &mut self,
+        queries: &[Rect],
+        prefetch_window: usize,
+    ) -> io::Result<BatchOutput> {
+        let mut out = BatchOutput::new(queries.len());
+        if queries.is_empty() {
+            return Ok(out);
         }
-        Ok(results)
+        self.in_span(|t| {
+            let (root, level) = (t.meta.root, t.meta.root_level());
+            let peek = t.mgr.fetch_uncharged(PageId(root), level)?;
+            let Some(mbr) = NodeSoA::decode(peek)?.rects.mbr() else {
+                return Ok(());
+            };
+            walk::frontier(
+                &mut t.mgr,
+                root,
+                level,
+                Some(&mbr),
+                queries,
+                prefetch_window,
+                &mut out,
+            )
+        })?;
+        Ok(out)
     }
 
     /// The seed's entry-at-a-time region query, kept verbatim as the
@@ -434,14 +397,9 @@ impl<S: PageStore> DiskRTree<S> {
     /// `simd_traversal` bench rely on this. Never deleted.
     pub fn query_scalar(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
         let mut results = Vec::new();
-        let root = PageId(self.meta.root);
-        let root_level = (self.meta.height - 1) as u16;
-
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = root_level as i16;
-        }
-        let root_node = NodePage::decode(self.mgr.fetch_uncharged(root)?)?;
+        let root = self.meta.root;
+        let root_level = self.meta.root_level();
+        let root_node = NodePage::decode(self.mgr.fetch_uncharged(PageId(root), root_level)?)?;
         if root_node.entries.is_empty() {
             return Ok(results);
         }
@@ -456,18 +414,14 @@ impl<S: PageStore> DiskRTree<S> {
 
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = level as i16;
-            }
-            let node = NodePage::decode(self.mgr.fetch(pid)?)?;
+            let node = NodePage::decode(PageRead::fetch(&mut self.mgr, pid, level)?)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             for (r, ptr) in &node.entries {
                 if r.intersects(query) {
                     if node.level == 0 {
                         results.push(*ptr);
                     } else {
-                        stack.push((PageId(*ptr), level - 1));
+                        stack.push((*ptr, level - 1));
                     }
                 }
             }
@@ -488,16 +442,10 @@ impl<S: PageStore> DiskRTree<S> {
     /// dispatched SIMD distance kernel pruning every node's entries against
     /// the current k-th-best bound before they are enqueued.
     pub fn nearest_neighbors(&mut self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-        }
-        let result = knn_inner(&mut self.mgr, &self.meta, p, k);
-        #[cfg(feature = "trace")]
-        {
-            self.end_op();
-        }
-        result
+        self.in_span(|t| {
+            let (root, level) = (t.meta.root, t.meta.root_level());
+            walk::nearest(&mut t.mgr, root, level, t.meta.items, p, k)
+        })
     }
 
     /// Executes a query and also reports how many physical reads it caused.
@@ -505,132 +453,6 @@ impl<S: PageStore> DiskRTree<S> {
         let before = self.mgr.physical_reads();
         let results = self.query(query)?;
         Ok((results, self.mgr.physical_reads() - before))
-    }
-}
-
-/// A kNN search-queue entry ordered by ascending distance (the heap is a
-/// max-heap, so the ordering is inverted). Shared with the concurrent
-/// tree's kNN.
-pub(crate) struct KnnEntry {
-    pub(crate) dist2: f64,
-    pub(crate) kind: KnnKind,
-}
-
-pub(crate) enum KnnKind {
-    /// An unexpanded node page (level 0 = leaf).
-    Node(u64, u16),
-    /// A leaf entry.
-    Item { rect: Rect, id: u64 },
-}
-
-impl PartialEq for KnnEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist2 == other.dist2
-    }
-}
-impl Eq for KnnEntry {}
-impl PartialOrd for KnnEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for KnnEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist2
-            .partial_cmp(&self.dist2)
-            .expect("kernel distances are never NaN")
-    }
-}
-
-/// Best-first kNN over disk pages (Hjaltason & Samet), shared by the
-/// sequential and concurrent trees via the buffer manager. The SIMD
-/// distance kernel both computes every enqueued distance and discards
-/// entries beyond the current k-th-best bound in one pass.
-pub(crate) fn knn_inner<S: PageStore>(
-    mgr: &mut BufferManager<S>,
-    meta: &PageMeta,
-    p: &Point,
-    k: usize,
-) -> io::Result<Vec<Neighbor>> {
-    let mut result = Vec::with_capacity(k.min(meta.items as usize));
-    if k == 0 || meta.items == 0 {
-        return Ok(result);
-    }
-    let mut node = NodeSoA::new();
-    let mut within: Vec<(u32, f64)> = Vec::new();
-    let mut queue = BinaryHeap::new();
-    // Max-heap of the k smallest *item* distances seen so far: once full,
-    // its top is a sound upper bound — no entry farther than it can be
-    // among the k nearest, so the kernel discards such entries in-pass.
-    let mut best_k: BinaryHeap<OrdF64> = BinaryHeap::with_capacity(k + 1);
-    queue.push(KnnEntry {
-        dist2: 0.0,
-        kind: KnnKind::Node(meta.root, (meta.height - 1) as u16),
-    });
-    while let Some(entry) = queue.pop() {
-        match entry.kind {
-            KnnKind::Item { rect, id } => {
-                result.push(Neighbor {
-                    id,
-                    rect,
-                    distance: entry.dist2.sqrt(),
-                });
-                if result.len() == k {
-                    break;
-                }
-            }
-            KnnKind::Node(pid, level) => {
-                let bound = if best_k.len() == k {
-                    best_k.peek().expect("k > 0").0
-                } else {
-                    f64::INFINITY
-                };
-                #[cfg(feature = "trace")]
-                {
-                    mgr.tracer.level = level as i16;
-                }
-                node.decode_into_trusted(mgr.fetch(PageId(pid))?)?;
-                within.clear();
-                node.rects.min_dist2_within(p, bound, &mut within);
-                for &(i, d2) in &within {
-                    if level == 0 {
-                        queue.push(KnnEntry {
-                            dist2: d2,
-                            kind: KnnKind::Item {
-                                rect: node.rects.get(i as usize),
-                                id: node.ptrs[i as usize],
-                            },
-                        });
-                        best_k.push(OrdF64(d2));
-                        if best_k.len() > k {
-                            best_k.pop();
-                        }
-                    } else {
-                        queue.push(KnnEntry {
-                            dist2: d2,
-                            kind: KnnKind::Node(node.ptrs[i as usize], level - 1),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(result)
-}
-
-/// Total order for kernel distances (never NaN — see the geom NaN policy).
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("distance is never NaN")
     }
 }
 
@@ -1000,6 +822,30 @@ mod tests {
             .nearest_neighbors(&Point::new(0.5, 0.5), 0)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn failed_read_backs_out_the_admission() {
+        let tree = BulkLoader::hilbert(10).load(&sample_rects(300));
+        let q = Rect::new(0.2, 0.2, 0.5, 0.5);
+        // Store reads: 1 = meta page at open, then either the root pin, or
+        // the uncharged root peek followed by the root's demand fetch.
+        for (fail_at, pin) in [(2, true), (3, false)] {
+            let mut store = MemStore::new();
+            DiskRTree::create(&mut store, &tree, 64, LruPolicy::new()).unwrap();
+            let faulty =
+                crate::FaultStore::new(store, rtree_wal::CrashSwitch::new()).fail_read_at(fail_at);
+            let mut disk = DiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
+            let mut attempt = || match pin {
+                true => disk.pin_top_levels(1),
+                false => disk.query(&q).map(drop),
+            };
+            assert!(attempt().is_err(), "injected fault surfaces");
+            // The retry misses again and re-reads: the root counts once.
+            attempt().unwrap();
+            let want = if pin { 1 } else { tree.count_accesses(&q) };
+            assert_eq!(disk.physical_reads(), want as u64, "pin {pin}");
+        }
     }
 
     #[test]

@@ -9,18 +9,33 @@
 //! end-to-end measurement the analytic model and the trace simulation can
 //! be checked against (`validate_disk` experiment).
 //!
-//! Pages are 4 KiB with an explicit little-endian layout (40-byte entries:
-//! a rectangle and a pointer, exactly Guttman's node entry). A 4 KiB page
-//! holds up to 102 entries, comfortably above the paper's largest node
-//! capacity of 100. Every page carries a CRC-32; decoding validates it and
-//! returns a typed [`PageError`] on corruption.
+//! Pages are 4 KiB, little-endian, CRC-32-sealed, in one of three node
+//! layouts (see [`PageLayout`] and the `page` module docs): v2 AoS
+//! (40-byte `(rect, ptr)` entries, exactly Guttman's node entry — the
+//! seed's format, kept for compatibility and as the differential
+//! reference), v3 SoA (five coordinate/pointer planes the SIMD kernels
+//! stream, ≤ 102 entries — above the paper's largest node capacity of 100)
+//! and v4
+//! Packed (internal pages of compressed trees: 16-bit codes relative to the
+//! page's bounding rect, conservatively rounded, ≤ 253 entries; leaves stay
+//! exact). Checksums are verified once, where bytes enter a buffer pool;
+//! decoding returns a typed [`PageError`] on corruption.
 //!
-//! The substrate is also *writable*: [`DiskRTree::insert`] and
-//! [`DiskRTree::delete`] run Guttman's insert and condense-tree through the
-//! buffer manager's write-back path, with an attached [`rtree_wal::Wal`]
-//! logging full page images so [`recover`] can replay a crashed tree back to
-//! its last committed state. [`FaultStore`] injects torn writes, short
-//! appends and read faults to exercise exactly that path.
+//! Every algorithm that decides *which pages are touched in which order* —
+//! the depth-first region walk, the level-synchronous batched walk, kNN,
+//! Guttman's insert and condense-tree — is written once against the
+//! crate-private page-access seam (`seam`, `walk`, `mutate`). The seam has
+//! two instantiations: [`BufferManager`] behind the sequential
+//! [`DiskRTree`], and cursor/view structs over the sharded, latch-crabbing
+//! [`ConcurrentDiskRTree`].
+//!
+//! The substrate is *writable*: [`DiskRTree::insert`] and
+//! [`DiskRTree::delete`] go through the buffer manager's write-back path,
+//! with an attached [`rtree_wal::Wal`] logging full page images so
+//! [`recover`] can replay a crashed tree back to its last committed state
+//! (the concurrent tree logs logical operations to a group-commit WAL and
+//! recovers with [`replay_committed`]). [`FaultStore`] injects torn writes,
+//! short appends and read faults to exercise exactly those paths.
 
 mod bufmgr;
 mod compress;
@@ -32,7 +47,9 @@ mod mutate;
 mod page;
 mod recovery;
 mod sched;
+mod seam;
 mod store;
+mod walk;
 
 pub use bufmgr::{BufferManager, IoStats, PrefetchOutcome};
 pub use compress::{QRect, Quantizer};
@@ -48,3 +65,4 @@ pub use sched::{StepSchedule, StepStore};
 pub use store::{
     ConcurrentPageStore, FileStore, MemStore, PageStore, SharedMemStore, SharedPageStore,
 };
+pub use walk::{BatchOutput, BatchStats};

@@ -1,20 +1,26 @@
-//! Mutable disk-backed R-tree operations: Guttman's insert and
-//! condense-tree delete executed page-by-page through the buffer manager.
+//! Guttman's insert and condense-tree delete, written once against the
+//! write seam ([`PageWrite`]), plus its sequential instantiation: the
+//! mutable [`DiskRTree`] operations, executed page-by-page through the
+//! buffer manager.
 //!
-//! Every page touched by an operation goes through
+//! On the sequential tree every page touched by an operation goes through
 //! [`crate::BufferManager::write_buffered`], so with a WAL attached
 //! ([`crate::DiskRTree::attach_wal`]) the full before/after images are
 //! logged and the operation is recoverable: each public call ends with a
-//! commit marker, making it a single-op transaction.
+//! commit marker, making it a single-op transaction. The concurrent tree
+//! runs the same functions over its exclusive-gate view.
 //!
 //! Mutations abandon the bulk-load level-order page layout; the metadata's
 //! level table is cleared on the first insert or delete and the layout-
-//! dependent helpers ([`crate::DiskRTree::pages_per_level`],
-//! [`crate::DiskRTree::pin_top_levels`]) panic afterwards. Freed pages go on
+//! dependent helpers refuse to run afterwards
+//! ([`crate::DiskRTree::pin_top_levels`] with `InvalidInput`,
+//! [`crate::DiskRTree::pages_per_level`] by panicking). Freed pages go on
 //! an intrusive free list (head in the meta page, `FREE`-tagged pages
 //! chaining to the next) and are reused before the store grows.
 
 use crate::disk_tree::DiskRTree;
+use crate::page::PageLayout;
+use crate::seam::PageWrite;
 use crate::{BufferManager, NodePage, PageMeta, PageStore, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
@@ -130,6 +136,230 @@ pub(crate) fn quadratic_split(
     (group_a, group_b)
 }
 
+/// Stores `node` as page `id`, first splitting off a new sibling if it
+/// overflows its level's capacity. Returns the MBR of what stayed in `id`
+/// and the parent entry of the sibling, if one was made.
+fn store_or_split<W: PageWrite>(
+    pages: &mut W,
+    meta: &mut PageMeta,
+    id: u64,
+    node: &mut NodePage,
+) -> io::Result<(Rect, Option<PageEntry>)> {
+    let layout = meta.layout_at(node.level);
+    if node.entries.len() <= meta.capacity_at(node.level) {
+        pages.store(id, node, layout)?;
+        return Ok((mbr(&node.entries), None));
+    }
+    let (a, b) = quadratic_split(std::mem::take(&mut node.entries), meta.min_entries as usize);
+    node.entries = a;
+    pages.store(id, node, layout)?;
+    let sibling = NodePage {
+        level: node.level,
+        entries: b,
+    };
+    let sibling_id = pages.alloc(meta)?;
+    pages.store(sibling_id, &sibling, layout)?;
+    meta.nodes += 1;
+    Ok((
+        mbr(&node.entries),
+        Some((mbr(&sibling.entries), sibling_id)),
+    ))
+}
+
+/// Inserts `entry` into a node at `target_level`, splitting upward as
+/// needed (AdjustTree). `target_level` is 0 for items; orphan reinsertion
+/// passes the level the entry originally lived at.
+pub(crate) fn insert_entry<W: PageWrite>(
+    pages: &mut W,
+    meta: &mut PageMeta,
+    entry: PageEntry,
+    target_level: u16,
+) -> io::Result<()> {
+    // Descend to the insertion node, remembering the path.
+    let mut path: Vec<(u64, usize)> = Vec::new();
+    let mut child_id = meta.root;
+    let mut node = pages.load(child_id)?;
+    while node.level > target_level {
+        let slot = choose_subtree(&node.entries, &entry.0);
+        path.push((child_id, slot));
+        child_id = node.entries[slot].1;
+        node = pages.load(child_id)?;
+    }
+    debug_assert_eq!(node.level, target_level, "target level must exist");
+    node.entries.push(entry);
+
+    // Store (splitting if overfull), then walk the path up adjusting
+    // rectangles and installing split siblings.
+    let mut level = node.level;
+    let (mut child_mbr, mut split) = store_or_split(pages, meta, child_id, &mut node)?;
+    while let Some((pid, slot)) = path.pop() {
+        let mut parent = pages.load(pid)?;
+        debug_assert_eq!(parent.entries[slot].1, child_id);
+        parent.entries[slot].0 = child_mbr;
+        parent.entries.extend(split.take());
+        level = parent.level;
+        (child_mbr, split) = store_or_split(pages, meta, pid, &mut parent)?;
+        child_id = pid;
+    }
+
+    if let Some(sibling) = split {
+        // The root itself split: grow the tree by one level.
+        let new_root = NodePage {
+            level: level + 1,
+            entries: vec![(child_mbr, child_id), sibling],
+        };
+        let new_root_id = pages.alloc(meta)?;
+        pages.store(new_root_id, &new_root, meta.layout_at(new_root.level))?;
+        meta.root = new_root_id;
+        meta.height += 1;
+        meta.nodes += 1;
+    }
+    Ok(())
+}
+
+/// Finds the leaf holding the exact `(rect, item)` entry below `pid`,
+/// filling `path` with `(page, slot)` pairs from `pid` down.
+pub(crate) fn find_leaf<W: PageWrite>(
+    pages: &mut W,
+    pid: u64,
+    rect: &Rect,
+    item: u64,
+    path: &mut Vec<(u64, usize)>,
+) -> io::Result<Option<u64>> {
+    let node = pages.load(pid)?;
+    if node.level == 0 {
+        let found = node.entries.iter().any(|(r, p)| *p == item && r == rect);
+        return Ok(found.then_some(pid));
+    }
+    for (slot, (r, child)) in node.entries.iter().enumerate() {
+        if r.contains_rect(rect) {
+            path.push((pid, slot));
+            if let Some(leaf) = find_leaf(pages, *child, rect, item, path)? {
+                return Ok(Some(leaf));
+            }
+            path.pop();
+        }
+    }
+    Ok(None)
+}
+
+/// Removes `(rect, item)` from the leaf [`find_leaf`] located (`path` is
+/// its root-to-leaf path), then runs CondenseTree — dissolving underfull
+/// nodes, tightening ancestor rectangles, reinserting orphans at their
+/// original level — and ShrinkTree.
+pub(crate) fn remove_entry<W: PageWrite>(
+    pages: &mut W,
+    meta: &mut PageMeta,
+    leaf_id: u64,
+    mut path: Vec<(u64, usize)>,
+    rect: &Rect,
+    item: u64,
+) -> io::Result<()> {
+    let mut cur = pages.load(leaf_id)?;
+    let pos = cur
+        .entries
+        .iter()
+        .position(|(r, p)| *p == item && r == rect)
+        .expect("find_leaf verified the entry");
+    cur.entries.remove(pos);
+
+    let min = meta.min_entries as usize;
+    let mut orphans: Vec<(u16, Vec<PageEntry>)> = Vec::new();
+    let mut cur_id = leaf_id;
+    while let Some((parent_id, slot)) = path.pop() {
+        let mut parent = pages.load(parent_id)?;
+        debug_assert_eq!(parent.entries[slot].1, cur_id);
+        if cur.entries.len() < min {
+            orphans.push((cur.level, std::mem::take(&mut cur.entries)));
+            pages.free(meta, cur_id)?;
+            meta.nodes -= 1;
+            parent.entries.remove(slot);
+        } else {
+            pages.store(cur_id, &cur, meta.layout_at(cur.level))?;
+            parent.entries[slot].0 = mbr(&cur.entries);
+        }
+        cur_id = parent_id;
+        cur = parent;
+    }
+    // `cur` is now the root; it may legally underflow (or empty out
+    // entirely when it is a leaf).
+    pages.store(cur_id, &cur, meta.layout_at(cur.level))?;
+
+    // Reinsert orphaned entries at their original level, highest first,
+    // so subtrees land before the entries that would go under them.
+    orphans.sort_by_key(|o| std::cmp::Reverse(o.0));
+    for (level, entries) in orphans {
+        for entry in entries {
+            insert_entry(pages, meta, entry, level)?;
+        }
+    }
+
+    // ShrinkTree: while the root is internal with a single child, the
+    // child becomes the root.
+    loop {
+        let root_id = meta.root;
+        let root = pages.load(root_id)?;
+        if root.level == 0 || root.entries.len() != 1 {
+            break;
+        }
+        meta.root = root.entries[0].1;
+        meta.height -= 1;
+        pages.free(meta, root_id)?;
+        meta.nodes -= 1;
+    }
+    meta.items -= 1;
+    Ok(())
+}
+
+/// The sequential write seam: nodes go through the write-back buffer (and
+/// its WAL, if attached); freed pages go on an intrusive on-disk free list.
+impl<S: PageStore> PageWrite for BufferManager<S> {
+    fn load(&mut self, id: u64) -> io::Result<NodePage> {
+        Ok(NodePage::decode(self.fetch(PageId(id))?)?)
+    }
+
+    fn store(&mut self, id: u64, node: &NodePage, layout: PageLayout) -> io::Result<()> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        // Layout-preserving: internal pages of a compressed tree are
+        // re-quantized on every rewrite. Expansion is monotone (the new
+        // frame contains the rewritten entries), so the containment
+        // invariant queries rely on survives arbitrary mutation.
+        node.encode_with(&mut buf, layout);
+        self.write_buffered(PageId(id), &buf)
+    }
+
+    fn alloc(&mut self, meta: &mut PageMeta) -> io::Result<u64> {
+        if meta.free_head == 0 {
+            return Ok(self.allocate()?.0);
+        }
+        let id = meta.free_head;
+        let frame = self.fetch(PageId(id))?;
+        if &frame[0..4] != FREE_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("free-list page {id} lacks the FREE tag"),
+            ));
+        }
+        meta.free_head = u64::from_le_bytes(
+            frame[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
+                .try_into()
+                .expect("8 bytes"),
+        );
+        Ok(id)
+    }
+
+    /// Pushes a page onto the free list (logged like any other write).
+    fn free(&mut self, meta: &mut PageMeta, id: u64) -> io::Result<()> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        buf[0..4].copy_from_slice(FREE_MAGIC);
+        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8].copy_from_slice(&meta.free_head.to_le_bytes());
+        crate::page::seal(&mut buf);
+        self.write_buffered(PageId(id), &buf)?;
+        meta.free_head = id;
+        Ok(())
+    }
+}
+
 impl<S: PageStore> DiskRTree<S> {
     /// Creates an empty, mutable tree: a meta page and an empty root leaf.
     ///
@@ -189,276 +419,36 @@ impl<S: PageStore> DiskRTree<S> {
     /// pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let result = self.insert_inner(rect, item);
-            self.end_op();
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.insert_inner(rect, item)
-    }
-
-    fn insert_inner(&mut self, rect: Rect, item: u64) -> io::Result<()> {
-        self.insert_entry((rect, item), 0)?;
-        self.meta.items += 1;
-        self.finish_op()
+        self.in_span(|t| {
+            insert_entry(&mut t.mgr, &mut t.meta, (rect, item), 0)?;
+            t.meta.items += 1;
+            t.finish_op()
+        })
     }
 
     /// Deletes the exact `(rect, item)` entry if present, condensing
     /// underfull nodes and reinserting their orphaned entries. Returns
     /// whether the entry was found.
     pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let result = self.delete_inner(rect, item);
-            self.end_op();
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.delete_inner(rect, item)
-    }
-
-    fn delete_inner(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        let mut path = Vec::new();
-        let Some(leaf_id) = self.find_leaf(self.meta.root, rect, item, &mut path)? else {
-            return Ok(false);
-        };
-
-        let mut cur = self.load(leaf_id)?;
-        let pos = cur
-            .entries
-            .iter()
-            .position(|(r, p)| *p == item && r == rect)
-            .expect("find_leaf verified the entry");
-        cur.entries.remove(pos);
-
-        // CondenseTree: walk back to the root, dissolving underfull nodes
-        // and tightening ancestor rectangles.
-        let min = self.meta.min_entries as usize;
-        let mut orphans: Vec<(u16, Vec<(Rect, u64)>)> = Vec::new();
-        let mut cur_id = leaf_id;
-        while let Some((parent_id, slot)) = path.pop() {
-            let mut parent = self.load(parent_id)?;
-            debug_assert_eq!(parent.entries[slot].1, cur_id);
-            if cur.entries.len() < min {
-                orphans.push((cur.level, std::mem::take(&mut cur.entries)));
-                self.free_page(cur_id)?;
-                self.meta.nodes -= 1;
-                parent.entries.remove(slot);
-            } else {
-                self.store_node(cur_id, &cur)?;
-                parent.entries[slot].0 = mbr(&cur.entries);
-            }
-            cur_id = parent_id;
-            cur = parent;
-        }
-        // `cur` is now the root; it may legally underflow (or empty out
-        // entirely when it is a leaf).
-        self.store_node(cur_id, &cur)?;
-
-        // Reinsert orphaned entries at their original level, highest first,
-        // so subtrees land before the entries that would go under them.
-        orphans.sort_by_key(|o| std::cmp::Reverse(o.0));
-        for (level, entries) in orphans {
-            for entry in entries {
-                self.insert_entry(entry, level)?;
-            }
-        }
-
-        // ShrinkTree: while the root is internal with a single child, the
-        // child becomes the root.
-        loop {
-            let root_id = self.meta.root;
-            let root = self.load(root_id)?;
-            if root.level > 0 && root.entries.len() == 1 {
-                self.meta.root = root.entries[0].1;
-                self.meta.height -= 1;
-                self.free_page(root_id)?;
-                self.meta.nodes -= 1;
-            } else {
-                break;
-            }
-        }
-
-        self.meta.items -= 1;
-        self.finish_op()?;
-        Ok(true)
+        self.in_span(|t| {
+            let mut path = Vec::new();
+            let Some(leaf) = find_leaf(&mut t.mgr, t.meta.root, rect, item, &mut path)? else {
+                return Ok(false);
+            };
+            remove_entry(&mut t.mgr, &mut t.meta, leaf, path, rect, item)?;
+            t.finish_op()?;
+            Ok(true)
+        })
     }
 
     /// Writes the updated metadata and commits the operation.
     fn finish_op(&mut self) -> io::Result<()> {
         // The level-order layout is gone after any mutation.
         self.meta.level_starts.clear();
-        self.write_meta()?;
-        self.mgr.commit()
-    }
-
-    /// Inserts `entry` into a node at `target_level`, splitting upward as
-    /// needed (AdjustTree). `target_level` is 0 for items; orphan
-    /// reinsertion passes the level the entry originally lived at.
-    fn insert_entry(&mut self, entry: (Rect, u64), target_level: u16) -> io::Result<()> {
-        // Capacity is per level: compressed trees pack internal pages
-        // denser than leaves (see PageMeta::capacity_at).
-        let min = self.meta.min_entries as usize;
-
-        // Descend to the insertion node, remembering the path.
-        let mut path: Vec<(u64, usize)> = Vec::new();
-        let mut cur_id = self.meta.root;
-        let mut node = self.load(cur_id)?;
-        while node.level > target_level {
-            let slot = choose_subtree(&node.entries, &entry.0);
-            path.push((cur_id, slot));
-            cur_id = node.entries[slot].1;
-            node = self.load(cur_id)?;
-        }
-        debug_assert_eq!(node.level, target_level, "target level must exist");
-        node.entries.push(entry);
-
-        // Store (splitting if overfull), then walk the path up adjusting
-        // rectangles and installing split siblings.
-        let mut level = node.level;
-        let mut split: Option<(Rect, u64)> = None;
-        let mut child_mbr;
-        if node.entries.len() > self.meta.capacity_at(node.level) {
-            let (a, b) = quadratic_split(std::mem::take(&mut node.entries), min);
-            child_mbr = mbr(&a);
-            node.entries = a;
-            self.store_node(cur_id, &node)?;
-            split = Some(self.store_sibling(level, b)?);
-        } else {
-            child_mbr = mbr(&node.entries);
-            self.store_node(cur_id, &node)?;
-        }
-        let mut child_id = cur_id;
-
-        while let Some((pid, slot)) = path.pop() {
-            let mut parent = self.load(pid)?;
-            debug_assert_eq!(parent.entries[slot].1, child_id);
-            parent.entries[slot].0 = child_mbr;
-            if let Some(s) = split.take() {
-                parent.entries.push(s);
-            }
-            level = parent.level;
-            if parent.entries.len() > self.meta.capacity_at(parent.level) {
-                let (a, b) = quadratic_split(std::mem::take(&mut parent.entries), min);
-                child_mbr = mbr(&a);
-                parent.entries = a;
-                self.store_node(pid, &parent)?;
-                split = Some(self.store_sibling(level, b)?);
-            } else {
-                child_mbr = mbr(&parent.entries);
-                self.store_node(pid, &parent)?;
-            }
-            child_id = pid;
-        }
-
-        if let Some(sibling) = split {
-            // The root itself split: grow the tree by one level.
-            let new_root_id = self.alloc_page()?;
-            let new_root = NodePage {
-                level: level + 1,
-                entries: vec![(child_mbr, child_id), sibling],
-            };
-            self.store_node(new_root_id, &new_root)?;
-            self.meta.root = new_root_id;
-            self.meta.height += 1;
-            self.meta.nodes += 1;
-        }
-        Ok(())
-    }
-
-    /// Writes a freshly split-off sibling node and returns its parent entry.
-    fn store_sibling(&mut self, level: u16, entries: Vec<(Rect, u64)>) -> io::Result<(Rect, u64)> {
-        let rect = mbr(&entries);
-        let id = self.alloc_page()?;
-        self.store_node(id, &NodePage { level, entries })?;
-        self.meta.nodes += 1;
-        Ok((rect, id))
-    }
-
-    /// Finds the leaf holding the exact `(rect, item)` entry, filling
-    /// `path` with `(page, slot)` pairs from the root down.
-    fn find_leaf(
-        &mut self,
-        pid: u64,
-        rect: &Rect,
-        item: u64,
-        path: &mut Vec<(u64, usize)>,
-    ) -> io::Result<Option<u64>> {
-        let node = self.load(pid)?;
-        if node.level == 0 {
-            if node.entries.iter().any(|(r, p)| *p == item && r == rect) {
-                return Ok(Some(pid));
-            }
-            return Ok(None);
-        }
-        for (slot, (r, child)) in node.entries.iter().enumerate() {
-            if r.contains_rect(rect) {
-                path.push((pid, slot));
-                if let Some(leaf) = self.find_leaf(*child, rect, item, path)? {
-                    return Ok(Some(leaf));
-                }
-                path.pop();
-            }
-        }
-        Ok(None)
-    }
-
-    fn load(&mut self, id: u64) -> io::Result<NodePage> {
-        NodePage::decode(self.mgr.fetch(PageId(id))?).map_err(io::Error::from)
-    }
-
-    fn store_node(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        // Layout-preserving: internal pages of a compressed tree are
-        // re-quantized on every rewrite. Expansion is monotone (the new
-        // frame contains the rewritten entries), so the containment
-        // invariant queries rely on survives arbitrary mutation.
-        node.encode_with(&mut buf, self.meta.layout_at(node.level));
-        self.mgr.write_buffered(PageId(id), &buf)
-    }
-
-    fn write_meta(&mut self) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
         self.meta.encode(&mut buf);
-        self.mgr.write_buffered(PageId(0), &buf)
-    }
-
-    /// Allocates a page, reusing the free list before growing the store.
-    fn alloc_page(&mut self) -> io::Result<u64> {
-        if self.meta.free_head == 0 {
-            return Ok(self.mgr.allocate()?.0);
-        }
-        let id = self.meta.free_head;
-        let frame = self.mgr.fetch(PageId(id))?;
-        if &frame[0..4] != FREE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("free-list page {id} lacks the FREE tag"),
-            ));
-        }
-        let next = u64::from_le_bytes(
-            frame[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        self.meta.free_head = next;
-        Ok(id)
-    }
-
-    /// Pushes a page onto the free list (logged like any other write).
-    fn free_page(&mut self, id: u64) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(FREE_MAGIC);
-        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
-            .copy_from_slice(&self.meta.free_head.to_le_bytes());
-        crate::page::seal(&mut buf);
-        self.mgr.write_buffered(PageId(id), &buf)?;
-        self.meta.free_head = id;
-        Ok(())
+        self.mgr.write_buffered(PageId(0), &buf)?;
+        self.mgr.commit()
     }
 }
 

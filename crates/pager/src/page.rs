@@ -409,6 +409,11 @@ impl PageMeta {
         }
     }
 
+    /// On-page level of the root node (leaves are 0).
+    pub(crate) fn root_level(&self) -> u16 {
+        (self.height - 1) as u16
+    }
+
     /// Body layout this tree writes for a node at on-page `level`:
     /// compressed trees quantize internal pages, everything else is SoA.
     pub fn layout_at(&self, level: u16) -> PageLayout {
@@ -417,6 +422,30 @@ impl PageMeta {
         } else {
             PageLayout::Soa
         }
+    }
+
+    /// The page ids of the top `p` levels under the bulk-load level-order
+    /// layout (`1..end`, root first) — what "pin the top `p` levels" means
+    /// for every tree flavor.
+    ///
+    /// # Errors
+    /// `InvalidInput` if the level table is stale (the tree has been
+    /// mutated since bulk load) or `p` exceeds the height.
+    pub(crate) fn top_level_pages(&self, p: usize) -> io::Result<std::ops::Range<u64>> {
+        let invalid = |why: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("cannot pin {p} levels: {why}"),
+            )
+        };
+        let levels = self.level_starts.len();
+        if levels == 0 {
+            return Err(invalid("the tree was mutated since bulk load".into()));
+        }
+        if p > levels {
+            return Err(invalid(format!("the tree has {levels}")));
+        }
+        Ok(1..self.level_starts.get(p).copied().unwrap_or(self.nodes + 1))
     }
 
     /// On-page node level (leaves are 0, the root is `height - 1`) of a
@@ -1131,7 +1160,7 @@ mod tests {
     #[test]
     fn packed_page_capacity_is_about_2x5() {
         assert_eq!(MAX_ENTRIES_PACKED, 253);
-        assert!(MAX_ENTRIES_PACKED >= 2 * MAX_ENTRIES_PER_PAGE);
+        const _: () = assert!(MAX_ENTRIES_PACKED >= 2 * MAX_ENTRIES_PER_PAGE);
         assert_eq!(PageLayout::Packed.capacity(), MAX_ENTRIES_PACKED);
     }
 

@@ -1,0 +1,62 @@
+//! The page-access seam: the only way a tree algorithm touches a page.
+//!
+//! The paper's metric — disk accesses per query under LRU — is a function
+//! of the page-access *sequence*, so that sequence is defined exactly once:
+//! the walks in [`crate::walk`] and Guttman's insert/condense in
+//! [`crate::mutate`] are written against these two traits and nothing
+//! else. What a seam implementation hides is *where* a page comes from and
+//! what an access costs: which pool is charged, which latch is held, which
+//! trace span the event belongs to. The algorithms are generic over the
+//! seam (monomorphized, never `dyn`), so the sequential instantiation pays
+//! nothing for the concurrent one's existence.
+//!
+//! Two instantiations exist: [`crate::BufferManager`] (one pool, no
+//! latches — the paper's configuration) and the cursor/view structs over
+//! [`crate::ConcurrentDiskRTree`] (shard pools behind the writer overlay,
+//! shared-latch coupling between levels, an exclusive-gate view for
+//! structure changes).
+
+use crate::page::PageLayout;
+use crate::{NodePage, PageMeta, PrefetchOutcome};
+use std::io;
+
+/// The read side: charged page fetches in the order a walk asks for them.
+pub(crate) trait PageRead {
+    /// Fetches `page` — a node at on-page `level` (0 = leaf) — charging
+    /// the access to whatever buffer sits behind the seam. The frame has
+    /// passed its checksum (at page-in), so callers decode it trusted.
+    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]>;
+
+    /// Reads `page` ahead of its demand fetch. On
+    /// [`PrefetchOutcome::Fetched`] the caller owns a reservation it must
+    /// hand back with [`PageRead::release`] once the page is consumed (or
+    /// the walk fails). Seams without readahead decline.
+    fn prefetch(&mut self, _page: u64, _level: u16) -> io::Result<PrefetchOutcome> {
+        Ok(PrefetchOutcome::NoCapacity)
+    }
+
+    /// Hands back a reservation taken by [`PageRead::prefetch`].
+    fn release(&mut self, _page: u64) {}
+
+    /// A level-synchronous walk finished a level and will visit exactly
+    /// `next` (ascending) on the level below: the hook where a latching
+    /// seam couples — latch all of `next`, then let go of the level above.
+    fn level_done(&mut self, _next: impl Iterator<Item = u64>) {}
+}
+
+/// The write side: whole-node load/store plus page allocation, for the
+/// structure-changing algorithms. `meta` is the tree's *live* metadata; the
+/// algorithms own its root/height/counters, the seam only its free list.
+pub(crate) trait PageWrite {
+    /// Loads and decodes node `id` (a charged access).
+    fn load(&mut self, id: u64) -> io::Result<NodePage>;
+
+    /// Encodes `node` in `layout` as the new image of page `id`.
+    fn store(&mut self, id: u64, node: &NodePage, layout: PageLayout) -> io::Result<()>;
+
+    /// Allocates a page, reusing freed ones before growing the store.
+    fn alloc(&mut self, meta: &mut PageMeta) -> io::Result<u64>;
+
+    /// Returns a dissolved page for reuse.
+    fn free(&mut self, meta: &mut PageMeta, id: u64) -> io::Result<()>;
+}

@@ -2,24 +2,19 @@
 //!
 //! A [`QueryEngine`] takes a closed micro-batch of query rectangles and
 //! returns one result vector per query; the scheduler never sees pages,
-//! buffers, or locks. Two implementations cover the two serving modes the
-//! workspace already measures offline:
+//! buffers, or locks. Two implementations, one per tree flavor:
 //!
 //! * [`SequentialEngine`] — one `DiskRTree` behind a mutex, executed with
 //!   [`BatchExecutor`] so the batch's page-level dedup and readahead
 //!   engage (the lever ISSUE 6 is built to demonstrate).
-//! * [`ShardedEngine`] — a `ConcurrentDiskRTree`, executed with
-//!   `query_batch` across its shards.
-//! * [`WriterEngine`] — a *writable* `ConcurrentDiskRTree`: queries run
-//!   as in the sharded engine, and [`WriteOp`] batches fan out over
-//!   threads so their latch-crabbing inserts overlap and their WAL
-//!   commits coalesce into group-commit batches.
+//! * [`WriterEngine`] — a `ConcurrentDiskRTree`, read-only or writable:
+//!   queries run with `query_batch` across its shards, and [`WriteOp`]
+//!   batches fan out over threads so their latch-crabbing inserts overlap
+//!   and their WAL commits coalesce into group-commit batches.
 
 use rtree_exec::{BatchConfig, BatchExecutor};
 use rtree_geom::Rect;
-use rtree_pager::{
-    ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats, PageStore, SharedPageStore,
-};
+use rtree_pager::{ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats, PageStore};
 use std::io;
 use std::sync::Mutex;
 
@@ -149,47 +144,17 @@ impl<S: PageStore + Send + 'static> QueryEngine for SequentialEngine<S> {
     }
 }
 
-/// A `ConcurrentDiskRTree` executing batches across its shards with
-/// `query_batch`.
-pub struct ShardedEngine<S: SharedPageStore + Send + Sync + 'static> {
-    tree: ConcurrentDiskRTree<S>,
-    threads: usize,
-}
-
-impl<S: SharedPageStore + Send + Sync + 'static> ShardedEngine<S> {
-    /// Wraps `tree`; each batch fans out over `threads` worker threads.
-    pub fn new(tree: ConcurrentDiskRTree<S>, threads: usize) -> Self {
-        ShardedEngine {
-            tree,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The wrapped tree, for setup and assertions.
-    pub fn tree(&self) -> &ConcurrentDiskRTree<S> {
-        &self.tree
-    }
-}
-
-impl<S: SharedPageStore + Send + Sync + 'static> QueryEngine for ShardedEngine<S> {
-    fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
-        self.tree.query_batch(queries, self.threads)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.tree.io_stats()
-    }
-}
-
-/// A writable `ConcurrentDiskRTree` serving reads *and* writes.
+/// A `ConcurrentDiskRTree` serving reads and — when it was opened through
+/// a writable constructor — writes.
 ///
-/// Queries run exactly as in [`ShardedEngine`]. Write batches fan out
-/// over up to `write_threads` scoped threads, one op per thread at a
-/// time: each insert/delete crabs its own latch path and then joins the
-/// WAL's group commit, so a batch of k writes typically costs one fsync
-/// instead of k. With `group_commit` disabled the ops run one at a time
-/// — every commit is a batch of one, the per-op-fsync baseline the
-/// `server_throughput` experiment compares against.
+/// Query batches fan out over `threads` workers with `query_batch`. Write
+/// batches fan out over up to `write_threads` scoped threads, one op per
+/// thread at a time: each insert/delete crabs its own latch path and then
+/// joins the WAL's group commit, so a batch of k writes typically costs
+/// one fsync instead of k. With `group_commit` disabled the ops run one at
+/// a time — every commit is a batch of one, the per-op-fsync baseline the
+/// `server_throughput` experiment compares against. On a read-only tree
+/// every write op answers a typed `PermissionDenied`.
 pub struct WriterEngine<S: ConcurrentPageStore + Send + 'static> {
     tree: ConcurrentDiskRTree<S>,
     threads: usize,
@@ -198,24 +163,14 @@ pub struct WriterEngine<S: ConcurrentPageStore + Send + 'static> {
 }
 
 impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
-    /// Wraps a writable `tree` (see
-    /// `ConcurrentDiskRTree::create_writable`). Queries fan out over
-    /// `threads`; write batches over `write_threads` when `group_commit`
-    /// is on, serially when it is off.
-    ///
-    /// # Panics
-    /// Panics if the tree was opened read-only — a server configured for
-    /// writers must fail loudly at startup, not per-request.
+    /// Wraps `tree`. Queries fan out over `threads`; write batches over
+    /// `write_threads` when `group_commit` is on, serially when it is off.
     pub fn new(
         tree: ConcurrentDiskRTree<S>,
         threads: usize,
         write_threads: usize,
         group_commit: bool,
     ) -> Self {
-        assert!(
-            tree.is_writable(),
-            "WriterEngine needs a tree opened through a writable constructor"
-        );
         WriterEngine {
             tree,
             threads: threads.max(1),

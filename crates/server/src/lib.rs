@@ -51,7 +51,7 @@ pub mod server;
 pub mod wire;
 
 pub use batcher::{BatchPolicy, BatcherStats, JobOutput, MicroBatcher, SubmitError};
-pub use engine::{QueryEngine, SequentialEngine, ShardedEngine, WriteOp, WriteStats, WriterEngine};
+pub use engine::{QueryEngine, SequentialEngine, WriteOp, WriteStats, WriterEngine};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{serve, serve_with_spawner, Client, ServerConfig, ServerHandle, Spawner};
 pub use wire::{FrameError, Request, Response, StatsReply};

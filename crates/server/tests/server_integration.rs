@@ -7,10 +7,10 @@ use rtree_core::Workload;
 use rtree_datagen::ClusteredPoints;
 use rtree_geom::Rect;
 use rtree_index::{BulkLoader, RTree};
-use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
+use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore, SharedMemStore};
 use rtree_server::{
     loadgen, serve, BatchPolicy, Client, LoadConfig, QueryEngine, Request, Response,
-    SequentialEngine, ServerConfig, ServerHandle, ShardedEngine,
+    SequentialEngine, ServerConfig, ServerHandle, WriterEngine,
 };
 use rtree_sim::QuerySampler;
 use std::sync::Arc;
@@ -261,13 +261,13 @@ fn loadgen_open_loop_paces_and_shutdown_after_stops_server() {
 }
 
 #[test]
-fn sharded_engine_serves_identical_results() {
+fn sharded_read_only_tree_serves_identical_results() {
     let tree = build_tree(2_000);
     let concurrent =
-        ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 128, 4, LruPolicy::new)
+        ConcurrentDiskRTree::create_sharded(SharedMemStore::new(), &tree, 128, 4, LruPolicy::new)
             .expect("sharded tree");
     let handle = serve(
-        ShardedEngine::new(concurrent, 2),
+        WriterEngine::new(concurrent, 2, 2, true),
         "127.0.0.1:0",
         ServerConfig::default(),
     )
@@ -316,8 +316,6 @@ fn replay_partitions_across_connections_in_order() {
 
 #[test]
 fn writer_server_serves_reads_its_own_writes_durably() {
-    use rtree_pager::SharedMemStore;
-    use rtree_server::WriterEngine;
     use rtree_wal::{GroupWal, MemLog};
 
     let wal = GroupWal::open(MemLog::new()).expect("wal");
@@ -399,7 +397,18 @@ fn writer_server_serves_reads_its_own_writes_durably() {
 #[test]
 fn read_only_server_answers_writes_with_a_typed_error() {
     let tree = build_tree(200);
-    let handle = start_server(&tree, BatchPolicy::default());
+    answers_writes_with_a_typed_error(start_server(&tree, BatchPolicy::default()));
+    // The concurrent engine over a read-only tree refuses per op as well.
+    let concurrent =
+        ConcurrentDiskRTree::create(SharedMemStore::new(), &tree, 64, LruPolicy::new())
+            .expect("tree");
+    let engine = WriterEngine::new(concurrent, 2, 2, true);
+    answers_writes_with_a_typed_error(
+        serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("serve"),
+    );
+}
+
+fn answers_writes_with_a_typed_error<E: QueryEngine>(handle: ServerHandle<E>) {
     let mut client = Client::connect(handle.addr()).expect("connect");
     let r = Rect::new(0.1, 0.1, 0.2, 0.2);
     match client.call(&Request::Insert(r, 1)).expect("call") {

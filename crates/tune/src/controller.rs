@@ -411,9 +411,7 @@ mod tests {
         );
         feed_uniform(&c, 512);
         let before = c.current();
-        let err = c
-            .tick_with(|_| Err(io::Error::new(io::ErrorKind::Other, "nope")))
-            .unwrap_err();
+        let err = c.tick_with(|_| Err(io::Error::other("nope"))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert_eq!(c.current(), before);
         assert!(c.decisions().is_empty());

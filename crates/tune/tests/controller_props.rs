@@ -217,13 +217,12 @@ fn adaptive_results_equal_non_adaptive_results() {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "query {i} diverged");
-        if i % 20 == 0 {
-            if c.tick_with(|s| DiskActuator::new(&mut tuned).apply(s))
+        if i % 20 == 0
+            && c.tick_with(|s| DiskActuator::new(&mut tuned).apply(s))
                 .unwrap()
                 .is_some()
-            {
-                decisions += 1;
-            }
+        {
+            decisions += 1;
         }
     }
     assert!(
