@@ -104,7 +104,7 @@ fn run_adaptive(
         disk.query(q).expect("query");
         if (i + 1) % TICK == 0 {
             controller
-                .tick_with(|s| DiskActuator::new(&mut disk).apply(s))
+                .tick_with(|s| DiskActuator(&mut disk).apply(s))
                 .expect("actuate");
         }
         if i + 1 == per_phase {

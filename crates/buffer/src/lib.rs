@@ -16,7 +16,6 @@ mod lru;
 mod lruk;
 mod pool;
 mod random;
-mod stats;
 
 pub use clock::ClockPolicy;
 pub use fifo::FifoPolicy;
@@ -24,7 +23,6 @@ pub use lru::LruPolicy;
 pub use lruk::LruKPolicy;
 pub use pool::{AccessOutcome, BufferPool, BufferStats, PinError};
 pub use random::RandomPolicy;
-pub use stats::AtomicBufferStats;
 
 /// Identifier of a buffered page. In the R-tree study one page holds one
 /// tree node.

@@ -1182,7 +1182,7 @@ fn run_adaptive_phase(
             since_tick += 1;
             if since_tick == tick_every {
                 since_tick = 0;
-                if let Err(e) = controller.tick_with(|s| DiskActuator::new(&mut disk).apply(s)) {
+                if let Err(e) = controller.tick_with(|s| DiskActuator(&mut disk).apply(s)) {
                     fail(
                         report,
                         Oracle::Differential,

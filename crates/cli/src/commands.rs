@@ -654,9 +654,8 @@ fn trace(args: &Args) -> Result<String, CliError> {
     let pool = disk.buffer_stats();
     let counts = sink.counts();
     let metrics = disk.query_metrics();
-    // All worker threads have been joined, so the relaxed counters are
-    // final: the event stream must reconcile exactly with the I/O and pool
-    // statistics.
+    // All worker threads have been joined, so the counters are final: the
+    // event stream must reconcile exactly with the I/O and pool statistics.
     let reconciled = counts.misses == stats.reads
         && counts.peek_reads == stats.peek_reads
         && counts.write_backs == stats.writes
@@ -1213,39 +1212,24 @@ fn run_server<E: rtree_server::QueryEngine>(
     }
 }
 
-/// A serving engine the self-tuning controller can actuate on: applies a
-/// [`rtree_tune::Setting`] (unpin → resize → re-pin) to the live tree.
-trait Tunable: rtree_server::QueryEngine {
-    fn actuate(&self, setting: rtree_tune::Setting) -> std::io::Result<()>;
-}
+/// How `serve --adaptive` reaches the live tree inside engine `E`: applies
+/// a [`rtree_tune::Setting`] (unpin → resize → re-pin).
+type Actuate<E> = fn(&E, rtree_tune::Setting) -> std::io::Result<()>;
 
-impl Tunable for rtree_server::SequentialEngine<rtree_pager::MemStore> {
-    fn actuate(&self, setting: rtree_tune::Setting) -> std::io::Result<()> {
-        use rtree_tune::Actuator;
-        self.with_tree(|tree| rtree_tune::DiskActuator::new(tree).apply(setting))
-    }
-}
-
-impl Tunable for rtree_server::WriterEngine<rtree_pager::SharedMemStore> {
-    fn actuate(&self, setting: rtree_tune::Setting) -> std::io::Result<()> {
-        use rtree_tune::Actuator;
-        rtree_tune::ConcurrentActuator::new(self.tree()).apply(setting)
-    }
-}
-
-/// Wraps a [`Tunable`] engine with the online controller: every served
-/// query feeds the workload window, and when the background timer marks a
-/// tick due the controller runs its estimate → refit → actuate loop on
-/// the serving path (so actuation is always between batches, never racing
-/// one). Actuation errors are swallowed — a failed resize must not fail
-/// the client batch; the controller retries at the next tick.
-struct AdaptiveEngine<E: Tunable> {
+/// Wraps an engine with the online controller: every served query feeds
+/// the workload window, and when the background timer marks a tick due the
+/// controller runs its estimate → refit → actuate loop on the serving path
+/// (so actuation is always between batches, never racing one). Actuation
+/// errors are swallowed — a failed resize must not fail the client batch;
+/// the controller retries at the next tick.
+struct AdaptiveEngine<E> {
     inner: E,
+    actuate: Actuate<E>,
     controller: std::sync::Arc<rtree_tune::Controller>,
     tick_due: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
-impl<E: Tunable> rtree_server::QueryEngine for AdaptiveEngine<E> {
+impl<E: rtree_server::QueryEngine> rtree_server::QueryEngine for AdaptiveEngine<E> {
     fn execute(&self, queries: &[Rect]) -> std::io::Result<Vec<Vec<u64>>> {
         use rtree_obs::TuneObserver;
         for q in queries {
@@ -1256,7 +1240,9 @@ impl<E: Tunable> rtree_server::QueryEngine for AdaptiveEngine<E> {
             .tick_due
             .swap(false, std::sync::atomic::Ordering::Relaxed)
         {
-            let _ = self.controller.tick_with(|s| self.inner.actuate(s));
+            let _ = self
+                .controller
+                .tick_with(|s| (self.actuate)(&self.inner, s));
         }
         self.inner.execute(queries)
     }
@@ -1278,36 +1264,43 @@ impl<E: Tunable> rtree_server::QueryEngine for AdaptiveEngine<E> {
     }
 }
 
-/// `serve --adaptive`: wraps `inner` in the controller, runs the server
-/// with a background thread marking a tuning tick due every
-/// `tune_interval_ms`, and appends the controller's decision log to the
-/// exit summary (on both the success and the reconciliation-failure path).
-#[allow(clippy::too_many_arguments)]
-fn serve_adaptive<E: Tunable>(
-    inner: E,
-    desc: TreeDescription,
-    buffer: usize,
-    budget: usize,
-    tune_interval_ms: u64,
-    addr: &str,
+/// What the `serve` flags common to every engine resolve to.
+struct ServeOptions<'a> {
+    addr: &'a str,
     config: rtree_server::ServerConfig,
     duration: f64,
-    port_file: Option<&str>,
+    port_file: Option<&'a str>,
     sink: std::sync::Arc<rtree_obs::CountingSink>,
+}
+
+impl ServeOptions<'_> {
+    /// Binds the address and serves `engine` to completion.
+    fn run<E: rtree_server::QueryEngine>(self, engine: E) -> Result<String, CliError> {
+        let handle = rtree_server::serve(engine, self.addr, self.config)
+            .map_err(|e| err(format!("binding {}: {e}", self.addr)))?;
+        run_server(handle, self.duration, self.port_file, self.sink)
+    }
+}
+
+/// Serves a read-only `engine` until shutdown. With `tuning` (`--adaptive`:
+/// a controller and its tick interval in ms) the engine is wrapped in the
+/// controller, a background thread marks a tuning tick due every interval,
+/// and the controller's decision log is appended to the exit summary (on
+/// both the success and the reconciliation-failure path).
+fn serve_engine<E: rtree_server::QueryEngine>(
+    engine: E,
+    actuate: Actuate<E>,
+    tuning: Option<(rtree_tune::Controller, u64)>,
+    opts: ServeOptions<'_>,
 ) -> Result<String, CliError> {
-    use rtree_tune::{Controller, ControllerConfig, Setting};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    let controller = Arc::new(Controller::new(
-        desc,
-        Setting {
-            buffer,
-            pin_levels: 0,
-        },
-        ControllerConfig::new(budget),
-    ));
+    let Some((controller, tune_interval_ms)) = tuning else {
+        return opts.run(engine);
+    };
+    let controller = Arc::new(controller);
     let tick_due = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let ticker = {
@@ -1327,14 +1320,12 @@ fn serve_adaptive<E: Tunable>(
             }
         })
     };
-    let engine = AdaptiveEngine {
-        inner,
+    let result = opts.run(AdaptiveEngine {
+        inner: engine,
+        actuate,
         controller: Arc::clone(&controller),
         tick_due,
-    };
-    let handle = rtree_server::serve(engine, addr, config)
-        .map_err(|e| err(format!("binding {addr}: {e}")))?;
-    let result = run_server(handle, duration, port_file, sink);
+    });
     stop.store(true, Ordering::Relaxed);
     let _ = ticker.join();
 
@@ -1405,11 +1396,16 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.flag_or("seed", 0x7ACEu64)?;
     let policy = parse_policy(args.flag("policy").unwrap_or("LRU"), seed)?;
     let window: usize = args.flag_or("window", 8usize)?;
-    let duration: f64 = args.flag_or("duration", 0.0f64)?;
-    let config = parse_server_config(args)?;
-    let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
-    let port_file = args.flag("port-file");
     let sink = Arc::new(CountingSink::new());
+    let trace = Arc::clone(&sink) as Arc<dyn TraceSink>;
+    let opts = ServeOptions {
+        addr: args.flag("addr").unwrap_or("127.0.0.1:0"),
+        config: parse_server_config(args)?,
+        duration: args.flag_or("duration", 0.0f64)?,
+        port_file: args.flag("port-file"),
+        sink,
+    };
+    let workers = opts.config.batch.workers;
     let adaptive = args.flag_bool("adaptive");
     let tune_interval: u64 = args.flag_or("tune-interval", 250u64)?;
     if tune_interval == 0 {
@@ -1450,85 +1446,55 @@ fn serve(args: &Args) -> Result<String, CliError> {
             wal,
         )
         .map_err(|e| err(format!("creating tree: {e}")))?;
-        disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
+        disk.set_trace_sink(Some(trace));
         for (i, r) in rects.iter().enumerate() {
             disk.insert(r, i as u64)
                 .map_err(|e| err(format!("seeding item {i}: {e}")))?;
         }
-        let workers = config.batch.workers;
-        let handle = rtree_server::serve(
-            WriterEngine::new(disk, workers, write_threads, true),
-            addr,
-            config,
-        )
-        .map_err(|e| err(format!("binding {addr}: {e}")))?;
-        return run_server(handle, duration, port_file, sink);
+        return opts.run(WriterEngine::new(disk, workers, write_threads, true));
     }
 
     let tree = build_tree(&rects, args.flag("loader").unwrap_or("HS"), cap)?;
-
+    use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
+    let tuning = adaptive.then(|| {
+        let start = Setting {
+            buffer,
+            pin_levels: 0,
+        };
+        let config = ControllerConfig::new(budget);
+        let desc = TreeDescription::from_tree(&tree);
+        (Controller::new(desc, start, config), tune_interval)
+    });
     match args.flag("engine").unwrap_or("seq") {
         "seq" => {
             let mut disk = DiskRTree::create(MemStore::new(), &tree, buffer, policy.build())
                 .map_err(|e| err(format!("creating tree: {e}")))?;
-            disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
-            let engine = SequentialEngine::new(disk, window);
-            if adaptive {
-                let desc = TreeDescription::from_tree(&tree);
-                serve_adaptive(
-                    engine,
-                    desc,
-                    buffer,
-                    budget,
-                    tune_interval,
-                    addr,
-                    config,
-                    duration,
-                    port_file,
-                    sink,
-                )
-            } else {
-                let handle = rtree_server::serve(engine, addr, config)
-                    .map_err(|e| err(format!("binding {addr}: {e}")))?;
-                run_server(handle, duration, port_file, sink)
-            }
+            disk.set_trace_sink(Some(trace));
+            serve_engine(
+                SequentialEngine::new(disk, window),
+                |e, s| e.with_tree(|tree| DiskActuator(tree).apply(s)),
+                tuning,
+                opts,
+            )
         }
         "sharded" => {
             let shards: usize = args.flag_or("shards", 1usize)?;
-            let workers = config.batch.workers;
             let mut disk = ConcurrentDiskRTree::create_sharded(
                 SharedMemStore::new(),
                 &tree,
                 buffer,
                 shards,
-                {
-                    let policy = policy;
-                    move || policy.build()
-                },
+                move || policy.build(),
             )
             .map_err(|e| err(format!("creating tree: {e}")))?;
-            disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
+            disk.set_trace_sink(Some(trace));
             // Read-only tree: the write-side settings are never exercised.
-            let engine = WriterEngine::new(disk, workers, 1, false);
-            if adaptive {
-                let desc = TreeDescription::from_tree(&tree);
-                serve_adaptive(
-                    engine,
-                    desc,
-                    buffer,
-                    budget,
-                    tune_interval,
-                    addr,
-                    config,
-                    duration,
-                    port_file,
-                    sink,
-                )
-            } else {
-                let handle = rtree_server::serve(engine, addr, config)
-                    .map_err(|e| err(format!("binding {addr}: {e}")))?;
-                run_server(handle, duration, port_file, sink)
-            }
+            serve_engine(
+                WriterEngine::new(disk, workers, 1, false),
+                |e, s| DiskActuator(&mut e.tree()).apply(s),
+                tuning,
+                opts,
+            )
         }
         other => Err(err(format!("unknown engine {other:?} (seq | sharded)"))),
     }

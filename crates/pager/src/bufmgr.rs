@@ -20,7 +20,6 @@ use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_wal::Wal;
 use std::collections::HashMap;
 use std::io;
-#[cfg(feature = "trace")]
 use std::sync::Arc;
 
 /// Per-manager trace state: the sink plus the current span (query id and
@@ -120,15 +119,46 @@ pub enum PrefetchOutcome {
     NoCapacity,
 }
 
-/// A buffer manager: caches page contents according to the pool's
-/// replacement decisions and counts every physical page transfer. One page
-/// frame per resident page; fetches return a borrowed frame.
-pub struct BufferManager<S: PageStore> {
+/// Why a page is being read into a frame: decides the checksum gate, the
+/// counter and the trace event of the one page-in routine.
+#[derive(Clone, Copy, PartialEq)]
+enum PageIn {
+    /// A demand miss or the load of a pinned page.
+    Demand,
+    /// Readahead: also counted in [`IoStats::prefetch_reads`].
+    Prefetch,
+    /// The before-image of a buffered write. Unverified: an overwrite must
+    /// be able to repair a corrupt page.
+    BeforeImage,
+}
+
+/// A fresh page frame (one allocation; filled in place at page-in).
+fn zeroed_frame() -> Arc<[u8]> {
+    Arc::new([0u8; PAGE_SIZE])
+}
+
+/// The bytes of `frame`, for overwriting. A frame some reader still holds
+/// (a latched manager hands out clones) is left to that reader and replaced
+/// by a fresh one, so a reader never sees a frame change under it.
+fn exclusive(frame: &mut Arc<[u8]>) -> &mut [u8] {
+    if Arc::get_mut(frame).is_none() {
+        *frame = zeroed_frame();
+    }
+    Arc::get_mut(frame).expect("a fresh frame is unshared")
+}
+
+/// The buffer cache: page contents held according to the pool's replacement
+/// decisions, with every physical page transfer counted. One frame per
+/// resident page. Used bare by the sequential [`crate::DiskRTree`], whose
+/// fetches borrow a frame, and behind one latch per shard by
+/// [`crate::ConcurrentDiskRTree`], whose fetches clone the frame's `Arc` so
+/// that decoding runs outside the latch.
+pub struct BufferManager<S> {
     store: S,
     pool: BufferPool,
-    frames: HashMap<PageId, Box<[u8]>>,
+    frames: HashMap<PageId, Arc<[u8]>>,
     /// Scratch frame for reads that bypass a fully pinned pool.
-    scratch: Box<[u8]>,
+    scratch: Arc<[u8]>,
     stats: IoStats,
     wal: Option<Wal>,
     /// Verify page checksums at read-in (see
@@ -145,7 +175,7 @@ impl<S: PageStore> BufferManager<S> {
             store,
             pool: BufferPool::new(capacity, policy),
             frames: HashMap::with_capacity(capacity + 1),
-            scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            scratch: zeroed_frame(),
             stats: IoStats::default(),
             wal: None,
             verify_reads: false,
@@ -236,39 +266,45 @@ impl<S: PageStore> BufferManager<S> {
         self.store
     }
 
+    /// Writes a dirty page's frame to the store and clears its mark. The
+    /// caller has synced the log (the WAL rule: the records covering a page
+    /// must be durable before its image may overwrite the store).
+    fn write_back(&mut self, id: PageId) -> io::Result<()> {
+        let frame = self.frames.get(&id).expect("dirty page has a frame");
+        self.store.write_page(id, frame)?;
+        self.stats.writes += 1;
+        self.pool.clear_dirty(id);
+        #[cfg(feature = "trace")]
+        self.tracer.emit_at(id, -1, EventKind::WriteBack);
+        Ok(())
+    }
+
     /// Writes the evicted page back if dirty (log first), then drops its
-    /// frame.
+    /// frame. On an error the frame and the dirty mark are still there.
     fn retire_victim(&mut self, victim: PageId) -> io::Result<()> {
         if self.pool.is_dirty(victim) {
-            // WAL rule: the log records covering this page must be durable
-            // before the page image may overwrite the store.
             if let Some(wal) = &mut self.wal {
                 wal.sync()?;
             }
-            let frame = self.frames.get(&victim).expect("dirty page has a frame");
-            self.store.write_page(victim, frame)?;
-            self.stats.writes += 1;
-            self.pool.clear_dirty(victim);
-            #[cfg(feature = "trace")]
-            self.tracer.emit_at(victim, -1, EventKind::WriteBack);
+            self.write_back(victim)?;
         }
         self.frames.remove(&victim);
         Ok(())
     }
 
-    /// Completes an admission the pool has just made for `id` (a miss or a
-    /// pin): retires the evicted victim, reads the page into a fresh frame
-    /// and installs it. On any error the admission is backed out, so the
-    /// next access misses and re-reads instead of hitting a frameless
-    /// resident entry. `verify` is off only for before-image reads.
-    fn page_in(&mut self, id: PageId, evicted: Option<PageId>, verify: bool) -> io::Result<()> {
-        let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
+    /// Completes an admission the pool has just made for `id` (a miss, a
+    /// pin or a readahead reservation): retires the evicted victim, reads
+    /// the page into a fresh frame and installs it. On any error the
+    /// admission is backed out, so the next access misses and re-reads
+    /// instead of hitting a frameless resident entry.
+    fn page_in(&mut self, id: PageId, evicted: Option<PageId>, why: PageIn) -> io::Result<()> {
+        let mut frame = zeroed_frame();
         let loaded = (|| {
             if let Some(victim) = evicted {
                 self.retire_victim(victim)?;
             }
-            self.store.read_page(id, &mut frame)?;
-            if verify {
+            self.store.read_page(id, exclusive(&mut frame))?;
+            if why != PageIn::BeforeImage {
                 self.verify_read(id, &frame)?;
             }
             Ok(())
@@ -276,31 +312,71 @@ impl<S: PageStore> BufferManager<S> {
         if let Err(e) = loaded {
             self.pool.unpin(id);
             self.pool.discard(id);
+            // A victim that still has its frame was not written back, and
+            // that frame is the only copy of its update: it takes back the
+            // slot `id` just gave up, dirty mark intact.
+            if let Some(victim) = evicted.filter(|v| self.frames.contains_key(v)) {
+                self.pool
+                    .admit_pinned(victim)
+                    .expect("backing the admission out freed a frame");
+                self.pool.unpin(victim);
+            }
             return Err(e);
         }
         self.stats.reads += 1;
+        self.stats.prefetch_reads += u64::from(why == PageIn::Prefetch);
         self.frames.insert(id, frame);
         #[cfg(feature = "trace")]
-        self.tracer.emit(id, EventKind::Miss);
+        self.tracer.emit(
+            id,
+            match why {
+                PageIn::Prefetch => EventKind::Prefetch,
+                _ => EventKind::Miss,
+            },
+        );
         Ok(())
     }
 
-    /// Fetches a page, going to the store only on a miss.
-    pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
+    /// Reads a page into the scratch frame, bypassing the pool.
+    fn fill_scratch(&mut self, id: PageId, verify: bool) -> io::Result<()> {
+        self.store.read_page(id, exclusive(&mut self.scratch))?;
+        if verify {
+            self.verify_read(id, &self.scratch)?;
+        }
+        Ok(())
+    }
+
+    /// One charged access, going to the store only on a miss. Afterwards
+    /// the page's bytes are in its frame (`true`) or, when every frame is
+    /// pinned, in the scratch frame (`false`).
+    fn access(&mut self, id: PageId, why: PageIn) -> io::Result<bool> {
         match self.pool.access(id) {
             AccessOutcome::Hit => {
                 #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Hit);
             }
-            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, true)?,
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, why)?,
             AccessOutcome::MissBypass => {
-                self.store.read_page(id, &mut self.scratch)?;
-                self.verify_read(id, &self.scratch)?;
+                self.fill_scratch(id, why != PageIn::BeforeImage)?;
                 self.stats.reads += 1;
                 #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
-                return Ok(&self.scratch);
+                return Ok(false);
             }
+        }
+        Ok(true)
+    }
+
+    /// Fetches a page, going to the store only on a miss.
+    pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
+        self.fetch_frame(id).map(|frame| &**frame)
+    }
+
+    /// [`BufferManager::fetch`], handing out the frame itself so that a
+    /// latched caller can clone it and decode outside its latch.
+    pub(crate) fn fetch_frame(&mut self, id: PageId) -> io::Result<&Arc<[u8]>> {
+        if !self.access(id, PageIn::Demand)? {
+            return Ok(&self.scratch);
         }
         Ok(self.frames.get(&id).expect("resident page has a frame"))
     }
@@ -315,7 +391,7 @@ impl<S: PageStore> BufferManager<S> {
         if was_resident {
             return Ok(());
         }
-        self.page_in(id, evicted, true)
+        self.page_in(id, evicted, PageIn::Demand)
     }
 
     /// Reads a page ahead of its demand access. On [`PrefetchOutcome::Fetched`]
@@ -333,23 +409,11 @@ impl<S: PageStore> BufferManager<S> {
         if self.pool.pinned_count() >= self.pool.capacity() {
             return Ok(PrefetchOutcome::NoCapacity);
         }
-        // Read before touching pool state: a failed I/O then needs no
-        // rollback of a half-made reservation.
-        let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        self.store.read_page(id, &mut frame)?;
-        self.verify_read(id, &frame)?;
         let evicted = self
             .pool
             .admit_pinned(id)
             .expect("a frame is free: pinned_count < capacity was checked");
-        if let Some(victim) = evicted {
-            self.retire_victim(victim)?;
-        }
-        self.stats.reads += 1;
-        self.stats.prefetch_reads += 1;
-        self.frames.insert(id, frame);
-        #[cfg(feature = "trace")]
-        self.tracer.emit(id, EventKind::Prefetch);
+        self.page_in(id, evicted, PageIn::Prefetch)?;
         Ok(PrefetchOutcome::Fetched)
     }
 
@@ -360,22 +424,23 @@ impl<S: PageStore> BufferManager<S> {
         self.pool.unpin(id);
     }
 
-    /// Borrows the frame of a resident page without touching policy state.
-    pub(crate) fn peek_frame(&self, id: PageId) -> Option<&[u8]> {
-        self.frames.get(&id).map(|b| &b[..])
-    }
-
     /// Reads a page *without* charging the buffer: a resident frame is
     /// peeked (no policy touch), a non-resident page goes through the
-    /// scratch frame and counts only as a peek read. Used for the
-    /// model-semantics root-MBR test (a node is accessed iff its MBR
-    /// intersects the query); `level` attributes the peek in trace builds.
-    pub(crate) fn fetch_uncharged(&mut self, id: PageId, level: u16) -> io::Result<&[u8]> {
+    /// scratch frame, bypassing the pool and the model's `reads` counter.
+    /// That transfer is still physical I/O, so it lands in
+    /// [`IoStats::peek_reads`]. Used for the model-semantics root-MBR test
+    /// (a node is accessed iff its MBR intersects the query); `level`
+    /// attributes the peek in trace builds.
+    pub(crate) fn fetch_uncharged(&mut self, id: PageId, level: u16) -> io::Result<&Arc<[u8]>> {
         self.at_level(level);
-        if self.pool.contains(id) {
-            return Ok(self.peek_frame(id).expect("resident page has a frame"));
+        if self.frames.contains_key(&id) {
+            return Ok(&self.frames[&id]);
         }
-        self.read_scratch(id)
+        self.fill_scratch(id, true)?;
+        self.stats.peek_reads += 1;
+        #[cfg(feature = "trace")]
+        self.tracer.emit(id, EventKind::PeekRead);
+        Ok(&self.scratch)
     }
 
     /// Attributes subsequent trace events to tree level `level`.
@@ -388,25 +453,12 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// Reads a page into the scratch frame, bypassing the pool and the
-    /// model's `reads` counter (used for the uncharged root-MBR peek). The
-    /// transfer is still physical I/O, so it lands in
-    /// [`IoStats::peek_reads`].
-    pub(crate) fn read_scratch(&mut self, id: PageId) -> io::Result<&[u8]> {
-        self.store.read_page(id, &mut self.scratch)?;
-        self.verify_read(id, &self.scratch)?;
-        self.stats.peek_reads += 1;
-        #[cfg(feature = "trace")]
-        self.tracer.emit(id, EventKind::PeekRead);
-        Ok(&self.scratch)
-    }
-
     /// Writes a page through the cache to the store (no WAL, no dirty
     /// tracking — bulk materialization and other non-transactional paths).
     pub fn write(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
         if let Some(frame) = self.frames.get_mut(&id) {
-            frame.copy_from_slice(data);
+            exclusive(frame).copy_from_slice(data);
         }
         self.store.write_page(id, data)?;
         self.stats.writes += 1;
@@ -415,37 +467,33 @@ impl<S: PageStore> BufferManager<S> {
         Ok(())
     }
 
+    /// Replaces the frame of `id`, if it is resident, with an image the
+    /// caller has already written to the store.
+    pub(crate) fn refresh(&mut self, id: PageId, image: &Arc<[u8]>) {
+        if let Some(frame) = self.frames.get_mut(&id) {
+            *frame = Arc::clone(image);
+        }
+    }
+
     /// Buffered (write-back) page write: updates the frame, marks it dirty,
     /// and — with a WAL attached — logs the full before/after images first.
     /// The store is *not* touched unless the pool is fully pinned (then the
     /// write degrades to logged write-through via the scratch frame).
     pub fn write_buffered(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
-        match self.pool.access(id) {
-            AccessOutcome::Hit => {
+        // The before-image requires the current page contents.
+        if !self.access(id, PageIn::BeforeImage)? {
+            if let Some(wal) = &mut self.wal {
+                wal.log_page_image(id.0, &self.scratch, data)?;
+                wal.sync()?;
                 #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::Hit);
+                self.tracer.emit(id, EventKind::WalAppend);
             }
-            // The before-image requires the current page contents
-            // (unverified: an overwrite must be able to repair a page).
-            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, false)?,
-            AccessOutcome::MissBypass => {
-                self.store.read_page(id, &mut self.scratch)?;
-                self.stats.reads += 1;
-                #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::Miss);
-                if let Some(wal) = &mut self.wal {
-                    wal.log_page_image(id.0, &self.scratch, data)?;
-                    wal.sync()?;
-                    #[cfg(feature = "trace")]
-                    self.tracer.emit(id, EventKind::WalAppend);
-                }
-                self.store.write_page(id, data)?;
-                self.stats.writes += 1;
-                #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::WriteBack);
-                return Ok(());
-            }
+            self.store.write_page(id, data)?;
+            self.stats.writes += 1;
+            #[cfg(feature = "trace")]
+            self.tracer.emit(id, EventKind::WriteBack);
+            return Ok(());
         }
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
         if let Some(wal) = &mut self.wal {
@@ -453,7 +501,7 @@ impl<S: PageStore> BufferManager<S> {
             #[cfg(feature = "trace")]
             self.tracer.emit(id, EventKind::WalAppend);
         }
-        frame.copy_from_slice(data);
+        exclusive(frame).copy_from_slice(data);
         self.pool.mark_dirty(id);
         Ok(())
     }
@@ -479,12 +527,7 @@ impl<S: PageStore> BufferManager<S> {
             wal.sync()?;
         }
         for id in self.pool.dirty_pages() {
-            let frame = self.frames.get(&id).expect("dirty page has a frame");
-            self.store.write_page(id, frame)?;
-            self.stats.writes += 1;
-            self.pool.clear_dirty(id);
-            #[cfg(feature = "trace")]
-            self.tracer.emit_at(id, -1, EventKind::WriteBack);
+            self.write_back(id)?;
         }
         self.store.flush()
     }
@@ -498,6 +541,15 @@ impl<S: PageStore> BufferManager<S> {
             wal.truncate()?;
         }
         Ok(())
+    }
+
+    /// The currently pinned pages.
+    fn pinned_pages(&self) -> Vec<PageId> {
+        self.frames
+            .keys()
+            .copied()
+            .filter(|&id| self.pool.is_pinned(id))
+            .collect()
     }
 
     /// Replaces the buffer pool with a fresh one of `capacity` frames under
@@ -516,12 +568,7 @@ impl<S: PageStore> BufferManager<S> {
         capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<()> {
-        let pinned: Vec<PageId> = self
-            .frames
-            .keys()
-            .copied()
-            .filter(|&id| self.pool.is_pinned(id))
-            .collect();
+        let pinned = self.pinned_pages();
         if capacity < pinned.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -547,13 +594,7 @@ impl<S: PageStore> BufferManager<S> {
     /// evictable again (the controller's first step when it re-targets
     /// pinning at a different level set).
     pub fn unpin_all(&mut self) {
-        let pinned: Vec<PageId> = self
-            .frames
-            .keys()
-            .copied()
-            .filter(|&id| self.pool.is_pinned(id))
-            .collect();
-        for id in pinned {
+        for id in self.pinned_pages() {
             self.pool.unpin(id);
         }
     }
@@ -586,25 +627,37 @@ impl<S: PageStore> PageRead for BufferManager<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemStore;
+    use crate::{FaultStore, MemStore};
+    use proptest::prelude::*;
     use rtree_buffer::LruPolicy;
-    use rtree_wal::{LogBackend, MemLog, Wal, WalRecord};
+    use rtree_wal::{CrashSwitch, LogBackend, MemLog, Wal, WalRecord};
 
-    fn make(pages: usize, capacity: usize) -> BufferManager<MemStore> {
+    /// A store of `pages` pages, page `i` holding `i` in its first byte.
+    fn filled_store(pages: usize) -> MemStore {
         let mut store = MemStore::new();
         for i in 0..pages {
             let id = store.allocate().unwrap();
-            let mut buf = vec![0u8; PAGE_SIZE];
-            buf[0] = i as u8;
-            store.write_page(id, &buf).unwrap();
+            store.write_page(id, &page(i as u8)).unwrap();
         }
-        BufferManager::new(store, capacity, LruPolicy::new())
+        store
+    }
+
+    fn make(pages: usize, capacity: usize) -> BufferManager<MemStore> {
+        BufferManager::new(filled_store(pages), capacity, LruPolicy::new())
     }
 
     fn page(fill: u8) -> Vec<u8> {
         let mut buf = vec![0u8; PAGE_SIZE];
         buf[0] = fill;
         buf
+    }
+
+    impl<S: PageStore> BufferManager<S> {
+        /// Number of page frames held, to check against residency (also
+        /// from the sharded tree's tests).
+        pub(crate) fn frame_count(&self) -> usize {
+            self.frames.len()
+        }
     }
 
     #[test]
@@ -870,5 +923,126 @@ mod tests {
         let mut raw = vec![0u8; PAGE_SIZE];
         m.store_mut().read_page(PageId(1), &mut raw).unwrap();
         assert_eq!(raw[0], 0xC3);
+    }
+
+    /// Capacity 2 with dirty page 1 next in line for eviction, over a store
+    /// that fails its first write: the eviction's write-back fails once.
+    fn dirty_victim_over_a_failing_write() -> BufferManager<FaultStore<MemStore>> {
+        let store = FaultStore::new(filled_store(4), CrashSwitch::new()).fail_write_at(1);
+        let mut m = BufferManager::new(store, 2, LruPolicy::new());
+        m.write_buffered(PageId(1), &page(0xAA)).unwrap();
+        m.fetch(PageId(2)).unwrap();
+        m
+    }
+
+    /// After the failed admission of page 3: no trace of it, and the victim
+    /// is still resident, dirty and framed, so its update is not lost.
+    fn assert_victim_kept_its_update(m: &mut BufferManager<FaultStore<MemStore>>) {
+        assert!(!m.pool.contains(PageId(3)), "admission not backed out");
+        assert_eq!(m.pinned_count(), 0);
+        assert_eq!(m.frames.len(), m.pool.len(), "frames track residency");
+        assert!(m.pool.is_dirty(PageId(1)));
+        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 0xAA, "buffered update lost");
+        // The fault was transient: the retry evicts for real, and the
+        // update reaches the store.
+        assert_eq!(m.fetch(PageId(3)).unwrap()[0], 3);
+        m.flush_all().unwrap();
+        let mut raw = vec![0u8; PAGE_SIZE];
+        m.store_mut().read_page(PageId(1), &mut raw).unwrap();
+        assert_eq!(raw[0], 0xAA);
+    }
+
+    #[test]
+    fn failed_write_back_on_a_demand_miss_keeps_the_dirty_victim() {
+        let mut m = dirty_victim_over_a_failing_write();
+        assert!(m.fetch(PageId(3)).is_err(), "injected fault surfaces");
+        assert_victim_kept_its_update(&mut m);
+    }
+
+    #[test]
+    fn failed_write_back_on_a_prefetch_keeps_the_dirty_victim() {
+        let mut m = dirty_victim_over_a_failing_write();
+        assert!(m.prefetch(PageId(3)).is_err(), "injected fault surfaces");
+        m.unpin(PageId(3));
+        assert_victim_kept_its_update(&mut m);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Fetch(u64),
+        Pin(u64),
+        Unpin(u64),
+        Prefetch(u64),
+        Write(u64, u8),
+        Resize(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let id = || 0u64..8;
+        prop_oneof![
+            id().prop_map(Step::Fetch),
+            id().prop_map(Step::Pin),
+            id().prop_map(Step::Unpin),
+            id().prop_map(Step::Prefetch),
+            (id(), any::<u8>()).prop_map(|(id, fill)| Step::Write(id, fill)),
+            (1usize..5).prop_map(Step::Resize),
+        ]
+    }
+
+    /// A transient fault fires once, so a retried call succeeds.
+    fn retry<T>(mut call: impl FnMut() -> io::Result<T>) -> T {
+        call().or_else(|_| call()).or_else(|_| call()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random scripts over a store with one read and one write failing
+        /// at random ordinals: the cache stays consistent after every step,
+        /// and no buffered update is lost or invented.
+        #[test]
+        fn cache_stays_consistent_under_io_faults(
+            capacity in 1usize..5,
+            fail_read in 1u64..40,
+            fail_write in 1u64..12,
+            script in prop::collection::vec(step(), 1..60),
+        ) {
+            let store = FaultStore::new(filled_store(8), CrashSwitch::new())
+                .fail_read_at(fail_read)
+                .fail_write_at(fail_write);
+            let mut m = BufferManager::new(store, capacity, LruPolicy::new());
+            // What a fault-free cache would hold: first byte per page.
+            let mut shadow: Vec<u8> = (0..8).collect();
+            for step in script {
+                match step {
+                    Step::Fetch(id) => {
+                        if let Ok(frame) = m.fetch(PageId(id)) {
+                            prop_assert_eq!(frame[0], shadow[id as usize]);
+                        }
+                    }
+                    Step::Pin(id) => drop(m.pin(PageId(id))),
+                    Step::Unpin(id) => m.unpin(PageId(id)),
+                    Step::Prefetch(id) => drop(m.prefetch(PageId(id))),
+                    Step::Write(id, fill) => {
+                        if m.write_buffered(PageId(id), &page(fill)).is_ok() {
+                            shadow[id as usize] = fill;
+                        }
+                    }
+                    Step::Resize(frames) => drop(m.resize(frames, LruPolicy::new())),
+                }
+                prop_assert_eq!(m.frames.len(), m.pool.len());
+                prop_assert!(m.frames.keys().all(|&id| m.pool.contains(id)));
+                prop_assert!(m.pool.dirty_pages().iter().all(|&id| m.pool.contains(id)));
+            }
+            for id in 0..8 {
+                prop_assert_eq!(retry(|| m.fetch(PageId(id)).map(|f| f[0])), shadow[id as usize]);
+            }
+            retry(|| m.flush_all());
+            let mut raw = vec![0u8; PAGE_SIZE];
+            for id in 0..8 {
+                retry(|| m.store_mut().read_page(PageId(id), &mut raw));
+                prop_assert_eq!(raw[0], shadow[id as usize]);
+            }
+        }
     }
 }

@@ -1,20 +1,20 @@
-//! Concurrent disk-backed query execution over a **sharded** buffer pool.
+//! Concurrent disk-backed query execution over a **sharded** buffer cache.
 //!
 //! A database serves many clients at once; this module provides a
 //! shared-ownership [`ConcurrentDiskRTree`] that multiple threads can query
-//! concurrently. Pool bookkeeping (residency, replacement, read counting)
-//! is partitioned into N *shards*: each [`PageId`] hashes to exactly one
-//! shard, and each shard owns its own short [`parking_lot::Mutex`] around a
-//! [`BufferPool`] slice plus the frames of its resident pages. Threads
-//! querying disjoint subtrees therefore touch disjoint latches and never
-//! contend; frames are shared as `Arc<[u8]>` so decoding and geometry tests
-//! — the CPU-heavy part of a query — run outside every lock, and the store
-//! itself is read through [`SharedPageStore`] (`&self`), so even misses in
-//! different shards proceed in parallel.
+//! concurrently. The buffer is N *shards*: each [`PageId`] hashes to exactly
+//! one shard, and each shard is the [`BufferManager`] the sequential tree
+//! owns, with a slice of the capacity, behind its own short
+//! [`parking_lot::Mutex`]. Threads querying disjoint subtrees therefore
+//! touch disjoint latches and never contend; a fetch clones the frame's
+//! `Arc<[u8]>` so decoding and geometry tests — the CPU-heavy part of a
+//! query — run outside every lock, and the store itself is read through
+//! [`SharedPageStore`] (`&self`), so even misses in different shards
+//! proceed in parallel.
 //!
-//! Statistics are relaxed `AtomicU64`s aggregated across shards:
-//! [`ConcurrentDiskRTree::io_stats`] and
-//! [`ConcurrentDiskRTree::physical_reads`] never take a pool latch.
+//! Counters live inside the shards; [`ConcurrentDiskRTree::io_stats`] and
+//! [`ConcurrentDiskRTree::buffer_stats`] sum them under the shard latches
+//! (statistics requests and exit summaries read them, never an operation).
 //!
 //! # Accounting rules
 //!
@@ -23,29 +23,27 @@
 //!   against a fully pinned shard, or the one-time load of a pinned page.
 //! - The **root peek** is *uncharged*, mirroring the model semantics where
 //!   a node is accessed iff its MBR intersects the query. The peeked root
-//!   frame is cached once per tree (the tree is immutable), and the
-//!   transfer is surfaced in `IoStats::peek_reads` instead of being
-//!   silently dropped.
+//!   frame is cached once per tree (only read-only trees peek, and their
+//!   root never changes); if the root was not resident the transfer is
+//!   surfaced in `IoStats::peek_reads` instead of being silently dropped.
 //! - With `shards = 1` the access sequence seen by the pool is exactly the
 //!   sequential [`crate::DiskRTree`] sequence, so single-threaded physical
 //!   read counts reproduce the paper's numbers bit for bit.
 
-use crate::disk_tree::materialize;
+use crate::disk_tree::{materialize, materialize_empty};
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
 use crate::mutate::{choose_subtree, find_leaf, mbr, quadratic_split, remove_entry};
 use crate::page::PageLayout;
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::walk::{self, BatchOutput};
-use crate::{IoStats, NodePage, NodeSoA, PageMeta, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
-use parking_lot::{Mutex, RwLock};
-use rtree_buffer::{
-    AccessOutcome, AtomicBufferStats, BufferPool, BufferStats, PageId, ReplacementPolicy,
-};
+use crate::{BufferManager, IoStats, NodePage, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use rtree_buffer::{BufferStats, PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
 #[cfg(feature = "trace")]
-use rtree_obs::{EventKind, IoEvent, TraceSink};
+use rtree_obs::{EventKind, TraceSink};
 use rtree_wal::{GroupCommitStats, GroupWal, Lsn};
 use std::collections::HashMap;
 use std::io;
@@ -66,31 +64,38 @@ struct QuerySpan {
 /// Fibonacci multiplier for the page → shard hash.
 const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
-struct ShardState {
-    pool: BufferPool,
-    frames: HashMap<PageId, Arc<[u8]>>,
-}
+/// The shards' handle on the tree's one store. Reads take the `&self`
+/// path; a shard never holds a dirty page (writers keep theirs in the
+/// overlay), so nothing is written or allocated through it.
+struct SharedReads<S>(Arc<S>);
 
-/// One latch domain: a slice of the buffer capacity plus its counters.
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Physical page reads issued by this shard (relaxed; aggregated by
-    /// [`ConcurrentDiskRTree::io_stats`] without taking the latch).
-    reads: AtomicU64,
-    stats: AtomicBufferStats,
-}
-
-impl Shard {
-    fn new(capacity: usize, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Shard {
-            state: Mutex::new(ShardState {
-                pool: BufferPool::new(capacity, policy),
-                frames: HashMap::with_capacity(capacity + 1),
-            }),
-            reads: AtomicU64::new(0),
-            stats: AtomicBufferStats::new(),
-        }
+impl<S: SharedPageStore> PageStore for SharedReads<S> {
+    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+        self.0.read_page_shared(id, buf)
     }
+    fn write_page(&mut self, _id: PageId, _buf: &[u8]) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+    fn allocate(&mut self) -> io::Result<PageId> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+    fn page_count(&self) -> u64 {
+        self.0.page_count()
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One latch domain: the buffer cache over a slice of the capacity, to be
+/// kept behind its own `Mutex`.
+type Shard<S> = BufferManager<SharedReads<S>>;
+
+/// A policy factory for the single-shard constructors: yields `policy` the
+/// one time it is called.
+fn once<P>(policy: P) -> impl FnMut() -> P {
+    let mut policy = Some(policy);
+    move || policy.take().expect("one shard takes the policy once")
 }
 
 /// Mutable-tree state attached by the writable constructors: everything a
@@ -147,12 +152,6 @@ impl WriterState {
     }
 }
 
-/// Largest power of two ≤ `n` (`n` ≥ 1).
-fn floor_pow2(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
-
 /// Resolves a shard-count request against the buffer capacity: `0` means
 /// "one per hardware thread", everything is rounded to a power of two, and
 /// the count never exceeds the capacity (each shard needs ≥ 1 frame).
@@ -163,7 +162,7 @@ fn resolve_shards(requested: usize, capacity: usize) -> usize {
     } else {
         requested
     };
-    requested.next_power_of_two().min(floor_pow2(capacity))
+    requested.next_power_of_two().min(1 << capacity.ilog2())
 }
 
 /// A disk-backed R-tree that can be queried from many threads at once
@@ -176,18 +175,18 @@ fn resolve_shards(requested: usize, capacity: usize) -> usize {
 /// split the capacity across N latch-disjoint shards for multi-threaded
 /// throughput.
 pub struct ConcurrentDiskRTree<S> {
-    store: S,
-    shards: Box<[Shard]>,
+    store: Arc<S>,
+    shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
-    /// Cached root frame for the uncharged MBR peek (the tree is
-    /// immutable, so the root page never changes).
+    /// Cached root frame for the uncharged MBR peek (only read-only trees
+    /// peek, so the root page never changes).
     root_frame: OnceLock<Arc<[u8]>>,
-    peek_reads: AtomicU64,
     meta: PageMeta,
-    /// Trace sink shared by every querying thread (trace builds only).
+    /// Traces latch and group-commit events (the shards trace their own
+    /// buffer events; trace builds only).
     #[cfg(feature = "trace")]
-    sink: Option<Arc<dyn TraceSink>>,
+    tracer: crate::bufmgr::Tracer,
     /// Query span id source (trace builds only; 0 = no span).
     #[cfg(feature = "trace")]
     query_ids: AtomicU64,
@@ -206,16 +205,12 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// Panics if the tree is empty or its node capacity exceeds
     /// [`crate::MAX_ENTRIES_PER_PAGE`].
     pub fn create(
-        mut store: S,
+        store: S,
         tree: &RTree,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize(&mut store, tree)?;
-        let mut policy = Some(Box::new(policy) as Box<dyn ReplacementPolicy>);
-        Ok(Self::assemble(store, meta, buffer_capacity, 1, move || {
-            policy.take().expect("single shard uses the policy once")
-        }))
+        Self::create_sharded(store, tree, buffer_capacity, 1, once(policy))
     }
 
     /// Serializes `tree` into `store` and returns a sharded handle:
@@ -231,26 +226,19 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         tree: &RTree,
         buffer_capacity: usize,
         shards: usize,
-        mut policy: impl FnMut() -> P,
+        policy: impl FnMut() -> P,
     ) -> io::Result<Self> {
         let meta = materialize(&mut store, tree)?;
-        let n = resolve_shards(shards, buffer_capacity);
-        Ok(Self::assemble(store, meta, buffer_capacity, n, move || {
-            Box::new(policy())
-        }))
+        Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
     /// Opens a previously materialized tree with a single shard.
     pub fn open(
-        mut store: S,
+        store: S,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = Self::read_meta(&mut store)?;
-        let mut policy = Some(Box::new(policy) as Box<dyn ReplacementPolicy>);
-        Ok(Self::assemble(store, meta, buffer_capacity, 1, move || {
-            policy.take().expect("single shard uses the policy once")
-        }))
+        Self::open_sharded(store, buffer_capacity, 1, once(policy))
     }
 
     /// Opens a previously materialized tree with a sharded pool (see
@@ -259,13 +247,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         mut store: S,
         buffer_capacity: usize,
         shards: usize,
-        mut policy: impl FnMut() -> P,
+        policy: impl FnMut() -> P,
     ) -> io::Result<Self> {
         let meta = Self::read_meta(&mut store)?;
-        let n = resolve_shards(shards, buffer_capacity);
-        Ok(Self::assemble(store, meta, buffer_capacity, n, move || {
-            Box::new(policy())
-        }))
+        Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
     fn read_meta(store: &mut S) -> io::Result<PageMeta> {
@@ -274,30 +259,37 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(PageMeta::decode(&buf)?)
     }
 
-    /// Builds the shard array: capacity is split proportionally, the first
-    /// `capacity % n` shards taking one extra frame.
-    fn assemble(
+    /// Builds the shard array: the capacity is split evenly over the
+    /// resolved shard count, the first `capacity % n` shards taking one
+    /// extra frame.
+    fn assemble<P: ReplacementPolicy + 'static>(
         store: S,
         meta: PageMeta,
         capacity: usize,
-        n: usize,
-        mut policy: impl FnMut() -> Box<dyn ReplacementPolicy>,
+        shards: usize,
+        mut policy: impl FnMut() -> P,
     ) -> Self {
-        debug_assert!(n.is_power_of_two() && n <= capacity);
-        let base = capacity / n;
-        let rem = capacity % n;
-        let shards: Box<[Shard]> = (0..n)
-            .map(|i| Shard::new(base + usize::from(i < rem), policy()))
+        let n = resolve_shards(shards, capacity);
+        let store = Arc::new(store);
+        let shards = (0..n)
+            .map(|i| {
+                let slice = capacity / n + usize::from(i < capacity % n);
+                let mut cache =
+                    BufferManager::new(SharedReads(Arc::clone(&store)), slice, policy());
+                // Checksums are verified once, at page-in, so the walks
+                // decode the frames a shard serves without re-checking.
+                cache.set_verify_reads(true);
+                Mutex::new(cache)
+            })
             .collect();
         ConcurrentDiskRTree {
             store,
             shards,
             shard_shift: u64::BITS - n.trailing_zeros(),
             root_frame: OnceLock::new(),
-            peek_reads: AtomicU64::new(0),
             meta,
             #[cfg(feature = "trace")]
-            sink: None,
+            tracer: Default::default(),
             #[cfg(feature = "trace")]
             query_ids: AtomicU64::new(0),
             #[cfg(feature = "trace")]
@@ -311,7 +303,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// the tree across threads. Only present with the `trace` feature.
     #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
-        self.sink = sink;
+        for shard in self.shards.iter_mut() {
+            shard.get_mut().set_trace_sink(sink.clone());
+        }
+        self.tracer.sink = sink;
     }
 
     /// Snapshot of the per-query latency / reads / pins histograms
@@ -321,39 +316,19 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.metrics.snapshot()
     }
 
-    /// Emits one trace event (trace builds only; no-op without a sink).
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn emit(&self, query_id: u64, page: PageId, level: i16, kind: EventKind) {
-        if let Some(sink) = &self.sink {
-            sink.record(IoEvent {
-                query_id,
-                page_id: page.0,
-                level,
-                kind,
-                ns: rtree_obs::now_ns(),
-            });
+    /// Latches the shard owning `id`. In trace builds the buffer events it
+    /// emits under this latch carry operation id `span` and tree `level`.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_mut))]
+    fn latch(&self, id: PageId, span: u64, level: i16) -> MutexGuard<'_, Shard<S>> {
+        // One shard: the shift is the full 64 bits, which selects shard 0.
+        let hash = id.0.wrapping_mul(HASH).checked_shr(self.shard_shift);
+        let mut cache = self.shards[hash.unwrap_or(0) as usize].lock();
+        #[cfg(feature = "trace")]
+        {
+            cache.tracer.query_id = span;
+            cache.tracer.level = level;
         }
-    }
-
-    /// Emits the outcome of one charged pool access.
-    #[cfg(feature = "trace")]
-    fn emit_access(&self, query_id: u64, page: PageId, level: i16, missed: bool) {
-        let kind = if missed {
-            EventKind::Miss
-        } else {
-            EventKind::Hit
-        };
-        self.emit(query_id, page, level, kind);
-    }
-
-    /// The shard owning `id`.
-    fn shard(&self, id: PageId) -> &Shard {
-        if self.shards.len() == 1 {
-            &self.shards[0]
-        } else {
-            &self.shards[(id.0.wrapping_mul(HASH) >> self.shard_shift) as usize]
-        }
+        cache
     }
 
     /// The stored metadata.
@@ -366,41 +341,42 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.shards.len()
     }
 
-    /// Physical I/O counters so far (all threads), aggregated from the
-    /// shards' relaxed atomics — no pool latch is taken. The concurrent
-    /// tree is read-only, so `writes` stays 0; the shape matches
-    /// [`crate::BufferManager::io_stats`] so benches report one thing.
+    /// Physical I/O counters so far (all threads): the shards' reads and
+    /// peek reads plus, on a writable tree, the page writes of its
+    /// checkpoints. The shape matches [`crate::BufferManager::io_stats`]
+    /// so benches report one thing.
     pub fn io_stats(&self) -> IoStats {
-        IoStats {
-            reads: self.physical_reads(),
+        let mut total = IoStats {
             writes: self
                 .writer
                 .as_ref()
                 .map_or(0, |w| w.page_writes.load(Ordering::Relaxed)),
-            peek_reads: self.peek_reads.load(Ordering::Relaxed),
-            prefetch_reads: 0,
+            ..IoStats::default()
+        };
+        for shard in self.shards.iter() {
+            let io = shard.lock().io_stats();
+            total.reads += io.reads;
+            total.peek_reads += io.peek_reads;
         }
+        total
     }
 
-    /// Physical page reads so far (all threads, latch-free).
+    /// Physical page reads so far (all threads).
     pub fn physical_reads(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.reads.load(Ordering::Relaxed))
-            .sum()
+        self.io_stats().reads
     }
 
-    /// Root-peek reads so far (all threads, latch-free). At most one per
-    /// tree lifetime between counter resets — the peeked frame is cached.
+    /// Root-peek reads so far (all threads). At most one per tree lifetime
+    /// between counter resets — the peeked frame is cached.
     pub fn peek_reads(&self) -> u64 {
-        self.peek_reads.load(Ordering::Relaxed)
+        self.io_stats().peek_reads
     }
 
-    /// Pool access statistics aggregated across shards (latch-free).
+    /// Pool access statistics summed across shards.
     pub fn buffer_stats(&self) -> BufferStats {
         let mut total = BufferStats::default();
-        for s in &self.shards {
-            total += s.stats.snapshot();
+        for shard in self.shards.iter() {
+            total += shard.lock().pool().stats();
         }
         total
     }
@@ -409,11 +385,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// once; the cached root frame is state, not a counter, and survives).
     pub fn reset_counters(&self) {
         for shard in self.shards.iter() {
-            shard.state.lock().pool.reset_stats();
-            shard.reads.store(0, Ordering::Relaxed);
-            shard.stats.reset();
+            shard.lock().reset_counters();
         }
-        self.peek_reads.store(0, Ordering::Relaxed);
     }
 
     /// Pins the top `p` levels (reads each page once, into its shard).
@@ -426,21 +399,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// share of the pinned pages.
     pub fn pin_top_levels(&self, p: usize) -> io::Result<()> {
         for page in self.meta.top_level_pages(p)? {
-            let id = PageId(page);
-            let shard = self.shard(id);
-            let mut s = shard.state.lock();
-            let was_resident = s.pool.contains(id);
-            let evicted = s
-                .pool
-                .pin(id)
-                .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
-            if was_resident {
-                continue;
-            }
-            self.page_in(shard, &mut s, id, evicted)?;
-            shard.stats.record_miss();
-            #[cfg(feature = "trace")]
-            self.emit_access(0, id, self.meta.onpage_level_of(page), true);
+            let level = self.meta.onpage_level_of(page);
+            self.latch(PageId(page), 0, level).pin(PageId(page))?;
         }
         Ok(())
     }
@@ -449,16 +409,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// and re-enter replacement in their shard; no I/O is performed.
     pub fn unpin_all(&self) {
         for shard in self.shards.iter() {
-            let mut s = shard.state.lock();
-            let pinned: Vec<PageId> = s
-                .frames
-                .keys()
-                .copied()
-                .filter(|&id| s.pool.is_pinned(id))
-                .collect();
-            for id in pinned {
-                s.pool.unpin(id);
-            }
+            shard.lock().unpin_all();
         }
     }
 
@@ -475,28 +426,21 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
     /// Number of currently pinned pages across all shards.
     pub fn pinned_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().pool.pinned_count())
-            .sum()
+        self.shards.iter().map(|s| s.lock().pinned_count()).sum()
     }
 
     /// Total buffer capacity in frames (sum of the shard slices).
     pub fn buffer_capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().pool.capacity())
-            .sum()
+        self.shards.iter().map(|s| s.lock().pool().capacity()).sum()
     }
 
-    /// Re-partitions the pool across the existing shards at a new total
-    /// `capacity`: each shard gets a fresh pool of `capacity / n` frames
-    /// (the first `capacity % n` shards one extra, mirroring construction),
-    /// built by one call to `policy` per shard. Pinned pages stay pinned
+    /// Re-partitions the buffer across the existing shards at a new total
+    /// `capacity`: each shard is resized to `capacity / n` frames (the
+    /// first `capacity % n` shards one extra, mirroring construction) under
+    /// a fresh policy from one call to `policy`. Pinned pages stay pinned
     /// with their frames; unpinned frames are dropped, so the cache starts
-    /// cold. Shard-level counters ([`ConcurrentDiskRTree::io_stats`],
-    /// [`ConcurrentDiskRTree::buffer_stats`]) live outside the pools and
-    /// survive.
+    /// cold. As on the sequential tree, the pool access statistics restart
+    /// and the cumulative [`IoStats`] survive.
     ///
     /// On a writable tree the operation gate is held exclusively, so no
     /// query or writer is in flight while the pools swap; dirty pages live
@@ -513,97 +457,33 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         mut policy: impl FnMut() -> P,
     ) -> io::Result<()> {
         let n = self.shards.len();
-        if capacity < n {
+        let slice = |i: usize| capacity / n + usize::from(i < capacity % n);
+        let _gate = self.writer.as_ref().map(|w| w.op_gate.write());
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        // Checked for every shard before any is touched.
+        if capacity < n || (0..n).any(|i| slice(i) < shards[i].pinned_count()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("cannot resize to {capacity} frames across {n} shards"),
+                format!(
+                    "cannot resize to {capacity} frames across {n} shards: every shard needs a \
+                     frame, and one for each page it has pinned"
+                ),
             ));
         }
-        let _gate = self.writer.as_ref().map(|w| w.op_gate.write());
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
-        let base = capacity / n;
-        let rem = capacity % n;
-        for (i, s) in guards.iter().enumerate() {
-            let slice = base + usize::from(i < rem);
-            let pinned = s.frames.keys().filter(|&&id| s.pool.is_pinned(id)).count();
-            if slice < pinned {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "cannot resize to {capacity} frames: shard {i} holds {pinned} pinned \
-                         pages but would get {slice} frames"
-                    ),
-                ));
-            }
-        }
-        for (i, s) in guards.iter_mut().enumerate() {
-            let slice = base + usize::from(i < rem);
-            let pinned: Vec<PageId> = s
-                .frames
-                .keys()
-                .copied()
-                .filter(|&id| s.pool.is_pinned(id))
-                .collect();
-            let mut pool = BufferPool::new(slice, Box::new(policy()) as Box<dyn ReplacementPolicy>);
-            for &id in &pinned {
-                pool.admit_pinned(id)
-                    .expect("slice was checked against the pinned count");
-            }
-            s.pool = pool;
-            s.frames.retain(|id, _| pinned.contains(id));
+        for (i, shard) in shards.iter_mut().enumerate() {
+            shard.resize(slice(i), policy())?;
         }
         Ok(())
     }
 
-    /// Reads a page from the store and gates it on its checksum. Every
-    /// page-in runs this, so frames served from the shards are known-good
-    /// and the walks decode them with [`NodeSoA::decode_into_trusted`] —
-    /// corruption is caught exactly once, not on every access to a
-    /// resident frame.
-    fn read_verified(&self, id: PageId) -> io::Result<Arc<[u8]>> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.store.read_page_shared(id, &mut buf)?;
-        crate::page::verify_checksum(&buf).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0))
-        })?;
-        Ok(Arc::from(buf.into_boxed_slice()))
-    }
-
-    /// Completes an admission `s.pool` has just made for `id` (a miss or a
-    /// pin): drops the victim's frame, reads the page and installs it. On a
-    /// failed read the admission is backed out, so the next access misses
-    /// and re-reads instead of hitting a frameless resident entry.
-    fn page_in(
-        &self,
-        shard: &Shard,
-        s: &mut ShardState,
-        id: PageId,
-        evicted: Option<PageId>,
-    ) -> io::Result<Arc<[u8]>> {
-        if let Some(victim) = evicted {
-            s.frames.remove(&victim);
-        }
-        match self.read_verified(id) {
-            Ok(frame) => {
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                s.frames.insert(id, Arc::clone(&frame));
-                Ok(frame)
-            }
-            Err(e) => {
-                s.pool.unpin(id);
-                s.pool.discard(id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Fetches a page. On a writable tree the dirty overlay shadows both
-    /// the shard pools and the store (no-steal — the store never holds a
+    /// Fetches a page for operation `span` (tree level `level`; both only
+    /// label trace events). On a writable tree the dirty overlay shadows
+    /// both the shards and the store (no-steal — the store never holds a
     /// page newer than the overlay) and costs nothing; otherwise the access
     /// is charged to the page's shard. Reports whether a charged access
-    /// missed (`None` = served by the overlay), so the caller can attribute
-    /// the event to its span.
-    fn fetch(&self, id: PageId) -> io::Result<(Arc<[u8]>, Option<bool>)> {
+    /// went to the store (`None` = served by the overlay), for the span's
+    /// own totals.
+    fn fetch(&self, id: PageId, span: u64, level: i16) -> io::Result<(Arc<[u8]>, Option<bool>)> {
         if let Some(frame) = self
             .writer
             .as_ref()
@@ -611,36 +491,24 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         {
             return Ok((frame, None));
         }
-        let shard = self.shard(id);
-        let mut s = shard.state.lock();
-        let outcome = s.pool.access(id);
-        shard.stats.record(&outcome);
-        let frame = match outcome {
-            AccessOutcome::Hit => Arc::clone(s.frames.get(&id).expect("resident page has a frame")),
-            AccessOutcome::Miss { evicted } => self.page_in(shard, &mut s, id, evicted)?,
-            AccessOutcome::MissBypass => {
-                let frame = self.read_verified(id)?;
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                frame
-            }
-        };
-        Ok((frame, Some(outcome.is_miss())))
+        let mut cache = self.latch(id, span, level);
+        let reads = cache.physical_reads();
+        let frame = Arc::clone(cache.fetch_frame(id)?);
+        Ok((frame, Some(cache.physical_reads() != reads)))
     }
 
-    /// The root frame for the uncharged MBR peek: read from the store at
-    /// most once per tree (the tree is immutable) and cached outside the
-    /// pool so the peek neither charges nor perturbs replacement state.
+    /// The root frame for the uncharged MBR peek: taken from the root's
+    /// shard (or, if not resident there, read from the store) at most once
+    /// per tree and cached outside the pool, so the peek neither charges
+    /// nor perturbs replacement state.
     fn root_frame(&self) -> io::Result<Arc<[u8]>> {
         if let Some(frame) = self.root_frame.get() {
             return Ok(Arc::clone(frame));
         }
-        let root = PageId(self.meta.root);
-        let frame = self.read_verified(root)?;
+        let (root, level) = (PageId(self.meta.root), self.meta.root_level());
         // Two racing threads may both read; both transfers really happened,
         // so both count, but only one frame is kept.
-        self.peek_reads.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "trace")]
-        self.emit(0, root, self.meta.root_level() as i16, EventKind::PeekRead);
+        let frame = Arc::clone(self.latch(root, 0, -1).fetch_uncharged(root, level)?);
         Ok(Arc::clone(self.root_frame.get_or_init(|| frame)))
     }
 
@@ -707,7 +575,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// `threads = 1` the traversal runs inline on the caller's thread.
     pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<Vec<Vec<u64>>>
     where
-        S: Sync,
+        S: Send + Sync,
     {
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -768,7 +636,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
 /// One traversal's read seam over the tree. Fetches go through
 /// [`ConcurrentDiskRTree::fetch`] (dirty overlay first, then the page's
-/// shard pool); region queries on a writable tree additionally couple
+/// shard); region queries on a writable tree additionally couple
 /// shared latches between levels. In trace builds the cursor is also the
 /// traversal's span: its events carry one id, and its totals land in the
 /// tree's query metrics when it drops.
@@ -798,18 +666,27 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
             },
         }
     }
+
+    /// The id this traversal's buffer events carry (0 = no span: tracing
+    /// is compiled out).
+    fn span_id(&self) -> u64 {
+        #[cfg(feature = "trace")]
+        return self.span.qid;
+        #[cfg(not(feature = "trace"))]
+        0
+    }
 }
 
 impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
-        let (frame, missed) = self.tree.fetch(PageId(page))?;
+        let (frame, missed) = self
+            .tree
+            .fetch(PageId(page), self.span_id(), level as i16)?;
         #[cfg(feature = "trace")]
         if let Some(missed) = missed {
             self.span.accesses += 1;
             self.span.reads += u64::from(missed);
-            self.tree
-                .emit_access(self.span.qid, PageId(page), level as i16, missed);
         }
         Ok(self.frame.insert(frame))
     }
@@ -903,7 +780,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         if set.acquire(id, exclusive) {
             w.latch_waits.fetch_add(1, Ordering::Relaxed);
             #[cfg(feature = "trace")]
-            self.emit(0, PageId(id), -1, EventKind::LatchWait);
+            self.tracer.emit(PageId(id), EventKind::LatchWait);
         }
     }
 
@@ -912,13 +789,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// ledger stays reconcilable with the physical-read counters even on a
     /// read-write server.
     fn load_w(&self, id: u64) -> io::Result<NodePage> {
-        let (frame, missed) = self.fetch(PageId(id))?;
-        #[cfg(feature = "trace")]
-        if let Some(missed) = missed {
-            self.emit_access(0, PageId(id), -1, missed);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = missed;
+        let (frame, _) = self.fetch(PageId(id), 0, -1)?;
         Ok(NodePage::decode(&frame)?)
     }
 
@@ -953,50 +824,17 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// Panics if the capacities are out of range (Guttman's
     /// `1 <= m <= M/2`).
     pub fn create_writable(
-        store: S,
+        mut store: S,
         max_entries: usize,
         min_entries: usize,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
         wal: GroupWal,
     ) -> io::Result<Self> {
-        assert!(
-            (2..=MAX_ENTRIES_PER_PAGE).contains(&max_entries),
-            "node capacity {max_entries} out of range 2..={MAX_ENTRIES_PER_PAGE}"
-        );
-        assert!(
-            min_entries >= 1 && 2 * min_entries <= max_entries,
-            "min fill {min_entries} must satisfy 1 <= m <= M/2"
-        );
-        let meta_page = store.allocate_shared()?;
-        debug_assert_eq!(meta_page, PageId(0));
-        let meta = PageMeta {
-            root: 1,
-            height: 1,
-            max_entries: max_entries as u32,
-            min_entries: min_entries as u32,
-            items: 0,
-            nodes: 1,
-            free_head: 0,
-            // In-place updates invalidate the bulk-load layout immediately.
-            level_starts: Vec::new(),
-            internal_max_entries: max_entries as u32,
-            compressed: false,
-        };
-        let mut buf = vec![0u8; PAGE_SIZE];
-        meta.encode(&mut buf);
-        store.write_page_shared(meta_page, &buf)?;
-        let root = store.allocate_shared()?;
-        NodePage {
-            level: 0,
-            entries: Vec::new(),
-        }
-        .encode(&mut buf);
-        store.write_page_shared(root, &buf)?;
-        let mut policy = Some(Box::new(policy) as Box<dyn ReplacementPolicy>);
-        let mut tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, move || {
-            policy.take().expect("single shard uses the policy once")
-        });
+        // In-place updates invalidate the bulk-load layout immediately, so
+        // the level table starts out empty.
+        let meta = materialize_empty(&mut store, max_entries, min_entries, Vec::new())?;
+        let mut tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, once(policy));
         tree.writer = Some(WriterState::new(meta, wal));
         Ok(tree)
     }
@@ -1013,10 +851,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         let meta = Self::read_meta(&mut store)?;
         let mut live = meta.clone();
         live.level_starts.clear();
-        let mut policy = Some(Box::new(policy) as Box<dyn ReplacementPolicy>);
-        let mut tree = Self::assemble(store, meta, buffer_capacity, 1, move || {
-            policy.take().expect("single shard uses the policy once")
-        });
+        let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
         tree.writer = Some(WriterState::new(live, wal));
         Ok(tree)
     }
@@ -1057,7 +892,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             let before = w.wal.stats().committed_ops;
             if w.wal.commit(lsn)? {
                 let batch = w.wal.stats().committed_ops.saturating_sub(before);
-                self.emit(0, PageId(batch), -1, EventKind::GroupCommitFlush);
+                self.tracer.emit(PageId(batch), EventKind::GroupCommitFlush);
             }
             Ok(())
         }
@@ -1342,11 +1177,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, frame) in &overlay {
             self.store.write_page_shared(PageId(*id), frame)?;
             w.page_writes.fetch_add(1, Ordering::Relaxed);
-            let shard = self.shard(PageId(*id));
-            let mut s = shard.state.lock();
-            if s.pool.contains(PageId(*id)) {
-                s.frames.insert(PageId(*id), Arc::clone(frame));
-            }
+            self.latch(PageId(*id), 0, -1).refresh(PageId(*id), frame);
         }
         let mut meta = w.meta.lock().clone();
         // The session free list is not persisted: pages freed since the
@@ -1584,24 +1415,90 @@ mod tests {
         assert_eq!(d.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap().len(), 400);
     }
 
+    type PolicyFactory = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
+
+    /// One factory per replacement policy, labelled.
+    fn policy_table() -> Vec<(&'static str, PolicyFactory)> {
+        vec![
+            ("lru", Box::new(|| Box::new(rtree_buffer::LruPolicy::new()))),
+            (
+                "lru2",
+                Box::new(|| Box::new(rtree_buffer::LruKPolicy::new(2))),
+            ),
+            (
+                "fifo",
+                Box::new(|| Box::new(rtree_buffer::FifoPolicy::new())),
+            ),
+            (
+                "clock",
+                Box::new(|| Box::new(rtree_buffer::ClockPolicy::new())),
+            ),
+            (
+                "random",
+                Box::new(|| Box::new(rtree_buffer::RandomPolicy::new(42))),
+            ),
+        ]
+    }
+
     #[test]
     fn shared_counts_match_sequential_counts() {
         // With one thread, the concurrent wrapper must count exactly like
-        // the plain DiskRTree (same LRU decisions).
+        // the plain DiskRTree (same replacement decisions) — for every
+        // policy, pinning depth and query kind, across a resize.
         let rects = sample_rects(1_200);
         let tree = BulkLoader::hilbert(12).load(&rects);
-        let concurrent =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 25, LruPolicy::new()).unwrap();
-        let mut plain =
-            crate::DiskRTree::create(MemStore::new(), &tree, 25, LruPolicy::new()).unwrap();
-        for i in 0..300 {
-            let x = (i as f64 * 0.217) % 0.9;
-            let y = (i as f64 * 0.431) % 0.9;
-            let q = Rect::new(x, y, x + 0.05, y + 0.05);
-            concurrent.query(&q).unwrap();
-            plain.query(&q).unwrap();
+        for (name, policy) in policy_table() {
+            for pin in 0..3 {
+                let concurrent =
+                    ConcurrentDiskRTree::create(MemStore::new(), &tree, 25, policy()).unwrap();
+                let mut plain =
+                    crate::DiskRTree::create(MemStore::new(), &tree, 25, policy()).unwrap();
+                for frames in [25, 17] {
+                    concurrent.set_pinned_levels(0).unwrap();
+                    concurrent.resize_buffer(frames, &policy).unwrap();
+                    concurrent.set_pinned_levels(pin).unwrap();
+                    plain.set_pinned_levels(0).unwrap();
+                    plain.resize_buffer(frames, policy()).unwrap();
+                    plain.set_pinned_levels(pin).unwrap();
+                    for i in 0..300 {
+                        let x = (i as f64 * 0.217) % 0.9;
+                        let y = (i as f64 * 0.431) % 0.9;
+                        let (q, p) = (Rect::new(x, y, x + 0.05, y + 0.05), Point::new(x, y));
+                        match i % 3 {
+                            0 => {
+                                assert_eq!(concurrent.query(&q).unwrap(), plain.query(&q).unwrap())
+                            }
+                            1 => assert_eq!(
+                                concurrent.query_point(&p).unwrap(),
+                                plain.query_point(&p).unwrap()
+                            ),
+                            _ => assert_eq!(
+                                concurrent.nearest_neighbors(&p, 1 + i % 7).unwrap(),
+                                plain.nearest_neighbors(&p, 1 + i % 7).unwrap()
+                            ),
+                        }
+                    }
+                    let what = format!("{name}, {pin} pinned levels, {frames} frames");
+                    assert_eq!(concurrent.physical_reads(), plain.physical_reads());
+                    // The uncharged root peek is the one designed difference:
+                    // the concurrent tree keeps the peeked frame for its
+                    // lifetime, the sequential tree peeks again whenever the
+                    // root is not resident.
+                    let (shared, seq) = (concurrent.io_stats(), plain.io_stats());
+                    assert_eq!(shared.peek_reads, seq.peek_reads.min(1), "{what}");
+                    let peek_reads = seq.peek_reads;
+                    assert_eq!(
+                        IoStats {
+                            peek_reads,
+                            ..shared
+                        },
+                        seq,
+                        "{what}"
+                    );
+                    assert_eq!(concurrent.buffer_stats(), plain.buffer_stats(), "{what}");
+                }
+            }
         }
-        assert_eq!(concurrent.physical_reads(), plain.physical_reads());
     }
 
     #[test]
@@ -1674,7 +1571,7 @@ mod tests {
         let caps: Vec<usize> = disk
             .shards
             .iter()
-            .map(|s| s.state.lock().pool.capacity())
+            .map(|s| s.lock().pool().capacity())
             .collect();
         assert_eq!(caps, vec![3, 3, 2, 2]);
     }
@@ -1756,17 +1653,13 @@ mod tests {
                 .unwrap(),
         );
         disk.pin_top_levels(2).unwrap();
-        let pinned: usize = disk
-            .shards
-            .iter()
-            .map(|s| s.state.lock().pool.pinned_count())
-            .sum();
+        let pinned: usize = disk.shards.iter().map(|s| s.lock().pinned_count()).sum();
         let expect = (disk.meta().level_starts[2] - 1) as usize;
         assert_eq!(pinned, expect, "every top-level page pinned exactly once");
         assert!(
             disk.shards
                 .iter()
-                .filter(|s| s.state.lock().pool.pinned_count() > 0)
+                .filter(|s| s.lock().pinned_count() > 0)
                 .count()
                 > 1,
             "pinned pages should spread across shards"
@@ -1833,9 +1726,9 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, stats.accesses);
         // Pinned pages stayed pinned and within capacity.
         for shard in disk.shards.iter() {
-            let s = shard.state.lock();
-            assert!(s.pool.len() <= s.pool.capacity());
-            assert_eq!(s.frames.len(), s.pool.len());
+            let s = shard.lock();
+            assert!(s.pool().len() <= s.pool().capacity());
+            assert_eq!(s.frame_count(), s.pool().len());
         }
     }
 
@@ -2031,26 +1924,6 @@ mod tests {
     /// are deterministic regardless of interleaving.
     #[test]
     fn concurrent_writers_match_sequential_across_policies() {
-        type PolicyFactory = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
-        let policies: Vec<(&str, PolicyFactory)> = vec![
-            ("lru", Box::new(|| Box::new(rtree_buffer::LruPolicy::new()))),
-            (
-                "lru2",
-                Box::new(|| Box::new(rtree_buffer::LruKPolicy::new(2))),
-            ),
-            (
-                "fifo",
-                Box::new(|| Box::new(rtree_buffer::FifoPolicy::new())),
-            ),
-            (
-                "clock",
-                Box::new(|| Box::new(rtree_buffer::ClockPolicy::new())),
-            ),
-            (
-                "random",
-                Box::new(|| Box::new(rtree_buffer::RandomPolicy::new(42))),
-            ),
-        ];
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 120;
         let id_of = |t: u64, i: u64| (t << 40) | i;
@@ -2072,7 +1945,7 @@ mod tests {
             }
         }
 
-        for (name, make_policy) in policies {
+        for (name, make_policy) in policy_table() {
             let tree = ConcurrentDiskRTree::create_writable(
                 crate::SharedMemStore::new(),
                 6,

@@ -463,6 +463,54 @@ pub(crate) fn materialize<S: PageStore>(store: &mut S, tree: &RTree) -> io::Resu
     materialize_with(store, tree, PageLayout::Soa)
 }
 
+/// Writes the image of an empty tree — meta page 0 and an empty root leaf
+/// on page 1 — and returns the metadata. `level_starts` is `[1]`, or empty
+/// for a tree that never relies on the bulk-load layout.
+///
+/// # Panics
+/// Panics if the capacities are out of range (Guttman's `1 <= m <= M/2`).
+pub(crate) fn materialize_empty<S: PageStore>(
+    store: &mut S,
+    max_entries: usize,
+    min_entries: usize,
+    level_starts: Vec<u64>,
+) -> io::Result<PageMeta> {
+    assert!(
+        (2..=crate::MAX_ENTRIES_PER_PAGE).contains(&max_entries),
+        "node capacity {max_entries} out of range 2..={}",
+        crate::MAX_ENTRIES_PER_PAGE
+    );
+    assert!(
+        min_entries >= 1 && 2 * min_entries <= max_entries,
+        "min fill {min_entries} must satisfy 1 <= m <= M/2"
+    );
+    let meta = PageMeta {
+        root: 1,
+        height: 1,
+        max_entries: max_entries as u32,
+        min_entries: min_entries as u32,
+        items: 0,
+        nodes: 1,
+        free_head: 0,
+        level_starts,
+        internal_max_entries: max_entries as u32,
+        compressed: false,
+    };
+    let mut buf = vec![0u8; PAGE_SIZE];
+    let meta_page = store.allocate()?;
+    debug_assert_eq!(meta_page, PageId(0));
+    meta.encode(&mut buf);
+    store.write_page(meta_page, &buf)?;
+    let root = store.allocate()?;
+    NodePage {
+        level: 0,
+        entries: Vec::new(),
+    }
+    .encode(&mut buf);
+    store.write_page(root, &buf)?;
+    Ok(meta)
+}
+
 /// [`materialize`] with an explicit node-page body layout.
 pub(crate) fn materialize_with<S: PageStore>(
     store: &mut S,

@@ -29,6 +29,8 @@ pub struct FaultStore<S: PageStore> {
     /// Fail the n-th `read_page` (1-based) with an I/O error, *without*
     /// tripping the switch (a transient read fault, not a crash).
     fail_read_at: Option<u64>,
+    /// Likewise for the n-th `write_page` (same count as `crash_at_write`).
+    fail_write_at: Option<u64>,
     writes: u64,
     allocates: u64,
     /// Atomic so shared (`&self`) reads count too — the concurrent tree
@@ -47,6 +49,7 @@ impl<S: PageStore> FaultStore<S> {
             torn_write: false,
             crash_at_allocate: None,
             fail_read_at: None,
+            fail_write_at: None,
             writes: 0,
             allocates: 0,
             reads: AtomicU64::new(0),
@@ -73,6 +76,13 @@ impl<S: PageStore> FaultStore<S> {
         self
     }
 
+    /// Fails the `n`-th page write with an I/O error, leaving the page as
+    /// it was (transient; not a crash).
+    pub fn fail_write_at(mut self, n: u64) -> Self {
+        self.fail_write_at = Some(n);
+        self
+    }
+
     /// The shared crash switch.
     pub fn switch(&self) -> &CrashSwitch {
         &self.switch
@@ -90,22 +100,25 @@ impl<S: PageStore> FaultStore<S> {
 }
 
 impl<S: PageStore> FaultStore<S> {
-    /// Counts one read and reports whether the read-fault trigger fires on
-    /// it (shared with the `SharedPageStore` path).
-    fn read_faults(&self) -> bool {
+    /// Counts one read and fails it if the read-fault trigger fires on it
+    /// (shared with the `SharedPageStore` path).
+    fn count_read(&self) -> io::Result<()> {
         let n = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        self.fail_read_at == Some(n)
+        if self.fail_read_at == Some(n) {
+            return Err(transient("injected read fault"));
+        }
+        Ok(())
     }
+}
+
+/// The error of a transient fault (the switch is not tripped).
+fn transient(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 impl<S: PageStore> PageStore for FaultStore<S> {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        if self.read_faults() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "injected read fault",
-            ));
-        }
+        self.count_read()?;
         self.inner.read_page(id, buf)
     }
 
@@ -114,6 +127,9 @@ impl<S: PageStore> PageStore for FaultStore<S> {
             return Err(CrashSwitch::error());
         }
         self.writes += 1;
+        if self.fail_write_at == Some(self.writes) {
+            return Err(transient("injected write fault"));
+        }
         if self.crash_at_write == Some(self.writes) {
             if self.torn_write {
                 // Persist the first half of the new image over the old page:
@@ -159,12 +175,7 @@ impl<S: SharedPageStore> SharedPageStore for FaultStore<S> {
     /// concurrent tree too. Like exclusive reads, they stay allowed after
     /// a crash (recovery must be able to inspect the surviving bytes).
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        if self.read_faults() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "injected read fault",
-            ));
-        }
+        self.count_read()?;
         self.inner.read_page_shared(id, buf)
     }
 }

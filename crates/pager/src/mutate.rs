@@ -18,10 +18,10 @@
 //! an intrusive free list (head in the meta page, `FREE`-tagged pages
 //! chaining to the next) and are reused before the store grows.
 
-use crate::disk_tree::DiskRTree;
+use crate::disk_tree::{materialize_empty, DiskRTree};
 use crate::page::PageLayout;
 use crate::seam::PageWrite;
-use crate::{BufferManager, NodePage, PageMeta, PageStore, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
+use crate::{BufferManager, NodePage, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
 use std::io;
@@ -376,38 +376,7 @@ impl<S: PageStore> DiskRTree<S> {
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        assert!(
-            (2..=MAX_ENTRIES_PER_PAGE).contains(&max_entries),
-            "node capacity {max_entries} out of range 2..={MAX_ENTRIES_PER_PAGE}"
-        );
-        assert!(
-            min_entries >= 1 && 2 * min_entries <= max_entries,
-            "min fill {min_entries} must satisfy 1 <= m <= M/2"
-        );
-        let meta = PageMeta {
-            root: 1,
-            height: 1,
-            max_entries: max_entries as u32,
-            min_entries: min_entries as u32,
-            items: 0,
-            nodes: 1,
-            free_head: 0,
-            level_starts: vec![1],
-            internal_max_entries: max_entries as u32,
-            compressed: false,
-        };
-        let mut buf = vec![0u8; PAGE_SIZE];
-        let meta_page = store.allocate()?;
-        debug_assert_eq!(meta_page, PageId(0));
-        meta.encode(&mut buf);
-        store.write_page(meta_page, &buf)?;
-        let root = store.allocate()?;
-        NodePage {
-            level: 0,
-            entries: Vec::new(),
-        }
-        .encode(&mut buf);
-        store.write_page(root, &buf)?;
+        let meta = materialize_empty(&mut store, max_entries, min_entries, vec![1])?;
         Ok(DiskRTree::from_parts(
             BufferManager::new(store, buffer_capacity, policy),
             meta,

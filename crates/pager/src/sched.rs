@@ -5,7 +5,7 @@
 //! point is the store itself — every concurrent page miss funnels through
 //! [`crate::SharedPageStore::read_page_shared`], so a wrapper that perturbs
 //! the caller right there reaches exactly the moments where shard latches,
-//! relaxed statistics and frame publication interact.
+//! counters and frame publication interact.
 //!
 //! [`StepStore`] assigns each shared read a global step number and looks the
 //! step up in a seed-derived [`StepSchedule`]. The schedule's actions are

@@ -1,17 +1,11 @@
-//! Model-checking tests (built only with `RUSTFLAGS="--cfg loom"`) for the
-//! concurrency pattern the sharded buffer pool relies on: a per-shard
-//! latch guarding pool state, with relaxed atomic statistics updated
-//! around it.
-//!
-//! Two layers:
-//!
-//! 1. A distilled model of `pager::concurrent::Shard` written directly
-//!    against `loom` primitives — under the real loom this is exhaustively
-//!    enumerated; under the vendored shim it is bounded schedule
-//!    exploration (64 seeded schedules per `model` call).
-//! 2. The real [`ConcurrentDiskRTree`], driven inside `loom::model` so
-//!    every explored schedule re-runs the true fetch path and re-checks
-//!    the counter reconciliation invariants.
+//! Model-checking test (built only with `RUSTFLAGS="--cfg loom"`) for the
+//! sharded buffer cache: the real [`ConcurrentDiskRTree`], driven inside
+//! `loom::model` so every explored schedule re-runs the true fetch path —
+//! a per-shard latch around the one buffer cache, counters inside it —
+//! and re-checks the counter reconciliation invariants. Under the real
+//! loom the schedules are exhaustively enumerated; under the vendored shim
+//! it is bounded schedule exploration (64 seeded schedules per `model`
+//! call).
 //!
 //! The invariants mirror what the accounting oracle (and `trace_vs_stats`)
 //! assume: every access is classified as exactly one hit or miss, every
@@ -20,59 +14,43 @@
 
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::Arc;
 use loom::thread;
-
-/// Distilled shard: the latch holds the resident set; hit/miss/read
-/// counters are relaxed atomics bumped while the latch is held — the exact
-/// structure of `Shard::fetch` in `pager::concurrent`.
-struct ModelShard {
-    /// Resident page ids (stands in for pool + frame table).
-    resident: Mutex<Vec<u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    reads: AtomicU64,
-}
-
-impl ModelShard {
-    fn new() -> Self {
-        ModelShard {
-            resident: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-        }
-    }
-
-    /// The latch-then-classify pattern: classification and the "physical
-    /// read" both happen under the latch, so a page can never be counted
-    /// as two concurrent misses.
-    fn fetch(&self, page: u64) {
-        let mut set = self.resident.lock();
-        if set.contains(&page) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            set.push(page);
-        }
-    }
-}
+use rtree_buffer::{LruPolicy, ReplacementPolicy};
+use rtree_geom::Rect;
+use rtree_index::BulkLoader;
+use rtree_pager::{ConcurrentDiskRTree, MemStore};
 
 #[test]
-fn latch_and_atomic_stats_reconcile_under_all_schedules() {
+fn sharded_tree_counters_reconcile_under_exploration() {
     loom::model(|| {
-        let shard = Arc::new(ModelShard::new());
-        let threads = 3usize;
-        let per_thread = 4u64;
-        let handles: Vec<_> = (0..threads)
+        let rects: Vec<Rect> = (0..200)
+            .map(|i| {
+                let x = (i % 20) as f64 / 20.0;
+                let y = (i / 20) as f64 / 10.0;
+                Rect::new(x, y, x + 0.04, y + 0.04)
+            })
+            .collect();
+        let tree = BulkLoader::hilbert(8).load(&rects);
+        let disk = Arc::new(
+            ConcurrentDiskRTree::create_sharded(
+                MemStore::new(),
+                &tree,
+                8,
+                2,
+                || -> Box<dyn ReplacementPolicy> { Box::new(LruPolicy::new()) },
+            )
+            .unwrap(),
+        );
+
+        let handles: Vec<_> = (0..2u64)
             .map(|t| {
-                let shard = Arc::clone(&shard);
+                let disk = Arc::clone(&disk);
                 thread::spawn(move || {
-                    for i in 0..per_thread {
-                        // Overlapping page sets force hit/miss races.
-                        shard.fetch((t as u64 + i) % 3);
+                    for i in 0..4u64 {
+                        let x = ((t * 7 + i * 3) % 10) as f64 / 10.0;
+                        let q = Rect::new(x, x, x + 0.2, x + 0.2);
+                        disk.query(&q).unwrap();
                     }
                 })
             })
@@ -81,73 +59,10 @@ fn latch_and_atomic_stats_reconcile_under_all_schedules() {
             h.join().unwrap();
         }
 
-        let hits = shard.hits.load(Ordering::Relaxed);
-        let misses = shard.misses.load(Ordering::Relaxed);
-        let reads = shard.reads.load(Ordering::Relaxed);
-        assert_eq!(
-            hits + misses,
-            threads as u64 * per_thread,
-            "every access classified exactly once"
-        );
-        assert_eq!(reads, misses, "every miss does exactly one read");
-        // Only 3 distinct pages exist and nothing is ever evicted in this
-        // model, so the first touch of each page is the only miss it can
-        // ever have.
-        assert_eq!(misses, 3, "one miss per distinct page");
+        let io = disk.io_stats();
+        let pool = disk.buffer_stats();
+        assert_eq!(pool.accesses, pool.hits + pool.misses);
+        assert_eq!(io.reads, pool.misses, "one physical read per miss");
+        assert_eq!(io.writes, 0, "read-only workload");
     });
-}
-
-mod real_tree {
-    use loom::sync::Arc;
-    use loom::thread;
-    use rtree_buffer::{LruPolicy, ReplacementPolicy};
-    use rtree_geom::Rect;
-    use rtree_index::BulkLoader;
-    use rtree_pager::{ConcurrentDiskRTree, MemStore};
-
-    #[test]
-    fn sharded_tree_counters_reconcile_under_exploration() {
-        loom::model(|| {
-            let rects: Vec<Rect> = (0..200)
-                .map(|i| {
-                    let x = (i % 20) as f64 / 20.0;
-                    let y = (i / 20) as f64 / 10.0;
-                    Rect::new(x, y, x + 0.04, y + 0.04)
-                })
-                .collect();
-            let tree = BulkLoader::hilbert(8).load(&rects);
-            let disk = Arc::new(
-                ConcurrentDiskRTree::create_sharded(
-                    MemStore::new(),
-                    &tree,
-                    8,
-                    2,
-                    || -> Box<dyn ReplacementPolicy> { Box::new(LruPolicy::new()) },
-                )
-                .unwrap(),
-            );
-
-            let handles: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let disk = Arc::clone(&disk);
-                    thread::spawn(move || {
-                        for i in 0..4u64 {
-                            let x = ((t * 7 + i * 3) % 10) as f64 / 10.0;
-                            let q = Rect::new(x, x, x + 0.2, x + 0.2);
-                            disk.query(&q).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-
-            let io = disk.io_stats();
-            let pool = disk.buffer_stats();
-            assert_eq!(pool.accesses, pool.hits + pool.misses);
-            assert_eq!(io.reads, pool.misses, "one physical read per miss");
-            assert_eq!(io.writes, 0, "read-only workload");
-        });
-    }
 }

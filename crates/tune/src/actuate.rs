@@ -24,57 +24,56 @@ pub trait Actuator {
     fn apply(&mut self, setting: Setting) -> io::Result<()>;
 }
 
-/// Actuator for the sequential [`DiskRTree`].
-pub struct DiskActuator<'a, S: PageStore> {
-    tree: &'a mut DiskRTree<S>,
+/// The buffer controls of a live tree. Both tree flavors run the same
+/// buffer cache, so they differ only in how they are borrowed: the
+/// sequential tree exclusively, the concurrent tree shared (its resize
+/// re-partitions the capacity across the existing shards; on a writable
+/// tree the operation gate serializes it against in-flight work).
+pub trait BufferControls {
+    /// Levels of the bulk-load level table (0 once a mutation cleared it).
+    fn level_count(&self) -> usize;
+    /// Unpins everything, then pins the top `p` levels.
+    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()>;
+    /// Replaces the buffer with a cold LRU one of `capacity` frames.
+    fn resize_lru(&mut self, capacity: usize) -> io::Result<()>;
 }
 
-impl<'a, S: PageStore> DiskActuator<'a, S> {
-    /// Wraps an exclusively borrowed tree.
-    pub fn new(tree: &'a mut DiskRTree<S>) -> Self {
-        DiskActuator { tree }
+impl<S: PageStore> BufferControls for DiskRTree<S> {
+    fn level_count(&self) -> usize {
+        self.meta().level_starts.len()
+    }
+    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
+        DiskRTree::set_pinned_levels(self, p)
+    }
+    fn resize_lru(&mut self, capacity: usize) -> io::Result<()> {
+        self.resize_buffer(capacity, LruPolicy::new())
     }
 }
 
-impl<S: PageStore> Actuator for DiskActuator<'_, S> {
+impl<S: SharedPageStore> BufferControls for &ConcurrentDiskRTree<S> {
+    fn level_count(&self) -> usize {
+        self.meta().level_starts.len()
+    }
+    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
+        ConcurrentDiskRTree::set_pinned_levels(self, p)
+    }
+    fn resize_lru(&mut self, capacity: usize) -> io::Result<()> {
+        self.resize_buffer(capacity, LruPolicy::new)
+    }
+}
+
+/// The actuator: unpin → resize → re-pin on a borrowed tree (`&mut disk`,
+/// or `&mut &shared` for the concurrent tree).
+pub struct DiskActuator<'a, T: BufferControls>(pub &'a mut T);
+
+impl<T: BufferControls> Actuator for DiskActuator<'_, T> {
     fn apply(&mut self, setting: Setting) -> io::Result<()> {
         // A mutated tree has no level table; pinning silently degrades to
         // "none" rather than panicking mid-actuation.
-        let levels = self.tree.meta().level_starts.len();
-        let pin = setting.pin_levels.min(levels);
-        self.tree.set_pinned_levels(0)?;
-        self.tree.resize_buffer(setting.buffer, LruPolicy::new())?;
-        if pin > 0 {
-            self.tree.pin_top_levels(pin)?;
-        }
-        Ok(())
-    }
-}
-
-/// Actuator for the sharded [`ConcurrentDiskRTree`]. The resize
-/// re-partitions the capacity across the existing shards; on a writable
-/// tree the operation gate serializes it against in-flight work.
-pub struct ConcurrentActuator<'a, S: SharedPageStore> {
-    tree: &'a ConcurrentDiskRTree<S>,
-}
-
-impl<'a, S: SharedPageStore> ConcurrentActuator<'a, S> {
-    /// Wraps a shared tree.
-    pub fn new(tree: &'a ConcurrentDiskRTree<S>) -> Self {
-        ConcurrentActuator { tree }
-    }
-}
-
-impl<S: SharedPageStore> Actuator for ConcurrentActuator<'_, S> {
-    fn apply(&mut self, setting: Setting) -> io::Result<()> {
-        let levels = self.tree.meta().level_starts.len();
-        let pin = setting.pin_levels.min(levels);
-        self.tree.set_pinned_levels(0)?;
-        self.tree.resize_buffer(setting.buffer, LruPolicy::new)?;
-        if pin > 0 {
-            self.tree.pin_top_levels(pin)?;
-        }
-        Ok(())
+        let pin = setting.pin_levels.min(self.0.level_count());
+        self.0.set_pinned_levels(0)?;
+        self.0.resize_lru(setting.buffer)?;
+        self.0.set_pinned_levels(pin)
     }
 }
 
@@ -97,10 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_actuator_applies_resize_and_pin() {
+    fn actuator_applies_resize_and_pin() {
         let tree = BulkLoader::hilbert(16).load(&rects(1_500));
         let mut disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
-        DiskActuator::new(&mut disk)
+        DiskActuator(&mut disk)
             .apply(Setting {
                 buffer: 32,
                 pin_levels: 2,
@@ -109,7 +108,7 @@ mod tests {
         assert_eq!(disk.buffer_capacity(), 32);
         assert!(disk.pinned_pages() > 0);
         // Re-target down to no pinning at a smaller size.
-        DiskActuator::new(&mut disk)
+        DiskActuator(&mut disk)
             .apply(Setting {
                 buffer: 8,
                 pin_levels: 0,
@@ -120,12 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_actuator_applies_resize_and_pin() {
+    fn actuator_applies_to_a_shared_sharded_tree() {
         let tree = BulkLoader::hilbert(16).load(&rects(1_500));
         let disk =
             ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 64, 4, LruPolicy::new)
                 .unwrap();
-        ConcurrentActuator::new(&disk)
+        DiskActuator(&mut &disk)
             .apply(Setting {
                 buffer: 32,
                 pin_levels: 1,
@@ -133,7 +132,7 @@ mod tests {
             .unwrap();
         assert_eq!(disk.buffer_capacity(), 32);
         assert_eq!(disk.pinned_pages(), 1);
-        ConcurrentActuator::new(&disk)
+        DiskActuator(&mut &disk)
             .apply(Setting {
                 buffer: 16,
                 pin_levels: 0,

@@ -18,7 +18,7 @@
 //!    predicted cost sits at the curve's knee, plus that buffer's
 //!    [`rtree_core::BufferModel::best_pinning`] depth.
 //! 3. **Actuate** ([`Actuator`]): unpin → resize → re-pin, on either tree
-//!    flavor ([`DiskActuator`], [`ConcurrentActuator`]). Guards: a
+//!    flavor (one [`DiskActuator`] over [`BufferControls`]). Guards: a
 //!    hysteresis band (moves must buy a minimum *relative* predicted
 //!    improvement) and a minimum interval between actuations, so a noisy
 //!    window can never thrash the pool.
@@ -34,6 +34,6 @@ mod actuate;
 mod controller;
 mod estimator;
 
-pub use actuate::{Actuator, ConcurrentActuator, DiskActuator};
+pub use actuate::{Actuator, BufferControls, DiskActuator};
 pub use controller::{Controller, ControllerConfig, DecisionRecord, Setting};
 pub use estimator::{WorkloadEstimate, WorkloadWindow};

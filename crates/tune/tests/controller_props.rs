@@ -166,10 +166,7 @@ fn stationary_workload_quiesces() {
                 disk.query(&q).unwrap();
                 fed += 1;
             }
-            if let Some(d) = c
-                .tick_with(|s| DiskActuator::new(&mut disk).apply(s))
-                .unwrap()
-            {
+            if let Some(d) = c.tick_with(|s| DiskActuator(&mut disk).apply(s)).unwrap() {
                 last_decision_tick = d.tick;
             }
         }
@@ -218,7 +215,7 @@ fn adaptive_results_equal_non_adaptive_results() {
         b.sort_unstable();
         assert_eq!(a, b, "query {i} diverged");
         if i % 20 == 0
-            && c.tick_with(|s| DiskActuator::new(&mut tuned).apply(s))
+            && c.tick_with(|s| DiskActuator(&mut tuned).apply(s))
                 .unwrap()
                 .is_some()
         {
