@@ -163,6 +163,8 @@ macro_rules! __proptest_impl {
             let mut rng = $crate::test_runner::TestRng::from_seed(seed);
             for case in 0..config.cases {
                 $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
+                // The closure is the scope a failing `prop_assert!` returns from.
+                #[allow(clippy::redundant_closure_call)]
                 let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| { $body ::std::result::Result::Ok(()) })();
                 if let ::std::result::Result::Err(e) = outcome {
@@ -246,7 +248,7 @@ mod tests {
     proptest! {
         #[test]
         fn ranges_and_maps(v in small_even(), w in 5usize..10) {
-            prop_assert!(v % 2 == 0);
+            prop_assert!(v.is_multiple_of(2));
             prop_assert!((5..10).contains(&w));
         }
 

@@ -1,24 +1,123 @@
-//! Shared infrastructure for the experiment binaries.
+//! The experiment registry: every table and figure of the paper, plus the
+//! extension experiments, as a value in [`EXPERIMENTS`].
 //!
-//! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/`; this module provides the common pieces: standard data sets
-//! (fixed seeds), the loader roster, table formatting, and CSV output.
-//!
-//! Run an experiment with, e.g.:
+//! An experiment is a function of explicit [`Opts`] that appends what it
+//! prints to a `String`; `rtrees bench <name> | all | list` is the runner:
 //! ```text
-//! cargo run --release -p rtree-bench --bin fig6_buffer_sensitivity
+//! rtrees bench fig6_buffer_sensitivity --quick
 //! ```
-//! Flags understood by every binary: `--csv` (also write `results/*.csv`),
-//! `--json` (also write `results/*.json`), and `--quick` (shrink
-//! simulation sizes for smoke runs).
+//! The flags every experiment understands are the fields of [`Opts`]:
+//! `--csv` (also write `results/*.csv`), `--json` (also write
+//! `results/*.json`), `--quick` (shrink simulation sizes for smoke runs)
+//! and `--miss-ns` (the macro-benchmark's miss latency).
+//!
+//! This module also provides the common pieces — standard data sets (fixed
+//! seeds), the loader roster, table formatting — and [`measure`] holds the
+//! measured loops the experiments share with the CLI subcommands.
 
+mod engine;
+mod extensions;
 pub mod macrobench;
+pub mod measure;
+mod paper;
 
 use rtree_datagen::{CfdLike, SyntheticPoint, SyntheticRegion, TigerLike};
 use rtree_geom::Rect;
 use rtree_index::{BulkLoader, RTree, TupleAtATime};
+use rtree_sim::SimConfig;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::str::FromStr;
+
+/// Appends one formatted line to an experiment's output.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+pub(crate) use say;
+
+/// What an experiment is run with: the flags of `rtrees bench`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Opts {
+    /// `--quick`: shrink data and simulation sizes for smoke runs.
+    pub quick: bool,
+    /// `--csv`: also write each table to `results/<slug>.csv`.
+    pub csv: bool,
+    /// `--json`: also write each table to `results/<slug>.json`.
+    pub json: bool,
+    /// `--miss-ns`: latency charged per demand miss by `macrobench`.
+    pub miss_ns: f64,
+}
+
+impl Opts {
+    /// The simulation every model-vs-simulation row runs at buffer size
+    /// `buffer`: the fixed seed, and a batch shape reduced by `--quick`.
+    pub fn simulation(&self, buffer: usize) -> SimConfig {
+        let (batches, queries_per_batch) = if self.quick { (5, 5_000) } else { (20, 50_000) };
+        SimConfig::new(buffer)
+            .batches(batches, queries_per_batch)
+            .seed(seeds::SIM)
+    }
+}
+
+/// One experiment: a table/figure of the paper or an extension.
+pub struct Experiment {
+    /// Registry name (`rtrees bench <name>`).
+    pub name: &'static str,
+    /// One-line description shown by `rtrees bench list`.
+    pub about: &'static str,
+    /// Runs the experiment, appending its stdout text to the string. An
+    /// `Err` is a failed gate (or an I/O error writing `results/`); what
+    /// was appended before it is still the experiment's output.
+    pub run: fn(&Opts, &mut String) -> Result<(), String>,
+}
+
+/// Builds the registry from `module::function => "about"` rows; an
+/// experiment's name is its function's name, spelled once.
+macro_rules! experiments {
+    ($($module:ident :: $name:ident => $about:literal,)*) => {
+        &[$(Experiment {
+            name: stringify!($name),
+            about: $about,
+            run: $module::$name,
+        }),*]
+    };
+}
+
+/// Every experiment, in `rtrees bench all` order: the nineteen the old
+/// `repro_all` driver ran (the paper's tables and figures, then the
+/// extensions, in the order it ran them), then the eight it never listed.
+pub const EXPERIMENTS: &[Experiment] = experiments! {
+    paper::table1_validation => "Table 1: model vs LRU simulation, point queries",
+    paper::table2_nodes_per_level => "Table 2: nodes per level of the pinning-study trees",
+    paper::fig5_cfd_data => "Fig 5: CFD data set dumps and density summary",
+    paper::fig6_buffer_sensitivity => "Fig 6: disk accesses vs buffer size, TAT/NX/HS crossover",
+    paper::fig7_tiger_datadriven => "Fig 7: uniform vs data-driven queries, TIGER-like data",
+    paper::fig8_cfd_datadriven => "Fig 8: uniform vs data-driven queries, CFD-like data",
+    paper::fig9_datasize => "Fig 9: disk accesses vs data set size",
+    paper::fig10_pinning_datasize => "Fig 10: pinning the top levels vs data size",
+    paper::fig11_pinning => "Fig 11: when pinning pays off",
+    extensions::validate_disk => "model vs trace simulation vs physical page reads",
+    extensions::ablation_policies => "replacement policies against the LRU model",
+    extensions::ablation_loaders => "all six loaders through the buffer model",
+    extensions::ablation_splits => "split heuristics under buffering",
+    extensions::update_quality => "a packed tree under delete/reinsert churn",
+    engine::write_amplification => "physical page writes per insert vs buffer size",
+    extensions::model_accuracy_sweep => "model error over data skew and buffer size",
+    extensions::mixed_workloads => "point/region query mixtures, model vs simulation",
+    engine::concurrent_scaling => "disk accesses/query under 1-8 client threads",
+    extensions::nd_generalization => "the buffer model in 2-D, 3-D and 4-D",
+    engine::batch_throughput => "batched execution: reads/query vs batch size",
+    engine::concurrent_throughput => "sharded buffer pool throughput scaling",
+    engine::chaos_soak => "deterministic fault-injection soak over a seed block (gate)",
+    engine::simd_traversal => "SIMD traversal speedup on buffer-resident trees (gate)",
+    engine::adaptive_buffer => "self-tuning controller vs every static pin depth (gate)",
+    macrobench::macrobench => "effective OPS, {v3,v4} x policies x skews (gate)",
+    engine::server_throughput => "server micro-batching and WAL group commit (gates)",
+    extensions::describe_tree => "dump the TIGER-like HS tree's per-level MBR description",
+};
 
 /// Seeds: one per data set, fixed so every experiment sees the same data.
 pub mod seeds {
@@ -101,7 +200,8 @@ impl Loader {
         }
     }
 
-    /// Builds a tree with node capacity `cap`.
+    /// Builds a tree with node capacity `cap` — the one place a loader
+    /// name reaches a loading algorithm.
     pub fn build(self, cap: usize, rects: &[Rect]) -> RTree {
         match self {
             Loader::Tat => TupleAtATime::quadratic(cap).load(rects),
@@ -111,6 +211,19 @@ impl Loader {
             Loader::Str => BulkLoader::str_pack(cap).load(rects),
             Loader::Rstar => TupleAtATime::rstar(cap).load(rects),
         }
+    }
+}
+
+impl FromStr for Loader {
+    type Err = String;
+
+    /// Case-insensitive table name; `RSTAR` is accepted for `R*`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let upper = s.to_uppercase();
+        Loader::ALL
+            .into_iter()
+            .find(|l| l.name() == upper || (upper == "RSTAR" && *l == Loader::Rstar))
+            .ok_or_else(|| format!("unknown loader {upper:?}"))
     }
 }
 
@@ -245,40 +358,34 @@ impl Table {
         out
     }
 
-    /// Prints the table; when `--csv` / `--json` was passed, also writes
-    /// `results/<slug>.csv` / `results/<slug>.json`.
-    pub fn emit(&self, slug: &str) {
-        println!("{}", self.render());
-        if flag("--csv") {
-            let dir = Path::new("results");
-            std::fs::create_dir_all(dir).expect("create results dir");
-            let path = dir.join(format!("{slug}.csv"));
-            std::fs::write(&path, self.to_csv()).expect("write csv");
-            println!("[csv] wrote {}", path.display());
+    /// Appends the rendered table to `out`; with [`Opts::csv`] /
+    /// [`Opts::json`] also writes `results/<slug>.csv` /
+    /// `results/<slug>.json`.
+    ///
+    /// # Errors
+    /// A `results/` file could not be written.
+    pub fn emit(&self, slug: &str, opts: &Opts, out: &mut String) -> Result<(), String> {
+        say!(out, "{}", self.render());
+        if opts.csv {
+            let path = write_result(&format!("{slug}.csv"), &self.to_csv())?;
+            say!(out, "[csv] wrote {path}");
         }
-        if flag("--json") {
-            let dir = Path::new("results");
-            std::fs::create_dir_all(dir).expect("create results dir");
-            let path = dir.join(format!("{slug}.json"));
-            std::fs::write(&path, self.to_json()).expect("write json");
-            println!("[json] wrote {}", path.display());
+        if opts.json {
+            let path = write_result(&format!("{slug}.json"), &self.to_json())?;
+            say!(out, "[json] wrote {path}");
         }
+        Ok(())
     }
 }
 
-/// True if a command-line flag is present.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Simulation scale: (`batches`, `queries_per_batch`) — reduced by
-/// `--quick`.
-pub fn sim_scale() -> (usize, usize) {
-    if flag("--quick") {
-        (5, 5_000)
-    } else {
-        (20, 50_000)
-    }
+/// Writes `results/<name>` (creating the directory) and returns its path.
+pub(crate) fn write_result(name: &str, content: &str) -> Result<String, String> {
+    let dir = Path::new("results");
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, content))
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    Ok(path.display().to_string())
 }
 
 /// Formats a float with 4 significant decimals.

@@ -12,6 +12,7 @@
 
 mod clock;
 mod fifo;
+mod kind;
 mod lru;
 mod lruk;
 mod pool;
@@ -19,6 +20,7 @@ mod random;
 
 pub use clock::ClockPolicy;
 pub use fifo::FifoPolicy;
+pub use kind::PolicyKind;
 pub use lru::LruPolicy;
 pub use lruk::LruKPolicy;
 pub use pool::{AccessOutcome, BufferPool, BufferStats, PinError};

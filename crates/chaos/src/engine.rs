@@ -172,7 +172,7 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
         plan.max_entries,
         plan.min_entries,
         plan.buffer_capacity,
-        plan.policy.build(),
+        plan.policy.build(plan.policy_seed),
     ) {
         Ok(d) => d,
         Err(e) => {
@@ -335,7 +335,9 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
             }
             ChaosOp::Checkpoint => disk.checkpoint(),
             ChaosOp::Flush => disk.flush(),
-            ChaosOp::Resize(frames) => disk.resize_buffer(*frames, plan.policy.build()),
+            ChaosOp::Resize(frames) => {
+                disk.resize_buffer(*frames, plan.policy.build(plan.policy_seed))
+            }
         };
         // The first injected fault aborts the run mid-operation; the
         // reference holds exactly the committed prefix.
@@ -478,7 +480,11 @@ fn run_server_phase(
             return;
         }
     };
-    let disk = match DiskRTree::open(copy, plan.buffer_capacity, plan.policy.build()) {
+    let disk = match DiskRTree::open(
+        copy,
+        plan.buffer_capacity,
+        plan.policy.build(plan.policy_seed),
+    ) {
         Ok(d) => d,
         Err(e) => {
             report.failures.push(ChaosFailure {
@@ -638,7 +644,7 @@ fn run_mutator_phase(
     let tree = match ConcurrentDiskRTree::open_writable(
         SharedMemStore::from_bytes(image.clone()),
         capacity,
-        plan.policy.build(),
+        plan.policy.build(plan.policy_seed),
         wal.clone(),
     ) {
         Ok(t) => t,
@@ -835,7 +841,7 @@ fn run_mutator_phase(
     let recovered = match ConcurrentDiskRTree::open_writable(
         SharedMemStore::from_bytes(image),
         capacity,
-        plan.policy.build(),
+        plan.policy.build(plan.policy_seed),
         match GroupWal::open(MemLog::new()) {
             Ok(w) => w,
             Err(e) => {
@@ -1101,7 +1107,7 @@ fn run_adaptive_phase(
     report: &mut ChaosReport,
 ) {
     let queries = plan.query_rects();
-    if queries.is_empty() || reference.len() == 0 {
+    if queries.is_empty() || reference.is_empty() {
         return;
     }
     let fail = |report: &mut ChaosReport, oracle: Oracle, detail: String| {
@@ -1257,7 +1263,11 @@ fn run_adaptive_phase(
 /// `BufferStats` (the `trace_vs_stats` invariants, here under a
 /// seed-chosen policy and capacity).
 fn run_accounting_phase(plan: &ChaosPlan, store: MemStore, report: &mut ChaosReport) {
-    let mut disk = match DiskRTree::open(store, plan.buffer_capacity, plan.policy.build()) {
+    let mut disk = match DiskRTree::open(
+        store,
+        plan.buffer_capacity,
+        plan.policy.build(plan.policy_seed),
+    ) {
         Ok(d) => d,
         Err(e) => {
             report.failures.push(ChaosFailure {

@@ -30,7 +30,7 @@ pub mod plan;
 pub mod shrink;
 
 pub use engine::{run, run_plan, run_planted, ChaosFailure, ChaosReport, Oracle};
-pub use plan::{ChaosOp, ChaosPlan, FaultPlan, PolicyChoice};
+pub use plan::{ChaosOp, ChaosPlan, FaultPlan};
 pub use shrink::shrink;
 
 #[cfg(test)]

@@ -10,9 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtree_buffer::{
-    ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
-};
+use rtree_buffer::PolicyKind;
 use rtree_geom::Rect;
 use std::fmt;
 
@@ -89,46 +87,6 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Replacement policy choice; carries the seed for the randomized policy so
-/// the whole plan stays a function of the run seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// Least recently used.
-    Lru,
-    /// LRU-2 (second-to-last reference).
-    Lru2,
-    /// First in, first out.
-    Fifo,
-    /// Clock (second chance).
-    Clock,
-    /// Seeded random replacement (deterministic for a fixed seed).
-    Random(u64),
-}
-
-impl PolicyChoice {
-    /// Builds a fresh boxed policy instance.
-    pub fn build(&self) -> Box<dyn ReplacementPolicy> {
-        match *self {
-            PolicyChoice::Lru => Box::new(LruPolicy::new()),
-            PolicyChoice::Lru2 => Box::new(LruKPolicy::lru2()),
-            PolicyChoice::Fifo => Box::new(FifoPolicy::new()),
-            PolicyChoice::Clock => Box::new(ClockPolicy::new()),
-            PolicyChoice::Random(seed) => Box::new(RandomPolicy::new(seed)),
-        }
-    }
-
-    /// Display name (matches the CLI's policy vocabulary).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicyChoice::Lru => "LRU",
-            PolicyChoice::Lru2 => "LRU2",
-            PolicyChoice::Fifo => "FIFO",
-            PolicyChoice::Clock => "CLOCK",
-            PolicyChoice::Random(_) => "RANDOM",
-        }
-    }
-}
-
 /// The full, deterministic description of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
@@ -142,7 +100,10 @@ pub struct ChaosPlan {
     /// ride on them) happen constantly.
     pub buffer_capacity: usize,
     /// Replacement policy for the sequential phase.
-    pub policy: PolicyChoice,
+    pub policy: PolicyKind,
+    /// Seed for the randomized policy, so the whole plan stays a function
+    /// of the run seed.
+    pub policy_seed: u64,
     /// The injected fault, if any.
     pub fault: FaultPlan,
     /// The sequential operation stream.
@@ -168,12 +129,12 @@ impl ChaosPlan {
         let max_entries = rng.gen_range(4..=10usize);
         let min_entries = rng.gen_range(2..=(max_entries / 2).max(2));
         let buffer_capacity = rng.gen_range(2..=24usize);
-        let policy = match rng.gen_range(0..5u32) {
-            0 => PolicyChoice::Lru,
-            1 => PolicyChoice::Lru2,
-            2 => PolicyChoice::Fifo,
-            3 => PolicyChoice::Clock,
-            _ => PolicyChoice::Random(rng.gen()),
+        let (policy, policy_seed) = match rng.gen_range(0..5u32) {
+            0 => (PolicyKind::Lru, 0),
+            1 => (PolicyKind::Lru2, 0),
+            2 => (PolicyKind::Fifo, 0),
+            3 => (PolicyKind::Clock, 0),
+            _ => (PolicyKind::Random, rng.gen()),
         };
         let threads = rng.gen_range(2..=4usize);
         let shards = 1usize << rng.gen_range(0..3u32);
@@ -211,6 +172,7 @@ impl ChaosPlan {
             min_entries,
             buffer_capacity,
             policy,
+            policy_seed,
             fault,
             ops,
             threads,

@@ -7,7 +7,7 @@ use std::fmt;
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Args {
-    /// Subcommand (`generate`, `build`, `model`, `simulate`).
+    /// Subcommand (`generate`, `build`, `model`, `simulate`, ...).
     pub command: String,
     /// The single positional argument (data spec or input file).
     pub positional: String,
@@ -34,7 +34,7 @@ pub(crate) fn err(msg: impl Into<String>) -> CliError {
 /// Flags that are presence toggles and take no value. Everything else uses
 /// the uniform `--key value` form.
 const BOOL_FLAGS: &[&str] = &[
-    "json", "prom", "plant", "shutdown", "quick", "writers", "adaptive",
+    "json", "prom", "plant", "shutdown", "quick", "writers", "adaptive", "csv",
 ];
 
 /// Subcommands that are fully seed-driven and take no input argument.
@@ -178,6 +178,18 @@ mod tests {
         // elsewhere.
         assert!(parse("trace d.csv --policy").is_err());
         assert!(parse("trace d.csv --json --json").is_err());
+    }
+
+    #[test]
+    fn a_flag_shaped_value_is_a_value_not_a_flag() {
+        // `--miss-ns` last: the missing value is an error, not a silent
+        // fall-back to the default.
+        assert!(parse("bench macrobench --quick --miss-ns").is_err());
+        // `--quick` in value position belongs to `--miss-ns`; it neither
+        // switches quick mode on nor parses as a latency.
+        let a = parse("bench macrobench --miss-ns --quick").unwrap();
+        assert!(!a.flag_bool("quick"));
+        assert!(a.flag_or("miss-ns", 1.0f64).is_err());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! rtrees simulate tree.desc --workload region:0.1:0.1 --buffer 50 --queries 200000
 //! ```
 //!
-//! Every command is a pure function from arguments + input files to an
-//! output string, so the whole tool is unit-testable without spawning
-//! processes.
+//! Every command is a function from arguments + input files to an output
+//! string, so the whole tool is unit-testable without spawning processes;
+//! `rtrees bench <name>` runs the experiments of the `rtree-bench`
+//! registry (and prints each one's output as it finishes).
 
 mod args;
 mod commands;
@@ -102,6 +103,14 @@ USAGE:
       effective OPS (misses charged --miss-ns, default ~1.9 us). --record
       saves the generated trace; --replay re-runs a recorded one
       byte-identically (overriding --ops/--seed).
+
+  rtrees bench <NAME>|all|list [--quick] [--csv] [--json] [--miss-ns NS]
+      Runs an experiment of the registry: every table and figure of the
+      paper plus the extension experiments. `list` names them; `all` runs
+      them in paper order and exits non-zero if any experiment's gate
+      failed. --quick shrinks sizes for smoke runs; --csv / --json also
+      write each table under results/; --miss-ns is the miss latency the
+      macrobench experiment charges (default ~1.9 us).
 
   rtrees serve <DATA.csv> [--addr HOST:PORT] [--port-file FILE] [--duration S]
                [--engine seq|sharded] [--shards S] [--loader L] [--cap N]

@@ -187,6 +187,44 @@ fn macrobench_through_the_real_binary() {
 }
 
 #[test]
+fn bench_through_the_real_binary() {
+    let out = rtrees().args(["bench", "list"]).output().expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("fig6_buffer_sensitivity"), "got: {text}");
+    assert!(text.contains("macrobench"), "got: {text}");
+
+    // One experiment end to end: the table is printed and, with --json,
+    // lands under results/ of the working directory.
+    let dir = std::env::temp_dir().join(format!("rtrees-bin-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = rtrees()
+        .current_dir(&dir)
+        .args(["bench", "table2_nodes_per_level", "--quick", "--json"])
+        .output()
+        .expect("spawn rtrees bench");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("== Table 2: nodes per level"), "got: {text}");
+    let json = std::fs::read_to_string(dir.join("results/table2_nodes_per_level.json"))
+        .expect("--json writes results/table2_nodes_per_level.json");
+    assert!(
+        json.contains("\"title\": \"Table 2: nodes per level"),
+        "got: {json}"
+    );
+    assert_eq!(json.matches("\"points\": ").count(), 6, "got: {json}");
+    assert!(json.trim_end().ends_with('}'), "got: {json}");
+
+    let out = rtrees().args(["bench", "nope"]).output().expect("spawn");
+    assert!(!out.status.success());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn help_and_errors() {
     let out = rtrees().arg("--help").output().expect("spawn");
     assert!(out.status.success());

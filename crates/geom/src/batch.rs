@@ -594,9 +594,11 @@ mod tests {
         soa
     }
 
+    type Runner = fn(&RectSoA, &Rect, &mut Vec<u32>);
+
     /// Every variant compiled into this build, as (name, runner) pairs.
-    fn intersect_variants() -> Vec<(&'static str, fn(&RectSoA, &Rect, &mut Vec<u32>))> {
-        let mut v: Vec<(&'static str, fn(&RectSoA, &Rect, &mut Vec<u32>))> = vec![
+    fn intersect_variants() -> Vec<(&'static str, Runner)> {
+        let mut v: Vec<(&'static str, Runner)> = vec![
             ("portable", RectSoA::intersecting_portable),
             ("dispatch", RectSoA::intersecting),
         ];

@@ -1,16 +1,12 @@
 //! The buffer manager: a [`BufferPool`] plus page frames over a
 //! [`PageStore`], counting physical reads and writes.
 //!
-//! The manager supports two write disciplines:
-//!
-//! - **Write-through** ([`BufferManager::write`]): the page goes straight to
-//!   the store (and any resident frame is updated). No durability protocol.
-//! - **Write-back** ([`BufferManager::write_buffered`]): the page is updated
-//!   in its frame and marked dirty; it reaches the store only on eviction,
-//!   [`BufferManager::flush_all`] or [`BufferManager::checkpoint`]. When a
-//!   [`Wal`] is attached, every buffered write logs a full before/after page
-//!   image first, and a dirty page is never written back before the log is
-//!   synced — the write-ahead rule that makes crash recovery possible.
+//! Writes are write-back ([`BufferManager::write_buffered`]): the page is
+//! updated in its frame and marked dirty; it reaches the store only on
+//! eviction, [`BufferManager::flush_all`] or [`BufferManager::checkpoint`].
+//! When a [`Wal`] is attached, every buffered write logs a full before/after
+//! page image first, and a dirty page is never written back before the log
+//! is synced — the write-ahead rule that makes crash recovery possible.
 
 use crate::seam::PageRead;
 use crate::{PageStore, PAGE_SIZE};
@@ -221,11 +217,6 @@ impl<S: PageStore> BufferManager<S> {
     /// logged with before/after images and eviction enforces the WAL rule.
     pub fn attach_wal(&mut self, wal: Wal) {
         self.wal = Some(wal);
-    }
-
-    /// The attached WAL, if any.
-    pub fn wal(&self) -> Option<&Wal> {
-        self.wal.as_ref()
     }
 
     /// Physical I/O counters.
@@ -451,20 +442,6 @@ impl<S: PageStore> BufferManager<S> {
         {
             self.tracer.level = level as i16;
         }
-    }
-
-    /// Writes a page through the cache to the store (no WAL, no dirty
-    /// tracking — bulk materialization and other non-transactional paths).
-    pub fn write(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
-        assert_eq!(data.len(), PAGE_SIZE);
-        if let Some(frame) = self.frames.get_mut(&id) {
-            exclusive(frame).copy_from_slice(data);
-        }
-        self.store.write_page(id, data)?;
-        self.stats.writes += 1;
-        #[cfg(feature = "trace")]
-        self.tracer.emit(id, EventKind::WriteBack);
-        Ok(())
     }
 
     /// Replaces the frame of `id`, if it is resident, with an image the
@@ -719,26 +696,12 @@ mod tests {
     }
 
     #[test]
-    fn write_through_updates_frame_and_counts() {
-        let mut m = make(2, 2);
-        m.fetch(PageId(0)).unwrap();
-        m.write(PageId(0), &page(0xEE)).unwrap();
-        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0xEE);
-        assert_eq!(
-            m.io_stats(),
-            IoStats {
-                reads: 1,
-                writes: 1,
-                ..IoStats::default()
-            }
-        );
-    }
-
-    #[test]
     fn reset_counters() {
         let mut m = make(2, 2);
         m.fetch(PageId(0)).unwrap();
-        m.write(PageId(1), &page(1)).unwrap();
+        m.write_buffered(PageId(1), &page(1)).unwrap();
+        m.flush_all().unwrap();
+        assert_eq!(m.io_stats().writes, 1);
         m.reset_counters();
         assert_eq!(m.io_stats(), IoStats::default());
         assert_eq!(m.pool().stats().accesses, 0);

@@ -22,6 +22,7 @@ mod sim_tree;
 mod stats;
 
 pub use queries::{MixedSampler, QuerySampler};
-pub use runner::{PolicyKind, SimConfig, SimResult, Simulation};
+pub use rtree_buffer::PolicyKind;
+pub use runner::{SimConfig, SimResult, Simulation};
 pub use sim_tree::{description_mbrs, flat_trace, SimTree};
 pub use stats::BatchMeans;

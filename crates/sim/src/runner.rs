@@ -1,49 +1,8 @@
 //! The simulation loop: queries → traces → buffer pool → disk accesses.
 
 use crate::{BatchMeans, MixedSampler, QuerySampler, SimTree};
-use rtree_buffer::{
-    BufferPool, ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, PageId, RandomPolicy,
-    ReplacementPolicy,
-};
+use rtree_buffer::{BufferPool, PageId, PolicyKind};
 use rtree_core::{MixedWorkload, Workload};
-
-/// Replacement policy selection for a simulation run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Least recently used (the paper's policy).
-    Lru,
-    /// First in, first out.
-    Fifo,
-    /// Clock / second chance.
-    Clock,
-    /// Uniformly random victim (seeded).
-    Random,
-    /// LRU-2 (O'Neil et al.), scan-resistant history-based replacement.
-    Lru2,
-}
-
-impl PolicyKind {
-    fn build(self, seed: u64) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(LruPolicy::new()),
-            PolicyKind::Fifo => Box::new(FifoPolicy::new()),
-            PolicyKind::Clock => Box::new(ClockPolicy::new()),
-            PolicyKind::Random => Box::new(RandomPolicy::new(seed)),
-            PolicyKind::Lru2 => Box::new(LruKPolicy::lru2()),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "LRU",
-            PolicyKind::Fifo => "FIFO",
-            PolicyKind::Clock => "CLOCK",
-            PolicyKind::Random => "RANDOM",
-            PolicyKind::Lru2 => "LRU-2",
-        }
-    }
-}
 
 /// Configuration of one simulation run.
 #[derive(Clone, Copy, Debug)]
@@ -202,8 +161,7 @@ impl Simulation {
             cfg.buffer
         );
 
-        let mut pool =
-            BufferPool::new(cfg.buffer, BoxedPolicy(cfg.policy.build(cfg.seed ^ 0x5EED)));
+        let mut pool = BufferPool::new(cfg.buffer, cfg.policy.build(cfg.seed ^ 0x5EED));
         for page in 0..pinned_pages {
             pool.pin(PageId(page as u64))
                 .expect("pin capacity checked above");
@@ -253,31 +211,6 @@ impl Simulation {
             hit_ratio: pool.stats().hit_ratio(),
             warmup_queries: warmup,
         }
-    }
-}
-
-/// Adapter so a boxed policy can be handed to `BufferPool::new`, which takes
-/// the policy by value.
-struct BoxedPolicy(Box<dyn ReplacementPolicy>);
-
-impl ReplacementPolicy for BoxedPolicy {
-    fn on_hit(&mut self, page: PageId) {
-        self.0.on_hit(page);
-    }
-    fn on_insert(&mut self, page: PageId) {
-        self.0.on_insert(page);
-    }
-    fn evict(&mut self) -> PageId {
-        self.0.evict()
-    }
-    fn remove(&mut self, page: PageId) {
-        self.0.remove(page);
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
     }
 }
 
