@@ -36,6 +36,7 @@ use rtree_pager::{
 use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
 use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, StagedLog, Wal};
 use std::fmt;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 /// Which oracle a failure came from.
@@ -131,7 +132,7 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
 /// Byte-for-byte copy of a store's pages into a fresh [`MemStore`]
 /// (`MemStore` is deliberately not `Clone`; the harness copies at the
 /// `PageStore` level instead).
-fn copy_store(src: &mut MemStore) -> std::io::Result<MemStore> {
+fn copy_store(src: &mut MemStore) -> io::Result<MemStore> {
     let mut dst = MemStore::new();
     let mut buf = vec![0u8; PAGE_SIZE];
     for id in 0..src.page_count() {
@@ -140,6 +141,56 @@ fn copy_store(src: &mut MemStore) -> std::io::Result<MemStore> {
         dst.write_page(PageId(id), &buf)?;
     }
     Ok(dst)
+}
+
+/// How a phase ends: `Err` is the violation that made going on pointless
+/// (the caller records it); every other violation is recorded as found.
+type Phase = Result<(), ChaosFailure>;
+
+/// A post-recovery phase: the plan, the recovered store, the reference
+/// tree of the committed prefix, and the report it adds to.
+type PhaseFn = fn(&ChaosPlan, &mut MemStore, &RTree, &mut ChaosReport) -> Phase;
+
+/// A step no phase survives the failure of: its error becomes the phase's
+/// verdict, worded `"{what}: {e}"`.
+fn must<T>(result: io::Result<T>, oracle: Oracle, what: &str) -> Result<T, ChaosFailure> {
+    result.map_err(|e| ChaosFailure {
+        oracle,
+        detail: format!("{what}: {e}"),
+    })
+}
+
+impl ChaosReport {
+    fn fail(&mut self, oracle: Oracle, detail: String) {
+        self.failures.push(ChaosFailure { oracle, detail });
+    }
+
+    /// The shadow comparison: one checked query whose ids `got` must be
+    /// exactly `want`, order aside. `detail` words a mismatch from the two
+    /// counts.
+    fn check_ids(
+        &mut self,
+        oracle: Oracle,
+        got: Vec<u64>,
+        want: Vec<u64>,
+        detail: impl FnOnce(usize, usize) -> String,
+    ) {
+        self.queries_checked += 1;
+        let counts = (got.len(), want.len());
+        if sorted(got) != sorted(want) {
+            self.fail(oracle, detail(counts.0, counts.1));
+        }
+    }
+
+    /// The accounting comparison: each traced total equals its counter.
+    fn reconcile(&mut self, checks: &[(&str, u64, u64)]) {
+        for (what, trace, stats) in checks {
+            if trace != stats {
+                let detail = format!("{what}: trace {trace} != stats {stats}");
+                self.fail(Oracle::Accounting, detail);
+            }
+        }
+    }
 }
 
 /// Executes `plan` end to end. See the module docs for the phase structure.
@@ -154,6 +205,14 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
         queries_checked: 0,
         failures: Vec::new(),
     };
+    if let Err(failure) = run_phases(plan, plant, &mut report) {
+        report.failures.push(failure);
+    }
+    report
+}
+
+fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase {
+    use Oracle::{Differential, Durability};
 
     // ---- Phase 1: sequential workload with the fault armed. -------------
     let switch = CrashSwitch::new();
@@ -167,38 +226,21 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
             FaultPlan::None | FaultPlan::LogCrash { .. } => s,
         }
     };
-    let mut disk = match DiskRTree::create_empty(
+    let created = DiskRTree::create_empty(
         store,
         plan.max_entries,
         plan.min_entries,
         plan.buffer_capacity,
         plan.policy.build(plan.policy_seed),
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Durability,
-                detail: format!("create_empty failed before any op: {e}"),
-            });
-            return report;
-        }
-    };
+    );
+    let mut disk = must(created, Durability, "create_empty failed before any op")?;
     let wal = match plan.fault {
         FaultPlan::LogCrash { at, torn } => {
             Wal::open(FaultLog::new(log.clone(), switch.clone()).crash_at_append(at, torn))
         }
         _ => Wal::open(log.clone()),
     };
-    match wal {
-        Ok(w) => disk.attach_wal(w),
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Durability,
-                detail: format!("WAL open failed: {e}"),
-            });
-            return report;
-        }
-    }
+    disk.attach_wal(must(wal, Durability, "WAL open failed")?);
 
     let mut reference = RTreeBuilder::new(plan.max_entries)
         .min_entries(plan.min_entries)
@@ -207,141 +249,80 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
     let mut next_id = 0u64;
 
     for op in &plan.ops {
-        let result = match op {
-            ChaosOp::Insert(rect) => {
-                let id = next_id;
-                match disk.insert(*rect, id) {
-                    Ok(()) => {
-                        next_id += 1;
-                        live.push((*rect, id));
-                        reference.insert(*rect, id);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
+        let mut step = || -> io::Result<()> {
+            match op {
+                ChaosOp::Insert(rect) => {
+                    disk.insert(*rect, next_id)?;
+                    live.push((*rect, next_id));
+                    reference.insert(*rect, next_id);
+                    next_id += 1;
                 }
-            }
-            ChaosOp::Delete(pick) => {
-                if live.is_empty() {
-                    Ok(())
-                } else {
+                ChaosOp::Delete(_) if live.is_empty() => {}
+                ChaosOp::Delete(pick) => {
                     let k = (*pick % live.len() as u64) as usize;
                     let (rect, id) = live[k];
-                    match disk.delete(&rect, id) {
-                        Ok(found) => {
-                            if !found {
-                                report.failures.push(ChaosFailure {
-                                    oracle: Oracle::Differential,
-                                    detail: format!(
-                                        "live entry {id} missing from disk tree on delete"
-                                    ),
-                                });
-                            }
-                            live.swap_remove(k);
-                            if !reference.delete(&rect, id) {
-                                report.failures.push(ChaosFailure {
-                                    oracle: Oracle::Differential,
-                                    detail: format!("reference lost live entry {id}"),
-                                });
-                            }
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
+                    if !disk.delete(&rect, id)? {
+                        let detail = format!("live entry {id} missing from disk tree on delete");
+                        report.fail(Differential, detail);
+                    }
+                    live.swap_remove(k);
+                    if !reference.delete(&rect, id) {
+                        report.fail(Differential, format!("reference lost live entry {id}"));
                     }
                 }
-            }
-            ChaosOp::Query(rect) => match disk.query(rect) {
-                Ok(mut got) => {
+                ChaosOp::Query(rect) => {
+                    let mut got = disk.query(rect)?;
                     if plant && report.ops_executed > PLANT_AFTER {
                         // The deliberately planted bug: a phantom id the
                         // reference tree never saw.
                         got.push(u64::MAX);
                     }
-                    report.queries_checked += 1;
-                    let want = sorted(reference.search(rect));
-                    let got = sorted(got);
-                    if got != want {
-                        report.failures.push(ChaosFailure {
-                            oracle: Oracle::Differential,
-                            detail: format!(
-                                "pre-crash query {rect}: disk {} ids vs reference {} ids",
-                                got.len(),
-                                want.len()
-                            ),
+                    report.check_ids(Differential, got, reference.search(rect), |g, w| {
+                        format!("pre-crash query {rect}: disk {g} ids vs reference {w} ids")
+                    });
+                }
+                ChaosOp::BatchQuery(rects) => {
+                    let exec = BatchExecutor::with_config(BatchConfig {
+                        prefetch_window: plan.batch_window,
+                    });
+                    let out = exec.execute(&mut disk, rects)?;
+                    for (i, (rect, got)) in rects.iter().zip(out.results).enumerate() {
+                        report.check_ids(Differential, got, reference.search(rect), |g, w| {
+                            format!(
+                                "pre-crash batch query {rect} ({i} of {}): \
+                                 disk {g} ids vs reference {w} ids",
+                                rects.len()
+                            )
                         });
                     }
-                    Ok(())
                 }
-                Err(e) => Err(e),
-            },
-            ChaosOp::BatchQuery(rects) => {
-                let exec = BatchExecutor::with_config(BatchConfig {
-                    prefetch_window: plan.batch_window,
-                });
-                match exec.execute(&mut disk, rects) {
-                    Ok(out) => {
-                        report.queries_checked += rects.len();
-                        for (i, rect) in rects.iter().enumerate() {
-                            let got = sorted(out.results[i].clone());
-                            let want = sorted(reference.search(rect));
-                            if got != want {
-                                report.failures.push(ChaosFailure {
-                                    oracle: Oracle::Differential,
-                                    detail: format!(
-                                        "pre-crash batch query {rect} ({i} of {}): \
-                                         disk {} ids vs reference {} ids",
-                                        rects.len(),
-                                        got.len(),
-                                        want.len()
-                                    ),
-                                });
-                            }
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            ChaosOp::ServerQuery(rects) => {
-                // The network replay happens post-recovery (phase 5); here
-                // the same rectangles run directly so the sequential phase
-                // sees the workload too and the committed prefix is what
-                // the shadow oracle later expects.
-                let mut r = Ok(());
-                for rect in rects {
-                    match disk.query(rect) {
-                        Ok(got) => {
-                            report.queries_checked += 1;
-                            let got = sorted(got);
-                            let want = sorted(reference.search(rect));
-                            if got != want {
-                                report.failures.push(ChaosFailure {
-                                    oracle: Oracle::Differential,
-                                    detail: format!(
-                                        "pre-crash server-query {rect}: disk {} ids vs \
-                                         reference {} ids",
-                                        got.len(),
-                                        want.len()
-                                    ),
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            r = Err(e);
-                            break;
-                        }
+                ChaosOp::ServerQuery(rects) => {
+                    // The network replay happens post-recovery (phase 4);
+                    // here the same rectangles run directly so the
+                    // sequential phase sees the workload too and the
+                    // committed prefix is what the shadow oracle later
+                    // expects.
+                    for rect in rects {
+                        let got = disk.query(rect)?;
+                        report.check_ids(Differential, got, reference.search(rect), |g, w| {
+                            format!(
+                                "pre-crash server-query {rect}: disk {g} ids vs \
+                                 reference {w} ids"
+                            )
+                        });
                     }
                 }
-                r
+                ChaosOp::Checkpoint => disk.checkpoint()?,
+                ChaosOp::Flush => disk.flush()?,
+                ChaosOp::Resize(frames) => {
+                    disk.resize_buffer(*frames, plan.policy.build(plan.policy_seed))?
+                }
             }
-            ChaosOp::Checkpoint => disk.checkpoint(),
-            ChaosOp::Flush => disk.flush(),
-            ChaosOp::Resize(frames) => {
-                disk.resize_buffer(*frames, plan.policy.build(plan.policy_seed))
-            }
+            Ok(())
         };
         // The first injected fault aborts the run mid-operation; the
         // reference holds exactly the committed prefix.
-        if result.is_err() {
+        if step().is_err() {
             report.crashed = true;
             break;
         }
@@ -355,43 +336,22 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
     // surviving bytes.
     switch.reset();
     let mut store = disk.into_store().into_inner();
-    let log_bytes = match log.read_all() {
-        Ok(b) => b,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Durability,
-                detail: format!("reading surviving log failed: {e}"),
-            });
-            return report;
-        }
-    };
-    if let Err(e) = recover(&mut store, &log_bytes) {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Durability,
-            detail: format!("recover failed: {e}"),
-        });
-        return report;
-    }
-    let mut recovered = match DiskRTree::open(store, 64, LruPolicy::new()) {
-        Ok(t) => t,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Durability,
-                detail: format!("opening recovered tree failed: {e}"),
-            });
-            return report;
-        }
-    };
+    let log_bytes = must(log.read_all(), Durability, "reading surviving log failed")?;
+    must(
+        recover(&mut store, &log_bytes),
+        Durability,
+        "recover failed",
+    )?;
+    let reopened = DiskRTree::open(store, 64, LruPolicy::new());
+    let mut recovered = must(reopened, Durability, "opening recovered tree failed")?;
 
     if recovered.meta().items != reference.len() as u64 {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Durability,
-            detail: format!(
-                "recovered item count {} != committed {}",
-                recovered.meta().items,
-                reference.len()
-            ),
-        });
+        let detail = format!(
+            "recovered item count {} != committed {}",
+            recovered.meta().items,
+            reference.len()
+        );
+        report.fail(Durability, detail);
     }
     let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
     let mut recovered_queries: Vec<Rect> = vec![everything];
@@ -410,48 +370,36 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
     }
     for rect in &recovered_queries {
         match recovered.query(rect) {
-            Ok(got) => {
-                report.queries_checked += 1;
-                let got = sorted(got);
-                let want = sorted(reference.search(rect));
-                if got != want {
-                    report.failures.push(ChaosFailure {
-                        oracle: Oracle::Durability,
-                        detail: format!(
-                            "post-recovery query {rect}: disk {} ids vs reference {} ids",
-                            got.len(),
-                            want.len()
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
-                report.failures.push(ChaosFailure {
-                    oracle: Oracle::Durability,
-                    detail: format!("post-recovery query {rect} failed: {e}"),
-                });
-            }
+            Ok(got) => report.check_ids(Durability, got, reference.search(rect), |g, w| {
+                format!("post-recovery query {rect}: disk {g} ids vs reference {w} ids")
+            }),
+            Err(e) => report.fail(
+                Durability,
+                format!("post-recovery query {rect} failed: {e}"),
+            ),
         }
     }
 
     let mut store = recovered.into_store();
 
-    // ---- Phase 3: concurrent readers under a seeded schedule. -----------
-    run_concurrent_phase(plan, &mut store, &reference, &mut report);
-
-    // ---- Phase 4: the network path against the same shadow oracle. ------
-    run_server_phase(plan, &mut store, &reference, &mut report);
-
-    // ---- Phase 5: concurrent mutators + group-commit durability. --------
-    run_mutator_phase(plan, &mut store, &reference, &mut report);
-
-    // ---- Phase 6: the self-tuning controller under the same oracles. ----
-    run_adaptive_phase(plan, &mut store, &reference, &mut report);
-
-    // ---- Phase 7: sequential accounting oracle (consumes the store). ----
-    run_accounting_phase(plan, store, &mut report);
-
-    report
+    // Phases 3–7, each against the recovered image and the same reference:
+    // concurrent readers under a seeded schedule; the network path; the
+    // concurrent mutators + group-commit durability; the self-tuning
+    // controller; the sequential accounting oracle. A phase that gives up
+    // does not stop the ones after it.
+    let phases: [PhaseFn; 5] = [
+        run_concurrent_phase,
+        run_server_phase,
+        run_mutator_phase,
+        run_adaptive_phase,
+        run_accounting_phase,
+    ];
+    for phase in phases {
+        if let Err(failure) = phase(plan, &mut store, &reference, report) {
+            report.failures.push(failure);
+        }
+    }
+    Ok(())
 }
 
 /// Replays the plan's `ServerQuery` rectangles through a loopback TCP
@@ -465,36 +413,21 @@ fn run_server_phase(
     store: &mut MemStore,
     reference: &RTree,
     report: &mut ChaosReport,
-) {
+) -> Phase {
+    use Oracle::{Accounting, Differential};
     let rects = plan.server_query_rects();
     if rects.is_empty() {
-        return;
+        return Ok(());
     }
-    let copy = match copy_store(store) {
-        Ok(c) => c,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("copying store for server phase failed: {e}"),
-            });
-            return;
-        }
-    };
-    let disk = match DiskRTree::open(
+    let copy = copy_store(store);
+    let copy = must(copy, Differential, "copying store for server phase failed")?;
+    let disk = DiskRTree::open(
         copy,
         plan.buffer_capacity,
         plan.policy.build(plan.policy_seed),
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("opening tree for server phase failed: {e}"),
-            });
-            return;
-        }
-    };
-    let handle = match rtree_server::serve(
+    );
+    let disk = must(disk, Differential, "opening tree for server phase failed")?;
+    let handle = rtree_server::serve(
         rtree_server::SequentialEngine::new(disk, plan.batch_window),
         "127.0.0.1:0",
         rtree_server::ServerConfig {
@@ -507,76 +440,50 @@ fn run_server_phase(
             },
             read_timeout: std::time::Duration::from_millis(5),
         },
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("loopback server failed to start: {e}"),
-            });
-            return;
-        }
-    };
+    );
+    let handle = must(handle, Differential, "loopback server failed to start")?;
 
     match rtree_server::loadgen::replay(handle.addr(), &rects, plan.threads) {
         Ok(results) => {
-            report.queries_checked += rects.len();
             for (i, (rect, got)) in rects.iter().zip(results).enumerate() {
-                let got = sorted(got);
-                let want = sorted(reference.search(rect));
-                if got != want {
-                    report.failures.push(ChaosFailure {
-                        oracle: Oracle::Differential,
-                        detail: format!(
-                            "server query {rect} ({i} of {}): served {} ids vs \
-                             reference {} ids",
-                            rects.len(),
-                            got.len(),
-                            want.len()
-                        ),
-                    });
-                }
+                report.check_ids(Differential, got, reference.search(rect), |g, w| {
+                    format!(
+                        "server query {rect} ({i} of {}): served {g} ids vs \
+                         reference {w} ids",
+                        rects.len()
+                    )
+                });
             }
         }
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("server replay failed: {e}"),
-            });
-        }
+        Err(e) => report.fail(Differential, format!("server replay failed: {e}")),
     }
 
     // Shutdown must drain; afterwards the server's ledger has to
     // reconcile: every replayed query completed, and the I/O split holds.
     let stats = handle.shutdown();
     if stats.queries != rects.len() as u64 {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail: format!(
-                "server completed {} queries, replay sent {}",
-                stats.queries,
-                rects.len()
-            ),
-        });
+        let detail = format!(
+            "server completed {} queries, replay sent {}",
+            stats.queries,
+            rects.len()
+        );
+        report.fail(Accounting, detail);
     }
     if stats.physical_reads != stats.demand_reads + stats.prefetch_reads {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail: format!(
-                "server read ledger split broken: {} != {} + {}",
-                stats.physical_reads, stats.demand_reads, stats.prefetch_reads
-            ),
-        });
+        let detail = format!(
+            "server read ledger split broken: {} != {} + {}",
+            stats.physical_reads, stats.demand_reads, stats.prefetch_reads
+        );
+        report.fail(Accounting, detail);
     }
     if stats.rejected != 0 {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail: format!(
-                "closed-loop replay was rejected {} times by backpressure",
-                stats.rejected
-            ),
-        });
+        let detail = format!(
+            "closed-loop replay was rejected {} times by backpressure",
+            stats.rejected
+        );
+        report.fail(Accounting, detail);
     }
+    Ok(())
 }
 
 /// One pre-generated step of a mutator thread's program.
@@ -605,58 +512,33 @@ fn run_mutator_phase(
     store: &mut MemStore,
     reference: &RTree,
     report: &mut ChaosReport,
-) {
-    let fail = |report: &mut ChaosReport, oracle: Oracle, detail: String| {
-        report.failures.push(ChaosFailure { oracle, detail });
-    };
+) -> Phase {
+    use Oracle::{Differential, Durability};
 
     // The recovered image, byte for byte — both the mutation base and the
     // post-crash replay base.
     let mut image = Vec::new();
     let mut buf = vec![0u8; PAGE_SIZE];
     for id in 0..store.page_count() {
-        if let Err(e) = store.read_page(PageId(id), &mut buf) {
-            fail(
-                report,
-                Oracle::Differential,
-                format!("imaging store for mutator phase failed: {e}"),
-            );
-            return;
-        }
+        let read = store.read_page(PageId(id), &mut buf);
+        must(read, Differential, "imaging store for mutator phase failed")?;
         image.extend_from_slice(&buf);
     }
 
     // Durable medium: bytes reach `durable` only on sync, exactly what a
     // crashed machine's disk keeps.
     let durable = MemLog::new();
-    let wal = match GroupWal::open(StagedLog::new(durable.clone())) {
-        Ok(w) => w,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Durability,
-                format!("mutator-phase WAL open failed: {e}"),
-            );
-            return;
-        }
-    };
+    let wal = GroupWal::open(StagedLog::new(durable.clone()));
+    let wal = must(wal, Durability, "mutator-phase WAL open failed")?;
     let capacity = plan.buffer_capacity.max(8);
-    let tree = match ConcurrentDiskRTree::open_writable(
+    let tree = ConcurrentDiskRTree::open_writable(
         SharedMemStore::from_bytes(image.clone()),
         capacity,
         plan.policy.build(plan.policy_seed),
         wal.clone(),
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Differential,
-                format!("opening writable tree for mutator phase failed: {e}"),
-            );
-            return;
-        }
-    };
+    );
+    let what = "opening writable tree for mutator phase failed";
+    let tree = must(tree, Differential, what)?;
 
     // Pre-generate each thread's program. Id space: bit 41 set, thread in
     // the next byte — disjoint from phase-1 ids and from each other.
@@ -712,10 +594,10 @@ fn run_mutator_phase(
     // successful delivery.
     let probes = plan.query_rects();
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let complain = |detail: String| errors.lock().unwrap().push(detail);
     std::thread::scope(|scope| {
         for program in &programs {
-            let tree = &tree;
-            let errors = &errors;
+            let (tree, complain) = (&tree, &complain);
             scope.spawn(move || {
                 for op in program {
                     let r = match op {
@@ -724,36 +606,25 @@ fn run_mutator_phase(
                     };
                     match r {
                         Ok(true) => {}
-                        Ok(false) => errors
-                            .lock()
-                            .unwrap()
-                            .push("mutator delete missed its own insert".into()),
-                        Err(e) => errors
-                            .lock()
-                            .unwrap()
-                            .push(format!("mutator op failed: {e}")),
+                        Ok(false) => complain("mutator delete missed its own insert".into()),
+                        Err(e) => complain(format!("mutator op failed: {e}")),
                     }
                 }
             });
         }
         for t in 0..plan.threads {
-            let tree = &tree;
-            let errors = &errors;
-            let probes = &probes;
+            let (tree, complain, probes) = (&tree, &complain, &probes);
             scope.spawn(move || {
                 for q in probes.iter().skip(t % 2) {
                     if let Err(e) = tree.query(q) {
-                        errors
-                            .lock()
-                            .unwrap()
-                            .push(format!("reader query {q} during mutation failed: {e}"));
+                        complain(format!("reader query {q} during mutation failed: {e}"));
                     }
                 }
             });
         }
     });
     for detail in errors.into_inner().unwrap() {
-        fail(report, Oracle::Differential, detail);
+        report.fail(Differential, detail);
     }
 
     // Quiesced: the final set is deterministic. Check the live tree...
@@ -765,165 +636,101 @@ fn run_mutator_phase(
                 .filter(|(r, _)| r.intersects(q))
                 .map(|(_, id)| *id),
         );
-        sorted(want)
+        want
     };
     let want_items = reference.len() as u64 + survivors.len() as u64;
     if tree.live_items() != want_items {
-        fail(
-            report,
-            Oracle::Differential,
-            format!(
-                "mutated tree holds {} items, expected {}",
-                tree.live_items(),
-                want_items
-            ),
+        let detail = format!(
+            "mutated tree holds {} items, expected {}",
+            tree.live_items(),
+            want_items
         );
+        report.fail(Differential, detail);
     }
     let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
     let mut check_rects = vec![everything];
     check_rects.extend(probes.iter().copied());
     for q in &check_rects {
-        report.queries_checked += 1;
         match tree.query(q) {
-            Ok(got) => {
-                if sorted(got) != expected(q) {
-                    fail(
-                        report,
-                        Oracle::Differential,
-                        format!("post-mutation query {q} diverged from shadow oracle"),
-                    );
-                }
-            }
-            Err(e) => fail(
-                report,
-                Oracle::Differential,
-                format!("post-mutation query {q} failed: {e}"),
-            ),
+            Ok(got) => report.check_ids(Differential, got, expected(q), |_, _| {
+                format!("post-mutation query {q} diverged from shadow oracle")
+            }),
+            Err(e) => report.fail(Differential, format!("post-mutation query {q} failed: {e}")),
         }
     }
     // Group-commit accounting: every op durable, never more fsyncs than ops.
     let gstats = tree.group_commit_stats().unwrap_or_default();
     if gstats.committed_ops != total_ops as u64 {
-        fail(
-            report,
-            Oracle::Durability,
-            format!(
-                "group commit covered {} ops, mutators ran {}",
-                gstats.committed_ops, total_ops
-            ),
+        let detail = format!(
+            "group commit covered {} ops, mutators ran {}",
+            gstats.committed_ops, total_ops
         );
+        report.fail(Durability, detail);
     }
     if gstats.fsyncs > total_ops as u64 {
-        fail(
-            report,
-            Oracle::Durability,
-            format!(
-                "{} fsyncs for {} ops — group commit amplified syncs",
-                gstats.fsyncs, total_ops
-            ),
+        let detail = format!(
+            "{} fsyncs for {} ops — group commit amplified syncs",
+            gstats.fsyncs, total_ops
         );
+        report.fail(Durability, detail);
     }
 
     // ...then crash without a checkpoint and replay the committed log onto
     // the pre-mutation image.
     drop(tree);
-    let survived = match durable.read_all() {
-        Ok(b) => b,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Durability,
-                format!("reading surviving mutator log failed: {e}"),
-            );
-            return;
-        }
-    };
-    let recovered = match ConcurrentDiskRTree::open_writable(
+    let survived = durable.read_all();
+    let survived = must(survived, Durability, "reading surviving mutator log failed")?;
+    let wal = must(
+        GroupWal::open(MemLog::new()),
+        Durability,
+        "post-crash WAL open failed",
+    )?;
+    let recovered = ConcurrentDiskRTree::open_writable(
         SharedMemStore::from_bytes(image),
         capacity,
         plan.policy.build(plan.policy_seed),
-        match GroupWal::open(MemLog::new()) {
-            Ok(w) => w,
-            Err(e) => {
-                fail(
-                    report,
-                    Oracle::Durability,
-                    format!("post-crash WAL open failed: {e}"),
-                );
-                return;
-            }
-        },
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Durability,
-                format!("reopening crashed mutator store failed: {e}"),
-            );
-            return;
-        }
-    };
-    match replay_committed(&survived, &recovered) {
-        Ok(summary) => {
-            if !summary.clean_log {
-                fail(
-                    report,
-                    Oracle::Durability,
-                    "mutator log scan stopped at a torn frame despite clean shutdown".into(),
-                );
-            }
-            if summary.applied_inserts + summary.applied_deletes != total_ops as u64 {
-                fail(
-                    report,
-                    Oracle::Durability,
-                    format!(
-                        "replay applied {} of {} acknowledged mutations",
-                        summary.applied_inserts + summary.applied_deletes,
-                        total_ops
-                    ),
-                );
-            }
-        }
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Durability,
-                format!("replaying committed mutator ops failed: {e}"),
-            );
-            return;
-        }
+        wal,
+    );
+    let recovered = must(
+        recovered,
+        Durability,
+        "reopening crashed mutator store failed",
+    )?;
+    let replayed = replay_committed(&survived, &recovered);
+    let summary = must(
+        replayed,
+        Durability,
+        "replaying committed mutator ops failed",
+    )?;
+    if !summary.clean_log {
+        let detail = "mutator log scan stopped at a torn frame despite clean shutdown";
+        report.fail(Durability, detail.into());
+    }
+    if summary.applied_inserts + summary.applied_deletes != total_ops as u64 {
+        let detail = format!(
+            "replay applied {} of {} acknowledged mutations",
+            summary.applied_inserts + summary.applied_deletes,
+            total_ops
+        );
+        report.fail(Durability, detail);
     }
     if recovered.live_items() != want_items {
-        fail(
-            report,
-            Oracle::Durability,
-            format!(
-                "recovered mutated tree holds {} items, expected {}",
-                recovered.live_items(),
-                want_items
-            ),
+        let detail = format!(
+            "recovered mutated tree holds {} items, expected {}",
+            recovered.live_items(),
+            want_items
         );
+        report.fail(Durability, detail);
     }
     for q in &check_rects {
-        report.queries_checked += 1;
         match recovered.query(q) {
-            Ok(got) => {
-                if sorted(got) != expected(q) {
-                    fail(
-                        report,
-                        Oracle::Durability,
-                        format!("post-crash query {q} lost a group-committed mutation"),
-                    );
-                }
-            }
-            Err(e) => fail(
-                report,
-                Oracle::Durability,
-                format!("post-crash query {q} failed: {e}"),
-            ),
+            Ok(got) => report.check_ids(Durability, got, expected(q), |_, _| {
+                format!("post-crash query {q} lost a group-committed mutation")
+            }),
+            Err(e) => report.fail(Durability, format!("post-crash query {q} failed: {e}")),
         }
     }
+    Ok(())
 }
 
 /// Opens a copy of the recovered store behind a [`StepStore`] (which
@@ -935,33 +742,22 @@ fn run_concurrent_phase(
     store: &mut MemStore,
     reference: &RTree,
     report: &mut ChaosReport,
-) {
-    let copy = match copy_store(store) {
-        Ok(c) => c,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("copying store for concurrent phase failed: {e}"),
-            });
-            return;
-        }
-    };
+) -> Phase {
+    use Oracle::Differential;
+    let copy = copy_store(store);
+    let copy = must(
+        copy,
+        Differential,
+        "copying store for concurrent phase failed",
+    )?;
     let stepped = StepStore::new(copy, StepSchedule::from_seed(plan.sched_seed));
-    let mut tree = match ConcurrentDiskRTree::open_sharded(
+    let tree = ConcurrentDiskRTree::open_sharded(
         stepped,
         plan.buffer_capacity,
         plan.shards,
         || -> Box<dyn rtree_buffer::ReplacementPolicy> { Box::new(LruPolicy::new()) },
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Differential,
-                detail: format!("opening concurrent tree failed: {e}"),
-            });
-            return;
-        }
-    };
+    );
+    let mut tree = must(tree, Differential, "opening concurrent tree failed")?;
     let sink = Arc::new(CountingSink::new());
     tree.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
 
@@ -976,64 +772,35 @@ fn run_concurrent_phase(
         .pin_top_levels(tree.meta().level_starts.len() + 1)
         .is_ok()
     {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Differential,
-            detail: "out-of-range pin_top_levels unexpectedly succeeded".into(),
-        });
+        let detail = "out-of-range pin_top_levels unexpectedly succeeded";
+        report.fail(Differential, detail.into());
     }
 
+    // Thread `t` answers the queries whose index is `t` modulo the thread
+    // count; the answers are judged afterwards in query order, so the
+    // report does not depend on which thread finished first.
     let queries = plan.query_rects();
-    let expected: Vec<Vec<u64>> = queries
-        .iter()
-        .map(|q| sorted(reference.search(q)))
-        .collect();
-    let tree = Arc::new(tree);
-    // Keyed by query index so the report order is independent of which
-    // thread detected a mismatch first.
-    let mismatches: Mutex<Vec<(usize, ChaosFailure)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for t in 0..plan.threads {
-            let tree = Arc::clone(&tree);
-            let mismatches = &mismatches;
-            let queries = &queries;
-            let expected = &expected;
-            scope.spawn(move || {
-                for (i, q) in queries.iter().enumerate() {
-                    if i % plan.threads != t {
-                        continue;
-                    }
-                    match tree.query(q) {
-                        Ok(got) => {
-                            if sorted(got) != expected[i] {
-                                mismatches.lock().unwrap().push((
-                                    i,
-                                    ChaosFailure {
-                                        oracle: Oracle::Differential,
-                                        detail: format!(
-                                            "concurrent query {q} (thread {t}) diverged from reference"
-                                        ),
-                                    },
-                                ));
-                            }
-                        }
-                        Err(e) => {
-                            mismatches.lock().unwrap().push((
-                                i,
-                                ChaosFailure {
-                                    oracle: Oracle::Differential,
-                                    detail: format!("concurrent query {q} failed: {e}"),
-                                },
-                            ));
-                        }
-                    }
-                }
-            });
-        }
+    let tree = &tree;
+    let answers: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..plan.threads)
+            .map(|t| {
+                let mine = queries.iter().skip(t).step_by(plan.threads);
+                scope.spawn(move || mine.map(|q| tree.query(q)).collect())
+            })
+            .collect();
+        let join = |thread: std::thread::ScopedJoinHandle<'_, _>| thread.join().unwrap();
+        threads.into_iter().map(join).collect()
     });
-    report.queries_checked += queries.len();
-    let mut found = mismatches.into_inner().unwrap();
-    found.sort_by_key(|(i, _)| *i);
-    report.failures.extend(found.into_iter().map(|(_, f)| f));
+    let mut answers: Vec<_> = answers.into_iter().map(Vec::into_iter).collect();
+    for (i, q) in queries.iter().enumerate() {
+        let t = i % plan.threads;
+        match answers[t].next().expect("one answer per query") {
+            Ok(got) => report.check_ids(Differential, got, reference.search(q), |_, _| {
+                format!("concurrent query {q} (thread {t}) diverged from reference")
+            }),
+            Err(e) => report.fail(Differential, format!("concurrent query {q} failed: {e}")),
+        }
+    }
 
     // The concurrent *batch* path answers the same workload once more —
     // sharded sub-batches, level-synchronous dedup — and must agree with
@@ -1041,25 +808,16 @@ fn run_concurrent_phase(
     if !queries.is_empty() {
         match tree.query_batch(&queries, plan.threads) {
             Ok(batch) => {
-                report.queries_checked += queries.len();
-                for (i, got) in batch.into_iter().enumerate() {
-                    if sorted(got) != expected[i] {
-                        report.failures.push(ChaosFailure {
-                            oracle: Oracle::Differential,
-                            detail: format!(
-                                "concurrent batch query {} diverged from reference",
-                                queries[i]
-                            ),
-                        });
-                    }
+                for (q, got) in queries.iter().zip(batch) {
+                    report.check_ids(Differential, got, reference.search(q), |_, _| {
+                        format!("concurrent batch query {q} diverged from reference")
+                    });
                 }
             }
-            Err(e) => {
-                report.failures.push(ChaosFailure {
-                    oracle: Oracle::Differential,
-                    detail: format!("concurrent batch execution failed: {e}"),
-                });
-            }
+            Err(e) => report.fail(
+                Differential,
+                format!("concurrent batch execution failed: {e}"),
+            ),
         }
     }
 
@@ -1067,21 +825,14 @@ fn run_concurrent_phase(
     let io = tree.io_stats();
     let pool = tree.buffer_stats();
     let c = sink.counts();
-    let checks: [(&str, u64, u64); 5] = [
+    report.reconcile(&[
         ("concurrent misses vs physical reads", c.misses, io.reads),
         ("concurrent peek reads", c.peek_reads, io.peek_reads),
         ("concurrent write backs (read-only run)", c.write_backs, 0),
         ("concurrent accesses", c.accesses(), pool.accesses),
         ("concurrent hits", c.hits, pool.hits),
-    ];
-    for (what, lhs, rhs) in checks {
-        if lhs != rhs {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Accounting,
-                detail: format!("{what}: trace {lhs} != stats {rhs}"),
-            });
-        }
-    }
+    ]);
+    Ok(())
 }
 
 /// Opens a copy of the recovered store under the `rtree-tune` controller
@@ -1105,39 +856,23 @@ fn run_adaptive_phase(
     store: &mut MemStore,
     reference: &RTree,
     report: &mut ChaosReport,
-) {
+) -> Phase {
+    use Oracle::{Accounting, Differential};
     let queries = plan.query_rects();
     if queries.is_empty() || reference.is_empty() {
-        return;
+        return Ok(());
     }
-    let fail = |report: &mut ChaosReport, oracle: Oracle, detail: String| {
-        report.failures.push(ChaosFailure { oracle, detail });
-    };
-    let copy = match copy_store(store) {
-        Ok(c) => c,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Differential,
-                format!("copying store for adaptive phase failed: {e}"),
-            );
-            return;
-        }
-    };
+    let copy = copy_store(store);
+    let copy = must(
+        copy,
+        Differential,
+        "copying store for adaptive phase failed",
+    )?;
     // The controller's budget: the plan's capacity, floored so even the
     // tiniest seeds leave the planner a few frames to move between.
     let budget = plan.buffer_capacity.max(4);
-    let mut disk = match DiskRTree::open(copy, budget, LruPolicy::new()) {
-        Ok(d) => d,
-        Err(e) => {
-            fail(
-                report,
-                Oracle::Differential,
-                format!("opening tree for adaptive phase failed: {e}"),
-            );
-            return;
-        }
-    };
+    let disk = DiskRTree::open(copy, budget, LruPolicy::new());
+    let mut disk = must(disk, Differential, "opening tree for adaptive phase failed")?;
     let sink = Arc::new(CountingSink::new());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
 
@@ -1165,37 +900,18 @@ fn run_adaptive_phase(
     for round in 0..3 {
         for q in &queries {
             controller.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
-            report.queries_checked += 1;
+            let what = format!("adaptive-phase query {q} (round {round})");
             match disk.query(q) {
-                Ok(got) => {
-                    if sorted(got) != sorted(reference.search(q)) {
-                        fail(
-                            report,
-                            Oracle::Differential,
-                            format!(
-                                "adaptive-phase query {q} (round {round}) diverged from \
-                                 reference"
-                            ),
-                        );
-                    }
-                }
-                Err(e) => fail(
-                    report,
-                    Oracle::Differential,
-                    format!("adaptive-phase query {q} (round {round}) failed: {e}"),
-                ),
+                Ok(got) => report.check_ids(Differential, got, reference.search(q), |_, _| {
+                    format!("{what} diverged from reference")
+                }),
+                Err(e) => report.fail(Differential, format!("{what} failed: {e}")),
             }
             since_tick += 1;
             if since_tick == tick_every {
                 since_tick = 0;
-                if let Err(e) = controller.tick_with(|s| DiskActuator(&mut disk).apply(s)) {
-                    fail(
-                        report,
-                        Oracle::Differential,
-                        format!("adaptive-phase actuation failed: {e}"),
-                    );
-                    return;
-                }
+                let ticked = controller.tick_with(|s| DiskActuator(&mut disk).apply(s));
+                must(ticked, Differential, "adaptive-phase actuation failed")?;
             }
         }
     }
@@ -1203,122 +919,93 @@ fn run_adaptive_phase(
     // The tick ledger: one tick per `tick_every` queries, exactly.
     let want_ticks = (3 * queries.len() / tick_every) as u64;
     if controller.ticks() != want_ticks {
-        fail(
-            report,
-            Oracle::Accounting,
-            format!(
-                "controller counted {} ticks, schedule ran {want_ticks}",
-                controller.ticks()
-            ),
+        let detail = format!(
+            "controller counted {} ticks, schedule ran {want_ticks}",
+            controller.ticks()
         );
+        report.fail(Accounting, detail);
     }
     // The controller's belief must match the tree it steered.
     let believed = controller.current();
     if disk.buffer_capacity() != believed.buffer {
-        fail(
-            report,
-            Oracle::Accounting,
-            format!(
-                "controller believes {} frames, pool holds {}",
-                believed.buffer,
-                disk.buffer_capacity()
-            ),
+        let detail = format!(
+            "controller believes {} frames, pool holds {}",
+            believed.buffer,
+            disk.buffer_capacity()
         );
+        report.fail(Accounting, detail);
     }
     let applied_pin = believed.pin_levels.min(disk.meta().level_starts.len());
     if (disk.pinned_pages() > 0) != (applied_pin > 0) {
-        fail(
-            report,
-            Oracle::Accounting,
-            format!(
-                "controller believes pin {} ({} levels applicable), tree pins {} pages",
-                believed.pin_levels,
-                applied_pin,
-                disk.pinned_pages()
-            ),
+        let detail = format!(
+            "controller believes pin {} ({} levels applicable), tree pins {} pages",
+            believed.pin_levels,
+            applied_pin,
+            disk.pinned_pages()
         );
+        report.fail(Accounting, detail);
     }
     // Counters that are defined across resizes must still reconcile.
     let io = disk.io_stats();
     let c = sink.counts();
-    let checks: [(&str, u64, u64); 3] = [
+    report.reconcile(&[
         ("adaptive misses vs physical reads", c.misses, io.reads),
         ("adaptive peek reads", c.peek_reads, io.peek_reads),
         ("adaptive write backs (read-only run)", c.write_backs, 0),
-    ];
-    for (what, lhs, rhs) in checks {
-        if lhs != rhs {
-            fail(
-                report,
-                Oracle::Accounting,
-                format!("{what}: trace {lhs} != stats {rhs}"),
-            );
-        }
-    }
+    ]);
+    Ok(())
 }
 
 /// Reopens the recovered store sequentially with the plan's own pool
 /// configuration, replays the plan's queries plus a small fault-free
 /// write burst, and reconciles trace totals against `IoStats` and
 /// `BufferStats` (the `trace_vs_stats` invariants, here under a
-/// seed-chosen policy and capacity).
-fn run_accounting_phase(plan: &ChaosPlan, store: MemStore, report: &mut ChaosReport) {
-    let mut disk = match DiskRTree::open(
+/// seed-chosen policy and capacity). Runs last: the burst goes into the
+/// recovered store itself.
+fn run_accounting_phase(
+    plan: &ChaosPlan,
+    store: &mut MemStore,
+    _reference: &RTree,
+    report: &mut ChaosReport,
+) -> Phase {
+    use Oracle::Accounting;
+    let disk = DiskRTree::open(
         store,
         plan.buffer_capacity,
         plan.policy.build(plan.policy_seed),
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Accounting,
-                detail: format!("reopening store for accounting phase failed: {e}"),
-            });
-            return;
-        }
-    };
+    );
+    let mut disk = must(
+        disk,
+        Accounting,
+        "reopening store for accounting phase failed",
+    )?;
     let sink = Arc::new(CountingSink::new());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
-    let wal_log = MemLog::new();
-    match Wal::open(wal_log) {
-        Ok(w) => disk.attach_wal(w),
-        Err(e) => {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Accounting,
-                detail: format!("accounting-phase WAL open failed: {e}"),
-            });
-            return;
-        }
-    }
-
-    let fail = |report: &mut ChaosReport, detail: String| {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail,
-        });
-    };
+    let wal = must(
+        Wal::open(MemLog::new()),
+        Accounting,
+        "accounting-phase WAL open failed",
+    )?;
+    disk.attach_wal(wal);
 
     // Reads: the plan's own query mix, sequentially...
     let query_rects = plan.query_rects();
     for q in &query_rects {
-        if let Err(e) = disk.query(q) {
-            fail(report, format!("accounting-phase query failed: {e}"));
-            return;
-        }
+        must(
+            disk.query(q).map(drop),
+            Accounting,
+            "accounting-phase query failed",
+        )?;
     }
     // ...then once more through the batch executor, so the split ledger
     // (demand misses + prefetch fills = physical reads) is exercised under
     // the seed-chosen policy and capacity too.
-    if !query_rects.is_empty() {
-        let exec = BatchExecutor::with_config(BatchConfig {
-            prefetch_window: plan.batch_window,
-        });
-        for chunk in query_rects.chunks(8) {
-            if let Err(e) = exec.execute(&mut disk, chunk) {
-                fail(report, format!("accounting-phase batch failed: {e}"));
-                return;
-            }
-        }
+    let exec = BatchExecutor::with_config(BatchConfig {
+        prefetch_window: plan.batch_window,
+    });
+    for chunk in query_rects.chunks(8) {
+        let batch = exec.execute(&mut disk, chunk);
+        must(batch.map(drop), Accounting, "accounting-phase batch failed")?;
     }
     // Writes: a deterministic fault-free burst, inserted then removed so
     // the store's logical contents are unchanged afterwards.
@@ -1329,41 +1016,36 @@ fn run_accounting_phase(plan: &ChaosPlan, store: MemStore, report: &mut ChaosRep
         let y = rng.gen_range(0.0..0.9);
         let rect = Rect::new(x, y, x + 0.01, y + 0.01);
         let id = (1u64 << 40) + i;
-        if let Err(e) = disk.insert(rect, id) {
-            fail(report, format!("accounting-phase insert failed: {e}"));
-            return;
-        }
+        must(
+            disk.insert(rect, id),
+            Accounting,
+            "accounting-phase insert failed",
+        )?;
         burst.push((rect, id));
     }
-    if let Err(e) = disk.checkpoint() {
-        fail(report, format!("accounting-phase checkpoint failed: {e}"));
-        return;
-    }
+    must(
+        disk.checkpoint(),
+        Accounting,
+        "accounting-phase checkpoint failed",
+    )?;
     for (rect, id) in &burst {
-        match disk.delete(rect, *id) {
-            Ok(true) => {}
-            Ok(false) => {
-                fail(
-                    report,
-                    format!("accounting-phase burst entry {id} vanished"),
-                );
-                return;
-            }
-            Err(e) => {
-                fail(report, format!("accounting-phase delete failed: {e}"));
-                return;
-            }
+        if !must(
+            disk.delete(rect, *id),
+            Accounting,
+            "accounting-phase delete failed",
+        )? {
+            return Err(ChaosFailure {
+                oracle: Accounting,
+                detail: format!("accounting-phase burst entry {id} vanished"),
+            });
         }
     }
-    if let Err(e) = disk.flush() {
-        fail(report, format!("accounting-phase flush failed: {e}"));
-        return;
-    }
+    must(disk.flush(), Accounting, "accounting-phase flush failed")?;
 
     let io = disk.io_stats();
     let pool = disk.buffer_stats();
     let c = sink.counts();
-    let checks: [(&str, u64, u64); 7] = [
+    report.reconcile(&[
         (
             "sequential misses + prefetches vs physical reads",
             c.reads(),
@@ -1375,25 +1057,14 @@ fn run_accounting_phase(plan: &ChaosPlan, store: MemStore, report: &mut ChaosRep
         ("sequential peek reads", c.peek_reads, io.peek_reads),
         ("sequential accesses", c.accesses(), pool.accesses),
         ("sequential hits", c.hits, pool.hits),
-    ];
-    for (what, lhs, rhs) in checks {
-        if lhs != rhs {
-            report.failures.push(ChaosFailure {
-                oracle: Oracle::Accounting,
-                detail: format!("{what}: trace {lhs} != stats {rhs}"),
-            });
-        }
-    }
+    ]);
     if c.write_backs == 0 {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail: "accounting-phase write burst produced no write-backs".into(),
-        });
+        let detail = "accounting-phase write burst produced no write-backs";
+        report.fail(Accounting, detail.into());
     }
     if c.wal_appends == 0 {
-        report.failures.push(ChaosFailure {
-            oracle: Oracle::Accounting,
-            detail: "accounting-phase writes appended nothing to the WAL".into(),
-        });
+        let detail = "accounting-phase writes appended nothing to the WAL";
+        report.fail(Accounting, detail.into());
     }
+    Ok(())
 }

@@ -104,8 +104,8 @@ fn run_server<E: rtree_server::QueryEngine>(
         bstats.queue_wait_us.quantile_bounds(0.50).1,
         bstats.queue_wait_us.quantile_bounds(0.99).1,
     );
-    // Which rect kernel answered the queries (RTREE_FORCE_SCALAR /
-    // RTREE_KERNEL override the CPU-detected default).
+    // Which rect kernel answered the queries (RTREE_KERNEL overrides the
+    // CPU-detected default).
     let _ = writeln!(out, "kernel: {}", rtree_geom::simd::active_kernel().name());
     if stats.writes > 0 {
         let _ = writeln!(

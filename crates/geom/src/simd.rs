@@ -13,9 +13,8 @@
 //! - **Neon** — explicit 2-lane `f64` NEON intrinsics (aarch64 only).
 //!
 //! Selection happens **once**, on first use: the best variant the CPU
-//! supports, unless overridden by the environment
-//! (`RTREE_FORCE_SCALAR=1` forces the scalar reference;
-//! `RTREE_KERNEL=scalar|portable|avx2|neon` picks a specific variant).
+//! supports, unless `RTREE_KERNEL=scalar|portable|avx2|neon` in the
+//! environment picks a specific variant (`scalar` is the reference).
 //! Benchmarks and differential tests can re-pin the dispatch at runtime
 //! with [`set_kernel`].
 //!
@@ -132,9 +131,6 @@ fn encode_kind(k: KernelKind) -> u8 {
 
 /// The variant the environment and the CPU pick at startup.
 fn select_default() -> KernelKind {
-    if std::env::var_os("RTREE_FORCE_SCALAR").is_some_and(|v| v == "1") {
-        return KernelKind::Scalar;
-    }
     if let Ok(name) = std::env::var("RTREE_KERNEL") {
         for k in [
             KernelKind::Scalar,

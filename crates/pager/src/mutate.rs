@@ -8,7 +8,8 @@
 //! ([`crate::DiskRTree::attach_wal`]) the full before/after images are
 //! logged and the operation is recoverable: each public call ends with a
 //! commit marker, making it a single-op transaction. The concurrent tree
-//! runs the same functions over its exclusive-gate view.
+//! runs the same functions over its cursor: the insert descent under latch
+//! crabbing, FindLeaf / CondenseTree under its exclusive gate.
 //!
 //! Mutations abandon the bulk-load level-order page layout; the metadata's
 //! level table is cleared on the first insert or delete and the layout-
@@ -19,7 +20,6 @@
 //! chaining to the next) and are reused before the store grows.
 
 use crate::disk_tree::{materialize_empty, DiskRTree};
-use crate::page::PageLayout;
 use crate::seam::PageWrite;
 use crate::{BufferManager, NodePage, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
@@ -136,85 +136,85 @@ pub(crate) fn quadratic_split(
     (group_a, group_b)
 }
 
-/// Stores `node` as page `id`, first splitting off a new sibling if it
-/// overflows its level's capacity. Returns the MBR of what stayed in `id`
-/// and the parent entry of the sibling, if one was made.
-fn store_or_split<W: PageWrite>(
-    pages: &mut W,
-    meta: &mut PageMeta,
-    id: u64,
-    node: &mut NodePage,
-) -> io::Result<(Rect, Option<PageEntry>)> {
-    let layout = meta.layout_at(node.level);
-    if node.entries.len() <= meta.capacity_at(node.level) {
-        pages.store(id, node, layout)?;
-        return Ok((mbr(&node.entries), None));
-    }
-    let (a, b) = quadratic_split(std::mem::take(&mut node.entries), meta.min_entries as usize);
-    node.entries = a;
-    pages.store(id, node, layout)?;
-    let sibling = NodePage {
-        level: node.level,
-        entries: b,
-    };
-    let sibling_id = pages.alloc(meta)?;
-    pages.store(sibling_id, &sibling, layout)?;
-    meta.nodes += 1;
-    Ok((
-        mbr(&node.entries),
-        Some((mbr(&sibling.entries), sibling_id)),
-    ))
-}
-
-/// Inserts `entry` into a node at `target_level`, splitting upward as
-/// needed (AdjustTree). `target_level` is 0 for items; orphan reinsertion
-/// passes the level the entry originally lived at.
+/// Inserts `entry` into a node at `target_level` — 0 for items; orphan
+/// reinsertion passes the level the entry originally lived at.
+///
+/// One top-down pass (ChooseLeaf): each parent slot is grown to cover the
+/// entry before the descent leaves the page, and the page is stored only
+/// when the slot actually grew, so no upward rectangle pass follows. A
+/// non-full node cannot split, so no split below it can pass it: the
+/// descent says so ([`PageWrite::split_safe`]) and keeps on its path only
+/// the full ancestors beneath it. AdjustTree then walks up that retained
+/// path and nothing else; once it is exhausted the overfull node is the
+/// root, and the tree grows a level.
 pub(crate) fn insert_entry<W: PageWrite>(
     pages: &mut W,
-    meta: &mut PageMeta,
     entry: PageEntry,
     target_level: u16,
 ) -> io::Result<()> {
-    // Descend to the insertion node, remembering the path.
-    let mut path: Vec<(u64, usize)> = Vec::new();
-    let mut child_id = meta.root;
-    let mut node = pages.load(child_id)?;
-    while node.level > target_level {
+    let capacity = |pages: &mut W, level: u16| pages.meta(|m| m.capacity_at(level));
+    let mut id = pages.meta(|m| m.root);
+    let mut node = pages.load(id)?;
+    // The ancestors a split can still reach, with the slot taken in each.
+    let mut path: Vec<(u64, NodePage, usize)> = Vec::new();
+    loop {
+        if node.entries.len() < capacity(pages, node.level) {
+            pages.split_safe();
+            path.clear();
+        }
+        if node.level <= target_level {
+            break;
+        }
         let slot = choose_subtree(&node.entries, &entry.0);
-        path.push((child_id, slot));
-        child_id = node.entries[slot].1;
-        node = pages.load(child_id)?;
+        let (covered, child) = node.entries[slot];
+        let grown = covered.union(&entry.0);
+        if grown != covered {
+            node.entries[slot].0 = grown;
+            pages.store(id, &node)?;
+        }
+        pages.latch(child);
+        let below = pages.load(child)?;
+        path.push((id, node, slot));
+        (id, node) = (child, below);
     }
     debug_assert_eq!(node.level, target_level, "target level must exist");
     node.entries.push(entry);
 
-    // Store (splitting if overfull), then walk the path up adjusting
-    // rectangles and installing split siblings.
-    let mut level = node.level;
-    let (mut child_mbr, mut split) = store_or_split(pages, meta, child_id, &mut node)?;
-    while let Some((pid, slot)) = path.pop() {
-        let mut parent = pages.load(pid)?;
-        debug_assert_eq!(parent.entries[slot].1, child_id);
-        parent.entries[slot].0 = child_mbr;
-        parent.entries.extend(split.take());
-        level = parent.level;
-        (child_mbr, split) = store_or_split(pages, meta, pid, &mut parent)?;
-        child_id = pid;
-    }
-
-    if let Some(sibling) = split {
-        // The root itself split: grow the tree by one level.
-        let new_root = NodePage {
-            level: level + 1,
-            entries: vec![(child_mbr, child_id), sibling],
+    while node.entries.len() > capacity(pages, node.level) {
+        let min = pages.meta(|m| m.min_entries as usize);
+        let (a, b) = quadratic_split(std::mem::take(&mut node.entries), min);
+        let sibling = NodePage {
+            level: node.level,
+            entries: b,
         };
-        let new_root_id = pages.alloc(meta)?;
-        pages.store(new_root_id, &new_root, meta.layout_at(new_root.level))?;
-        meta.root = new_root_id;
-        meta.height += 1;
-        meta.nodes += 1;
+        node.entries = a;
+        pages.store(id, &node)?;
+        let sibling_id = pages.alloc()?;
+        pages.store(sibling_id, &sibling)?;
+        pages.meta(|m| m.nodes += 1);
+        let (parent_id, mut parent) = match path.pop() {
+            Some((parent_id, mut parent, slot)) => {
+                debug_assert_eq!(parent.entries[slot].1, id);
+                parent.entries[slot].0 = mbr(&node.entries);
+                (parent_id, parent)
+            }
+            None => {
+                // The root itself split: grow the tree by one level.
+                let root_id = pages.alloc()?;
+                pages.meta(|m| {
+                    m.root = root_id;
+                    m.height += 1;
+                    m.nodes += 1;
+                });
+                let entries = vec![(mbr(&node.entries), id)];
+                let level = node.level + 1;
+                (root_id, NodePage { level, entries })
+            }
+        };
+        parent.entries.push((mbr(&sibling.entries), sibling_id));
+        (id, node) = (parent_id, parent);
     }
-    Ok(())
+    pages.store(id, &node)
 }
 
 /// Finds the leaf holding the exact `(rect, item)` entry below `pid`,
@@ -249,7 +249,6 @@ pub(crate) fn find_leaf<W: PageWrite>(
 /// original level — and ShrinkTree.
 pub(crate) fn remove_entry<W: PageWrite>(
     pages: &mut W,
-    meta: &mut PageMeta,
     leaf_id: u64,
     mut path: Vec<(u64, usize)>,
     rect: &Rect,
@@ -263,7 +262,7 @@ pub(crate) fn remove_entry<W: PageWrite>(
         .expect("find_leaf verified the entry");
     cur.entries.remove(pos);
 
-    let min = meta.min_entries as usize;
+    let min = pages.meta(|m| m.min_entries as usize);
     let mut orphans: Vec<(u16, Vec<PageEntry>)> = Vec::new();
     let mut cur_id = leaf_id;
     while let Some((parent_id, slot)) = path.pop() {
@@ -271,11 +270,11 @@ pub(crate) fn remove_entry<W: PageWrite>(
         debug_assert_eq!(parent.entries[slot].1, cur_id);
         if cur.entries.len() < min {
             orphans.push((cur.level, std::mem::take(&mut cur.entries)));
-            pages.free(meta, cur_id)?;
-            meta.nodes -= 1;
+            pages.free(cur_id)?;
+            pages.meta(|m| m.nodes -= 1);
             parent.entries.remove(slot);
         } else {
-            pages.store(cur_id, &cur, meta.layout_at(cur.level))?;
+            pages.store(cur_id, &cur)?;
             parent.entries[slot].0 = mbr(&cur.entries);
         }
         cur_id = parent_id;
@@ -283,64 +282,72 @@ pub(crate) fn remove_entry<W: PageWrite>(
     }
     // `cur` is now the root; it may legally underflow (or empty out
     // entirely when it is a leaf).
-    pages.store(cur_id, &cur, meta.layout_at(cur.level))?;
+    pages.store(cur_id, &cur)?;
 
     // Reinsert orphaned entries at their original level, highest first,
     // so subtrees land before the entries that would go under them.
     orphans.sort_by_key(|o| std::cmp::Reverse(o.0));
     for (level, entries) in orphans {
         for entry in entries {
-            insert_entry(pages, meta, entry, level)?;
+            insert_entry(pages, entry, level)?;
         }
     }
 
     // ShrinkTree: while the root is internal with a single child, the
     // child becomes the root.
     loop {
-        let root_id = meta.root;
+        let root_id = pages.meta(|m| m.root);
         let root = pages.load(root_id)?;
         if root.level == 0 || root.entries.len() != 1 {
             break;
         }
-        meta.root = root.entries[0].1;
-        meta.height -= 1;
-        pages.free(meta, root_id)?;
-        meta.nodes -= 1;
+        pages.free(root_id)?;
+        pages.meta(|m| {
+            m.root = root.entries[0].1;
+            m.height -= 1;
+            m.nodes -= 1;
+        });
     }
-    meta.items -= 1;
+    pages.meta(|m| m.items -= 1);
     Ok(())
 }
 
-/// The sequential write seam: nodes go through the write-back buffer (and
-/// its WAL, if attached); freed pages go on an intrusive on-disk free list.
-impl<S: PageStore> PageWrite for BufferManager<S> {
-    fn load(&mut self, id: u64) -> io::Result<NodePage> {
-        Ok(NodePage::decode(self.fetch(PageId(id))?)?)
+/// The sequential write view: the tree itself. Nodes go through the
+/// write-back buffer (and its WAL, if attached); freed pages go on an
+/// intrusive on-disk free list headed in the metadata. Nothing else is in
+/// flight, so the latch hooks stay empty.
+impl<S: PageStore> PageWrite for DiskRTree<S> {
+    fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
+        f(&mut self.meta)
     }
 
-    fn store(&mut self, id: u64, node: &NodePage, layout: PageLayout) -> io::Result<()> {
+    fn load(&mut self, id: u64) -> io::Result<NodePage> {
+        Ok(NodePage::decode(self.mgr.fetch(PageId(id))?)?)
+    }
+
+    fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
         // Layout-preserving: internal pages of a compressed tree are
         // re-quantized on every rewrite. Expansion is monotone (the new
         // frame contains the rewritten entries), so the containment
         // invariant queries rely on survives arbitrary mutation.
-        node.encode_with(&mut buf, layout);
-        self.write_buffered(PageId(id), &buf)
+        node.encode_with(&mut buf, self.meta.layout_at(node.level));
+        self.mgr.write_buffered(PageId(id), &buf)
     }
 
-    fn alloc(&mut self, meta: &mut PageMeta) -> io::Result<u64> {
-        if meta.free_head == 0 {
-            return Ok(self.allocate()?.0);
+    fn alloc(&mut self) -> io::Result<u64> {
+        if self.meta.free_head == 0 {
+            return Ok(self.mgr.allocate()?.0);
         }
-        let id = meta.free_head;
-        let frame = self.fetch(PageId(id))?;
+        let id = self.meta.free_head;
+        let frame = self.mgr.fetch(PageId(id))?;
         if &frame[0..4] != FREE_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("free-list page {id} lacks the FREE tag"),
             ));
         }
-        meta.free_head = u64::from_le_bytes(
+        self.meta.free_head = u64::from_le_bytes(
             frame[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
                 .try_into()
                 .expect("8 bytes"),
@@ -349,13 +356,14 @@ impl<S: PageStore> PageWrite for BufferManager<S> {
     }
 
     /// Pushes a page onto the free list (logged like any other write).
-    fn free(&mut self, meta: &mut PageMeta, id: u64) -> io::Result<()> {
+    fn free(&mut self, id: u64) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
         buf[0..4].copy_from_slice(FREE_MAGIC);
-        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8].copy_from_slice(&meta.free_head.to_le_bytes());
+        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
+            .copy_from_slice(&self.meta.free_head.to_le_bytes());
         crate::page::seal(&mut buf);
-        self.write_buffered(PageId(id), &buf)?;
-        meta.free_head = id;
+        self.mgr.write_buffered(PageId(id), &buf)?;
+        self.meta.free_head = id;
         Ok(())
     }
 }
@@ -383,13 +391,13 @@ impl<S: PageStore> DiskRTree<S> {
         ))
     }
 
-    /// Inserts an item, logging every touched page and committing at the
-    /// end. Runs Guttman's ChooseLeaf / QuadraticSplit / AdjustTree over
-    /// pages.
+    /// Inserts an item, logging every page it changes and committing at
+    /// the end. Runs Guttman's ChooseLeaf / QuadraticSplit / AdjustTree
+    /// over pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
         self.in_span(|t| {
-            insert_entry(&mut t.mgr, &mut t.meta, (rect, item), 0)?;
+            insert_entry(t, (rect, item), 0)?;
             t.meta.items += 1;
             t.finish_op()
         })
@@ -400,11 +408,11 @@ impl<S: PageStore> DiskRTree<S> {
     /// whether the entry was found.
     pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
         self.in_span(|t| {
-            let mut path = Vec::new();
-            let Some(leaf) = find_leaf(&mut t.mgr, t.meta.root, rect, item, &mut path)? else {
+            let (root, mut path) = (t.meta.root, Vec::new());
+            let Some(leaf) = find_leaf(t, root, rect, item, &mut path)? else {
                 return Ok(false);
             };
-            remove_entry(&mut t.mgr, &mut t.meta, leaf, path, rect, item)?;
+            remove_entry(t, leaf, path, rect, item)?;
             t.finish_op()?;
             Ok(true)
         })
@@ -441,6 +449,254 @@ mod tests {
     fn sorted(mut v: Vec<u64>) -> Vec<u64> {
         v.sort_unstable();
         v
+    }
+
+    /// What the insert descent asked of its view, in order.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Call {
+        Latch(u64),
+        Load(u64),
+        SplitSafe,
+        Store(u64),
+        Alloc(u64),
+    }
+    use Call::*;
+
+    /// A scripted write seam (capacity 4, min fill 2) that records every
+    /// call and can fail the n-th load.
+    struct Script {
+        meta: PageMeta,
+        pages: std::collections::BTreeMap<u64, NodePage>,
+        calls: Vec<Call>,
+        /// Fail the n-th load (1-based).
+        fail_load: Option<usize>,
+    }
+
+    /// A small square item at `x`.
+    fn sq(x: f64) -> Rect {
+        Rect::new(x, 0.0, x + 0.04, 0.04)
+    }
+
+    impl Script {
+        /// Root page 1 over `children` (all of one level) as pages `2..`;
+        /// the root's slots are the children's MBRs.
+        fn new(children: Vec<NodePage>) -> Self {
+            let mut pages = std::collections::BTreeMap::new();
+            let root = NodePage {
+                level: children[0].level + 1,
+                entries: (2..)
+                    .zip(&children)
+                    .map(|(id, c)| (mbr(&c.entries), id))
+                    .collect(),
+            };
+            let (height, nodes) = (root.level as u32 + 1, children.len() as u64 + 1);
+            pages.insert(1, root);
+            pages.extend((2..).zip(children));
+            let mut meta = materialize_empty(&mut MemStore::new(), 4, 2, Vec::new()).expect("meta");
+            (meta.height, meta.nodes) = (height, nodes);
+            Script {
+                meta,
+                pages,
+                calls: Vec::new(),
+                fail_load: None,
+            }
+        }
+
+        /// A two-level tree: leaf `i` holds `fills[i]` squares in the band
+        /// starting at `x = i / 4`.
+        fn leaves(fills: &[usize]) -> Self {
+            let leaf = |(i, &fill): (usize, &usize)| NodePage {
+                level: 0,
+                entries: (0..fill)
+                    .map(|j| (sq(i as f64 * 0.25 + j as f64 * 0.05), (10 * i + j) as u64))
+                    .collect(),
+            };
+            Script::new(fills.iter().enumerate().map(leaf).collect())
+        }
+
+        fn insert(mut self, entry: PageEntry, level: u16) -> (Self, io::Result<()>) {
+            let result = insert_entry(&mut self, entry, level);
+            (self, result)
+        }
+    }
+
+    impl PageWrite for Script {
+        fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
+            f(&mut self.meta)
+        }
+        fn load(&mut self, id: u64) -> io::Result<NodePage> {
+            let loads = self.calls.iter().filter(|c| matches!(c, Load(_))).count();
+            if self.fail_load == Some(loads + 1) {
+                return Err(io::Error::other("scripted fault"));
+            }
+            self.calls.push(Load(id));
+            Ok(self.pages[&id].clone())
+        }
+        fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
+            assert!(node.entries.len() <= 4, "stored page {id} overfull");
+            self.calls.push(Store(id));
+            self.pages.insert(id, node.clone());
+            Ok(())
+        }
+        fn alloc(&mut self) -> io::Result<u64> {
+            let allocated = self.calls.iter().filter_map(|c| match c {
+                Alloc(id) => Some(*id),
+                _ => None,
+            });
+            let id = allocated
+                .chain(self.pages.keys().copied())
+                .max()
+                .expect("a root")
+                + 1;
+            self.calls.push(Alloc(id));
+            Ok(id)
+        }
+        fn free(&mut self, _id: u64) -> io::Result<()> {
+            unreachable!("an insert frees nothing")
+        }
+        fn latch(&mut self, child: u64) {
+            self.calls.push(Latch(child));
+        }
+        fn split_safe(&mut self) {
+            self.calls.push(SplitSafe);
+        }
+    }
+
+    /// Every slot of internal page `id` is exactly its child's MBR.
+    fn assert_slots_exact(s: &Script, id: u64) {
+        for (rect, child) in &s.pages[&id].entries {
+            assert_eq!(
+                *rect,
+                mbr(&s.pages[child].entries),
+                "slot of {child} in {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_split_insert_stores_the_parent_only_if_its_slot_grew() {
+        // Inside leaf 2's rectangle: the root is read, never written.
+        let (s, r) = Script::leaves(&[2, 2]).insert((sq(0.02), 99), 0);
+        r.unwrap();
+        let quiet = [Load(1), SplitSafe, Latch(2), Load(2), SplitSafe, Store(2)];
+        assert_eq!(s.calls, quiet);
+        assert_slots_exact(&s, 1);
+
+        // Outside it: the slot is grown and stored before the child is
+        // latched, and what it grew to is exactly the child's new MBR.
+        let (s, r) = Script::leaves(&[2, 2]).insert((sq(0.1), 99), 0);
+        r.unwrap();
+        let grown = [
+            Load(1),
+            SplitSafe,
+            Store(1),
+            Latch(2),
+            Load(2),
+            SplitSafe,
+            Store(2),
+        ];
+        assert_eq!(s.calls, grown);
+        assert_slots_exact(&s, 1);
+        assert_eq!(s.pages[&2].entries.len(), 3);
+    }
+
+    #[test]
+    fn leaf_split_stops_at_a_split_safe_parent() {
+        let (s, r) = Script::leaves(&[4, 2]).insert((sq(0.02), 99), 0);
+        r.unwrap();
+        // The full leaf is not announced split-safe; its halves go to pages
+        // 2 and 4 and the retained parent takes the new slot.
+        let calls = [
+            Load(1),
+            SplitSafe,
+            Latch(2),
+            Load(2),
+            Store(2),
+            Alloc(4),
+            Store(4),
+            Store(1),
+        ];
+        assert_eq!(s.calls, calls);
+        assert_slots_exact(&s, 1);
+        assert_eq!(s.pages[&1].entries.len(), 3);
+        assert_eq!((s.meta.root, s.meta.height, s.meta.nodes), (1, 2, 4));
+    }
+
+    #[test]
+    fn split_through_a_full_root_grows_the_tree() {
+        let (s, r) = Script::leaves(&[4, 2, 2, 2]).insert((sq(0.02), 99), 0);
+        r.unwrap();
+        // Nothing on the path is split-safe, so nothing is released: leaf,
+        // then root, then a new root over the root's halves.
+        let calls = [
+            Load(1),
+            Latch(2),
+            Load(2),
+            Store(2),
+            Alloc(6),
+            Store(6),
+            Store(1),
+            Alloc(7),
+            Store(7),
+            Alloc(8),
+            Store(8),
+        ];
+        assert_eq!(s.calls, calls);
+        assert_eq!((s.meta.root, s.meta.height, s.meta.nodes), (8, 3, 8));
+        assert_eq!(s.pages[&8].level, 2);
+        for id in [8, 1, 7] {
+            assert_slots_exact(&s, id);
+        }
+    }
+
+    #[test]
+    fn orphan_reinsertion_stops_at_its_level() {
+        // Level-1 nodes over leaf pages the descent must never ask for.
+        let internal = |first: u64| NodePage {
+            level: 1,
+            entries: (first..first + 2)
+                .map(|child| (sq(child as f64 * 0.01), child))
+                .collect(),
+        };
+        let tree = Script::new(vec![internal(10), internal(40)]);
+        let (s, r) = tree.insert((sq(0.13), 77), 1);
+        r.unwrap();
+        let calls = [
+            Load(1),
+            SplitSafe,
+            Store(1),
+            Latch(2),
+            Load(2),
+            SplitSafe,
+            Store(2),
+        ];
+        assert_eq!(s.calls, calls);
+        assert_eq!(s.pages[&2].entries.last(), Some(&(sq(0.13), 77)));
+        assert_slots_exact(&s, 1);
+    }
+
+    #[test]
+    fn a_failed_load_ends_the_insert_at_once() {
+        for fills in [&[2, 2][..], &[4, 2, 2, 2]] {
+            let (ok, r) = Script::leaves(fills).insert((sq(0.22), 99), 0);
+            r.unwrap();
+            for nth in 1..=2 {
+                let mut faulty = Script::leaves(fills);
+                faulty.fail_load = Some(nth);
+                let (s, r) = faulty.insert((sq(0.22), 99), 0);
+                assert_eq!(r.unwrap_err().to_string(), "scripted fault");
+                // Exactly the calls that precede that load; no store, hook
+                // or allocation follows the error.
+                let loads = ok
+                    .calls
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| matches!(c, Load(_)));
+                let (cut, _) = loads.clone().nth(nth - 1).expect("two loads");
+                assert_eq!(s.calls, ok.calls[..cut], "fills {fills:?}, load {nth}");
+                assert_eq!(s.meta.nodes, fills.len() as u64 + 1);
+            }
+        }
     }
 
     #[test]

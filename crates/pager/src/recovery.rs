@@ -81,6 +81,10 @@ pub struct ReplaySummary {
 /// all of its ops together, never a prefix (the none-or-all guarantee the
 /// WAL crash tests pin down).
 ///
+/// Replay is idempotent — a checkpoint that died between flushing its image
+/// and truncating the log leaves ops the image already holds — so an insert
+/// whose exact `(rect, item)` is present is skipped and not counted.
+///
 /// The target tree logs the replayed ops into its own WAL as a side effect,
 /// which keeps them durable going forward; checkpoint afterwards to start
 /// from a clean log.
@@ -113,8 +117,11 @@ pub fn replay_committed<S: crate::ConcurrentPageStore>(
     for record in &scan.records[start..] {
         match record {
             WalRecord::OpInsert { lsn, rect, item } if *lsn <= horizon => {
-                tree.insert(&Rect::new(rect[0], rect[1], rect[2], rect[3]), *item)?;
-                summary.applied_inserts += 1;
+                let rect = Rect::new(rect[0], rect[1], rect[2], rect[3]);
+                if !tree.contains(&rect, *item)? {
+                    tree.insert(&rect, *item)?;
+                    summary.applied_inserts += 1;
+                }
             }
             WalRecord::OpDelete { lsn, rect, item } if *lsn <= horizon => {
                 tree.delete(&Rect::new(rect[0], rect[1], rect[2], rect[3]), *item)?;

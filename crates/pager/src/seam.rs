@@ -10,13 +10,12 @@
 //! seam (monomorphized, never `dyn`), so the sequential instantiation pays
 //! nothing for the concurrent one's existence.
 //!
-//! Two instantiations exist: [`crate::BufferManager`] (one pool, no
-//! latches — the paper's configuration) and the cursor/view structs over
+//! Two instantiations exist: [`crate::BufferManager`] / [`crate::DiskRTree`]
+//! (one pool, no latches — the paper's configuration) and the cursor over
 //! [`crate::ConcurrentDiskRTree`] (shard pools behind the writer overlay,
-//! shared-latch coupling between levels, an exclusive-gate view for
-//! structure changes).
+//! shared-latch coupling between levels for readers, exclusive-latch
+//! crabbing for the insert descent).
 
-use crate::page::PageLayout;
 use crate::{NodePage, PageMeta, PrefetchOutcome};
 use std::io;
 
@@ -45,18 +44,30 @@ pub(crate) trait PageRead {
 }
 
 /// The write side: whole-node load/store plus page allocation, for the
-/// structure-changing algorithms. `meta` is the tree's *live* metadata; the
-/// algorithms own its root/height/counters, the seam only its free list.
+/// structure-changing algorithms. The view owns the tree's *live* metadata
+/// (root, height, node count, free list). The two hooks are all a crabbing
+/// writer needs of the insert descent; a view with the tree to itself
+/// leaves them empty.
 pub(crate) trait PageWrite {
+    /// Runs `f` on the live metadata (locked, if at all, only for the call).
+    fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R;
+
     /// Loads and decodes node `id` (a charged access).
     fn load(&mut self, id: u64) -> io::Result<NodePage>;
 
-    /// Encodes `node` in `layout` as the new image of page `id`.
-    fn store(&mut self, id: u64, node: &NodePage, layout: PageLayout) -> io::Result<()>;
+    /// Encodes `node`, in its level's layout, as the new image of page `id`.
+    fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()>;
 
     /// Allocates a page, reusing freed ones before growing the store.
-    fn alloc(&mut self, meta: &mut PageMeta) -> io::Result<u64>;
+    fn alloc(&mut self) -> io::Result<u64>;
 
     /// Returns a dissolved page for reuse.
-    fn free(&mut self, meta: &mut PageMeta, id: u64) -> io::Result<()>;
+    fn free(&mut self, id: u64) -> io::Result<()>;
+
+    /// The insert descent will next load `child` of the node it holds.
+    fn latch(&mut self, _child: u64) {}
+
+    /// The node just loaded is non-full: no split can propagate above it,
+    /// so whatever the descent holds above it may be let go.
+    fn split_safe(&mut self) {}
 }

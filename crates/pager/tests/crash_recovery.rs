@@ -194,3 +194,54 @@ fn transient_read_fault_is_an_error_not_a_panic() {
     let err = failure.expect("the injected read fault must surface");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
+
+/// The checkpoint crash window: `checkpoint` flushes the new image in
+/// place and only then truncates the log, so a log fault between the two
+/// leaves the *new* image under the *old* log. Replaying that log must not
+/// apply the inserts the image already holds a second time.
+#[test]
+fn replay_is_idempotent_across_the_checkpoint_crash_window() {
+    use rtree_pager::{replay_committed, ConcurrentDiskRTree, SharedMemStore};
+    use rtree_wal::GroupWal;
+
+    const K: u64 = 40;
+    let rect_of = |id: u64| {
+        let x = (id as f64 * 0.137) % 0.9;
+        Rect::new(x, x, x + 0.005, x + 0.005)
+    };
+    let durable = MemLog::new();
+    // One thread: every commit is its own append, so the checkpoint record
+    // is append K + 1.
+    let log = FaultLog::new(durable.clone(), CrashSwitch::new()).crash_at_append(K + 1, false);
+    let tree = ConcurrentDiskRTree::create_writable(
+        SharedMemStore::new(),
+        MAX,
+        MIN,
+        FRAMES,
+        LruPolicy::new(),
+        GroupWal::open(log).unwrap(),
+    )
+    .unwrap();
+    for id in 0..K {
+        tree.insert(&rect_of(id), id).unwrap();
+    }
+    tree.checkpoint()
+        .expect_err("the log dies under the checkpoint record");
+
+    let recovered = ConcurrentDiskRTree::open_writable(
+        SharedMemStore::from_bytes(tree.store().snapshot()),
+        FRAMES,
+        LruPolicy::new(),
+        GroupWal::open(MemLog::new()).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(recovered.live_items(), K, "the image was flushed whole");
+    replay_committed(&durable.read_all().unwrap(), &recovered).unwrap();
+    assert_eq!(recovered.live_items(), K);
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    assert_eq!(
+        sorted(recovered.query(&everything).unwrap()),
+        (0..K).collect::<Vec<u64>>(),
+        "every id exactly once"
+    );
+}

@@ -394,16 +394,17 @@ fn worker_loop<E: QueryEngine>(shared: &Shared<E>) {
                         } else {
                             JobOutput::Matches(ids)
                         };
-                        // A receiver that hung up (client vanished) is fine.
-                        let _ = done.send(Ok(out));
+                        // Counted before the send, so the receiver sees it
+                        // counted. One that hung up (client vanished) is fine.
                         shared.completed.fetch_add(1, Ordering::Relaxed);
+                        let _ = done.send(Ok(out));
                     }
                 }
                 Err(e) => {
                     // io::Error is not Clone: recreate it per job.
                     for (_, done) in query_jobs {
-                        let _ = done.send(Err(io::Error::new(e.kind(), e.to_string())));
                         shared.completed.fetch_add(1, Ordering::Relaxed);
+                        let _ = done.send(Err(io::Error::new(e.kind(), e.to_string())));
                     }
                 }
             }
@@ -417,8 +418,8 @@ fn worker_loop<E: QueryEngine>(shared: &Shared<E>) {
                 "engine write demux contract"
             );
             for (done, result) in write_jobs.into_iter().zip(results) {
-                let _ = done.send(result.map(JobOutput::Written));
                 shared.completed.fetch_add(1, Ordering::Relaxed);
+                let _ = done.send(result.map(JobOutput::Written));
             }
         }
     }

@@ -10,7 +10,7 @@
 //! from the answer. What v4 buys is density: 253 internal entries per
 //! 4 KiB page instead of 102, so at equal frame budgets the buffer holds
 //! more of the tree and demand reads can only go down. Both halves are
-//! pinned here. Run with `RTREE_FORCE_SCALAR=1` to hold the suite against
+//! pinned here. Run with `RTREE_KERNEL=scalar` to hold the suite against
 //! the scalar kernel; CI exercises both.
 
 use buffered_rtrees::buffer::{

@@ -8,7 +8,7 @@
 //! the identical access string and every policy makes the identical
 //! eviction decisions. A perturbation of a single miss count is a
 //! regression even if the result sets still match. Run with
-//! `RTREE_FORCE_SCALAR=1` to hold the whole suite against the scalar
+//! `RTREE_KERNEL=scalar` to hold the whole suite against the scalar
 //! kernel; CI exercises both.
 
 use buffered_rtrees::buffer::{
