@@ -12,7 +12,7 @@ use rtree_datagen::ClusteredPoints;
 use rtree_geom::{active_kernel, available_kernels, set_kernel, Rect};
 use rtree_index::RTree;
 use rtree_obs::TuneObserver;
-use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore, PageLayout, SharedMemStore};
+use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use rtree_server::{
     loadgen, serve, BatchPolicy, LoadConfig, SequentialEngine, ServerConfig, WriterEngine,
 };
@@ -391,14 +391,14 @@ pub(crate) fn chaos_soak(opts: &Opts, out: &mut String) -> Result<(), String> {
 /// The paper holds CPU cost constant and varies buffering; this experiment
 /// does the inverse. A buffer large enough to hold the whole tree removes
 /// every disk access, so what remains of query latency is pure traversal
-/// CPU: page decode plus rectangle filtering. The seed path decodes
-/// array-of-structs pages and tests one `Rect` at a time
-/// ([`DiskRTree::query_scalar`]); the v3 path decodes structure-of-arrays
-/// pages — the four coordinate planes arrive contiguously, no per-entry
-/// gather — and filters with the dispatched SIMD kernel
+/// CPU: page decode plus rectangle filtering. The seed path gathers each
+/// page into `(rect, pointer)` entries and tests one `Rect` at a time
+/// ([`DiskRTree::query_scalar`]); the SIMD path decodes the same v3 pages
+/// plane by plane — the four coordinate planes arrive contiguously, no
+/// per-entry gather — and filters with the dispatched SIMD kernel
 /// ([`DiskRTree::query`]). Both answer the identical clustered query
-/// stream from a fully warmed buffer; the speedup column is the whole
-/// claim.
+/// stream from a fully warmed buffer over the same image; the speedup
+/// column is the whole claim.
 ///
 /// The run **fails** if the dispatched kernel's speedup over the seed path
 /// is below 2.0× — relaxed to 1.2× under `--quick`, which shared CI runners
@@ -422,26 +422,20 @@ pub(crate) fn simd_traversal(opts: &Opts, out: &mut String) -> Result<(), String
     let mut sampler = QuerySampler::new(&workload, 0x5EED);
     let stream: Vec<Rect> = (0..n_queries).map(|_| sampler.sample()).collect();
 
-    let mut v2 = DiskRTree::create_with_layout(
-        MemStore::new(),
-        &tree,
-        buffer,
-        LruPolicy::new(),
-        PageLayout::Aos,
-    )
-    .expect("create v2 tree");
-    let mut v3 = DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new())
-        .expect("create v3 tree");
+    let create = || DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new());
+    let mut seed = create().expect("create seed-path tree");
+    let mut v3 = create().expect("create SIMD-path tree");
 
-    // Warm both buffers and cross-check answers while doing it.
+    // Warm both buffers and cross-check answers and I/O while doing it.
     let mut hits = 0u64;
     for q in &stream {
-        let a = v2.query_scalar(q).expect("seed query");
+        let a = seed.query_scalar(q).expect("seed query");
         let b = v3.query(q).expect("simd query");
         assert_eq!(a, b, "seed and SIMD paths disagree on {q:?}");
         hits += a.len() as u64;
     }
-    let warm_reads = v2.physical_reads() + v3.physical_reads();
+    assert_eq!(seed.io_stats(), v3.io_stats(), "same image, same walk");
+    let warm_reads = seed.physical_reads() + v3.physical_reads();
 
     let time = |run: &mut dyn FnMut()| -> f64 {
         let mut best = f64::INFINITY;
@@ -455,11 +449,11 @@ pub(crate) fn simd_traversal(opts: &Opts, out: &mut String) -> Result<(), String
 
     let scalar_secs = time(&mut || {
         for q in &stream {
-            std::hint::black_box(v2.query_scalar(q).expect("seed query"));
+            std::hint::black_box(seed.query_scalar(q).expect("seed query"));
         }
     });
     assert_eq!(
-        v2.physical_reads() + v3.physical_reads(),
+        seed.physical_reads() + v3.physical_reads(),
         warm_reads,
         "timed passes must be buffer-resident"
     );
@@ -474,7 +468,7 @@ pub(crate) fn simd_traversal(opts: &Opts, out: &mut String) -> Result<(), String
         &["path", "kernel", "queries/s", "speedup", "gate"],
     );
     table.row(vec![
-        "seed v2 AoS".into(),
+        "v3 SoA, scalar entry-at-a-time".into(),
         "scalar".into(),
         format!("{:.0}", n_queries as f64 / scalar_secs),
         f(1.0),
@@ -932,7 +926,7 @@ pub(crate) fn server_throughput(opts: &Opts, out: &mut String) -> Result<(), Str
             wal.set_commit_delay(Duration::from_micros(150));
         }
         let disk = ConcurrentDiskRTree::create_writable(
-            SharedMemStore::new(),
+            MemStore::new(),
             cap,
             cap / 4,
             buffer,

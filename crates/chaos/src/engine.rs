@@ -23,15 +23,14 @@ use crate::plan::{ChaosOp, ChaosPlan, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_buffer::LruPolicy;
-use rtree_buffer::PageId;
 use rtree_core::TreeDescription;
 use rtree_exec::{BatchConfig, BatchExecutor};
 use rtree_geom::Rect;
 use rtree_index::{RTree, RTreeBuilder};
 use rtree_obs::{CountingSink, TraceSink, TuneObserver};
 use rtree_pager::{
-    recover, replay_committed, ConcurrentDiskRTree, DiskRTree, FaultStore, MemStore, PageStore,
-    SharedMemStore, StepSchedule, StepStore, PAGE_SIZE,
+    recover, replay_committed, ConcurrentDiskRTree, DiskRTree, FaultStore, MemStore, StepSchedule,
+    StepStore,
 };
 use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
 use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, StagedLog, Wal};
@@ -127,20 +126,6 @@ const PLANT_AFTER: usize = 8;
 fn sorted(mut v: Vec<u64>) -> Vec<u64> {
     v.sort_unstable();
     v
-}
-
-/// Byte-for-byte copy of a store's pages into a fresh [`MemStore`]
-/// (`MemStore` is deliberately not `Clone`; the harness copies at the
-/// `PageStore` level instead).
-fn copy_store(src: &mut MemStore) -> io::Result<MemStore> {
-    let mut dst = MemStore::new();
-    let mut buf = vec![0u8; PAGE_SIZE];
-    for id in 0..src.page_count() {
-        dst.allocate()?;
-        src.read_page(PageId(id), &mut buf)?;
-        dst.write_page(PageId(id), &buf)?;
-    }
-    Ok(dst)
 }
 
 /// How a phase ends: `Err` is the violation that made going on pointless
@@ -419,10 +404,8 @@ fn run_server_phase(
     if rects.is_empty() {
         return Ok(());
     }
-    let copy = copy_store(store);
-    let copy = must(copy, Differential, "copying store for server phase failed")?;
     let disk = DiskRTree::open(
-        copy,
+        MemStore::from_bytes(store.snapshot()),
         plan.buffer_capacity,
         plan.policy.build(plan.policy_seed),
     );
@@ -517,13 +500,7 @@ fn run_mutator_phase(
 
     // The recovered image, byte for byte — both the mutation base and the
     // post-crash replay base.
-    let mut image = Vec::new();
-    let mut buf = vec![0u8; PAGE_SIZE];
-    for id in 0..store.page_count() {
-        let read = store.read_page(PageId(id), &mut buf);
-        must(read, Differential, "imaging store for mutator phase failed")?;
-        image.extend_from_slice(&buf);
-    }
+    let image = store.snapshot();
 
     // Durable medium: bytes reach `durable` only on sync, exactly what a
     // crashed machine's disk keeps.
@@ -532,7 +509,7 @@ fn run_mutator_phase(
     let wal = must(wal, Durability, "mutator-phase WAL open failed")?;
     let capacity = plan.buffer_capacity.max(8);
     let tree = ConcurrentDiskRTree::open_writable(
-        SharedMemStore::from_bytes(image.clone()),
+        MemStore::from_bytes(image.clone()),
         capacity,
         plan.policy.build(plan.policy_seed),
         wal.clone(),
@@ -686,7 +663,7 @@ fn run_mutator_phase(
         "post-crash WAL open failed",
     )?;
     let recovered = ConcurrentDiskRTree::open_writable(
-        SharedMemStore::from_bytes(image),
+        MemStore::from_bytes(image),
         capacity,
         plan.policy.build(plan.policy_seed),
         wal,
@@ -744,12 +721,7 @@ fn run_concurrent_phase(
     report: &mut ChaosReport,
 ) -> Phase {
     use Oracle::Differential;
-    let copy = copy_store(store);
-    let copy = must(
-        copy,
-        Differential,
-        "copying store for concurrent phase failed",
-    )?;
+    let copy = MemStore::from_bytes(store.snapshot());
     let stepped = StepStore::new(copy, StepSchedule::from_seed(plan.sched_seed));
     let tree = ConcurrentDiskRTree::open_sharded(
         stepped,
@@ -862,12 +834,7 @@ fn run_adaptive_phase(
     if queries.is_empty() || reference.is_empty() {
         return Ok(());
     }
-    let copy = copy_store(store);
-    let copy = must(
-        copy,
-        Differential,
-        "copying store for adaptive phase failed",
-    )?;
+    let copy = MemStore::from_bytes(store.snapshot());
     // The controller's budget: the plan's capacity, floored so even the
     // tiniest seeds leave the planner a few frames to move between.
     let budget = plan.buffer_capacity.max(4);

@@ -268,7 +268,7 @@ fn serve_engine<E: rtree_server::QueryEngine>(
 
 pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     use rtree_obs::{CountingSink, TraceSink};
-    use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore, SharedMemStore};
+    use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
     use rtree_server::{SequentialEngine, WriterEngine};
     use std::sync::Arc;
 
@@ -340,7 +340,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         // batches open briefly too: a burst of writers, one fsync.
         wal.set_commit_delay(std::time::Duration::from_micros(150));
         let mut disk = ConcurrentDiskRTree::create_writable(
-            SharedMemStore::new(),
+            MemStore::new(),
             cap,
             min_fill,
             buffer,
@@ -383,7 +383,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
             let shards: usize = args.flag_or("shards", 1usize)?;
             let (policy, seed) = (sc.policy, sc.seed);
             let mut disk = ConcurrentDiskRTree::create_sharded(
-                SharedMemStore::new(),
+                MemStore::new(),
                 &tree,
                 buffer,
                 shards,

@@ -85,12 +85,6 @@ impl RTree {
             levels,
         }
     }
-
-    /// Sum of the areas of all node MBRs (the paper's `A`, the expected
-    /// number of nodes visited by an unclamped uniform point query).
-    pub fn total_mbr_area(&self) -> f64 {
-        self.stats().total_area
-    }
 }
 
 /// Convenience: aggregates over a plain list of rectangles (used to report

@@ -33,6 +33,7 @@
 use crate::disk_tree::{materialize, materialize_empty};
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
 use crate::mutate::{find_leaf, insert_entry, remove_entry};
+use crate::page::{decode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::walk::{self, BatchOutput};
@@ -121,10 +122,11 @@ struct WriterState {
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
     overlay: RwLock<HashMap<u64, Arc<[u8]>>>,
-    /// Session-local free list of dissolved pages (not persisted: a
-    /// checkpointed meta page stores `free_head = 0`, so pages freed since
-    /// the last checkpoint leak on reopen — a documented trade for keeping
-    /// the on-disk free list out of the latch protocol).
+    /// Session-local free list of dissolved pages, seeded at open from the
+    /// image's on-disk list (not persisted: a checkpointed meta page stores
+    /// `free_head = 0`, so pages still free at the last checkpoint leak on
+    /// reopen — a documented trade for keeping the on-disk free list out
+    /// of the latch protocol).
     free: Mutex<Vec<u64>>,
     /// Group-commit write-ahead log (logical redo records).
     wal: GroupWal,
@@ -137,13 +139,13 @@ struct WriterState {
 }
 
 impl WriterState {
-    fn new(meta: PageMeta, wal: GroupWal) -> Self {
+    fn new(meta: PageMeta, free: Vec<u64>, wal: GroupWal) -> Self {
         WriterState {
             latches: LatchTable::new(),
             op_gate: RwLock::new(()),
             meta: Mutex::new(meta),
             overlay: RwLock::new(HashMap::new()),
-            free: Mutex::new(Vec::new()),
+            free: Mutex::new(free),
             wal,
             latch_waits: AtomicU64::new(0),
             page_writes: AtomicU64::new(0),
@@ -228,7 +230,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         shards: usize,
         policy: impl FnMut() -> P,
     ) -> io::Result<Self> {
-        let meta = materialize(&mut store, tree)?;
+        let meta = materialize(&mut store, tree, false)?;
         Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
@@ -893,9 +895,9 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     ) -> io::Result<Self> {
         // In-place updates invalidate the bulk-load layout immediately, so
         // the level table starts out empty.
-        let meta = materialize_empty(&mut store, max_entries, min_entries, Vec::new())?;
+        let meta = materialize_empty(&mut store, max_entries, min_entries, false)?;
         let mut tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, once(policy));
-        tree.writer = Some(WriterState::new(meta, wal));
+        tree.writer = Some(WriterState::new(meta, Vec::new(), wal));
         Ok(tree)
     }
 
@@ -909,10 +911,24 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         wal: GroupWal,
     ) -> io::Result<Self> {
         let meta = Self::read_meta(&mut store)?;
+        // A `DiskRTree` may have left dissolved pages on the image's free
+        // list: walk it into the session list, head last so pages are
+        // reused in the order the sequential tree would reuse them.
+        let mut free = Vec::new();
+        let (mut next, mut buf) = (meta.free_head, vec![0u8; PAGE_SIZE]);
+        while next != 0 {
+            if free.len() as u64 >= store.page_count() {
+                return Err(PageError::InconsistentMeta("free list cycles").into());
+            }
+            store.read_page(PageId(next), &mut buf)?;
+            free.push(next);
+            next = decode_free_page(&buf)?;
+        }
+        free.reverse();
         let mut live = meta.clone();
         live.level_starts.clear();
         let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
-        tree.writer = Some(WriterState::new(live, wal));
+        tree.writer = Some(WriterState::new(live, free, wal));
         Ok(tree)
     }
 
@@ -1138,9 +1154,9 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             self.latch(PageId(*id), 0, -1).refresh(PageId(*id), frame);
         }
         let mut meta = w.meta.lock().clone();
-        // The session free list is not persisted: pages freed since the
-        // last checkpoint leak on reopen (documented trade — the on-disk
-        // free list stays out of the latch protocol).
+        // The session free list is not persisted: pages still on it leak
+        // on reopen (documented trade — the on-disk free list stays out of
+        // the latch protocol).
         meta.free_head = 0;
         meta.level_starts = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -1700,7 +1716,7 @@ mod tests {
     #[test]
     fn writable_tree_inserts_deletes_and_queries() {
         let tree = ConcurrentDiskRTree::create_writable(
-            crate::SharedMemStore::new(),
+            MemStore::new(),
             8,
             3,
             16,
@@ -1739,7 +1755,7 @@ mod tests {
         let mut sequential =
             crate::DiskRTree::create_empty(&mut store, 8, 3, 16, LruPolicy::new()).unwrap();
         let latched = ConcurrentDiskRTree::create_writable(
-            crate::SharedMemStore::new(),
+            MemStore::new(),
             8,
             3,
             16,
@@ -1773,7 +1789,7 @@ mod tests {
         // Tiny fanout forces a tall tree, underflows, orphan reinsertion
         // and root shrinking through the exclusive fallback path.
         let tree = ConcurrentDiskRTree::create_writable(
-            crate::SharedMemStore::new(),
+            MemStore::new(),
             4,
             2,
             8,
@@ -1823,8 +1839,7 @@ mod tests {
         let rects = sample_rects(100);
         let bulk = BulkLoader::hilbert(16).load(&rects);
         let tree =
-            ConcurrentDiskRTree::create(crate::SharedMemStore::new(), &bulk, 16, LruPolicy::new())
-                .unwrap();
+            ConcurrentDiskRTree::create(MemStore::new(), &bulk, 16, LruPolicy::new()).unwrap();
         let err = tree.insert(&item_rect(1), 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         let err = tree.delete(&item_rect(1), 1).unwrap_err();
@@ -1835,7 +1850,7 @@ mod tests {
 
     #[test]
     fn checkpoint_persists_an_openable_image() {
-        let store = crate::SharedMemStore::new();
+        let store = MemStore::new();
         let tree =
             ConcurrentDiskRTree::create_writable(store, 8, 3, 16, LruPolicy::new(), writer_wal())
                 .unwrap();
@@ -1856,18 +1871,11 @@ mod tests {
 
         // The image opens both concurrently (read-only) and sequentially,
         // and agrees with the live writable tree on every probe.
-        let reopened = ConcurrentDiskRTree::open(
-            crate::SharedMemStore::from_bytes(image.clone()),
-            16,
-            LruPolicy::new(),
-        )
-        .unwrap();
-        let mut seq = crate::DiskRTree::open(
-            crate::SharedMemStore::from_bytes(image),
-            16,
-            LruPolicy::new(),
-        )
-        .unwrap();
+        let reopened =
+            ConcurrentDiskRTree::open(MemStore::from_bytes(image.clone()), 16, LruPolicy::new())
+                .unwrap();
+        let mut seq =
+            crate::DiskRTree::open(MemStore::from_bytes(image), 16, LruPolicy::new()).unwrap();
         for q in probe_queries() {
             let mut live = tree.query(&q).unwrap();
             let mut ro = reopened.query(&q).unwrap();
@@ -1879,6 +1887,81 @@ mod tests {
             assert_eq!(live, sq);
         }
         assert_eq!(reopened.meta().items, tree.live_items());
+    }
+
+    /// A `DiskRTree` leaves dissolved pages on the image's free list; a
+    /// writable open adopts them, so the store does not grow until they
+    /// are used up.
+    #[test]
+    fn open_writable_recycles_the_images_free_list() {
+        let mut disk =
+            crate::DiskRTree::create_empty(MemStore::new(), 6, 2, 16, LruPolicy::new()).unwrap();
+        for id in 0..200u64 {
+            disk.insert(item_rect(id), id).unwrap();
+        }
+        for id in 0..200u64 {
+            assert!(disk.delete(&item_rect(id), id).unwrap());
+        }
+        disk.flush().unwrap();
+        assert_eq!(disk.meta().nodes, 1, "collapsed to a root leaf");
+        assert_ne!(disk.meta().free_head, 0, "dissolved pages were freed");
+        let store = disk.into_store();
+        let pages = store.page_count();
+
+        let tree =
+            ConcurrentDiskRTree::open_writable(store, 16, LruPolicy::new(), writer_wal()).unwrap();
+        let free = || tree.writer.as_ref().unwrap().free.lock().len() as u64;
+        assert_eq!(free(), pages - 2, "all but the meta page and the root");
+        let mut id = 0;
+        while free() > 0 {
+            tree.insert(&item_rect(id), id).unwrap();
+            assert_eq!(tree.store.page_count(), pages, "recycled, not grown");
+            id += 1;
+        }
+        while tree.store.page_count() == pages {
+            tree.insert(&item_rect(id), id).unwrap();
+            id += 1;
+        }
+        assert_eq!(free(), 0, "the store grows only once the list is used up");
+
+        tree.checkpoint().unwrap();
+        let image = MemStore::from_bytes(tree.store.snapshot());
+        let mut seq = crate::DiskRTree::open(image, 16, LruPolicy::new()).unwrap();
+        let mut all = seq.query(&Rect::new(0.0, 0.0, 2.0, 2.0)).unwrap();
+        all.sort_unstable();
+        assert_eq!(all, (0..id).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn open_writable_rejects_a_corrupt_free_list() {
+        use crate::page::encode_free_page;
+        let open = |patch: &dyn Fn(&mut MemStore) -> u64| {
+            let mut store = MemStore::new();
+            let mut meta = materialize_empty(&mut store, 6, 2, false).unwrap();
+            meta.free_head = patch(&mut store);
+            let mut buf = vec![0u8; PAGE_SIZE];
+            meta.encode(&mut buf);
+            store.write_page(PageId(0), &buf).unwrap();
+            ConcurrentDiskRTree::open_writable(store, 16, LruPolicy::new(), writer_wal())
+                .map(drop)
+                .unwrap_err()
+        };
+        // The head names a live node: bad tag.
+        let err = open(&|_| 1);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), PageError::BadMagic.to_string());
+        // A free page chaining to itself: the walk is bounded.
+        let err = open(&|store| {
+            let id = store.allocate().unwrap();
+            let mut buf = vec![0u8; PAGE_SIZE];
+            encode_free_page(id.0, &mut buf);
+            store.write_page(id, &buf).unwrap();
+            id.0
+        });
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("free list cycles"), "{err}");
+        // The head points past the store: the read fails, typed by the store.
+        assert_eq!(open(&|_| 99).kind(), io::ErrorKind::UnexpectedEof);
     }
 
     /// Satellite: N concurrent writers + a reader match the sequential
@@ -1893,8 +1976,7 @@ mod tests {
 
         // Sequential oracle: same ops, one thread, the paper's tree.
         let mut oracle =
-            crate::DiskRTree::create_empty(crate::MemStore::new(), 6, 2, 16, LruPolicy::new())
-                .unwrap();
+            crate::DiskRTree::create_empty(MemStore::new(), 6, 2, 16, LruPolicy::new()).unwrap();
         for t in 0..THREADS {
             for i in 0..PER_THREAD {
                 let id = id_of(t, i);
@@ -1910,7 +1992,7 @@ mod tests {
 
         for (name, make_policy) in policy_table() {
             let tree = ConcurrentDiskRTree::create_writable(
-                crate::SharedMemStore::new(),
+                MemStore::new(),
                 6,
                 2,
                 16,
@@ -2088,7 +2170,7 @@ mod tests {
             dx * dx + dy * dy
         }
         let tree = ConcurrentDiskRTree::create_writable(
-            crate::SharedMemStore::new(),
+            MemStore::new(),
             8,
             3,
             16,

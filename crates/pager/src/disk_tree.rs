@@ -3,15 +3,21 @@
 //! Query traversal decodes pages into [`NodeSoA`] (reusing one scratch node
 //! across the whole walk) and filters entries with the dispatched
 //! [`rtree_geom::RectSoA`] SIMD kernel — on v3 (SoA) pages the coordinate
-//! planes are copied contiguously with no per-entry gather. The original
-//! entry-at-a-time path survives verbatim as [`DiskRTree::query_scalar`],
-//! the differential reference the `simd_traversal` bench and the
-//! `simd_vs_seed` suite compare against.
+//! planes are copied contiguously with no per-entry gather. The seed's
+//! entry-at-a-time walk is [`DiskRTree::query_scalar`], the differential
+//! reference the `simd_traversal` bench and the `simd_vs_seed` /
+//! `compress_vs_seed` suites hold every kernel and page format against.
+//!
+//! This module also holds the one writer of new tree images,
+//! [`write_image`], behind every `create*` constructor of both trees.
 
-use crate::page::PageLayout;
+use crate::mutate::{mbr, PageEntry};
 use crate::seam::PageRead;
 use crate::walk::{self, BatchOutput};
-use crate::{BufferManager, NodePage, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
+use crate::{
+    BufferManager, NodePage, NodeSoA, PageMeta, PageStore, MAX_ENTRIES_PACKED,
+    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
@@ -85,25 +91,12 @@ impl<S: PageStore> DiskRTree<S> {
     /// Panics if the tree is empty or its node capacity exceeds
     /// [`crate::MAX_ENTRIES_PER_PAGE`].
     pub fn create(
-        store: S,
-        tree: &RTree,
-        buffer_capacity: usize,
-        policy: impl ReplacementPolicy + 'static,
-    ) -> io::Result<Self> {
-        Self::create_with_layout(store, tree, buffer_capacity, policy, PageLayout::Soa)
-    }
-
-    /// Like [`DiskRTree::create`], but materializing node pages in an
-    /// explicit body layout — [`PageLayout::Aos`] reproduces the format-v2
-    /// images the seed wrote, for compatibility and differential tests.
-    pub fn create_with_layout(
         mut store: S,
         tree: &RTree,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
-        layout: PageLayout,
     ) -> io::Result<Self> {
-        let meta = materialize_with(&mut store, tree, layout)?;
+        let meta = materialize(&mut store, tree, false)?;
         Ok(Self::from_parts(
             BufferManager::new(store, buffer_capacity, policy),
             meta,
@@ -130,7 +123,7 @@ impl<S: PageStore> DiskRTree<S> {
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize_packed(&mut store, tree, crate::MAX_ENTRIES_PACKED)?;
+        let meta = materialize(&mut store, tree, true)?;
         Ok(Self::from_parts(
             BufferManager::new(store, buffer_capacity, policy),
             meta,
@@ -389,12 +382,14 @@ impl<S: PageStore> DiskRTree<S> {
         Ok(out)
     }
 
-    /// The seed's entry-at-a-time region query, kept verbatim as the
-    /// differential reference: decodes pages into [`NodePage`] (the AoS
-    /// gather path) and tests each entry with [`Rect::intersects`]. Visits
-    /// pages in exactly the same order as [`DiskRTree::query`], so results
-    /// *and* I/O counts must match — the `simd_vs_seed` suite and the
-    /// `simd_traversal` bench rely on this. Never deleted.
+    /// The seed's entry-at-a-time region query, the differential reference
+    /// for every kernel and page format: decodes pages into [`NodePage`]
+    /// (one `(rect, pointer)` entry at a time, whatever the page layout)
+    /// and tests each entry with [`Rect::intersects`] — no SoA scratch
+    /// node, no dispatched kernel. Visits pages in exactly the same order
+    /// as [`DiskRTree::query`], so on the same image results *and* I/O
+    /// counts must match: the `simd_vs_seed` and `compress_vs_seed` suites
+    /// and the `simd_traversal` bench rely on this.
     pub fn query_scalar(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
         let mut results = Vec::new();
         let root = self.meta.root;
@@ -456,215 +451,80 @@ impl<S: PageStore> DiskRTree<S> {
     }
 }
 
-/// Serializes `tree` into `store` (meta page 0, node pages in level order)
-/// in the current (SoA) layout and returns the metadata. Shared by
-/// [`DiskRTree::create`] and [`crate::ConcurrentDiskRTree::create`].
-pub(crate) fn materialize<S: PageStore>(store: &mut S, tree: &RTree) -> io::Result<PageMeta> {
-    materialize_with(store, tree, PageLayout::Soa)
+/// Node capacities of a new image.
+struct Capacities {
+    /// Leaf capacity — and the internal capacity too, unless `compressed`.
+    max_entries: usize,
+    /// Guttman's `m`, the condense-tree threshold.
+    min_entries: usize,
+    /// A compressed (format v4) image: internal pages are Packed, up to
+    /// [`MAX_ENTRIES_PACKED`] quantized entries each.
+    compressed: bool,
 }
 
-/// Writes the image of an empty tree — meta page 0 and an empty root leaf
-/// on page 1 — and returns the metadata. `level_starts` is `[1]`, or empty
-/// for a tree that never relies on the bulk-load layout.
+/// Writes a new tree image into an empty `store` — meta page 0, then one
+/// page per node in level order, root level first, each level contiguous —
+/// and returns its metadata. Every `create*` constructor ends here: page
+/// numbering and [`PageMeta`] assembly exist once.
+///
+/// `nodes[k]` is the node count of on-page level `k` (leaf level first);
+/// `entries_of(k, i)` yields node `i` of level `k`, asked for one node at a
+/// time in page order, so no level is ever held as a whole. At level 0 a
+/// pointer is an item id; above it, the index of the child within level
+/// `k − 1`, which becomes a page id here. `level_table` records the
+/// level-order layout in the meta page; a tree that is about to be mutated
+/// in place never relies on it.
 ///
 /// # Panics
-/// Panics if the capacities are out of range (Guttman's `1 <= m <= M/2`).
-pub(crate) fn materialize_empty<S: PageStore>(
+/// Panics if a capacity is out of range: `2 <= M <= 102`, Guttman's
+/// `1 <= m <= M/2`.
+fn write_image<S: PageStore>(
     store: &mut S,
-    max_entries: usize,
-    min_entries: usize,
-    level_starts: Vec<u64>,
+    nodes: &[usize],
+    mut entries_of: impl FnMut(usize, usize) -> Vec<PageEntry>,
+    caps: Capacities,
+    items: u64,
+    level_table: bool,
 ) -> io::Result<PageMeta> {
+    let Capacities {
+        max_entries,
+        min_entries,
+        compressed,
+    } = caps;
     assert!(
-        (2..=crate::MAX_ENTRIES_PER_PAGE).contains(&max_entries),
-        "node capacity {max_entries} out of range 2..={}",
-        crate::MAX_ENTRIES_PER_PAGE
+        (2..=MAX_ENTRIES_PER_PAGE).contains(&max_entries),
+        "node capacity {max_entries} out of range 2..={MAX_ENTRIES_PER_PAGE}"
     );
     assert!(
         min_entries >= 1 && 2 * min_entries <= max_entries,
         "min fill {min_entries} must satisfy 1 <= m <= M/2"
     );
+
+    let mut start_of = vec![0u64; nodes.len()];
+    let mut next_page = 1u64;
+    for k in (0..nodes.len()).rev() {
+        start_of[k] = next_page;
+        next_page += nodes[k] as u64;
+    }
     let meta = PageMeta {
         root: 1,
-        height: 1,
+        height: nodes.len() as u32,
         max_entries: max_entries as u32,
         min_entries: min_entries as u32,
-        items: 0,
-        nodes: 1,
-        free_head: 0,
-        level_starts,
-        internal_max_entries: max_entries as u32,
-        compressed: false,
-    };
-    let mut buf = vec![0u8; PAGE_SIZE];
-    let meta_page = store.allocate()?;
-    debug_assert_eq!(meta_page, PageId(0));
-    meta.encode(&mut buf);
-    store.write_page(meta_page, &buf)?;
-    let root = store.allocate()?;
-    NodePage {
-        level: 0,
-        entries: Vec::new(),
-    }
-    .encode(&mut buf);
-    store.write_page(root, &buf)?;
-    Ok(meta)
-}
-
-/// [`materialize`] with an explicit node-page body layout.
-pub(crate) fn materialize_with<S: PageStore>(
-    store: &mut S,
-    tree: &RTree,
-    layout: PageLayout,
-) -> io::Result<PageMeta> {
-    assert!(!tree.is_empty(), "cannot materialize an empty tree");
-    assert!(
-        tree.max_entries() <= crate::MAX_ENTRIES_PER_PAGE,
-        "node capacity {} exceeds page capacity {}",
-        tree.max_entries(),
-        crate::MAX_ENTRIES_PER_PAGE
-    );
-
-    // Level-order ids; assign page numbers 1.. in that order.
-    let ids = tree.node_ids();
-    let mut page_of_node = vec![0u64; ids.iter().map(|i| i.index() + 1).max().expect("non-empty")];
-    for (i, id) in ids.iter().enumerate() {
-        page_of_node[id.index()] = (i + 1) as u64;
-    }
-
-    // Level start table (paper levels: root first).
-    let height = tree.height();
-    let mut level_counts = vec![0u64; height as usize];
-    for id in &ids {
-        let paper_level = (height - 1 - tree.node(*id).level()) as usize;
-        level_counts[paper_level] += 1;
-    }
-    let mut level_starts = Vec::with_capacity(height as usize);
-    let mut next = 1u64;
-    for c in &level_counts {
-        level_starts.push(next);
-        next += c;
-    }
-
-    let meta = PageMeta {
-        root: 1,
-        height,
-        max_entries: tree.max_entries() as u32,
-        min_entries: tree.min_entries() as u32,
-        items: tree.len() as u64,
-        nodes: ids.len() as u64,
-        free_head: 0,
-        level_starts,
-        internal_max_entries: tree.max_entries() as u32,
-        compressed: false,
-    };
-
-    // Write meta + node pages.
-    let mut buf = vec![0u8; PAGE_SIZE];
-    let meta_page = store.allocate()?;
-    debug_assert_eq!(meta_page, PageId(0));
-    meta.encode(&mut buf);
-    store.write_page(meta_page, &buf)?;
-
-    for id in &ids {
-        let n = tree.node(*id);
-        let entries: Vec<(Rect, u64)> = if n.is_leaf() {
-            n.entries().collect()
-        } else {
-            (0..n.len())
-                .map(|i| (n.rect(i), page_of_node[n.child(i).index()]))
-                .collect()
-        };
-        let node_page = NodePage {
-            level: n.level() as u16,
-            entries,
-        };
-        let pid = store.allocate()?;
-        node_page.encode_with(&mut buf, layout);
-        store.write_page(pid, &buf)?;
-    }
-    Ok(meta)
-}
-
-/// Serializes `tree` into `store` as a compressed (format v4) image.
-///
-/// Leaf pages are written 1:1 from the tree's leaves, in the same order
-/// [`materialize_with`] writes them, as exact-`f64` SoA pages. Internal
-/// levels are *not* copied from the tree: they are rebuilt bottom-up by
-/// chunking consecutive children into Packed pages of up to `internal_cap`
-/// quantized entries, so the repacked tree is usually shallower and its
-/// internal footprint far smaller. Page ids are level order, root first,
-/// like every other materialization.
-pub(crate) fn materialize_packed<S: PageStore>(
-    store: &mut S,
-    tree: &RTree,
-    internal_cap: usize,
-) -> io::Result<PageMeta> {
-    use crate::mutate::mbr;
-
-    assert!(!tree.is_empty(), "cannot materialize an empty tree");
-    assert!(
-        tree.max_entries() <= crate::MAX_ENTRIES_PER_PAGE,
-        "node capacity {} exceeds page capacity {}",
-        tree.max_entries(),
-        crate::MAX_ENTRIES_PER_PAGE
-    );
-    assert!(
-        (2..=crate::MAX_ENTRIES_PACKED).contains(&internal_cap),
-        "internal capacity {internal_cap} out of range 2..={}",
-        crate::MAX_ENTRIES_PACKED
-    );
-
-    // Level 0: the tree's leaves, left to right (node_ids is level order,
-    // so filtering preserves exactly the leaf order materialize_with uses).
-    let leaf_entries: Vec<Vec<(Rect, u64)>> = tree
-        .node_ids()
-        .into_iter()
-        .filter(|id| tree.node(*id).is_leaf())
-        .map(|id| tree.node(id).entries().collect())
-        .collect();
-
-    // Upper levels: chunk consecutive child MBRs into groups of
-    // `internal_cap`. Pointers are indices into the level below for now;
-    // they become page ids once the level-order numbering is known.
-    let mut levels: Vec<Vec<Vec<(Rect, u64)>>> = vec![leaf_entries];
-    while levels.last().expect("non-empty").len() > 1 {
-        let below: Vec<Rect> = levels
-            .last()
-            .expect("non-empty")
-            .iter()
-            .map(|entries| mbr(entries))
-            .collect();
-        let next: Vec<Vec<(Rect, u64)>> = (0..below.len())
-            .collect::<Vec<usize>>()
-            .chunks(internal_cap)
-            .map(|chunk| chunk.iter().map(|&i| (below[i], i as u64)).collect())
-            .collect();
-        levels.push(next);
-    }
-
-    // Page numbering: root level first, then each level down, contiguous.
-    let height = levels.len() as u32;
-    let mut start_of_level = vec![0u64; levels.len()];
-    let mut level_starts = Vec::with_capacity(levels.len());
-    let mut next_page = 1u64;
-    for k in (0..levels.len()).rev() {
-        start_of_level[k] = next_page;
-        level_starts.push(next_page);
-        next_page += levels[k].len() as u64;
-    }
-
-    let meta = PageMeta {
-        root: 1,
-        height,
-        max_entries: tree.max_entries() as u32,
-        min_entries: tree.min_entries() as u32,
-        items: tree.len() as u64,
+        items,
         nodes: next_page - 1,
         free_head: 0,
-        level_starts,
-        internal_max_entries: internal_cap as u32,
-        compressed: true,
+        level_starts: if level_table {
+            start_of.iter().rev().copied().collect()
+        } else {
+            Vec::new()
+        },
+        internal_max_entries: if compressed {
+            MAX_ENTRIES_PACKED as u32
+        } else {
+            max_entries as u32
+        },
+        compressed,
     };
 
     let mut buf = vec![0u8; PAGE_SIZE];
@@ -672,26 +532,99 @@ pub(crate) fn materialize_packed<S: PageStore>(
     debug_assert_eq!(meta_page, PageId(0));
     meta.encode(&mut buf);
     store.write_page(meta_page, &buf)?;
-
-    for k in (0..levels.len()).rev() {
-        for node in &levels[k] {
-            let entries: Vec<(Rect, u64)> = if k == 0 {
-                node.clone()
-            } else {
-                node.iter()
-                    .map(|&(r, child)| (r, start_of_level[k - 1] + child))
-                    .collect()
-            };
-            let page = NodePage {
-                level: k as u16,
-                entries,
-            };
+    for k in (0..nodes.len()).rev() {
+        for i in 0..nodes[k] {
+            let mut entries = entries_of(k, i);
+            if k > 0 {
+                for (_, child) in &mut entries {
+                    *child += start_of[k - 1];
+                }
+            }
+            let level = k as u16;
             let pid = store.allocate()?;
-            page.encode_with(&mut buf, meta.layout_at(k as u16));
+            NodePage { level, entries }.encode_with(&mut buf, meta.layout_at(level));
             store.write_page(pid, &buf)?;
         }
     }
     Ok(meta)
+}
+
+/// Writes the image of an empty tree: an empty root leaf under the meta
+/// page.
+pub(crate) fn materialize_empty<S: PageStore>(
+    store: &mut S,
+    max_entries: usize,
+    min_entries: usize,
+    level_table: bool,
+) -> io::Result<PageMeta> {
+    let caps = Capacities {
+        max_entries,
+        min_entries,
+        compressed: false,
+    };
+    write_image(store, &[1], |_, _| Vec::new(), caps, 0, level_table)
+}
+
+/// Serializes `tree` into `store` through [`write_image`]. Leaf pages are
+/// the tree's leaves, left to right, as exact-`f64` SoA pages. Uncompressed,
+/// the internal levels are the tree's own; `compressed` (a format v4 image)
+/// they are *not* copied from the tree but rebuilt bottom-up by chunking
+/// consecutive children into full Packed pages, so the repacked tree is
+/// usually shallower and its internal footprint far smaller.
+pub(crate) fn materialize<S: PageStore>(
+    store: &mut S,
+    tree: &RTree,
+    compressed: bool,
+) -> io::Result<PageMeta> {
+    assert!(!tree.is_empty(), "cannot materialize an empty tree");
+    // `node_ids` is level order, root first: split it into levels, leaf
+    // level first, noting each node's position within its level.
+    let ids = tree.node_ids();
+    let mut levels = vec![Vec::new(); tree.height() as usize];
+    let mut position = vec![0u64; ids.iter().map(|i| i.index() + 1).max().expect("non-empty")];
+    for id in ids {
+        let level = &mut levels[tree.node(id).level() as usize];
+        position[id.index()] = level.len() as u64;
+        level.push(id);
+    }
+    // The levels above the leaves, as entries pointing into the level
+    // below: small (a node per page-full of children), so held whole.
+    let mut upper: Vec<Vec<Vec<PageEntry>>> = Vec::new();
+    if compressed {
+        let mut below: Vec<Rect> = levels[0].iter().map(|id| tree.node(*id).mbr()).collect();
+        while below.len() > 1 {
+            let slots: Vec<PageEntry> = below.iter().copied().zip(0u64..).collect();
+            let level: Vec<Vec<PageEntry>> = slots
+                .chunks(MAX_ENTRIES_PACKED)
+                .map(<[PageEntry]>::to_vec)
+                .collect();
+            below = level.iter().map(|entries| mbr(entries)).collect();
+            upper.push(level);
+        }
+    } else {
+        let slots = |id: &_| {
+            let n = tree.node(*id);
+            let slot = |j| (n.rect(j), position[n.child(j).index()]);
+            (0..n.len()).map(slot).collect()
+        };
+        upper.extend(
+            levels[1..]
+                .iter()
+                .map(|ids| ids.iter().map(slots).collect()),
+        );
+    }
+    let mut nodes = vec![levels[0].len()];
+    nodes.extend(upper.iter().map(Vec::len));
+    let entries_of = |k: usize, i: usize| match k {
+        0 => tree.node(levels[0][i]).entries().collect(),
+        _ => std::mem::take(&mut upper[k - 1][i]),
+    };
+    let caps = Capacities {
+        max_entries: tree.max_entries(),
+        min_entries: tree.min_entries(),
+        compressed,
+    };
+    write_image(store, &nodes, entries_of, caps, tree.len() as u64, true)
 }
 
 #[cfg(test)]
@@ -795,34 +728,55 @@ mod tests {
 
     #[test]
     fn simd_and_scalar_queries_agree_with_equal_io() {
-        // Same data, two trees: v3 (SoA) queried through the SIMD path and
-        // v2 (AoS) queried through the verbatim seed path — results and
+        // Same image, two handles: one queried through the SIMD path, the
+        // other through the seed's entry-at-a-time path — results and
         // physical reads must be identical.
         let rects = sample_rects(800);
         let tree = BulkLoader::hilbert(12).load(&rects);
-        let mut v3 = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
-        let mut v2 = DiskRTree::create_with_layout(
-            MemStore::new(),
-            &tree,
-            40,
-            LruPolicy::new(),
-            PageLayout::Aos,
-        )
-        .unwrap();
+        let mut simd = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
+        let mut seed = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
         for q in [
             Rect::new(0.1, 0.1, 0.4, 0.3),
             Rect::new(0.0, 0.0, 1.0, 1.0),
             Rect::point(Point::new(0.5, 0.5)),
             Rect::new(0.99, 0.99, 1.0, 1.0),
         ] {
-            assert_eq!(v3.query(&q).unwrap(), v2.query_scalar(&q).unwrap(), "{q}");
-            assert_eq!(v3.physical_reads(), v2.physical_reads(), "{q}");
+            assert_eq!(
+                simd.query(&q).unwrap(),
+                seed.query_scalar(&q).unwrap(),
+                "{q}"
+            );
+            assert_eq!(simd.physical_reads(), seed.physical_reads(), "{q}");
         }
-        // Both paths decode both layouts: cross them.
-        assert_eq!(
-            v3.query_scalar(&Rect::new(0.2, 0.2, 0.6, 0.6)).unwrap(),
-            v2.query(&Rect::new(0.2, 0.2, 0.6, 0.6)).unwrap()
-        );
+    }
+
+    /// The image writer's output is pinned byte for byte: whole-image
+    /// CRC-32s recorded from the build that still had three materializers
+    /// (PR 16), one per form an image is born in.
+    #[test]
+    fn image_writer_reproduces_the_recorded_images() {
+        let crc = |store: MemStore| {
+            let image = store.snapshot();
+            (image.len() / PAGE_SIZE, rtree_wal::crc32::checksum(&image))
+        };
+        let rects: Vec<Rect> = (0..3_000)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033) % 0.96;
+                let y = (i as f64 * 0.414_213) % 0.96;
+                Rect::new(x, y, x + 0.015, y + 0.015)
+            })
+            .collect();
+        let tree = BulkLoader::hilbert(16).load(&rects);
+        let v3 = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        assert_eq!(crc(v3.into_store()), (202, 2_624_670_787), "v3");
+        let v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        assert_eq!(crc(v4.into_store()), (190, 1_670_899_625), "v4");
+        let empty = DiskRTree::create_empty(MemStore::new(), 16, 6, 4, LruPolicy::new()).unwrap();
+        assert_eq!(crc(empty.into_store()), (2, 3_701_525_664), "empty");
+        // The writable tree's empty image records no level table.
+        let mut store = MemStore::new();
+        materialize_empty(&mut store, 16, 6, false).unwrap();
+        assert_eq!(crc(store), (2, 0x6d3a_a3ff), "empty, no level table");
     }
 
     #[test]

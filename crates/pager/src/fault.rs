@@ -92,11 +92,6 @@ impl<S: PageStore> FaultStore<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    /// The inner store, for post-crash inspection.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
 impl<S: PageStore> FaultStore<S> {

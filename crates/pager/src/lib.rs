@@ -9,17 +9,15 @@
 //! end-to-end measurement the analytic model and the trace simulation can
 //! be checked against (`validate_disk` experiment).
 //!
-//! Pages are 4 KiB, little-endian, CRC-32-sealed, in one of three node
-//! layouts (see [`PageLayout`] and the `page` module docs): v2 AoS
-//! (40-byte `(rect, ptr)` entries, exactly Guttman's node entry — the
-//! seed's format, kept for compatibility and as the differential
-//! reference), v3 SoA (five coordinate/pointer planes the SIMD kernels
-//! stream, ≤ 102 entries — above the paper's largest node capacity of 100)
-//! and v4
-//! Packed (internal pages of compressed trees: 16-bit codes relative to the
-//! page's bounding rect, conservatively rounded, ≤ 253 entries; leaves stay
-//! exact). Checksums are verified once, where bytes enter a buffer pool;
-//! decoding returns a typed [`PageError`] on corruption.
+//! Pages are 4 KiB, little-endian, CRC-32-sealed, in one of two node
+//! layouts (see [`PageLayout`]; the `page` module is the only code that
+//! knows a byte offset): v3 SoA (five coordinate/pointer planes the SIMD
+//! kernels stream, ≤ 102 entries — above the paper's largest node capacity
+//! of 100) and v4 Packed (internal pages of compressed trees: 16-bit codes
+//! relative to the page's bounding rect, conservatively rounded, ≤ 253
+//! entries; leaves stay exact). Checksums are verified once, where bytes
+//! enter a buffer pool; decoding returns a typed [`PageError`] on
+//! corruption.
 //!
 //! Every algorithm that decides *which pages are touched in which order* —
 //! the depth-first region walk, the level-synchronous batched walk, kNN,
@@ -38,7 +36,6 @@
 //! short appends and read faults to exercise exactly those paths.
 
 mod bufmgr;
-mod compress;
 mod concurrent;
 mod disk_tree;
 mod fault;
@@ -52,7 +49,6 @@ mod store;
 mod walk;
 
 pub use bufmgr::{BufferManager, IoStats, PrefetchOutcome};
-pub use compress::{QRect, Quantizer};
 pub use concurrent::ConcurrentDiskRTree;
 pub use disk_tree::DiskRTree;
 pub use fault::FaultStore;
@@ -62,7 +58,5 @@ pub use page::{
 };
 pub use recovery::{recover, replay_committed, RecoveryReport, ReplaySummary};
 pub use sched::{StepSchedule, StepStore};
-pub use store::{
-    ConcurrentPageStore, FileStore, MemStore, PageStore, SharedMemStore, SharedPageStore,
-};
+pub use store::{ConcurrentPageStore, FileStore, MemStore, PageStore, SharedPageStore};
 pub use walk::{BatchOutput, BatchStats};

@@ -20,18 +20,12 @@
 //! chaining to the next) and are reused before the store grows.
 
 use crate::disk_tree::{materialize_empty, DiskRTree};
+use crate::page::{decode_free_page, encode_free_page};
 use crate::seam::PageWrite;
 use crate::{BufferManager, NodePage, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
 use std::io;
-
-/// Magic tag at offset 0 of a page on the free list.
-const FREE_MAGIC: &[u8; 4] = b"FREE";
-/// Byte offset of the next-free-page pointer inside a free page. Offsets
-/// 8..12 hold the page CRC (the buffer manager verifies every page at
-/// page-in, free pages included), so the pointer sits past it.
-const FREE_NEXT_OFFSET: usize = 16;
 
 pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
     entries
@@ -340,28 +334,14 @@ impl<S: PageStore> PageWrite for DiskRTree<S> {
             return Ok(self.mgr.allocate()?.0);
         }
         let id = self.meta.free_head;
-        let frame = self.mgr.fetch(PageId(id))?;
-        if &frame[0..4] != FREE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("free-list page {id} lacks the FREE tag"),
-            ));
-        }
-        self.meta.free_head = u64::from_le_bytes(
-            frame[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
+        self.meta.free_head = decode_free_page(self.mgr.fetch(PageId(id))?)?;
         Ok(id)
     }
 
     /// Pushes a page onto the free list (logged like any other write).
     fn free(&mut self, id: u64) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(FREE_MAGIC);
-        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
-            .copy_from_slice(&self.meta.free_head.to_le_bytes());
-        crate::page::seal(&mut buf);
+        encode_free_page(self.meta.free_head, &mut buf);
         self.mgr.write_buffered(PageId(id), &buf)?;
         self.meta.free_head = id;
         Ok(())
@@ -384,7 +364,7 @@ impl<S: PageStore> DiskRTree<S> {
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize_empty(&mut store, max_entries, min_entries, vec![1])?;
+        let meta = materialize_empty(&mut store, max_entries, min_entries, true)?;
         Ok(DiskRTree::from_parts(
             BufferManager::new(store, buffer_capacity, policy),
             meta,
@@ -492,7 +472,7 @@ mod tests {
             let (height, nodes) = (root.level as u32 + 1, children.len() as u64 + 1);
             pages.insert(1, root);
             pages.extend((2..).zip(children));
-            let mut meta = materialize_empty(&mut MemStore::new(), 4, 2, Vec::new()).expect("meta");
+            let mut meta = materialize_empty(&mut MemStore::new(), 4, 2, false).expect("meta");
             (meta.height, meta.nodes) = (height, nodes);
             Script {
                 meta,

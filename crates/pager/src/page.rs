@@ -1,16 +1,17 @@
-//! On-disk page layout.
+//! The page image: every byte offset of the on-disk format lives here.
 //!
-//! All integers are little-endian. Both page kinds carry a CRC-32 at byte
+//! All integers are little-endian. Every page carries a CRC-32 at byte
 //! offset 8, computed over the whole page with the checksum field zeroed, so
 //! torn writes and bit rot surface as [`PageError::ChecksumMismatch`] instead
 //! of silently wrong query answers.
 //!
-//! **Meta page** (page 0), format version 3 (version 2 still decodes;
-//! version 4 marks a tree with compressed internal pages):
+//! **Meta page** (page 0), format version 3, or 4 for a tree with
+//! compressed internal pages (version 2, the retired array-of-structs
+//! format, is a typed [`PageError::UnsupportedVersion`]):
 //! ```text
 //! offset  size  field
 //! 0       4     magic "RTDB"
-//! 4       4     format version (3, or 4 if compressed; 2 accepted on decode)
+//! 4       4     format version (3, or 4 if compressed)
 //! 8       4     crc32 (whole page, this field zeroed)
 //! 12      4     min entries (condense-tree threshold)
 //! 16      8     root page id
@@ -24,20 +25,18 @@
 //! 60+8L   4     internal node capacity (version 4 only)
 //! ```
 //!
-//! **Node page**, 16-byte header, three body layouts:
+//! **Node page**, 16-byte header, two body layouts:
 //! ```text
 //! 0       2     magic 0x5254 ("RT")
 //! 2       2     node level (0 = leaf)
 //! 4       2     entry count
-//! 6       2     layout flag: 0 = AoS (v2), 1 = SoA (v3), 2 = Packed (v4)
+//! 6       2     layout flag: 1 = SoA (v3), 2 = Packed (v4)
 //! 8       4     crc32 (whole page, this field zeroed)
 //! 12      4     reserved (0)
 //! ```
-//! *AoS body* (layout 0, what format v2 wrote — byte 6 was reserved-as-zero,
-//! so every v2 image self-identifies):
-//! ```text
-//! 16      40*k  entries: lo.x f64, lo.y f64, hi.x f64, hi.y f64, ptr u64
-//! ```
+//! Flag 0 was the array-of-structs body of format v2; it is rejected as
+//! [`PageError::UnsupportedLayout`] like any other unknown flag.
+//!
 //! *SoA body* (layout 1, format v3): five fixed-stride arrays of
 //! `102 × 8 = 816` bytes each — the first `k` slots of each are live —
 //! filling the page exactly (`16 + 5·816 = 4096`):
@@ -55,11 +54,10 @@
 //!
 //! *Packed body* (layout 2, format v4, internal pages of compressed trees):
 //! one full-precision *frame* rectangle — the page's own bounding rect —
-//! then each entry rectangle as four 16-bit codes relative to the frame
-//! (see [`crate::Quantizer`] for the conservative-rounding guarantee:
-//! decoded rects always *contain* the true rects). `253 × 16 = 4048` bytes
-//! of entries fill the page exactly (`16 + 32 + 4·506 + 2024 = 4096`),
-//! ~2.5× the 102-entry fan-out of the f64 layouts:
+//! then each entry rectangle as four 16-bit codes relative to the frame.
+//! `253 × 16 = 4048` bytes of entries fill the page exactly
+//! (`16 + 32 + 4·506 + 2024 = 4096`), ~2.5× the 102-entry fan-out of the
+//! f64 layout:
 //! ```text
 //! 16      32    frame: lo.x f64, lo.y f64, hi.x f64, hi.y f64
 //! 48      506   lo.x codes u16[0..253]
@@ -68,10 +66,37 @@
 //! 1566    506   hi.y codes u16[0..253]
 //! 2072    2024  ptr u64[0..253]
 //! ```
+//! The decode mapping from codes to coordinates lives in
+//! [`rtree_geom::quant`]; the encoder here owns the **conservative-rounding
+//! guarantee**: for every rectangle `r` inside the frame,
+//! `decode(encode(r)) ⊇ r`, and each edge moves outward by at most one
+//! quantum. Low edges round *down* (largest code decoding at-or-below the
+//! true coordinate), high edges round *up* (smallest code decoding
+//! at-or-above). Because the float estimate `(v − base) / quantum` can land
+//! a step off the true grid cell, the encoder verifies candidate codes
+//! against the actual decode mapping in a small window around the estimate
+//! instead of trusting the division — soundness comes from the check, not
+//! the arithmetic. Code 0 (= `base`) and code [`QMAX`] (= `top`) are always
+//! sound fallbacks, so containment holds unconditionally.
+//!
+//! Only *internal* pages are quantized: a decoded routing rectangle that
+//! contains the true child MBR can cause an extra descent (a false
+//! positive) but never a missed one, and leaf pages keep exact `f64`
+//! coordinates, so query result sets and kNN distances are exactly those
+//! of the uncompressed tree.
+//!
 //! Decode enforces a valid frame and `lo code <= hi code` per axis
-//! ([`PageError::CorruptRect`], the same invariant the f64 layouts check),
+//! ([`PageError::CorruptRect`], the same invariant the f64 layout checks),
 //! then dequantizes each plane contiguously into the SoA arrays — the SIMD
 //! kernels consume Packed pages exactly like SoA ones.
+//!
+//! **Free page** (a dissolved node on the free list headed in the meta
+//! page; reused before the store grows):
+//! ```text
+//! 0       4     tag "FREE"
+//! 8       4     crc32 (whole page, this field zeroed)
+//! 16      8     next free page id (0 = end of list)
+//! ```
 //!
 //! The level table in the meta page describes the contiguous level-order
 //! layout produced by bulk materialization. Once the tree has been mutated
@@ -79,8 +104,7 @@
 //! ("stale") and layout-dependent operations (`pin_top_levels`,
 //! `pages_per_level`) refuse to run.
 
-use crate::compress::{QRect, Quantizer};
-use rtree_geom::quant::{dequantize_into, quantum};
+use rtree_geom::quant::{dequant, dequantize_into, quantum, QMAX};
 use rtree_geom::{Point, Rect, RectSoA};
 use rtree_wal::crc32;
 use std::fmt;
@@ -90,19 +114,20 @@ use std::io;
 pub const PAGE_SIZE: usize = 4096;
 
 const NODE_HEADER: usize = 16;
+/// Bytes one SoA entry takes across the five planes (4 × f64 + pointer).
 const ENTRY_SIZE: usize = 40;
 const CRC_OFFSET: usize = 8;
 const LAYOUT_OFFSET: usize = 6;
 
-/// Maximum entries a node page can hold: `(4096 − 16) / 40`. The SoA body
-/// keeps the same capacity (five 816-byte arrays fill the page exactly).
+/// Maximum entries an SoA node page can hold: `(4096 − 16) / 40` (five
+/// 816-byte arrays fill the page exactly).
 pub const MAX_ENTRIES_PER_PAGE: usize = (PAGE_SIZE - NODE_HEADER) / ENTRY_SIZE;
 
 /// Byte stride of one SoA coordinate array: `102 × 8`.
 const SOA_STRIDE: usize = MAX_ENTRIES_PER_PAGE * 8;
 
 /// Maximum entries of a Packed (compressed, format v4) node page:
-/// `(4096 − 16 − 32) / (4·2 + 8) = 253`, ~2.5× the f64 layouts.
+/// `(4096 − 16 − 32) / (4·2 + 8) = 253`, ~2.5× the f64 layout.
 pub const MAX_ENTRIES_PACKED: usize = (PAGE_SIZE - NODE_HEADER - PACKED_FRAME_SIZE) / 16;
 
 /// Byte size of the Packed frame rectangle (4 × f64).
@@ -118,13 +143,15 @@ const PACKED_PTR_OFFSET: usize = PACKED_PLANES_OFFSET + 4 * PACKED_QSTRIDE;
 
 const META_MAGIC: [u8; 4] = *b"RTDB";
 const NODE_MAGIC: u16 = 0x5254;
-/// Format version this build writes (v3 = SoA node bodies). v2 images
-/// (AoS bodies, same header) still decode — see [`MIN_FORMAT_VERSION`] —
-/// and compressed trees are stamped [`FORMAT_VERSION_PACKED`].
+/// Format version of uncompressed trees (SoA node bodies throughout).
 const FORMAT_VERSION: u32 = 3;
 /// Format version of trees whose internal pages use the Packed layout.
 const FORMAT_VERSION_PACKED: u32 = 4;
-const MIN_FORMAT_VERSION: u32 = 2;
+
+/// Tag at offset 0 of a page on the free list.
+const FREE_MAGIC: [u8; 4] = *b"FREE";
+/// Offset of a free page's next-free-page pointer, past the page CRC.
+const FREE_NEXT_OFFSET: usize = 16;
 
 // The five SoA arrays must tile the page body exactly.
 const _: () = assert!(NODE_HEADER + 5 * SOA_STRIDE == PAGE_SIZE);
@@ -134,21 +161,18 @@ const _: () = assert!(PACKED_PTR_OFFSET + MAX_ENTRIES_PACKED * 8 == PAGE_SIZE);
 /// Body layout of a node page (header byte 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PageLayout {
-    /// Array-of-structs entries — what format v2 wrote.
-    Aos,
     /// Struct-of-arrays coordinate planes — format v3, the layout the SIMD
     /// kernels consume without a gather step.
     Soa,
     /// Frame-relative 16-bit quantized planes — format v4, internal pages
     /// of compressed trees. Decoded rects conservatively contain the true
-    /// ones (see [`crate::Quantizer`]).
+    /// ones (see the module docs).
     Packed,
 }
 
 impl PageLayout {
     fn flag(self) -> u16 {
         match self {
-            PageLayout::Aos => 0,
             PageLayout::Soa => 1,
             PageLayout::Packed => 2,
         }
@@ -156,7 +180,6 @@ impl PageLayout {
 
     fn from_flag(flag: u16) -> Result<Self, PageError> {
         match flag {
-            0 => Ok(PageLayout::Aos),
             1 => Ok(PageLayout::Soa),
             2 => Ok(PageLayout::Packed),
             other => Err(PageError::UnsupportedLayout(other)),
@@ -166,7 +189,7 @@ impl PageLayout {
     /// Entry capacity of a page in this layout.
     pub fn capacity(self) -> usize {
         match self {
-            PageLayout::Aos | PageLayout::Soa => MAX_ENTRIES_PER_PAGE,
+            PageLayout::Soa => MAX_ENTRIES_PER_PAGE,
             PageLayout::Packed => MAX_ENTRIES_PACKED,
         }
     }
@@ -192,7 +215,7 @@ pub enum PageError {
     },
     /// The magic bytes identify neither page kind.
     BadMagic,
-    /// The format version is not the one this build writes.
+    /// The format version is not one this build reads (3 or 4).
     UnsupportedVersion(u32),
     /// The stored CRC-32 does not match the page contents.
     ChecksumMismatch {
@@ -252,7 +275,7 @@ fn page_checksum(buf: &[u8]) -> u32 {
     h.finalize()
 }
 
-pub(crate) fn seal(buf: &mut [u8]) {
+fn seal(buf: &mut [u8]) {
     let crc = page_checksum(buf);
     buf[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
 }
@@ -271,6 +294,32 @@ fn check_len(buf: &[u8]) -> Result<(), PageError> {
         return Err(PageError::WrongLength { got: buf.len() });
     }
     Ok(())
+}
+
+/// Encodes a free-list page chaining to `next` (0 ends the list), sealing
+/// it like every other page: the buffer manager verifies free pages at
+/// page-in too.
+pub(crate) fn encode_free_page(next: u64, buf: &mut [u8]) {
+    assert_eq!(buf.len(), PAGE_SIZE);
+    buf.fill(0);
+    buf[0..4].copy_from_slice(&FREE_MAGIC);
+    buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8].copy_from_slice(&next.to_le_bytes());
+    seal(buf);
+}
+
+/// Decodes a free-list page, validating tag and checksum; returns the next
+/// free page id (0 = end of list).
+pub(crate) fn decode_free_page(buf: &[u8]) -> Result<u64, PageError> {
+    check_len(buf)?;
+    if buf[0..4] != FREE_MAGIC {
+        return Err(PageError::BadMagic);
+    }
+    verify_checksum(buf)?;
+    Ok(u64::from_le_bytes(
+        buf[FREE_NEXT_OFFSET..FREE_NEXT_OFFSET + 8]
+            .try_into()
+            .expect("8 bytes"),
+    ))
 }
 
 /// Decoded meta page.
@@ -331,9 +380,8 @@ impl PageMeta {
             off += 8;
         }
         if self.compressed {
-            // The internal capacity rides after the level table; v2/v3
-            // images have no such field (their internal capacity is
-            // `max_entries`), which keeps them byte-identical to before.
+            // The internal capacity rides after the level table; v3 images
+            // have no such field (their internal capacity is `max_entries`).
             buf[off..off + 4].copy_from_slice(&self.internal_max_entries.to_le_bytes());
         }
         seal(buf);
@@ -346,7 +394,7 @@ impl PageMeta {
             return Err(PageError::BadMagic);
         }
         let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION_PACKED).contains(&version) {
+        if !(FORMAT_VERSION..=FORMAT_VERSION_PACKED).contains(&version) {
             return Err(PageError::UnsupportedVersion(version));
         }
         verify_checksum(buf)?;
@@ -488,8 +536,8 @@ fn check_node_header(buf: &[u8], verify: bool) -> Result<(u16, usize, PageLayout
     }
     let level = u16::from_le_bytes(buf[2..4].try_into().expect("2 bytes"));
     let count = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes")) as usize;
-    // The layout governs the capacity (Packed holds 253 entries, the f64
-    // layouts 102), so it must be parsed before the count is judged.
+    // The layout governs the capacity (Packed holds 253 entries, SoA 102),
+    // so it must be parsed before the count is judged.
     let layout = PageLayout::from_flag(u16::from_le_bytes(
         buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2]
             .try_into()
@@ -563,6 +611,53 @@ fn check_packed_codes(buf: &[u8], count: usize) -> Result<(), PageError> {
     Ok(())
 }
 
+/// Largest code whose decoded value sits at or below `v` (a low edge).
+/// Candidates within ±2 of the float estimate are checked against the real
+/// decode mapping; code 0 decodes to exactly `base <= v` and is the
+/// unconditional fallback.
+fn code_lo(v: f64, base: f64, q: f64, top: f64) -> u16 {
+    if q == 0.0 {
+        return 0;
+    }
+    let est = ((v - base) / q).floor().clamp(0.0, QMAX as f64);
+    let c0 = est as u16;
+    let high = c0.saturating_add(2);
+    let low = c0.saturating_sub(2);
+    let mut c = high;
+    loop {
+        if dequant(c, base, q, top) <= v {
+            return c;
+        }
+        if c == low {
+            return 0;
+        }
+        c -= 1;
+    }
+}
+
+/// Smallest code whose decoded value sits at or above `v` (a high edge).
+/// Mirror image of [`code_lo`]; code [`QMAX`] decodes to exactly
+/// `top >= v` and is the unconditional fallback.
+fn code_hi(v: f64, base: f64, q: f64, top: f64) -> u16 {
+    if q == 0.0 {
+        return 0;
+    }
+    let est = ((v - base) / q).ceil().clamp(0.0, QMAX as f64);
+    let c0 = est as u16;
+    let high = c0.saturating_add(2);
+    let low = c0.saturating_sub(2);
+    let mut c = low;
+    loop {
+        if dequant(c, base, q, top) >= v {
+            return c;
+        }
+        if c == high {
+            return QMAX;
+        }
+        c += 1;
+    }
+}
+
 impl NodePage {
     /// Encodes into a page buffer in the current (SoA, v3) layout, sealing
     /// it with a checksum.
@@ -571,12 +666,6 @@ impl NodePage {
     /// Panics if there are more than [`MAX_ENTRIES_PER_PAGE`] entries.
     pub fn encode(&self, buf: &mut [u8]) {
         self.encode_with(buf, PageLayout::Soa)
-    }
-
-    /// Encodes in the legacy AoS (v2) layout — kept for the compatibility
-    /// and differential suites; production writes are SoA.
-    pub fn encode_v2(&self, buf: &mut [u8]) {
-        self.encode_with(buf, PageLayout::Aos)
     }
 
     /// Encodes into a page buffer in the given layout, sealing it with a
@@ -601,17 +690,6 @@ impl NodePage {
         buf[4..6].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
         buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&layout.flag().to_le_bytes());
         match layout {
-            PageLayout::Aos => {
-                let mut off = NODE_HEADER;
-                for (r, p) in &self.entries {
-                    buf[off..off + 8].copy_from_slice(&r.lo.x.to_le_bytes());
-                    buf[off + 8..off + 16].copy_from_slice(&r.lo.y.to_le_bytes());
-                    buf[off + 16..off + 24].copy_from_slice(&r.hi.x.to_le_bytes());
-                    buf[off + 24..off + 32].copy_from_slice(&r.hi.y.to_le_bytes());
-                    buf[off + 32..off + 40].copy_from_slice(&p.to_le_bytes());
-                    off += ENTRY_SIZE;
-                }
-            }
             PageLayout::Soa => {
                 for (i, (r, p)) in self.entries.iter().enumerate() {
                     for (k, v) in [
@@ -646,10 +724,22 @@ impl NodePage {
                     let off = PACKED_FRAME_OFFSET + k * 8;
                     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
                 }
-                let qz = Quantizer::new(frame);
+                // A union of valid entry rectangles: an invalid frame is a
+                // programming error, not a data error.
+                assert!(frame.is_valid(), "packed frame must be a valid rect");
+                let f = &frame;
+                let (qx, qy) = (quantum(f.lo.x, f.hi.x), quantum(f.lo.y, f.hi.y));
                 for (i, (r, p)) in self.entries.iter().enumerate() {
-                    let q = qz.encode(r);
-                    for (k, code) in [q.lo_x, q.lo_y, q.hi_x, q.hi_y].into_iter().enumerate() {
+                    // Coordinates are clamped into the frame first, so even
+                    // a rectangle poking outside it encodes to something
+                    // sound for the clamped portion.
+                    let codes = [
+                        code_lo(r.lo.x.clamp(f.lo.x, f.hi.x), f.lo.x, qx, f.hi.x),
+                        code_lo(r.lo.y.clamp(f.lo.y, f.hi.y), f.lo.y, qy, f.hi.y),
+                        code_hi(r.hi.x.clamp(f.lo.x, f.hi.x), f.lo.x, qx, f.hi.x),
+                        code_hi(r.hi.y.clamp(f.lo.y, f.hi.y), f.lo.y, qy, f.hi.y),
+                    ];
+                    for (k, code) in codes.into_iter().enumerate() {
                         let off = PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE + i * 2;
                         buf[off..off + 2].copy_from_slice(&code.to_le_bytes());
                     }
@@ -666,60 +756,44 @@ impl NodePage {
     /// `lo <= hi` — inverted rectangles never get past decode).
     pub fn decode(buf: &[u8]) -> Result<Self, PageError> {
         let (level, count, layout) = check_node_header(buf, true)?;
-        if layout == PageLayout::Packed {
-            // Frame validity and code ordering are the Packed equivalents
-            // of the rect invariant; with both held, every dequantized
-            // rectangle is valid by construction (monotone decode).
-            let frame = packed_frame(buf)?;
-            check_packed_codes(buf, count)?;
-            let qz = Quantizer::new(frame);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let q = QRect {
-                    lo_x: packed_code(buf, 0, i),
-                    lo_y: packed_code(buf, 1, i),
-                    hi_x: packed_code(buf, 2, i),
-                    hi_y: packed_code(buf, 3, i),
-                };
-                entries.push((qz.decode(&q), packed_ptr(buf, i)));
-            }
-            return Ok(NodePage { level, entries });
-        }
-        let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
         let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let (lo_x, lo_y, hi_x, hi_y, ptr) = match layout {
-                PageLayout::Aos => {
-                    let off = NODE_HEADER + i * ENTRY_SIZE;
-                    (
-                        f(&buf[off..off + 8]),
-                        f(&buf[off + 8..off + 16]),
-                        f(&buf[off + 16..off + 24]),
-                        f(&buf[off + 24..off + 32]),
-                        u64::from_le_bytes(buf[off + 32..off + 40].try_into().expect("8 bytes")),
-                    )
+        match layout {
+            PageLayout::Packed => {
+                // Frame validity and code ordering are the Packed
+                // equivalents of the rect invariant; with both held, every
+                // dequantized rectangle is valid by construction (monotone
+                // decode).
+                let f = packed_frame(buf)?;
+                check_packed_codes(buf, count)?;
+                let (qx, qy) = (quantum(f.lo.x, f.hi.x), quantum(f.lo.y, f.hi.y));
+                let x = |k, i| dequant(packed_code(buf, k, i), f.lo.x, qx, f.hi.x);
+                let y = |k, i| dequant(packed_code(buf, k, i), f.lo.y, qy, f.hi.y);
+                for i in 0..count {
+                    let rect = Rect {
+                        lo: Point::new(x(0, i), y(1, i)),
+                        hi: Point::new(x(2, i), y(3, i)),
+                    };
+                    entries.push((rect, packed_ptr(buf, i)));
                 }
-                PageLayout::Soa => (
-                    f(&soa_plane(buf, 0, count)[i * 8..i * 8 + 8]),
-                    f(&soa_plane(buf, 1, count)[i * 8..i * 8 + 8]),
-                    f(&soa_plane(buf, 2, count)[i * 8..i * 8 + 8]),
-                    f(&soa_plane(buf, 3, count)[i * 8..i * 8 + 8]),
-                    u64::from_le_bytes(
-                        soa_plane(buf, 4, count)[i * 8..i * 8 + 8]
-                            .try_into()
-                            .expect("8 bytes"),
-                    ),
-                ),
-                PageLayout::Packed => unreachable!("handled above"),
-            };
-            let rect = Rect {
-                lo: Point::new(lo_x, lo_y),
-                hi: Point::new(hi_x, hi_y),
-            };
-            if !rect.is_valid() {
-                return Err(PageError::CorruptRect);
             }
-            entries.push((rect, ptr));
+            PageLayout::Soa => {
+                let word = |k, i: usize| -> [u8; 8] {
+                    soa_plane(buf, k, count)[i * 8..i * 8 + 8]
+                        .try_into()
+                        .expect("8 bytes")
+                };
+                let f = |k, i| f64::from_le_bytes(word(k, i));
+                for i in 0..count {
+                    let rect = Rect {
+                        lo: Point::new(f(0, i), f(1, i)),
+                        hi: Point::new(f(2, i), f(3, i)),
+                    };
+                    if !rect.is_valid() {
+                        return Err(PageError::CorruptRect);
+                    }
+                    entries.push((rect, u64::from_le_bytes(word(4, i))));
+                }
+            }
         }
         Ok(NodePage { level, entries })
     }
@@ -729,9 +803,9 @@ impl NodePage {
 /// [`rtree_geom::RectSoA`] SIMD kernels consume.
 ///
 /// From a v3 (SoA) image the coordinate planes are copied contiguously,
-/// array by array, with **no per-entry gather**; from a legacy v2 (AoS)
-/// image the entries are gathered for compatibility. Decode applies the
-/// same validation as [`NodePage::decode`] — in particular the
+/// array by array, with **no per-entry gather**; a v4 (Packed) image is
+/// dequantized plane by plane. Decode applies the same validation as
+/// [`NodePage::decode`] — in particular the
 /// inverted-rectangle invariant (`lo <= hi`, all coordinates finite) is
 /// asserted here, so the kernels only ever see rectangles on which every
 /// variant provably agrees.
@@ -805,18 +879,6 @@ impl NodeSoA {
                         .chunks_exact(8)
                         .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
                 );
-            }
-            PageLayout::Aos => {
-                for i in 0..count {
-                    let off = NODE_HEADER + i * ENTRY_SIZE;
-                    lo_x.push(f(&buf[off..off + 8]));
-                    lo_y.push(f(&buf[off + 8..off + 16]));
-                    hi_x.push(f(&buf[off + 16..off + 24]));
-                    hi_y.push(f(&buf[off + 24..off + 32]));
-                    self.ptrs.push(u64::from_le_bytes(
-                        buf[off + 32..off + 40].try_into().expect("8 bytes"),
-                    ));
-                }
             }
             PageLayout::Packed => {
                 // Validate before filling (the node was cleared above, so
@@ -1001,25 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_corrupt_rect_aos() {
-        let node = NodePage {
-            level: 0,
-            entries: vec![(Rect::new(0.0, 0.0, 1.0, 1.0), 9)],
-        };
-        let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode_v2(&mut buf);
-        // Swap lo.x / hi.x to invert the rectangle, then re-seal so the
-        // checksum passes and the rect validator is what must fire.
-        let lo: [u8; 8] = buf[NODE_HEADER..NODE_HEADER + 8].try_into().unwrap();
-        let hi: [u8; 8] = buf[NODE_HEADER + 16..NODE_HEADER + 24].try_into().unwrap();
-        buf[NODE_HEADER..NODE_HEADER + 8].copy_from_slice(&hi);
-        buf[NODE_HEADER + 16..NODE_HEADER + 24].copy_from_slice(&lo);
-        seal(&mut buf);
-        assert_eq!(NodePage::decode(&buf), Err(PageError::CorruptRect));
-        assert_eq!(NodeSoA::decode(&buf).unwrap_err(), PageError::CorruptRect);
-    }
-
-    #[test]
     fn decode_rejects_corrupt_rect_soa() {
         let node = NodePage {
             level: 0,
@@ -1043,29 +1086,32 @@ mod tests {
 
     #[test]
     fn layouts_carry_identical_content() {
-        let node = NodePage {
-            level: 1,
-            entries: (0..MAX_ENTRIES_PER_PAGE as u64)
-                .map(|i| {
-                    let v = i as f64 / 128.0;
-                    (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
-                })
-                .collect(),
-        };
-        let (mut v2, mut v3) = (vec![0u8; PAGE_SIZE], vec![0u8; PAGE_SIZE]);
-        node.encode_v2(&mut v2);
-        node.encode(&mut v3);
-        assert_eq!(PageLayout::of(&v2).unwrap(), PageLayout::Aos);
-        assert_eq!(PageLayout::of(&v3).unwrap(), PageLayout::Soa);
-        assert_ne!(v2, v3, "the byte images differ");
-        assert_eq!(NodePage::decode(&v2).unwrap(), node);
-        assert_eq!(NodePage::decode(&v3).unwrap(), node);
-        // NodeSoA decodes both layouts to the same logical node.
-        for img in [&v2, &v3] {
-            let soa = NodeSoA::decode(img).unwrap();
-            assert_eq!(soa.level, node.level);
-            assert_eq!(soa.len(), node.entries.len());
-            for (i, (r, p)) in node.entries.iter().enumerate() {
+        // A full page in each layout: the flag names the layout, and the
+        // two decoders read the same logical node out of either image.
+        for (layout, n) in [
+            (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
+            (PageLayout::Packed, MAX_ENTRIES_PACKED),
+        ] {
+            let node = NodePage {
+                level: 1,
+                entries: (0..n as u64)
+                    .map(|i| {
+                        let v = i as f64 / 256.0;
+                        (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
+                    })
+                    .collect(),
+            };
+            let mut img = vec![0u8; PAGE_SIZE];
+            node.encode_with(&mut img, layout);
+            assert_eq!(PageLayout::of(&img).unwrap(), layout);
+            let aos = NodePage::decode(&img).unwrap();
+            if layout == PageLayout::Soa {
+                assert_eq!(aos, node, "f64 planes are lossless");
+            }
+            let soa = NodeSoA::decode(&img).unwrap();
+            assert_eq!(soa.level, aos.level);
+            assert_eq!(soa.len(), aos.entries.len());
+            for (i, (r, p)) in aos.entries.iter().enumerate() {
                 assert_eq!(soa.rects.get(i), *r);
                 assert_eq!(soa.ptrs[i], *p);
             }
@@ -1078,36 +1124,18 @@ mod tests {
             level: 0,
             entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1)],
         };
-        let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
-        buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&7u16.to_le_bytes());
-        seal(&mut buf);
-        assert_eq!(NodePage::decode(&buf), Err(PageError::UnsupportedLayout(7)));
-        assert_eq!(
-            NodeSoA::decode(&buf).unwrap_err(),
-            PageError::UnsupportedLayout(7)
-        );
-    }
-
-    #[test]
-    fn meta_decode_accepts_v2() {
-        let meta = sample_meta();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        meta.encode(&mut buf);
-        assert_eq!(
-            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-            3,
-            "this build writes format v3"
-        );
-        buf[4..8].copy_from_slice(&2u32.to_le_bytes());
-        seal(&mut buf);
-        assert_eq!(PageMeta::decode(&buf).unwrap(), meta, "v2 still opens");
-        buf[4..8].copy_from_slice(&1u32.to_le_bytes());
-        seal(&mut buf);
-        assert_eq!(
-            PageMeta::decode(&buf),
-            Err(PageError::UnsupportedVersion(1))
-        );
+        // Flag 0 is the retired v2 array-of-structs body: as unknown as 7.
+        for flag in [0u16, 7] {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            node.encode(&mut buf);
+            buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&flag.to_le_bytes());
+            seal(&mut buf);
+            let want = PageError::UnsupportedLayout(flag);
+            assert_eq!(NodePage::decode(&buf), Err(want.clone()));
+            assert_eq!(NodeSoA::decode(&buf).unwrap_err(), want);
+            assert_eq!(NodeSoA::new().decode_into_trusted(&buf), Err(want.clone()));
+            assert_eq!(PageLayout::of(&buf), Err(want));
+        }
     }
 
     #[test]
@@ -1127,11 +1155,19 @@ mod tests {
         let meta = sample_meta();
         let mut buf = vec![0u8; PAGE_SIZE];
         meta.encode(&mut buf);
-        buf[4..8].copy_from_slice(&9u32.to_le_bytes());
         assert_eq!(
-            PageMeta::decode(&buf),
-            Err(PageError::UnsupportedVersion(9))
+            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
+            3,
+            "this build writes format v3"
         );
+        // 2 is the retired v2 format: sealed or not, it is not opened.
+        for version in [1u32, 2, 5, 9] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            let want = Err(PageError::UnsupportedVersion(version));
+            assert_eq!(PageMeta::decode(&buf), want);
+            seal(&mut buf);
+            assert_eq!(PageMeta::decode(&buf), want);
+        }
     }
 
     #[test]
@@ -1316,5 +1352,129 @@ mod tests {
         assert_eq!(packed.capacity_at(1), 253);
         assert_eq!(packed.layout_at(0), PageLayout::Soa);
         assert_eq!(packed.layout_at(1), PageLayout::Packed);
+    }
+
+    /// Quantizes `rects` against exactly `frame` by putting the frame
+    /// itself in slot 0 of as many Packed pages as the rects need, and
+    /// returns what the pages decode to.
+    fn requantize(frame: Rect, rects: &[Rect]) -> Vec<Rect> {
+        let mut out = Vec::new();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for chunk in rects.chunks(MAX_ENTRIES_PACKED - 1) {
+            let entries = std::iter::once(&frame).chain(chunk).map(|r| (*r, 0));
+            let node = NodePage {
+                level: 1,
+                entries: entries.collect(),
+            };
+            node.encode_with(&mut buf, PageLayout::Packed);
+            let back = NodePage::decode(&buf).unwrap();
+            assert_eq!(back.entries[0].0, frame, "frame corners are exact");
+            out.extend(back.entries[1..].iter().map(|(r, _)| *r));
+        }
+        out
+    }
+
+    #[test]
+    fn round_trip_contains_original() {
+        let rects: Vec<Rect> = (0..500u64)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033) % 0.9;
+                let y = (i as f64 * 0.414_213) % 0.9;
+                Rect::new(x, y, x + 0.05, y + 0.07)
+            })
+            .collect();
+        let back = requantize(Rect::new(0.0, 0.0, 1.0, 1.0), &rects);
+        for (i, (back, r)) in back.iter().zip(&rects).enumerate() {
+            assert!(back.contains_rect(r), "i={i}: {back:?} must contain {r:?}");
+            assert!(back.is_valid());
+        }
+    }
+
+    #[test]
+    fn expansion_is_at_most_one_quantum_per_edge() {
+        let frame = Rect::new(-2.0, 3.0, 5.0, 4.5);
+        let slack_x = quantum(frame.lo.x, frame.hi.x) * (1.0 + 1e-9);
+        let slack_y = quantum(frame.lo.y, frame.hi.y) * (1.0 + 1e-9);
+        let rects: Vec<Rect> = (0..300u64)
+            .map(|i| {
+                let x = -2.0 + (i as f64 * 0.037) % 6.5;
+                let y = 3.0 + (i as f64 * 0.0041) % 1.3;
+                Rect::new(x, y, (x + 0.2).min(5.0), (y + 0.1).min(4.5))
+            })
+            .collect();
+        for (i, (back, r)) in requantize(frame, &rects).iter().zip(&rects).enumerate() {
+            assert!(r.lo.x - back.lo.x <= slack_x, "lo.x i={i}");
+            assert!(r.lo.y - back.lo.y <= slack_y, "lo.y i={i}");
+            assert!(back.hi.x - r.hi.x <= slack_x, "hi.x i={i}");
+            assert!(back.hi.y - r.hi.y <= slack_y, "hi.y i={i}");
+        }
+    }
+
+    #[test]
+    fn frame_corners_encode_exactly() {
+        // `requantize` asserts the frame in slot 0 round-trips bit-exactly.
+        requantize(Rect::new(0.25, 0.5, 0.75, 0.875), &[]);
+        requantize(
+            Rect::new(-1e6, 1e-9, 3.3, 7e5),
+            &[Rect::new(0.1, 0.2, 0.3, 0.4)],
+        );
+    }
+
+    #[test]
+    fn degenerate_frame_axis_is_lossless() {
+        // Zero-extent y axis: quantum 0, every code decodes to the base.
+        let frame = Rect::new(0.1, 0.4, 0.9, 0.4);
+        assert_eq!(quantum(frame.lo.y, frame.hi.y), 0.0);
+        let r = Rect::new(0.2, 0.4, 0.3, 0.4);
+        let back = requantize(frame, &[r])[0];
+        assert!(back.contains_rect(&r));
+        assert_eq!(back.lo.y, 0.4);
+        assert_eq!(back.hi.y, 0.4);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid rect")]
+    fn invalid_frame_is_rejected() {
+        let inverted = Rect {
+            lo: Point::new(1.0, 0.0),
+            hi: Point::new(0.0, 1.0),
+        };
+        let node = NodePage {
+            level: 1,
+            entries: vec![(inverted, 1)],
+        };
+        node.encode_with(&mut vec![0u8; PAGE_SIZE], PageLayout::Packed);
+    }
+
+    #[test]
+    fn free_page_round_trips_and_rejects_corruption() {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for next in [0u64, 7, u64::MAX] {
+            encode_free_page(next, &mut buf);
+            assert_eq!(decode_free_page(&buf), Ok(next));
+            // Sealed like every page, so page-in verification passes, and
+            // no other decoder mistakes it for a node or the meta page.
+            assert_eq!(verify_checksum(&buf), Ok(()));
+            assert_eq!(NodePage::decode(&buf), Err(PageError::BadMagic));
+            assert_eq!(PageMeta::decode(&buf), Err(PageError::BadMagic));
+        }
+        encode_free_page(7, &mut buf);
+        assert_eq!(
+            decode_free_page(&buf[..PAGE_SIZE - 1]),
+            Err(PageError::WrongLength { got: PAGE_SIZE - 1 })
+        );
+        let mut torn = buf.clone();
+        torn[FREE_NEXT_OFFSET] ^= 0x01;
+        assert!(matches!(
+            decode_free_page(&torn),
+            Err(PageError::ChecksumMismatch { .. })
+        ));
+        // A live node where a free page should be: bad tag, however valid.
+        NodePage {
+            level: 0,
+            entries: vec![],
+        }
+        .encode(&mut buf);
+        assert_eq!(decode_free_page(&buf), Err(PageError::BadMagic));
     }
 }

@@ -234,7 +234,7 @@ mod tests {
     /// the committed operations.
     #[test]
     fn group_committed_batches_survive_crash_and_replay() {
-        use crate::{ConcurrentDiskRTree, SharedMemStore};
+        use crate::ConcurrentDiskRTree;
         use rtree_buffer::LruPolicy;
         use rtree_wal::{GroupWal, MemLog, StagedLog};
 
@@ -246,7 +246,7 @@ mod tests {
         // The durable medium: bytes reach `durable` only on sync, so its
         // contents after a crash are exactly what an fsynced disk keeps.
         let durable = MemLog::new();
-        let store = SharedMemStore::new();
+        let store = MemStore::new();
         let tree = ConcurrentDiskRTree::create_writable(
             store,
             8,
@@ -277,7 +277,7 @@ mod tests {
         let survived = durable.read_all().unwrap();
 
         let recovered = ConcurrentDiskRTree::open_writable(
-            SharedMemStore::from_bytes(image_at_checkpoint),
+            MemStore::from_bytes(image_at_checkpoint),
             16,
             LruPolicy::new(),
             GroupWal::open(MemLog::new()).unwrap(),
@@ -300,12 +300,12 @@ mod tests {
     /// An empty or checkpoint-only log replays nothing.
     #[test]
     fn replay_with_no_committed_ops_is_a_no_op() {
-        use crate::{ConcurrentDiskRTree, SharedMemStore};
+        use crate::ConcurrentDiskRTree;
         use rtree_buffer::LruPolicy;
         use rtree_wal::{GroupWal, MemLog};
 
         let tree = ConcurrentDiskRTree::create_writable(
-            SharedMemStore::new(),
+            MemStore::new(),
             8,
             3,
             8,

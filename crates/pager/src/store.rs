@@ -77,9 +77,16 @@ impl<S: PageStore + ?Sized> PageStore for &mut S {
 
 /// In-memory page store (the default substrate for simulations: the point
 /// of the study is *counting* accesses, not waiting for a spindle).
+///
+/// The byte image sits behind a reader-writer lock so the store also has
+/// the shared read *and write* paths the concurrent tree's writer mode
+/// needs: distinct pages proceed in parallel up to the lock's reader-side
+/// concurrency; a page write takes the write lock, so a shared read always
+/// sees a whole page image. The exclusive (`&mut self`) paths go around the
+/// lock, so a sequential [`crate::DiskRTree`] pays nothing for it.
 #[derive(Default)]
 pub struct MemStore {
-    data: Vec<u8>,
+    data: RwLock<Vec<u8>>,
 }
 
 impl MemStore {
@@ -88,78 +95,11 @@ impl MemStore {
         MemStore::default()
     }
 
-    fn check(&self, id: PageId) -> io::Result<usize> {
-        let off = (id.0 as usize) * PAGE_SIZE;
-        if off + PAGE_SIZE > self.data.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("page {} out of bounds", id.0),
-            ));
-        }
-        Ok(off)
-    }
-}
-
-impl PageStore for MemStore {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let off = self.check(id)?;
-        buf.copy_from_slice(&self.data[off..off + PAGE_SIZE]);
-        Ok(())
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let off = self.check(id)?;
-        self.data[off..off + PAGE_SIZE].copy_from_slice(buf);
-        Ok(())
-    }
-
-    fn allocate(&mut self) -> io::Result<PageId> {
-        let id = PageId(self.page_count());
-        self.data.resize(self.data.len() + PAGE_SIZE, 0);
-        Ok(id)
-    }
-
-    fn page_count(&self) -> u64 {
-        (self.data.len() / PAGE_SIZE) as u64
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SharedPageStore for MemStore {
-    fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let off = self.check(id)?;
-        buf.copy_from_slice(&self.data[off..off + PAGE_SIZE]);
-        Ok(())
-    }
-}
-
-/// In-memory page store behind a reader-writer lock: the same byte image as
-/// [`MemStore`], but with the shared read *and write* paths the concurrent
-/// tree's writer mode needs. Distinct pages proceed in parallel up to the
-/// lock's reader-side concurrency; a page write takes the write lock, so a
-/// shared read always sees a whole page image.
-#[derive(Default)]
-pub struct SharedMemStore {
-    data: RwLock<Vec<u8>>,
-}
-
-impl SharedMemStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        SharedMemStore::default()
-    }
-
     /// Rebuilds a store from a byte image previously taken with
-    /// [`SharedMemStore::snapshot`] (chaos durability oracles replay
-    /// recovery against such base images).
+    /// [`MemStore::snapshot`] (chaos durability oracles replay recovery
+    /// against such base images).
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        SharedMemStore {
+        MemStore {
             data: RwLock::new(bytes),
         }
     }
@@ -177,29 +117,53 @@ impl SharedMemStore {
         self.data.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn offset(data: &[u8], id: PageId) -> io::Result<usize> {
-        let off = (id.0 as usize) * PAGE_SIZE;
-        if off + PAGE_SIZE > data.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("page {} out of bounds", id.0),
-            ));
-        }
-        Ok(off)
+    fn exclusive(&mut self) -> &mut Vec<u8> {
+        self.data.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl PageStore for SharedMemStore {
+/// The byte range of page `id` in an image of whole pages.
+fn page_of(data: &[u8], id: PageId) -> io::Result<std::ops::Range<usize>> {
+    let off = (id.0 as usize) * PAGE_SIZE;
+    if off + PAGE_SIZE > data.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("page {} out of bounds", id.0),
+        ));
+    }
+    Ok(off..off + PAGE_SIZE)
+}
+
+fn read_from(data: &[u8], id: PageId, buf: &mut [u8]) -> io::Result<()> {
+    assert_eq!(buf.len(), PAGE_SIZE);
+    buf.copy_from_slice(&data[page_of(data, id)?]);
+    Ok(())
+}
+
+fn write_to(data: &mut [u8], id: PageId, buf: &[u8]) -> io::Result<()> {
+    assert_eq!(buf.len(), PAGE_SIZE);
+    let page = page_of(data, id)?;
+    data[page].copy_from_slice(buf);
+    Ok(())
+}
+
+fn grow(data: &mut Vec<u8>) -> PageId {
+    let id = PageId((data.len() / PAGE_SIZE) as u64);
+    data.resize(data.len() + PAGE_SIZE, 0);
+    id
+}
+
+impl PageStore for MemStore {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.read_page_shared(id, buf)
+        read_from(self.exclusive(), id, buf)
     }
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.write_page_shared(id, buf)
+        write_to(self.exclusive(), id, buf)
     }
 
     fn allocate(&mut self) -> io::Result<PageId> {
-        self.allocate_shared()
+        Ok(grow(self.exclusive()))
     }
 
     fn page_count(&self) -> u64 {
@@ -211,31 +175,19 @@ impl PageStore for SharedMemStore {
     }
 }
 
-impl SharedPageStore for SharedMemStore {
+impl SharedPageStore for MemStore {
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let data = self.read();
-        let off = Self::offset(&data, id)?;
-        buf.copy_from_slice(&data[off..off + PAGE_SIZE]);
-        Ok(())
+        read_from(&self.read(), id, buf)
     }
 }
 
-impl ConcurrentPageStore for SharedMemStore {
+impl ConcurrentPageStore for MemStore {
     fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let mut data = self.write();
-        let off = Self::offset(&data, id)?;
-        data[off..off + PAGE_SIZE].copy_from_slice(buf);
-        Ok(())
+        write_to(&mut self.write(), id, buf)
     }
 
     fn allocate_shared(&self) -> io::Result<PageId> {
-        let mut data = self.write();
-        let id = PageId((data.len() / PAGE_SIZE) as u64);
-        let new_len = data.len() + PAGE_SIZE;
-        data.resize(new_len, 0);
-        Ok(id)
+        Ok(grow(&mut self.write()))
     }
 
     fn flush_shared(&self) -> io::Result<()> {
@@ -498,7 +450,7 @@ mod tests {
 
     #[test]
     fn shared_mem_store_round_trip_and_snapshot() {
-        let mut store = SharedMemStore::new();
+        let mut store = MemStore::new();
         exercise(&mut store);
         assert_eq!(store.page_count(), 2);
 
@@ -512,7 +464,7 @@ mod tests {
         assert!(store.write_page_shared(PageId(9), &page).is_err());
 
         // A snapshot rebuilds an identical store.
-        let copy = SharedMemStore::from_bytes(store.snapshot());
+        let copy = MemStore::from_bytes(store.snapshot());
         copy.read_page_shared(PageId(0), &mut out).unwrap();
         assert_eq!(out[7], 0x5A);
         assert_eq!(copy.page_count(), 2);
@@ -524,7 +476,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.pages");
         let file = FileStore::create(&path).unwrap();
-        let mem = SharedMemStore::new();
+        let mem = MemStore::new();
 
         for store in [&file as &(dyn ConcurrentPageStore + Send + Sync), &mem] {
             let ids: Vec<u64> = std::thread::scope(|s| {

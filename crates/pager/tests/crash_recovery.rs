@@ -201,7 +201,7 @@ fn transient_read_fault_is_an_error_not_a_panic() {
 /// apply the inserts the image already holds a second time.
 #[test]
 fn replay_is_idempotent_across_the_checkpoint_crash_window() {
-    use rtree_pager::{replay_committed, ConcurrentDiskRTree, SharedMemStore};
+    use rtree_pager::{replay_committed, ConcurrentDiskRTree};
     use rtree_wal::GroupWal;
 
     const K: u64 = 40;
@@ -214,7 +214,7 @@ fn replay_is_idempotent_across_the_checkpoint_crash_window() {
     // is append K + 1.
     let log = FaultLog::new(durable.clone(), CrashSwitch::new()).crash_at_append(K + 1, false);
     let tree = ConcurrentDiskRTree::create_writable(
-        SharedMemStore::new(),
+        MemStore::new(),
         MAX,
         MIN,
         FRAMES,
@@ -229,7 +229,7 @@ fn replay_is_idempotent_across_the_checkpoint_crash_window() {
         .expect_err("the log dies under the checkpoint record");
 
     let recovered = ConcurrentDiskRTree::open_writable(
-        SharedMemStore::from_bytes(tree.store().snapshot()),
+        MemStore::from_bytes(tree.store().snapshot()),
         FRAMES,
         LruPolicy::new(),
         GroupWal::open(MemLog::new()).unwrap(),

@@ -4,23 +4,24 @@
 //! Two generators feed `PageMeta::decode` / `NodePage::decode` / the SoA
 //! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`):
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
-//! *mutated valid pages* (encode a real page, flip a few seeded bytes —
-//! reaches past the checksum only when the flips land in it, past the
-//! structure checks when they don't). The invariant is the fuzz target's:
-//! decode returns `Ok` or a typed `PageError`, and never panics. Two
-//! cross-decoder properties ride along: when the AoS and SoA decoders both
-//! accept a frame they carry identical content, and the trusted
-//! (checksum-skipping) decode accepts at least whatever the full decode
-//! accepts.
+//! *mutated valid pages* (a real v3, v4, meta or free-list page with a few
+//! seeded bytes flipped — reaches past the checksum only when the flips
+//! land in it, past the structure checks when they don't). The invariant
+//! is the fuzz target's: decode returns `Ok` or a typed `PageError`, and
+//! never panics. Two cross-decoder properties ride along: when the AoS and
+//! SoA decoders both accept a frame they carry identical content, and the
+//! trusted (checksum-skipping) decode accepts at least whatever the full
+//! decode accepts.
 //!
 //! Hand-minimized regression inputs live at the bottom as separate tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use rtree_buffer::LruPolicy;
 use rtree_geom::Rect;
 use rtree_pager::{
-    NodePage, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE,
-    PAGE_SIZE,
+    DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED,
+    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 
 fn decode_both(bytes: &[u8]) {
@@ -112,17 +113,35 @@ fn packed_page() -> Vec<u8> {
     page
 }
 
+/// A free-list page exactly as the sequential tree writes one: empty a
+/// small tree again, flush, and lift the first `FREE`-tagged page out of
+/// the image.
+fn free_page() -> Vec<u8> {
+    let mut tree = DiskRTree::create_empty(MemStore::new(), 4, 2, 8, LruPolicy::new()).unwrap();
+    let rect = |i: u64| Rect::new(i as f64, 0.0, i as f64 + 0.5, 0.5);
+    for i in 0..40 {
+        tree.insert(rect(i), i).unwrap();
+    }
+    for i in 0..40 {
+        assert!(tree.delete(&rect(i), i).unwrap());
+    }
+    tree.flush().unwrap();
+    let image = tree.into_store().snapshot();
+    let mut pages = image.chunks(PAGE_SIZE);
+    let free = pages.find(|page| page.starts_with(b"FREE"));
+    free.expect("dissolved nodes are on the free list").to_vec()
+}
+
 #[test]
 fn mutated_valid_pages_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xBAD_F1B5);
     let mut meta_page = vec![0u8; PAGE_SIZE];
     sample_meta().encode(&mut meta_page);
-    // All node body layouts: v3/SoA (the default `encode`), v2/AoS, and
-    // v4/Packed — plus a v4 meta page, whose tail field is versioned.
+    // Both node body layouts: v3/SoA (the default `encode`) and
+    // v4/Packed — plus a v4 meta page, whose tail field is versioned, and
+    // a free-list page.
     let mut node_page = vec![0u8; PAGE_SIZE];
     sample_node().encode(&mut node_page);
-    let mut node_page_v2 = vec![0u8; PAGE_SIZE];
-    sample_node().encode_v2(&mut node_page_v2);
     let node_page_v4 = packed_page();
     let mut meta_page_v4 = vec![0u8; PAGE_SIZE];
     PageMeta {
@@ -135,9 +154,9 @@ fn mutated_valid_pages_never_panic() {
     for template in [
         &meta_page,
         &node_page,
-        &node_page_v2,
         &node_page_v4,
         &meta_page_v4,
+        &free_page(),
     ] {
         for _ in 0..10_000 {
             let mut page = template.clone();
@@ -157,28 +176,29 @@ fn valid_pages_round_trip() {
     assert_eq!(PageMeta::decode(&page).unwrap(), sample_meta());
     sample_node().encode(&mut page);
     assert_eq!(NodePage::decode(&page).unwrap(), sample_node());
-    sample_node().encode_v2(&mut page);
-    assert_eq!(NodePage::decode(&page).unwrap(), sample_node());
+    // A free page is sealed like any other, and is neither a node nor meta.
+    decode_both(&free_page());
+    assert!(matches!(
+        NodePage::decode(&free_page()),
+        Err(PageError::BadMagic)
+    ));
 }
 
-/// Both node decoders accept both body layouts and agree on the content —
-/// the AoS decoder reading a v3 page, the SoA decoder reading a v2 page,
-/// and each reading its native layout.
+/// Both node decoders accept both body layouts and agree on the content:
+/// the entry-at-a-time (AoS) decoder and the SoA decoder, each reading a
+/// v3 page (losslessly) and a v4 page (the same dequantization).
 #[test]
 fn aos_and_soa_decoders_agree_on_both_layouts() {
-    let node = sample_node();
     let mut v3 = vec![0u8; PAGE_SIZE];
-    node.encode(&mut v3);
-    let mut v2 = vec![0u8; PAGE_SIZE];
-    node.encode_v2(&mut v2);
+    sample_node().encode(&mut v3);
+    assert_eq!(NodePage::decode(&v3).unwrap(), sample_node());
 
-    for page in [&v3, &v2] {
-        let aos = NodePage::decode(page).unwrap();
-        let soa = NodeSoA::decode(page).unwrap();
-        assert_eq!(aos, node);
-        assert_eq!(soa.level, node.level);
-        assert_eq!(soa.len(), node.entries.len());
-        for (i, (r, p)) in node.entries.iter().enumerate() {
+    for page in [v3, packed_page()] {
+        let aos = NodePage::decode(&page).unwrap();
+        let soa = NodeSoA::decode(&page).unwrap();
+        assert_eq!(soa.level, aos.level);
+        assert_eq!(soa.len(), aos.entries.len());
+        for (i, (r, p)) in aos.entries.iter().enumerate() {
             assert_eq!(soa.rects.get(i), *r);
             assert_eq!(soa.ptrs[i], *p);
         }
@@ -260,22 +280,20 @@ fn regression_v3_entry_count_overflow() {
     ));
 }
 
-/// A layout flag naming neither body layout is a typed error, not an
+/// A layout flag naming neither body layout — 0, the retired v2
+/// array-of-structs body, included — is a typed error, not an
 /// out-of-bounds plane read.
 #[test]
 fn regression_unknown_layout_flag() {
-    let mut page = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut page);
-    page[6..8].copy_from_slice(&7u16.to_le_bytes());
-    reseal(&mut page);
-    assert!(matches!(
-        NodeSoA::decode(&page),
-        Err(PageError::UnsupportedLayout(7))
-    ));
-    assert!(matches!(
-        NodePage::decode(&page),
-        Err(PageError::UnsupportedLayout(7))
-    ));
+    for flag in [0u16, 7] {
+        let mut page = vec![0u8; PAGE_SIZE];
+        sample_node().encode(&mut page);
+        page[6..8].copy_from_slice(&flag.to_le_bytes());
+        reseal(&mut page);
+        let want = PageError::UnsupportedLayout(flag);
+        assert_eq!(NodeSoA::decode(&page).unwrap_err(), want);
+        assert_eq!(NodePage::decode(&page).unwrap_err(), want);
+    }
 }
 
 /// Truncated SoA frames: a v3 page cut anywhere — mid-header, mid-plane,

@@ -7,7 +7,7 @@ use rtree_buffer::{BufferPool, LruPolicy, PageId};
 use rtree_geom::quant::quantum;
 use rtree_geom::{Point, Rect};
 use rtree_pager::{
-    BufferManager, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore, Quantizer,
+    BufferManager, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore,
     MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 
@@ -19,13 +19,13 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
 }
 
 /// A frame plus rects expressed as fractions of it, so every rect is
-/// guaranteed to lie inside the frame the quantizer is built over.
+/// guaranteed to lie inside the frame they are quantized against.
 fn arb_frame_and_rects() -> impl Strategy<Value = (Rect, Vec<Rect>)> {
     (
         arb_rect(),
         prop::collection::vec(
             (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0),
-            1..64,
+            1..MAX_ENTRIES_PACKED,
         ),
     )
         .prop_map(|(frame, fracs)| {
@@ -102,15 +102,23 @@ proptest! {
         frame_and_rects in arb_frame_and_rects(),
     ) {
         let (frame, rects) = frame_and_rects;
-        // Conservative rounding, for arbitrary frames: the decoded rect
-        // always contains the original (no false negatives downstream),
-        // and each edge moves outward by at most one quantum — the error
-        // bound the buffer-model analysis in DESIGN.md relies on.
-        let q = Quantizer::new(frame);
+        // Conservative rounding, for arbitrary frames, through the page
+        // codec: with the frame itself in slot 0 the page's bounding rect
+        // is exactly `frame`, and every other slot decodes to a rect that
+        // contains the original (no false negatives downstream) with each
+        // edge moved outward by at most one quantum — the error bound the
+        // buffer-model analysis in DESIGN.md relies on.
+        let node = NodePage {
+            level: 1,
+            entries: std::iter::once(&frame).chain(&rects).map(|r| (*r, 0)).collect(),
+        };
+        let mut buf = vec![0u8; PAGE_SIZE];
+        node.encode_with(&mut buf, PageLayout::Packed);
+        let back = NodePage::decode(&buf).expect("decode own encoding");
+        prop_assert_eq!(back.entries[0].0, frame, "frame corners are exact");
         let slack_x = quantum(frame.lo.x, frame.hi.x) * (1.0 + 1e-9);
         let slack_y = quantum(frame.lo.y, frame.hi.y) * (1.0 + 1e-9);
-        for r in &rects {
-            let back = q.decode(&q.encode(r));
+        for ((back, _), r) in back.entries[1..].iter().zip(&rects) {
             prop_assert!(back.is_valid());
             prop_assert!(back.contains_rect(r), "decoded {back:?} must contain {r:?}");
             prop_assert!(r.lo.x - back.lo.x <= slack_x);

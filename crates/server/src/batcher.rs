@@ -273,13 +273,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
         }
     }
 
-    /// True once [`shutdown`] has begun.
-    ///
-    /// [`shutdown`]: MicroBatcher::shutdown
-    pub fn is_shutting_down(&self) -> bool {
-        lock(&self.shared.queue).shutdown
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> BatcherStats {
         BatcherStats {
@@ -296,11 +289,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
     /// The engine batches execute on.
     pub fn engine(&self) -> &E {
         &self.shared.engine
-    }
-
-    /// Jobs currently waiting (for tests and load shedding decisions).
-    pub fn queue_len(&self) -> usize {
-        lock(&self.shared.queue).jobs.len()
     }
 }
 

@@ -7,7 +7,7 @@ use rtree_core::Workload;
 use rtree_datagen::ClusteredPoints;
 use rtree_geom::Rect;
 use rtree_index::{BulkLoader, RTree};
-use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore, SharedMemStore};
+use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use rtree_server::{
     loadgen, serve, BatchPolicy, Client, LoadConfig, QueryEngine, Request, Response,
     SequentialEngine, ServerConfig, ServerHandle, WriterEngine,
@@ -264,7 +264,7 @@ fn loadgen_open_loop_paces_and_shutdown_after_stops_server() {
 fn sharded_read_only_tree_serves_identical_results() {
     let tree = build_tree(2_000);
     let concurrent =
-        ConcurrentDiskRTree::create_sharded(SharedMemStore::new(), &tree, 128, 4, LruPolicy::new)
+        ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 128, 4, LruPolicy::new)
             .expect("sharded tree");
     let handle = serve(
         WriterEngine::new(concurrent, 2, 2, true),
@@ -319,15 +319,9 @@ fn writer_server_serves_reads_its_own_writes_durably() {
     use rtree_wal::{GroupWal, MemLog};
 
     let wal = GroupWal::open(MemLog::new()).expect("wal");
-    let tree = ConcurrentDiskRTree::create_writable(
-        SharedMemStore::new(),
-        16,
-        4,
-        128,
-        LruPolicy::new(),
-        wal,
-    )
-    .expect("writable tree");
+    let tree =
+        ConcurrentDiskRTree::create_writable(MemStore::new(), 16, 4, 128, LruPolicy::new(), wal)
+            .expect("writable tree");
     let handle = serve(
         WriterEngine::new(tree, 2, 4, true),
         "127.0.0.1:0",
@@ -400,8 +394,7 @@ fn read_only_server_answers_writes_with_a_typed_error() {
     answers_writes_with_a_typed_error(start_server(&tree, BatchPolicy::default()));
     // The concurrent engine over a read-only tree refuses per op as well.
     let concurrent =
-        ConcurrentDiskRTree::create(SharedMemStore::new(), &tree, 64, LruPolicy::new())
-            .expect("tree");
+        ConcurrentDiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).expect("tree");
     let engine = WriterEngine::new(concurrent, 2, 2, true);
     answers_writes_with_a_typed_error(
         serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("serve"),

@@ -82,17 +82,6 @@ pub struct SimResult {
     pub warmup_queries: usize,
 }
 
-impl SimResult {
-    /// Relative half-width of the confidence interval.
-    pub fn relative_ci(&self) -> f64 {
-        if self.disk_accesses_per_query == 0.0 {
-            0.0
-        } else {
-            self.ci_half_width / self.disk_accesses_per_query
-        }
-    }
-}
-
 /// A configured simulation.
 ///
 /// # Examples

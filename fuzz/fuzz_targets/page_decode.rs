@@ -14,8 +14,9 @@
 use std::sync::OnceLock;
 
 use libfuzzer_sys::fuzz_target;
+use rtree_buffer::LruPolicy;
 use rtree_geom::Rect;
-use rtree_pager::{NodePage, NodeSoA, PageLayout, PageMeta, PAGE_SIZE};
+use rtree_pager::{DiskRTree, MemStore, NodePage, NodeSoA, PageLayout, PageMeta, PAGE_SIZE};
 
 fn probe(bytes: &[u8]) {
     let _ = PageMeta::decode(bytes);
@@ -36,25 +37,42 @@ fn probe(bytes: &[u8]) {
     }
 }
 
-/// A valid Packed (v4) page: 200 internal entries quantized against their
-/// union frame. Mutations of this template reach the deep v4 parse paths
-/// (frame validation, code-ordering checks, plane reads) that random bytes
-/// almost never find past the magic and checksum.
-fn packed_template() -> &'static [u8; PAGE_SIZE] {
-    static PAGE: OnceLock<[u8; PAGE_SIZE]> = OnceLock::new();
-    PAGE.get_or_init(|| {
-        let node = NodePage {
-            level: 1,
-            entries: (0..200)
+/// The seed corpus: one valid page of each kind a current image holds
+/// besides the meta page — a v3 (SoA) leaf, a Packed (v4) internal page of
+/// 200 entries quantized against their union frame, and a free-list page
+/// lifted out of a tree that dissolved nodes. Mutations of these reach the
+/// deep parse paths (plane reads, frame validation, code-ordering checks)
+/// that random bytes almost never find past the magic and checksum.
+fn templates() -> &'static [[u8; PAGE_SIZE]; 3] {
+    static PAGES: OnceLock<[[u8; PAGE_SIZE]; 3]> = OnceLock::new();
+    PAGES.get_or_init(|| {
+        let node = |level, n: u64| NodePage {
+            level,
+            entries: (0..n)
                 .map(|i| {
                     let x = i as f64 / 256.0;
                     (Rect::new(x, x * 0.5, x + 0.003, x * 0.5 + 0.002), i)
                 })
                 .collect(),
         };
-        let mut page = [0u8; PAGE_SIZE];
-        node.encode_with(&mut page, PageLayout::Packed);
-        page
+        let mut pages = [[0u8; PAGE_SIZE]; 3];
+        node(0, 90).encode(&mut pages[0]);
+        node(1, 200).encode_with(&mut pages[1], PageLayout::Packed);
+
+        let mut tree = DiskRTree::create_empty(MemStore::new(), 4, 2, 8, LruPolicy::new())
+            .expect("in-memory tree");
+        let rect = |i: u64| Rect::new(i as f64, 0.0, i as f64 + 0.5, 0.5);
+        for i in 0..40 {
+            tree.insert(rect(i), i).expect("insert");
+        }
+        for i in 0..40 {
+            tree.delete(&rect(i), i).expect("delete");
+        }
+        tree.flush().expect("flush");
+        let image = tree.into_store().snapshot();
+        let free = image.chunks(PAGE_SIZE).find(|page| page.starts_with(b"FREE"));
+        pages[2].copy_from_slice(free.expect("dissolved nodes are on the free list"));
+        pages
     })
 }
 
@@ -69,17 +87,20 @@ fuzz_target!(|data: &[u8]| {
     page[..n].copy_from_slice(&data[..n]);
     probe(&page);
 
-    // Patched v4 template: fuzz bytes become (offset, value) patches on a
-    // valid Packed page, probed both as-is (checksum path) and resealed
-    // (structural checks: frame, code ordering, count vs 253-capacity).
-    let mut packed = *packed_template();
-    for patch in data.chunks_exact(3) {
-        let off = u16::from_le_bytes([patch[0], patch[1]]) as usize % PAGE_SIZE;
-        packed[off] = patch[2];
+    // Patched templates: fuzz bytes become (offset, value) patches on each
+    // valid page, probed both as-is (checksum path) and resealed
+    // (structural checks: layout flag, count vs capacity, frame, code
+    // ordering, rectangle invariant).
+    for template in templates() {
+        let mut page = *template;
+        for patch in data.chunks_exact(3) {
+            let off = u16::from_le_bytes([patch[0], patch[1]]) as usize % PAGE_SIZE;
+            page[off] = patch[2];
+        }
+        probe(&page);
+        page[8..12].fill(0);
+        let crc = rtree_wal::crc32::checksum(&page);
+        page[8..12].copy_from_slice(&crc.to_le_bytes());
+        probe(&page);
     }
-    probe(&packed);
-    packed[8..12].fill(0);
-    let crc = rtree_wal::crc32::checksum(&packed);
-    packed[8..12].copy_from_slice(&crc.to_le_bytes());
-    probe(&packed);
 });

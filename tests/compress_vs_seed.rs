@@ -1,5 +1,6 @@
 //! Differential suite: compressed (v4) images must be observationally
-//! *exact* against the seed's scalar traversal on uncompressed pages —
+//! *exact* against the seed's scalar traversal (`DiskRTree::query_scalar`)
+//! of the uncompressed v3 image —
 //! same region/point/kNN answers — across every replacement policy,
 //! sequentially, sharded, and batched.
 //!
@@ -18,7 +19,7 @@ use buffered_rtrees::buffer::{
 };
 use buffered_rtrees::geom::{Point, Rect};
 use buffered_rtrees::index::{BulkLoader, RTree};
-use buffered_rtrees::pager::{DiskRTree, MemStore, PageLayout};
+use buffered_rtrees::pager::{DiskRTree, MemStore};
 
 fn dataset() -> Vec<Rect> {
     (0..3_000)
@@ -107,14 +108,8 @@ fn make_pair(
     buffer: usize,
     policy: &dyn Fn() -> Box<dyn ReplacementPolicy>,
 ) -> (DiskRTree<MemStore>, DiskRTree<MemStore>) {
-    let seed = DiskRTree::create_with_layout(
-        MemStore::new(),
-        tree,
-        buffer,
-        Boxed(policy()),
-        PageLayout::Aos,
-    )
-    .expect("create seed (v2)");
+    let seed = DiskRTree::create(MemStore::new(), tree, buffer, Boxed(policy()))
+        .expect("create seed (v3)");
     let v4 = DiskRTree::create_compressed(MemStore::new(), tree, buffer, Boxed(policy()))
         .expect("create v4");
     (seed, v4)
