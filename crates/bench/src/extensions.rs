@@ -9,10 +9,11 @@ use rand::{Rng, SeedableRng};
 use rtree_buffer::{BufferPool, LruPolicy, PageId, PolicyKind};
 use rtree_core::{BufferModel, MixedWorkload, TreeDescription, Workload};
 use rtree_datagen::ClusteredPoints;
-use rtree_index::{LinearSplit, RStarSplit, TupleAtATime};
-use rtree_nd::{buffer_model, BulkLoaderN, PointN, RTreeN, RectN, WorkloadN};
+use rtree_index::{BulkLoader, LinearSplit, NodeId, RStarSplit, RTree, TupleAtATime};
+use rtree_nd::{buffer_model, PointN, RectN, WorkloadN};
 use rtree_pager::{DiskRTree, MemStore};
 use rtree_sim::{QuerySampler, SimTree, Simulation};
+use std::collections::HashMap;
 
 /// **End-to-end physical validation** — the same workload measured three
 /// ways:
@@ -413,8 +414,9 @@ pub(crate) fn nd_generalization(opts: &Opts, out: &mut String) -> Result<(), Str
             .collect()
     }
 
-    fn simulate<const D: usize>(tree: &RTreeN<D>, buffer: usize, queries: usize) -> f64 {
-        let pages = tree.page_numbers();
+    fn simulate<const D: usize>(tree: &RTree<RectN<D>>, buffer: usize, queries: usize) -> f64 {
+        // Level order, root first: the model's page numbering.
+        let pages: HashMap<NodeId, u64> = tree.node_ids().into_iter().zip(0..).collect();
         let mut pool = BufferPool::new(buffer, LruPolicy::new());
         let mut rng = StdRng::seed_from_u64(0xD1A6 + D as u64);
         let warmup = queries / 4;
@@ -428,8 +430,8 @@ pub(crate) fn nd_generalization(opts: &Opts, out: &mut String) -> Result<(), Str
             }
             tree.search_with(
                 &RectN::point(PointN::new(c)),
-                |id| {
-                    pool.access(PageId(pages[id] as u64));
+                |id, _| {
+                    pool.access(PageId(pages[&id]));
                 },
                 |_| {},
             );
@@ -439,7 +441,7 @@ pub(crate) fn nd_generalization(opts: &Opts, out: &mut String) -> Result<(), Str
 
     fn row<const D: usize>(table: &mut Table, n: usize, cap: usize, buffer: usize, queries: usize) {
         let rects = scattered::<D>(n, 1_000 + D as u64);
-        let tree = BulkLoaderN::str_pack(cap).load(&rects);
+        let tree = BulkLoader::str_pack(cap).load(&rects);
         let model = buffer_model(&tree, &WorkloadN::uniform_point());
         let predicted = model.expected_disk_accesses(buffer);
         let simulated = simulate(&tree, buffer, queries);

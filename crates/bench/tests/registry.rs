@@ -49,32 +49,38 @@ fn all_starts_with_the_nineteen_repro_all_ran() {
     assert_eq!(names[..repro_all.len()], repro_all);
 }
 
+/// Runs `name` under `--quick` and compares its text with `golden`.
+fn assert_matches_golden(name: &str, golden: &str) {
+    let exp = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("{name} is not registered"));
+    let mut out = String::new();
+    (exp.run)(&QUICK, &mut out).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(out, golden, "{name} output drifted from the golden text");
+}
+
+macro_rules! golden {
+    ($name:literal) => {
+        assert_matches_golden($name, include_str!(concat!("golden/", $name, ".txt")))
+    };
+}
+
 #[test]
 fn model_only_experiments_match_the_parent_binaries() {
-    for (name, golden) in [
-        (
-            "table2_nodes_per_level",
-            include_str!("golden/table2_nodes_per_level.txt"),
-        ),
-        (
-            "fig6_buffer_sensitivity",
-            include_str!("golden/fig6_buffer_sensitivity.txt"),
-        ),
-        (
-            "fig7_tiger_datadriven",
-            include_str!("golden/fig7_tiger_datadriven.txt"),
-        ),
-        (
-            "fig8_cfd_datadriven",
-            include_str!("golden/fig8_cfd_datadriven.txt"),
-        ),
-    ] {
-        let exp = EXPERIMENTS
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("{name} is not registered"));
-        let mut out = String::new();
-        (exp.run)(&QUICK, &mut out).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(out, golden, "{name} output drifted from the golden text");
-    }
+    golden!("table2_nodes_per_level");
+    golden!("fig6_buffer_sensitivity");
+    golden!("fig7_tiger_datadriven");
+    golden!("fig8_cfd_datadriven");
+}
+
+/// Captured from the build before the tree became generic over its
+/// bounding box: these tables push STR, Morton, the linear and R* splits,
+/// forced reinsertion and delete/reinsert churn through the generic code,
+/// which must not move a digit in 2-D.
+#[test]
+fn loader_and_split_tables_match_the_two_d_only_tree() {
+    golden!("ablation_loaders");
+    golden!("ablation_splits");
+    golden!("update_quality");
 }

@@ -61,12 +61,6 @@ impl LruPolicy {
             self.tail = i;
         }
     }
-
-    /// The current victim candidate (least recently used page), if any.
-    /// Exposed for tests and debugging.
-    pub fn peek_lru(&self) -> Option<PageId> {
-        (self.tail != NIL).then(|| self.slots[self.tail as usize].page)
-    }
 }
 
 impl Default for LruPolicy {
@@ -178,16 +172,6 @@ mod tests {
             }
         }
         assert!(p.slots.len() <= 8, "slab grew: {}", p.slots.len());
-    }
-
-    #[test]
-    fn peek_matches_evict() {
-        let mut p = LruPolicy::new();
-        p.on_insert(PageId(1));
-        p.on_insert(PageId(2));
-        p.on_hit(PageId(1));
-        assert_eq!(p.peek_lru(), Some(PageId(2)));
-        assert_eq!(p.evict(), PageId(2));
     }
 
     #[test]

@@ -294,11 +294,6 @@ impl WarmupOutcome {
             WarmupOutcome::NeverFills { .. } => None,
         }
     }
-
-    /// True when the buffer holds the entire reachable working set.
-    pub fn never_fills(&self) -> bool {
-        matches!(self, WarmupOutcome::NeverFills { .. })
-    }
 }
 
 impl fmt::Display for WarmupOutcome {
@@ -493,7 +488,6 @@ mod tests {
         assert_eq!(m.warmup(1), WarmupOutcome::FillsAfter(1));
         assert_eq!(m.warmup(1).queries(), m.warmup_queries(1));
         let w = m.warmup(3);
-        assert!(w.never_fills());
         assert_eq!(w.queries(), None);
         assert_eq!(
             w,

@@ -11,7 +11,6 @@ use rtree_geom::{Point, Rect};
 #[derive(Clone, Copy, Debug)]
 pub struct SyntheticRegion {
     count: usize,
-    epsilon: f64,
 }
 
 impl SyntheticRegion {
@@ -20,17 +19,7 @@ impl SyntheticRegion {
 
     /// Creates a generator for `count` rectangles with the paper's ε.
     pub fn new(count: usize) -> Self {
-        SyntheticRegion {
-            count,
-            epsilon: Self::EPSILON,
-        }
-    }
-
-    /// Overrides ε (for sensitivity studies).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0);
-        self.epsilon = epsilon;
-        self
+        SyntheticRegion { count }
     }
 
     /// Generates the data set. Rectangles are clamped to the unit square
@@ -41,7 +30,7 @@ impl SyntheticRegion {
             .map(|_| {
                 let cx: f64 = rng.gen_range(0.0..1.0);
                 let cy: f64 = rng.gen_range(0.0..1.0);
-                let side: f64 = rng.gen_range(0.0..self.epsilon);
+                let side: f64 = rng.gen_range(0.0..Self::EPSILON);
                 Rect::centered(Point::new(cx, cy), side, side)
                     .clamp_unit()
                     .expect("center is inside the unit square")
@@ -123,11 +112,5 @@ mod tests {
         }
         let share = left as f64 / pts.len() as f64;
         assert!((0.45..0.55).contains(&share), "skew: {share}");
-    }
-
-    #[test]
-    fn custom_epsilon() {
-        let rects = SyntheticRegion::new(100).with_epsilon(0.2).generate(4);
-        assert!(rects.iter().any(|r| r.x_extent() > 0.01));
     }
 }

@@ -14,9 +14,15 @@
 //! * **STR** — Sort-Tile-Recursive (Leutenegger, López & Edgington, the
 //!   authors' cited follow-up [7]; extension).
 //!
+//! The general algorithm is written once, for any [`Bounds`]: the orderings
+//! only read center coordinates and curve keys, so the same loader packs
+//! the 2-D trees of the paper and the N-d trees of `rtree-nd`.
+//!
 //! [`TupleAtATime`] wraps Guttman insertion so that TAT can be used through
 //! the same interface as the packing loaders.
 
+use crate::bounds::Bounds;
+use crate::node::NodeId;
 use crate::split::SplitPolicy;
 use crate::tree::RTree;
 use rtree_geom::{HilbertCurve, MortonCurve, Rect};
@@ -26,7 +32,8 @@ use rtree_geom::{HilbertCurve, MortonCurve, Rect};
 pub enum PackingOrder {
     /// Sort by center x-coordinate (the paper's NX).
     NearestX,
-    /// Sort centers along a Hilbert curve of the given order (the paper's HS).
+    /// Sort centers along a Hilbert curve of the given order — bits per
+    /// axis — (the paper's HS).
     Hilbert { order: u32 },
     /// Sort centers along a Morton / Z-order curve (extension).
     Morton { order: u32 },
@@ -47,40 +54,46 @@ impl PackingOrder {
 
     /// Permutes `entries` into packing order for one level of the tree.
     /// `cap` is the node capacity (needed by STR to shape its tiles).
-    fn arrange(&self, entries: &mut [(Rect, u64)], cap: usize) {
+    fn arrange<B: Bounds>(&self, entries: &mut [(B, u64)], cap: usize) {
         match *self {
-            PackingOrder::NearestX => {
-                sort_by_key_f64(entries, |r| r.center().x);
-            }
-            PackingOrder::Hilbert { order } => {
-                let curve = HilbertCurve::new(order);
-                entries.sort_by_key(|(r, _)| curve.index_of(&r.center()));
-            }
-            PackingOrder::Morton { order } => {
-                let curve = MortonCurve::new(order);
-                entries.sort_by_key(|(r, _)| curve.index_of(&r.center()));
-            }
-            PackingOrder::Str => {
-                // STR: P = ceil(R/n) pages; S = ceil(sqrt(P)) vertical
-                // slices of S*n rectangles each, sorted by x; each slice
-                // sorted by y. Consecutive runs of n then form the tiles.
-                let r = entries.len();
-                let pages = r.div_ceil(cap);
-                let slices = (pages as f64).sqrt().ceil() as usize;
-                let slice_len = slices * cap;
-                sort_by_key_f64(entries, |rect| rect.center().x);
-                for chunk in entries.chunks_mut(slice_len.max(1)) {
-                    sort_by_key_f64(chunk, |rect| rect.center().y);
-                }
-            }
+            PackingOrder::NearestX => sort_by_center(entries, 0),
+            PackingOrder::Hilbert { order } => entries.sort_by_key(|(b, _)| b.hilbert_key(order)),
+            PackingOrder::Morton { order } => entries.sort_by_key(|(b, _)| b.morton_key(order)),
+            PackingOrder::Str => str_tile(entries, cap, 0),
         }
     }
 }
 
-fn sort_by_key_f64(entries: &mut [(Rect, u64)], key: impl Fn(&Rect) -> f64) {
+/// STR as ref. [7] states it for `k` dimensions: sort the (non-empty)
+/// `entries` by center along `axis`; with `k` axes left and `P = ceil(r/n)`
+/// pages to fill, cut the run into `ceil(P^(1/k))` slabs of
+/// `n * ceil(P^((k-1)/k))` entries and tile each slab along the remaining
+/// axes. Consecutive runs of `n` then form the tiles. In 2-D this is the
+/// familiar `S = ceil(sqrt(P))` vertical slices of `S * n` rectangles,
+/// each sorted by y.
+fn str_tile<B: Bounds>(entries: &mut [(B, u64)], cap: usize, axis: usize) {
+    sort_by_center(entries, axis);
+    let k = B::DIM - axis;
+    if k == 1 {
+        return;
+    }
+    let pages = entries.len().div_ceil(cap) as f64;
+    // `sqrt`, not `powf(0.5)`: the arithmetic every recorded 2-D table was
+    // produced with.
+    let pages_per_slab = if k == 2 {
+        pages.sqrt()
+    } else {
+        pages.powf((k - 1) as f64 / k as f64)
+    };
+    for slab in entries.chunks_mut(pages_per_slab.ceil() as usize * cap) {
+        str_tile(slab, cap, axis + 1);
+    }
+}
+
+fn sort_by_center<B: Bounds>(entries: &mut [(B, u64)], axis: usize) {
     entries.sort_by(|a, b| {
-        key(&a.0)
-            .partial_cmp(&key(&b.0))
+        a.0.center_coord(axis)
+            .partial_cmp(&b.0.center_coord(axis))
             .expect("rect coordinates are finite")
     });
 }
@@ -158,13 +171,13 @@ impl BulkLoader {
     }
 
     /// Loads rectangles, assigning item ids `0..rects.len()`.
-    pub fn load(&self, rects: &[Rect]) -> RTree {
-        let entries: Vec<(Rect, u64)> = rects.iter().copied().zip(0..rects.len() as u64).collect();
+    pub fn load<B: Bounds>(&self, rects: &[B]) -> RTree<B> {
+        let entries: Vec<(B, u64)> = rects.iter().copied().zip(0..rects.len() as u64).collect();
         self.load_entries(entries)
     }
 
     /// Loads explicit `(rect, id)` items.
-    pub fn load_entries(&self, mut items: Vec<(Rect, u64)>) -> RTree {
+    pub fn load_entries<B: Bounds>(&self, mut items: Vec<(B, u64)>) -> RTree<B> {
         let mut tree = RTree::builder(self.cap.max(4)).build();
         // The builder enforces cap >= 4 for splits; packing never splits, so
         // we honor the requested capacity exactly.
@@ -177,38 +190,29 @@ impl BulkLoader {
             assert!(r.is_valid(), "cannot load invalid rect {r}");
         }
 
-        // Build the leaf level.
-        self.order.arrange(&mut items, self.cap);
+        // The General Algorithm: order the level's entries, place runs of
+        // `cap` into nodes, and pack the nodes' (MBR, id) entries the same
+        // way until one node — the root — holds them all.
         let mut level = 0u32;
-        // (node MBR, node id) entries for the level being packed upward.
-        let mut upper: Vec<(Rect, u64)> = Vec::with_capacity(items.len().div_ceil(self.cap));
-        for chunk in items.chunks(self.cap) {
-            let id = tree.alloc(level);
-            for (r, p) in chunk {
-                tree.node_mut(id).push(*r, *p);
-            }
-            upper.push((tree.node(id).mbr(), id.index() as u64));
-        }
-
-        // Pack MBRs upward until one node remains.
-        while upper.len() > 1 {
-            level += 1;
-            self.order.arrange(&mut upper, self.cap);
-            let mut next: Vec<(Rect, u64)> = Vec::with_capacity(upper.len().div_ceil(self.cap));
-            for chunk in upper.chunks(self.cap) {
+        let root_id = loop {
+            self.order.arrange(&mut items, self.cap);
+            let mut upper: Vec<(B, u64)> = Vec::with_capacity(items.len().div_ceil(self.cap));
+            for chunk in items.chunks(self.cap) {
                 let id = tree.alloc(level);
                 for (r, p) in chunk {
                     tree.node_mut(id).push(*r, *p);
                 }
-                next.push((tree.node(id).mbr(), id.index() as u64));
+                upper.push((tree.node(id).mbr(), id.index() as u64));
             }
-            upper = next;
-        }
-
-        let root_id = crate::node::NodeId(upper[0].1 as u32);
+            if let [(_, root)] = upper[..] {
+                break NodeId(root as u32);
+            }
+            items = upper;
+            level += 1;
+        };
         // Slot 0 was pre-allocated by the builder as an empty leaf root;
         // release it unless it became the real root.
-        let placeholder = crate::node::NodeId(0);
+        let placeholder = NodeId(0);
         tree.root = root_id;
         if root_id != placeholder {
             tree.dealloc(placeholder);
@@ -359,7 +363,7 @@ mod tests {
 
     #[test]
     fn empty_load() {
-        let t = BulkLoader::hilbert(10).load(&[]);
+        let t: RTree = BulkLoader::hilbert(10).load(&[]);
         assert!(t.is_empty());
         t.validate().unwrap();
     }

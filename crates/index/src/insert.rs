@@ -2,17 +2,37 @@
 //! plus the R*-tree insertion path (reference [1] of the paper) as an
 //! opt-in — overlap-aware ChooseSubtree and forced reinsertion.
 
+use crate::bounds::Bounds;
 use crate::node::NodeId;
 use crate::tree::RTree;
-use rtree_geom::Rect;
 use std::sync::Arc;
 
-impl RTree {
+/// Guttman's ChooseLeaf criterion over the entries of one node: the slot
+/// whose box needs the least enlargement to include `new`, ties broken by
+/// smaller volume, then lower slot. The pager's on-page insert descends by
+/// this function too.
+pub fn choose_subtree<'a, B: Bounds>(boxes: impl IntoIterator<Item = &'a B>, new: &B) -> usize {
+    let mut best = 0usize;
+    let mut best_enl = f64::INFINITY;
+    let mut best_vol = f64::INFINITY;
+    for (i, b) in boxes.into_iter().enumerate() {
+        let enl = b.enlargement(new);
+        let vol = b.volume();
+        if enl < best_enl || (enl == best_enl && vol < best_vol) {
+            best = i;
+            best_enl = enl;
+            best_vol = vol;
+        }
+    }
+    best
+}
+
+impl<B: Bounds> RTree<B> {
     /// Inserts one item using the tree's configured insertion algorithm:
     /// Guttman by default (ChooseLeaf by least enlargement, split on
     /// overflow, AdjustTree upward), or the R* path when the tree was built
     /// with [`crate::RTreeBuilder::forced_reinsert`].
-    pub fn insert(&mut self, rect: Rect, id: u64) {
+    pub fn insert(&mut self, rect: B, id: u64) {
         assert!(rect.is_valid(), "cannot insert invalid rect {rect}");
         self.insert_at_level(rect, id, 0);
         self.len += 1;
@@ -21,7 +41,7 @@ impl RTree {
     /// Inserts an entry at a given node level (level 0 = leaf). Levels above
     /// 0 are used by condense-tree and forced reinsertion to re-attach
     /// subtrees; `ptr` is then a child [`NodeId`] index.
-    pub(crate) fn insert_at_level(&mut self, rect: Rect, ptr: u64, level: u32) {
+    pub(crate) fn insert_at_level(&mut self, rect: B, ptr: u64, level: u32) {
         if self.reinsert_fraction.is_some() {
             // One forced reinsert per level per top-level insertion
             // (R* overflow treatment); levels fit in a u64 bitmask.
@@ -35,7 +55,7 @@ impl RTree {
 
     /// Chooses the child slot to descend into from `node` for an entry with
     /// rectangle `rect` heading to `target_level`.
-    fn choose_subtree_slot(&self, node: NodeId, rect: &Rect, target_level: u32) -> usize {
+    fn choose_subtree_slot(&self, node: NodeId, rect: &B, target_level: u32) -> usize {
         let n = self.node(node);
         // R* refinement: when the children are at the target level, minimize
         // *overlap* enlargement (ties: area enlargement, then area). Only
@@ -51,11 +71,9 @@ impl RTree {
                     if i == j {
                         continue;
                     }
-                    let after = grown.intersection(other).map_or(0.0, |x| x.area());
-                    let before = r.intersection(other).map_or(0.0, |x| x.area());
-                    overlap_delta += after - before;
+                    overlap_delta += grown.overlap(other) - r.overlap(other);
                 }
-                let key = (overlap_delta, r.enlargement(rect), r.area());
+                let key = (overlap_delta, r.enlargement(rect), r.volume());
                 if key < best_key {
                     best_key = key;
                     best = i;
@@ -63,26 +81,13 @@ impl RTree {
             }
             return best;
         }
-        // Guttman: least enlargement, ties by smallest area.
-        let mut best = 0usize;
-        let mut best_enl = f64::INFINITY;
-        let mut best_area = f64::INFINITY;
-        for (i, r) in n.rects().iter().enumerate() {
-            let enl = r.enlargement(rect);
-            let area = r.area();
-            if enl < best_enl || (enl == best_enl && area < best_area) {
-                best = i;
-                best_enl = enl;
-                best_area = area;
-            }
-        }
-        best
+        choose_subtree(n.rects(), rect)
     }
 
     /// Core insertion: descend to `level`, install, then resolve overflows
     /// walking back up (forced reinsert once per level if configured,
     /// otherwise split).
-    fn insert_entry(&mut self, rect: Rect, ptr: u64, level: u32, reinserted: &mut u64) {
+    fn insert_entry(&mut self, rect: B, ptr: u64, level: u32, reinserted: &mut u64) {
         debug_assert!(level <= self.node(self.root).level);
 
         let mut path: Vec<(NodeId, usize)> = Vec::new();
@@ -154,7 +159,7 @@ impl RTree {
         node: NodeId,
         path: &[(NodeId, usize)],
         reinserted: &mut u64,
-    ) -> Option<Vec<(u32, Rect, u64)>> {
+    ) -> Option<Vec<(u32, B, u64)>> {
         let fraction = self.reinsert_fraction?;
         let level = self.node(node).level;
         let is_root = node == self.root;
@@ -172,12 +177,12 @@ impl RTree {
 
         // Sort entry indices by distance of their center from the node MBR
         // center, farthest first ("far" candidates leave).
-        let center = self.node(node).mbr().center();
+        let mbr = self.node(node).mbr();
         let mut order: Vec<usize> = (0..len).collect();
         let n = self.node(node);
         order.sort_by(|&a, &b| {
-            let da = n.rect(a).center().distance(&center);
-            let db = n.rect(b).center().distance(&center);
+            let da = n.rect(a).center_distance(&mbr);
+            let db = n.rect(b).center_distance(&mbr);
             db.partial_cmp(&da).expect("finite distances")
         });
         let mut doomed: Vec<usize> = order[..p].to_vec();
@@ -190,8 +195,8 @@ impl RTree {
         }
         // Close-reinsert (the R* paper's recommendation): nearest first.
         removed.sort_by(|a, b| {
-            let da = a.1.center().distance(&center);
-            let db = b.1.center().distance(&center);
+            let da = a.1.center_distance(&mbr);
+            let db = b.1.center_distance(&mbr);
             da.partial_cmp(&db).expect("finite distances")
         });
 
@@ -214,7 +219,7 @@ impl RTree {
         }
     }
 
-    fn reinsert_entries(&mut self, removed: Vec<(u32, Rect, u64)>, reinserted: &mut u64) {
+    fn reinsert_entries(&mut self, removed: Vec<(u32, B, u64)>, reinserted: &mut u64) {
         for (level, r, ptr) in removed {
             // The tree may have grown/shrunk meanwhile; the level of an
             // entry is intrinsic, so re-attach at the same level.
@@ -255,6 +260,7 @@ mod tests {
     use super::*;
     use crate::split::{LinearSplit, QuadraticSplit};
     use crate::tree::RTreeBuilder;
+    use rtree_geom::Rect;
 
     fn grid_rects(n: usize) -> Vec<Rect> {
         // n x n grid of small squares.

@@ -5,6 +5,7 @@
 //! what is serialized into one disk page by `rtree-pager`. At leaf level the
 //! pointer is an opaque item id; at internal levels it is a child [`NodeId`].
 
+use crate::bounds::Bounds;
 use rtree_geom::Rect;
 
 /// Identifier of a node inside an [`crate::RTree`] arena.
@@ -31,13 +32,13 @@ impl NodeId {
 /// levels from the root down; the conversion happens in
 /// [`crate::RTree::level_mbrs`]).
 #[derive(Clone, Debug)]
-pub struct Node {
+pub struct Node<B = Rect> {
     pub(crate) level: u32,
-    pub(crate) rects: Vec<Rect>,
+    pub(crate) rects: Vec<B>,
     pub(crate) ptrs: Vec<u64>,
 }
 
-impl Node {
+impl<B: Bounds> Node<B> {
     pub(crate) fn new(level: u32, cap: usize) -> Self {
         Node {
             level,
@@ -72,13 +73,13 @@ impl Node {
 
     /// The rectangle of entry `i`.
     #[inline]
-    pub fn rect(&self, i: usize) -> Rect {
+    pub fn rect(&self, i: usize) -> B {
         self.rects[i]
     }
 
     /// All entry rectangles.
     #[inline]
-    pub fn rects(&self) -> &[Rect] {
+    pub fn rects(&self) -> &[B] {
         &self.rects
     }
 
@@ -112,21 +113,21 @@ impl Node {
     ///
     /// # Panics
     /// Panics if the node is empty.
-    pub fn mbr(&self) -> Rect {
-        Rect::mbr_of(&self.rects)
+    pub fn mbr(&self) -> B {
+        B::mbr_of(&self.rects)
     }
 
     /// Iterator over `(rect, pointer)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (Rect, u64)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (B, u64)> + '_ {
         self.rects.iter().copied().zip(self.ptrs.iter().copied())
     }
 
-    pub(crate) fn push(&mut self, rect: Rect, ptr: u64) {
+    pub(crate) fn push(&mut self, rect: B, ptr: u64) {
         self.rects.push(rect);
         self.ptrs.push(ptr);
     }
 
-    pub(crate) fn remove(&mut self, i: usize) -> (Rect, u64) {
+    pub(crate) fn remove(&mut self, i: usize) -> (B, u64) {
         (self.rects.swap_remove(i), self.ptrs.swap_remove(i))
     }
 }

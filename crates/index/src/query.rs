@@ -5,6 +5,7 @@
 //! and the paper's simulator. [`RTree::trace`] returns the node access
 //! sequence, which is what gets replayed against a buffer pool.
 
+use crate::bounds::Bounds;
 use crate::node::NodeId;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
@@ -19,23 +20,25 @@ pub struct QueryStats {
 }
 
 impl RTree {
-    /// Returns the ids of all items whose rectangle intersects `query`.
-    pub fn search(&self, query: &Rect) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.search_with(query, |_, _| {}, |id| out.push(id));
-        out
-    }
-
     /// Returns the ids of all items whose rectangle contains `p`.
     pub fn point_search(&self, p: &Point) -> Vec<u64> {
         self.search(&Rect::point(*p))
+    }
+}
+
+impl<B: Bounds> RTree<B> {
+    /// Returns the ids of all items whose rectangle intersects `query`.
+    pub fn search(&self, query: &B) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.search_with(query, |_, _| {}, |id| out.push(id));
+        out
     }
 
     /// Region search with callbacks: `on_node(id, level)` fires for every
     /// node accessed (root first, depth-first), `on_item` for every match.
     pub fn search_with(
         &self,
-        query: &Rect,
+        query: &B,
         mut on_node: impl FnMut(NodeId, u32),
         mut on_item: impl FnMut(u64),
     ) -> QueryStats {
@@ -78,14 +81,14 @@ impl RTree {
     /// appears iff its parent entry rectangle intersects the query, which —
     /// because parent rectangles contain child MBRs — is exactly the set of
     /// all nodes whose MBR intersects the query.
-    pub fn trace(&self, query: &Rect) -> Vec<NodeId> {
+    pub fn trace(&self, query: &B) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.search_with(query, |id, _| out.push(id), |_| {});
         out
     }
 
     /// Counts nodes accessed by a query without materializing results.
-    pub fn count_accesses(&self, query: &Rect) -> usize {
+    pub fn count_accesses(&self, query: &B) -> usize {
         self.search_with(query, |_, _| {}, |_| {}).nodes_accessed
     }
 }

@@ -5,6 +5,7 @@
 //! Guttman's *quadratic* heuristic; the *linear* heuristic is provided as an
 //! ablation baseline (`ablation_splits` experiment).
 
+use crate::bounds::Bounds;
 use rtree_geom::Rect;
 
 /// A node-split heuristic: partitions `rects` (of length `max_entries + 1`)
@@ -12,9 +13,9 @@ use rtree_geom::Rect;
 ///
 /// Returns the entry indices of each group; together they must cover
 /// `0..rects.len()` exactly once.
-pub trait SplitPolicy: Send + Sync {
+pub trait SplitPolicy<B = Rect>: Send + Sync {
     /// Partition `rects` into two groups of at least `min` entries each.
-    fn split(&self, rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>);
+    fn split(&self, rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>);
 
     /// Short name used in experiment output.
     fn name(&self) -> &'static str;
@@ -22,12 +23,13 @@ pub trait SplitPolicy: Send + Sync {
 
 /// Guttman's quadratic split: pick the pair of seeds wasting the most area,
 /// then repeatedly assign the entry with the greatest affinity difference to
-/// the group whose MBR it enlarges least.
+/// the group whose MBR it enlarges least. The only split written for every
+/// [`Bounds`]; the pager splits its pages with it too.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QuadraticSplit;
 
-impl SplitPolicy for QuadraticSplit {
-    fn split(&self, rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>) {
+impl<B: Bounds> SplitPolicy<B> for QuadraticSplit {
+    fn split(&self, rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>) {
         let n = rects.len();
         assert!(
             n >= 2 && 2 * min <= n,
@@ -39,7 +41,7 @@ impl SplitPolicy for QuadraticSplit {
         let mut worst = f64::NEG_INFINITY;
         for i in 0..n {
             for j in (i + 1)..n {
-                let d = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
+                let d = rects[i].union(&rects[j]).volume() - rects[i].volume() - rects[j].volume();
                 if d > worst {
                     worst = d;
                     s1 = i;
@@ -86,9 +88,9 @@ impl SplitPolicy for QuadraticSplit {
                 true
             } else if d2 < d1 {
                 false
-            } else if mbr1.area() < mbr2.area() {
+            } else if mbr1.volume() < mbr2.volume() {
                 true
-            } else if mbr2.area() < mbr1.area() {
+            } else if mbr2.volume() < mbr1.volume() {
                 false
             } else {
                 g1.len() <= g2.len()

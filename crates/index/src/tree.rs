@@ -1,5 +1,6 @@
 //! The R-tree container: arena storage, construction, and invariant checks.
 
+use crate::bounds::Bounds;
 use crate::node::{Node, NodeId};
 use crate::split::{QuadraticSplit, SplitPolicy};
 use rtree_geom::Rect;
@@ -10,14 +11,14 @@ use std::sync::Arc;
 ///
 /// Defaults match the paper's TAT configuration: Guttman insertion with the
 /// quadratic split heuristic and a 40% minimum fill.
-pub struct RTreeBuilder {
+pub struct RTreeBuilder<B = Rect> {
     max_entries: usize,
     min_entries: Option<usize>,
-    split: Arc<dyn SplitPolicy>,
+    split: Arc<dyn SplitPolicy<B>>,
     reinsert_fraction: Option<f64>,
 }
 
-impl RTreeBuilder {
+impl<B: Bounds> RTreeBuilder<B> {
     /// Starts a builder with the given node capacity (the paper's `n`).
     ///
     /// # Panics
@@ -40,7 +41,7 @@ impl RTreeBuilder {
     }
 
     /// Overrides the node split policy (default: [`QuadraticSplit`]).
-    pub fn split_policy(mut self, p: impl SplitPolicy + 'static) -> Self {
+    pub fn split_policy(mut self, p: impl SplitPolicy<B> + 'static) -> Self {
         self.split = Arc::new(p);
         self
     }
@@ -63,7 +64,7 @@ impl RTreeBuilder {
     }
 
     /// Builds the empty tree.
-    pub fn build(self) -> RTree {
+    pub fn build(self) -> RTree<B> {
         let max = self.max_entries;
         let min = self.min_entries.unwrap_or_else(|| (max * 2 / 5).max(2));
         let nodes = vec![Node::new(0, max)];
@@ -80,23 +81,23 @@ impl RTreeBuilder {
     }
 }
 
-/// An R-tree over `(Rect, u64)` items.
+/// An R-tree over `(B, u64)` items — `(Rect, u64)` unless said otherwise.
 ///
 /// Nodes live in an arena (`Vec<Node>`) and are addressed by [`NodeId`]; one
 /// node corresponds to one disk page in the buffering study.
 #[derive(Clone)]
-pub struct RTree {
-    pub(crate) nodes: Vec<Node>,
+pub struct RTree<B = Rect> {
+    pub(crate) nodes: Vec<Node<B>>,
     pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) max_entries: usize,
     pub(crate) min_entries: usize,
     pub(crate) len: usize,
-    pub(crate) split: Arc<dyn SplitPolicy>,
+    pub(crate) split: Arc<dyn SplitPolicy<B>>,
     pub(crate) reinsert_fraction: Option<f64>,
 }
 
-impl fmt::Debug for RTree {
+impl<B: Bounds> fmt::Debug for RTree<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RTree")
             .field("len", &self.len)
@@ -108,9 +109,9 @@ impl fmt::Debug for RTree {
     }
 }
 
-impl RTree {
+impl<B: Bounds> RTree<B> {
     /// Starts building an empty tree with the given node capacity.
-    pub fn builder(max_entries: usize) -> RTreeBuilder {
+    pub fn builder(max_entries: usize) -> RTreeBuilder<B> {
         RTreeBuilder::new(max_entries)
     }
 
@@ -157,12 +158,12 @@ impl RTree {
 
     /// Borrows a node.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &Node<B> {
         &self.nodes[id.index()]
     }
 
     #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node<B> {
         &mut self.nodes[id.index()]
     }
 
@@ -206,7 +207,7 @@ impl RTree {
 
     /// Iterates over all stored items as `(rect, id)` pairs, in arbitrary
     /// order.
-    pub fn items(&self) -> impl Iterator<Item = (Rect, u64)> + '_ {
+    pub fn items(&self) -> impl Iterator<Item = (B, u64)> + '_ {
         self.node_ids()
             .into_iter()
             .filter(|id| self.node(*id).is_leaf())
@@ -223,9 +224,9 @@ impl RTree {
     /// This is the only input the analytic model needs (§3: "we compute the
     /// minimum bounding rectangles of tree nodes and use these as input to
     /// our buffer model").
-    pub fn level_mbrs(&self) -> Vec<Vec<Rect>> {
+    pub fn level_mbrs(&self) -> Vec<Vec<B>> {
         let height = self.height() as usize;
-        let mut levels: Vec<Vec<Rect>> = vec![Vec::new(); height];
+        let mut levels: Vec<Vec<B>> = vec![Vec::new(); height];
         for id in self.node_ids() {
             let n = self.node(id);
             if n.is_empty() {
@@ -347,7 +348,7 @@ mod tests {
 
     #[test]
     fn empty_tree_is_valid() {
-        let t = RTree::builder(8).build();
+        let t: RTree = RTree::builder(8).build();
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
         assert_eq!(t.node_count(), 1);
@@ -356,27 +357,27 @@ mod tests {
 
     #[test]
     fn builder_defaults() {
-        let t = RTree::builder(10).build();
+        let t: RTree = RTree::builder(10).build();
         assert_eq!(t.max_entries(), 10);
         assert_eq!(t.min_entries(), 4); // 40% of 10
     }
 
     #[test]
     fn builder_min_entries_override() {
-        let t = RTree::builder(10).min_entries(5).build();
+        let t: RTree = RTree::builder(10).min_entries(5).build();
         assert_eq!(t.min_entries(), 5);
     }
 
     #[test]
     #[should_panic]
     fn builder_rejects_tiny_capacity() {
-        let _ = RTree::builder(3);
+        let _: RTreeBuilder = RTree::builder(3);
     }
 
     #[test]
     #[should_panic]
     fn builder_rejects_bad_min() {
-        let _ = RTree::builder(8).min_entries(7);
+        let _: RTreeBuilder = RTree::builder(8).min_entries(7);
     }
 
     #[test]
@@ -400,13 +401,13 @@ mod tests {
 
     #[test]
     fn items_of_empty_tree() {
-        let t = RTree::builder(4).build();
+        let t: RTree = RTree::builder(4).build();
         assert_eq!(t.items().count(), 0);
     }
 
     #[test]
     fn alloc_reuses_freed_slots() {
-        let mut t = RTree::builder(8).build();
+        let mut t: RTree = RTree::builder(8).build();
         let a = t.alloc(0);
         t.dealloc(a);
         let b = t.alloc(1);

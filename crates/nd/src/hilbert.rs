@@ -4,7 +4,7 @@
 //! two axes; Skilling's algorithm ("Programming the Hilbert curve", AIP
 //! CP 707, 2004) computes the curve in any dimension by a Gray-code
 //! transform of the coordinate bits followed by bit interleaving. This
-//! gives `rtree-nd` a true HS loader, completing the paper's loader roster
+//! gives `RectN` a Hilbert sort key, completing the paper's loader roster
 //! in higher dimensions.
 
 use crate::PointN;
@@ -78,13 +78,6 @@ pub struct HilbertCurveN<const D: usize> {
 }
 
 impl<const D: usize> HilbertCurveN<D> {
-    /// Creates a curve with the finest order fitting `D * bits <= 64`
-    /// (capped at 16 bits per axis).
-    pub fn finest() -> Self {
-        let bits = (64 / D as u32).clamp(1, 16);
-        HilbertCurveN { bits }
-    }
-
     /// Creates a curve of a given order.
     ///
     /// # Panics
@@ -178,7 +171,7 @@ mod tests {
 
     #[test]
     fn curve_index_of_clamps_and_fits() {
-        let c = HilbertCurveN::<3>::finest();
+        let c = HilbertCurveN::<3>::new(16);
         let a = c.index_of(&PointN::new([0.5, 0.5, 0.5]));
         let b = c.index_of(&PointN::new([2.0, -1.0, 0.5]));
         assert_ne!(a, b);

@@ -9,9 +9,12 @@
 //! * [`PointN`] / [`RectN`] — hyper-rectangle algebra (volume, margin,
 //!   per-axis extents, the center-fixed expansion of §3.2 and the
 //!   corner-extension of §3.1 generalized to products over axes).
-//! * [`RTreeN`] — an R-tree with Guttman quadratic-split insertion,
-//!   region search, and STR / Morton / Hilbert bulk loading (the N-D
-//!   Hilbert curve uses Skilling's transpose algorithm).
+//! * `impl rtree_index::Bounds for RectN<D>` — which is all the R-tree
+//!   needs: `RTree<RectN<D>>` is the workspace's one in-memory tree
+//!   (Guttman quadratic-split insertion, region search, level MBRs,
+//!   validation) and `BulkLoader` its one packing loader (NX, STR by the
+//!   slab rule of the authors' STR paper, Morton, and HS over the N-D
+//!   Hilbert curve of Skilling's transpose algorithm, [`HilbertCurveN`]).
 //! * [`WorkloadN`] — uniform point, uniform region (boundary-clamped) and
 //!   data-driven access probabilities over the unit hypercube.
 //! * The buffer model itself is dimension-free: [`WorkloadN`] produces the
@@ -19,28 +22,28 @@
 //!   it via `from_probabilities` unchanged — which is precisely the
 //!   paper's "straightforward" claim, made concrete.
 //!
-//! The 2-D crates remain the primary, fully-featured implementation; this
-//! crate trades some features (deletion, R* insertion, pager integration)
-//! for dimensional generality and is validated against an LRU simulation
-//! in 3-D and 4-D in `tests/model_agreement_nd.rs`.
+//! What stays 2-D only is what `rtree-index` fences off on `RTree<Rect>`
+//! (deletion, kNN, tree statistics, the linear and R* splits) and
+//! everything below the tree: the pager's page format stores four
+//! coordinates per entry. The N-D pipeline is validated against an LRU
+//! simulation in 3-D and 4-D in `tests/model_agreement_nd.rs`.
 
-mod bulk;
+mod bounds;
 mod hilbert;
 mod point;
 mod rect;
-mod tree;
 mod workload;
 
-pub use bulk::BulkLoaderN;
 pub use hilbert::{hilbert_index_nd, HilbertCurveN};
 pub use point::PointN;
 pub use rect::RectN;
-pub use tree::{NodeN, RTreeN};
 pub use workload::WorkloadN;
+
+use rtree_index::RTree;
 
 /// Builds the dimension-free buffer model from an N-D tree and workload.
 pub fn buffer_model<const D: usize>(
-    tree: &RTreeN<D>,
+    tree: &RTree<RectN<D>>,
     workload: &WorkloadN<D>,
 ) -> rtree_core::BufferModel {
     rtree_core::BufferModel::from_probabilities(workload.access_probabilities(&tree.level_mbrs()))
@@ -49,6 +52,7 @@ pub fn buffer_model<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtree_index::BulkLoader;
 
     #[test]
     fn end_to_end_model_in_three_dimensions() {
@@ -63,7 +67,7 @@ mod tests {
                 RectN::centered(c, [0.02; 3])
             })
             .collect();
-        let tree = BulkLoaderN::str_pack(16).load(&rects);
+        let tree = BulkLoader::str_pack(16).load(&rects);
         tree.validate().expect("valid 3-D tree");
         let model = buffer_model(&tree, &WorkloadN::uniform_point());
         let all = tree.node_count();

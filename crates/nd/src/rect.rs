@@ -112,15 +112,6 @@ impl<const D: usize> RectN<D> {
         })
     }
 
-    /// MBR of a non-empty slice.
-    ///
-    /// # Panics
-    /// Panics if `rects` is empty.
-    pub fn mbr_of(rects: &[Self]) -> Self {
-        assert!(!rects.is_empty(), "MBR of empty set is undefined");
-        rects[1..].iter().fold(rects[0], |acc, r| acc.union(r))
-    }
-
     /// Volume enlargement needed to include `other`.
     pub fn enlargement(&self, other: &Self) -> f64 {
         self.union(other).volume() - self.volume()
@@ -212,13 +203,6 @@ mod tests {
         );
         assert!(expanded.contains_point(&inside));
         assert!(!expanded.contains_point(&outside));
-    }
-
-    #[test]
-    fn mbr_of_slice() {
-        let rects = [cube(0.1, 0.2), cube(0.5, 0.9), cube(0.0, 0.05)];
-        let m = RectN::mbr_of(&rects);
-        assert_eq!(m, cube(0.0, 0.9));
     }
 
     #[test]

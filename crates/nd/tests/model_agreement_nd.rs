@@ -7,7 +7,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_buffer::{BufferPool, LruPolicy, PageId};
-use rtree_nd::{buffer_model, BulkLoaderN, PointN, RTreeN, RectN, WorkloadN};
+use rtree_index::{BulkLoader, NodeId, RTree};
+use rtree_nd::{buffer_model, PointN, RectN, WorkloadN};
+use std::collections::HashMap;
 
 fn scattered<const D: usize>(n: usize, seed: u64) -> Vec<RectN<D>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -24,13 +26,15 @@ fn scattered<const D: usize>(n: usize, seed: u64) -> Vec<RectN<D>> {
 
 /// Simulates LRU disk accesses per query for a uniform workload.
 fn simulate<const D: usize>(
-    tree: &RTreeN<D>,
+    tree: &RTree<RectN<D>>,
     workload: &WorkloadN<D>,
     buffer: usize,
     queries: usize,
     seed: u64,
 ) -> (f64, f64) {
-    let pages = tree.page_numbers();
+    // `node_ids` is level order, root first: the page numbering the
+    // probability matrix of `access_probabilities` is aligned with.
+    let pages: HashMap<NodeId, u64> = tree.node_ids().into_iter().zip(0..).collect();
     let mut pool = BufferPool::new(buffer, LruPolicy::new());
     let mut rng = StdRng::seed_from_u64(seed);
     let q = workload.sizes();
@@ -51,8 +55,8 @@ fn simulate<const D: usize>(
         let query = sample(&mut rng);
         tree.search_with(
             &query,
-            |id| {
-                pool.access(PageId(pages[id] as u64));
+            |id, _| {
+                pool.access(PageId(pages[&id]));
             },
             |_| {},
         );
@@ -66,9 +70,9 @@ fn simulate<const D: usize>(
         let query = sample(&mut rng);
         tree.search_with(
             &query,
-            |id| {
+            |id, _| {
                 nodes += 1;
-                if pool.access(PageId(pages[id] as u64)).is_miss() {
+                if pool.access(PageId(pages[&id])).is_miss() {
                     misses += 1;
                 }
             },
@@ -83,7 +87,7 @@ fn simulate<const D: usize>(
 
 fn check<const D: usize>(n: usize, cap: usize, q: [f64; D], buffers: &[usize]) {
     let rects = scattered::<D>(n, 42 + D as u64);
-    let tree = BulkLoaderN::str_pack(cap).load(&rects);
+    let tree = BulkLoader::str_pack(cap).load(&rects);
     tree.validate().expect("valid tree");
     let workload = if q.iter().all(|&v| v == 0.0) {
         WorkloadN::uniform_point()
@@ -148,7 +152,7 @@ fn two_d_special_case_matches_main_crate() {
 #[test]
 fn data_driven_probabilities_in_3d() {
     let rects = scattered::<3>(1_000, 99);
-    let tree = BulkLoaderN::str_pack(16).load(&rects);
+    let tree = BulkLoader::str_pack(16).load(&rects);
     let centers: Vec<PointN<3>> = rects.iter().map(RectN::center).collect();
     let workload = WorkloadN::data_driven([0.05; 3], centers);
     let model = buffer_model(&tree, &workload);

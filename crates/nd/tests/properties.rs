@@ -1,7 +1,8 @@
 //! Property tests for the N-dimensional layer (3-D instantiation).
 
 use proptest::prelude::*;
-use rtree_nd::{BulkLoaderN, PointN, RTreeN, RectN, WorkloadN};
+use rtree_index::{BulkLoader, RTree};
+use rtree_nd::{PointN, RectN, WorkloadN};
 
 fn arb_point() -> impl Strategy<Value = PointN<3>> {
     ([0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0]).prop_map(PointN::new)
@@ -60,7 +61,7 @@ proptest! {
 
     #[test]
     fn str_load_agrees_with_scan_3d(rects in arb_rects(200), q in arb_rect(), cap in 4usize..24) {
-        let tree = BulkLoaderN::str_pack(cap).load(&rects);
+        let tree = BulkLoader::str_pack(cap).load(&rects);
         tree.validate().expect("invariants");
         let mut hits = tree.search(&q);
         hits.sort_unstable();
@@ -69,7 +70,7 @@ proptest! {
 
     #[test]
     fn morton_load_agrees_with_scan_3d(rects in arb_rects(200), q in arb_rect(), cap in 4usize..24) {
-        let tree = BulkLoaderN::morton(cap).load(&rects);
+        let tree = BulkLoader::morton(cap).load(&rects);
         tree.validate().expect("invariants");
         let mut hits = tree.search(&q);
         hits.sort_unstable();
@@ -78,7 +79,7 @@ proptest! {
 
     #[test]
     fn insertion_agrees_with_scan_3d(rects in arb_rects(120), q in arb_rect(), cap in 4usize..12) {
-        let mut tree = RTreeN::new(cap);
+        let mut tree = RTree::builder(cap).build();
         for (i, r) in rects.iter().enumerate() {
             tree.insert(*r, i as u64);
         }
@@ -102,7 +103,7 @@ proptest! {
 
     #[test]
     fn model_monotone_in_buffer_3d(rects in arb_rects(150), cap in 4usize..16) {
-        let tree = BulkLoaderN::str_pack(cap).load(&rects);
+        let tree = BulkLoader::str_pack(cap).load(&rects);
         let model = rtree_nd::buffer_model(&tree, &WorkloadN::uniform_point());
         let total = tree.node_count();
         let mut last = f64::INFINITY;

@@ -73,16 +73,6 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, event: IoEvent);
 }
 
-/// The default sink: discards everything. The call inlines to nothing, so
-/// code paths written against a sink cost nothing when nobody listens.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&self, _event: IoEvent) {}
-}
-
 /// Per-kind event totals, as captured by a [`CountingSink`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventCounts {
@@ -419,11 +409,6 @@ mod tests {
         assert_eq!(totals.prefetches, 1);
         assert!((levels[1].hit_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(levels[0].hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn null_sink_is_a_no_op() {
-        NullSink.record(ev(EventKind::Miss, 0));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * [`IoEvent`] / [`EventKind`] — one record per buffer-pool outcome or
 //!   physical transfer, carrying the query id and tree level it happened
 //!   for.
-//! * [`TraceSink`] — where events go. [`NullSink`] discards (and inlines
-//!   away), [`CountingSink`] keeps per-kind totals, [`RingSink`] keeps the
-//!   events themselves in per-thread lock-free rings, and [`PerLevelSink`]
-//!   aggregates hit/miss counts by tree level.
+//! * [`TraceSink`] — where events go. [`CountingSink`] keeps per-kind
+//!   totals, [`RingSink`] keeps the events themselves in per-thread
+//!   lock-free rings, and [`PerLevelSink`] aggregates hit/miss counts by
+//!   tree level.
 //! * [`Histogram`] / [`AtomicHistogram`] — power-of-two-bucket histograms
 //!   whose `merge` is associative and commutative, plus [`QueryMetrics`]
 //!   bundling the three per-query distributions (latency, reads, pins).
@@ -49,12 +49,12 @@ mod ring;
 mod tune;
 
 pub use event::{
-    CountingSink, EventCounts, EventKind, IoEvent, LevelCounts, NullSink, PerLevelSink, TraceSink,
+    CountingSink, EventCounts, EventKind, IoEvent, LevelCounts, PerLevelSink, TraceSink,
 };
 pub use export::PromText;
 pub use hist::{AtomicHistogram, Histogram, QueryMetrics, QueryMetricsSnapshot, BUCKETS};
 pub use ring::RingSink;
-pub use tune::{NullTuneObserver, TuneObserver};
+pub use tune::TuneObserver;
 
 use std::sync::OnceLock;
 use std::time::Instant;

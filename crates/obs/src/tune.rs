@@ -9,9 +9,7 @@
 //! through it, and the controller accumulates them into a sliding-window
 //! estimate.
 //!
-//! Like [`TraceSink`](crate::TraceSink), the no-op implementation
-//! ([`NullTuneObserver`]) inlines away, and `&T` / `Arc<T>` forward so an
-//! observer can be shared across threads.
+//! `&T` / `Arc<T>` forward, so an observer can be shared across threads.
 
 use std::sync::Arc;
 
@@ -27,15 +25,6 @@ pub trait TuneObserver: Send + Sync {
 
     /// A logical write (insert or delete) was applied.
     fn observe_write(&self) {}
-}
-
-/// Discards every observation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullTuneObserver;
-
-impl TuneObserver for NullTuneObserver {
-    #[inline]
-    fn observe_query(&self, _lo_x: f64, _lo_y: f64, _hi_x: f64, _hi_y: f64) {}
 }
 
 impl<T: TuneObserver + ?Sized> TuneObserver for &T {
@@ -88,11 +77,5 @@ mod tests {
         via_ref.observe_write();
         assert_eq!(tally.queries.load(Ordering::Relaxed), 1);
         assert_eq!(tally.writes.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn null_observer_is_callable() {
-        NullTuneObserver.observe_query(0.0, 0.0, 1.0, 1.0);
-        NullTuneObserver.observe_write();
     }
 }

@@ -808,11 +808,6 @@ enum FastDelete {
 }
 
 impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
-    /// True when the tree was opened through a writable constructor.
-    pub fn is_writable(&self) -> bool {
-        self.writer.is_some()
-    }
-
     /// The underlying page store (chaos and recovery tests snapshot it;
     /// remember that dirty writer pages live in the overlay, not here,
     /// until a checkpoint).
@@ -1745,7 +1740,6 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, expected);
         assert!(tree.logical_writes() > n, "deletes counted too");
-        assert!(tree.is_writable());
     }
 
     /// One insert algorithm: an image does not say which tree wrote it.

@@ -11,7 +11,7 @@
 //! This module also holds the one writer of new tree images,
 //! [`write_image`], behind every `create*` constructor of both trees.
 
-use crate::mutate::{mbr, PageEntry};
+use crate::mutate::mbr;
 use crate::seam::PageRead;
 use crate::walk::{self, BatchOutput};
 use crate::{
@@ -481,7 +481,7 @@ struct Capacities {
 fn write_image<S: PageStore>(
     store: &mut S,
     nodes: &[usize],
-    mut entries_of: impl FnMut(usize, usize) -> Vec<PageEntry>,
+    mut entries_of: impl FnMut(usize, usize) -> Vec<(Rect, u64)>,
     caps: Capacities,
     items: u64,
     level_table: bool,
@@ -589,14 +589,14 @@ pub(crate) fn materialize<S: PageStore>(
     }
     // The levels above the leaves, as entries pointing into the level
     // below: small (a node per page-full of children), so held whole.
-    let mut upper: Vec<Vec<Vec<PageEntry>>> = Vec::new();
+    let mut upper: Vec<Vec<Vec<(Rect, u64)>>> = Vec::new();
     if compressed {
         let mut below: Vec<Rect> = levels[0].iter().map(|id| tree.node(*id).mbr()).collect();
         while below.len() > 1 {
-            let slots: Vec<PageEntry> = below.iter().copied().zip(0u64..).collect();
-            let level: Vec<Vec<PageEntry>> = slots
+            let slots: Vec<(Rect, u64)> = below.iter().copied().zip(0u64..).collect();
+            let level: Vec<Vec<(Rect, u64)>> = slots
                 .chunks(MAX_ENTRIES_PACKED)
-                .map(<[PageEntry]>::to_vec)
+                .map(<[_]>::to_vec)
                 .collect();
             below = level.iter().map(|entries| mbr(entries)).collect();
             upper.push(level);

@@ -25,6 +25,7 @@ use crate::seam::PageWrite;
 use crate::{BufferManager, NodePage, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
+use rtree_index::{choose_subtree, QuadraticSplit, SplitPolicy};
 use std::io;
 
 pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
@@ -32,102 +33,6 @@ pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
         .iter()
         .skip(1)
         .fold(entries[0].0, |acc, (r, _)| acc.union(r))
-}
-
-/// Guttman's ChooseLeaf criterion: least enlargement, ties broken by
-/// smaller area, then lower slot.
-pub(crate) fn choose_subtree(entries: &[(Rect, u64)], rect: &Rect) -> usize {
-    let mut best = 0;
-    let mut best_enlargement = f64::INFINITY;
-    let mut best_area = f64::INFINITY;
-    for (i, (r, _)) in entries.iter().enumerate() {
-        let enlargement = r.enlargement(rect);
-        let area = r.area();
-        if enlargement < best_enlargement || (enlargement == best_enlargement && area < best_area) {
-            best = i;
-            best_enlargement = enlargement;
-            best_area = area;
-        }
-    }
-    best
-}
-
-/// A raw page entry: rectangle plus child page id (internal) or item id (leaf).
-pub(crate) type PageEntry = (Rect, u64);
-
-/// Guttman's quadratic split over raw page entries.
-pub(crate) fn quadratic_split(
-    mut entries: Vec<PageEntry>,
-    min: usize,
-) -> (Vec<PageEntry>, Vec<PageEntry>) {
-    debug_assert!(entries.len() >= 2 && entries.len() >= 2 * min);
-
-    // PickSeeds: the pair wasting the most area if grouped together.
-    let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            let waste = entries[i].0.union(&entries[j].0).area()
-                - entries[i].0.area()
-                - entries[j].0.area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-    // Remove the higher index first so the lower stays valid.
-    let b_seed = entries.swap_remove(seed_b);
-    let a_seed = entries.swap_remove(seed_a);
-    let mut group_a = vec![a_seed];
-    let mut group_b = vec![b_seed];
-    let mut rect_a = group_a[0].0;
-    let mut rect_b = group_b[0].0;
-
-    while !entries.is_empty() {
-        // If one group must absorb everything left to reach the minimum
-        // fill, hand the remainder over wholesale.
-        let remaining = entries.len();
-        if group_a.len() + remaining == min {
-            group_a.append(&mut entries);
-            break;
-        }
-        if group_b.len() + remaining == min {
-            group_b.append(&mut entries);
-            break;
-        }
-
-        // PickNext: the entry with the strongest preference.
-        let (mut pick, mut pick_diff) = (0, f64::NEG_INFINITY);
-        for (i, (r, _)) in entries.iter().enumerate() {
-            let d_a = rect_a.enlargement(r);
-            let d_b = rect_b.enlargement(r);
-            let diff = (d_a - d_b).abs();
-            if diff > pick_diff {
-                pick_diff = diff;
-                pick = i;
-            }
-        }
-        let entry = entries.swap_remove(pick);
-        let d_a = rect_a.enlargement(&entry.0);
-        let d_b = rect_b.enlargement(&entry.0);
-        // Resolve ties by smaller area, then smaller group.
-        let to_a = if d_a != d_b {
-            d_a < d_b
-        } else if rect_a.area() != rect_b.area() {
-            rect_a.area() < rect_b.area()
-        } else {
-            group_a.len() <= group_b.len()
-        };
-        if to_a {
-            rect_a = rect_a.union(&entry.0);
-            group_a.push(entry);
-        } else {
-            rect_b = rect_b.union(&entry.0);
-            group_b.push(entry);
-        }
-    }
-    (group_a, group_b)
 }
 
 /// Inserts `entry` into a node at `target_level` — 0 for items; orphan
@@ -143,7 +48,7 @@ pub(crate) fn quadratic_split(
 /// root, and the tree grows a level.
 pub(crate) fn insert_entry<W: PageWrite>(
     pages: &mut W,
-    entry: PageEntry,
+    entry: (Rect, u64),
     target_level: u16,
 ) -> io::Result<()> {
     let capacity = |pages: &mut W, level: u16| pages.meta(|m| m.capacity_at(level));
@@ -159,7 +64,7 @@ pub(crate) fn insert_entry<W: PageWrite>(
         if node.level <= target_level {
             break;
         }
-        let slot = choose_subtree(&node.entries, &entry.0);
+        let slot = choose_subtree(node.entries.iter().map(|e| &e.0), &entry.0);
         let (covered, child) = node.entries[slot];
         let grown = covered.union(&entry.0);
         if grown != covered {
@@ -176,12 +81,13 @@ pub(crate) fn insert_entry<W: PageWrite>(
 
     while node.entries.len() > capacity(pages, node.level) {
         let min = pages.meta(|m| m.min_entries as usize);
-        let (a, b) = quadratic_split(std::mem::take(&mut node.entries), min);
+        let rects: Vec<Rect> = node.entries.iter().map(|e| e.0).collect();
+        let (stay, go) = QuadraticSplit.split(&rects, min);
         let sibling = NodePage {
             level: node.level,
-            entries: b,
+            entries: go.iter().map(|&i| node.entries[i]).collect(),
         };
-        node.entries = a;
+        node.entries = stay.iter().map(|&i| node.entries[i]).collect();
         pages.store(id, &node)?;
         let sibling_id = pages.alloc()?;
         pages.store(sibling_id, &sibling)?;
@@ -257,7 +163,7 @@ pub(crate) fn remove_entry<W: PageWrite>(
     cur.entries.remove(pos);
 
     let min = pages.meta(|m| m.min_entries as usize);
-    let mut orphans: Vec<(u16, Vec<PageEntry>)> = Vec::new();
+    let mut orphans: Vec<(u16, Vec<(Rect, u64)>)> = Vec::new();
     let mut cur_id = leaf_id;
     while let Some((parent_id, slot)) = path.pop() {
         let mut parent = pages.load(parent_id)?;
@@ -494,7 +400,7 @@ mod tests {
             Script::new(fills.iter().enumerate().map(leaf).collect())
         }
 
-        fn insert(mut self, entry: PageEntry, level: u16) -> (Self, io::Result<()>) {
+        fn insert(mut self, entry: (Rect, u64), level: u16) -> (Self, io::Result<()>) {
             let result = insert_entry(&mut self, entry, level);
             (self, result)
         }
@@ -798,16 +704,24 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_split_respects_min_fill() {
-        let entries: Vec<(Rect, u64)> = rects(11)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (r, i as u64))
-            .collect();
-        let (a, b) = quadratic_split(entries, 4);
-        assert_eq!(a.len() + b.len(), 11);
-        assert!(a.len() >= 4, "group A below min fill: {}", a.len());
-        assert!(b.len() >= 4, "group B below min fill: {}", b.len());
+    fn page_split_respects_min_fill() {
+        // 11 entries into a capacity-10 root leaf: the one split that
+        // follows must leave both pages at or above the minimum fill of 4.
+        let mut disk =
+            DiskRTree::create_empty(MemStore::new(), 10, 4, 16, LruPolicy::new()).unwrap();
+        for (i, r) in rects(11).into_iter().enumerate() {
+            disk.insert(r, i as u64).unwrap();
+        }
+        let root = disk.meta().root;
+        let root = disk.load(root).unwrap();
+        assert_eq!(root.entries.len(), 2);
+        let mut total = 0;
+        for (_, child) in root.entries {
+            let fill = disk.load(child).unwrap().entries.len();
+            assert!(fill >= 4, "page {child} below min fill: {fill}");
+            total += fill;
+        }
+        assert_eq!(total, 11);
     }
 
     #[test]

@@ -247,18 +247,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
         Ok(rx)
     }
 
-    /// Convenience: submit and block for the single result.
-    pub fn submit_and_wait(
-        &self,
-        rect: Rect,
-        count_only: bool,
-    ) -> Result<io::Result<JobOutput>, SubmitError> {
-        let rx = self.submit(rect, count_only)?;
-        Ok(rx
-            .recv()
-            .unwrap_or_else(|_| Err(io::ErrorKind::BrokenPipe.into())))
-    }
-
     /// Stops accepting work, drains every queued job to completion, and
     /// joins the workers. Idempotent.
     pub fn shutdown(&self) {
@@ -549,7 +537,7 @@ mod tests {
     #[test]
     fn count_only_jobs_get_counts() {
         let b = MicroBatcher::new(Echo::new(Duration::ZERO), BatchPolicy::default());
-        match b.submit_and_wait(rect(3), true).unwrap().unwrap() {
+        match b.submit(rect(3), true).unwrap().recv().unwrap().unwrap() {
             JobOutput::Count(1) => {}
             other => panic!("expected Count(1), got {other:?}"),
         }

@@ -78,18 +78,6 @@ impl BatchMeans {
         };
         t * self.std_dev() / (k as f64).sqrt()
     }
-
-    /// Relative CI half-width (`ci / mean`); infinite if the mean is 0 but
-    /// the spread is not.
-    pub fn relative_ci_90(&self) -> f64 {
-        let m = self.mean();
-        let ci = self.ci_half_width_90();
-        if ci == 0.0 {
-            0.0
-        } else {
-            ci / m.abs()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +93,6 @@ mod tests {
         assert_eq!(b.mean(), 2.5);
         assert_eq!(b.std_dev(), 0.0);
         assert_eq!(b.ci_half_width_90(), 0.0);
-        assert_eq!(b.relative_ci_90(), 0.0);
     }
 
     #[test]

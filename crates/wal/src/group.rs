@@ -45,7 +45,7 @@
 //! and only truncates after its own sync — so truncation never discards an
 //! un-fsynced append.
 
-use crate::{scan, LogBackend, Lsn, WalRecord};
+use crate::{LogBackend, Lsn, WalRecord};
 use std::io;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,11 +106,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl GroupWal {
     /// Opens a group-commit WAL over `backend`, resuming the LSN sequence
-    /// after any records already in the log.
+    /// after the records already in the log.
+    ///
+    /// # Errors
+    /// `InvalidData` if the existing log ends in a torn or corrupt tail:
+    /// records appended behind it would be lost to every later scan.
+    /// Replay what the log holds and reopen over a truncated or fresh one.
     pub fn open(backend: impl LogBackend + 'static) -> io::Result<Self> {
-        let image = backend.read_all()?;
-        let scanned = scan(&image);
-        let next_lsn = scanned.records.last().map_or(1, |r| r.lsn() + 1);
+        let next_lsn = crate::resume_lsn(&backend.read_all()?)?;
         Ok(GroupWal {
             inner: Arc::new(WalInner {
                 state: Mutex::new(GroupState {
@@ -131,7 +134,7 @@ impl GroupWal {
     /// Sets how long a commit leader waits before closing its batch,
     /// giving a burst of concurrent writers time to stage into one fsync.
     /// Zero (the default) closes immediately. Only [`GroupWal::commit`]
-    /// leaders wait; `commit_solo` and `checkpoint` never do.
+    /// leaders wait; `checkpoint` never does.
     pub fn set_commit_delay(&self, delay: Duration) {
         self.inner
             .commit_delay_us
@@ -193,34 +196,22 @@ impl GroupWal {
                 .wait(s)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        self.lead(s, true).map(|_| true)
-    }
-
-    /// Per-operation commit baseline: always appends its own `Commit`
-    /// record and fsyncs, even when a concurrent leader already covered
-    /// `lsn`. This is the no-batching discipline `server_throughput`
-    /// compares group commit against.
-    pub fn commit_solo(&self, _lsn: Lsn) -> io::Result<()> {
-        let s = self.wait_not_syncing();
-        self.lead(s, false)
+        self.lead(s).map(|_| true)
     }
 
     /// Leads one commit batch: stages the `Commit` record, takes the
     /// buffer, and performs the flush + durability barrier with the state
     /// lock released so concurrent appends keep staging. Called with the
-    /// state lock held and no sync in flight. With `may_delay`, the leader
-    /// first holds the token for the configured commit delay (lock
-    /// released) so the rest of a write burst stages before the batch
-    /// closes.
-    fn lead<'a>(&'a self, mut s: MutexGuard<'a, GroupState>, may_delay: bool) -> io::Result<()> {
+    /// state lock held and no sync in flight. The leader first holds the
+    /// token for the configured commit delay (lock released) so the rest of
+    /// a write burst stages before the batch closes.
+    fn lead<'a>(&'a self, mut s: MutexGuard<'a, GroupState>) -> io::Result<()> {
         s.syncing = true;
-        if may_delay {
-            let us = self.inner.commit_delay_us.load(Ordering::Relaxed);
-            if us > 0 {
-                drop(s);
-                std::thread::sleep(Duration::from_micros(us));
-                s = lock(&self.inner.state);
-            }
+        let us = self.inner.commit_delay_us.load(Ordering::Relaxed);
+        if us > 0 {
+            drop(s);
+            std::thread::sleep(Duration::from_micros(us));
+            s = lock(&self.inner.state);
         }
         let commit_lsn = s.next_lsn;
         s.staged
@@ -362,7 +353,7 @@ impl GroupWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemLog, StagedLog};
+    use crate::{scan, MemLog, StagedLog};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
@@ -451,14 +442,23 @@ mod tests {
     }
 
     #[test]
-    fn commit_solo_fsyncs_every_op() {
-        let wal = GroupWal::open(MemLog::new()).unwrap();
-        for i in 0..5 {
-            let lsn = wal.log_insert(rect(i), i).unwrap();
-            wal.commit_solo(lsn).unwrap();
-        }
-        let s = wal.stats();
-        assert_eq!((s.fsyncs, s.commit_batches, s.max_batch), (5, 5, 1));
+    fn open_refuses_a_torn_log_instead_of_appending_behind_it() {
+        let log = MemLog::new();
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_insert(rect(1), 1).unwrap();
+        wal.commit(lsn).unwrap();
+        let valid = log.len();
+        let mut torn = log.clone();
+        torn.append(&[0xAB; 5]).unwrap();
+        // Opening here and committing item 2 would acknowledge a write no
+        // scan, replay or recovery can ever reach.
+        let Err(err) = GroupWal::open(log.clone()) else {
+            panic!("opened over a torn tail");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("valid_len {valid}")));
+        let scanned = scan(&log.read_all().unwrap());
+        assert_eq!((scanned.records.len(), scanned.clean), (2, false));
     }
 
     #[test]

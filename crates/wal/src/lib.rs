@@ -37,16 +37,37 @@ pub struct Wal {
     dirty: bool,
 }
 
+/// The LSN a log opened over `image` continues at.
+///
+/// New records are appended behind the whole byte image, and every scan
+/// stops at the first unusable byte — so behind a torn tail they would be
+/// unreachable to recovery, acknowledged commits included. An image that
+/// does not scan clean is therefore refused with `InvalidData`: the caller
+/// recovers what the log holds and reopens over a truncated or fresh one.
+fn resume_lsn(image: &[u8]) -> io::Result<Lsn> {
+    let scanned = record::scan(image);
+    if !scanned.clean {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "log image is torn: valid_len {} of {} bytes; recover and truncate it first",
+                scanned.valid_len,
+                image.len()
+            ),
+        ));
+    }
+    Ok(scanned.records.last().map_or(1, |r| r.lsn() + 1))
+}
+
 impl Wal {
-    /// Opens a WAL over `backend`, continuing after any records already in
-    /// the log (the torn tail, if any, is ignored; new appends go after the
-    /// whole byte image, which the scanner will again stop at — harmless,
-    /// but callers recovering a crashed log should `truncate` via recovery
-    /// first).
+    /// Opens a WAL over `backend`, continuing after the records already in
+    /// the log.
+    ///
+    /// # Errors
+    /// `InvalidData` if the existing log ends in a torn or corrupt tail
+    /// (see [`scan`]); run recovery and start from a truncated log.
     pub fn open(backend: impl LogBackend + 'static) -> io::Result<Self> {
-        let image = backend.read_all()?;
-        let scan = record::scan(&image);
-        let next_lsn = scan.records.last().map_or(1, |r| r.lsn() + 1);
+        let next_lsn = resume_lsn(&backend.read_all()?)?;
         Ok(Wal {
             backend: Box::new(backend),
             next_lsn,
@@ -222,6 +243,22 @@ mod tests {
         }
         let wal = Wal::open(log).unwrap();
         assert_eq!(wal.next_lsn(), 3);
+    }
+
+    #[test]
+    fn open_refuses_a_torn_log_instead_of_appending_behind_it() {
+        let log = MemLog::new();
+        let mut wal = Wal::open(log.clone()).unwrap();
+        wal.log_page_image(1, &page(0), &page(1)).unwrap();
+        wal.log_commit().unwrap();
+        let valid = log.len();
+        let mut torn = log.clone();
+        torn.append(&[0xAB; 5]).unwrap();
+        let Err(err) = Wal::open(log.clone()) else {
+            panic!("a commit logged behind the garbage would be lost to recovery");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("valid_len {valid}")));
     }
 
     #[test]

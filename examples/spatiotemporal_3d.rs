@@ -2,15 +2,16 @@
 //! (x, y, time) index with the same dimension-free buffer model.
 //!
 //! A fleet of vehicles reports positions over a day; queries ask "who was
-//! in this neighborhood during this time window?" — a 3-D box. The
-//! `rtree-nd` crate indexes the events and the unchanged `BufferModel`
-//! prices the queries.
+//! in this neighborhood during this time window?" — a 3-D box. The one
+//! R-tree of `rtree-index`, given `rtree-nd`'s 3-D box, indexes the events
+//! and the unchanged `BufferModel` prices the queries.
 //!
 //! ```text
 //! cargo run --release --example spatiotemporal_3d
 //! ```
 
-use buffered_rtrees::nd::{buffer_model, BulkLoaderN, PointN, RectN, WorkloadN};
+use buffered_rtrees::index::BulkLoader;
+use buffered_rtrees::nd::{buffer_model, PointN, RectN, WorkloadN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +33,7 @@ fn main() {
         }
     }
     // Hilbert packing generalizes to N dimensions via Skilling's algorithm.
-    let tree = BulkLoaderN::hilbert(64).load(&events);
+    let tree = BulkLoader::hilbert(64).load(&events);
     println!(
         "indexed {} reports into {} pages over {} levels",
         tree.len(),
