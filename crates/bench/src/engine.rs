@@ -513,8 +513,8 @@ pub(crate) fn simd_traversal(opts: &Opts, out: &mut String) -> Result<(), String
     say!(
         out,
         "Both paths answer the identical stream from a fully resident buffer; \
-         the speedup is decode (no gather) plus the dispatched filter kernel \
-         (*). KernelKind::{dispatched:?} was auto-selected for this host."
+         the speedup is reading the planes in place (no CRC pass, no decode, \
+         no gather) plus the dispatched filter kernel (*). KernelKind::{dispatched:?} was auto-selected for this host."
     );
     if dispatched_speedup < gate {
         return Err(format!(

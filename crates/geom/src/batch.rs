@@ -7,15 +7,18 @@
 //! `(Rect, u64)` pairs and no per-entry gather when the page itself is
 //! stored SoA (page format v3).
 //!
-//! Three kernels exist, each in four variants (scalar reference, portable
+//! Two kernels exist, each in four variants (scalar reference, portable
 //! lane-chunked, AVX2, NEON — see [`crate::simd`] for dispatch and the
 //! NaN/infinity policy):
 //!
-//! - [`RectSoA::intersecting`] — region queries and frontier expansion;
-//! - [`RectSoA::containing_point`] — point/contains queries (a degenerate
-//!   query rectangle, same comparisons with half the constants);
+//! - [`RectSoA::intersecting`] — region queries and frontier expansion (a
+//!   point query is the degenerate rectangle `[p, p]`);
 //! - [`RectSoA::min_dist2_within`] — kNN bound pruning: minimum squared
 //!   distances with entries past the current bound discarded in-kernel.
+//!
+//! Each variant's loop is written once ([`scan`]) over where the lanes come
+//! from ([`Plane`]: a decoded [`RectSoA`], or page bytes where they lie —
+//! [`crate::planes`]) and what is asked of them ([`Test`]).
 //!
 //! Intersection is closed on both ends, exactly like [`Rect::intersects`]:
 //! rectangles that merely touch (shared edge or corner) intersect, and
@@ -81,24 +84,6 @@ impl RectSoA {
         soa
     }
 
-    /// Builds the set from four coordinate arrays (already SoA — the page
-    /// decoder's constructor).
-    ///
-    /// # Panics
-    /// Panics if the arrays differ in length.
-    pub fn from_arrays(lo_x: Vec<f64>, lo_y: Vec<f64>, hi_x: Vec<f64>, hi_y: Vec<f64>) -> Self {
-        assert!(
-            lo_x.len() == lo_y.len() && lo_x.len() == hi_x.len() && lo_x.len() == hi_y.len(),
-            "SoA arrays differ in length"
-        );
-        RectSoA {
-            lo_x,
-            lo_y,
-            hi_x,
-            hi_y,
-        }
-    }
-
     /// Appends one rectangle; its index is `len() - 1` afterwards.
     pub fn push(&mut self, r: &Rect) {
         self.lo_x.push(r.lo.x);
@@ -125,15 +110,10 @@ impl RectSoA {
         self.lo_x.is_empty()
     }
 
-    /// The four coordinate arrays `(lo_x, lo_y, hi_x, hi_y)`.
-    pub fn arrays(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
-        (&self.lo_x, &self.lo_y, &self.hi_x, &self.hi_y)
-    }
-
     /// Mutable access to the four coordinate arrays — the page decoder's
     /// zero-gather fill seam (reuse the capacity, extend each array in one
     /// contiguous pass). The caller must leave all four the same length;
-    /// the kernels `debug_assert` it.
+    /// the kernels assert it.
     pub fn arrays_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>) {
         (
             &mut self.lo_x,
@@ -141,16 +121,6 @@ impl RectSoA {
             &mut self.hi_x,
             &mut self.hi_y,
         )
-    }
-
-    #[inline]
-    fn debug_assert_coherent(&self) {
-        debug_assert!(
-            self.lo_x.len() == self.lo_y.len()
-                && self.lo_x.len() == self.hi_x.len()
-                && self.lo_x.len() == self.hi_y.len(),
-            "SoA arrays differ in length"
-        );
     }
 
     /// The rectangle at `i`, reassembled. No validation is applied: the set
@@ -179,206 +149,33 @@ impl RectSoA {
         Some(acc)
     }
 
-    // ---- Intersection -------------------------------------------------
+    fn planes(&self) -> Planes<&[f64]> {
+        [&self.lo_x, &self.lo_y, &self.hi_x, &self.hi_y]
+    }
 
     /// Appends the index of every rectangle intersecting `q` to `out`, in
     /// ascending order, through the dispatched kernel (see
     /// [`crate::simd::active_kernel`]).
     #[inline]
     pub fn intersecting(&self, q: &Rect, out: &mut Vec<u32>) {
-        match active_kernel() {
-            KernelKind::Scalar => self.intersecting_scalar(q, out),
-            KernelKind::Portable => self.intersecting_portable(q, out),
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => self.intersecting_avx2(q, out),
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => self.intersecting_neon(q, out),
-            // An unavailable kind cannot be selected; this arm is the
-            // cross-compile fallback for the variants compiled out above.
-            #[allow(unreachable_patterns)]
-            _ => self.intersecting_portable(q, out),
-        }
+        self.intersecting_with(active_kernel(), q, out)
     }
 
     /// Scalar reference implementation of [`RectSoA::intersecting`]: one
     /// [`Rect::intersects`] call per entry. The property suite checks every
     /// other variant against this for arbitrary inputs.
     pub fn intersecting_scalar(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
-        for i in 0..self.len() {
-            if self.get(i).intersects(q) {
-                out.push(i as u32);
-            }
-        }
+        self.intersecting_with(KernelKind::Scalar, q, out)
     }
 
-    /// Portable lane-chunked variant: comparisons are evaluated branch-free
-    /// into a per-block bitmask (a loop LLVM autovectorizes on any target),
-    /// then set bits are drained.
-    pub fn intersecting_portable(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
-        let n = self.len();
-        let mut base = 0;
-        while base < n {
-            let end = (base + BLOCK).min(n);
-            let (lo_x, lo_y) = (&self.lo_x[base..end], &self.lo_y[base..end]);
-            let (hi_x, hi_y) = (&self.hi_x[base..end], &self.hi_y[base..end]);
-            let mut mask = 0u64;
-            for j in 0..lo_x.len() {
-                // `&` (not `&&`): no short-circuit branches in the hot loop.
-                let hit = (lo_x[j] <= q.hi.x)
-                    & (q.lo.x <= hi_x[j])
-                    & (lo_y[j] <= q.hi.y)
-                    & (q.lo.y <= hi_y[j]);
-                mask |= (hit as u64) << j;
-            }
-            while mask != 0 {
-                let bit = mask.trailing_zeros() as usize;
-                out.push((base + bit) as u32);
-                mask &= mask - 1;
-            }
-            base = end;
-        }
-    }
-
-    /// Explicit AVX2 variant: 4 `f64` lanes per step, ordered non-signaling
-    /// compares (`NaN` never matches, exactly like scalar `<=`).
+    /// [`RectSoA::intersecting`] through one named variant (the
+    /// differential suites pin each to the scalar one).
     ///
     /// # Panics
-    /// Panics if the CPU lacks AVX2 — gate on
-    /// [`crate::simd::KernelKind::is_available`].
-    #[cfg(target_arch = "x86_64")]
-    pub fn intersecting_avx2(&self, q: &Rect, out: &mut Vec<u32>) {
-        assert!(
-            KernelKind::Avx2.is_available(),
-            "AVX2 kernel invoked without AVX2 support"
-        );
-        self.debug_assert_coherent();
-        // SAFETY: AVX2 support was just verified; the shim reads only
-        // in-bounds lanes (the loop stops 4 short of the end, the tail is
-        // scalar).
-        unsafe { self.intersecting_avx2_inner(q, out) }
+    /// Panics if this build or CPU cannot run `kind`.
+    pub fn intersecting_with(&self, kind: KernelKind, q: &Rect, out: &mut Vec<u32>) {
+        scan::<_, _, false>(kind, self.planes(), Intersects(*q), out);
     }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn intersecting_avx2_inner(&self, q: &Rect, out: &mut Vec<u32>) {
-        use std::arch::x86_64::*;
-        let n = self.len();
-        let q_lo_x = _mm256_set1_pd(q.lo.x);
-        let q_lo_y = _mm256_set1_pd(q.lo.y);
-        let q_hi_x = _mm256_set1_pd(q.hi.x);
-        let q_hi_y = _mm256_set1_pd(q.hi.y);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY (caller + loop bound): i + 4 <= n, so all four loads
-            // read in-bounds; loadu requires no alignment.
-            let lo_x = _mm256_loadu_pd(self.lo_x.as_ptr().add(i));
-            let lo_y = _mm256_loadu_pd(self.lo_y.as_ptr().add(i));
-            let hi_x = _mm256_loadu_pd(self.hi_x.as_ptr().add(i));
-            let hi_y = _mm256_loadu_pd(self.hi_y.as_ptr().add(i));
-            let m = _mm256_and_pd(
-                _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(lo_x, q_hi_x),
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(q_lo_x, hi_x),
-                ),
-                _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(lo_y, q_hi_y),
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(q_lo_y, hi_y),
-                ),
-            );
-            let mut bits = _mm256_movemask_pd(m) as u32;
-            while bits != 0 {
-                out.push(i as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-            i += 4;
-        }
-        for j in i..n {
-            let hit = (self.lo_x[j] <= q.hi.x)
-                & (q.lo.x <= self.hi_x[j])
-                & (self.lo_y[j] <= q.hi.y)
-                & (q.lo.y <= self.hi_y[j]);
-            if hit {
-                out.push(j as u32);
-            }
-        }
-    }
-
-    /// Explicit NEON variant: 2 `f64` lanes per step (aarch64 always has
-    /// NEON, so no runtime check is needed).
-    #[cfg(target_arch = "aarch64")]
-    pub fn intersecting_neon(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
-        // SAFETY: NEON is baseline on aarch64; the shim reads only
-        // in-bounds lanes (the loop stops 2 short of the end, the tail is
-        // scalar).
-        unsafe { self.intersecting_neon_inner(q, out) }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn intersecting_neon_inner(&self, q: &Rect, out: &mut Vec<u32>) {
-        use std::arch::aarch64::*;
-        let n = self.len();
-        let q_lo_x = vdupq_n_f64(q.lo.x);
-        let q_lo_y = vdupq_n_f64(q.lo.y);
-        let q_hi_x = vdupq_n_f64(q.hi.x);
-        let q_hi_y = vdupq_n_f64(q.hi.y);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY (caller + loop bound): i + 2 <= n, so all loads are
-            // in-bounds.
-            let lo_x = vld1q_f64(self.lo_x.as_ptr().add(i));
-            let lo_y = vld1q_f64(self.lo_y.as_ptr().add(i));
-            let hi_x = vld1q_f64(self.hi_x.as_ptr().add(i));
-            let hi_y = vld1q_f64(self.hi_y.as_ptr().add(i));
-            let m = vandq_u64(
-                vandq_u64(vcleq_f64(lo_x, q_hi_x), vcleq_f64(q_lo_x, hi_x)),
-                vandq_u64(vcleq_f64(lo_y, q_hi_y), vcleq_f64(q_lo_y, hi_y)),
-            );
-            if vgetq_lane_u64::<0>(m) != 0 {
-                out.push(i as u32);
-            }
-            if vgetq_lane_u64::<1>(m) != 0 {
-                out.push(i as u32 + 1);
-            }
-            i += 2;
-        }
-        for j in i..n {
-            let hit = (self.lo_x[j] <= q.hi.x)
-                & (q.lo.x <= self.hi_x[j])
-                & (self.lo_y[j] <= q.hi.y)
-                & (q.lo.y <= self.hi_y[j]);
-            if hit {
-                out.push(j as u32);
-            }
-        }
-    }
-
-    // ---- Point containment --------------------------------------------
-
-    /// Appends the index of every rectangle containing `p` (boundary
-    /// inclusive) to `out`, in ascending order, through the dispatched
-    /// kernel. Identical to [`RectSoA::intersecting`] with the degenerate
-    /// query `[p, p]` — the point/contains traversal path.
-    #[inline]
-    pub fn containing_point(&self, p: &Point, out: &mut Vec<u32>) {
-        self.intersecting(&Rect { lo: *p, hi: *p }, out)
-    }
-
-    /// Scalar reference for [`RectSoA::containing_point`]: one
-    /// [`Rect::contains_point`] call per entry.
-    pub fn containing_point_scalar(&self, p: &Point, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
-        for i in 0..self.len() {
-            if self.get(i).contains_point(p) {
-                out.push(i as u32);
-            }
-        }
-    }
-
-    // ---- kNN bound pruning --------------------------------------------
 
     /// Appends `(index, min_dist²)` for every rectangle whose minimum
     /// squared Euclidean distance to `p` is `<= bound`, in ascending index
@@ -390,172 +187,419 @@ impl RectSoA {
     /// `MINDIST`: 0 inside, squared axis gap outside.
     #[inline]
     pub fn min_dist2_within(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        match active_kernel() {
-            KernelKind::Scalar => self.min_dist2_within_scalar(p, bound, out),
-            KernelKind::Portable => self.min_dist2_within_portable(p, bound, out),
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => self.min_dist2_within_avx2(p, bound, out),
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => self.min_dist2_within_neon(p, bound, out),
-            #[allow(unreachable_patterns)]
-            _ => self.min_dist2_within_portable(p, bound, out),
-        }
+        self.min_dist2_within_with(active_kernel(), p, bound, out)
     }
 
     /// Scalar reference for [`RectSoA::min_dist2_within`].
     pub fn min_dist2_within_scalar(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
-        for i in 0..self.len() {
-            let d2 = min_dist2_select(p, self.lo_x[i], self.lo_y[i], self.hi_x[i], self.hi_y[i]);
-            if d2 <= bound {
-                out.push((i as u32, d2));
-            }
-        }
+        self.min_dist2_within_with(KernelKind::Scalar, p, bound, out)
     }
 
-    /// Portable lane-chunked variant of [`RectSoA::min_dist2_within`].
-    pub fn min_dist2_within_portable(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
-        let n = self.len();
-        let mut d2s = [0.0f64; BLOCK];
-        let mut base = 0;
-        while base < n {
-            let end = (base + BLOCK).min(n);
-            let (lo_x, lo_y) = (&self.lo_x[base..end], &self.lo_y[base..end]);
-            let (hi_x, hi_y) = (&self.hi_x[base..end], &self.hi_y[base..end]);
-            let mut mask = 0u64;
-            for j in 0..lo_x.len() {
-                let dx = smax(smax(lo_x[j] - p.x, p.x - hi_x[j]), 0.0);
-                let dy = smax(smax(lo_y[j] - p.y, p.y - hi_y[j]), 0.0);
-                let d2 = dx * dx + dy * dy;
-                d2s[j] = d2;
-                mask |= ((d2 <= bound) as u64) << j;
-            }
-            while mask != 0 {
-                let bit = mask.trailing_zeros() as usize;
-                out.push(((base + bit) as u32, d2s[bit]));
-                mask &= mask - 1;
-            }
-            base = end;
-        }
-    }
-
-    /// Explicit AVX2 variant of [`RectSoA::min_dist2_within`].
+    /// [`RectSoA::min_dist2_within`] through one named variant.
     ///
     /// # Panics
-    /// Panics if the CPU lacks AVX2 — gate on
-    /// [`crate::simd::KernelKind::is_available`].
+    /// Panics if this build or CPU cannot run `kind`.
+    pub fn min_dist2_within_with(
+        &self,
+        kind: KernelKind,
+        p: &Point,
+        bound: f64,
+        out: &mut Vec<(u32, f64)>,
+    ) {
+        scan::<_, _, false>(kind, self.planes(), Within { p: *p, bound }, out);
+    }
+}
+
+#[cfg(target_arch = "aarch64")]
+use std::arch::aarch64::{float64x2_t, uint64x2_t};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m256d;
+
+/// One coordinate plane as the kernels read it: lanes come from a decoded
+/// `f64` slice or from page bytes where they lie ([`crate::planes`]), so
+/// each loop below is written once for every source.
+pub(crate) trait Plane: Copy {
+    /// Number of lanes.
+    fn len(self) -> usize;
+
+    /// Lane `i`.
+    fn get(self, i: usize) -> f64;
+
+    /// Lanes `i..i + 4`.
+    ///
+    /// # Safety
+    /// `i + 4 <= len()`, and the CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
-    pub fn min_dist2_within_avx2(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        assert!(
-            KernelKind::Avx2.is_available(),
-            "AVX2 kernel invoked without AVX2 support"
-        );
-        self.debug_assert_coherent();
-        // SAFETY: AVX2 support was just verified; lanes are in-bounds as in
-        // the intersection shim.
-        unsafe { self.min_dist2_within_avx2_inner(p, bound, out) }
+    unsafe fn load4(self, i: usize) -> __m256d;
+
+    /// Lanes `i..i + 2`.
+    ///
+    /// # Safety
+    /// `i + 2 <= len()`.
+    #[cfg(target_arch = "aarch64")]
+    unsafe fn load2(self, i: usize) -> float64x2_t;
+}
+
+impl Plane for &[f64] {
+    #[inline(always)]
+    fn len(self) -> usize {
+        <[f64]>::len(self)
+    }
+
+    #[inline(always)]
+    fn get(self, i: usize) -> f64 {
+        self[i]
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_dist2_within_avx2_inner(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
+    #[inline(always)]
+    unsafe fn load4(self, i: usize) -> __m256d {
+        // SAFETY (caller): lanes i..i + 4 are in bounds; loadu needs no
+        // alignment.
+        std::arch::x86_64::_mm256_loadu_pd(self.as_ptr().add(i))
+    }
+
+    #[cfg(target_arch = "aarch64")]
+    #[inline(always)]
+    unsafe fn load2(self, i: usize) -> float64x2_t {
+        // SAFETY (caller): lanes i..i + 2 are in bounds.
+        std::arch::aarch64::vld1q_f64(self.as_ptr().add(i))
+    }
+}
+
+/// The four planes `[lo_x, lo_y, hi_x, hi_y]` of a kernel's input.
+pub(crate) type Planes<P> = [P; 4];
+
+/// Entry `i`, reassembled without validation.
+#[inline(always)]
+pub(crate) fn rect_at<P: Plane>([lo_x, lo_y, hi_x, hi_y]: Planes<P>, i: usize) -> Rect {
+    Rect {
+        lo: Point::new(lo_x.get(i), lo_y.get(i)),
+        hi: Point::new(hi_x.get(i), hi_y.get(i)),
+    }
+}
+
+/// What a scan asks of every entry: which ones to keep, and what a kept one
+/// appends to the output. The per-entry form is the reference; the vector
+/// forms compute the same thing on one register of lanes.
+pub(crate) trait Test: Copy {
+    /// What a kept entry appends.
+    type Hit;
+
+    /// Whether to keep `r`, and the value its hit reports.
+    fn one(self, r: &Rect) -> (bool, f64);
+
+    /// The hit of kept entry `i`, whose test reported `value`.
+    fn hit(i: usize, value: f64) -> Self::Hit;
+
+    /// [`Test::one`] on four entries: a keep bit and a value per lane.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn four(self, lanes: Planes<__m256d>) -> (i32, __m256d);
+
+    /// [`Test::one`] on two entries: a keep mask and a value per lane.
+    ///
+    /// # Safety
+    /// None beyond NEON, which is baseline on aarch64.
+    #[cfg(target_arch = "aarch64")]
+    unsafe fn two(self, lanes: Planes<float64x2_t>) -> (uint64x2_t, float64x2_t);
+}
+
+/// Keeps the entries intersecting the rectangle (closed on both ends); a
+/// hit is the entry's index.
+#[derive(Clone, Copy)]
+pub(crate) struct Intersects(pub Rect);
+
+impl Test for Intersects {
+    type Hit = u32;
+
+    #[inline(always)]
+    fn one(self, r: &Rect) -> (bool, f64) {
+        (r.intersects(&self.0), 0.0)
+    }
+
+    #[inline(always)]
+    fn hit(i: usize, _: f64) -> u32 {
+        i as u32
+    }
+
+    /// Ordered non-signaling compares: `NaN` never matches, exactly like
+    /// scalar `<=`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn four(self, [lo_x, lo_y, hi_x, hi_y]: Planes<__m256d>) -> (i32, __m256d) {
         use std::arch::x86_64::*;
-        let n = self.len();
-        let px = _mm256_set1_pd(p.x);
-        let py = _mm256_set1_pd(p.y);
-        let zero = _mm256_setzero_pd();
-        let bound_v = _mm256_set1_pd(bound);
-        let mut lanes = [0.0f64; 4];
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY (caller + loop bound): i + 4 <= n.
-            let lo_x = _mm256_loadu_pd(self.lo_x.as_ptr().add(i));
-            let lo_y = _mm256_loadu_pd(self.lo_y.as_ptr().add(i));
-            let hi_x = _mm256_loadu_pd(self.hi_x.as_ptr().add(i));
-            let hi_y = _mm256_loadu_pd(self.hi_y.as_ptr().add(i));
-            // max(max(lo - p, p - hi), 0): MAXPD's "return the second
-            // operand unless the first compares greater" is exactly smax.
-            let dx = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(lo_x, px), _mm256_sub_pd(px, hi_x)),
-                zero,
-            );
-            let dy = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(lo_y, py), _mm256_sub_pd(py, hi_y)),
-                zero,
-            );
-            let d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-            let mut bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(d2, bound_v)) as u32;
-            if bits != 0 {
-                _mm256_storeu_pd(lanes.as_mut_ptr(), d2);
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    out.push((i as u32 + b, lanes[b as usize]));
-                    bits &= bits - 1;
-                }
-            }
-            i += 4;
-        }
-        for j in i..n {
-            let d2 = min_dist2_select(p, self.lo_x[j], self.lo_y[j], self.hi_x[j], self.hi_y[j]);
-            if d2 <= bound {
-                out.push((j as u32, d2));
-            }
-        }
+        let q = self.0;
+        let m = _mm256_and_pd(
+            _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LE_OQ>(lo_x, _mm256_set1_pd(q.hi.x)),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_set1_pd(q.lo.x), hi_x),
+            ),
+            _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LE_OQ>(lo_y, _mm256_set1_pd(q.hi.y)),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_set1_pd(q.lo.y), hi_y),
+            ),
+        );
+        (_mm256_movemask_pd(m), _mm256_setzero_pd())
     }
 
-    /// Explicit NEON variant of [`RectSoA::min_dist2_within`]. Uses
-    /// compare-and-bit-select rather than `vmaxq_f64` so the max chain has
-    /// the same select semantics as the scalar and AVX2 variants (NEON's
+    #[cfg(target_arch = "aarch64")]
+    #[inline(always)]
+    unsafe fn two(
+        self,
+        [lo_x, lo_y, hi_x, hi_y]: Planes<float64x2_t>,
+    ) -> (uint64x2_t, float64x2_t) {
+        use std::arch::aarch64::*;
+        let q = self.0;
+        let m = vandq_u64(
+            vandq_u64(
+                vcleq_f64(lo_x, vdupq_n_f64(q.hi.x)),
+                vcleq_f64(vdupq_n_f64(q.lo.x), hi_x),
+            ),
+            vandq_u64(
+                vcleq_f64(lo_y, vdupq_n_f64(q.hi.y)),
+                vcleq_f64(vdupq_n_f64(q.lo.y), hi_y),
+            ),
+        );
+        (m, vdupq_n_f64(0.0))
+    }
+}
+
+/// Keeps the entries whose minimum squared distance to `p` is `<= bound`; a
+/// hit is the entry's index and that distance.
+#[derive(Clone, Copy)]
+pub(crate) struct Within {
+    pub p: Point,
+    pub bound: f64,
+}
+
+impl Test for Within {
+    type Hit = (u32, f64);
+
+    #[inline(always)]
+    fn one(self, r: &Rect) -> (bool, f64) {
+        let d2 = min_dist2_select(&self.p, r.lo.x, r.lo.y, r.hi.x, r.hi.y);
+        (d2 <= self.bound, d2)
+    }
+
+    #[inline(always)]
+    fn hit(i: usize, d2: f64) -> (u32, f64) {
+        (i as u32, d2)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn four(self, [lo_x, lo_y, hi_x, hi_y]: Planes<__m256d>) -> (i32, __m256d) {
+        use std::arch::x86_64::*;
+        let (px, py) = (_mm256_set1_pd(self.p.x), _mm256_set1_pd(self.p.y));
+        let zero = _mm256_setzero_pd();
+        // max(max(lo - p, p - hi), 0): MAXPD's "return the second operand
+        // unless the first compares greater" is exactly smax.
+        let dx = _mm256_max_pd(
+            _mm256_max_pd(_mm256_sub_pd(lo_x, px), _mm256_sub_pd(px, hi_x)),
+            zero,
+        );
+        let dy = _mm256_max_pd(
+            _mm256_max_pd(_mm256_sub_pd(lo_y, py), _mm256_sub_pd(py, hi_y)),
+            zero,
+        );
+        let d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+        let keep = _mm256_cmp_pd::<_CMP_LE_OQ>(d2, _mm256_set1_pd(self.bound));
+        (_mm256_movemask_pd(keep), d2)
+    }
+
+    /// Compare-and-bit-select rather than `vmaxq_f64`, so the max chain has
+    /// the same select semantics as the scalar and AVX2 forms (NEON's
     /// `FMAX` propagates NaN; `FCMGT` + `BSL` does not).
     #[cfg(target_arch = "aarch64")]
-    pub fn min_dist2_within_neon(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
-        // SAFETY: NEON is baseline on aarch64; lanes are in-bounds as in
-        // the intersection shim.
-        unsafe { self.min_dist2_within_neon_inner(p, bound, out) }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn min_dist2_within_neon_inner(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
+    #[inline(always)]
+    unsafe fn two(
+        self,
+        [lo_x, lo_y, hi_x, hi_y]: Planes<float64x2_t>,
+    ) -> (uint64x2_t, float64x2_t) {
         use std::arch::aarch64::*;
         /// `if a > b { a } else { b }` per lane — select semantics.
         #[inline(always)]
         unsafe fn smax2(a: float64x2_t, b: float64x2_t) -> float64x2_t {
             vbslq_f64(vcgtq_f64(a, b), a, b)
         }
-        let n = self.len();
-        let px = vdupq_n_f64(p.x);
-        let py = vdupq_n_f64(p.y);
+        let (px, py) = (vdupq_n_f64(self.p.x), vdupq_n_f64(self.p.y));
         let zero = vdupq_n_f64(0.0);
-        let bound_v = vdupq_n_f64(bound);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY (caller + loop bound): i + 2 <= n.
-            let lo_x = vld1q_f64(self.lo_x.as_ptr().add(i));
-            let lo_y = vld1q_f64(self.lo_y.as_ptr().add(i));
-            let hi_x = vld1q_f64(self.hi_x.as_ptr().add(i));
-            let hi_y = vld1q_f64(self.hi_y.as_ptr().add(i));
-            let dx = smax2(smax2(vsubq_f64(lo_x, px), vsubq_f64(px, hi_x)), zero);
-            let dy = smax2(smax2(vsubq_f64(lo_y, py), vsubq_f64(py, hi_y)), zero);
-            let d2 = vfmaq_f64(vmulq_f64(dx, dx), dy, dy);
-            let keep = vcleq_f64(d2, bound_v);
-            if vgetq_lane_u64::<0>(keep) != 0 {
-                out.push((i as u32, vgetq_lane_f64::<0>(d2)));
-            }
-            if vgetq_lane_u64::<1>(keep) != 0 {
-                out.push((i as u32 + 1, vgetq_lane_f64::<1>(d2)));
-            }
-            i += 2;
+        let dx = smax2(smax2(vsubq_f64(lo_x, px), vsubq_f64(px, hi_x)), zero);
+        let dy = smax2(smax2(vsubq_f64(lo_y, py), vsubq_f64(py, hi_y)), zero);
+        let d2 = vfmaq_f64(vmulq_f64(dx, dx), dy, dy);
+        (vcleq_f64(d2, vdupq_n_f64(self.bound)), d2)
+    }
+}
+
+/// Calls `f` with the position of every set bit, lowest first.
+#[inline(always)]
+pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// Appends the hit of every entry `test` keeps to `out`, in ascending index
+/// order, through variant `kind`. With `CHECK`, also returns whether every
+/// entry is a valid rectangle ([`Rect::is_valid`]); `out` is unspecified
+/// when one is not.
+///
+/// # Panics
+/// Panics if the planes differ in length or `kind` cannot run here.
+#[inline]
+pub(crate) fn scan<P: Plane, T: Test, const CHECK: bool>(
+    kind: KernelKind,
+    planes: Planes<P>,
+    test: T,
+    out: &mut Vec<T::Hit>,
+) -> bool {
+    assert!(
+        planes.iter().all(|p| p.len() == planes[0].len()),
+        "SoA arrays differ in length"
+    );
+    assert!(kind.is_available(), "{kind:?} kernel is not available");
+    match kind {
+        KernelKind::Scalar => scan_from::<P, T, CHECK>(planes, 0, test, out),
+        // SAFETY: the variant is available and the planes are one length,
+        // of which the vector loops stop a register short.
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2 => unsafe { scan_avx2::<P, T, CHECK>(planes, test, out) },
+        #[cfg(target_arch = "aarch64")]
+        KernelKind::Neon => unsafe { scan_neon::<P, T, CHECK>(planes, test, out) },
+        // Portable, and the cross-compile fallback for a variant compiled
+        // out above (which `is_available` never admits).
+        _ => scan_portable::<P, T, CHECK>(planes, test, out),
+    }
+}
+
+/// The scalar reference, one entry at a time from entry `from` on: the
+/// whole `Scalar` variant, and the tail of the vector ones.
+fn scan_from<P: Plane, T: Test, const CHECK: bool>(
+    planes: Planes<P>,
+    from: usize,
+    test: T,
+    out: &mut Vec<T::Hit>,
+) -> bool {
+    for i in from..planes[0].len() {
+        let r = rect_at(planes, i);
+        if CHECK && !r.is_valid() {
+            return false;
         }
-        for j in i..n {
-            let d2 = min_dist2_select(p, self.lo_x[j], self.lo_y[j], self.hi_x[j], self.hi_y[j]);
-            if d2 <= bound {
-                out.push((j as u32, d2));
-            }
+        let (keep, value) = test.one(&r);
+        if keep {
+            out.push(T::hit(i, value));
         }
     }
+    true
+}
+
+/// Portable lane-chunked variant: the test is evaluated branch-free into a
+/// per-block bitmask (a loop LLVM autovectorizes on any target), then set
+/// bits are drained.
+fn scan_portable<P: Plane, T: Test, const CHECK: bool>(
+    planes: Planes<P>,
+    test: T,
+    out: &mut Vec<T::Hit>,
+) -> bool {
+    let n = planes[0].len();
+    let mut ok = true;
+    let mut values = [0.0f64; BLOCK];
+    let mut base = 0;
+    while base < n {
+        let end = (base + BLOCK).min(n);
+        let mut mask = 0u64;
+        for (j, value) in values.iter_mut().enumerate().take(end - base) {
+            let r = rect_at(planes, base + j);
+            let (keep, v) = test.one(&r);
+            *value = v;
+            mask |= (keep as u64) << j;
+            if CHECK {
+                ok &= r.is_valid();
+            }
+        }
+        for_each_bit(mask, |bit| out.push(T::hit(base + bit, values[bit])));
+        base = end;
+    }
+    ok
+}
+
+/// Explicit AVX2 variant: 4 `f64` lanes per step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scan_avx2<P: Plane, T: Test, const CHECK: bool>(
+    planes: Planes<P>,
+    test: T,
+    out: &mut Vec<T::Hit>,
+) -> bool {
+    use std::arch::x86_64::*;
+    let [lo_x, lo_y, hi_x, hi_y] = planes;
+    let n = lo_x.len();
+    let mut values = [0.0f64; 4];
+    let mut ok = 0xF;
+    let mut i = 0usize;
+    while i + 4 <= n {
+        // SAFETY (caller + loop bound): i + 4 <= n, so all four loads read
+        // in-bounds.
+        let v = [lo_x.load4(i), lo_y.load4(i), hi_x.load4(i), hi_y.load4(i)];
+        if CHECK {
+            // `Rect::is_valid` per lane: `lo <= hi` on both axes, and all
+            // four finite — `x - x` is 0 for a finite `x`, NaN otherwise.
+            let ordered = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LE_OQ>(v[0], v[2]),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(v[1], v[3]),
+            );
+            let poison = _mm256_add_pd(
+                _mm256_add_pd(_mm256_sub_pd(v[0], v[0]), _mm256_sub_pd(v[1], v[1])),
+                _mm256_add_pd(_mm256_sub_pd(v[2], v[2]), _mm256_sub_pd(v[3], v[3])),
+            );
+            let finite = _mm256_cmp_pd::<_CMP_EQ_OQ>(poison, _mm256_setzero_pd());
+            ok &= _mm256_movemask_pd(_mm256_and_pd(ordered, finite));
+        }
+        let (keep, lanes) = test.four(v);
+        if keep != 0 {
+            _mm256_storeu_pd(values.as_mut_ptr(), lanes);
+            for_each_bit(keep as u64, |b| out.push(T::hit(i + b, values[b])));
+        }
+        i += 4;
+    }
+    (ok == 0xF) & scan_from::<P, T, CHECK>(planes, i, test, out)
+}
+
+/// Explicit NEON variant: 2 `f64` lanes per step (aarch64 always has NEON,
+/// so no runtime check is needed).
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn scan_neon<P: Plane, T: Test, const CHECK: bool>(
+    planes: Planes<P>,
+    test: T,
+    out: &mut Vec<T::Hit>,
+) -> bool {
+    use std::arch::aarch64::*;
+    let [lo_x, lo_y, hi_x, hi_y] = planes;
+    let n = lo_x.len();
+    let mut ok = true;
+    let mut i = 0usize;
+    while i + 2 <= n {
+        // SAFETY (caller + loop bound): i + 2 <= n, so all loads are
+        // in-bounds.
+        let v = [lo_x.load2(i), lo_y.load2(i), hi_x.load2(i), hi_y.load2(i)];
+        if CHECK {
+            ok &= rect_at(planes, i).is_valid() & rect_at(planes, i + 1).is_valid();
+        }
+        let (keep, lanes) = test.two(v);
+        if vgetq_lane_u64::<0>(keep) != 0 {
+            out.push(T::hit(i, vgetq_lane_f64::<0>(lanes)));
+        }
+        if vgetq_lane_u64::<1>(keep) != 0 {
+            out.push(T::hit(i + 1, vgetq_lane_f64::<1>(lanes)));
+        }
+        i += 2;
+    }
+    ok & scan_from::<P, T, CHECK>(planes, i, test, out)
 }
 
 /// `if a > b { a } else { b }`: the *select-max* every kernel variant's max
@@ -594,23 +638,6 @@ mod tests {
         soa
     }
 
-    type Runner = fn(&RectSoA, &Rect, &mut Vec<u32>);
-
-    /// Every variant compiled into this build, as (name, runner) pairs.
-    fn intersect_variants() -> Vec<(&'static str, Runner)> {
-        let mut v: Vec<(&'static str, Runner)> = vec![
-            ("portable", RectSoA::intersecting_portable),
-            ("dispatch", RectSoA::intersecting),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if KernelKind::Avx2.is_available() {
-            v.push(("avx2", RectSoA::intersecting_avx2));
-        }
-        #[cfg(target_arch = "aarch64")]
-        v.push(("neon", RectSoA::intersecting_neon));
-        v
-    }
-
     #[test]
     fn kernels_match_scalar_on_a_grid() {
         // 150 rects spans multiple mask blocks (and non-multiple-of-lane
@@ -625,10 +652,10 @@ mod tests {
         for q in &queries {
             let mut slow = Vec::new();
             soa.intersecting_scalar(q, &mut slow);
-            for (name, run) in intersect_variants() {
+            for kind in crate::available_kernels() {
                 let mut fast = Vec::new();
-                run(&soa, q, &mut fast);
-                assert_eq!(fast, slow, "{name} vs scalar, query {q}");
+                soa.intersecting_with(kind, q, &mut fast);
+                assert_eq!(fast, slow, "{kind:?} vs scalar, query {q}");
             }
         }
     }
@@ -654,39 +681,19 @@ mod tests {
     }
 
     #[test]
-    fn from_arrays_and_mbr() {
-        let soa = RectSoA::from_arrays(
-            vec![0.0, 0.5],
-            vec![0.1, 0.6],
-            vec![0.2, 0.9],
-            vec![0.3, 0.8],
-        );
-        assert_eq!(soa.len(), 2);
+    fn mbr_is_the_union() {
+        let soa =
+            RectSoA::from_rects(&[Rect::new(0.0, 0.1, 0.2, 0.3), Rect::new(0.5, 0.6, 0.9, 0.8)]);
         assert_eq!(soa.mbr(), Some(Rect::new(0.0, 0.1, 0.9, 0.8)));
         assert_eq!(RectSoA::new().mbr(), None);
     }
 
     #[test]
-    #[should_panic]
-    fn from_arrays_rejects_ragged_input() {
-        let _ = RectSoA::from_arrays(vec![0.0], vec![], vec![0.0], vec![0.0]);
-    }
-
-    #[test]
-    fn containing_point_equals_degenerate_intersection() {
-        let soa = grid(73);
-        for p in [
-            Point::new(0.1, 0.1), // corner of several cells
-            Point::new(0.45, 0.25),
-            Point::new(3.0, 3.0), // outside everything
-        ] {
-            let (mut by_point, mut by_rect, mut scalar) = (Vec::new(), Vec::new(), Vec::new());
-            soa.containing_point(&p, &mut by_point);
-            soa.intersecting(&Rect::point(p), &mut by_rect);
-            soa.containing_point_scalar(&p, &mut scalar);
-            assert_eq!(by_point, by_rect);
-            assert_eq!(by_point, scalar);
-        }
+    #[should_panic(expected = "differ in length")]
+    fn kernels_reject_ragged_arrays() {
+        let mut soa = RectSoA::from_rects(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
+        soa.arrays_mut().2.push(0.5);
+        soa.intersecting(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut Vec::new());
     }
 
     #[test]

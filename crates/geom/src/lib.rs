@@ -8,11 +8,13 @@
 //! packing loaders.
 //!
 //! All geometry is `f64` and the primitive types are `Copy`; only the
-//! batched [`RectSoA`] kernel owns buffers.
+//! batched [`RectSoA`] kernel owns buffers ([`EntryPlanes`] runs the same
+//! kernels on borrowed page bytes).
 
 mod batch;
 mod hilbert;
 mod morton;
+mod planes;
 mod point;
 pub mod quant;
 mod rect;
@@ -21,6 +23,7 @@ pub mod simd;
 pub use batch::RectSoA;
 pub use hilbert::{hilbert_index, hilbert_point, HilbertCurve};
 pub use morton::{morton_index, MortonCurve};
+pub use planes::{CorruptEntry, EntryPlanes};
 pub use point::Point;
 pub use rect::Rect;
 pub use simd::{active_kernel, available_kernels, set_kernel, KernelKind};

@@ -1,16 +1,20 @@
-//! Kernel dispatch: which vectorized implementation the [`crate::RectSoA`]
-//! hot paths run.
+//! Kernel dispatch: which vectorized implementation the rectangle kernels
+//! run — on a decoded [`crate::RectSoA`] and, in the tree walks, on page
+//! bytes where they lie ([`crate::EntryPlanes`]).
 //!
 //! Four implementations of each kernel exist side by side:
 //!
 //! - **Scalar** — one [`crate::Rect`]-at-a-time reference, the
 //!   obviously-correct baseline every other variant is property-tested
 //!   against. Never deleted: it is the differential oracle and the seed
-//!   path's behavior.
-//! - **Portable** — branch-free lane-chunked loops over the SoA arrays that
+//!   path's behavior. On quantized planes it dequantizes one entry at a
+//!   time; every other variant compares in code space.
+//! - **Portable** — branch-free lane-chunked loops over the planes that
 //!   LLVM autovectorizes on any target.
-//! - **Avx2** — explicit 4-lane `f64` AVX2 intrinsics (x86-64 only).
-//! - **Neon** — explicit 2-lane `f64` NEON intrinsics (aarch64 only).
+//! - **Avx2** — explicit AVX2 intrinsics (x86-64 only): 4 `f64` lanes, or
+//!   16 `u16` lanes in code space.
+//! - **Neon** — explicit 2-lane `f64` NEON intrinsics (little-endian
+//!   aarch64 only; code space runs the portable loop).
 //!
 //! Selection happens **once**, on first use: the best variant the CPU
 //! supports, unless `RTREE_KERNEL=scalar|portable|avx2|neon` in the
@@ -40,10 +44,11 @@
 //!   a positive real, or `+∞`, even for NaN/`∞ − ∞` inputs. A NaN *bound*
 //!   prunes everything (`d2 <= NaN` is false).
 //!
-//! On-disk pages can contain neither (decode validates every rectangle),
-//! so in production the policy only matters for agreement between
-//! variants; the suite keeps it pinned so a future kernel cannot silently
-//! diverge.
+//! A page entry can be neither: the in-place kernels validate every entry
+//! inside the scan itself ([`crate::CorruptEntry`] fails the visit — there
+//! is no decode step in front of them), so in production the policy only
+//! matters for the *query* operand and for agreement between variants; the
+//! suite keeps it pinned so a future kernel cannot silently diverge.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -76,7 +81,8 @@ impl KernelKind {
         match self {
             KernelKind::Scalar | KernelKind::Portable => true,
             KernelKind::Avx2 => avx2_available(),
-            KernelKind::Neon => cfg!(target_arch = "aarch64"),
+            // The vector loads read page bytes as they lie: little-endian.
+            KernelKind::Neon => cfg!(all(target_arch = "aarch64", target_endian = "little")),
         }
     }
 }

@@ -20,39 +20,39 @@
 //!   satisfies no bound.
 
 use proptest::prelude::*;
-use rtree_geom::{KernelKind, Point, Rect, RectSoA};
+use rtree_geom::quant::{dequant, quantum, QMAX};
+use rtree_geom::{available_kernels, CorruptEntry, EntryPlanes, KernelKind, Point, Rect, RectSoA};
 
-type IntersectFn = fn(&RectSoA, &Rect, &mut Vec<u32>);
-type DistFn = fn(&RectSoA, &Point, f64, &mut Vec<(u32, f64)>);
+type IntersectFn = Box<dyn Fn(&RectSoA, &Rect, &mut Vec<u32>)>;
+type DistFn = Box<dyn Fn(&RectSoA, &Point, f64, &mut Vec<(u32, f64)>)>;
 
-/// Every non-scalar intersection variant this build + CPU can run. The
+/// Every intersection variant this build + CPU can run (scalar included:
+/// `intersecting_with(Scalar)` must be `intersecting_scalar`). The
 /// dispatcher is included so whatever the environment selected is covered
 /// too.
 fn intersect_variants() -> Vec<(&'static str, IntersectFn)> {
-    let mut v: Vec<(&'static str, IntersectFn)> = vec![
-        ("portable", RectSoA::intersecting_portable),
-        ("dispatch", RectSoA::intersecting),
-    ];
-    #[cfg(target_arch = "x86_64")]
-    if KernelKind::Avx2.is_available() {
-        v.push(("avx2", RectSoA::intersecting_avx2));
+    let mut v: Vec<(&'static str, IntersectFn)> =
+        vec![("dispatch", Box::new(|s, q, out| s.intersecting(q, out)))];
+    for kind in available_kernels() {
+        v.push((
+            kind.name(),
+            Box::new(move |s, q, out| s.intersecting_with(kind, q, out)),
+        ));
     }
-    #[cfg(target_arch = "aarch64")]
-    v.push(("neon", RectSoA::intersecting_neon));
     v
 }
 
 fn dist_variants() -> Vec<(&'static str, DistFn)> {
-    let mut v: Vec<(&'static str, DistFn)> = vec![
-        ("portable", RectSoA::min_dist2_within_portable),
-        ("dispatch", RectSoA::min_dist2_within),
-    ];
-    #[cfg(target_arch = "x86_64")]
-    if KernelKind::Avx2.is_available() {
-        v.push(("avx2", RectSoA::min_dist2_within_avx2));
+    let mut v: Vec<(&'static str, DistFn)> = vec![(
+        "dispatch",
+        Box::new(|s, p, bound, out| s.min_dist2_within(p, bound, out)),
+    )];
+    for kind in available_kernels() {
+        v.push((
+            kind.name(),
+            Box::new(move |s, p, bound, out| s.min_dist2_within_with(kind, p, bound, out)),
+        ));
     }
-    #[cfg(target_arch = "aarch64")]
-    v.push(("neon", RectSoA::min_dist2_within_neon));
     v
 }
 
@@ -154,20 +154,23 @@ proptest! {
         }
     }
 
-    /// Point containment: every variant == scalar `Rect::contains_point`
-    /// reference, over adversarial rects and points (including NaN points,
-    /// which are contained by nothing).
+    /// Point containment is the degenerate query `[p, p]`: every variant ==
+    /// scalar `Rect::contains_point`, over adversarial rects and points
+    /// (including NaN points, which are contained by nothing).
     #[test]
     fn containment_variants_match_scalar(
         rects in adversarial_set(),
         p in adversarial_point(),
     ) {
         let soa = RectSoA::from_rects(&rects);
-        let mut slow = Vec::new();
-        soa.containing_point_scalar(&p, &mut slow);
-        let mut fast = Vec::new();
-        soa.containing_point(&p, &mut fast);
-        prop_assert_eq!(&fast, &slow, "dispatch vs scalar, point {:?}", p);
+        let slow: Vec<u32> = (0..rects.len() as u32)
+            .filter(|&i| rects[i as usize].contains_point(&p))
+            .collect();
+        for (name, run) in intersect_variants() {
+            let mut fast = Vec::new();
+            run(&soa, &Rect { lo: p, hi: p }, &mut fast);
+            prop_assert_eq!(&fast, &slow, "{} vs scalar, point {:?}", name, p);
+        }
     }
 
     /// Distance pruning: every variant == scalar reference — same surviving
@@ -357,5 +360,406 @@ fn infinities_are_total() {
         let mut out = Vec::new();
         run(&soa, &far, f64::INFINITY, &mut out);
         assert_dist_eq(name, &out, &slow_far);
+    }
+}
+
+// ---- The same kernels on page bytes where they lie --------------------
+//
+// `EntryPlanes` (of either kind) must answer exactly what the scalar kernel
+// answers on the planes decoded into a `RectSoA` — same ids, same order,
+// bit-equal distances — in every variant, and must report `CorruptEntry`
+// exactly when a decode would have rejected an entry.
+
+/// Four planes of `width`-byte lanes laid out back to back behind a one-byte
+/// pad, so every lane sits at an odd address (the loads must not assume
+/// alignment).
+struct Bytes {
+    buf: Vec<u8>,
+    plane_len: usize,
+}
+
+impl Bytes {
+    fn new(lanes: [Vec<Vec<u8>>; 4]) -> Self {
+        let plane_len = lanes[0].iter().map(Vec::len).sum();
+        let mut buf = vec![0xA5u8];
+        for plane in lanes {
+            buf.extend(plane.into_iter().flatten());
+        }
+        Bytes { buf, plane_len }
+    }
+
+    fn of_rects(rects: &[Rect]) -> Self {
+        let lane = |f: fn(&Rect) -> f64| rects.iter().map(move |r| f(r).to_le_bytes().to_vec());
+        Bytes::new([
+            lane(|r| r.lo.x).collect(),
+            lane(|r| r.lo.y).collect(),
+            lane(|r| r.hi.x).collect(),
+            lane(|r| r.hi.y).collect(),
+        ])
+    }
+
+    fn of_codes(codes: &[[u16; 4]]) -> Self {
+        let lane = |k: usize| codes.iter().map(move |c| c[k].to_le_bytes().to_vec());
+        Bytes::new([
+            lane(0).collect(),
+            lane(1).collect(),
+            lane(2).collect(),
+            lane(3).collect(),
+        ])
+    }
+
+    fn planes(&self) -> [&[u8]; 4] {
+        std::array::from_fn(|k| &self.buf[1 + k * self.plane_len..][..self.plane_len])
+    }
+}
+
+/// The neighbouring float above or below `v` (`f64::next_up` postdates the
+/// workspace's minimum toolchain).
+fn step(v: f64, up: bool) -> f64 {
+    if !v.is_finite() {
+        v
+    } else if v == 0.0 {
+        f64::from_bits(1) * if up { 1.0 } else { -1.0 }
+    } else if (v > 0.0) == up {
+        f64::from_bits(v.to_bits() + 1)
+    } else {
+        f64::from_bits(v.to_bits() - 1)
+    }
+}
+
+/// Finite, ordered rectangles on the coarse grid (touching edges are
+/// common) or at extreme magnitudes.
+fn valid_rect() -> impl Strategy<Value = Rect> {
+    let coord = || {
+        prop_oneof![
+            (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
+            (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
+            -1.0f64..=1.0,
+            Just(-0.0f64),
+            Just(1e300),
+            Just(-1e300),
+            Just(f64::MAX),
+            Just(f64::MIN),
+        ]
+    };
+    (coord(), coord(), coord(), coord()).prop_map(|(a, b, c, d)| Rect {
+        lo: Point::new(a.min(c), b.min(d)),
+        hi: Point::new(a.max(c), b.max(d)),
+    })
+}
+
+/// A set of valid rectangles at a chunk-boundary length, in one case out of
+/// four with a single adversarial (inverted / non-finite) entry planted in
+/// it — what a re-sealed corrupt page looks like.
+fn page_like_set() -> impl Strategy<Value = Vec<Rect>> {
+    const LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 63, 64, 65, 102, 127, 128];
+    (
+        0usize..LENS.len(),
+        prop::collection::vec(valid_rect(), 128usize),
+        prop_oneof![
+            Just(None),
+            Just(None),
+            Just(None),
+            (0usize..128, adversarial_rect()).prop_map(Some)
+        ],
+    )
+        .prop_map(|(sel, mut v, planted)| {
+            v.truncate(LENS[sel]);
+            if let Some((at, bad)) = planted {
+                if let Some(slot) = v.get_mut(at) {
+                    *slot = bad;
+                }
+            }
+            v
+        })
+}
+
+/// One frame axis `(base, top)`: ordinary, zero-extent, one ulp wide, huge,
+/// wide enough that `top - base` overflows, and denormal-narrow.
+fn frame_axis() -> impl Strategy<Value = (f64, f64)> {
+    prop_oneof![
+        Just((0.0, 1.0)),
+        (-8i8..=8, 0u8..=16).prop_map(|(a, w)| (f64::from(a) / 8.0, f64::from(a + w as i8) / 8.0)),
+        (-1.0f64..1.0, 0.0f64..2.0).prop_map(|(b, w)| (b, b + w)),
+        (-1.0f64..1.0).prop_map(|b| (b, b)),
+        (-1.0f64..1.0).prop_map(|b| (b, step(b, true))),
+        (-1e300f64..1e300, 0.0f64..1e300).prop_map(|(b, w)| (b, b + w)),
+        Just((-1e300, 1e300)),
+        Just((1e300, step(1e300, true))),
+        Just((-1.7e308, 1.7e308)),
+        Just((0.0, 5e-324)),
+        Just((-0.0, 0.0)),
+    ]
+}
+
+fn code() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        any::<u16>(),
+        any::<u16>(),
+        Just(0),
+        Just(QMAX),
+        0u16..8,
+        65_528u16..=QMAX
+    ]
+}
+
+/// Code quadruples `[lo_x, lo_y, hi_x, hi_y]` with `lo <= hi` per axis (wide
+/// and hair-thin entries both), at lengths straddling the 16-lane register
+/// and the 64-entry block, sometimes with one inverted entry planted.
+fn code_set() -> impl Strategy<Value = Vec<[u16; 4]>> {
+    const LENS: [usize; 12] = [0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 200, 253];
+    let entry = (code(), code(), code(), code(), 0u16..4, any::<bool>()).prop_map(
+        |(a, b, c, d, thin, wide)| {
+            if wide {
+                [a.min(c), b.min(d), a.max(c), b.max(d)]
+            } else {
+                [a, b, a.saturating_add(thin), b.saturating_add(thin)]
+            }
+        },
+    );
+    (
+        0usize..LENS.len(),
+        prop::collection::vec(entry, 253usize),
+        prop_oneof![
+            Just(None),
+            Just(None),
+            Just(None),
+            (0usize..253, any::<bool>()).prop_map(Some)
+        ],
+    )
+        .prop_map(|(sel, mut v, planted)| {
+            v.truncate(LENS[sel]);
+            if let Some((at, on_x)) = planted {
+                if let Some(c) = v.get_mut(at) {
+                    let k = usize::from(!on_x);
+                    c.swap(k, k + 2);
+                }
+            }
+            v
+        })
+}
+
+/// A query coordinate placed where the threshold search can go wrong: on a
+/// decoded grid value, one float either side of it, on and just outside the
+/// frame ends, far outside, infinite, NaN, or anywhere inside.
+fn edge() -> impl Strategy<Value = (u8, u16, f64)> {
+    (0u8..14, code(), 0.0f64..=1.0)
+}
+
+fn place((sel, c, t): (u8, u16, f64), (base, top): (f64, f64)) -> f64 {
+    let on_grid = dequant(c, base, quantum(base, top), top);
+    match sel {
+        0 => on_grid,
+        1 => step(on_grid, true),
+        2 => step(on_grid, false),
+        3 => base,
+        4 => top,
+        5 => step(base, false),
+        6 => step(top, true),
+        7 => base - (top - base) - 1.0,
+        8 => top + (top - base) + 1.0,
+        9 => f64::NEG_INFINITY,
+        10 => f64::INFINITY,
+        11 => f64::NAN,
+        _ => base + t * (top - base),
+    }
+}
+
+fn kernel_bound() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..=4.0,
+        0.0f64..=4.0,
+        Just(f64::INFINITY),
+        Just(0.0f64),
+        Just(1e300),
+        Just(f64::NAN),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Borrowed `f64` byte planes == the decoded set under the scalar
+    /// kernel, in every variant, and `CorruptEntry` iff some entry is not a
+    /// valid rectangle — for `intersecting`, `min_dist2_within` and `mbr`.
+    #[test]
+    fn f64_planes_match_decoded_set(
+        rects in page_like_set(),
+        queries in prop::collection::vec(adversarial_rect(), 1..6),
+        p in adversarial_point(),
+        bound in kernel_bound(),
+    ) {
+        let bytes = Bytes::of_rects(&rects);
+        let view = EntryPlanes::F64(bytes.planes());
+        let soa = RectSoA::from_rects(&rects);
+        let corrupt = rects.iter().any(|r| !r.is_valid());
+        for (i, r) in rects.iter().enumerate().filter(|(_, r)| r.is_valid()) {
+            prop_assert_eq!(view.get(i), *r);
+        }
+        match view.mbr() {
+            Err(CorruptEntry) => prop_assert!(corrupt),
+            Ok(mbr) => {
+                prop_assert!(!corrupt);
+                prop_assert_eq!(mbr, soa.mbr());
+            }
+        }
+        let (mut slow, mut slow_d) = (Vec::new(), Vec::new());
+        soa.min_dist2_within_scalar(&p, bound, &mut slow_d);
+        for kind in available_kernels() {
+            for q in &queries {
+                slow.clear();
+                soa.intersecting_scalar(q, &mut slow);
+                let mut fast = Vec::new();
+                let got = view.intersecting(kind, q, &mut fast);
+                prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
+                if !corrupt {
+                    prop_assert_eq!(&fast, &slow, "{:?}, query {:?}", kind, q);
+                }
+            }
+            let mut fast_d = Vec::new();
+            let got = view.min_dist2_within(kind, &p, bound, &mut fast_d);
+            prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
+            if !corrupt {
+                assert_dist_eq(kind.name(), &fast_d, &slow_d);
+            }
+        }
+    }
+
+    /// Code space ≡ dequantize-then-compare: on quantized planes every
+    /// variant returns exactly what the scalar kernel returns on the
+    /// entries decoded through `quant::dequant` — ids, order, bit-equal
+    /// distances, the same MBR — over adversarial frames and query edges,
+    /// and `CorruptEntry` iff some entry has `lo code > hi code`.
+    #[test]
+    fn code_planes_match_dequantized_set(
+        axes in (frame_axis(), frame_axis()),
+        codes in code_set(),
+        queries in prop::collection::vec([edge(), edge(), edge(), edge()], 1..8),
+        point in (edge(), edge()),
+        bound in kernel_bound(),
+    ) {
+        let ((x, y), (px, py)) = (axes, point);
+        let frame = Rect { lo: Point::new(x.0, y.0), hi: Point::new(x.1, y.1) };
+        let bytes = Bytes::of_codes(&codes);
+        let view = EntryPlanes::Codes { frame, planes: bytes.planes() };
+        let (qx, qy) = (quantum(x.0, x.1), quantum(y.0, y.1));
+        let decoded: Vec<Rect> = codes
+            .iter()
+            .map(|c| Rect {
+                lo: Point::new(dequant(c[0], x.0, qx, x.1), dequant(c[1], y.0, qy, y.1)),
+                hi: Point::new(dequant(c[2], x.0, qx, x.1), dequant(c[3], y.0, qy, y.1)),
+            })
+            .collect();
+        let soa = RectSoA::from_rects(&decoded);
+        let corrupt = codes.iter().any(|c| c[0] > c[2] || c[1] > c[3]);
+        for (i, r) in decoded.iter().enumerate() {
+            prop_assert_eq!(view.get(i), *r);
+        }
+        match view.mbr() {
+            Err(CorruptEntry) => prop_assert!(corrupt),
+            Ok(mbr) => {
+                prop_assert!(!corrupt);
+                prop_assert_eq!(mbr, soa.mbr());
+            }
+        }
+        let p = Point::new(place(px, x), place(py, y));
+        let (mut slow, mut slow_d) = (Vec::new(), Vec::new());
+        soa.min_dist2_within_scalar(&p, bound, &mut slow_d);
+        for kind in available_kernels() {
+            for [lo_x, lo_y, hi_x, hi_y] in &queries {
+                let q = Rect {
+                    lo: Point::new(place(*lo_x, x), place(*lo_y, y)),
+                    hi: Point::new(place(*hi_x, x), place(*hi_y, y)),
+                };
+                slow.clear();
+                soa.intersecting_scalar(&q, &mut slow);
+                let mut fast = Vec::new();
+                let got = view.intersecting(kind, &q, &mut fast);
+                prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
+                if !corrupt {
+                    prop_assert_eq!(&fast, &slow, "{:?}, frame {:?}, query {:?}", kind, frame, q);
+                }
+            }
+            let mut fast_d = Vec::new();
+            let got = view.min_dist2_within(kind, &p, bound, &mut fast_d);
+            prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
+            if !corrupt {
+                assert_dist_eq(kind.name(), &fast_d, &slow_d);
+            }
+        }
+    }
+}
+
+/// A query that misses the frame, or is NaN, matches nothing — and still
+/// fails the visit when an entry is inverted, in every variant.
+#[test]
+fn code_planes_validate_even_when_nothing_can_match() {
+    let frame = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let good = Bytes::of_codes(&[[0, 0, 9, 9], [100, 100, 200, 200]]);
+    let bad = Bytes::of_codes(&[[0, 0, 9, 9], [300, 100, 200, 200]]);
+    let nan = f64::NAN;
+    let misses = [
+        Rect::new(2.0, 2.0, 3.0, 3.0),
+        Rect::new(-3.0, 0.0, -2.0, 1.0),
+        Rect {
+            lo: Point::new(nan, nan),
+            hi: Point::new(nan, nan),
+        },
+    ];
+    for kind in available_kernels() {
+        for q in &misses {
+            let mut out = Vec::new();
+            let planes = good.planes();
+            let view = EntryPlanes::Codes { frame, planes };
+            assert_eq!(view.intersecting(kind, q, &mut out), Ok(()));
+            assert!(out.is_empty(), "{kind:?}: {q:?} must match nothing");
+            let planes = bad.planes();
+            let view = EntryPlanes::Codes { frame, planes };
+            assert_eq!(
+                view.intersecting(kind, q, &mut out),
+                Err(CorruptEntry),
+                "{kind:?}: {q:?}"
+            );
+        }
+    }
+}
+
+/// The end codes decode to exactly `base` / `top`, not to `base + c·q`: on
+/// this frame `base + QMAX·q` lands one float *below* `top` (about one frame
+/// in 10⁵ does that), and on a range too wide for `f64` the quantum is `∞`
+/// and `0·∞` is NaN — the in-register dequantization must blend both ends
+/// like `dequant` does, in every variant.
+#[test]
+fn end_codes_decode_to_the_frame_ends_in_registers() {
+    let narrow = (-0.1868547502996043f64, 0.31313778796625114f64);
+    assert!(narrow.0 + f64::from(QMAX) * quantum(narrow.0, narrow.1) < narrow.1);
+    let overflowing = (-1.7e308, 1.7e308);
+    assert_eq!(quantum(overflowing.0, overflowing.1), f64::INFINITY);
+    let codes: Vec<[u16; 4]> = (0..9).map(|i| [0, i, QMAX, QMAX]).collect();
+    let bytes = Bytes::of_codes(&codes);
+    for (base, top) in [narrow, overflowing] {
+        let frame = Rect::new(base, base, top, top);
+        let planes = bytes.planes();
+        let view = EntryPlanes::Codes { frame, planes };
+        assert_eq!(view.get(3).lo.x, base);
+        assert_eq!(view.get(3).hi, Point::new(top, top));
+        // Inside the frame (distance 0 to an entry spanning it), and one
+        // float outside each end (that one float's gap).
+        for p in [
+            Point::new(base / 2.0 + top / 2.0, top),
+            Point::new(step(top, true), top),
+            Point::new(step(base, false), top),
+        ] {
+            let mut slow = Vec::new();
+            view.min_dist2_within(KernelKind::Scalar, &p, f64::INFINITY, &mut slow)
+                .unwrap();
+            assert_eq!(slow.len(), codes.len());
+            for kind in available_kernels() {
+                let mut fast = Vec::new();
+                view.min_dist2_within(kind, &p, f64::INFINITY, &mut fast)
+                    .unwrap();
+                assert_dist_eq(kind.name(), &fast, &slow);
+            }
+        }
     }
 }

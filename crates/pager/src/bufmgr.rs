@@ -185,8 +185,9 @@ impl<S: PageStore> BufferManager<S> {
     /// pins, prefetch fills and scratch reads alike (before-image reads on
     /// the buffered-write path are exempt: an overwrite must be able to
     /// repair a corrupt page). With this on, a frame served from the pool
-    /// is known-good, so decoders may skip their own checksum pass
-    /// ([`crate::NodeSoA::decode_into_trusted`]): corruption is caught
+    /// is known-good, so readers may skip their own checksum pass
+    /// ([`crate::PageView`], [`crate::NodeSoA::decode_into_trusted`]):
+    /// corruption is caught
     /// exactly once, at page-in, instead of on every traversal of a
     /// resident frame. The tree layers enable this; the default is off so
     /// the manager stays format-agnostic for raw-page users.

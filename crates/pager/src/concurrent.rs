@@ -37,7 +37,7 @@ use crate::page::{decode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::walk::{self, BatchOutput};
-use crate::{BufferManager, IoStats, NodePage, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
+use crate::{BufferManager, IoStats, NodePage, PageMeta, PageStore, PageView, PAGE_SIZE};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rtree_buffer::{BufferStats, PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
@@ -514,6 +514,12 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(Arc::clone(self.root_frame.get_or_init(|| frame)))
     }
 
+    /// The root's MBR from the uncharged peek (`None` for an empty tree) —
+    /// model semantics: a node is accessed iff its MBR intersects the query.
+    fn root_mbr(&self) -> io::Result<Option<Rect>> {
+        Ok(PageView::new(&self.root_frame()?, self.meta.root_level())?.mbr()?)
+    }
+
     /// Runs `f` on the live metadata: the writer's when writable (updated
     /// by every insert/delete), the open-time snapshot otherwise.
     fn with_meta<R>(&self, f: impl FnOnce(&PageMeta) -> R) -> R {
@@ -531,14 +537,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             return self.query_writer(w, query);
         }
         let (root, level) = (self.meta.root, self.meta.root_level());
-        let mut cursor = Cursor::new(self);
-        // Uncharged root peek (model semantics: a node is accessed iff its
-        // MBR intersects the query).
-        let mut node = NodeSoA::new();
-        node.decode_into_trusted(&self.root_frame()?)?;
-        match node.rects.mbr() {
+        match self.root_mbr()? {
             Some(mbr) if mbr.intersects(query) => {
-                walk::region(&mut cursor, &mut node, root, level, query)
+                walk::region(&mut Cursor::new(self), root, level, query)
             }
             _ => Ok(Vec::new()),
         }
@@ -569,10 +570,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// thread). `results[i]` holds the ids matching `queries[i]`.
     ///
     /// Each worker traverses its sub-batch **level-synchronously with page
-    /// dedup**: a page needed by k of its queries is fetched and decoded
-    /// once, each level is visited in ascending page order (sequential
-    /// under the bulk-loaded layout), and per-node filtering runs the
-    /// [`rtree_geom::RectSoA`] kernel. The root peek is shared and
+    /// dedup**: a page needed by k of its queries is fetched once, each
+    /// level is visited in ascending page order (sequential under the
+    /// bulk-loaded layout), and per-node filtering runs the dispatched
+    /// kernel on the frame in place ([`PageView`]). The root peek is shared and
     /// uncharged, exactly as in [`ConcurrentDiskRTree::query`]. With
     /// `threads = 1` the traversal runs inline on the caller's thread.
     pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<Vec<Vec<u64>>>
@@ -594,8 +595,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
         .min(queries.len());
 
-        // Shared uncharged root peek; workers reuse the decoded MBR.
-        let Some(root_mbr) = NodeSoA::decode(&self.root_frame()?)?.rects.mbr() else {
+        // Shared uncharged root peek; workers reuse the MBR.
+        let Some(root_mbr) = self.root_mbr()? else {
             return Ok(vec![Vec::new(); queries.len()]);
         };
         let (root, level) = (self.meta.root, self.meta.root_level());

@@ -1,9 +1,9 @@
 //! Disk-backed R-tree execution.
 //!
-//! Query traversal decodes pages into [`NodeSoA`] (reusing one scratch node
-//! across the whole walk) and filters entries with the dispatched
-//! [`rtree_geom::RectSoA`] SIMD kernel — on v3 (SoA) pages the coordinate
-//! planes are copied contiguously with no per-entry gather. The seed's
+//! Query traversal reads pages where they lie in the buffer pool, through
+//! [`PageView`]: the dispatched [`rtree_geom`] SIMD kernels filter the
+//! entries on the frame's own coordinate planes (in code space on
+//! compressed pages) and nothing is decoded. The seed's
 //! entry-at-a-time walk is [`DiskRTree::query_scalar`], the differential
 //! reference the `simd_traversal` bench and the `simd_vs_seed` /
 //! `compress_vs_seed` suites hold every kernel and page format against.
@@ -15,7 +15,7 @@ use crate::mutate::mbr;
 use crate::seam::PageRead;
 use crate::walk::{self, BatchOutput};
 use crate::{
-    BufferManager, NodePage, NodeSoA, PageMeta, PageStore, MAX_ENTRIES_PACKED,
+    BufferManager, NodePage, PageMeta, PageStore, PageView, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 use rtree_buffer::{PageId, ReplacementPolicy};
@@ -73,7 +73,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// (single construction point so trace state stays in one place).
     pub(crate) fn from_parts(mut mgr: BufferManager<S>, meta: PageMeta) -> Self {
         // Checksums are verified once, when a page enters the pool; the
-        // traversal loops then use the trusted decode on resident frames.
+        // traversal loops then read resident frames as trusted.
         mgr.set_verify_reads(true);
         DiskRTree {
             mgr,
@@ -335,16 +335,19 @@ impl<S: PageStore> DiskRTree<S> {
         })
     }
 
+    /// The root's MBR from an uncharged peek (`None` for an empty tree).
+    /// Root handling mirrors the model: a walk accesses the root only if
+    /// its MBR intersects the query.
+    fn root_mbr(&mut self) -> io::Result<Option<Rect>> {
+        let (root, level) = (self.meta.root, self.meta.root_level());
+        let frame = self.mgr.fetch_uncharged(PageId(root), level)?;
+        Ok(PageView::new(frame, level)?.mbr()?)
+    }
+
     fn query_inner(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
         let (root, level) = (self.meta.root, self.meta.root_level());
-        // Root handling mirrors the model: access it only if its MBR
-        // intersects the query. Decode it from a cheap peek first.
-        let mut node = NodeSoA::new();
-        node.decode_into_trusted(self.mgr.fetch_uncharged(PageId(root), level)?)?;
-        match node.rects.mbr() {
-            Some(mbr) if mbr.intersects(query) => {
-                walk::region(&mut self.mgr, &mut node, root, level, query)
-            }
+        match self.root_mbr()? {
+            Some(mbr) if mbr.intersects(query) => walk::region(&mut self.mgr, root, level, query),
             _ => Ok(Vec::new()),
         }
     }
@@ -365,8 +368,7 @@ impl<S: PageStore> DiskRTree<S> {
         }
         self.in_span(|t| {
             let (root, level) = (t.meta.root, t.meta.root_level());
-            let peek = t.mgr.fetch_uncharged(PageId(root), level)?;
-            let Some(mbr) = NodeSoA::decode(peek)?.rects.mbr() else {
+            let Some(mbr) = t.root_mbr()? else {
                 return Ok(());
             };
             walk::frontier(
@@ -385,8 +387,8 @@ impl<S: PageStore> DiskRTree<S> {
     /// The seed's entry-at-a-time region query, the differential reference
     /// for every kernel and page format: decodes pages into [`NodePage`]
     /// (one `(rect, pointer)` entry at a time, whatever the page layout)
-    /// and tests each entry with [`Rect::intersects`] — no SoA scratch
-    /// node, no dispatched kernel. Visits pages in exactly the same order
+    /// and tests each entry with [`Rect::intersects`] — no in-place view,
+    /// no dispatched kernel. Visits pages in exactly the same order
     /// as [`DiskRTree::query`], so on the same image results *and* I/O
     /// counts must match: the `simd_vs_seed` and `compress_vs_seed` suites
     /// and the `simd_traversal` bench rely on this.
@@ -425,9 +427,8 @@ impl<S: PageStore> DiskRTree<S> {
     }
 
     /// Point query: item ids whose rectangle contains `p` (boundary
-    /// inclusive). Runs the dispatched SIMD containment kernel over the
-    /// same traversal as [`DiskRTree::query`] — identical to
-    /// `query(&Rect::point(p))` in both results and page accesses.
+    /// inclusive). It *is* [`DiskRTree::query`] on the degenerate rectangle
+    /// `[p, p]`: same kernel, same results, same page accesses.
     pub fn query_point(&mut self, p: &Point) -> io::Result<Vec<u64>> {
         self.query(&Rect { lo: *p, hi: *p })
     }

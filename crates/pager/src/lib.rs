@@ -53,8 +53,8 @@ pub use concurrent::ConcurrentDiskRTree;
 pub use disk_tree::DiskRTree;
 pub use fault::FaultStore;
 pub use page::{
-    NodePage, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE,
-    PAGE_SIZE,
+    NodePage, NodeSoA, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED,
+    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 pub use recovery::{recover, replay_committed, RecoveryReport, ReplaySummary};
 pub use sched::{StepSchedule, StepStore};

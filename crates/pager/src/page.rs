@@ -47,10 +47,10 @@
 //! 2464    816   hi.y[0..102]
 //! 3280    816   ptr[0..102]
 //! ```
-//! The SoA body lets the [`rtree_geom::RectSoA`] intersection kernels run
-//! directly on the decoded coordinate arrays with no per-entry gather —
-//! see [`NodeSoA`]. At leaf level `ptr` is the item id; at internal levels
-//! it is the child *page* id.
+//! The SoA body lets the [`rtree_geom`] intersection and distance kernels
+//! run directly on the coordinate planes where they lie in the frame — see
+//! [`PageView`]. At leaf level `ptr` is the item id; at internal levels it
+//! is the child *page* id.
 //!
 //! *Packed body* (layout 2, format v4, internal pages of compressed trees):
 //! one full-precision *frame* rectangle — the page's own bounding rect —
@@ -85,10 +85,23 @@
 //! coordinates, so query result sets and kNN distances are exactly those
 //! of the uncompressed tree.
 //!
-//! Decode enforces a valid frame and `lo code <= hi code` per axis
-//! ([`PageError::CorruptRect`], the same invariant the f64 layout checks),
-//! then dequantizes each plane contiguously into the SoA arrays — the SIMD
-//! kernels consume Packed pages exactly like SoA ones.
+//! **Reading a page.** The tree walks never decode: a [`PageView`] borrows
+//! the trusted frame, checks the header in O(1) (magic, count, layout flag,
+//! Packed frame, and that the page's level is the one the walk descended
+//! to), and answers the walk's three questions on the bytes in place. SoA
+//! planes are compared as unaligned little-endian `f64` lanes. Packed planes
+//! are compared in *code space*: the query is quantized into the page's
+//! frame once per visit (`rtree_geom::quant::{code_at_most, code_at_least}`)
+//! and tested against the stored codes, which — the decode mapping being
+//! monotone — selects exactly the entries the dequantized comparison would;
+//! kNN dequantizes in registers. The per-entry invariants
+//! ([`PageError::CorruptRect`]: rectangles finite with `lo <= hi`; on Packed
+//! pages `lo code <= hi code` per axis, checked on codes because the clamped
+//! decode could mask an inversion) are validated inside those same loops, on
+//! every visit of every page. [`NodePage::decode`] (entry at a time, used by
+//! the write path and `DiskRTree::query_scalar`) and [`NodeSoA`] (plane at a
+//! time into owned arrays) enforce the same invariants and stay as the
+//! differential references.
 //!
 //! **Free page** (a dissolved node on the free list headed in the meta
 //! page; reused before the store grows):
@@ -105,7 +118,7 @@
 //! `pages_per_level`) refuse to run.
 
 use rtree_geom::quant::{dequant, dequantize_into, quantum, QMAX};
-use rtree_geom::{Point, Rect, RectSoA};
+use rtree_geom::{active_kernel, CorruptEntry, EntryPlanes, Point, Rect, RectSoA};
 use rtree_wal::crc32;
 use std::fmt;
 use std::io;
@@ -230,6 +243,15 @@ pub enum PageError {
     UnsupportedLayout(u16),
     /// An entry rectangle fails validation (inverted or non-finite).
     CorruptRect,
+    /// The page's level field is not the level the walk descended to, so
+    /// its pointers cannot be trusted to lead downward (a crafted image can
+    /// close them into a cycle).
+    LevelMismatch {
+        /// Level the parent (or the meta page, for the root) implies.
+        expected: u16,
+        /// Level stored in the page header.
+        found: u16,
+    },
     /// Meta-page fields contradict each other.
     InconsistentMeta(&'static str),
 }
@@ -253,6 +275,9 @@ impl fmt::Display for PageError {
                 write!(f, "unsupported node-page layout flag {flag}")
             }
             PageError::CorruptRect => write!(f, "corrupt entry rectangle"),
+            PageError::LevelMismatch { expected, found } => {
+                write!(f, "node page at level {found}, expected level {expected}")
+            }
             PageError::InconsistentMeta(what) => write!(f, "inconsistent meta page: {what}"),
         }
     }
@@ -263,6 +288,12 @@ impl std::error::Error for PageError {}
 impl From<PageError> for io::Error {
     fn from(e: PageError) -> io::Error {
         io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+impl From<CorruptEntry> for PageError {
+    fn from(_: CorruptEntry) -> PageError {
+        PageError::CorruptRect
     }
 }
 
@@ -799,8 +830,99 @@ impl NodePage {
     }
 }
 
+/// A node page read where it lies: a borrowed view over a *trusted* frame
+/// (its checksum was verified when it entered the buffer pool) with exactly
+/// the operations the tree walks need. Nothing is decoded or copied; see
+/// the module docs for what runs instead and where validation happens.
+#[derive(Clone, Copy)]
+pub struct PageView<'a> {
+    planes: EntryPlanes<'a>,
+    ptrs: &'a [u8],
+}
+
+impl<'a> PageView<'a> {
+    /// Checks the header of `buf` — everything
+    /// [`NodeSoA::decode_into_trusted`] checks before touching an entry,
+    /// plus that the page sits at `level`, the level the caller descended
+    /// to — and borrows its planes. O(1); entries are validated by the
+    /// scans below.
+    pub fn new(buf: &'a [u8], level: u16) -> Result<Self, PageError> {
+        let (found, count, layout) = check_node_header(buf, false)?;
+        if found != level {
+            return Err(PageError::LevelMismatch {
+                expected: level,
+                found,
+            });
+        }
+        let planes = |at: usize, stride: usize, width: usize| -> [&'a [u8]; 4] {
+            std::array::from_fn(|k| &buf[at + k * stride..][..count * width])
+        };
+        Ok(match layout {
+            PageLayout::Soa => PageView {
+                planes: EntryPlanes::F64(planes(NODE_HEADER, SOA_STRIDE, 8)),
+                ptrs: soa_plane(buf, 4, count),
+            },
+            PageLayout::Packed => PageView {
+                planes: EntryPlanes::Codes {
+                    frame: packed_frame(buf)?,
+                    planes: planes(PACKED_PLANES_OFFSET, PACKED_QSTRIDE, 2),
+                },
+                ptrs: &buf[PACKED_PTR_OFFSET..][..count * 8],
+            },
+        })
+    }
+
+    /// Appends the index of every entry intersecting `q` to `out`,
+    /// ascending, through the dispatched kernel, validating every entry on
+    /// the way ([`PageError::CorruptRect`]; `out` is unspecified then).
+    #[inline]
+    pub fn intersecting(&self, q: &Rect, out: &mut Vec<u32>) -> Result<(), PageError> {
+        Ok(self.planes.intersecting(active_kernel(), q, out)?)
+    }
+
+    /// Appends `(index, min_dist²)` for every entry within `bound` of `p`
+    /// to `out`, ascending; validates like [`PageView::intersecting`].
+    #[inline]
+    pub fn min_dist2_within(
+        &self,
+        p: &Point,
+        bound: f64,
+        out: &mut Vec<(u32, f64)>,
+    ) -> Result<(), PageError> {
+        Ok(self
+            .planes
+            .min_dist2_within(active_kernel(), p, bound, out)?)
+    }
+
+    /// The MBR of the entries (`None` for an empty page); validates like
+    /// [`PageView::intersecting`].
+    pub fn mbr(&self) -> Result<Option<Rect>, PageError> {
+        Ok(self.planes.mbr()?)
+    }
+
+    /// Pointer of entry `i` (item id at a leaf, child page id above).
+    ///
+    /// # Panics
+    /// Panics if the page has no entry `i`.
+    #[inline]
+    pub fn ptr(&self, i: usize) -> u64 {
+        u64::from_le_bytes(self.ptrs[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Rectangle of entry `i` (dequantized on a Packed page).
+    ///
+    /// # Panics
+    /// Panics if the page has no entry `i`.
+    pub fn rect(&self, i: usize) -> Rect {
+        self.planes.get(i)
+    }
+}
+
 /// A node page decoded straight into SoA form — the shape the
-/// [`rtree_geom::RectSoA`] SIMD kernels consume.
+/// [`rtree_geom::RectSoA`] SIMD kernels consume. The walks read pages in
+/// place through [`PageView`]; this owned decode is the differential
+/// reference the view is held against (and what the benchmark's decode
+/// probes time).
 ///
 /// From a v3 (SoA) image the coordinate planes are copied contiguously,
 /// array by array, with **no per-entry gather**; a v4 (Packed) image is
@@ -843,19 +965,16 @@ impl NodeSoA {
     }
 
     /// Decodes from a page buffer in either layout, reusing this node's
-    /// allocations — the traversal loops call this once per visited page
-    /// with a scratch node, so steady-state queries do not allocate.
+    /// allocations.
     pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), PageError> {
         self.decode_into_impl(buf, true)
     }
 
     /// [`NodeSoA::decode_into`] minus the checksum pass, for frames whose
     /// checksum was already verified when they entered the buffer pool
-    /// (see [`crate::BufferManager::set_verify_reads`]). Verifying a 4 KiB
-    /// CRC per visited node costs more than the entire rectangle filter, so
-    /// the hot traversal loops must not re-pay it on every access to a
-    /// resident frame. Structural validation (magic, count, layout flag)
-    /// and the rectangle invariant still run unconditionally.
+    /// (see [`crate::BufferManager::set_verify_reads`]) — the trust level
+    /// [`PageView`] reads at. Structural validation (magic, count, layout
+    /// flag) and the rectangle invariant still run unconditionally.
     pub fn decode_into_trusted(&mut self, buf: &[u8]) -> Result<(), PageError> {
         self.decode_into_impl(buf, false)
     }
@@ -887,38 +1006,12 @@ impl NodeSoA {
                 // no-gather property.
                 let frame = packed_frame(buf)?;
                 check_packed_codes(buf, count)?;
-                let (qx, qy) = (
-                    quantum(frame.lo.x, frame.hi.x),
-                    quantum(frame.lo.y, frame.hi.y),
-                );
-                dequantize_into(
-                    packed_codes(buf, 0, count),
-                    frame.lo.x,
-                    qx,
-                    frame.hi.x,
-                    lo_x,
-                );
-                dequantize_into(
-                    packed_codes(buf, 1, count),
-                    frame.lo.y,
-                    qy,
-                    frame.hi.y,
-                    lo_y,
-                );
-                dequantize_into(
-                    packed_codes(buf, 2, count),
-                    frame.lo.x,
-                    qx,
-                    frame.hi.x,
-                    hi_x,
-                );
-                dequantize_into(
-                    packed_codes(buf, 3, count),
-                    frame.lo.y,
-                    qy,
-                    frame.hi.y,
-                    hi_y,
-                );
+                let x = (frame.lo.x, quantum(frame.lo.x, frame.hi.x), frame.hi.x);
+                let y = (frame.lo.y, quantum(frame.lo.y, frame.hi.y), frame.hi.y);
+                for (k, plane) in [lo_x, lo_y, hi_x, hi_y].into_iter().enumerate() {
+                    let (base, q, top) = if k % 2 == 0 { x } else { y };
+                    dequantize_into(packed_codes(buf, k, count), base, q, top, plane);
+                }
                 self.ptrs.extend((0..count).map(|i| packed_ptr(buf, i)));
             }
         }
@@ -1082,6 +1175,129 @@ mod tests {
         let mut scratch = NodeSoA::new();
         assert_eq!(scratch.decode_into(&buf), Err(PageError::CorruptRect));
         assert!(scratch.is_empty() && scratch.rects.is_empty());
+    }
+
+    /// Encodes `node` into a page that starts at an odd address, so every
+    /// plane the view borrows is misaligned for its lane type.
+    fn misaligned(node: &NodePage, layout: PageLayout) -> Vec<u8> {
+        let mut backing = vec![0u8; PAGE_SIZE + 1];
+        node.encode_with(&mut backing[1..], layout);
+        backing
+    }
+
+    #[test]
+    fn view_reads_both_layouts_in_place_at_any_alignment() {
+        // Full pages, so the scans cross every block and register boundary;
+        // Miri runs this on the portable kernel and checks the loads.
+        for (layout, n) in [
+            (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
+            (PageLayout::Packed, MAX_ENTRIES_PACKED),
+        ] {
+            let node = NodePage {
+                level: 1,
+                entries: (0..n as u64)
+                    .map(|i| {
+                        let v = i as f64 / 256.0;
+                        (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
+                    })
+                    .collect(),
+            };
+            let backing = misaligned(&node, layout);
+            let page = &backing[1..];
+            let soa = NodeSoA::decode(page).unwrap();
+            let view = PageView::new(page, 1).unwrap();
+            assert_eq!(view.mbr().unwrap(), soa.rects.mbr());
+            for i in 0..n {
+                assert_eq!(view.rect(i), soa.rects.get(i), "{layout:?} entry {i}");
+                assert_eq!(view.ptr(i), soa.ptrs[i]);
+            }
+            for q in [
+                Rect::new(0.0, 0.0, 1.0, 1.0),
+                Rect::new(0.3, 0.1, 0.5, 0.3),
+                Rect::new(0.25, 0.125, 0.25, 0.125),
+                Rect::new(2.0, 2.0, 3.0, 3.0),
+            ] {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                view.intersecting(&q, &mut got).unwrap();
+                soa.rects.intersecting_scalar(&q, &mut want);
+                assert_eq!(got, want, "{layout:?} query {q}");
+            }
+            let p = Point::new(0.4, 0.6);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            view.min_dist2_within(&p, 0.2, &mut got).unwrap();
+            soa.rects.min_dist2_within_scalar(&p, 0.2, &mut want);
+            assert_eq!(got, want, "{layout:?} distances are bit-equal");
+            assert!(!got.is_empty() && got.len() < n, "the bound prunes");
+        }
+    }
+
+    #[test]
+    fn view_checks_the_header_then_every_entry_on_every_scan() {
+        let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let scans_fail = |page: &[u8], level: u16| {
+            let view = PageView::new(page, level).expect("the header is sound");
+            let corrupt = Err(PageError::CorruptRect);
+            assert_eq!(view.intersecting(&everything, &mut Vec::new()), corrupt);
+            // A query that can match nothing still validates the page.
+            let nowhere = Rect::new(7.0, 7.0, 8.0, 8.0);
+            assert_eq!(view.intersecting(&nowhere, &mut Vec::new()), corrupt);
+            let p = Point::new(0.5, 0.5);
+            assert_eq!(view.min_dist2_within(&p, 1.0, &mut Vec::new()), corrupt);
+            assert_eq!(view.mbr(), Err(PageError::CorruptRect));
+        };
+
+        // SoA: entry 1's hi.x becomes NaN, infinite, or less than its lo.x.
+        let leaf = NodePage {
+            level: 0,
+            entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1); 9],
+        };
+        for bad in [f64::NAN, f64::NEG_INFINITY, 0.05] {
+            let mut backing = misaligned(&leaf, PageLayout::Soa);
+            let page = &mut backing[1..];
+            let at = NODE_HEADER + 2 * SOA_STRIDE + 8;
+            page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(
+                NodeSoA::new().decode_into_trusted(page),
+                Err(PageError::CorruptRect)
+            );
+            scans_fail(page, 0);
+        }
+
+        // Packed: entry 250 (past the last full register) gets lo.y > hi.y.
+        let mut backing = misaligned(&packed_node(MAX_ENTRIES_PACKED), PageLayout::Packed);
+        let page = &mut backing[1..];
+        let (lo, hi) = (
+            PACKED_PLANES_OFFSET + PACKED_QSTRIDE + 250 * 2,
+            PACKED_PLANES_OFFSET + 3 * PACKED_QSTRIDE + 250 * 2,
+        );
+        page[lo..lo + 2].copy_from_slice(&40_000u16.to_le_bytes());
+        page[hi..hi + 2].copy_from_slice(&39_999u16.to_le_bytes());
+        scans_fail(page, 1);
+
+        // Header defects are typed, in the trusted decode's order; a level
+        // other than the one descended to is refused before any entry.
+        let sound = misaligned(&packed_node(9), PageLayout::Packed);
+        let expect = |patch: &dyn Fn(&mut [u8]), want: PageError| {
+            let mut page = sound[1..].to_vec();
+            patch(&mut page);
+            assert_eq!(PageView::new(&page, 1).err(), Some(want));
+        };
+        expect(&|p| p[0] ^= 1, PageError::BadMagic);
+        expect(&|p| p[LAYOUT_OFFSET] = 9, PageError::UnsupportedLayout(9));
+        expect(
+            &|p| p[4..6].copy_from_slice(&254u16.to_le_bytes()),
+            PageError::EntryOverflow(254),
+        );
+        expect(
+            &|p| p[PACKED_FRAME_OFFSET + 7] = 0x7F,
+            PageError::CorruptRect,
+        );
+        let (expected, found) = (1, 2);
+        expect(&|p| p[2] = 2, PageError::LevelMismatch { expected, found });
+        assert_eq!(
+            PageView::new(&sound[1..PAGE_SIZE], 1).err(),
+            Some(PageError::WrongLength { got: PAGE_SIZE - 1 })
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (heap) order. `tests::*_order` pins all three against golden vectors.
 
 use crate::seam::PageRead;
-use crate::{NodeSoA, PrefetchOutcome};
+use crate::{PageView, PrefetchOutcome};
 use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
 use std::cmp::Ordering;
@@ -58,38 +58,36 @@ impl BatchOutput {
 }
 
 /// Depth-first region walk from `root`: every page whose MBR intersects
-/// `query` is fetched, in stack-pop order. `node` is the caller's scratch
-/// node (typically just used for the root-MBR peek), reused across the
-/// whole walk so steady-state traversal does not allocate.
+/// `query` is fetched, in stack-pop order, and read in place.
 pub(crate) fn region<P: PageRead>(
     src: &mut P,
-    node: &mut NodeSoA,
     root: u64,
     root_level: u16,
     query: &Rect,
 ) -> io::Result<Vec<u64>> {
     let mut results = Vec::new();
     let mut matches: Vec<u32> = Vec::new();
-    // Each stack entry carries the node's level so every fetch can be
-    // attributed to it (children of a level-L node sit at L - 1).
+    // Each stack entry carries the node's level — children of a level-L
+    // node sit at L - 1 — so every fetch can be attributed to it and the
+    // view can refuse a page that claims another (which bounds the depth).
     let mut stack = vec![(root, root_level)];
     while let Some((pid, level)) = stack.pop() {
-        node.decode_into_trusted(src.fetch(pid, level)?)?;
-        debug_assert_eq!(node.level, level, "stack level mirrors the page");
+        let view = PageView::new(src.fetch(pid, level)?, level)?;
         matches.clear();
-        node.rects.intersecting(query, &mut matches);
+        view.intersecting(query, &mut matches)?;
+        let ptrs = matches.iter().map(|&i| view.ptr(i as usize));
         if level == 0 {
-            results.extend(matches.iter().map(|&i| node.ptrs[i as usize]));
+            results.extend(ptrs);
         } else {
-            stack.extend(matches.iter().map(|&i| (node.ptrs[i as usize], level - 1)));
+            stack.extend(ptrs.map(|child| (child, level - 1)));
         }
     }
     Ok(results)
 }
 
 /// Level-synchronous walk of a whole batch. The frontier maps each page to
-/// the queries that need it, so a page shared by k queries is fetched and
-/// decoded once, and each level is visited in ascending page id (sequential
+/// the queries that need it, so a page shared by k queries is fetched
+/// once, and each level is visited in ascending page id (sequential
 /// under the bulk-loaded layout). Up to `window` upcoming pages of the
 /// level are kept read-in through [`PageRead::prefetch`]; every reservation
 /// is handed back on consumption, and on error before it propagates.
@@ -118,7 +116,6 @@ pub(crate) fn frontier<P: PageRead>(
     let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     frontier.insert(root, active);
     let mut level = root_level;
-    let mut node = NodeSoA::new();
     let mut matched: Vec<u32> = Vec::new();
     let mut reserved: Vec<u64> = Vec::new();
 
@@ -143,25 +140,26 @@ pub(crate) fn frontier<P: PageRead>(
                     }
                     ahead += 1;
                 }
-                node.decode_into_trusted(src.fetch(*page, level)?)?;
-                if let Some(pos) = reserved.iter().position(|p| p == page) {
-                    reserved.swap_remove(pos);
-                    src.release(*page);
-                }
+                let view = PageView::new(src.fetch(*page, level)?, level)?;
                 out.stats.work_items += 1;
                 out.stats.page_requests += qids.len() as u64;
                 for &qid in qids {
                     matched.clear();
-                    node.rects
-                        .intersecting(&queries[qid as usize], &mut matched);
+                    view.intersecting(&queries[qid as usize], &mut matched)?;
                     for &e in &matched {
-                        let ptr = node.ptrs[e as usize];
-                        if node.level == 0 {
+                        let ptr = view.ptr(e as usize);
+                        if level == 0 {
                             out.results[qid as usize].push(ptr);
                         } else {
                             frontier.entry(ptr).or_default().push(qid);
                         }
                     }
+                }
+                // The view borrowed the seam until here; no pool operation
+                // sits between the fetch and this release either way.
+                if let Some(pos) = reserved.iter().position(|p| p == page) {
+                    reserved.swap_remove(pos);
+                    src.release(*page);
                 }
             }
             src.level_done(frontier.keys().copied());
@@ -242,7 +240,6 @@ pub(crate) fn nearest<P: PageRead>(
     if k == 0 || items == 0 {
         return Ok(result);
     }
-    let mut node = NodeSoA::new();
     let mut within: Vec<(u32, f64)> = Vec::new();
     let mut queue = BinaryHeap::new();
     // Max-heap of the k smallest *item* distances seen so far: once full,
@@ -271,21 +268,21 @@ pub(crate) fn nearest<P: PageRead>(
                 } else {
                     f64::INFINITY
                 };
-                node.decode_into_trusted(src.fetch(pid, level)?)?;
+                let view = PageView::new(src.fetch(pid, level)?, level)?;
                 within.clear();
-                node.rects.min_dist2_within(p, bound, &mut within);
+                view.min_dist2_within(p, bound, &mut within)?;
                 for &(i, d2) in &within {
-                    let kind = if node.level == 0 {
+                    let kind = if level == 0 {
                         best_k.push(OrdF64(d2));
                         if best_k.len() > k {
                             best_k.pop();
                         }
                         KnnKind::Item {
-                            rect: node.rects.get(i as usize),
-                            id: node.ptrs[i as usize],
+                            rect: view.rect(i as usize),
+                            id: view.ptr(i as usize),
                         }
                     } else {
-                        KnnKind::Node(node.ptrs[i as usize], node.level - 1)
+                        KnnKind::Node(view.ptr(i as usize), level - 1)
                     };
                     queue.push(KnnEntry { dist2: d2, kind });
                 }
@@ -393,13 +390,13 @@ mod tests {
     #[test]
     fn depth_first_order() {
         let mut s = Script::new();
-        let got = region(&mut s, &mut NodeSoA::new(), 1, 2, &EVERYTHING).unwrap();
+        let got = region(&mut s, 1, 2, &EVERYTHING).unwrap();
         assert_eq!(s.fetched, [1, 2, 5, 6, 3, 4, 7], "stack-pop order");
         assert_eq!(got, [50, 51, 60, 61, 40, 41, 70, 71]);
 
         let mut s = Script::new();
         s.fail_at = Some(3);
-        assert!(region(&mut s, &mut NodeSoA::new(), 1, 2, &EVERYTHING).is_err());
+        assert!(region(&mut s, 1, 2, &EVERYTHING).is_err());
         assert_eq!(s.fetched, [1, 2]);
     }
 

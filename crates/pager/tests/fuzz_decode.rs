@@ -2,27 +2,92 @@
 //! for `fuzz/fuzz_targets/page_decode.rs` that runs in plain `cargo test`.
 //!
 //! Two generators feed `PageMeta::decode` / `NodePage::decode` / the SoA
-//! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`):
+//! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`) / the
+//! in-place reader the walks use (`PageView`):
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
 //! *mutated valid pages* (a real v3, v4, meta or free-list page with a few
 //! seeded bytes flipped — reaches past the checksum only when the flips
 //! land in it, past the structure checks when they don't). The invariant
 //! is the fuzz target's: decode returns `Ok` or a typed `PageError`, and
-//! never panics. Two cross-decoder properties ride along: when the AoS and
-//! SoA decoders both accept a frame they carry identical content, and the
+//! never panics. Three cross-decoder properties ride along: when the AoS and
+//! SoA decoders both accept a frame they carry identical content, the
 //! trusted (checksum-skipping) decode accepts at least whatever the full
-//! decode accepts.
+//! decode accepts, and the in-place view agrees with the trusted decode on
+//! every frame — the same Ok/Err class, and when Ok the same MBR, matches
+//! and distances for a sample of queries (see `view_agrees_with`).
 //!
 //! Hand-minimized regression inputs live at the bottom as separate tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rtree_buffer::LruPolicy;
-use rtree_geom::Rect;
+use rtree_geom::{Point, Rect};
 use rtree_pager::{
-    DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED,
-    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta, PageView,
+    MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
+
+/// What `ask_view` collects: the MBR, the matches of each sample query, and
+/// the entries within the sample ball with their distances.
+type ViewAnswers = (Option<Rect>, Vec<Vec<u32>>, Vec<(u32, f64)>);
+
+/// Everything a walk can ask of a page, asked through the view. The level
+/// handed to the view is the one the header claims, as if a walk had
+/// descended to it (a page shorter than its header claims level 0).
+fn ask_view(bytes: &[u8]) -> Result<ViewAnswers, PageError> {
+    let claimed = bytes
+        .get(2..4)
+        .map_or(0, |b| u16::from_le_bytes([b[0], b[1]]));
+    let view = PageView::new(bytes, claimed)?;
+    let mbr = view.mbr()?;
+    let mut matches = Vec::new();
+    for q in sample_queries() {
+        let mut out = Vec::new();
+        view.intersecting(&q, &mut out)?;
+        matches.push(out);
+    }
+    let mut within = Vec::new();
+    view.min_dist2_within(&Point::new(0.3, 0.1), 0.05, &mut within)?;
+    Ok((mbr, matches, within))
+}
+
+fn sample_queries() -> [Rect; 4] {
+    [
+        Rect::new(0.0, 0.0, 1.0, 1.0),
+        Rect::new(0.25, 0.05, 0.5, 0.3),
+        Rect::new(0.3, 0.3, 0.3, 0.3),
+        Rect::new(5.0, 5.0, 6.0, 6.0),
+    ]
+}
+
+/// The view against the trusted decode of the same bytes: one rejects iff
+/// the other does, and an accepted page answers identically through both.
+fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8]) {
+    let view = ask_view(bytes);
+    assert_eq!(
+        view.is_ok(),
+        trusted.is_ok(),
+        "view {view:?} vs trusted decode {trusted:?}"
+    );
+    let Ok((mbr, matches, within)) = view else {
+        return;
+    };
+    assert_eq!(mbr, node.rects.mbr());
+    for (q, got) in sample_queries().iter().zip(&matches) {
+        let mut want = Vec::new();
+        node.rects.intersecting_scalar(q, &mut want);
+        assert_eq!(got, &want, "query {q:?}");
+    }
+    let mut want = Vec::new();
+    node.rects
+        .min_dist2_within_scalar(&Point::new(0.3, 0.1), 0.05, &mut want);
+    assert_eq!(within, want);
+    let view = PageView::new(bytes, node.level).expect("accepted above");
+    for i in 0..node.len() {
+        assert_eq!(view.rect(i), node.rects.get(i));
+        assert_eq!(view.ptr(i), node.ptrs[i]);
+    }
+}
 
 fn decode_both(bytes: &[u8]) {
     let _ = PageMeta::decode(bytes);
@@ -41,6 +106,16 @@ fn decode_both(bytes: &[u8]) {
     if soa.is_ok() {
         assert!(trusted.is_ok(), "trusted decode is weaker than full decode");
     }
+    view_agrees_with(&trusted, &scratch, bytes);
+}
+
+/// `decode_both` on `page` and on the same bytes re-sealed, so the mutant
+/// also reaches what sits behind the checksum — the surface the trusted
+/// decode and the view expose on every buffer hit.
+fn decode_both_and_resealed(page: &mut [u8]) {
+    decode_both(page);
+    reseal(page);
+    decode_both(page);
 }
 
 #[test]
@@ -164,7 +239,7 @@ fn mutated_valid_pages_never_panic() {
                 let at = rng.gen_range(0..PAGE_SIZE);
                 page[at] ^= 1 << rng.gen_range(0..8u32);
             }
-            decode_both(&page);
+            decode_both_and_resealed(&mut page);
         }
     }
 }
@@ -339,6 +414,10 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
         .expect("bad CRC alone must not stop a trusted decode");
     assert_eq!(scratch.len(), node.entries.len());
     assert_eq!(scratch.rects.get(0), node.entries[0].0);
+    // The view reads at the same trust level: it never looks at the CRC.
+    let view = PageView::new(&page, node.level).expect("bad CRC alone must not stop the view");
+    assert_eq!(view.rect(0), node.entries[0].0);
+    view_agrees_with(&Ok(()), &scratch, &page);
 
     // Swap entry 0's lo_x/hi_x planes so the rect inverts, reseal the CRC:
     // now the checksum is fine and the geometry is not.
@@ -358,6 +437,27 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
         scratch.decode_into_trusted(&inverted),
         Err(PageError::CorruptRect)
     ));
+    // The view's header check passes (the header is fine); every scan of
+    // the entries fails, whichever the walk asks for.
+    let view = PageView::new(&inverted, node.level).expect("header is sound");
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    assert_eq!(
+        view.intersecting(&everything, &mut Vec::new()),
+        Err(PageError::CorruptRect)
+    );
+    assert_eq!(
+        view.min_dist2_within(&Point::new(0.5, 0.5), f64::INFINITY, &mut Vec::new()),
+        Err(PageError::CorruptRect)
+    );
+    assert_eq!(view.mbr(), Err(PageError::CorruptRect));
+    // And it believes the caller's level, not the page's.
+    assert_eq!(
+        PageView::new(&page, node.level + 1).err(),
+        Some(PageError::LevelMismatch {
+            expected: node.level + 1,
+            found: node.level
+        })
+    );
 }
 
 /// Packed (v4) pages run the same decoder-agreement invariant as the f64
