@@ -8,63 +8,13 @@
 //! page image first, and a dirty page is never written back before the log
 //! is synced — the write-ahead rule that makes crash recovery possible.
 
-use crate::seam::PageRead;
+use crate::trace::{EventKind, Span, Tracer};
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
-#[cfg(feature = "trace")]
-use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_wal::Wal;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
-
-/// Per-manager trace state: the sink plus the current span (query id and
-/// tree level), set by the tree layer before it drives the manager. Only
-/// compiled with the `trace` feature; without it the manager carries no
-/// tracing state at all.
-#[cfg(feature = "trace")]
-pub(crate) struct Tracer {
-    pub(crate) sink: Option<Arc<dyn TraceSink>>,
-    /// Query/operation span currently executing (0 = none).
-    pub(crate) query_id: u64,
-    /// Tree level of the page about to be touched (-1 = unknown).
-    pub(crate) level: i16,
-}
-
-#[cfg(feature = "trace")]
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer {
-            sink: None,
-            query_id: 0,
-            level: -1,
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-impl Tracer {
-    /// Emits one event at the current span's level.
-    #[inline]
-    pub(crate) fn emit(&self, page: PageId, kind: EventKind) {
-        self.emit_at(page, self.level, kind);
-    }
-
-    /// Emits one event at an explicit level (used where the current span's
-    /// level does not describe the page, e.g. an evicted victim).
-    #[inline]
-    pub(crate) fn emit_at(&self, page: PageId, level: i16, kind: EventKind) {
-        if let Some(sink) = &self.sink {
-            sink.record(IoEvent {
-                query_id: self.query_id,
-                page_id: page.0,
-                level,
-                kind,
-                ns: rtree_obs::now_ns(),
-            });
-        }
-    }
-}
 
 /// Physical I/O counters, shared by every disk-access measurement in the
 /// workspace: one shape for reads and writes.
@@ -160,7 +110,7 @@ pub struct BufferManager<S> {
     /// Verify page checksums at read-in (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
-    #[cfg(feature = "trace")]
+    /// The sink and current attribution of trace events (zero-sized if off).
     pub(crate) tracer: Tracer,
 }
 
@@ -175,7 +125,6 @@ impl<S: PageStore> BufferManager<S> {
             stats: IoStats::default(),
             wal: None,
             verify_reads: false,
-            #[cfg(feature = "trace")]
             tracer: Tracer::default(),
         }
     }
@@ -204,14 +153,6 @@ impl<S: PageStore> BufferManager<S> {
             })?;
         }
         Ok(())
-    }
-
-    /// Routes every subsequent physical-I/O and pool-outcome event to
-    /// `sink` (`None` stops tracing). Only present with the `trace`
-    /// feature.
-    #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
-        self.tracer.sink = sink;
     }
 
     /// Attaches a write-ahead log; from here on every buffered write is
@@ -266,7 +207,6 @@ impl<S: PageStore> BufferManager<S> {
         self.store.write_page(id, frame)?;
         self.stats.writes += 1;
         self.pool.clear_dirty(id);
-        #[cfg(feature = "trace")]
         self.tracer.emit_at(id, -1, EventKind::WriteBack);
         Ok(())
     }
@@ -318,7 +258,6 @@ impl<S: PageStore> BufferManager<S> {
         self.stats.reads += 1;
         self.stats.prefetch_reads += u64::from(why == PageIn::Prefetch);
         self.frames.insert(id, frame);
-        #[cfg(feature = "trace")]
         self.tracer.emit(
             id,
             match why {
@@ -343,15 +282,11 @@ impl<S: PageStore> BufferManager<S> {
     /// pinned, in the scratch frame (`false`).
     fn access(&mut self, id: PageId, why: PageIn) -> io::Result<bool> {
         match self.pool.access(id) {
-            AccessOutcome::Hit => {
-                #[cfg(feature = "trace")]
-                self.tracer.emit(id, EventKind::Hit);
-            }
+            AccessOutcome::Hit => self.tracer.emit(id, EventKind::Hit),
             AccessOutcome::Miss { evicted } => self.page_in(id, evicted, why)?,
             AccessOutcome::MissBypass => {
                 self.fill_scratch(id, why != PageIn::BeforeImage)?;
                 self.stats.reads += 1;
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
                 return Ok(false);
             }
@@ -359,15 +294,26 @@ impl<S: PageStore> BufferManager<S> {
         Ok(true)
     }
 
-    /// Fetches a page, going to the store only on a miss.
+    /// Fetches a page, going to the store only on a miss. The access
+    /// belongs to no span (in trace builds: span 0, level unknown).
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
-        self.fetch_frame(id).map(|frame| &**frame)
+        Ok(self.fetch_in(id, -1, &mut Span::default())?)
     }
 
-    /// [`BufferManager::fetch`], handing out the frame itself so that a
-    /// latched caller can clone it and decode outside its latch.
-    pub(crate) fn fetch_frame(&mut self, id: PageId) -> io::Result<&Arc<[u8]>> {
-        if !self.access(id, PageIn::Demand)? {
+    /// [`BufferManager::fetch`] for `span`, of a page at tree level `level`:
+    /// the access is counted in the span and its events carry both. Hands
+    /// out the frame itself, so a latched caller can decode outside its latch.
+    pub(crate) fn fetch_in(
+        &mut self,
+        id: PageId,
+        level: i16,
+        span: &mut Span,
+    ) -> io::Result<&Arc<[u8]>> {
+        self.tracer.at_level(span, level);
+        let reads = self.stats.reads;
+        let resident = self.access(id, PageIn::Demand)?;
+        span.charge(self.stats.reads != reads);
+        if !resident {
             return Ok(&self.scratch);
         }
         Ok(self.frames.get(&id).expect("resident page has a frame"))
@@ -392,7 +338,7 @@ impl<S: PageStore> BufferManager<S> {
     /// transfer counts as a physical read (`IoStats::reads`, with the
     /// prefetch share mirrored in `IoStats::prefetch_reads`) but **not** as
     /// a pool access: no miss is charged to any query, and the later
-    /// consuming access lands as a hit. Emits [`EventKind::Prefetch`]
+    /// consuming access lands as a hit. Emits `EventKind::Prefetch`
     /// instead of a miss in trace builds.
     pub fn prefetch(&mut self, id: PageId) -> io::Result<PrefetchOutcome> {
         if self.pool.contains(id) {
@@ -421,28 +367,16 @@ impl<S: PageStore> BufferManager<S> {
     /// scratch frame, bypassing the pool and the model's `reads` counter.
     /// That transfer is still physical I/O, so it lands in
     /// [`IoStats::peek_reads`]. Used for the model-semantics root-MBR test
-    /// (a node is accessed iff its MBR intersects the query); `level`
-    /// attributes the peek in trace builds.
-    pub(crate) fn fetch_uncharged(&mut self, id: PageId, level: u16) -> io::Result<&Arc<[u8]>> {
-        self.at_level(level);
+    /// (a node is accessed iff its MBR intersects the query); the caller
+    /// attributes the peek ([`Tracer::at_level`]) first.
+    pub(crate) fn fetch_uncharged(&mut self, id: PageId) -> io::Result<&Arc<[u8]>> {
         if self.frames.contains_key(&id) {
             return Ok(&self.frames[&id]);
         }
         self.fill_scratch(id, true)?;
         self.stats.peek_reads += 1;
-        #[cfg(feature = "trace")]
         self.tracer.emit(id, EventKind::PeekRead);
         Ok(&self.scratch)
-    }
-
-    /// Attributes subsequent trace events to tree level `level`.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
-    #[inline]
-    pub(crate) fn at_level(&mut self, level: u16) {
-        #[cfg(feature = "trace")]
-        {
-            self.tracer.level = level as i16;
-        }
     }
 
     /// Replaces the frame of `id`, if it is resident, with an image the
@@ -464,19 +398,16 @@ impl<S: PageStore> BufferManager<S> {
             if let Some(wal) = &mut self.wal {
                 wal.log_page_image(id.0, &self.scratch, data)?;
                 wal.sync()?;
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::WalAppend);
             }
             self.store.write_page(id, data)?;
             self.stats.writes += 1;
-            #[cfg(feature = "trace")]
             self.tracer.emit(id, EventKind::WriteBack);
             return Ok(());
         }
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
         if let Some(wal) = &mut self.wal {
             wal.log_page_image(id.0, frame, data)?;
-            #[cfg(feature = "trace")]
             self.tracer.emit(id, EventKind::WalAppend);
         }
         exclusive(frame).copy_from_slice(data);
@@ -580,25 +511,6 @@ impl<S: PageStore> BufferManager<S> {
     /// Number of currently pinned pages.
     pub fn pinned_count(&self) -> usize {
         self.pool.pinned_count()
-    }
-}
-
-/// The sequential read seam: one pool, no latches. Fetches are charged to
-/// the pool exactly as [`BufferManager::fetch`] charges them; the level
-/// only labels trace events.
-impl<S: PageStore> PageRead for BufferManager<S> {
-    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
-        self.at_level(level);
-        BufferManager::fetch(self, PageId(page))
-    }
-
-    fn prefetch(&mut self, page: u64, level: u16) -> io::Result<PrefetchOutcome> {
-        self.at_level(level);
-        BufferManager::prefetch(self, PageId(page))
-    }
-
-    fn release(&mut self, page: u64) {
-        self.unpin(PageId(page));
     }
 }
 

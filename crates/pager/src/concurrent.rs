@@ -36,31 +36,18 @@ use crate::mutate::{find_leaf, insert_entry, remove_entry};
 use crate::page::{decode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
+use crate::trace::{EventKind, Span, TreeTrace};
 use crate::walk::{self, BatchOutput};
 use crate::{BufferManager, IoStats, NodePage, PageMeta, PageStore, PageView, PAGE_SIZE};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rtree_buffer::{BufferStats, PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
-#[cfg(feature = "trace")]
-use rtree_obs::{EventKind, TraceSink};
 use rtree_wal::{GroupCommitStats, GroupWal, Lsn};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Per-traversal accounting carried by a [`Cursor`] (trace builds only):
-/// the span id plus local read/access counters, recorded into the tree's
-/// [`rtree_obs::QueryMetrics`] when the traversal finishes.
-#[cfg(feature = "trace")]
-#[derive(Default)]
-struct QuerySpan {
-    qid: u64,
-    start: u64,
-    reads: u64,
-    accesses: u64,
-}
 
 /// Fibonacci multiplier for the page → shard hash.
 const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -68,7 +55,7 @@ const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The shards' handle on the tree's one store. Reads take the `&self`
 /// path; a shard never holds a dirty page (writers keep theirs in the
 /// overlay), so nothing is written or allocated through it.
-struct SharedReads<S>(Arc<S>);
+pub(crate) struct SharedReads<S>(Arc<S>);
 
 impl<S: SharedPageStore> PageStore for SharedReads<S> {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
@@ -178,23 +165,16 @@ fn resolve_shards(requested: usize, capacity: usize) -> usize {
 /// throughput.
 pub struct ConcurrentDiskRTree<S> {
     store: Arc<S>,
-    shards: Box<[Mutex<Shard<S>>]>,
+    pub(crate) shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
     /// Cached root frame for the uncharged MBR peek (only read-only trees
     /// peek, so the root page never changes).
     root_frame: OnceLock<Arc<[u8]>>,
     meta: PageMeta,
-    /// Traces latch and group-commit events (the shards trace their own
-    /// buffer events; trace builds only).
-    #[cfg(feature = "trace")]
-    tracer: crate::bufmgr::Tracer,
-    /// Query span id source (trace builds only; 0 = no span).
-    #[cfg(feature = "trace")]
-    query_ids: AtomicU64,
-    /// Per-query latency / reads / pins distributions (trace builds only).
-    #[cfg(feature = "trace")]
-    metrics: rtree_obs::QueryMetrics,
+    /// Span ids, query metrics and the tracer of latch and group-commit
+    /// events (the shards trace their own); zero-sized without the hooks.
+    pub(crate) trace: TreeTrace,
     /// Present iff the tree was opened writable.
     writer: Option<WriterState>,
 }
@@ -290,47 +270,16 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             shard_shift: u64::BITS - n.trailing_zeros(),
             root_frame: OnceLock::new(),
             meta,
-            #[cfg(feature = "trace")]
-            tracer: Default::default(),
-            #[cfg(feature = "trace")]
-            query_ids: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
-            metrics: rtree_obs::QueryMetrics::new(),
+            trace: TreeTrace::default(),
             writer: None,
         }
     }
 
-    /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
-    /// stops tracing). Takes `&mut self`: install the sink before sharing
-    /// the tree across threads. Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
-        for shard in self.shards.iter_mut() {
-            shard.get_mut().set_trace_sink(sink.clone());
-        }
-        self.tracer.sink = sink;
-    }
-
-    /// Snapshot of the per-query latency / reads / pins histograms
-    /// (all threads). Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn query_metrics(&self) -> rtree_obs::QueryMetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Latches the shard owning `id`. In trace builds the buffer events it
-    /// emits under this latch carry operation id `span` and tree `level`.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_mut))]
-    fn latch(&self, id: PageId, span: u64, level: i16) -> MutexGuard<'_, Shard<S>> {
+    /// Latches the shard owning `id`.
+    fn latch(&self, id: PageId) -> MutexGuard<'_, Shard<S>> {
         // One shard: the shift is the full 64 bits, which selects shard 0.
         let hash = id.0.wrapping_mul(HASH).checked_shr(self.shard_shift);
-        let mut cache = self.shards[hash.unwrap_or(0) as usize].lock();
-        #[cfg(feature = "trace")]
-        {
-            cache.tracer.query_id = span;
-            cache.tracer.level = level;
-        }
-        cache
+        self.shards[hash.unwrap_or(0) as usize].lock()
     }
 
     /// The stored metadata.
@@ -401,8 +350,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// share of the pinned pages.
     pub fn pin_top_levels(&self, p: usize) -> io::Result<()> {
         for page in self.meta.top_level_pages(p)? {
+            let mut cache = self.latch(PageId(page));
             let level = self.meta.onpage_level_of(page);
-            self.latch(PageId(page), 0, level).pin(PageId(page))?;
+            cache.tracer.at_level(&Span::default(), level);
+            cache.pin(PageId(page))?;
         }
         Ok(())
     }
@@ -478,25 +429,19 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(())
     }
 
-    /// Fetches a page for operation `span` (tree level `level`; both only
-    /// label trace events). On a writable tree the dirty overlay shadows
-    /// both the shards and the store (no-steal — the store never holds a
-    /// page newer than the overlay) and costs nothing; otherwise the access
-    /// is charged to the page's shard. Reports whether a charged access
-    /// went to the store (`None` = served by the overlay), for the span's
-    /// own totals.
-    fn fetch(&self, id: PageId, span: u64, level: i16) -> io::Result<(Arc<[u8]>, Option<bool>)> {
+    /// Fetches a page at tree `level` for `span`. On a writable tree the
+    /// dirty overlay shadows both the shards and the store (no-steal — the
+    /// store never holds a page newer than the overlay) and costs nothing;
+    /// otherwise the access is charged to the page's shard and to the span.
+    fn fetch(&self, id: PageId, level: i16, span: &mut Span) -> io::Result<Arc<[u8]>> {
         if let Some(frame) = self
             .writer
             .as_ref()
             .and_then(|w| w.overlay.read().get(&id.0).cloned())
         {
-            return Ok((frame, None));
+            return Ok(frame);
         }
-        let mut cache = self.latch(id, span, level);
-        let reads = cache.physical_reads();
-        let frame = Arc::clone(cache.fetch_frame(id)?);
-        Ok((frame, Some(cache.physical_reads() != reads)))
+        Ok(Arc::clone(self.latch(id).fetch_in(id, level, span)?))
     }
 
     /// The root frame for the uncharged MBR peek: taken from the root's
@@ -510,7 +455,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let (root, level) = (PageId(self.meta.root), self.meta.root_level());
         // Two racing threads may both read; both transfers really happened,
         // so both count, but only one frame is kept.
-        let frame = Arc::clone(self.latch(root, 0, -1).fetch_uncharged(root, level)?);
+        let frame = {
+            let mut cache = self.latch(root);
+            cache.tracer.at_level(&Span::default(), level as i16);
+            Arc::clone(cache.fetch_uncharged(root)?)
+        };
         Ok(Arc::clone(self.root_frame.get_or_init(|| frame)))
     }
 
@@ -537,10 +486,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             return self.query_writer(w, query);
         }
         let (root, level) = (self.meta.root, self.meta.root_level());
+        let mut cursor = Cursor::new(self);
         match self.root_mbr()? {
-            Some(mbr) if mbr.intersects(query) => {
-                walk::region(&mut Cursor::new(self), root, level, query)
-            }
+            Some(mbr) if mbr.intersects(query) => walk::region(&mut cursor, root, level, query),
             _ => Ok(Vec::new()),
         }
     }
@@ -640,9 +588,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 /// One operation's view of the tree: the read seam of a traversal and, on
 /// a writable tree, the write seam of a structure change. Fetches go
 /// through [`ConcurrentDiskRTree::fetch`] (dirty overlay first, then the
-/// page's shard). In trace builds a traversal's cursor is also its span:
-/// its events carry one id, and its totals land in the tree's query
-/// metrics when it drops.
+/// page's shard). A traversal's cursor is also its span: its events carry
+/// one id, and its totals land in the tree's query metrics when it drops.
 struct Cursor<'a, S: SharedPageStore> {
     tree: &'a ConcurrentDiskRTree<S>,
     /// Latches held under the reader protocol (shared, coupled between
@@ -652,21 +599,16 @@ struct Cursor<'a, S: SharedPageStore> {
     latches: Option<LatchSet<'a>>,
     /// The frame the last fetch returned, kept alive for its borrower.
     frame: Option<Arc<[u8]>>,
-    #[cfg(feature = "trace")]
-    span: QuerySpan,
+    span: Span<'a>,
 }
 
 impl<'a, S: SharedPageStore> Cursor<'a, S> {
     /// A traversal's cursor: opens a span.
     fn new(tree: &'a ConcurrentDiskRTree<S>) -> Self {
-        #[cfg_attr(not(feature = "trace"), allow(unused_mut))]
-        let mut cursor = Cursor::writer(tree, None);
-        #[cfg(feature = "trace")]
-        {
-            cursor.span.qid = tree.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
-            cursor.span.start = rtree_obs::now_ns();
+        Cursor {
+            span: tree.trace.span(),
+            ..Cursor::writer(tree, None)
         }
-        cursor
     }
 
     /// A write operation's cursor: no span, so its buffer traffic shows up
@@ -677,17 +619,8 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
             tree,
             latches,
             frame: None,
-            #[cfg(feature = "trace")]
-            span: QuerySpan::default(),
+            span: Span::default(),
         }
-    }
-
-    /// The id this cursor's buffer events carry (0 = no span).
-    fn span_id(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        return self.span.qid;
-        #[cfg(not(feature = "trace"))]
-        0
     }
 
     /// The state behind the write seam.
@@ -698,16 +631,9 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
 }
 
 impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
-        let (frame, missed) = self
-            .tree
-            .fetch(PageId(page), self.span_id(), level as i16)?;
-        #[cfg(feature = "trace")]
-        if let Some(missed) = missed {
-            self.span.accesses += 1;
-            self.span.reads += u64::from(missed);
-        }
+        let (id, level) = (PageId(page), level as i16);
+        let frame = self.tree.fetch(id, level, &mut self.span)?;
         Ok(self.frame.insert(frame))
     }
 
@@ -728,19 +654,6 @@ impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
     }
 }
 
-#[cfg(feature = "trace")]
-impl<S: SharedPageStore> Drop for Cursor<'_, S> {
-    fn drop(&mut self) {
-        if self.span.qid != 0 {
-            self.tree.metrics.record_query(
-                rtree_obs::now_ns() - self.span.start,
-                self.span.reads,
-                self.span.accesses,
-            );
-        }
-    }
-}
-
 /// The write seam: stores land in the dirty overlay, never straight in the
 /// store (no-steal); dissolved pages go on the session free list. Only
 /// CondenseTree frees, under the exclusive gate, so latched operations
@@ -751,7 +664,7 @@ impl<S: ConcurrentPageStore> PageWrite for Cursor<'_, S> {
     }
 
     fn load(&mut self, id: u64) -> io::Result<NodePage> {
-        let (frame, _) = self.tree.fetch(PageId(id), self.span_id(), -1)?;
+        let frame = self.tree.fetch(PageId(id), -1, &mut self.span)?;
         Ok(NodePage::decode(&frame)?)
     }
 
@@ -846,8 +759,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     fn latch_acquire(&self, w: &WriterState, set: &mut LatchSet<'_>, id: u64, exclusive: bool) {
         if set.acquire(id, exclusive) {
             w.latch_waits.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "trace")]
-            self.tracer.emit(PageId(id), EventKind::LatchWait);
+            self.trace.tracer.emit(PageId(id), EventKind::LatchWait);
         }
     }
 
@@ -941,20 +853,12 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// Makes `lsn` durable through the group-commit protocol; when this
     /// thread led the batch, a flush event carries the batch size.
     fn group_commit(&self, w: &WriterState, lsn: Lsn) -> io::Result<()> {
-        #[cfg(feature = "trace")]
-        {
-            let before = w.wal.stats().committed_ops;
-            if w.wal.commit(lsn)? {
-                let batch = w.wal.stats().committed_ops.saturating_sub(before);
-                self.tracer.emit(PageId(batch), EventKind::GroupCommitFlush);
-            }
-            Ok(())
+        let batch = w.wal.commit(lsn)?;
+        if batch > 0 {
+            let flush = EventKind::GroupCommitFlush;
+            self.trace.tracer.emit(PageId(batch), flush);
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            w.wal.commit(lsn)?;
-            Ok(())
-        }
+        Ok(())
     }
 
     /// Inserts an item. Thread-safe: the structure change runs under
@@ -1147,7 +1051,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, frame) in &overlay {
             self.store.write_page_shared(PageId(*id), frame)?;
             w.page_writes.fetch_add(1, Ordering::Relaxed);
-            self.latch(PageId(*id), 0, -1).refresh(PageId(*id), frame);
+            self.latch(PageId(*id)).refresh(PageId(*id), frame);
         }
         let mut meta = w.meta.lock().clone();
         // The session free list is not persisted: pages still on it leak

@@ -13,9 +13,10 @@
 
 use crate::mutate::mbr;
 use crate::seam::PageRead;
+use crate::trace::{Span, TreeTrace};
 use crate::walk::{self, BatchOutput};
 use crate::{
-    BufferManager, NodePage, PageMeta, PageStore, PageView, MAX_ENTRIES_PACKED,
+    BufferManager, NodePage, PageMeta, PageStore, PageView, PrefetchOutcome, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 use rtree_buffer::{PageId, ReplacementPolicy};
@@ -60,12 +61,49 @@ use std::io;
 pub struct DiskRTree<S: PageStore> {
     pub(crate) mgr: BufferManager<S>,
     pub(crate) meta: PageMeta,
-    /// Monotonic query/operation span id source (0 = no span).
-    #[cfg(feature = "trace")]
-    next_query: u64,
-    /// Per-query latency / reads / pins distributions.
-    #[cfg(feature = "trace")]
-    metrics: rtree_obs::QueryMetrics,
+    /// Span ids and query metrics (zero-sized without the trace hooks).
+    pub(crate) trace: TreeTrace,
+}
+
+/// One read operation's view of the tree, the sequential read seam: one
+/// pool, no latches. Fetches are charged to the pool exactly as
+/// [`BufferManager::fetch`] charges them, and counted in the operation's
+/// span, which labels the manager's events until the view drops.
+struct Reader<'a, S: PageStore> {
+    mgr: &'a mut BufferManager<S>,
+    span: Span<'a>,
+}
+
+impl<S: PageStore> Reader<'_, S> {
+    /// The root's MBR from an uncharged peek (`None` for an empty tree): as in
+    /// the model, a walk accesses the root only if its MBR intersects the query.
+    fn root_mbr(&mut self, root: u64, level: u16) -> io::Result<Option<Rect>> {
+        self.mgr.tracer.at_level(&self.span, level as i16);
+        Ok(PageView::new(self.mgr.fetch_uncharged(PageId(root))?, level)?.mbr()?)
+    }
+}
+
+impl<S: PageStore> PageRead for Reader<'_, S> {
+    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
+        let (id, level) = (PageId(page), level as i16);
+        Ok(self.mgr.fetch_in(id, level, &mut self.span)?)
+    }
+
+    fn prefetch(&mut self, page: u64, level: u16) -> io::Result<PrefetchOutcome> {
+        self.mgr.tracer.at_level(&self.span, level as i16);
+        self.mgr.prefetch(PageId(page))
+    }
+
+    fn release(&mut self, page: u64) {
+        self.mgr.unpin(PageId(page));
+    }
+}
+
+impl<S: PageStore> Drop for Reader<'_, S> {
+    /// What drives the manager next (a write, a pin, a flush) has no span.
+    fn drop(&mut self) {
+        self.mgr.tracer.at_level(&Span::default(), -1);
+    }
 }
 
 impl<S: PageStore> DiskRTree<S> {
@@ -78,10 +116,7 @@ impl<S: PageStore> DiskRTree<S> {
         DiskRTree {
             mgr,
             meta,
-            #[cfg(feature = "trace")]
-            next_query: 0,
-            #[cfg(feature = "trace")]
-            metrics: rtree_obs::QueryMetrics::new(),
+            trace: TreeTrace::default(),
         }
     }
     /// Serializes `tree` into `store` and returns a handle with the given
@@ -212,7 +247,8 @@ impl<S: PageStore> DiskRTree<S> {
     /// cannot hold the pinned pages.
     pub fn pin_top_levels(&mut self, p: usize) -> io::Result<()> {
         for page in self.meta.top_level_pages(p)? {
-            self.mgr.at_level(self.meta.onpage_level_of(page) as u16);
+            let level = self.meta.onpage_level_of(page);
+            self.mgr.tracer.at_level(&Span::default(), level);
             self.mgr.pin(PageId(page))?;
         }
         Ok(())
@@ -281,73 +317,22 @@ impl<S: PageStore> DiskRTree<S> {
         self.mgr.pool().stats()
     }
 
-    /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
-    /// stops tracing). Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: Option<std::sync::Arc<dyn rtree_obs::TraceSink>>) {
-        self.mgr.set_trace_sink(sink);
-    }
-
-    /// Snapshot of the per-query latency / reads / pins histograms. Only
-    /// present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn query_metrics(&self) -> rtree_obs::QueryMetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Runs `f` as one operation span: in trace builds its events carry a
-    /// fresh operation id (and level -1 until a fetch names one).
-    pub(crate) fn in_span<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        #[cfg(feature = "trace")]
-        {
-            self.next_query += 1;
-            self.mgr.tracer.query_id = self.next_query;
-            self.mgr.tracer.level = -1;
+    /// Opens a read operation: the buffer manager under a fresh span.
+    fn reader(&mut self) -> Reader<'_, S> {
+        Reader {
+            mgr: &mut self.mgr,
+            span: self.trace.span(),
         }
-        let result = f(self);
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.query_id = 0;
-            self.mgr.tracer.level = -1;
-        }
-        result
     }
 
     /// Executes a region query, returning matching item ids. Every page
     /// whose MBR intersects the query is fetched through the buffer
     /// manager; physical reads accumulate in [`DiskRTree::physical_reads`].
     pub fn query(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        self.in_span(|t| {
-            #[cfg(feature = "trace")]
-            let (start, reads, accesses) = (
-                rtree_obs::now_ns(),
-                t.mgr.physical_reads(),
-                t.mgr.pool().stats().accesses,
-            );
-            let result = t.query_inner(query);
-            #[cfg(feature = "trace")]
-            t.metrics.record_query(
-                rtree_obs::now_ns() - start,
-                t.mgr.physical_reads() - reads,
-                t.mgr.pool().stats().accesses - accesses,
-            );
-            result
-        })
-    }
-
-    /// The root's MBR from an uncharged peek (`None` for an empty tree).
-    /// Root handling mirrors the model: a walk accesses the root only if
-    /// its MBR intersects the query.
-    fn root_mbr(&mut self) -> io::Result<Option<Rect>> {
         let (root, level) = (self.meta.root, self.meta.root_level());
-        let frame = self.mgr.fetch_uncharged(PageId(root), level)?;
-        Ok(PageView::new(frame, level)?.mbr()?)
-    }
-
-    fn query_inner(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        let (root, level) = (self.meta.root, self.meta.root_level());
-        match self.root_mbr()? {
-            Some(mbr) if mbr.intersects(query) => walk::region(&mut self.mgr, root, level, query),
+        let mut pages = self.reader();
+        match pages.root_mbr(root, level)? {
+            Some(mbr) if mbr.intersects(query) => walk::region(&mut pages, root, level, query),
             _ => Ok(Vec::new()),
         }
     }
@@ -366,21 +351,19 @@ impl<S: PageStore> DiskRTree<S> {
         if queries.is_empty() {
             return Ok(out);
         }
-        self.in_span(|t| {
-            let (root, level) = (t.meta.root, t.meta.root_level());
-            let Some(mbr) = t.root_mbr()? else {
-                return Ok(());
-            };
+        let (root, level) = (self.meta.root, self.meta.root_level());
+        let mut pages = self.reader();
+        if let Some(mbr) = pages.root_mbr(root, level)? {
             walk::frontier(
-                &mut t.mgr,
+                &mut pages,
                 root,
                 level,
                 Some(&mbr),
                 queries,
                 prefetch_window,
                 &mut out,
-            )
-        })?;
+            )?;
+        }
         Ok(out)
     }
 
@@ -396,7 +379,9 @@ impl<S: PageStore> DiskRTree<S> {
         let mut results = Vec::new();
         let root = self.meta.root;
         let root_level = self.meta.root_level();
-        let root_node = NodePage::decode(self.mgr.fetch_uncharged(PageId(root), root_level)?)?;
+        let mut pages = self.reader();
+        pages.mgr.tracer.at_level(&pages.span, root_level as i16);
+        let root_node = NodePage::decode(pages.mgr.fetch_uncharged(PageId(root))?)?;
         if root_node.entries.is_empty() {
             return Ok(results);
         }
@@ -411,7 +396,7 @@ impl<S: PageStore> DiskRTree<S> {
 
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
-            let node = NodePage::decode(PageRead::fetch(&mut self.mgr, pid, level)?)?;
+            let node = NodePage::decode(pages.fetch(pid, level)?)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             for (r, ptr) in &node.entries {
                 if r.intersects(query) {
@@ -438,10 +423,8 @@ impl<S: PageStore> DiskRTree<S> {
     /// dispatched SIMD distance kernel pruning every node's entries against
     /// the current k-th-best bound before they are enqueued.
     pub fn nearest_neighbors(&mut self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
-        self.in_span(|t| {
-            let (root, level) = (t.meta.root, t.meta.root_level());
-            walk::nearest(&mut t.mgr, root, level, t.meta.items, p, k)
-        })
+        let (root, level, items) = (self.meta.root, self.meta.root_level(), self.meta.items);
+        walk::nearest(&mut self.reader(), root, level, items, p, k)
     }
 
     /// Executes a query and also reports how many physical reads it caused.

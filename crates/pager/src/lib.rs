@@ -23,9 +23,9 @@
 //! the depth-first region walk, the level-synchronous batched walk, kNN,
 //! Guttman's insert and condense-tree — is written once against the
 //! crate-private page-access seam (`seam`, `walk`, `mutate`). The seam has
-//! two instantiations: [`BufferManager`] behind the sequential
-//! [`DiskRTree`], and cursor/view structs over the sharded, latch-crabbing
-//! [`ConcurrentDiskRTree`].
+//! two instantiations: a per-operation view of the [`BufferManager`] behind
+//! the sequential [`DiskRTree`], and cursors over the sharded,
+//! latch-crabbing [`ConcurrentDiskRTree`].
 //!
 //! The substrate is *writable*: [`DiskRTree::insert`] and
 //! [`DiskRTree::delete`] go through the buffer manager's write-back path,
@@ -46,6 +46,7 @@ mod recovery;
 mod sched;
 mod seam;
 mod store;
+mod trace;
 mod walk;
 
 pub use bufmgr::{BufferManager, IoStats, PrefetchOutcome};

@@ -282,26 +282,22 @@ impl<S: PageStore> DiskRTree<S> {
     /// over pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        self.in_span(|t| {
-            insert_entry(t, (rect, item), 0)?;
-            t.meta.items += 1;
-            t.finish_op()
-        })
+        insert_entry(self, (rect, item), 0)?;
+        self.meta.items += 1;
+        self.finish_op()
     }
 
     /// Deletes the exact `(rect, item)` entry if present, condensing
     /// underfull nodes and reinserting their orphaned entries. Returns
     /// whether the entry was found.
     pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        self.in_span(|t| {
-            let (root, mut path) = (t.meta.root, Vec::new());
-            let Some(leaf) = find_leaf(t, root, rect, item, &mut path)? else {
-                return Ok(false);
-            };
-            remove_entry(t, leaf, path, rect, item)?;
-            t.finish_op()?;
-            Ok(true)
-        })
+        let (root, mut path) = (self.meta.root, Vec::new());
+        let Some(leaf) = find_leaf(self, root, rect, item, &mut path)? else {
+            return Ok(false);
+        };
+        remove_entry(self, leaf, path, rect, item)?;
+        self.finish_op()?;
+        Ok(true)
     }
 
     /// Writes the updated metadata and commits the operation.

@@ -10,11 +10,11 @@
 //! seam (monomorphized, never `dyn`), so the sequential instantiation pays
 //! nothing for the concurrent one's existence.
 //!
-//! Two instantiations exist: [`crate::BufferManager`] / [`crate::DiskRTree`]
-//! (one pool, no latches — the paper's configuration) and the cursor over
-//! [`crate::ConcurrentDiskRTree`] (shard pools behind the writer overlay,
-//! shared-latch coupling between levels for readers, exclusive-latch
-//! crabbing for the insert descent).
+//! Two instantiations exist: [`crate::DiskRTree`] (a reader over its one
+//! pool, the tree itself for writes; no latches — the paper's
+//! configuration) and the cursor over [`crate::ConcurrentDiskRTree`] (shard
+//! pools behind the writer overlay, shared-latch coupling between levels
+//! for readers, exclusive-latch crabbing for the insert descent).
 
 use crate::{NodePage, PageMeta, PrefetchOutcome};
 use std::io;

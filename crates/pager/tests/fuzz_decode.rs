@@ -1,5 +1,5 @@
-//! Deterministic fuzz smoke for the page decoders: the no-network stand-in
-//! for `fuzz/fuzz_targets/page_decode.rs` that runs in plain `cargo test`.
+//! Deterministic fuzz smoke for the page decoders, run by plain
+//! `cargo test`.
 //!
 //! Two generators feed `PageMeta::decode` / `NodePage::decode` / the SoA
 //! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`) / the
@@ -7,9 +7,9 @@
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
 //! *mutated valid pages* (a real v3, v4, meta or free-list page with a few
 //! seeded bytes flipped — reaches past the checksum only when the flips
-//! land in it, past the structure checks when they don't). The invariant
-//! is the fuzz target's: decode returns `Ok` or a typed `PageError`, and
-//! never panics. Three cross-decoder properties ride along: when the AoS and
+//! land in it, past the structure checks when they don't). The
+//! invariant: decode returns `Ok` or a typed `PageError`, and never
+//! panics. Three cross-decoder properties ride along: when the AoS and
 //! SoA decoders both accept a frame they carry identical content, the
 //! trusted (checksum-skipping) decode accepts at least whatever the full
 //! decode accepts, and the in-place view agrees with the trusted decode on
@@ -136,7 +136,11 @@ fn random_bytes_never_panic() {
         PAGE_SIZE + 1,
         3 * PAGE_SIZE,
     ] {
-        let buf = vec![0xA5u8; len];
+        let mut buf = vec![0xA5u8; len];
+        decode_both(&buf);
+        // The same prefix zero-padded (or cut) to exactly one page gets
+        // past the length check.
+        buf.resize(PAGE_SIZE, 0);
         decode_both(&buf);
     }
 }
@@ -212,11 +216,17 @@ fn mutated_valid_pages_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xBAD_F1B5);
     let mut meta_page = vec![0u8; PAGE_SIZE];
     sample_meta().encode(&mut meta_page);
-    // Both node body layouts: v3/SoA (the default `encode`) and
-    // v4/Packed — plus a v4 meta page, whose tail field is versioned, and
-    // a free-list page.
+    // Both node body layouts: v3/SoA (the default `encode`, an internal
+    // page and a leaf) and v4/Packed — plus a v4 meta page, whose tail
+    // field is versioned, and a free-list page.
     let mut node_page = vec![0u8; PAGE_SIZE];
     sample_node().encode(&mut node_page);
+    let mut leaf_page = vec![0u8; PAGE_SIZE];
+    let leaf = NodePage {
+        level: 0,
+        ..sample_node()
+    };
+    leaf.encode(&mut leaf_page);
     let node_page_v4 = packed_page();
     let mut meta_page_v4 = vec![0u8; PAGE_SIZE];
     PageMeta {
@@ -229,6 +239,7 @@ fn mutated_valid_pages_never_panic() {
     for template in [
         &meta_page,
         &node_page,
+        &leaf_page,
         &node_page_v4,
         &meta_page_v4,
         &free_page(),

@@ -13,9 +13,8 @@
 //!
 //! The payload is a tag byte followed by little-endian fields; see
 //! [`Request`] and [`Response`]. Decoding is total: any byte sequence
-//! yields `Ok` or a typed [`FrameError`], never a panic — the fuzz target
-//! `fuzz/fuzz_targets/frame_decode.rs` and the deterministic equivalent in
-//! `tests/fuzz_frames.rs` hold the codec to that.
+//! yields `Ok` or a typed [`FrameError`], never a panic — the seeded fuzz
+//! suite in `tests/fuzz_frames.rs` holds the codec to that.
 
 use rtree_geom::Rect;
 use rtree_wal::crc32;

@@ -1,14 +1,13 @@
-//! Deterministic fuzz smoke for the wire codec: the no-network stand-in
-//! for `fuzz/fuzz_targets/frame_decode.rs` that runs in plain `cargo test`.
+//! Deterministic fuzz smoke for the wire codec, run by plain `cargo test`.
 //!
 //! Three generators feed `decode_frame` / `Request::decode` /
 //! `Response::decode`: pure random bytes (mostly dies at the magic
 //! check), *mutated valid frames* (encode a real message, flip a few
 //! seeded bytes — reaches past the CRC only when the flips land in it),
-//! and random-prefix truncations of valid frames. The invariant is the
-//! fuzz target's: decoding returns `Ok` or a typed [`FrameError`], and
-//! never panics — in particular hostile rectangle bytes must never reach
-//! `Rect::new`'s debug assertions.
+//! and random-prefix truncations of valid frames. The invariant:
+//! decoding returns `Ok` or a typed [`FrameError`], and never panics — in
+//! particular hostile rectangle bytes must never reach `Rect::new`'s debug
+//! assertions.
 //!
 //! The regression corpus at the bottom pins the hand-minimized inputs the
 //! ISSUE calls out: truncated frames, bad CRC, oversized length, unknown

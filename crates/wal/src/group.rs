@@ -175,14 +175,14 @@ impl GroupWal {
         s
     }
 
-    /// Makes the record at `lsn` durable, returning `true` when this call
-    /// led a batch (appended the `Commit` record and performed the fsync)
-    /// and `false` when a concurrent leader already covered it.
-    pub fn commit(&self, lsn: Lsn) -> io::Result<bool> {
+    /// Makes the record at `lsn` durable, returning the size in operations
+    /// of the batch this call led (appended the `Commit` record, performed
+    /// the fsync), or 0 when a concurrent leader already covered it.
+    pub fn commit(&self, lsn: Lsn) -> io::Result<u64> {
         let mut s = lock(&self.inner.state);
         loop {
             if s.durable_lsn >= lsn {
-                return Ok(false);
+                return Ok(0);
             }
             if !s.syncing {
                 break;
@@ -196,7 +196,7 @@ impl GroupWal {
                 .wait(s)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        self.lead(s).map(|_| true)
+        self.lead(s)
     }
 
     /// Leads one commit batch: stages the `Commit` record, takes the
@@ -204,8 +204,8 @@ impl GroupWal {
     /// lock released so concurrent appends keep staging. Called with the
     /// state lock held and no sync in flight. The leader first holds the
     /// token for the configured commit delay (lock released) so the rest of
-    /// a write burst stages before the batch closes.
-    fn lead<'a>(&'a self, mut s: MutexGuard<'a, GroupState>) -> io::Result<()> {
+    /// a write burst stages before the batch closes. Returns the batch size.
+    fn lead<'a>(&'a self, mut s: MutexGuard<'a, GroupState>) -> io::Result<u64> {
         s.syncing = true;
         let us = self.inner.commit_delay_us.load(Ordering::Relaxed);
         if us > 0 {
@@ -236,7 +236,7 @@ impl GroupWal {
                 s.stats.commit_batches += 1;
                 s.stats.committed_ops += covered;
                 s.stats.max_batch = s.stats.max_batch.max(covered);
-                Ok(())
+                Ok(covered)
             }
             Err(e) => {
                 // Nothing became durable. Splice the batch back onto the
@@ -368,8 +368,8 @@ mod tests {
         let wal = GroupWal::open(log.clone()).unwrap();
         let a = wal.log_insert(rect(1), 1).unwrap();
         let b = wal.log_insert(rect(2), 2).unwrap();
-        assert!(wal.commit(b).unwrap(), "first committer leads");
-        assert!(!wal.commit(a).unwrap(), "already durable: follower");
+        assert_eq!(wal.commit(b).unwrap(), 2, "first committer leads both");
+        assert_eq!(wal.commit(a).unwrap(), 0, "already durable: follower");
         let records = scan(&log.read_all().unwrap()).records;
         assert_eq!(records.len(), 3);
         assert!(matches!(records[2], WalRecord::Commit { lsn: 3 }));
@@ -383,23 +383,28 @@ mod tests {
         // count must be strictly less than the op count (batching happened)
         // and every op must end durable.
         let wal = GroupWal::open(MemLog::new()).unwrap();
-        let led = AtomicU64::new(0);
+        let (led, covered) = (AtomicU64::new(0), AtomicU64::new(0));
         thread::scope(|scope| {
             for t in 0..8u64 {
                 let wal = wal.clone();
-                let led = &led;
+                let (led, covered) = (&led, &covered);
                 scope.spawn(move || {
                     for i in 0..16u64 {
                         let lsn = wal.log_insert(rect(t * 16 + i), t * 16 + i).unwrap();
-                        if wal.commit(lsn).unwrap() {
-                            led.fetch_add(1, Ordering::Relaxed);
-                        }
+                        let batch = wal.commit(lsn).unwrap();
+                        led.fetch_add(u64::from(batch > 0), Ordering::Relaxed);
+                        covered.fetch_add(batch, Ordering::Relaxed);
                     }
                 });
             }
         });
         let s = wal.stats();
         assert_eq!(s.committed_ops, 128, "every op covered by a commit");
+        assert_eq!(
+            covered.load(Ordering::Relaxed),
+            s.committed_ops,
+            "each leader reports exactly its own batch"
+        );
         assert_eq!(s.commit_batches, led.load(Ordering::Relaxed));
         assert_eq!(s.fsyncs, s.commit_batches);
         assert!(s.fsyncs <= 128);

@@ -1,5 +1,4 @@
-//! Deterministic fuzz smoke for the WAL tail scanner: the no-network
-//! stand-in for `fuzz/fuzz_targets/wal_scan.rs` that runs in plain
+//! Deterministic fuzz smoke for the WAL tail scanner, run by plain
 //! `cargo test`.
 //!
 //! The scanner's contract on *any* byte string: terminate, never panic,
