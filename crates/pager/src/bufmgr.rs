@@ -211,50 +211,57 @@ impl<S: PageStore> BufferManager<S> {
         Ok(())
     }
 
-    /// Writes the evicted page back if dirty (log first), then drops its
+    /// Writes the evicted page back if dirty (log first), then gives up its
     /// frame. On an error the frame and the dirty mark are still there.
-    fn retire_victim(&mut self, victim: PageId) -> io::Result<()> {
+    fn retire_victim(&mut self, victim: PageId) -> io::Result<Arc<[u8]>> {
         if self.pool.is_dirty(victim) {
             if let Some(wal) = &mut self.wal {
                 wal.sync()?;
             }
             self.write_back(victim)?;
         }
-        self.frames.remove(&victim);
-        Ok(())
+        Ok(self
+            .frames
+            .remove(&victim)
+            .expect("resident page has a frame"))
     }
 
     /// Completes an admission the pool has just made for `id` (a miss, a
     /// pin or a readahead reservation): retires the evicted victim, reads
-    /// the page into a fresh frame and installs it. On any error the
-    /// admission is backed out, so the next access misses and re-reads
-    /// instead of hitting a frameless resident entry.
+    /// the page into the frame the victim gave up (a fresh one while the
+    /// pool is filling, or when a reader still holds the victim's) and
+    /// installs it. On any error the admission is backed out, so the next
+    /// access misses and re-reads instead of hitting a frameless resident
+    /// entry; the frame, whatever the failed read left in it, is dropped.
     fn page_in(&mut self, id: PageId, evicted: Option<PageId>, why: PageIn) -> io::Result<()> {
-        let mut frame = zeroed_frame();
-        let loaded = (|| {
-            if let Some(victim) = evicted {
-                self.retire_victim(victim)?;
-            }
+        let loaded: io::Result<Arc<[u8]>> = (|| {
+            let mut frame = match evicted {
+                Some(victim) => self.retire_victim(victim)?,
+                None => zeroed_frame(),
+            };
             self.store.read_page(id, exclusive(&mut frame))?;
             if why != PageIn::BeforeImage {
                 self.verify_read(id, &frame)?;
             }
-            Ok(())
+            Ok(frame)
         })();
-        if let Err(e) = loaded {
-            self.pool.unpin(id);
-            self.pool.discard(id);
-            // A victim that still has its frame was not written back, and
-            // that frame is the only copy of its update: it takes back the
-            // slot `id` just gave up, dirty mark intact.
-            if let Some(victim) = evicted.filter(|v| self.frames.contains_key(v)) {
-                self.pool
-                    .admit_pinned(victim)
-                    .expect("backing the admission out freed a frame");
-                self.pool.unpin(victim);
+        let frame = match loaded {
+            Ok(frame) => frame,
+            Err(e) => {
+                self.pool.unpin(id);
+                self.pool.discard(id);
+                // A victim that still has its frame was not written back,
+                // and that frame is the only copy of its update: it takes
+                // back the slot `id` just gave up, dirty mark intact.
+                if let Some(victim) = evicted.filter(|v| self.frames.contains_key(v)) {
+                    self.pool
+                        .admit_pinned(victim)
+                        .expect("backing the admission out freed a frame");
+                    self.pool.unpin(victim);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
+        };
         self.stats.reads += 1;
         self.stats.prefetch_reads += u64::from(why == PageIn::Prefetch);
         self.frames.insert(id, frame);
@@ -452,13 +459,18 @@ impl<S: PageStore> BufferManager<S> {
         Ok(())
     }
 
-    /// The currently pinned pages.
+    /// The currently pinned pages, in ascending order: `unpin_all` re-enters
+    /// them into the replacement order one by one, so the map's per-instance
+    /// iteration order would make the next evictions differ between runs.
     fn pinned_pages(&self) -> Vec<PageId> {
-        self.frames
+        let mut pinned: Vec<PageId> = self
+            .frames
             .keys()
             .copied()
             .filter(|&id| self.pool.is_pinned(id))
-            .collect()
+            .collect();
+        pinned.sort_unstable();
+        pinned
     }
 
     /// Replaces the buffer pool with a fresh one of `capacity` frames under
@@ -494,7 +506,7 @@ impl<S: PageStore> BufferManager<S> {
                 .expect("capacity was checked against the pinned count");
         }
         self.pool = pool;
-        self.frames.retain(|id, _| pinned.contains(id));
+        self.frames.retain(|&id, _| self.pool.is_pinned(id));
         Ok(())
     }
 
@@ -583,6 +595,124 @@ mod tests {
         assert_eq!(m.physical_reads(), reads);
         m.resize(2, LruPolicy::new()).unwrap();
         assert_eq!(m.pool().capacity(), 2);
+    }
+
+    /// Regression: `unpin_all` walked the frame map in its per-instance hash
+    /// order, so the released pages' LRU order, and with it every later
+    /// eviction and read count, differed between two identical runs.
+    #[test]
+    fn unpin_all_releases_pages_in_a_reproducible_order() {
+        let run = || {
+            let mut m = make(64, 40);
+            for id in 0..40 {
+                m.pin(PageId(id)).unwrap();
+            }
+            m.unpin_all();
+            // Every miss now evicts one of the released pages; coming back
+            // to them afterwards hits or misses by the order they left in.
+            let mut evicted = Vec::new();
+            for id in (40..64).chain(0..40) {
+                let before: Vec<PageId> = m.frames.keys().copied().collect();
+                m.fetch(PageId(id)).unwrap();
+                evicted.extend(before.into_iter().filter(|&page| !m.pool.contains(page)));
+            }
+            (m.io_stats(), m.pool().stats(), evicted)
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first, second);
+        // Released in ascending order, so LRU gives them up in that order.
+        let expected: Vec<PageId> = (0..24).map(PageId).collect();
+        assert_eq!(first.2[..24], expected[..]);
+    }
+
+    /// The allocation behind the frame of resident page `id`.
+    fn frame_ptr<S: PageStore>(m: &BufferManager<S>, id: u64) -> *const u8 {
+        Arc::as_ptr(&m.frames[&PageId(id)]).cast()
+    }
+
+    #[test]
+    fn page_in_reuses_an_unshared_victims_frame() {
+        let mut m = make(4, 2);
+        // Filling the empty pool allocates: there is no victim to reuse.
+        m.fetch(PageId(0)).unwrap();
+        m.fetch(PageId(1)).unwrap();
+        let (first, second) = (frame_ptr(&m, 0), frame_ptr(&m, 1));
+        assert_ne!(first, second);
+        // A miss that evicts reads into the allocation the victim gave up.
+        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2);
+        assert_eq!(frame_ptr(&m, 2), first, "page 0's frame was not reused");
+        assert_eq!(m.fetch(PageId(3)).unwrap()[0], 3);
+        assert_eq!(frame_ptr(&m, 3), second);
+        assert_eq!(m.frames.len(), 2);
+    }
+
+    #[test]
+    fn page_in_leaves_a_shared_victims_frame_to_its_reader() {
+        let mut m = make(4, 2);
+        // What a latched reader does: keep the frame past the fetch.
+        let held = Arc::clone(m.fetch_in(PageId(0), -1, &mut Span::default()).unwrap());
+        m.fetch(PageId(1)).unwrap();
+        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2, "evicts page 0");
+        assert!(!m.pool.contains(PageId(0)));
+        assert_eq!(held[..], page(0)[..], "the reader's frame changed under it");
+        assert_ne!(frame_ptr(&m, 2), Arc::as_ptr(&held).cast());
+    }
+
+    /// A store of `pages` sealed pages that all differ (free-list pages
+    /// chaining to `100 + i`), for a manager that verifies its reads.
+    fn sealed_store(pages: u64) -> MemStore {
+        let mut store = MemStore::new();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for i in 0..pages {
+            let id = store.allocate().unwrap();
+            crate::page::encode_free_page(100 + i, &mut buf);
+            store.write_page(id, &buf).unwrap();
+        }
+        store
+    }
+
+    #[test]
+    fn failed_page_in_drops_the_reused_frame() {
+        // Page 3 is corrupt on the store, and the third read fails once.
+        let mut inner = sealed_store(4);
+        let mut corrupt = vec![0u8; PAGE_SIZE];
+        inner.read_page(PageId(3), &mut corrupt).unwrap();
+        corrupt[2000] ^= 0x01;
+        inner.write_page(PageId(3), &corrupt).unwrap();
+        let store = FaultStore::new(inner, CrashSwitch::new()).fail_read_at(3);
+        let mut m = BufferManager::new(store, 2, LruPolicy::new());
+        m.set_verify_reads(true);
+        // The next fetch of `id` misses and returns the store's bytes.
+        fn assert_rereads(m: &mut BufferManager<FaultStore<MemStore>>, id: u64) {
+            let mut stored = vec![0u8; PAGE_SIZE];
+            m.store_mut().read_page(PageId(id), &mut stored).unwrap();
+            let reads = m.physical_reads();
+            assert_eq!(m.fetch(PageId(id)).unwrap()[..], stored[..], "page {id}");
+            assert_eq!(
+                m.physical_reads(),
+                reads + 1,
+                "page {id} was still resident"
+            );
+        }
+        m.fetch(PageId(0)).unwrap();
+        m.fetch(PageId(1)).unwrap();
+        // Injected fault: clean victim 0 has given its frame up, and the
+        // read into it failed. Neither page keeps it.
+        assert!(m.fetch(PageId(2)).is_err());
+        assert!(!m.pool.contains(PageId(0)) && !m.pool.contains(PageId(2)));
+        assert_eq!(m.frames.keys().copied().collect::<Vec<_>>(), [PageId(1)]);
+        assert_rereads(&mut m, 2);
+        // Checksum failure: clean victim 1's frame now holds all of corrupt
+        // page 3, and is dropped with it.
+        let err = m.fetch(PageId(3)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!m.pool.contains(PageId(1)) && !m.pool.contains(PageId(3)));
+        assert_eq!(m.frames.keys().copied().collect::<Vec<_>>(), [PageId(2)]);
+        assert_rereads(&mut m, 1);
+        assert_rereads(&mut m, 0);
+        assert!(m.fetch(PageId(3)).is_err(), "page 3 is still corrupt");
+        assert_eq!(m.pinned_count(), 0);
+        assert_eq!(m.frames.len(), m.pool.len(), "frames track residency");
     }
 
     #[test]
