@@ -7,8 +7,8 @@
 //! `(Rect, u64)` pairs and no per-entry gather when the page itself is
 //! stored SoA (page format v3).
 //!
-//! Two kernels exist, each in four variants (scalar reference, portable
-//! lane-chunked, AVX2, NEON — see [`crate::simd`] for dispatch and the
+//! Two kernels exist, each in three variants (scalar reference, portable
+//! lane-chunked, AVX2 — see [`crate::simd`] for dispatch and the
 //! NaN/infinity policy):
 //!
 //! - [`RectSoA::intersecting`] — region queries and frontier expansion (a
@@ -210,8 +210,6 @@ impl RectSoA {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-use std::arch::aarch64::{float64x2_t, uint64x2_t};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::__m256d;
 
@@ -231,13 +229,6 @@ pub(crate) trait Plane: Copy {
     /// `i + 4 <= len()`, and the CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     unsafe fn load4(self, i: usize) -> __m256d;
-
-    /// Lanes `i..i + 2`.
-    ///
-    /// # Safety
-    /// `i + 2 <= len()`.
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn load2(self, i: usize) -> float64x2_t;
 }
 
 impl Plane for &[f64] {
@@ -257,13 +248,6 @@ impl Plane for &[f64] {
         // SAFETY (caller): lanes i..i + 4 are in bounds; loadu needs no
         // alignment.
         std::arch::x86_64::_mm256_loadu_pd(self.as_ptr().add(i))
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[inline(always)]
-    unsafe fn load2(self, i: usize) -> float64x2_t {
-        // SAFETY (caller): lanes i..i + 2 are in bounds.
-        std::arch::aarch64::vld1q_f64(self.as_ptr().add(i))
     }
 }
 
@@ -298,13 +282,6 @@ pub(crate) trait Test: Copy {
     /// The CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     unsafe fn four(self, lanes: Planes<__m256d>) -> (i32, __m256d);
-
-    /// [`Test::one`] on two entries: a keep mask and a value per lane.
-    ///
-    /// # Safety
-    /// None beyond NEON, which is baseline on aarch64.
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn two(self, lanes: Planes<float64x2_t>) -> (uint64x2_t, float64x2_t);
 }
 
 /// Keeps the entries intersecting the rectangle (closed on both ends); a
@@ -343,27 +320,6 @@ impl Test for Intersects {
             ),
         );
         (_mm256_movemask_pd(m), _mm256_setzero_pd())
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[inline(always)]
-    unsafe fn two(
-        self,
-        [lo_x, lo_y, hi_x, hi_y]: Planes<float64x2_t>,
-    ) -> (uint64x2_t, float64x2_t) {
-        use std::arch::aarch64::*;
-        let q = self.0;
-        let m = vandq_u64(
-            vandq_u64(
-                vcleq_f64(lo_x, vdupq_n_f64(q.hi.x)),
-                vcleq_f64(vdupq_n_f64(q.lo.x), hi_x),
-            ),
-            vandq_u64(
-                vcleq_f64(lo_y, vdupq_n_f64(q.hi.y)),
-                vcleq_f64(vdupq_n_f64(q.lo.y), hi_y),
-            ),
-        );
-        (m, vdupq_n_f64(0.0))
     }
 }
 
@@ -409,29 +365,6 @@ impl Test for Within {
         let keep = _mm256_cmp_pd::<_CMP_LE_OQ>(d2, _mm256_set1_pd(self.bound));
         (_mm256_movemask_pd(keep), d2)
     }
-
-    /// Compare-and-bit-select rather than `vmaxq_f64`, so the max chain has
-    /// the same select semantics as the scalar and AVX2 forms (NEON's
-    /// `FMAX` propagates NaN; `FCMGT` + `BSL` does not).
-    #[cfg(target_arch = "aarch64")]
-    #[inline(always)]
-    unsafe fn two(
-        self,
-        [lo_x, lo_y, hi_x, hi_y]: Planes<float64x2_t>,
-    ) -> (uint64x2_t, float64x2_t) {
-        use std::arch::aarch64::*;
-        /// `if a > b { a } else { b }` per lane — select semantics.
-        #[inline(always)]
-        unsafe fn smax2(a: float64x2_t, b: float64x2_t) -> float64x2_t {
-            vbslq_f64(vcgtq_f64(a, b), a, b)
-        }
-        let (px, py) = (vdupq_n_f64(self.p.x), vdupq_n_f64(self.p.y));
-        let zero = vdupq_n_f64(0.0);
-        let dx = smax2(smax2(vsubq_f64(lo_x, px), vsubq_f64(px, hi_x)), zero);
-        let dy = smax2(smax2(vsubq_f64(lo_y, py), vsubq_f64(py, hi_y)), zero);
-        let d2 = vfmaq_f64(vmulq_f64(dx, dx), dy, dy);
-        (vcleq_f64(d2, vdupq_n_f64(self.bound)), d2)
-    }
 }
 
 /// Calls `f` with the position of every set bit, lowest first.
@@ -468,8 +401,6 @@ pub(crate) fn scan<P: Plane, T: Test, const CHECK: bool>(
         // of which the vector loops stop a register short.
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => unsafe { scan_avx2::<P, T, CHECK>(planes, test, out) },
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => unsafe { scan_neon::<P, T, CHECK>(planes, test, out) },
         // Portable, and the cross-compile fallback for a variant compiled
         // out above (which `is_available` never admits).
         _ => scan_portable::<P, T, CHECK>(planes, test, out),
@@ -567,39 +498,6 @@ unsafe fn scan_avx2<P: Plane, T: Test, const CHECK: bool>(
         i += 4;
     }
     (ok == 0xF) & scan_from::<P, T, CHECK>(planes, i, test, out)
-}
-
-/// Explicit NEON variant: 2 `f64` lanes per step (aarch64 always has NEON,
-/// so no runtime check is needed).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn scan_neon<P: Plane, T: Test, const CHECK: bool>(
-    planes: Planes<P>,
-    test: T,
-    out: &mut Vec<T::Hit>,
-) -> bool {
-    use std::arch::aarch64::*;
-    let [lo_x, lo_y, hi_x, hi_y] = planes;
-    let n = lo_x.len();
-    let mut ok = true;
-    let mut i = 0usize;
-    while i + 2 <= n {
-        // SAFETY (caller + loop bound): i + 2 <= n, so all loads are
-        // in-bounds.
-        let v = [lo_x.load2(i), lo_y.load2(i), hi_x.load2(i), hi_y.load2(i)];
-        if CHECK {
-            ok &= rect_at(planes, i).is_valid() & rect_at(planes, i + 1).is_valid();
-        }
-        let (keep, lanes) = test.two(v);
-        if vgetq_lane_u64::<0>(keep) != 0 {
-            out.push(T::hit(i, vgetq_lane_f64::<0>(lanes)));
-        }
-        if vgetq_lane_u64::<1>(keep) != 0 {
-            out.push(T::hit(i + 1, vgetq_lane_f64::<1>(lanes)));
-        }
-        i += 2;
-    }
-    ok & scan_from::<P, T, CHECK>(planes, i, test, out)
 }
 
 /// `if a > b { a } else { b }`: the *select-max* every kernel variant's max

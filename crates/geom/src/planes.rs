@@ -54,14 +54,6 @@ impl Plane for LeF64<'_> {
         // alignment, and x86-64 is little-endian.
         std::arch::x86_64::_mm256_loadu_pd(self.0.as_ptr().add(i * 8).cast())
     }
-
-    #[cfg(target_arch = "aarch64")]
-    #[inline(always)]
-    unsafe fn load2(self, i: usize) -> std::arch::aarch64::float64x2_t {
-        // SAFETY (caller): bytes 8i..8i + 16 are in bounds; LD1 needs no
-        // alignment, and NEON is only dispatched on little-endian targets.
-        std::arch::aarch64::vld1q_f64(self.0.as_ptr().add(i * 8).cast())
-    }
 }
 
 /// One plane of little-endian `u16` codes read as the `f64` lanes they
@@ -106,14 +98,6 @@ impl Plane for Dequant<'_> {
         let is_base = _mm256_cmp_pd::<_CMP_EQ_OQ>(c, _mm256_setzero_pd());
         let is_top = _mm256_cmp_pd::<_CMP_EQ_OQ>(c, _mm256_set1_pd(QMAX as f64));
         _mm256_blendv_pd(_mm256_blendv_pd(v, base, is_base), top, is_top)
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[inline(always)]
-    unsafe fn load2(self, i: usize) -> std::arch::aarch64::float64x2_t {
-        let lanes = [self.get(i), self.get(i + 1)];
-        // SAFETY: `lanes` is two f64s.
-        std::arch::aarch64::vld1q_f64(lanes.as_ptr())
     }
 }
 
@@ -191,8 +175,7 @@ impl EntryPlanes<'_> {
     /// [`crate::RectSoA::intersecting_with`] in place, validating every
     /// entry; `out` is unspecified on error. On codes, `Scalar` dequantizes
     /// one entry at a time and calls [`Rect::intersects`] — the oracle —
-    /// and every other variant compares in code space (see the module docs;
-    /// NEON through the portable loop, which the compiler vectorizes).
+    /// and every other variant compares in code space (see the module docs).
     pub fn intersecting(
         &self,
         kind: KernelKind,

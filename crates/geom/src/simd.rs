@@ -2,7 +2,7 @@
 //! run — on a decoded [`crate::RectSoA`] and, in the tree walks, on page
 //! bytes where they lie ([`crate::EntryPlanes`]).
 //!
-//! Four implementations of each kernel exist side by side:
+//! Three implementations of each kernel exist side by side:
 //!
 //! - **Scalar** — one [`crate::Rect`]-at-a-time reference, the
 //!   obviously-correct baseline every other variant is property-tested
@@ -10,14 +10,12 @@
 //!   path's behavior. On quantized planes it dequantizes one entry at a
 //!   time; every other variant compares in code space.
 //! - **Portable** — branch-free lane-chunked loops over the planes that
-//!   LLVM autovectorizes on any target.
+//!   LLVM autovectorizes on any target (aarch64 included).
 //! - **Avx2** — explicit AVX2 intrinsics (x86-64 only): 4 `f64` lanes, or
 //!   16 `u16` lanes in code space.
-//! - **Neon** — explicit 2-lane `f64` NEON intrinsics (little-endian
-//!   aarch64 only; code space runs the portable loop).
 //!
 //! Selection happens **once**, on first use: the best variant the CPU
-//! supports, unless `RTREE_KERNEL=scalar|portable|avx2|neon` in the
+//! supports, unless `RTREE_KERNEL=scalar|portable|avx2` in the
 //! environment picks a specific variant (`scalar` is the reference).
 //! Benchmarks and differential tests can re-pin the dispatch at runtime
 //! with [`set_kernel`].
@@ -35,7 +33,7 @@
 //!   (`_CMP_LE_OQ`), which are exactly scalar `<=`.
 //! - **Distance**: the max chains use *select semantics*
 //!   (`if a > b { a } else { b }`, i.e. "return `b` unless `a` compares
-//!   greater"), matching `_mm256_max_pd`/`vmaxq_f64` exactly — **not**
+//!   greater"), matching `_mm256_max_pd` exactly — **not**
 //!   `f64::max`, whose NaN-suppressing maxNum semantics differ from the
 //!   hardware instructions. Under select semantics a NaN term drops out of
 //!   the chain, and because the final link clamps against `0.0` (returning
@@ -61,8 +59,6 @@ pub enum KernelKind {
     Portable,
     /// Explicit AVX2 intrinsics (x86-64 with AVX2).
     Avx2,
-    /// Explicit NEON intrinsics (aarch64).
-    Neon,
 }
 
 impl KernelKind {
@@ -72,7 +68,6 @@ impl KernelKind {
             KernelKind::Scalar => "scalar",
             KernelKind::Portable => "portable",
             KernelKind::Avx2 => "avx2",
-            KernelKind::Neon => "neon",
         }
     }
 
@@ -81,8 +76,6 @@ impl KernelKind {
         match self {
             KernelKind::Scalar | KernelKind::Portable => true,
             KernelKind::Avx2 => avx2_available(),
-            // The vector loads read page bytes as they lie: little-endian.
-            KernelKind::Neon => cfg!(all(target_arch = "aarch64", target_endian = "little")),
         }
     }
 }
@@ -100,17 +93,12 @@ fn avx2_available() -> bool {
     false
 }
 
+/// Every variant, scalar first.
+const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Portable, KernelKind::Avx2];
+
 /// Every variant this build + CPU can run, scalar first.
 pub fn available_kernels() -> Vec<KernelKind> {
-    [
-        KernelKind::Scalar,
-        KernelKind::Portable,
-        KernelKind::Avx2,
-        KernelKind::Neon,
-    ]
-    .into_iter()
-    .filter(|k| k.is_available())
-    .collect()
+    ALL.into_iter().filter(|k| k.is_available()).collect()
 }
 
 /// Dispatch state: 0 = unselected, otherwise `KernelKind as u8 + 1`.
@@ -121,7 +109,6 @@ fn decode_kind(v: u8) -> KernelKind {
         1 => KernelKind::Scalar,
         2 => KernelKind::Portable,
         3 => KernelKind::Avx2,
-        4 => KernelKind::Neon,
         _ => unreachable!("dispatch state {v} out of range"),
     }
 }
@@ -131,19 +118,13 @@ fn encode_kind(k: KernelKind) -> u8 {
         KernelKind::Scalar => 1,
         KernelKind::Portable => 2,
         KernelKind::Avx2 => 3,
-        KernelKind::Neon => 4,
     }
 }
 
 /// The variant the environment and the CPU pick at startup.
 fn select_default() -> KernelKind {
     if let Ok(name) = std::env::var("RTREE_KERNEL") {
-        for k in [
-            KernelKind::Scalar,
-            KernelKind::Portable,
-            KernelKind::Avx2,
-            KernelKind::Neon,
-        ] {
+        for k in ALL {
             if k.name() == name {
                 if k.is_available() {
                     return k;
@@ -159,8 +140,6 @@ fn select_default() -> KernelKind {
     }
     if KernelKind::Avx2.is_available() {
         KernelKind::Avx2
-    } else if KernelKind::Neon.is_available() {
-        KernelKind::Neon
     } else {
         KernelKind::Portable
     }
@@ -208,8 +187,6 @@ mod tests {
 
     #[test]
     fn set_kernel_rejects_unavailable_and_pins_available() {
-        // Exactly one of AVX2 / NEON can be available per target.
-        assert!(!(KernelKind::Avx2.is_available() && KernelKind::Neon.is_available()));
         for k in available_kernels() {
             set_kernel(k).unwrap();
             assert_eq!(active_kernel(), k);
@@ -220,12 +197,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for k in [
-            KernelKind::Scalar,
-            KernelKind::Portable,
-            KernelKind::Avx2,
-            KernelKind::Neon,
-        ] {
+        for k in ALL {
             assert!(!k.name().is_empty());
         }
     }

@@ -1,5 +1,5 @@
 //! SIMD-vs-scalar property suite: every kernel variant compiled into this
-//! build (portable, AVX2, NEON, and the runtime dispatcher itself) must
+//! build (portable, AVX2, and the runtime dispatcher itself) must
 //! agree bit-for-bit with the scalar reference over *adversarial* inputs —
 //! not just the valid rectangles production pages hold.
 //!
@@ -8,7 +8,7 @@
 //! infinities, NaN, inverted (`min > max`) rectangles that would never
 //! survive page-decode validation, and set lengths straddling the kernels'
 //! chunk boundaries (0, 1, 63, 64, 65 for the 64-wide portable mask; the
-//! 4-lane AVX2 and 2-lane NEON tails fall out of the same lengths).
+//! 4-lane AVX2 tail falls out of the same lengths).
 //!
 //! The NaN policy pinned here (and documented in `rtree_geom::simd`):
 //!

@@ -19,10 +19,10 @@
 //! * [`PromText`] — a Prometheus-style text exporter for counters and
 //!   histograms.
 //!
-//! The crate itself is dependency-free and always compiled; the *hooks* in
-//! `rtree-pager` are behind its `trace` cargo feature, so a build without
-//! that feature carries no tracing state and no branches on the hot path —
-//! the zero-cost-when-disabled claim is a compile-time one.
+//! The crate itself is dependency-free. The *hooks* in `rtree-pager` are in
+//! every build and cost one branch until a sink is attached: with no sink a
+//! query opens no span (no id, no clock read, no atomics) and emits no
+//! event.
 //!
 //! # Reconciliation invariants
 //!

@@ -110,7 +110,7 @@ pub struct BufferManager<S> {
     /// Verify page checksums at read-in (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
-    /// The sink and current attribution of trace events (zero-sized if off).
+    /// The sink (if any) and current attribution of trace events.
     pub(crate) tracer: Tracer,
 }
 
@@ -302,7 +302,7 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Fetches a page, going to the store only on a miss. The access
-    /// belongs to no span (in trace builds: span 0, level unknown).
+    /// belongs to no span (its events carry span 0, level unknown).
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
         Ok(self.fetch_in(id, -1, &mut Span::default())?)
     }
@@ -346,7 +346,7 @@ impl<S: PageStore> BufferManager<S> {
     /// prefetch share mirrored in `IoStats::prefetch_reads`) but **not** as
     /// a pool access: no miss is charged to any query, and the later
     /// consuming access lands as a hit. Emits `EventKind::Prefetch`
-    /// instead of a miss in trace builds.
+    /// instead of a miss.
     pub fn prefetch(&mut self, id: PageId) -> io::Result<PrefetchOutcome> {
         if self.pool.contains(id) {
             return Ok(PrefetchOutcome::Resident);

@@ -173,7 +173,7 @@ pub struct ConcurrentDiskRTree<S> {
     root_frame: OnceLock<Arc<[u8]>>,
     meta: PageMeta,
     /// Span ids, query metrics and the tracer of latch and group-commit
-    /// events (the shards trace their own); zero-sized without the hooks.
+    /// events (the shards trace their own).
     pub(crate) trace: TreeTrace,
     /// Present iff the tree was opened writable.
     writer: Option<WriterState>,

@@ -61,7 +61,8 @@ use std::io;
 pub struct DiskRTree<S: PageStore> {
     pub(crate) mgr: BufferManager<S>,
     pub(crate) meta: PageMeta,
-    /// Span ids and query metrics (zero-sized without the trace hooks).
+    /// Span ids, query metrics, and the sink whose presence makes spans
+    /// live.
     pub(crate) trace: TreeTrace,
 }
 

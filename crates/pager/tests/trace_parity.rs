@@ -1,17 +1,12 @@
 //! One span rule for both trees: a single-shard `ConcurrentDiskRTree` and a
 //! `DiskRTree` over the same image, driven by the same region / point / kNN
 //! / batch stream, must open the same spans, put the same charged events
-//! under each, and record the same reads and accesses histograms.
-//!
-//! ```text
-//! cargo test -p rtree-pager --features trace --test trace_parity
-//! ```
-
-#![cfg(feature = "trace")]
+//! under each, and record the same reads and accesses histograms — and on
+//! both, a span is live only while a sink is attached.
 
 use rtree_buffer::LruPolicy;
 use rtree_geom::{Point, Rect};
-use rtree_index::BulkLoader;
+use rtree_index::{BulkLoader, RTree};
 use rtree_obs::{EventKind, RingSink, TraceSink};
 use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use std::collections::BTreeMap;
@@ -33,16 +28,20 @@ fn per_span(sink: &RingSink) -> BTreeMap<(u64, String), u64> {
     counts
 }
 
-#[test]
-fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
-    let rects: Vec<Rect> = (0..1_800)
+fn sample_tree(n: usize) -> RTree {
+    let rects: Vec<Rect> = (0..n)
         .map(|i| {
             let x = (i as f64 * 0.618_033) % 0.97;
             let y = (i as f64 * 0.414_213) % 0.97;
             Rect::new(x, y, x + 0.01, y + 0.01)
         })
         .collect();
-    let tree = BulkLoader::hilbert(12).load(&rects);
+    BulkLoader::hilbert(12).load(&rects)
+}
+
+#[test]
+fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
+    let tree = sample_tree(1_800);
     let image = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new())
         .unwrap()
         .into_store()
@@ -119,3 +118,51 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
         "every charged event belongs to one of the run's spans"
     );
 }
+
+/// 50 queries with no sink leave no span behind; then, with a ring
+/// attached, 10 more open spans 1..=10, and each span's miss events equal
+/// the physical reads its query did.
+macro_rules! spans_are_live_only_with_a_sink {
+    ($name:ident, $tree:ident) => {
+        #[test]
+        fn $name() {
+            let (tree, store) = (sample_tree(1_500), MemStore::new());
+            let mut tree = $tree::create(store, &tree, 12, LruPolicy::new()).unwrap();
+            let region = |i: u64| {
+                let x = (i as f64 * 0.754_877) % 0.9;
+                let y = (i as f64 * 0.569_840) % 0.9;
+                Rect::new(x, y, x + 0.05, y + 0.05)
+            };
+            for i in 0..50 {
+                tree.query(&region(i)).unwrap();
+            }
+            assert_eq!(tree.query_metrics().latency_ns.count(), 0, "no sink");
+
+            let sink = Arc::new(RingSink::new(1 << 14));
+            tree.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
+            let mut reads = BTreeMap::new();
+            for span in 1..=10u64 {
+                let before = tree.io_stats().reads;
+                tree.query(&region(50 + span)).unwrap();
+                reads.insert(span, tree.io_stats().reads - before);
+            }
+            assert_eq!(tree.query_metrics().latency_ns.count(), 10);
+            assert!(reads.values().sum::<u64>() > 0, "the queries must miss");
+
+            let mut misses: BTreeMap<u64, u64> = BTreeMap::new();
+            for e in sink.events() {
+                if e.kind != EventKind::PeekRead {
+                    assert!((1..=10).contains(&e.query_id), "span {}", e.query_id);
+                    *misses.entry(e.query_id).or_default() += u64::from(e.kind == EventKind::Miss);
+                }
+            }
+            assert_eq!(misses, reads, "miss events per span vs physical reads");
+        }
+    };
+}
+
+spans_are_live_only_with_a_sink!(sequential_spans_are_live_only_with_a_sink, DiskRTree);
+spans_are_live_only_with_a_sink!(
+    concurrent_spans_are_live_only_with_a_sink,
+    ConcurrentDiskRTree
+);

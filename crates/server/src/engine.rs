@@ -77,24 +77,6 @@ pub trait QueryEngine: Send + Sync + 'static {
     }
 }
 
-impl QueryEngine for Box<dyn QueryEngine> {
-    fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
-        (**self).execute(queries)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        (**self).io_stats()
-    }
-
-    fn execute_writes(&self, ops: &[WriteOp]) -> Vec<io::Result<bool>> {
-        (**self).execute_writes(ops)
-    }
-
-    fn write_stats(&self) -> WriteStats {
-        (**self).write_stats()
-    }
-}
-
 /// One `DiskRTree` behind a mutex, batches executed via [`BatchExecutor`].
 ///
 /// Queries inside a batch share the executor's page-request dedup and

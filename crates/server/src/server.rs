@@ -234,12 +234,20 @@ fn accept_loop<E: QueryEngine>(
 /// timeout with **zero** bytes consumed re-checks the flag; once any byte
 /// of a frame has arrived, the frame is finished regardless (a client
 /// that stalls mid-frame keeps its slot until it completes or drops).
-fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::new();
+/// `buf` is the connection's: bytes past the frame (a pipelined next
+/// request that arrived in the same read) stay in it for the next call.
+fn read_frame_polled(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    stop: &AtomicBool,
+) -> io::Result<Option<Vec<u8>>> {
     let mut chunk = [0u8; 4096];
     loop {
-        match wire::decode_frame(&buf) {
-            Ok(Some((payload, _))) => return Ok(Some(payload)),
+        match wire::decode_frame(buf) {
+            Ok(Some((payload, used))) => {
+                buf.drain(..used);
+                return Ok(Some(payload));
+            }
             Ok(None) => {}
             Err(e) => return Err(e.into()),
         }
@@ -273,8 +281,9 @@ fn handle_connection<E: QueryEngine>(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_nodelay(true)?;
+    let mut buf = Vec::new();
     loop {
-        let payload = match read_frame_polled(&mut stream, stop) {
+        let payload = match read_frame_polled(&mut stream, &mut buf, stop) {
             Ok(Some(p)) => p,
             // Clean close, stop requested, or client gone mid-frame.
             Ok(None) | Err(_) => return Ok(()),

@@ -436,10 +436,14 @@ impl Response {
             Response::Overloaded => out.push(TAG_OVERLOADED),
             Response::Error(msg) => {
                 out.push(TAG_ERROR);
-                let bytes = msg.as_bytes();
-                let n = bytes.len().min(1024);
+                // At most 1 024 bytes, cut on a char boundary so the
+                // message still decodes as UTF-8.
+                let n = (0..=msg.len().min(1024))
+                    .rev()
+                    .find(|&n| msg.is_char_boundary(n))
+                    .unwrap_or(0);
                 out.extend_from_slice(&(n as u32).to_le_bytes());
-                out.extend_from_slice(&bytes[..n]);
+                out.extend_from_slice(&msg.as_bytes()[..n]);
             }
             Response::ShuttingDown => out.push(TAG_SHUTTING_DOWN),
             Response::Written(found) => {
@@ -589,6 +593,20 @@ mod tests {
         ] {
             let payload = resp.encode();
             assert_eq!(Response::decode(&payload).unwrap(), resp);
+        }
+    }
+
+    /// The 1 024-byte cut lands inside `é`: it must back off to the char
+    /// boundary, not emit half a character the decoder then rejects.
+    #[test]
+    fn long_error_message_truncates_on_a_char_boundary() {
+        let msg = "x".repeat(1023) + "é tail";
+        match Response::decode(&Response::Error(msg.clone()).encode()).unwrap() {
+            Response::Error(got) => {
+                assert_eq!(got.len(), 1023, "the longest prefix within 1 024 bytes");
+                assert!(msg.starts_with(&got));
+            }
+            other => panic!("decoded {other:?}"),
         }
     }
 

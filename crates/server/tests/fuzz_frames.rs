@@ -45,6 +45,8 @@ fn sample_frames() -> Vec<Vec<u8>> {
         Response::Stats(StatsReply::default()).encode(),
         Response::Overloaded.encode(),
         Response::Error("boom".into()).encode(),
+        // Longer than the 1 024-byte cap, with the cut inside a `é`.
+        Response::Error("x".repeat(1023) + "é tail").encode(),
         Response::ShuttingDown.encode(),
     ]
     .iter()
@@ -102,6 +104,14 @@ fn truncations_are_incomplete_or_typed_errors() {
                 panic!("truncated frame decoded at cut {cut}");
             }
         }
+        // ...and the whole of one is a message (or the empty payload).
+        let (payload, _) = decode_frame(&frame).unwrap().unwrap();
+        assert!(
+            payload.is_empty()
+                || Request::decode(&payload).is_ok()
+                || Response::decode(&payload).is_ok(),
+            "seed frame does not decode"
+        );
     }
 }
 

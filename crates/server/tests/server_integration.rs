@@ -83,6 +83,47 @@ fn point_queries_work_and_malformed_payloads_keep_the_stream_aligned() {
     handle.shutdown();
 }
 
+/// Requests written back to back before any answer is read — one
+/// `write_all`, so they arrive in one `read` on the server — are each
+/// answered, in order: bytes of the next frame are not dropped with the
+/// read buffer of the one before.
+#[test]
+fn pipelined_requests_are_all_answered_in_order() {
+    use rtree_server::wire::{encode_frame, recv_response};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let tree = build_tree(500);
+    let handle = start_server(&tree, BatchPolicy::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let mut send = |reqs: &[Request]| {
+        let bytes: Vec<u8> = reqs
+            .iter()
+            .flat_map(|r| encode_frame(&r.encode()))
+            .collect();
+        stream.write_all(&bytes).expect("write");
+        reqs.iter()
+            .map(|_| recv_response(&mut stream).expect("answered").expect("open"))
+            .collect::<Vec<_>>()
+    };
+
+    let stats = send(&[Request::Stats, Request::Stats]);
+    assert!(
+        stats.iter().all(|r| matches!(r, Response::Stats(_))),
+        "{stats:?}"
+    );
+
+    let q = Rect::new(0.0, 0.0, 1.0, 1.0);
+    match send(&[Request::Query(q), Request::Count(q)]).as_slice() {
+        [Response::Matches(ids), Response::Count(n)] => assert_eq!(ids.len() as u64, *n),
+        other => panic!("expected matches then count, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn overload_returns_typed_response_not_oom() {
     let tree = build_tree(500);
