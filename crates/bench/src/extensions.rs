@@ -150,6 +150,8 @@ fn point_and_region() -> [(&'static str, &'static str, Workload); 2] {
 pub(crate) fn ablation_loaders(opts: &Opts, out: &mut String) -> Result<(), String> {
     let cap = 100;
     let rects = tiger();
+    // One tree per loader serves both workloads (R* alone is most of the cost).
+    let descs = Loader::ALL.map(|loader| TreeDescription::from_tree(&loader.build(cap, &rects)));
 
     for (slug, queries, workload) in point_and_region() {
         let mut table = Table::new(
@@ -158,11 +160,9 @@ pub(crate) fn ablation_loaders(opts: &Opts, out: &mut String) -> Result<(), Stri
                 "loader", "nodes", "area A", "Lx+Ly", "visits", "B=10", "B=50", "B=200",
             ],
         );
-        for loader in Loader::ALL {
-            let tree = loader.build(cap, &rects);
-            let desc = TreeDescription::from_tree(&tree);
+        for (loader, desc) in Loader::ALL.into_iter().zip(&descs) {
             let (a, lx, ly) = desc.aggregates();
-            let model = BufferModel::new(&desc, &workload);
+            let model = BufferModel::new(desc, &workload);
             table.row(vec![
                 loader.name().to_string(),
                 desc.total_nodes().to_string(),

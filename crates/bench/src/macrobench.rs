@@ -430,7 +430,7 @@ pub(crate) fn macrobench(opts: &Opts, out: &mut String) -> Result<(), String> {
             // capacity), so result order and kNN tie-breaks legitimately
             // differ; answers are only required to be identical while the
             // images stay read-only. The differential test suite
-            // (`tests/compress_vs_seed.rs`) covers mutation equivalence
+            // (`facade/tests/compress_vs_seed.rs`) covers mutation equivalence
             // set-wise.
             if mix_name == "read-only" {
                 let [(v3, model_v3), (v4, model_v4)] = cells;

@@ -60,27 +60,27 @@ fn assert_matches_golden(name: &str, golden: &str) {
     assert_eq!(out, golden, "{name} output drifted from the golden text");
 }
 
+/// One test per golden, so the slow tables run side by side.
 macro_rules! golden {
-    ($name:literal) => {
-        assert_matches_golden($name, include_str!(concat!("golden/", $name, ".txt")))
-    };
+    ($($name:ident),+ $(,)?) => {$(
+        #[test]
+        fn $name() {
+            let golden = include_str!(concat!("golden/", stringify!($name), ".txt"));
+            assert_matches_golden(stringify!($name), golden);
+        }
+    )+};
 }
 
-#[test]
-fn model_only_experiments_match_the_parent_binaries() {
-    golden!("table2_nodes_per_level");
-    golden!("fig6_buffer_sensitivity");
-    golden!("fig7_tiger_datadriven");
-    golden!("fig8_cfd_datadriven");
-}
+// Model-only experiments, against the parent binaries' text.
+golden!(
+    table2_nodes_per_level,
+    fig6_buffer_sensitivity,
+    fig7_tiger_datadriven,
+    fig8_cfd_datadriven,
+);
 
-/// Captured from the build before the tree became generic over its
-/// bounding box: these tables push STR, Morton, the linear and R* splits,
-/// forced reinsertion and delete/reinsert churn through the generic code,
-/// which must not move a digit in 2-D.
-#[test]
-fn loader_and_split_tables_match_the_two_d_only_tree() {
-    golden!("ablation_loaders");
-    golden!("ablation_splits");
-    golden!("update_quality");
-}
+// Captured from the build before the tree became generic over its bounding
+// box: these tables push STR, Morton, the linear and R* splits, forced
+// reinsertion and delete/reinsert churn through the generic code, which
+// must not move a digit in 2-D.
+golden!(ablation_loaders, ablation_splits, update_quality);

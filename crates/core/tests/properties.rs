@@ -88,7 +88,7 @@ proptest! {
         // NOTE: "pinning never hurts" is NOT asserted for arbitrary
         // descriptions — the model correctly predicts a penalty when the
         // pinned levels are colder than what they displace. The paper's
-        // claim is about real R-trees (hot roots); `tests/paper_claims.rs`
+        // claim is about real R-trees (hot roots); `facade/tests/paper_claims.rs`
         // checks it on loader-built trees.
         let m = BufferModel::new(&desc, &w);
         for p in 1..=m.max_pinnable_levels(b) {

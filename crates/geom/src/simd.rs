@@ -15,10 +15,10 @@
 //!   16 `u16` lanes in code space.
 //!
 //! Selection happens **once**, on first use: the best variant the CPU
-//! supports, unless `RTREE_KERNEL=scalar|portable|avx2` in the
-//! environment picks a specific variant (`scalar` is the reference).
-//! Benchmarks and differential tests can re-pin the dispatch at runtime
-//! with [`set_kernel`].
+//! supports. Benchmarks and differential tests re-pin the dispatch at
+//! runtime with [`set_kernel`], looping over [`available_kernels`] inside
+//! one process; the pin is process-global, so such a loop holds a lock of
+//! its own test binary while it runs.
 //!
 //! # NaN and infinity policy
 //!
@@ -62,7 +62,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Short lowercase name (matches the `RTREE_KERNEL` spelling).
+    /// Short lowercase name, as benchmark rows and test messages print it.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
@@ -121,23 +121,8 @@ fn encode_kind(k: KernelKind) -> u8 {
     }
 }
 
-/// The variant the environment and the CPU pick at startup.
+/// The variant the CPU picks at startup.
 fn select_default() -> KernelKind {
-    if let Ok(name) = std::env::var("RTREE_KERNEL") {
-        for k in ALL {
-            if k.name() == name {
-                if k.is_available() {
-                    return k;
-                }
-                eprintln!(
-                    "RTREE_KERNEL={name} is not available on this CPU; using the portable kernel"
-                );
-                return KernelKind::Portable;
-            }
-        }
-        eprintln!("unknown RTREE_KERNEL={name}; using the portable kernel");
-        return KernelKind::Portable;
-    }
     if KernelKind::Avx2.is_available() {
         KernelKind::Avx2
     } else {
@@ -146,8 +131,7 @@ fn select_default() -> KernelKind {
 }
 
 /// The kernel the dispatching entry points ([`crate::RectSoA::intersecting`]
-/// and friends) currently run. Selected once on first call; see the module
-/// docs for the environment knobs.
+/// and friends) currently run. Selected once on first call, from the CPU.
 #[inline]
 pub fn active_kernel() -> KernelKind {
     let v = ACTIVE.load(Ordering::Relaxed);
@@ -161,7 +145,7 @@ pub fn active_kernel() -> KernelKind {
 }
 
 /// Re-pins the dispatch to `kind` (benchmark / differential-test hook; the
-/// production path selects once from the environment and CPU).
+/// production path selects once from the CPU).
 ///
 /// # Errors
 /// Returns `Err` with the rejected kind if this build or CPU cannot run it;
@@ -177,6 +161,11 @@ pub fn set_kernel(kind: KernelKind) -> Result<(), KernelKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Held by every test in this binary that re-pins the process-global
+    /// dispatch, so one's pin cannot land between another's set and check.
+    static KERNEL_PIN: Mutex<()> = Mutex::new(());
 
     #[test]
     fn scalar_and_portable_always_available() {
@@ -187,12 +176,16 @@ mod tests {
 
     #[test]
     fn set_kernel_rejects_unavailable_and_pins_available() {
-        for k in available_kernels() {
-            set_kernel(k).unwrap();
-            assert_eq!(active_kernel(), k);
+        let _pin = KERNEL_PIN.lock().unwrap_or_else(PoisonError::into_inner);
+        for k in ALL {
+            assert_eq!(set_kernel(k).is_ok(), k.is_available(), "{}", k.name());
+            if k.is_available() {
+                assert_eq!(active_kernel(), k);
+            }
         }
         // Restore the default for other tests in this process.
         set_kernel(select_default()).unwrap();
+        assert_eq!(active_kernel(), select_default());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! With tracing enabled, the event stream must reconcile *exactly* with the
 //! aggregate counters (this is checked by the workspace's differential test
-//! suite `tests/trace_vs_stats.rs`):
+//! suite `facade/tests/trace_vs_stats.rs`):
 //!
 //! * `count(Miss) == IoStats::reads` — every physical read is a charged
 //!   pool miss (miss fill, fully-pinned bypass, pin load, or the

@@ -1033,6 +1033,7 @@ impl NodeSoA {
 mod tests {
     use super::*;
     use rtree_geom::Point;
+    use std::sync::{Mutex, PoisonError};
 
     fn sample_meta() -> PageMeta {
         PageMeta {
@@ -1214,6 +1215,21 @@ mod tests {
         assert!(scratch.is_empty() && scratch.rects.is_empty());
     }
 
+    /// `set_kernel` is process-global: one kernel loop at a time.
+    static KERNEL_PIN: Mutex<()> = Mutex::new(());
+
+    /// Runs `body` under every kernel this CPU can run, scalar first, then
+    /// restores the dispatched one. The view scans dispatch per call.
+    fn for_each_kernel(mut body: impl FnMut(&'static str)) {
+        let _pin = KERNEL_PIN.lock().unwrap_or_else(PoisonError::into_inner);
+        let dispatched = rtree_geom::active_kernel();
+        for kernel in rtree_geom::available_kernels() {
+            rtree_geom::set_kernel(kernel).expect("an available kernel pins");
+            body(kernel.name());
+        }
+        rtree_geom::set_kernel(dispatched).expect("restoring the dispatched kernel");
+    }
+
     /// Encodes `node` into a page that starts at an odd address, so every
     /// plane the view borrows is misaligned for its lane type.
     fn misaligned(node: &NodePage, layout: PageLayout) -> Vec<u8> {
@@ -1225,116 +1241,125 @@ mod tests {
     #[test]
     fn view_reads_both_layouts_in_place_at_any_alignment() {
         // Full pages, so the scans cross every block and register boundary;
-        // Miri runs this on the portable kernel and checks the loads.
-        for (layout, n) in [
-            (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
-            (PageLayout::Packed, MAX_ENTRIES_PACKED),
-        ] {
-            let node = NodePage {
-                level: 1,
-                entries: (0..n as u64)
-                    .map(|i| {
-                        let v = i as f64 / 256.0;
-                        (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
-                    })
-                    .collect(),
-            };
-            let backing = misaligned(&node, layout);
-            let page = &backing[1..];
-            let soa = NodeSoA::decode(page).unwrap();
-            let view = PageView::new(page, 1).unwrap();
-            assert_eq!(view.mbr().unwrap(), soa.rects.mbr());
-            for i in 0..n {
-                assert_eq!(view.rect(i), soa.rects.get(i), "{layout:?} entry {i}");
-                assert_eq!(view.ptr(i), soa.ptrs[i]);
-            }
-            for q in [
-                Rect::new(0.0, 0.0, 1.0, 1.0),
-                Rect::new(0.3, 0.1, 0.5, 0.3),
-                Rect::new(0.25, 0.125, 0.25, 0.125),
-                Rect::new(2.0, 2.0, 3.0, 3.0),
+        // Every kernel reads them; Miri checks the scalar and portable loads.
+        for_each_kernel(|kernel| {
+            for (layout, n) in [
+                (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
+                (PageLayout::Packed, MAX_ENTRIES_PACKED),
             ] {
+                let node = NodePage {
+                    level: 1,
+                    entries: (0..n as u64)
+                        .map(|i| {
+                            let v = i as f64 / 256.0;
+                            (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
+                        })
+                        .collect(),
+                };
+                let backing = misaligned(&node, layout);
+                let page = &backing[1..];
+                let soa = NodeSoA::decode(page).unwrap();
+                let view = PageView::new(page, 1).unwrap();
+                assert_eq!(view.mbr().unwrap(), soa.rects.mbr());
+                for i in 0..n {
+                    assert_eq!(
+                        view.rect(i),
+                        soa.rects.get(i),
+                        "{kernel}, {layout:?} entry {i}"
+                    );
+                    assert_eq!(view.ptr(i), soa.ptrs[i]);
+                }
+                for q in [
+                    Rect::new(0.0, 0.0, 1.0, 1.0),
+                    Rect::new(0.3, 0.1, 0.5, 0.3),
+                    Rect::new(0.25, 0.125, 0.25, 0.125),
+                    Rect::new(2.0, 2.0, 3.0, 3.0),
+                ] {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    view.intersecting(&q, &mut got).unwrap();
+                    soa.rects.intersecting_scalar(&q, &mut want);
+                    assert_eq!(got, want, "{kernel}, {layout:?} query {q}");
+                }
+                let p = Point::new(0.4, 0.6);
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                view.intersecting(&q, &mut got).unwrap();
-                soa.rects.intersecting_scalar(&q, &mut want);
-                assert_eq!(got, want, "{layout:?} query {q}");
+                view.min_dist2_within(&p, 0.2, &mut got).unwrap();
+                soa.rects.min_dist2_within_scalar(&p, 0.2, &mut want);
+                assert_eq!(got, want, "{kernel}, {layout:?} distances are bit-equal");
+                assert!(!got.is_empty() && got.len() < n, "the bound prunes");
             }
-            let p = Point::new(0.4, 0.6);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            view.min_dist2_within(&p, 0.2, &mut got).unwrap();
-            soa.rects.min_dist2_within_scalar(&p, 0.2, &mut want);
-            assert_eq!(got, want, "{layout:?} distances are bit-equal");
-            assert!(!got.is_empty() && got.len() < n, "the bound prunes");
-        }
+        });
     }
 
     #[test]
     fn view_checks_the_header_then_every_entry_on_every_scan() {
-        let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let scans_fail = |page: &[u8], level: u16| {
-            let view = PageView::new(page, level).expect("the header is sound");
-            let corrupt = Err(PageError::CorruptRect);
-            assert_eq!(view.intersecting(&everything, &mut Vec::new()), corrupt);
-            // A query that can match nothing still validates the page.
-            let nowhere = Rect::new(7.0, 7.0, 8.0, 8.0);
-            assert_eq!(view.intersecting(&nowhere, &mut Vec::new()), corrupt);
-            let p = Point::new(0.5, 0.5);
-            assert_eq!(view.min_dist2_within(&p, 1.0, &mut Vec::new()), corrupt);
-            assert_eq!(view.mbr(), Err(PageError::CorruptRect));
-        };
+        for_each_kernel(|kernel| {
+            let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+            let scans_fail = |page: &[u8], level: u16| {
+                let view = PageView::new(page, level).expect("the header is sound");
+                let corrupt = Err(PageError::CorruptRect);
+                let all = view.intersecting(&everything, &mut Vec::new());
+                assert_eq!(all, corrupt, "{kernel}");
+                // A query that can match nothing still validates the page.
+                let nowhere = Rect::new(7.0, 7.0, 8.0, 8.0);
+                assert_eq!(view.intersecting(&nowhere, &mut Vec::new()), corrupt);
+                let p = Point::new(0.5, 0.5);
+                assert_eq!(view.min_dist2_within(&p, 1.0, &mut Vec::new()), corrupt);
+                assert_eq!(view.mbr(), Err(PageError::CorruptRect));
+            };
 
-        // SoA: entry 1's hi.x becomes NaN, infinite, or less than its lo.x.
-        let leaf = NodePage {
-            level: 0,
-            entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1); 9],
-        };
-        for bad in [f64::NAN, f64::NEG_INFINITY, 0.05] {
-            let mut backing = misaligned(&leaf, PageLayout::Soa);
+            // SoA: entry 1's hi.x becomes NaN, infinite, or less than its lo.x.
+            let leaf = NodePage {
+                level: 0,
+                entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1); 9],
+            };
+            for bad in [f64::NAN, f64::NEG_INFINITY, 0.05] {
+                let mut backing = misaligned(&leaf, PageLayout::Soa);
+                let page = &mut backing[1..];
+                let at = NODE_HEADER + 2 * SOA_STRIDE + 8;
+                page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    NodeSoA::new().decode_into_trusted(page),
+                    Err(PageError::CorruptRect)
+                );
+                scans_fail(page, 0);
+            }
+
+            // Packed: entry 250 (past the last full register) gets lo.y > hi.y.
+            let mut backing = misaligned(&packed_node(MAX_ENTRIES_PACKED), PageLayout::Packed);
             let page = &mut backing[1..];
-            let at = NODE_HEADER + 2 * SOA_STRIDE + 8;
-            page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-            assert_eq!(
-                NodeSoA::new().decode_into_trusted(page),
-                Err(PageError::CorruptRect)
+            let (lo, hi) = (
+                PACKED_PLANES_OFFSET + PACKED_QSTRIDE + 250 * 2,
+                PACKED_PLANES_OFFSET + 3 * PACKED_QSTRIDE + 250 * 2,
             );
-            scans_fail(page, 0);
-        }
+            page[lo..lo + 2].copy_from_slice(&40_000u16.to_le_bytes());
+            page[hi..hi + 2].copy_from_slice(&39_999u16.to_le_bytes());
+            scans_fail(page, 1);
 
-        // Packed: entry 250 (past the last full register) gets lo.y > hi.y.
-        let mut backing = misaligned(&packed_node(MAX_ENTRIES_PACKED), PageLayout::Packed);
-        let page = &mut backing[1..];
-        let (lo, hi) = (
-            PACKED_PLANES_OFFSET + PACKED_QSTRIDE + 250 * 2,
-            PACKED_PLANES_OFFSET + 3 * PACKED_QSTRIDE + 250 * 2,
-        );
-        page[lo..lo + 2].copy_from_slice(&40_000u16.to_le_bytes());
-        page[hi..hi + 2].copy_from_slice(&39_999u16.to_le_bytes());
-        scans_fail(page, 1);
-
-        // Header defects are typed, in the trusted decode's order; a level
-        // other than the one descended to is refused before any entry.
-        let sound = misaligned(&packed_node(9), PageLayout::Packed);
-        let expect = |patch: &dyn Fn(&mut [u8]), want: PageError| {
-            let mut page = sound[1..].to_vec();
-            patch(&mut page);
-            assert_eq!(PageView::new(&page, 1).err(), Some(want));
-        };
-        expect(&|p| p[0] ^= 1, PageError::BadMagic);
-        expect(&|p| p[LAYOUT_OFFSET] = 9, PageError::UnsupportedLayout(9));
-        expect(
-            &|p| p[4..6].copy_from_slice(&254u16.to_le_bytes()),
-            PageError::EntryOverflow(254),
-        );
-        expect(
-            &|p| p[PACKED_FRAME_OFFSET + 7] = 0x7F,
-            PageError::CorruptRect,
-        );
-        let (expected, found) = (1, 2);
-        expect(&|p| p[2] = 2, PageError::LevelMismatch { expected, found });
-        assert_eq!(
-            PageView::new(&sound[1..PAGE_SIZE], 1).err(),
-            Some(PageError::WrongLength { got: PAGE_SIZE - 1 })
-        );
+            // Header defects are typed, in the trusted decode's order; a level
+            // other than the one descended to is refused before any entry.
+            let sound = misaligned(&packed_node(9), PageLayout::Packed);
+            let expect = |patch: &dyn Fn(&mut [u8]), want: PageError| {
+                let mut page = sound[1..].to_vec();
+                patch(&mut page);
+                assert_eq!(PageView::new(&page, 1).err(), Some(want));
+            };
+            expect(&|p| p[0] ^= 1, PageError::BadMagic);
+            expect(&|p| p[LAYOUT_OFFSET] = 9, PageError::UnsupportedLayout(9));
+            expect(
+                &|p| p[4..6].copy_from_slice(&254u16.to_le_bytes()),
+                PageError::EntryOverflow(254),
+            );
+            expect(
+                &|p| p[PACKED_FRAME_OFFSET + 7] = 0x7F,
+                PageError::CorruptRect,
+            );
+            let (expected, found) = (1, 2);
+            expect(&|p| p[2] = 2, PageError::LevelMismatch { expected, found });
+            assert_eq!(
+                PageView::new(&sound[1..PAGE_SIZE], 1).err(),
+                Some(PageError::WrongLength { got: PAGE_SIZE - 1 })
+            );
+        });
     }
 
     #[test]

@@ -35,9 +35,11 @@
 //! Crash semantics of the buffer: staged-but-unflushed records live only in
 //! memory, exactly like appended-but-unsynced bytes in a volatile file
 //! cache — a crash loses none-or-all of a batch either way, and nothing is
-//! acknowledged durable before its covering commit's fsync returns. If a
-//! flush fails, the leader splices the unflushed bytes back onto the front
-//! of the buffer (a later commit retries them) and reports the error.
+//! acknowledged durable before its covering commit's fsync returns. A
+//! failed `append`, `sync` or `truncate` poisons the log (after a failed
+//! fsync the kernel may have dropped the very pages it was to write): the
+//! leader returns the backend's error, and every later call returns
+//! [`LogPoisoned`] until the log is reopened and replayed.
 //!
 //! Checkpoint ordering is correct by construction: [`GroupWal::checkpoint`]
 //! excludes concurrent syncs via the same leader token, first commits any
@@ -46,6 +48,7 @@
 //! un-fsynced append.
 
 use crate::{LogBackend, Lsn, WalRecord};
+use std::fmt;
 use std::io;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +68,19 @@ pub struct GroupCommitStats {
     pub max_batch: u64,
 }
 
+/// The error every call on a [`GroupWal`] returns after a flush failed;
+/// reopen the log to go on (see the module docs).
+#[derive(Debug)]
+pub struct LogPoisoned;
+
+impl fmt::Display for LogPoisoned {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("the WAL is poisoned by an earlier failed flush; reopen it")
+    }
+}
+
+impl std::error::Error for LogPoisoned {}
+
 struct GroupState {
     /// The log buffer: records staged but not yet flushed to the backend.
     /// Appends land here so a running sync never blocks them.
@@ -76,6 +92,8 @@ struct GroupState {
     pending_ops: u64,
     /// A leader is flushing + syncing with the state lock released.
     syncing: bool,
+    /// A flush failed; nothing more is staged or flushed.
+    poisoned: bool,
     stats: GroupCommitStats,
 }
 
@@ -104,6 +122,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+impl GroupState {
+    fn check_poisoned(&self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(LogPoisoned));
+        }
+        Ok(())
+    }
+}
+
 impl GroupWal {
     /// Opens a group-commit WAL over `backend`, resuming the LSN sequence
     /// after the records already in the log.
@@ -122,6 +149,7 @@ impl GroupWal {
                     durable_lsn: next_lsn - 1,
                     pending_ops: 0,
                     syncing: false,
+                    poisoned: false,
                     stats: GroupCommitStats::default(),
                 }),
                 synced: Condvar::new(),
@@ -153,6 +181,7 @@ impl GroupWal {
 
     fn log_op(&self, make: impl FnOnce(Lsn) -> WalRecord) -> io::Result<Lsn> {
         let mut s = lock(&self.inner.state);
+        s.check_poisoned()?;
         let lsn = s.next_lsn;
         let record = make(lsn);
         s.staged.extend_from_slice(&record.encode());
@@ -163,7 +192,7 @@ impl GroupWal {
 
     /// Blocks until no sync is in flight, then returns the guard. The
     /// caller holds the leader token once it sets `syncing`.
-    fn wait_not_syncing(&self) -> MutexGuard<'_, GroupState> {
+    fn wait_not_syncing(&self) -> io::Result<MutexGuard<'_, GroupState>> {
         let mut s = lock(&self.inner.state);
         while s.syncing {
             s = self
@@ -172,7 +201,8 @@ impl GroupWal {
                 .wait(s)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        s
+        s.check_poisoned()?;
+        Ok(s)
     }
 
     /// Makes the record at `lsn` durable, returning the size in operations
@@ -184,6 +214,7 @@ impl GroupWal {
             if s.durable_lsn >= lsn {
                 return Ok(0);
             }
+            s.check_poisoned()?;
             if !s.syncing {
                 break;
             }
@@ -229,30 +260,19 @@ impl GroupWal {
 
         let mut s = lock(&self.inner.state);
         s.syncing = false;
-        let result = match flushed {
-            Ok(()) => {
-                s.durable_lsn = commit_lsn;
-                s.stats.fsyncs += 1;
-                s.stats.commit_batches += 1;
-                s.stats.committed_ops += covered;
-                s.stats.max_batch = s.stats.max_batch.max(covered);
-                Ok(covered)
-            }
-            Err(e) => {
-                // Nothing became durable. Splice the batch back onto the
-                // front of the buffer (commit record included — commits are
-                // cumulative, a stale one mid-stream is harmless) so a
-                // later leader retries it, and surface the error.
-                s.staged.splice(0..0, bytes);
-                s.pending_ops += covered;
-                Err(e)
-            }
-        };
+        s.poisoned = flushed.is_err();
+        if flushed.is_ok() {
+            s.durable_lsn = commit_lsn;
+            s.stats.fsyncs += 1;
+            s.stats.commit_batches += 1;
+            s.stats.committed_ops += covered;
+            s.stats.max_batch = s.stats.max_batch.max(covered);
+        }
         drop(s);
-        // Wake followers and would-be leaders in both outcomes; on error
-        // one of them retries as the next leader.
+        // Wake followers and would-be leaders in both outcomes; after an
+        // error each of them finds the log poisoned.
         self.inner.synced.notify_all();
-        result
+        flushed.map(|()| covered)
     }
 
     /// Commits any staged appends, writes a checkpoint record, syncs, and
@@ -265,7 +285,7 @@ impl GroupWal {
     /// *during* the truncation stay in the buffer and flush later, after
     /// it — their LSNs are beyond the checkpoint's.
     pub fn checkpoint(&self) -> io::Result<()> {
-        let mut s = self.wait_not_syncing();
+        let mut s = self.wait_not_syncing()?;
         s.syncing = true;
         let covered = s.pending_ops;
         if covered > 0 {
@@ -291,26 +311,19 @@ impl GroupWal {
 
         let mut s = lock(&self.inner.state);
         s.syncing = false;
-        let result = match flushed {
-            Ok(()) => {
-                s.durable_lsn = ck_lsn;
-                s.stats.fsyncs += 1;
-                if covered > 0 {
-                    s.stats.commit_batches += 1;
-                    s.stats.committed_ops += covered;
-                    s.stats.max_batch = s.stats.max_batch.max(covered);
-                }
-                Ok(())
+        s.poisoned = flushed.is_err();
+        if flushed.is_ok() {
+            s.durable_lsn = ck_lsn;
+            s.stats.fsyncs += 1;
+            if covered > 0 {
+                s.stats.commit_batches += 1;
+                s.stats.committed_ops += covered;
+                s.stats.max_batch = s.stats.max_batch.max(covered);
             }
-            Err(e) => {
-                s.staged.splice(0..0, bytes);
-                s.pending_ops += covered;
-                Err(e)
-            }
-        };
+        }
         drop(s);
         self.inner.synced.notify_all();
-        result
+        flushed
     }
 
     /// Counter snapshot.
@@ -488,6 +501,72 @@ mod tests {
             .all(|r| !matches!(r, WalRecord::OpInsert { item: 3 | 4, .. })));
         assert!(matches!(records[2], WalRecord::Commit { .. }));
         let _ = l1;
+    }
+
+    /// A log whose first `sync` fails (an fsync error, e.g. EIO on
+    /// writeback); every other call reaches the shared [`MemLog`].
+    struct FirstSyncFails {
+        log: MemLog,
+        failed: bool,
+    }
+
+    impl LogBackend for FirstSyncFails {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.log.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            if !mem::replace(&mut self.failed, true) {
+                return Err(io::Error::other("injected fsync failure"));
+            }
+            self.log.sync()
+        }
+        fn read_all(&self) -> io::Result<Vec<u8>> {
+            self.log.read_all()
+        }
+        fn truncate(&mut self) -> io::Result<()> {
+            self.log.truncate()
+        }
+        fn len(&self) -> u64 {
+            self.log.len()
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_log_instead_of_writing_the_batch_twice() {
+        let log = MemLog::new();
+        let wal = GroupWal::open(FirstSyncFails {
+            log: log.clone(),
+            failed: false,
+        })
+        .unwrap();
+        let lsn = wal.log_insert(rect(7), 7).unwrap();
+        let first = wal.commit(lsn).unwrap_err();
+        assert!(first.to_string().contains("injected"), "{first}");
+
+        // Retrying would append the failed batch a second time and make
+        // durable the write whose caller was told it failed.
+        let poisoned = |r: io::Result<()>| {
+            let e = r.expect_err("the log must stay poisoned");
+            assert!(e.get_ref().is_some_and(|e| e.is::<LogPoisoned>()), "{e}");
+        };
+        poisoned(wal.log_insert(rect(8), 8).map(drop));
+        poisoned(wal.commit(lsn).map(drop));
+        poisoned(wal.checkpoint());
+
+        // The log holds the failed batch once, in strictly rising LSNs.
+        let lsns: Vec<Lsn> = scan(&log.read_all().unwrap())
+            .records
+            .iter()
+            .map(WalRecord::lsn)
+            .collect();
+        assert_eq!(lsns, [1, 2]);
+        assert_eq!(wal.stats(), GroupCommitStats::default());
+
+        // Reopening replays what reached the device and resumes after it.
+        let reopened = GroupWal::open(log).unwrap();
+        let next = reopened.log_insert(rect(9), 9).unwrap();
+        assert_eq!(next, 3);
+        assert_eq!(reopened.commit(next).unwrap(), 1);
     }
 
     #[test]

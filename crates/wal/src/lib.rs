@@ -24,7 +24,7 @@ mod group;
 mod record;
 
 pub use backend::{CrashSwitch, FaultLog, FileLog, LogBackend, MemLog, StagedLog};
-pub use group::{GroupCommitStats, GroupWal};
+pub use group::{GroupCommitStats, GroupWal, LogPoisoned};
 pub use record::{scan, Lsn, ScanResult, WalRecord};
 
 use std::io;

@@ -1,4 +1,4 @@
-//! Model-vs-measured differential suite (ISSUE 8 satellite): the paper's
+//! Model-vs-measured differential suite: the paper's
 //! analytic LRU buffer model (eq. 6) against the *real* disk-backed tree —
 //! not the flat page-stream simulator — across tree shapes × workloads ×
 //! all five replacement policies, plus the pinned variant.

@@ -8,9 +8,9 @@
 //! visits pages in exactly the order the seed path did, so the buffer sees
 //! the identical access string and every policy makes the identical
 //! eviction decisions. A perturbation of a single miss count is a
-//! regression even if the result sets still match. Run with
-//! `RTREE_KERNEL=scalar` to hold the whole suite against the scalar
-//! kernel; CI exercises both.
+//! regression even if the result sets still match. Each query test runs
+//! once per kernel this CPU can run (scalar, portable, avx2), in this one
+//! process.
 
 use buffered_rtrees::buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
@@ -21,6 +21,9 @@ use buffered_rtrees::pager::{
     ConcurrentDiskRTree, DiskRTree, IoStats, MemStore, NodePage, NodeSoA, PageError, PageStore,
 };
 use buffered_rtrees::wal::crc32;
+
+mod kernels;
+use kernels::for_each_kernel;
 
 fn dataset() -> Vec<Rect> {
     (0..3_000)
@@ -120,24 +123,29 @@ fn region_queries_match_seed_across_all_policies_with_equal_io() {
     let stream = query_stream(250);
     // Starved buffer: replacement decisions, not capacity, shape the reads.
     let buffer = 12;
-    for (name, policy) in policies() {
-        let (mut seed, mut simd) = make_pair(&tree, buffer, &policy);
-        for (i, q) in stream.iter().enumerate() {
-            let want = seed.query_scalar(q).expect("seed query");
-            let got = simd.query(q).expect("simd query");
-            // Identical traversal order means identical result order — no
-            // sorting tolerance.
-            assert_eq!(want, got, "policy {name}, query {i}");
+    for_each_kernel(|kernel| {
+        for (name, policy) in policies() {
+            let (mut seed, mut simd) = make_pair(&tree, buffer, &policy);
+            for (i, q) in stream.iter().enumerate() {
+                let want = seed.query_scalar(q).expect("seed query");
+                let got = simd.query(q).expect("simd query");
+                // Identical traversal order means identical result order — no
+                // sorting tolerance.
+                assert_eq!(want, got, "{kernel}, policy {name}, query {i}");
+            }
+            let (a, b): (IoStats, IoStats) = (seed.io_stats(), simd.io_stats());
+            assert_eq!(a, b, "{kernel}, policy {name}: I/O must not be perturbed");
+            assert!(
+                a.reads > 0,
+                "{kernel}, policy {name}: the stream must actually miss"
+            );
+            assert_eq!(
+                seed.buffer_stats(),
+                simd.buffer_stats(),
+                "{kernel}, policy {name}: identical access string, identical hit/miss"
+            );
         }
-        let (a, b): (IoStats, IoStats) = (seed.io_stats(), simd.io_stats());
-        assert_eq!(a, b, "policy {name}: I/O must not be perturbed");
-        assert!(a.reads > 0, "policy {name}: the stream must actually miss");
-        assert_eq!(
-            seed.buffer_stats(),
-            simd.buffer_stats(),
-            "policy {name}: identical access string, identical hit/miss"
-        );
-    }
+    });
 }
 
 #[test]
@@ -147,112 +155,130 @@ fn crossed_paths_agree_on_both_layouts() {
     // path and the scalar path must both produce the seed answers.
     let tree = tree();
     let stream = query_stream(120);
-    let (mut seed, mut v3) = make_pair(&tree, 16, &|| {
-        Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
-    });
-    let mut v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 16, LruPolicy::new())
-        .expect("create v4");
-    for (i, q) in stream.iter().enumerate() {
-        let want = seed.query_scalar(q).expect("seed");
-        for (name, image) in [("v3", &mut v3), ("v4", &mut v4)] {
-            assert_eq!(want, image.query(q).expect("simd"), "query {i} ({name})");
-            assert_eq!(
-                want,
-                image.query_scalar(q).expect("scalar"),
-                "query {i} ({name})"
-            );
+    for_each_kernel(|kernel| {
+        let (mut seed, mut v3) = make_pair(&tree, 16, &|| {
+            Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
+        });
+        let mut v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 16, LruPolicy::new())
+            .expect("create v4");
+        for (i, q) in stream.iter().enumerate() {
+            let want = seed.query_scalar(q).expect("seed");
+            for (name, image) in [("v3", &mut v3), ("v4", &mut v4)] {
+                assert_eq!(
+                    want,
+                    image.query(q).expect("simd"),
+                    "{kernel}, query {i} ({name})"
+                );
+                assert_eq!(
+                    want,
+                    image.query_scalar(q).expect("scalar"),
+                    "{kernel}, query {i} ({name})"
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn point_and_knn_queries_match_seed_with_equal_io() {
     let tree = tree();
-    let (mut seed, mut simd) = make_pair(&tree, 20, &|| {
-        Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
+    for_each_kernel(|kernel| {
+        let (mut seed, mut simd) = make_pair(&tree, 20, &|| {
+            Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
+        });
+        for i in 0..60 {
+            let p = Point::new((i as f64 * 0.171) % 1.0, (i as f64 * 0.257) % 1.0);
+            let want = seed
+                .query_scalar(&Rect { lo: p, hi: p })
+                .expect("seed point");
+            assert_eq!(
+                want,
+                simd.query_point(&p).expect("simd point"),
+                "{kernel}, point {i}"
+            );
+        }
+        assert_eq!(
+            seed.io_stats(),
+            simd.io_stats(),
+            "{kernel}, point-query I/O"
+        );
+        for (i, k) in [(0usize, 1usize), (1, 10), (2, 100), (3, 5_000)] {
+            let p = Point::new((i as f64 * 0.31) % 1.0, (i as f64 * 0.47) % 1.0);
+            let got = simd.nearest_neighbors(&p, k).expect("knn");
+            let dg: Vec<f64> = got.iter().map(|n| n.distance).collect();
+            let want = tree.nearest_neighbors(&p, k);
+            let dw: Vec<f64> = want.iter().map(|n| n.distance).collect();
+            assert_eq!(dg, dw, "{kernel}, knn vs in-memory, probe {i} k {k}");
+        }
     });
-    for i in 0..60 {
-        let p = Point::new((i as f64 * 0.171) % 1.0, (i as f64 * 0.257) % 1.0);
-        let want = seed
-            .query_scalar(&Rect { lo: p, hi: p })
-            .expect("seed point");
-        assert_eq!(want, simd.query_point(&p).expect("simd point"), "point {i}");
-    }
-    assert_eq!(seed.io_stats(), simd.io_stats(), "point-query I/O");
-    for (i, k) in [(0usize, 1usize), (1, 10), (2, 100), (3, 5_000)] {
-        let p = Point::new((i as f64 * 0.31) % 1.0, (i as f64 * 0.47) % 1.0);
-        let got = simd.nearest_neighbors(&p, k).expect("knn");
-        let dg: Vec<f64> = got.iter().map(|n| n.distance).collect();
-        let want = tree.nearest_neighbors(&p, k);
-        let dw: Vec<f64> = want.iter().map(|n| n.distance).collect();
-        assert_eq!(dg, dw, "knn vs in-memory, probe {i} k {k}");
-    }
 }
 
 #[test]
 fn sharded_traversal_matches_seed_on_both_layouts() {
     let tree = tree();
     let stream = query_stream(96);
-    let seed_answers: Vec<Vec<u64>> = {
-        let (mut seed, _) = make_pair(&tree, 24, &|| {
-            Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
-        });
-        stream
-            .iter()
-            .map(|q| seed.query_scalar(q).expect("seed"))
-            .collect()
-    };
+    for_each_kernel(|kernel| {
+        let seed_answers: Vec<Vec<u64>> = {
+            let (mut seed, _) = make_pair(&tree, 24, &|| {
+                Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
+            });
+            stream
+                .iter()
+                .map(|q| seed.query_scalar(q).expect("seed"))
+                .collect()
+        };
 
-    // A v3 image written by the sequential tree and reopened sharded, one
-    // written by the sharded constructor, and a v4 image reopened sharded.
-    let v3_store = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new())
-        .expect("materialize v3")
-        .into_store();
-    let reopened = ConcurrentDiskRTree::open_sharded(v3_store, 24, 4, LruPolicy::new)
-        .expect("open v3 sharded");
-    let created =
-        ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 24, 4, LruPolicy::new)
-            .expect("create v3 sharded");
-    let v4_store = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new())
-        .expect("materialize v4")
-        .into_store();
-    let packed = ConcurrentDiskRTree::open_sharded(v4_store, 24, 4, LruPolicy::new)
-        .expect("open v4 sharded");
+        // A v3 image written by the sequential tree and reopened sharded, one
+        // written by the sharded constructor, and a v4 image reopened sharded.
+        let v3_store = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new())
+            .expect("materialize v3")
+            .into_store();
+        let reopened = ConcurrentDiskRTree::open_sharded(v3_store, 24, 4, LruPolicy::new)
+            .expect("open v3 sharded");
+        let created =
+            ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 24, 4, LruPolicy::new)
+                .expect("create v3 sharded");
+        let v4_store = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new())
+            .expect("materialize v4")
+            .into_store();
+        let packed = ConcurrentDiskRTree::open_sharded(v4_store, 24, 4, LruPolicy::new)
+            .expect("open v4 sharded");
 
-    for (i, q) in stream.iter().enumerate() {
-        for (name, shards) in [
-            ("reopened", &reopened),
-            ("created", &created),
-            ("v4", &packed),
-        ] {
-            assert_eq!(
-                shards.query(q).expect("sharded query"),
-                seed_answers[i],
-                "query {i} ({name})"
-            );
+        for (i, q) in stream.iter().enumerate() {
+            for (name, shards) in [
+                ("reopened", &reopened),
+                ("created", &created),
+                ("v4", &packed),
+            ] {
+                assert_eq!(
+                    shards.query(q).expect("sharded query"),
+                    seed_answers[i],
+                    "{kernel}, query {i} ({name})"
+                );
+            }
         }
-    }
-    assert_eq!(
-        reopened.physical_reads(),
-        created.physical_reads(),
-        "identical access strings shard-by-shard"
-    );
+        assert_eq!(
+            reopened.physical_reads(),
+            created.physical_reads(),
+            "{kernel}: identical access strings shard-by-shard"
+        );
 
-    // The batch path answers the same stream too, on both layouts.
-    for (t, got) in [
-        reopened.query_batch(&stream, 1).expect("batch v3"),
-        packed.query_batch(&stream, 2).expect("batch v4"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for (i, mut r) in got.into_iter().enumerate() {
-            r.sort_unstable();
-            let mut want = seed_answers[i].clone();
-            want.sort_unstable();
-            assert_eq!(r, want, "tree {t}, batch query {i}");
+        // The batch path answers the same stream too, on both layouts.
+        for (t, got) in [
+            reopened.query_batch(&stream, 1).expect("batch v3"),
+            packed.query_batch(&stream, 2).expect("batch v4"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (i, mut r) in got.into_iter().enumerate() {
+                r.sort_unstable();
+                let mut want = seed_answers[i].clone();
+                want.sort_unstable();
+                assert_eq!(r, want, "{kernel}, tree {t}, batch query {i}");
+            }
         }
-    }
+    });
 }
 
 /// Re-seals a page's CRC-32 (bytes 8..12, computed with the field zeroed)
