@@ -301,8 +301,8 @@ impl<S: PageStore> BufferManager<S> {
         Ok(true)
     }
 
-    /// Fetches a page, going to the store only on a miss. The access
-    /// belongs to no span (its events carry span 0, level unknown).
+    /// Fetches a raw or free-list page, going to the store only on a miss,
+    /// under no span or level (span 0, level -1; node pages carry theirs).
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
         Ok(self.fetch_in(id, -1, &mut Span::default())?)
     }

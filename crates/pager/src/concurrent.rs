@@ -32,12 +32,12 @@
 
 use crate::disk_tree::{materialize, materialize_empty};
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
-use crate::mutate::{find_leaf, insert_entry, remove_entry};
+use crate::mutate::{insert_entry, remove_entry};
 use crate::page::{decode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::trace::{EventKind, Span, TreeTrace};
-use crate::walk::{self, BatchOutput};
+use crate::walk::{self, find_leaf, BatchOutput};
 use crate::{BufferManager, IoStats, NodePage, PageMeta, PageStore, PageView, PAGE_SIZE};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rtree_buffer::{BufferStats, PageId, ReplacementPolicy};
@@ -429,21 +429,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(())
     }
 
-    /// Fetches a page at tree `level` for `span`. On a writable tree the
-    /// dirty overlay shadows both the shards and the store (no-steal — the
-    /// store never holds a page newer than the overlay) and costs nothing;
-    /// otherwise the access is charged to the page's shard and to the span.
-    fn fetch(&self, id: PageId, level: i16, span: &mut Span) -> io::Result<Arc<[u8]>> {
-        if let Some(frame) = self
-            .writer
-            .as_ref()
-            .and_then(|w| w.overlay.read().get(&id.0).cloned())
-        {
-            return Ok(frame);
-        }
-        Ok(Arc::clone(self.latch(id).fetch_in(id, level, span)?))
-    }
-
     /// The root frame for the uncharged MBR peek: taken from the root's
     /// shard (or, if not resident there, read from the store) at most once
     /// per tree and cached outside the pool, so the peek neither charges
@@ -479,11 +464,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     }
 
     /// Executes a region query; safe to call from many threads. On a
-    /// writable tree the traversal runs under the reader latch protocol
-    /// (breadth-first shared-latch coupling against the live root).
+    /// writable tree it is a batch of one (see
+    /// [`ConcurrentDiskRTree::query_batch`]).
     pub fn query(&self, query: &Rect) -> io::Result<Vec<u64>> {
         if let Some(w) = &self.writer {
-            return self.query_writer(w, query);
+            return Ok(self.query_latched(w, &[*query])?.swap_remove(0));
         }
         let (root, level) = (self.meta.root, self.meta.root_level());
         let mut cursor = Cursor::new(self);
@@ -524,6 +509,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// kernel on the frame in place ([`PageView`]). The root peek is shared and
     /// uncharged, exactly as in [`ConcurrentDiskRTree::query`]. With
     /// `threads = 1` the traversal runs inline on the caller's thread.
+    /// On a writable tree the batch is one such walk on the caller's thread,
+    /// from the live root with no peek, under the reader latch protocol.
     pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<Vec<Vec<u64>>>
     where
         S: Send + Sync,
@@ -532,9 +519,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             return Ok(Vec::new());
         }
         if let Some(w) = &self.writer {
-            // Writer mode: the bulk-load layout (and its level-synchronous
-            // dedup walk) is gone; run each query under the latch protocol.
-            return queries.iter().map(|q| self.query_writer(w, q)).collect();
+            return self.query_latched(w, queries);
         }
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -586,16 +571,15 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 }
 
 /// One operation's view of the tree: the read seam of a traversal and, on
-/// a writable tree, the write seam of a structure change. Fetches go
-/// through [`ConcurrentDiskRTree::fetch`] (dirty overlay first, then the
-/// page's shard). A traversal's cursor is also its span: its events carry
-/// one id, and its totals land in the tree's query metrics when it drops.
+/// a writable tree, the write seam of a structure change. A traversal's
+/// cursor is also its span: its events carry one id, and its totals land
+/// in the tree's query metrics when it drops.
 struct Cursor<'a, S: SharedPageStore> {
     tree: &'a ConcurrentDiskRTree<S>,
     /// Latches held under the reader protocol (shared, coupled between
-    /// levels) or the insert descent (exclusive, crabbed); `None` makes
-    /// every latch hook inert — nothing can change underneath (read-only
-    /// tree, exclusive gate held) or the caller latches for itself.
+    /// levels: queries and the optimistic delete's FindLeaf) or the insert
+    /// descent (exclusive, crabbed); `None` makes every latch hook inert —
+    /// nothing can change underneath (read-only tree, exclusive gate held).
     latches: Option<LatchSet<'a>>,
     /// The frame the last fetch returned, kept alive for its borrower.
     frame: Option<Arc<[u8]>>,
@@ -612,8 +596,8 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
     }
 
     /// A write operation's cursor: no span, so its buffer traffic shows up
-    /// in the trace stream like any other (span 0, level unknown) and the
-    /// miss ledger stays reconcilable on a read-write server.
+    /// in the trace stream like any other (span 0, at the page's level) and
+    /// the miss ledger stays reconcilable on a read-write server.
     fn writer(tree: &'a ConcurrentDiskRTree<S>, latches: Option<LatchSet<'a>>) -> Self {
         Cursor {
             tree,
@@ -631,9 +615,17 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
 }
 
 impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
+    /// On a writable tree the dirty overlay shadows both the shards and the
+    /// store (no-steal — the store never holds a page newer than the
+    /// overlay) and costs nothing; otherwise the access is charged to the
+    /// page's shard and to the span.
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
         let (id, level) = (PageId(page), level as i16);
-        let frame = self.tree.fetch(id, level, &mut self.span)?;
+        let w = self.tree.writer.as_ref();
+        let frame = match w.and_then(|w| w.overlay.read().get(&page).cloned()) {
+            Some(frame) => frame,
+            None => Arc::clone(self.tree.latch(id).fetch_in(id, level, &mut self.span)?),
+        };
         Ok(self.frame.insert(frame))
     }
 
@@ -661,11 +653,6 @@ impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
 impl<S: ConcurrentPageStore> PageWrite for Cursor<'_, S> {
     fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
         f(&mut self.w().meta.lock())
-    }
-
-    fn load(&mut self, id: u64) -> io::Result<NodePage> {
-        let frame = self.tree.fetch(PageId(id), -1, &mut self.span)?;
-        Ok(NodePage::decode(&frame)?)
     }
 
     fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
@@ -763,22 +750,33 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
     }
 
-    /// Region query under the reader latch protocol: the level-synchronous
-    /// walk from the live root, with the cursor coupling shared latches
-    /// between levels (see [`Cursor::level_done`]).
-    fn query_writer(&self, w: &WriterState, query: &Rect) -> io::Result<Vec<u64>> {
-        let _gate = w.op_gate.read();
+    /// Enters the tree: the live root and its level, read under the meta
+    /// latch, and both latched in one mode. A reader lets the meta latch go
+    /// at once; a writer keeps it until its descent proves split-safe.
+    fn enter<'w>(&self, w: &'w WriterState, exclusive: bool) -> (LatchSet<'w>, u64, u16) {
         let mut set = LatchSet::new(&w.latches);
-        self.latch_acquire(w, &mut set, META_LATCH, false);
+        self.latch_acquire(w, &mut set, META_LATCH, exclusive);
         let (root, level) = self.with_meta(|m| (m.root, m.root_level()));
-        self.latch_acquire(w, &mut set, root, false);
-        set.release_all_but_last(1);
-        let mut cursor = Cursor::new(self);
-        cursor.latches = Some(set);
-        let mut out = BatchOutput::new(1);
-        let queries = std::slice::from_ref(query);
+        self.latch_acquire(w, &mut set, root, exclusive);
+        if !exclusive {
+            set.release_all_but_last(1);
+        }
+        (set, root, level)
+    }
+
+    /// The writable tree's read path: one level-synchronous walk over the
+    /// whole batch from the live root, the cursor coupling shared latches
+    /// between levels (see [`Cursor::level_done`]).
+    fn query_latched(&self, w: &WriterState, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
+        let _gate = w.op_gate.read();
+        let (set, root, level) = self.enter(w, false);
+        let mut cursor = Cursor {
+            latches: Some(set),
+            ..Cursor::new(self)
+        };
+        let mut out = BatchOutput::new(queries.len());
         walk::frontier(&mut cursor, root, level, None, queries, 0, &mut out)?;
-        Ok(out.results.swap_remove(0))
+        Ok(out.results)
     }
 }
 
@@ -863,8 +861,9 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
 
     /// Inserts an item. Thread-safe: the structure change runs under
     /// latch crabbing, durability under group commit (the WAL record is
-    /// appended before the change and fsynced — possibly by another
-    /// thread's batch leader — after it).
+    /// appended once the change is in place, its leaf still latched, and
+    /// fsynced — possibly by another thread's batch leader — after it). An
+    /// insert that fails leaves no record, so it never becomes durable.
     ///
     /// The descent is [`insert_entry`] over a cursor that enters holding
     /// the meta and root latches exclusively and crabs down one path; the
@@ -874,12 +873,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
         let w = self.writer_state()?;
         let gate = w.op_gate.read();
+        let (set, _, _) = self.enter(w, true);
+        let mut pages = Cursor::writer(self, Some(set));
+        insert_entry(&mut pages, (*rect, item), 0)?;
         let lsn = w.wal.log_insert(rect_key(rect), item)?;
-        let mut set = LatchSet::new(&w.latches);
-        self.latch_acquire(w, &mut set, META_LATCH, true);
-        let root = w.meta.lock().root;
-        self.latch_acquire(w, &mut set, root, true);
-        insert_entry(&mut Cursor::writer(self, Some(set)), (*rect, item), 0)?;
+        drop(pages);
         w.meta.lock().items += 1;
         w.logical_writes.fetch_add(1, Ordering::Relaxed);
         drop(gate);
@@ -891,13 +889,15 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     pub(crate) fn contains(&self, rect: &Rect, item: u64) -> io::Result<bool> {
         let w = self.writer_state()?;
         let _gate = w.op_gate.write();
-        let (root, mut pages) = (w.meta.lock().root, Cursor::writer(self, None));
-        Ok(find_leaf(&mut pages, root, rect, item, &mut Vec::new())?.is_some())
+        let (root, level) = self.with_meta(|m| (m.root, m.root_level()));
+        let mut pages = Cursor::writer(self, None);
+        Ok(find_leaf(&mut pages, root, level, rect, item)?.is_some())
     }
 
     /// Deletes one `(rect, item)` entry; returns whether it was found.
     ///
-    /// Fast path: a shared-latch BFS locates the leaf, then an exclusive
+    /// Fast path: FindLeaf over a cursor that couples shared latches
+    /// between levels, as queries do, locates the leaf; then an exclusive
     /// leaf latch removes the entry in place — valid only while the leaf
     /// stays at or above minimum fill, because that path frees no page
     /// and tightens no ancestor rectangle (loose MBRs are correct, merely
@@ -905,6 +905,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// latch trade to a concurrent split — escalates to a full retry
     /// under the exclusive side of the operation gate, where Guttman's
     /// CondenseTree runs exactly as on the sequential tree (the same code).
+    /// Either way the entry is logged only once it is verified present.
     pub fn delete(&self, rect: &Rect, item: u64) -> io::Result<bool> {
         let w = self.writer_state()?;
         for _ in 0..3 {
@@ -925,66 +926,25 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
 
     /// One optimistic delete attempt (see [`ConcurrentDiskRTree::delete`]).
     fn delete_fast(&self, w: &WriterState, rect: &Rect, item: u64) -> io::Result<FastDelete> {
-        let mut set = LatchSet::new(&w.latches);
-        self.latch_acquire(w, &mut set, META_LATCH, false);
-        let root = w.meta.lock().root;
-        self.latch_acquire(w, &mut set, root, false);
-        set.release_all_but_last(1);
-        // This pass latches for itself; the cursor only loads and stores.
-        let mut pages = Cursor::writer(self, None);
-        let mut frontier = vec![root];
-        let leaf = loop {
-            let mut next = Vec::new();
-            let mut found = None;
-            let mut at_leaves = false;
-            for &pid in &frontier {
-                let node = pages.load(pid)?;
-                if node.level == 0 {
-                    at_leaves = true;
-                    if node.entries.iter().any(|(r, p)| *p == item && r == rect) {
-                        found = Some(pid);
-                        break;
-                    }
-                } else {
-                    for (r, ptr) in &node.entries {
-                        if r.contains_rect(rect) {
-                            next.push(*ptr);
-                        }
-                    }
-                }
-            }
-            if at_leaves {
-                match found {
-                    Some(pid) => break pid,
-                    None => return Ok(FastDelete::Absent),
-                }
-            }
-            if next.is_empty() {
-                return Ok(FastDelete::Absent);
-            }
-            for &pid in &next {
-                self.latch_acquire(w, &mut set, pid, false);
-            }
-            set.release_all_but_last(next.len());
-            frontier = next;
+        let (set, root, level) = self.enter(w, false);
+        let mut pages = Cursor::writer(self, Some(set));
+        let Some((leaf, _)) = find_leaf(&mut pages, root, level, rect, item)? else {
+            return Ok(FastDelete::Absent);
         };
         // No shared→exclusive upgrade exists (two upgraders would
         // deadlock): drop every shared latch, re-latch the leaf
         // exclusively, and re-verify. The page cannot have been freed in
         // the gap — frees need the exclusive gate, and we hold its read
         // side — but a concurrent split may have moved the entry.
-        drop(set);
+        pages.latches = None;
         let mut xset = LatchSet::new(&w.latches);
         self.latch_acquire(w, &mut xset, leaf, true);
-        let mut node = pages.load(leaf)?;
-        let pos = if node.level == 0 {
-            node.entries
-                .iter()
-                .position(|(r, p)| *p == item && r == rect)
-        } else {
-            None
-        };
-        let Some(pos) = pos else {
+        let mut node = pages.load(leaf, 0)?;
+        let found = node
+            .entries
+            .iter()
+            .position(|(r, p)| *p == item && r == rect);
+        let Some(pos) = found else {
             return Ok(FastDelete::Contended);
         };
         // A root leaf may legally underflow; anything else escalates.
@@ -1010,15 +970,15 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// where orphaned entries are detached from the tree.
     fn delete_quiesced(&self, w: &WriterState, rect: &Rect, item: u64) -> io::Result<bool> {
         let gate = w.op_gate.write();
+        let (root, level) = self.with_meta(|m| (m.root, m.root_level()));
         let mut pages = Cursor::writer(self, None);
-        let (root, mut path) = (w.meta.lock().root, Vec::new());
-        let Some(leaf) = find_leaf(&mut pages, root, rect, item, &mut path)? else {
+        let Some(found) = find_leaf(&mut pages, root, level, rect, item)? else {
             return Ok(false);
         };
         // Logged only now, with the entry known present: a delete record
         // in the WAL always replays.
         let lsn = w.wal.log_delete(rect_key(rect), item)?;
-        remove_entry(&mut pages, leaf, path, rect, item)?;
+        remove_entry(&mut pages, found, rect, item)?;
         w.logical_writes.fetch_add(1, Ordering::Relaxed);
         drop(gate);
         self.group_commit(w, lsn)?;
@@ -1681,6 +1641,126 @@ mod tests {
             let at = id as usize * PAGE_SIZE;
             assert!(page == image[at..at + PAGE_SIZE], "node page {id} differs");
         }
+    }
+
+    /// The writable tree reads a batch as one latched frontier walk on the
+    /// caller's thread, whatever `threads` says, and a query as a batch of
+    /// one: the answers, overlay or checkpointed, are the reopened image's.
+    #[test]
+    fn writable_query_batch_matches_the_read_only_reopen() {
+        let tree = ConcurrentDiskRTree::create_writable(
+            MemStore::new(),
+            8,
+            3,
+            16,
+            LruPolicy::new(),
+            writer_wal(),
+        )
+        .unwrap();
+        for id in 0..400u64 {
+            tree.insert(&item_rect(id), id).unwrap();
+        }
+        for id in (0..400u64).step_by(7) {
+            assert!(tree.delete(&item_rect(id), id).unwrap());
+        }
+        let queries = probe_queries();
+        let batch = |threads| tree.query_batch(&queries, threads).unwrap();
+        let live = [1, 2, 4].map(batch);
+        tree.checkpoint().unwrap();
+        let image = MemStore::from_bytes(tree.store().snapshot());
+        let reopened = ConcurrentDiskRTree::open(image, 16, LruPolicy::new()).unwrap();
+        let want = reopened.query_batch(&queries, 1).unwrap();
+        assert!(want.iter().any(|r| !r.is_empty()));
+        for (threads, got) in [1, 2, 4].into_iter().zip(live) {
+            assert_eq!(got, want, "{threads} threads, overlay");
+            assert_eq!(batch(threads), want, "{threads} threads, checkpointed");
+        }
+        for (q, want) in queries.iter().zip(&want) {
+            assert_eq!(&tree.query(q).unwrap(), want, "{q:?}");
+        }
+    }
+
+    /// A [`MemStore`] whose first shared read fails.
+    struct FailingReads {
+        inner: MemStore,
+        failed: std::sync::atomic::AtomicBool,
+    }
+
+    impl PageStore for FailingReads {
+        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&mut self) -> io::Result<PageId> {
+            self.inner.allocate()
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl SharedPageStore for FailingReads {
+        fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+            if !self.failed.swap(true, Ordering::Relaxed) {
+                return Err(io::Error::other("injected read fault"));
+            }
+            self.inner.read_page_shared(id, buf)
+        }
+    }
+
+    impl ConcurrentPageStore for FailingReads {
+        fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_page_shared(id, buf)
+        }
+        fn allocate_shared(&self) -> io::Result<PageId> {
+            self.inner.allocate_shared()
+        }
+        fn flush_shared(&self) -> io::Result<()> {
+            self.inner.flush_shared()
+        }
+    }
+
+    /// An insert whose descent fails leaves no log record, so the next
+    /// commit cannot make it durable and replay cannot resurrect it.
+    #[test]
+    fn a_failed_insert_never_becomes_durable() {
+        use rtree_wal::{LogBackend, MemLog, StagedLog, WalRecord};
+        let bulk = BulkLoader::hilbert(16).load(&sample_rects(3_000));
+        let mut image = MemStore::new();
+        crate::DiskRTree::create(&mut image, &bulk, 4, LruPolicy::new()).unwrap();
+        let image = image.snapshot();
+        let store = FailingReads {
+            inner: MemStore::from_bytes(image.clone()),
+            failed: Default::default(),
+        };
+        let durable = MemLog::new();
+        let wal = GroupWal::open(StagedLog::new(durable.clone())).unwrap();
+        let tree = ConcurrentDiskRTree::open_writable(store, 4, LruPolicy::new(), wal).unwrap();
+        let (failed, next) = ((item_rect(1), 1_000_002), (item_rect(2), 1_000_003));
+        tree.insert(&failed.0, failed.1).unwrap_err();
+        tree.insert(&next.0, next.1).unwrap();
+
+        let log = durable.read_all().unwrap();
+        let logged: Vec<u64> = rtree_wal::scan(&log)
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::OpInsert { item, .. } => Some(*item),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(logged, [next.1], "only the insert that succeeded");
+        let store = MemStore::from_bytes(image);
+        let recovered =
+            ConcurrentDiskRTree::open_writable(store, 4, LruPolicy::new(), writer_wal()).unwrap();
+        crate::replay_committed(&log, &recovered).unwrap();
+        assert!(!recovered.contains(&failed.0, failed.1).unwrap());
+        assert!(recovered.contains(&next.0, next.1).unwrap());
     }
 
     #[test]

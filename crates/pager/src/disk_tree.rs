@@ -12,7 +12,8 @@
 //! [`write_image`], behind every `create*` constructor of both trees.
 
 use crate::mutate::mbr;
-use crate::seam::PageRead;
+use crate::page::{decode_free_page, encode_free_page};
+use crate::seam::{PageRead, PageWrite};
 use crate::trace::{Span, TreeTrace};
 use crate::walk::{self, BatchOutput};
 use crate::{
@@ -66,25 +67,28 @@ pub struct DiskRTree<S: PageStore> {
     pub(crate) trace: TreeTrace,
 }
 
-/// One read operation's view of the tree, the sequential read seam: one
-/// pool, no latches. Fetches are charged to the pool exactly as
-/// [`BufferManager::fetch`] charges them, and counted in the operation's
-/// span, which labels the manager's events until the view drops.
-struct Reader<'a, S: PageStore> {
+/// One operation's view of the tree, the sequential seam for reads and
+/// writes: one pool, no latches, so the latch hooks stay empty. Fetches are
+/// charged as [`BufferManager::fetch`] charges them and counted in the
+/// operation's span; stores go through the write-back buffer (and its WAL);
+/// freed pages go on the on-disk free list headed in the metadata.
+pub(crate) struct Pages<'a, S: PageStore> {
     mgr: &'a mut BufferManager<S>,
+    meta: &'a mut PageMeta,
     span: Span<'a>,
 }
 
-impl<S: PageStore> Reader<'_, S> {
+impl<S: PageStore> Pages<'_, S> {
     /// The root's MBR from an uncharged peek (`None` for an empty tree): as in
     /// the model, a walk accesses the root only if its MBR intersects the query.
-    fn root_mbr(&mut self, root: u64, level: u16) -> io::Result<Option<Rect>> {
+    fn root_mbr(&mut self) -> io::Result<Option<Rect>> {
+        let (root, level) = (self.meta.root, self.meta.root_level());
         self.mgr.tracer.at_level(&self.span, level as i16);
         Ok(PageView::new(self.mgr.fetch_uncharged(PageId(root))?, level)?.mbr()?)
     }
 }
 
-impl<S: PageStore> PageRead for Reader<'_, S> {
+impl<S: PageStore> PageRead for Pages<'_, S> {
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
         let (id, level) = (PageId(page), level as i16);
         Ok(self.mgr.fetch_in(id, level, &mut self.span)?)
@@ -100,7 +104,43 @@ impl<S: PageStore> PageRead for Reader<'_, S> {
     }
 }
 
-impl<S: PageStore> Drop for Reader<'_, S> {
+impl<S: PageStore> PageWrite for Pages<'_, S> {
+    fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
+        f(self.meta)
+    }
+
+    fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        // Layout-preserving: internal pages of a compressed tree are
+        // re-quantized on every rewrite. Expansion is monotone (the new
+        // frame contains the rewritten entries), so the containment
+        // invariant queries rely on survives arbitrary mutation.
+        node.encode_with(&mut buf, self.meta.layout_at(node.level));
+        self.mgr.tracer.at_level(&self.span, node.level as i16);
+        self.mgr.write_buffered(PageId(id), &buf)
+    }
+
+    fn alloc(&mut self) -> io::Result<u64> {
+        if self.meta.free_head == 0 {
+            return Ok(self.mgr.allocate()?.0);
+        }
+        let id = self.meta.free_head;
+        self.meta.free_head = decode_free_page(self.mgr.fetch(PageId(id))?)?;
+        Ok(id)
+    }
+
+    /// Pushes a page onto the free list (logged like any other write).
+    fn free(&mut self, id: u64) -> io::Result<()> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        encode_free_page(self.meta.free_head, &mut buf);
+        self.mgr.tracer.at_level(&self.span, -1);
+        self.mgr.write_buffered(PageId(id), &buf)?;
+        self.meta.free_head = id;
+        Ok(())
+    }
+}
+
+impl<S: PageStore> Drop for Pages<'_, S> {
     /// What drives the manager next (a write, a pin, a flush) has no span.
     fn drop(&mut self) {
         self.mgr.tracer.at_level(&Span::default(), -1);
@@ -318,11 +358,21 @@ impl<S: PageStore> DiskRTree<S> {
         self.mgr.pool().stats()
     }
 
-    /// Opens a read operation: the buffer manager under a fresh span.
-    fn reader(&mut self) -> Reader<'_, S> {
-        Reader {
+    /// Opens a read operation: the tree under a fresh span.
+    fn reader(&mut self) -> Pages<'_, S> {
+        Pages {
             mgr: &mut self.mgr,
+            meta: &mut self.meta,
             span: self.trace.span(),
+        }
+    }
+
+    /// Opens a write operation: the tree under no span.
+    pub(crate) fn writer(&mut self) -> Pages<'_, S> {
+        Pages {
+            mgr: &mut self.mgr,
+            meta: &mut self.meta,
+            span: Span::default(),
         }
     }
 
@@ -332,7 +382,7 @@ impl<S: PageStore> DiskRTree<S> {
     pub fn query(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
         let (root, level) = (self.meta.root, self.meta.root_level());
         let mut pages = self.reader();
-        match pages.root_mbr(root, level)? {
+        match pages.root_mbr()? {
             Some(mbr) if mbr.intersects(query) => walk::region(&mut pages, root, level, query),
             _ => Ok(Vec::new()),
         }
@@ -354,7 +404,7 @@ impl<S: PageStore> DiskRTree<S> {
         }
         let (root, level) = (self.meta.root, self.meta.root_level());
         let mut pages = self.reader();
-        if let Some(mbr) = pages.root_mbr(root, level)? {
+        if let Some(mbr) = pages.root_mbr()? {
             walk::frontier(
                 &mut pages,
                 root,
@@ -383,15 +433,7 @@ impl<S: PageStore> DiskRTree<S> {
         let mut pages = self.reader();
         pages.mgr.tracer.at_level(&pages.span, root_level as i16);
         let root_node = NodePage::decode(pages.mgr.fetch_uncharged(PageId(root))?)?;
-        if root_node.entries.is_empty() {
-            return Ok(results);
-        }
-        let root_mbr = root_node
-            .entries
-            .iter()
-            .skip(1)
-            .fold(root_node.entries[0].0, |acc, (r, _)| acc.union(r));
-        if !root_mbr.intersects(query) {
+        if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
             return Ok(results);
         }
 

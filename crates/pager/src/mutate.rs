@@ -1,7 +1,7 @@
 //! Guttman's insert and condense-tree delete, written once against the
-//! write seam ([`PageWrite`]), plus its sequential instantiation: the
-//! mutable [`DiskRTree`] operations, executed page-by-page through the
-//! buffer manager.
+//! write seam ([`PageWrite`]), plus the mutable [`DiskRTree`] operations
+//! (FindLeaf is a walk, [`find_leaf`]). Every node is loaded at the level
+//! the descent reached, so a pointer cycle fails an operation, not hangs it.
 //!
 //! On the sequential tree every page touched by an operation goes through
 //! [`crate::BufferManager::write_buffered`], so with a WAL attached
@@ -9,7 +9,7 @@
 //! logged and the operation is recoverable: each public call ends with a
 //! commit marker, making it a single-op transaction. The concurrent tree
 //! runs the same functions over its cursor: the insert descent under latch
-//! crabbing, FindLeaf / CondenseTree under its exclusive gate.
+//! crabbing, CondenseTree under its exclusive gate.
 //!
 //! Mutations abandon the bulk-load level-order page layout; the metadata's
 //! level table is cleared on the first insert or delete and the layout-
@@ -20,9 +20,9 @@
 //! chaining to the next) and are reused before the store grows.
 
 use crate::disk_tree::{materialize_empty, DiskRTree};
-use crate::page::{decode_free_page, encode_free_page};
 use crate::seam::PageWrite;
-use crate::{BufferManager, NodePage, PageMeta, PageStore, PAGE_SIZE};
+use crate::walk::{find_leaf, Found};
+use crate::{BufferManager, NodePage, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
 use rtree_index::{choose_subtree, QuadraticSplit, SplitPolicy};
@@ -52,8 +52,8 @@ pub(crate) fn insert_entry<W: PageWrite>(
     target_level: u16,
 ) -> io::Result<()> {
     let capacity = |pages: &mut W, level: u16| pages.meta(|m| m.capacity_at(level));
-    let mut id = pages.meta(|m| m.root);
-    let mut node = pages.load(id)?;
+    let (mut id, root_level) = pages.meta(|m| (m.root, m.root_level()));
+    let mut node = pages.load(id, root_level)?;
     // The ancestors a split can still reach, with the slot taken in each.
     let mut path: Vec<(u64, NodePage, usize)> = Vec::new();
     loop {
@@ -72,7 +72,7 @@ pub(crate) fn insert_entry<W: PageWrite>(
             pages.store(id, &node)?;
         }
         pages.latch(child);
-        let below = pages.load(child)?;
+        let below = pages.load(child, node.level - 1)?;
         path.push((id, node, slot));
         (id, node) = (child, below);
     }
@@ -117,44 +117,17 @@ pub(crate) fn insert_entry<W: PageWrite>(
     pages.store(id, &node)
 }
 
-/// Finds the leaf holding the exact `(rect, item)` entry below `pid`,
-/// filling `path` with `(page, slot)` pairs from `pid` down.
-pub(crate) fn find_leaf<W: PageWrite>(
-    pages: &mut W,
-    pid: u64,
-    rect: &Rect,
-    item: u64,
-    path: &mut Vec<(u64, usize)>,
-) -> io::Result<Option<u64>> {
-    let node = pages.load(pid)?;
-    if node.level == 0 {
-        let found = node.entries.iter().any(|(r, p)| *p == item && r == rect);
-        return Ok(found.then_some(pid));
-    }
-    for (slot, (r, child)) in node.entries.iter().enumerate() {
-        if r.contains_rect(rect) {
-            path.push((pid, slot));
-            if let Some(leaf) = find_leaf(pages, *child, rect, item, path)? {
-                return Ok(Some(leaf));
-            }
-            path.pop();
-        }
-    }
-    Ok(None)
-}
-
 /// Removes `(rect, item)` from the leaf [`find_leaf`] located (`path` is
 /// its root-to-leaf path), then runs CondenseTree — dissolving underfull
 /// nodes, tightening ancestor rectangles, reinserting orphans at their
 /// original level — and ShrinkTree.
 pub(crate) fn remove_entry<W: PageWrite>(
     pages: &mut W,
-    leaf_id: u64,
-    mut path: Vec<(u64, usize)>,
+    (leaf_id, mut path): Found,
     rect: &Rect,
     item: u64,
 ) -> io::Result<()> {
-    let mut cur = pages.load(leaf_id)?;
+    let mut cur = pages.load(leaf_id, 0)?;
     let pos = cur
         .entries
         .iter()
@@ -166,7 +139,7 @@ pub(crate) fn remove_entry<W: PageWrite>(
     let mut orphans: Vec<(u16, Vec<(Rect, u64)>)> = Vec::new();
     let mut cur_id = leaf_id;
     while let Some((parent_id, slot)) = path.pop() {
-        let mut parent = pages.load(parent_id)?;
+        let mut parent = pages.load(parent_id, cur.level + 1)?;
         debug_assert_eq!(parent.entries[slot].1, cur_id);
         if cur.entries.len() < min {
             orphans.push((cur.level, std::mem::take(&mut cur.entries)));
@@ -196,9 +169,9 @@ pub(crate) fn remove_entry<W: PageWrite>(
     // ShrinkTree: while the root is internal with a single child, the
     // child becomes the root.
     loop {
-        let root_id = pages.meta(|m| m.root);
-        let root = pages.load(root_id)?;
-        if root.level == 0 || root.entries.len() != 1 {
+        let (root_id, level) = pages.meta(|m| (m.root, m.root_level()));
+        let root = pages.load(root_id, level)?;
+        if level == 0 || root.entries.len() != 1 {
             break;
         }
         pages.free(root_id)?;
@@ -210,48 +183,6 @@ pub(crate) fn remove_entry<W: PageWrite>(
     }
     pages.meta(|m| m.items -= 1);
     Ok(())
-}
-
-/// The sequential write view: the tree itself. Nodes go through the
-/// write-back buffer (and its WAL, if attached); freed pages go on an
-/// intrusive on-disk free list headed in the metadata. Nothing else is in
-/// flight, so the latch hooks stay empty.
-impl<S: PageStore> PageWrite for DiskRTree<S> {
-    fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
-        f(&mut self.meta)
-    }
-
-    fn load(&mut self, id: u64) -> io::Result<NodePage> {
-        Ok(NodePage::decode(self.mgr.fetch(PageId(id))?)?)
-    }
-
-    fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        // Layout-preserving: internal pages of a compressed tree are
-        // re-quantized on every rewrite. Expansion is monotone (the new
-        // frame contains the rewritten entries), so the containment
-        // invariant queries rely on survives arbitrary mutation.
-        node.encode_with(&mut buf, self.meta.layout_at(node.level));
-        self.mgr.write_buffered(PageId(id), &buf)
-    }
-
-    fn alloc(&mut self) -> io::Result<u64> {
-        if self.meta.free_head == 0 {
-            return Ok(self.mgr.allocate()?.0);
-        }
-        let id = self.meta.free_head;
-        self.meta.free_head = decode_free_page(self.mgr.fetch(PageId(id))?)?;
-        Ok(id)
-    }
-
-    /// Pushes a page onto the free list (logged like any other write).
-    fn free(&mut self, id: u64) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        encode_free_page(self.meta.free_head, &mut buf);
-        self.mgr.write_buffered(PageId(id), &buf)?;
-        self.meta.free_head = id;
-        Ok(())
-    }
 }
 
 impl<S: PageStore> DiskRTree<S> {
@@ -282,7 +213,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// over pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        insert_entry(self, (rect, item), 0)?;
+        insert_entry(&mut self.writer(), (rect, item), 0)?;
         self.meta.items += 1;
         self.finish_op()
     }
@@ -291,11 +222,13 @@ impl<S: PageStore> DiskRTree<S> {
     /// underfull nodes and reinserting their orphaned entries. Returns
     /// whether the entry was found.
     pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        let (root, mut path) = (self.meta.root, Vec::new());
-        let Some(leaf) = find_leaf(self, root, rect, item, &mut path)? else {
+        let mut pages = self.writer();
+        let (root, level) = pages.meta(|m| (m.root, m.root_level()));
+        let Some(found) = find_leaf(&mut pages, root, level, rect, item)? else {
             return Ok(false);
         };
-        remove_entry(self, leaf, path, rect, item)?;
+        remove_entry(&mut pages, found, rect, item)?;
+        drop(pages);
         self.finish_op()?;
         Ok(true)
     }
@@ -314,7 +247,8 @@ impl<S: PageStore> DiskRTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemStore;
+    use crate::seam::PageRead;
+    use crate::{MemStore, PageMeta};
     use rtree_buffer::LruPolicy;
     use rtree_index::RTreeBuilder;
 
@@ -352,6 +286,8 @@ mod tests {
         calls: Vec<Call>,
         /// Fail the n-th load (1-based).
         fail_load: Option<usize>,
+        /// The image of the page fetched last.
+        frame: Vec<u8>,
     }
 
     /// A small square item at `x`.
@@ -381,6 +317,7 @@ mod tests {
                 pages,
                 calls: Vec::new(),
                 fail_load: None,
+                frame: vec![0u8; PAGE_SIZE],
             }
         }
 
@@ -402,17 +339,21 @@ mod tests {
         }
     }
 
-    impl PageWrite for Script {
-        fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
-            f(&mut self.meta)
-        }
-        fn load(&mut self, id: u64) -> io::Result<NodePage> {
+    impl PageRead for Script {
+        fn fetch(&mut self, id: u64, _level: u16) -> io::Result<&[u8]> {
             let loads = self.calls.iter().filter(|c| matches!(c, Load(_))).count();
             if self.fail_load == Some(loads + 1) {
                 return Err(io::Error::other("scripted fault"));
             }
             self.calls.push(Load(id));
-            Ok(self.pages[&id].clone())
+            self.pages[&id].encode(&mut self.frame);
+            Ok(&self.frame)
+        }
+    }
+
+    impl PageWrite for Script {
+        fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
+            f(&mut self.meta)
         }
         fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
             assert!(node.entries.len() <= 4, "stored page {id} overfull");
@@ -709,11 +650,12 @@ mod tests {
             disk.insert(r, i as u64).unwrap();
         }
         let root = disk.meta().root;
-        let root = disk.load(root).unwrap();
+        let mut pages = disk.writer();
+        let root = pages.load(root, 1).unwrap();
         assert_eq!(root.entries.len(), 2);
         let mut total = 0;
         for (_, child) in root.entries {
-            let fill = disk.load(child).unwrap().entries.len();
+            let fill = pages.load(child, 0).unwrap().entries.len();
             assert!(fill >= 4, "page {child} below min fill: {fill}");
             total += fill;
         }

@@ -98,10 +98,10 @@
 //! ([`PageError::CorruptRect`]: rectangles finite with `lo <= hi`; on Packed
 //! pages `lo code <= hi code` per axis, checked on codes because the clamped
 //! decode could mask an inversion) are validated inside those same loops, on
-//! every visit of every page. [`NodePage::decode`] (entry at a time, used by
-//! the write path and `DiskRTree::query_scalar`) and [`NodeSoA`] (plane at a
-//! time into owned arrays) enforce the same invariants and stay as the
-//! differential references.
+//! every visit of every page, writes' loads included. [`NodePage::decode`]
+//! (entry at a time, behind `DiskRTree::query_scalar`) and [`NodeSoA`]
+//! (plane at a time into owned arrays) enforce the same invariants and stay
+//! as the differential references.
 //!
 //! **Free page** (a dissolved node on the free list headed in the meta
 //! page; reused before the store grows):
@@ -915,6 +915,14 @@ impl<'a> PageView<'a> {
     /// Panics if the page has no entry `i`.
     pub fn rect(&self, i: usize) -> Rect {
         self.planes.get(i)
+    }
+
+    /// Every entry as `(rect, pointer)`, rectangles as [`PageView::rect`]
+    /// reads them; validates like [`PageView::intersecting`].
+    pub(crate) fn entries(&self) -> Result<Vec<(Rect, u64)>, PageError> {
+        self.mbr()?;
+        let count = self.ptrs.len() / 8;
+        Ok((0..count).map(|i| (self.rect(i), self.ptr(i))).collect())
     }
 }
 

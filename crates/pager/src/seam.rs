@@ -2,21 +2,21 @@
 //!
 //! The paper's metric — disk accesses per query under LRU — is a function
 //! of the page-access *sequence*, so that sequence is defined exactly once:
-//! the walks in [`crate::walk`] and Guttman's insert/condense in
-//! [`crate::mutate`] are written against these two traits and nothing
-//! else. What a seam implementation hides is *where* a page comes from and
-//! what an access costs: which pool is charged, which latch is held, which
-//! trace span the event belongs to. The algorithms are generic over the
-//! seam (monomorphized, never `dyn`), so the sequential instantiation pays
-//! nothing for the concurrent one's existence.
+//! the walks (FindLeaf among them) in [`crate::walk`] and Guttman's
+//! insert/condense in [`crate::mutate`] are written against these two
+//! traits and nothing else. What a seam implementation hides is *where* a
+//! page comes from and what an access costs: which pool is charged, which
+//! latch is held, which trace span the event belongs to. The algorithms are
+//! generic over the seam (monomorphized, never `dyn`). Writes read pages
+//! the way walks do: [`PageWrite::load`] is a level-checked fetch.
 //!
-//! Two instantiations exist: [`crate::DiskRTree`] (a reader over its one
-//! pool, the tree itself for writes; no latches — the paper's
+//! Each tree has one view type implementing both: the per-operation view
+//! over [`crate::DiskRTree`]'s one pool (no latches — the paper's
 //! configuration) and the cursor over [`crate::ConcurrentDiskRTree`] (shard
-//! pools behind the writer overlay, shared-latch coupling between levels
-//! for readers, exclusive-latch crabbing for the insert descent).
+//! pools behind the writer overlay, shared-latch coupling between levels,
+//! exclusive-latch crabbing for the insert descent).
 
-use crate::{NodePage, PageMeta, PrefetchOutcome};
+use crate::{NodePage, PageMeta, PageView, PrefetchOutcome};
 use std::io;
 
 /// The read side: charged page fetches in the order a walk asks for them.
@@ -48,12 +48,16 @@ pub(crate) trait PageRead {
 /// (root, height, node count, free list). The two hooks are all a crabbing
 /// writer needs of the insert descent; a view with the tree to itself
 /// leaves them empty.
-pub(crate) trait PageWrite {
+pub(crate) trait PageWrite: PageRead {
     /// Runs `f` on the live metadata (locked, if at all, only for the call).
     fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R;
 
-    /// Loads and decodes node `id` (a charged access).
-    fn load(&mut self, id: u64) -> io::Result<NodePage>;
+    /// Fetches node `id` at `level` and materializes it, validating every
+    /// entry: a page at another level, or a corrupt entry, is `InvalidData`.
+    fn load(&mut self, id: u64, level: u16) -> io::Result<NodePage> {
+        let entries = PageView::new(self.fetch(id, level)?, level)?.entries()?;
+        Ok(NodePage { level, entries })
+    }
 
     /// Encodes `node`, in its level's layout, as the new image of page `id`.
     fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()>;

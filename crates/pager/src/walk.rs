@@ -1,10 +1,11 @@
-//! The three tree walks, each written once against [`PageRead`].
+//! The four tree walks, each written once against [`PageRead`].
 //!
 //! The order in which a walk fetches pages *is* the buffer's input, so it
 //! is part of the contract: the depth-first region walk fetches in
-//! stack-pop order, the frontier walk in ascending page id within each
-//! level with every shared page fetched once, the kNN search in best-first
-//! (heap) order. `tests::*_order` pins all three against golden vectors.
+//! stack-pop order, the frontier walk and FindLeaf in ascending page id
+//! within each level with every shared page fetched once, the kNN search
+//! in best-first (heap) order. `tests::*_order` pins all four against
+//! golden vectors.
 
 use crate::seam::PageRead;
 use crate::{PageView, PrefetchOutcome};
@@ -13,6 +14,9 @@ use rtree_index::Neighbor;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io;
+
+/// A leaf FindLeaf located, with its root-to-leaf `(page, slot)` path.
+pub(crate) type Found = (u64, Vec<(u64, usize)>);
 
 /// Counters describing one batch execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -175,6 +179,48 @@ pub(crate) fn frontier<P: PageRead>(
     result
 }
 
+/// FindLeaf: the leaf below `root` holding the exact entry `(rect, item)`.
+/// Level-synchronous like [`frontier`] — each level in ascending page id,
+/// [`PageRead::level_done`] between levels — and in place: the kernel
+/// prefilters a page's entries by intersection, then a child is a candidate
+/// if its rectangle contains `rect`, and a leaf entry matches if it is
+/// `(rect, item)`. Stops at the first leaf holding the entry.
+pub(crate) fn find_leaf<P: PageRead>(
+    src: &mut P,
+    root: u64,
+    root_level: u16,
+    rect: &Rect,
+    item: u64,
+) -> io::Result<Option<Found>> {
+    // A level's candidate pages, ascending, each with its path from the root.
+    let mut pages = BTreeMap::from([(root, Vec::new())]);
+    let mut level = root_level;
+    let mut matches: Vec<u32> = Vec::new();
+    loop {
+        let mut next = BTreeMap::new();
+        for (pid, path) in pages {
+            let view = PageView::new(src.fetch(pid, level)?, level)?;
+            matches.clear();
+            view.intersecting(rect, &mut matches)?;
+            for slot in matches.iter().map(|&i| i as usize) {
+                let r = view.rect(slot);
+                if level == 0 && view.ptr(slot) == item && r == *rect {
+                    return Ok(Some((pid, path)));
+                }
+                if level > 0 && r.contains_rect(rect) {
+                    let down = || [&path[..], &[(pid, slot)]].concat();
+                    next.entry(view.ptr(slot)).or_insert_with(down);
+                }
+            }
+        }
+        if next.is_empty() {
+            return Ok(None);
+        }
+        src.level_done(next.keys().copied());
+        (pages, level) = (next, level - 1);
+    }
+}
+
 /// A kNN search-queue entry ordered by ascending distance (the heap is a
 /// max-heap, so the ordering is inverted).
 struct KnnEntry {
@@ -316,15 +362,24 @@ mod tests {
         readahead: bool,
         reserved: Vec<u64>,
         reservations_taken: usize,
+        /// The page sets announced through `level_done`.
+        coupled: Vec<Vec<u64>>,
     }
 
     impl Script {
         fn new() -> Self {
+            Script::with_extra(&[])
+        }
+
+        /// The tree above with `extra` `(leaf, entry)` pairs appended to
+        /// their leaves, and the slots above them grown to match.
+        fn with_extra(extra: &[(u64, (Rect, u64))]) -> Self {
             let leaf = |page: u64, x: f64| {
-                let entries = vec![
+                let mut entries = vec![
                     (Rect::new(x, 0.0, x + 0.1, 0.1), page * 10),
                     (Rect::new(x + 0.1, 0.1, x + 0.2, 0.2), page * 10 + 1),
                 ];
+                entries.extend(extra.iter().filter(|e| e.0 == page).map(|e| e.1));
                 (page, NodePage { level: 0, entries })
             };
             let leaves = [leaf(7, 0.0), leaf(4, 0.25), leaf(6, 0.55), leaf(5, 0.8)];
@@ -351,6 +406,7 @@ mod tests {
                 readahead: false,
                 reserved: Vec::new(),
                 reservations_taken: 0,
+                coupled: Vec::new(),
             }
         }
     }
@@ -379,6 +435,10 @@ mod tests {
             let pos = self.reserved.iter().position(|&p| p == page);
             self.reserved
                 .swap_remove(pos.expect("released a reservation never taken"));
+        }
+
+        fn level_done(&mut self, next: impl Iterator<Item = u64>) {
+            self.coupled.push(next.collect());
         }
     }
 
@@ -458,6 +518,45 @@ mod tests {
         s.fail_at = Some(4);
         let _ = frontier(&mut s, 1, 2, None, &batch(), 2, &mut BatchOutput::new(3));
         assert_eq!(s.reservations_taken, 3, "page 3, then leaves 5 and 6");
+    }
+
+    #[test]
+    fn find_leaf_order() {
+        // `s` sits in both subtrees: as item 99 in leaf 4 (under 3) and as
+        // item 98 in leaf 6 (under 2), so both level-1 pages are candidates
+        // and are visited in page order, 2 before 3, though the root lists 3
+        // first; leaves likewise, 4 before 6.
+        let s = Rect::new(0.5, 0.05, 0.52, 0.1);
+        let script = || Script::with_extra(&[(4, (s, 99)), (6, (s, 98))]);
+        let find = |item: u64| {
+            let mut seam = script();
+            let got = find_leaf(&mut seam, 1, 2, &s, item).unwrap();
+            (got, seam.fetched, seam.coupled)
+        };
+        let coupled = vec![vec![2, 3], vec![4, 6]];
+        let (got, fetched, c) = find(98);
+        assert_eq!(got, Some((6, vec![(1, 1), (2, 0)])), "root slot 1, then 6");
+        assert_eq!((fetched, c), (vec![1, 2, 3, 4, 6], coupled.clone()));
+        // The first leaf holding the entry ends the walk: 6 is never read.
+        let (got, fetched, c) = find(99);
+        assert_eq!(got, Some((4, vec![(1, 0), (3, 1)])));
+        assert_eq!((fetched, c), (vec![1, 2, 3, 4], coupled.clone()));
+        // A rectangle match with another id is not the entry.
+        let (got, fetched, c) = find(97);
+        assert_eq!(got, None);
+        assert_eq!((fetched, c), (vec![1, 2, 3, 4, 6], coupled));
+
+        // Intersecting both subtrees but contained in neither: only the
+        // root is read, and nothing is coupled.
+        let mut seam = script();
+        let straddle = Rect::new(0.46, 0.0, 0.54, 0.1);
+        assert_eq!(find_leaf(&mut seam, 1, 2, &straddle, 98).unwrap(), None);
+        assert_eq!((seam.fetched, seam.coupled), (vec![1], vec![]));
+
+        let mut seam = script();
+        seam.fail_at = Some(3);
+        assert!(find_leaf(&mut seam, 1, 2, &s, 98).is_err());
+        assert_eq!(seam.fetched, [1, 2]);
     }
 
     #[test]

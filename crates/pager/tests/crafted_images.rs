@@ -3,12 +3,13 @@
 //! The checksum only vouches that a page is what was written; a crafted (or
 //! buggy) writer can seal anything. Two families are pinned here, each
 //! through every walk — depth-first `query` / `query_point`,
-//! level-synchronous `query_batch`, best-first `nearest_neighbors`:
+//! level-synchronous `query_batch`, best-first `nearest_neighbors` — and
+//! through the writes, whose loads and FindLeaf read pages the same way:
 //!
 //! * **Pointer cycles.** Two pages that both claim level 1 and point at each
 //!   other. A walk must believe the level it *descended to*, not the level a
-//!   page claims, or it never reaches a leaf: every walk has to fail with
-//!   `InvalidData` (a typed level mismatch), not hang.
+//!   page claims, or it never reaches a leaf: every walk, insert and delete
+//!   has to fail with `InvalidData` (a typed level mismatch), not hang.
 //! * **Corrupt entries behind a valid CRC.** An inverted or non-finite
 //!   rectangle on a leaf, inverted codes on a Packed internal page. The
 //!   walks read pages in place and validate inside the scan, so the visit
@@ -21,6 +22,7 @@ use rtree_index::BulkLoader;
 use rtree_pager::{
     ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, PageLayout, PageMeta, PageStore, PAGE_SIZE,
 };
+use rtree_wal::{GroupWal, MemLog};
 use std::io;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -117,6 +119,55 @@ fn best_first_walk_refuses_a_pointer_cycle() {
     assert_invalid_data("concurrent nearest_neighbors", got);
 }
 
+/// A writable concurrent tree over `store`, with a fresh log.
+fn writable(store: MemStore) -> ConcurrentDiskRTree<MemStore> {
+    let wal = GroupWal::open(MemLog::new()).unwrap();
+    ConcurrentDiskRTree::open_writable(store, 256, LruPolicy::new(), wal).unwrap()
+}
+
+#[test]
+fn writes_refuse_a_pointer_cycle() {
+    let r = Rect::new(0.2, 0.2, 0.3, 0.3);
+    let sequential = || DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
+    let got = within_timeout("insert", move || sequential().insert(r, 9));
+    assert_invalid_data("insert", got);
+    let got = within_timeout("delete", move || sequential().delete(&r, 9));
+    assert_invalid_data("delete", got);
+    let got = within_timeout("concurrent insert", move || {
+        writable(cyclic_image()).insert(&r, 9)
+    });
+    assert_invalid_data("concurrent insert", got);
+    let got = within_timeout("concurrent delete", move || {
+        writable(cyclic_image()).delete(&r, 9)
+    });
+    assert_invalid_data("concurrent delete", got);
+}
+
+/// Deleting `(rect, item)` from `image` must fail with `InvalidData` on
+/// both trees, cold and — the corrupt frame now resident — warm.
+fn assert_delete_fails_every_time(what: &str, image: &[u8], (rect, item): (Rect, u64)) {
+    /// `delete` answers with its outcome and the tree's physical reads.
+    fn twice(what: String, mut delete: impl FnMut() -> (io::Result<bool>, u64)) {
+        let (got, reads) = delete();
+        assert_invalid_data(&format!("cold {what}"), got);
+        let (got, again) = delete();
+        assert_invalid_data(&format!("warm {what}"), got);
+        assert_eq!(
+            again, reads,
+            "the warm {what} met the corrupt page resident"
+        );
+    }
+    let store = || MemStore::from_bytes(image.to_vec());
+    let mut tree = DiskRTree::open(store(), 256, LruPolicy::new()).unwrap();
+    twice(format!("{what}: delete"), || {
+        (tree.delete(&rect, item), tree.physical_reads())
+    });
+    let tree = writable(store());
+    twice(format!("{what}: concurrent delete"), || {
+        (tree.delete(&rect, item), tree.physical_reads())
+    });
+}
+
 /// A 2 000-item compressed image (Packed root over SoA leaves) as bytes.
 fn sound_image() -> Vec<u8> {
     let rects: Vec<Rect> = (0..2_000)
@@ -189,6 +240,10 @@ fn corrupt_leaf_entry_fails_every_walk_on_every_visit() {
             node.level == 0 && node.entries.iter().any(|(r, _)| r.contains_point(&centre))
         })
         .expect("some leaf entry covers the centre") as usize;
+    // The sound entry beside the planted one: deleting it reads the leaf.
+    let kept = NodePage::decode(&image[leaf * PAGE_SIZE..][..PAGE_SIZE])
+        .unwrap()
+        .entries[0];
     // SoA planes: lo.x[0] at byte 16, hi.x[0] at 16 + 2·816.
     let (lo_x, hi_x) = (16usize, 16 + 2 * 816);
     type Patch = fn(&mut [u8], usize, usize);
@@ -209,6 +264,7 @@ fn corrupt_leaf_entry_fails_every_walk_on_every_visit() {
         patch(page, lo_x + 8, hi_x + 8);
         reseal(page);
         assert!(NodePage::decode(page).is_err(), "{what} must not decode");
+        assert_delete_fails_every_time(what, &image, kept);
         assert_every_walk_fails_every_time(what, image);
     }
 }
