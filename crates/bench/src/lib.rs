@@ -47,7 +47,7 @@ pub struct Opts {
     pub csv: bool,
     /// `--json`: also write each table to `results/<slug>.json`.
     pub json: bool,
-    /// `--miss-ns`: latency charged per demand miss by `macrobench`.
+    /// `--miss-ns`: latency charged per miss by `macrobench`.
     pub miss_ns: f64,
 }
 

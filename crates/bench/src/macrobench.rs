@@ -7,13 +7,13 @@
 //! explicit through a configurable miss-cost model:
 //!
 //! ```text
-//! effective_ops = 1e9 / (hit_ns + demand_reads_per_op × miss_ns)
+//! effective_ops = 1e9 / (hit_ns + reads_per_op × miss_ns)
 //! ```
 //!
 //! `hit_ns` is the *measured* mean in-memory op time (the replay runs on
 //! a `MemStore`, so every buffer hit and miss costs only memcpy — the
-//! measured time is the CPU side), and `demand_reads_per_op × miss_ns`
-//! charges each demand miss the latency of one device read (default
+//! measured time is the CPU side), and `reads_per_op × miss_ns`
+//! charges each miss the latency of one device read (default
 //! ~1.9 µs, an NVMe 4 KiB random read). The split keeps the number
 //! honest on a machine with a page cache: misses are counted, not timed.
 //!
@@ -23,7 +23,7 @@
 //! quantized MBRs are what the model sees). The headline comparison: at
 //! equal frame budgets, v4's higher internal fan-out (253 vs 102
 //! entries/page) shrinks the tree's page footprint and height, so both
-//! the model and the measurement must show fewer demand reads per
+//! the model and the measurement must show fewer physical reads per
 //! operation — see [`Gate`].
 
 use std::io;
@@ -83,10 +83,10 @@ impl PageFormat {
 /// Default miss latency: a 4 KiB random read on a datacenter NVMe device.
 pub const DEFAULT_MISS_NS: f64 = 1_934.0;
 
-/// The effective-OPS formula: throughput with each demand miss charged
+/// The effective-OPS formula: throughput with each miss charged
 /// `miss_ns` on top of the measured in-memory op time.
-pub fn effective_ops(mean_op_ns: f64, demand_reads_per_op: f64, miss_ns: f64) -> f64 {
-    1e9 / (mean_op_ns + demand_reads_per_op * miss_ns)
+pub fn effective_ops(mean_op_ns: f64, reads_per_op: f64, miss_ns: f64) -> f64 {
+    1e9 / (mean_op_ns + reads_per_op * miss_ns)
 }
 
 /// What one trace replay observed.
@@ -110,9 +110,9 @@ pub struct ReplayOutcome {
 }
 
 impl ReplayOutcome {
-    /// Demand (non-prefetch) physical reads per operation.
-    pub fn demand_reads_per_op(&self) -> f64 {
-        self.io.demand_reads() as f64 / self.ops as f64
+    /// Physical reads per operation.
+    pub fn reads_per_op(&self) -> f64 {
+        self.io.reads as f64 / self.ops as f64
     }
 
     /// Mean in-memory op latency.
@@ -122,7 +122,7 @@ impl ReplayOutcome {
 
     /// Effective operations/second under a given miss latency.
     pub fn effective_ops(&self, miss_ns: f64) -> f64 {
-        effective_ops(self.mean_op_ns(), self.demand_reads_per_op(), miss_ns)
+        effective_ops(self.mean_op_ns(), self.reads_per_op(), miss_ns)
     }
 }
 
@@ -225,7 +225,7 @@ pub fn describe_store<S: PageStore>(
 /// The macro-benchmark's acceptance gate, evaluated on the Zipf read-only
 /// leg at equal frame budgets:
 ///
-/// 1. **Strict win** (every policy): v4 demand reads/op < v3.
+/// 1. **Strict win** (every policy): v4 reads/op < v3.
 /// 2. **Model band** (LRU, the policy the paper's steady-state analysis
 ///    describes): the measured v4/v3 read ratio is within
 ///    [`Gate::BAND`] of the model-predicted ratio.
@@ -233,9 +233,9 @@ pub fn describe_store<S: PageStore>(
 pub struct Gate {
     /// Policy this sample came from.
     pub policy: PolicyKind,
-    /// Measured v3 demand reads per op.
+    /// Measured v3 physical reads per op.
     pub v3_reads_per_op: f64,
-    /// Measured v4 demand reads per op.
+    /// Measured v4 physical reads per op.
     pub v4_reads_per_op: f64,
     /// Model-predicted v3 disk accesses per query.
     pub model_v3: f64,
@@ -251,7 +251,7 @@ impl Gate {
     /// repack (which would land far outside it).
     pub const BAND: f64 = 0.35;
 
-    /// Measured v4/v3 demand-read ratio.
+    /// Measured v4/v3 read ratio.
     pub fn measured_ratio(&self) -> f64 {
         self.v4_reads_per_op / self.v3_reads_per_op
     }
@@ -261,7 +261,7 @@ impl Gate {
         self.model_v4 / self.model_v3
     }
 
-    /// Condition 1: strictly fewer demand reads per op on v4.
+    /// Condition 1: strictly fewer reads per op on v4.
     pub fn strict_win(&self) -> bool {
         self.v4_reads_per_op < self.v3_reads_per_op
     }
@@ -308,13 +308,13 @@ pub fn run_cell(
 /// Each cell ([`run_cell`]): build the tree once, materialize it in both
 /// page formats, walk the on-disk image into the analytic model's tree
 /// description, warm the buffer with a read-only prefix, then replay the
-/// recorded trace and report hit rate, demand reads/op, latency quantiles,
+/// recorded trace and report hit rate, physical reads/op, latency quantiles,
 /// and effective OPS (misses charged [`Opts::miss_ns`], default ~1.9 µs
 /// NVMe).
 ///
 /// The run *gates* (fails) unless, on the Zipf read-only leg at equal
 /// frame budgets:
-/// 1. v4 does strictly fewer demand reads/op than v3 under **every**
+/// 1. v4 does strictly fewer physical reads/op than v3 under **every**
 ///    policy, and
 /// 2. under LRU the measured v4/v3 ratio lands within ±0.35 of the
 ///    model-predicted ratio (the band documented in [`Gate`]).
@@ -418,7 +418,7 @@ pub(crate) fn macrobench(opts: &Opts, out: &mut String) -> Result<(), String> {
                     mix_name.into(),
                     o.ops.to_string(),
                     pct(o.hit_rate),
-                    f(o.demand_reads_per_op()),
+                    f(o.reads_per_op()),
                     f(*model_rpq),
                     f(o.p50_ns as f64 / 1e3),
                     f(o.p99_ns as f64 / 1e3),
@@ -440,8 +440,8 @@ pub(crate) fn macrobench(opts: &Opts, out: &mut String) -> Result<(), String> {
                 );
                 gates.push(Gate {
                     policy,
-                    v3_reads_per_op: v3.demand_reads_per_op(),
-                    v4_reads_per_op: v4.demand_reads_per_op(),
+                    v3_reads_per_op: v3.reads_per_op(),
+                    v4_reads_per_op: v4.reads_per_op(),
                     model_v3,
                     model_v4,
                 });
@@ -538,9 +538,9 @@ mod tests {
         // Same trace, same image → identical I/O and answers.
         assert_eq!(a.io, b.io);
         assert_eq!(a.digest, b.digest);
-        // Different format, same answers — and no more demand reads.
+        // Different format, same answers — and no more reads.
         assert_eq!(a.digest, c.digest, "v4 must answer exactly like v3");
-        assert!(c.io.demand_reads() <= a.io.demand_reads());
+        assert!(c.io.reads <= a.io.reads);
     }
 
     #[test]

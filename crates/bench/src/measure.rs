@@ -6,7 +6,7 @@
 use rtree_buffer::ReplacementPolicy;
 use rtree_chaos::ChaosReport;
 use rtree_core::Workload;
-use rtree_exec::{BatchConfig, BatchExecutor};
+use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::RTree;
 use rtree_obs::Histogram;
@@ -27,8 +27,6 @@ pub struct BatchPoint {
     pub hit_ratio: f64,
     /// Fraction of page requests the cross-query dedup removed.
     pub dedup_saved: f64,
-    /// Pages fetched by the readahead window.
-    pub prefetched: u64,
     /// Wall-clock throughput.
     pub queries_per_s: f64,
 }
@@ -40,24 +38,20 @@ pub fn batch_curve(
     tree: &RTree,
     buffer: usize,
     policy: impl Fn() -> Box<dyn ReplacementPolicy>,
-    window: usize,
     stream: &[Rect],
     sizes: &[usize],
 ) -> io::Result<Vec<BatchPoint>> {
-    let exec = BatchExecutor::with_config(BatchConfig {
-        prefetch_window: window,
-    });
+    let exec = BatchExecutor::new();
     sizes
         .iter()
         .map(|&size| {
             let mut disk = DiskRTree::create(MemStore::new(), tree, buffer, policy())?;
-            let (mut work, mut requests, mut prefetched) = (0u64, 0u64, 0u64);
+            let (mut work, mut requests) = (0u64, 0u64);
             let started = Instant::now();
             for chunk in stream.chunks(size) {
                 let out = exec.execute(&mut disk, chunk)?;
                 work += out.stats.work_items;
                 requests += out.stats.page_requests;
-                prefetched += out.stats.prefetched;
             }
             let elapsed = started.elapsed().as_secs_f64();
             Ok(BatchPoint {
@@ -65,7 +59,6 @@ pub fn batch_curve(
                 reads_per_query: disk.physical_reads() as f64 / stream.len() as f64,
                 hit_ratio: disk.buffer_stats().hit_ratio(),
                 dedup_saved: 1.0 - work as f64 / requests.max(1) as f64,
-                prefetched,
                 queries_per_s: stream.len() as f64 / elapsed,
             })
         })

@@ -212,10 +212,9 @@ impl BufferPool {
     }
 
     /// Like [`BufferPool::pin`] but *without* touching the access/hit/miss
-    /// statistics: the prefetch path. A prefetch fill is a physical read
-    /// but not a pool access — the access (a hit) is charged later, when a
-    /// query consumes the prefetched frame — so counting it here would
-    /// break the `hits + misses == accesses` reconciliation.
+    /// statistics: re-admits a page the caller already holds — a pinned
+    /// page carried over by a resize, or a victim taken back when the read
+    /// that evicted it failed — so no access is charged for it.
     pub fn admit_pinned(&mut self, page: PageId) -> Result<Option<PageId>, PinError> {
         if self.pinned.contains(&page) {
             return Ok(None);
@@ -412,10 +411,10 @@ mod tests {
     fn admit_pinned_skips_stats_until_the_consuming_access() {
         let mut pool = BufferPool::new(2, LruPolicy::new());
         assert_eq!(pool.admit_pinned(PageId(1)), Ok(None));
-        assert_eq!(pool.stats(), BufferStats::default(), "prefetch is silent");
+        assert_eq!(pool.stats(), BufferStats::default(), "admission is silent");
         assert!(pool.is_pinned(PageId(1)));
-        // The consuming access is a hit — the only statistics the prefetch
-        // ever produces.
+        // The next access is a hit — the only statistics the admission ever
+        // produces.
         assert_eq!(pool.access(PageId(1)), AccessOutcome::Hit);
         let s = pool.stats();
         assert_eq!((s.accesses, s.hits, s.misses), (1, 1, 0));

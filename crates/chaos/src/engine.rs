@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_buffer::LruPolicy;
 use rtree_core::TreeDescription;
-use rtree_exec::{BatchConfig, BatchExecutor};
+use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::{RTree, RTreeBuilder};
 use rtree_obs::{CountingSink, TraceSink, TuneObserver};
@@ -267,10 +267,7 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
                     });
                 }
                 ChaosOp::BatchQuery(rects) => {
-                    let exec = BatchExecutor::with_config(BatchConfig {
-                        prefetch_window: plan.batch_window,
-                    });
-                    let out = exec.execute(&mut disk, rects)?;
+                    let out = BatchExecutor::new().execute(&mut disk, rects)?;
                     for (i, (rect, got)) in rects.iter().zip(out.results).enumerate() {
                         report.check_ids(Differential, got, reference.search(rect), |g, w| {
                             format!(
@@ -411,7 +408,7 @@ fn run_server_phase(
     );
     let disk = must(disk, Differential, "opening tree for server phase failed")?;
     let handle = rtree_server::serve(
-        rtree_server::SequentialEngine::new(disk, plan.batch_window),
+        rtree_server::SequentialEngine::new(disk, 0),
         "127.0.0.1:0",
         rtree_server::ServerConfig {
             batch: rtree_server::BatchPolicy {
@@ -442,20 +439,13 @@ fn run_server_phase(
     }
 
     // Shutdown must drain; afterwards the server's ledger has to
-    // reconcile: every replayed query completed, and the I/O split holds.
+    // reconcile: every replayed query completed.
     let stats = handle.shutdown();
     if stats.queries != rects.len() as u64 {
         let detail = format!(
             "server completed {} queries, replay sent {}",
             stats.queries,
             rects.len()
-        );
-        report.fail(Accounting, detail);
-    }
-    if stats.physical_reads != stats.demand_reads + stats.prefetch_reads {
-        let detail = format!(
-            "server read ledger split broken: {} != {} + {}",
-            stats.physical_reads, stats.demand_reads, stats.prefetch_reads
         );
         report.fail(Accounting, detail);
     }
@@ -820,8 +810,8 @@ fn run_concurrent_phase(
 /// * **Accounting** — the cumulative `IoStats` and the trace sink survive
 ///   every resize (only the pool's access/hit counters restart with the
 ///   fresh frames), so the counters defined *across* actuations must
-///   reconcile: traced misses equal physical reads (read-only, no
-///   prefetch), peek reads agree, and nothing is ever written back.
+///   reconcile: traced misses equal physical reads (read-only), peek
+///   reads agree, and nothing is ever written back.
 ///   Afterwards the controller's belief must match the tree it steered.
 fn run_adaptive_phase(
     plan: &ChaosPlan,
@@ -964,14 +954,10 @@ fn run_accounting_phase(
             "accounting-phase query failed",
         )?;
     }
-    // ...then once more through the batch executor, so the split ledger
-    // (demand misses + prefetch fills = physical reads) is exercised under
-    // the seed-chosen policy and capacity too.
-    let exec = BatchExecutor::with_config(BatchConfig {
-        prefetch_window: plan.batch_window,
-    });
+    // ...then once more through the batch executor, so the batch path's
+    // ledger is reconciled under the seed-chosen policy and capacity too.
     for chunk in query_rects.chunks(8) {
-        let batch = exec.execute(&mut disk, chunk);
+        let batch = BatchExecutor::new().execute(&mut disk, chunk);
         must(batch.map(drop), Accounting, "accounting-phase batch failed")?;
     }
     // Writes: a deterministic fault-free burst, inserted then removed so
@@ -1013,13 +999,7 @@ fn run_accounting_phase(
     let pool = disk.buffer_stats();
     let c = sink.counts();
     report.reconcile(&[
-        (
-            "sequential misses + prefetches vs physical reads",
-            c.reads(),
-            io.reads,
-        ),
-        ("sequential demand reads", c.misses, io.demand_reads()),
-        ("sequential prefetch reads", c.prefetches, io.prefetch_reads),
+        ("sequential misses vs physical reads", c.misses, io.reads),
         ("sequential write backs", c.write_backs, io.writes),
         ("sequential peek reads", c.peek_reads, io.peek_reads),
         ("sequential accesses", c.accesses(), pool.accesses),

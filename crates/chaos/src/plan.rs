@@ -24,8 +24,8 @@ pub enum ChaosOp {
     Delete(u64),
     /// Region (or point — zero-extent) query, checked against the model.
     Query(Rect),
-    /// A batch of queries run through the batched executor (dedup +
-    /// readahead); every per-query result set is checked against the model.
+    /// A batch of queries run through the batched executor (dedup); every
+    /// per-query result set is checked against the model.
     BatchQuery(Vec<Rect>),
     /// Queries replayed through a loopback TCP server after recovery (the
     /// network phase); also executed directly in the sequential phase so
@@ -116,8 +116,6 @@ pub struct ChaosPlan {
     pub pin_levels: usize,
     /// Seed for the step-controlled interleaving schedule.
     pub sched_seed: u64,
-    /// Readahead window for `BatchQuery` ops (0 disables prefetch).
-    pub batch_window: usize,
 }
 
 impl ChaosPlan {
@@ -140,7 +138,8 @@ impl ChaosPlan {
         let shards = 1usize << rng.gen_range(0..3u32);
         let pin_levels = rng.gen_range(0..=2usize);
         let sched_seed = rng.gen();
-        let batch_window = rng.gen_range(0..=8usize);
+        // Drawn and unused (it was the readahead window): keeps every seed's plan.
+        let _ = rng.gen_range(0..=8usize);
 
         // 2. Fault schedule. `crash_at_write` skips the two bootstrap
         // writes of `create_empty`, which happen before the WAL attaches.
@@ -179,7 +178,6 @@ impl ChaosPlan {
             shards,
             pin_levels,
             sched_seed,
-            batch_window,
         }
     }
 

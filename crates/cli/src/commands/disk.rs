@@ -24,8 +24,7 @@ const REGION: &str = "region:0.05:0.05";
 
 pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     args.allow_flags(&[
-        "loader", "cap", "buffer", "queries", "workload", "policy", "seed", "window", "sizes",
-        "json",
+        "loader", "cap", "buffer", "queries", "workload", "policy", "seed", "sizes", "json",
     ])?;
     let sc = Scenario::parse(
         args,
@@ -35,7 +34,6 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
             workload: REGION,
         },
     )?;
-    let window: usize = args.flag_or("window", 8usize)?;
     let sizes = args.flag_list("sizes", &[1, 4, 16, 64, 256, 1024])?;
     if sizes.contains(&0) {
         return Err(err("--sizes entries must be positive"));
@@ -49,33 +47,19 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
 
     let mut table = Table::new(
         format!(
-            "batched execution: {} queries, {} policy, buffer {}, window {window}",
+            "batched execution: {} queries, {} policy, buffer {}",
             sc.queries, sc.policy_name, sc.buffer,
         ),
-        &[
-            "batch",
-            "reads/query",
-            "hit ratio",
-            "dedup saved",
-            "prefetched",
-        ],
+        &["batch", "reads/query", "hit ratio", "dedup saved"],
     );
-    let curve = batch_curve(
-        &tree,
-        sc.buffer,
-        || sc.new_policy(),
-        window,
-        &stream,
-        &sizes,
-    )
-    .map_err(|e| err(format!("batch: {e}")))?;
+    let curve = batch_curve(&tree, sc.buffer, || sc.new_policy(), &stream, &sizes)
+        .map_err(|e| err(format!("batch: {e}")))?;
     for p in curve {
         table.row(vec![
             p.size.to_string(),
             format!("{:.4}", p.reads_per_query),
             format!("{:.4}", p.hit_ratio),
             format!("{:.4}", p.dedup_saved),
-            p.prefetched.to_string(),
         ]);
     }
     if args.flag_bool("json") {
@@ -561,7 +545,7 @@ pub(super) fn macrobench(args: &Args) -> Result<String, CliError> {
         table.row(vec![
             format.name().into(),
             format!("{:.4}", out.hit_rate),
-            format!("{:.4}", out.demand_reads_per_op()),
+            format!("{:.4}", out.reads_per_op()),
             format!("{model_rpq:.4}"),
             format!("{:.1}", out.p50_ns as f64 / 1e3),
             format!("{:.1}", out.p99_ns as f64 / 1e3),

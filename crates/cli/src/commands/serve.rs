@@ -38,7 +38,7 @@ fn parse_server_config(args: &Args) -> Result<rtree_server::ServerConfig, CliErr
 
 /// Runs a bound server to completion: publishes the address, waits for a
 /// `Shutdown` frame (or the `--duration` timer), drains, and reconciles the
-/// batcher/ledger/trace counters into the final summary.
+/// batcher and trace counters into the final summary.
 fn run_server<E: rtree_server::QueryEngine>(
     handle: rtree_server::ServerHandle<E>,
     duration_s: f64,
@@ -66,13 +66,11 @@ fn run_server<E: rtree_server::QueryEngine>(
     let bstats = handle.batcher().stats();
     let counts = sink.counts();
 
-    // Three independent ledgers must agree once every worker is joined:
-    // the batcher drained everything it accepted, the I/O split sums to the
-    // physical total, and the trace event stream saw exactly those reads.
+    // Two independent ledgers must agree once every worker is joined: the
+    // batcher drained everything it accepted, and the trace event stream
+    // saw exactly the physical reads the engine counted.
     let drained = bstats.completed == bstats.submitted;
-    let ledger = stats.physical_reads == stats.demand_reads + stats.prefetch_reads;
-    let traced = counts.misses == stats.demand_reads
-        && counts.misses + counts.prefetches == stats.physical_reads;
+    let traced = counts.misses == stats.physical_reads;
 
     let per_query = |n: u64| {
         if stats.queries == 0 {
@@ -91,13 +89,7 @@ fn run_server<E: rtree_server::QueryEngine>(
         bstats.batch_sizes.mean(),
         stats.rejected,
     );
-    let _ = writeln!(
-        out,
-        "reads/query: demand {:.4} prefetch {:.4} physical {:.4}",
-        per_query(stats.demand_reads),
-        per_query(stats.prefetch_reads),
-        per_query(stats.physical_reads),
-    );
+    let _ = writeln!(out, "reads/query: {:.4}", per_query(stats.physical_reads));
     let _ = writeln!(
         out,
         "queue wait us: p50 <= {} p99 <= {}",
@@ -115,14 +107,11 @@ fn run_server<E: rtree_server::QueryEngine>(
             stats.wal_fsyncs as f64 / stats.writes as f64,
         );
     }
-    if drained && ledger && traced {
+    if drained && traced {
         let _ = writeln!(out, "reconciled: yes");
         Ok(out)
     } else {
-        let _ = writeln!(
-            out,
-            "reconciled: NO (drained {drained}, ledger {ledger}, traced {traced})"
-        );
+        let _ = writeln!(out, "reconciled: NO (drained {drained}, traced {traced})");
         Err(CliError(out))
     }
 }
@@ -286,7 +275,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         "wait-us",
         "queue",
         "workers",
-        "window",
         "writers",
         "write-threads",
         "adaptive",
@@ -296,7 +284,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     let sc = Scenario::parse(args, Defaults::seed(0x7ACE))?;
     let (cap, buffer) = (sc.cap, sc.buffer);
     let rects = read_data(&args.positional)?;
-    let window: usize = args.flag_or("window", 8usize)?;
     let sink = Arc::new(CountingSink::new());
     let trace = Arc::clone(&sink) as Arc<dyn TraceSink>;
     let opts = ServeOptions {
@@ -372,7 +359,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
                 .map_err(|e| err(format!("creating tree: {e}")))?;
             disk.set_trace_sink(Some(trace));
             serve_engine(
-                SequentialEngine::new(disk, window),
+                SequentialEngine::new(disk, 0),
                 |e, s| e.with_tree(|tree| DiskActuator(tree).apply(s)),
                 tuning,
                 opts,
@@ -496,7 +483,7 @@ pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
             "mean_ms",
             "write_p99_ms",
             "fsyncs_per_write",
-            "demand_reads_per_query",
+            "reads_per_query",
         ],
     );
     table.row(vec![
@@ -512,7 +499,7 @@ pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
         format!("{:.3}", report.mean_latency_ms()),
         format!("{:.3}", report.write_latency_ms(0.99)),
         format!("{:.4}", report.fsyncs_per_write()),
-        format!("{:.4}", report.demand_reads_per_query()),
+        format!("{:.4}", report.reads_per_query()),
     ]);
     if args.flag_bool("json") {
         Ok(table.to_json())

@@ -59,13 +59,12 @@ USAGE:
 
   rtrees batch <DATA.csv> [--loader L] [--cap N] [--buffer B] [--queries N]
                [--workload W] [--policy LRU|LRU2|FIFO|CLOCK|RANDOM] [--seed N]
-               [--window W] [--sizes S1,S2,...] [--json]
+               [--sizes S1,S2,...] [--json]
       Answers the same query stream from a cold tree at each batch size
       (default 1,4,16,64,256,1024) through the batched executor — page
-      dedup, PageId-sorted level-synchronous traversal, readahead window W
-      (default 8, 0 disables) — and reports the physical reads/query curve,
-      pool hit ratio, the fraction of page requests dedup removed, and the
-      prefetched-page count. --json emits the table as JSON.
+      dedup, PageId-sorted level-synchronous traversal — and reports the
+      physical reads/query curve, pool hit ratio, and the fraction of page
+      requests dedup removed. --json emits the table as JSON.
 
   rtrees concurrent <DATA.csv> [--loader L] [--cap N] [--buffer B] [--threads T]
                     [--shards S] [--pin P] [--queries N] [--workload W]
@@ -98,7 +97,7 @@ USAGE:
                [--seed N] [--record FILE] [--replay FILE] [--json]
       Replays one deterministic trace (Zipf-skewed, read/write mixed)
       against the page-format-v3 and compressed-v4 images of the same tree
-      at an equal frame budget, reporting hit rate, demand reads/op, the
+      at an equal frame budget, reporting hit rate, physical reads/op, the
       buffer model's predicted reads/query, latency quantiles, and
       effective OPS (misses charged --miss-ns, default ~1.9 us). --record
       saves the generated trace; --replay re-runs a recorded one
@@ -115,16 +114,16 @@ USAGE:
   rtrees serve <DATA.csv> [--addr HOST:PORT] [--port-file FILE] [--duration S]
                [--engine seq|sharded] [--shards S] [--loader L] [--cap N]
                [--buffer B] [--policy LRU|LRU2|FIFO|CLOCK|RANDOM] [--seed N]
-               [--batch N] [--wait-us U] [--queue N] [--workers N] [--window W]
+               [--batch N] [--wait-us U] [--queue N] [--workers N]
                [--adaptive] [--tune-interval MS] [--budget B]
       Builds the tree and serves it over framed TCP (default 127.0.0.1:0 =
       ephemeral; --port-file publishes the bound address). Queries funnel
       into the micro-batching scheduler: a batch closes at N queries
       (default 64) or after U microseconds (default 500), whichever comes
-      first, and runs through the batched executor with readahead window W.
-      Runs until a Shutdown frame arrives (or --duration seconds), drains,
-      and prints queries/batches, reads per query, queue-wait quantiles,
-      and whether the batcher, I/O ledger and trace counters reconcile.
+      first, and runs through the batched executor. Runs until a Shutdown
+      frame arrives (or --duration seconds), drains, and prints
+      queries/batches, physical reads per query, queue-wait quantiles, and
+      whether the batcher and trace counters reconcile.
       --adaptive runs the self-tuning controller (engines seq|sharded): a
       background tick every MS milliseconds (default 250) re-estimates the
       workload from served queries, refits the buffer model, and resizes /
@@ -138,7 +137,7 @@ USAGE:
       target aggregate rate Q (0 = closed loop), a fraction F as count
       queries. Latency is charged from each query's scheduled send time,
       so coordinated omission is not hidden. Reports sent/ok/overloaded/
-      errors, p50/p99/p999/mean latency, and server demand reads per query
+      errors, p50/p99/p999/mean latency, and server physical reads per query
       (from the server's stats delta). --zipf skews a data-driven workload
       by rank (Zipf exponent THETA: hot centers draw most queries).
       --shutdown stops the server after the run; --quick is a 200-query

@@ -1,32 +1,20 @@
-//! The level-synchronous batch executor: configuration and entry point.
-//! The walk itself lives behind [`DiskRTree::query_batch`], written once
-//! against the pager's page-access seam.
+//! The level-synchronous batch executor's entry point. The walk itself
+//! lives behind [`DiskRTree::query_batch`], written once against the
+//! pager's page-access seam.
 
 use rtree_geom::Rect;
 use rtree_pager::{BatchOutput, DiskRTree, PageStore};
 use std::io;
 
-/// Tuning knobs for a [`BatchExecutor`].
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// How many frontier pages ahead of the one being consumed the executor
-    /// keeps read-in through [`rtree_pager::BufferManager::prefetch`]. `0`
-    /// disables readahead. The window is naturally bounded by the buffer:
-    /// when every frame is pinned the manager declines
-    /// ([`rtree_pager::PrefetchOutcome::NoCapacity`]) and the executor falls
-    /// back to demand fetching until reservations free up.
-    pub prefetch_window: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { prefetch_window: 8 }
-    }
-}
+/// Has no settings. Kept only because the `rtree-perf` benchmark names it
+/// (through [`BatchExecutor::with_config`]); it goes when that benchmark's
+/// names unfreeze.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BatchConfig;
 
 /// Executes batches of rectangle queries against a [`DiskRTree`] with page
-/// dedup, `PageId`-sorted level-synchronous traversal and buffer-aware
-/// prefetch. See the crate docs for the algorithm.
+/// dedup and `PageId`-sorted level-synchronous traversal. See the crate
+/// docs for the algorithm.
 ///
 /// # Examples
 ///
@@ -59,37 +47,30 @@ impl Default for BatchConfig {
 /// assert!(out.stats.work_items <= out.stats.page_requests);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BatchExecutor {
-    config: BatchConfig,
-}
+pub struct BatchExecutor;
 
 impl BatchExecutor {
-    /// An executor with the default configuration.
+    /// An executor.
     pub fn new() -> Self {
-        BatchExecutor::default()
+        BatchExecutor
     }
 
-    /// An executor with an explicit configuration.
-    pub fn with_config(config: BatchConfig) -> Self {
-        BatchExecutor { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
+    /// The same as [`BatchExecutor::new`]; kept for `rtree-perf` (see
+    /// [`BatchConfig`]).
+    pub fn with_config(_config: BatchConfig) -> Self {
+        BatchExecutor
     }
 
     /// Runs `queries` as one batch against `tree`. Equivalent to calling
     /// [`DiskRTree::query`] per query — same result sets — but pages shared
-    /// between queries are fetched once, each level is visited in page
-    /// order, and the readahead window keeps upcoming frontier pages
-    /// resident.
+    /// between queries are fetched once and each level is visited in page
+    /// order.
     pub fn execute<S: PageStore>(
         &self,
         tree: &mut DiskRTree<S>,
         queries: &[Rect],
     ) -> io::Result<BatchOutput> {
-        tree.query_batch(queries, self.config.prefetch_window)
+        tree.query_batch(queries)
     }
 }
 
@@ -143,43 +124,12 @@ mod tests {
     fn cold_batch_reads_each_distinct_page_at_most_once() {
         let rects = sample_rects(1_500);
         let tree = BulkLoader::hilbert(10).load(&rects);
-        // Tiny buffer + readahead: the per-batch dedup (not cache capacity)
-        // must bound the reads.
+        // Tiny buffer: the per-batch dedup (not cache capacity) must bound
+        // the reads, and every work item is one pool access.
         let mut disk = DiskRTree::create(MemStore::new(), &tree, 8, ClockPolicy::new()).unwrap();
         let qs = queries(16);
         let out = BatchExecutor::new().execute(&mut disk, &qs).unwrap();
         assert!(disk.physical_reads() <= out.stats.work_items);
-        assert_eq!(
-            disk.io_stats().demand_reads() + disk.io_stats().prefetch_reads,
-            disk.physical_reads()
-        );
-    }
-
-    #[test]
-    fn prefetch_window_zero_disables_readahead() {
-        let rects = sample_rects(600);
-        let tree = BulkLoader::hilbert(10).load(&rects);
-        let mut disk = DiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
-        let out = BatchExecutor::with_config(BatchConfig { prefetch_window: 0 })
-            .execute(&mut disk, &queries(12))
-            .unwrap();
-        assert_eq!(out.stats.prefetched, 0);
-        assert_eq!(disk.io_stats().prefetch_reads, 0);
-    }
-
-    #[test]
-    fn readahead_turns_demand_misses_into_hits() {
-        let rects = sample_rects(1_200);
-        let tree = BulkLoader::hilbert(10).load(&rects);
-        let mut disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
-        let out = BatchExecutor::new()
-            .execute(&mut disk, &queries(16))
-            .unwrap();
-        assert!(out.stats.prefetched > 0, "readahead engaged");
-        assert_eq!(disk.io_stats().prefetch_reads, out.stats.prefetched);
-        // Every prefetched frame was consumed as a pool hit.
-        assert!(disk.buffer_stats().hits >= out.stats.prefetched);
-        // No reservation leaked.
         assert_eq!(disk.buffer_stats().accesses, out.stats.work_items);
     }
 

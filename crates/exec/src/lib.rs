@@ -12,14 +12,11 @@
 //!    — it is fetched and decoded once instead of k times (dedup).
 //! 2. Each level's frontier is processed in ascending `PageId` order. The
 //!    bulk-loaded layout stores each level contiguously, so the access
-//!    pattern within a level is sequential.
-//! 3. A bounded readahead window of upcoming frontier pages is filled
-//!    through [`rtree_pager::BufferManager::prefetch`]: the frames are read
-//!    early, held (pinned) until their consuming access, and charged as
-//!    physical reads but never as query misses.
-//! 4. Per-node filtering runs the [`rtree_geom::RectSoA`] rect-vs-many-rects
-//!    kernel: the node's entry rectangles in flat SoA layout tested against
-//!    each query of the work item.
+//!    pattern within a level is sequential. Each page is fetched when the
+//!    walk consumes it; nothing is read ahead.
+//! 3. Per-node filtering runs the dispatched rect kernel on the page in
+//!    place: the node's entry rectangles tested against each query of the
+//!    work item.
 //!
 //! Results are identical to running [`rtree_pager::DiskRTree::query`] per
 //! query, and — from a cold buffer — the batch never performs more physical

@@ -1,25 +1,23 @@
 //! The batch executor's two contracts, proven over arbitrary inputs:
 //!
-//! 1. **Equivalence** — for any tree, buffer size, replacement policy,
-//!    prefetch window and query batch, [`BatchExecutor`] returns exactly
+//! 1. **Equivalence** — for any tree, buffer size, replacement policy and
+//!    query batch, [`BatchExecutor`] returns exactly
 //!    the result set per query that sequential [`DiskRTree::query`] (and
 //!    the in-memory reference) returns.
 //! 2. **Cost dominance** — from a cold buffer, the batch performs at most
 //!    as many physical reads as the same queries run sequentially against
 //!    an equally cold tree. This holds for *every* policy, including
-//!    RANDOM: dedup means each distinct page is fetched once per batch
-//!    (demand fetches are decoded immediately; prefetched frames stay
-//!    pinned until consumed, so they cannot be evicted and re-read), while
-//!    the sequential run must read each distinct page at least once.
+//!    RANDOM: dedup means each distinct page is fetched once per batch,
+//!    while the sequential run must read each distinct page at least once.
 //!
-//! The accounting identities (`demand + prefetch == physical reads`,
+//! The accounting identities (`misses == physical reads`,
 //! `hits + misses == accesses`) ride along on every case.
 
 use proptest::prelude::*;
 use rtree_buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
 };
-use rtree_exec::{BatchConfig, BatchExecutor};
+use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::BulkLoader;
 use rtree_pager::{DiskRTree, MemStore};
@@ -63,15 +61,13 @@ proptest! {
         buffer in 4usize..40,
         which in 0usize..5,
         seed in 0u64..1_000,
-        window in 0usize..12,
     ) {
         let tree = BulkLoader::hilbert(cap).load(&rects);
 
         // Cold batch run.
         let mut batch_tree =
             DiskRTree::create(MemStore::new(), &tree, buffer, make_policy(which, seed)).unwrap();
-        let exec = BatchExecutor::with_config(BatchConfig { prefetch_window: window });
-        let out = exec.execute(&mut batch_tree, &queries).unwrap();
+        let out = BatchExecutor::new().execute(&mut batch_tree, &queries).unwrap();
         let batch_reads = batch_tree.physical_reads();
 
         // Equally cold sequential run under the same policy (RANDOM is
@@ -95,15 +91,13 @@ proptest! {
 
         prop_assert!(
             batch_reads <= seq_reads,
-            "policy {} window {}: batch read {} pages, sequential {}",
-            which, window, batch_reads, seq_reads
+            "policy {}: batch read {} pages, sequential {}",
+            which, batch_reads, seq_reads
         );
 
         // Accounting identities on the batch side.
-        let io = batch_tree.io_stats();
-        prop_assert_eq!(io.demand_reads() + io.prefetch_reads, batch_reads);
-        prop_assert_eq!(io.prefetch_reads, out.stats.prefetched);
         let pool = batch_tree.buffer_stats();
+        prop_assert_eq!(pool.misses, batch_reads);
         prop_assert_eq!(pool.hits + pool.misses, pool.accesses);
         prop_assert_eq!(pool.accesses, out.stats.work_items);
         // Dedup: one pool access per distinct (level-synchronous) work

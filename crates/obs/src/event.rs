@@ -12,13 +12,6 @@ pub enum EventKind {
     /// before-image read of a buffered write. Reconciles with
     /// `IoStats::reads`.
     Miss,
-    /// A physical page read issued by the batch executor's readahead: the
-    /// frame is filled (and held) ahead of the access that will consume it,
-    /// so no `Miss` is charged to any query. Together with `Miss` events it
-    /// reconciles with `IoStats::reads`
-    /// (`misses + prefetches == reads`); the prefetch-only share is also
-    /// surfaced in `IoStats::prefetch_reads`.
-    Prefetch,
     /// A physical page write: dirty eviction, flush, or write-through.
     /// Reconciles with `IoStats::writes`.
     WriteBack,
@@ -80,8 +73,6 @@ pub struct EventCounts {
     pub hits: u64,
     /// `EventKind::Miss` events.
     pub misses: u64,
-    /// `EventKind::Prefetch` events.
-    pub prefetches: u64,
     /// `EventKind::WriteBack` events.
     pub write_backs: u64,
     /// `EventKind::PeekRead` events.
@@ -100,17 +91,10 @@ impl EventCounts {
         self.hits + self.misses
     }
 
-    /// Physical page reads covered by the stream: demand misses plus
-    /// prefetch fills. Reconciles with `IoStats::reads`.
-    pub fn reads(&self) -> u64 {
-        self.misses + self.prefetches
-    }
-
     /// Every event, of any kind.
     pub fn total(&self) -> u64 {
         self.hits
             + self.misses
-            + self.prefetches
             + self.write_backs
             + self.peek_reads
             + self.wal_appends
@@ -126,7 +110,6 @@ impl EventCounts {
 pub struct CountingSink {
     hits: AtomicU64,
     misses: AtomicU64,
-    prefetches: AtomicU64,
     write_backs: AtomicU64,
     peek_reads: AtomicU64,
     wal_appends: AtomicU64,
@@ -145,7 +128,6 @@ impl CountingSink {
         EventCounts {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
             write_backs: self.write_backs.load(Ordering::Relaxed),
             peek_reads: self.peek_reads.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
@@ -160,7 +142,6 @@ impl TraceSink for CountingSink {
         let counter = match event.kind {
             EventKind::Hit => &self.hits,
             EventKind::Miss => &self.misses,
-            EventKind::Prefetch => &self.prefetches,
             EventKind::WriteBack => &self.write_backs,
             EventKind::PeekRead => &self.peek_reads,
             EventKind::WalAppend => &self.wal_appends,
@@ -180,9 +161,6 @@ pub struct LevelCounts {
     pub hits: u64,
     /// Pool misses (physical reads) at this level.
     pub misses: u64,
-    /// Prefetch fills (physical reads not charged to a query) at this
-    /// level.
-    pub prefetches: u64,
 }
 
 impl LevelCounts {
@@ -210,7 +188,6 @@ const LEVEL_SLOTS: usize = 32;
 pub struct PerLevelSink {
     hits: [AtomicU64; LEVEL_SLOTS + 1],
     misses: [AtomicU64; LEVEL_SLOTS + 1],
-    prefetches: [AtomicU64; LEVEL_SLOTS + 1],
     peek_reads: AtomicU64,
     write_backs: AtomicU64,
     wal_appends: AtomicU64,
@@ -223,7 +200,6 @@ impl Default for PerLevelSink {
         PerLevelSink {
             hits: std::array::from_fn(|_| AtomicU64::new(0)),
             misses: std::array::from_fn(|_| AtomicU64::new(0)),
-            prefetches: std::array::from_fn(|_| AtomicU64::new(0)),
             peek_reads: AtomicU64::new(0),
             write_backs: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
@@ -255,13 +231,11 @@ impl PerLevelSink {
         for i in 0..=LEVEL_SLOTS {
             let hits = self.hits[i].load(Ordering::Relaxed);
             let misses = self.misses[i].load(Ordering::Relaxed);
-            let prefetches = self.prefetches[i].load(Ordering::Relaxed);
-            if hits + misses + prefetches > 0 {
+            if hits + misses > 0 {
                 out.push(LevelCounts {
                     level: if i == LEVEL_SLOTS { -1 } else { i as i16 },
                     hits,
                     misses,
-                    prefetches,
                 });
             }
         }
@@ -282,7 +256,6 @@ impl PerLevelSink {
         for i in 0..=LEVEL_SLOTS {
             c.hits += self.hits[i].load(Ordering::Relaxed);
             c.misses += self.misses[i].load(Ordering::Relaxed);
-            c.prefetches += self.prefetches[i].load(Ordering::Relaxed);
         }
         c
     }
@@ -296,9 +269,6 @@ impl TraceSink for PerLevelSink {
             }
             EventKind::Miss => {
                 self.misses[Self::slot(event.level)].fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Prefetch => {
-                self.prefetches[Self::slot(event.level)].fetch_add(1, Ordering::Relaxed);
             }
             EventKind::PeekRead => {
                 self.peek_reads.fetch_add(1, Ordering::Relaxed);
@@ -339,7 +309,6 @@ mod tests {
         sink.record(ev(EventKind::Hit, 0));
         sink.record(ev(EventKind::Hit, 1));
         sink.record(ev(EventKind::Miss, 0));
-        sink.record(ev(EventKind::Prefetch, 0));
         sink.record(ev(EventKind::WriteBack, -1));
         sink.record(ev(EventKind::PeekRead, 2));
         sink.record(ev(EventKind::WalAppend, -1));
@@ -351,7 +320,6 @@ mod tests {
             EventCounts {
                 hits: 2,
                 misses: 1,
-                prefetches: 1,
                 write_backs: 1,
                 peek_reads: 1,
                 wal_appends: 1,
@@ -359,9 +327,8 @@ mod tests {
                 group_commit_flushes: 1,
             }
         );
-        assert_eq!(c.accesses(), 3, "prefetch is not a pool access");
-        assert_eq!(c.reads(), 2, "demand miss + prefetch fill");
-        assert_eq!(c.total(), 9);
+        assert_eq!(c.accesses(), 3);
+        assert_eq!(c.total(), 8);
     }
 
     #[test]
@@ -373,7 +340,6 @@ mod tests {
         sink.record(ev(EventKind::Miss, 0));
         sink.record(ev(EventKind::Hit, -1)); // unattributed
         sink.record(ev(EventKind::PeekRead, 2));
-        sink.record(ev(EventKind::Prefetch, 0));
         let levels = sink.level_counts();
         assert_eq!(
             levels,
@@ -382,31 +348,26 @@ mod tests {
                     level: 0,
                     hits: 0,
                     misses: 2,
-                    prefetches: 1
                 },
                 LevelCounts {
                     level: 1,
                     hits: 1,
                     misses: 0,
-                    prefetches: 0
                 },
                 LevelCounts {
                     level: 2,
                     hits: 0,
                     misses: 1,
-                    prefetches: 0
                 },
                 LevelCounts {
                     level: -1,
                     hits: 1,
                     misses: 0,
-                    prefetches: 0
                 },
             ]
         );
         let totals = sink.counts();
         assert_eq!((totals.hits, totals.misses, totals.peek_reads), (2, 3, 1));
-        assert_eq!(totals.prefetches, 1);
         assert!((levels[1].hit_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(levels[0].hit_ratio(), 0.0);
     }

@@ -30,52 +30,17 @@ pub struct IoStats {
     /// happens — it is surfaced here so no physical I/O is silently
     /// dropped from the accounting.
     pub peek_reads: u64,
-    /// The share of `reads` issued by [`BufferManager::prefetch`] rather
-    /// than a demand miss (so `prefetch_reads <= reads`, and demand misses
-    /// are `reads - prefetch_reads`). Prefetch fills are real physical
-    /// transfers — they stay inside `reads` so "physical reads" keeps
-    /// meaning every charged page-in — but no query's miss count is
-    /// inflated by them: the consuming access later lands as a hit.
+    /// Always 0: nothing reads ahead of its access any more. Kept only
+    /// because the `rtree-perf` benchmark names the field; it goes when
+    /// that benchmark's names unfreeze.
     pub prefetch_reads: u64,
 }
 
 impl IoStats {
-    /// Total physical page transfers, peeks included (`reads` already
-    /// includes prefetch fills).
+    /// Total physical page transfers, peeks included.
     pub fn total(&self) -> u64 {
         self.reads + self.writes + self.peek_reads
     }
-
-    /// Physical reads charged to demand misses (excludes prefetch fills).
-    pub fn demand_reads(&self) -> u64 {
-        self.reads - self.prefetch_reads
-    }
-}
-
-/// What [`BufferManager::prefetch`] did for a page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrefetchOutcome {
-    /// The page was read from the store into a frame and **pinned**; the
-    /// caller must [`BufferManager::unpin`] it after the consuming access.
-    Fetched,
-    /// The page was already resident: nothing was read or pinned.
-    Resident,
-    /// No frame could be reserved (every frame pinned); nothing was read.
-    /// The caller should stop issuing readahead for now.
-    NoCapacity,
-}
-
-/// Why a page is being read into a frame: decides the checksum gate, the
-/// counter and the trace event of the one page-in routine.
-#[derive(Clone, Copy, PartialEq)]
-enum PageIn {
-    /// A demand miss or the load of a pinned page.
-    Demand,
-    /// Readahead: also counted in [`IoStats::prefetch_reads`].
-    Prefetch,
-    /// The before-image of a buffered write. Unverified: an overwrite must
-    /// be able to repair a corrupt page.
-    BeforeImage,
 }
 
 /// A fresh page frame (one allocation; filled in place at page-in).
@@ -130,10 +95,10 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Enables (or disables) checksum verification of every page the
-    /// manager reads from the store on the *read* paths — demand misses,
-    /// pins, prefetch fills and scratch reads alike (before-image reads on
-    /// the buffered-write path are exempt: an overwrite must be able to
-    /// repair a corrupt page). With this on, a frame served from the pool
+    /// manager reads from the store on the *read* paths — misses, pins and
+    /// scratch reads alike (before-image reads on the buffered-write path
+    /// are exempt: an overwrite must be able to repair a corrupt page).
+    /// With this on, a frame served from the pool
     /// is known-good, so readers may skip their own checksum pass
     /// ([`crate::PageView`], [`crate::NodeSoA::decode_into_trusted`]):
     /// corruption is caught
@@ -226,21 +191,21 @@ impl<S: PageStore> BufferManager<S> {
             .expect("resident page has a frame"))
     }
 
-    /// Completes an admission the pool has just made for `id` (a miss, a
-    /// pin or a readahead reservation): retires the evicted victim, reads
-    /// the page into the frame the victim gave up (a fresh one while the
-    /// pool is filling, or when a reader still holds the victim's) and
+    /// Completes an admission the pool has just made for `id` (a miss or a
+    /// pin): retires the evicted victim, reads the page into the frame the
+    /// victim gave up (a fresh one while the pool is filling, or when a
+    /// reader still holds the victim's), checks it when `verify`, and
     /// installs it. On any error the admission is backed out, so the next
     /// access misses and re-reads instead of hitting a frameless resident
     /// entry; the frame, whatever the failed read left in it, is dropped.
-    fn page_in(&mut self, id: PageId, evicted: Option<PageId>, why: PageIn) -> io::Result<()> {
+    fn page_in(&mut self, id: PageId, evicted: Option<PageId>, verify: bool) -> io::Result<()> {
         let loaded: io::Result<Arc<[u8]>> = (|| {
             let mut frame = match evicted {
                 Some(victim) => self.retire_victim(victim)?,
                 None => zeroed_frame(),
             };
             self.store.read_page(id, exclusive(&mut frame))?;
-            if why != PageIn::BeforeImage {
+            if verify {
                 self.verify_read(id, &frame)?;
             }
             Ok(frame)
@@ -263,15 +228,8 @@ impl<S: PageStore> BufferManager<S> {
             }
         };
         self.stats.reads += 1;
-        self.stats.prefetch_reads += u64::from(why == PageIn::Prefetch);
         self.frames.insert(id, frame);
-        self.tracer.emit(
-            id,
-            match why {
-                PageIn::Prefetch => EventKind::Prefetch,
-                _ => EventKind::Miss,
-            },
-        );
+        self.tracer.emit(id, EventKind::Miss);
         Ok(())
     }
 
@@ -284,15 +242,16 @@ impl<S: PageStore> BufferManager<S> {
         Ok(())
     }
 
-    /// One charged access, going to the store only on a miss. Afterwards
-    /// the page's bytes are in its frame (`true`) or, when every frame is
-    /// pinned, in the scratch frame (`false`).
-    fn access(&mut self, id: PageId, why: PageIn) -> io::Result<bool> {
+    /// One charged access, going to the store only on a miss; a page read
+    /// in is checked when `verify`. Afterwards the page's bytes are in its
+    /// frame (`true`) or, when every frame is pinned, in the scratch frame
+    /// (`false`).
+    fn access(&mut self, id: PageId, verify: bool) -> io::Result<bool> {
         match self.pool.access(id) {
             AccessOutcome::Hit => self.tracer.emit(id, EventKind::Hit),
-            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, why)?,
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, verify)?,
             AccessOutcome::MissBypass => {
-                self.fill_scratch(id, why != PageIn::BeforeImage)?;
+                self.fill_scratch(id, verify)?;
                 self.stats.reads += 1;
                 self.tracer.emit(id, EventKind::Miss);
                 return Ok(false);
@@ -318,7 +277,7 @@ impl<S: PageStore> BufferManager<S> {
     ) -> io::Result<&Arc<[u8]>> {
         self.tracer.at_level(span, level);
         let reads = self.stats.reads;
-        let resident = self.access(id, PageIn::Demand)?;
+        let resident = self.access(id, true)?;
         span.charge(self.stats.reads != reads);
         if !resident {
             return Ok(&self.scratch);
@@ -336,35 +295,11 @@ impl<S: PageStore> BufferManager<S> {
         if was_resident {
             return Ok(());
         }
-        self.page_in(id, evicted, PageIn::Demand)
+        self.page_in(id, evicted, true)
     }
 
-    /// Reads a page ahead of its demand access. On [`PrefetchOutcome::Fetched`]
-    /// the frame is filled and **pinned** so it cannot be evicted before the
-    /// access that consumes it — the caller unpins after that access. The
-    /// transfer counts as a physical read (`IoStats::reads`, with the
-    /// prefetch share mirrored in `IoStats::prefetch_reads`) but **not** as
-    /// a pool access: no miss is charged to any query, and the later
-    /// consuming access lands as a hit. Emits `EventKind::Prefetch`
-    /// instead of a miss.
-    pub fn prefetch(&mut self, id: PageId) -> io::Result<PrefetchOutcome> {
-        if self.pool.contains(id) {
-            return Ok(PrefetchOutcome::Resident);
-        }
-        if self.pool.pinned_count() >= self.pool.capacity() {
-            return Ok(PrefetchOutcome::NoCapacity);
-        }
-        let evicted = self
-            .pool
-            .admit_pinned(id)
-            .expect("a frame is free: pinned_count < capacity was checked");
-        self.page_in(id, evicted, PageIn::Prefetch)?;
-        Ok(PrefetchOutcome::Fetched)
-    }
-
-    /// Unpins a page pinned by [`BufferManager::pin`] or
-    /// [`BufferManager::prefetch`]; it stays resident and re-enters the
-    /// replacement order as most recently used.
+    /// Unpins a page pinned by [`BufferManager::pin`]; it stays resident
+    /// and re-enters the replacement order as most recently used.
     pub fn unpin(&mut self, id: PageId) {
         self.pool.unpin(id);
     }
@@ -400,8 +335,9 @@ impl<S: PageStore> BufferManager<S> {
     /// write degrades to logged write-through via the scratch frame).
     pub fn write_buffered(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
-        // The before-image requires the current page contents.
-        if !self.access(id, PageIn::BeforeImage)? {
+        // The before-image requires the current page contents. It is read
+        // unverified: an overwrite must be able to repair a corrupt page.
+        if !self.access(id, false)? {
             if let Some(wal) = &mut self.wal {
                 wal.log_page_image(id.0, &self.scratch, data)?;
                 wal.sync()?;
@@ -799,60 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_reads_once_and_the_access_hits() {
-        let mut m = make(4, 2);
-        assert_eq!(m.prefetch(PageId(1)).unwrap(), PrefetchOutcome::Fetched);
-        let io = m.io_stats();
-        assert_eq!((io.reads, io.prefetch_reads), (1, 1));
-        assert_eq!(io.demand_reads(), 0, "no miss charged to anyone");
-        assert_eq!(m.pool().stats().accesses, 0, "prefetch is not an access");
-        // The consuming access: a hit, no further read.
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
-        m.unpin(PageId(1));
-        let io = m.io_stats();
-        assert_eq!((io.reads, io.prefetch_reads), (1, 1));
-        let s = m.pool().stats();
-        assert_eq!((s.accesses, s.hits, s.misses), (1, 1, 0));
-    }
-
-    #[test]
-    fn prefetched_page_survives_pressure_until_unpinned() {
-        let mut m = make(8, 2);
-        m.prefetch(PageId(1)).unwrap();
-        // Demand traffic fills and churns the other frame; page 1 is pinned
-        // by the readahead reservation, so it cannot be the victim.
-        for i in 2..6 {
-            m.fetch(PageId(i)).unwrap();
-        }
-        let before = m.physical_reads();
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
-        assert_eq!(m.physical_reads(), before, "reservation held the frame");
-        m.unpin(PageId(1));
-    }
-
-    #[test]
-    fn prefetch_resident_and_full_pools_are_no_ops() {
-        let mut m = make(4, 2);
-        m.fetch(PageId(1)).unwrap();
-        assert_eq!(m.prefetch(PageId(1)).unwrap(), PrefetchOutcome::Resident);
-        assert_eq!(m.io_stats().prefetch_reads, 0);
-        m.pin(PageId(0)).unwrap();
-        m.pin(PageId(2)).unwrap();
-        // Every frame pinned: readahead declines instead of erroring.
-        assert_eq!(m.prefetch(PageId(3)).unwrap(), PrefetchOutcome::NoCapacity);
-        assert_eq!(m.io_stats().prefetch_reads, 0);
-    }
-
-    #[test]
-    fn prefetch_missing_page_errors_without_reserving() {
-        let mut m = make(2, 2);
-        assert!(m.prefetch(PageId(77)).is_err());
-        assert!(!m.pool().contains(PageId(77)), "failed read left state");
-        assert_eq!(m.pool().pinned_count(), 0);
-        assert_eq!(m.io_stats().prefetch_reads, 0);
-    }
-
-    #[test]
     fn wal_logs_before_and_after_images() {
         let log = MemLog::new();
         let mut m = make(2, 2);
@@ -965,20 +847,11 @@ mod tests {
         assert_victim_kept_its_update(&mut m);
     }
 
-    #[test]
-    fn failed_write_back_on_a_prefetch_keeps_the_dirty_victim() {
-        let mut m = dirty_victim_over_a_failing_write();
-        assert!(m.prefetch(PageId(3)).is_err(), "injected fault surfaces");
-        m.unpin(PageId(3));
-        assert_victim_kept_its_update(&mut m);
-    }
-
     #[derive(Clone, Debug)]
     enum Step {
         Fetch(u64),
         Pin(u64),
         Unpin(u64),
-        Prefetch(u64),
         Write(u64, u8),
         Resize(usize),
     }
@@ -989,7 +862,6 @@ mod tests {
             id().prop_map(Step::Fetch),
             id().prop_map(Step::Pin),
             id().prop_map(Step::Unpin),
-            id().prop_map(Step::Prefetch),
             (id(), any::<u8>()).prop_map(|(id, fill)| Step::Write(id, fill)),
             (1usize..5).prop_map(Step::Resize),
         ]
@@ -1028,7 +900,6 @@ mod tests {
                     }
                     Step::Pin(id) => drop(m.pin(PageId(id))),
                     Step::Unpin(id) => m.unpin(PageId(id)),
-                    Step::Prefetch(id) => drop(m.prefetch(PageId(id))),
                     Step::Write(id, fill) => {
                         if m.write_buffered(PageId(id), &page(fill)).is_ok() {
                             shadow[id as usize] = fill;

@@ -33,7 +33,7 @@
 use crate::disk_tree::{materialize, materialize_empty};
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
 use crate::mutate::{insert_entry, remove_entry};
-use crate::page::{decode_free_page, PageError};
+use crate::page::{decode_free_page, encode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::trace::{EventKind, Span, TreeTrace};
@@ -109,11 +109,9 @@ struct WriterState {
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
     overlay: RwLock<HashMap<u64, Arc<[u8]>>>,
-    /// Session-local free list of dissolved pages, seeded at open from the
-    /// image's on-disk list (not persisted: a checkpointed meta page stores
-    /// `free_head = 0`, so pages still free at the last checkpoint leak on
-    /// reopen — a documented trade for keeping the on-disk free list out
-    /// of the latch protocol).
+    /// Session-local free list of dissolved pages (the next reused last),
+    /// seeded at open from the image's on-disk list and written back as
+    /// that list by every checkpoint.
     free: Mutex<Vec<u64>>,
     /// Group-commit write-ahead log (logical redo records).
     wal: GroupWal,
@@ -537,15 +535,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let worker = |slice: &[Rect]| -> io::Result<Vec<Vec<u64>>> {
             let mut out = BatchOutput::new(slice.len());
             let mut cursor = Cursor::new(self);
-            walk::frontier(
-                &mut cursor,
-                root,
-                level,
-                Some(&root_mbr),
-                slice,
-                0,
-                &mut out,
-            )?;
+            walk::frontier(&mut cursor, root, level, Some(&root_mbr), slice, &mut out)?;
             Ok(out.results)
         };
         if threads == 1 {
@@ -775,7 +765,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             ..Cursor::new(self)
         };
         let mut out = BatchOutput::new(queries.len());
-        walk::frontier(&mut cursor, root, level, None, queries, 0, &mut out)?;
+        walk::frontier(&mut cursor, root, level, None, queries, &mut out)?;
         Ok(out.results)
     }
 }
@@ -985,11 +975,12 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         Ok(true)
     }
 
-    /// Flushes every dirty page and the metadata to the store, fsyncs,
-    /// checkpoints (and truncates) the WAL, and clears the overlay —
-    /// under the exclusive gate, so the image is an exact snapshot of all
-    /// committed operations. Resident shard frames are refreshed in
-    /// place so read caching stays coherent after the overlay empties.
+    /// Flushes every dirty page, the free list and the metadata to the
+    /// store, fsyncs, checkpoints (and truncates) the WAL, and clears the
+    /// overlay — under the exclusive gate, so the image is an exact
+    /// snapshot of all committed operations. Resident shard frames are
+    /// refreshed in place so read caching stays coherent after the overlay
+    /// empties.
     ///
     /// A crash *during* the page flush can tear the image; recovering
     /// from that needs the physical WAL ([`crate::recover`]) and is out
@@ -1002,22 +993,28 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     pub fn checkpoint(&self) -> io::Result<()> {
         let w = self.writer_state()?;
         let _gate = w.op_gate.write();
-        let overlay: Vec<(u64, Arc<[u8]>)> = w
+        let mut pages: Vec<(u64, Arc<[u8]>)> = w
             .overlay
             .read()
             .iter()
             .map(|(id, f)| (*id, Arc::clone(f)))
             .collect();
-        for (id, frame) in &overlay {
+        // The session free list becomes the image's on-disk chain, head
+        // last, so `open_writable` reads it back in the same order.
+        let mut free_head = 0;
+        for &id in w.free.lock().iter() {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            encode_free_page(free_head, &mut buf);
+            pages.push((id, Arc::from(buf.into_boxed_slice())));
+            free_head = id;
+        }
+        for (id, frame) in &pages {
             self.store.write_page_shared(PageId(*id), frame)?;
             w.page_writes.fetch_add(1, Ordering::Relaxed);
             self.latch(PageId(*id)).refresh(PageId(*id), frame);
         }
         let mut meta = w.meta.lock().clone();
-        // The session free list is not persisted: pages still on it leak
-        // on reopen (documented trade — the on-disk free list stays out of
-        // the latch protocol).
-        meta.free_head = 0;
+        meta.free_head = free_head;
         meta.level_starts = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE];
         meta.encode(&mut buf);
@@ -1909,6 +1906,48 @@ mod tests {
         let mut all = seq.query(&Rect::new(0.0, 0.0, 2.0, 2.0)).unwrap();
         all.sort_unstable();
         assert_eq!(all, (0..id).collect::<Vec<u64>>());
+    }
+
+    /// Regression: a checkpoint stored `free_head = 0`, so the pages on the
+    /// session free list leaked, and a reopened tree grew the store again.
+    #[test]
+    fn checkpoint_persists_the_session_free_list() {
+        let tree = ConcurrentDiskRTree::create_writable(
+            MemStore::new(),
+            4,
+            2,
+            8,
+            LruPolicy::new(),
+            writer_wal(),
+        )
+        .unwrap();
+        for id in 0..120u64 {
+            tree.insert(&item_rect(id), id).unwrap();
+        }
+        for id in 0..110u64 {
+            assert!(tree.delete(&item_rect(id), id).unwrap(), "item {id}");
+        }
+        let freed = tree.writer.as_ref().unwrap().free.lock().len();
+        assert!(freed > 0, "condense should have freed pages");
+        tree.checkpoint().unwrap();
+        let pages = tree.store().page_count();
+
+        let image = MemStore::from_bytes(tree.store().snapshot());
+        let tree =
+            ConcurrentDiskRTree::open_writable(image, 8, LruPolicy::new(), writer_wal()).unwrap();
+        let free = || tree.writer.as_ref().unwrap().free.lock().len();
+        assert_eq!(free(), freed, "the free list survived the reopen");
+        let mut id = 0;
+        while free() > 0 {
+            tree.insert(&item_rect(id), id).unwrap();
+            assert_eq!(tree.store().page_count(), pages, "recycled, not grown");
+            id += 1;
+        }
+        let mut all = tree.query(&Rect::new(0.0, 0.0, 2.0, 2.0)).unwrap();
+        all.sort_unstable();
+        let mut want: Vec<u64> = (0..id).chain(110..120).collect();
+        want.sort_unstable();
+        assert_eq!(all, want);
     }
 
     #[test]

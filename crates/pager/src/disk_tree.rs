@@ -17,7 +17,7 @@ use crate::seam::{PageRead, PageWrite};
 use crate::trace::{Span, TreeTrace};
 use crate::walk::{self, BatchOutput};
 use crate::{
-    BufferManager, NodePage, PageMeta, PageStore, PageView, PrefetchOutcome, MAX_ENTRIES_PACKED,
+    BufferManager, NodePage, PageMeta, PageStore, PageView, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 use rtree_buffer::{PageId, ReplacementPolicy};
@@ -92,15 +92,6 @@ impl<S: PageStore> PageRead for Pages<'_, S> {
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
         let (id, level) = (PageId(page), level as i16);
         Ok(self.mgr.fetch_in(id, level, &mut self.span)?)
-    }
-
-    fn prefetch(&mut self, page: u64, level: u16) -> io::Result<PrefetchOutcome> {
-        self.mgr.tracer.at_level(&self.span, level as i16);
-        self.mgr.prefetch(PageId(page))
-    }
-
-    fn release(&mut self, page: u64) {
-        self.mgr.unpin(PageId(page));
     }
 }
 
@@ -390,14 +381,9 @@ impl<S: PageStore> DiskRTree<S> {
 
     /// Runs `queries` as one batch — the same result sets as
     /// [`DiskRTree::query`] per query, but level-synchronously: a page
-    /// shared between queries is fetched once, each level is visited in
-    /// page order, and up to `prefetch_window` upcoming pages of the level
-    /// are kept read-in ahead of their demand access (0 = no readahead).
-    pub fn query_batch(
-        &mut self,
-        queries: &[Rect],
-        prefetch_window: usize,
-    ) -> io::Result<BatchOutput> {
+    /// shared between queries is fetched once, when the walk consumes it,
+    /// and each level is visited in page order.
+    pub fn query_batch(&mut self, queries: &[Rect]) -> io::Result<BatchOutput> {
         let mut out = BatchOutput::new(queries.len());
         if queries.is_empty() {
             return Ok(out);
@@ -405,15 +391,7 @@ impl<S: PageStore> DiskRTree<S> {
         let (root, level) = (self.meta.root, self.meta.root_level());
         let mut pages = self.reader();
         if let Some(mbr) = pages.root_mbr()? {
-            walk::frontier(
-                &mut pages,
-                root,
-                level,
-                Some(&mbr),
-                queries,
-                prefetch_window,
-                &mut out,
-            )?;
+            walk::frontier(&mut pages, root, level, Some(&mbr), queries, &mut out)?;
         }
         Ok(out)
     }

@@ -49,7 +49,7 @@ mod store;
 mod trace;
 mod walk;
 
-pub use bufmgr::{BufferManager, IoStats, PrefetchOutcome};
+pub use bufmgr::{BufferManager, IoStats};
 pub use concurrent::ConcurrentDiskRTree;
 pub use disk_tree::DiskRTree;
 pub use fault::FaultStore;

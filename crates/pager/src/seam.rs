@@ -16,7 +16,7 @@
 //! pools behind the writer overlay, shared-latch coupling between levels,
 //! exclusive-latch crabbing for the insert descent).
 
-use crate::{NodePage, PageMeta, PageView, PrefetchOutcome};
+use crate::{NodePage, PageMeta, PageView};
 use std::io;
 
 /// The read side: charged page fetches in the order a walk asks for them.
@@ -25,17 +25,6 @@ pub(crate) trait PageRead {
     /// the access to whatever buffer sits behind the seam. The frame has
     /// passed its checksum (at page-in), so callers decode it trusted.
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]>;
-
-    /// Reads `page` ahead of its demand fetch. On
-    /// [`PrefetchOutcome::Fetched`] the caller owns a reservation it must
-    /// hand back with [`PageRead::release`] once the page is consumed (or
-    /// the walk fails). Seams without readahead decline.
-    fn prefetch(&mut self, _page: u64, _level: u16) -> io::Result<PrefetchOutcome> {
-        Ok(PrefetchOutcome::NoCapacity)
-    }
-
-    /// Hands back a reservation taken by [`PageRead::prefetch`].
-    fn release(&mut self, _page: u64) {}
 
     /// A level-synchronous walk finished a level and will visit exactly
     /// `next` (ascending) on the level below: the hook where a latching

@@ -8,7 +8,7 @@
 //! golden vectors.
 
 use crate::seam::PageRead;
-use crate::{PageView, PrefetchOutcome};
+use crate::PageView;
 use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
 use std::cmp::Ordering;
@@ -33,8 +33,6 @@ pub struct BatchStats {
     /// have made traversing alone. `page_requests - work_items` is the
     /// traffic dedup removed.
     pub page_requests: u64,
-    /// Frames filled by the readahead window.
-    pub prefetched: u64,
     /// Frontier steps executed (tree levels touched).
     pub levels: u32,
 }
@@ -91,10 +89,8 @@ pub(crate) fn region<P: PageRead>(
 
 /// Level-synchronous walk of a whole batch. The frontier maps each page to
 /// the queries that need it, so a page shared by k queries is fetched
-/// once, and each level is visited in ascending page id (sequential
-/// under the bulk-loaded layout). Up to `window` upcoming pages of the
-/// level are kept read-in through [`PageRead::prefetch`]; every reservation
-/// is handed back on consumption, and on error before it propagates.
+/// once, when the walk consumes it, and each level is visited in ascending
+/// page id (sequential under the bulk-loaded layout).
 ///
 /// Queries missing `root_mbr` never touch the buffer (`None` = all active).
 pub(crate) fn frontier<P: PageRead>(
@@ -103,7 +99,6 @@ pub(crate) fn frontier<P: PageRead>(
     root_level: u16,
     root_mbr: Option<&Rect>,
     queries: &[Rect],
-    window: usize,
     out: &mut BatchOutput,
 ) -> io::Result<()> {
     let active: Vec<u32> = (0..queries.len() as u32)
@@ -121,62 +116,29 @@ pub(crate) fn frontier<P: PageRead>(
     frontier.insert(root, active);
     let mut level = root_level;
     let mut matched: Vec<u32> = Vec::new();
-    let mut reserved: Vec<u64> = Vec::new();
-
-    let mut run = || -> io::Result<()> {
-        while !frontier.is_empty() {
-            out.stats.levels += 1;
-            let items: Vec<(u64, Vec<u32>)> = std::mem::take(&mut frontier).into_iter().collect();
-            let mut ahead = 0; // next item the readahead will consider
-            for (i, (page, qids)) in items.iter().enumerate() {
-                // `NoCapacity` pauses the window; it resumes once
-                // consumption hands reservations back.
-                while ahead < items.len() && ahead <= i + window {
-                    if ahead > i {
-                        match src.prefetch(items[ahead].0, level)? {
-                            PrefetchOutcome::NoCapacity => break,
-                            PrefetchOutcome::Resident => {}
-                            PrefetchOutcome::Fetched => {
-                                reserved.push(items[ahead].0);
-                                out.stats.prefetched += 1;
-                            }
-                        }
+    while !frontier.is_empty() {
+        out.stats.levels += 1;
+        for (page, qids) in std::mem::take(&mut frontier) {
+            let view = PageView::new(src.fetch(page, level)?, level)?;
+            out.stats.work_items += 1;
+            out.stats.page_requests += qids.len() as u64;
+            for qid in qids {
+                matched.clear();
+                view.intersecting(&queries[qid as usize], &mut matched)?;
+                for &e in &matched {
+                    let ptr = view.ptr(e as usize);
+                    if level == 0 {
+                        out.results[qid as usize].push(ptr);
+                    } else {
+                        frontier.entry(ptr).or_default().push(qid);
                     }
-                    ahead += 1;
-                }
-                let view = PageView::new(src.fetch(*page, level)?, level)?;
-                out.stats.work_items += 1;
-                out.stats.page_requests += qids.len() as u64;
-                for &qid in qids {
-                    matched.clear();
-                    view.intersecting(&queries[qid as usize], &mut matched)?;
-                    for &e in &matched {
-                        let ptr = view.ptr(e as usize);
-                        if level == 0 {
-                            out.results[qid as usize].push(ptr);
-                        } else {
-                            frontier.entry(ptr).or_default().push(qid);
-                        }
-                    }
-                }
-                // The view borrowed the seam until here; no pool operation
-                // sits between the fetch and this release either way.
-                if let Some(pos) = reserved.iter().position(|p| p == page) {
-                    reserved.swap_remove(pos);
-                    src.release(*page);
                 }
             }
-            src.level_done(frontier.keys().copied());
-            level = level.saturating_sub(1);
         }
-        Ok(())
-    };
-    let result = run();
-    debug_assert!(result.is_err() || reserved.is_empty());
-    for page in reserved {
-        src.release(page);
+        src.level_done(frontier.keys().copied());
+        level = level.saturating_sub(1);
     }
-    result
+    Ok(())
 }
 
 /// FindLeaf: the leaf below `root` holding the exact entry `(rect, item)`.
@@ -359,9 +321,6 @@ mod tests {
         fetched: Vec<u64>,
         /// Fail the n-th fetch (1-based).
         fail_at: Option<usize>,
-        readahead: bool,
-        reserved: Vec<u64>,
-        reservations_taken: usize,
         /// The page sets announced through `level_done`.
         coupled: Vec<Vec<u64>>,
     }
@@ -403,9 +362,6 @@ mod tests {
                 pages,
                 fetched: Vec::new(),
                 fail_at: None,
-                readahead: false,
-                reserved: Vec::new(),
-                reservations_taken: 0,
                 coupled: Vec::new(),
             }
         }
@@ -420,21 +376,6 @@ mod tests {
             let frame = &self.pages[&page];
             assert_eq!(NodePage::decode(frame).unwrap().level, level, "page {page}");
             Ok(frame)
-        }
-
-        fn prefetch(&mut self, page: u64, _level: u16) -> io::Result<PrefetchOutcome> {
-            if !self.readahead {
-                return Ok(PrefetchOutcome::NoCapacity);
-            }
-            self.reserved.push(page);
-            self.reservations_taken += 1;
-            Ok(PrefetchOutcome::Fetched)
-        }
-
-        fn release(&mut self, page: u64) {
-            let pos = self.reserved.iter().position(|&p| p == page);
-            self.reserved
-                .swap_remove(pos.expect("released a reservation never taken"));
         }
 
         fn level_done(&mut self, next: impl Iterator<Item = u64>) {
@@ -472,52 +413,47 @@ mod tests {
 
     #[test]
     fn frontier_order() {
-        for readahead in [false, true] {
-            let mut s = Script::new();
-            s.readahead = readahead;
-            let root_mbr = Rect::new(0.0, 0.0, 1.0, 0.2);
-            let mut out = BatchOutput::new(3);
-            frontier(&mut s, 1, 2, Some(&root_mbr), &batch(), 2, &mut out).unwrap();
-            assert_eq!(
-                s.fetched,
-                [1, 2, 3, 4, 5, 6, 7],
-                "ascending id per level, each shared page once"
-            );
-            assert_eq!(out.results[0], [40, 41, 60, 70, 71]);
-            assert_eq!(out.results[1], [40, 41, 50, 60, 61]);
-            assert!(out.results[2].is_empty());
-            let want = BatchStats {
-                queries: 3,
-                active_queries: 2,
-                work_items: 7,
-                page_requests: 2 + 4 + 6,
-                prefetched: if readahead { 4 } else { 0 },
-                levels: 3,
-            };
-            assert_eq!(out.stats, want);
-            assert_eq!(s.reservations_taken as u64, want.prefetched);
-            assert!(s.reserved.is_empty(), "every reservation handed back");
-        }
+        let mut s = Script::new();
+        let root_mbr = Rect::new(0.0, 0.0, 1.0, 0.2);
+        let mut out = BatchOutput::new(3);
+        frontier(&mut s, 1, 2, Some(&root_mbr), &batch(), &mut out).unwrap();
+        assert_eq!(
+            s.fetched,
+            [1, 2, 3, 4, 5, 6, 7],
+            "ascending id per level, each shared page once"
+        );
+        assert_eq!(s.coupled, [vec![2, 3], vec![4, 5, 6, 7], vec![]]);
+        assert_eq!(out.results[0], [40, 41, 60, 70, 71]);
+        assert_eq!(out.results[1], [40, 41, 50, 60, 61]);
+        assert!(out.results[2].is_empty());
+        let want = BatchStats {
+            queries: 3,
+            active_queries: 2,
+            work_items: 7,
+            page_requests: 2 + 4 + 6,
+            levels: 3,
+        };
+        assert_eq!(out.stats, want);
     }
 
     #[test]
     fn frontier_error_releases_reservations() {
+        // A failed fetch ends the walk there: nothing after it is read, and
+        // the seam is asked to couple only the levels that were finished.
         for k in 1..=7 {
             let mut s = Script::new();
-            s.readahead = true;
             s.fail_at = Some(k);
             let mut out = BatchOutput::new(3);
-            let err = frontier(&mut s, 1, 2, None, &batch(), 2, &mut out).unwrap_err();
+            let err = frontier(&mut s, 1, 2, None, &batch(), &mut out).unwrap_err();
             assert_eq!(err.to_string(), "scripted fault");
             assert_eq!(s.fetched, (1..k as u64).collect::<Vec<_>>());
-            assert!(s.reserved.is_empty(), "fault at fetch {k} leaked a pin");
+            let finished: &[Vec<u64>] = match k {
+                1 => &[],
+                2 | 3 => &[vec![2, 3]],
+                _ => &[vec![2, 3], vec![4, 5, 6, 7]],
+            };
+            assert_eq!(s.coupled, finished, "fault at fetch {k}");
         }
-        // The fault at fetch 4 struck with leaves 5 and 6 reserved.
-        let mut s = Script::new();
-        s.readahead = true;
-        s.fail_at = Some(4);
-        let _ = frontier(&mut s, 1, 2, None, &batch(), 2, &mut BatchOutput::new(3));
-        assert_eq!(s.reservations_taken, 3, "page 3, then leaves 5 and 6");
     }
 
     #[test]

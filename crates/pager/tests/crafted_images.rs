@@ -95,7 +95,7 @@ fn frontier_walk_refuses_a_pointer_cycle() {
     let queries = [Rect::new(0.2, 0.2, 0.4, 0.4), Rect::new(0.6, 0.1, 0.7, 0.9)];
     let got = within_timeout("query_batch", move || {
         let mut tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
-        tree.query_batch(&queries, 2).map(|out| out.results)
+        tree.query_batch(&queries).map(|out| out.results)
     });
     assert_invalid_data("query_batch", got);
     let got = within_timeout("concurrent query_batch", move || {
@@ -201,7 +201,7 @@ fn assert_every_walk_fails_every_time(what: &str, image: Vec<u8>) {
         ("query", |t, q, _| t.query(q).map(|r| r.len())),
         ("query_point", |t, _, p| t.query_point(p).map(|r| r.len())),
         ("query_batch", |t, q, _| {
-            t.query_batch(&[*q, *q], 2).map(|o| o.results.len())
+            t.query_batch(&[*q, *q]).map(|o| o.results.len())
         }),
         ("nearest_neighbors", |t, _, p| {
             t.nearest_neighbors(p, 5_000).map(|r| r.len())

@@ -96,9 +96,9 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
                         Rect::new(x + d, y, x + d + 0.04, y + 0.04)
                     })
                     .collect();
-                // No readahead, one worker: the same walk on both trees.
+                // One worker: the same walk on both trees.
                 let got = conc.query_batch(&batch, 1).unwrap();
-                assert_eq!(seq.query_batch(&batch, 0).unwrap().results, got);
+                assert_eq!(seq.query_batch(&batch).unwrap().results, got);
             }
         }
     }

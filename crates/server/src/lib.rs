@@ -28,7 +28,7 @@
 //! let disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new())?;
 //!
 //! let handle = serve(
-//!     SequentialEngine::new(disk, 8),
+//!     SequentialEngine::new(disk, 0),
 //!     "127.0.0.1:0", // port 0: the OS picks a free port
 //!     ServerConfig::default(),
 //! )?;

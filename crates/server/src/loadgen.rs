@@ -10,7 +10,7 @@
 //! harvesting hardest.
 //!
 //! Reads-per-query accounting queries the server's [`Request::Stats`]
-//! counters before and after the run, so the reported demand reads are
+//! counters before and after the run, so the reported physical reads are
 //! the server's own, not a client-side guess.
 
 use crate::server::Client;
@@ -98,8 +98,8 @@ impl LoadReport {
         self.ok as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// Server-side demand reads per completed query over the run window.
-    pub fn demand_reads_per_query(&self) -> f64 {
+    /// Server-side physical reads per completed query over the run window.
+    pub fn reads_per_query(&self) -> f64 {
         let queries = self
             .stats_after
             .queries
@@ -109,8 +109,8 @@ impl LoadReport {
         }
         let reads = self
             .stats_after
-            .demand_reads
-            .saturating_sub(self.stats_before.demand_reads);
+            .physical_reads
+            .saturating_sub(self.stats_before.physical_reads);
         reads as f64 / queries as f64
     }
 

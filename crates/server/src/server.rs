@@ -179,8 +179,6 @@ fn stats_reply<E: QueryEngine>(batcher: &MicroBatcher<E>) -> StatsReply {
         batches: s.batches,
         max_batch: s.max_batch,
         rejected: s.rejected,
-        demand_reads: io.demand_reads(),
-        prefetch_reads: io.prefetch_reads,
         physical_reads: io.reads,
         writes: w.writes,
         wal_fsyncs: w.wal_fsyncs,

@@ -354,11 +354,7 @@ pub struct StatsReply {
     pub max_batch: u64,
     /// Submissions rejected with `Overloaded` (bounded queue was full).
     pub rejected: u64,
-    /// Physical page reads charged to demand misses.
-    pub demand_reads: u64,
-    /// Physical page reads performed by the readahead window.
-    pub prefetch_reads: u64,
-    /// All physical page reads (`demand + prefetch`).
+    /// Physical page reads.
     pub physical_reads: u64,
     /// Write operations applied (inserts plus deletes that found their
     /// entry). Zero on a read-only engine.
@@ -423,8 +419,6 @@ impl Response {
                     s.batches,
                     s.max_batch,
                     s.rejected,
-                    s.demand_reads,
-                    s.prefetch_reads,
                     s.physical_reads,
                     s.writes,
                     s.wal_fsyncs,
@@ -476,18 +470,16 @@ impl Response {
                 Ok(Response::Count(get_u64(b, 1)))
             }
             TAG_STATS_REPLY => {
-                expect_len(b, 81, "stats reply is tag + ten u64")?;
+                expect_len(b, 65, "stats reply is tag + eight u64")?;
                 Ok(Response::Stats(StatsReply {
                     queries: get_u64(b, 1),
                     batches: get_u64(b, 9),
                     max_batch: get_u64(b, 17),
                     rejected: get_u64(b, 25),
-                    demand_reads: get_u64(b, 33),
-                    prefetch_reads: get_u64(b, 41),
-                    physical_reads: get_u64(b, 49),
-                    writes: get_u64(b, 57),
-                    wal_fsyncs: get_u64(b, 65),
-                    commit_batches: get_u64(b, 73),
+                    physical_reads: get_u64(b, 33),
+                    writes: get_u64(b, 41),
+                    wal_fsyncs: get_u64(b, 49),
+                    commit_batches: get_u64(b, 57),
                 }))
             }
             TAG_OVERLOADED => {
@@ -578,8 +570,6 @@ mod tests {
                 batches: 2,
                 max_batch: 3,
                 rejected: 4,
-                demand_reads: 5,
-                prefetch_reads: 6,
                 physical_reads: 11,
                 writes: 12,
                 wal_fsyncs: 3,

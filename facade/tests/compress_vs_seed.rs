@@ -10,7 +10,7 @@
 //! a qualifying leaf — and the leaf refine step removes the overshoot
 //! from the answer. What v4 buys is density: 253 internal entries per
 //! 4 KiB page instead of 102, so at equal frame budgets the buffer holds
-//! more of the tree and demand reads can only go down. Both halves are
+//! more of the tree and physical reads can only go down. Both halves are
 //! pinned here, each query test once per kernel this CPU can run (scalar,
 //! portable, avx2), in this one process.
 
@@ -135,13 +135,13 @@ fn region_queries_match_seed_across_all_policies() {
                 assert_eq!(want, got, "{kernel}, policy {name}, query {i}");
             }
             // Same answers from fewer pages: at an equal frame budget the
-            // denser format must never demand *more* reads than the seed.
+            // denser format must never need *more* reads than the seed.
             let (a, b) = (seed.io_stats(), v4.io_stats());
             assert!(
-                b.demand_reads() <= a.demand_reads(),
-                "{kernel}, policy {name}: v4 demand reads {} > seed {}",
-                b.demand_reads(),
-                a.demand_reads()
+                b.reads <= a.reads,
+                "{kernel}, policy {name}: v4 reads {} > seed {}",
+                b.reads,
+                a.reads
             );
             assert!(
                 a.reads > 0,

@@ -3,7 +3,7 @@
 //! not the flat page-stream simulator — across tree shapes × workloads ×
 //! all five replacement policies, plus the pinned variant.
 //!
-//! The measured quantity is steady-state demand reads per query from the
+//! The measured quantity is steady-state physical reads per query from the
 //! pager's `IoStats` after a model-sized warm-up. Tolerances:
 //!
 //! * **LRU / CLOCK** — the model *is* an LRU model, and CLOCK approximates
@@ -78,7 +78,7 @@ fn scattered_squares(n: usize, seed_mix: f64) -> Vec<Rect> {
         .collect()
 }
 
-/// Steady-state demand reads per query on the real disk tree: warm up
+/// Steady-state physical reads per query on the real disk tree: warm up
 /// past the model's own `N*` (bounded), reset the physical counters,
 /// then measure.
 fn measure(
@@ -107,7 +107,7 @@ fn measure(
     for _ in 0..queries {
         disk.query(&sampler.sample()).expect("query");
     }
-    disk.io_stats().demand_reads() as f64 / queries as f64
+    disk.io_stats().reads as f64 / queries as f64
 }
 
 /// The full differential matrix for one tree shape.

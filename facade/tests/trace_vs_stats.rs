@@ -9,7 +9,7 @@ use buffered_rtrees::buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
 };
 use buffered_rtrees::datagen::SyntheticRegion;
-use buffered_rtrees::exec::{BatchConfig, BatchExecutor};
+use buffered_rtrees::exec::BatchExecutor;
 use buffered_rtrees::geom::Rect;
 use buffered_rtrees::index::{BulkLoader, RTree};
 use buffered_rtrees::model::Workload;
@@ -153,11 +153,9 @@ fn ring_sink_attributes_reads_to_query_ids() {
     }
 }
 
-/// Batched execution path: with readahead in play, the reconciliation
-/// splits — Miss events cover the demand reads, Prefetch events the
-/// readahead fills, and together they equal the physical read counter.
-/// Pool accesses stay pure: a prefetch is charged only when its
-/// consuming access lands (as a Hit).
+/// Batched execution path: Miss events equal the physical read counter,
+/// and Hit + Miss events the pool's accesses, for every policy. A batch
+/// touches each page once, so the hits come from the pinned root.
 #[test]
 fn batch_trace_reconciles_with_io_stats() {
     let tree = sample_tree(2_000, 13);
@@ -165,40 +163,33 @@ fn batch_trace_reconciles_with_io_stats() {
         let mut disk = DiskRTree::create(MemStore::new(), &tree, 32, policy).unwrap();
         let sink = Arc::new(CountingSink::new());
         disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
+        disk.pin_top_levels(1).unwrap();
 
         let workload = Workload::uniform_region(0.04, 0.04);
         let mut sampler = QuerySampler::new(&workload, 4321);
         let stream: Vec<_> = (0..600).map(|_| sampler.sample()).collect();
-        let exec = BatchExecutor::with_config(BatchConfig { prefetch_window: 6 });
-        let mut prefetched = 0u64;
         for chunk in stream.chunks(32) {
-            prefetched += exec.execute(&mut disk, chunk).unwrap().stats.prefetched;
+            BatchExecutor::new().execute(&mut disk, chunk).unwrap();
         }
 
         let io = disk.io_stats();
         let pool = disk.buffer_stats();
         let c = sink.counts();
-        assert_eq!(
-            c.misses + c.prefetches,
-            io.reads,
-            "{name}: misses + prefetches vs physical reads"
-        );
-        assert_eq!(c.reads(), io.reads, "{name}: EventCounts::reads()");
-        assert_eq!(c.misses, io.demand_reads(), "{name}: demand reads");
-        assert_eq!(c.prefetches, io.prefetch_reads, "{name}: prefetch reads");
-        assert_eq!(c.prefetches, prefetched, "{name}: executor's own count");
+        assert_eq!(c.misses, io.reads, "{name}: misses vs physical reads");
         assert_eq!(c.peek_reads, io.peek_reads, "{name}: peek reads");
         assert_eq!(c.accesses(), pool.accesses, "{name}: logical accesses");
         assert_eq!(c.hits, pool.hits, "{name}: hits");
         assert_eq!(c.hits + c.misses, pool.accesses, "{name}: hits + misses");
-        assert!(c.prefetches > 0, "{name}: readahead must have engaged");
-        assert!(c.hits > 0, "{name}: consuming accesses must hit");
+        assert!(
+            c.misses > 0 && c.hits > 0,
+            "{name}: the run both missed and hit"
+        );
     }
 }
 
 /// Batch span attribution: each batch runs under one operation id; the
-/// Miss + Prefetch events carrying that id equal the batch's physical
-/// read delta, and every batch event knows its level.
+/// Miss events carrying that id equal the batch's physical read delta,
+/// and every batch event knows its level.
 #[test]
 fn batch_ring_attributes_reads_to_spans() {
     let tree = sample_tree(1_500, 31);
@@ -208,7 +199,7 @@ fn batch_ring_attributes_reads_to_spans() {
 
     let workload = Workload::uniform_region(0.05, 0.05);
     let mut sampler = QuerySampler::new(&workload, 55);
-    let exec = BatchExecutor::with_config(BatchConfig { prefetch_window: 4 });
+    let exec = BatchExecutor::new();
     let mut reads_by_span: HashMap<u64, u64> = HashMap::new();
     let mut span = 0u64;
     for _ in 0..40 {
@@ -222,13 +213,10 @@ fn batch_ring_attributes_reads_to_spans() {
     assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
     let mut read_events: HashMap<u64, u64> = HashMap::new();
     for e in sink.events() {
-        if matches!(e.kind, EventKind::Miss | EventKind::Prefetch) && e.query_id != 0 {
+        if e.kind == EventKind::Miss && e.query_id != 0 {
             *read_events.entry(e.query_id).or_default() += 1;
         }
-        if matches!(
-            e.kind,
-            EventKind::Hit | EventKind::Miss | EventKind::Prefetch
-        ) {
+        if matches!(e.kind, EventKind::Hit | EventKind::Miss) {
             assert!(e.level >= 0, "batch traversal events know their level");
         }
     }
@@ -377,8 +365,9 @@ fn no_sink_path_still_counts_reads() {
     );
 }
 
-/// The batch path's split accounting (demand + prefetch = physical) holds
-/// with no sink attached too.
+/// The batch path's read accounting (one pool access per work item, split
+/// into hits and misses, the misses being the physical reads) holds with
+/// no sink attached too.
 #[test]
 fn no_sink_batch_path_splits_read_accounting() {
     let rects = SyntheticRegion::new(1_200).generate(9);
@@ -391,9 +380,7 @@ fn no_sink_batch_path_splits_read_accounting() {
         })
         .collect();
     let out = BatchExecutor::new().execute(&mut disk, &queries).unwrap();
-    let io = disk.io_stats();
-    assert_eq!(io.demand_reads() + io.prefetch_reads, io.reads);
-    assert_eq!(io.prefetch_reads, out.stats.prefetched);
+    assert_eq!(disk.io_stats().reads, disk.buffer_stats().misses);
     assert_eq!(disk.buffer_stats().accesses, out.stats.work_items);
     assert_eq!(
         disk.buffer_stats().accesses,
