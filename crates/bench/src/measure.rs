@@ -12,7 +12,7 @@ use rtree_index::RTree;
 use rtree_obs::Histogram;
 use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use rtree_sim::QuerySampler;
-use rtree_wal::{LogBackend, MemLog, Wal};
+use rtree_wal::{GroupWal, LogBackend, MemLog};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -149,7 +149,7 @@ impl WalRun {
     ) -> io::Result<Self> {
         let log = MemLog::new();
         let mut disk = DiskRTree::create_empty(MemStore::new(), cap, min, buffer, policy)?;
-        disk.attach_wal(Wal::open(log.clone())?);
+        disk.attach_wal(GroupWal::open(log.clone())?);
         Ok(WalRun {
             disk,
             latency: Histogram::new(),

@@ -33,7 +33,7 @@ use rtree_pager::{
     StepStore,
 };
 use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
-use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, StagedLog, Wal};
+use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, StagedLog};
 use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -221,9 +221,9 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
     let mut disk = must(created, Durability, "create_empty failed before any op")?;
     let wal = match plan.fault {
         FaultPlan::LogCrash { at, torn } => {
-            Wal::open(FaultLog::new(log.clone(), switch.clone()).crash_at_append(at, torn))
+            GroupWal::open(FaultLog::new(log.clone(), switch.clone()).crash_at_append(at, torn))
         }
-        _ => Wal::open(log.clone()),
+        _ => GroupWal::open(log.clone()),
     };
     disk.attach_wal(must(wal, Durability, "WAL open failed")?);
 
@@ -939,7 +939,7 @@ fn run_accounting_phase(
     let sink = Arc::new(CountingSink::new());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
     let wal = must(
-        Wal::open(MemLog::new()),
+        GroupWal::open(MemLog::new()),
         Accounting,
         "accounting-phase WAL open failed",
     )?;

@@ -143,13 +143,16 @@ impl ChaosPlan {
 
         // 2. Fault schedule. `crash_at_write` skips the two bootstrap
         // writes of `create_empty`, which happen before the WAL attaches.
+        // The log appends once per flush or commit, so a 300-op run makes
+        // ≈ 250 appends: a log crash drawn from `1..400` lands mid-run for
+        // most seeds.
         let fault = match rng.gen_range(0..8u32) {
             0 | 1 => FaultPlan::StoreCrash {
                 at: rng.gen_range(3..400u64),
                 torn: rng.gen_bool(0.5),
             },
             2 | 3 => FaultPlan::LogCrash {
-                at: rng.gen_range(1..3000u64),
+                at: rng.gen_range(1..400u64),
                 torn: rng.gen_bool(0.5),
             },
             4 => FaultPlan::ShortAppend {

@@ -431,6 +431,43 @@ mod tests {
         assert!(run(&args("bench macrobench --miss-ns --quick")).is_err());
     }
 
+    /// Every flag a subcommand admits through `allow_flags` is documented
+    /// in that subcommand's `USAGE` block. The lists are read from the
+    /// subcommands' source, where each `pub(super) fn` is named after its
+    /// subcommand.
+    #[test]
+    fn usage_documents_every_allowed_flag() {
+        let sources = [
+            include_str!("commands/bench.rs"),
+            include_str!("commands/disk.rs"),
+            include_str!("commands/pipeline.rs"),
+            include_str!("commands/serve.rs"),
+        ];
+        let mut checked = 0;
+        for body in sources
+            .iter()
+            .flat_map(|s| s.split("pub(super) fn ").skip(1))
+        {
+            let name = &body[..body.find('(').expect("a signature")];
+            let Some(start) = body.find("allow_flags(&[") else {
+                continue;
+            };
+            let list = &body[start..start + body[start..].find("])").expect("a list")];
+            let block = crate::USAGE
+                .split("\n  rtrees ")
+                .find(|b| b.starts_with(&format!("{name} ")))
+                .unwrap_or_else(|| panic!("no USAGE block for {name}"));
+            for flag in list.split('"').skip(1).step_by(2) {
+                assert!(
+                    block.contains(&format!("--{flag}")),
+                    "USAGE for {name} omits --{flag}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 80, "only {checked} flags found");
+    }
+
     #[test]
     fn unknown_subcommand() {
         assert!(run(&args("frobnicate x")).is_err());

@@ -115,6 +115,7 @@ USAGE:
                [--engine seq|sharded] [--shards S] [--loader L] [--cap N]
                [--buffer B] [--policy LRU|LRU2|FIFO|CLOCK|RANDOM] [--seed N]
                [--batch N] [--wait-us U] [--queue N] [--workers N]
+               [--writers [--write-threads W]]
                [--adaptive] [--tune-interval MS] [--budget B]
       Builds the tree and serves it over framed TCP (default 127.0.0.1:0 =
       ephemeral; --port-file publishes the bound address). Queries funnel
@@ -124,6 +125,9 @@ USAGE:
       frame arrives (or --duration seconds), drains, and prints
       queries/batches, physical reads per query, queue-wait quantiles, and
       whether the batcher and trace counters reconcile.
+      --writers serves read-write: an empty writable tree is seeded with
+      the data set through its insert path, and each batch's writes run
+      on up to W threads (default 8) that group-commit to the WAL.
       --adaptive runs the self-tuning controller (engines seq|sharded): a
       background tick every MS milliseconds (default 250) re-estimates the
       workload from served queries, refits the buffer model, and resizes /
@@ -131,8 +135,8 @@ USAGE:
       tuning decisions are listed in the exit summary.
 
   rtrees loadgen <HOST:PORT> [--connections C] [--queries N] [--qps Q]
-                 [--workload W] [--zipf THETA] [--count-fraction F] [--seed N]
-                 [--shutdown] [--quick] [--json]
+                 [--workload W] [--zipf THETA] [--count-fraction F]
+                 [--write-fraction F] [--seed N] [--shutdown] [--quick] [--json]
       Open-loop load generator: C connections offer N queries total at a
       target aggregate rate Q (0 = closed loop), a fraction F as count
       queries. Latency is charged from each query's scheduled send time,
@@ -140,6 +144,8 @@ USAGE:
       errors, p50/p99/p999/mean latency, and server physical reads per query
       (from the server's stats delta). --zipf skews a data-driven workload
       by rank (Zipf exponent THETA: hot centers draw most queries).
+      --write-fraction sends a fraction F of the operations as inserts
+      (needs a `serve --writers` server).
       --shutdown stops the server after the run; --quick is a 200-query
       smoke preset.
 

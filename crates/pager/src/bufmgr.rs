@@ -4,14 +4,15 @@
 //! Writes are write-back ([`BufferManager::write_buffered`]): the page is
 //! updated in its frame and marked dirty; it reaches the store only on
 //! eviction, [`BufferManager::flush_all`] or [`BufferManager::checkpoint`].
-//! When a [`Wal`] is attached, every buffered write logs a full before/after
-//! page image first, and a dirty page is never written back before the log
-//! is synced — the write-ahead rule that makes crash recovery possible.
+//! When a [`GroupWal`] is attached, every buffered write stages a full
+//! before/after page image first, and a dirty page is never written back
+//! before the log is flushed — the write-ahead rule that makes crash
+//! recovery possible.
 
 use crate::trace::{EventKind, Span, Tracer};
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
-use rtree_wal::Wal;
+use rtree_wal::GroupWal;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
@@ -71,7 +72,7 @@ pub struct BufferManager<S> {
     /// Scratch frame for reads that bypass a fully pinned pool.
     scratch: Arc<[u8]>,
     stats: IoStats,
-    wal: Option<Wal>,
+    wal: Option<GroupWal>,
     /// Verify page checksums at read-in (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
@@ -122,7 +123,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Attaches a write-ahead log; from here on every buffered write is
     /// logged with before/after images and eviction enforces the WAL rule.
-    pub fn attach_wal(&mut self, wal: Wal) {
+    pub fn attach_wal(&mut self, wal: GroupWal) {
         self.wal = Some(wal);
     }
 
@@ -165,7 +166,7 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Writes a dirty page's frame to the store and clears its mark. The
-    /// caller has synced the log (the WAL rule: the records covering a page
+    /// caller has flushed the log (the WAL rule: the records covering a page
     /// must be durable before its image may overwrite the store).
     fn write_back(&mut self, id: PageId) -> io::Result<()> {
         let frame = self.frames.get(&id).expect("dirty page has a frame");
@@ -180,9 +181,7 @@ impl<S: PageStore> BufferManager<S> {
     /// frame. On an error the frame and the dirty mark are still there.
     fn retire_victim(&mut self, victim: PageId) -> io::Result<Arc<[u8]>> {
         if self.pool.is_dirty(victim) {
-            if let Some(wal) = &mut self.wal {
-                wal.sync()?;
-            }
+            self.wal.as_ref().map_or(Ok(()), GroupWal::flush)?;
             self.write_back(victim)?;
         }
         Ok(self
@@ -338,9 +337,9 @@ impl<S: PageStore> BufferManager<S> {
         // The before-image requires the current page contents. It is read
         // unverified: an overwrite must be able to repair a corrupt page.
         if !self.access(id, false)? {
-            if let Some(wal) = &mut self.wal {
+            if let Some(wal) = &self.wal {
                 wal.log_page_image(id.0, &self.scratch, data)?;
-                wal.sync()?;
+                wal.flush()?;
                 self.tracer.emit(id, EventKind::WalAppend);
             }
             self.store.write_page(id, data)?;
@@ -349,7 +348,7 @@ impl<S: PageStore> BufferManager<S> {
             return Ok(());
         }
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
-        if let Some(wal) = &mut self.wal {
+        if let Some(wal) = &self.wal {
             wal.log_page_image(id.0, frame, data)?;
             self.tracer.emit(id, EventKind::WalAppend);
         }
@@ -366,8 +365,9 @@ impl<S: PageStore> BufferManager<S> {
     /// Commits the current operation: appends a commit marker and syncs the
     /// log. No-op without a WAL.
     pub fn commit(&mut self) -> io::Result<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.log_commit()?;
+        if let Some(wal) = &self.wal {
+            // One writer: the operation's last image is the last record.
+            wal.commit(wal.next_lsn() - 1)?;
         }
         Ok(())
     }
@@ -375,9 +375,7 @@ impl<S: PageStore> BufferManager<S> {
     /// Writes every dirty page back to the store (log first) and issues the
     /// store's durability barrier.
     pub fn flush_all(&mut self) -> io::Result<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.sync()?;
-        }
+        self.wal.as_ref().map_or(Ok(()), GroupWal::flush)?;
         for id in self.pool.dirty_pages() {
             self.write_back(id)?;
         }
@@ -388,11 +386,7 @@ impl<S: PageStore> BufferManager<S> {
     /// (checkpoint record + truncation). Call only between operations.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         self.flush_all()?;
-        if let Some(wal) = &mut self.wal {
-            wal.log_checkpoint()?;
-            wal.truncate()?;
-        }
-        Ok(())
+        self.wal.as_ref().map_or(Ok(()), GroupWal::checkpoint)
     }
 
     /// The currently pinned pages, in ascending order: `unpin_all` re-enters
@@ -468,7 +462,7 @@ mod tests {
     use crate::{FaultStore, MemStore};
     use proptest::prelude::*;
     use rtree_buffer::LruPolicy;
-    use rtree_wal::{CrashSwitch, LogBackend, MemLog, Wal, WalRecord};
+    use rtree_wal::{CrashSwitch, LogBackend, MemLog, WalRecord};
 
     /// A store of `pages` pages, page `i` holding `i` in its first byte.
     fn filled_store(pages: usize) -> MemStore {
@@ -738,7 +732,7 @@ mod tests {
     fn wal_logs_before_and_after_images() {
         let log = MemLog::new();
         let mut m = make(2, 2);
-        m.attach_wal(Wal::open(log.clone()).unwrap());
+        m.attach_wal(GroupWal::open(log.clone()).unwrap());
         m.write_buffered(PageId(1), &page(0x55)).unwrap();
         m.commit().unwrap();
         let records = rtree_wal::scan(&log.read_all().unwrap()).records;
@@ -763,7 +757,7 @@ mod tests {
     fn checkpoint_flushes_and_truncates_log() {
         let log = MemLog::new();
         let mut m = make(2, 2);
-        m.attach_wal(Wal::open(log.clone()).unwrap());
+        m.attach_wal(GroupWal::open(log.clone()).unwrap());
         m.write_buffered(PageId(0), &page(0x42)).unwrap();
         m.commit().unwrap();
         m.checkpoint().unwrap();

@@ -983,8 +983,8 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// empties.
     ///
     /// A crash *during* the page flush can tear the image; recovering
-    /// from that needs the physical WAL ([`crate::recover`]) and is out
-    /// of scope for the logical writer. The pages are flushed in place
+    /// from that needs page-image records ([`crate::recover`]), which the
+    /// logical writer does not log. The pages are flushed in place
     /// and the WAL is truncated only afterwards, so a crash (or a log
     /// error) between the two leaves the *new* image under the *old* log:
     /// [`crate::replay_committed`] is idempotent over that window — an

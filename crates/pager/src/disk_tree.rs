@@ -219,8 +219,9 @@ impl<S: PageStore> DiskRTree<S> {
 
     /// Attaches a write-ahead log to the underlying buffer manager; from
     /// here on [`DiskRTree::insert`] and [`DiskRTree::delete`] are logged
-    /// and recoverable via [`crate::recover`].
-    pub fn attach_wal(&mut self, wal: rtree_wal::Wal) {
+    /// and recoverable via [`crate::recover`]; a failed log flush fails
+    /// the operation and poisons the log.
+    pub fn attach_wal(&mut self, wal: rtree_wal::GroupWal) {
         self.mgr.attach_wal(wal);
     }
 

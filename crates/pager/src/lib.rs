@@ -29,9 +29,9 @@
 //!
 //! The substrate is *writable*: [`DiskRTree::insert`] and
 //! [`DiskRTree::delete`] go through the buffer manager's write-back path,
-//! with an attached [`rtree_wal::Wal`] logging full page images so
+//! with an attached [`rtree_wal::GroupWal`] logging full page images so
 //! [`recover`] can replay a crashed tree back to its last committed state
-//! (the concurrent tree logs logical operations to a group-commit WAL and
+//! (the concurrent tree logs logical operations to the same kind of log and
 //! recovers with [`replay_committed`]). [`FaultStore`] injects torn writes,
 //! short appends and read faults to exercise exactly those paths.
 

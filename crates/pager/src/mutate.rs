@@ -251,6 +251,7 @@ mod tests {
     use crate::{MemStore, PageMeta};
     use rtree_buffer::LruPolicy;
     use rtree_index::RTreeBuilder;
+    use rtree_wal::{crc32, CrashSwitch, FaultLog, GroupWal, LogBackend, LogPoisoned, MemLog};
 
     fn rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -674,5 +675,53 @@ mod tests {
         assert_eq!(disk.physical_writes(), 0);
         disk.flush().unwrap();
         assert!(disk.physical_writes() > 0);
+    }
+    /// The page-image log is pinned byte for byte: the CRC-32 of the log
+    /// images a fixed insert/delete/checkpoint workload leaves, each read
+    /// just before a checkpoint truncates it and once at the end. Recorded
+    /// while the sequential tree still had a log front-end of its own.
+    #[test]
+    fn page_image_log_reproduces_the_recorded_bytes() {
+        let log = MemLog::new();
+        // Six frames: dirty evictions flush the log in the middle of ops.
+        let mut disk = DiskRTree::create_empty(MemStore::new(), 8, 3, 6, LruPolicy::new()).unwrap();
+        disk.attach_wal(GroupWal::open(log.clone()).unwrap());
+        let rs = rects(300);
+        let mut image = Vec::new();
+        for (i, r) in rs.iter().enumerate() {
+            disk.insert(*r, i as u64).unwrap();
+            if i % 100 == 99 {
+                image.extend(log.read_all().unwrap());
+                disk.checkpoint().unwrap();
+            }
+        }
+        for (i, r) in rs.iter().enumerate().step_by(3) {
+            assert!(disk.delete(r, i as u64).unwrap());
+        }
+        assert!(!disk.delete(&rs[0], 0).unwrap(), "a miss logs nothing");
+        image.extend(log.read_all().unwrap());
+        assert_eq!(
+            (image.len(), crc32::checksum(&image)),
+            (12_108_112, 1_112_694_129)
+        );
+    }
+
+    /// A failed fsync never acknowledges: the op whose flush fails gets the
+    /// error, and every later write gets [`LogPoisoned`] until the log is
+    /// reopened, instead of an acknowledgement resting on records whose
+    /// durability is unknown.
+    #[test]
+    fn a_failed_log_sync_fails_the_op_and_poisons_the_log() {
+        let backend = FaultLog::new(MemLog::new(), CrashSwitch::new()).fail_sync_at(1);
+        let mut disk =
+            DiskRTree::create_empty(MemStore::new(), 8, 3, 16, LruPolicy::new()).unwrap();
+        disk.attach_wal(GroupWal::open(backend).unwrap());
+        let rs = rects(2);
+        let first = disk.insert(rs[0], 0).unwrap_err();
+        assert!(first.to_string().contains("injected"), "{first}");
+        let poisoned =
+            |e: io::Error| assert!(e.get_ref().is_some_and(|e| e.is::<LogPoisoned>()), "{e}");
+        poisoned(disk.insert(rs[1], 1).unwrap_err());
+        poisoned(disk.checkpoint().unwrap_err());
     }
 }

@@ -1,14 +1,18 @@
 //! Crash recovery: replays a write-ahead log against a page store.
 //!
-//! The protocol is the classical physical redo/undo over full page images
-//! (see `rtree_wal::plan_recovery`): scan the surviving log bytes
-//! tail-tolerantly, redo every committed after-image past the last
-//! checkpoint in LSN order, then undo uncommitted before-images in reverse
-//! order. Because every buffered write logs its images *before* the store
-//! can be touched (the WAL rule enforced by [`crate::BufferManager`]), the
-//! store after a crash is always a mix of old and logged states — so
-//! rewriting full images lands it exactly on the last committed state, even
-//! when the crash tore a page write in half.
+//! Both procedures, [`recover`] for page images and [`replay_committed`]
+//! for logical ops, read the log the same way
+//! ([`rtree_wal::commit_horizon`]): scan the surviving bytes
+//! tail-tolerantly, skip everything up to the last checkpoint, and treat as
+//! committed only what a durable commit covers.
+//!
+//! [`recover`] is the classical physical redo/undo over full page images:
+//! redo every committed after-image in LSN order, then undo uncommitted
+//! before-images in reverse order. Because every buffered write logs its
+//! images *before* the store can be touched (the WAL rule enforced by
+//! [`crate::BufferManager`]), the store after a crash is always a mix of old
+//! and logged states — so rewriting full images lands it exactly on the
+//! last committed state, even when the crash tore a page write in half.
 
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::PageId;
@@ -23,7 +27,8 @@ pub struct RecoveryReport {
     pub pages_redone: usize,
     /// Uncommitted before-images rolled back.
     pub pages_undone: usize,
-    /// LSN of the last commit found in the log, if any.
+    /// Highest LSN covered by a durable `Commit`/`Checkpoint` record
+    /// (`None` when the log held neither).
     pub last_commit: Option<Lsn>,
     /// False when the log ended in a torn or corrupt record (expected after
     /// a crash mid-append; the torn tail is ignored).
@@ -38,19 +43,40 @@ pub struct RecoveryReport {
 /// flushed before returning, so a recovered tree is durable immediately.
 pub fn recover<S: PageStore>(store: &mut S, log_bytes: &[u8]) -> io::Result<RecoveryReport> {
     let scan = rtree_wal::scan(log_bytes);
-    let plan = rtree_wal::plan_recovery(&scan.records);
-    for (page_id, image) in &plan.writes {
+    let (records, horizon) = rtree_wal::commit_horizon(&scan.records);
+    let mut put = |page_id: u64, image: &[u8]| {
         debug_assert_eq!(image.len(), PAGE_SIZE);
-        while store.page_count() <= *page_id {
+        while store.page_count() <= page_id {
             store.allocate()?;
         }
-        store.write_page(PageId(*page_id), image)?;
+        store.write_page(PageId(page_id), image)
+    };
+    let mut undo = Vec::new();
+    let mut pages_redone = 0;
+    for record in records {
+        if let WalRecord::PageImage {
+            lsn,
+            page_id,
+            before,
+            after,
+        } = record
+        {
+            if horizon.is_some_and(|h| *lsn <= h) {
+                put(*page_id, after)?;
+                pages_redone += 1;
+            } else {
+                undo.push((*page_id, before));
+            }
+        }
+    }
+    for (page_id, before) in undo.iter().rev() {
+        put(*page_id, before)?;
     }
     store.flush()?;
     Ok(RecoveryReport {
-        pages_redone: plan.redone,
-        pages_undone: plan.undone,
-        last_commit: plan.last_commit,
+        pages_redone,
+        pages_undone: undo.len(),
+        last_commit: horizon,
         clean_log: scan.clean,
     })
 }
@@ -93,28 +119,16 @@ pub fn replay_committed<S: crate::ConcurrentPageStore>(
     tree: &crate::ConcurrentDiskRTree<S>,
 ) -> io::Result<ReplaySummary> {
     let scan = rtree_wal::scan(log_bytes);
-    let mut last_commit = None;
-    let mut checkpoint_at = None;
-    for (i, record) in scan.records.iter().enumerate() {
-        match record {
-            WalRecord::Commit { lsn } => last_commit = Some(*lsn),
-            WalRecord::Checkpoint { lsn } => {
-                last_commit = Some(*lsn);
-                checkpoint_at = Some(i);
-            }
-            _ => {}
-        }
-    }
+    let (records, horizon) = rtree_wal::commit_horizon(&scan.records);
     let mut summary = ReplaySummary {
-        last_commit,
+        last_commit: horizon,
         clean_log: scan.clean,
         ..ReplaySummary::default()
     };
-    let Some(horizon) = last_commit else {
+    let Some(horizon) = horizon else {
         return Ok(summary);
     };
-    let start = checkpoint_at.map_or(0, |i| i + 1);
-    for record in &scan.records[start..] {
+    for record in records {
         match record {
             WalRecord::OpInsert { lsn, rect, item } if *lsn <= horizon => {
                 let rect = Rect::new(rect[0], rect[1], rect[2], rect[3]);
@@ -138,7 +152,7 @@ mod tests {
     use super::*;
     use crate::{BufferManager, MemStore};
     use rtree_buffer::LruPolicy;
-    use rtree_wal::{LogBackend, MemLog, Wal};
+    use rtree_wal::{GroupWal, LogBackend, MemLog};
 
     fn page(fill: u8) -> Vec<u8> {
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -159,7 +173,7 @@ mod tests {
     fn committed_writes_are_redone() {
         let log = MemLog::new();
         let mut m = BufferManager::new(store_with_pages(3), 8, LruPolicy::new());
-        m.attach_wal(Wal::open(log.clone()).unwrap());
+        m.attach_wal(GroupWal::open(log.clone()).unwrap());
         m.write_buffered(PageId(1), &page(0xAA)).unwrap();
         m.commit().unwrap();
         // Crash before any write-back: the store still has the old image.
@@ -176,7 +190,7 @@ mod tests {
     fn uncommitted_writes_are_undone() {
         let log = MemLog::new();
         let mut m = BufferManager::new(store_with_pages(3), 2, LruPolicy::new());
-        m.attach_wal(Wal::open(log.clone()).unwrap());
+        m.attach_wal(GroupWal::open(log.clone()).unwrap());
         m.write_buffered(PageId(1), &page(0xAA)).unwrap();
         m.commit().unwrap();
         // Second op: logged, partially written back (eviction), never
@@ -194,12 +208,32 @@ mod tests {
         assert_eq!(buf[0], 0xAA, "committed write preserved");
     }
 
+    /// Two uncommitted images of one page: undo must run newest first, so
+    /// the page ends on the older before-image.
+    #[test]
+    fn undo_runs_in_reverse_lsn_order() {
+        let log = MemLog::new();
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_page_image(1, &page(1), &page(0xAA)).unwrap();
+        wal.commit(lsn).unwrap();
+        wal.log_page_image(1, &page(0xAA), &page(0xBB)).unwrap();
+        wal.log_page_image(1, &page(0xBB), &page(0xCC)).unwrap();
+        wal.flush().unwrap();
+        let mut store = store_with_pages(3);
+        let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
+        assert_eq!((report.pages_redone, report.pages_undone), (1, 2));
+        assert_eq!(report.last_commit, Some(2));
+        let mut buf = vec![0u8; PAGE_SIZE];
+        store.read_page(PageId(1), &mut buf).unwrap();
+        assert_eq!(buf[0], 0xAA, "the committed image, not an undone one");
+    }
+
     #[test]
     fn missing_pages_are_allocated() {
         let log = MemLog::new();
-        let mut wal = Wal::open(log.clone()).unwrap();
-        wal.log_page_image(5, &page(0), &page(0x5A)).unwrap();
-        wal.log_commit().unwrap();
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_page_image(5, &page(0), &page(0x5A)).unwrap();
+        wal.commit(lsn).unwrap();
         let mut store = store_with_pages(2);
         recover(&mut store, &log.read_all().unwrap()).unwrap();
         assert_eq!(store.page_count(), 6);
@@ -211,11 +245,11 @@ mod tests {
     #[test]
     fn torn_log_tail_is_tolerated() {
         let log = MemLog::new();
-        let mut wal = Wal::open(log.clone()).unwrap();
-        wal.log_page_image(1, &page(1), &page(0xAA)).unwrap();
-        wal.log_commit().unwrap();
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_page_image(1, &page(1), &page(0xAA)).unwrap();
+        wal.commit(lsn).unwrap();
         wal.log_page_image(2, &page(2), &page(0xBB)).unwrap();
-        wal.sync().unwrap();
+        wal.flush().unwrap();
         let mut bytes = log.read_all().unwrap();
         bytes.truncate(bytes.len() - 7); // tear the last record
         let mut store = store_with_pages(3);

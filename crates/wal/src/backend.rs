@@ -15,7 +15,7 @@ pub trait LogBackend: Send {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Durability barrier: everything appended so far survives a crash.
     fn sync(&mut self) -> io::Result<()>;
-    /// Reads the entire log image (used by recovery and by `Wal::open`).
+    /// Reads the entire log image (used by recovery and by `GroupWal::open`).
     fn read_all(&self) -> io::Result<Vec<u8>>;
     /// Discards the log contents (after a checkpoint made them redundant).
     fn truncate(&mut self) -> io::Result<()>;
@@ -24,16 +24,6 @@ pub trait LogBackend: Send {
     /// True when the log holds no bytes.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Appends several byte slices as one batch. The default loops over
-    /// [`LogBackend::append`]; backends with a cheaper bulk path (one
-    /// syscall, one staging move) override it. Group commit uses this seam
-    /// so a leader can land a whole batch before its single sync.
-    fn append_batch(&mut self, parts: &[&[u8]]) -> io::Result<()> {
-        for part in parts {
-            self.append(part)?;
-        }
-        Ok(())
     }
 }
 
@@ -73,7 +63,7 @@ impl CrashSwitch {
 }
 
 /// In-memory log. Cloning shares the underlying buffer, so a test can keep a
-/// handle to the bytes while the `Wal` that owns the other clone "crashes".
+/// handle to the bytes while the log that owns the other clone "crashes".
 #[derive(Clone, Default)]
 pub struct MemLog {
     data: Arc<Mutex<Vec<u8>>>,
@@ -184,6 +174,7 @@ impl LogBackend for FileLog {
 /// Fault-injecting wrapper: crashes the log after a chosen number of appends,
 /// optionally tearing the final append short, and fails every operation once
 /// the shared [`CrashSwitch`] is tripped (by this wrapper or anyone else).
+/// It can also fail one sync without a crash.
 pub struct FaultLog<B: LogBackend> {
     inner: B,
     switch: CrashSwitch,
@@ -191,7 +182,10 @@ pub struct FaultLog<B: LogBackend> {
     crash_at_append: Option<u64>,
     /// On the crashing append, write roughly half the bytes first.
     torn_tail: bool,
+    /// Fail the n-th `sync` (1-based) without tripping the switch.
+    fail_sync_at: Option<u64>,
     appends: u64,
+    syncs: u64,
 }
 
 impl<B: LogBackend> FaultLog<B> {
@@ -202,7 +196,9 @@ impl<B: LogBackend> FaultLog<B> {
             switch,
             crash_at_append: None,
             torn_tail: false,
+            fail_sync_at: None,
             appends: 0,
+            syncs: 0,
         }
     }
 
@@ -211,6 +207,14 @@ impl<B: LogBackend> FaultLog<B> {
     pub fn crash_at_append(mut self, n: u64, torn: bool) -> Self {
         self.crash_at_append = Some(n);
         self.torn_tail = torn;
+        self
+    }
+
+    /// Fails the `n`-th sync (1-based) with an I/O error, as an fsync that
+    /// reports EIO does: the appended bytes stay, their durability unknown.
+    /// Transient; not a crash.
+    pub fn fail_sync_at(mut self, n: u64) -> Self {
+        self.fail_sync_at = Some(n);
         self
     }
 
@@ -239,6 +243,10 @@ impl<B: LogBackend> LogBackend for FaultLog<B> {
     fn sync(&mut self) -> io::Result<()> {
         if self.switch.is_tripped() {
             return Err(CrashSwitch::error());
+        }
+        self.syncs += 1;
+        if self.fail_sync_at == Some(self.syncs) {
+            return Err(io::Error::other("injected fsync failure"));
         }
         self.inner.sync()
     }
@@ -403,13 +411,6 @@ mod tests {
         assert!(log.append(b"dddd").is_err());
         assert!(log.sync().is_err());
         assert!(log.truncate().is_err());
-    }
-
-    #[test]
-    fn append_batch_default_appends_in_order() {
-        let mut log = MemLog::new();
-        log.append_batch(&[b"one", b"-", b"two"]).unwrap();
-        assert_eq!(log.read_all().unwrap(), b"one-two");
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Group commit: many writers, one fsync.
 //!
-//! [`GroupWal`] is the shared, thread-safe log front-end for the concurrent
-//! tree's *logical* WAL (op records, [`crate::WalRecord::OpInsert`] /
-//! [`crate::WalRecord::OpDelete`]). Writers append their op record and then
-//! call [`GroupWal::commit`]. Appends land in an in-memory **log buffer**
-//! under a short critical section; the durability barrier runs with that
-//! mutex *released*, so new appends keep flowing while the leader syncs —
-//! that overlap is the whole amortization:
+//! [`GroupWal`] is the workspace's one log front-end, shared and
+//! thread-safe. It carries both record families (see the crate docs): the
+//! concurrent tree's *logical* op records ([`crate::WalRecord::OpInsert`] /
+//! [`crate::WalRecord::OpDelete`]) and the sequential tree's *physical*
+//! page images ([`crate::WalRecord::PageImage`]), under one LSN sequence and
+//! one commit, flush and poison protocol. Writers stage their records and
+//! then call [`GroupWal::commit`]. Staging lands in an in-memory **log
+//! buffer** under a short critical section; the durability barrier runs
+//! with that mutex *released*, so new appends keep flowing while the leader
+//! syncs — that overlap is the whole amortization:
 //!
 //! ```text
 //!   writer A ── stage op ──┐
@@ -30,7 +33,9 @@
 //! Durable`: a caller whose lsn is already covered returns immediately
 //! (follower); otherwise it leads one batch covering *every* record staged
 //! so far — its own and all concurrently appended ops — with a single
-//! durability barrier for the whole batch.
+//! durability barrier for the whole batch. [`GroupWal::flush`] runs the
+//! same barrier without a `Commit`: the write-back pool's rule that a dirty
+//! page's images are durable before the page overwrites the store.
 //!
 //! Crash semantics of the buffer: staged-but-unflushed records live only in
 //! memory, exactly like appended-but-unsynced bytes in a volatile file
@@ -38,8 +43,8 @@
 //! acknowledged durable before its covering commit's fsync returns. A
 //! failed `append`, `sync` or `truncate` poisons the log (after a failed
 //! fsync the kernel may have dropped the very pages it was to write): the
-//! leader returns the backend's error, and every later call returns
-//! [`LogPoisoned`] until the log is reopened and replayed.
+//! flushing call returns the backend's error, and every later call returns
+//! [`LogPoisoned`] until the log is reopened and recovered.
 //!
 //! Checkpoint ordering is correct by construction: [`GroupWal::checkpoint`]
 //! excludes concurrent syncs via the same leader token, first commits any
@@ -129,6 +134,21 @@ impl GroupState {
         }
         Ok(())
     }
+
+    /// Stages the record `make` builds at the next LSN; returns that LSN.
+    fn push(&mut self, make: impl FnOnce(Lsn) -> WalRecord) -> Lsn {
+        let lsn = self.next_lsn;
+        self.staged.extend_from_slice(&make(lsn).encode());
+        self.next_lsn += 1;
+        lsn
+    }
+
+    /// Counts one durable `Commit` record covering `covered` op records.
+    fn count_commit(&mut self, covered: u64) {
+        self.stats.commit_batches += 1;
+        self.stats.committed_ops += covered;
+        self.stats.max_batch = self.stats.max_batch.max(covered);
+    }
 }
 
 impl GroupWal {
@@ -182,12 +202,22 @@ impl GroupWal {
     fn log_op(&self, make: impl FnOnce(Lsn) -> WalRecord) -> io::Result<Lsn> {
         let mut s = lock(&self.inner.state);
         s.check_poisoned()?;
-        let lsn = s.next_lsn;
-        let record = make(lsn);
-        s.staged.extend_from_slice(&record.encode());
-        s.next_lsn += 1;
         s.pending_ops += 1;
-        Ok(lsn)
+        Ok(s.push(make))
+    }
+
+    /// Appends a physical page-image record (not yet durable) and returns
+    /// its LSN. A commit covers it but does not count it: it is part of an
+    /// operation, not one.
+    pub fn log_page_image(&self, page_id: u64, before: &[u8], after: &[u8]) -> io::Result<Lsn> {
+        let mut s = lock(&self.inner.state);
+        s.check_poisoned()?;
+        Ok(s.push(|lsn| WalRecord::PageImage {
+            lsn,
+            page_id,
+            before: before.to_vec(),
+            after: after.to_vec(),
+        }))
     }
 
     /// Blocks until no sync is in flight, then returns the guard. The
@@ -205,9 +235,10 @@ impl GroupWal {
         Ok(s)
     }
 
-    /// Makes the record at `lsn` durable, returning the size in operations
-    /// of the batch this call led (appended the `Commit` record, performed
-    /// the fsync), or 0 when a concurrent leader already covered it.
+    /// Makes the record at `lsn` durable, returning the number of op records
+    /// in the batch this call led (appended the `Commit` record, performed
+    /// the fsync): 0 when a concurrent leader already covered `lsn`, or
+    /// when the batch held page images only.
     pub fn commit(&self, lsn: Lsn) -> io::Result<u64> {
         let mut s = lock(&self.inner.state);
         loop {
@@ -230,12 +261,12 @@ impl GroupWal {
         self.lead(s)
     }
 
-    /// Leads one commit batch: stages the `Commit` record, takes the
-    /// buffer, and performs the flush + durability barrier with the state
-    /// lock released so concurrent appends keep staging. Called with the
-    /// state lock held and no sync in flight. The leader first holds the
-    /// token for the configured commit delay (lock released) so the rest of
-    /// a write burst stages before the batch closes. Returns the batch size.
+    /// Leads one commit batch: stages the `Commit` record and flushes the
+    /// buffer with the state lock released, so concurrent appends keep
+    /// staging. Called with the state lock held and no sync in flight. The
+    /// leader first holds the token for the configured commit delay (lock
+    /// released) so the rest of a write burst stages before the batch
+    /// closes. Returns the batch size.
     fn lead<'a>(&'a self, mut s: MutexGuard<'a, GroupState>) -> io::Result<u64> {
         s.syncing = true;
         let us = self.inner.commit_delay_us.load(Ordering::Relaxed);
@@ -244,35 +275,62 @@ impl GroupWal {
             std::thread::sleep(Duration::from_micros(us));
             s = lock(&self.inner.state);
         }
-        let commit_lsn = s.next_lsn;
-        s.staged
-            .extend_from_slice(&WalRecord::Commit { lsn: commit_lsn }.encode());
-        s.next_lsn += 1;
-        let bytes = mem::take(&mut s.staged);
-        let covered = s.pending_ops;
-        s.pending_ops = 0;
-        drop(s);
+        let commit_lsn = s.push(|lsn| WalRecord::Commit { lsn });
+        let covered = mem::take(&mut s.pending_ops);
+        self.write_out(s, false, |s| {
+            s.durable_lsn = commit_lsn;
+            s.count_commit(covered);
+        })?;
+        Ok(covered)
+    }
 
+    /// Makes every staged record durable (one append, one sync) without a
+    /// `Commit`: the records stay uncommitted and `durable_lsn` does not
+    /// move. A write-back pool calls this before a dirty page may overwrite
+    /// the store. A failure poisons the log, as a failed commit does.
+    pub fn flush(&self) -> io::Result<()> {
+        let s = self.wait_not_syncing()?;
+        if s.staged.is_empty() {
+            return Ok(());
+        }
+        self.write_out(s, false, |_| {})
+    }
+
+    /// The one flush path. Called with the state lock held and no sync in
+    /// flight: takes the leader token (`syncing`) and the staged buffer,
+    /// then with the state lock released appends it, syncs, and for a
+    /// checkpoint truncates. Success counts the fsync and runs `done` under
+    /// the state lock; failure poisons the log. Either way the token is
+    /// handed back and every waiter woken, so after an error each of them
+    /// finds the log poisoned.
+    fn write_out<'a>(
+        &'a self,
+        mut s: MutexGuard<'a, GroupState>,
+        truncate: bool,
+        done: impl FnOnce(&mut GroupState),
+    ) -> io::Result<()> {
+        s.syncing = true;
+        let bytes = mem::take(&mut s.staged);
+        drop(s);
         let flushed = {
             let mut b = lock(&self.inner.backend);
-            b.append(&bytes).and_then(|()| b.sync())
+            let synced = b.append(&bytes).and_then(|()| b.sync());
+            if truncate {
+                synced.and_then(|()| b.truncate())
+            } else {
+                synced
+            }
         };
-
         let mut s = lock(&self.inner.state);
         s.syncing = false;
         s.poisoned = flushed.is_err();
         if flushed.is_ok() {
-            s.durable_lsn = commit_lsn;
             s.stats.fsyncs += 1;
-            s.stats.commit_batches += 1;
-            s.stats.committed_ops += covered;
-            s.stats.max_batch = s.stats.max_batch.max(covered);
+            done(&mut s);
         }
         drop(s);
-        // Wake followers and would-be leaders in both outcomes; after an
-        // error each of them finds the log poisoned.
         self.inner.synced.notify_all();
-        flushed.map(|()| covered)
+        flushed
     }
 
     /// Commits any staged appends, writes a checkpoint record, syncs, and
@@ -286,44 +344,17 @@ impl GroupWal {
     /// it — their LSNs are beyond the checkpoint's.
     pub fn checkpoint(&self) -> io::Result<()> {
         let mut s = self.wait_not_syncing()?;
-        s.syncing = true;
-        let covered = s.pending_ops;
+        let covered = mem::take(&mut s.pending_ops);
         if covered > 0 {
-            let lsn = s.next_lsn;
-            s.staged
-                .extend_from_slice(&WalRecord::Commit { lsn }.encode());
-            s.next_lsn += 1;
-            s.pending_ops = 0;
+            s.push(|lsn| WalRecord::Commit { lsn });
         }
-        let ck_lsn = s.next_lsn;
-        s.staged
-            .extend_from_slice(&WalRecord::Checkpoint { lsn: ck_lsn }.encode());
-        s.next_lsn += 1;
-        let bytes = mem::take(&mut s.staged);
-        drop(s);
-
-        let flushed = {
-            let mut b = lock(&self.inner.backend);
-            b.append(&bytes)
-                .and_then(|()| b.sync())
-                .and_then(|()| b.truncate())
-        };
-
-        let mut s = lock(&self.inner.state);
-        s.syncing = false;
-        s.poisoned = flushed.is_err();
-        if flushed.is_ok() {
+        let ck_lsn = s.push(|lsn| WalRecord::Checkpoint { lsn });
+        self.write_out(s, true, |s| {
             s.durable_lsn = ck_lsn;
-            s.stats.fsyncs += 1;
             if covered > 0 {
-                s.stats.commit_batches += 1;
-                s.stats.committed_ops += covered;
-                s.stats.max_batch = s.stats.max_batch.max(covered);
+                s.count_commit(covered);
             }
-        }
-        drop(s);
-        self.inner.synced.notify_all();
-        flushed
+        })
     }
 
     /// Counter snapshot.
@@ -366,7 +397,7 @@ impl GroupWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scan, MemLog, StagedLog};
+    use crate::{scan, CrashSwitch, FaultLog, MemLog, StagedLog};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
@@ -503,42 +534,11 @@ mod tests {
         let _ = l1;
     }
 
-    /// A log whose first `sync` fails (an fsync error, e.g. EIO on
-    /// writeback); every other call reaches the shared [`MemLog`].
-    struct FirstSyncFails {
-        log: MemLog,
-        failed: bool,
-    }
-
-    impl LogBackend for FirstSyncFails {
-        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-            self.log.append(bytes)
-        }
-        fn sync(&mut self) -> io::Result<()> {
-            if !mem::replace(&mut self.failed, true) {
-                return Err(io::Error::other("injected fsync failure"));
-            }
-            self.log.sync()
-        }
-        fn read_all(&self) -> io::Result<Vec<u8>> {
-            self.log.read_all()
-        }
-        fn truncate(&mut self) -> io::Result<()> {
-            self.log.truncate()
-        }
-        fn len(&self) -> u64 {
-            self.log.len()
-        }
-    }
-
     #[test]
     fn a_failed_sync_poisons_the_log_instead_of_writing_the_batch_twice() {
         let log = MemLog::new();
-        let wal = GroupWal::open(FirstSyncFails {
-            log: log.clone(),
-            failed: false,
-        })
-        .unwrap();
+        let backend = FaultLog::new(log.clone(), CrashSwitch::new()).fail_sync_at(1);
+        let wal = GroupWal::open(backend).unwrap();
         let lsn = wal.log_insert(rect(7), 7).unwrap();
         let first = wal.commit(lsn).unwrap_err();
         assert!(first.to_string().contains("injected"), "{first}");
@@ -550,7 +550,9 @@ mod tests {
             assert!(e.get_ref().is_some_and(|e| e.is::<LogPoisoned>()), "{e}");
         };
         poisoned(wal.log_insert(rect(8), 8).map(drop));
+        poisoned(wal.log_page_image(1, &[0; 8], &[1; 8]).map(drop));
         poisoned(wal.commit(lsn).map(drop));
+        poisoned(wal.flush());
         poisoned(wal.checkpoint());
 
         // The log holds the failed batch once, in strictly rising LSNs.

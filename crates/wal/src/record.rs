@@ -23,10 +23,10 @@
 //! kind 5 (OpDelete):   1B kind | 8B lsn | 4×8B rect (lo.x lo.y hi.x hi.y) | 8B item
 //! ```
 //!
-//! Kinds 1–3 are the physical protocol of the sequential tree's WAL; kinds
-//! 4–5 are *logical* redo records used by the concurrent tree's group-commit
-//! log, where dirty pages never reach the store before a checkpoint and
-//! recovery re-applies committed operations instead of page images.
+//! One log, two record families: kind 1 is the sequential tree's
+//! *physical* page images (redone or undone by recovery), kinds 4–5 the
+//! concurrent tree's *logical* ops (re-applied by recovery). Kinds 2–3, the
+//! commit and checkpoint markers, close either family.
 
 use crate::crc32;
 

@@ -16,7 +16,7 @@ use buffered_rtrees::model::Workload;
 use buffered_rtrees::obs::{CountingSink, EventKind, RingSink, TraceSink};
 use buffered_rtrees::pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use buffered_rtrees::sim::QuerySampler;
-use buffered_rtrees::wal::{MemLog, Wal};
+use buffered_rtrees::wal::{GroupWal, MemLog};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ fn write_path_trace_reconciles_with_io_stats() {
         let mut disk = DiskRTree::create_empty(MemStore::new(), 12, 5, 16, policy).unwrap();
         let sink = Arc::new(CountingSink::new());
         disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
-        disk.attach_wal(Wal::open(MemLog::new()).unwrap());
+        disk.attach_wal(GroupWal::open(MemLog::new()).unwrap());
 
         for (i, r) in rects.iter().enumerate() {
             disk.insert(*r, i as u64).unwrap();
