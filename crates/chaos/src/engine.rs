@@ -10,8 +10,9 @@
 //! * **Durability** — after the simulated reboot, `recover` must restore
 //!   exactly the committed prefix: item counts and query results match the
 //!   reference, nothing more and nothing less. The mutator phase then
-//!   crashes a *writable* concurrent tree without a checkpoint and demands
-//!   that logical replay restores every group-committed mutation.
+//!   crashes a *writable* concurrent tree — for half the seeds inside a
+//!   checkpoint — and demands that `recover` plus logical replay restore
+//!   every group-committed mutation.
 //! * **Accounting** — the trace event stream must reconcile with the
 //!   counters the buffer manager keeps anyway (`IoStats`, `BufferStats`),
 //!   on both the sequential and the sharded concurrent path.
@@ -82,6 +83,8 @@ pub struct ChaosReport {
     pub crashed: bool,
     /// The fault schedule the seed generated.
     pub fault: FaultPlan,
+    /// The crash the mutator phase's checkpoint took, if it fired.
+    pub checkpoint_crash: Option<FaultPlan>,
     /// Items in the reference tree at the end of the committed prefix.
     pub committed_items: u64,
     /// Query results compared across all phases.
@@ -186,6 +189,7 @@ pub fn run_plan(plan: &ChaosPlan, plant: bool) -> ChaosReport {
         ops_executed: 0,
         crashed: false,
         fault: plan.fault,
+        checkpoint_crash: None,
         committed_items: 0,
         queries_checked: 0,
         failures: Vec::new(),
@@ -475,11 +479,11 @@ enum MutOp {
 ///   order-independent: exactly the recovered reference plus each thread's
 ///   surviving inserts. Every probe query must agree with that set, from
 ///   the live tree and again after recovery.
-/// * **Durability** — the tree is then dropped *without* a checkpoint (the
-///   crash), and [`replay_committed`] rebuilds it from the recovered image
-///   plus the bytes that reached the durable medium. Every mutation
-///   acknowledged before the crash rode a group-committed batch whose
-///   leader fsynced, so recovery must restore all of them.
+/// * **Durability** — the tree then crashes, for half the seeds on one of
+///   a checkpoint's first page writes, and restarts the way both trees do:
+///   [`recover`] from the durable log, open, [`replay_committed`]. Every
+///   mutation acknowledged before the crash rode a group-committed batch
+///   whose leader fsynced, so recovery must restore all of them.
 fn run_mutator_phase(
     plan: &ChaosPlan,
     store: &mut MemStore,
@@ -497,16 +501,6 @@ fn run_mutator_phase(
     let durable = MemLog::new();
     let wal = GroupWal::open(StagedLog::new(durable.clone()));
     let wal = must(wal, Durability, "mutator-phase WAL open failed")?;
-    let capacity = plan.buffer_capacity.max(8);
-    let tree = ConcurrentDiskRTree::open_writable(
-        MemStore::from_bytes(image.clone()),
-        capacity,
-        plan.policy.build(plan.policy_seed),
-        wal.clone(),
-    );
-    let what = "opening writable tree for mutator phase failed";
-    let tree = must(tree, Differential, what)?;
-
     // Pre-generate each thread's program. Id space: bit 41 set, thread in
     // the next byte — disjoint from phase-1 ids and from each other.
     let mut rng = StdRng::seed_from_u64(plan.seed ^ 0xC4AB_C0DE_5EED_D00Du64);
@@ -555,6 +549,20 @@ fn run_mutator_phase(
         })
         .collect();
     let total_ops: usize = programs.iter().map(Vec::len).sum();
+    // Drawn after the programs, which it leaves as they were.
+    let crash = rng.gen_bool(0.5).then(|| FaultPlan::StoreCrash {
+        at: rng.gen_range(1..=24u64),
+        torn: rng.gen_bool(0.5),
+    });
+    let mut store = FaultStore::new(MemStore::from_bytes(image), CrashSwitch::new());
+    if let Some(FaultPlan::StoreCrash { at, torn }) = crash {
+        store = store.crash_at_write(at, torn);
+    }
+    let capacity = plan.buffer_capacity.max(8);
+    let policy = || plan.policy.build(plan.policy_seed);
+    let tree = ConcurrentDiskRTree::open_writable(store, capacity, policy(), wal.clone());
+    let what = "opening writable tree for mutator phase failed";
+    let tree = must(tree, Differential, what)?;
 
     // Mutators and readers interleave freely; errors are oracle failures,
     // reader *results* are unverifiable mid-mutation and only checked for
@@ -642,42 +650,37 @@ fn run_mutator_phase(
         report.fail(Durability, detail);
     }
 
-    // ...then crash without a checkpoint and replay the committed log onto
-    // the pre-mutation image.
+    // ...then crash, inside a checkpoint or without one, and restart: the
+    // surviving store, recovered from the durable log, replays it.
+    let mut replays = total_ops as u64;
+    if crash.is_some() {
+        match tree.checkpoint() {
+            Ok(()) => replays = 0,
+            Err(_) if tree.store().switch().is_tripped() => report.checkpoint_crash = crash,
+            Err(e) => report.fail(Durability, format!("mutator checkpoint failed: {e}")),
+        }
+    }
+    let mut store = MemStore::from_bytes(tree.store().inner().snapshot());
     drop(tree);
     let survived = durable.read_all();
     let survived = must(survived, Durability, "reading surviving mutator log failed")?;
-    let wal = must(
-        GroupWal::open(MemLog::new()),
-        Durability,
-        "post-crash WAL open failed",
-    )?;
-    let recovered = ConcurrentDiskRTree::open_writable(
-        MemStore::from_bytes(image),
-        capacity,
-        plan.policy.build(plan.policy_seed),
-        wal,
-    );
-    let recovered = must(
-        recovered,
-        Durability,
-        "reopening crashed mutator store failed",
-    )?;
+    let recovery = recover(&mut store, &survived);
+    must(recovery, Durability, "recovering the mutator store failed")?;
+    let wal = GroupWal::open(MemLog::new());
+    let wal = must(wal, Durability, "post-crash WAL open failed")?;
+    let recovered = ConcurrentDiskRTree::open_writable(store, capacity, policy(), wal);
+    let recovered = must(recovered, Durability, "reopening the mutator store failed")?;
     let replayed = replay_committed(&survived, &recovered);
-    let summary = must(
-        replayed,
-        Durability,
-        "replaying committed mutator ops failed",
-    )?;
+    let summary = must(replayed, Durability, "replaying the mutator log failed")?;
     if !summary.clean_log {
         let detail = "mutator log scan stopped at a torn frame despite clean shutdown";
         report.fail(Durability, detail.into());
     }
-    if summary.applied_inserts + summary.applied_deletes != total_ops as u64 {
+    if summary.applied_inserts + summary.applied_deletes != replays {
         let detail = format!(
             "replay applied {} of {} acknowledged mutations",
             summary.applied_inserts + summary.applied_deletes,
-            total_ops
+            replays
         );
         report.fail(Durability, detail);
     }

@@ -402,10 +402,14 @@ pub(super) fn chaos(args: &Args) -> Result<String, CliError> {
         } else {
             rtree_chaos::run(seed, ops)
         };
+        let checkpoint = report
+            .checkpoint_crash
+            .map(|f| format!(" + checkpoint {f}"));
         let _ = writeln!(
             out,
-            "seed {seed}: fault {}, {}/{} ops committed, {} items, {} queries checked — {}",
+            "seed {seed}: fault {}{}, {}/{} ops committed, {} items, {} queries checked — {}",
             report.fault,
+            checkpoint.unwrap_or_default(),
             report.ops_executed,
             report.ops_requested,
             report.committed_items,

@@ -169,12 +169,34 @@ impl<S: PageStore> BufferManager<S> {
     /// caller has flushed the log (the WAL rule: the records covering a page
     /// must be durable before its image may overwrite the store).
     fn write_back(&mut self, id: PageId) -> io::Result<()> {
-        let frame = self.frames.get(&id).expect("dirty page has a frame");
-        self.store.write_page(id, frame)?;
-        self.stats.writes += 1;
+        let frame = Arc::clone(self.frames.get(&id).expect("dirty page has a frame"));
+        self.write_through(id, &frame)?;
         self.pool.clear_dirty(id);
-        self.tracer.emit_at(id, -1, EventKind::WriteBack);
         Ok(())
+    }
+
+    /// The one page write: `image` goes to the store as page `id`, counted
+    /// and traced as a write-back, and becomes the page's frame if it is
+    /// resident. The caller has flushed the page's log records (the WAL rule).
+    pub(crate) fn write_through(&mut self, id: PageId, image: &Arc<[u8]>) -> io::Result<()> {
+        self.store.write_page(id, image)?;
+        self.stats.writes += 1;
+        self.tracer.emit_at(id, -1, EventKind::WriteBack);
+        if let Some(frame) = self.frames.get_mut(&id) {
+            *frame = Arc::clone(image);
+        }
+        Ok(())
+    }
+
+    /// Page `id`'s bytes for a before-image: its frame, or else the store's,
+    /// read uncharged and unverified (an overwrite may repair a bad page).
+    pub(crate) fn current(&mut self, id: PageId) -> io::Result<Arc<[u8]>> {
+        if let Some(frame) = self.frames.get(&id) {
+            return Ok(Arc::clone(frame));
+        }
+        let mut frame = zeroed_frame();
+        self.store.read_page(id, exclusive(&mut frame))?;
+        Ok(frame)
     }
 
     /// Writes the evicted page back if dirty (log first), then gives up its
@@ -320,14 +342,6 @@ impl<S: PageStore> BufferManager<S> {
         Ok(&self.scratch)
     }
 
-    /// Replaces the frame of `id`, if it is resident, with an image the
-    /// caller has already written to the store.
-    pub(crate) fn refresh(&mut self, id: PageId, image: &Arc<[u8]>) {
-        if let Some(frame) = self.frames.get_mut(&id) {
-            *frame = Arc::clone(image);
-        }
-    }
-
     /// Buffered (write-back) page write: updates the frame, marks it dirty,
     /// and — with a WAL attached — logs the full before/after images first.
     /// The store is *not* touched unless the pool is fully pinned (then the
@@ -342,10 +356,7 @@ impl<S: PageStore> BufferManager<S> {
                 wal.flush()?;
                 self.tracer.emit(id, EventKind::WalAppend);
             }
-            self.store.write_page(id, data)?;
-            self.stats.writes += 1;
-            self.tracer.emit(id, EventKind::WriteBack);
-            return Ok(());
+            return self.write_through(id, &Arc::from(data));
         }
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
         if let Some(wal) = &self.wal {

@@ -16,6 +16,9 @@
 //! [`ConcurrentDiskRTree::buffer_stats`] sum them under the shard latches
 //! (statistics requests and exit summaries read them, never an operation).
 //!
+//! A writable tree has one shard: every page it writes in place goes
+//! through it, under the write-ahead rule ([`ConcurrentDiskRTree::checkpoint`]).
+//!
 //! # Accounting rules
 //!
 //! - A **physical read** (`IoStats::reads`) is any page transfer performed
@@ -52,32 +55,41 @@ use std::sync::{Arc, OnceLock};
 /// Fibonacci multiplier for the page → shard hash.
 const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The shards' handle on the tree's one store. Reads take the `&self`
-/// path; a shard never holds a dirty page (writers keep theirs in the
-/// overlay), so nothing is written or allocated through it.
-pub(crate) struct SharedReads<S>(Arc<S>);
+/// The store's `&self` page write and durability barrier.
+type Write<S> = fn(&S, PageId, &[u8]) -> io::Result<()>;
+type Flush<S> = fn(&S) -> io::Result<()>;
 
-impl<S: SharedPageStore> PageStore for SharedReads<S> {
+/// The shards' handle on the tree's one store. Reads take the `&self`
+/// path; only a writable tree's shard has `writes` (its checkpoint writes
+/// back through it, and fsyncs the store). Writers allocate from the
+/// store, not through here.
+pub(crate) struct ShardStore<S> {
+    store: Arc<S>,
+    writes: Option<(Write<S>, Flush<S>)>,
+}
+
+impl<S: SharedPageStore> PageStore for ShardStore<S> {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.0.read_page_shared(id, buf)
+        self.store.read_page_shared(id, buf)
     }
-    fn write_page(&mut self, _id: PageId, _buf: &[u8]) -> io::Result<()> {
-        Err(io::ErrorKind::Unsupported.into())
+    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
+        let (write, _) = self.writes.ok_or(io::ErrorKind::Unsupported)?;
+        write(&self.store, id, buf)
     }
     fn allocate(&mut self) -> io::Result<PageId> {
         Err(io::ErrorKind::Unsupported.into())
     }
     fn page_count(&self) -> u64 {
-        self.0.page_count()
+        self.store.page_count()
     }
     fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+        self.writes.map_or(Ok(()), |(_, flush)| flush(&self.store))
     }
 }
 
 /// One latch domain: the buffer cache over a slice of the capacity, to be
 /// kept behind its own `Mutex`.
-type Shard<S> = BufferManager<SharedReads<S>>;
+type Shard<S> = BufferManager<ShardStore<S>>;
 
 /// A policy factory for the single-shard constructors: yields `policy` the
 /// one time it is called.
@@ -87,14 +99,16 @@ fn once<P>(policy: P) -> impl FnMut() -> P {
 }
 
 /// Mutable-tree state attached by the writable constructors: everything a
-/// latch-crabbing writer needs beyond the read path's shard pools.
+/// latch-crabbing writer needs beyond the read path's shard pool.
 ///
 /// The write path is **no-steal**: a dirty page lives in `overlay` (shadowing
-/// both the shard pools and the store) and reaches the store only at a
-/// [`ConcurrentDiskRTree::checkpoint`], by which point its operations are
-/// group-committed in the WAL. Recovery is therefore logical redo only —
-/// replay committed [`rtree_wal::WalRecord::OpInsert`]/`OpDelete` records on
-/// top of the last checkpoint image (see [`crate::replay_committed`]).
+/// both the shard pool and the store) and reaches the store only at a
+/// [`ConcurrentDiskRTree::checkpoint`], which logs its images and writes it
+/// back through the shard, by which point its operations are group-committed
+/// in the WAL. A restart is [`crate::recover`] (which undoes a checkpoint
+/// that did not finish), a writable open, and [`crate::replay_committed`]
+/// (which re-applies the committed [`rtree_wal::WalRecord::OpInsert`] /
+/// `OpDelete` records on top of the last checkpoint image).
 struct WriterState {
     /// Per-page latches; see [`crate::latch`] for the deadlock-freedom
     /// argument (strict top-down acquisition).
@@ -113,12 +127,11 @@ struct WriterState {
     /// seeded at open from the image's on-disk list and written back as
     /// that list by every checkpoint.
     free: Mutex<Vec<u64>>,
-    /// Group-commit write-ahead log (logical redo records).
+    /// Group-commit write-ahead log: the writers' op records and the
+    /// checkpoints' page images.
     wal: GroupWal,
     /// Latch acquisitions that had to wait (contention signal).
     latch_waits: AtomicU64,
-    /// Physical page writes (checkpoint flushes).
-    page_writes: AtomicU64,
     /// Applied logical operations (inserts + deletes that found their entry).
     logical_writes: AtomicU64,
 }
@@ -133,7 +146,6 @@ impl WriterState {
             free: Mutex::new(free),
             wal,
             latch_waits: AtomicU64::new(0),
-            page_writes: AtomicU64::new(0),
             logical_writes: AtomicU64::new(0),
         }
     }
@@ -254,8 +266,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let shards = (0..n)
             .map(|i| {
                 let slice = capacity / n + usize::from(i < capacity % n);
-                let mut cache =
-                    BufferManager::new(SharedReads(Arc::clone(&store)), slice, policy());
+                let handle = ShardStore {
+                    store: Arc::clone(&store),
+                    writes: None,
+                };
+                let mut cache = BufferManager::new(handle, slice, policy());
                 // Checksums are verified once, at page-in, so the walks
                 // decode the frames a shard serves without re-checking.
                 cache.set_verify_reads(true);
@@ -290,21 +305,16 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.shards.len()
     }
 
-    /// Physical I/O counters so far (all threads): the shards' reads and
-    /// peek reads plus, on a writable tree, the page writes of its
-    /// checkpoints. The shape matches [`crate::BufferManager::io_stats`]
-    /// so benches report one thing.
+    /// Physical I/O counters so far (all threads), summed over the shards:
+    /// reads, peek reads and, on a writable tree, its checkpoints' writes.
+    /// The shape matches [`crate::BufferManager::io_stats`] so benches
+    /// report one thing.
     pub fn io_stats(&self) -> IoStats {
-        let mut total = IoStats {
-            writes: self
-                .writer
-                .as_ref()
-                .map_or(0, |w| w.page_writes.load(Ordering::Relaxed)),
-            ..IoStats::default()
-        };
+        let mut total = IoStats::default();
         for shard in self.shards.iter() {
             let io = shard.lock().io_stats();
             total.reads += io.reads;
+            total.writes += io.writes;
             total.peek_reads += io.peek_reads;
         }
         total
@@ -792,9 +802,8 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         // In-place updates invalidate the bulk-load layout immediately, so
         // the level table starts out empty.
         let meta = materialize_empty(&mut store, max_entries, min_entries, false)?;
-        let mut tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, once(policy));
-        tree.writer = Some(WriterState::new(meta, Vec::new(), wal));
-        Ok(tree)
+        let tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, once(policy));
+        Ok(tree.writable(WriterState::new(meta, Vec::new(), wal)))
     }
 
     /// Opens a previously checkpointed tree for writing. The caller is
@@ -823,9 +832,16 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         free.reverse();
         let mut live = meta.clone();
         live.level_starts.clear();
-        let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
-        tree.writer = Some(WriterState::new(live, free, wal));
-        Ok(tree)
+        let tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
+        Ok(tree.writable(WriterState::new(live, free, wal)))
+    }
+
+    /// Attaches the writer state and lets the one shard write back.
+    fn writable(mut self, state: WriterState) -> Self {
+        let handle = self.shards[0].get_mut().store_mut();
+        handle.writes = Some((S::write_page_shared, S::flush_shared));
+        self.writer = Some(state);
+        self
     }
 
     /// The writer state, or `PermissionDenied` on a read-only tree.
@@ -975,24 +991,25 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         Ok(true)
     }
 
-    /// Flushes every dirty page, the free list and the metadata to the
-    /// store, fsyncs, checkpoints (and truncates) the WAL, and clears the
-    /// overlay — under the exclusive gate, so the image is an exact
-    /// snapshot of all committed operations. Resident shard frames are
-    /// refreshed in place so read caching stays coherent after the overlay
-    /// empties.
+    /// Writes the overlay back — every dirty page, the free list and the
+    /// metadata — fsyncs the store, checkpoints (and truncates) the WAL and
+    /// clears the overlay, under the exclusive gate: the image is an exact
+    /// snapshot of all committed operations.
     ///
-    /// A crash *during* the page flush can tear the image; recovering
-    /// from that needs page-image records ([`crate::recover`]), which the
-    /// logical writer does not log. The pages are flushed in place
-    /// and the WAL is truncated only afterwards, so a crash (or a log
-    /// error) between the two leaves the *new* image under the *old* log:
-    /// [`crate::replay_committed`] is idempotent over that window — an
-    /// insert whose entry the image already holds is skipped, a delete of
-    /// an absent entry is a no-op.
+    /// The write-back rule of every in-place write holds: the pages'
+    /// before/after images are durable (one log flush) before any page is
+    /// written, through the one shard, which counts, traces and keeps its
+    /// frames current. Logged ops are committed first, so no `Commit` falls
+    /// among the images: until the `Checkpoint` record is durable,
+    /// [`crate::recover`] undoes them, and a crash in the write-back, a
+    /// torn page included, leaves the previous image for
+    /// [`crate::replay_committed`]. After the record the new image stands,
+    /// and a log the crash left untruncated replays nothing.
     pub fn checkpoint(&self) -> io::Result<()> {
         let w = self.writer_state()?;
         let _gate = w.op_gate.write();
+        // An op is logged under the shared gate and committed after it.
+        w.wal.commit(w.wal.next_lsn() - 1)?;
         let mut pages: Vec<(u64, Arc<[u8]>)> = w
             .overlay
             .read()
@@ -1005,22 +1022,28 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for &id in w.free.lock().iter() {
             let mut buf = vec![0u8; PAGE_SIZE];
             encode_free_page(free_head, &mut buf);
-            pages.push((id, Arc::from(buf.into_boxed_slice())));
+            pages.push((id, Arc::from(buf)));
             free_head = id;
         }
-        for (id, frame) in &pages {
-            self.store.write_page_shared(PageId(*id), frame)?;
-            w.page_writes.fetch_add(1, Ordering::Relaxed);
-            self.latch(PageId(*id)).refresh(PageId(*id), frame);
-        }
+        pages.sort_unstable_by_key(|(id, _)| *id);
         let mut meta = w.meta.lock().clone();
         meta.free_head = free_head;
         meta.level_starts = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE];
         meta.encode(&mut buf);
-        self.store.write_page_shared(PageId(0), &buf)?;
-        w.page_writes.fetch_add(1, Ordering::Relaxed);
-        self.store.flush_shared()?;
+        pages.push((0, Arc::from(buf)));
+
+        // A writable tree has one shard.
+        let mut shard = self.shards[0].lock();
+        for (id, after) in &pages {
+            let before = shard.current(PageId(*id))?;
+            w.wal.log_page_image(*id, &before, after)?;
+        }
+        w.wal.flush()?;
+        for (id, after) in &pages {
+            shard.write_through(PageId(*id), after)?;
+        }
+        shard.flush_all()?;
         w.wal.checkpoint()?;
         w.overlay.write().clear();
         Ok(())
@@ -1547,6 +1570,25 @@ mod tests {
         disk.reset_counters();
         assert_eq!(disk.io_stats(), IoStats::default());
         assert_eq!(disk.buffer_stats(), BufferStats::default());
+
+        // Regression: a writable tree's checkpoint writes outlived a reset.
+        let tree = ConcurrentDiskRTree::create_writable(
+            MemStore::new(),
+            8,
+            3,
+            16,
+            LruPolicy::new(),
+            writer_wal(),
+        )
+        .unwrap();
+        for id in 0..100u64 {
+            tree.insert(&item_rect(id), id).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        assert!(tree.io_stats().writes > 0);
+        tree.reset_counters();
+        assert_eq!(tree.io_stats(), IoStats::default());
+        assert_eq!(tree.buffer_stats(), BufferStats::default());
     }
 
     fn writer_wal() -> GroupWal {
@@ -1677,51 +1719,6 @@ mod tests {
         }
     }
 
-    /// A [`MemStore`] whose first shared read fails.
-    struct FailingReads {
-        inner: MemStore,
-        failed: std::sync::atomic::AtomicBool,
-    }
-
-    impl PageStore for FailingReads {
-        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-            self.inner.read_page(id, buf)
-        }
-        fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-            self.inner.write_page(id, buf)
-        }
-        fn allocate(&mut self) -> io::Result<PageId> {
-            self.inner.allocate()
-        }
-        fn page_count(&self) -> u64 {
-            self.inner.page_count()
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.inner.flush()
-        }
-    }
-
-    impl SharedPageStore for FailingReads {
-        fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-            if !self.failed.swap(true, Ordering::Relaxed) {
-                return Err(io::Error::other("injected read fault"));
-            }
-            self.inner.read_page_shared(id, buf)
-        }
-    }
-
-    impl ConcurrentPageStore for FailingReads {
-        fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-            self.inner.write_page_shared(id, buf)
-        }
-        fn allocate_shared(&self) -> io::Result<PageId> {
-            self.inner.allocate_shared()
-        }
-        fn flush_shared(&self) -> io::Result<()> {
-            self.inner.flush_shared()
-        }
-    }
-
     /// An insert whose descent fails leaves no log record, so the next
     /// commit cannot make it durable and replay cannot resurrect it.
     #[test]
@@ -1731,10 +1728,9 @@ mod tests {
         let mut image = MemStore::new();
         crate::DiskRTree::create(&mut image, &bulk, 4, LruPolicy::new()).unwrap();
         let image = image.snapshot();
-        let store = FailingReads {
-            inner: MemStore::from_bytes(image.clone()),
-            failed: Default::default(),
-        };
+        // Read 1 is the meta page at open; read 2, the insert's first.
+        let store = crate::FaultStore::new(MemStore::from_bytes(image.clone()), Default::default())
+            .fail_read_at(2);
         let durable = MemLog::new();
         let wal = GroupWal::open(StagedLog::new(durable.clone())).unwrap();
         let tree = ConcurrentDiskRTree::open_writable(store, 4, LruPolicy::new(), wal).unwrap();
@@ -1836,7 +1832,14 @@ mod tests {
         for id in (0..250u64).step_by(5) {
             tree.delete(&item_rect(id), id).unwrap();
         }
+        let w = tree.writer.as_ref().unwrap();
+        let dirty = (w.overlay.read().len() + w.free.lock().len()) as u64;
+        let fsyncs = tree.group_commit_stats().unwrap().fsyncs;
         tree.checkpoint().unwrap();
+        // Every dirty page, every free page and the meta page, once; one
+        // log sync for their images and one for the `Checkpoint` record.
+        assert_eq!(tree.io_stats().writes, dirty + 1);
+        assert_eq!(tree.group_commit_stats().unwrap().fsyncs, fsyncs + 2);
         assert!(
             tree.group_commit_stats().unwrap().committed_ops > 0,
             "ops were committed before the checkpoint truncated the log"

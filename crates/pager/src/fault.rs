@@ -2,14 +2,16 @@
 //! errors, and whole-process crash simulation coordinated with the WAL
 //! through a shared [`CrashSwitch`].
 
-use crate::store::SharedPageStore;
+use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::PageId;
 use rtree_wal::CrashSwitch;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A [`PageStore`] wrapper that injects storage faults.
+/// A [`PageStore`] wrapper that injects storage faults. Every call takes
+/// the shared (`&self`) path, so a trigger fires at the same ordinal
+/// whether the sequential or the concurrent tree drives the store.
 ///
 /// Fault triggers are counted per operation kind (1-based). When a trigger
 /// fires, the shared [`CrashSwitch`] trips, and from then on *every* mutating
@@ -17,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// switch — fails, modelling a process crash rather than one flaky sector.
 /// Reads stay allowed after the crash so recovery can inspect the surviving
 /// bytes.
-pub struct FaultStore<S: PageStore> {
+pub struct FaultStore<S> {
     inner: S,
     switch: CrashSwitch,
     /// Crash on the n-th `write_page` (1-based).
@@ -31,15 +33,12 @@ pub struct FaultStore<S: PageStore> {
     fail_read_at: Option<u64>,
     /// Likewise for the n-th `write_page` (same count as `crash_at_write`).
     fail_write_at: Option<u64>,
-    writes: u64,
-    allocates: u64,
-    /// Atomic so shared (`&self`) reads count too — the concurrent tree
-    /// reads through [`SharedPageStore`], and a read-fault trigger must
-    /// fire at the same global read ordinal either way.
+    writes: AtomicU64,
+    allocates: AtomicU64,
     reads: AtomicU64,
 }
 
-impl<S: PageStore> FaultStore<S> {
+impl<S> FaultStore<S> {
     /// Wraps `inner`; no faults are scheduled until a `*_at` builder is used.
     pub fn new(inner: S, switch: CrashSwitch) -> Self {
         FaultStore {
@@ -50,8 +49,8 @@ impl<S: PageStore> FaultStore<S> {
             crash_at_allocate: None,
             fail_read_at: None,
             fail_write_at: None,
-            writes: 0,
-            allocates: 0,
+            writes: AtomicU64::new(0),
+            allocates: AtomicU64::new(0),
             reads: AtomicU64::new(0),
         }
     }
@@ -92,17 +91,10 @@ impl<S: PageStore> FaultStore<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-}
 
-impl<S: PageStore> FaultStore<S> {
-    /// Counts one read and fails it if the read-fault trigger fires on it
-    /// (shared with the `SharedPageStore` path).
-    fn count_read(&self) -> io::Result<()> {
-        let n = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.fail_read_at == Some(n) {
-            return Err(transient("injected read fault"));
-        }
-        Ok(())
+    /// The inner store, for a look at its surviving contents.
+    pub fn inner(&self) -> &S {
+        &self.inner
     }
 }
 
@@ -111,67 +103,69 @@ fn transient(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-impl<S: PageStore> PageStore for FaultStore<S> {
+impl<S: ConcurrentPageStore> PageStore for FaultStore<S> {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.count_read()?;
-        self.inner.read_page(id, buf)
+        self.read_page_shared(id, buf)
     }
-
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
-        self.writes += 1;
-        if self.fail_write_at == Some(self.writes) {
-            return Err(transient("injected write fault"));
-        }
-        if self.crash_at_write == Some(self.writes) {
-            if self.torn_write {
-                // Persist the first half of the new image over the old page:
-                // exactly what a power cut mid-sector-run leaves behind.
-                let mut torn = vec![0u8; PAGE_SIZE];
-                self.inner.read_page(id, &mut torn)?;
-                torn[..PAGE_SIZE / 2].copy_from_slice(&buf[..PAGE_SIZE / 2]);
-                self.inner.write_page(id, &torn)?;
-            }
-            self.switch.trip();
-            return Err(CrashSwitch::error());
-        }
-        self.inner.write_page(id, buf)
+        self.write_page_shared(id, buf)
     }
-
     fn allocate(&mut self) -> io::Result<PageId> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
-        self.allocates += 1;
-        if self.crash_at_allocate == Some(self.allocates) {
-            self.switch.trip();
-            return Err(CrashSwitch::error());
-        }
-        self.inner.allocate()
+        self.allocate_shared()
     }
-
     fn page_count(&self) -> u64 {
         self.inner.page_count()
     }
-
     fn flush(&mut self) -> io::Result<()> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
-        self.inner.flush()
+        self.flush_shared()
     }
 }
 
-impl<S: SharedPageStore> SharedPageStore for FaultStore<S> {
-    /// Shared reads go through the same fault counter as exclusive reads,
-    /// so the chaos harness can aim a transient read fault at the
-    /// concurrent tree too. Like exclusive reads, they stay allowed after
-    /// a crash (recovery must be able to inspect the surviving bytes).
+impl<S: ConcurrentPageStore> SharedPageStore for FaultStore<S> {
+    /// Reads stay allowed after a crash: recovery must be able to inspect
+    /// the surviving bytes.
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.count_read()?;
+        if self.fail_read_at == Some(self.reads.fetch_add(1, Ordering::Relaxed) + 1) {
+            return Err(transient("injected read fault"));
+        }
         self.inner.read_page_shared(id, buf)
+    }
+}
+
+impl<S: ConcurrentPageStore> ConcurrentPageStore for FaultStore<S> {
+    fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
+        self.switch.check()?;
+        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.fail_write_at == Some(n) {
+            return Err(transient("injected write fault"));
+        }
+        if self.crash_at_write != Some(n) {
+            return self.inner.write_page_shared(id, buf);
+        }
+        if self.torn_write {
+            // Persist the first half of the new image over the old page:
+            // exactly what a power cut mid-sector-run leaves behind.
+            let mut torn = vec![0u8; PAGE_SIZE];
+            self.inner.read_page_shared(id, &mut torn)?;
+            torn[..PAGE_SIZE / 2].copy_from_slice(&buf[..PAGE_SIZE / 2]);
+            self.inner.write_page_shared(id, &torn)?;
+        }
+        self.switch.trip();
+        Err(CrashSwitch::error())
+    }
+
+    fn allocate_shared(&self) -> io::Result<PageId> {
+        self.switch.check()?;
+        if self.crash_at_allocate == Some(self.allocates.fetch_add(1, Ordering::Relaxed) + 1) {
+            self.switch.trip();
+            return Err(CrashSwitch::error());
+        }
+        self.inner.allocate_shared()
+    }
+
+    fn flush_shared(&self) -> io::Result<()> {
+        self.switch.check()?;
+        self.inner.flush_shared()
     }
 }
 

@@ -56,38 +56,18 @@ impl LatchTable {
         LatchTable::default()
     }
 
-    /// Acquires the latch for `id` in shared mode. Returns `true` if the
-    /// caller had to wait (latch-contention accounting).
-    pub(crate) fn lock_shared(&self, id: u64) -> bool {
+    /// Acquires the latch for `id`, shared or `exclusive`. Returns `true`
+    /// if the caller had to wait (latch-contention accounting).
+    pub(crate) fn acquire(&self, id: u64, exclusive: bool) -> bool {
         let mut slots = lock(&self.slots);
         let mut waited = false;
         loop {
             let slot = slots.entry(id).or_default();
-            if !slot.writer {
-                slot.readers += 1;
-                return waited;
-            }
-            waited = true;
-            slot.waiters += 1;
-            slots = self
-                .wake
-                .wait(slots)
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(slot) = slots.get_mut(&id) {
-                slot.waiters -= 1;
-            }
-        }
-    }
-
-    /// Acquires the latch for `id` in exclusive mode. Returns `true` if the
-    /// caller had to wait.
-    pub(crate) fn lock_exclusive(&self, id: u64) -> bool {
-        let mut slots = lock(&self.slots);
-        let mut waited = false;
-        loop {
-            let slot = slots.entry(id).or_default();
-            if !slot.writer && slot.readers == 0 {
-                slot.writer = true;
+            if !(slot.writer || exclusive && slot.readers > 0) {
+                match exclusive {
+                    true => slot.writer = true,
+                    false => slot.readers += 1,
+                }
                 return waited;
             }
             waited = true;
@@ -152,11 +132,7 @@ impl<'t> LatchSet<'t> {
     /// Acquires `id` in the requested mode and records it. Returns whether
     /// the acquisition had to wait.
     pub(crate) fn acquire(&mut self, id: u64, exclusive: bool) -> bool {
-        let waited = if exclusive {
-            self.table.lock_exclusive(id)
-        } else {
-            self.table.lock_shared(id)
-        };
+        let waited = self.table.acquire(id, exclusive);
         self.held.push((id, exclusive));
         waited
     }
@@ -194,11 +170,11 @@ mod tests {
     #[test]
     fn shared_latches_coexist_exclusive_excludes() {
         let t = LatchTable::new();
-        assert!(!t.lock_shared(5));
-        assert!(!t.lock_shared(5));
+        assert!(!t.acquire(5, false));
+        assert!(!t.acquire(5, false));
         t.unlock(5, false);
         t.unlock(5, false);
-        assert!(!t.lock_exclusive(5));
+        assert!(!t.acquire(5, true));
         t.unlock(5, true);
         assert_eq!(t.live_slots(), 0, "idle slots are reclaimed");
     }
@@ -207,12 +183,12 @@ mod tests {
     fn exclusive_blocks_until_readers_drain() {
         let t = Arc::new(LatchTable::new());
         let entered = Arc::new(AtomicU64::new(0));
-        t.lock_shared(1);
+        t.acquire(1, false);
         let writer = {
             let t = Arc::clone(&t);
             let entered = Arc::clone(&entered);
             std::thread::spawn(move || {
-                let waited = t.lock_exclusive(1);
+                let waited = t.acquire(1, true);
                 entered.store(1, Ordering::SeqCst);
                 t.unlock(1, true);
                 waited
@@ -251,7 +227,7 @@ mod tests {
                 let counter = Arc::clone(&counter);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        t.lock_exclusive(3);
+                        t.acquire(3, true);
                         let v = counter.load(Ordering::Relaxed);
                         counter.store(v + 1, Ordering::Relaxed);
                         t.unlock(3, true);

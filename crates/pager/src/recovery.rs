@@ -4,15 +4,18 @@
 //! for logical ops, read the log the same way
 //! ([`rtree_wal::commit_horizon`]): scan the surviving bytes
 //! tail-tolerantly, skip everything up to the last checkpoint, and treat as
-//! committed only what a durable commit covers.
+//! committed only what a durable commit covers. Either tree restarts with
+//! [`recover`]; the concurrent one then opens and runs [`replay_committed`].
 //!
 //! [`recover`] is the classical physical redo/undo over full page images:
 //! redo every committed after-image in LSN order, then undo uncommitted
-//! before-images in reverse order. Because every buffered write logs its
-//! images *before* the store can be touched (the WAL rule enforced by
-//! [`crate::BufferManager`]), the store after a crash is always a mix of old
-//! and logged states — so rewriting full images lands it exactly on the
-//! last committed state, even when the crash tore a page write in half.
+//! before-images in reverse order. Every in-place page write of either tree
+//! logs its images *before* the store is touched (the WAL rule of
+//! [`crate::BufferManager`]'s one write path), so the store after a crash is
+//! a mix of old and logged states, and rewriting full images lands it on the
+//! last committed state even over a torn page. A concurrent checkpoint's
+//! images stay uncommitted up to its `Checkpoint` record, so one that died
+//! part-way is undone to the previous checkpoint.
 
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::PageId;
@@ -99,17 +102,17 @@ pub struct ReplaySummary {
 /// Logical redo for the concurrent writer: replays the *committed* suffix
 /// of a group-commit WAL onto a freshly opened writable tree.
 ///
-/// The writer is no-steal, so the page store always holds exactly the last
-/// checkpoint image; everything after it lives only as `OpInsert`/`OpDelete`
-/// records. Replay applies, in log order, every op record that (a) follows
+/// The writer is no-steal, so the page store, once [`recover`]ed, holds the
+/// last checkpoint image; everything after it lives only as `OpInsert` /
+/// `OpDelete` records. Replay applies, in log order, every op record that (a) follows
 /// the last `Checkpoint` (earlier ops are already inside the image) and
 /// (b) is covered by a `Commit` — a batch whose leader never fsynced loses
 /// all of its ops together, never a prefix (the none-or-all guarantee the
 /// WAL crash tests pin down).
 ///
-/// Replay is idempotent — a checkpoint that died between flushing its image
-/// and truncating the log leaves ops the image already holds — so an insert
-/// whose exact `(rect, item)` is present is skipped and not counted.
+/// Replay is idempotent, for an image that holds some ops already (a crashed
+/// checkpoint's, opened without [`recover`]): an insert whose exact
+/// `(rect, item)` is present is skipped and not counted.
 ///
 /// The target tree logs the replayed ops into its own WAL as a side effect,
 /// which keeps them durable going forward; checkpoint afterwards to start

@@ -3,7 +3,7 @@
 use crate::PAGE_SIZE;
 use rtree_buffer::PageId;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
@@ -288,9 +288,7 @@ impl PageStore for FileStore {
     }
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        self.seek_to(id)?;
-        self.file.write_all(buf)
+        self.write_page_shared(id, buf)
     }
 
     fn allocate(&mut self) -> io::Result<PageId> {
@@ -302,7 +300,7 @@ impl PageStore for FileStore {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        self.flush_shared()
     }
 }
 

@@ -4,7 +4,9 @@
 //! from the surviving log + store. The recovered tree must answer every
 //! query exactly like an in-memory reference tree that applied only the
 //! committed operations — across LRU, Clock and FIFO replacement, with and
-//! without torn writes.
+//! without torn writes. The writable [`ConcurrentDiskRTree`] gets the same
+//! treatment for a crash inside its checkpoint, recovered the one way both
+//! trees restart: `recover`, open, `replay_committed`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,8 +14,13 @@ use rand::{Rng, SeedableRng};
 use rtree_buffer::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
 use rtree_geom::Rect;
 use rtree_index::RTreeBuilder;
-use rtree_pager::{recover, DiskRTree, FaultStore, MemStore, PageStore};
-use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog};
+use rtree_pager::{
+    recover, replay_committed, ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore,
+    MemStore, PageStore,
+};
+use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, WalRecord};
+use std::io;
+use std::time::Duration;
 
 /// Node capacity (Guttman's `M`) for the workload trees.
 const MAX: usize = 8;
@@ -196,24 +203,21 @@ fn transient_read_fault_is_an_error_not_a_panic() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
-/// The checkpoint crash window: `checkpoint` flushes the new image in
-/// place and only then truncates the log, so a log fault between the two
-/// leaves the *new* image under the *old* log. Replaying that log must not
-/// apply the inserts the image already holds a second time.
+/// The checkpoint crash window: `checkpoint` writes the new image in place
+/// and only then truncates the log, so a log fault between the two leaves
+/// the *new* image under the *old* log. Replaying that log must not apply
+/// the inserts the image already holds a second time.
 #[test]
 fn replay_is_idempotent_across_the_checkpoint_crash_window() {
-    use rtree_pager::{replay_committed, ConcurrentDiskRTree};
-    use rtree_wal::GroupWal;
-
     const K: u64 = 40;
     let rect_of = |id: u64| {
         let x = (id as f64 * 0.137) % 0.9;
         Rect::new(x, x, x + 0.005, x + 0.005)
     };
     let durable = MemLog::new();
-    // One thread: every commit is its own append, so the checkpoint record
-    // is append K + 1.
-    let log = FaultLog::new(durable.clone(), CrashSwitch::new()).crash_at_append(K + 1, false);
+    // One thread: every commit is its own append, the checkpoint's image
+    // flush is append K + 1, and its `Checkpoint` record append K + 2.
+    let log = FaultLog::new(durable.clone(), CrashSwitch::new()).crash_at_append(K + 2, false);
     let tree = ConcurrentDiskRTree::create_writable(
         MemStore::new(),
         MAX,
@@ -245,4 +249,234 @@ fn replay_is_idempotent_across_the_checkpoint_crash_window() {
         (0..K).collect::<Vec<u64>>(),
         "every id exactly once"
     );
+}
+
+/// `ops` seeded inserts and deletes on a writable concurrent tree; `live`
+/// holds every acknowledged entry.
+fn mutate<S: ConcurrentPageStore>(
+    tree: &ConcurrentDiskRTree<S>,
+    rng: &mut StdRng,
+    ops: usize,
+    live: &mut Vec<(Rect, u64)>,
+) {
+    for _ in 0..ops {
+        if !live.is_empty() && rng.gen_bool(0.4) {
+            let (rect, id) = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(tree.delete(&rect, id).unwrap(), "live entry {id}");
+        } else {
+            let (x, y) = (rng.gen_range(0.0..0.9), rng.gen_range(0.0..0.9));
+            let (w, h) = (rng.gen_range(0.001..0.08), rng.gen_range(0.001..0.08));
+            let rect = Rect::new(x, y, x + w, y + h);
+            let id = rng.gen();
+            tree.insert(&rect, id).unwrap();
+            live.push((rect, id));
+        }
+    }
+}
+
+/// A writable concurrent tree over `store`, with a fresh log over `log`.
+fn writable<S: ConcurrentPageStore, P: ReplacementPolicy + 'static>(
+    store: S,
+    policy: P,
+    log: impl LogBackend + 'static,
+) -> io::Result<ConcurrentDiskRTree<S>> {
+    ConcurrentDiskRTree::open_writable(store, FRAMES, policy, GroupWal::open(log)?)
+}
+
+/// Crash on one of the writes of a concurrent checkpoint. A base image
+/// with a few hundred entries is checkpointed cleanly; then a second
+/// session mutates it and checkpoints over a store that crashes on write
+/// `1 + pick % w` of that checkpoint's `w` (counted by a fault-free dry run
+/// of the same session), tearing it when `torn`. Restarting the one way —
+/// `recover`, open, `replay_committed` — must give back every
+/// acknowledged op, and nothing else.
+fn run_checkpoint_crash<P: ReplacementPolicy + 'static>(
+    seed: u64,
+    pick: u64,
+    torn: bool,
+    policy: impl Fn() -> P,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut live = Vec::new();
+    let base = {
+        let tree = ConcurrentDiskRTree::create_writable(
+            MemStore::new(),
+            MAX,
+            MIN,
+            FRAMES,
+            policy(),
+            GroupWal::open(MemLog::new()).unwrap(),
+        )
+        .unwrap();
+        mutate(&tree, &mut rng, 300, &mut live);
+        tree.checkpoint().unwrap();
+        tree.store().snapshot()
+    };
+    let session = |store, live: &mut Vec<(Rect, u64)>, log: MemLog| {
+        let tree = writable(store, policy(), log).unwrap();
+        mutate(&tree, &mut rng.clone(), 200, live);
+        let result = tree.checkpoint();
+        (tree, result)
+    };
+    let store =
+        |base: &[u8]| FaultStore::new(MemStore::from_bytes(base.to_vec()), CrashSwitch::new());
+    let (dry, done) = session(store(&base), &mut live.clone(), MemLog::new());
+    done.unwrap();
+    let writes = dry.io_stats().writes;
+    assert!(writes > 2, "the checkpoint wrote {writes} pages");
+
+    let at = 1 + pick % writes;
+    let log = MemLog::new();
+    let (tree, crashed) = session(
+        store(&base).crash_at_write(at, torn),
+        &mut live,
+        log.clone(),
+    );
+    crashed.expect_err("the store crashes inside the checkpoint");
+
+    let mut store = MemStore::from_bytes(tree.store().inner().snapshot());
+    let log = log.read_all().unwrap();
+    recover(&mut store, &log).unwrap();
+    let recovered = writable(store, policy(), MemLog::new()).unwrap();
+    replay_committed(&log, &recovered).unwrap();
+    let what = format!("crash on write {at} of {writes}, torn {torn}");
+    assert_eq!(recovered.live_items(), live.len() as u64, "{what}");
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let ids = |q: &Rect| {
+        sorted(
+            live.iter()
+                .filter(|(r, _)| r.intersects(q))
+                .map(|e| e.1)
+                .collect(),
+        )
+    };
+    assert_eq!(
+        sorted(recovered.query(&everything).unwrap()),
+        ids(&everything),
+        "{what}"
+    );
+    for _ in 0..8 {
+        let (x, y) = (rng.gen_range(0.0..0.8), rng.gen_range(0.0..0.8));
+        let q = Rect::new(
+            x,
+            y,
+            x + rng.gen_range(0.01..0.3),
+            y + rng.gen_range(0.01..0.3),
+        );
+        assert_eq!(
+            sorted(recovered.query(&q).unwrap()),
+            ids(&q),
+            "{what}, query {q}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn lru_recovers_from_checkpoint_crash(seed in any::<u64>(), pick in any::<u64>(), torn in any::<bool>()) {
+        run_checkpoint_crash(seed, pick, torn, LruPolicy::new);
+    }
+
+    #[test]
+    fn clock_recovers_from_checkpoint_crash(seed in any::<u64>(), pick in any::<u64>(), torn in any::<bool>()) {
+        run_checkpoint_crash(seed, pick, torn, ClockPolicy::new);
+    }
+
+    #[test]
+    fn fifo_recovers_from_checkpoint_crash(seed in any::<u64>(), pick in any::<u64>(), torn in any::<bool>()) {
+        run_checkpoint_crash(seed, pick, torn, FifoPolicy::new);
+    }
+}
+
+/// A log that keeps every record it is given (a checkpoint's truncation is
+/// a no-op) and takes its time over each sync, so that writers pile up
+/// between logging an op and committing it.
+#[derive(Clone, Default)]
+struct SlowHistory(MemLog);
+
+impl LogBackend for SlowHistory {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.0.append(bytes)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        std::thread::sleep(Duration::from_micros(200));
+        Ok(())
+    }
+    fn read_all(&self) -> io::Result<Vec<u8>> {
+        self.0.read_all()
+    }
+    fn truncate(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+}
+
+/// The ordering hazard: a writer logs its op under the shared gate and
+/// commits after releasing it. Were its leader's `Commit` to land between
+/// two of a checkpoint's page images, `recover` would redo the images
+/// before it and undo the ones after, leaving a mixed image. The
+/// checkpoint commits every logged op before it stages an image, so no
+/// `Commit` ever falls between its first image and its `Checkpoint`.
+#[test]
+fn no_commit_lands_between_a_checkpoints_images() {
+    let history = SlowHistory::default();
+    let wal = GroupWal::open(history.clone()).unwrap();
+    wal.set_commit_delay(Duration::from_micros(300));
+    let tree = ConcurrentDiskRTree::create_writable(
+        MemStore::new(),
+        MAX,
+        MIN,
+        FRAMES,
+        LruPolicy::new(),
+        wal,
+    )
+    .unwrap();
+    let rect_of = |id: u64| {
+        let x = (id.wrapping_mul(2_654_435_761) % 9_973) as f64 / 9_973.0 * 0.9;
+        let y = (id.wrapping_mul(1_327_217_885) % 9_931) as f64 / 9_931.0 * 0.9;
+        Rect::new(x, y, x + 0.01, y + 0.01)
+    };
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let tree = &tree;
+            scope.spawn(move || {
+                for i in 0..60u64 {
+                    let id = (t << 32) | i;
+                    tree.insert(&rect_of(id), id).unwrap();
+                    if i % 4 == 0 {
+                        assert!(tree.delete(&rect_of(id), id).unwrap());
+                    }
+                }
+            });
+        }
+        let tree = &tree;
+        scope.spawn(move || {
+            for _ in 0..12 {
+                tree.checkpoint().unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+    });
+    assert_eq!(tree.live_items(), 4 * 45);
+
+    let (mut imaging, mut checkpoints) = (false, 0);
+    for record in rtree_wal::scan(&history.0.read_all().unwrap()).records {
+        match record {
+            WalRecord::PageImage { .. } => imaging = true,
+            WalRecord::Commit { lsn } => assert!(
+                !imaging,
+                "commit {lsn} landed between a checkpoint's first image and its record"
+            ),
+            WalRecord::Checkpoint { lsn } => {
+                assert!(imaging, "checkpoint {lsn} logged no image");
+                (imaging, checkpoints) = (false, checkpoints + 1);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(checkpoints, 12);
 }

@@ -60,6 +60,14 @@ impl CrashSwitch {
     pub fn error() -> io::Error {
         io::Error::other("simulated crash")
     }
+
+    /// A guarded operation's gate: [`CrashSwitch::error`] once tripped.
+    pub fn check(&self) -> io::Result<()> {
+        match self.is_tripped() {
+            true => Err(CrashSwitch::error()),
+            false => Ok(()),
+        }
+    }
 }
 
 /// In-memory log. Cloning shares the underlying buffer, so a test can keep a
@@ -226,9 +234,7 @@ impl<B: LogBackend> FaultLog<B> {
 
 impl<B: LogBackend> LogBackend for FaultLog<B> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
+        self.switch.check()?;
         self.appends += 1;
         if self.crash_at_append == Some(self.appends) {
             if self.torn_tail {
@@ -241,9 +247,7 @@ impl<B: LogBackend> LogBackend for FaultLog<B> {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
+        self.switch.check()?;
         self.syncs += 1;
         if self.fail_sync_at == Some(self.syncs) {
             return Err(io::Error::other("injected fsync failure"));
@@ -257,9 +261,7 @@ impl<B: LogBackend> LogBackend for FaultLog<B> {
     }
 
     fn truncate(&mut self) -> io::Result<()> {
-        if self.switch.is_tripped() {
-            return Err(CrashSwitch::error());
-        }
+        self.switch.check()?;
         self.inner.truncate()
     }
 
@@ -271,14 +273,13 @@ impl<B: LogBackend> LogBackend for FaultLog<B> {
 /// A backend that models the volatile OS write cache explicitly: appends land
 /// in a *staging* buffer and become part of the real log only on
 /// [`LogBackend::sync`], which moves the staged bytes into the inner backend
-/// and syncs it. [`StagedLog::crash`] discards everything staged — exactly
-/// what power loss does to appended-but-unsynced data — so a test can prove
-/// that recovery sees *none* of an unsynced batch and *all* of a synced one.
+/// and syncs it. Whatever is still staged when the wrapper goes is lost —
+/// exactly what power loss does to appended-but-unsynced data — so a test
+/// that reads the inner backend afterwards proves that recovery sees *none*
+/// of an unsynced batch and *all* of a synced one.
 pub struct StagedLog<B: LogBackend> {
     inner: B,
     staged: Vec<u8>,
-    /// Syncs performed (the fsync count group commit amortizes).
-    syncs: u64,
 }
 
 impl<B: LogBackend> StagedLog<B> {
@@ -287,24 +288,7 @@ impl<B: LogBackend> StagedLog<B> {
         StagedLog {
             inner,
             staged: Vec::new(),
-            syncs: 0,
         }
-    }
-
-    /// Discards the staged (appended-but-unsynced) bytes, simulating a crash
-    /// before the durability barrier.
-    pub fn crash(&mut self) {
-        self.staged.clear();
-    }
-
-    /// Bytes currently staged but not yet durable.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Number of syncs performed so far.
-    pub fn syncs(&self) -> u64 {
-        self.syncs
     }
 
     /// The wrapped backend (e.g. to read the durable bytes post-crash).
@@ -324,14 +308,12 @@ impl<B: LogBackend> LogBackend for StagedLog<B> {
             let staged = std::mem::take(&mut self.staged);
             self.inner.append(&staged)?;
         }
-        self.syncs += 1;
         self.inner.sync()
     }
 
     fn read_all(&self) -> io::Result<Vec<u8>> {
         // The durable image plus the staged tail: what a reader of the live
-        // log would see pre-crash. Recovery after [`StagedLog::crash`] sees
-        // only the inner bytes.
+        // log would see pre-crash. Recovery sees only the inner bytes.
         let mut out = self.inner.read_all()?;
         out.extend_from_slice(&self.staged);
         Ok(out)
@@ -415,16 +397,15 @@ mod tests {
 
     #[test]
     fn staged_log_publishes_on_sync_and_discards_on_crash() {
-        let mut log = StagedLog::new(MemLog::new());
+        let durable = MemLog::new();
+        let mut log = StagedLog::new(durable.clone());
         log.append(b"batch-a").unwrap();
-        assert_eq!(log.staged_len(), 7);
         assert_eq!(log.read_all().unwrap(), b"batch-a", "live view sees staged");
+        assert!(durable.is_empty(), "nothing durable before the sync");
         log.sync().unwrap();
-        assert_eq!(log.staged_len(), 0);
-        assert_eq!(log.syncs(), 1);
+        assert_eq!(durable.read_all().unwrap(), b"batch-a");
         log.append(b"batch-b").unwrap();
-        log.crash();
-        // The unsynced batch vanished entirely; the synced one survived.
+        // Crash: the unsynced batch vanishes entirely; the synced one survived.
         assert_eq!(log.into_inner().read_all().unwrap(), b"batch-a");
     }
 

@@ -1,7 +1,7 @@
 //! Differential suite for the trace layer: the event stream emitted by the
 //! pager's trace hooks must reconcile *exactly* with the counters the
 //! buffer manager keeps anyway (`IoStats`, `BufferStats`) — on the
-//! sequential `DiskRTree`, on the write path, and on the sharded
+//! sequential `DiskRTree`, on both trees' write paths, and on the sharded
 //! `ConcurrentDiskRTree` under real concurrency. The last two tests run
 //! with no sink attached: the accounting must not depend on one.
 
@@ -283,6 +283,44 @@ fn sharded_trace_reconciles_with_io_stats() {
         assert_eq!(c.peek_reads, io.peek_reads, "{name}: peek reads");
         assert_eq!(c.accesses(), pool.accesses, "{name}: logical accesses");
         assert_eq!(c.hits, pool.hits, "{name}: hits");
+    }
+}
+
+/// Writable concurrent path: inserts, deletes and a checkpoint, which
+/// writes the overlay back through the tree's one shard — every page write
+/// is a traced write-back, for every policy.
+#[test]
+fn writable_concurrent_trace_reconciles_with_io_stats() {
+    let rects = SyntheticRegion::new(600).generate(41);
+    for (name, policy) in policies(0xFACE) {
+        let mut disk = ConcurrentDiskRTree::create_writable(
+            MemStore::new(),
+            12,
+            5,
+            16,
+            policy,
+            GroupWal::open(MemLog::new()).unwrap(),
+        )
+        .unwrap();
+        let sink = Arc::new(CountingSink::new());
+        disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
+        for (i, r) in rects.iter().enumerate() {
+            disk.insert(r, i as u64).unwrap();
+        }
+        disk.checkpoint().unwrap();
+        for (i, r) in rects.iter().enumerate().take(200) {
+            assert!(disk.delete(r, i as u64).unwrap(), "{name}: delete {i}");
+        }
+        disk.checkpoint().unwrap();
+
+        let io = disk.io_stats();
+        let pool = disk.buffer_stats();
+        let c = sink.counts();
+        assert_eq!(c.write_backs, io.writes, "{name}: write backs");
+        assert_eq!(c.misses, io.reads, "{name}: misses vs physical reads");
+        assert_eq!(c.peek_reads, io.peek_reads, "{name}: peek reads");
+        assert_eq!(c.accesses(), pool.accesses, "{name}: logical accesses");
+        assert!(c.write_backs > 0, "{name}: the checkpoints wrote pages");
     }
 }
 
