@@ -177,12 +177,10 @@ pub fn generate(rects: &[Rect], spec: &TraceSpec) -> Trace {
         }
     };
 
-    // Live-item ledger: every delete targets something that exists.
-    let mut live: Vec<(Rect, u64)> = rects
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (*r, i as u64))
-        .collect();
+    // Live-item ledger: every delete targets something that exists. Only a
+    // mix that deletes reads it, so only such a mix fills it.
+    let seeded = if spec.mix.delete > 0 { rects } else { &[] };
+    let mut live: Vec<(Rect, u64)> = seeded.iter().copied().zip(0..).collect();
     let mut next_id = rects.len() as u64;
 
     let total = spec.mix.total();
@@ -298,6 +296,70 @@ mod tests {
             }
         }
         assert!(deletes > 100, "mix produced only {deletes} deletes");
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    fn point_words(p: Point) -> [u64; 2] {
+        [p.x.to_bits(), p.y.to_bits()]
+    }
+
+    fn op_words(op: &TraceOp) -> Vec<u64> {
+        let rect = |r: &Rect| [point_words(r.lo), point_words(r.hi)].concat();
+        match op {
+            TraceOp::Region(r) => [vec![0], rect(r)].concat(),
+            TraceOp::Point(p) => [vec![1], point_words(*p).to_vec()].concat(),
+            TraceOp::Knn(p, k) => [vec![2, *k as u64], point_words(*p).to_vec()].concat(),
+            TraceOp::Insert(r, id) => [vec![3, *id], rect(r)].concat(),
+            TraceOp::Delete(r, id) => [vec![4, *id], rect(r)].concat(),
+        }
+    }
+
+    /// The Zipf(0.99) pool and the streams the benchmark draws from it are
+    /// pinned bit for bit: digests recorded before the pool's apportionment
+    /// selected its extra copies instead of sorting every rank.
+    #[test]
+    fn pool_and_streams_reproduce_the_recorded_digests() {
+        let d = crate::ClusteredPoints::new(20_000, 64, 0.02).generate(11);
+        let zipf = Skew::Zipf { theta: 0.99 };
+        let pool = zipf_center_multiset(&centers(&d), 0.99, 80_000, 5);
+        assert_eq!(
+            fnv1a(pool.into_iter().flat_map(point_words)),
+            3_809_548_008_814_872_049,
+            "pool"
+        );
+        let stream = |mix| {
+            let spec = TraceSpec {
+                ops: 20_000,
+                qx: 0.003,
+                qy: 0.003,
+                skew: zipf,
+                mix,
+                seed: 5,
+            };
+            fnv1a(generate(&d, &spec).ops.iter().flat_map(op_words))
+        };
+        assert_eq!(
+            stream(MixWeights::read_only()),
+            5_688_584_861_515_280_563,
+            "read-only"
+        );
+        let mixed = MixWeights {
+            region: 85,
+            point: 5,
+            knn: 0,
+            insert: 9,
+            delete: 1,
+        };
+        assert_eq!(stream(mixed), 10_251_403_770_735_159_939, "85/5/9/1");
     }
 
     #[test]

@@ -89,7 +89,6 @@ impl ZipfWeights {
 pub fn zipf_center_multiset(centers: &[Point], theta: f64, total: usize, seed: u64) -> Vec<Point> {
     assert!(!centers.is_empty(), "need at least one center");
     assert!(total >= 1, "need at least one multiset slot");
-    let weights = ZipfWeights::new(centers.len(), theta);
 
     // Seeded rank assignment: a Fisher-Yates permutation of the centers.
     let mut by_rank: Vec<Point> = centers.to_vec();
@@ -98,30 +97,31 @@ pub fn zipf_center_multiset(centers: &[Point], theta: f64, total: usize, seed: u
         by_rank.swap(i, rng.gen_range(0..=i));
     }
 
-    // Largest-remainder apportionment of `total` copies over the ranks.
-    let shares: Vec<f64> = (0..by_rank.len())
-        .map(|k| weights.probability(k) * total as f64)
-        .collect();
-    let mut copies: Vec<usize> = shares.iter().map(|s| s.floor() as usize).collect();
-    let assigned: usize = copies.iter().sum();
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ra, rb) = (shares[a] - shares[a].floor(), shares[b] - shares[b].floor());
-        rb.partial_cmp(&ra)
-            .expect("finite remainders")
-            .then(a.cmp(&b))
-    });
-    for &k in order.iter().take(total - assigned) {
-        copies[k] += 1;
-    }
-
+    let copies = apportion(&ZipfWeights::new(centers.len(), theta), total);
     let mut out = Vec::with_capacity(total);
-    for (k, &c) in copies.iter().enumerate() {
-        for _ in 0..c {
-            out.push(by_rank[k]);
-        }
+    for (&p, c) in by_rank.iter().zip(copies) {
+        out.extend(std::iter::repeat_n(p, c));
     }
     out
+}
+
+/// Largest-remainder apportionment of `total` copies over the ranks: each
+/// rank gets the floor of its share, and the `total - assigned` largest
+/// remainders (ties to the hotter rank) one more. That order is total, so
+/// selecting them needs no full sort.
+fn apportion(weights: &ZipfWeights, total: usize) -> Vec<usize> {
+    let shares = weights.probs.iter().map(|p| p * total as f64);
+    let (mut copies, remainders): (Vec<usize>, Vec<f64>) =
+        shares.map(|s| (s.floor() as usize, s - s.floor())).unzip();
+    let extra = (total - copies.iter().sum::<usize>()).min(copies.len());
+    let mut order: Vec<usize> = (0..copies.len()).collect();
+    order.select_nth_unstable_by(extra.saturating_sub(1), |&a, &b| {
+        remainders[b].total_cmp(&remainders[a]).then(a.cmp(&b))
+    });
+    for &k in &order[..extra] {
+        copies[k] += 1;
+    }
+    copies
 }
 
 /// Query-follows-data workload over a data set: query rectangles of size

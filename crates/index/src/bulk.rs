@@ -52,14 +52,15 @@ impl PackingOrder {
         }
     }
 
-    /// Permutes `entries` into packing order for one level of the tree.
-    /// `cap` is the node capacity (needed by STR to shape its tiles).
-    fn arrange<B: Bounds>(&self, entries: &mut [(B, u64)], cap: usize) {
+    /// Permutes `entries` into packing order for one level of the tree; the
+    /// curve orders compute each key once and keep tied entries in input
+    /// order. `cap` is the node capacity (needed by STR to shape its tiles).
+    pub fn arrange<B: Bounds>(&self, entries: &mut [(B, u64)], cap: usize) {
         match *self {
-            PackingOrder::NearestX => sort_by_center(entries, 0),
-            PackingOrder::Hilbert { order } => entries.sort_by_key(|(b, _)| b.hilbert_key(order)),
-            PackingOrder::Morton { order } => entries.sort_by_key(|(b, _)| b.morton_key(order)),
-            PackingOrder::Str => str_tile(entries, cap, 0),
+            Self::NearestX => sort_by_center(entries, 0),
+            Self::Hilbert { order } => entries.sort_by_cached_key(|e| e.0.hilbert_key(order)),
+            Self::Morton { order } => entries.sort_by_cached_key(|e| e.0.morton_key(order)),
+            Self::Str => str_tile(entries, cap, 0),
         }
     }
 }
@@ -179,9 +180,10 @@ impl BulkLoader {
     /// Loads explicit `(rect, id)` items.
     pub fn load_entries<B: Bounds>(&self, mut items: Vec<(B, u64)>) -> RTree<B> {
         let mut tree = RTree::builder(self.cap.max(4)).build();
-        // The builder enforces cap >= 4 for splits; packing never splits, so
-        // we honor the requested capacity exactly.
+        // Packing never splits, so it keeps any cap >= 2 (the builder wants
+        // >= 4) and a min fill an image can record, at most cap / 2.
         tree.max_entries = self.cap;
+        tree.min_entries = tree.min_entries.min(self.cap / 2);
         if items.is_empty() {
             return tree;
         }
@@ -288,6 +290,7 @@ impl SplitPolicy for BoxedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rtree_geom::Point;
 
     fn squares(n: usize) -> Vec<Rect> {
@@ -397,10 +400,56 @@ mod tests {
         assert!(t.node_count() > packed.node_count());
     }
 
+    /// One rect per cell `(x, y, size)`: centers on a 3 × 3 grid with four
+    /// extents each, so curve keys tie heavily, under scrambled ids.
+    fn tied_entries(cells: &[(u8, u8, u8)]) -> Vec<(Rect, u64)> {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(cx, cy, size))| {
+                let c = Point::new(0.2 + 0.3 * cx as f64, 0.2 + 0.3 * cy as f64);
+                let side = 0.002 * (1 + size) as f64;
+                let id = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (Rect::centered(c, side, side), id)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The curve orders are the stable per-comparison key sort, the
+        /// oracle kept here only: tied keys keep their input order.
+        #[test]
+        fn curve_orders_match_the_stable_key_sort(
+            cells in prop::collection::vec((0u8..3, 0u8..3, 0u8..4), 1..400),
+            order in 1u32..17,
+        ) {
+            let entries = tied_entries(&cells);
+            for packing in [PackingOrder::Hilbert { order }, PackingOrder::Morton { order }] {
+                let mut got = entries.clone();
+                packing.arrange(&mut got, 10);
+                let mut want = entries.clone();
+                if let PackingOrder::Hilbert { .. } = packing {
+                    want.sort_by_key(|(b, _)| b.hilbert_key(order));
+                } else {
+                    want.sort_by_key(|(b, _)| b.morton_key(order));
+                }
+                prop_assert_eq!(got, want, "{}", packing.name());
+            }
+        }
+    }
+
     #[test]
     fn small_capacity_packing() {
         let t = check_loader(BulkLoader::str_pack(2), 33);
         assert_eq!(t.max_entries(), 2);
         assert!(t.height() >= 5);
+        // Every capacity records a min fill an image can hold (<= cap / 2);
+        // the builder's 40 % fill stays for the caps it accepts.
+        for (cap, min) in [(2, 1), (3, 1), (4, 2), (10, 4)] {
+            assert_eq!(
+                check_loader(BulkLoader::hilbert(cap), 50).min_entries(),
+                min
+            );
+        }
     }
 }

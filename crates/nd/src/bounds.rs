@@ -75,6 +75,7 @@ fn morton_index_nd<const D: usize>(p: &PointN<D>, bits: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtree_index::PackingOrder;
 
     #[test]
     fn morton_is_monotone_along_axis_prefix() {
@@ -90,6 +91,40 @@ mod tests {
         assert_eq!(key_bits::<5>(16), 12);
         let r = RectN::<5>::unit();
         let _ = (r.hilbert_key(16), r.morton_key(16));
+    }
+
+    /// The packer's curve orders over 3-D rects with heavily duplicated
+    /// centers, in scrambled id order, are the stable per-comparison key
+    /// sort: tied keys keep their input order.
+    #[test]
+    fn curve_orders_match_the_stable_key_sort_in_three_dimensions() {
+        let entries: Vec<(RectN<3>, u64)> = (0..2_000u64)
+            .map(|i| {
+                let c = PointN::new([
+                    0.25 + 0.5 * (i % 2) as f64,
+                    0.3,
+                    0.25 + 0.5 * (i % 3 / 2) as f64,
+                ]);
+                let side = 0.001 * (1 + i % 5) as f64;
+                (
+                    RectN::centered(c, [side; 3]),
+                    i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                )
+            })
+            .collect();
+        for order in [2, 16] {
+            let mut hilbert = entries.clone();
+            PackingOrder::Hilbert { order }.arrange(&mut hilbert, 16);
+            let mut want = entries.clone();
+            want.sort_by_key(|(b, _)| b.hilbert_key(order));
+            assert_eq!(hilbert, want, "HS, order {order}");
+
+            let mut morton = entries.clone();
+            PackingOrder::Morton { order }.arrange(&mut morton, 16);
+            let mut want = entries.clone();
+            want.sort_by_key(|(b, _)| b.morton_key(order));
+            assert_eq!(morton, want, "Morton, order {order}");
+        }
     }
 
     #[test]

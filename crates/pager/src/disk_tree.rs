@@ -639,7 +639,7 @@ mod tests {
     use crate::MemStore;
     use rtree_buffer::LruPolicy;
     use rtree_geom::Point;
-    use rtree_index::BulkLoader;
+    use rtree_index::{Bounds, BulkLoader};
 
     fn sample_rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -757,8 +757,9 @@ mod tests {
     }
 
     /// The image writer's output is pinned byte for byte: whole-image
-    /// CRC-32s recorded from the build that still had three materializers
-    /// (PR 16), one per form an image is born in.
+    /// CRC-32s recorded from the build that still had three materializers,
+    /// one per form an image is born in, and (clustered) from the build
+    /// that still recomputed a curve key at every sort comparison.
     #[test]
     fn image_writer_reproduces_the_recorded_images() {
         let crc = |store: MemStore| {
@@ -777,12 +778,40 @@ mod tests {
         assert_eq!(crc(v3.into_store()), (202, 2_624_670_787), "v3");
         let v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(v4.into_store()), (190, 1_670_899_625), "v4");
+        // The lattice above has no tied Hilbert keys; tight clusters do, so
+        // these images also pin the packer's order among tied entries.
+        let rects = rtree_datagen::ClusteredPoints::new(20_000, 8, 0.002).generate(3);
+        let mut keys: Vec<u64> = rects.iter().map(|r| Bounds::hilbert_key(r, 16)).collect();
+        keys.sort_unstable();
+        let ties = keys.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(ties >= 100, "only {ties} tied keys");
+        let tree = BulkLoader::hilbert(100).load(&rects);
+        let v3 = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        assert_eq!(crc(v3.into_store()), (204, 3_240_902_090), "clustered v3");
+        let v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        assert_eq!(crc(v4.into_store()), (202, 4_181_736_299), "clustered v4");
         let empty = DiskRTree::create_empty(MemStore::new(), 16, 6, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(empty.into_store()), (2, 3_701_525_664), "empty");
         // The writable tree's empty image records no level table.
         let mut store = MemStore::new();
         materialize_empty(&mut store, 16, 6, false).unwrap();
         assert_eq!(crc(store), (2, 0x6d3a_a3ff), "empty, no level table");
+    }
+
+    /// Every capacity the packing loader accepts yields a tree an image can
+    /// hold; caps 2 and 3 used to record a min fill above `cap / 2`.
+    #[test]
+    fn packed_trees_of_every_loader_capacity_write_an_image() {
+        let rects = sample_rects(60);
+        for cap in 2..=5 {
+            for loader in [BulkLoader::hilbert(cap), BulkLoader::str_pack(cap)] {
+                let tree = loader.load(&rects);
+                let mut disk = DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new())
+                    .unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+                let all = disk.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
+                assert_eq!(all.len(), 60, "cap {cap}");
+            }
+        }
     }
 
     #[test]
