@@ -494,9 +494,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.query(&Rect { lo: *p, hi: *p })
     }
 
-    /// The `k` items nearest to `p` (closest first; ties broken
-    /// arbitrarily), best-first over pages with the dispatched SIMD
-    /// distance kernel pruning against the current k-th-best bound. On a
+    /// The `k` items nearest to `p` (closest first; equal distances in the
+    /// order the walk found them), best-first over pages with the dispatched
+    /// SIMD distance kernel pruning against the current k-th-best bound. On a
     /// writable tree the search runs under the exclusive operation gate
     /// (no concurrent mutation mid-search); on read-optimized trees it is
     /// freely concurrent.

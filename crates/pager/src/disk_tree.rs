@@ -441,9 +441,9 @@ impl<S: PageStore> DiskRTree<S> {
     }
 
     /// The `k` items nearest to `p` (by rectangle distance, closest first;
-    /// ties broken arbitrarily), via best-first search over pages with the
-    /// dispatched SIMD distance kernel pruning every node's entries against
-    /// the current k-th-best bound before they are enqueued.
+    /// equal distances in the order the walk found them, so the answer
+    /// depends on the pages alone), best-first over pages with the
+    /// dispatched SIMD distance kernel pruning against the k-th-best bound.
     pub fn nearest_neighbors(&mut self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
         let (root, level, items) = (self.meta.root, self.meta.root_level(), self.meta.items);
         walk::nearest(&mut self.reader(), root, level, items, p, k)

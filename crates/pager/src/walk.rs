@@ -4,14 +4,15 @@
 //! is part of the contract: the depth-first region walk fetches in
 //! stack-pop order, the frontier walk and FindLeaf in ascending page id
 //! within each level with every shared page fetched once, the kNN search
-//! in best-first (heap) order. `tests::*_order` pins all four against
-//! golden vectors.
+//! best-first in a total order: nearer first, then earlier discovered,
+//! with items before pages at equal distance. `tests::*_order` pins all
+//! four against golden vectors.
 
 use crate::seam::PageRead;
 use crate::PageView;
 use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io;
 
@@ -183,59 +184,46 @@ pub(crate) fn find_leaf<P: PageRead>(
     }
 }
 
-/// A kNN search-queue entry ordered by ascending distance (the heap is a
-/// max-heap, so the ordering is inverted).
-struct KnnEntry {
-    dist2: f64,
-    kind: KnnKind,
+/// A kNN candidate's place in the walk's total order: `(min-distance² as
+/// bits, discovery sequence)`. Bits order like the value for every
+/// `d² ≥ +0`, +∞ included, and the kernel admits no NaN, so the key is a
+/// plain integer pair; no two candidates share a `seq`, so none tie.
+type Key = (u64, u64);
+
+/// The children an expanded internal page left unexpanded, each `(key,
+/// page)` at `level`; `head` indexes the nearest.
+struct Run {
+    children: Vec<(Key, u64)>,
+    head: usize,
+    level: u16,
 }
 
-enum KnnKind {
-    /// An unexpanded node page (level 0 = leaf).
-    Node(u64, u16),
-    /// A leaf entry.
-    Item { rect: Rect, id: u64 },
-}
-
-impl PartialEq for KnnEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist2 == other.dist2
-    }
-}
-impl Eq for KnnEntry {}
-impl PartialOrd for KnnEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for KnnEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist2
-            .partial_cmp(&self.dist2)
-            .expect("kernel distances are never NaN")
-    }
-}
-
-/// Total order for kernel distances (never NaN — see the geom NaN policy).
-#[derive(Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("distance is never NaN")
+impl Run {
+    /// Drops the children no nearer than `kth` (the bound only tightens, so
+    /// they can never be expanded) and returns the nearest one left.
+    fn rescan(&mut self, kth: Option<u64>) -> Option<Key> {
+        if let Some(bound) = kth {
+            self.children.retain(|c| c.0 .0 < bound);
+        }
+        let (head, &(key, _)) = self.children.iter().enumerate().min_by_key(|c| c.1 .0)?;
+        self.head = head;
+        Some(key)
     }
 }
 
 /// Best-first kNN over pages (Hjaltason & Samet) on a tree of `items`
-/// items: the `k` nearest to `p`, closest first. The SIMD distance kernel
-/// both computes every enqueued distance and discards entries beyond the
-/// current k-th-best bound in one pass.
+/// items: the `k` nearest to `p`, closest first. Candidates are totally
+/// ordered by (min-distance², discovery sequence), items before pages at
+/// equal distance, so the answer and the fetch order depend on the pages
+/// alone.
+///
+/// Only pages are queued. A leaf's items go straight into `best`, the `k`
+/// nearest so far in order. An expanded internal page keeps its surviving
+/// children once, as a [`Run`], and `heads` holds each run's nearest child;
+/// taking one rescans only its run. The walk stops when `best` holds `k`
+/// items and the nearest pending page is no nearer than the k-th, and never
+/// before. The SIMD distance kernel discards every entry beyond the k-th
+/// item's distance in the same pass that computes the rest.
 pub(crate) fn nearest<P: PageRead>(
     src: &mut P,
     root: u64,
@@ -244,60 +232,67 @@ pub(crate) fn nearest<P: PageRead>(
     p: &Point,
     k: usize,
 ) -> io::Result<Vec<Neighbor>> {
-    let mut result = Vec::with_capacity(k.min(items as usize));
     if k == 0 || items == 0 {
-        return Ok(result);
+        return Ok(Vec::new());
     }
+    let mut best: Vec<(Key, Rect, u64)> = Vec::with_capacity(k.min(items as usize));
+    let mut runs: Vec<Run> = Vec::new();
+    let mut heads: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
     let mut within: Vec<(u32, f64)> = Vec::new();
-    let mut queue = BinaryHeap::new();
-    // Max-heap of the k smallest *item* distances seen so far: once full,
-    // its top is a sound upper bound — no entry farther than it can be
-    // among the k nearest, so the kernel discards such entries in-pass.
-    let mut best_k: BinaryHeap<OrdF64> = BinaryHeap::with_capacity(k + 1);
-    queue.push(KnnEntry {
-        dist2: 0.0,
-        kind: KnnKind::Node(root, root_level),
-    });
-    while let Some(entry) = queue.pop() {
-        match entry.kind {
-            KnnKind::Item { rect, id } => {
-                result.push(Neighbor {
-                    id,
-                    rect,
-                    distance: entry.dist2.sqrt(),
-                });
-                if result.len() == k {
-                    break;
+    let mut seq = 0u64;
+    let kth = |best: &[(Key, Rect, u64)]| (best.len() == k).then(|| best[k - 1].0 .0);
+    let (mut pid, mut level) = (root, root_level);
+    loop {
+        let view = PageView::new(src.fetch(pid, level)?, level)?;
+        within.clear();
+        let bound = kth(&best).map_or(f64::INFINITY, f64::from_bits);
+        view.min_dist2_within(p, bound, &mut within)?;
+        let found = within.iter().map(|&(i, d2)| {
+            seq += 1;
+            ((d2.to_bits(), seq), i as usize)
+        });
+        if level == 0 {
+            for (key, i) in found {
+                // A later item displaces the k-th only if strictly nearer.
+                if kth(&best).is_some_and(|bound| key.0 >= bound) {
+                    continue;
+                }
+                best.truncate(k - 1);
+                let at = best.partition_point(|b| b.0 < key);
+                best.insert(at, (key, view.rect(i), view.ptr(i)));
+            }
+        } else {
+            let children = found.map(|(key, i)| (key, view.ptr(i))).collect();
+            let mut run = Run {
+                children,
+                head: 0,
+                level: level - 1,
+            };
+            if let Some(key) = run.rescan(None) {
+                heads.push(Reverse((key, runs.len())));
+            }
+            runs.push(run);
+        }
+        let bound = kth(&best);
+        match heads.pop() {
+            Some(Reverse((key, r))) if bound.is_none_or(|bound| key.0 < bound) => {
+                let run = &mut runs[r];
+                (pid, level) = (run.children.swap_remove(run.head).1, run.level);
+                if let Some(key) = run.rescan(bound) {
+                    heads.push(Reverse((key, r)));
                 }
             }
-            KnnKind::Node(pid, level) => {
-                let bound = if best_k.len() == k {
-                    best_k.peek().expect("k > 0").0
-                } else {
-                    f64::INFINITY
-                };
-                let view = PageView::new(src.fetch(pid, level)?, level)?;
-                within.clear();
-                view.min_dist2_within(p, bound, &mut within)?;
-                for &(i, d2) in &within {
-                    let kind = if level == 0 {
-                        best_k.push(OrdF64(d2));
-                        if best_k.len() > k {
-                            best_k.pop();
-                        }
-                        KnnKind::Item {
-                            rect: view.rect(i as usize),
-                            id: view.ptr(i as usize),
-                        }
-                    } else {
-                        KnnKind::Node(view.ptr(i as usize), level - 1)
-                    };
-                    queue.push(KnnEntry { dist2: d2, kind });
-                }
-            }
+            _ => break,
         }
     }
-    Ok(result)
+    Ok(best
+        .into_iter()
+        .map(|((d2, _), rect, id)| Neighbor {
+            id,
+            rect,
+            distance: f64::from_bits(d2).sqrt(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -509,5 +504,20 @@ mod tests {
         s.fail_at = Some(4);
         assert!(nearest(&mut s, 1, 2, 8, &p, 2).is_err());
         assert_eq!(s.fetched, [1, 2, 6]);
+    }
+
+    #[test]
+    fn best_first_tie_goes_to_the_item() {
+        // Item 99 in leaf 5 is leaf 6's MBR, so from p, right of everything,
+        // the 3rd-nearest item (after 51 and 50) lies exactly as far as leaf
+        // 6. Items precede nodes at equal distance: leaf 6 is never read,
+        // though its item 61 ties with 99 too.
+        let leaf6 = Rect::new(0.55, 0.0, 0.55 + 0.2, 0.2);
+        let p = Point::new(1.1, 0.1);
+        let mut s = Script::with_extra(&[(5, (leaf6, 99))]);
+        let got = nearest(&mut s, 1, 2, 9, &p, 3).unwrap();
+        assert_eq!(s.fetched, [1, 2, 5]);
+        assert_eq!(got.iter().map(|n| n.id).collect::<Vec<_>>(), [51, 50, 99]);
+        assert_eq!(got[2].distance, p.x - leaf6.hi.x);
     }
 }
