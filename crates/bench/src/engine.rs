@@ -271,11 +271,12 @@ pub(crate) fn concurrent_throughput(opts: &Opts, out: &mut String) -> Result<(),
 /// every disk access, so what remains of query latency is pure traversal
 /// CPU: page decode plus rectangle filtering. The seed path gathers each
 /// page into `(rect, pointer)` entries and tests one `Rect` at a time
-/// ([`DiskRTree::query_scalar`]); the SIMD path decodes the same v3 pages
-/// plane by plane — the four coordinate planes arrive contiguously, no
-/// per-entry gather — and filters with the dispatched SIMD kernel
-/// ([`DiskRTree::query`]). Both answer the identical clustered query
-/// stream from a fully warmed buffer over the same image; the speedup
+/// ([`rtree_pager::ConcurrentDiskRTree::query_scalar`]); the SIMD path
+/// decodes the same v3 pages plane by plane — the four coordinate planes
+/// arrive contiguously, no per-entry gather — and filters with the
+/// dispatched SIMD kernel ([`rtree_pager::ConcurrentDiskRTree::query`]).
+/// Both answer the identical clustered query stream from a fully warmed
+/// buffer over the same image; the speedup
 /// column is the whole claim.
 ///
 /// The run **fails** if the dispatched kernel's speedup over the seed path
@@ -301,8 +302,8 @@ pub(crate) fn simd_traversal(opts: &Opts, out: &mut String) -> Result<(), String
     let stream: Vec<Rect> = (0..n_queries).map(|_| sampler.sample()).collect();
 
     let create = || DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new());
-    let mut seed = create().expect("create seed-path tree");
-    let mut v3 = create().expect("create SIMD-path tree");
+    let seed = create().expect("create seed-path tree");
+    let v3 = create().expect("create SIMD-path tree");
 
     // Warm both buffers and cross-check answers and I/O while doing it.
     let mut hits = 0u64;
@@ -455,7 +456,7 @@ pub(crate) fn adaptive_buffer(opts: &Opts, out: &mut String) -> Result<(), Strin
     /// Physical reads after the phase-1 and full streams for one static pin
     /// depth, pinning reads included (the cold start is part of the cost).
     fn run_static(tree: &RTree, stream: &[Rect], per_phase: usize, pin: usize) -> (u64, u64) {
-        let mut disk = DiskRTree::create(MemStore::new(), tree, BUDGET, LruPolicy::new())
+        let disk = DiskRTree::create(MemStore::new(), tree, BUDGET, LruPolicy::new())
             .expect("create disk tree");
         if pin > 0 {
             disk.pin_top_levels(pin).expect("pin top levels");
@@ -478,7 +479,7 @@ pub(crate) fn adaptive_buffer(opts: &Opts, out: &mut String) -> Result<(), Strin
         stream: &[Rect],
         per_phase: usize,
     ) -> (u64, u64, Controller) {
-        let mut disk = DiskRTree::create(MemStore::new(), tree, BUDGET, LruPolicy::new())
+        let disk = DiskRTree::create(MemStore::new(), tree, BUDGET, LruPolicy::new())
             .expect("create disk tree");
         let cfg = ControllerConfig {
             min_samples: 48,
@@ -503,7 +504,7 @@ pub(crate) fn adaptive_buffer(opts: &Opts, out: &mut String) -> Result<(), Strin
             disk.query(q).expect("query");
             if (i + 1) % TICK == 0 {
                 controller
-                    .tick_with(|s| DiskActuator(&mut disk).apply(s))
+                    .tick_with(|s| DiskActuator(&disk).apply(s))
                     .expect("actuate");
             }
             if i + 1 == per_phase {

@@ -56,8 +56,7 @@ pub(crate) fn validate_disk(opts: &Opts, out: &mut String) -> Result<(), String>
         let sim = Simulation::new(cfg).run(&sim_tree, &workload);
 
         // 3. Physical execution: serialize to pages, run real queries.
-        let mut disk =
-            DiskRTree::create(MemStore::new(), &tree, b, LruPolicy::new()).expect("create");
+        let disk = DiskRTree::create(MemStore::new(), &tree, b, LruPolicy::new()).expect("create");
         let mut sampler = QuerySampler::new(&workload, seeds::SIM ^ 0xD15C);
         // Warm-up, then measure.
         for _ in 0..queries / 4 {
@@ -74,7 +73,7 @@ pub(crate) fn validate_disk(opts: &Opts, out: &mut String) -> Result<(), String>
             f(predicted),
             f(sim.disk_accesses_per_query),
             f(physical),
-            f(disk.hit_ratio()),
+            f(disk.buffer_stats().hit_ratio()),
         ]);
     }
     table.emit("validate_disk", opts, out)

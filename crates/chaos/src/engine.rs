@@ -301,7 +301,7 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
                 ChaosOp::Checkpoint => disk.checkpoint()?,
                 ChaosOp::Flush => disk.flush()?,
                 ChaosOp::Resize(frames) => {
-                    disk.resize_buffer(*frames, plan.policy.build(plan.policy_seed))?
+                    disk.resize_buffer(*frames, || plan.policy.build(plan.policy_seed))?
                 }
             }
             Ok(())
@@ -329,7 +329,7 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
         "recover failed",
     )?;
     let reopened = DiskRTree::open(store, 64, LruPolicy::new());
-    let mut recovered = must(reopened, Durability, "opening recovered tree failed")?;
+    let recovered = must(reopened, Durability, "opening recovered tree failed")?;
 
     if recovered.meta().items != reference.len() as u64 {
         let detail = format!(
@@ -773,7 +773,7 @@ fn run_concurrent_phase(
     if !queries.is_empty() {
         match tree.query_batch(&queries, plan.threads) {
             Ok(batch) => {
-                for (q, got) in queries.iter().zip(batch) {
+                for (q, got) in queries.iter().zip(batch.results) {
                     report.check_ids(Differential, got, reference.search(q), |_, _| {
                         format!("concurrent batch query {q} diverged from reference")
                     });
@@ -870,7 +870,7 @@ fn run_adaptive_phase(
             since_tick += 1;
             if since_tick == tick_every {
                 since_tick = 0;
-                let ticked = controller.tick_with(|s| DiskActuator(&mut disk).apply(s));
+                let ticked = controller.tick_with(|s| DiskActuator(&disk).apply(s));
                 must(ticked, Differential, "adaptive-phase actuation failed")?;
             }
         }
@@ -930,7 +930,7 @@ fn run_accounting_phase(
 ) -> Phase {
     use Oracle::Accounting;
     let disk = DiskRTree::open(
-        store,
+        std::mem::take(store),
         plan.buffer_capacity,
         plan.policy.build(plan.policy_seed),
     );
@@ -1016,5 +1016,6 @@ fn run_accounting_phase(
         let detail = "accounting-phase writes appended nothing to the WAL";
         report.fail(Accounting, detail.into());
     }
+    *store = disk.into_store();
     Ok(())
 }

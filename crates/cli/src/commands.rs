@@ -578,7 +578,7 @@ mod tests {
         .unwrap();
 
         let serve_args = args(&format!(
-            "serve {} --cap 10 --buffer 64 --engine sharded --shards 4 --workers 2 \
+            "serve {} --cap 10 --buffer 64 --shards 4 --workers 2 \
              --duration 30 --port-file {}",
             data.display(),
             port.display()
@@ -710,7 +710,7 @@ mod tests {
             format!("serve {} --batch 0", data.display()),
             format!("serve {} --queue 0", data.display()),
             format!("serve {} --workers 0", data.display()),
-            format!("serve {} --engine warp", data.display()),
+            format!("serve {} --writers --shards 4", data.display()),
             format!("serve {} --buffer 0", data.display()),
             format!("serve {} --adaptive --writers", data.display()),
             format!("serve {} --adaptive --tune-interval 0", data.display()),

@@ -137,7 +137,7 @@ pub(super) fn concurrent(args: &Args) -> Result<String, CliError> {
         total / elapsed.as_secs_f64(),
         disk.physical_reads() as f64 / total,
         disk.buffer_stats().hit_ratio(),
-        disk.peek_reads(),
+        disk.io_stats().peek_reads,
     ))
 }
 

@@ -116,26 +116,25 @@ fn run_server<E: rtree_server::QueryEngine>(
     }
 }
 
-/// How `serve --adaptive` reaches the live tree inside engine `E`: applies
-/// a [`rtree_tune::Setting`] (unpin → resize → re-pin).
-type Actuate<E> = fn(&E, rtree_tune::Setting) -> std::io::Result<()>;
+/// The read-only engine `serve` runs: the one disk tree, in memory.
+type ReadEngine = rtree_server::WriterEngine<rtree_pager::MemStore>;
 
-/// Wraps an engine with the online controller: every served query feeds
-/// the workload window, and when the background timer marks a tick due the
-/// controller runs its estimate → refit → actuate loop on the serving path
-/// (so actuation is always between batches, never racing one). Actuation
-/// errors are swallowed — a failed resize must not fail the client batch;
-/// the controller retries at the next tick.
-struct AdaptiveEngine<E> {
-    inner: E,
-    actuate: Actuate<E>,
+/// Wraps the read-only engine with the online controller: every served
+/// query feeds the workload window, and when the background timer marks a
+/// tick due the controller runs its estimate → refit → actuate loop on the
+/// serving path (so actuation is always between batches, never racing
+/// one). Actuation errors are swallowed — a failed resize must not fail the
+/// client batch; the controller retries at the next tick.
+struct AdaptiveEngine {
+    inner: ReadEngine,
     controller: std::sync::Arc<rtree_tune::Controller>,
     tick_due: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
-impl<E: rtree_server::QueryEngine> rtree_server::QueryEngine for AdaptiveEngine<E> {
+impl rtree_server::QueryEngine for AdaptiveEngine {
     fn execute(&self, queries: &[Rect]) -> std::io::Result<Vec<Vec<u64>>> {
         use rtree_obs::TuneObserver;
+        use rtree_tune::{Actuator, DiskActuator};
         for q in queries {
             self.controller
                 .observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
@@ -144,9 +143,8 @@ impl<E: rtree_server::QueryEngine> rtree_server::QueryEngine for AdaptiveEngine<
             .tick_due
             .swap(false, std::sync::atomic::Ordering::Relaxed)
         {
-            let _ = self
-                .controller
-                .tick_with(|s| (self.actuate)(&self.inner, s));
+            let tree = self.inner.tree();
+            let _ = self.controller.tick_with(|s| DiskActuator(tree).apply(s));
         }
         self.inner.execute(queries)
     }
@@ -186,14 +184,13 @@ impl ServeOptions<'_> {
     }
 }
 
-/// Serves a read-only `engine` until shutdown. With `tuning` (`--adaptive`:
-/// a controller and its tick interval in ms) the engine is wrapped in the
-/// controller, a background thread marks a tuning tick due every interval,
-/// and the controller's decision log is appended to the exit summary (on
-/// both the success and the reconciliation-failure path).
-fn serve_engine<E: rtree_server::QueryEngine>(
-    engine: E,
-    actuate: Actuate<E>,
+/// Serves the read-only `engine` until shutdown. With `tuning`
+/// (`--adaptive`: a controller and its tick interval in ms) the engine is
+/// wrapped in the controller, a background thread marks a tuning tick due
+/// every interval, and the controller's decision log is appended to the
+/// exit summary (on both the success and the reconciliation-failure path).
+fn serve_engine(
+    engine: ReadEngine,
     tuning: Option<(rtree_tune::Controller, u64)>,
     opts: ServeOptions<'_>,
 ) -> Result<String, CliError> {
@@ -226,7 +223,6 @@ fn serve_engine<E: rtree_server::QueryEngine>(
     };
     let result = opts.run(AdaptiveEngine {
         inner: engine,
-        actuate,
         controller: Arc::clone(&controller),
         tick_due,
     });
@@ -256,8 +252,8 @@ fn serve_engine<E: rtree_server::QueryEngine>(
 
 pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     use rtree_obs::{CountingSink, TraceSink};
-    use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
-    use rtree_server::{SequentialEngine, WriterEngine};
+    use rtree_pager::{ConcurrentDiskRTree, MemStore};
+    use rtree_server::WriterEngine;
     use std::sync::Arc;
 
     args.allow_flags(&[
@@ -269,7 +265,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         "addr",
         "port-file",
         "duration",
-        "engine",
         "shards",
         "batch",
         "wait-us",
@@ -311,6 +306,11 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
             // sound to refit against.
             return Err(err("--adaptive is not supported with --writers"));
         }
+        if args.flag("shards").is_some() {
+            return Err(err(
+                "--shards is not supported with --writers (the writable tree has one shard)",
+            ));
+        }
         // Writer mode: an empty writable tree seeded through the insert
         // path itself (every seed is WAL-logged and group-committed),
         // then served read-write through the latch-crabbing engine.
@@ -343,8 +343,8 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     }
 
     let tree = sc.tree(&rects);
-    use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
     let tuning = adaptive.then(|| {
+        use rtree_tune::{Controller, ControllerConfig, Setting};
         let start = Setting {
             buffer,
             pin_levels: 0,
@@ -353,40 +353,17 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         let desc = TreeDescription::from_tree(&tree);
         (Controller::new(desc, start, config), tune_interval)
     });
-    match args.flag("engine").unwrap_or("seq") {
-        "seq" => {
-            let mut disk = DiskRTree::create(MemStore::new(), &tree, buffer, sc.new_policy())
-                .map_err(|e| err(format!("creating tree: {e}")))?;
-            disk.set_trace_sink(Some(trace));
-            serve_engine(
-                SequentialEngine::new(disk, 0),
-                |e, s| e.with_tree(|tree| DiskActuator(tree).apply(s)),
-                tuning,
-                opts,
-            )
-        }
-        "sharded" => {
-            let shards: usize = args.flag_or("shards", 1usize)?;
-            let (policy, seed) = (sc.policy, sc.seed);
-            let mut disk = ConcurrentDiskRTree::create_sharded(
-                MemStore::new(),
-                &tree,
-                buffer,
-                shards,
-                move || policy.build(seed),
-            )
-            .map_err(|e| err(format!("creating tree: {e}")))?;
-            disk.set_trace_sink(Some(trace));
-            // Read-only tree: the write-side settings are never exercised.
-            serve_engine(
-                WriterEngine::new(disk, workers, 1, false),
-                |e, s| DiskActuator(&mut e.tree()).apply(s),
-                tuning,
-                opts,
-            )
-        }
-        other => Err(err(format!("unknown engine {other:?} (seq | sharded)"))),
-    }
+    let shards: usize = args.flag_or("shards", 1usize)?;
+    let mut disk =
+        ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, buffer, shards, || {
+            sc.new_policy()
+        })
+        .map_err(|e| err(format!("creating tree: {e}")))?;
+    disk.set_trace_sink(Some(trace));
+    // One walk per batch, so the whole batch shares its page dedup; the
+    // batcher's workers run batches side by side. Read-only tree: the
+    // write-side settings are never exercised.
+    serve_engine(WriterEngine::new(disk, 1, 1, false), tuning, opts)
 }
 
 pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {

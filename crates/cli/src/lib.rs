@@ -99,7 +99,7 @@ USAGE:
       write each table under results/.
 
   rtrees serve <DATA.csv> [--addr HOST:PORT] [--port-file FILE] [--duration S]
-               [--engine seq|sharded] [--shards S] [--loader L] [--cap N]
+               [--shards S] [--loader L] [--cap N]
                [--buffer B] [--policy LRU|LRU2|FIFO|CLOCK|RANDOM] [--seed N]
                [--batch N] [--wait-us U] [--queue N] [--workers N]
                [--writers [--write-threads W]]
@@ -108,14 +108,17 @@ USAGE:
       ephemeral; --port-file publishes the bound address). Queries funnel
       into the micro-batching scheduler: a batch closes at N queries
       (default 64) or after U microseconds (default 500), whichever comes
-      first, and runs through the batched executor. Runs until a Shutdown
-      frame arrives (or --duration seconds), drains, and prints
-      queries/batches, physical reads per query, queue-wait quantiles, and
-      whether the batcher and trace counters reconcile.
-      --writers serves read-write: an empty writable tree is seeded with
-      the data set through its insert path, and each batch's writes run
-      on up to W threads (default 8) that group-commit to the WAL.
-      --adaptive runs the self-tuning controller (engines seq|sharded): a
+      first, and runs as one level-synchronous batch walk over the tree's
+      S latch shards (default 1, the paper's sequential accounting; 0 = one
+      per hardware thread). Runs until a Shutdown frame arrives (or
+      --duration seconds), drains, and prints queries/batches, physical
+      reads per query, queue-wait quantiles, and whether the batcher and
+      trace counters reconcile.
+      --writers serves read-write: an empty writable tree (one shard, so
+      no --shards) is seeded with the data set through its insert path, and
+      each batch's writes run on up to W threads (default 8) that
+      group-commit to the WAL.
+      --adaptive runs the self-tuning controller (read-only serving): a
       background tick every MS milliseconds (default 250) re-estimates the
       workload from served queries, refits the buffer model, and resizes /
       re-pins the pool within --budget frames (default --buffer); the

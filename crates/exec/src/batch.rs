@@ -1,9 +1,9 @@
 //! The level-synchronous batch executor's entry point. The walk itself
-//! lives behind [`DiskRTree::query_batch`], written once against the
-//! pager's page-access seam.
+//! lives behind [`rtree_pager::ConcurrentDiskRTree::query_batch`], written
+//! once against the pager's page-access seam.
 
 use rtree_geom::Rect;
-use rtree_pager::{BatchOutput, DiskRTree, PageStore};
+use rtree_pager::{BatchOutput, ConcurrentPageStore, DiskRTree};
 use std::io;
 
 /// Has no settings. Kept only because the `rtree-perf` benchmark names it
@@ -61,16 +61,18 @@ impl BatchExecutor {
         BatchExecutor
     }
 
-    /// Runs `queries` as one batch against `tree`. Equivalent to calling
-    /// [`DiskRTree::query`] per query — same result sets — but pages shared
-    /// between queries are fetched once and each level is visited in page
-    /// order.
-    pub fn execute<S: PageStore>(
+    /// Runs `queries` as one batch against `tree`, on the caller's thread:
+    /// the batch walk [`rtree_pager::ConcurrentDiskRTree::query_batch`]
+    /// with one worker. Equivalent to calling
+    /// [`rtree_pager::ConcurrentDiskRTree::query`] per query — same result
+    /// sets — but pages shared between queries are fetched once and each
+    /// level is visited in page order.
+    pub fn execute<S: ConcurrentPageStore + Send>(
         &self,
         tree: &mut DiskRTree<S>,
         queries: &[Rect],
     ) -> io::Result<BatchOutput> {
-        tree.query_batch(queries)
+        tree.query_batch(queries, 1)
     }
 }
 

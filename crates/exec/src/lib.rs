@@ -18,8 +18,8 @@
 //!    place: the node's entry rectangles tested against each query of the
 //!    work item.
 //!
-//! Results are identical to running [`rtree_pager::DiskRTree::query`] per
-//! query, and — from a cold buffer — the batch never performs more physical
+//! Results are identical to running [`rtree_pager::ConcurrentDiskRTree::query`]
+//! per query, and — from a cold buffer — the batch never performs more physical
 //! reads than the sequential runs combined, under *any* replacement policy:
 //! each distinct page is read at most once per batch
 //! (`tests/batch_vs_sequential.rs` proves both properties over arbitrary

@@ -2,7 +2,7 @@
 //!
 //! 1. **Equivalence** — for any tree, buffer size, replacement policy and
 //!    query batch, [`BatchExecutor`] returns exactly
-//!    the result set per query that sequential [`DiskRTree::query`] (and
+//!    the result set per query that sequential `DiskRTree::query` (and
 //!    the in-memory reference) returns.
 //! 2. **Cost dominance** — from a cold buffer, the batch performs at most
 //!    as many physical reads as the same queries run sequentially against
@@ -72,7 +72,7 @@ proptest! {
 
         // Equally cold sequential run under the same policy (RANDOM is
         // seeded, so both sides see the identical eviction stream).
-        let mut seq_tree =
+        let seq_tree =
             DiskRTree::create(MemStore::new(), &tree, buffer, make_policy(which, seed)).unwrap();
         let mut seq_reads = 0u64;
         for (i, q) in queries.iter().enumerate() {

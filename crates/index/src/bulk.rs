@@ -243,7 +243,7 @@ impl TupleAtATime {
 
     /// The full R*-tree configuration: R* split, overlap-aware
     /// ChooseSubtree and 30% forced reinsertion (extension; the paper's
-    /// reference [1]).
+    /// reference \[1\]).
     pub fn rstar(cap: usize) -> Self {
         let mut t = Self::with_split(cap, crate::rstar::RStarSplit);
         t.reinsert = Some(0.3);

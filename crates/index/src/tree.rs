@@ -50,7 +50,7 @@ impl<B: Bounds> RTreeBuilder<B> {
     /// level of an insertion, this fraction of the node's entries (those
     /// farthest from the node center) is removed and reinserted instead of
     /// splitting, and ChooseSubtree minimizes overlap enlargement at the
-    /// target level (Beckmann et al., the paper's reference [1]).
+    /// target level (Beckmann et al., the paper's reference \[1\]).
     ///
     /// # Panics
     /// Panics unless `0 < fraction <= 0.45`.

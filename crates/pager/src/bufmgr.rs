@@ -61,10 +61,10 @@ fn exclusive(frame: &mut Arc<[u8]>) -> &mut [u8] {
 
 /// The buffer cache: page contents held according to the pool's replacement
 /// decisions, with every physical page transfer counted. One frame per
-/// resident page. Used bare by the sequential [`crate::DiskRTree`], whose
-/// fetches borrow a frame, and behind one latch per shard by
-/// [`crate::ConcurrentDiskRTree`], whose fetches clone the frame's `Arc` so
-/// that decoding runs outside the latch.
+/// resident page. Each shard of a [`crate::ConcurrentDiskRTree`] is one,
+/// behind a latch: reads clone the frame's `Arc` so that decoding runs
+/// outside the latch, while the sequential writer of a
+/// [`crate::DiskRTree`] takes its one shard through `&mut` and borrows.
 pub struct BufferManager<S> {
     store: S,
     pool: BufferPool,
@@ -156,13 +156,6 @@ impl<S: PageStore> BufferManager<S> {
     /// The underlying store.
     pub fn store_mut(&mut self) -> &mut S {
         &mut self.store
-    }
-
-    /// Tears the manager down, discarding frames (dirty pages are *not*
-    /// written back — this simulates a crash; use
-    /// [`BufferManager::flush_all`] first for an orderly shutdown).
-    pub fn into_store(self) -> S {
-        self.store
     }
 
     /// Writes a dirty page's frame to the store and clears its mark. The
@@ -366,11 +359,6 @@ impl<S: PageStore> BufferManager<S> {
         exclusive(frame).copy_from_slice(data);
         self.pool.mark_dirty(id);
         Ok(())
-    }
-
-    /// Allocates a fresh zeroed page in the store.
-    pub fn allocate(&mut self) -> io::Result<PageId> {
-        self.store.allocate()
     }
 
     /// Commits the current operation: appends a commit marker and syncs the

@@ -1,23 +1,28 @@
-//! Concurrent disk-backed query execution over a **sharded** buffer cache.
+//! The disk-backed R-tree's read path over a **sharded** buffer cache.
 //!
-//! A database serves many clients at once; this module provides a
-//! shared-ownership [`ConcurrentDiskRTree`] that multiple threads can query
-//! concurrently. The buffer is N *shards*: each [`PageId`] hashes to exactly
-//! one shard, and each shard is the [`BufferManager`] the sequential tree
-//! owns, with a slice of the capacity, behind its own short
-//! [`parking_lot::Mutex`]. Threads querying disjoint subtrees therefore
-//! touch disjoint latches and never contend; a fetch clones the frame's
-//! `Arc<[u8]>` so decoding and geometry tests — the CPU-heavy part of a
-//! query — run outside every lock, and the store itself is read through
-//! [`SharedPageStore`] (`&self`), so even misses in different shards
-//! proceed in parallel.
+//! [`ConcurrentDiskRTree`] is the one disk tree: every read — region, point,
+//! kNN, batch, the seed's scalar walk — and every pin, resize, counter and
+//! trace call runs here, through one `Cursor` and one cached root frame.
+//! It has two writers. The sequential [`crate::DiskRTree`] is a one-shard
+//! tree plus a `&mut` steal write-back writer that logs page images; the
+//! writable constructors here attach a latch-crabbing no-steal writer that
+//! logs logical operations.
+//!
+//! The buffer is N *shards*: each [`PageId`] hashes to exactly one shard,
+//! and each shard is a [`BufferManager`] over a slice of the capacity,
+//! behind its own short [`parking_lot::Mutex`]. Threads querying disjoint
+//! subtrees therefore touch disjoint latches and never contend; a fetch
+//! clones the frame's `Arc<[u8]>` so decoding and geometry tests — the
+//! CPU-heavy part of a query — run outside every lock, and the store itself
+//! is read through [`SharedPageStore`] (`&self`), so even misses in
+//! different shards proceed in parallel.
 //!
 //! Counters live inside the shards; [`ConcurrentDiskRTree::io_stats`] and
 //! [`ConcurrentDiskRTree::buffer_stats`] sum them under the shard latches
 //! (statistics requests and exit summaries read them, never an operation).
 //!
-//! A writable tree has one shard: every page it writes in place goes
-//! through it, under the write-ahead rule ([`ConcurrentDiskRTree::checkpoint`]).
+//! A tree with a writer has one shard: every page it writes in place goes
+//! through it, under the write-ahead rule.
 //!
 //! # Accounting rules
 //!
@@ -26,16 +31,17 @@
 //!   against a fully pinned shard, or the one-time load of a pinned page.
 //! - The **root peek** is *uncharged*, mirroring the model semantics where
 //!   a node is accessed iff its MBR intersects the query. The peeked root
-//!   frame is cached once per tree (only read-only trees peek, and their
-//!   root never changes); if the root was not resident the transfer is
-//!   surfaced in `IoStats::peek_reads` instead of being silently dropped.
-//! - With `shards = 1` the access sequence seen by the pool is exactly the
-//!   sequential [`crate::DiskRTree`] sequence, so single-threaded physical
-//!   read counts reproduce the paper's numbers bit for bit.
+//!   frame is cached until the root changes (the sequential writer drops
+//!   it on every write; a latch-crabbing tree never peeks); if the root was
+//!   not resident the transfer is surfaced in `IoStats::peek_reads` instead
+//!   of being silently dropped.
+//! - With one shard the pool sees the walks' page accesses in exactly the
+//!   order they are made, so single-threaded physical read counts reproduce
+//!   the paper's numbers bit for bit.
 
 use crate::disk_tree::{materialize, materialize_empty};
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
-use crate::mutate::{insert_entry, remove_entry};
+use crate::mutate::{insert_entry, mbr, remove_entry};
 use crate::page::{decode_free_page, encode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
@@ -89,11 +95,11 @@ impl<S: SharedPageStore> PageStore for ShardStore<S> {
 
 /// One latch domain: the buffer cache over a slice of the capacity, to be
 /// kept behind its own `Mutex`.
-type Shard<S> = BufferManager<ShardStore<S>>;
+pub(crate) type Shard<S> = BufferManager<ShardStore<S>>;
 
 /// A policy factory for the single-shard constructors: yields `policy` the
 /// one time it is called.
-fn once<P>(policy: P) -> impl FnMut() -> P {
+pub(crate) fn once<P>(policy: P) -> impl FnMut() -> P {
     let mut policy = Some(policy);
     move || policy.take().expect("one shard takes the policy once")
 }
@@ -167,21 +173,22 @@ fn resolve_shards(requested: usize, capacity: usize) -> usize {
 /// A disk-backed R-tree that can be queried from many threads at once
 /// (`&self` queries; wrap in an `Arc` to share).
 ///
-/// [`ConcurrentDiskRTree::create`] / [`ConcurrentDiskRTree::open`] build a
-/// **single-shard** tree whose replacement decisions and physical read
-/// counts are exactly those of the sequential [`crate::DiskRTree`] — the
-/// configuration every paper experiment uses. The `_sharded` constructors
-/// split the capacity across N latch-disjoint shards for multi-threaded
+/// A [`crate::DiskRTree`] is a **single-shard** tree of this type — the
+/// configuration every paper experiment uses — and dereferences to it for
+/// every read, pin, resize and counter. The `_sharded` constructors split
+/// the capacity across N latch-disjoint shards for multi-threaded
 /// throughput.
 pub struct ConcurrentDiskRTree<S> {
-    store: Arc<S>,
+    pub(crate) store: Arc<S>,
     pub(crate) shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
-    /// Cached root frame for the uncharged MBR peek (only read-only trees
-    /// peek, so the root page never changes).
-    root_frame: OnceLock<Arc<[u8]>>,
-    meta: PageMeta,
+    /// Cached root frame for the uncharged MBR peek: a latch-crabbing tree
+    /// never peeks, and the sequential writer drops it on every write.
+    pub(crate) root_frame: OnceLock<Arc<[u8]>>,
+    /// The live metadata of a tree without a latch-crabbing writer (the
+    /// sequential writer updates it); the open-time snapshot otherwise.
+    pub(crate) meta: PageMeta,
     /// Span ids, query metrics and the tracer of latch and group-commit
     /// events (the shards trace their own).
     pub(crate) trace: TreeTrace,
@@ -190,21 +197,6 @@ pub struct ConcurrentDiskRTree<S> {
 }
 
 impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
-    /// Serializes `tree` into `store` and returns a shareable single-shard
-    /// handle with the paper's exact sequential accounting.
-    ///
-    /// # Panics
-    /// Panics if the tree is empty or its node capacity exceeds
-    /// [`crate::MAX_ENTRIES_PER_PAGE`].
-    pub fn create(
-        store: S,
-        tree: &RTree,
-        buffer_capacity: usize,
-        policy: impl ReplacementPolicy + 'static,
-    ) -> io::Result<Self> {
-        Self::create_sharded(store, tree, buffer_capacity, 1, once(policy))
-    }
-
     /// Serializes `tree` into `store` and returns a sharded handle:
     /// `shards` is rounded to a power of two and capped by the capacity;
     /// `0` means one shard per hardware thread. `policy` is invoked once
@@ -224,15 +216,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
-    /// Opens a previously materialized tree with a single shard.
-    pub fn open(
-        store: S,
-        buffer_capacity: usize,
-        policy: impl ReplacementPolicy + 'static,
-    ) -> io::Result<Self> {
-        Self::open_sharded(store, buffer_capacity, 1, once(policy))
-    }
-
     /// Opens a previously materialized tree with a sharded pool (see
     /// [`ConcurrentDiskRTree::create_sharded`] for the shard semantics).
     pub fn open_sharded<P: ReplacementPolicy + 'static>(
@@ -245,7 +228,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
-    fn read_meta(store: &mut S) -> io::Result<PageMeta> {
+    pub(crate) fn read_meta(store: &mut S) -> io::Result<PageMeta> {
         let mut buf = vec![0u8; PAGE_SIZE];
         store.read_page(PageId(0), &mut buf)?;
         Ok(PageMeta::decode(&buf)?)
@@ -254,7 +237,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// Builds the shard array: the capacity is split evenly over the
     /// resolved shard count, the first `capacity % n` shards taking one
     /// extra frame.
-    fn assemble<P: ReplacementPolicy + 'static>(
+    pub(crate) fn assemble<P: ReplacementPolicy + 'static>(
         store: S,
         meta: PageMeta,
         capacity: usize,
@@ -300,6 +283,25 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         &self.meta
     }
 
+    /// Number of node pages per level, root level first.
+    ///
+    /// # Panics
+    /// Panics after a mutation: inserts and deletes abandon the bulk-load
+    /// level-order layout, so the level table is cleared.
+    pub fn pages_per_level(&self) -> Vec<u64> {
+        let starts = &self.meta.level_starts;
+        assert!(
+            !starts.is_empty(),
+            "level table is stale: the tree has been mutated since bulk load"
+        );
+        let ends = starts[1..].iter().copied().chain([self.meta.nodes + 1]);
+        starts
+            .iter()
+            .zip(ends)
+            .map(|(start, end)| end - start)
+            .collect()
+    }
+
     /// Number of shards the buffer capacity is split across.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -325,10 +327,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.io_stats().reads
     }
 
-    /// Root-peek reads so far (all threads). At most one per tree lifetime
-    /// between counter resets — the peeked frame is cached.
-    pub fn peek_reads(&self) -> u64 {
-        self.io_stats().peek_reads
+    /// Physical page writes so far: the sequential writer's write-backs, or
+    /// a latch-crabbing tree's checkpoints.
+    pub fn physical_writes(&self) -> u64 {
+        self.io_stats().writes
     }
 
     /// Pool access statistics summed across shards.
@@ -400,8 +402,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// first `capacity % n` shards one extra, mirroring construction) under
     /// a fresh policy from one call to `policy`. Pinned pages stay pinned
     /// with their frames; unpinned frames are dropped, so the cache starts
-    /// cold. As on the sequential tree, the pool access statistics restart
-    /// and the cumulative [`IoStats`] survive.
+    /// cold. As in [`BufferManager::resize`], the pool access statistics
+    /// restart, the cumulative [`IoStats`] survive, and the sequential
+    /// writer's dirty pages are written back first.
     ///
     /// On a writable tree the operation gate is held exclusively, so no
     /// query or writer is in flight while the pools swap; dirty pages live
@@ -476,7 +479,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// [`ConcurrentDiskRTree::query_batch`]).
     pub fn query(&self, query: &Rect) -> io::Result<Vec<u64>> {
         if let Some(w) = &self.writer {
-            return Ok(self.query_latched(w, &[*query])?.swap_remove(0));
+            return Ok(self.query_latched(w, &[*query])?.results.swap_remove(0));
         }
         let (root, level) = (self.meta.root, self.meta.root_level());
         let mut cursor = Cursor::new(self);
@@ -484,6 +487,47 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             Some(mbr) if mbr.intersects(query) => walk::region(&mut cursor, root, level, query),
             _ => Ok(Vec::new()),
         }
+    }
+
+    /// Executes a query and also reports how many physical reads it caused.
+    pub fn query_counting(&self, query: &Rect) -> io::Result<(Vec<u64>, u64)> {
+        let before = self.physical_reads();
+        let results = self.query(query)?;
+        Ok((results, self.physical_reads() - before))
+    }
+
+    /// The seed's entry-at-a-time region query, the differential reference
+    /// for every kernel and page format: decodes pages into [`NodePage`]
+    /// (one `(rect, pointer)` entry at a time, whatever the page layout)
+    /// and tests each entry with [`Rect::intersects`] — no in-place view,
+    /// no dispatched kernel. Visits pages in exactly the same order as
+    /// [`ConcurrentDiskRTree::query`], so on the same image results *and*
+    /// I/O counts must match: the `simd_vs_seed` and `compress_vs_seed`
+    /// suites and the `simd_traversal` bench rely on this. Not for a tree
+    /// with a latch-crabbing writer.
+    pub fn query_scalar(&self, query: &Rect) -> io::Result<Vec<u64>> {
+        let mut results = Vec::new();
+        let (root, root_level) = (self.meta.root, self.meta.root_level());
+        let mut cursor = Cursor::new(self);
+        let root_node = NodePage::decode(&self.root_frame()?)?;
+        if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
+            return Ok(results);
+        }
+        let mut stack = vec![(root, root_level)];
+        while let Some((pid, level)) = stack.pop() {
+            let node = NodePage::decode(cursor.fetch(pid, level)?)?;
+            debug_assert_eq!(node.level, level, "stack level mirrors the page");
+            for (r, ptr) in &node.entries {
+                if r.intersects(query) {
+                    if level == 0 {
+                        results.push(*ptr);
+                    } else {
+                        stack.push((*ptr, level - 1));
+                    }
+                }
+            }
+        }
+        Ok(results)
     }
 
     /// Point query: item ids whose rectangle contains `p` (boundary
@@ -508,7 +552,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
     /// Runs a batch of region queries sharded across `threads` worker
     /// threads (contiguous sub-batches; `0` means one per hardware
-    /// thread). `results[i]` holds the ids matching `queries[i]`.
+    /// thread). `results[i]` holds the ids matching `queries[i]`; the
+    /// counters are the workers' summed (their deepest walk for `levels`).
     ///
     /// Each worker traverses its sub-batch **level-synchronously with page
     /// dedup**: a page needed by k of its queries is fetched once, each
@@ -519,12 +564,12 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// `threads = 1` the traversal runs inline on the caller's thread.
     /// On a writable tree the batch is one such walk on the caller's thread,
     /// from the live root with no peek, under the reader latch protocol.
-    pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<Vec<Vec<u64>>>
+    pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<BatchOutput>
     where
         S: Send + Sync,
     {
         if queries.is_empty() {
-            return Ok(Vec::new());
+            return Ok(BatchOutput::new(0));
         }
         if let Some(w) = &self.writer {
             return self.query_latched(w, queries);
@@ -538,21 +583,21 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
         // Shared uncharged root peek; workers reuse the MBR.
         let Some(root_mbr) = self.root_mbr()? else {
-            return Ok(vec![Vec::new(); queries.len()]);
+            return Ok(BatchOutput::new(queries.len()));
         };
         let (root, level) = (self.meta.root, self.meta.root_level());
         // One worker's walk over its contiguous slice of the batch.
-        let worker = |slice: &[Rect]| -> io::Result<Vec<Vec<u64>>> {
+        let worker = |slice: &[Rect]| -> io::Result<BatchOutput> {
             let mut out = BatchOutput::new(slice.len());
             let mut cursor = Cursor::new(self);
             walk::frontier(&mut cursor, root, level, Some(&root_mbr), slice, &mut out)?;
-            Ok(out.results)
+            Ok(out)
         };
         if threads == 1 {
             return worker(queries);
         }
         let chunk = queries.len().div_ceil(threads);
-        let outputs: Vec<io::Result<Vec<Vec<u64>>>> = std::thread::scope(|scope| {
+        let outputs: Vec<io::Result<BatchOutput>> = std::thread::scope(|scope| {
             let workers: Vec<_> = queries
                 .chunks(chunk)
                 .map(|slice| scope.spawn(|| worker(slice)))
@@ -562,11 +607,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 .map(|w| w.join().expect("batch worker panicked"))
                 .collect()
         });
-        let mut results = Vec::with_capacity(queries.len());
+        let mut total = BatchOutput::new(0);
         for out in outputs {
-            results.extend(out?);
+            total.append(out?);
         }
-        Ok(results)
+        Ok(total)
     }
 }
 
@@ -767,7 +812,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// The writable tree's read path: one level-synchronous walk over the
     /// whole batch from the live root, the cursor coupling shared latches
     /// between levels (see [`Cursor::level_done`]).
-    fn query_latched(&self, w: &WriterState, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
+    fn query_latched(&self, w: &WriterState, queries: &[Rect]) -> io::Result<BatchOutput> {
         let _gate = w.op_gate.read();
         let (set, root, level) = self.enter(w, false);
         let mut cursor = Cursor {
@@ -776,7 +821,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         };
         let mut out = BatchOutput::new(queries.len());
         walk::frontier(&mut cursor, root, level, None, queries, &mut out)?;
-        Ok(out.results)
+        Ok(out)
     }
 }
 
@@ -818,7 +863,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         let meta = Self::read_meta(&mut store)?;
         // A `DiskRTree` may have left dissolved pages on the image's free
         // list: walk it into the session list, head last so pages are
-        // reused in the order the sequential tree would reuse them.
+        // reused in the order the sequential writer would reuse them.
         let mut free = Vec::new();
         let (mut next, mut buf) = (meta.free_head, vec![0u8; PAGE_SIZE]);
         while next != 0 {
@@ -836,12 +881,18 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         Ok(tree.writable(WriterState::new(live, free, wal)))
     }
 
-    /// Attaches the writer state and lets the one shard write back.
-    fn writable(mut self, state: WriterState) -> Self {
+    /// Lets the one shard write back, through the shared store.
+    pub(crate) fn with_writes(mut self) -> Self {
         let handle = self.shards[0].get_mut().store_mut();
         handle.writes = Some((S::write_page_shared, S::flush_shared));
-        self.writer = Some(state);
         self
+    }
+
+    /// Attaches the writer state and lets the one shard write back.
+    fn writable(self, state: WriterState) -> Self {
+        let mut tree = self.with_writes();
+        tree.writer = Some(state);
+        tree
     }
 
     /// The writer state, or `PermissionDenied` on a read-only tree.
@@ -871,7 +922,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// fsynced — possibly by another thread's batch leader — after it). An
     /// insert that fails leaves no record, so it never becomes durable.
     ///
-    /// The descent is [`insert_entry`] over a cursor that enters holding
+    /// The descent is Guttman's insert over a cursor that enters holding
     /// the meta and root latches exclusively and crabs down one path; the
     /// moment a node proves split-safe every latch above it goes — the
     /// meta latch too, since the root id can then no longer change.
@@ -910,7 +961,8 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// less selective). Underflow — or losing the shared→exclusive
     /// latch trade to a concurrent split — escalates to a full retry
     /// under the exclusive side of the operation gate, where Guttman's
-    /// CondenseTree runs exactly as on the sequential tree (the same code).
+    /// CondenseTree runs exactly as under the sequential writer (the same
+    /// code).
     /// Either way the entry is logged only once it is verified present.
     pub fn delete(&self, rect: &Rect, item: u64) -> io::Result<bool> {
         let w = self.writer_state()?;
@@ -1072,8 +1124,7 @@ mod tests {
     fn single_thread_matches_in_memory() {
         let rects = sample_rects(800);
         let tree = BulkLoader::hilbert(16).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
         for q in [
             Rect::new(0.1, 0.1, 0.4, 0.3),
             Rect::point(Point::new(0.5, 0.5)),
@@ -1092,7 +1143,7 @@ mod tests {
         let rects = sample_rects(2_000);
         let tree = BulkLoader::hilbert(20).load(&rects);
         let disk = Arc::new(
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 50, LruPolicy::new()).unwrap(),
+            crate::DiskRTree::create(MemStore::new(), &tree, 50, LruPolicy::new()).unwrap(),
         );
 
         let queries: Vec<Rect> = (0..64)
@@ -1152,7 +1203,7 @@ mod tests {
             let disk =
                 ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 48, 4, LruPolicy::new)
                     .unwrap();
-            let got = disk.query_batch(&queries, threads).unwrap();
+            let got = disk.query_batch(&queries, threads).unwrap().results;
             assert_eq!(got.len(), queries.len());
             for (i, mut g) in got.into_iter().enumerate() {
                 g.sort_unstable();
@@ -1175,14 +1226,13 @@ mod tests {
 
         // Cold batch with a tiny buffer: dedup, not cache capacity, must
         // bound the reads at the distinct-page count.
-        let batch =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        let batch = crate::DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
         batch.query_batch(&queries, 1).unwrap();
         let batch_reads = batch.physical_reads();
 
         // Equally cold sequential run reads every distinct page at least
         // once, plus whatever the small buffer forces it to re-read.
-        let seq = ConcurrentDiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        let seq = crate::DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
         for q in &queries {
             seq.query(q).unwrap();
         }
@@ -1201,11 +1251,10 @@ mod tests {
     fn query_batch_empty_and_miss_batches() {
         let rects = sample_rects(300);
         let tree = BulkLoader::hilbert(10).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
-        assert!(disk.query_batch(&[], 4).unwrap().is_empty());
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
+        assert!(disk.query_batch(&[], 4).unwrap().results.is_empty());
         let far = vec![Rect::new(2.0, 2.0, 3.0, 3.0); 5];
-        let out = disk.query_batch(&far, 2).unwrap();
+        let out = disk.query_batch(&far, 2).unwrap().results;
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(Vec::is_empty));
         // Root-MBR filtering: nothing was charged to the pool.
@@ -1216,8 +1265,7 @@ mod tests {
     fn pinning_works_shared() {
         let rects = sample_rects(1_500);
         let tree = BulkLoader::hilbert(10).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
         disk.pin_top_levels(2).unwrap();
         disk.reset_counters();
         disk.query(&Rect::point(Point::new(0.3, 0.3))).unwrap();
@@ -1229,12 +1277,9 @@ mod tests {
     fn open_round_trip() {
         let rects = sample_rects(400);
         let tree = BulkLoader::nearest_x(10).load(&rects);
-        let mut store = MemStore::new();
-        {
-            let d = ConcurrentDiskRTree::create(&mut store, &tree, 8, LruPolicy::new()).unwrap();
-            assert_eq!(d.meta().items, 400);
-        }
-        let d = ConcurrentDiskRTree::open(&mut store, 8, LruPolicy::new()).unwrap();
+        let d = crate::DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new()).unwrap();
+        assert_eq!(d.meta().items, 400);
+        let d = crate::DiskRTree::open(d.into_store(), 8, LruPolicy::new()).unwrap();
         assert_eq!(d.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap().len(), 400);
     }
 
@@ -1263,51 +1308,96 @@ mod tests {
         ]
     }
 
+    /// The sequential reference: a bare buffer manager over its own copy of
+    /// the image, driven by the crate's walks with no shard, no latch, no
+    /// cursor and no cached root frame — it peeks the root afresh for every
+    /// query, as the paper's tree does.
+    struct Bare(BufferManager<MemStore>);
+
+    impl PageRead for Bare {
+        fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
+            let (id, level) = (PageId(page), level as i16);
+            Ok(self.0.fetch_in(id, level, &mut Span::default())?)
+        }
+    }
+
+    impl Bare {
+        fn root_mbr(&mut self, meta: &PageMeta) -> Option<Rect> {
+            let frame = self.0.fetch_uncharged(PageId(meta.root)).unwrap();
+            PageView::new(frame, meta.root_level())
+                .unwrap()
+                .mbr()
+                .unwrap()
+        }
+
+        fn query(&mut self, meta: &PageMeta, q: &Rect) -> Vec<u64> {
+            match self.root_mbr(meta) {
+                Some(mbr) if mbr.intersects(q) => {
+                    walk::region(self, meta.root, meta.root_level(), q).unwrap()
+                }
+                _ => Vec::new(),
+            }
+        }
+
+        fn set_pinned_levels(&mut self, meta: &PageMeta, p: usize) {
+            self.0.unpin_all();
+            for page in meta.top_level_pages(p).unwrap() {
+                self.0.pin(PageId(page)).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn shared_counts_match_sequential_counts() {
-        // With one thread, the concurrent wrapper must count exactly like
-        // the plain DiskRTree (same replacement decisions) — for every
-        // policy, pinning depth and query kind, across a resize.
+        // With one thread, the one-shard tree must count exactly like a
+        // bare buffer manager walked sequentially (same replacement
+        // decisions) — for every policy, pinning depth and query kind,
+        // across a resize.
         let rects = sample_rects(1_200);
         let tree = BulkLoader::hilbert(12).load(&rects);
+        let image = crate::DiskRTree::create(MemStore::new(), &tree, 1, LruPolicy::new());
+        let image = image.unwrap().into_store().snapshot();
         for (name, policy) in policy_table() {
             for pin in 0..3 {
-                let concurrent =
-                    ConcurrentDiskRTree::create(MemStore::new(), &tree, 25, policy()).unwrap();
-                let mut plain =
-                    crate::DiskRTree::create(MemStore::new(), &tree, 25, policy()).unwrap();
+                let store = || MemStore::from_bytes(image.clone());
+                let disk = crate::DiskRTree::open(store(), 25, policy()).unwrap();
+                let meta = disk.meta().clone();
+                let mut bare = Bare(BufferManager::new(store(), 25, policy()));
+                bare.0.set_verify_reads(true);
                 for frames in [25, 17] {
-                    concurrent.set_pinned_levels(0).unwrap();
-                    concurrent.resize_buffer(frames, &policy).unwrap();
-                    concurrent.set_pinned_levels(pin).unwrap();
-                    plain.set_pinned_levels(0).unwrap();
-                    plain.resize_buffer(frames, policy()).unwrap();
-                    plain.set_pinned_levels(pin).unwrap();
+                    disk.set_pinned_levels(0).unwrap();
+                    disk.resize_buffer(frames, &policy).unwrap();
+                    disk.set_pinned_levels(pin).unwrap();
+                    bare.set_pinned_levels(&meta, 0);
+                    bare.0.resize(frames, policy()).unwrap();
+                    bare.set_pinned_levels(&meta, pin);
                     for i in 0..300 {
                         let x = (i as f64 * 0.217) % 0.9;
                         let y = (i as f64 * 0.431) % 0.9;
                         let (q, p) = (Rect::new(x, y, x + 0.05, y + 0.05), Point::new(x, y));
                         match i % 3 {
-                            0 => {
-                                assert_eq!(concurrent.query(&q).unwrap(), plain.query(&q).unwrap())
-                            }
+                            0 => assert_eq!(disk.query(&q).unwrap(), bare.query(&meta, &q)),
                             1 => assert_eq!(
-                                concurrent.query_point(&p).unwrap(),
-                                plain.query_point(&p).unwrap()
+                                disk.query_point(&p).unwrap(),
+                                bare.query(&meta, &Rect::point(p))
                             ),
-                            _ => assert_eq!(
-                                concurrent.nearest_neighbors(&p, 1 + i % 7).unwrap(),
-                                plain.nearest_neighbors(&p, 1 + i % 7).unwrap()
-                            ),
+                            _ => {
+                                let (root, level, items) =
+                                    (meta.root, meta.root_level(), meta.items);
+                                let k = 1 + i % 7;
+                                assert_eq!(
+                                    disk.nearest_neighbors(&p, k).unwrap(),
+                                    walk::nearest(&mut bare, root, level, items, &p, k).unwrap()
+                                )
+                            }
                         }
                     }
                     let what = format!("{name}, {pin} pinned levels, {frames} frames");
-                    assert_eq!(concurrent.physical_reads(), plain.physical_reads());
+                    assert_eq!(disk.physical_reads(), bare.0.physical_reads());
                     // The uncharged root peek is the one designed difference:
-                    // the concurrent tree keeps the peeked frame for its
-                    // lifetime, the sequential tree peeks again whenever the
-                    // root is not resident.
-                    let (shared, seq) = (concurrent.io_stats(), plain.io_stats());
+                    // the tree keeps the peeked frame, the bare manager peeks
+                    // again whenever the root is not resident.
+                    let (shared, seq) = (disk.io_stats(), bare.0.io_stats());
                     assert_eq!(shared.peek_reads, seq.peek_reads.min(1), "{what}");
                     let peek_reads = seq.peek_reads;
                     assert_eq!(
@@ -1318,7 +1408,7 @@ mod tests {
                         seq,
                         "{what}"
                     );
-                    assert_eq!(concurrent.buffer_stats(), plain.buffer_stats(), "{what}");
+                    assert_eq!(disk.buffer_stats(), bare.0.pool().stats(), "{what}");
                 }
             }
         }
@@ -1403,8 +1493,7 @@ mod tests {
     fn root_peek_is_cached_and_counted() {
         let rects = sample_rects(600);
         let tree = BulkLoader::hilbert(10).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new()).unwrap();
         // A query outside every MBR touches only the root peek.
         let far = Rect::new(0.995, 0.995, 1.0, 1.0);
         for _ in 0..5 {
@@ -1420,8 +1509,7 @@ mod tests {
     fn pin_out_of_range_is_an_error_not_a_panic() {
         let rects = sample_rects(300);
         let tree = BulkLoader::hilbert(10).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
         let levels = disk.meta().level_starts.len();
         let err = disk.pin_top_levels(levels + 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -1449,11 +1537,11 @@ mod tests {
         // Store reads: 1 = meta page at open, then either the root pin, or
         // the cached root peek followed by the root's demand fetch.
         for (fail_at, pin) in [(2, true), (3, false)] {
-            let mut store = MemStore::new();
-            ConcurrentDiskRTree::create(&mut store, &tree, 64, LruPolicy::new()).unwrap();
+            let disk = crate::DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new());
+            let store = disk.unwrap().into_store();
             let faulty =
                 crate::FaultStore::new(store, rtree_wal::CrashSwitch::new()).fail_read_at(fail_at);
-            let disk = ConcurrentDiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
+            let disk = crate::DiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
             let attempt = || match pin {
                 true => disk.pin_top_levels(1),
                 false => disk.query(&q).map(drop),
@@ -1649,9 +1737,8 @@ mod tests {
     /// One insert algorithm: an image does not say which tree wrote it.
     #[test]
     fn both_trees_write_byte_identical_node_pages() {
-        let mut store = MemStore::new();
         let mut sequential =
-            crate::DiskRTree::create_empty(&mut store, 8, 3, 16, LruPolicy::new()).unwrap();
+            crate::DiskRTree::create_empty(MemStore::new(), 8, 3, 16, LruPolicy::new()).unwrap();
         let latched = ConcurrentDiskRTree::create_writable(
             MemStore::new(),
             8,
@@ -1667,7 +1754,7 @@ mod tests {
         }
         sequential.flush().unwrap();
         assert!(sequential.meta().height > 2, "splits reached the root");
-        drop(sequential);
+        let mut store = sequential.into_store();
         latched.checkpoint().unwrap();
 
         let image = latched.store().snapshot();
@@ -1703,12 +1790,12 @@ mod tests {
             assert!(tree.delete(&item_rect(id), id).unwrap());
         }
         let queries = probe_queries();
-        let batch = |threads| tree.query_batch(&queries, threads).unwrap();
+        let batch = |threads| tree.query_batch(&queries, threads).unwrap().results;
         let live = [1, 2, 4].map(batch);
         tree.checkpoint().unwrap();
         let image = MemStore::from_bytes(tree.store().snapshot());
-        let reopened = ConcurrentDiskRTree::open(image, 16, LruPolicy::new()).unwrap();
-        let want = reopened.query_batch(&queries, 1).unwrap();
+        let reopened = crate::DiskRTree::open(image, 16, LruPolicy::new()).unwrap();
+        let want = reopened.query_batch(&queries, 1).unwrap().results;
         assert!(want.iter().any(|r| !r.is_empty()));
         for (threads, got) in [1, 2, 4].into_iter().zip(live) {
             assert_eq!(got, want, "{threads} threads, overlay");
@@ -1725,9 +1812,8 @@ mod tests {
     fn a_failed_insert_never_becomes_durable() {
         use rtree_wal::{LogBackend, MemLog, StagedLog, WalRecord};
         let bulk = BulkLoader::hilbert(16).load(&sample_rects(3_000));
-        let mut image = MemStore::new();
-        crate::DiskRTree::create(&mut image, &bulk, 4, LruPolicy::new()).unwrap();
-        let image = image.snapshot();
+        let image = crate::DiskRTree::create(MemStore::new(), &bulk, 4, LruPolicy::new());
+        let image = image.unwrap().into_store().snapshot();
         // Read 1 is the meta page at open; read 2, the insert's first.
         let store = crate::FaultStore::new(MemStore::from_bytes(image.clone()), Default::default())
             .fail_read_at(2);
@@ -1811,7 +1897,8 @@ mod tests {
         let rects = sample_rects(100);
         let bulk = BulkLoader::hilbert(16).load(&rects);
         let tree =
-            ConcurrentDiskRTree::create(MemStore::new(), &bulk, 16, LruPolicy::new()).unwrap();
+            ConcurrentDiskRTree::create_sharded(MemStore::new(), &bulk, 16, 1, LruPolicy::new)
+                .unwrap();
         let err = tree.insert(&item_rect(1), 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         let err = tree.delete(&item_rect(1), 1).unwrap_err();
@@ -1851,9 +1938,9 @@ mod tests {
         // The image opens both concurrently (read-only) and sequentially,
         // and agrees with the live writable tree on every probe.
         let reopened =
-            ConcurrentDiskRTree::open(MemStore::from_bytes(image.clone()), 16, LruPolicy::new())
+            crate::DiskRTree::open(MemStore::from_bytes(image.clone()), 16, LruPolicy::new())
                 .unwrap();
-        let mut seq =
+        let seq =
             crate::DiskRTree::open(MemStore::from_bytes(image), 16, LruPolicy::new()).unwrap();
         for q in probe_queries() {
             let mut live = tree.query(&q).unwrap();
@@ -1905,7 +1992,7 @@ mod tests {
 
         tree.checkpoint().unwrap();
         let image = MemStore::from_bytes(tree.store.snapshot());
-        let mut seq = crate::DiskRTree::open(image, 16, LruPolicy::new()).unwrap();
+        let seq = crate::DiskRTree::open(image, 16, LruPolicy::new()).unwrap();
         let mut all = seq.query(&Rect::new(0.0, 0.0, 2.0, 2.0)).unwrap();
         all.sort_unstable();
         assert_eq!(all, (0..id).collect::<Vec<u64>>());
@@ -2112,8 +2199,7 @@ mod tests {
     fn set_pinned_levels_retargets_without_io() {
         let rects = sample_rects(2_000);
         let tree = BulkLoader::hilbert(16).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
         disk.pin_top_levels(2).unwrap();
         let deep = disk.pinned_pages();
         let reads = disk.physical_reads();
@@ -2133,8 +2219,7 @@ mod tests {
     fn point_query_matches_degenerate_region_query() {
         let rects = sample_rects(1_000);
         let tree = BulkLoader::hilbert(16).load(&rects);
-        let disk =
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 32, LruPolicy::new()).unwrap();
+        let disk = crate::DiskRTree::create(MemStore::new(), &tree, 32, LruPolicy::new()).unwrap();
         for i in 0..40 {
             let p = Point::new((i as f64 * 0.171) % 1.0, (i as f64 * 0.257) % 1.0);
             let mut a = disk.query_point(&p).unwrap();
@@ -2153,7 +2238,7 @@ mod tests {
         let rects = sample_rects(1_500);
         let tree = BulkLoader::hilbert(16).load(&rects);
         let disk = Arc::new(
-            ConcurrentDiskRTree::create(MemStore::new(), &tree, 48, LruPolicy::new()).unwrap(),
+            crate::DiskRTree::create(MemStore::new(), &tree, 48, LruPolicy::new()).unwrap(),
         );
         let probes = [
             (Point::new(0.5, 0.5), 10),

@@ -1,33 +1,39 @@
-//! Disk-backed R-tree execution.
+//! The sequential disk tree: a one-shard [`ConcurrentDiskRTree`] plus its
+//! `&mut` writer.
 //!
-//! Query traversal reads pages where they lie in the buffer pool, through
-//! [`PageView`]: the dispatched [`rtree_geom`] SIMD kernels filter the
-//! entries on the frame's own coordinate planes (in code space on
-//! compressed pages) and nothing is decoded. The seed's
-//! entry-at-a-time walk is [`DiskRTree::query_scalar`], the differential
-//! reference the `simd_traversal` bench and the `simd_vs_seed` /
-//! `compress_vs_seed` suites hold every kernel and page format against.
+//! [`DiskRTree`] reads through the tree it owns — every query, pin, resize,
+//! counter and trace call is [`ConcurrentDiskRTree`]'s, reached by deref —
+//! and adds the constructors and the sequential writer: Guttman's insert
+//! and condense-tree delete (in `mutate`) over shard 0's buffer cache,
+//! write-back with steal, every page image logged to an attached
+//! [`rtree_wal::GroupWal`].
 //!
 //! This module also holds the one writer of new tree images,
 //! [`write_image`], behind every `create*` constructor of both trees.
 
+use crate::concurrent::{once, Shard};
 use crate::mutate::mbr;
 use crate::page::{decode_free_page, encode_free_page};
 use crate::seam::{PageRead, PageWrite};
-use crate::trace::{Span, TreeTrace};
-use crate::walk::{self, BatchOutput};
+use crate::trace::Span;
 use crate::{
-    BufferManager, NodePage, PageMeta, PageStore, PageView, MAX_ENTRIES_PACKED,
+    ConcurrentDiskRTree, ConcurrentPageStore, NodePage, PageMeta, PageStore, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 use rtree_buffer::{PageId, ReplacementPolicy};
-use rtree_geom::{Point, Rect};
-use rtree_index::{Neighbor, RTree};
+use rtree_geom::Rect;
+use rtree_index::RTree;
 use std::io;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// An R-tree materialized onto pages, queried through a buffer manager that
 /// counts physical reads — the end-to-end ground truth for the paper's
 /// disk-access metric.
+///
+/// It is a one-shard [`ConcurrentDiskRTree`], to which it dereferences for
+/// every read, pin, resize and counter, plus the sequential writer
+/// ([`DiskRTree::insert`], [`DiskRTree::delete`]).
 ///
 /// Pages are laid out in level order (meta page 0, root page 1, then the
 /// rest of each level contiguously), matching the page numbering used by
@@ -49,7 +55,7 @@ use std::io;
 ///     })
 ///     .collect();
 /// let tree = BulkLoader::hilbert(20).load(&rects);
-/// let mut disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+/// let disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
 ///
 /// // Cold query: every touched node costs a physical read...
 /// let (hits, reads) = disk.query_counting(&Rect::new(0.2, 0.2, 0.4, 0.4)).unwrap();
@@ -59,43 +65,44 @@ use std::io;
 /// assert_eq!(reads2, 0);
 /// assert_eq!(hits.len(), hits2.len());
 /// ```
-pub struct DiskRTree<S: PageStore> {
-    pub(crate) mgr: BufferManager<S>,
-    pub(crate) meta: PageMeta,
-    /// Span ids, query metrics, and the sink whose presence makes spans
-    /// live.
-    pub(crate) trace: TreeTrace,
+pub struct DiskRTree<S: ConcurrentPageStore> {
+    core: ConcurrentDiskRTree<S>,
 }
 
-/// One operation's view of the tree, the sequential seam for reads and
-/// writes: one pool, no latches, so the latch hooks stay empty. Fetches are
-/// charged as [`BufferManager::fetch`] charges them and counted in the
-/// operation's span; stores go through the write-back buffer (and its WAL);
-/// freed pages go on the on-disk free list headed in the metadata.
-pub(crate) struct Pages<'a, S: PageStore> {
-    mgr: &'a mut BufferManager<S>,
-    meta: &'a mut PageMeta,
-    span: Span<'a>,
-}
+impl<S: ConcurrentPageStore> Deref for DiskRTree<S> {
+    type Target = ConcurrentDiskRTree<S>;
 
-impl<S: PageStore> Pages<'_, S> {
-    /// The root's MBR from an uncharged peek (`None` for an empty tree): as in
-    /// the model, a walk accesses the root only if its MBR intersects the query.
-    fn root_mbr(&mut self) -> io::Result<Option<Rect>> {
-        let (root, level) = (self.meta.root, self.meta.root_level());
-        self.mgr.tracer.at_level(&self.span, level as i16);
-        Ok(PageView::new(self.mgr.fetch_uncharged(PageId(root))?, level)?.mbr()?)
+    fn deref(&self) -> &ConcurrentDiskRTree<S> {
+        &self.core
     }
 }
 
-impl<S: PageStore> PageRead for Pages<'_, S> {
+impl<S: ConcurrentPageStore> DerefMut for DiskRTree<S> {
+    fn deref_mut(&mut self) -> &mut ConcurrentDiskRTree<S> {
+        &mut self.core
+    }
+}
+
+/// One write operation's view of the tree: shard 0's pool, taken without
+/// its latch, and the live metadata. No latches, so the latch hooks stay
+/// empty. Fetches are charged as [`crate::BufferManager::fetch`] charges
+/// them; stores go through the write-back buffer (and its WAL); pages are
+/// allocated from the shared store; freed pages go on the on-disk free
+/// list headed in the metadata.
+pub(crate) struct Pages<'a, S: ConcurrentPageStore> {
+    mgr: &'a mut Shard<S>,
+    store: &'a S,
+    meta: &'a mut PageMeta,
+}
+
+impl<S: ConcurrentPageStore> PageRead for Pages<'_, S> {
     fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
         let (id, level) = (PageId(page), level as i16);
-        Ok(self.mgr.fetch_in(id, level, &mut self.span)?)
+        Ok(self.mgr.fetch_in(id, level, &mut Span::default())?)
     }
 }
 
-impl<S: PageStore> PageWrite for Pages<'_, S> {
+impl<S: ConcurrentPageStore> PageWrite for Pages<'_, S> {
     fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
         f(self.meta)
     }
@@ -107,13 +114,15 @@ impl<S: PageStore> PageWrite for Pages<'_, S> {
         // frame contains the rewritten entries), so the containment
         // invariant queries rely on survives arbitrary mutation.
         node.encode_with(&mut buf, self.meta.layout_at(node.level));
-        self.mgr.tracer.at_level(&self.span, node.level as i16);
+        self.mgr
+            .tracer
+            .at_level(&Span::default(), node.level as i16);
         self.mgr.write_buffered(PageId(id), &buf)
     }
 
     fn alloc(&mut self) -> io::Result<u64> {
         if self.meta.free_head == 0 {
-            return Ok(self.mgr.allocate()?.0);
+            return Ok(self.store.allocate_shared()?.0);
         }
         let id = self.meta.free_head;
         self.meta.free_head = decode_free_page(self.mgr.fetch(PageId(id))?)?;
@@ -124,33 +133,49 @@ impl<S: PageStore> PageWrite for Pages<'_, S> {
     fn free(&mut self, id: u64) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
         encode_free_page(self.meta.free_head, &mut buf);
-        self.mgr.tracer.at_level(&self.span, -1);
+        self.mgr.tracer.at_level(&Span::default(), -1);
         self.mgr.write_buffered(PageId(id), &buf)?;
         self.meta.free_head = id;
         Ok(())
     }
 }
 
-impl<S: PageStore> Drop for Pages<'_, S> {
-    /// What drives the manager next (a write, a pin, a flush) has no span.
+impl<S: ConcurrentPageStore> Pages<'_, S> {
+    /// Ends a write operation: the level-order layout is gone, the metadata
+    /// page is rewritten, and the operation commits.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        self.meta.level_starts.clear();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        self.meta.encode(&mut buf);
+        self.mgr.tracer.at_level(&Span::default(), -1);
+        self.mgr.write_buffered(PageId(0), &buf)?;
+        self.mgr.commit()
+    }
+}
+
+impl<S: ConcurrentPageStore> Drop for Pages<'_, S> {
+    /// What drives the manager next (a read, a pin, a flush) is attributed
+    /// afresh.
     fn drop(&mut self) {
         self.mgr.tracer.at_level(&Span::default(), -1);
     }
 }
 
-impl<S: PageStore> DiskRTree<S> {
-    /// Assembles a handle from an already-initialized manager and metadata
-    /// (single construction point so trace state stays in one place).
-    pub(crate) fn from_parts(mut mgr: BufferManager<S>, meta: PageMeta) -> Self {
-        // Checksums are verified once, when a page enters the pool; the
-        // traversal loops then read resident frames as trusted.
-        mgr.set_verify_reads(true);
+impl<S: ConcurrentPageStore> DiskRTree<S> {
+    /// Assembles the one-shard tree over an image whose metadata is `meta`,
+    /// its shard writing back through the store.
+    fn assemble(
+        store: S,
+        meta: PageMeta,
+        buffer_capacity: usize,
+        policy: impl ReplacementPolicy + 'static,
+    ) -> Self {
+        let core = ConcurrentDiskRTree::assemble(store, meta, buffer_capacity, 1, once(policy));
         DiskRTree {
-            mgr,
-            meta,
-            trace: TreeTrace::default(),
+            core: core.with_writes(),
         }
     }
+
     /// Serializes `tree` into `store` and returns a handle with the given
     /// buffer capacity and policy.
     ///
@@ -164,10 +189,7 @@ impl<S: PageStore> DiskRTree<S> {
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
         let meta = materialize(&mut store, tree, false)?;
-        Ok(Self::from_parts(
-            BufferManager::new(store, buffer_capacity, policy),
-            meta,
-        ))
+        Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
     /// Like [`DiskRTree::create`], but materializing a *compressed*
@@ -191,10 +213,26 @@ impl<S: PageStore> DiskRTree<S> {
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
         let meta = materialize(&mut store, tree, true)?;
-        Ok(Self::from_parts(
-            BufferManager::new(store, buffer_capacity, policy),
-            meta,
-        ))
+        Ok(Self::assemble(store, meta, buffer_capacity, policy))
+    }
+
+    /// Creates an empty, mutable tree: a meta page and an empty root leaf.
+    ///
+    /// `min_entries` is Guttman's `m`; it must satisfy
+    /// `1 <= m <= max_entries / 2` so a split can always produce two legal
+    /// nodes.
+    ///
+    /// # Panics
+    /// Panics if the capacities are out of range.
+    pub fn create_empty(
+        mut store: S,
+        max_entries: usize,
+        min_entries: usize,
+        buffer_capacity: usize,
+        policy: impl ReplacementPolicy + 'static,
+    ) -> io::Result<Self> {
+        let meta = materialize_empty(&mut store, max_entries, min_entries, true)?;
+        Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
     /// Opens a previously materialized tree.
@@ -203,257 +241,55 @@ impl<S: PageStore> DiskRTree<S> {
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        store.read_page(PageId(0), &mut buf)?;
-        let meta = PageMeta::decode(&buf)?;
-        Ok(Self::from_parts(
-            BufferManager::new(store, buffer_capacity, policy),
-            meta,
-        ))
+        let meta = ConcurrentDiskRTree::read_meta(&mut store)?;
+        Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
-    /// The stored metadata.
-    pub fn meta(&self) -> &PageMeta {
-        &self.meta
-    }
-
-    /// Attaches a write-ahead log to the underlying buffer manager; from
-    /// here on [`DiskRTree::insert`] and [`DiskRTree::delete`] are logged
-    /// and recoverable via [`crate::recover`]; a failed log flush fails
-    /// the operation and poisons the log.
+    /// Attaches a write-ahead log to the buffer cache; from here on
+    /// [`DiskRTree::insert`] and [`DiskRTree::delete`] are logged and
+    /// recoverable via [`crate::recover`]; a failed log flush fails the
+    /// operation and poisons the log.
     pub fn attach_wal(&mut self, wal: rtree_wal::GroupWal) {
-        self.mgr.attach_wal(wal);
+        self.shard().attach_wal(wal);
     }
 
     /// Writes all dirty pages back and issues the store's durability
     /// barrier.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.mgr.flush_all()
+        self.shard().flush_all()
     }
 
     /// Flushes everything and truncates the attached log (if any). Call
     /// only between operations.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.mgr.checkpoint()
-    }
-
-    /// Physical I/O counters so far.
-    pub fn io_stats(&self) -> crate::IoStats {
-        self.mgr.io_stats()
+        self.shard().checkpoint()
     }
 
     /// Tears the tree down and returns the bare store, discarding buffered
     /// (dirty) state — the crash path for recovery tests. Call
     /// [`DiskRTree::flush`] first for an orderly shutdown.
     pub fn into_store(self) -> S {
-        self.mgr.into_store()
+        let ConcurrentDiskRTree { store, shards, .. } = self.core;
+        drop(shards);
+        let store = Arc::try_unwrap(store).ok();
+        store.expect("the shard held the only other handle on the store")
     }
 
-    /// Number of node pages per level, root level first.
-    ///
-    /// # Panics
-    /// Panics after a mutation: inserts and deletes abandon the bulk-load
-    /// level-order layout, so the level table is cleared.
-    pub fn pages_per_level(&self) -> Vec<u64> {
-        assert!(
-            !self.meta.level_starts.is_empty(),
-            "level table is stale: the tree has been mutated since bulk load"
-        );
-        let mut out = Vec::with_capacity(self.meta.level_starts.len());
-        for (i, &start) in self.meta.level_starts.iter().enumerate() {
-            let end = self
-                .meta
-                .level_starts
-                .get(i + 1)
-                .copied()
-                .unwrap_or(self.meta.nodes + 1);
-            out.push(end - start);
-        }
-        out
+    /// The one shard's buffer cache; `&mut self` needs no latch.
+    fn shard(&mut self) -> &mut Shard<S> {
+        self.core.shards[0].get_mut()
     }
 
-    /// Pins the top `p` levels into the buffer (reads them once).
-    ///
-    /// # Errors
-    /// `InvalidInput` if `p` exceeds the height, or after a mutation (the
-    /// level-order layout no longer holds); `OutOfMemory` if the pool
-    /// cannot hold the pinned pages.
-    pub fn pin_top_levels(&mut self, p: usize) -> io::Result<()> {
-        for page in self.meta.top_level_pages(p)? {
-            let level = self.meta.onpage_level_of(page);
-            self.mgr.tracer.at_level(&Span::default(), level);
-            self.mgr.pin(PageId(page))?;
-        }
-        Ok(())
-    }
-
-    /// Re-targets pinning at the top `p` levels: everything currently
-    /// pinned is unpinned (frames stay resident, no I/O), then the top `p`
-    /// levels are pinned. `p = 0` just unpins. The idempotent actuator the
-    /// tuning controller calls — re-applying the current pinning is free.
-    /// Errors like [`DiskRTree::pin_top_levels`].
-    pub fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
-        self.mgr.unpin_all();
-        if p > 0 {
-            self.pin_top_levels(p)?;
-        }
-        Ok(())
-    }
-
-    /// Number of currently pinned pages.
-    pub fn pinned_pages(&self) -> usize {
-        self.mgr.pinned_count()
-    }
-
-    /// Buffer pool capacity in frames.
-    pub fn buffer_capacity(&self) -> usize {
-        self.mgr.pool().capacity()
-    }
-
-    /// Replaces the buffer pool with `capacity` frames under `policy`,
-    /// flushing all dirty pages first so no buffered state is lost. The
-    /// cache starts cold except for pinned pages, which stay pinned with
-    /// their frames; the pool statistics restart, while the cumulative
-    /// [`crate::IoStats`] and any attached WAL survive. Call only between
-    /// operations. Refuses (`InvalidInput`) a capacity smaller than the
-    /// pinned page count rather than evicting a pinned page.
-    pub fn resize_buffer(
-        &mut self,
-        capacity: usize,
-        policy: impl ReplacementPolicy + 'static,
-    ) -> io::Result<()> {
-        self.mgr.resize(capacity, policy)
-    }
-
-    /// Physical page reads so far.
-    pub fn physical_reads(&self) -> u64 {
-        self.mgr.physical_reads()
-    }
-
-    /// Physical page writes so far.
-    pub fn physical_writes(&self) -> u64 {
-        self.mgr.physical_writes()
-    }
-
-    /// Resets read counters (e.g. after warm-up).
-    pub fn reset_counters(&mut self) {
-        self.mgr.reset_counters();
-    }
-
-    /// Buffer hit ratio so far.
-    pub fn hit_ratio(&self) -> f64 {
-        self.mgr.pool().stats().hit_ratio()
-    }
-
-    /// Buffer pool access statistics so far.
-    pub fn buffer_stats(&self) -> rtree_buffer::BufferStats {
-        self.mgr.pool().stats()
-    }
-
-    /// Opens a read operation: the tree under a fresh span.
-    fn reader(&mut self) -> Pages<'_, S> {
-        Pages {
-            mgr: &mut self.mgr,
-            meta: &mut self.meta,
-            span: self.trace.span(),
-        }
-    }
-
-    /// Opens a write operation: the tree under no span.
+    /// Opens a write operation. An insert or delete may rewrite the root
+    /// page, or move the root, so the cached root frame goes.
     pub(crate) fn writer(&mut self) -> Pages<'_, S> {
+        let core = &mut self.core;
+        core.root_frame.take();
         Pages {
-            mgr: &mut self.mgr,
-            meta: &mut self.meta,
-            span: Span::default(),
+            mgr: core.shards[0].get_mut(),
+            store: &core.store,
+            meta: &mut core.meta,
         }
-    }
-
-    /// Executes a region query, returning matching item ids. Every page
-    /// whose MBR intersects the query is fetched through the buffer
-    /// manager; physical reads accumulate in [`DiskRTree::physical_reads`].
-    pub fn query(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        let (root, level) = (self.meta.root, self.meta.root_level());
-        let mut pages = self.reader();
-        match pages.root_mbr()? {
-            Some(mbr) if mbr.intersects(query) => walk::region(&mut pages, root, level, query),
-            _ => Ok(Vec::new()),
-        }
-    }
-
-    /// Runs `queries` as one batch — the same result sets as
-    /// [`DiskRTree::query`] per query, but level-synchronously: a page
-    /// shared between queries is fetched once, when the walk consumes it,
-    /// and each level is visited in page order.
-    pub fn query_batch(&mut self, queries: &[Rect]) -> io::Result<BatchOutput> {
-        let mut out = BatchOutput::new(queries.len());
-        if queries.is_empty() {
-            return Ok(out);
-        }
-        let (root, level) = (self.meta.root, self.meta.root_level());
-        let mut pages = self.reader();
-        if let Some(mbr) = pages.root_mbr()? {
-            walk::frontier(&mut pages, root, level, Some(&mbr), queries, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// The seed's entry-at-a-time region query, the differential reference
-    /// for every kernel and page format: decodes pages into [`NodePage`]
-    /// (one `(rect, pointer)` entry at a time, whatever the page layout)
-    /// and tests each entry with [`Rect::intersects`] — no in-place view,
-    /// no dispatched kernel. Visits pages in exactly the same order
-    /// as [`DiskRTree::query`], so on the same image results *and* I/O
-    /// counts must match: the `simd_vs_seed` and `compress_vs_seed` suites
-    /// and the `simd_traversal` bench rely on this.
-    pub fn query_scalar(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        let mut results = Vec::new();
-        let root = self.meta.root;
-        let root_level = self.meta.root_level();
-        let mut pages = self.reader();
-        pages.mgr.tracer.at_level(&pages.span, root_level as i16);
-        let root_node = NodePage::decode(pages.mgr.fetch_uncharged(PageId(root))?)?;
-        if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
-            return Ok(results);
-        }
-
-        let mut stack = vec![(root, root_level)];
-        while let Some((pid, level)) = stack.pop() {
-            let node = NodePage::decode(pages.fetch(pid, level)?)?;
-            debug_assert_eq!(node.level, level, "stack level mirrors the page");
-            for (r, ptr) in &node.entries {
-                if r.intersects(query) {
-                    if node.level == 0 {
-                        results.push(*ptr);
-                    } else {
-                        stack.push((*ptr, level - 1));
-                    }
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Point query: item ids whose rectangle contains `p` (boundary
-    /// inclusive). It *is* [`DiskRTree::query`] on the degenerate rectangle
-    /// `[p, p]`: same kernel, same results, same page accesses.
-    pub fn query_point(&mut self, p: &Point) -> io::Result<Vec<u64>> {
-        self.query(&Rect { lo: *p, hi: *p })
-    }
-
-    /// The `k` items nearest to `p` (by rectangle distance, closest first;
-    /// equal distances in the order the walk found them, so the answer
-    /// depends on the pages alone), best-first over pages with the
-    /// dispatched SIMD distance kernel pruning against the k-th-best bound.
-    pub fn nearest_neighbors(&mut self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
-        let (root, level, items) = (self.meta.root, self.meta.root_level(), self.meta.items);
-        walk::nearest(&mut self.reader(), root, level, items, p, k)
-    }
-
-    /// Executes a query and also reports how many physical reads it caused.
-    pub fn query_counting(&mut self, query: &Rect) -> io::Result<(Vec<u64>, u64)> {
-        let before = self.mgr.physical_reads();
-        let results = self.query(query)?;
-        Ok((results, self.mgr.physical_reads() - before))
     }
 }
 
@@ -660,7 +496,7 @@ mod tests {
 
     #[test]
     fn disk_query_matches_in_memory_query() {
-        let (mut disk, tree, _) = disk_tree(600, 10, 50);
+        let (disk, tree, _) = disk_tree(600, 10, 50);
         for q in [
             Rect::new(0.1, 0.1, 0.4, 0.3),
             Rect::point(Point::new(0.5, 0.5)),
@@ -677,7 +513,7 @@ mod tests {
 
     #[test]
     fn physical_reads_equal_nodes_accessed_cold() {
-        let (mut disk, tree, _) = disk_tree(600, 10, 1000);
+        let (disk, tree, _) = disk_tree(600, 10, 1000);
         let q = Rect::new(0.2, 0.2, 0.5, 0.5);
         let (_, reads) = disk.query_counting(&q).unwrap();
         assert_eq!(
@@ -694,12 +530,9 @@ mod tests {
     fn meta_survives_reopen() {
         let rects = sample_rects(300);
         let tree = BulkLoader::nearest_x(10).load(&rects);
-        let mut store = MemStore::new();
-        {
-            let disk = DiskRTree::create(&mut store, &tree, 10, LruPolicy::new()).unwrap();
-            assert_eq!(disk.meta().items, 300);
-        }
-        let mut disk = DiskRTree::open(&mut store, 10, LruPolicy::new()).unwrap();
+        let disk = DiskRTree::create(MemStore::new(), &tree, 10, LruPolicy::new()).unwrap();
+        assert_eq!(disk.meta().items, 300);
+        let disk = DiskRTree::open(disk.into_store(), 10, LruPolicy::new()).unwrap();
         assert_eq!(disk.meta().items, 300);
         assert_eq!(disk.meta().nodes, tree.node_count() as u64);
         let mut a = disk.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
@@ -717,7 +550,7 @@ mod tests {
 
     #[test]
     fn pinning_top_levels_avoids_rereads() {
-        let (mut disk, _, _) = disk_tree(2_000, 10, 30);
+        let (disk, _, _) = disk_tree(2_000, 10, 30);
         disk.pin_top_levels(2).unwrap();
         disk.reset_counters();
         // A point query through pinned levels only pays for the leaves (and
@@ -739,8 +572,8 @@ mod tests {
         // physical reads must be identical.
         let rects = sample_rects(800);
         let tree = BulkLoader::hilbert(12).load(&rects);
-        let mut simd = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
-        let mut seed = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
+        let simd = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
+        let seed = DiskRTree::create(MemStore::new(), &tree, 40, LruPolicy::new()).unwrap();
         for q in [
             Rect::new(0.1, 0.1, 0.4, 0.3),
             Rect::new(0.0, 0.0, 1.0, 1.0),
@@ -806,7 +639,7 @@ mod tests {
         for cap in 2..=5 {
             for loader in [BulkLoader::hilbert(cap), BulkLoader::str_pack(cap)] {
                 let tree = loader.load(&rects);
-                let mut disk = DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new())
+                let disk = DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new())
                     .unwrap_or_else(|e| panic!("cap {cap}: {e}"));
                 let all = disk.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
                 assert_eq!(all.len(), 60, "cap {cap}");
@@ -816,7 +649,7 @@ mod tests {
 
     #[test]
     fn point_query_matches_degenerate_rect_query() {
-        let (mut disk, tree, _) = disk_tree(600, 10, 50);
+        let (disk, tree, _) = disk_tree(600, 10, 50);
         for p in [Point::new(0.3, 0.3), Point::new(0.77, 0.12)] {
             let mut by_point = disk.query_point(&p).unwrap();
             let mut by_rect = tree.search(&Rect::point(p));
@@ -828,7 +661,7 @@ mod tests {
 
     #[test]
     fn disk_knn_matches_in_memory_knn() {
-        let (mut disk, tree, _) = disk_tree(700, 10, 60);
+        let (disk, tree, _) = disk_tree(700, 10, 60);
         for (p, k) in [
             (Point::new(0.5, 0.5), 10),
             (Point::new(0.0, 0.0), 1),
@@ -868,12 +701,12 @@ mod tests {
         // Store reads: 1 = meta page at open, then either the root pin, or
         // the uncharged root peek followed by the root's demand fetch.
         for (fail_at, pin) in [(2, true), (3, false)] {
-            let mut store = MemStore::new();
-            DiskRTree::create(&mut store, &tree, 64, LruPolicy::new()).unwrap();
+            let disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new());
+            let store = disk.unwrap().into_store();
             let faulty =
                 crate::FaultStore::new(store, rtree_wal::CrashSwitch::new()).fail_read_at(fail_at);
-            let mut disk = DiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
-            let mut attempt = || match pin {
+            let disk = DiskRTree::open(faulty, 64, LruPolicy::new()).unwrap();
+            let attempt = || match pin {
                 true => disk.pin_top_levels(1),
                 false => disk.query(&q).map(drop),
             };
@@ -887,7 +720,7 @@ mod tests {
 
     #[test]
     fn query_missing_root_region_costs_nothing() {
-        let (mut disk, _, _) = disk_tree(200, 10, 10);
+        let (disk, _, _) = disk_tree(200, 10, 10);
         disk.reset_counters();
         let (hits, reads) = disk
             .query_counting(&Rect::new(0.995, 0.995, 1.0, 1.0))

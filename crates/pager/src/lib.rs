@@ -22,17 +22,19 @@
 //! Every algorithm that decides *which pages are touched in which order* —
 //! the depth-first region walk, the level-synchronous batched walk, kNN,
 //! Guttman's insert and condense-tree — is written once against the
-//! crate-private page-access seam (`seam`, `walk`, `mutate`). The seam has
-//! two instantiations: a per-operation view of the [`BufferManager`] behind
-//! the sequential [`DiskRTree`], and cursors over the sharded,
-//! latch-crabbing [`ConcurrentDiskRTree`].
+//! crate-private page-access seam (`seam`, `walk`, `mutate`). There is one
+//! disk tree, [`ConcurrentDiskRTree`], and every read runs through its
+//! cursor over its (one or more) latched shards. It has two writers, the
+//! seam's two write-side instantiations: [`DiskRTree`] is the tree with one
+//! shard plus a `&mut` view of that shard's [`BufferManager`], and the
+//! writable constructors attach a latch-crabbing writer to the cursor.
 //!
-//! The substrate is *writable*: [`DiskRTree::insert`] and
-//! [`DiskRTree::delete`] go through the buffer manager's write-back path,
-//! with an attached [`rtree_wal::GroupWal`] logging full page images so
-//! [`recover`] can replay a crashed tree back to its last committed state
-//! (the concurrent tree logs logical operations to the same kind of log and
-//! recovers with [`replay_committed`]). [`FaultStore`] injects torn writes,
+//! The sequential writer ([`DiskRTree::insert`], [`DiskRTree::delete`])
+//! goes through the buffer manager's write-back path, with an attached
+//! [`rtree_wal::GroupWal`] logging full page images so [`recover`] can
+//! replay a crashed tree back to its last committed state (the
+//! latch-crabbing writer logs logical operations to the same kind of log
+//! and recovers with [`replay_committed`]). [`FaultStore`] injects torn writes,
 //! short appends and read faults to exercise exactly those paths.
 
 mod bufmgr;

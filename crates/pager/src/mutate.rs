@@ -14,16 +14,15 @@
 //! Mutations abandon the bulk-load level-order page layout; the metadata's
 //! level table is cleared on the first insert or delete and the layout-
 //! dependent helpers refuse to run afterwards
-//! ([`crate::DiskRTree::pin_top_levels`] with `InvalidInput`,
-//! [`crate::DiskRTree::pages_per_level`] by panicking). Freed pages go on
+//! ([`crate::ConcurrentDiskRTree::pin_top_levels`] with `InvalidInput`,
+//! [`crate::ConcurrentDiskRTree::pages_per_level`] by panicking). Freed pages go on
 //! an intrusive free list (head in the meta page, `FREE`-tagged pages
 //! chaining to the next) and are reused before the store grows.
 
-use crate::disk_tree::{materialize_empty, DiskRTree};
+use crate::disk_tree::DiskRTree;
 use crate::seam::PageWrite;
 use crate::walk::{find_leaf, Found};
-use crate::{BufferManager, NodePage, PageStore, PAGE_SIZE};
-use rtree_buffer::{PageId, ReplacementPolicy};
+use crate::{ConcurrentPageStore, NodePage};
 use rtree_geom::Rect;
 use rtree_index::{choose_subtree, QuadraticSplit, SplitPolicy};
 use std::io;
@@ -185,37 +184,16 @@ pub(crate) fn remove_entry<W: PageWrite>(
     Ok(())
 }
 
-impl<S: PageStore> DiskRTree<S> {
-    /// Creates an empty, mutable tree: a meta page and an empty root leaf.
-    ///
-    /// `min_entries` is Guttman's `m`; it must satisfy
-    /// `1 <= m <= max_entries / 2` so a split can always produce two legal
-    /// nodes.
-    ///
-    /// # Panics
-    /// Panics if the capacities are out of range.
-    pub fn create_empty(
-        mut store: S,
-        max_entries: usize,
-        min_entries: usize,
-        buffer_capacity: usize,
-        policy: impl ReplacementPolicy + 'static,
-    ) -> io::Result<Self> {
-        let meta = materialize_empty(&mut store, max_entries, min_entries, true)?;
-        Ok(DiskRTree::from_parts(
-            BufferManager::new(store, buffer_capacity, policy),
-            meta,
-        ))
-    }
-
+impl<S: ConcurrentPageStore> DiskRTree<S> {
     /// Inserts an item, logging every page it changes and committing at
     /// the end. Runs Guttman's ChooseLeaf / QuadraticSplit / AdjustTree
     /// over pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        insert_entry(&mut self.writer(), (rect, item), 0)?;
-        self.meta.items += 1;
-        self.finish_op()
+        let mut pages = self.writer();
+        insert_entry(&mut pages, (rect, item), 0)?;
+        pages.meta(|m| m.items += 1);
+        pages.finish()
     }
 
     /// Deletes the exact `(rect, item)` entry if present, condensing
@@ -228,29 +206,19 @@ impl<S: PageStore> DiskRTree<S> {
             return Ok(false);
         };
         remove_entry(&mut pages, found, rect, item)?;
-        drop(pages);
-        self.finish_op()?;
+        pages.finish()?;
         Ok(true)
-    }
-
-    /// Writes the updated metadata and commits the operation.
-    fn finish_op(&mut self) -> io::Result<()> {
-        // The level-order layout is gone after any mutation.
-        self.meta.level_starts.clear();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.meta.encode(&mut buf);
-        self.mgr.write_buffered(PageId(0), &buf)?;
-        self.mgr.commit()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk_tree::materialize_empty;
     use crate::seam::PageRead;
-    use crate::{MemStore, PageMeta};
+    use crate::{MemStore, PageMeta, PageStore, PAGE_SIZE};
     use rtree_buffer::LruPolicy;
-    use rtree_index::RTreeBuilder;
+    use rtree_index::{BulkLoader, RTree, RTreeBuilder};
     use rtree_wal::{crc32, CrashSwitch, FaultLog, GroupWal, LogBackend, LogPoisoned, MemLog};
 
     fn rects(n: usize) -> Vec<Rect> {
@@ -525,59 +493,99 @@ mod tests {
 
     #[test]
     fn empty_tree_queries_empty() {
-        let mut t = DiskRTree::create_empty(MemStore::new(), 8, 3, 16, LruPolicy::new()).unwrap();
+        let t = DiskRTree::create_empty(MemStore::new(), 8, 3, 16, LruPolicy::new()).unwrap();
         assert_eq!(t.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap(), vec![]);
         assert_eq!(t.meta().items, 0);
     }
 
+    /// Rects that spiral outward from the centre, each further out than
+    /// every one before it: inserted in order, each grows the root MBR.
+    fn growing(n: usize) -> Vec<Rect> {
+        (0..n)
+            .map(|i| {
+                let d = 0.45 * i as f64 / n as f64;
+                let (sx, sy) = [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)][i % 4];
+                let (x, y) = (0.5 + sx * d, 0.5 + sy * d);
+                Rect::new(x, y, x + 0.004, y + 0.004)
+            })
+            .collect()
+    }
+
+    /// The two ways a mutable disk tree starts, each beside its in-memory
+    /// reference: bulk-loaded from `rs[..loaded]` (ids are positions), and
+    /// empty. Returns the tree, the reference and the first id still to
+    /// insert.
+    fn starts(rs: &[Rect], loaded: usize) -> [(DiskRTree<MemStore>, RTree, usize); 2] {
+        let bulk = BulkLoader::hilbert(8).load(&rs[..loaded]);
+        let disk = DiskRTree::create(MemStore::new(), &bulk, 32, LruPolicy::new()).unwrap();
+        let empty = DiskRTree::create_empty(MemStore::new(), 8, 3, 32, LruPolicy::new()).unwrap();
+        let reference = RTreeBuilder::new(8).min_entries(3).build();
+        [(disk, bulk, loaded), (empty, reference, 0)]
+    }
+
+    /// Queries through the root peek after a write of `r`: over `r` itself
+    /// (beyond the root's MBR before an insert grew it) and over
+    /// everything, each against the in-memory reference. A root frame
+    /// cached across the write answers with the old root and fails here.
+    fn probe(disk: &DiskRTree<MemStore>, reference: &RTree, r: &Rect, what: &str) {
+        for q in [*r, Rect::new(-1.0, -1.0, 2.0, 2.0)] {
+            let got = sorted(disk.query(&q).unwrap());
+            assert_eq!(got, sorted(reference.search(&q)), "{what}, query {q}");
+        }
+    }
+
     #[test]
     fn inserts_match_in_memory_reference() {
-        let mut disk =
-            DiskRTree::create_empty(MemStore::new(), 8, 3, 32, LruPolicy::new()).unwrap();
-        let mut reference = RTreeBuilder::new(8).min_entries(3).build();
-        for (i, r) in rects(500).iter().enumerate() {
-            disk.insert(*r, i as u64).unwrap();
-            reference.insert(*r, i as u64);
-        }
-        assert_eq!(disk.meta().items, 500);
-        assert!(disk.meta().height > 1, "tree must have grown");
-        for q in [
-            Rect::new(0.1, 0.1, 0.4, 0.3),
-            Rect::new(0.0, 0.0, 1.0, 1.0),
-            Rect::new(0.8, 0.05, 0.9, 0.6),
-        ] {
-            assert_eq!(
-                sorted(disk.query(&q).unwrap()),
-                sorted(reference.search(&q)),
-                "query {q}"
-            );
+        let rs = growing(500);
+        for (mut disk, mut reference, from) in starts(&rs, 100) {
+            probe(&disk, &reference, &rs[0], "before any insert");
+            for (i, r) in rs.iter().enumerate().skip(from) {
+                disk.insert(*r, i as u64).unwrap();
+                reference.insert(*r, i as u64);
+                probe(&disk, &reference, r, &format!("from {from}, insert {i}"));
+            }
+            assert_eq!(disk.meta().items, 500);
+            assert!(disk.meta().height > 1, "tree must have grown");
+            for q in [
+                Rect::new(0.1, 0.1, 0.4, 0.3),
+                Rect::new(0.0, 0.0, 1.0, 1.0),
+                Rect::new(0.8, 0.05, 0.9, 0.6),
+            ] {
+                assert_eq!(
+                    sorted(disk.query(&q).unwrap()),
+                    sorted(reference.search(&q)),
+                    "query {q}"
+                );
+            }
         }
     }
 
     #[test]
     fn deletes_match_in_memory_reference() {
-        let mut disk =
-            DiskRTree::create_empty(MemStore::new(), 8, 3, 32, LruPolicy::new()).unwrap();
-        let mut reference = RTreeBuilder::new(8).min_entries(3).build();
         let rs = rects(400);
-        for (i, r) in rs.iter().enumerate() {
-            disk.insert(*r, i as u64).unwrap();
-            reference.insert(*r, i as u64);
+        for (mut disk, mut reference, from) in starts(&rs, 200) {
+            for (i, r) in rs.iter().enumerate().skip(from) {
+                disk.insert(*r, i as u64).unwrap();
+                reference.insert(*r, i as u64);
+            }
+            // Delete every other item, forcing plenty of condensing.
+            for (i, r) in rs.iter().enumerate().step_by(2) {
+                assert!(disk.delete(r, i as u64).unwrap(), "item {i} present");
+                assert!(reference.delete(r, i as u64));
+                probe(&disk, &reference, r, &format!("from {from}, delete {i}"));
+            }
+            assert_eq!(disk.meta().items, 200);
+            // Deleting a missing entry reports false and changes nothing.
+            assert!(!disk.delete(&rs[0], 0).unwrap());
+            assert_eq!(disk.meta().items, 200);
+            // The rest: the tree condenses and shrinks to a root leaf.
+            for (i, r) in rs.iter().enumerate().skip(1).step_by(2) {
+                assert!(disk.delete(r, i as u64).unwrap(), "item {i} present");
+                assert!(reference.delete(r, i as u64));
+                probe(&disk, &reference, r, &format!("from {from}, delete {i}"));
+            }
+            assert_eq!(disk.meta().height, 1, "tree collapsed to a root leaf");
         }
-        // Delete every other item, forcing plenty of condensing.
-        for (i, r) in rs.iter().enumerate().step_by(2) {
-            assert!(disk.delete(r, i as u64).unwrap(), "item {i} present");
-            assert!(reference.delete(r, i as u64));
-        }
-        assert_eq!(disk.meta().items, 200);
-        let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(
-            sorted(disk.query(&everything).unwrap()),
-            sorted(reference.search(&everything))
-        );
-        // Deleting a missing entry reports false and changes nothing.
-        assert!(!disk.delete(&rs[0], 0).unwrap());
-        assert_eq!(disk.meta().items, 200);
     }
 
     #[test]
@@ -596,7 +604,7 @@ mod tests {
         assert_eq!(disk.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap(), vec![]);
         // Everything freed is reusable: page count must not grow much on
         // reinsertion.
-        let pages_before = disk.mgr.store_mut().page_count();
+        let pages_before = disk.store().page_count();
         for (i, r) in rs.iter().enumerate() {
             disk.insert(*r, i as u64).unwrap();
         }
@@ -605,7 +613,7 @@ mod tests {
             150
         );
         assert_eq!(
-            disk.mgr.store_mut().page_count(),
+            disk.store().page_count(),
             pages_before,
             "free list reuses every dissolved page"
         );
@@ -613,20 +621,17 @@ mod tests {
 
     #[test]
     fn mutated_tree_survives_flush_and_reopen() {
-        let mut store = MemStore::new();
         let rs = rects(300);
-        {
-            let mut disk =
-                DiskRTree::create_empty(&mut store, 10, 4, 16, LruPolicy::new()).unwrap();
-            for (i, r) in rs.iter().enumerate() {
-                disk.insert(*r, i as u64).unwrap();
-            }
-            for (i, r) in rs.iter().enumerate().take(100) {
-                disk.delete(r, i as u64).unwrap();
-            }
-            disk.flush().unwrap();
+        let mut disk =
+            DiskRTree::create_empty(MemStore::new(), 10, 4, 16, LruPolicy::new()).unwrap();
+        for (i, r) in rs.iter().enumerate() {
+            disk.insert(*r, i as u64).unwrap();
         }
-        let mut disk = DiskRTree::open(&mut store, 16, LruPolicy::new()).unwrap();
+        for (i, r) in rs.iter().enumerate().take(100) {
+            disk.delete(r, i as u64).unwrap();
+        }
+        disk.flush().unwrap();
+        let disk = DiskRTree::open(disk.into_store(), 16, LruPolicy::new()).unwrap();
         assert_eq!(disk.meta().items, 200);
         let got = sorted(disk.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap());
         assert_eq!(got, (100..300).collect::<Vec<u64>>());

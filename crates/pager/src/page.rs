@@ -99,7 +99,7 @@
 //! pages `lo code <= hi code` per axis, checked on codes because the clamped
 //! decode could mask an inversion) are validated inside those same loops, on
 //! every visit of every page, writes' loads included. [`NodePage::decode`]
-//! (entry at a time, behind `DiskRTree::query_scalar`) and [`NodeSoA`]
+//! (entry at a time, behind `ConcurrentDiskRTree::query_scalar`) and [`NodeSoA`]
 //! (plane at a time into owned arrays) enforce the same invariants and stay
 //! as the differential references.
 //!

@@ -28,23 +28,16 @@ pub trait PageStore {
 /// The sharded [`crate::ConcurrentDiskRTree`] keeps its shard latches
 /// disjoint; this trait keeps the *store* off the critical path too, so a
 /// miss in one shard never serializes against a miss in another. A shared
-/// read must return the page as of some completed write — trivial here
-/// because the concurrent tree never writes after materialization.
+/// read must return the page as of some completed write.
 pub trait SharedPageStore: PageStore {
     /// Reads page `id` into `buf` (`buf.len() == PAGE_SIZE`) without
     /// exclusive access to the store.
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()>;
 }
 
-impl<S: SharedPageStore + ?Sized> SharedPageStore for &mut S {
-    fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        (**self).read_page_shared(id, buf)
-    }
-}
-
 /// Page stores that additionally accept *writes and allocations* from many
-/// threads at once (`&self`) — the substrate the concurrent tree's writer
-/// mode needs. Callers serialize conflicting writes to the *same* page
+/// threads at once (`&self`) — the substrate both of the tree's writers
+/// need. Callers serialize conflicting writes to the *same* page
 /// themselves (the tree does so with per-page latches); the store only has
 /// to keep distinct pages independent and each page write atomic with
 /// respect to shared reads of that page.
@@ -57,24 +50,6 @@ pub trait ConcurrentPageStore: SharedPageStore + Sync {
     fn flush_shared(&self) -> io::Result<()>;
 }
 
-impl<S: PageStore + ?Sized> PageStore for &mut S {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        (**self).read_page(id, buf)
-    }
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        (**self).write_page(id, buf)
-    }
-    fn allocate(&mut self) -> io::Result<PageId> {
-        (**self).allocate()
-    }
-    fn page_count(&self) -> u64 {
-        (**self).page_count()
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        (**self).flush()
-    }
-}
-
 /// In-memory page store (the default substrate for simulations: the point
 /// of the study is *counting* accesses, not waiting for a spindle).
 ///
@@ -82,8 +57,8 @@ impl<S: PageStore + ?Sized> PageStore for &mut S {
 /// the shared read *and write* paths the concurrent tree's writer mode
 /// needs: distinct pages proceed in parallel up to the lock's reader-side
 /// concurrency; a page write takes the write lock, so a shared read always
-/// sees a whole page image. The exclusive (`&mut self`) paths go around the
-/// lock, so a sequential [`crate::DiskRTree`] pays nothing for it.
+/// sees a whole page image. The exclusive (`&mut self`) paths, which an
+/// image writer takes, go around the lock.
 #[derive(Default)]
 pub struct MemStore {
     data: RwLock<Vec<u8>>,

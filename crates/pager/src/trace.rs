@@ -1,4 +1,4 @@
-//! The trace seam. The buffer manager and both trees call [`Tracer`] and
+//! The trace seam. The buffer manager and the tree call [`Tracer`] and
 //! [`Span`] unconditionally; what tracing costs is decided here, by whether
 //! a sink is attached.
 //!
@@ -12,7 +12,7 @@
 //! a pin, a write-back, the concurrent tree's once-only root peek — carries
 //! span 0.
 
-use crate::{BufferManager, ConcurrentDiskRTree, DiskRTree, PageStore, SharedPageStore};
+use crate::{BufferManager, ConcurrentDiskRTree, PageStore, SharedPageStore};
 use rtree_buffer::PageId;
 pub(crate) use rtree_obs::EventKind;
 use rtree_obs::{now_ns, IoEvent, QueryMetrics, QueryMetricsSnapshot, TraceSink};
@@ -128,22 +128,6 @@ impl<S: PageStore> BufferManager<S> {
     /// (`None` stops tracing).
     pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
         self.tracer.sink = sink;
-    }
-}
-
-impl<S: PageStore> DiskRTree<S> {
-    /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
-    /// stops tracing). While a sink is attached each read operation opens a
-    /// span and is recorded in [`DiskRTree::query_metrics`].
-    pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
-        self.trace.tracer.sink = sink.clone();
-        self.mgr.set_trace_sink(sink);
-    }
-
-    /// Snapshot of the per-query latency / reads / pins histograms of the
-    /// operations run while a sink was attached.
-    pub fn query_metrics(&self) -> QueryMetricsSnapshot {
-        self.trace.metrics.snapshot()
     }
 }
 

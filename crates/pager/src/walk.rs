@@ -58,6 +58,17 @@ impl BatchOutput {
             },
         }
     }
+
+    /// Appends the output of the batch's next contiguous slice.
+    pub(crate) fn append(&mut self, next: BatchOutput) {
+        self.results.extend(next.results);
+        let (a, b) = (&mut self.stats, next.stats);
+        a.queries += b.queries;
+        a.active_queries += b.active_queries;
+        a.work_items += b.work_items;
+        a.page_requests += b.page_requests;
+        a.levels = a.levels.max(b.levels);
+    }
 }
 
 /// Depth-first region walk from `root`: every page whose MBR intersects

@@ -77,46 +77,31 @@ fn cyclic_image() -> MemStore {
 #[test]
 fn depth_first_walk_refuses_a_pointer_cycle() {
     let got = within_timeout("query", || {
-        let mut tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
+        let tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
         let region = tree.query(&Rect::new(0.2, 0.2, 0.4, 0.4));
         (region, tree.query_point(&Point::new(0.5, 0.5)))
     });
     assert_invalid_data("query", got.0);
     assert_invalid_data("query_point", got.1);
-    let got = within_timeout("concurrent query", || {
-        let tree = ConcurrentDiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
-        tree.query(&Rect::new(0.2, 0.2, 0.4, 0.4))
-    });
-    assert_invalid_data("concurrent query", got);
 }
 
 #[test]
 fn frontier_walk_refuses_a_pointer_cycle() {
     let queries = [Rect::new(0.2, 0.2, 0.4, 0.4), Rect::new(0.6, 0.1, 0.7, 0.9)];
     let got = within_timeout("query_batch", move || {
-        let mut tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
-        tree.query_batch(&queries).map(|out| out.results)
+        let tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
+        tree.query_batch(&queries, 1).map(|out| out.results)
     });
     assert_invalid_data("query_batch", got);
-    let got = within_timeout("concurrent query_batch", move || {
-        let tree = ConcurrentDiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
-        tree.query_batch(&queries, 1)
-    });
-    assert_invalid_data("concurrent query_batch", got);
 }
 
 #[test]
 fn best_first_walk_refuses_a_pointer_cycle() {
     let got = within_timeout("nearest_neighbors", || {
-        let mut tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
+        let tree = DiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
         tree.nearest_neighbors(&Point::new(0.5, 0.5), 3)
     });
     assert_invalid_data("nearest_neighbors", got);
-    let got = within_timeout("concurrent nearest_neighbors", || {
-        let tree = ConcurrentDiskRTree::open(cyclic_image(), 8, LruPolicy::new()).unwrap();
-        tree.nearest_neighbors(&Point::new(0.5, 0.5), 3)
-    });
-    assert_invalid_data("concurrent nearest_neighbors", got);
 }
 
 /// A writable concurrent tree over `store`, with a fresh log.
@@ -201,7 +186,7 @@ fn assert_every_walk_fails_every_time(what: &str, image: Vec<u8>) {
         ("query", |t, q, _| t.query(q).map(|r| r.len())),
         ("query_point", |t, _, p| t.query_point(p).map(|r| r.len())),
         ("query_batch", |t, q, _| {
-            t.query_batch(&[*q, *q]).map(|o| o.results.len())
+            t.query_batch(&[*q, *q], 1).map(|o| o.results.len())
         }),
         ("nearest_neighbors", |t, _, p| {
             t.nearest_neighbors(p, 5_000).map(|r| r.len())

@@ -16,7 +16,7 @@ use rtree_geom::Rect;
 use rtree_index::RTreeBuilder;
 use rtree_pager::{
     recover, replay_committed, ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore,
-    MemStore, PageStore,
+    MemStore,
 };
 use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, WalRecord};
 use std::io;
@@ -41,7 +41,7 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
 /// simulates the reboot: buffered state is discarded, the log is replayed
 /// against the bare store, and the recovered tree is swept against the
 /// reference.
-fn drive<S: PageStore>(
+fn drive<S: ConcurrentPageStore>(
     mut disk: DiskRTree<S>,
     log: MemLog,
     seed: u64,
@@ -97,7 +97,7 @@ fn drive<S: PageStore>(
     // Reboot: drop all buffered frames (dirty pages included) and replay.
     let mut store = extract(disk.into_store());
     recover(&mut store, &log.read_all().unwrap()).unwrap();
-    let mut recovered = DiskRTree::open(store, 64, LruPolicy::new()).unwrap();
+    let recovered = DiskRTree::open(store, 64, LruPolicy::new()).unwrap();
 
     assert_eq!(
         recovered.meta().items,

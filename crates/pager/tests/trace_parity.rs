@@ -1,8 +1,10 @@
-//! One span rule for both trees: a single-shard `ConcurrentDiskRTree` and a
-//! `DiskRTree` over the same image, driven by the same region / point / kNN
-//! / batch stream, must open the same spans, put the same charged events
-//! under each, and record the same reads and accesses histograms — and on
-//! both, a span is live only while a sink is attached.
+//! One span rule for every tree: a read-only single-shard
+//! `ConcurrentDiskRTree` and a `DiskRTree` (the same tree with its
+//! sequential writer) over the same image, driven by the same region /
+//! point / kNN / batch stream, must open the same spans, put the same
+//! charged events under each, and record the same reads and accesses
+//! histograms — and, sharded or not, a span is live only while a sink is
+//! attached.
 
 use rtree_buffer::LruPolicy;
 use rtree_geom::{Point, Rect};
@@ -12,9 +14,8 @@ use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Events per (span, kind). The root peek is left out: the sequential tree
-/// peeks inside the span whenever the root is not resident, the concurrent
-/// tree once per tree and outside any span — and a peek charges nothing.
+/// Events per (span, kind). The root peek is left out: it happens once per
+/// root, outside any span, and charges nothing.
 fn per_span(sink: &RingSink) -> BTreeMap<(u64, String), u64> {
     assert_eq!(sink.dropped(), 0, "ring sized for the whole run");
     let mut counts = BTreeMap::new();
@@ -50,7 +51,7 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
     // 14 frames: far fewer than the tree's pages, so spans really miss.
     let open = || MemStore::from_bytes(image.clone());
     let mut seq = DiskRTree::open(open(), 14, LruPolicy::new()).unwrap();
-    let mut conc = ConcurrentDiskRTree::open(open(), 14, LruPolicy::new()).unwrap();
+    let mut conc = ConcurrentDiskRTree::open_sharded(open(), 14, 1, LruPolicy::new).unwrap();
     let (seq_sink, conc_sink) = (
         Arc::new(RingSink::new(1 << 17)),
         Arc::new(RingSink::new(1 << 17)),
@@ -97,8 +98,8 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
                     })
                     .collect();
                 // One worker: the same walk on both trees.
-                let got = conc.query_batch(&batch, 1).unwrap();
-                assert_eq!(seq.query_batch(&batch).unwrap().results, got);
+                let got = conc.query_batch(&batch, 1).unwrap().results;
+                assert_eq!(seq.query_batch(&batch, 1).unwrap().results, got);
             }
         }
     }
@@ -123,11 +124,11 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
 /// attached, 10 more open spans 1..=10, and each span's miss events equal
 /// the physical reads its query did.
 macro_rules! spans_are_live_only_with_a_sink {
-    ($name:ident, $tree:ident) => {
+    ($name:ident, $create:expr) => {
         #[test]
         fn $name() {
             let (tree, store) = (sample_tree(1_500), MemStore::new());
-            let mut tree = $tree::create(store, &tree, 12, LruPolicy::new()).unwrap();
+            let mut tree = $create(store, &tree).unwrap();
             let region = |i: u64| {
                 let x = (i as f64 * 0.754_877) % 0.9;
                 let y = (i as f64 * 0.569_840) % 0.9;
@@ -161,8 +162,11 @@ macro_rules! spans_are_live_only_with_a_sink {
     };
 }
 
-spans_are_live_only_with_a_sink!(sequential_spans_are_live_only_with_a_sink, DiskRTree);
+spans_are_live_only_with_a_sink!(
+    sequential_spans_are_live_only_with_a_sink,
+    |store, tree: &RTree| DiskRTree::create(store, tree, 12, LruPolicy::new())
+);
 spans_are_live_only_with_a_sink!(
     concurrent_spans_are_live_only_with_a_sink,
-    ConcurrentDiskRTree
+    |store, tree: &RTree| ConcurrentDiskRTree::create_sharded(store, tree, 12, 2, LruPolicy::new)
 );

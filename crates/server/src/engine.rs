@@ -2,18 +2,20 @@
 //!
 //! A [`QueryEngine`] takes a closed micro-batch of query rectangles and
 //! returns one result vector per query; the scheduler never sees pages,
-//! buffers, or locks. Two implementations, one per tree flavor:
+//! buffers, or locks. Every engine reads through the one disk tree's batch
+//! walk (`ConcurrentDiskRTree::query_batch`), so the batch's page-level
+//! dedup engages:
 //!
-//! * [`SequentialEngine`] — one `DiskRTree` behind a mutex, executed with
-//!   [`BatchExecutor`] so the batch's page-level dedup engages.
 //! * [`WriterEngine`] — a `ConcurrentDiskRTree`, read-only or writable:
-//!   queries run with `query_batch` across its shards, and [`WriteOp`]
-//!   batches fan out over threads so their latch-crabbing inserts overlap
-//!   and their WAL commits coalesce into group-commit batches.
+//!   queries fan out over its shards, and [`WriteOp`] batches fan out over
+//!   threads so their latch-crabbing inserts overlap and their WAL commits
+//!   coalesce into group-commit batches. `rtrees serve` runs this one.
+//! * [`SequentialEngine`] — a `DiskRTree` (the one-shard tree) behind a
+//!   mutex, each batch run by [`BatchExecutor`] on one worker.
 
 use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
-use rtree_pager::{ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats, PageStore};
+use rtree_pager::{ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats};
 use std::io;
 use std::sync::Mutex;
 
@@ -82,11 +84,11 @@ pub trait QueryEngine: Send + Sync + 'static {
 /// concurrent clients cost fewer pool accesses than k sequential queries,
 /// and once batches grow past a few queries fewer physical reads — the
 /// serving-side analogue of the paper's buffering result.
-pub struct SequentialEngine<S: PageStore + Send + 'static> {
+pub struct SequentialEngine<S: ConcurrentPageStore + Send + 'static> {
     tree: Mutex<DiskRTree<S>>,
 }
 
-impl<S: PageStore + Send + 'static> SequentialEngine<S> {
+impl<S: ConcurrentPageStore + Send + 'static> SequentialEngine<S> {
     /// Wraps `tree`. The second argument is ignored: it was a readahead
     /// window, and stays only because the `rtree-perf` benchmark passes
     /// one; it goes when that benchmark's names unfreeze.
@@ -96,8 +98,7 @@ impl<S: PageStore + Send + 'static> SequentialEngine<S> {
         }
     }
 
-    /// Runs `f` with the locked tree — for setup (pinning, trace sinks)
-    /// and test assertions, not the serving path.
+    /// Runs `f` with the locked tree.
     pub fn with_tree<R>(&self, f: impl FnOnce(&mut DiskRTree<S>) -> R) -> R {
         let mut tree = self
             .tree
@@ -107,20 +108,14 @@ impl<S: PageStore + Send + 'static> SequentialEngine<S> {
     }
 }
 
-impl<S: PageStore + Send + 'static> QueryEngine for SequentialEngine<S> {
+impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for SequentialEngine<S> {
     fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
-        let mut tree = self
-            .tree
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Ok(BatchExecutor::new().execute(&mut tree, queries)?.results)
+        let out = self.with_tree(|tree| BatchExecutor::new().execute(tree, queries))?;
+        Ok(out.results)
     }
 
     fn io_stats(&self) -> IoStats {
-        self.tree
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .io_stats()
+        self.with_tree(|tree| tree.io_stats())
     }
 }
 
@@ -174,7 +169,7 @@ impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
 
 impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for WriterEngine<S> {
     fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
-        self.tree.query_batch(queries, self.threads)
+        Ok(self.tree.query_batch(queries, self.threads)?.results)
     }
 
     fn io_stats(&self) -> IoStats {

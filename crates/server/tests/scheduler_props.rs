@@ -97,7 +97,7 @@ fn burst_matches_direct_queries_and_dedups_accesses_under_every_policy() {
     for name in POLICIES {
         // Reference: the same queries, one at a time, on an identical
         // cold tree with the same policy.
-        let mut reference = DiskRTree::create(MemStore::new(), &tree, buffer, policy(name))
+        let reference = DiskRTree::create(MemStore::new(), &tree, buffer, policy(name))
             .expect("reference tree");
         let mut expected = Vec::with_capacity(queries.len());
         for q in &queries {
@@ -163,7 +163,7 @@ proptest! {
         let tree = build_tree(800, data_seed);
         let queries = query_stream(n_queries, query_seed);
 
-        let mut reference =
+        let reference =
             DiskRTree::create(MemStore::new(), &tree, 32, LruPolicy::new()).expect("tree");
         let expected: Vec<Vec<u64>> = queries
             .iter()

@@ -39,8 +39,7 @@ fn start_server(tree: &RTree, batch: BatchPolicy) -> ServerHandle<SequentialEngi
 fn queries_over_tcp_match_direct_queries() {
     let tree = build_tree(2_000);
     let handle = start_server(&tree, BatchPolicy::default());
-    let mut reference =
-        DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
+    let reference = DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
 
     let mut sampler = QuerySampler::new(&Workload::uniform_region(0.04, 0.04), 7);
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -310,8 +309,7 @@ fn sharded_read_only_tree_serves_identical_results() {
     )
     .expect("serve sharded");
 
-    let mut reference =
-        DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
+    let reference = DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
     let mut sampler = QuerySampler::new(&Workload::uniform_region(0.04, 0.04), 23);
     let mut client = Client::connect(handle.addr()).expect("connect");
     for _ in 0..32 {
@@ -335,8 +333,7 @@ fn sharded_read_only_tree_serves_identical_results() {
 fn replay_partitions_across_connections_in_order() {
     let tree = build_tree(1_500);
     let handle = start_server(&tree, BatchPolicy::default());
-    let mut reference =
-        DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
+    let reference = DiskRTree::create(MemStore::new(), &tree, 128, LruPolicy::new()).expect("tree");
 
     let mut sampler = QuerySampler::new(&Workload::uniform_region(0.05, 0.05), 99);
     let rects: Vec<Rect> = (0..40).map(|_| sampler.sample()).collect();
@@ -431,7 +428,8 @@ fn read_only_server_answers_writes_with_a_typed_error() {
     answers_writes_with_a_typed_error(start_server(&tree, BatchPolicy::default()));
     // The concurrent engine over a read-only tree refuses per op as well.
     let concurrent =
-        ConcurrentDiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).expect("tree");
+        ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 64, 1, LruPolicy::new)
+            .expect("tree");
     let engine = WriterEngine::new(concurrent, 2, 2, true);
     answers_writes_with_a_typed_error(
         serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("serve"),

@@ -15,7 +15,7 @@
 
 use crate::Setting;
 use rtree_buffer::LruPolicy;
-use rtree_pager::{ConcurrentDiskRTree, DiskRTree, PageStore, SharedPageStore};
+use rtree_pager::{ConcurrentDiskRTree, SharedPageStore};
 use std::io;
 
 /// Applies settings to some tree.
@@ -24,56 +24,21 @@ pub trait Actuator {
     fn apply(&mut self, setting: Setting) -> io::Result<()>;
 }
 
-/// The buffer controls of a live tree. Both tree flavors run the same
-/// buffer cache, so they differ only in how they are borrowed: the
-/// sequential tree exclusively, the concurrent tree shared (its resize
-/// re-partitions the capacity across the existing shards; on a writable
-/// tree the operation gate serializes it against in-flight work).
-pub trait BufferControls {
-    /// Levels of the bulk-load level table (0 once a mutation cleared it).
-    fn level_count(&self) -> usize;
-    /// Unpins everything, then pins the top `p` levels.
-    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()>;
-    /// Replaces the buffer with a cold LRU one of `capacity` frames.
-    fn resize_lru(&mut self, capacity: usize) -> io::Result<()>;
-}
+/// The actuator: unpin → resize → re-pin on a shared borrow of the disk
+/// tree (a `DiskRTree` is one, by deref). A sharded tree's resize
+/// re-partitions the capacity across its shards; on a writable tree the
+/// operation gate serializes it against in-flight work.
+pub struct DiskActuator<'a, S>(pub &'a ConcurrentDiskRTree<S>);
 
-impl<S: PageStore> BufferControls for DiskRTree<S> {
-    fn level_count(&self) -> usize {
-        self.meta().level_starts.len()
-    }
-    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
-        DiskRTree::set_pinned_levels(self, p)
-    }
-    fn resize_lru(&mut self, capacity: usize) -> io::Result<()> {
-        self.resize_buffer(capacity, LruPolicy::new())
-    }
-}
-
-impl<S: SharedPageStore> BufferControls for &ConcurrentDiskRTree<S> {
-    fn level_count(&self) -> usize {
-        self.meta().level_starts.len()
-    }
-    fn set_pinned_levels(&mut self, p: usize) -> io::Result<()> {
-        ConcurrentDiskRTree::set_pinned_levels(self, p)
-    }
-    fn resize_lru(&mut self, capacity: usize) -> io::Result<()> {
-        self.resize_buffer(capacity, LruPolicy::new)
-    }
-}
-
-/// The actuator: unpin → resize → re-pin on a borrowed tree (`&mut disk`,
-/// or `&mut &shared` for the concurrent tree).
-pub struct DiskActuator<'a, T: BufferControls>(pub &'a mut T);
-
-impl<T: BufferControls> Actuator for DiskActuator<'_, T> {
+impl<S: SharedPageStore> Actuator for DiskActuator<'_, S> {
     fn apply(&mut self, setting: Setting) -> io::Result<()> {
+        let tree = self.0;
         // A mutated tree has no level table; pinning silently degrades to
         // "none" rather than panicking mid-actuation.
-        let pin = setting.pin_levels.min(self.0.level_count());
-        self.0.set_pinned_levels(0)?;
-        self.0.resize_lru(setting.buffer)?;
-        self.0.set_pinned_levels(pin)
+        let pin = setting.pin_levels.min(tree.meta().level_starts.len());
+        tree.set_pinned_levels(0)?;
+        tree.resize_buffer(setting.buffer, LruPolicy::new)?;
+        tree.set_pinned_levels(pin)
     }
 }
 
@@ -83,7 +48,7 @@ mod tests {
     use rtree_buffer::LruPolicy;
     use rtree_geom::Rect;
     use rtree_index::BulkLoader;
-    use rtree_pager::MemStore;
+    use rtree_pager::{DiskRTree, MemStore};
 
     fn rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -98,8 +63,8 @@ mod tests {
     #[test]
     fn actuator_applies_resize_and_pin() {
         let tree = BulkLoader::hilbert(16).load(&rects(1_500));
-        let mut disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
-        DiskActuator(&mut disk)
+        let disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+        DiskActuator(&disk)
             .apply(Setting {
                 buffer: 32,
                 pin_levels: 2,
@@ -108,7 +73,7 @@ mod tests {
         assert_eq!(disk.buffer_capacity(), 32);
         assert!(disk.pinned_pages() > 0);
         // Re-target down to no pinning at a smaller size.
-        DiskActuator(&mut disk)
+        DiskActuator(&disk)
             .apply(Setting {
                 buffer: 8,
                 pin_levels: 0,
@@ -124,7 +89,7 @@ mod tests {
         let disk =
             ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 64, 4, LruPolicy::new)
                 .unwrap();
-        DiskActuator(&mut &disk)
+        DiskActuator(&disk)
             .apply(Setting {
                 buffer: 32,
                 pin_levels: 1,
@@ -132,7 +97,7 @@ mod tests {
             .unwrap();
         assert_eq!(disk.buffer_capacity(), 32);
         assert_eq!(disk.pinned_pages(), 1);
-        DiskActuator(&mut &disk)
+        DiskActuator(&disk)
             .apply(Setting {
                 buffer: 16,
                 pin_levels: 0,

@@ -143,7 +143,7 @@ fn stationary_workload_quiesces() {
     for cluster in [false, true] {
         let rects = sample_rects(1_500, 0.618_033);
         let tree = BulkLoader::hilbert(16).load(&rects);
-        let mut disk = DiskRTree::create(MemStore::new(), &tree, 96, LruPolicy::new()).unwrap();
+        let disk = DiskRTree::create(MemStore::new(), &tree, 96, LruPolicy::new()).unwrap();
         let cfg = ControllerConfig {
             min_samples: 64,
             min_interval: 2,
@@ -166,7 +166,7 @@ fn stationary_workload_quiesces() {
                 disk.query(&q).unwrap();
                 fed += 1;
             }
-            if let Some(d) = c.tick_with(|s| DiskActuator(&mut disk).apply(s)).unwrap() {
+            if let Some(d) = c.tick_with(|s| DiskActuator(&disk).apply(s)).unwrap() {
                 last_decision_tick = d.tick;
             }
         }
@@ -189,8 +189,8 @@ fn stationary_workload_quiesces() {
 fn adaptive_results_equal_non_adaptive_results() {
     let rects = sample_rects(1_800, 0.618_033);
     let tree = BulkLoader::hilbert(16).load(&rects);
-    let mut tuned = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
-    let mut plain = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+    let tuned = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
+    let plain = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
     let cfg = ControllerConfig {
         min_samples: 32,
         min_interval: 2,
@@ -215,7 +215,7 @@ fn adaptive_results_equal_non_adaptive_results() {
         b.sort_unstable();
         assert_eq!(a, b, "query {i} diverged");
         if i % 20 == 0
-            && c.tick_with(|s| DiskActuator(&mut tuned).apply(s))
+            && c.tick_with(|s| DiskActuator(&tuned).apply(s))
                 .unwrap()
                 .is_some()
         {

@@ -16,7 +16,7 @@
 //!
 //! `update_state` picks per call, from what it can observe: the folded
 //! kernel on an x86-64 CPU that reports `pclmulqdq`, for inputs of at least
-//! [`FOLD_MIN`] bytes; the sliced kernel on every other architecture, older
+//! `FOLD_MIN` (64) bytes; the sliced kernel on every other architecture, older
 //! CPUs, short inputs and under Miri (which does not model the intrinsic).
 //! Both reduce the same message polynomial modulo the same generator, and
 //! a CRC state depends on nothing but the bytes consumed so far, so every

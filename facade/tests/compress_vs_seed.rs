@@ -1,5 +1,5 @@
 //! Differential suite: compressed (v4) images must be observationally
-//! *exact* against the seed's scalar traversal (`DiskRTree::query_scalar`)
+//! *exact* against the seed's scalar traversal (`ConcurrentDiskRTree::query_scalar`)
 //! of the uncompressed v3 image —
 //! same region/point/kNN answers — across every replacement policy,
 //! sequentially, sharded, and batched.
@@ -126,7 +126,7 @@ fn region_queries_match_seed_across_all_policies() {
     let buffer = 12;
     for_each_kernel(|kernel| {
         for (name, policy) in policies() {
-            let (mut seed, mut v4) = make_pair(&tree, buffer, &policy);
+            let (seed, v4) = make_pair(&tree, buffer, &policy);
             for (i, q) in stream.iter().enumerate() {
                 let want = seed.query_scalar(q).expect("seed query");
                 let got = v4.query_scalar(q).expect("v4 query");
@@ -159,7 +159,7 @@ fn simd_and_scalar_kernels_agree_on_v4_pages() {
     let tree = tree();
     let stream = query_stream(120);
     for_each_kernel(|kernel| {
-        let (mut seed, mut v4) = make_pair(&tree, 16, &|| {
+        let (seed, v4) = make_pair(&tree, 16, &|| {
             Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
         });
         for (i, q) in stream.iter().enumerate() {
@@ -182,7 +182,7 @@ fn simd_and_scalar_kernels_agree_on_v4_pages() {
 fn point_and_knn_queries_match_seed() {
     let tree = tree();
     for_each_kernel(|kernel| {
-        let (mut seed, mut v4) = make_pair(&tree, 20, &|| {
+        let (seed, v4) = make_pair(&tree, 20, &|| {
             Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
         });
         for i in 0..60 {
@@ -220,7 +220,7 @@ fn sharded_and_batch_traversal_match_seed_on_v4() {
     let stream = query_stream(96);
     for_each_kernel(|kernel| {
         let seed_answers: Vec<Vec<u64>> = {
-            let (mut seed, _) = make_pair(&tree, 24, &|| {
+            let (seed, _) = make_pair(&tree, 24, &|| {
                 Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
             });
             stream
@@ -246,7 +246,7 @@ fn sharded_and_batch_traversal_match_seed_on_v4() {
         // The batch scheduler on the same image: answers are per-query
         // unordered, so compare as sets.
         let got = sharded.query_batch(&stream, 2).expect("batch v4");
-        for (i, mut r) in got.into_iter().enumerate() {
+        for (i, mut r) in got.results.into_iter().enumerate() {
             r.sort_unstable();
             let mut want = seed_answers[i].clone();
             want.sort_unstable();
@@ -261,7 +261,7 @@ fn v4_meta_reopens_with_capacities_intact() {
     let stream = query_stream(40);
     for_each_kernel(|kernel| {
         let seed_answers: Vec<Vec<u64>> = {
-            let (mut seed, _) = make_pair(&tree, 16, &|| {
+            let (seed, _) = make_pair(&tree, 16, &|| {
                 Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
             });
             stream
@@ -273,8 +273,7 @@ fn v4_meta_reopens_with_capacities_intact() {
         let store = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new())
             .expect("materialize v4")
             .into_store();
-        let mut reopened =
-            DiskRTree::open(store, 16, LruPolicy::new()).expect("v4 image must open");
+        let reopened = DiskRTree::open(store, 16, LruPolicy::new()).expect("v4 image must open");
         assert!(reopened.meta().compressed, "meta must say compressed");
         assert_eq!(
             reopened.meta().internal_max_entries,

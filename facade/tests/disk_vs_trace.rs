@@ -16,7 +16,7 @@ fn run_pair(buffer: usize, pin_levels: usize, queries: usize) {
     let sim_tree = SimTree::from_tree(&tree);
 
     // Physical side. DiskRTree pages are 1-based (page 0 = meta).
-    let mut disk = DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new()).unwrap();
+    let disk = DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new()).unwrap();
     disk.pin_top_levels(pin_levels).unwrap();
     disk.reset_counters();
 

@@ -40,7 +40,7 @@ fn model_sim_disk_triangle_agrees() {
     let sim = Simulation::new(SimConfig::new(buffer).batches(6, 4_000))
         .run(&SimTree::from_tree(&tree), &workload);
 
-    let mut disk = DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new()).unwrap();
+    let disk = DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new()).unwrap();
     let mut sampler = QuerySampler::new(&workload, 99);
     for _ in 0..4_000 {
         disk.query(&sampler.sample()).unwrap();

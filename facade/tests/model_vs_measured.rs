@@ -90,7 +90,7 @@ fn measure(
     model: &BufferModel,
     seed: u64,
 ) -> f64 {
-    let mut disk = DiskRTree::create(MemStore::new(), tree, buffer, policy).expect("create");
+    let disk = DiskRTree::create(MemStore::new(), tree, buffer, policy).expect("create");
     if pin > 0 {
         disk.pin_top_levels(pin).expect("pin");
     }

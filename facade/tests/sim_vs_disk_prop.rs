@@ -51,7 +51,7 @@ proptest! {
         let pin = pin.min(sim_tree.height());
 
         // Physical side. DiskRTree pages are 1-based (page 0 = meta).
-        let mut disk =
+        let disk =
             DiskRTree::create(MemStore::new(), &tree, buffer, LruPolicy::new()).unwrap();
         disk.pin_top_levels(pin).unwrap();
         disk.reset_counters();

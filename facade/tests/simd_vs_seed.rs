@@ -1,6 +1,6 @@
 //! Differential suite: the SIMD traversal must be observationally
 //! identical to the seed's scalar entry-at-a-time traversal
-//! (`DiskRTree::query_scalar`) of the same v3 (SoA) image — same results,
+//! (`ConcurrentDiskRTree::query_scalar`) of the same v3 (SoA) image — same results,
 //! same I/O counts — across every replacement policy, sequentially and
 //! sharded.
 //!
@@ -125,7 +125,7 @@ fn region_queries_match_seed_across_all_policies_with_equal_io() {
     let buffer = 12;
     for_each_kernel(|kernel| {
         for (name, policy) in policies() {
-            let (mut seed, mut simd) = make_pair(&tree, buffer, &policy);
+            let (seed, simd) = make_pair(&tree, buffer, &policy);
             for (i, q) in stream.iter().enumerate() {
                 let want = seed.query_scalar(q).expect("seed query");
                 let got = simd.query(q).expect("simd query");
@@ -156,7 +156,7 @@ fn crossed_paths_agree_on_both_layouts() {
     let tree = tree();
     let stream = query_stream(120);
     for_each_kernel(|kernel| {
-        let (mut seed, mut v3) = make_pair(&tree, 16, &|| {
+        let (seed, mut v3) = make_pair(&tree, 16, &|| {
             Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
         });
         let mut v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 16, LruPolicy::new())
@@ -183,7 +183,7 @@ fn crossed_paths_agree_on_both_layouts() {
 fn point_and_knn_queries_match_seed_with_equal_io() {
     let tree = tree();
     for_each_kernel(|kernel| {
-        let (mut seed, mut simd) = make_pair(&tree, 20, &|| {
+        let (seed, simd) = make_pair(&tree, 20, &|| {
             Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
         });
         for i in 0..60 {
@@ -219,7 +219,7 @@ fn sharded_traversal_matches_seed_on_both_layouts() {
     let stream = query_stream(96);
     for_each_kernel(|kernel| {
         let seed_answers: Vec<Vec<u64>> = {
-            let (mut seed, _) = make_pair(&tree, 24, &|| {
+            let (seed, _) = make_pair(&tree, 24, &|| {
                 Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>
             });
             stream
@@ -271,7 +271,7 @@ fn sharded_traversal_matches_seed_on_both_layouts() {
         .into_iter()
         .enumerate()
         {
-            for (i, mut r) in got.into_iter().enumerate() {
+            for (i, mut r) in got.results.into_iter().enumerate() {
                 r.sort_unstable();
                 let mut want = seed_answers[i].clone();
                 want.sort_unstable();
@@ -314,12 +314,13 @@ fn v2_images_are_rejected_with_typed_errors() {
         PageError::UnsupportedLayout(0)
     );
     store.write_page(page_id(1), &page).expect("write root");
-    let mut flagged = DiskRTree::open(&mut store, 16, LruPolicy::new()).expect("meta is current");
+    let flagged = DiskRTree::open(store, 16, LruPolicy::new()).expect("meta is current");
     let err = flagged.query(&query_stream(1)[0]).unwrap_err();
     assert!(
         err.to_string().contains("layout flag 0"),
         "query must surface the typed layout error, got: {err}"
     );
+    let mut store = flagged.into_store();
 
     store.read_page(page_id(0), &mut page).expect("read meta");
     page[4..8].copy_from_slice(&2u32.to_le_bytes());

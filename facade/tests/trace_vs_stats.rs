@@ -1,7 +1,7 @@
 //! Differential suite for the trace layer: the event stream emitted by the
 //! pager's trace hooks must reconcile *exactly* with the counters the
 //! buffer manager keeps anyway (`IoStats`, `BufferStats`) — on the
-//! sequential `DiskRTree`, on both trees' write paths, and on the sharded
+//! sequential `DiskRTree`, on both writers' write paths, and on the sharded
 //! `ConcurrentDiskRTree` under real concurrency. The last two tests run
 //! with no sink attached: the accounting must not depend on one.
 
@@ -392,7 +392,7 @@ fn concurrent_ring_loses_nothing_after_join() {
 fn no_sink_path_still_counts_reads() {
     let rects = SyntheticRegion::new(800).generate(5);
     let tree = BulkLoader::hilbert(16).load(&rects);
-    let mut disk = DiskRTree::create(MemStore::new(), &tree, 10, LruPolicy::new()).unwrap();
+    let disk = DiskRTree::create(MemStore::new(), &tree, 10, LruPolicy::new()).unwrap();
     let all = Rect::new(0.0, 0.0, 1.0, 1.0);
     let hits = disk.query(&all).unwrap();
     assert_eq!(hits.len(), 800);
