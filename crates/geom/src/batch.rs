@@ -2,30 +2,30 @@
 //!
 //! The traversal hot paths test one query rectangle (or point) against
 //! every entry of a node page at once. Stored as a structure of arrays
-//! (four parallel `f64` slices), each test is a handful of branch-free
+//! (four parallel coordinate planes), each test is a handful of branch-free
 //! comparisons per entry over contiguous memory — no pointer chase through
-//! `(Rect, u64)` pairs and no per-entry gather when the page itself is
-//! stored SoA (page format v3).
+//! `(Rect, u64)` pairs and no per-entry gather, because the pages
+//! themselves store their entries as planes.
 //!
 //! Two kernels exist, each in three variants (scalar reference, portable
 //! lane-chunked, AVX2 — see [`crate::simd`] for dispatch and the
 //! NaN/infinity policy):
 //!
-//! - [`RectSoA::intersecting`] — region queries and frontier expansion (a
-//!   point query is the degenerate rectangle `[p, p]`);
-//! - [`RectSoA::min_dist2_within`] — kNN bound pruning: minimum squared
-//!   distances with entries past the current bound discarded in-kernel.
+//! - intersection ([`Intersects`]) — region queries and frontier expansion
+//!   (a point query is the degenerate rectangle `[p, p]`);
+//! - distance ([`Within`]) — kNN bound pruning: minimum squared distances
+//!   with entries past the current bound discarded in-kernel.
 //!
 //! Each variant's loop is written once ([`scan`]) over where the lanes come
-//! from ([`Plane`]: a decoded [`RectSoA`], or page bytes where they lie —
-//! [`crate::planes`]) and what is asked of them ([`Test`]).
+//! from ([`Plane`]: page bytes where they lie — [`crate::planes`] — or a
+//! decoded [`RectSoA`]) and what is asked of them ([`Test`]).
 //!
 //! Intersection is closed on both ends, exactly like [`Rect::intersects`]:
 //! rectangles that merely touch (shared edge or corner) intersect, and
-//! degenerate (zero-extent) rectangles behave like points. The
-//! `*_scalar` variants are the obviously-correct references the others are
-//! property-tested against (`tests/simd_vs_scalar.rs`); they are the
-//! differential oracle and are never deleted.
+//! degenerate (zero-extent) rectangles behave like points. The scalar
+//! variant is the obviously-correct reference the others are
+//! property-tested against (`tests/simd_vs_scalar.rs`, on page bytes of
+//! every layout); it is the differential oracle and is never deleted.
 
 use crate::simd::{active_kernel, KernelKind};
 use crate::{Point, Rect};
@@ -35,21 +35,20 @@ use crate::{Point, Rect};
 /// extracted from a `u64` mask per block.
 const BLOCK: usize = 64;
 
-/// A set of rectangles in structure-of-arrays layout.
+/// A set of rectangles in structure-of-arrays layout, filled plane by plane
+/// ([`RectSoA::arrays_mut`]): the shape a node page decodes into.
 ///
 /// # Examples
 ///
 /// ```
 /// use rtree_geom::{Rect, RectSoA};
 ///
-/// let soa = RectSoA::from_rects(&[
-///     Rect::new(0.0, 0.0, 0.2, 0.2),
-///     Rect::new(0.5, 0.5, 0.7, 0.7),
-///     Rect::new(0.2, 0.2, 0.4, 0.4), // touches the query corner
-/// ]);
+/// let mut soa = RectSoA::new();
+/// let (lo_x, lo_y, hi_x, hi_y) = soa.arrays_mut();
+/// lo_x.push(0.2); lo_y.push(0.2); hi_x.push(0.4); hi_y.push(0.4);
 /// let mut out = Vec::new();
 /// soa.intersecting(&Rect::new(0.1, 0.1, 0.2, 0.2), &mut out);
-/// assert_eq!(out, vec![0, 2]);
+/// assert_eq!(out, vec![0]); // touching counts
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RectSoA {
@@ -63,33 +62,6 @@ impl RectSoA {
     /// Creates an empty set.
     pub fn new() -> Self {
         RectSoA::default()
-    }
-
-    /// Creates an empty set with room for `n` rectangles.
-    pub fn with_capacity(n: usize) -> Self {
-        RectSoA {
-            lo_x: Vec::with_capacity(n),
-            lo_y: Vec::with_capacity(n),
-            hi_x: Vec::with_capacity(n),
-            hi_y: Vec::with_capacity(n),
-        }
-    }
-
-    /// Builds the set from a slice of rectangles.
-    pub fn from_rects(rects: &[Rect]) -> Self {
-        let mut soa = RectSoA::with_capacity(rects.len());
-        for r in rects {
-            soa.push(r);
-        }
-        soa
-    }
-
-    /// Appends one rectangle; its index is `len() - 1` afterwards.
-    pub fn push(&mut self, r: &Rect) {
-        self.lo_x.push(r.lo.x);
-        self.lo_y.push(r.lo.y);
-        self.hi_x.push(r.hi.x);
-        self.hi_y.push(r.hi.y);
     }
 
     /// Removes every rectangle, keeping the allocations.
@@ -123,30 +95,20 @@ impl RectSoA {
         )
     }
 
-    /// The rectangle at `i`, reassembled. No validation is applied: the set
-    /// may deliberately hold adversarial coordinates (the property suite
-    /// feeds inverted and non-finite rectangles through every kernel), so
-    /// this bypasses [`Rect::new`]'s debug validity assertion.
+    /// The rectangle at `i`, reassembled. No validation is applied (this
+    /// bypasses [`Rect::new`]'s debug validity assertion).
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn get(&self, i: usize) -> Rect {
-        Rect {
-            lo: Point::new(self.lo_x[i], self.lo_y[i]),
-            hi: Point::new(self.hi_x[i], self.hi_y[i]),
-        }
+        rect_at(self.planes(), i)
     }
 
     /// The MBR of the set, or `None` if it is empty.
     pub fn mbr(&self) -> Option<Rect> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut acc = self.get(0);
-        for i in 1..self.len() {
-            acc = acc.union(&self.get(i));
-        }
-        Some(acc)
+        (0..self.len())
+            .map(|i| self.get(i))
+            .reduce(|acc, r| acc.union(&r))
     }
 
     fn planes(&self) -> Planes<&[f64]> {
@@ -158,55 +120,13 @@ impl RectSoA {
     /// [`crate::simd::active_kernel`]).
     #[inline]
     pub fn intersecting(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.intersecting_with(active_kernel(), q, out)
+        scan::<_, _, false>(active_kernel(), self.planes(), Intersects(*q), out);
     }
 
     /// Scalar reference implementation of [`RectSoA::intersecting`]: one
-    /// [`Rect::intersects`] call per entry. The property suite checks every
-    /// other variant against this for arbitrary inputs.
+    /// [`Rect::intersects`] call per entry.
     pub fn intersecting_scalar(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.intersecting_with(KernelKind::Scalar, q, out)
-    }
-
-    /// [`RectSoA::intersecting`] through one named variant (the
-    /// differential suites pin each to the scalar one).
-    ///
-    /// # Panics
-    /// Panics if this build or CPU cannot run `kind`.
-    pub fn intersecting_with(&self, kind: KernelKind, q: &Rect, out: &mut Vec<u32>) {
-        scan::<_, _, false>(kind, self.planes(), Intersects(*q), out);
-    }
-
-    /// Appends `(index, min_dist²)` for every rectangle whose minimum
-    /// squared Euclidean distance to `p` is `<= bound`, in ascending index
-    /// order, through the dispatched kernel — the kNN bound-pruning path
-    /// (entries farther than the current k-th best never leave the kernel).
-    ///
-    /// Distances use *select-max* semantics (see [`crate::simd`] for the
-    /// NaN policy); for valid rectangles they equal the textbook
-    /// `MINDIST`: 0 inside, squared axis gap outside.
-    #[inline]
-    pub fn min_dist2_within(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.min_dist2_within_with(active_kernel(), p, bound, out)
-    }
-
-    /// Scalar reference for [`RectSoA::min_dist2_within`].
-    pub fn min_dist2_within_scalar(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.min_dist2_within_with(KernelKind::Scalar, p, bound, out)
-    }
-
-    /// [`RectSoA::min_dist2_within`] through one named variant.
-    ///
-    /// # Panics
-    /// Panics if this build or CPU cannot run `kind`.
-    pub fn min_dist2_within_with(
-        &self,
-        kind: KernelKind,
-        p: &Point,
-        bound: f64,
-        out: &mut Vec<(u32, f64)>,
-    ) {
-        scan::<_, _, false>(kind, self.planes(), Within { p: *p, bound }, out);
+        scan::<_, _, false>(KernelKind::Scalar, self.planes(), Intersects(*q), out);
     }
 }
 
@@ -229,6 +149,12 @@ pub(crate) trait Plane: Copy {
     /// `i + 4 <= len()`, and the CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     unsafe fn load4(self, i: usize) -> __m256d;
+
+    /// Whether `other` is this very plane (a point page passes its `x` and
+    /// `y` planes as `hi` too): the AVX2 scan then loads each lane once.
+    fn same(self, _other: Self) -> bool {
+        false
+    }
 }
 
 impl Plane for &[f64] {
@@ -400,7 +326,11 @@ pub(crate) fn scan<P: Plane, T: Test, const CHECK: bool>(
         // SAFETY: the variant is available and the planes are one length,
         // of which the vector loops stop a register short.
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => unsafe { scan_avx2::<P, T, CHECK>(planes, test, out) },
+        KernelKind::Avx2 if planes[0].same(planes[2]) && planes[1].same(planes[3]) => unsafe {
+            scan_avx2::<P, T, CHECK, true>(planes, test, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2 => unsafe { scan_avx2::<P, T, CHECK, false>(planes, test, out) },
         // Portable, and the cross-compile fallback for a variant compiled
         // out above (which `is_available` never admits).
         _ => scan_portable::<P, T, CHECK>(planes, test, out),
@@ -458,10 +388,12 @@ fn scan_portable<P: Plane, T: Test, const CHECK: bool>(
     ok
 }
 
-/// Explicit AVX2 variant: 4 `f64` lanes per step.
+/// Explicit AVX2 variant: 4 `f64` lanes per step. With `POINTS` the `hi`
+/// planes are the `lo` ones ([`Plane::same`]), loaded once and handed to the
+/// test as both, so the answers are the four-plane loop's by construction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_avx2<P: Plane, T: Test, const CHECK: bool>(
+unsafe fn scan_avx2<P: Plane, T: Test, const CHECK: bool, const POINTS: bool>(
     planes: Planes<P>,
     test: T,
     out: &mut Vec<T::Hit>,
@@ -473,9 +405,13 @@ unsafe fn scan_avx2<P: Plane, T: Test, const CHECK: bool>(
     let mut ok = 0xF;
     let mut i = 0usize;
     while i + 4 <= n {
-        // SAFETY (caller + loop bound): i + 4 <= n, so all four loads read
+        // SAFETY (caller + loop bound): i + 4 <= n, so all loads read
         // in-bounds.
-        let v = [lo_x.load4(i), lo_y.load4(i), hi_x.load4(i), hi_y.load4(i)];
+        let (x, y) = (lo_x.load4(i), lo_y.load4(i));
+        let v = match POINTS {
+            true => [x, y, x, y],
+            false => [x, y, hi_x.load4(i), hi_y.load4(i)],
+        };
         if CHECK {
             // `Rect::is_valid` per lane: `lo <= hi` on both axes, and all
             // four finite — `x - x` is 0 for a finite `x`, NaN otherwise.
@@ -526,14 +462,29 @@ fn min_dist2_select(p: &Point, lo_x: f64, lo_y: f64, hi_x: f64, hi_y: f64) -> f6
 mod tests {
     use super::*;
 
-    fn grid(n: usize) -> RectSoA {
+    /// The set holding `rects`, filled plane by plane as a page decode
+    /// fills it.
+    fn soa(rects: &[Rect]) -> RectSoA {
         let mut soa = RectSoA::new();
-        for i in 0..n {
-            let x = (i % 10) as f64 / 10.0;
-            let y = (i / 10) as f64 / 10.0;
-            soa.push(&Rect::new(x, y, x + 0.1, y + 0.1));
+        let (lo_x, lo_y, hi_x, hi_y) = soa.arrays_mut();
+        for r in rects {
+            lo_x.push(r.lo.x);
+            lo_y.push(r.lo.y);
+            hi_x.push(r.hi.x);
+            hi_y.push(r.hi.y);
         }
         soa
+    }
+
+    fn grid(n: usize) -> RectSoA {
+        let rects: Vec<Rect> = (0..n)
+            .map(|i| {
+                let x = (i % 10) as f64 / 10.0;
+                let y = (i / 10) as f64 / 10.0;
+                Rect::new(x, y, x + 0.1, y + 0.1)
+            })
+            .collect();
+        soa(&rects)
     }
 
     #[test]
@@ -550,9 +501,15 @@ mod tests {
         for q in &queries {
             let mut slow = Vec::new();
             soa.intersecting_scalar(q, &mut slow);
+            let direct = (0..150).filter(|&i| soa.get(i as usize).intersects(q));
+            assert_eq!(
+                slow,
+                direct.collect::<Vec<u32>>(),
+                "scalar vs Rect::intersects"
+            );
             for kind in crate::available_kernels() {
                 let mut fast = Vec::new();
-                soa.intersecting_with(kind, q, &mut fast);
+                scan::<_, _, false>(kind, soa.planes(), Intersects(*q), &mut fast);
                 assert_eq!(fast, slow, "{kind:?} vs scalar, query {q}");
             }
         }
@@ -560,7 +517,7 @@ mod tests {
 
     #[test]
     fn touching_edges_count_as_intersecting() {
-        let soa = RectSoA::from_rects(&[Rect::new(0.5, 0.0, 1.0, 1.0)]);
+        let soa = soa(&[Rect::new(0.5, 0.0, 1.0, 1.0)]);
         let mut out = Vec::new();
         soa.intersecting(&Rect::new(0.0, 0.0, 0.5, 1.0), &mut out);
         assert_eq!(out, vec![0], "shared edge intersects (closed intervals)");
@@ -569,9 +526,7 @@ mod tests {
     #[test]
     fn round_trips_and_clears() {
         let r = Rect::new(0.1, 0.2, 0.3, 0.4);
-        let mut soa = RectSoA::new();
-        assert!(soa.is_empty());
-        soa.push(&r);
+        let mut soa = soa(&[r]);
         assert_eq!(soa.len(), 1);
         assert_eq!(soa.get(0), r);
         soa.clear();
@@ -580,8 +535,7 @@ mod tests {
 
     #[test]
     fn mbr_is_the_union() {
-        let soa =
-            RectSoA::from_rects(&[Rect::new(0.0, 0.1, 0.2, 0.3), Rect::new(0.5, 0.6, 0.9, 0.8)]);
+        let soa = soa(&[Rect::new(0.0, 0.1, 0.2, 0.3), Rect::new(0.5, 0.6, 0.9, 0.8)]);
         assert_eq!(soa.mbr(), Some(Rect::new(0.0, 0.1, 0.9, 0.8)));
         assert_eq!(RectSoA::new().mbr(), None);
     }
@@ -589,7 +543,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "differ in length")]
     fn kernels_reject_ragged_arrays() {
-        let mut soa = RectSoA::from_rects(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
+        let mut soa = soa(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
         soa.arrays_mut().2.push(0.5);
         soa.intersecting(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut Vec::new());
     }
@@ -598,8 +552,12 @@ mod tests {
     fn min_dist2_matches_reference_and_prunes() {
         let soa = grid(97);
         let p = Point::new(0.42, 0.13);
-        let mut all = Vec::new();
-        soa.min_dist2_within_scalar(&p, f64::INFINITY, &mut all);
+        let within = |kind, bound| {
+            let mut out = Vec::new();
+            scan::<_, _, false>(kind, soa.planes(), Within { p, bound }, &mut out);
+            out
+        };
+        let all = within(KernelKind::Scalar, f64::INFINITY);
         assert_eq!(all.len(), soa.len(), "infinite bound keeps everything");
         // Textbook MINDIST agreement on valid rectangles.
         for &(i, d2) in &all {
@@ -608,11 +566,11 @@ mod tests {
             let dy = (r.lo.y - p.y).max(0.0).max(p.y - r.hi.y);
             assert_eq!(d2, dx * dx + dy * dy, "entry {i}");
         }
-        // A finite bound is honored (closed: <=).
+        // A finite bound is honored (closed: <=), in every variant.
         let bound = 0.05;
-        let mut kept = Vec::new();
-        soa.min_dist2_within(&p, bound, &mut kept);
         let want: Vec<(u32, f64)> = all.iter().copied().filter(|&(_, d)| d <= bound).collect();
-        assert_eq!(kept, want);
+        for kind in crate::available_kernels() {
+            assert_eq!(within(kind, bound), want, "{kind:?}");
+        }
     }
 }

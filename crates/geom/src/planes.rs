@@ -1,14 +1,14 @@
-//! The [`crate::RectSoA`] kernels on page bytes where they lie.
+//! The rectangle kernels on page bytes where they lie.
 //!
-//! A node page already stores its entry rectangles as four coordinate planes
-//! — little-endian `f64`, or 16-bit codes relative to a frame (see
-//! [`crate::quant`]). [`EntryPlanes`] borrows those bytes and runs the
-//! kernels on them in place — unaligned loads, nothing copied or dequantized
-//! to memory — under the same dispatch ([`crate::simd`]) and with the same
-//! results as decoding the planes into a [`crate::RectSoA`] first. Unlike a
-//! `RectSoA`, whose contents are whatever the caller pushed, page bytes come
-//! from disk, so every operation also validates the entries it scans and
-//! reports [`CorruptEntry`] instead of an answer computed from a bad one.
+//! A node page already stores its entry rectangles as coordinate planes —
+//! little-endian `f64` (four, or a point page's `x` and `y` read as `hi`
+//! too), or 16-bit codes relative to a frame (see [`crate::quant`]).
+//! [`EntryPlanes`] borrows those bytes and runs the kernels on them in
+//! place — unaligned loads, nothing copied or dequantized to memory — under
+//! the same dispatch ([`crate::simd`]) and with the answers the entries give
+//! one [`Rect`] at a time. Page bytes come from disk, so every operation
+//! also validates the entries it scans and reports [`CorruptEntry`] instead
+//! of an answer computed from a bad one.
 //!
 //! **Exactness on quantized planes.** [`dequant`] is monotone in the code,
 //! so for a query edge `v` the codes decoding at or below `v` are exactly
@@ -53,6 +53,10 @@ impl Plane for LeF64<'_> {
         // SAFETY (caller): bytes 8i..8i + 32 are in bounds; loadu needs no
         // alignment, and x86-64 is little-endian.
         std::arch::x86_64::_mm256_loadu_pd(self.0.as_ptr().add(i * 8).cast())
+    }
+
+    fn same(self, other: Self) -> bool {
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -121,7 +125,8 @@ fn dequantized<'a>(frame: &Rect, planes: [&'a [u8]; 4]) -> Planes<Dequant<'a>> {
 /// four planes `[lo_x, lo_y, hi_x, hi_y]` of one length.
 #[derive(Clone, Copy)]
 pub enum EntryPlanes<'a> {
-    /// Little-endian `f64` coordinates, 8 bytes per entry and plane.
+    /// Little-endian `f64` coordinates, 8 bytes per entry and plane. A
+    /// page of points passes its `x` and `y` planes as `hi` too.
     F64([&'a [u8]; 4]),
     /// Little-endian `u16` codes, 2 bytes per entry and plane, relative to
     /// `frame` — which the caller has validated (finite, `lo <= hi`).
@@ -172,10 +177,11 @@ impl EntryPlanes<'_> {
         }
     }
 
-    /// [`crate::RectSoA::intersecting_with`] in place, validating every
-    /// entry; `out` is unspecified on error. On codes, `Scalar` dequantizes
-    /// one entry at a time and calls [`Rect::intersects`] — the oracle —
-    /// and every other variant compares in code space (see the module docs).
+    /// Appends the index of every entry intersecting `q` to `out`,
+    /// ascending, through variant `kind`, validating every entry; `out` is
+    /// unspecified on error. On codes, `Scalar` dequantizes one entry at a
+    /// time and calls [`Rect::intersects`] — the oracle — and every other
+    /// variant compares in code space (see the module docs).
     pub fn intersecting(
         &self,
         kind: KernelKind,
@@ -227,9 +233,10 @@ impl EntryPlanes<'_> {
         }
     }
 
-    /// [`crate::RectSoA::min_dist2_within_with`] in place — codes are
-    /// dequantized in registers, never to memory — validating every entry;
-    /// `out` is unspecified on error.
+    /// Appends `(index, min_dist²)` for every entry within `bound` of `p`
+    /// to `out`, ascending, through variant `kind` — codes are dequantized
+    /// in registers, never to memory — validating every entry; `out` is
+    /// unspecified on error.
     pub fn min_dist2_within(
         &self,
         kind: KernelKind,
@@ -342,7 +349,8 @@ unsafe fn intersecting_codes_avx2(planes: [&[u8]; 4], t: [u16; 4], out: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{available_kernels, RectSoA};
+    use crate::available_kernels;
+    use crate::batch::Test;
 
     /// Planes of `width`-byte lanes behind a one-byte pad: every lane sits
     /// at an odd address. (Miri runs these on the scalar and portable
@@ -359,6 +367,20 @@ mod tests {
 
     fn planes_of(buf: &[u8], plane_len: usize) -> [&[u8]; 4] {
         std::array::from_fn(|k| &buf[1 + k * plane_len..][..plane_len])
+    }
+
+    /// The entry-at-a-time oracle: the hits of `q` and the `(index, d²)`
+    /// of every entry within `bound` of `p`, one [`Rect`] at a time.
+    fn oracle(rects: &[Rect], q: &Rect, p: &Point, bound: f64) -> (Vec<u32>, Vec<(u32, f64)>) {
+        let ids = 0..rects.len() as u32;
+        let hits = ids.clone().filter(|&i| rects[i as usize].intersects(q));
+        let near = ids.filter_map(
+            |i| match (Within { p: *p, bound }).one(&rects[i as usize]) {
+                (true, d2) => Some((i, d2)),
+                _ => None,
+            },
+        );
+        (hits.collect(), near.collect())
     }
 
     #[test]
@@ -379,30 +401,42 @@ mod tests {
             lane(|r| r.hi.y),
         ]);
         let view = EntryPlanes::F64(planes_of(&buf, len));
-        let soa = RectSoA::from_rects(&rects);
         assert_eq!(view.get(69), rects[69]);
-        assert_eq!(view.mbr(), Ok(soa.mbr()));
+        assert_eq!(view.mbr(), Ok(Some(Rect::mbr_of(&rects))));
         let (q, p) = (Rect::new(0.3, 0.1, 0.5, 0.3), Point::new(0.9, 0.1));
-        let (mut want, mut want_d) = (Vec::new(), Vec::new());
-        soa.intersecting_scalar(&q, &mut want);
-        soa.min_dist2_within_scalar(&p, 0.1, &mut want_d);
-        assert!(!want.is_empty() && !want_d.is_empty());
+        let want = oracle(&rects, &q, &p, 0.1);
+        assert!(!want.0.is_empty() && !want.1.is_empty());
+        // The same entries as a point page: `x` and `y` read as `hi` too.
+        let points: Vec<Rect> = rects.iter().map(|r| Rect { lo: r.lo, hi: r.lo }).collect();
+        let [x, y, ..] = planes_of(&buf, len);
+        let point_view = EntryPlanes::F64([x, y, x, y]);
+        let want_points = oracle(&points, &q, &p, 0.1);
+        assert_eq!(point_view.get(7), points[7]);
         for kind in available_kernels() {
-            let (mut got, mut got_d) = (Vec::new(), Vec::new());
-            view.intersecting(kind, &q, &mut got).unwrap();
-            view.min_dist2_within(kind, &p, 0.1, &mut got_d).unwrap();
-            assert_eq!((got, got_d), (want.clone(), want_d.clone()), "{kind:?}");
+            for (view, want) in [(view, &want), (point_view, &want_points)] {
+                let (mut got, mut got_d) = (Vec::new(), Vec::new());
+                view.intersecting(kind, &q, &mut got).unwrap();
+                view.min_dist2_within(kind, &p, 0.1, &mut got_d).unwrap();
+                assert_eq!(&(got, got_d), want, "{kind:?}");
+            }
         }
-        // One inverted entry fails every scan in every variant.
-        let mut bad = buf.clone();
+        // One inverted entry fails every scan in every variant; one NaN
+        // coordinate fails every scan of the point page.
+        let (mut bad, mut nan) = (buf.clone(), buf.clone());
         bad[1 + 5 * 8..][..8].copy_from_slice(&9.0f64.to_le_bytes());
-        let view = EntryPlanes::F64(planes_of(&bad, len));
-        assert_eq!(view.mbr(), Err(CorruptEntry));
-        for kind in available_kernels() {
-            let got = view.intersecting(kind, &q, &mut Vec::new());
-            assert_eq!(got, Err(CorruptEntry), "{kind:?}");
-            let got = view.min_dist2_within(kind, &p, 0.1, &mut Vec::new());
-            assert_eq!(got, Err(CorruptEntry), "{kind:?}");
+        nan[1 + len + 66 * 8..][..8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let [x, y, ..] = planes_of(&nan, len);
+        for view in [
+            EntryPlanes::F64(planes_of(&bad, len)),
+            EntryPlanes::F64([x, y, x, y]),
+        ] {
+            assert_eq!(view.mbr(), Err(CorruptEntry));
+            for kind in available_kernels() {
+                let got = view.intersecting(kind, &q, &mut Vec::new());
+                assert_eq!(got, Err(CorruptEntry), "{kind:?}");
+                let got = view.min_dist2_within(kind, &p, 0.1, &mut Vec::new());
+                assert_eq!(got, Err(CorruptEntry), "{kind:?}");
+            }
         }
     }
 
@@ -427,7 +461,6 @@ mod tests {
                 hi: Point::new(dequant(c[2], -1.0, qx, 3.0), dequant(c[3], 2.0, qy, 2.5)),
             })
             .collect();
-        let soa = RectSoA::from_rects(&decoded);
         assert_eq!(view.get(71), Rect::new(3.0, 2.5, 3.0, 2.5));
         assert_eq!(view.mbr(), Ok(Some(frame)));
         // Query edges on decoded grid values: touching counts, exactly.
@@ -436,15 +469,13 @@ mod tests {
             hi: Point::new(decoded[40].lo.x, 2.5),
         };
         let p = Point::new(3.5, 2.2);
-        let (mut want, mut want_d) = (Vec::new(), Vec::new());
-        soa.intersecting_scalar(&q, &mut want);
-        soa.min_dist2_within_scalar(&p, 1.0, &mut want_d);
-        assert!(want.contains(&20) && want.contains(&40) && !want_d.is_empty());
+        let want = oracle(&decoded, &q, &p, 1.0);
+        assert!(want.0.contains(&20) && want.0.contains(&40) && !want.1.is_empty());
         for kind in available_kernels() {
             let (mut got, mut got_d) = (Vec::new(), Vec::new());
             view.intersecting(kind, &q, &mut got).unwrap();
             view.min_dist2_within(kind, &p, 1.0, &mut got_d).unwrap();
-            assert_eq!((got, got_d), (want.clone(), want_d.clone()), "{kind:?}");
+            assert_eq!((got, got_d), want, "{kind:?}");
         }
         // lo.x code above hi.x code on entry 3: every scan fails.
         let mut bad = buf.clone();

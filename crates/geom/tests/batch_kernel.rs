@@ -1,11 +1,14 @@
-//! Kernel equivalence: the autovectorized SoA intersection kernel must
-//! agree with the scalar reference — and with `Rect::intersects` — on
-//! arbitrary rectangle sets, including degenerate (zero-extent) rectangles
-//! and exactly-touching edges, which the coarse coordinate grid below makes
-//! common rather than measure-zero.
+//! Kernel equivalence: the intersection kernel, in every variant, must agree
+//! with per-entry `Rect::intersects` on arbitrary entry sets laid out as an
+//! SoA page and as a point page (`pages/mod.rs`), including degenerate
+//! (zero-extent) rectangles and exactly-touching edges, which the coarse
+//! coordinate grid below makes common rather than measure-zero.
 
+mod pages;
+
+use pages::Page;
 use proptest::prelude::*;
-use rtree_geom::{Rect, RectSoA};
+use rtree_geom::{Point, Rect};
 
 /// Coordinates snapped to a 1/8 grid: touching edges and shared corners
 /// occur with high probability, exercising the closed-interval boundary.
@@ -29,32 +32,25 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
     prop_oneof![arb_grid_rect(), arb_grid_rect(), arb_free_rect()]
 }
 
+/// The same set as an SoA page, and its `lo` corners as a point page.
+fn pages(rects: &[Rect]) -> [Page; 2] {
+    let corners: Vec<Point> = rects.iter().map(|r| r.lo).collect();
+    [Page::soa(rects), Page::points(&corners)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Kernel == scalar reference == per-entry `Rect::intersects`, for sets
-    /// spanning multiple 64-wide mask blocks.
+    /// Every variant == per-entry `Rect::intersects`, for pages spanning
+    /// multiple 64-wide mask blocks.
     #[test]
     fn kernel_matches_scalar_reference(
         rects in prop::collection::vec(arb_rect(), 0..200),
         queries in prop::collection::vec(arb_rect(), 1..12),
     ) {
-        let soa = RectSoA::from_rects(&rects);
-        prop_assert_eq!(soa.len(), rects.len());
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        for q in &queries {
-            fast.clear();
-            slow.clear();
-            soa.intersecting(q, &mut fast);
-            soa.intersecting_scalar(q, &mut slow);
-            prop_assert_eq!(&fast, &slow, "kernel vs scalar for query {}", q);
-            let direct: Vec<u32> = rects
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.intersects(q))
-                .map(|(i, _)| i as u32)
-                .collect();
-            prop_assert_eq!(&slow, &direct, "scalar vs Rect::intersects");
+        for page in pages(&rects) {
+            prop_assert_eq!(page.rects.len(), rects.len());
+            page.check(&queries, &[]);
         }
     }
 
@@ -66,11 +62,8 @@ proptest! {
         px in grid_coord(),
         py in grid_coord(),
     ) {
-        let q = Rect::new(px, py, px, py);
-        let soa = RectSoA::from_rects(&rects);
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        soa.intersecting(&q, &mut fast);
-        soa.intersecting_scalar(&q, &mut slow);
-        prop_assert_eq!(fast, slow);
+        for page in pages(&rects) {
+            page.check(&[Rect::new(px, py, px, py)], &[]);
+        }
     }
 }

@@ -1,77 +1,40 @@
-//! SIMD-vs-scalar property suite: every kernel variant compiled into this
-//! build (portable, AVX2, and the runtime dispatcher itself) must
-//! agree bit-for-bit with the scalar reference over *adversarial* inputs —
-//! not just the valid rectangles production pages hold.
+//! SIMD-vs-scalar property suite on page bytes: every kernel variant this
+//! build and CPU can run must answer, through [`EntryPlanes`] over the
+//! entry planes of every node-page layout — SoA, the point body and Packed
+//! — exactly what the entry-at-a-time [`Rect`] oracle answers (same ids,
+//! same order, bit-equal distances, the same MBR), and must fail the visit
+//! with [`CorruptEntry`] exactly when a decode would reject an entry. The
+//! page fixtures and the oracle live in `pages/mod.rs`.
 //!
 //! Adversarial means: degenerate (zero-area) rects, exactly-touching edges
 //! (coarse-grid coordinates make them common), negative coordinates,
-//! infinities, NaN, inverted (`min > max`) rectangles that would never
-//! survive page-decode validation, and set lengths straddling the kernels'
-//! chunk boundaries (0, 1, 63, 64, 65 for the 64-wide portable mask; the
-//! 4-lane AVX2 tail falls out of the same lengths).
+//! extreme magnitudes, infinities, NaN, inverted (`min > max`) entries
+//! planted in otherwise valid pages, and page lengths straddling the
+//! kernels' chunk boundaries (0–9 and 15–17 around the 4- and 16-lane
+//! registers, 63–65 and 127–128 around the 64-wide portable mask, and the
+//! full pages of each layout: 102, 170 and 253).
 //!
 //! The NaN policy pinned here (and documented in `rtree_geom::simd`):
 //!
 //! - **Intersection** uses IEEE ordered comparisons — any compare against
-//!   NaN is false, so a NaN coordinate in either operand means *no match*.
+//!   NaN is false, so a NaN query coordinate means *no match*.
 //! - **Distance** max chains use select semantics
 //!   (`if a > b { a } else { b }`), matching `_mm256_max_pd`; a NaN term
-//!   drops out of the chain, and a NaN distance (possible via `∞ − ∞`)
-//!   satisfies no bound.
+//!   drops out of the chain, and a NaN bound satisfies nothing.
+//! - **Entries** are validated in the scan: a NaN, infinite or inverted
+//!   entry fails every variant, never an answer computed from it.
 
+mod pages;
+
+use pages::{assert_dist_eq, within, Page};
 use proptest::prelude::*;
 use rtree_geom::quant::{dequant, quantum, QMAX};
-use rtree_geom::{available_kernels, CorruptEntry, EntryPlanes, KernelKind, Point, Rect, RectSoA};
+use rtree_geom::{available_kernels, CorruptEntry, EntryPlanes, KernelKind, Point, Rect};
 
-type IntersectFn = Box<dyn Fn(&RectSoA, &Rect, &mut Vec<u32>)>;
-type DistFn = Box<dyn Fn(&RectSoA, &Point, f64, &mut Vec<(u32, f64)>)>;
-
-/// Every intersection variant this build + CPU can run (scalar included:
-/// `intersecting_with(Scalar)` must be `intersecting_scalar`). The
-/// dispatcher is included so whatever the environment selected is covered
-/// too.
-fn intersect_variants() -> Vec<(&'static str, IntersectFn)> {
-    let mut v: Vec<(&'static str, IntersectFn)> =
-        vec![("dispatch", Box::new(|s, q, out| s.intersecting(q, out)))];
-    for kind in available_kernels() {
-        v.push((
-            kind.name(),
-            Box::new(move |s, q, out| s.intersecting_with(kind, q, out)),
-        ));
-    }
-    v
-}
-
-fn dist_variants() -> Vec<(&'static str, DistFn)> {
-    let mut v: Vec<(&'static str, DistFn)> = vec![(
-        "dispatch",
-        Box::new(|s, p, bound, out| s.min_dist2_within(p, bound, out)),
-    )];
-    for kind in available_kernels() {
-        v.push((
-            kind.name(),
-            Box::new(move |s, p, bound, out| s.min_dist2_within_with(kind, p, bound, out)),
-        ));
-    }
-    v
-}
-
-/// Compare (index, distance) lists with NaN treated as equal to itself —
-/// the variants must agree on *which* entries yield NaN, not on NaN's
-/// (non-)equality.
-fn assert_dist_eq(name: &str, fast: &[(u32, f64)], slow: &[(u32, f64)]) {
-    assert_eq!(fast.len(), slow.len(), "{name}: lengths differ");
-    for (f, s) in fast.iter().zip(slow) {
-        assert_eq!(f.0, s.0, "{name}: index mismatch");
-        assert!(
-            f.1 == s.1 || (f.1.is_nan() && s.1.is_nan()),
-            "{name}: distance mismatch at {}: {} vs {}",
-            f.0,
-            f.1,
-            s.1
-        );
-    }
-}
+/// Page lengths at and around every chunk boundary and full page.
+const LENS: [usize; 22] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 102, 127, 128, 169, 170, 253,
+];
 
 /// Adversarial coordinates: a coarse grid (touching edges), negatives,
 /// infinities, NaN, and a continuous range.
@@ -111,306 +74,65 @@ fn adversarial_point() -> impl Strategy<Value = Point> {
     (adversarial_coord(), adversarial_coord()).prop_map(|(x, y)| Point::new(x, y))
 }
 
-/// Rect sets at sizes pinned to the chunk boundaries (0, 1, …, 63, 64, 65,
-/// 127, 128) plus arbitrary fill lengths: a full-size set is generated and
-/// truncated to the selected boundary.
-fn adversarial_set() -> impl Strategy<Value = Vec<Rect>> {
-    const LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 63, 64, 65, 102, 127, 128];
+/// Finite coordinates on the coarse grid (touching edges are common) or at
+/// extreme magnitudes.
+fn valid_coord() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
+        (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
+        -1.0f64..=1.0,
+        Just(-0.0f64),
+        Just(1e300),
+        Just(-1e300),
+        Just(f64::MAX),
+        Just(f64::MIN),
+    ]
+}
+
+/// Finite, ordered rectangles; degenerate ones fall out of the grid.
+fn valid_rect() -> impl Strategy<Value = Rect> {
+    (valid_coord(), valid_coord(), valid_coord(), valid_coord()).prop_map(|(a, b, c, d)| Rect {
+        lo: Point::new(a.min(c), b.min(d)),
+        hi: Point::new(a.max(c), b.max(d)),
+    })
+}
+
+/// `valid` items at one of the [`LENS`], in one case out of four with a
+/// single `planted` one — what a re-sealed corrupt page looks like.
+fn page_like<T: std::fmt::Debug + Clone + 'static>(
+    valid: impl Strategy<Value = T> + 'static,
+    planted: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Vec<T>> {
     (
-        0usize..18,
-        prop::collection::vec(adversarial_rect(), 130usize),
+        0usize..LENS.len(),
+        prop::collection::vec(valid, 253usize),
+        prop_oneof![
+            Just(None),
+            Just(None),
+            Just(None),
+            (0usize..253, planted).prop_map(Some)
+        ],
     )
-        .prop_map(|(sel, mut v)| {
-            let n = if sel < LENS.len() {
-                LENS[sel]
-            } else {
-                6 + sel * 7
-            };
-            v.truncate(n.min(130));
+        .prop_map(|(sel, mut v, planted)| {
+            v.truncate(LENS[sel]);
+            if let Some((at, bad)) = planted {
+                if let Some(slot) = v.get_mut(at) {
+                    *slot = bad;
+                }
+            }
             v
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Intersection: every variant == scalar reference, over adversarial
-    /// rects and queries at chunk-boundary lengths.
-    #[test]
-    fn intersection_variants_match_scalar(
-        rects in adversarial_set(),
-        queries in prop::collection::vec(adversarial_rect(), 1..8),
-    ) {
-        let soa = RectSoA::from_rects(&rects);
-        let mut slow = Vec::new();
-        for q in &queries {
-            slow.clear();
-            soa.intersecting_scalar(q, &mut slow);
-            for (name, run) in intersect_variants() {
-                let mut fast = Vec::new();
-                run(&soa, q, &mut fast);
-                prop_assert_eq!(&fast, &slow, "{} vs scalar, query {:?}", name, q);
-            }
-        }
-    }
-
-    /// Point containment is the degenerate query `[p, p]`: every variant ==
-    /// scalar `Rect::contains_point`, over adversarial rects and points
-    /// (including NaN points, which are contained by nothing).
-    #[test]
-    fn containment_variants_match_scalar(
-        rects in adversarial_set(),
-        p in adversarial_point(),
-    ) {
-        let soa = RectSoA::from_rects(&rects);
-        let slow: Vec<u32> = (0..rects.len() as u32)
-            .filter(|&i| rects[i as usize].contains_point(&p))
-            .collect();
-        for (name, run) in intersect_variants() {
-            let mut fast = Vec::new();
-            run(&soa, &Rect { lo: p, hi: p }, &mut fast);
-            prop_assert_eq!(&fast, &slow, "{} vs scalar, point {:?}", name, p);
-        }
-    }
-
-    /// Distance pruning: every variant == scalar reference — same surviving
-    /// indices, same distances (NaN agreeing with NaN) — over adversarial
-    /// inputs and bounds (including infinite and NaN bounds).
-    #[test]
-    fn distance_variants_match_scalar(
-        rects in adversarial_set(),
-        p in adversarial_point(),
-        bound in prop_oneof![
-            0.0f64..=4.0,
-            0.0f64..=4.0,
-            0.0f64..=4.0,
-            0.0f64..=4.0,
-            Just(f64::INFINITY),
-            Just(0.0f64),
-            Just(f64::NAN),
-        ],
-    ) {
-        let soa = RectSoA::from_rects(&rects);
-        let mut slow = Vec::new();
-        soa.min_dist2_within_scalar(&p, bound, &mut slow);
-        for (name, run) in dist_variants() {
-            let mut fast = Vec::new();
-            run(&soa, &p, bound, &mut fast);
-            assert_dist_eq(name, &fast, &slow);
-        }
-    }
+/// An SoA page's entries, sometimes with one adversarial rectangle.
+fn rect_page() -> impl Strategy<Value = Vec<Rect>> {
+    page_like(valid_rect(), adversarial_rect())
 }
 
-// ---- Pinned, non-property regressions ---------------------------------
-
-/// NaN policy, pinned: a NaN rectangle intersects nothing, and a NaN query
-/// matches nothing — in every variant.
-#[test]
-fn nan_matches_nothing() {
-    let nan_rect = Rect {
-        lo: Point::new(f64::NAN, 0.0),
-        hi: Point::new(1.0, 1.0),
-    };
-    let soa = RectSoA::from_rects(&[nan_rect, Rect::new(0.0, 0.0, 1.0, 1.0)]);
-    let everything = Rect::new(-1e308, -1e308, 1e308, 1e308);
-    let nan_query = Rect {
-        lo: Point::new(f64::NAN, f64::NAN),
-        hi: Point::new(f64::NAN, f64::NAN),
-    };
-    for (name, run) in intersect_variants() {
-        let mut out = Vec::new();
-        run(&soa, &everything, &mut out);
-        assert_eq!(out, vec![1], "{name}: NaN rect must not match");
-        out.clear();
-        run(&soa, &nan_query, &mut out);
-        assert!(out.is_empty(), "{name}: NaN query must match nothing");
-    }
-}
-
-/// Inverted rectangles (satellite fix): `min > max` never survives decode
-/// validation, but if one reaches the kernels anyway, every variant —
-/// including the scalar reference, which used to trip `Rect::new`'s debug
-/// validity assertion via `RectSoA::get` — must agree: the empty interval
-/// intersects nothing that lies on the empty side.
-#[test]
-fn inverted_rects_agree_across_variants() {
-    let inverted_x = Rect {
-        lo: Point::new(0.8, 0.0),
-        hi: Point::new(0.2, 1.0), // hi.x < lo.x
-    };
-    let inverted_both = Rect {
-        lo: Point::new(0.9, 0.9),
-        hi: Point::new(0.1, 0.1),
-    };
-    let valid = Rect::new(0.0, 0.0, 1.0, 1.0);
-    let soa = RectSoA::from_rects(&[inverted_x, inverted_both, valid]);
-
-    // An inverted rect r intersects q iff the closed-interval comparisons
-    // hold: lo <= q.hi && q.lo <= hi. A query spanning [0,1]² satisfies
-    // them even for inverted rects (0.8 <= 1 && 0 <= 0.2) — the kernels
-    // compute the comparisons, they do not re-validate.
-    let wide = Rect::new(0.0, 0.0, 1.0, 1.0);
-    // A query strictly right of hi.x = 0.2 but left of lo.x = 0.8 misses
-    // the inverted-x rect under the same comparisons (q.lo.x = 0.3 > 0.2).
-    let gap = Rect::new(0.3, 0.0, 0.5, 1.0);
-
-    let mut reference_wide = Vec::new();
-    soa.intersecting_scalar(&wide, &mut reference_wide);
-    assert_eq!(reference_wide, vec![0, 1, 2]);
-    let mut reference_gap = Vec::new();
-    soa.intersecting_scalar(&gap, &mut reference_gap);
-    assert_eq!(reference_gap, vec![2]);
-
-    for (name, run) in intersect_variants() {
-        let mut out = Vec::new();
-        run(&soa, &wide, &mut out);
-        assert_eq!(out, reference_wide, "{name} on wide query");
-        out.clear();
-        run(&soa, &gap, &mut out);
-        assert_eq!(out, reference_gap, "{name} on gap query");
-    }
-
-    // `get` reassembles the stored coordinates verbatim — no validation,
-    // no panic (this is the regression: it used to assert in debug builds).
-    assert_eq!(soa.get(0), inverted_x);
-}
-
-/// Exactly-touching edges and corners are hits in every variant (closed
-/// intervals), including at negative coordinates.
-#[test]
-fn touching_edges_hit_in_every_variant() {
-    let soa = RectSoA::from_rects(&[
-        Rect::new(-1.0, -1.0, -0.5, -0.5), // shares corner (-0.5,-0.5)
-        Rect::new(-0.5, -1.0, 0.0, -0.5),  // shares edge y = -0.5
-        Rect::new(5.0, 5.0, 6.0, 6.0),     // disjoint
-    ]);
-    let q = Rect::new(-0.5, -0.5, 0.0, 0.0);
-    for (name, run) in intersect_variants() {
-        let mut out = Vec::new();
-        run(&soa, &q, &mut out);
-        assert_eq!(out, vec![0, 1], "{name}");
-    }
-}
-
-/// Every chunk-boundary length agrees on a dense all-hit / all-miss set —
-/// catches off-by-ones in the vector-loop tails directly.
-#[test]
-fn chunk_boundary_lengths_agree() {
-    for n in [0usize, 1, 2, 3, 4, 5, 63, 64, 65, 102, 127, 128, 130] {
-        let rects: Vec<Rect> = (0..n)
-            .map(|i| {
-                let x = i as f64 * 0.001;
-                Rect::new(x, 0.0, x + 0.5, 0.5)
-            })
-            .collect();
-        let soa = RectSoA::from_rects(&rects);
-        let hit_all = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let hit_none = Rect::new(10.0, 10.0, 11.0, 11.0);
-        let p = Point::new(0.25, 0.25);
-        let mut slow = Vec::new();
-        soa.intersecting_scalar(&hit_all, &mut slow);
-        assert_eq!(slow.len(), n);
-        let mut slow_d = Vec::new();
-        soa.min_dist2_within_scalar(&p, 1.0, &mut slow_d);
-        for (name, run) in intersect_variants() {
-            let mut out = Vec::new();
-            run(&soa, &hit_all, &mut out);
-            assert_eq!(out, slow, "{name} all-hit at n={n}");
-            out.clear();
-            run(&soa, &hit_none, &mut out);
-            assert!(out.is_empty(), "{name} all-miss at n={n}");
-        }
-        for (name, run) in dist_variants() {
-            let mut out = Vec::new();
-            run(&soa, &p, 1.0, &mut out);
-            assert_dist_eq(name, &out, &slow_d);
-        }
-    }
-}
-
-/// Infinity handling, pinned: an infinite rectangle intersects every finite
-/// query; distance to it is 0 from anywhere — even from a point at `∞`,
-/// where the `∞ − ∞ = NaN` intermediate drops out of the select-max chain
-/// and the final clamp against 0 leaves a well-defined gap of 0. Distances
-/// are never NaN.
-#[test]
-fn infinities_are_total() {
-    let everywhere = Rect {
-        lo: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
-        hi: Point::new(f64::INFINITY, f64::INFINITY),
-    };
-    let soa = RectSoA::from_rects(&[everywhere]);
-    for (name, run) in intersect_variants() {
-        let mut out = Vec::new();
-        run(&soa, &Rect::new(0.0, 0.0, 0.1, 0.1), &mut out);
-        assert_eq!(out, vec![0], "{name}");
-    }
-    let p = Point::new(0.5, 0.5);
-    let mut slow = Vec::new();
-    soa.min_dist2_within_scalar(&p, 0.0, &mut slow);
-    assert_eq!(slow, vec![(0, 0.0)], "distance to the infinite rect is 0");
-    // A point at +∞ produces ∞ − ∞ = NaN inside the chain; select-max
-    // drops it and the clamp against 0 yields a gap of 0 — every variant,
-    // including scalar, reports distance 0, never NaN.
-    let far = Point::new(f64::INFINITY, 0.0);
-    let mut slow_far = Vec::new();
-    soa.min_dist2_within_scalar(&far, f64::INFINITY, &mut slow_far);
-    assert_eq!(slow_far, vec![(0, 0.0)], "NaN drops out, gap clamps to 0");
-    for (name, run) in dist_variants() {
-        let mut out = Vec::new();
-        run(&soa, &far, f64::INFINITY, &mut out);
-        assert_dist_eq(name, &out, &slow_far);
-    }
-}
-
-// ---- The same kernels on page bytes where they lie --------------------
-//
-// `EntryPlanes` (of either kind) must answer exactly what the scalar kernel
-// answers on the planes decoded into a `RectSoA` — same ids, same order,
-// bit-equal distances — in every variant, and must report `CorruptEntry`
-// exactly when a decode would have rejected an entry.
-
-/// Four planes of `width`-byte lanes laid out back to back behind a one-byte
-/// pad, so every lane sits at an odd address (the loads must not assume
-/// alignment).
-struct Bytes {
-    buf: Vec<u8>,
-    plane_len: usize,
-}
-
-impl Bytes {
-    fn new(lanes: [Vec<Vec<u8>>; 4]) -> Self {
-        let plane_len = lanes[0].iter().map(Vec::len).sum();
-        let mut buf = vec![0xA5u8];
-        for plane in lanes {
-            buf.extend(plane.into_iter().flatten());
-        }
-        Bytes { buf, plane_len }
-    }
-
-    fn of_rects(rects: &[Rect]) -> Self {
-        let lane = |f: fn(&Rect) -> f64| rects.iter().map(move |r| f(r).to_le_bytes().to_vec());
-        Bytes::new([
-            lane(|r| r.lo.x).collect(),
-            lane(|r| r.lo.y).collect(),
-            lane(|r| r.hi.x).collect(),
-            lane(|r| r.hi.y).collect(),
-        ])
-    }
-
-    fn of_codes(codes: &[[u16; 4]]) -> Self {
-        let lane = |k: usize| codes.iter().map(move |c| c[k].to_le_bytes().to_vec());
-        Bytes::new([
-            lane(0).collect(),
-            lane(1).collect(),
-            lane(2).collect(),
-            lane(3).collect(),
-        ])
-    }
-
-    fn planes(&self) -> [&[u8]; 4] {
-        std::array::from_fn(|k| &self.buf[1 + k * self.plane_len..][..self.plane_len])
-    }
+/// A point page's entries, sometimes with one adversarial point.
+fn point_page() -> impl Strategy<Value = Vec<Point>> {
+    let valid = (valid_coord(), valid_coord()).prop_map(|(x, y)| Point::new(x, y));
+    page_like(valid, adversarial_point())
 }
 
 /// The neighbouring float above or below `v` (`f64::next_up` postdates the
@@ -425,53 +147,6 @@ fn step(v: f64, up: bool) -> f64 {
     } else {
         f64::from_bits(v.to_bits() - 1)
     }
-}
-
-/// Finite, ordered rectangles on the coarse grid (touching edges are
-/// common) or at extreme magnitudes.
-fn valid_rect() -> impl Strategy<Value = Rect> {
-    let coord = || {
-        prop_oneof![
-            (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
-            (-8i8..=8).prop_map(|i| f64::from(i) / 8.0),
-            -1.0f64..=1.0,
-            Just(-0.0f64),
-            Just(1e300),
-            Just(-1e300),
-            Just(f64::MAX),
-            Just(f64::MIN),
-        ]
-    };
-    (coord(), coord(), coord(), coord()).prop_map(|(a, b, c, d)| Rect {
-        lo: Point::new(a.min(c), b.min(d)),
-        hi: Point::new(a.max(c), b.max(d)),
-    })
-}
-
-/// A set of valid rectangles at a chunk-boundary length, in one case out of
-/// four with a single adversarial (inverted / non-finite) entry planted in
-/// it — what a re-sealed corrupt page looks like.
-fn page_like_set() -> impl Strategy<Value = Vec<Rect>> {
-    const LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 63, 64, 65, 102, 127, 128];
-    (
-        0usize..LENS.len(),
-        prop::collection::vec(valid_rect(), 128usize),
-        prop_oneof![
-            Just(None),
-            Just(None),
-            Just(None),
-            (0usize..128, adversarial_rect()).prop_map(Some)
-        ],
-    )
-        .prop_map(|(sel, mut v, planted)| {
-            v.truncate(LENS[sel]);
-            if let Some((at, bad)) = planted {
-                if let Some(slot) = v.get_mut(at) {
-                    *slot = bad;
-                }
-            }
-            v
-        })
 }
 
 /// One frame axis `(base, top)`: ordinary, zero-extent, one ulp wide, huge,
@@ -492,6 +167,13 @@ fn frame_axis() -> impl Strategy<Value = (f64, f64)> {
     ]
 }
 
+fn frame() -> impl Strategy<Value = Rect> {
+    (frame_axis(), frame_axis()).prop_map(|(x, y)| Rect {
+        lo: Point::new(x.0, y.0),
+        hi: Point::new(x.1, y.1),
+    })
+}
+
 fn code() -> impl Strategy<Value = u16> {
     prop_oneof![
         any::<u16>(),
@@ -503,40 +185,30 @@ fn code() -> impl Strategy<Value = u16> {
     ]
 }
 
-/// Code quadruples `[lo_x, lo_y, hi_x, hi_y]` with `lo <= hi` per axis (wide
-/// and hair-thin entries both), at lengths straddling the 16-lane register
-/// and the 64-entry block, sometimes with one inverted entry planted.
-fn code_set() -> impl Strategy<Value = Vec<[u16; 4]>> {
-    const LENS: [usize; 12] = [0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 200, 253];
-    let entry = (code(), code(), code(), code(), 0u16..4, any::<bool>()).prop_map(
-        |(a, b, c, d, thin, wide)| {
-            if wide {
-                [a.min(c), b.min(d), a.max(c), b.max(d)]
-            } else {
-                [a, b, a.saturating_add(thin), b.saturating_add(thin)]
-            }
-        },
-    );
-    (
-        0usize..LENS.len(),
-        prop::collection::vec(entry, 253usize),
-        prop_oneof![
-            Just(None),
-            Just(None),
-            Just(None),
-            (0usize..253, any::<bool>()).prop_map(Some)
-        ],
-    )
-        .prop_map(|(sel, mut v, planted)| {
-            v.truncate(LENS[sel]);
-            if let Some((at, on_x)) = planted {
-                if let Some(c) = v.get_mut(at) {
-                    let k = usize::from(!on_x);
-                    c.swap(k, k + 2);
+/// A Packed page's code quadruples `[lo_x, lo_y, hi_x, hi_y]` with
+/// `lo <= hi` per axis (wide and hair-thin entries both), sometimes with
+/// one entry inverted on one axis.
+fn code_page() -> impl Strategy<Value = Vec<[u16; 4]>> {
+    let entry = || {
+        (code(), code(), code(), code(), 0u16..4, any::<bool>()).prop_map(
+            |(a, b, c, d, thin, wide)| {
+                if wide {
+                    [a.min(c), b.min(d), a.max(c), b.max(d)]
+                } else {
+                    [a, b, a.saturating_add(thin), b.saturating_add(thin)]
                 }
-            }
-            v
-        })
+            },
+        )
+    };
+    let inverted = entry().prop_map(|mut c| {
+        c.swap(0, 2);
+        if c[0] == c[2] {
+            c[0] = c[2].saturating_add(1).max(1);
+            c[2] = c[0] - 1;
+        }
+        c
+    });
+    page_like(entry(), inverted)
 }
 
 /// A query coordinate placed where the threshold search can go wrong: on a
@@ -576,117 +248,292 @@ fn kernel_bound() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// The three pages of one case: the SoA page, the point page, and the
+/// Packed page in `frame`.
+fn three(rects: &[Rect], points: &[Point], frame: Rect, codes: &[[u16; 4]]) -> [Page; 3] {
+    [
+        Page::soa(rects),
+        Page::points(points),
+        Page::packed(frame, codes),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Borrowed `f64` byte planes == the decoded set under the scalar
-    /// kernel, in every variant, and `CorruptEntry` iff some entry is not a
-    /// valid rectangle — for `intersecting`, `min_dist2_within` and `mbr`.
+    /// Intersection: every variant == the oracle on every layout, over
+    /// adversarial queries at chunk-boundary lengths.
     #[test]
-    fn f64_planes_match_decoded_set(
-        rects in page_like_set(),
-        queries in prop::collection::vec(adversarial_rect(), 1..6),
-        p in adversarial_point(),
-        bound in kernel_bound(),
+    fn intersection_variants_match_scalar(
+        rects in rect_page(),
+        points in point_page(),
+        packed in (frame(), code_page()),
+        queries in prop::collection::vec(adversarial_rect(), 1..8),
     ) {
-        let bytes = Bytes::of_rects(&rects);
-        let view = EntryPlanes::F64(bytes.planes());
-        let soa = RectSoA::from_rects(&rects);
-        let corrupt = rects.iter().any(|r| !r.is_valid());
-        for (i, r) in rects.iter().enumerate().filter(|(_, r)| r.is_valid()) {
-            prop_assert_eq!(view.get(i), *r);
+        for page in three(&rects, &points, packed.0, &packed.1) {
+            page.check(&queries, &[]);
         }
-        match view.mbr() {
-            Err(CorruptEntry) => prop_assert!(corrupt),
-            Ok(mbr) => {
-                prop_assert!(!corrupt);
-                prop_assert_eq!(mbr, soa.mbr());
-            }
-        }
-        let (mut slow, mut slow_d) = (Vec::new(), Vec::new());
-        soa.min_dist2_within_scalar(&p, bound, &mut slow_d);
-        for kind in available_kernels() {
-            for q in &queries {
-                slow.clear();
-                soa.intersecting_scalar(q, &mut slow);
-                let mut fast = Vec::new();
-                let got = view.intersecting(kind, q, &mut fast);
-                prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
-                if !corrupt {
-                    prop_assert_eq!(&fast, &slow, "{:?}, query {:?}", kind, q);
-                }
-            }
-            let mut fast_d = Vec::new();
-            let got = view.min_dist2_within(kind, &p, bound, &mut fast_d);
-            prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
-            if !corrupt {
-                assert_dist_eq(kind.name(), &fast_d, &slow_d);
+    }
+
+    /// Point containment is the degenerate query `[p, p]`: every variant
+    /// keeps exactly the entries `Rect::contains_point` keeps (NaN points
+    /// are contained by nothing).
+    #[test]
+    fn containment_variants_match_scalar(
+        rects in rect_page(),
+        points in point_page(),
+        packed in (frame(), code_page()),
+        p in adversarial_point(),
+    ) {
+        for page in three(&rects, &points, packed.0, &packed.1) {
+            page.check(&[Rect { lo: p, hi: p }], &[]);
+            if !page.corrupt {
+                let mut got = Vec::new();
+                page.view().intersecting(KernelKind::Scalar, &Rect { lo: p, hi: p }, &mut got).unwrap();
+                let want = (0..page.rects.len() as u32).filter(|&i| page.rects[i as usize].contains_point(&p));
+                prop_assert_eq!(got, want.collect::<Vec<_>>());
             }
         }
     }
 
+    /// Distance pruning: every variant == the oracle — same surviving
+    /// indices, same distances — over adversarial points and bounds
+    /// (infinite and NaN bounds included), on every layout.
+    #[test]
+    fn distance_variants_match_scalar(
+        rects in rect_page(),
+        points in point_page(),
+        packed in (frame(), code_page()),
+        near in prop::collection::vec((adversarial_point(), kernel_bound()), 1..4),
+    ) {
+        for page in three(&rects, &points, packed.0, &packed.1) {
+            page.check(&[], &near);
+        }
+    }
+
+    /// The `f64` layouts entry for entry: SoA and point pages read back
+    /// their entries, and answer regions and distances like the oracle —
+    /// or fail every scan when one entry is invalid.
+    #[test]
+    fn f64_planes_match_decoded_set(
+        rects in rect_page(),
+        points in point_page(),
+        queries in prop::collection::vec(adversarial_rect(), 1..6),
+        p in adversarial_point(),
+        bound in kernel_bound(),
+    ) {
+        // The point page's entries as an SoA page must answer the same.
+        let as_rects: Vec<Rect> = points.iter().map(|&p| Rect { lo: p, hi: p }).collect();
+        for page in [Page::soa(&rects), Page::points(&points), Page::soa(&as_rects)] {
+            page.check(&queries, &[(p, bound)]);
+        }
+    }
+
     /// Code space ≡ dequantize-then-compare: on quantized planes every
-    /// variant returns exactly what the scalar kernel returns on the
-    /// entries decoded through `quant::dequant` — ids, order, bit-equal
-    /// distances, the same MBR — over adversarial frames and query edges,
-    /// and `CorruptEntry` iff some entry has `lo code > hi code`.
+    /// variant returns exactly what the oracle returns on the entries
+    /// decoded through `quant::dequant` — ids, order, bit-equal distances,
+    /// the same MBR — over adversarial frames and query edges, and
+    /// `CorruptEntry` iff some entry has `lo code > hi code`.
     #[test]
     fn code_planes_match_dequantized_set(
         axes in (frame_axis(), frame_axis()),
-        codes in code_set(),
+        codes in code_page(),
         queries in prop::collection::vec([edge(), edge(), edge(), edge()], 1..8),
         point in (edge(), edge()),
         bound in kernel_bound(),
     ) {
         let ((x, y), (px, py)) = (axes, point);
         let frame = Rect { lo: Point::new(x.0, y.0), hi: Point::new(x.1, y.1) };
-        let bytes = Bytes::of_codes(&codes);
-        let view = EntryPlanes::Codes { frame, planes: bytes.planes() };
-        let (qx, qy) = (quantum(x.0, x.1), quantum(y.0, y.1));
-        let decoded: Vec<Rect> = codes
+        let page = Page::packed(frame, &codes);
+        let queries: Vec<Rect> = queries
             .iter()
-            .map(|c| Rect {
-                lo: Point::new(dequant(c[0], x.0, qx, x.1), dequant(c[1], y.0, qy, y.1)),
-                hi: Point::new(dequant(c[2], x.0, qx, x.1), dequant(c[3], y.0, qy, y.1)),
+            .map(|[lo_x, lo_y, hi_x, hi_y]| Rect {
+                lo: Point::new(place(*lo_x, x), place(*lo_y, y)),
+                hi: Point::new(place(*hi_x, x), place(*hi_y, y)),
             })
             .collect();
-        let soa = RectSoA::from_rects(&decoded);
-        let corrupt = codes.iter().any(|c| c[0] > c[2] || c[1] > c[3]);
-        for (i, r) in decoded.iter().enumerate() {
-            prop_assert_eq!(view.get(i), *r);
-        }
-        match view.mbr() {
-            Err(CorruptEntry) => prop_assert!(corrupt),
-            Ok(mbr) => {
-                prop_assert!(!corrupt);
-                prop_assert_eq!(mbr, soa.mbr());
-            }
-        }
         let p = Point::new(place(px, x), place(py, y));
-        let (mut slow, mut slow_d) = (Vec::new(), Vec::new());
-        soa.min_dist2_within_scalar(&p, bound, &mut slow_d);
+        page.check(&queries, &[(p, bound)]);
+    }
+}
+
+// ---- Pinned, non-property regressions ---------------------------------
+
+/// Every scan of `page` fails with `CorruptEntry` in every variant.
+fn assert_corrupt(page: &Page) {
+    let view = page.view();
+    assert_eq!(view.mbr(), Err(CorruptEntry));
+    for kind in available_kernels() {
+        let q = Rect::new(-1e308, -1e308, 1e308, 1e308);
+        assert_eq!(
+            view.intersecting(kind, &q, &mut Vec::new()),
+            Err(CorruptEntry)
+        );
+        let p = Point::new(0.5, 0.5);
+        let got = view.min_dist2_within(kind, &p, f64::INFINITY, &mut Vec::new());
+        assert_eq!(got, Err(CorruptEntry), "{kind:?}");
+    }
+}
+
+/// NaN policy, pinned: a NaN query matches nothing on any layout, and a
+/// NaN entry is no answer at all — it fails the visit in every variant.
+#[test]
+fn nan_matches_nothing() {
+    let nan = f64::NAN;
+    let nan_query = Rect {
+        lo: Point::new(nan, nan),
+        hi: Point::new(nan, nan),
+    };
+    let frame = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let points = [Point::new(0.5, 0.5), Point::new(0.0, 1.0)];
+    for page in three(&[frame], &points, frame, &[[0, 0, QMAX, QMAX]]) {
         for kind in available_kernels() {
-            for [lo_x, lo_y, hi_x, hi_y] in &queries {
-                let q = Rect {
-                    lo: Point::new(place(*lo_x, x), place(*lo_y, y)),
-                    hi: Point::new(place(*hi_x, x), place(*hi_y, y)),
-                };
-                slow.clear();
-                soa.intersecting_scalar(&q, &mut slow);
-                let mut fast = Vec::new();
-                let got = view.intersecting(kind, &q, &mut fast);
-                prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
-                if !corrupt {
-                    prop_assert_eq!(&fast, &slow, "{:?}, frame {:?}, query {:?}", kind, frame, q);
-                }
-            }
-            let mut fast_d = Vec::new();
-            let got = view.min_dist2_within(kind, &p, bound, &mut fast_d);
-            prop_assert_eq!(got.is_err(), corrupt, "{:?}", kind);
-            if !corrupt {
-                assert_dist_eq(kind.name(), &fast_d, &slow_d);
+            let mut out = Vec::new();
+            page.view()
+                .intersecting(kind, &nan_query, &mut out)
+                .unwrap();
+            assert!(out.is_empty(), "{kind:?}: NaN query must match nothing");
+            page.view()
+                .intersecting(
+                    kind,
+                    &Rect {
+                        lo: nan_query.lo,
+                        hi: frame.hi,
+                    },
+                    &mut out,
+                )
+                .unwrap();
+            assert!(out.is_empty(), "{kind:?}: a NaN edge matches nothing");
+        }
+    }
+    let nan_rect = Rect {
+        lo: Point::new(nan, 0.0),
+        hi: Point::new(1.0, 1.0),
+    };
+    assert_corrupt(&Page::soa(&[Rect::new(0.0, 0.0, 1.0, 1.0), nan_rect]));
+    assert_corrupt(&Page::points(&[Point::new(0.5, 0.5), Point::new(0.5, nan)]));
+}
+
+/// Inverted rectangles (`min > max`) never survive decode validation, and
+/// the in-place kernels validate as they scan: one inverted entry, on
+/// either axis, fails every variant — on an SoA page as on a Packed one,
+/// where the inversion is in the codes.
+#[test]
+fn inverted_rects_agree_across_variants() {
+    let valid = Rect::new(0.0, 0.0, 1.0, 1.0);
+    for inverted in [
+        Rect {
+            lo: Point::new(0.8, 0.0),
+            hi: Point::new(0.2, 1.0), // hi.x < lo.x
+        },
+        Rect {
+            lo: Point::new(0.9, 0.9),
+            hi: Point::new(0.1, 0.1),
+        },
+    ] {
+        // Before, on and after a 4-lane register boundary.
+        for at in [0, 3, 4, 6] {
+            let mut rects = vec![valid; 7];
+            rects[at] = inverted;
+            assert_corrupt(&Page::soa(&rects));
+        }
+    }
+    let frame = Rect::new(0.0, 0.0, 1.0, 1.0);
+    for at in [0, 15, 16, 40] {
+        let mut codes = vec![[10, 10, 20, 20]; 41];
+        codes[at] = [10, 21, 20, 20];
+        assert_corrupt(&Page::packed(frame, &codes));
+    }
+}
+
+/// Exactly-touching edges and corners are hits in every variant (closed
+/// intervals), including at negative coordinates, on SoA and point pages.
+#[test]
+fn touching_edges_hit_in_every_variant() {
+    let q = Rect::new(-0.5, -0.5, 0.0, 0.0);
+    let rects = [
+        Rect::new(-1.0, -1.0, -0.5, -0.5), // shares corner (-0.5,-0.5)
+        Rect::new(-0.5, -1.0, 0.0, -0.5),  // shares edge y = -0.5
+        Rect::new(5.0, 5.0, 6.0, 6.0),     // disjoint
+    ];
+    let points = [
+        Point::new(-0.5, -0.5),
+        Point::new(0.0, -0.25),
+        Point::new(0.0, 0.01),
+    ];
+    for page in [Page::soa(&rects), Page::points(&points)] {
+        for kind in available_kernels() {
+            let mut out = Vec::new();
+            page.view().intersecting(kind, &q, &mut out).unwrap();
+            assert_eq!(out, vec![0, 1], "{kind:?}");
+        }
+    }
+}
+
+/// Every chunk-boundary length agrees on a dense all-hit / all-miss page of
+/// every layout — catches off-by-ones in the vector-loop tails directly.
+#[test]
+fn chunk_boundary_lengths_agree() {
+    let frame = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let hit_all = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let hit_none = Rect::new(10.0, 10.0, 11.0, 11.0);
+    let near = [
+        (Point::new(0.25, 0.25), 1.0),
+        (Point::new(0.25, 0.25), 0.01),
+    ];
+    for n in LENS {
+        let rects: Vec<Rect> = (0..n)
+            .map(|i| {
+                let x = i as f64 * 0.001;
+                Rect::new(x, 0.0, x + 0.5, 0.5)
+            })
+            .collect();
+        let points: Vec<Point> = rects.iter().map(|r| r.lo).collect();
+        let codes: Vec<[u16; 4]> = (0..n as u16).map(|i| [i, 0, i + 30_000, 30_000]).collect();
+        for page in three(&rects, &points, frame, &codes) {
+            page.check(&[hit_all, hit_none], &near);
+            for kind in available_kernels() {
+                let mut out = Vec::new();
+                page.view().intersecting(kind, &hit_all, &mut out).unwrap();
+                assert_eq!(out.len(), n, "{kind:?} all-hit at n={n}");
+                out.clear();
+                page.view().intersecting(kind, &hit_none, &mut out).unwrap();
+                assert!(out.is_empty(), "{kind:?} all-miss at n={n}");
             }
         }
+    }
+}
+
+/// Infinity handling, pinned: an infinite entry is not a finite rectangle,
+/// so it fails the visit in every variant; from a query point at `∞` a
+/// finite entry is `∞` away and intersects no query at `∞`; and on the
+/// widest frame, whose quantum is `∞`, distances are still never NaN.
+#[test]
+fn infinities_are_total() {
+    let everywhere = Rect {
+        lo: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        hi: Point::new(f64::INFINITY, f64::INFINITY),
+    };
+    assert_corrupt(&Page::soa(&[Rect::new(0.0, 0.0, 1.0, 1.0), everywhere]));
+    assert_corrupt(&Page::points(&[Point::new(f64::INFINITY, 0.0)]));
+    let far = Point::new(f64::INFINITY, 0.0);
+    let page = Page::soa(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
+    assert_eq!(
+        within(&page.rects, &far, f64::INFINITY),
+        vec![(0, f64::INFINITY)]
+    );
+    page.check(&[Rect { lo: far, hi: far }], &[(far, f64::INFINITY)]);
+    let wide = Rect::new(-1.7e308, -1.7e308, 1.7e308, 1.7e308);
+    let codes = [[0, 0, QMAX, QMAX], [1, 1, 2, 2], [QMAX, QMAX, QMAX, QMAX]];
+    let page = Page::packed(wide, &codes);
+    for p in [
+        far,
+        Point::new(-1.7e308, 1.7e308),
+        Point::new(0.0, f64::NAN),
+    ] {
+        let want = within(&page.rects, &p, f64::INFINITY);
+        assert!(want.iter().all(|(_, d2)| !d2.is_nan()), "{p:?}: {want:?}");
+        page.check(&[], &[(p, f64::INFINITY)]);
     }
 }
 
@@ -695,8 +542,8 @@ proptest! {
 #[test]
 fn code_planes_validate_even_when_nothing_can_match() {
     let frame = Rect::new(0.0, 0.0, 1.0, 1.0);
-    let good = Bytes::of_codes(&[[0, 0, 9, 9], [100, 100, 200, 200]]);
-    let bad = Bytes::of_codes(&[[0, 0, 9, 9], [300, 100, 200, 200]]);
+    let good = Page::packed(frame, &[[0, 0, 9, 9], [100, 100, 200, 200]]);
+    let bad = Page::packed(frame, &[[0, 0, 9, 9], [300, 100, 200, 200]]);
     let nan = f64::NAN;
     let misses = [
         Rect::new(2.0, 2.0, 3.0, 3.0),
@@ -709,14 +556,10 @@ fn code_planes_validate_even_when_nothing_can_match() {
     for kind in available_kernels() {
         for q in &misses {
             let mut out = Vec::new();
-            let planes = good.planes();
-            let view = EntryPlanes::Codes { frame, planes };
-            assert_eq!(view.intersecting(kind, q, &mut out), Ok(()));
+            assert_eq!(good.view().intersecting(kind, q, &mut out), Ok(()));
             assert!(out.is_empty(), "{kind:?}: {q:?} must match nothing");
-            let planes = bad.planes();
-            let view = EntryPlanes::Codes { frame, planes };
             assert_eq!(
-                view.intersecting(kind, q, &mut out),
+                bad.view().intersecting(kind, q, &mut out),
                 Err(CorruptEntry),
                 "{kind:?}: {q:?}"
             );
@@ -736,11 +579,10 @@ fn end_codes_decode_to_the_frame_ends_in_registers() {
     let overflowing = (-1.7e308, 1.7e308);
     assert_eq!(quantum(overflowing.0, overflowing.1), f64::INFINITY);
     let codes: Vec<[u16; 4]> = (0..9).map(|i| [0, i, QMAX, QMAX]).collect();
-    let bytes = Bytes::of_codes(&codes);
     for (base, top) in [narrow, overflowing] {
         let frame = Rect::new(base, base, top, top);
-        let planes = bytes.planes();
-        let view = EntryPlanes::Codes { frame, planes };
+        let page = Page::packed(frame, &codes);
+        let view: EntryPlanes<'_> = page.view();
         assert_eq!(view.get(3).lo.x, base);
         assert_eq!(view.get(3).hi, Point::new(top, top));
         // Inside the frame (distance 0 to an entry spanning it), and one
@@ -754,12 +596,8 @@ fn end_codes_decode_to_the_frame_ends_in_registers() {
             view.min_dist2_within(KernelKind::Scalar, &p, f64::INFINITY, &mut slow)
                 .unwrap();
             assert_eq!(slow.len(), codes.len());
-            for kind in available_kernels() {
-                let mut fast = Vec::new();
-                view.min_dist2_within(kind, &p, f64::INFINITY, &mut fast)
-                    .unwrap();
-                assert_dist_eq(kind.name(), &fast, &slow);
-            }
+            assert_dist_eq("oracle", &slow, &within(&page.rects, &p, f64::INFINITY));
+            page.check(&[], &[(p, f64::INFINITY)]);
         }
     }
 }

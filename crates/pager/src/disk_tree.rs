@@ -13,7 +13,7 @@
 
 use crate::concurrent::{once, Shard};
 use crate::mutate::mbr;
-use crate::page::{decode_free_page, encode_free_page};
+use crate::page::{decode_free_page, encode_free_page, is_point, point_capacity};
 use crate::seam::{PageRead, PageWrite};
 use crate::trace::Span;
 use crate::{
@@ -109,11 +109,11 @@ impl<S: ConcurrentPageStore> PageWrite for Pages<'_, S> {
 
     fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
         let mut buf = vec![0u8; PAGE_SIZE];
-        // Layout-preserving: internal pages of a compressed tree are
-        // re-quantized on every rewrite. Expansion is monotone (the new
-        // frame contains the rewritten entries), so the containment
-        // invariant queries rely on survives arbitrary mutation.
-        node.encode_with(&mut buf, self.meta.layout_at(node.level));
+        // Internal pages of a compressed tree are re-quantized on every
+        // rewrite. Expansion is monotone (the new frame contains the
+        // rewritten entries), so the containment invariant queries rely on
+        // survives arbitrary mutation.
+        node.encode_for(self.meta, &mut buf);
         self.mgr
             .tracer
             .at_level(&Span::default(), node.level as i16);
@@ -193,15 +193,17 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
     }
 
     /// Like [`DiskRTree::create`], but materializing a *compressed*
-    /// (format v4) image: leaf pages stay exact-`f64` SoA, internal levels
-    /// are repacked bottom-up into Packed pages of up to
-    /// [`crate::MAX_ENTRIES_PACKED`] quantized entries. The higher internal
-    /// fan-out shrinks the tree's internal footprint ~2.5×, so at an equal
-    /// frame budget more of the buffer is left for leaves — the mechanism
-    /// behind the buffering paper's fewer-disk-accesses prediction, which
-    /// `rtree-bench`'s `compressed_reads` test pins. Decoded routing rects
-    /// conservatively contain the true ones, so query results are exactly
-    /// the uncompressed tree's.
+    /// (format v4) image: internal levels are repacked bottom-up into
+    /// Packed pages of up to [`crate::MAX_ENTRIES_PACKED`] quantized
+    /// entries. The higher internal fan-out shrinks the tree's internal
+    /// footprint ~2.5×, so at an equal frame budget more of the buffer is
+    /// left for leaves — the mechanism behind the buffering paper's
+    /// fewer-disk-accesses prediction, which `rtree-bench`'s
+    /// `compressed_reads` test pins. Leaves stay exact: when every item is
+    /// a point they are repacked into point-body pages of up to
+    /// [`crate::MAX_ENTRIES_POINTS`], otherwise they stay SoA. Decoded
+    /// routing rects conservatively contain the true ones, so query results
+    /// are exactly the uncompressed tree's.
     ///
     /// # Panics
     /// Panics if the tree is empty or its node capacity exceeds
@@ -293,17 +295,6 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
     }
 }
 
-/// Node capacities of a new image.
-struct Capacities {
-    /// Leaf capacity — and the internal capacity too, unless `compressed`.
-    max_entries: usize,
-    /// Guttman's `m`, the condense-tree threshold.
-    min_entries: usize,
-    /// A compressed (format v4) image: internal pages are Packed, up to
-    /// [`MAX_ENTRIES_PACKED`] quantized entries each.
-    compressed: bool,
-}
-
 /// Writes a new tree image into an empty `store` — meta page 0, then one
 /// page per node in level order, root level first, each level contiguous —
 /// and returns its metadata. Every `create*` constructor ends here: page
@@ -313,9 +304,11 @@ struct Capacities {
 /// `entries_of(k, i)` yields node `i` of level `k`, asked for one node at a
 /// time in page order, so no level is ever held as a whole. At level 0 a
 /// pointer is an item id; above it, the index of the child within level
-/// `k − 1`, which becomes a page id here. `level_table` records the
-/// level-order layout in the meta page; a tree that is about to be mutated
-/// in place never relies on it.
+/// `k − 1`, which becomes a page id here. `[M, m]` are the node capacity
+/// and Guttman's min fill; a `compressed` (format v4) image has Packed
+/// internal pages of up to [`MAX_ENTRIES_PACKED`] entries. `level_table`
+/// records the level-order layout in the meta page; a tree that is about
+/// to be mutated in place never relies on it.
 ///
 /// # Panics
 /// Panics if a capacity is out of range: `2 <= M <= 102`, Guttman's
@@ -324,15 +317,11 @@ fn write_image<S: PageStore>(
     store: &mut S,
     nodes: &[usize],
     mut entries_of: impl FnMut(usize, usize) -> Vec<(Rect, u64)>,
-    caps: Capacities,
+    [max_entries, min_entries]: [usize; 2],
+    compressed: bool,
     items: u64,
     level_table: bool,
 ) -> io::Result<PageMeta> {
-    let Capacities {
-        max_entries,
-        min_entries,
-        compressed,
-    } = caps;
     assert!(
         (2..=MAX_ENTRIES_PER_PAGE).contains(&max_entries),
         "node capacity {max_entries} out of range 2..={MAX_ENTRIES_PER_PAGE}"
@@ -384,7 +373,7 @@ fn write_image<S: PageStore>(
             }
             let level = k as u16;
             let pid = store.allocate()?;
-            NodePage { level, entries }.encode_with(&mut buf, meta.layout_at(level));
+            NodePage { level, entries }.encode_for(&meta, &mut buf);
             store.write_page(pid, &buf)?;
         }
     }
@@ -399,20 +388,18 @@ pub(crate) fn materialize_empty<S: PageStore>(
     min_entries: usize,
     level_table: bool,
 ) -> io::Result<PageMeta> {
-    let caps = Capacities {
-        max_entries,
-        min_entries,
-        compressed: false,
-    };
-    write_image(store, &[1], |_, _| Vec::new(), caps, 0, level_table)
+    let caps = [max_entries, min_entries];
+    write_image(store, &[1], |_, _| Vec::new(), caps, false, 0, level_table)
 }
 
-/// Serializes `tree` into `store` through [`write_image`]. Leaf pages are
-/// the tree's leaves, left to right, as exact-`f64` SoA pages. Uncompressed,
-/// the internal levels are the tree's own; `compressed` (a format v4 image)
-/// they are *not* copied from the tree but rebuilt bottom-up by chunking
-/// consecutive children into full Packed pages, so the repacked tree is
-/// usually shallower and its internal footprint far smaller.
+/// Serializes `tree` into `store` through [`write_image`]. Uncompressed,
+/// the pages are the tree's nodes, leaves as exact-`f64` SoA pages.
+/// `compressed` (a format v4 image), the internal levels are *not* copied
+/// from the tree but rebuilt bottom-up by chunking consecutive children into
+/// full Packed pages, so the repacked tree is usually shallower and its
+/// internal footprint far smaller. When every item is a point, so are the
+/// leaves: the items, in leaf order, chunked into full point-body pages —
+/// their MBRs in one pass, the entries streamed to the pages in a second.
 pub(crate) fn materialize<S: PageStore>(
     store: &mut S,
     tree: &RTree,
@@ -429,11 +416,26 @@ pub(crate) fn materialize<S: PageStore>(
         position[id.index()] = level.len() as u64;
         level.push(id);
     }
+    let items = || levels[0].iter().flat_map(|id| tree.node(*id).entries());
+    let points = compressed && items().all(|(r, _)| is_point(&r));
+    let chunk = point_capacity(tree.max_entries());
     // The levels above the leaves, as entries pointing into the level
     // below: small (a node per page-full of children), so held whole.
     let mut upper: Vec<Vec<Vec<(Rect, u64)>>> = Vec::new();
+    let mut nodes = vec![levels[0].len()];
     if compressed {
-        let mut below: Vec<Rect> = levels[0].iter().map(|id| tree.node(*id).mbr()).collect();
+        let mut below: Vec<Rect> = Vec::new();
+        if points {
+            for (j, (r, _)) in items().enumerate() {
+                match below.last_mut() {
+                    Some(mbr) if j % chunk != 0 => *mbr = mbr.union(&r),
+                    _ => below.push(r),
+                }
+            }
+        } else {
+            below.extend(levels[0].iter().map(|id| tree.node(*id).mbr()));
+        }
+        nodes[0] = below.len();
         while below.len() > 1 {
             let slots: Vec<(Rect, u64)> = below.iter().copied().zip(0u64..).collect();
             let level: Vec<Vec<(Rect, u64)>> = slots
@@ -455,18 +457,23 @@ pub(crate) fn materialize<S: PageStore>(
                 .map(|ids| ids.iter().map(slots).collect()),
         );
     }
-    let mut nodes = vec![levels[0].len()];
     nodes.extend(upper.iter().map(Vec::len));
+    let mut stream = items();
     let entries_of = |k: usize, i: usize| match k {
+        0 if points => stream.by_ref().take(chunk).collect(),
         0 => tree.node(levels[0][i]).entries().collect(),
         _ => std::mem::take(&mut upper[k - 1][i]),
     };
-    let caps = Capacities {
-        max_entries: tree.max_entries(),
-        min_entries: tree.min_entries(),
+    let caps = [tree.max_entries(), tree.min_entries()];
+    write_image(
+        store,
+        &nodes,
+        entries_of,
+        caps,
         compressed,
-    };
-    write_image(store, &nodes, entries_of, caps, tree.len() as u64, true)
+        tree.len() as u64,
+        true,
+    )
 }
 
 #[cfg(test)]
@@ -592,7 +599,8 @@ mod tests {
     /// The image writer's output is pinned byte for byte: whole-image
     /// CRC-32s recorded from the build that still had three materializers,
     /// one per form an image is born in, and (clustered) from the build
-    /// that still recomputed a curve key at every sort comparison.
+    /// that still recomputed a curve key at every sort comparison — its v4
+    /// image re-recorded when point leaves got the point body.
     #[test]
     fn image_writer_reproduces_the_recorded_images() {
         let crc = |store: MemStore| {
@@ -622,7 +630,8 @@ mod tests {
         let v3 = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(v3.into_store()), (204, 3_240_902_090), "clustered v3");
         let v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
-        assert_eq!(crc(v4.into_store()), (202, 4_181_736_299), "clustered v4");
+        // Every item is a point: 118 point-body leaves of up to 170.
+        assert_eq!(crc(v4.into_store()), (120, 501_257_686), "clustered v4");
         let empty = DiskRTree::create_empty(MemStore::new(), 16, 6, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(empty.into_store()), (2, 3_701_525_664), "empty");
         // The writable tree's empty image records no level table.

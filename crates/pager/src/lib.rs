@@ -9,13 +9,14 @@
 //! end-to-end measurement the analytic model and the trace simulation can
 //! be checked against (`validate_disk` experiment).
 //!
-//! Pages are 4 KiB, little-endian, CRC-32-sealed, in one of two node
+//! Pages are 4 KiB, little-endian, CRC-32-sealed, in one of three node
 //! layouts (see [`PageLayout`]; the `page` module is the only code that
-//! knows a byte offset): v3 SoA (five coordinate/pointer planes the SIMD
+//! knows a byte offset): SoA (five coordinate/pointer planes the SIMD
 //! kernels stream, ≤ 102 entries — above the paper's largest node capacity
-//! of 100) and v4 Packed (internal pages of compressed trees: 16-bit codes
-//! relative to the page's bounding rect, conservatively rounded, ≤ 253
-//! entries; leaves stay exact). Checksums are verified once, where bytes
+//! of 100), and on compressed (v4) trees Packed internal pages (16-bit
+//! codes relative to the page's bounding rect, conservatively rounded,
+//! ≤ 253 entries) and the point body of a leaf of points (exact `x`, `y`
+//! and id planes, ≤ 170 entries). Checksums are verified once, where bytes
 //! enter a buffer pool; decoding returns a typed [`PageError`] on
 //! corruption.
 //!
@@ -57,7 +58,7 @@ pub use disk_tree::DiskRTree;
 pub use fault::FaultStore;
 pub use page::{
     NodePage, NodeSoA, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED,
-    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    MAX_ENTRIES_PER_PAGE, MAX_ENTRIES_POINTS, PAGE_SIZE,
 };
 pub use recovery::{recover, replay_committed, RecoveryReport, ReplaySummary};
 pub use sched::{StepSchedule, StepStore};

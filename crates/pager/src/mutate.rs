@@ -39,24 +39,33 @@ pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
 ///
 /// One top-down pass (ChooseLeaf): each parent slot is grown to cover the
 /// entry before the descent leaves the page, and the page is stored only
-/// when the slot actually grew, so no upward rectangle pass follows. A
-/// non-full node cannot split, so no split below it can pass it: the
-/// descent says so ([`PageWrite::split_safe`]) and keeps on its path only
-/// the full ancestors beneath it. AdjustTree then walks up that retained
-/// path and nothing else; once it is exhausted the overfull node is the
-/// root, and the tree grows a level.
+/// when the slot actually grew, so no upward rectangle pass follows. A node
+/// with room for the entry cannot split, so no split below it can pass it:
+/// the descent says so ([`PageWrite::split_safe`]) and keeps on its path
+/// only the full ancestors beneath it. AdjustTree then walks up that
+/// retained path and nothing else; once it is exhausted the overfull node
+/// is the root, and the tree grows a level.
+///
+/// A node's capacity is its layout's ([`crate::PageMeta::format_of`]), so
+/// the node the entry lands in is judged with the entry in it, and a node
+/// `over` its capacity splits with min fill `max(m, over)`: each half then
+/// fits the layout it needs (a point leaf holds more than one with a rect).
 pub(crate) fn insert_entry<W: PageWrite>(
     pages: &mut W,
     entry: (Rect, u64),
     target_level: u16,
 ) -> io::Result<()> {
-    let capacity = |pages: &mut W, level: u16| pages.meta(|m| m.capacity_at(level));
+    let capacity = |pages: &mut W, node: &NodePage, incoming: Option<&Rect>| {
+        let rects = node.entries.iter().map(|e| &e.0).chain(incoming);
+        pages.meta(|m| m.format_of(node.level, rects).1)
+    };
     let (mut id, root_level) = pages.meta(|m| (m.root, m.root_level()));
     let mut node = pages.load(id, root_level)?;
     // The ancestors a split can still reach, with the slot taken in each.
     let mut path: Vec<(u64, NodePage, usize)> = Vec::new();
     loop {
-        if node.entries.len() < capacity(pages, node.level) {
+        let lands = (node.level == target_level).then_some(&entry.0);
+        if node.entries.len() < capacity(pages, &node, lands) {
             pages.split_safe();
             path.clear();
         }
@@ -78,8 +87,10 @@ pub(crate) fn insert_entry<W: PageWrite>(
     debug_assert_eq!(node.level, target_level, "target level must exist");
     node.entries.push(entry);
 
-    while node.entries.len() > capacity(pages, node.level) {
-        let min = pages.meta(|m| m.min_entries as usize);
+    let excess =
+        |pages: &mut W, n: &NodePage| n.entries.len().saturating_sub(capacity(pages, n, None));
+    while let over @ 1.. = excess(pages, &node) {
+        let min = pages.meta(|m| m.min_entries as usize).max(over);
         let rects: Vec<Rect> = node.entries.iter().map(|e| e.0).collect();
         let (stay, go) = QuadraticSplit.split(&rects, min);
         let sibling = NodePage {
@@ -216,8 +227,9 @@ mod tests {
     use super::*;
     use crate::disk_tree::materialize_empty;
     use crate::seam::PageRead;
-    use crate::{MemStore, PageMeta, PageStore, PAGE_SIZE};
+    use crate::{MemStore, PageLayout, PageMeta, PageStore, PAGE_SIZE};
     use rtree_buffer::LruPolicy;
+    use rtree_geom::Point;
     use rtree_index::{BulkLoader, RTree, RTreeBuilder};
     use rtree_wal::{crc32, CrashSwitch, FaultLog, GroupWal, LogBackend, LogPoisoned, MemLog};
 
@@ -315,7 +327,7 @@ mod tests {
                 return Err(io::Error::other("scripted fault"));
             }
             self.calls.push(Load(id));
-            self.pages[&id].encode(&mut self.frame);
+            self.pages[&id].encode_with(&mut self.frame, PageLayout::Soa);
             Ok(&self.frame)
         }
     }
@@ -511,16 +523,60 @@ mod tests {
             .collect()
     }
 
-    /// The two ways a mutable disk tree starts, each beside its in-memory
-    /// reference: bulk-loaded from `rs[..loaded]` (ids are positions), and
-    /// empty. Returns the tree, the reference and the first id still to
-    /// insert.
-    fn starts(rs: &[Rect], loaded: usize) -> [(DiskRTree<MemStore>, RTree, usize); 2] {
+    /// The three ways a mutable disk tree starts, each beside its in-memory
+    /// reference and with the items it holds or takes (ids are positions):
+    /// bulk-loaded from `rs[..loaded]`, and empty, both taking `rs`; and a
+    /// compressed image of points (M = 100, m = 40), bulk-loaded from the
+    /// corners of `rs[..loaded]`, which takes corners with every seventh
+    /// item of `rs` in between. Returns the tree, the reference, the first
+    /// id still to insert and the items.
+    fn starts(rs: &[Rect], loaded: usize) -> [(DiskRTree<MemStore>, RTree, usize, Vec<Rect>); 3] {
         let bulk = BulkLoader::hilbert(8).load(&rs[..loaded]);
         let disk = DiskRTree::create(MemStore::new(), &bulk, 32, LruPolicy::new()).unwrap();
         let empty = DiskRTree::create_empty(MemStore::new(), 8, 3, 32, LruPolicy::new()).unwrap();
         let reference = RTreeBuilder::new(8).min_entries(3).build();
-        [(disk, bulk, loaded), (empty, reference, 0)]
+        let corner = |(i, r): (usize, &Rect)| match i >= loaded && i.is_multiple_of(7) {
+            true => *r,
+            false => Rect::point(r.lo),
+        };
+        let mixed: Vec<Rect> = rs.iter().enumerate().map(corner).collect();
+        let points = BulkLoader::hilbert(100).load(&mixed[..loaded]);
+        let v4 = DiskRTree::create_compressed(MemStore::new(), &points, 32, LruPolicy::new());
+        [
+            (disk, bulk, loaded, rs.to_vec()),
+            (empty, reference, 0, rs.to_vec()),
+            (v4.unwrap(), points, loaded, mixed),
+        ]
+    }
+
+    /// Every leaf of `disk`, left to right: its layout and entries.
+    fn leaves(disk: &mut DiskRTree<MemStore>) -> Vec<(PageLayout, Vec<(Rect, u64)>)> {
+        let mut todo = vec![(disk.meta().root, disk.meta().root_level())];
+        let (mut pages, mut out) = (disk.writer(), Vec::new());
+        while let Some((id, level)) = todo.pop() {
+            let layout = PageLayout::of(pages.fetch(id, level).unwrap()).unwrap();
+            let node = pages.load(id, level).unwrap();
+            match level {
+                0 => out.push((layout, node.entries)),
+                _ => todo.extend(node.entries.iter().rev().map(|e| (e.1, level - 1))),
+            }
+        }
+        out
+    }
+
+    /// Every leaf is written in the layout its entries call for and fits
+    /// that layout's capacity (a point body only on a compressed tree).
+    fn assert_leaf_formats(disk: &mut DiskRTree<MemStore>, what: &str) {
+        let meta = disk.meta().clone();
+        for (layout, entries) in leaves(disk) {
+            let (want, capacity) = meta.format_of(0, entries.iter().map(|e| &e.0));
+            assert_eq!(layout, want, "{what}: {} entries", entries.len());
+            assert!(
+                entries.len() <= capacity,
+                "{what}: {} entries",
+                entries.len()
+            );
+        }
     }
 
     /// Queries through the root peek after a write of `r`: over `r` itself
@@ -536,13 +592,14 @@ mod tests {
 
     #[test]
     fn inserts_match_in_memory_reference() {
-        let rs = growing(500);
-        for (mut disk, mut reference, from) in starts(&rs, 100) {
+        for (mut disk, mut reference, from, rs) in starts(&growing(500), 100) {
             probe(&disk, &reference, &rs[0], "before any insert");
             for (i, r) in rs.iter().enumerate().skip(from) {
                 disk.insert(*r, i as u64).unwrap();
                 reference.insert(*r, i as u64);
-                probe(&disk, &reference, r, &format!("from {from}, insert {i}"));
+                let what = format!("from {from}, insert {i}");
+                probe(&disk, &reference, r, &what);
+                assert_leaf_formats(&mut disk, &what);
             }
             assert_eq!(disk.meta().items, 500);
             assert!(disk.meta().height > 1, "tree must have grown");
@@ -562,8 +619,7 @@ mod tests {
 
     #[test]
     fn deletes_match_in_memory_reference() {
-        let rs = rects(400);
-        for (mut disk, mut reference, from) in starts(&rs, 200) {
+        for (mut disk, mut reference, from, rs) in starts(&rects(400), 200) {
             for (i, r) in rs.iter().enumerate().skip(from) {
                 disk.insert(*r, i as u64).unwrap();
                 reference.insert(*r, i as u64);
@@ -572,7 +628,9 @@ mod tests {
             for (i, r) in rs.iter().enumerate().step_by(2) {
                 assert!(disk.delete(r, i as u64).unwrap(), "item {i} present");
                 assert!(reference.delete(r, i as u64));
-                probe(&disk, &reference, r, &format!("from {from}, delete {i}"));
+                let what = format!("from {from}, delete {i}");
+                probe(&disk, &reference, r, &what);
+                assert_leaf_formats(&mut disk, &what);
             }
             assert_eq!(disk.meta().items, 200);
             // Deleting a missing entry reports false and changes nothing.
@@ -582,10 +640,108 @@ mod tests {
             for (i, r) in rs.iter().enumerate().skip(1).step_by(2) {
                 assert!(disk.delete(r, i as u64).unwrap(), "item {i} present");
                 assert!(reference.delete(r, i as u64));
-                probe(&disk, &reference, r, &format!("from {from}, delete {i}"));
+                let what = format!("from {from}, delete {i}");
+                probe(&disk, &reference, r, &what);
+                assert_leaf_formats(&mut disk, &what);
             }
             assert_eq!(disk.meta().height, 1, "tree collapsed to a root leaf");
         }
+    }
+
+    /// Points `ks` of a quasi-random sequence in the square of side 0.2 at
+    /// `(at, at)`, with ids `10_000·at + k`.
+    fn cluster(at: f64, ks: std::ops::Range<u64>) -> Vec<(Rect, u64)> {
+        let frac = |v: f64| v - v.floor();
+        let point = |k: u64| {
+            let (x, y) = (frac(k as f64 * 0.618_034), frac(k as f64 * 0.414_214));
+            let id = (10_000.0 * at) as u64 + k;
+            (Rect::point(Point::new(at + 0.2 * x, at + 0.2 * y)), id)
+        };
+        ks.map(point).collect()
+    }
+
+    /// A compressed tree of points (M = 100, m = 40) through every layout
+    /// change a leaf can go through, queried against the reference after
+    /// each write. The rectangle that enters a leaf of 150 points finds it
+    /// full for the SoA body it now needs: the descent must not call that
+    /// leaf split-safe, or the split that follows grows a false root over
+    /// its two halves and the other leaf is lost.
+    #[test]
+    fn point_leaves_take_the_layout_their_entries_need() {
+        let (a, b) = (0.1, 0.7);
+        let bulk: Vec<Rect> = [cluster(a, 0..50), cluster(b, 0..50)]
+            .concat()
+            .iter()
+            .map(|e| e.0)
+            .collect();
+        // One root leaf of 100 points; the loader numbers items 0..100.
+        let mut reference = BulkLoader::hilbert(100).load(&bulk);
+        let disk = DiskRTree::create_compressed(MemStore::new(), &reference, 64, LruPolicy::new());
+        let mut disk = disk.unwrap();
+        let mut write = |disk: &mut DiskRTree<MemStore>, (r, id): (Rect, u64), insert: bool| {
+            if insert {
+                disk.insert(r, id).unwrap();
+                reference.insert(r, id);
+            } else {
+                assert!(disk.delete(&r, id).unwrap() && reference.delete(&r, id));
+            }
+            probe(disk, &reference, &r, &format!("{id}"));
+            assert_leaf_formats(disk, &format!("{id}"));
+            leaves(disk)
+        };
+        let shape = |leaves: &[(PageLayout, Vec<(Rect, u64)>)]| -> Vec<(PageLayout, usize)> {
+            leaves.iter().map(|(l, e)| (*l, e.len())).collect()
+        };
+        // Points up to 170 in the root leaf, then a split into two point
+        // leaves, one per cluster.
+        let mut last = Vec::new();
+        for e in [cluster(a, 50..85), cluster(b, 50..85)].concat() {
+            last = write(&mut disk, e, true);
+        }
+        assert_eq!(shape(&last), [(PageLayout::Points, 170)]);
+        let last = write(&mut disk, cluster(a, 85..86)[0], true);
+        assert_eq!(
+            shape(&last),
+            [(PageLayout::Points, 86), (PageLayout::Points, 85)]
+        );
+        // A rectangle into the point leaf of 86: re-encoded SoA, no split.
+        let r1 = (Rect::new(0.15, 0.15, 0.16, 0.16), 9_001);
+        let last = write(&mut disk, r1, true);
+        assert_eq!(
+            shape(&last),
+            [(PageLayout::Soa, 87), (PageLayout::Points, 85)]
+        );
+        // The other leaf up to 150 points, then a rectangle into it: two
+        // halves between m and M, the rectangle's SoA.
+        let mut last = Vec::new();
+        for e in cluster(b, 85..150) {
+            last = write(&mut disk, e, true);
+        }
+        assert_eq!(
+            shape(&last),
+            [(PageLayout::Soa, 87), (PageLayout::Points, 150)]
+        );
+        let r2 = (Rect::new(0.75, 0.75, 0.76, 0.76), 9_002);
+        let last = write(&mut disk, r2, true);
+        assert_eq!(
+            (disk.meta().height, last.len()),
+            (2, 3),
+            "{:?}",
+            shape(&last)
+        );
+        for (layout, entries) in &last[1..] {
+            assert!((40..=100).contains(&entries.len()), "{:?}", shape(&last));
+            let holds = entries.contains(&r2);
+            assert_eq!(*layout == PageLayout::Soa, holds, "{:?}", shape(&last));
+        }
+        // Deleting the rectangles returns both pages to the point body.
+        write(&mut disk, r1, false);
+        let last = write(&mut disk, r2, false);
+        assert!(
+            last.iter().all(|l| l.0 == PageLayout::Points),
+            "{:?}",
+            shape(&last)
+        );
     }
 
     #[test]

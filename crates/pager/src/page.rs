@@ -25,12 +25,12 @@
 //! 60+8L   4     internal node capacity (version 4 only)
 //! ```
 //!
-//! **Node page**, 16-byte header, two body layouts:
+//! **Node page**, 16-byte header, three body layouts:
 //! ```text
 //! 0       2     magic 0x5254 ("RT")
 //! 2       2     node level (0 = leaf)
 //! 4       2     entry count
-//! 6       2     layout flag: 1 = SoA (v3), 2 = Packed (v4)
+//! 6       2     layout flag: 1 = SoA, 2 = Packed (v4), 3 = Points (v4)
 //! 8       4     crc32 (whole page, this field zeroed)
 //! 12      4     reserved (0)
 //! ```
@@ -51,6 +51,17 @@
 //! run directly on the coordinate planes where they lie in the frame — see
 //! [`PageView`]. At leaf level `ptr` is the item id; at internal levels it
 //! is the child *page* id.
+//!
+//! *Point body* (layout 3, format v4 leaves whose every entry is a point,
+//! `lo == hi` to the bit): three planes of `170 × 8 = 1360` bytes, tiling
+//! the page like SoA's five (`16 + 3·1360 = 4096`):
+//! ```text
+//! 16      1360  x[0..170]
+//! 1376    1360  y[0..170]
+//! 2736    1360  ptr[0..170]
+//! ```
+//! Readers take the body as the SoA planes `[x, y, x, y]`, so every kernel,
+//! validation and distance is the SoA one, bit for bit.
 //!
 //! *Packed body* (layout 2, format v4, internal pages of compressed trees):
 //! one full-precision *frame* rectangle — the page's own bounding rect —
@@ -82,8 +93,8 @@
 //! Only *internal* pages are quantized: a decoded routing rectangle that
 //! contains the true child MBR can cause an extra descent (a false
 //! positive) but never a missed one, and leaf pages keep exact `f64`
-//! coordinates, so query result sets and kNN distances are exactly those
-//! of the uncompressed tree.
+//! coordinates (SoA, or the point body), so query result sets and kNN
+//! distances are exactly those of the uncompressed tree.
 //!
 //! **Reading a page.** The tree walks never decode: a [`PageView`] borrows
 //! the trusted frame, checks the header in O(1) (magic, count, layout flag,
@@ -139,6 +150,12 @@ pub const MAX_ENTRIES_PER_PAGE: usize = (PAGE_SIZE - NODE_HEADER) / ENTRY_SIZE;
 /// Byte stride of one SoA coordinate array: `102 × 8`.
 const SOA_STRIDE: usize = MAX_ENTRIES_PER_PAGE * 8;
 
+/// Maximum entries of a point-body leaf: `(4096 − 16) / (2 · 8 + 8)`.
+pub const MAX_ENTRIES_POINTS: usize = (PAGE_SIZE - NODE_HEADER) / 24;
+
+/// Byte stride of one point-body plane: `170 × 8`.
+const POINT_STRIDE: usize = MAX_ENTRIES_POINTS * 8;
+
 /// Maximum entries of a Packed (compressed, format v4) node page:
 /// `(4096 − 16 − 32) / (4·2 + 8) = 253`, ~2.5× the f64 layout.
 pub const MAX_ENTRIES_PACKED: usize = (PAGE_SIZE - NODE_HEADER - PACKED_FRAME_SIZE) / 16;
@@ -168,19 +185,24 @@ const FREE_NEXT_OFFSET: usize = 16;
 
 // The five SoA arrays must tile the page body exactly.
 const _: () = assert!(NODE_HEADER + 5 * SOA_STRIDE == PAGE_SIZE);
-// The Packed frame + four code planes + pointer plane must, too.
+// The Packed frame + four code planes + pointer plane must, too, and the
+// three point-body planes.
 const _: () = assert!(PACKED_PTR_OFFSET + MAX_ENTRIES_PACKED * 8 == PAGE_SIZE);
+const _: () = assert!(NODE_HEADER + 3 * POINT_STRIDE == PAGE_SIZE);
 
 /// Body layout of a node page (header byte 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PageLayout {
-    /// Struct-of-arrays coordinate planes — format v3, the layout the SIMD
-    /// kernels consume without a gather step.
+    /// Struct-of-arrays coordinate planes — every v3 node and every v4 leaf
+    /// holding a rectangle; the kernels read them without a gather step.
     Soa,
     /// Frame-relative 16-bit quantized planes — format v4, internal pages
     /// of compressed trees. Decoded rects conservatively contain the true
     /// ones (see the module docs).
     Packed,
+    /// `x`, `y` and pointer planes of point entries — format v4 leaves
+    /// whose every entry is a point, read as the SoA planes `[x, y, x, y]`.
+    Points,
 }
 
 impl PageLayout {
@@ -188,6 +210,7 @@ impl PageLayout {
         match self {
             PageLayout::Soa => 1,
             PageLayout::Packed => 2,
+            PageLayout::Points => 3,
         }
     }
 
@@ -195,6 +218,7 @@ impl PageLayout {
         match flag {
             1 => Ok(PageLayout::Soa),
             2 => Ok(PageLayout::Packed),
+            3 => Ok(PageLayout::Points),
             other => Err(PageError::UnsupportedLayout(other)),
         }
     }
@@ -204,6 +228,7 @@ impl PageLayout {
         match self {
             PageLayout::Soa => MAX_ENTRIES_PER_PAGE,
             PageLayout::Packed => MAX_ENTRIES_PACKED,
+            PageLayout::Points => MAX_ENTRIES_POINTS,
         }
     }
 
@@ -379,8 +404,8 @@ pub struct PageMeta {
     /// pages denser than leaves, up to [`MAX_ENTRIES_PACKED`].
     pub internal_max_entries: u32,
     /// Whether internal pages use the Packed (format v4) layout. Leaves
-    /// stay exact-`f64` SoA either way — that is what keeps query results
-    /// exact on compressed trees.
+    /// stay exact `f64` either way — SoA, or on a v4 tree the point body
+    /// when every entry is a point — which keeps query results exact.
     pub compressed: bool,
 }
 
@@ -478,28 +503,24 @@ impl PageMeta {
         })
     }
 
-    /// Entry capacity of a node at on-page `level` (0 = leaf): compressed
-    /// trees pack internal pages denser than leaves.
-    pub fn capacity_at(&self, level: u16) -> usize {
-        if level == 0 {
-            self.max_entries as usize
-        } else {
-            self.internal_max_entries as usize
-        }
-    }
-
     /// On-page level of the root node (leaves are 0).
     pub(crate) fn root_level(&self) -> u16 {
         (self.height - 1) as u16
     }
 
-    /// Body layout this tree writes for a node at on-page `level`:
-    /// compressed trees quantize internal pages, everything else is SoA.
-    pub fn layout_at(&self, level: u16) -> PageLayout {
-        if self.compressed && level > 0 {
-            PageLayout::Packed
-        } else {
-            PageLayout::Soa
+    /// The layout and entry capacity of a node at on-page `level` holding
+    /// `rects`: compressed trees write Packed internal pages and a leaf of
+    /// points only as a point body; everything else is SoA.
+    pub fn format_of<'r>(
+        &self,
+        level: u16,
+        rects: impl IntoIterator<Item = &'r Rect>,
+    ) -> (PageLayout, usize) {
+        let (max, points) = (self.max_entries as usize, PageLayout::Points);
+        match (self.compressed, level) {
+            (true, 1..) => (PageLayout::Packed, self.internal_max_entries as usize),
+            (true, 0) if rects.into_iter().all(is_point) => (points, point_capacity(max)),
+            _ => (PageLayout::Soa, max),
         }
     }
 
@@ -545,6 +566,17 @@ impl PageMeta {
     }
 }
 
+/// Entry capacity of a point-body leaf on a tree of node capacity `max`:
+/// below `2·max`, so a rectangle can split a full one into two SoA halves.
+pub(crate) fn point_capacity(max: usize) -> usize {
+    MAX_ENTRIES_POINTS.min((2 * max).saturating_sub(1))
+}
+
+/// Whether `r` is a point to the bit, as a point body stores it.
+pub(crate) fn is_point(r: &Rect) -> bool {
+    r.lo.x.to_bits() == r.hi.x.to_bits() && r.lo.y.to_bits() == r.hi.y.to_bits()
+}
+
 /// Decoded node page.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodePage {
@@ -580,11 +612,19 @@ fn check_node_header(buf: &[u8], verify: bool) -> Result<(u16, usize, PageLayout
     Ok((level, count, layout))
 }
 
-/// Byte range of SoA array `k` (0 = lo.x … 4 = ptr), first `count` slots.
+/// Offset of the `f64`-body plane holding entry word `w` (0 = lo.x …
+/// 4 = ptr): a point body keeps `hi` in its `lo` planes.
+fn f64_plane_at(layout: PageLayout, w: usize) -> usize {
+    match layout {
+        PageLayout::Points => NODE_HEADER + [0, 1, 0, 1, 2][w] * POINT_STRIDE,
+        _ => NODE_HEADER + w * SOA_STRIDE,
+    }
+}
+
+/// Byte range of that plane's first `count` slots.
 #[inline]
-fn soa_plane(buf: &[u8], k: usize, count: usize) -> &[u8] {
-    let start = NODE_HEADER + k * SOA_STRIDE;
-    &buf[start..start + count * 8]
+fn f64_plane(buf: &[u8], layout: PageLayout, w: usize, count: usize) -> &[u8] {
+    &buf[f64_plane_at(layout, w)..][..count * 8]
 }
 
 /// Reads and validates the Packed frame rectangle: finite and `lo <= hi`,
@@ -690,13 +730,11 @@ fn code_hi(v: f64, base: f64, q: f64, top: f64) -> u16 {
 }
 
 impl NodePage {
-    /// Encodes into a page buffer in the current (SoA, v3) layout, sealing
-    /// it with a checksum.
-    ///
-    /// # Panics
-    /// Panics if there are more than [`MAX_ENTRIES_PER_PAGE`] entries.
-    pub fn encode(&self, buf: &mut [u8]) {
-        self.encode_with(buf, PageLayout::Soa)
+    /// Encodes into a page buffer in the layout `meta`'s tree writes this
+    /// node in ([`PageMeta::format_of`]), sealing it with a checksum.
+    pub fn encode_for(&self, meta: &PageMeta, buf: &mut [u8]) {
+        let (layout, _) = meta.format_of(self.level, self.entries.iter().map(|e| &e.0));
+        self.encode_with(buf, layout)
     }
 
     /// Encodes into a page buffer in the given layout, sealing it with a
@@ -721,19 +759,13 @@ impl NodePage {
         buf[4..6].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
         buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&layout.flag().to_le_bytes());
         match layout {
-            PageLayout::Soa => {
+            PageLayout::Soa | PageLayout::Points => {
+                let fits = layout == PageLayout::Soa || self.entries.iter().all(|e| is_point(&e.0));
+                assert!(fits, "a point body holds points only");
                 for (i, (r, p)) in self.entries.iter().enumerate() {
-                    for (k, v) in [
-                        r.lo.x.to_bits(),
-                        r.lo.y.to_bits(),
-                        r.hi.x.to_bits(),
-                        r.hi.y.to_bits(),
-                        *p,
-                    ]
-                    .into_iter()
-                    .enumerate()
-                    {
-                        let off = NODE_HEADER + k * SOA_STRIDE + i * 8;
+                    let words = [r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f64::to_bits);
+                    for (w, v) in words.into_iter().chain([*p]).enumerate() {
+                        let off = f64_plane_at(layout, w) + i * 8;
                         buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
                     }
                 }
@@ -807,9 +839,9 @@ impl NodePage {
                     entries.push((rect, packed_ptr(buf, i)));
                 }
             }
-            PageLayout::Soa => {
+            PageLayout::Soa | PageLayout::Points => {
                 let word = |k, i: usize| -> [u8; 8] {
-                    soa_plane(buf, k, count)[i * 8..i * 8 + 8]
+                    f64_plane(buf, layout, k, count)[i * 8..i * 8 + 8]
                         .try_into()
                         .expect("8 bytes")
                 };
@@ -854,20 +886,20 @@ impl<'a> PageView<'a> {
                 found,
             });
         }
-        let planes = |at: usize, stride: usize, width: usize| -> [&'a [u8]; 4] {
-            std::array::from_fn(|k| &buf[at + k * stride..][..count * width])
-        };
         Ok(match layout {
-            PageLayout::Soa => PageView {
-                planes: EntryPlanes::F64(planes(NODE_HEADER, SOA_STRIDE, 8)),
-                ptrs: soa_plane(buf, 4, count),
-            },
             PageLayout::Packed => PageView {
                 planes: EntryPlanes::Codes {
                     frame: packed_frame(buf)?,
-                    planes: planes(PACKED_PLANES_OFFSET, PACKED_QSTRIDE, 2),
+                    planes: std::array::from_fn(|k| {
+                        &buf[PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE..][..count * 2]
+                    }),
                 },
                 ptrs: &buf[PACKED_PTR_OFFSET..][..count * 8],
+            },
+            // A point body's planes are `[x, y, x, y]`: aliased, not copied.
+            _ => PageView {
+                planes: EntryPlanes::F64(std::array::from_fn(|w| f64_plane(buf, layout, w, count))),
+                ptrs: f64_plane(buf, layout, 4, count),
             },
         })
     }
@@ -995,17 +1027,14 @@ impl NodeSoA {
         let (lo_x, lo_y, hi_x, hi_y) = self.rects.arrays_mut();
         let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
         match layout {
-            PageLayout::Soa => {
+            PageLayout::Soa | PageLayout::Points => {
                 // Contiguous per-plane copies: this is the no-gather path.
-                lo_x.extend(soa_plane(buf, 0, count).chunks_exact(8).map(f));
-                lo_y.extend(soa_plane(buf, 1, count).chunks_exact(8).map(f));
-                hi_x.extend(soa_plane(buf, 2, count).chunks_exact(8).map(f));
-                hi_y.extend(soa_plane(buf, 3, count).chunks_exact(8).map(f));
-                self.ptrs.extend(
-                    soa_plane(buf, 4, count)
-                        .chunks_exact(8)
-                        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
-                );
+                let plane = |w| f64_plane(buf, layout, w, count).chunks_exact(8);
+                for (w, out) in [lo_x, lo_y, hi_x, hi_y].into_iter().enumerate() {
+                    out.extend(plane(w).map(f));
+                }
+                let ptr = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+                self.ptrs.extend(plane(4).map(ptr));
             }
             PageLayout::Packed => {
                 // Validate before filling (the node was cleared above, so
@@ -1026,12 +1055,10 @@ impl NodeSoA {
         // Decode-time invariant: every rectangle finite and non-inverted,
         // exactly as NodePage::decode enforces. The error path clears the
         // node so a half-decoded page can never be traversed.
-        for i in 0..count {
-            if !self.rects.get(i).is_valid() {
-                self.rects.clear();
-                self.ptrs.clear();
-                return Err(PageError::CorruptRect);
-            }
+        if (0..count).any(|i| !self.rects.get(i).is_valid()) {
+            self.rects.clear();
+            self.ptrs.clear();
+            return Err(PageError::CorruptRect);
         }
         Ok(())
     }
@@ -1113,7 +1140,7 @@ mod tests {
                 .collect(),
         };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
+        node.encode_with(&mut buf, PageLayout::Soa);
         assert_eq!(NodePage::decode(&buf).unwrap(), node);
     }
 
@@ -1124,7 +1151,7 @@ mod tests {
             entries: vec![],
         };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
+        node.encode_with(&mut buf, PageLayout::Soa);
         assert_eq!(NodePage::decode(&buf).unwrap(), node);
     }
 
@@ -1142,7 +1169,7 @@ mod tests {
             entries: vec![(Rect::new(0.1, 0.1, 0.9, 0.9), 5)],
         };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
+        node.encode_with(&mut buf, PageLayout::Soa);
         // Flip one bit in the middle of an entry's payload — still a valid
         // rectangle, so only the checksum can catch it.
         buf[NODE_HEADER + 35] ^= 0x01;
@@ -1158,7 +1185,7 @@ mod tests {
         let mut leaf = vec![0u8; PAGE_SIZE];
         let mut leaf_node = packed_node(MAX_ENTRIES_PER_PAGE);
         leaf_node.level = 0;
-        leaf_node.encode(&mut leaf);
+        leaf_node.encode_with(&mut leaf, PageLayout::Soa);
         let mut packed = vec![0u8; PAGE_SIZE];
         packed_node(MAX_ENTRIES_PACKED).encode_with(&mut packed, PageLayout::Packed);
         let mut meta = vec![0u8; PAGE_SIZE];
@@ -1208,7 +1235,7 @@ mod tests {
             entries: vec![(Rect::new(0.0, 0.0, 1.0, 1.0), 9)],
         };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf); // SoA: lo.x[0] @16, hi.x[0] @16 + 2·816
+        node.encode_with(&mut buf, PageLayout::Soa); // SoA: lo.x[0] @16, hi.x[0] @16 + 2·816
         let lo: [u8; 8] = buf[NODE_HEADER..NODE_HEADER + 8].try_into().unwrap();
         let hix_off = NODE_HEADER + 2 * SOA_STRIDE;
         let hi: [u8; 8] = buf[hix_off..hix_off + 8].try_into().unwrap();
@@ -1254,13 +1281,19 @@ mod tests {
             for (layout, n) in [
                 (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
                 (PageLayout::Packed, MAX_ENTRIES_PACKED),
+                (PageLayout::Points, MAX_ENTRIES_POINTS),
             ] {
+                let side = if layout == PageLayout::Points {
+                    0.0
+                } else {
+                    0.01
+                };
                 let node = NodePage {
                     level: 1,
                     entries: (0..n as u64)
                         .map(|i| {
                             let v = i as f64 / 256.0;
-                            (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
+                            (Rect::new(v, v * 0.5, v + side, v * 0.5 + side), i * 7)
                         })
                         .collect(),
                 };
@@ -1288,10 +1321,17 @@ mod tests {
                     soa.rects.intersecting_scalar(&q, &mut want);
                     assert_eq!(got, want, "{kernel}, {layout:?} query {q}");
                 }
+                // Textbook MINDIST², one entry at a time.
                 let p = Point::new(0.4, 0.6);
-                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let d2 = |r: Rect| {
+                    let dx = (r.lo.x - p.x).max(p.x - r.hi.x).max(0.0);
+                    let dy = (r.lo.y - p.y).max(p.y - r.hi.y).max(0.0);
+                    dx * dx + dy * dy
+                };
+                let all = (0..n as u32).map(|i| (i, d2(soa.rects.get(i as usize))));
+                let want: Vec<(u32, f64)> = all.filter(|e| e.1 <= 0.2).collect();
+                let mut got = Vec::new();
                 view.min_dist2_within(&p, 0.2, &mut got).unwrap();
-                soa.rects.min_dist2_within_scalar(&p, 0.2, &mut want);
                 assert_eq!(got, want, "{kernel}, {layout:?} distances are bit-equal");
                 assert!(!got.is_empty() && got.len() < n, "the bound prunes");
             }
@@ -1377,13 +1417,19 @@ mod tests {
         for (layout, n) in [
             (PageLayout::Soa, MAX_ENTRIES_PER_PAGE),
             (PageLayout::Packed, MAX_ENTRIES_PACKED),
+            (PageLayout::Points, MAX_ENTRIES_POINTS),
         ] {
+            let side = if layout == PageLayout::Points {
+                0.0
+            } else {
+                0.01
+            };
             let node = NodePage {
                 level: 1,
                 entries: (0..n as u64)
                     .map(|i| {
                         let v = i as f64 / 256.0;
-                        (Rect::new(v, v * 0.5, v + 0.01, v * 0.5 + 0.01), i * 7)
+                        (Rect::new(v, v * 0.5, v + side, v * 0.5 + side), i * 7)
                     })
                     .collect(),
             };
@@ -1391,7 +1437,7 @@ mod tests {
             node.encode_with(&mut img, layout);
             assert_eq!(PageLayout::of(&img).unwrap(), layout);
             let aos = NodePage::decode(&img).unwrap();
-            if layout == PageLayout::Soa {
+            if layout != PageLayout::Packed {
                 assert_eq!(aos, node, "f64 planes are lossless");
             }
             let soa = NodeSoA::decode(&img).unwrap();
@@ -1413,7 +1459,7 @@ mod tests {
         // Flag 0 is the retired v2 array-of-structs body: as unknown as 7.
         for flag in [0u16, 7] {
             let mut buf = vec![0u8; PAGE_SIZE];
-            node.encode(&mut buf);
+            node.encode_with(&mut buf, PageLayout::Soa);
             buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&flag.to_le_bytes());
             seal(&mut buf);
             let want = PageError::UnsupportedLayout(flag);
@@ -1464,7 +1510,20 @@ mod tests {
             entries: vec![(Rect::point(Point::new(0.5, 0.5)), 0); MAX_ENTRIES_PER_PAGE + 1],
         };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
+        node.encode_with(&mut buf, PageLayout::Soa);
+    }
+
+    #[test]
+    #[should_panic(expected = "points only")]
+    fn a_point_body_refuses_a_rectangle() {
+        let node = NodePage {
+            level: 0,
+            entries: vec![
+                (Rect::point(Point::new(0.5, 0.5)), 1),
+                (Rect::new(0.1, 0.1, 0.2, 0.2), 2),
+            ],
+        };
+        node.encode_with(&mut vec![0u8; PAGE_SIZE], PageLayout::Points);
     }
 
     fn packed_node(n: usize) -> NodePage {
@@ -1624,20 +1683,27 @@ mod tests {
 
     #[test]
     fn capacity_and_layout_follow_level() {
+        let (p, r) = (
+            Rect::point(Point::new(0.5, 0.25)),
+            Rect::new(0.1, 0.1, 0.2, 0.2),
+        );
+        // -0 and +0 compare equal but are not the same bits.
+        let signed = Rect::new(-0.0, 0.5, 0.0, 0.5);
         let plain = sample_meta();
-        assert_eq!(plain.capacity_at(0), 100);
-        assert_eq!(plain.capacity_at(2), 100);
-        assert_eq!(plain.layout_at(0), PageLayout::Soa);
-        assert_eq!(plain.layout_at(2), PageLayout::Soa);
+        for (level, rects) in [(0, vec![p]), (0, vec![p, r]), (2, vec![p])] {
+            assert_eq!(plain.format_of(level, &rects), (PageLayout::Soa, 100), "v3");
+        }
         let packed = PageMeta {
             internal_max_entries: 253,
             compressed: true,
             ..sample_meta()
         };
-        assert_eq!(packed.capacity_at(0), 100, "leaves stay exact f64");
-        assert_eq!(packed.capacity_at(1), 253);
-        assert_eq!(packed.layout_at(0), PageLayout::Soa);
-        assert_eq!(packed.layout_at(1), PageLayout::Packed);
+        let points = (PageLayout::Points, MAX_ENTRIES_POINTS);
+        assert_eq!(packed.format_of(0, &[p, p]), points);
+        assert_eq!(packed.format_of(0, &[]), points, "an empty leaf");
+        assert_eq!(packed.format_of(0, &[p, r]), (PageLayout::Soa, 100));
+        assert_eq!(packed.format_of(0, &[signed]), (PageLayout::Soa, 100));
+        assert_eq!(packed.format_of(1, &[p]), (PageLayout::Packed, 253));
     }
 
     /// Quantizes `rects` against exactly `frame` by putting the frame
@@ -1760,7 +1826,7 @@ mod tests {
             level: 0,
             entries: vec![],
         }
-        .encode(&mut buf);
+        .encode_with(&mut buf, PageLayout::Soa);
         assert_eq!(decode_free_page(&buf), Err(PageError::BadMagic));
     }
 }

@@ -48,7 +48,7 @@ pub(crate) trait PageWrite: PageRead {
         Ok(NodePage { level, entries })
     }
 
-    /// Encodes `node`, in its level's layout, as the new image of page `id`.
+    /// Encodes `node`, in the layout its tree writes it in, as page `id`.
     fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()>;
 
     /// Allocates a page, reusing freed ones before growing the store.

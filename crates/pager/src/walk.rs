@@ -9,7 +9,7 @@
 //! four against golden vectors.
 
 use crate::seam::PageRead;
-use crate::PageView;
+use crate::{PageView, MAX_ENTRIES_PACKED};
 use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
 use std::cmp::Reverse;
@@ -228,8 +228,9 @@ impl Run {
 /// equal distance, so the answer and the fetch order depend on the pages
 /// alone.
 ///
-/// Only pages are queued. A leaf's items go straight into `best`, the `k`
-/// nearest so far in order. An expanded internal page keeps its surviving
+/// Only pages are queued. A leaf's `k` nearest items, selected from its
+/// hits, are merged into `best`, the `k` nearest so far in order. An
+/// expanded internal page keeps its surviving
 /// children once, as a [`Run`], and `heads` holds each run's nearest child;
 /// taking one rescans only its run. The walk stops when `best` holds `k`
 /// items and the nearest pending page is no nearer than the k-th, and never
@@ -246,10 +247,10 @@ pub(crate) fn nearest<P: PageRead>(
     if k == 0 || items == 0 {
         return Ok(Vec::new());
     }
-    let mut best: Vec<(Key, Rect, u64)> = Vec::with_capacity(k.min(items as usize));
+    let mut best: Vec<(Key, Rect, u64)> = Vec::with_capacity(2 * k.min(items as usize));
     let mut runs: Vec<Run> = Vec::new();
     let mut heads: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    let mut within: Vec<(u32, f64)> = Vec::new();
+    let mut within: Vec<(u32, f64)> = Vec::with_capacity(MAX_ENTRIES_PACKED);
     let mut seq = 0u64;
     let kth = |best: &[(Key, Rect, u64)]| (best.len() == k).then(|| best[k - 1].0 .0);
     let (mut pid, mut level) = (root, root_level);
@@ -258,22 +259,26 @@ pub(crate) fn nearest<P: PageRead>(
         within.clear();
         let bound = kth(&best).map_or(f64::INFINITY, f64::from_bits);
         view.min_dist2_within(p, bound, &mut within)?;
-        let found = within.iter().map(|&(i, d2)| {
-            seq += 1;
-            ((d2.to_bits(), seq), i as usize)
-        });
+        // Discovery order is page order, then entry order.
+        let base = seq;
+        seq += within.last().map_or(0, |&(i, _)| u64::from(i) + 1);
+        let key = |&(i, d2): &(u32, f64)| (d2.to_bits(), base + u64::from(i));
         if level == 0 {
-            for (key, i) in found {
-                // A later item displaces the k-th only if strictly nearer.
-                if kth(&best).is_some_and(|bound| key.0 >= bound) {
-                    continue;
-                }
-                best.truncate(k - 1);
-                let at = best.partition_point(|b| b.0 < key);
-                best.insert(at, (key, view.rect(i), view.ptr(i)));
+            // Keys are unique: only the leaf's k nearest can be among the k
+            // nearest, and a later item displaces the k-th only if nearer.
+            if within.len() > k {
+                within.select_nth_unstable_by_key(k - 1, key);
+                within.truncate(k);
             }
+            let item = |e: &(u32, f64)| (key(e), view.rect(e.0 as usize), view.ptr(e.0 as usize));
+            best.extend(within.iter().map(item));
+            best.sort_unstable_by_key(|b| b.0);
+            best.truncate(k);
         } else {
-            let children = found.map(|(key, i)| (key, view.ptr(i))).collect();
+            let children = within
+                .iter()
+                .map(|e| (key(e), view.ptr(e.0 as usize)))
+                .collect();
             let mut run = Run {
                 children,
                 head: 0,
@@ -310,7 +315,7 @@ pub(crate) fn nearest<P: PageRead>(
 mod tests {
     use super::*;
     use crate::mutate::mbr;
-    use crate::{NodePage, PAGE_SIZE};
+    use crate::{NodePage, PageLayout, PAGE_SIZE};
     use std::collections::HashMap;
 
     /// A scripted read seam over a fixed seven-page tree whose page ids are
@@ -360,7 +365,7 @@ mod tests {
                 .chain([left, right, root])
                 .map(|(id, node)| {
                     let mut buf = vec![0u8; PAGE_SIZE];
-                    node.encode(&mut buf);
+                    node.encode_with(&mut buf, PageLayout::Soa);
                     (id, buf)
                 })
                 .collect();

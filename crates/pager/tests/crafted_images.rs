@@ -11,7 +11,8 @@
 //!   page claims, or it never reaches a leaf: every walk, insert and delete
 //!   has to fail with `InvalidData` (a typed level mismatch), not hang.
 //! * **Corrupt entries behind a valid CRC.** An inverted or non-finite
-//!   rectangle on a leaf, inverted codes on a Packed internal page. The
+//!   rectangle on a leaf, a non-finite coordinate on a point leaf, inverted
+//!   codes on a Packed internal page. The
 //!   walks read pages in place and validate inside the scan, so the visit
 //!   must fail on the first (page-in) *and* on every later (resident-hit)
 //!   visit — nothing is validated once and trusted afterwards.
@@ -20,7 +21,8 @@ use rtree_buffer::{LruPolicy, PageId};
 use rtree_geom::{Point, Rect};
 use rtree_index::BulkLoader;
 use rtree_pager::{
-    ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, PageLayout, PageMeta, PageStore, PAGE_SIZE,
+    ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta,
+    PageStore, PageView, PAGE_SIZE,
 };
 use rtree_wal::{GroupWal, MemLog};
 use std::io;
@@ -67,7 +69,7 @@ fn cyclic_image() -> MemStore {
                 level: 1,
                 entries: vec![(everything, 3 - id)],
             }
-            .encode(&mut buf),
+            .encode_with(&mut buf, PageLayout::Soa),
         }
         store.write_page(PageId(id), &buf).unwrap();
     }
@@ -267,4 +269,84 @@ fn inverted_codes_on_a_packed_page_fail_every_walk_on_every_visit() {
     reseal(root);
     assert!(NodePage::decode(root).is_err());
     assert_every_walk_fails_every_time("inverted codes", image);
+}
+
+/// A 2 001-point compressed image, the centre among the points: a Packed
+/// root over point-body leaves.
+fn point_image() -> Vec<u8> {
+    let points: Vec<Rect> = (0..2_000)
+        .map(|i| {
+            let (x, y) = ((i as f64 * 0.618_033) % 0.97, (i as f64 * 0.414_213) % 0.97);
+            Rect::point(Point::new(x, y))
+        })
+        .chain([Rect::point(Point::new(0.5, 0.5))])
+        .collect();
+    let tree = BulkLoader::hilbert(100).load(&points);
+    DiskRTree::create_compressed(MemStore::new(), &tree, 64, LruPolicy::new())
+        .unwrap()
+        .into_store()
+        .snapshot()
+}
+
+/// Point leaves are read through the SoA kernels: a NaN or infinite
+/// coordinate is `CorruptRect` under every kernel, from every scan the view
+/// offers and from both decoders, and fails every walk on every visit; a
+/// count above the body's 170 slots is `EntryOverflow`.
+#[test]
+fn corrupt_point_leaf_fails_under_every_kernel() {
+    let image = point_image();
+    // The leaf holding the centre, so even the point walk meets it.
+    let meta = PageMeta::decode(&image[..PAGE_SIZE]).unwrap();
+    let centre = Rect::point(Point::new(0.5, 0.5));
+    let leaf = (meta.level_starts[1]..=meta.nodes)
+        .find(|&id| {
+            let page = &image[id as usize * PAGE_SIZE..][..PAGE_SIZE];
+            NodePage::decode(page)
+                .unwrap()
+                .entries
+                .iter()
+                .any(|e| e.0 == centre)
+        })
+        .expect("a leaf holds the centre") as usize;
+    let sound = &image[leaf * PAGE_SIZE..][..PAGE_SIZE];
+    assert_eq!(PageLayout::of(sound).unwrap(), PageLayout::Points);
+    let kept = NodePage::decode(sound).unwrap().entries[0];
+    // Point planes: x[0] at byte 16, y[0] at 16 + 1360; slot 1 is planted.
+    for (what, at, bad) in [
+        ("NaN x", 16 + 8, f64::NAN),
+        ("+inf y", 16 + 1360 + 8, f64::INFINITY),
+        ("-inf y", 16 + 1360 + 8, f64::NEG_INFINITY),
+    ] {
+        let mut image = image.clone();
+        let page = &mut image[leaf * PAGE_SIZE..][..PAGE_SIZE];
+        page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        reseal(page);
+        let corrupt = Err(PageError::CorruptRect);
+        assert_eq!(NodePage::decode(page).map(drop), corrupt, "{what}");
+        assert_eq!(NodeSoA::decode(page).map(drop), corrupt, "{what}");
+        let dispatched = rtree_geom::active_kernel();
+        for kernel in rtree_geom::available_kernels() {
+            rtree_geom::set_kernel(kernel).unwrap();
+            let view = PageView::new(page, 0).expect("the header is sound");
+            let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+            assert_eq!(view.intersecting(&everything, &mut Vec::new()), corrupt);
+            let p = Point::new(0.5, 0.5);
+            assert_eq!(view.min_dist2_within(&p, 1.0, &mut Vec::new()), corrupt);
+            assert_eq!(
+                view.mbr(),
+                Err(PageError::CorruptRect),
+                "{what}, {kernel:?}"
+            );
+        }
+        rtree_geom::set_kernel(dispatched).unwrap();
+        assert_delete_fails_every_time(what, &image, kept);
+        assert_every_walk_fails_every_time(what, image);
+    }
+    let mut page = sound.to_vec();
+    page[4..6].copy_from_slice(&171u16.to_le_bytes());
+    reseal(&mut page);
+    let overflow = Err(PageError::EntryOverflow(171));
+    assert_eq!(NodePage::decode(&page).map(drop), overflow);
+    assert_eq!(NodeSoA::decode(&page).map(drop), overflow);
+    assert_eq!(PageView::new(&page, 0).map(drop), overflow);
 }

@@ -5,16 +5,18 @@
 //! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`) / the
 //! in-place reader the walks use (`PageView`):
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
-//! *mutated valid pages* (a real v3, v4, meta or free-list page with a few
-//! seeded bytes flipped — reaches past the checksum only when the flips
-//! land in it, past the structure checks when they don't). The
-//! invariant: decode returns `Ok` or a typed `PageError`, and never
-//! panics. Three cross-decoder properties ride along: when the AoS and
-//! SoA decoders both accept a frame they carry identical content, the
-//! trusted (checksum-skipping) decode accepts at least whatever the full
-//! decode accepts, and the in-place view agrees with the trusted decode on
+//! *mutated valid pages* (a real SoA, Packed, point-body, meta or
+//! free-list page with a few seeded bytes flipped — reaches past the
+//! checksum only when the flips land in it, past the structure checks when
+//! they don't). The invariant: decode returns `Ok` or a typed `PageError`,
+//! and never panics. Four cross-decoder properties ride along: when the
+//! AoS and SoA decoders both accept a frame they carry identical content,
+//! the trusted (checksum-skipping) decode accepts at least whatever the
+//! full decode accepts, the in-place view agrees with the trusted decode on
 //! every frame — the same Ok/Err class, and when Ok the same MBR, matches
-//! and distances for a sample of queries (see `view_agrees_with`).
+//! and distances for a sample of queries (see `view_agrees_with`) — and on
+//! a resealed frame all three readers accept the same entries or all three
+//! reject it.
 //!
 //! Hand-minimized regression inputs live at the bottom as separate tests.
 
@@ -62,7 +64,8 @@ fn sample_queries() -> [Rect; 4] {
 
 /// The view against the trusted decode of the same bytes: one rejects iff
 /// the other does, and an accepted page answers identically through both.
-fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8]) {
+/// Returns whether the view accepted.
+fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8]) -> bool {
     let view = ask_view(bytes);
     assert_eq!(
         view.is_ok(),
@@ -70,7 +73,7 @@ fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8
         "view {view:?} vs trusted decode {trusted:?}"
     );
     let Ok((mbr, matches, within)) = view else {
-        return;
+        return false;
     };
     assert_eq!(mbr, node.rects.mbr());
     for (q, got) in sample_queries().iter().zip(&matches) {
@@ -78,18 +81,25 @@ fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8
         node.rects.intersecting_scalar(q, &mut want);
         assert_eq!(got, &want, "query {q:?}");
     }
-    let mut want = Vec::new();
-    node.rects
-        .min_dist2_within_scalar(&Point::new(0.3, 0.1), 0.05, &mut want);
+    // Textbook MINDIST², one entry at a time.
+    let p = Point::new(0.3, 0.1);
+    let d2 = |r: Rect| {
+        let dx = (r.lo.x - p.x).max(p.x - r.hi.x).max(0.0);
+        let dy = (r.lo.y - p.y).max(p.y - r.hi.y).max(0.0);
+        dx * dx + dy * dy
+    };
+    let all = (0..node.len() as u32).map(|i| (i, d2(node.rects.get(i as usize))));
+    let want: Vec<(u32, f64)> = all.filter(|e| e.1 <= 0.05).collect();
     assert_eq!(within, want);
     let view = PageView::new(bytes, node.level).expect("accepted above");
     for i in 0..node.len() {
         assert_eq!(view.rect(i), node.rects.get(i));
         assert_eq!(view.ptr(i), node.ptrs[i]);
     }
+    true
 }
 
-fn decode_both(bytes: &[u8]) {
+fn decode_both(bytes: &[u8]) -> [bool; 3] {
     let _ = PageMeta::decode(bytes);
     let aos = NodePage::decode(bytes);
     let soa = NodeSoA::decode(bytes);
@@ -106,7 +116,8 @@ fn decode_both(bytes: &[u8]) {
     if soa.is_ok() {
         assert!(trusted.is_ok(), "trusted decode is weaker than full decode");
     }
-    view_agrees_with(&trusted, &scratch, bytes);
+    let view = view_agrees_with(&trusted, &scratch, bytes);
+    [aos.is_ok(), soa.is_ok(), view]
 }
 
 /// `decode_both` on `page` and on the same bytes re-sealed, so the mutant
@@ -115,7 +126,16 @@ fn decode_both(bytes: &[u8]) {
 fn decode_both_and_resealed(page: &mut [u8]) {
     decode_both(page);
     reseal(page);
-    decode_both(page);
+    let [aos, soa, view] = decode_both(page);
+    // Sealed, the bytes are what a page-in passes on: the entry-at-a-time
+    // decode, the plane decode and the view accept them or refuse them
+    // together (and `decode_both` held accepted content equal).
+    if u16::from_le_bytes([page[0], page[1]]) == 0x5254 {
+        assert!(
+            aos == soa && soa == view,
+            "AoS {aos}, SoA {soa}, view {view}"
+        );
+    }
 }
 
 #[test]
@@ -192,6 +212,23 @@ fn packed_page() -> Vec<u8> {
     page
 }
 
+/// A point-body leaf with more entries than an SoA page holds: 160 points,
+/// a few of them on a page-like grid so mutations also make ties.
+fn point_page() -> Vec<u8> {
+    let node = NodePage {
+        level: 0,
+        entries: (0..160)
+            .map(|i| {
+                let (x, y) = ((i % 16) as f64 / 16.0, (i / 16) as f64 / 10.0);
+                (Rect::point(Point::new(x, y)), 3_000 + i)
+            })
+            .collect(),
+    };
+    let mut page = vec![0u8; PAGE_SIZE];
+    node.encode_with(&mut page, PageLayout::Points);
+    page
+}
+
 /// A free-list page exactly as the sequential tree writes one: empty a
 /// small tree again, flush, and lift the first `FREE`-tagged page out of
 /// the image.
@@ -216,17 +253,17 @@ fn mutated_valid_pages_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xBAD_F1B5);
     let mut meta_page = vec![0u8; PAGE_SIZE];
     sample_meta().encode(&mut meta_page);
-    // Both node body layouts: v3/SoA (the default `encode`, an internal
-    // page and a leaf) and v4/Packed — plus a v4 meta page, whose tail
-    // field is versioned, and a free-list page.
+    // All three node body layouts: SoA (an internal page and a leaf),
+    // Packed and the point body — plus a v4 meta page, whose tail field is
+    // versioned, and a free-list page.
     let mut node_page = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut node_page);
+    sample_node().encode_with(&mut node_page, PageLayout::Soa);
     let mut leaf_page = vec![0u8; PAGE_SIZE];
     let leaf = NodePage {
         level: 0,
         ..sample_node()
     };
-    leaf.encode(&mut leaf_page);
+    leaf.encode_with(&mut leaf_page, PageLayout::Soa);
     let node_page_v4 = packed_page();
     let mut meta_page_v4 = vec![0u8; PAGE_SIZE];
     PageMeta {
@@ -241,6 +278,7 @@ fn mutated_valid_pages_never_panic() {
         &node_page,
         &leaf_page,
         &node_page_v4,
+        &point_page(),
         &meta_page_v4,
         &free_page(),
     ] {
@@ -260,7 +298,7 @@ fn valid_pages_round_trip() {
     let mut page = vec![0u8; PAGE_SIZE];
     sample_meta().encode(&mut page);
     assert_eq!(PageMeta::decode(&page).unwrap(), sample_meta());
-    sample_node().encode(&mut page);
+    sample_node().encode_with(&mut page, PageLayout::Soa);
     assert_eq!(NodePage::decode(&page).unwrap(), sample_node());
     // A free page is sealed like any other, and is neither a node nor meta.
     decode_both(&free_page());
@@ -270,16 +308,17 @@ fn valid_pages_round_trip() {
     ));
 }
 
-/// Both node decoders accept both body layouts and agree on the content:
-/// the entry-at-a-time (AoS) decoder and the SoA decoder, each reading a
-/// v3 page (losslessly) and a v4 page (the same dequantization).
+/// Both node decoders accept every body layout and agree on the content:
+/// the entry-at-a-time (AoS) decoder and the SoA decoder, each reading an
+/// SoA page and a point page (losslessly) and a Packed page (the same
+/// dequantization).
 #[test]
 fn aos_and_soa_decoders_agree_on_both_layouts() {
     let mut v3 = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut v3);
+    sample_node().encode_with(&mut v3, PageLayout::Soa);
     assert_eq!(NodePage::decode(&v3).unwrap(), sample_node());
 
-    for page in [v3, packed_page()] {
+    for page in [v3, packed_page(), point_page()] {
         let aos = NodePage::decode(&page).unwrap();
         let soa = NodeSoA::decode(&page).unwrap();
         assert_eq!(soa.level, aos.level);
@@ -301,7 +340,7 @@ fn aos_and_soa_decoders_agree_on_both_layouts() {
 #[test]
 fn regression_entry_count_overflow() {
     let mut page = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut page);
+    sample_node().encode_with(&mut page, PageLayout::Soa);
     let bogus = (MAX_ENTRIES_PER_PAGE as u16 + 1).to_le_bytes();
     page[4..6].copy_from_slice(&bogus);
     // The corrupted count invalidates the checksum first; both outcomes
@@ -351,7 +390,7 @@ fn reseal(page: &mut [u8]) {
 #[test]
 fn regression_v3_entry_count_overflow() {
     let mut page = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut page);
+    sample_node().encode_with(&mut page, PageLayout::Soa);
     page[4..6].copy_from_slice(&(MAX_ENTRIES_PER_PAGE as u16 + 1).to_le_bytes());
     reseal(&mut page);
     assert!(matches!(
@@ -373,7 +412,7 @@ fn regression_v3_entry_count_overflow() {
 fn regression_unknown_layout_flag() {
     for flag in [0u16, 7] {
         let mut page = vec![0u8; PAGE_SIZE];
-        sample_node().encode(&mut page);
+        sample_node().encode_with(&mut page, PageLayout::Soa);
         page[6..8].copy_from_slice(&flag.to_le_bytes());
         reseal(&mut page);
         let want = PageError::UnsupportedLayout(flag);
@@ -389,7 +428,7 @@ fn regression_unknown_layout_flag() {
 #[test]
 fn regression_truncated_soa_planes() {
     let mut page = vec![0u8; PAGE_SIZE];
-    sample_node().encode(&mut page);
+    sample_node().encode_with(&mut page, PageLayout::Soa);
     for len in [0usize, 3, 15, 16, 17, 815, 816, 832, 1648, 2464, 3280, 4095] {
         let cut = &page[..len];
         assert!(
@@ -412,7 +451,7 @@ fn regression_truncated_soa_planes() {
 fn trusted_decode_skips_checksum_but_not_invariants() {
     let node = sample_node();
     let mut page = vec![0u8; PAGE_SIZE];
-    node.encode(&mut page);
+    node.encode_with(&mut page, PageLayout::Soa);
 
     page[8..12].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     assert!(matches!(
@@ -428,12 +467,12 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
     // The view reads at the same trust level: it never looks at the CRC.
     let view = PageView::new(&page, node.level).expect("bad CRC alone must not stop the view");
     assert_eq!(view.rect(0), node.entries[0].0);
-    view_agrees_with(&Ok(()), &scratch, &page);
+    assert!(view_agrees_with(&Ok(()), &scratch, &page));
 
     // Swap entry 0's lo_x/hi_x planes so the rect inverts, reseal the CRC:
     // now the checksum is fine and the geometry is not.
     let mut inverted = vec![0u8; PAGE_SIZE];
-    node.encode(&mut inverted);
+    node.encode_with(&mut inverted, PageLayout::Soa);
     let (lo, hi) = (16usize, 16 + 2 * 816);
     for i in 0..8 {
         inverted.swap(lo + i, hi + i);

@@ -56,7 +56,7 @@ proptest! {
     ) {
         let node = NodePage { level, entries };
         let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode(&mut buf);
+        node.encode_with(&mut buf, PageLayout::Soa);
         let back = NodePage::decode(&buf).expect("decode own encoding");
         prop_assert_eq!(back, node);
     }
