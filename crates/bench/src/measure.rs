@@ -11,7 +11,7 @@ use rtree_index::RTree;
 use rtree_obs::Histogram;
 use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use rtree_sim::QuerySampler;
-use rtree_wal::{GroupWal, LogBackend, MemLog};
+use rtree_wal::{GroupWal, MemLog};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -124,21 +124,20 @@ pub fn query_threads(
 
 /// The insert/checkpoint loop of the write-amplification measurements: an
 /// empty WAL-attached disk tree that checkpoints every `every` mutations
-/// (0 = never) and totals the log traffic.
+/// (0 = never) and totals the log traffic — the op records and the
+/// checkpoints' page images.
 pub struct WalRun {
     /// The tree under test.
     pub disk: DiskRTree<MemStore>,
     /// Latency of each mutation, checkpoints excluded.
     pub latency: Histogram,
-    log: MemLog,
     every: usize,
     ops: usize,
-    checkpointed_bytes: u64,
 }
 
 impl WalRun {
     /// Creates the empty tree (Guttman capacity `cap`, minimum fill `min`)
-    /// behind a write-back pool of `buffer` frames with a fresh WAL.
+    /// reading through a pool of `buffer` frames, with a fresh WAL.
     pub fn new(
         cap: usize,
         min: usize,
@@ -146,21 +145,17 @@ impl WalRun {
         policy: Box<dyn ReplacementPolicy>,
         every: usize,
     ) -> io::Result<Self> {
-        let log = MemLog::new();
         let mut disk = DiskRTree::create_empty(MemStore::new(), cap, min, buffer, policy)?;
-        disk.attach_wal(GroupWal::open(log.clone())?);
+        disk.attach_wal(GroupWal::open(MemLog::new())?);
         Ok(WalRun {
             disk,
             latency: Histogram::new(),
-            log,
             every,
             ops: 0,
-            checkpointed_bytes: 0,
         })
     }
 
     /// Runs one mutation against the tree, then checkpoints if one is due.
-    /// Log bytes are counted before each checkpoint truncates them.
     pub fn apply<T>(
         &mut self,
         op: impl FnOnce(&mut DiskRTree<MemStore>) -> io::Result<T>,
@@ -170,7 +165,6 @@ impl WalRun {
         self.latency.record(t0.elapsed().as_nanos() as u64);
         self.ops += 1;
         if self.every > 0 && self.ops.is_multiple_of(self.every) {
-            self.checkpointed_bytes += self.log.len();
             self.disk.checkpoint()?;
         }
         Ok(done)
@@ -178,6 +172,6 @@ impl WalRun {
 
     /// Total log bytes appended so far, across checkpoints.
     pub fn wal_bytes(&self) -> u64 {
-        self.checkpointed_bytes + self.log.len()
+        self.disk.group_commit_stats().map_or(0, |wal| wal.bytes)
     }
 }

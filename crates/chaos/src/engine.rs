@@ -7,12 +7,13 @@
 //!   resizes and re-pins the pool underneath) must equal the answer of an
 //!   in-memory reference tree that applied exactly the committed
 //!   operations.
-//! * **Durability** — after the simulated reboot, `recover` must restore
-//!   exactly the committed prefix: item counts and query results match the
-//!   reference, nothing more and nothing less. The mutator phase then
-//!   crashes a *writable* concurrent tree — for half the seeds inside a
-//!   checkpoint — and demands that `recover` plus logical replay restore
-//!   every group-committed mutation.
+//! * **Durability** — after the simulated reboot, the restart (`recover`,
+//!   a writable open, `replay_committed`) must restore exactly the
+//!   committed prefix: item counts and query results match the reference,
+//!   nothing more and nothing less. The mutator phase then crashes a
+//!   writable concurrent tree — for half the seeds inside a checkpoint —
+//!   and demands that the same restart restore every group-committed
+//!   mutation.
 //! * **Accounting** — the trace event stream must reconcile with the
 //!   counters the buffer manager keeps anyway (`IoStats`, `BufferStats`),
 //!   on both the sequential and the sharded concurrent path.
@@ -317,9 +318,9 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
     report.committed_items = reference.len() as u64;
 
     // ---- Phase 2: reboot + durability oracle. ---------------------------
-    // Buffered state (dirty frames included) is discarded, the switch is
-    // reset (the machine came back up), and the log replays against the
-    // surviving bytes.
+    // Buffered state (the overlay included) is discarded, the switch is
+    // reset (the machine came back up), and the tree restarts from the
+    // surviving bytes: recover, open writable, replay the committed ops.
     switch.reset();
     let mut store = disk.into_store().into_inner();
     let log_bytes = must(log.read_all(), Durability, "reading surviving log failed")?;
@@ -328,13 +329,17 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
         Durability,
         "recover failed",
     )?;
-    let reopened = DiskRTree::open(store, 64, LruPolicy::new());
+    let wal = GroupWal::open(MemLog::new());
+    let wal = must(wal, Durability, "restart WAL open failed")?;
+    let reopened = ConcurrentDiskRTree::open_writable(store, 64, LruPolicy::new(), wal);
     let recovered = must(reopened, Durability, "opening recovered tree failed")?;
+    let replayed = replay_committed(&log_bytes, &recovered);
+    must(replayed, Durability, "replaying the surviving log failed")?;
 
-    if recovered.meta().items != reference.len() as u64 {
+    if recovered.live_items() != reference.len() as u64 {
         let detail = format!(
             "recovered item count {} != committed {}",
-            recovered.meta().items,
+            recovered.live_items(),
             reference.len()
         );
         report.fail(Durability, detail);
@@ -366,7 +371,10 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
         }
     }
 
-    let mut store = recovered.into_store();
+    // The later phases start from the recovered state as one image.
+    let done = recovered.checkpoint();
+    must(done, Durability, "checkpointing the recovered tree failed")?;
+    let mut store = MemStore::from_bytes(recovered.store().snapshot());
 
     // Phases 3–7, each against the recovered image and the same reference:
     // concurrent readers under a seeded schedule; the network path; the
@@ -480,7 +488,7 @@ enum MutOp {
 ///   surviving inserts. Every probe query must agree with that set, from
 ///   the live tree and again after recovery.
 /// * **Durability** — the tree then crashes, for half the seeds on one of
-///   a checkpoint's first page writes, and restarts the way both trees do:
+///   a checkpoint's first page writes, and restarts the one way:
 ///   [`recover`] from the durable log, open, [`replay_committed`]. Every
 ///   mutation acknowledged before the crash rode a group-committed batch
 ///   whose leader fsynced, so recovery must restore all of them.

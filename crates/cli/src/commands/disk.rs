@@ -303,7 +303,8 @@ pub(super) fn update(args: &Args) -> Result<String, CliError> {
     let min = (cap * 2 / 5).max(2);
     let io = |e: std::io::Error| err(format!("write path: {e}"));
 
-    // Inserts, with periodic checkpoints (flush + log truncation).
+    // Inserts, with periodic checkpoints (overlay written back, log
+    // truncated).
     let mut run = WalRun::new(cap, min, buffer, sc.new_policy(), checkpoint)
         .map_err(|e| err(format!("creating tree: {e}")))?;
     for (id, r) in rects.iter().enumerate() {

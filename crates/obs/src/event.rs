@@ -18,7 +18,8 @@ pub enum EventKind {
     /// The uncharged root-MBR peek read. Reconciles with
     /// `IoStats::peek_reads`.
     PeekRead,
-    /// A page-image record appended to the write-ahead log.
+    /// A record appended to the write-ahead log: a writer's op record
+    /// (`page_id` carries its LSN) or a checkpoint's page image.
     WalAppend,
     /// A page-latch acquisition that had to wait for another holder
     /// (concurrent writer mode). `page_id` is the latch key (0 = the meta

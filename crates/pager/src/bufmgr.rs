@@ -1,18 +1,16 @@
 //! The buffer manager: a [`BufferPool`] plus page frames over a
 //! [`PageStore`], counting physical reads and writes.
 //!
-//! Writes are write-back ([`BufferManager::write_buffered`]): the page is
-//! updated in its frame and marked dirty; it reaches the store only on
-//! eviction, [`BufferManager::flush_all`] or [`BufferManager::checkpoint`].
-//! When a [`GroupWal`] is attached, every buffered write stages a full
-//! before/after page image first, and a dirty page is never written back
-//! before the log is flushed — the write-ahead rule that makes crash
-//! recovery possible.
+//! A tree writes a page one way: its checkpoint, having logged the page's
+//! images, writes the page through to the store and into its frame. The
+//! manager keeps no log. [`BufferManager::write_buffered`] — the frame
+//! updated and marked dirty, the page reaching the store on eviction or
+//! [`BufferManager::flush_all`] — is write-back with no log, for raw-page
+//! users.
 
 use crate::trace::{EventKind, Span, Tracer};
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
-use rtree_wal::GroupWal;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
@@ -63,8 +61,7 @@ fn exclusive(frame: &mut Arc<[u8]>) -> &mut [u8] {
 /// decisions, with every physical page transfer counted. One frame per
 /// resident page. Each shard of a [`crate::ConcurrentDiskRTree`] is one,
 /// behind a latch: reads clone the frame's `Arc` so that decoding runs
-/// outside the latch, while the sequential writer of a
-/// [`crate::DiskRTree`] takes its one shard through `&mut` and borrows.
+/// outside the latch.
 pub struct BufferManager<S> {
     store: S,
     pool: BufferPool,
@@ -72,7 +69,6 @@ pub struct BufferManager<S> {
     /// Scratch frame for reads that bypass a fully pinned pool.
     scratch: Arc<[u8]>,
     stats: IoStats,
-    wal: Option<GroupWal>,
     /// Verify page checksums at read-in (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
@@ -89,7 +85,6 @@ impl<S: PageStore> BufferManager<S> {
             frames: HashMap::with_capacity(capacity + 1),
             scratch: zeroed_frame(),
             stats: IoStats::default(),
-            wal: None,
             verify_reads: false,
             tracer: Tracer::default(),
         }
@@ -97,8 +92,8 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Enables (or disables) checksum verification of every page the
     /// manager reads from the store on the *read* paths — misses, pins and
-    /// scratch reads alike (before-image reads on the buffered-write path
-    /// are exempt: an overwrite must be able to repair a corrupt page).
+    /// scratch reads alike (the page read of a buffered write is exempt:
+    /// an overwrite must be able to repair a corrupt page).
     /// With this on, a frame served from the pool
     /// is known-good, so readers may skip their own checksum pass
     /// ([`crate::PageView`], [`crate::NodeSoA::decode_into_trusted`]):
@@ -119,12 +114,6 @@ impl<S: PageStore> BufferManager<S> {
             })?;
         }
         Ok(())
-    }
-
-    /// Attaches a write-ahead log; from here on every buffered write is
-    /// logged with before/after images and eviction enforces the WAL rule.
-    pub fn attach_wal(&mut self, wal: GroupWal) {
-        self.wal = Some(wal);
     }
 
     /// Physical I/O counters.
@@ -158,9 +147,7 @@ impl<S: PageStore> BufferManager<S> {
         &mut self.store
     }
 
-    /// Writes a dirty page's frame to the store and clears its mark. The
-    /// caller has flushed the log (the WAL rule: the records covering a page
-    /// must be durable before its image may overwrite the store).
+    /// Writes a dirty page's frame to the store and clears its mark.
     fn write_back(&mut self, id: PageId) -> io::Result<()> {
         let frame = Arc::clone(self.frames.get(&id).expect("dirty page has a frame"));
         self.write_through(id, &frame)?;
@@ -170,7 +157,8 @@ impl<S: PageStore> BufferManager<S> {
 
     /// The one page write: `image` goes to the store as page `id`, counted
     /// and traced as a write-back, and becomes the page's frame if it is
-    /// resident. The caller has flushed the page's log records (the WAL rule).
+    /// resident. A tree's caller has flushed the page's log records (the WAL
+    /// rule).
     pub(crate) fn write_through(&mut self, id: PageId, image: &Arc<[u8]>) -> io::Result<()> {
         self.store.write_page(id, image)?;
         self.stats.writes += 1;
@@ -192,11 +180,10 @@ impl<S: PageStore> BufferManager<S> {
         Ok(frame)
     }
 
-    /// Writes the evicted page back if dirty (log first), then gives up its
-    /// frame. On an error the frame and the dirty mark are still there.
+    /// Writes the evicted page back if dirty, then gives up its frame. On
+    /// an error the frame and the dirty mark are still there.
     fn retire_victim(&mut self, victim: PageId) -> io::Result<Arc<[u8]>> {
         if self.pool.is_dirty(victim) {
-            self.wal.as_ref().map_or(Ok(()), GroupWal::flush)?;
             self.write_back(victim)?;
         }
         Ok(self
@@ -335,57 +322,29 @@ impl<S: PageStore> BufferManager<S> {
         Ok(&self.scratch)
     }
 
-    /// Buffered (write-back) page write: updates the frame, marks it dirty,
-    /// and — with a WAL attached — logs the full before/after images first.
-    /// The store is *not* touched unless the pool is fully pinned (then the
-    /// write degrades to logged write-through via the scratch frame).
+    /// Buffered (write-back) page write: updates the frame and marks it
+    /// dirty. The store is *not* touched unless the pool is fully pinned
+    /// (then the write degrades to write-through via the scratch frame).
     pub fn write_buffered(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
-        // The before-image requires the current page contents. It is read
-        // unverified: an overwrite must be able to repair a corrupt page.
+        // The page is read unverified: an overwrite must be able to repair
+        // a corrupt page.
         if !self.access(id, false)? {
-            if let Some(wal) = &self.wal {
-                wal.log_page_image(id.0, &self.scratch, data)?;
-                wal.flush()?;
-                self.tracer.emit(id, EventKind::WalAppend);
-            }
             return self.write_through(id, &Arc::from(data));
         }
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
-        if let Some(wal) = &self.wal {
-            wal.log_page_image(id.0, frame, data)?;
-            self.tracer.emit(id, EventKind::WalAppend);
-        }
         exclusive(frame).copy_from_slice(data);
         self.pool.mark_dirty(id);
         Ok(())
     }
 
-    /// Commits the current operation: appends a commit marker and syncs the
-    /// log. No-op without a WAL.
-    pub fn commit(&mut self) -> io::Result<()> {
-        if let Some(wal) = &self.wal {
-            // One writer: the operation's last image is the last record.
-            wal.commit(wal.next_lsn() - 1)?;
-        }
-        Ok(())
-    }
-
-    /// Writes every dirty page back to the store (log first) and issues the
-    /// store's durability barrier.
+    /// Writes every dirty page back to the store and issues the store's
+    /// durability barrier.
     pub fn flush_all(&mut self) -> io::Result<()> {
-        self.wal.as_ref().map_or(Ok(()), GroupWal::flush)?;
         for id in self.pool.dirty_pages() {
             self.write_back(id)?;
         }
         self.store.flush()
-    }
-
-    /// Checkpoint: flush all dirty pages, then mark the log as redundant
-    /// (checkpoint record + truncation). Call only between operations.
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.flush_all()?;
-        self.wal.as_ref().map_or(Ok(()), GroupWal::checkpoint)
     }
 
     /// The currently pinned pages, in ascending order: `unpin_all` re-enters
@@ -403,11 +362,10 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Replaces the buffer pool with a fresh one of `capacity` frames under
-    /// `policy`. Every dirty page is flushed first (log-first, as always),
-    /// so no buffered state is lost; pinned pages *stay pinned* (their
-    /// frames carry over) and the pool's hit/miss statistics restart from
-    /// zero, while the cumulative [`IoStats`] and the attached WAL are
-    /// preserved. Call only between operations.
+    /// `policy`. Every dirty page is flushed first, so no buffered state is
+    /// lost; pinned pages *stay pinned* (their frames carry over) and the
+    /// pool's hit/miss statistics restart from zero, while the cumulative
+    /// [`IoStats`] are preserved. Call only between operations.
     ///
     /// # Errors
     /// `InvalidInput` if `capacity` is smaller than the number of currently
@@ -461,7 +419,7 @@ mod tests {
     use crate::{FaultStore, MemStore};
     use proptest::prelude::*;
     use rtree_buffer::LruPolicy;
-    use rtree_wal::{CrashSwitch, LogBackend, MemLog, WalRecord};
+    use rtree_wal::{CrashSwitch, GroupWal, LogBackend, MemLog, WalRecord};
 
     /// A store of `pages` pages, page `i` holding `i` in its first byte.
     fn filled_store(pages: usize) -> MemStore {
@@ -727,44 +685,57 @@ mod tests {
         assert_eq!(m.physical_writes(), 2);
     }
 
+    /// A checkpoint's before-image is the page as the manager has it: the
+    /// frame of a resident page, the store's bytes otherwise.
     #[test]
     fn wal_logs_before_and_after_images() {
         let log = MemLog::new();
-        let mut m = make(2, 2);
-        m.attach_wal(GroupWal::open(log.clone()).unwrap());
-        m.write_buffered(PageId(1), &page(0x55)).unwrap();
-        m.commit().unwrap();
-        let records = rtree_wal::scan(&log.read_all().unwrap()).records;
-        assert_eq!(records.len(), 2);
-        match &records[0] {
-            WalRecord::PageImage {
-                page_id,
-                before,
-                after,
-                ..
-            } => {
-                assert_eq!(*page_id, 1);
-                assert_eq!(before[0], 1, "before-image is the store content");
-                assert_eq!(after[0], 0x55);
-            }
-            other => panic!("expected page image, got {other:?}"),
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let mut m = make(3, 2);
+        m.write_buffered(PageId(2), &page(0x42)).unwrap();
+        for (id, fill) in [(1, 0x55), (2, 0x66)] {
+            let before = m.current(PageId(id)).unwrap();
+            wal.log_page_image(id, &before, &page(fill)).unwrap();
         }
-        assert!(matches!(records[1], WalRecord::Commit { .. }));
+        wal.commit(wal.next_lsn() - 1).unwrap();
+        let records = rtree_wal::scan(&log.read_all().unwrap()).records;
+        assert_eq!(records.len(), 3);
+        for (record, (id, before, after)) in records.iter().zip([(1, 1, 0x55), (2, 0x42, 0x66)]) {
+            match record {
+                WalRecord::PageImage {
+                    page_id,
+                    before: b,
+                    after: a,
+                    ..
+                } => assert_eq!((*page_id, b[0], a[0]), (id, before, after)),
+                other => panic!("expected page image, got {other:?}"),
+            }
+        }
+        assert!(matches!(records[2], WalRecord::Commit { .. }));
     }
 
+    /// The checkpoint's write sequence on one manager: the image logged and
+    /// flushed, the page written through to the store and into its
+    /// resident frame, the store fsynced, the log checkpointed (truncated).
     #[test]
     fn checkpoint_flushes_and_truncates_log() {
         let log = MemLog::new();
+        let wal = GroupWal::open(log.clone()).unwrap();
         let mut m = make(2, 2);
-        m.attach_wal(GroupWal::open(log.clone()).unwrap());
-        m.write_buffered(PageId(0), &page(0x42)).unwrap();
-        m.commit().unwrap();
-        m.checkpoint().unwrap();
+        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0);
+        let after: Arc<[u8]> = Arc::from(page(0x42));
+        wal.log_page_image(0, &m.current(PageId(0)).unwrap(), &after)
+            .unwrap();
+        wal.flush().unwrap();
+        m.write_through(PageId(0), &after).unwrap();
+        m.flush_all().unwrap();
+        wal.checkpoint().unwrap();
         assert_eq!(log.read_all().unwrap().len(), 0, "log truncated");
         let mut raw = vec![0u8; PAGE_SIZE];
         m.store_mut().read_page(PageId(0), &mut raw).unwrap();
         assert_eq!(raw[0], 0x42);
-        assert_eq!(m.pool().dirty_count(), 0);
+        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0x42, "the frame is current");
+        assert_eq!((m.physical_reads(), m.physical_writes()), (1, 1));
     }
 
     #[test]
@@ -800,7 +771,7 @@ mod tests {
         let before = m.physical_reads();
         assert_eq!(m.fetch(PageId(1)).unwrap()[0], 0xC3);
         assert_eq!(m.physical_reads(), before, "pinned frame carried over");
-        // The dirty pin was flushed (log-first) before the swap.
+        // The dirty pin was flushed before the swap.
         let mut raw = vec![0u8; PAGE_SIZE];
         m.store_mut().read_page(PageId(1), &mut raw).unwrap();
         assert_eq!(raw[0], 0xC3);

@@ -3,10 +3,9 @@
 //! [`ConcurrentDiskRTree`] is the one disk tree: every read — region, point,
 //! kNN, batch, the seed's scalar walk — and every pin, resize, counter and
 //! trace call runs here, through one `Cursor` and one cached root frame.
-//! It has two writers. The sequential [`crate::DiskRTree`] is a one-shard
-//! tree plus a `&mut` steal write-back writer that logs page images; the
-//! writable constructors here attach a latch-crabbing no-steal writer that
-//! logs logical operations.
+//! It has one writer: the writable constructors attach a latch-crabbing
+//! no-steal writer that logs logical operations, and [`crate::DiskRTree`]
+//! attaches the same writer to its one-shard tree at its first write.
 //!
 //! The buffer is N *shards*: each [`PageId`] hashes to exactly one shard,
 //! and each shard is a [`BufferManager`] over a slice of the capacity,
@@ -21,8 +20,8 @@
 //! [`ConcurrentDiskRTree::buffer_stats`] sum them under the shard latches
 //! (statistics requests and exit summaries read them, never an operation).
 //!
-//! A tree with a writer has one shard: every page it writes in place goes
-//! through it, under the write-ahead rule.
+//! A tree with a writer has one shard: every page its checkpoint writes
+//! goes through it, under the write-ahead rule.
 //!
 //! # Accounting rules
 //!
@@ -31,10 +30,9 @@
 //!   against a fully pinned shard, or the one-time load of a pinned page.
 //! - The **root peek** is *uncharged*, mirroring the model semantics where
 //!   a node is accessed iff its MBR intersects the query. The peeked root
-//!   frame is cached until the root changes (the sequential writer drops
-//!   it on every write; a latch-crabbing tree never peeks); if the root was
-//!   not resident the transfer is surfaced in `IoStats::peek_reads` instead
-//!   of being silently dropped.
+//!   frame is cached for the life of a read-only tree (a tree with a writer
+//!   never peeks); if the root was not resident the transfer is surfaced in
+//!   `IoStats::peek_reads` instead of being silently dropped.
 //! - With one shard the pool sees the walks' page accesses in exactly the
 //!   order they are made, so single-threaded physical read counts reproduce
 //!   the paper's numbers bit for bit.
@@ -104,8 +102,9 @@ pub(crate) fn once<P>(policy: P) -> impl FnMut() -> P {
     move || policy.take().expect("one shard takes the policy once")
 }
 
-/// Mutable-tree state attached by the writable constructors: everything a
-/// latch-crabbing writer needs beyond the read path's shard pool.
+/// Mutable-tree state attached by the writable constructors (and by a
+/// [`crate::DiskRTree`] at its first write): everything a latch-crabbing
+/// writer needs beyond the read path's shard pool.
 ///
 /// The write path is **no-steal**: a dirty page lives in `overlay` (shadowing
 /// both the shard pool and the store) and reaches the store only at a
@@ -122,9 +121,10 @@ struct WriterState {
     /// Operation gate: crabbing inserts/deletes and queries hold it shared;
     /// checkpoints and the exclusive delete fallback hold it exclusively.
     op_gate: RwLock<()>,
-    /// Live metadata (root, height, counters). The open-time snapshot in
+    /// Live metadata (root, height, counters). The snapshot in
     /// `ConcurrentDiskRTree::meta` is *not* updated by writes (its node
-    /// capacities, minimum fill and page layouts never change).
+    /// capacities, minimum fill and page layouts never change); a
+    /// `DiskRTree` refreshes it after each of its own.
     meta: Mutex<PageMeta>,
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
@@ -133,8 +133,8 @@ struct WriterState {
     /// seeded at open from the image's on-disk list and written back as
     /// that list by every checkpoint.
     free: Mutex<Vec<u64>>,
-    /// Group-commit write-ahead log: the writers' op records and the
-    /// checkpoints' page images.
+    /// Group-commit write-ahead log: the op records and the checkpoints'
+    /// page images.
     wal: GroupWal,
     /// Latch acquisitions that had to wait (contention signal).
     latch_waits: AtomicU64,
@@ -183,11 +183,12 @@ pub struct ConcurrentDiskRTree<S> {
     pub(crate) shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
-    /// Cached root frame for the uncharged MBR peek: a latch-crabbing tree
-    /// never peeks, and the sequential writer drops it on every write.
-    pub(crate) root_frame: OnceLock<Arc<[u8]>>,
-    /// The live metadata of a tree without a latch-crabbing writer (the
-    /// sequential writer updates it); the open-time snapshot otherwise.
+    /// Cached root frame for the uncharged MBR peek (a tree with a writer
+    /// never peeks).
+    root_frame: OnceLock<Arc<[u8]>>,
+    /// The metadata read at open, less its level table once a writer
+    /// attaches; then the snapshot [`ConcurrentDiskRTree::sync_meta`] last
+    /// took of the live copy.
     pub(crate) meta: PageMeta,
     /// Span ids, query metrics and the tracer of latch and group-commit
     /// events (the shards trace their own).
@@ -327,8 +328,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         self.io_stats().reads
     }
 
-    /// Physical page writes so far: the sequential writer's write-backs, or
-    /// a latch-crabbing tree's checkpoints.
+    /// Physical page writes so far: the checkpoints' write-backs.
     pub fn physical_writes(&self) -> u64 {
         self.io_stats().writes
     }
@@ -403,8 +403,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// a fresh policy from one call to `policy`. Pinned pages stay pinned
     /// with their frames; unpinned frames are dropped, so the cache starts
     /// cold. As in [`BufferManager::resize`], the pool access statistics
-    /// restart, the cumulative [`IoStats`] survive, and the sequential
-    /// writer's dirty pages are written back first.
+    /// restart and the cumulative [`IoStats`] survive.
     ///
     /// On a writable tree the operation gate is held exclusively, so no
     /// query or writer is in flight while the pools swap; dirty pages live
@@ -503,15 +502,20 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// no dispatched kernel. Visits pages in exactly the same order as
     /// [`ConcurrentDiskRTree::query`], so on the same image results *and*
     /// I/O counts must match: the `simd_vs_seed` and `compress_vs_seed`
-    /// suites and the `simd_traversal` bench rely on this. Not for a tree
-    /// with a latch-crabbing writer.
+    /// suites and the `simd_traversal` bench rely on this. On a writable
+    /// tree it walks from the live root through the overlay with every
+    /// other operation quiesced, charging the root as the latched read
+    /// path does (no peek).
     pub fn query_scalar(&self, query: &Rect) -> io::Result<Vec<u64>> {
         let mut results = Vec::new();
-        let (root, root_level) = (self.meta.root, self.meta.root_level());
+        let _gate = self.writer.as_ref().map(|w| w.op_gate.write());
+        let (root, root_level) = self.with_meta(|m| (m.root, m.root_level()));
         let mut cursor = Cursor::new(self);
-        let root_node = NodePage::decode(&self.root_frame()?)?;
-        if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
-            return Ok(results);
+        if self.writer.is_none() {
+            let root_node = NodePage::decode(&self.root_frame()?)?;
+            if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
+                return Ok(results);
+            }
         }
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
@@ -755,8 +759,8 @@ enum FastDelete {
 
 impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// The underlying page store (chaos and recovery tests snapshot it;
-    /// remember that dirty writer pages live in the overlay, not here,
-    /// until a checkpoint).
+    /// remember that dirty pages live in the overlay, not here, until a
+    /// checkpoint).
     pub fn store(&self) -> &S {
         &self.store
     }
@@ -845,10 +849,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         wal: GroupWal,
     ) -> io::Result<Self> {
         // In-place updates invalidate the bulk-load layout immediately, so
-        // the level table starts out empty.
+        // the image records no level table.
         let meta = materialize_empty(&mut store, max_entries, min_entries, false)?;
-        let tree = Self::assemble(store, meta.clone(), buffer_capacity, 1, once(policy));
-        Ok(tree.writable(WriterState::new(meta, Vec::new(), wal)))
+        let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
+        tree.attach_writer(wal)?;
+        Ok(tree)
     }
 
     /// Opens a previously checkpointed tree for writing. The caller is
@@ -861,38 +866,46 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         wal: GroupWal,
     ) -> io::Result<Self> {
         let meta = Self::read_meta(&mut store)?;
-        // A `DiskRTree` may have left dissolved pages on the image's free
-        // list: walk it into the session list, head last so pages are
-        // reused in the order the sequential writer would reuse them.
+        let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
+        tree.attach_writer(wal)?;
+        Ok(tree)
+    }
+
+    /// Attaches the writer state to a one-shard tree, logging to `wal`,
+    /// and lets the shard write back through the store. The session free
+    /// list starts as the image's on-disk list, walked head last so pages
+    /// are reused in list order.
+    pub(crate) fn attach_writer(&mut self, wal: GroupWal) -> io::Result<()> {
         let mut free = Vec::new();
-        let (mut next, mut buf) = (meta.free_head, vec![0u8; PAGE_SIZE]);
+        let (mut next, mut buf) = (self.meta.free_head, vec![0u8; PAGE_SIZE]);
         while next != 0 {
-            if free.len() as u64 >= store.page_count() {
+            if free.len() as u64 >= self.store.page_count() {
                 return Err(PageError::InconsistentMeta("free list cycles").into());
             }
-            store.read_page(PageId(next), &mut buf)?;
+            self.store.read_page_shared(PageId(next), &mut buf)?;
             free.push(next);
             next = decode_free_page(&buf)?;
         }
         free.reverse();
-        let mut live = meta.clone();
-        live.level_starts.clear();
-        let tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
-        Ok(tree.writable(WriterState::new(live, free, wal)))
-    }
-
-    /// Lets the one shard write back, through the shared store.
-    pub(crate) fn with_writes(mut self) -> Self {
         let handle = self.shards[0].get_mut().store_mut();
         handle.writes = Some((S::write_page_shared, S::flush_shared));
-        self
+        // Writes abandon the bulk-load layout: its level table goes.
+        self.meta.level_starts.clear();
+        self.writer = Some(WriterState::new(self.meta.clone(), free, wal));
+        Ok(())
     }
 
-    /// Attaches the writer state and lets the one shard write back.
-    fn writable(self, state: WriterState) -> Self {
-        let mut tree = self.with_writes();
-        tree.writer = Some(state);
-        tree
+    /// Whether a writer is attached.
+    pub(crate) fn is_writable(&self) -> bool {
+        self.writer.is_some()
+    }
+
+    /// Takes a fresh snapshot of the live metadata into
+    /// [`ConcurrentDiskRTree::meta`]; `&mut self`, so no write is in flight.
+    pub(crate) fn sync_meta(&mut self) {
+        if let Some(w) = &mut self.writer {
+            self.meta = w.meta.get_mut().clone();
+        }
     }
 
     /// The writer state, or `PermissionDenied` on a read-only tree.
@@ -905,9 +918,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         })
     }
 
-    /// Makes `lsn` durable through the group-commit protocol; when this
+    /// Makes the op record at `lsn` durable through the group-commit
+    /// protocol, tracing its append (`page_id` carries the LSN); when this
     /// thread led the batch, a flush event carries the batch size.
     fn group_commit(&self, w: &WriterState, lsn: Lsn) -> io::Result<()> {
+        self.trace.tracer.emit(PageId(lsn), EventKind::WalAppend);
         let batch = w.wal.commit(lsn)?;
         if batch > 0 {
             let flush = EventKind::GroupCommitFlush;
@@ -961,8 +976,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// less selective). Underflow — or losing the shared→exclusive
     /// latch trade to a concurrent split — escalates to a full retry
     /// under the exclusive side of the operation gate, where Guttman's
-    /// CondenseTree runs exactly as under the sequential writer (the same
-    /// code).
+    /// CondenseTree runs over a latch-free cursor.
     /// Either way the entry is logged only once it is verified present.
     pub fn delete(&self, rect: &Rect, item: u64) -> io::Result<bool> {
         let w = self.writer_state()?;
@@ -1048,10 +1062,10 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// clears the overlay, under the exclusive gate: the image is an exact
     /// snapshot of all committed operations.
     ///
-    /// The write-back rule of every in-place write holds: the pages'
-    /// before/after images are durable (one log flush) before any page is
-    /// written, through the one shard, which counts, traces and keeps its
-    /// frames current. Logged ops are committed first, so no `Commit` falls
+    /// This is the tree's one in-place write and the one place page images
+    /// are logged: the pages' before/after images are durable (one log
+    /// flush) before any page is written, through the one shard, which
+    /// counts, traces and keeps its frames current. Logged ops are committed first, so no `Commit` falls
     /// among the images: until the `Checkpoint` record is durable,
     /// [`crate::recover`] undoes them, and a crash in the write-back, a
     /// torn page included, leaves the previous image for
@@ -1078,9 +1092,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             free_head = id;
         }
         pages.sort_unstable_by_key(|(id, _)| *id);
-        let mut meta = w.meta.lock().clone();
-        meta.free_head = free_head;
-        meta.level_starts = Vec::new();
+        let meta = {
+            let mut live = w.meta.lock();
+            live.free_head = free_head;
+            live.clone()
+        };
         let mut buf = vec![0u8; PAGE_SIZE];
         meta.encode(&mut buf);
         pages.push((0, Arc::from(buf)));
@@ -1090,6 +1106,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, after) in &pages {
             let before = shard.current(PageId(*id))?;
             w.wal.log_page_image(*id, &before, after)?;
+            self.trace.tracer.emit(PageId(*id), EventKind::WalAppend);
         }
         w.wal.flush()?;
         for (id, after) in &pages {
@@ -1105,10 +1122,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemStore;
+    use crate::{MemStore, PageLayout};
     use rtree_buffer::LruPolicy;
     use rtree_geom::Point;
     use rtree_index::BulkLoader;
+    use std::panic::AssertUnwindSafe;
 
     fn sample_rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -1516,7 +1534,7 @@ mod tests {
         // The valid range still works afterwards.
         disk.pin_top_levels(1).unwrap();
 
-        // The sequential tree answers the same way, including for a level
+        // The one-shard tree answers the same way, including for a level
         // table gone stale through mutation.
         let mut seq =
             crate::DiskRTree::create(MemStore::new(), &tree, 16, LruPolicy::new()).unwrap();
@@ -1734,85 +1752,41 @@ mod tests {
         assert!(tree.logical_writes() > n, "deletes counted too");
     }
 
-    /// One insert algorithm: an image does not say which tree wrote it —
-    /// from an empty v3 tree, and from a compressed image of points whose
-    /// leaves change layout as points and rectangles come and go.
+    impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
+        /// Node `id` at `level` as the writer sees it (overlay first), with
+        /// the layout it is stored in.
+        pub(crate) fn node(&self, id: u64, level: u16) -> io::Result<(PageLayout, NodePage)> {
+            let mut cursor = Cursor::writer(self, None);
+            let layout = PageLayout::of(cursor.fetch(id, level)?)?;
+            Ok((layout, cursor.load(id, level)?))
+        }
+    }
+
+    /// Regression: a tree opened writable over a bulk-loaded image kept
+    /// answering the scalar walk from the open-time root and its cached
+    /// frame, and kept the open-time level table for pinning and the level
+    /// counts, after writes had moved the root and abandoned the layout.
     #[test]
-    fn both_trees_write_byte_identical_node_pages() {
-        let mut sequential =
-            crate::DiskRTree::create_empty(MemStore::new(), 8, 3, 16, LruPolicy::new()).unwrap();
-        let latched = ConcurrentDiskRTree::create_writable(
-            MemStore::new(),
-            8,
-            3,
-            16,
-            LruPolicy::new(),
-            writer_wal(),
-        )
-        .unwrap();
-        for id in 0..600u64 {
-            sequential.insert(item_rect(id), id).unwrap();
-            latched.insert(&item_rect(id), id).unwrap();
+    fn a_written_tree_reads_and_pins_its_live_layout() {
+        let bulk = BulkLoader::hilbert(10).load(&sample_rects(300));
+        let image = crate::DiskRTree::create(MemStore::new(), &bulk, 16, LruPolicy::new());
+        let image = image.unwrap().into_store();
+        let tree = ConcurrentDiskRTree::open_writable(image, 16, LruPolicy::new(), writer_wal());
+        let tree = tree.unwrap();
+        for id in 1_000..1_400u64 {
+            tree.insert(&item_rect(id), id).unwrap();
         }
-        assert!(sequential.meta().height > 2, "splits reached the root");
-        assert_same_node_pages(&mut sequential, &latched);
-
-        // 300 points bulk-loaded at M = 100, then points with every eighth
-        // item a rectangle; then a third of everything deleted again (the
-        // latched delete leaves ancestor rectangles loose, so from here on
-        // only the answers are compared).
-        let item = |id: u64| match id >= 300 && id.is_multiple_of(8) {
-            true => item_rect(id),
-            false => Rect::point(item_rect(id).lo),
-        };
-        let points: Vec<Rect> = (0..300).map(item).collect();
-        let tree = rtree_index::BulkLoader::hilbert(100).load(&points);
-        let mut sequential =
-            crate::DiskRTree::create_compressed(MemStore::new(), &tree, 16, LruPolicy::new())
-                .unwrap();
-        let image = MemStore::from_bytes(sequential.store().snapshot());
-        let latched =
-            ConcurrentDiskRTree::open_writable(image, 16, LruPolicy::new(), writer_wal()).unwrap();
-        for id in 300..900u64 {
-            sequential.insert(item(id), id).unwrap();
-            latched.insert(&item(id), id).unwrap();
-        }
-        assert_same_node_pages(&mut sequential, &latched);
         let everything = Rect::new(-1.0, -1.0, 2.0, 2.0);
-        for id in (0..900u64).step_by(3) {
-            assert!(sequential.delete(&item(id), id).unwrap());
-            assert!(latched.delete(&item(id), id).unwrap());
-            let want = sorted_query(&sequential, &everything);
-            assert_eq!(sorted_query(&latched, &everything), want, "delete {id}");
-        }
-        let kept: Vec<u64> = (0..900).filter(|id| id % 3 != 0).collect();
-        assert_eq!(sorted_query(&sequential, &everything), kept);
-    }
-
-    fn sorted_query(tree: &ConcurrentDiskRTree<MemStore>, q: &Rect) -> Vec<u64> {
-        let mut got = tree.query(q).unwrap();
-        got.sort_unstable();
-        got
-    }
-
-    /// Flushes both trees and compares every node page of their images.
-    fn assert_same_node_pages(
-        sequential: &mut crate::DiskRTree<MemStore>,
-        latched: &ConcurrentDiskRTree<MemStore>,
-    ) {
-        sequential.flush().unwrap();
-        latched.checkpoint().unwrap();
-        let (ours, image) = (sequential.store().snapshot(), latched.store().snapshot());
-        assert_eq!(image.len(), ours.len());
-        // Page 0 is the metadata (whose level table the two flavors keep
-        // differently); every page after it is a node.
-        for (id, (a, b)) in ours
-            .chunks(PAGE_SIZE)
-            .zip(image.chunks(PAGE_SIZE))
-            .enumerate()
-        {
-            assert!(id == 0 || a == b, "node page {id} differs");
-        }
+        assert_eq!(tree.query(&everything).unwrap().len(), 700);
+        let mut scalar = tree.query_scalar(&everything).unwrap();
+        scalar.sort_unstable();
+        let mut want = tree.query(&everything).unwrap();
+        want.sort_unstable();
+        assert_eq!(scalar, want);
+        let err = tree.pin_top_levels(1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let levels = std::panic::catch_unwind(AssertUnwindSafe(|| tree.pages_per_level()));
+        assert!(levels.is_err(), "the level table outlived the writes");
     }
 
     /// The writable tree reads a batch as one latched frontier walk on the
@@ -1880,7 +1854,8 @@ mod tests {
             })
             .collect();
         assert_eq!(logged, [next.1], "only the insert that succeeded");
-        let store = MemStore::from_bytes(image);
+        let mut store = MemStore::from_bytes(image);
+        crate::recover(&mut store, &log).unwrap();
         let recovered =
             ConcurrentDiskRTree::open_writable(store, 4, LruPolicy::new(), writer_wal()).unwrap();
         crate::replay_committed(&log, &recovered).unwrap();

@@ -1,21 +1,20 @@
-//! The sequential disk tree: a one-shard [`ConcurrentDiskRTree`] plus its
-//! `&mut` writer.
+//! The sequential disk tree: a one-shard [`ConcurrentDiskRTree`] whose
+//! writer attaches at its first write.
 //!
 //! [`DiskRTree`] reads through the tree it owns — every query, pin, resize,
 //! counter and trace call is [`ConcurrentDiskRTree`]'s, reached by deref —
-//! and adds the constructors and the sequential writer: Guttman's insert
-//! and condense-tree delete (in `mutate`) over shard 0's buffer cache,
-//! write-back with steal, every page image logged to an attached
-//! [`rtree_wal::GroupWal`].
+//! and adds the constructors and `&mut` entry points to the one writer:
+//! [`ConcurrentDiskRTree::insert`], [`ConcurrentDiskRTree::delete`] and
+//! [`ConcurrentDiskRTree::checkpoint`], logical op records in a
+//! group-commit [`rtree_wal::GroupWal`], dirty pages in a no-steal overlay
+//! until a checkpoint.
 //!
 //! This module also holds the one writer of new tree images,
 //! [`write_image`], behind every `create*` constructor of both trees.
 
-use crate::concurrent::{once, Shard};
+use crate::concurrent::once;
 use crate::mutate::mbr;
-use crate::page::{decode_free_page, encode_free_page, is_point, point_capacity};
-use crate::seam::{PageRead, PageWrite};
-use crate::trace::Span;
+use crate::page::{is_point, point_capacity};
 use crate::{
     ConcurrentDiskRTree, ConcurrentPageStore, NodePage, PageMeta, PageStore, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
@@ -23,6 +22,7 @@ use crate::{
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
 use rtree_index::RTree;
+use rtree_wal::{GroupWal, MemLog};
 use std::io;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -32,8 +32,12 @@ use std::sync::Arc;
 /// disk-access metric.
 ///
 /// It is a one-shard [`ConcurrentDiskRTree`], to which it dereferences for
-/// every read, pin, resize and counter, plus the sequential writer
-/// ([`DiskRTree::insert`], [`DiskRTree::delete`]).
+/// every read, pin, resize and counter. A tree that is never written is
+/// exactly that tree, read-only. The first [`DiskRTree::insert`] or
+/// [`DiskRTree::delete`] attaches the concurrent tree's writer, logging to
+/// the log [`DiskRTree::attach_wal`] gave (or to memory); from then on the
+/// tree reads the way a writable tree does, and its [`ConcurrentDiskRTree::meta`]
+/// is refreshed after every write.
 ///
 /// Pages are laid out in level order (meta page 0, root page 1, then the
 /// rest of each level contiguously), matching the page numbering used by
@@ -67,6 +71,8 @@ use std::sync::Arc;
 /// ```
 pub struct DiskRTree<S: ConcurrentPageStore> {
     core: ConcurrentDiskRTree<S>,
+    /// The log the writer will take at the first write.
+    wal: Option<GroupWal>,
 }
 
 impl<S: ConcurrentPageStore> Deref for DiskRTree<S> {
@@ -83,96 +89,17 @@ impl<S: ConcurrentPageStore> DerefMut for DiskRTree<S> {
     }
 }
 
-/// One write operation's view of the tree: shard 0's pool, taken without
-/// its latch, and the live metadata. No latches, so the latch hooks stay
-/// empty. Fetches are charged as [`crate::BufferManager::fetch`] charges
-/// them; stores go through the write-back buffer (and its WAL); pages are
-/// allocated from the shared store; freed pages go on the on-disk free
-/// list headed in the metadata.
-pub(crate) struct Pages<'a, S: ConcurrentPageStore> {
-    mgr: &'a mut Shard<S>,
-    store: &'a S,
-    meta: &'a mut PageMeta,
-}
-
-impl<S: ConcurrentPageStore> PageRead for Pages<'_, S> {
-    fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
-        let (id, level) = (PageId(page), level as i16);
-        Ok(self.mgr.fetch_in(id, level, &mut Span::default())?)
-    }
-}
-
-impl<S: ConcurrentPageStore> PageWrite for Pages<'_, S> {
-    fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
-        f(self.meta)
-    }
-
-    fn store(&mut self, id: u64, node: &NodePage) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        // Internal pages of a compressed tree are re-quantized on every
-        // rewrite. Expansion is monotone (the new frame contains the
-        // rewritten entries), so the containment invariant queries rely on
-        // survives arbitrary mutation.
-        node.encode_for(self.meta, &mut buf);
-        self.mgr
-            .tracer
-            .at_level(&Span::default(), node.level as i16);
-        self.mgr.write_buffered(PageId(id), &buf)
-    }
-
-    fn alloc(&mut self) -> io::Result<u64> {
-        if self.meta.free_head == 0 {
-            return Ok(self.store.allocate_shared()?.0);
-        }
-        let id = self.meta.free_head;
-        self.meta.free_head = decode_free_page(self.mgr.fetch(PageId(id))?)?;
-        Ok(id)
-    }
-
-    /// Pushes a page onto the free list (logged like any other write).
-    fn free(&mut self, id: u64) -> io::Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        encode_free_page(self.meta.free_head, &mut buf);
-        self.mgr.tracer.at_level(&Span::default(), -1);
-        self.mgr.write_buffered(PageId(id), &buf)?;
-        self.meta.free_head = id;
-        Ok(())
-    }
-}
-
-impl<S: ConcurrentPageStore> Pages<'_, S> {
-    /// Ends a write operation: the level-order layout is gone, the metadata
-    /// page is rewritten, and the operation commits.
-    pub(crate) fn finish(self) -> io::Result<()> {
-        self.meta.level_starts.clear();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.meta.encode(&mut buf);
-        self.mgr.tracer.at_level(&Span::default(), -1);
-        self.mgr.write_buffered(PageId(0), &buf)?;
-        self.mgr.commit()
-    }
-}
-
-impl<S: ConcurrentPageStore> Drop for Pages<'_, S> {
-    /// What drives the manager next (a read, a pin, a flush) is attributed
-    /// afresh.
-    fn drop(&mut self) {
-        self.mgr.tracer.at_level(&Span::default(), -1);
-    }
-}
-
 impl<S: ConcurrentPageStore> DiskRTree<S> {
-    /// Assembles the one-shard tree over an image whose metadata is `meta`,
-    /// its shard writing back through the store.
+    /// Assembles the one-shard tree over an image whose metadata is `meta`.
     fn assemble(
         store: S,
         meta: PageMeta,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> Self {
-        let core = ConcurrentDiskRTree::assemble(store, meta, buffer_capacity, 1, once(policy));
         DiskRTree {
-            core: core.with_writes(),
+            core: ConcurrentDiskRTree::assemble(store, meta, buffer_capacity, 1, once(policy)),
+            wal: None,
         }
     }
 
@@ -247,51 +174,73 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
         Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
-    /// Attaches a write-ahead log to the buffer cache; from here on
-    /// [`DiskRTree::insert`] and [`DiskRTree::delete`] are logged and
-    /// recoverable via [`crate::recover`]; a failed log flush fails the
-    /// operation and poisons the log.
-    pub fn attach_wal(&mut self, wal: rtree_wal::GroupWal) {
-        self.shard().attach_wal(wal);
+    /// Gives the writer its write-ahead log: the operations from the first
+    /// write on are logged there and, after a crash, restored by
+    /// [`crate::recover`], [`ConcurrentDiskRTree::open_writable`] and
+    /// [`crate::replay_committed`]; a failed log flush fails the operation
+    /// and poisons the log.
+    ///
+    /// # Panics
+    /// Panics if the tree has been written: the writer has its log.
+    pub fn attach_wal(&mut self, wal: GroupWal) {
+        assert!(!self.is_writable(), "attach the log before the first write");
+        self.wal = Some(wal);
     }
 
-    /// Writes all dirty pages back and issues the store's durability
-    /// barrier.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.shard().flush_all()
+    /// Runs one write on the writable tree, attaching its writer first if
+    /// this is the first, and refreshes the metadata snapshot.
+    fn write<R>(
+        &mut self,
+        op: impl FnOnce(&ConcurrentDiskRTree<S>) -> io::Result<R>,
+    ) -> io::Result<R> {
+        if !self.is_writable() {
+            let wal = match &self.wal {
+                Some(wal) => wal.clone(),
+                None => GroupWal::open(MemLog::new())?,
+            };
+            self.core.attach_writer(wal)?;
+        }
+        let done = op(&self.core);
+        self.core.sync_meta();
+        done
     }
 
-    /// Flushes everything and truncates the attached log (if any). Call
-    /// only between operations.
+    /// Inserts an item: [`ConcurrentDiskRTree::insert`], one group commit.
+    pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
+        self.write(|tree| tree.insert(&rect, item))
+    }
+
+    /// Deletes the exact `(rect, item)` entry if present, condensing
+    /// underfull nodes and reinserting their orphaned entries
+    /// ([`ConcurrentDiskRTree::delete`]). Returns whether it was found.
+    pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
+        self.write(|tree| tree.delete(rect, item))
+    }
+
+    /// Makes the image durable: on a written tree the
+    /// [`ConcurrentDiskRTree::checkpoint`] (the overlay written back, the
+    /// store fsynced, the log truncated); on one never written, the store's
+    /// durability barrier alone.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.shard().checkpoint()
+        match self.is_writable() {
+            true => self.write(ConcurrentDiskRTree::checkpoint),
+            false => self.store().flush_shared(),
+        }
     }
 
-    /// Tears the tree down and returns the bare store, discarding buffered
-    /// (dirty) state — the crash path for recovery tests. Call
+    /// The same as [`DiskRTree::checkpoint`].
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.checkpoint()
+    }
+
+    /// Tears the tree down and returns the bare store, discarding the
+    /// overlay — the crash path for recovery tests. Call
     /// [`DiskRTree::flush`] first for an orderly shutdown.
     pub fn into_store(self) -> S {
         let ConcurrentDiskRTree { store, shards, .. } = self.core;
         drop(shards);
         let store = Arc::try_unwrap(store).ok();
         store.expect("the shard held the only other handle on the store")
-    }
-
-    /// The one shard's buffer cache; `&mut self` needs no latch.
-    fn shard(&mut self) -> &mut Shard<S> {
-        self.core.shards[0].get_mut()
-    }
-
-    /// Opens a write operation. An insert or delete may rewrite the root
-    /// page, or move the root, so the cached root frame goes.
-    pub(crate) fn writer(&mut self) -> Pages<'_, S> {
-        let core = &mut self.core;
-        core.root_frame.take();
-        Pages {
-            mgr: core.shards[0].get_mut(),
-            store: &core.store,
-            meta: &mut core.meta,
-        }
     }
 }
 

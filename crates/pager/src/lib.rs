@@ -25,18 +25,19 @@
 //! Guttman's insert and condense-tree — is written once against the
 //! crate-private page-access seam (`seam`, `walk`, `mutate`). There is one
 //! disk tree, [`ConcurrentDiskRTree`], and every read runs through its
-//! cursor over its (one or more) latched shards. It has two writers, the
-//! seam's two write-side instantiations: [`DiskRTree`] is the tree with one
-//! shard plus a `&mut` view of that shard's [`BufferManager`], and the
-//! writable constructors attach a latch-crabbing writer to the cursor.
+//! cursor over its (one or more) latched shards. It has one writer, the
+//! seam's write side on the same cursor: the writable constructors attach
+//! it, and [`DiskRTree`] — the tree with one shard and `&mut` entry points
+//! — attaches it at its first write.
 //!
-//! The sequential writer ([`DiskRTree::insert`], [`DiskRTree::delete`])
-//! goes through the buffer manager's write-back path, with an attached
-//! [`rtree_wal::GroupWal`] logging full page images so [`recover`] can
-//! replay a crashed tree back to its last committed state (the
-//! latch-crabbing writer logs logical operations to the same kind of log
-//! and recovers with [`replay_committed`]). [`FaultStore`] injects torn writes,
-//! short appends and read faults to exercise exactly those paths.
+//! The writer is no-steal: dirty pages live in an overlay until a
+//! checkpoint, each operation is one logical record in a group-commit
+//! [`rtree_wal::GroupWal`], and the checkpoint — the one in-place page
+//! write — logs its pages' full images before writing them. A crashed tree
+//! restarts one way: [`recover`] (which undoes a checkpoint that died
+//! part-way), a writable open, [`replay_committed`]. [`FaultStore`] injects
+//! torn writes, short appends and read faults to exercise exactly those
+//! paths.
 
 mod bufmgr;
 mod concurrent;

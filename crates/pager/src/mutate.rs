@@ -1,28 +1,26 @@
 //! Guttman's insert and condense-tree delete, written once against the
-//! write seam ([`PageWrite`]), plus the mutable [`DiskRTree`] operations
-//! (FindLeaf is a walk, [`find_leaf`]). Every node is loaded at the level
-//! the descent reached, so a pointer cycle fails an operation, not hangs it.
+//! write seam ([`PageWrite`]); FindLeaf is a walk
+//! ([`crate::walk::find_leaf`]). Every node is loaded at the level the
+//! descent reached, so a pointer cycle fails an operation, not hangs it.
 //!
-//! On the sequential tree every page touched by an operation goes through
-//! [`crate::BufferManager::write_buffered`], so with a WAL attached
-//! ([`crate::DiskRTree::attach_wal`]) the full before/after images are
-//! logged and the operation is recoverable: each public call ends with a
-//! commit marker, making it a single-op transaction. The concurrent tree
-//! runs the same functions over its cursor: the insert descent under latch
-//! crabbing, CondenseTree under its exclusive gate.
+//! The one writer, [`crate::ConcurrentDiskRTree`]'s (which
+//! [`crate::DiskRTree`] attaches at its first write), runs these functions
+//! over its cursor: the insert descent under latch crabbing, CondenseTree
+//! under its exclusive gate, every store into the no-steal overlay. It logs
+//! each operation as one logical record and commits it.
 //!
 //! Mutations abandon the bulk-load level-order page layout; the metadata's
 //! level table is cleared on the first insert or delete and the layout-
 //! dependent helpers refuse to run afterwards
 //! ([`crate::ConcurrentDiskRTree::pin_top_levels`] with `InvalidInput`,
-//! [`crate::ConcurrentDiskRTree::pages_per_level`] by panicking). Freed pages go on
-//! an intrusive free list (head in the meta page, `FREE`-tagged pages
-//! chaining to the next) and are reused before the store grows.
+//! [`crate::ConcurrentDiskRTree::pages_per_level`] by panicking). Freed
+//! pages go on the session free list, and a checkpoint writes it out as an
+//! intrusive on-disk list (head in the meta page, `FREE`-tagged pages
+//! chaining to the next); they are reused before the store grows.
 
-use crate::disk_tree::DiskRTree;
 use crate::seam::PageWrite;
-use crate::walk::{find_leaf, Found};
-use crate::{ConcurrentPageStore, NodePage};
+use crate::walk::Found;
+use crate::NodePage;
 use rtree_geom::Rect;
 use rtree_index::{choose_subtree, QuadraticSplit, SplitPolicy};
 use std::io;
@@ -127,10 +125,10 @@ pub(crate) fn insert_entry<W: PageWrite>(
     pages.store(id, &node)
 }
 
-/// Removes `(rect, item)` from the leaf [`find_leaf`] located (`path` is
-/// its root-to-leaf path), then runs CondenseTree — dissolving underfull
-/// nodes, tightening ancestor rectangles, reinserting orphans at their
-/// original level — and ShrinkTree.
+/// Removes `(rect, item)` from the leaf [`crate::walk::find_leaf`] located
+/// (`path` is its root-to-leaf path), then runs CondenseTree — dissolving
+/// underfull nodes, tightening ancestor rectangles, reinserting orphans at
+/// their original level — and ShrinkTree.
 pub(crate) fn remove_entry<W: PageWrite>(
     pages: &mut W,
     (leaf_id, mut path): Found,
@@ -195,39 +193,12 @@ pub(crate) fn remove_entry<W: PageWrite>(
     Ok(())
 }
 
-impl<S: ConcurrentPageStore> DiskRTree<S> {
-    /// Inserts an item, logging every page it changes and committing at
-    /// the end. Runs Guttman's ChooseLeaf / QuadraticSplit / AdjustTree
-    /// over pages.
-    pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
-        debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        let mut pages = self.writer();
-        insert_entry(&mut pages, (rect, item), 0)?;
-        pages.meta(|m| m.items += 1);
-        pages.finish()
-    }
-
-    /// Deletes the exact `(rect, item)` entry if present, condensing
-    /// underfull nodes and reinserting their orphaned entries. Returns
-    /// whether the entry was found.
-    pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        let mut pages = self.writer();
-        let (root, level) = pages.meta(|m| (m.root, m.root_level()));
-        let Some(found) = find_leaf(&mut pages, root, level, rect, item)? else {
-            return Ok(false);
-        };
-        remove_entry(&mut pages, found, rect, item)?;
-        pages.finish()?;
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk_tree::materialize_empty;
     use crate::seam::PageRead;
-    use crate::{MemStore, PageLayout, PageMeta, PageStore, PAGE_SIZE};
+    use crate::{DiskRTree, MemStore, PageLayout, PageMeta, PageStore, PAGE_SIZE};
     use rtree_buffer::LruPolicy;
     use rtree_geom::Point;
     use rtree_index::{BulkLoader, RTree, RTreeBuilder};
@@ -550,12 +521,11 @@ mod tests {
     }
 
     /// Every leaf of `disk`, left to right: its layout and entries.
-    fn leaves(disk: &mut DiskRTree<MemStore>) -> Vec<(PageLayout, Vec<(Rect, u64)>)> {
+    fn leaves(disk: &DiskRTree<MemStore>) -> Vec<(PageLayout, Vec<(Rect, u64)>)> {
         let mut todo = vec![(disk.meta().root, disk.meta().root_level())];
-        let (mut pages, mut out) = (disk.writer(), Vec::new());
+        let mut out = Vec::new();
         while let Some((id, level)) = todo.pop() {
-            let layout = PageLayout::of(pages.fetch(id, level).unwrap()).unwrap();
-            let node = pages.load(id, level).unwrap();
+            let (layout, node) = disk.node(id, level).unwrap();
             match level {
                 0 => out.push((layout, node.entries)),
                 _ => todo.extend(node.entries.iter().rev().map(|e| (e.1, level - 1))),
@@ -566,7 +536,7 @@ mod tests {
 
     /// Every leaf is written in the layout its entries call for and fits
     /// that layout's capacity (a point body only on a compressed tree).
-    fn assert_leaf_formats(disk: &mut DiskRTree<MemStore>, what: &str) {
+    fn assert_leaf_formats(disk: &DiskRTree<MemStore>, what: &str) {
         let meta = disk.meta().clone();
         for (layout, entries) in leaves(disk) {
             let (want, capacity) = meta.format_of(0, entries.iter().map(|e| &e.0));
@@ -599,7 +569,7 @@ mod tests {
                 reference.insert(*r, i as u64);
                 let what = format!("from {from}, insert {i}");
                 probe(&disk, &reference, r, &what);
-                assert_leaf_formats(&mut disk, &what);
+                assert_leaf_formats(&disk, &what);
             }
             assert_eq!(disk.meta().items, 500);
             assert!(disk.meta().height > 1, "tree must have grown");
@@ -630,7 +600,7 @@ mod tests {
                 assert!(reference.delete(r, i as u64));
                 let what = format!("from {from}, delete {i}");
                 probe(&disk, &reference, r, &what);
-                assert_leaf_formats(&mut disk, &what);
+                assert_leaf_formats(&disk, &what);
             }
             assert_eq!(disk.meta().items, 200);
             // Deleting a missing entry reports false and changes nothing.
@@ -642,7 +612,7 @@ mod tests {
                 assert!(reference.delete(r, i as u64));
                 let what = format!("from {from}, delete {i}");
                 probe(&disk, &reference, r, &what);
-                assert_leaf_formats(&mut disk, &what);
+                assert_leaf_formats(&disk, &what);
             }
             assert_eq!(disk.meta().height, 1, "tree collapsed to a root leaf");
         }
@@ -811,13 +781,11 @@ mod tests {
         for (i, r) in rects(11).into_iter().enumerate() {
             disk.insert(r, i as u64).unwrap();
         }
-        let root = disk.meta().root;
-        let mut pages = disk.writer();
-        let root = pages.load(root, 1).unwrap();
+        let (_, root) = disk.node(disk.meta().root, 1).unwrap();
         assert_eq!(root.entries.len(), 2);
         let mut total = 0;
         for (_, child) in root.entries {
-            let fill = pages.load(child, 0).unwrap().entries.len();
+            let fill = disk.node(child, 0).unwrap().1.entries.len();
             assert!(fill >= 4, "page {child} below min fill: {fill}");
             total += fill;
         }
@@ -831,20 +799,21 @@ mod tests {
         for (i, r) in rects(50).iter().enumerate() {
             disk.insert(*r, i as u64).unwrap();
         }
-        // A 64-frame buffer easily holds this tree: nothing was evicted, so
-        // no physical write has happened since creation.
+        // No-steal: the dirty pages stay in the overlay, so no physical
+        // write has happened since creation.
         assert_eq!(disk.physical_writes(), 0);
         disk.flush().unwrap();
         assert!(disk.physical_writes() > 0);
     }
-    /// The page-image log is pinned byte for byte: the CRC-32 of the log
-    /// images a fixed insert/delete/checkpoint workload leaves, each read
-    /// just before a checkpoint truncates it and once at the end. Recorded
-    /// while the sequential tree still had a log front-end of its own.
+    /// The op log is pinned byte for byte: the CRC-32 of the log images a
+    /// fixed insert/delete/checkpoint workload leaves, each read just
+    /// before a checkpoint truncates it and once at the end. Recorded from
+    /// [`crate::ConcurrentDiskRTree::create_writable`] run on one thread while the
+    /// sequential tree still had a page-image writer of its own: the
+    /// sequential tree now writes the very same log.
     #[test]
-    fn page_image_log_reproduces_the_recorded_bytes() {
+    fn op_log_reproduces_the_recorded_bytes() {
         let log = MemLog::new();
-        // Six frames: dirty evictions flush the log in the middle of ops.
         let mut disk = DiskRTree::create_empty(MemStore::new(), 8, 3, 6, LruPolicy::new()).unwrap();
         disk.attach_wal(GroupWal::open(log.clone()).unwrap());
         let rs = rects(300);
@@ -863,7 +832,7 @@ mod tests {
         image.extend(log.read_all().unwrap());
         assert_eq!(
             (image.len(), crc32::checksum(&image)),
-            (12_108_112, 1_112_694_129)
+            (29_600, 1_696_328_258)
         );
     }
 

@@ -4,18 +4,18 @@
 //! for logical ops, read the log the same way
 //! ([`rtree_wal::commit_horizon`]): scan the surviving bytes
 //! tail-tolerantly, skip everything up to the last checkpoint, and treat as
-//! committed only what a durable commit covers. Either tree restarts with
-//! [`recover`]; the concurrent one then opens and runs [`replay_committed`].
+//! committed only what a durable commit covers. Every restart is the same
+//! three steps: [`recover`] the store, open it writable
+//! ([`crate::ConcurrentDiskRTree::open_writable`]), [`replay_committed`].
 //!
 //! [`recover`] is the classical physical redo/undo over full page images:
 //! redo every committed after-image in LSN order, then undo uncommitted
-//! before-images in reverse order. Every in-place page write of either tree
-//! logs its images *before* the store is touched (the WAL rule of
-//! [`crate::BufferManager`]'s one write path), so the store after a crash is
-//! a mix of old and logged states, and rewriting full images lands it on the
-//! last committed state even over a torn page. A concurrent checkpoint's
-//! images stay uncommitted up to its `Checkpoint` record, so one that died
-//! part-way is undone to the previous checkpoint.
+//! before-images in reverse order. The one in-place page write, the
+//! checkpoint's, logs its images *before* the store is touched (the WAL
+//! rule), so the store after a crash is a mix of old and logged states, and
+//! rewriting full images lands it on the last committed state even over a
+//! torn page. A checkpoint's images stay uncommitted up to its `Checkpoint`
+//! record, so one that died part-way is undone to the previous checkpoint.
 
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::PageId;
@@ -99,8 +99,8 @@ pub struct ReplaySummary {
     pub clean_log: bool,
 }
 
-/// Logical redo for the concurrent writer: replays the *committed* suffix
-/// of a group-commit WAL onto a freshly opened writable tree.
+/// Logical redo: replays the *committed* suffix of a group-commit WAL onto
+/// a freshly opened writable tree.
 ///
 /// The writer is no-steal, so the page store, once [`recover`]ed, holds the
 /// last checkpoint image; everything after it lives only as `OpInsert` /
@@ -153,8 +153,7 @@ pub fn replay_committed<S: crate::ConcurrentPageStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferManager, MemStore};
-    use rtree_buffer::LruPolicy;
+    use crate::MemStore;
     use rtree_wal::{GroupWal, LogBackend, MemLog};
 
     fn page(fill: u8) -> Vec<u8> {
@@ -175,10 +174,9 @@ mod tests {
     #[test]
     fn committed_writes_are_redone() {
         let log = MemLog::new();
-        let mut m = BufferManager::new(store_with_pages(3), 8, LruPolicy::new());
-        m.attach_wal(GroupWal::open(log.clone()).unwrap());
-        m.write_buffered(PageId(1), &page(0xAA)).unwrap();
-        m.commit().unwrap();
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_page_image(1, &page(1), &page(0xAA)).unwrap();
+        wal.commit(lsn).unwrap();
         // Crash before any write-back: the store still has the old image.
         let mut store = store_with_pages(3);
         let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
@@ -192,15 +190,15 @@ mod tests {
     #[test]
     fn uncommitted_writes_are_undone() {
         let log = MemLog::new();
-        let mut m = BufferManager::new(store_with_pages(3), 2, LruPolicy::new());
-        m.attach_wal(GroupWal::open(log.clone()).unwrap());
-        m.write_buffered(PageId(1), &page(0xAA)).unwrap();
-        m.commit().unwrap();
-        // Second op: logged, partially written back (eviction), never
-        // committed.
-        m.write_buffered(PageId(2), &page(0xBB)).unwrap();
-        m.flush_all().unwrap();
-        let mut store = std::mem::replace(m.store_mut(), MemStore::new());
+        let wal = GroupWal::open(log.clone()).unwrap();
+        let lsn = wal.log_page_image(1, &page(1), &page(0xAA)).unwrap();
+        wal.commit(lsn).unwrap();
+        // Second write: logged and flushed, written back, never committed.
+        wal.log_page_image(2, &page(2), &page(0xBB)).unwrap();
+        wal.flush().unwrap();
+        let mut store = store_with_pages(3);
+        store.write_page(PageId(1), &page(0xAA)).unwrap();
+        store.write_page(PageId(2), &page(0xBB)).unwrap();
         let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
         assert_eq!(report.pages_redone, 1);
         assert_eq!(report.pages_undone, 1);
@@ -313,8 +311,10 @@ mod tests {
         drop(tree);
         let survived = durable.read_all().unwrap();
 
+        let mut store = MemStore::from_bytes(image_at_checkpoint);
+        recover(&mut store, &survived).unwrap();
         let recovered = ConcurrentDiskRTree::open_writable(
-            MemStore::from_bytes(image_at_checkpoint),
+            store,
             16,
             LruPolicy::new(),
             GroupWal::open(MemLog::new()).unwrap(),

@@ -10,11 +10,12 @@
 //! generic over the seam (monomorphized, never `dyn`). Writes read pages
 //! the way walks do: [`PageWrite::load`] is a level-checked fetch.
 //!
-//! Each tree has one view type implementing both: the per-operation view
-//! over [`crate::DiskRTree`]'s one pool (no latches — the paper's
-//! configuration) and the cursor over [`crate::ConcurrentDiskRTree`] (shard
-//! pools behind the writer overlay, shared-latch coupling between levels,
-//! exclusive-latch crabbing for the insert descent).
+//! One view type implements both: the cursor over
+//! [`crate::ConcurrentDiskRTree`] (shard pools behind the writer overlay,
+//! shared-latch coupling between levels, exclusive-latch crabbing for the
+//! insert descent), which [`crate::DiskRTree`] reads and writes through
+//! too. With no latches in play (a read-only tree, or the exclusive gate
+//! held) its hooks are inert: the paper's configuration.
 
 use crate::{NodePage, PageMeta, PageView};
 use std::io;

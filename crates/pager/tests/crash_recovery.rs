@@ -1,19 +1,20 @@
 //! Crash-recovery property tests: a random insert/delete workload runs
 //! against a WAL-attached [`DiskRTree`] over a fault-injecting store (or a
 //! fault-injecting log), crashes at an arbitrary point, and is recovered
-//! from the surviving log + store. The recovered tree must answer every
-//! query exactly like an in-memory reference tree that applied only the
-//! committed operations — across LRU, Clock and FIFO replacement, with and
-//! without torn writes. The writable [`ConcurrentDiskRTree`] gets the same
-//! treatment for a crash inside its checkpoint, recovered the one way both
-//! trees restart: `recover`, open, `replay_committed`.
+//! from the surviving log + store the one way every tree restarts:
+//! `recover`, a writable open, `replay_committed`. The recovered tree must
+//! answer every query exactly like an in-memory reference tree that
+//! applied only the committed operations — across LRU, Clock and FIFO
+//! replacement, with and without torn writes. The writable
+//! [`ConcurrentDiskRTree`] gets the same treatment for a crash inside its
+//! checkpoint.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_buffer::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
 use rtree_geom::Rect;
-use rtree_index::RTreeBuilder;
+use rtree_index::{BulkLoader, RTreeBuilder};
 use rtree_pager::{
     recover, replay_committed, ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore,
     MemStore,
@@ -26,8 +27,8 @@ use std::time::Duration;
 const MAX: usize = 8;
 /// Minimum fill (`m`).
 const MIN: usize = 3;
-/// Buffer frames: small enough that evictions (and hence write-backs that
-/// the crash can land on) happen constantly.
+/// Buffer frames: far fewer than the tree's pages, so reads miss
+/// constantly.
 const FRAMES: usize = 8;
 /// Operations per workload.
 const OPS: usize = 1000;
@@ -37,15 +38,17 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
     v
 }
 
-/// Runs the workload until it finishes or the injected fault fires, then
-/// simulates the reboot: buffered state is discarded, the log is replayed
-/// against the bare store, and the recovered tree is swept against the
-/// reference.
+/// Runs the workload until it finishes or the injected fault fires — it
+/// must have, by the end, when `switch` is given — then simulates the
+/// reboot: buffered state is discarded, the store is recovered from the
+/// log, opened writable and the log's committed ops replayed, and the
+/// recovered tree is swept against the reference.
 fn drive<S: ConcurrentPageStore>(
     mut disk: DiskRTree<S>,
     log: MemLog,
     seed: u64,
     extract: impl FnOnce(S) -> MemStore,
+    switch: &CrashSwitch,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut reference = RTreeBuilder::new(MAX).min_entries(MIN).build();
@@ -94,13 +97,18 @@ fn drive<S: ConcurrentPageStore>(
         }
     }
 
-    // Reboot: drop all buffered frames (dirty pages included) and replay.
+    assert!(switch.is_tripped(), "the injected fault never fired");
+
+    // Reboot: drop all buffered state (the overlay included) and restart.
     let mut store = extract(disk.into_store());
-    recover(&mut store, &log.read_all().unwrap()).unwrap();
-    let recovered = DiskRTree::open(store, 64, LruPolicy::new()).unwrap();
+    let log = log.read_all().unwrap();
+    recover(&mut store, &log).unwrap();
+    let wal = GroupWal::open(MemLog::new()).unwrap();
+    let recovered = ConcurrentDiskRTree::open_writable(store, 64, LruPolicy::new(), wal).unwrap();
+    replay_committed(&log, &recovered).unwrap();
 
     assert_eq!(
-        recovered.meta().items,
+        recovered.live_items(),
         reference.len() as u64,
         "recovered item count must match committed operations"
     );
@@ -129,72 +137,84 @@ fn drive<S: ConcurrentPageStore>(
 
 /// Crash on the `at`-th physical page write (optionally tearing it).
 fn run_store_crash(seed: u64, at: u64, torn: bool, policy: impl ReplacementPolicy + 'static) {
-    let log = MemLog::new();
-    let store = FaultStore::new(MemStore::new(), CrashSwitch::new()).crash_at_write(at, torn);
+    let (log, switch) = (MemLog::new(), CrashSwitch::new());
+    let store = FaultStore::new(MemStore::new(), switch.clone()).crash_at_write(at, torn);
     let mut disk = DiskRTree::create_empty(store, MAX, MIN, FRAMES, policy).unwrap();
     disk.attach_wal(GroupWal::open(log.clone()).unwrap());
-    drive(disk, log, seed, FaultStore::into_inner);
+    drive(disk, log, seed, FaultStore::into_inner, &switch);
 }
 
 /// Crash on the `at`-th log append (optionally leaving a torn tail).
 fn run_log_crash(seed: u64, at: u64, torn: bool, policy: impl ReplacementPolicy + 'static) {
-    let log = MemLog::new();
-    let backend = FaultLog::new(log.clone(), CrashSwitch::new()).crash_at_append(at, torn);
+    let (log, switch) = (MemLog::new(), CrashSwitch::new());
+    let backend = FaultLog::new(log.clone(), switch.clone()).crash_at_append(at, torn);
     let mut disk = DiskRTree::create_empty(MemStore::new(), MAX, MIN, FRAMES, policy).unwrap();
     disk.attach_wal(GroupWal::open(backend).unwrap());
-    drive(disk, log, seed, |s| s);
+    drive(disk, log, seed, |s| s, &switch);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // `at in 3..` skips the two bootstrap writes of `create_empty`, which
-    // happen before the WAL is attached. The log appends once per flush or
-    // commit, ≈ 1 500 times over a run, so `at in 1..1200` fires in every case.
+    // The store is written only by the checkpoints (every 193 ops), after
+    // the two bootstrap writes of `create_empty`: a run writes ≥ 85 pages
+    // in its five checkpoints (the least over 200 seeds), so
+    // `at in 3..80` lands inside a checkpoint in every case. The log
+    // appends once per commit and twice per checkpoint, 1 010 times over a
+    // run, so `at in 1..1000` fires in every case too.
 
     #[test]
-    fn lru_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..400, torn in any::<bool>()) {
+    fn lru_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..80, torn in any::<bool>()) {
         run_store_crash(seed, at, torn, LruPolicy::new());
     }
 
     #[test]
-    fn clock_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..400, torn in any::<bool>()) {
+    fn clock_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..80, torn in any::<bool>()) {
         run_store_crash(seed, at, torn, ClockPolicy::new());
     }
 
     #[test]
-    fn fifo_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..400, torn in any::<bool>()) {
+    fn fifo_recovers_from_store_crash(seed in any::<u64>(), at in 3u64..80, torn in any::<bool>()) {
         run_store_crash(seed, at, torn, FifoPolicy::new());
     }
 
     #[test]
-    fn lru_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1200, torn in any::<bool>()) {
+    fn lru_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1000, torn in any::<bool>()) {
         run_log_crash(seed, at, torn, LruPolicy::new());
     }
 
     #[test]
-    fn clock_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1200, torn in any::<bool>()) {
+    fn clock_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1000, torn in any::<bool>()) {
         run_log_crash(seed, at, torn, ClockPolicy::new());
     }
 
     #[test]
-    fn fifo_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1200, torn in any::<bool>()) {
+    fn fifo_recovers_from_log_crash(seed in any::<u64>(), at in 1u64..1000, torn in any::<bool>()) {
         run_log_crash(seed, at, torn, FifoPolicy::new());
     }
 }
 
 /// A read fault (bad sector) surfaces as a typed error, not a panic or
-/// silent corruption, and does not poison later reads.
+/// silent corruption. The writes start from a bulk-loaded image, whose
+/// pages the inserts read from the store.
 #[test]
 fn transient_read_fault_is_an_error_not_a_panic() {
-    let store = FaultStore::new(MemStore::new(), CrashSwitch::new()).fail_read_at(40);
-    let mut disk = DiskRTree::create_empty(store, MAX, MIN, 4, LruPolicy::new()).unwrap();
+    let rects: Vec<Rect> = (0..2_000)
+        .map(|i| {
+            let (x, y) = ((i as f64 * 0.618_033) % 0.9, (i as f64 * 0.414_213) % 0.9);
+            Rect::new(x, y, x + 0.01, y + 0.01)
+        })
+        .collect();
+    let bulk = BulkLoader::hilbert(MAX).load(&rects);
+    let image = DiskRTree::create(MemStore::new(), &bulk, 4, LruPolicy::new()).unwrap();
+    let store = FaultStore::new(image.into_store(), CrashSwitch::new()).fail_read_at(40);
+    let mut disk = DiskRTree::open(store, 4, LruPolicy::new()).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let mut failure = None;
     for i in 0..200u64 {
         let x = rng.gen_range(0.0..0.9);
         let y = rng.gen_range(0.0..0.9);
-        if let Err(e) = disk.insert(Rect::new(x, y, x + 0.01, y + 0.01), i) {
+        if let Err(e) = disk.insert(Rect::new(x, y, x + 0.01, y + 0.01), 10_000 + i) {
             failure = Some(e);
             break;
         }

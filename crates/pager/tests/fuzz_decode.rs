@@ -229,8 +229,8 @@ fn point_page() -> Vec<u8> {
     page
 }
 
-/// A free-list page exactly as the sequential tree writes one: empty a
-/// small tree again, flush, and lift the first `FREE`-tagged page out of
+/// A free-list page exactly as a checkpoint writes one: empty a small tree
+/// again, flush, and lift the first `FREE`-tagged page out of
 /// the image.
 fn free_page() -> Vec<u8> {
     let mut tree = DiskRTree::create_empty(MemStore::new(), 4, 2, 8, LruPolicy::new()).unwrap();

@@ -1,6 +1,6 @@
 //! One span rule for every tree: a read-only single-shard
-//! `ConcurrentDiskRTree` and a `DiskRTree` (the same tree with its
-//! sequential writer) over the same image, driven by the same region /
+//! `ConcurrentDiskRTree` and a `DiskRTree` (the same tree with `&mut`
+//! write entry points) over the same image, driven by the same region /
 //! point / kNN / batch stream, must open the same spans, put the same
 //! charged events under each, and record the same reads and accesses
 //! histograms — and, sharded or not, a span is live only while a sink is

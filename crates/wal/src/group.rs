@@ -2,10 +2,10 @@
 //!
 //! [`GroupWal`] is the workspace's one log front-end, shared and
 //! thread-safe. It carries both record families (see the crate docs): the
-//! concurrent tree's *logical* op records ([`crate::WalRecord::OpInsert`] /
-//! [`crate::WalRecord::OpDelete`]) and the sequential tree's *physical*
-//! page images ([`crate::WalRecord::PageImage`]), under one LSN sequence and
-//! one commit, flush and poison protocol. Writers stage their records and
+//! writer's *logical* op records ([`crate::WalRecord::OpInsert`] /
+//! [`crate::WalRecord::OpDelete`]) and a checkpoint's *physical* page
+//! images ([`crate::WalRecord::PageImage`]), under one LSN sequence and one
+//! commit, flush and poison protocol. Writers stage their records and
 //! then call [`GroupWal::commit`]. Staging lands in an in-memory **log
 //! buffer** under a short critical section; the durability barrier runs
 //! with that mutex *released*, so new appends keep flowing while the leader
@@ -34,8 +34,8 @@
 //! (follower); otherwise it leads one batch covering *every* record staged
 //! so far — its own and all concurrently appended ops — with a single
 //! durability barrier for the whole batch. [`GroupWal::flush`] runs the
-//! same barrier without a `Commit`: the write-back pool's rule that a dirty
-//! page's images are durable before the page overwrites the store.
+//! same barrier without a `Commit`: the checkpoint's rule that a page's
+//! images are durable before the page overwrites the store.
 //!
 //! Crash semantics of the buffer: staged-but-unflushed records live only in
 //! memory, exactly like appended-but-unsynced bytes in a volatile file
@@ -71,6 +71,8 @@ pub struct GroupCommitStats {
     pub committed_ops: u64,
     /// Largest number of ops a single commit batch covered.
     pub max_batch: u64,
+    /// Bytes flushed to the backend, across checkpoint truncations.
+    pub bytes: u64,
 }
 
 /// The error every call on a [`GroupWal`] returns after a flush failed;
@@ -286,7 +288,7 @@ impl GroupWal {
 
     /// Makes every staged record durable (one append, one sync) without a
     /// `Commit`: the records stay uncommitted and `durable_lsn` does not
-    /// move. A write-back pool calls this before a dirty page may overwrite
+    /// move. A checkpoint calls this before its first page may overwrite
     /// the store. A failure poisons the log, as a failed commit does.
     pub fn flush(&self) -> io::Result<()> {
         let s = self.wait_not_syncing()?;
@@ -299,8 +301,8 @@ impl GroupWal {
     /// The one flush path. Called with the state lock held and no sync in
     /// flight: takes the leader token (`syncing`) and the staged buffer,
     /// then with the state lock released appends it, syncs, and for a
-    /// checkpoint truncates. Success counts the fsync and runs `done` under
-    /// the state lock; failure poisons the log. Either way the token is
+    /// checkpoint truncates. Success counts the fsync and the bytes, and
+    /// runs `done` under the state lock; failure poisons the log. Either way the token is
     /// handed back and every waiter woken, so after an error each of them
     /// finds the log poisoned.
     fn write_out<'a>(
@@ -326,6 +328,7 @@ impl GroupWal {
         s.poisoned = flushed.is_err();
         if flushed.is_ok() {
             s.stats.fsyncs += 1;
+            s.stats.bytes += bytes.len() as u64;
             done(&mut s);
         }
         drop(s);

@@ -1,14 +1,14 @@
 //! Write-ahead log for the disk R-trees: one front-end, [`GroupWal`], two
 //! record families, one commit and poison protocol.
 //!
+//! *Logical* [`WalRecord::OpInsert`] / [`WalRecord::OpDelete`] records
+//! are the tree writer's, one per operation; its dirty pages reach the
+//! store only at a checkpoint, and recovery re-applies committed ops.
 //! *Physical* [`WalRecord::PageImage`]s carry a page's full before- and
-//! after-image: the sequential tree's write-back pool stages one per
-//! buffered write and [`GroupWal::flush`]es them before a dirty page may
-//! reach the store, and recovery redoes committed after-images and undoes
-//! the rest, which also repairs a torn page write. *Logical*
-//! [`WalRecord::OpInsert`] / [`WalRecord::OpDelete`] records are the
-//! concurrent tree's, whose dirty pages reach the store only at a
-//! checkpoint: recovery re-applies committed ops. Both share the LSN
+//! after-image: the checkpoint stages one per page it writes and
+//! [`GroupWal::flush`]es them before the first page reaches the store, and
+//! recovery redoes committed after-images and undoes the rest — a
+//! checkpoint that died part-way — which also repairs a torn page write. Both share the LSN
 //! sequence, group commit, checkpoints and the poison rule (a failed flush
 //! fails every later call until the log is reopened); [`commit_horizon`] is
 //! the one reading of what a recovery applies.

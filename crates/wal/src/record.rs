@@ -23,10 +23,10 @@
 //! kind 5 (OpDelete):   1B kind | 8B lsn | 4×8B rect (lo.x lo.y hi.x hi.y) | 8B item
 //! ```
 //!
-//! One log, two record families: kind 1 is the sequential tree's
-//! *physical* page images (redone or undone by recovery), kinds 4–5 the
-//! concurrent tree's *logical* ops (re-applied by recovery). Kinds 2–3, the
-//! commit and checkpoint markers, close either family.
+//! One log, two record families: kind 1 is a checkpoint's *physical* page
+//! images (redone or undone by recovery), kinds 4–5 the writer's *logical*
+//! ops (re-applied by recovery). Kinds 2–3, the commit and checkpoint
+//! markers, close either family.
 
 use crate::crc32;
 
