@@ -5,7 +5,6 @@
 
 use rtree_buffer::ReplacementPolicy;
 use rtree_core::Workload;
-use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::RTree;
 use rtree_obs::Histogram;
@@ -40,15 +39,14 @@ pub fn batch_curve(
     stream: &[Rect],
     sizes: &[usize],
 ) -> io::Result<Vec<BatchPoint>> {
-    let exec = BatchExecutor::new();
     sizes
         .iter()
         .map(|&size| {
-            let mut disk = DiskRTree::create(MemStore::new(), tree, buffer, policy())?;
+            let disk = DiskRTree::create(MemStore::new(), tree, buffer, policy())?;
             let (mut work, mut requests) = (0u64, 0u64);
             let started = Instant::now();
             for chunk in stream.chunks(size) {
-                let out = exec.execute(&mut disk, chunk)?;
+                let out = disk.query_batch(chunk, 1)?;
                 work += out.stats.work_items;
                 requests += out.stats.page_requests;
             }

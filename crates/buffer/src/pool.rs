@@ -98,11 +98,6 @@ pub struct BufferPool {
     policy: Box<dyn ReplacementPolicy>,
     resident: HashSet<PageId>,
     pinned: HashSet<PageId>,
-    /// Pages whose cached contents differ from the backing store. The pool
-    /// only tracks the set; writing the bytes back is the buffer manager's
-    /// job (it must consult this on every eviction — see
-    /// `AccessOutcome::Miss { evicted }`).
-    dirty: HashSet<PageId>,
     stats: BufferStats,
 }
 
@@ -118,7 +113,6 @@ impl BufferPool {
             policy: Box::new(policy),
             resident: HashSet::with_capacity(capacity + 1),
             pinned: HashSet::new(),
-            dirty: HashSet::new(),
             stats: BufferStats::default(),
         }
     }
@@ -200,7 +194,7 @@ impl BufferPool {
     /// Pins a page: it becomes resident (loaded from disk if needed —
     /// counted as a miss) and exempt from replacement until unpinned.
     /// Returns the page evicted to make room, if any — the caller owns its
-    /// frame and must write it back if dirty.
+    /// frame.
     pub fn pin(&mut self, page: PageId) -> Result<Option<PageId>, PinError> {
         let was_resident = self.resident.contains(&page);
         let evicted = self.admit_pinned(page)?;
@@ -213,8 +207,7 @@ impl BufferPool {
 
     /// Like [`BufferPool::pin`] but *without* touching the access/hit/miss
     /// statistics: re-admits a page the caller already holds — a pinned
-    /// page carried over by a resize, or a victim taken back when the read
-    /// that evicted it failed — so no access is charged for it.
+    /// page carried over by a resize — so no access is charged for it.
     pub fn admit_pinned(&mut self, page: PageId) -> Result<Option<PageId>, PinError> {
         if self.pinned.contains(&page) {
             return Ok(None);
@@ -262,50 +255,12 @@ impl BufferPool {
             return false;
         }
         self.policy.remove(page);
-        self.dirty.remove(&page);
         true
     }
 
     /// Number of pinned pages.
     pub fn pinned_count(&self) -> usize {
         self.pinned.len()
-    }
-
-    /// Marks a resident page as modified relative to the backing store.
-    ///
-    /// # Panics
-    /// Panics if the page is not resident — a dirty page with no frame
-    /// would be unrecoverable.
-    pub fn mark_dirty(&mut self, page: PageId) {
-        assert!(
-            self.resident.contains(&page),
-            "marking non-resident page dirty"
-        );
-        self.dirty.insert(page);
-    }
-
-    /// Clears the dirty mark (after the manager wrote the page back).
-    pub fn clear_dirty(&mut self, page: PageId) {
-        self.dirty.remove(&page);
-    }
-
-    /// True if the page is marked dirty. Valid to ask about just-evicted
-    /// pages: eviction does not clear the mark, so the manager can decide
-    /// whether the victim needs a write-back.
-    pub fn is_dirty(&self, page: PageId) -> bool {
-        self.dirty.contains(&page)
-    }
-
-    /// All dirty pages, sorted for deterministic flush order.
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.dirty.iter().copied().collect();
-        pages.sort_unstable_by_key(|p| p.0);
-        pages
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
     }
 }
 
@@ -464,44 +419,6 @@ mod tests {
     #[should_panic]
     fn zero_capacity_rejected() {
         let _ = BufferPool::new(0, LruPolicy::new());
-    }
-
-    #[test]
-    fn dirty_marks_tracked_and_cleared() {
-        let mut pool = BufferPool::new(4, LruPolicy::new());
-        pool.access(PageId(1));
-        pool.access(PageId(2));
-        pool.mark_dirty(PageId(1));
-        pool.mark_dirty(PageId(2));
-        pool.mark_dirty(PageId(2));
-        assert!(pool.is_dirty(PageId(1)));
-        assert_eq!(pool.dirty_count(), 2);
-        assert_eq!(pool.dirty_pages(), vec![PageId(1), PageId(2)]);
-        pool.clear_dirty(PageId(1));
-        assert!(!pool.is_dirty(PageId(1)));
-        assert_eq!(pool.dirty_pages(), vec![PageId(2)]);
-    }
-
-    #[test]
-    fn eviction_keeps_dirty_mark_for_manager() {
-        let mut pool = BufferPool::new(1, LruPolicy::new());
-        pool.access(PageId(1));
-        pool.mark_dirty(PageId(1));
-        match pool.access(PageId(2)) {
-            AccessOutcome::Miss { evicted } => assert_eq!(evicted, Some(PageId(1))),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The mark survives eviction so the manager can flush the victim.
-        assert!(pool.is_dirty(PageId(1)));
-        pool.clear_dirty(PageId(1));
-        assert_eq!(pool.dirty_count(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dirty_requires_residency() {
-        let mut pool = BufferPool::new(2, LruPolicy::new());
-        pool.mark_dirty(PageId(7));
     }
 
     /// Regression (per policy): an unpinned page re-enters the replacement

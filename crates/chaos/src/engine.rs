@@ -26,7 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_buffer::LruPolicy;
 use rtree_core::TreeDescription;
-use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::{RTree, RTreeBuilder};
 use rtree_obs::{CountingSink, TraceSink, TuneObserver};
@@ -272,7 +271,7 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
                     });
                 }
                 ChaosOp::BatchQuery(rects) => {
-                    let out = BatchExecutor::new().execute(&mut disk, rects)?;
+                    let out = disk.query_batch(rects, 1)?;
                     for (i, (rect, got)) in rects.iter().zip(out.results).enumerate() {
                         report.check_ids(Differential, got, reference.search(rect), |g, w| {
                             format!(
@@ -965,10 +964,10 @@ fn run_accounting_phase(
             "accounting-phase query failed",
         )?;
     }
-    // ...then once more through the batch executor, so the batch path's
+    // ...then once more through the batched walk, so the batch path's
     // ledger is reconciled under the seed-chosen policy and capacity too.
     for chunk in query_rects.chunks(8) {
-        let batch = BatchExecutor::new().execute(&mut disk, chunk);
+        let batch = disk.query_batch(chunk, 1);
         must(batch.map(drop), Accounting, "accounting-phase batch failed")?;
     }
     // Writes: a deterministic fault-free burst, inserted then removed so

@@ -1,4 +1,4 @@
-//! Rect-vs-many-rects kernels over a flat SoA layout.
+//! Rect-vs-many-rects kernels over the coordinate planes of a node page.
 //!
 //! The traversal hot paths test one query rectangle (or point) against
 //! every entry of a node page at once. Stored as a structure of arrays
@@ -16,9 +16,9 @@
 //! - distance ([`Within`]) — kNN bound pruning: minimum squared distances
 //!   with entries past the current bound discarded in-kernel.
 //!
-//! Each variant's loop is written once ([`scan`]) over where the lanes come
-//! from ([`Plane`]: page bytes where they lie — [`crate::planes`] — or a
-//! decoded [`RectSoA`]) and what is asked of them ([`Test`]).
+//! Each variant's loop is written once ([`scan`]) over how the lanes are
+//! read ([`Plane`]: `f64` or dequantized `u16` page bytes where they lie —
+//! [`crate::planes`]) and what is asked of them ([`Test`]).
 //!
 //! Intersection is closed on both ends, exactly like [`Rect::intersects`]:
 //! rectangles that merely touch (shared edge or corner) intersect, and
@@ -27,7 +27,7 @@
 //! property-tested against (`tests/simd_vs_scalar.rs`, on page bytes of
 //! every layout); it is the differential oracle and is never deleted.
 
-use crate::simd::{active_kernel, KernelKind};
+use crate::simd::KernelKind;
 use crate::{Point, Rect};
 
 /// Block width for the portable kernel's bitmask accumulator: comparisons
@@ -35,107 +35,12 @@ use crate::{Point, Rect};
 /// extracted from a `u64` mask per block.
 const BLOCK: usize = 64;
 
-/// A set of rectangles in structure-of-arrays layout, filled plane by plane
-/// ([`RectSoA::arrays_mut`]): the shape a node page decodes into.
-///
-/// # Examples
-///
-/// ```
-/// use rtree_geom::{Rect, RectSoA};
-///
-/// let mut soa = RectSoA::new();
-/// let (lo_x, lo_y, hi_x, hi_y) = soa.arrays_mut();
-/// lo_x.push(0.2); lo_y.push(0.2); hi_x.push(0.4); hi_y.push(0.4);
-/// let mut out = Vec::new();
-/// soa.intersecting(&Rect::new(0.1, 0.1, 0.2, 0.2), &mut out);
-/// assert_eq!(out, vec![0]); // touching counts
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct RectSoA {
-    lo_x: Vec<f64>,
-    lo_y: Vec<f64>,
-    hi_x: Vec<f64>,
-    hi_y: Vec<f64>,
-}
-
-impl RectSoA {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        RectSoA::default()
-    }
-
-    /// Removes every rectangle, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.lo_x.clear();
-        self.lo_y.clear();
-        self.hi_x.clear();
-        self.hi_y.clear();
-    }
-
-    /// Number of rectangles in the set.
-    pub fn len(&self) -> usize {
-        self.lo_x.len()
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lo_x.is_empty()
-    }
-
-    /// Mutable access to the four coordinate arrays — the page decoder's
-    /// zero-gather fill seam (reuse the capacity, extend each array in one
-    /// contiguous pass). The caller must leave all four the same length;
-    /// the kernels assert it.
-    pub fn arrays_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>) {
-        (
-            &mut self.lo_x,
-            &mut self.lo_y,
-            &mut self.hi_x,
-            &mut self.hi_y,
-        )
-    }
-
-    /// The rectangle at `i`, reassembled. No validation is applied (this
-    /// bypasses [`Rect::new`]'s debug validity assertion).
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> Rect {
-        rect_at(self.planes(), i)
-    }
-
-    /// The MBR of the set, or `None` if it is empty.
-    pub fn mbr(&self) -> Option<Rect> {
-        (0..self.len())
-            .map(|i| self.get(i))
-            .reduce(|acc, r| acc.union(&r))
-    }
-
-    fn planes(&self) -> Planes<&[f64]> {
-        [&self.lo_x, &self.lo_y, &self.hi_x, &self.hi_y]
-    }
-
-    /// Appends the index of every rectangle intersecting `q` to `out`, in
-    /// ascending order, through the dispatched kernel (see
-    /// [`crate::simd::active_kernel`]).
-    #[inline]
-    pub fn intersecting(&self, q: &Rect, out: &mut Vec<u32>) {
-        scan::<_, _, false>(active_kernel(), self.planes(), Intersects(*q), out);
-    }
-
-    /// Scalar reference implementation of [`RectSoA::intersecting`]: one
-    /// [`Rect::intersects`] call per entry.
-    pub fn intersecting_scalar(&self, q: &Rect, out: &mut Vec<u32>) {
-        scan::<_, _, false>(KernelKind::Scalar, self.planes(), Intersects(*q), out);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::__m256d;
 
-/// One coordinate plane as the kernels read it: lanes come from a decoded
-/// `f64` slice or from page bytes where they lie ([`crate::planes`]), so
-/// each loop below is written once for every source.
+/// One coordinate plane as the kernels read it: lanes read from page bytes
+/// where they lie ([`crate::planes`]), so each loop below is written once
+/// for every page layout.
 pub(crate) trait Plane: Copy {
     /// Number of lanes.
     fn len(self) -> usize;
@@ -154,26 +59,6 @@ pub(crate) trait Plane: Copy {
     /// `y` planes as `hi` too): the AVX2 scan then loads each lane once.
     fn same(self, _other: Self) -> bool {
         false
-    }
-}
-
-impl Plane for &[f64] {
-    #[inline(always)]
-    fn len(self) -> usize {
-        <[f64]>::len(self)
-    }
-
-    #[inline(always)]
-    fn get(self, i: usize) -> f64 {
-        self[i]
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn load4(self, i: usize) -> __m256d {
-        // SAFETY (caller): lanes i..i + 4 are in bounds; loadu needs no
-        // alignment.
-        std::arch::x86_64::_mm256_loadu_pd(self.as_ptr().add(i))
     }
 }
 
@@ -460,38 +345,38 @@ fn min_dist2_select(p: &Point, lo_x: f64, lo_y: f64, hi_x: f64, hi_y: f64) -> f6
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{active_kernel, available_kernels, EntryPlanes, Point, Rect};
 
-    /// The set holding `rects`, filled plane by plane as a page decode
-    /// fills it.
-    fn soa(rects: &[Rect]) -> RectSoA {
-        let mut soa = RectSoA::new();
-        let (lo_x, lo_y, hi_x, hi_y) = soa.arrays_mut();
-        for r in rects {
-            lo_x.push(r.lo.x);
-            lo_y.push(r.lo.y);
-            hi_x.push(r.hi.x);
-            hi_y.push(r.hi.y);
-        }
-        soa
+    /// `rects` as a page stores them: four planes of little-endian `f64`
+    /// lanes, `[lo_x, lo_y, hi_x, hi_y]`, back to back.
+    fn page_bytes(rects: &[Rect]) -> Vec<u8> {
+        let coords: [fn(&Rect) -> f64; 4] = [|r| r.lo.x, |r| r.lo.y, |r| r.hi.x, |r| r.hi.y];
+        let plane = |c: fn(&Rect) -> f64| rects.iter().flat_map(move |r| c(r).to_le_bytes());
+        coords.into_iter().flat_map(plane).collect()
     }
 
-    fn grid(n: usize) -> RectSoA {
-        let rects: Vec<Rect> = (0..n)
+    /// The entry planes of [`page_bytes`]' output, read in place.
+    fn planes(bytes: &[u8]) -> EntryPlanes<'_> {
+        let len = bytes.len() / 4;
+        EntryPlanes::F64(std::array::from_fn(|k| &bytes[k * len..][..len]))
+    }
+
+    fn grid(n: usize) -> Vec<Rect> {
+        (0..n)
             .map(|i| {
                 let x = (i % 10) as f64 / 10.0;
                 let y = (i / 10) as f64 / 10.0;
                 Rect::new(x, y, x + 0.1, y + 0.1)
             })
-            .collect();
-        soa(&rects)
+            .collect()
     }
 
     #[test]
     fn kernels_match_scalar_on_a_grid() {
         // 150 rects spans multiple mask blocks (and non-multiple-of-lane
         // tails).
-        let soa = grid(150);
+        let rects = grid(150);
+        let bytes = page_bytes(&rects);
         let queries = [
             Rect::new(0.0, 0.0, 1.0, 1.0),
             Rect::new(0.25, 0.25, 0.55, 0.35),
@@ -499,69 +384,79 @@ mod tests {
             Rect::new(2.0, 2.0, 3.0, 3.0), // disjoint from everything
         ];
         for q in &queries {
-            let mut slow = Vec::new();
-            soa.intersecting_scalar(q, &mut slow);
-            let direct = (0..150).filter(|&i| soa.get(i as usize).intersects(q));
-            assert_eq!(
-                slow,
-                direct.collect::<Vec<u32>>(),
-                "scalar vs Rect::intersects"
-            );
-            for kind in crate::available_kernels() {
-                let mut fast = Vec::new();
-                scan::<_, _, false>(kind, soa.planes(), Intersects(*q), &mut fast);
-                assert_eq!(fast, slow, "{kind:?} vs scalar, query {q}");
+            let direct = (0..150).filter(|&i| rects[i as usize].intersects(q));
+            let direct: Vec<u32> = direct.collect();
+            // Scalar first: the reference is one `Rect::intersects` per entry.
+            for kind in available_kernels() {
+                let mut got = Vec::new();
+                planes(&bytes).intersecting(kind, q, &mut got).unwrap();
+                assert_eq!(got, direct, "{kind:?}, query {q}");
             }
         }
     }
 
     #[test]
     fn touching_edges_count_as_intersecting() {
-        let soa = soa(&[Rect::new(0.5, 0.0, 1.0, 1.0)]);
-        let mut out = Vec::new();
-        soa.intersecting(&Rect::new(0.0, 0.0, 0.5, 1.0), &mut out);
-        assert_eq!(out, vec![0], "shared edge intersects (closed intervals)");
+        let bytes = page_bytes(&[Rect::new(0.5, 0.0, 1.0, 1.0)]);
+        for kind in available_kernels() {
+            let mut out = Vec::new();
+            let q = Rect::new(0.0, 0.0, 0.5, 1.0);
+            planes(&bytes).intersecting(kind, &q, &mut out).unwrap();
+            assert_eq!(out, vec![0], "shared edge intersects (closed intervals)");
+        }
     }
 
     #[test]
     fn round_trips_and_clears() {
+        // An entry reads back from page bytes as the rectangle written;
+        // planes cut to no entries hold nothing.
         let r = Rect::new(0.1, 0.2, 0.3, 0.4);
-        let mut soa = soa(&[r]);
-        assert_eq!(soa.len(), 1);
-        assert_eq!(soa.get(0), r);
-        soa.clear();
-        assert!(soa.is_empty());
+        assert_eq!(planes(&page_bytes(&[r])).get(0), r);
+        let empty = planes(&[]);
+        assert_eq!(empty.mbr(), Ok(None));
+        let mut out = Vec::new();
+        empty.intersecting(active_kernel(), &r, &mut out).unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]
     fn mbr_is_the_union() {
-        let soa = soa(&[Rect::new(0.0, 0.1, 0.2, 0.3), Rect::new(0.5, 0.6, 0.9, 0.8)]);
-        assert_eq!(soa.mbr(), Some(Rect::new(0.0, 0.1, 0.9, 0.8)));
-        assert_eq!(RectSoA::new().mbr(), None);
+        let rects = [Rect::new(0.0, 0.1, 0.2, 0.3), Rect::new(0.5, 0.6, 0.9, 0.8)];
+        let bytes = page_bytes(&rects);
+        assert_eq!(
+            planes(&bytes).mbr(),
+            Ok(Some(Rect::new(0.0, 0.1, 0.9, 0.8)))
+        );
+        assert_eq!(planes(&[]).mbr(), Ok(None));
     }
 
     #[test]
     #[should_panic(expected = "differ in length")]
     fn kernels_reject_ragged_arrays() {
-        let mut soa = soa(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
-        soa.arrays_mut().2.push(0.5);
-        soa.intersecting(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut Vec::new());
+        let bytes = page_bytes(&[Rect::new(0.0, 0.0, 1.0, 1.0)]);
+        let hi_x = [&bytes[16..24], &0.5f64.to_le_bytes()[..]].concat();
+        let ragged = EntryPlanes::F64([&bytes[..8], &bytes[8..16], &hi_x, &bytes[24..]]);
+        let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let _ = ragged.intersecting(active_kernel(), &everything, &mut Vec::new());
     }
 
     #[test]
     fn min_dist2_matches_reference_and_prunes() {
-        let soa = grid(97);
+        let rects = grid(97);
+        let bytes = page_bytes(&rects);
         let p = Point::new(0.42, 0.13);
         let within = |kind, bound| {
             let mut out = Vec::new();
-            scan::<_, _, false>(kind, soa.planes(), Within { p, bound }, &mut out);
+            planes(&bytes)
+                .min_dist2_within(kind, &p, bound, &mut out)
+                .unwrap();
             out
         };
-        let all = within(KernelKind::Scalar, f64::INFINITY);
-        assert_eq!(all.len(), soa.len(), "infinite bound keeps everything");
+        let all = within(crate::KernelKind::Scalar, f64::INFINITY);
+        assert_eq!(all.len(), rects.len(), "infinite bound keeps everything");
         // Textbook MINDIST agreement on valid rectangles.
         for &(i, d2) in &all {
-            let r = soa.get(i as usize);
+            let r = rects[i as usize];
             let dx = (r.lo.x - p.x).max(0.0).max(p.x - r.hi.x);
             let dy = (r.lo.y - p.y).max(0.0).max(p.y - r.hi.y);
             assert_eq!(d2, dx * dx + dy * dy, "entry {i}");
@@ -569,7 +464,7 @@ mod tests {
         // A finite bound is honored (closed: <=), in every variant.
         let bound = 0.05;
         let want: Vec<(u32, f64)> = all.iter().copied().filter(|&(_, d)| d <= bound).collect();
-        for kind in crate::available_kernels() {
+        for kind in available_kernels() {
             assert_eq!(within(kind, bound), want, "{kind:?}");
         }
     }

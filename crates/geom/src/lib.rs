@@ -7,9 +7,9 @@
 //! domain `U'`), and the Hilbert / Morton space-filling curves used by the
 //! packing loaders.
 //!
-//! All geometry is `f64` and the primitive types are `Copy`; only the
-//! batched [`RectSoA`] kernel owns buffers ([`EntryPlanes`] runs the same
-//! kernels on borrowed page bytes).
+//! All geometry is `f64` and the primitive types are `Copy`; the batched
+//! rectangle kernels own no buffers: [`EntryPlanes`] runs them on borrowed
+//! page bytes.
 
 mod batch;
 mod hilbert;
@@ -20,7 +20,6 @@ pub mod quant;
 mod rect;
 pub mod simd;
 
-pub use batch::RectSoA;
 pub use hilbert::{hilbert_index, hilbert_point, HilbertCurve};
 pub use morton::{morton_index, MortonCurve};
 pub use planes::{CorruptEntry, EntryPlanes};

@@ -49,20 +49,6 @@ pub fn dequant(code: u16, base: f64, quantum: f64, top: f64) -> f64 {
     }
 }
 
-/// Bulk [`dequant`]: decodes a plane of codes, appending to `out`. The
-/// pager's SoA decode uses this to fill each coordinate plane contiguously,
-/// keeping the no-gather property the SIMD kernels rely on.
-#[inline]
-pub fn dequantize_into(
-    codes: impl Iterator<Item = u16>,
-    base: f64,
-    quantum: f64,
-    top: f64,
-    out: &mut Vec<f64>,
-) {
-    out.extend(codes.map(|c| dequant(c, base, quantum, top)));
-}
-
 /// Last code at which `holds` is true, for a predicate monotone in the code
 /// (true … true, false … false), true at 0 and false at [`QMAX`]. The float
 /// estimate is only a hint, verified against `holds`; when it is off, a
@@ -145,13 +131,36 @@ mod tests {
 
     #[test]
     fn bulk_matches_scalar() {
+        // A plane of codes read in place: every kernel's register-wide
+        // dequantization (AVX2 decodes four codes at once) lands on the
+        // scalar `dequant` of each code, bit for bit. The distance from a
+        // point left of the frame on its degenerate y axis is `dx²` exactly.
         let (base, top) = (2.0, 9.0);
         let q = quantum(base, top);
-        let codes = [0u16, 3, 77, 40_000, QMAX];
-        let mut out = Vec::new();
-        dequantize_into(codes.iter().copied(), base, q, top, &mut out);
-        let want: Vec<f64> = codes.iter().map(|&c| dequant(c, base, q, top)).collect();
-        assert_eq!(out, want);
+        let codes = [0u16, 3, 77, 40_000, QMAX, 1, 65_000, 12_345, 9];
+        let xs: Vec<u8> = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
+        let ys = vec![0u8; xs.len()];
+        let frame = crate::Rect::new(base, 0.5, top, 0.5);
+        let view = crate::EntryPlanes::Codes {
+            frame,
+            planes: [&xs, &ys, &xs, &ys],
+        };
+        let p = crate::Point::new(0.0, 0.5);
+        let want: Vec<(u32, f64)> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let x = dequant(c, base, q, top);
+                assert_eq!(view.get(i).lo.x, x);
+                (i as u32, (x - p.x) * (x - p.x))
+            })
+            .collect();
+        for kind in crate::available_kernels() {
+            let mut got = Vec::new();
+            view.min_dist2_within(kind, &p, f64::INFINITY, &mut got)
+                .unwrap();
+            assert_eq!(got, want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Kernel dispatch: which vectorized implementation the rectangle kernels
-//! run — on a decoded [`crate::RectSoA`] and, in the tree walks, on page
-//! bytes where they lie ([`crate::EntryPlanes`]).
+//! run on page bytes where they lie ([`crate::EntryPlanes`]).
 //!
 //! Three implementations of each kernel exist side by side:
 //!
@@ -130,8 +129,8 @@ fn select_default() -> KernelKind {
     }
 }
 
-/// The kernel the dispatching entry points ([`crate::RectSoA::intersecting`]
-/// and friends) currently run. Selected once on first call, from the CPU.
+/// The kernel the tree walks pass to [`crate::EntryPlanes`]'s scans.
+/// Selected once on first call, from the CPU.
 #[inline]
 pub fn active_kernel() -> KernelKind {
     let v = ACTIVE.load(Ordering::Relaxed);

@@ -1112,7 +1112,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, after) in &pages {
             shard.write_through(PageId(*id), after)?;
         }
-        shard.flush_all()?;
+        shard.store_mut().flush()?;
         w.wal.checkpoint()?;
         w.overlay.write().clear();
         Ok(())
@@ -2214,6 +2214,87 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, want);
         assert!(disk.physical_reads() >= before, "counters survive resize");
+    }
+
+    /// A `MemStore` whose durability barrier counts its calls and fails.
+    struct FailingFlush {
+        inner: MemStore,
+        flushes: Arc<AtomicU64>,
+    }
+
+    impl PageStore for FailingFlush {
+        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&mut self) -> io::Result<PageId> {
+            self.inner.allocate()
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flush_shared()
+        }
+    }
+
+    impl SharedPageStore for FailingFlush {
+        fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+            self.inner.read_page_shared(id, buf)
+        }
+    }
+
+    impl ConcurrentPageStore for FailingFlush {
+        fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_page_shared(id, buf)
+        }
+        fn allocate_shared(&self) -> io::Result<PageId> {
+            self.inner.allocate_shared()
+        }
+        fn flush_shared(&self) -> io::Result<()> {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            Err(io::Error::other("injected fsync failure"))
+        }
+    }
+
+    /// A resize drops frames that equal the store's pages, so it has
+    /// nothing to make durable: it issues no store flush — on four read
+    /// shards, or on the one shard of a writable tree, which can reach the
+    /// store's fsync — and a failing barrier cannot fail it. The
+    /// checkpoint still fsyncs.
+    #[test]
+    fn resize_issues_no_store_flush() {
+        let tree = BulkLoader::hilbert(16).load(&sample_rects(2_000));
+        let image = crate::DiskRTree::create(MemStore::new(), &tree, 8, LruPolicy::new());
+        let image = image.unwrap().into_store().snapshot();
+        let flushes = Arc::new(AtomicU64::new(0));
+        let store = || FailingFlush {
+            inner: MemStore::from_bytes(image.clone()),
+            flushes: Arc::clone(&flushes),
+        };
+        let q = Rect::new(0.1, 0.1, 0.6, 0.6);
+        let sharded = ConcurrentDiskRTree::open_sharded(store(), 64, 4, LruPolicy::new).unwrap();
+        assert_eq!(sharded.shard_count(), 4);
+        sharded.query(&q).unwrap();
+        sharded.resize_buffer(32, LruPolicy::new).unwrap();
+
+        let writable =
+            ConcurrentDiskRTree::open_writable(store(), 64, LruPolicy::new(), writer_wal());
+        let writable = writable.unwrap();
+        writable.query(&q).unwrap();
+        writable
+            .insert(&Rect::new(0.2, 0.2, 0.21, 0.21), 9_999)
+            .unwrap();
+        writable.resize_buffer(32, LruPolicy::new).unwrap();
+        assert_eq!(
+            flushes.load(Ordering::Relaxed),
+            0,
+            "a resize flushed the store"
+        );
+        assert!(writable.checkpoint().is_err());
+        assert_eq!(flushes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! torn writes, short appends and read faults to exercise exactly those
 //! paths.
 
+mod adapters;
 mod bufmgr;
 mod concurrent;
 mod disk_tree;
@@ -53,15 +54,20 @@ mod store;
 mod trace;
 mod walk;
 
+#[doc(hidden)]
+pub use adapters::NodeSoA;
 pub use bufmgr::{BufferManager, IoStats};
 pub use concurrent::ConcurrentDiskRTree;
 pub use disk_tree::DiskRTree;
 pub use fault::FaultStore;
 pub use page::{
-    NodePage, NodeSoA, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED,
-    MAX_ENTRIES_PER_PAGE, MAX_ENTRIES_POINTS, PAGE_SIZE,
+    NodePage, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE,
+    MAX_ENTRIES_POINTS, PAGE_SIZE,
 };
 pub use recovery::{recover, replay_committed, RecoveryReport, ReplaySummary};
 pub use sched::{StepSchedule, StepStore};
 pub use store::{ConcurrentPageStore, FileStore, MemStore, PageStore, SharedPageStore};
 pub use walk::{BatchOutput, BatchStats};
+
+#[cfg(test)]
+mod batch;

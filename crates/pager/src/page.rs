@@ -110,9 +110,8 @@
 //! pages `lo code <= hi code` per axis, checked on codes because the clamped
 //! decode could mask an inversion) are validated inside those same loops, on
 //! every visit of every page, writes' loads included. [`NodePage::decode`]
-//! (entry at a time, behind `ConcurrentDiskRTree::query_scalar`) and [`NodeSoA`]
-//! (plane at a time into owned arrays) enforce the same invariants and stay
-//! as the differential references.
+//! (entry at a time, behind `ConcurrentDiskRTree::query_scalar`) enforces
+//! the same invariants and stays as the differential reference.
 //!
 //! **Free page** (a dissolved node on the free list headed in the meta
 //! page; reused before the store grows):
@@ -128,8 +127,8 @@
 //! ("stale") and layout-dependent operations (`pin_top_levels`,
 //! `pages_per_level`) refuse to run.
 
-use rtree_geom::quant::{dequant, dequantize_into, quantum, QMAX};
-use rtree_geom::{active_kernel, CorruptEntry, EntryPlanes, Point, Rect, RectSoA};
+use rtree_geom::quant::{dequant, quantum, QMAX};
+use rtree_geom::{active_kernel, CorruptEntry, EntryPlanes, Point, Rect};
 use rtree_wal::crc32;
 use std::fmt;
 use std::io;
@@ -586,7 +585,7 @@ pub struct NodePage {
     pub entries: Vec<(Rect, u64)>,
 }
 
-/// Validates a node-page header shared by both decoders: magic, checksum
+/// Validates a node-page header for the decoder and the view: magic, checksum
 /// (unless the caller already verified the frame at page-in), count, layout
 /// flag. Returns `(level, count, layout)`.
 fn check_node_header(buf: &[u8], verify: bool) -> Result<(u16, usize, PageLayout), PageError> {
@@ -656,14 +655,6 @@ fn packed_code(buf: &[u8], k: usize, i: usize) -> u16 {
 fn packed_ptr(buf: &[u8], i: usize) -> u64 {
     let off = PACKED_PTR_OFFSET + i * 8;
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
-}
-
-/// Iterator over the first `count` codes of Packed plane `k`.
-fn packed_codes(buf: &[u8], k: usize, count: usize) -> impl Iterator<Item = u16> + '_ {
-    let start = PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE;
-    buf[start..start + count * 2]
-        .chunks_exact(2)
-        .map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
 }
 
 /// The Packed inverted-rectangle check: per entry and axis the low-edge
@@ -868,16 +859,15 @@ impl NodePage {
 /// the module docs for what runs instead and where validation happens.
 #[derive(Clone, Copy)]
 pub struct PageView<'a> {
-    planes: EntryPlanes<'a>,
+    pub(crate) planes: EntryPlanes<'a>,
     ptrs: &'a [u8],
 }
 
 impl<'a> PageView<'a> {
-    /// Checks the header of `buf` — everything
-    /// [`NodeSoA::decode_into_trusted`] checks before touching an entry,
-    /// plus that the page sits at `level`, the level the caller descended
-    /// to — and borrows its planes. O(1); entries are validated by the
-    /// scans below.
+    /// Checks the header of `buf` — length, magic, entry count, layout
+    /// flag and a Packed page's frame, plus that the page sits at `level`,
+    /// the level the caller descended to — and borrows its planes. O(1);
+    /// entries are validated by the scans below.
     pub fn new(buf: &'a [u8], level: u16) -> Result<Self, PageError> {
         let (found, count, layout) = check_node_header(buf, false)?;
         if found != level {
@@ -955,112 +945,6 @@ impl<'a> PageView<'a> {
         self.mbr()?;
         let count = self.ptrs.len() / 8;
         Ok((0..count).map(|i| (self.rect(i), self.ptr(i))).collect())
-    }
-}
-
-/// A node page decoded straight into SoA form — the shape the
-/// [`rtree_geom::RectSoA`] SIMD kernels consume. The walks read pages in
-/// place through [`PageView`]; this owned decode is the differential
-/// reference the view is held against (and what the benchmark's decode
-/// probes time).
-///
-/// From a v3 (SoA) image the coordinate planes are copied contiguously,
-/// array by array, with **no per-entry gather**; a v4 (Packed) image is
-/// dequantized plane by plane. Decode applies the same validation as
-/// [`NodePage::decode`] — in particular the
-/// inverted-rectangle invariant (`lo <= hi`, all coordinates finite) is
-/// asserted here, so the kernels only ever see rectangles on which every
-/// variant provably agrees.
-#[derive(Clone, Debug, Default)]
-pub struct NodeSoA {
-    /// Node level (0 = leaf).
-    pub level: u16,
-    /// Entry rectangles, SoA.
-    pub rects: RectSoA,
-    /// Entry pointers (item ids at leaves, child page ids above).
-    pub ptrs: Vec<u64>,
-}
-
-impl NodeSoA {
-    /// Creates an empty node (reusable via [`NodeSoA::decode_into`]).
-    pub fn new() -> Self {
-        NodeSoA::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.ptrs.len()
-    }
-
-    /// True if the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.ptrs.is_empty()
-    }
-
-    /// Decodes from a page buffer in either layout.
-    pub fn decode(buf: &[u8]) -> Result<Self, PageError> {
-        let mut node = NodeSoA::new();
-        node.decode_into(buf)?;
-        Ok(node)
-    }
-
-    /// Decodes from a page buffer in either layout, reusing this node's
-    /// allocations.
-    pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), PageError> {
-        self.decode_into_impl(buf, true)
-    }
-
-    /// [`NodeSoA::decode_into`] minus the checksum pass, for frames whose
-    /// checksum was already verified when they entered the buffer pool
-    /// (see [`crate::BufferManager::set_verify_reads`]) — the trust level
-    /// [`PageView`] reads at. Structural validation (magic, count, layout
-    /// flag) and the rectangle invariant still run unconditionally.
-    pub fn decode_into_trusted(&mut self, buf: &[u8]) -> Result<(), PageError> {
-        self.decode_into_impl(buf, false)
-    }
-
-    fn decode_into_impl(&mut self, buf: &[u8], verify: bool) -> Result<(), PageError> {
-        let (level, count, layout) = check_node_header(buf, verify)?;
-        self.level = level;
-        self.rects.clear();
-        self.ptrs.clear();
-        let (lo_x, lo_y, hi_x, hi_y) = self.rects.arrays_mut();
-        let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
-        match layout {
-            PageLayout::Soa | PageLayout::Points => {
-                // Contiguous per-plane copies: this is the no-gather path.
-                let plane = |w| f64_plane(buf, layout, w, count).chunks_exact(8);
-                for (w, out) in [lo_x, lo_y, hi_x, hi_y].into_iter().enumerate() {
-                    out.extend(plane(w).map(f));
-                }
-                let ptr = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                self.ptrs.extend(plane(4).map(ptr));
-            }
-            PageLayout::Packed => {
-                // Validate before filling (the node was cleared above, so
-                // the error path still leaves it empty), then dequantize
-                // each code plane contiguously — Packed keeps the SoA
-                // no-gather property.
-                let frame = packed_frame(buf)?;
-                check_packed_codes(buf, count)?;
-                let x = (frame.lo.x, quantum(frame.lo.x, frame.hi.x), frame.hi.x);
-                let y = (frame.lo.y, quantum(frame.lo.y, frame.hi.y), frame.hi.y);
-                for (k, plane) in [lo_x, lo_y, hi_x, hi_y].into_iter().enumerate() {
-                    let (base, q, top) = if k % 2 == 0 { x } else { y };
-                    dequantize_into(packed_codes(buf, k, count), base, q, top, plane);
-                }
-                self.ptrs.extend((0..count).map(|i| packed_ptr(buf, i)));
-            }
-        }
-        // Decode-time invariant: every rectangle finite and non-inverted,
-        // exactly as NodePage::decode enforces. The error path clears the
-        // node so a half-decoded page can never be traversed.
-        if (0..count).any(|i| !self.rects.get(i).is_valid()) {
-            self.rects.clear();
-            self.ptrs.clear();
-            return Err(PageError::CorruptRect);
-        }
-        Ok(())
     }
 }
 
@@ -1243,11 +1127,9 @@ mod tests {
         buf[hix_off..hix_off + 8].copy_from_slice(&lo);
         seal(&mut buf);
         assert_eq!(NodePage::decode(&buf), Err(PageError::CorruptRect));
-        // The SoA decoder asserts the same inverted-rect invariant and
-        // leaves the scratch node empty on failure.
-        let mut scratch = NodeSoA::new();
-        assert_eq!(scratch.decode_into(&buf), Err(PageError::CorruptRect));
-        assert!(scratch.is_empty() && scratch.rects.is_empty());
+        // The view asserts the same inverted-rect invariant on every scan.
+        let view = PageView::new(&buf, 0).unwrap();
+        assert_eq!(view.mbr(), Err(PageError::CorruptRect));
     }
 
     /// `set_kernel` is process-global: one kernel loop at a time.
@@ -1299,16 +1181,13 @@ mod tests {
                 };
                 let backing = misaligned(&node, layout);
                 let page = &backing[1..];
-                let soa = NodeSoA::decode(page).unwrap();
+                let aos = NodePage::decode(page).unwrap();
+                let rects: Vec<Rect> = aos.entries.iter().map(|e| e.0).collect();
                 let view = PageView::new(page, 1).unwrap();
-                assert_eq!(view.mbr().unwrap(), soa.rects.mbr());
-                for i in 0..n {
-                    assert_eq!(
-                        view.rect(i),
-                        soa.rects.get(i),
-                        "{kernel}, {layout:?} entry {i}"
-                    );
-                    assert_eq!(view.ptr(i), soa.ptrs[i]);
+                assert_eq!(view.mbr().unwrap(), Some(Rect::mbr_of(&rects)));
+                for (i, (r, p)) in aos.entries.iter().enumerate() {
+                    assert_eq!(view.rect(i), *r, "{kernel}, {layout:?} entry {i}");
+                    assert_eq!(view.ptr(i), *p);
                 }
                 for q in [
                     Rect::new(0.0, 0.0, 1.0, 1.0),
@@ -1316,9 +1195,10 @@ mod tests {
                     Rect::new(0.25, 0.125, 0.25, 0.125),
                     Rect::new(2.0, 2.0, 3.0, 3.0),
                 ] {
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let mut got = Vec::new();
                     view.intersecting(&q, &mut got).unwrap();
-                    soa.rects.intersecting_scalar(&q, &mut want);
+                    let want = (0..n as u32).filter(|&i| rects[i as usize].intersects(&q));
+                    let want: Vec<u32> = want.collect();
                     assert_eq!(got, want, "{kernel}, {layout:?} query {q}");
                 }
                 // Textbook MINDIST², one entry at a time.
@@ -1328,7 +1208,7 @@ mod tests {
                     let dy = (r.lo.y - p.y).max(p.y - r.hi.y).max(0.0);
                     dx * dx + dy * dy
                 };
-                let all = (0..n as u32).map(|i| (i, d2(soa.rects.get(i as usize))));
+                let all = (0..n as u32).map(|i| (i, d2(rects[i as usize])));
                 let want: Vec<(u32, f64)> = all.filter(|e| e.1 <= 0.2).collect();
                 let mut got = Vec::new();
                 view.min_dist2_within(&p, 0.2, &mut got).unwrap();
@@ -1365,11 +1245,9 @@ mod tests {
                 let page = &mut backing[1..];
                 let at = NODE_HEADER + 2 * SOA_STRIDE + 8;
                 page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-                assert_eq!(
-                    NodeSoA::new().decode_into_trusted(page),
-                    Err(PageError::CorruptRect)
-                );
                 scans_fail(page, 0);
+                seal(page);
+                assert_eq!(NodePage::decode(page), Err(PageError::CorruptRect));
             }
 
             // Packed: entry 250 (past the last full register) gets lo.y > hi.y.
@@ -1440,13 +1318,8 @@ mod tests {
             if layout != PageLayout::Packed {
                 assert_eq!(aos, node, "f64 planes are lossless");
             }
-            let soa = NodeSoA::decode(&img).unwrap();
-            assert_eq!(soa.level, aos.level);
-            assert_eq!(soa.len(), aos.entries.len());
-            for (i, (r, p)) in aos.entries.iter().enumerate() {
-                assert_eq!(soa.rects.get(i), *r);
-                assert_eq!(soa.ptrs[i], *p);
-            }
+            let view = PageView::new(&img, aos.level).unwrap();
+            assert_eq!(view.entries().unwrap(), aos.entries);
         }
     }
 
@@ -1464,8 +1337,7 @@ mod tests {
             seal(&mut buf);
             let want = PageError::UnsupportedLayout(flag);
             assert_eq!(NodePage::decode(&buf), Err(want.clone()));
-            assert_eq!(NodeSoA::decode(&buf).unwrap_err(), want);
-            assert_eq!(NodeSoA::new().decode_into_trusted(&buf), Err(want.clone()));
+            assert_eq!(PageView::new(&buf, 0).err(), Some(want.clone()));
             assert_eq!(PageLayout::of(&buf), Err(want));
         }
     }
@@ -1586,13 +1458,9 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         node.encode_with(&mut buf, PageLayout::Packed);
         let aos = NodePage::decode(&buf).unwrap();
-        let soa = NodeSoA::decode(&buf).unwrap();
-        assert_eq!(aos.level, soa.level);
-        assert_eq!(aos.entries.len(), soa.len());
-        for (i, (r, p)) in aos.entries.iter().enumerate() {
-            assert_eq!(soa.rects.get(i), *r, "entry {i}: identical dequantization");
-            assert_eq!(soa.ptrs[i], *p);
-        }
+        let view = PageView::new(&buf, aos.level).unwrap();
+        let entries = view.entries().unwrap();
+        assert_eq!(entries, aos.entries, "identical dequantization");
     }
 
     #[test]
@@ -1621,9 +1489,8 @@ mod tests {
         buf[hi_off..hi_off + 2].copy_from_slice(&100u16.to_le_bytes());
         seal(&mut buf);
         assert_eq!(NodePage::decode(&buf), Err(PageError::CorruptRect));
-        let mut scratch = NodeSoA::new();
-        assert_eq!(scratch.decode_into(&buf), Err(PageError::CorruptRect));
-        assert!(scratch.is_empty() && scratch.rects.is_empty());
+        let view = PageView::new(&buf, 1).unwrap();
+        assert_eq!(view.mbr(), Err(PageError::CorruptRect));
     }
 
     #[test]
@@ -1635,7 +1502,7 @@ mod tests {
         buf[PACKED_FRAME_OFFSET..PACKED_FRAME_OFFSET + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         seal(&mut buf);
         assert_eq!(NodePage::decode(&buf), Err(PageError::CorruptRect));
-        assert_eq!(NodeSoA::decode(&buf).unwrap_err(), PageError::CorruptRect);
+        assert_eq!(PageView::new(&buf, 1).err(), Some(PageError::CorruptRect));
     }
 
     #[test]

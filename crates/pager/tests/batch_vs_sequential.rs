@@ -1,7 +1,7 @@
-//! The batch executor's two contracts, proven over arbitrary inputs:
+//! The batched walk's two contracts, proven over arbitrary inputs:
 //!
 //! 1. **Equivalence** — for any tree, buffer size, replacement policy and
-//!    query batch, [`BatchExecutor`] returns exactly
+//!    query batch, `query_batch` with one worker returns exactly
 //!    the result set per query that sequential `DiskRTree::query` (and
 //!    the in-memory reference) returns.
 //! 2. **Cost dominance** — from a cold buffer, the batch performs at most
@@ -17,7 +17,6 @@ use proptest::prelude::*;
 use rtree_buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
 };
-use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_index::BulkLoader;
 use rtree_pager::{DiskRTree, MemStore};
@@ -65,9 +64,9 @@ proptest! {
         let tree = BulkLoader::hilbert(cap).load(&rects);
 
         // Cold batch run.
-        let mut batch_tree =
+        let batch_tree =
             DiskRTree::create(MemStore::new(), &tree, buffer, make_policy(which, seed)).unwrap();
-        let out = BatchExecutor::new().execute(&mut batch_tree, &queries).unwrap();
+        let out = batch_tree.query_batch(&queries, 1).unwrap();
         let batch_reads = batch_tree.physical_reads();
 
         // Equally cold sequential run under the same policy (RANDOM is

@@ -21,8 +21,8 @@ use rtree_buffer::{LruPolicy, PageId};
 use rtree_geom::{Point, Rect};
 use rtree_index::BulkLoader;
 use rtree_pager::{
-    ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta,
-    PageStore, PageView, PAGE_SIZE,
+    ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore,
+    PageView, PAGE_SIZE,
 };
 use rtree_wal::{GroupWal, MemLog};
 use std::io;
@@ -323,7 +323,6 @@ fn corrupt_point_leaf_fails_under_every_kernel() {
         reseal(page);
         let corrupt = Err(PageError::CorruptRect);
         assert_eq!(NodePage::decode(page).map(drop), corrupt, "{what}");
-        assert_eq!(NodeSoA::decode(page).map(drop), corrupt, "{what}");
         let dispatched = rtree_geom::active_kernel();
         for kernel in rtree_geom::available_kernels() {
             rtree_geom::set_kernel(kernel).unwrap();
@@ -347,6 +346,5 @@ fn corrupt_point_leaf_fails_under_every_kernel() {
     reseal(&mut page);
     let overflow = Err(PageError::EntryOverflow(171));
     assert_eq!(NodePage::decode(&page).map(drop), overflow);
-    assert_eq!(NodeSoA::decode(&page).map(drop), overflow);
     assert_eq!(PageView::new(&page, 0).map(drop), overflow);
 }

@@ -1,22 +1,19 @@
 //! Deterministic fuzz smoke for the page decoders, run by plain
 //! `cargo test`.
 //!
-//! Two generators feed `PageMeta::decode` / `NodePage::decode` / the SoA
-//! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`) / the
+//! Two generators feed `PageMeta::decode` / `NodePage::decode` / the
 //! in-place reader the walks use (`PageView`):
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
 //! *mutated valid pages* (a real SoA, Packed, point-body, meta or
 //! free-list page with a few seeded bytes flipped — reaches past the
 //! checksum only when the flips land in it, past the structure checks when
 //! they don't). The invariant: decode returns `Ok` or a typed `PageError`,
-//! and never panics. Four cross-decoder properties ride along: when the
-//! AoS and SoA decoders both accept a frame they carry identical content,
-//! the trusted (checksum-skipping) decode accepts at least whatever the
-//! full decode accepts, the in-place view agrees with the trusted decode on
-//! every frame — the same Ok/Err class, and when Ok the same MBR, matches
-//! and distances for a sample of queries (see `view_agrees_with`) — and on
-//! a resealed frame all three readers accept the same entries or all three
-//! reject it.
+//! and never panics. Two cross-reader properties ride along: the view,
+//! which never looks at the checksum, accepts a frame exactly when the
+//! entry-at-a-time decode accepts the same bytes re-sealed, and then
+//! answers like that decode — the same MBR, matches, distances and entries
+//! (see `view_agrees_with`); and on a sealed frame the two accept or
+//! refuse together.
 //!
 //! Hand-minimized regression inputs live at the bottom as separate tests.
 
@@ -25,8 +22,8 @@ use rand::{Rng, RngCore, SeedableRng};
 use rtree_buffer::LruPolicy;
 use rtree_geom::{Point, Rect};
 use rtree_pager::{
-    DiskRTree, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageMeta, PageView,
-    MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    DiskRTree, MemStore, NodePage, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED,
+    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 
 /// What `ask_view` collects: the MBR, the matches of each sample query, and
@@ -62,24 +59,37 @@ fn sample_queries() -> [Rect; 4] {
     ]
 }
 
-/// The view against the trusted decode of the same bytes: one rejects iff
-/// the other does, and an accepted page answers identically through both.
-/// Returns whether the view accepted.
-fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8]) -> bool {
+/// `bytes` under a valid checksum, as a page-in passes a frame on: the
+/// trust level the view reads at. Bytes of the wrong length stay as they
+/// are (every reader refuses them).
+fn resealed(bytes: &[u8]) -> Vec<u8> {
+    let mut page = bytes.to_vec();
+    if page.len() == PAGE_SIZE {
+        reseal(&mut page);
+    }
+    page
+}
+
+/// The view against `reference`, the entry-at-a-time decode of the same
+/// bytes re-sealed: one rejects iff the other does, and an accepted page
+/// answers identically through both, one `Rect` at a time on the decode's
+/// side. Returns whether the view accepted.
+fn view_agrees_with(reference: &Result<NodePage, PageError>, bytes: &[u8]) -> bool {
     let view = ask_view(bytes);
     assert_eq!(
         view.is_ok(),
-        trusted.is_ok(),
-        "view {view:?} vs trusted decode {trusted:?}"
+        reference.is_ok(),
+        "view {view:?} vs decode {reference:?}"
     );
-    let Ok((mbr, matches, within)) = view else {
+    let (Ok((mbr, matches, within)), Ok(node)) = (view, reference) else {
         return false;
     };
-    assert_eq!(mbr, node.rects.mbr());
+    let rects: Vec<Rect> = node.entries.iter().map(|e| e.0).collect();
+    assert_eq!(mbr, (!rects.is_empty()).then(|| Rect::mbr_of(&rects)));
+    let ids = 0..rects.len() as u32;
     for (q, got) in sample_queries().iter().zip(&matches) {
-        let mut want = Vec::new();
-        node.rects.intersecting_scalar(q, &mut want);
-        assert_eq!(got, &want, "query {q:?}");
+        let want = ids.clone().filter(|&i| rects[i as usize].intersects(q));
+        assert_eq!(got, &want.collect::<Vec<u32>>(), "query {q:?}");
     }
     // Textbook MINDIST², one entry at a time.
     let p = Point::new(0.3, 0.1);
@@ -88,54 +98,45 @@ fn view_agrees_with(trusted: &Result<(), PageError>, node: &NodeSoA, bytes: &[u8
         let dy = (r.lo.y - p.y).max(p.y - r.hi.y).max(0.0);
         dx * dx + dy * dy
     };
-    let all = (0..node.len() as u32).map(|i| (i, d2(node.rects.get(i as usize))));
+    let all = ids.map(|i| (i, d2(rects[i as usize])));
     let want: Vec<(u32, f64)> = all.filter(|e| e.1 <= 0.05).collect();
     assert_eq!(within, want);
     let view = PageView::new(bytes, node.level).expect("accepted above");
-    for i in 0..node.len() {
-        assert_eq!(view.rect(i), node.rects.get(i));
-        assert_eq!(view.ptr(i), node.ptrs[i]);
+    for (i, (r, p)) in node.entries.iter().enumerate() {
+        assert_eq!(view.rect(i), *r);
+        assert_eq!(view.ptr(i), *p);
     }
     true
 }
 
-fn decode_both(bytes: &[u8]) -> [bool; 3] {
+/// Every reader on `bytes`; returns whether the entry-at-a-time decode
+/// and the view accepted.
+fn decode_both(bytes: &[u8]) -> [bool; 2] {
     let _ = PageMeta::decode(bytes);
     let aos = NodePage::decode(bytes);
-    let soa = NodeSoA::decode(bytes);
-    let mut scratch = NodeSoA::new();
-    let trusted = scratch.decode_into_trusted(bytes);
-    if let (Ok(a), Ok(s)) = (&aos, &soa) {
-        assert_eq!(a.level, s.level);
-        assert_eq!(a.entries.len(), s.len());
-        for (i, (r, p)) in a.entries.iter().enumerate() {
-            assert_eq!(*r, s.rects.get(i));
-            assert_eq!(*p, s.ptrs[i]);
-        }
+    let trusted = NodePage::decode(&resealed(bytes));
+    if let Ok(node) = &aos {
+        assert_eq!(
+            trusted.as_ref(),
+            Ok(node),
+            "a sealed page re-seals to itself"
+        );
     }
-    if soa.is_ok() {
-        assert!(trusted.is_ok(), "trusted decode is weaker than full decode");
-    }
-    let view = view_agrees_with(&trusted, &scratch, bytes);
-    [aos.is_ok(), soa.is_ok(), view]
+    let view = view_agrees_with(&trusted, bytes);
+    [aos.is_ok(), view]
 }
 
 /// `decode_both` on `page` and on the same bytes re-sealed, so the mutant
-/// also reaches what sits behind the checksum — the surface the trusted
-/// decode and the view expose on every buffer hit.
+/// also reaches what sits behind the checksum — the surface the view
+/// exposes on every buffer hit.
 fn decode_both_and_resealed(page: &mut [u8]) {
     decode_both(page);
     reseal(page);
-    let [aos, soa, view] = decode_both(page);
+    let [aos, view] = decode_both(page);
     // Sealed, the bytes are what a page-in passes on: the entry-at-a-time
-    // decode, the plane decode and the view accept them or refuse them
-    // together (and `decode_both` held accepted content equal).
-    if u16::from_le_bytes([page[0], page[1]]) == 0x5254 {
-        assert!(
-            aos == soa && soa == view,
-            "AoS {aos}, SoA {soa}, view {view}"
-        );
-    }
+    // decode and the view accept them or refuse them together (and
+    // `decode_both` held accepted content equal).
+    assert_eq!(aos, view, "decode {aos}, view {view}");
 }
 
 #[test]
@@ -308,10 +309,9 @@ fn valid_pages_round_trip() {
     ));
 }
 
-/// Both node decoders accept every body layout and agree on the content:
-/// the entry-at-a-time (AoS) decoder and the SoA decoder, each reading an
-/// SoA page and a point page (losslessly) and a Packed page (the same
-/// dequantization).
+/// The entry-at-a-time decoder and the view accept every body layout and
+/// agree on the content: an SoA page and a point page (losslessly) and a
+/// Packed page (the same dequantization).
 #[test]
 fn aos_and_soa_decoders_agree_on_both_layouts() {
     let mut v3 = vec![0u8; PAGE_SIZE];
@@ -319,14 +319,9 @@ fn aos_and_soa_decoders_agree_on_both_layouts() {
     assert_eq!(NodePage::decode(&v3).unwrap(), sample_node());
 
     for page in [v3, packed_page(), point_page()] {
-        let aos = NodePage::decode(&page).unwrap();
-        let soa = NodeSoA::decode(&page).unwrap();
-        assert_eq!(soa.level, aos.level);
-        assert_eq!(soa.len(), aos.entries.len());
-        for (i, (r, p)) in aos.entries.iter().enumerate() {
-            assert_eq!(soa.rects.get(i), *r);
-            assert_eq!(soa.ptrs[i], *p);
-        }
+        let aos = NodePage::decode(&page);
+        assert!(aos.is_ok());
+        assert!(view_agrees_with(&aos, &page));
     }
 }
 
@@ -372,7 +367,7 @@ fn regression_zero_page() {
     let page = vec![0u8; PAGE_SIZE];
     assert!(matches!(PageMeta::decode(&page), Err(PageError::BadMagic)));
     assert!(matches!(NodePage::decode(&page), Err(PageError::BadMagic)));
-    assert!(matches!(NodeSoA::decode(&page), Err(PageError::BadMagic)));
+    assert!(matches!(PageView::new(&page, 0), Err(PageError::BadMagic)));
 }
 
 /// Re-seals the node-page checksum (bytes 8..12, computed with the field
@@ -385,8 +380,8 @@ fn reseal(page: &mut [u8]) {
 }
 
 /// A v3 page whose entry count claims more than the page can hold must be
-/// a typed overflow error from the SoA decoder too — resealed so the count
-/// check itself (not the checksum) does the rejecting.
+/// a typed overflow error from the decoder and the view — resealed so the
+/// count check itself (not the checksum) does the rejecting.
 #[test]
 fn regression_v3_entry_count_overflow() {
     let mut page = vec![0u8; PAGE_SIZE];
@@ -394,13 +389,12 @@ fn regression_v3_entry_count_overflow() {
     page[4..6].copy_from_slice(&(MAX_ENTRIES_PER_PAGE as u16 + 1).to_le_bytes());
     reseal(&mut page);
     assert!(matches!(
-        NodeSoA::decode(&page),
+        NodePage::decode(&page),
         Err(PageError::EntryOverflow(_))
     ));
-    // The trusted decode skips the checksum, never the count check.
-    let mut scratch = NodeSoA::new();
+    // The view skips the checksum, never the count check.
     assert!(matches!(
-        scratch.decode_into_trusted(&page),
+        PageView::new(&page, 1),
         Err(PageError::EntryOverflow(_))
     ));
 }
@@ -416,7 +410,7 @@ fn regression_unknown_layout_flag() {
         page[6..8].copy_from_slice(&flag.to_le_bytes());
         reseal(&mut page);
         let want = PageError::UnsupportedLayout(flag);
-        assert_eq!(NodeSoA::decode(&page).unwrap_err(), want);
+        assert_eq!(PageView::new(&page, 1).err(), Some(want.clone()));
         assert_eq!(NodePage::decode(&page).unwrap_err(), want);
     }
 }
@@ -432,7 +426,7 @@ fn regression_truncated_soa_planes() {
     for len in [0usize, 3, 15, 16, 17, 815, 816, 832, 1648, 2464, 3280, 4095] {
         let cut = &page[..len];
         assert!(
-            matches!(NodeSoA::decode(cut), Err(PageError::WrongLength { .. })),
+            matches!(PageView::new(cut, 1), Err(PageError::WrongLength { .. })),
             "len {len}"
         );
         assert!(
@@ -443,10 +437,10 @@ fn regression_truncated_soa_planes() {
 }
 
 /// The trust boundary, exactly: a page whose *only* defect is a bad stored
-/// checksum is rejected by the full decode and accepted by the trusted
-/// decode (page-in verification already vouched for the bytes), while a
-/// page whose rectangles are inverted is rejected by both — the geometric
-/// invariant is validated on every decode, trusted or not.
+/// checksum is rejected by the decode and accepted by the view (page-in
+/// verification already vouched for the bytes), while a page whose
+/// rectangles are inverted is rejected by both — the geometric invariant
+/// is validated on every read, trusted or not.
 #[test]
 fn trusted_decode_skips_checksum_but_not_invariants() {
     let node = sample_node();
@@ -455,19 +449,13 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
 
     page[8..12].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     assert!(matches!(
-        NodeSoA::decode(&page),
+        NodePage::decode(&page),
         Err(PageError::ChecksumMismatch { .. })
     ));
-    let mut scratch = NodeSoA::new();
-    scratch
-        .decode_into_trusted(&page)
-        .expect("bad CRC alone must not stop a trusted decode");
-    assert_eq!(scratch.len(), node.entries.len());
-    assert_eq!(scratch.rects.get(0), node.entries[0].0);
-    // The view reads at the same trust level: it never looks at the CRC.
+    // The view never looks at the CRC.
     let view = PageView::new(&page, node.level).expect("bad CRC alone must not stop the view");
     assert_eq!(view.rect(0), node.entries[0].0);
-    assert!(view_agrees_with(&Ok(()), &scratch, &page));
+    assert!(view_agrees_with(&Ok(node.clone()), &page));
 
     // Swap entry 0's lo_x/hi_x planes so the rect inverts, reseal the CRC:
     // now the checksum is fine and the geometry is not.
@@ -479,12 +467,7 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
     }
     reseal(&mut inverted);
     assert!(matches!(
-        NodeSoA::decode(&inverted),
-        Err(PageError::CorruptRect)
-    ));
-    let mut scratch = NodeSoA::new();
-    assert!(matches!(
-        scratch.decode_into_trusted(&inverted),
+        NodePage::decode(&inverted),
         Err(PageError::CorruptRect)
     ));
     // The view's header check passes (the header is fine); every scan of
@@ -510,12 +493,12 @@ fn trusted_decode_skips_checksum_but_not_invariants() {
     );
 }
 
-/// Packed (v4) pages run the same decoder-agreement invariant as the f64
-/// layouts: AoS and SoA decoders yield identical content, and the trusted
-/// decode accepts whatever the full decode accepts.
+/// Packed (v4) pages run the same reader-agreement invariant as the f64
+/// layouts: the decode and the view accept the page and yield identical
+/// content.
 #[test]
 fn packed_pages_satisfy_decoder_agreement() {
-    decode_both(&packed_page());
+    assert_eq!(decode_both(&packed_page()), [true, true]);
 }
 
 /// Truncated Packed pages: cuts mid-frame, at and around the four
@@ -530,7 +513,7 @@ fn regression_truncated_packed_planes() {
     ] {
         let cut = &page[..len];
         assert!(
-            matches!(NodeSoA::decode(cut), Err(PageError::WrongLength { .. })),
+            matches!(PageView::new(cut, 2), Err(PageError::WrongLength { .. })),
             "len {len}"
         );
         assert!(
@@ -541,20 +524,19 @@ fn regression_truncated_packed_planes() {
 }
 
 /// A Packed page claiming more entries than even the 253-slot layout holds
-/// is a typed overflow from both decoders — resealed so the count check,
-/// not the checksum, does the rejecting.
+/// is a typed overflow from the decoder and the view — resealed so the
+/// count check, not the checksum, does the rejecting.
 #[test]
 fn regression_packed_entry_count_overflow() {
     let mut page = packed_page();
     page[4..6].copy_from_slice(&(MAX_ENTRIES_PACKED as u16 + 1).to_le_bytes());
     reseal(&mut page);
     assert!(matches!(
-        NodeSoA::decode(&page),
+        NodePage::decode(&page),
         Err(PageError::EntryOverflow(_))
     ));
-    let mut scratch = NodeSoA::new();
     assert!(matches!(
-        scratch.decode_into_trusted(&page),
+        PageView::new(&page, 2),
         Err(PageError::EntryOverflow(_))
     ));
 }
@@ -573,18 +555,11 @@ fn regression_packed_inverted_codes() {
     }
     reseal(&mut page);
     assert!(matches!(
-        NodeSoA::decode(&page),
-        Err(PageError::CorruptRect)
-    ));
-    assert!(matches!(
         NodePage::decode(&page),
         Err(PageError::CorruptRect)
     ));
-    let mut scratch = NodeSoA::new();
-    assert!(matches!(
-        scratch.decode_into_trusted(&page),
-        Err(PageError::CorruptRect)
-    ));
+    let view = PageView::new(&page, 2).expect("the header is sound");
+    assert_eq!(view.mbr(), Err(PageError::CorruptRect));
 }
 
 /// A non-finite page frame is a typed geometry error — every quantized
@@ -595,7 +570,7 @@ fn regression_packed_corrupt_frame() {
     page[16..24].copy_from_slice(&f64::NAN.to_le_bytes());
     reseal(&mut page);
     assert!(matches!(
-        NodeSoA::decode(&page),
+        PageView::new(&page, 2),
         Err(PageError::CorruptRect)
     ));
     assert!(matches!(
@@ -627,8 +602,8 @@ fn regression_packed_zero_extent_frame_decodes() {
 }
 
 /// The trust boundary holds for v4 exactly as for v3: a bad stored CRC
-/// alone stops the full decode but not the trusted one, while inverted
-/// codes stop both.
+/// alone stops the decode but not the view, which reads the page like the
+/// decode of the page re-sealed.
 #[test]
 fn packed_trusted_decode_skips_checksum_but_not_invariants() {
     let node = sample_packed_node();
@@ -637,13 +612,10 @@ fn packed_trusted_decode_skips_checksum_but_not_invariants() {
 
     page[8..12].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     assert!(matches!(
-        NodeSoA::decode(&page),
+        NodePage::decode(&page),
         Err(PageError::ChecksumMismatch { .. })
     ));
-    let mut scratch = NodeSoA::new();
-    scratch
-        .decode_into_trusted(&page)
-        .expect("bad CRC alone must not stop a trusted decode");
-    assert_eq!(scratch.len(), node.entries.len());
-    assert!(scratch.rects.get(0).contains_rect(&node.entries[0].0));
+    let view = PageView::new(&page, node.level).expect("bad CRC alone must not stop the view");
+    assert!(view.rect(0).contains_rect(&node.entries[0].0));
+    assert!(view_agrees_with(&NodePage::decode(&resealed(&page)), &page));
 }

@@ -11,9 +11,8 @@
 //!   threads so their latch-crabbing inserts overlap and their WAL commits
 //!   coalesce into group-commit batches. `rtrees serve` runs this one.
 //! * [`SequentialEngine`] — a `DiskRTree` (the one-shard tree) behind a
-//!   mutex, each batch run by [`BatchExecutor`] on one worker.
+//!   mutex, each batch walked on one worker.
 
-use rtree_exec::BatchExecutor;
 use rtree_geom::Rect;
 use rtree_pager::{ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats};
 use std::io;
@@ -78,9 +77,10 @@ pub trait QueryEngine: Send + Sync + 'static {
     }
 }
 
-/// One `DiskRTree` behind a mutex, batches executed via [`BatchExecutor`].
+/// One `DiskRTree` behind a mutex, each batch walked by
+/// [`ConcurrentDiskRTree::query_batch`] on one worker.
 ///
-/// Queries inside a batch share the executor's page-request dedup, so k
+/// Queries inside a batch share the walk's page-request dedup, so k
 /// concurrent clients cost fewer pool accesses than k sequential queries,
 /// and once batches grow past a few queries fewer physical reads — the
 /// serving-side analogue of the paper's buffering result.
@@ -110,7 +110,7 @@ impl<S: ConcurrentPageStore + Send + 'static> SequentialEngine<S> {
 
 impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for SequentialEngine<S> {
     fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
-        let out = self.with_tree(|tree| BatchExecutor::new().execute(tree, queries))?;
+        let out = self.with_tree(|tree| tree.query_batch(queries, 1))?;
         Ok(out.results)
     }
 

@@ -58,7 +58,6 @@
 pub use rtree_buffer as buffer;
 pub use rtree_core as model;
 pub use rtree_datagen as datagen;
-pub use rtree_exec as exec;
 pub use rtree_geom as geom;
 pub use rtree_index as index;
 pub use rtree_nd as nd;

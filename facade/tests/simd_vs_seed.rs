@@ -18,7 +18,7 @@ use buffered_rtrees::buffer::{
 use buffered_rtrees::geom::{Point, Rect};
 use buffered_rtrees::index::{BulkLoader, RTree};
 use buffered_rtrees::pager::{
-    ConcurrentDiskRTree, DiskRTree, IoStats, MemStore, NodePage, NodeSoA, PageError, PageStore,
+    ConcurrentDiskRTree, DiskRTree, IoStats, MemStore, NodePage, PageError, PageStore, PageView,
 };
 use buffered_rtrees::wal::crc32;
 
@@ -309,9 +309,10 @@ fn v2_images_are_rejected_with_typed_errors() {
         NodePage::decode(&page),
         Err(PageError::UnsupportedLayout(0))
     );
+    let root_level = u16::from_le_bytes([page[2], page[3]]);
     assert_eq!(
-        NodeSoA::decode(&page).unwrap_err(),
-        PageError::UnsupportedLayout(0)
+        PageView::new(&page, root_level).err(),
+        Some(PageError::UnsupportedLayout(0))
     );
     store.write_page(page_id(1), &page).expect("write root");
     let flagged = DiskRTree::open(store, 16, LruPolicy::new()).expect("meta is current");

@@ -9,7 +9,6 @@ use buffered_rtrees::buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
 };
 use buffered_rtrees::datagen::SyntheticRegion;
-use buffered_rtrees::exec::BatchExecutor;
 use buffered_rtrees::geom::Rect;
 use buffered_rtrees::index::{BulkLoader, RTree};
 use buffered_rtrees::model::Workload;
@@ -169,7 +168,7 @@ fn batch_trace_reconciles_with_io_stats() {
         let mut sampler = QuerySampler::new(&workload, 4321);
         let stream: Vec<_> = (0..600).map(|_| sampler.sample()).collect();
         for chunk in stream.chunks(32) {
-            BatchExecutor::new().execute(&mut disk, chunk).unwrap();
+            disk.query_batch(chunk, 1).unwrap();
         }
 
         let io = disk.io_stats();
@@ -199,13 +198,12 @@ fn batch_ring_attributes_reads_to_spans() {
 
     let workload = Workload::uniform_region(0.05, 0.05);
     let mut sampler = QuerySampler::new(&workload, 55);
-    let exec = BatchExecutor::new();
     let mut reads_by_span: HashMap<u64, u64> = HashMap::new();
     let mut span = 0u64;
     for _ in 0..40 {
         let chunk: Vec<_> = (0..16).map(|_| sampler.sample()).collect();
         let before = disk.physical_reads();
-        exec.execute(&mut disk, &chunk).unwrap();
+        disk.query_batch(&chunk, 1).unwrap();
         span += 1; // op ids are allocated monotonically from 1
         reads_by_span.insert(span, disk.physical_reads() - before);
     }
@@ -410,14 +408,14 @@ fn no_sink_path_still_counts_reads() {
 fn no_sink_batch_path_splits_read_accounting() {
     let rects = SyntheticRegion::new(1_200).generate(9);
     let tree = BulkLoader::hilbert(10).load(&rects);
-    let mut disk = DiskRTree::create(MemStore::new(), &tree, 48, LruPolicy::new()).unwrap();
+    let disk = DiskRTree::create(MemStore::new(), &tree, 48, LruPolicy::new()).unwrap();
     let queries: Vec<Rect> = (0..24)
         .map(|i| {
             let x = (i as f64 * 0.31) % 0.8;
             Rect::new(x, x, x + 0.1, x + 0.1)
         })
         .collect();
-    let out = BatchExecutor::new().execute(&mut disk, &queries).unwrap();
+    let out = disk.query_batch(&queries, 1).unwrap();
     assert_eq!(disk.io_stats().reads, disk.buffer_stats().misses);
     assert_eq!(disk.buffer_stats().accesses, out.stats.work_items);
     assert_eq!(
