@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use rtree_geom::{Point, Rect};
 
 use crate::centers;
-use crate::zipf::zipf_center_multiset;
+use crate::zipf::ZipfPool;
 
 /// One tree operation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -122,9 +122,7 @@ pub fn center_pool(rects: &[Rect], skew: Skew, seed: u64) -> Vec<Point> {
     assert!(!data_centers.is_empty(), "need at least one data rect");
     match skew {
         Skew::Uniform => data_centers,
-        Skew::Zipf { theta } => {
-            zipf_center_multiset(&data_centers, theta, data_centers.len().max(256) * 4, seed)
-        }
+        Skew::Zipf { theta } => zipf_pool(rects, theta, seed).expand(&data_centers),
         Skew::Shifting => {
             // Sorted so the sliding window is spatially coherent.
             let mut sorted = data_centers;
@@ -136,6 +134,11 @@ pub fn center_pool(rects: &[Rect], skew: Skew, seed: u64) -> Vec<Point> {
             sorted
         }
     }
+}
+
+/// The Zipf pool over `rects`' centers: four slots each, at least 1 024.
+fn zipf_pool(rects: &[Rect], theta: f64, seed: u64) -> ZipfPool {
+    ZipfPool::new(rects.len(), theta, rects.len().max(256) * 4, seed)
 }
 
 /// Generates a trace over a data set. Query centers follow the data under
@@ -158,29 +161,39 @@ pub fn generate(rects: &[Rect], spec: &TraceSpec) -> Trace {
     );
 
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let pool = center_pool(rects, spec.skew, spec.seed);
-    let window = (pool.len() / 10).max(1);
+    // A Zipf stream draws slot `j` of the multiset without expanding it.
+    let (zipf, listed) = match spec.skew {
+        Skew::Zipf { theta } => (Some(zipf_pool(rects, theta, spec.seed)), vec![]),
+        skew => (None, center_pool(rects, skew, spec.seed)),
+    };
+    let pool_len = zipf.as_ref().map_or(listed.len(), ZipfPool::len);
+    let pool = |j: usize| {
+        zipf.as_ref()
+            .map_or_else(|| listed[j], |z| rects[z.get(j)].center())
+    };
+    let window = (pool_len / 10).max(1);
 
     let draw_center = |rng: &mut StdRng, i: usize| -> Point {
         match spec.skew {
-            Skew::Uniform | Skew::Zipf { .. } => pool[rng.gen_range(0..pool.len())],
+            Skew::Uniform | Skew::Zipf { .. } => pool(rng.gen_range(0..pool_len)),
             Skew::Shifting => {
                 // Window start slides linearly over the trace.
-                let span = pool.len() - window;
+                let span = pool_len - window;
                 let start = if spec.ops <= 1 {
                     0
                 } else {
                     i * span / (spec.ops - 1)
                 };
-                pool[start + rng.gen_range(0..window)]
+                pool(start + rng.gen_range(0..window))
             }
         }
     };
 
-    // Live-item ledger: every delete targets something that exists. Only a
-    // mix that deletes reads it, so only such a mix fills it.
-    let seeded = if spec.mix.delete > 0 { rects } else { &[] };
-    let mut live: Vec<(Rect, u64)> = seeded.iter().copied().zip(0..).collect();
+    // Live-item ledger of ids (`k` is `rects[k]`, then `inserted`): every
+    // delete targets something that exists. Only a mix that deletes fills it.
+    let seeded = if spec.mix.delete > 0 { rects.len() } else { 0 };
+    let mut live: Vec<u64> = (0..seeded as u64).collect();
+    let mut inserted: Vec<Rect> = Vec::new();
     let mut next_id = rects.len() as u64;
 
     let total = spec.mix.total();
@@ -206,15 +219,17 @@ pub fn generate(rects: &[Rect], spec: &TraceSpec) -> Trace {
             let rect = Rect::centered(Point::new(c.x + jx, c.y + jy), spec.qx * 0.2, spec.qy * 0.2);
             let id = next_id;
             next_id += 1;
-            live.push((rect, id));
+            live.push(id);
+            inserted.push(rect);
             TraceOp::Insert(rect, id)
         } else if live.is_empty() {
             // Ledger drained: degrade to a query, never an invalid delete.
             TraceOp::Region(Rect::centered(draw_center(&mut rng, i), spec.qx, spec.qy))
         } else {
             let victim = rng.gen_range(0..live.len());
-            let (rect, id) = live.swap_remove(victim);
-            TraceOp::Delete(rect, id)
+            let (id, n) = (live.swap_remove(victim), rects.len());
+            let k = id as usize;
+            TraceOp::Delete(if k < n { rects[k] } else { inserted[k - n] }, id)
         };
         ops.push(op);
     }
@@ -224,6 +239,7 @@ pub fn generate(rects: &[Rect], spec: &TraceSpec) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zipf_center_multiset;
 
     fn data(n: usize) -> Vec<Rect> {
         (0..n)

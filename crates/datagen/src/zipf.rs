@@ -87,22 +87,57 @@ impl ZipfWeights {
 /// # Panics
 /// Panics if `centers` is empty, `total` is 0, or `theta` is invalid.
 pub fn zipf_center_multiset(centers: &[Point], theta: f64, total: usize, seed: u64) -> Vec<Point> {
-    assert!(!centers.is_empty(), "need at least one center");
-    assert!(total >= 1, "need at least one multiset slot");
+    ZipfPool::new(centers.len(), theta, total, seed).expand(centers)
+}
 
-    // Seeded rank assignment: a Fisher-Yates permutation of the centers.
-    let mut by_rank: Vec<Point> = centers.to_vec();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in (1..by_rank.len()).rev() {
-        by_rank.swap(i, rng.gen_range(0..=i));
+/// [`zipf_center_multiset`] without its copies: the center indices by
+/// rank, the end of each rank's run of copies, and the rank of every 16th
+/// slot, so finding slot `j` searches the runs of 16 slots only.
+pub(crate) struct ZipfPool {
+    order: Vec<usize>,
+    ends: Vec<usize>,
+    guide: Vec<usize>,
+}
+
+impl ZipfPool {
+    /// The pool over `n` centers; see [`zipf_center_multiset`].
+    pub(crate) fn new(n: usize, theta: f64, total: usize, seed: u64) -> Self {
+        assert!(n >= 1, "need at least one center");
+        assert!(total >= 1, "need at least one multiset slot");
+        // Seeded rank assignment: a Fisher-Yates permutation of the centers.
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let mut ends = apportion(&ZipfWeights::new(n, theta), total);
+        let mut end = 0;
+        for copies in &mut ends {
+            end += *copies;
+            *copies = end;
+        }
+        let rank = |slot: usize| ends.partition_point(|&end| end <= slot);
+        let guide = (0..=end / 16 + 1).map(|b| rank(b * 16)).collect();
+        ZipfPool { order, ends, guide }
     }
 
-    let copies = apportion(&ZipfWeights::new(centers.len(), theta), total);
-    let mut out = Vec::with_capacity(total);
-    for (&p, c) in by_rank.iter().zip(copies) {
-        out.extend(std::iter::repeat_n(p, c));
+    /// Slots in the multiset.
+    pub(crate) fn len(&self) -> usize {
+        *self.ends.last().expect("at least one center")
     }
-    out
+
+    /// The center index in slot `j < len` of the multiset: that of the
+    /// first rank whose run ends past `j`.
+    pub(crate) fn get(&self, j: usize) -> usize {
+        let (lo, hi) = (self.guide[j / 16], self.guide[j / 16 + 1]);
+        self.order[lo + self.ends[lo..hi].partition_point(|&end| end <= j)]
+    }
+
+    /// The multiset over `centers`, each repeated as often as its rank's
+    /// share.
+    pub(crate) fn expand(&self, centers: &[Point]) -> Vec<Point> {
+        (0..self.len()).map(|j| centers[self.get(j)]).collect()
+    }
 }
 
 /// Largest-remainder apportionment of `total` copies over the ranks: each
@@ -271,6 +306,24 @@ mod tests {
         }
         let max = counts.values().copied().max().expect("non-empty");
         assert!(max > 300 / 10, "hottest center only {max}/300 slots");
+    }
+
+    /// The pool a stream draws from, unexpanded, answers every slot as
+    /// the expanded multiset does, whatever the skew, including ranks
+    /// whose share rounds to no copy at all.
+    #[test]
+    fn every_slot_of_the_pool_is_the_multisets() {
+        let centers: Vec<Point> = (0..97)
+            .map(|i| Point::new(i as f64 / 97.0, (i % 11) as f64 / 11.0))
+            .collect();
+        for (theta, total) in [(0.0, 97), (0.99, 388), (1.5, 200), (3.0, 1_000)] {
+            let pool = ZipfPool::new(centers.len(), theta, total, 5);
+            let multiset = zipf_center_multiset(&centers, theta, total, 5);
+            assert_eq!(pool.len(), multiset.len(), "θ {theta}");
+            for (j, p) in multiset.iter().enumerate() {
+                assert_eq!(centers[pool.get(j)], *p, "θ {theta}, slot {j}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! planted in otherwise valid pages, and page lengths straddling the
 //! kernels' chunk boundaries (0–9 and 15–17 around the 4- and 16-lane
 //! registers, 63–65 and 127–128 around the 64-wide portable mask, and the
-//! full pages of each layout: 102, 170 and 253).
+//! full pages of each layout: 102, 203 and 253, besides 169–170 and 199,
+//! a full point leaf at M = 100).
 //!
 //! The NaN policy pinned here (and documented in `rtree_geom::simd`):
 //!
@@ -32,8 +33,8 @@ use rtree_geom::quant::{dequant, quantum, QMAX};
 use rtree_geom::{available_kernels, CorruptEntry, EntryPlanes, KernelKind, Point, Rect};
 
 /// Page lengths at and around every chunk boundary and full page.
-const LENS: [usize; 22] = [
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 102, 127, 128, 169, 170, 253,
+const LENS: [usize; 24] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 102, 127, 128, 169, 170, 199, 203, 253,
 ];
 
 /// Adversarial coordinates: a coarse grid (touching edges), negatives,

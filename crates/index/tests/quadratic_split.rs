@@ -1,9 +1,10 @@
 //! `QuadraticSplit` keeps a cache of volumes and enlargements; this suite
 //! holds it to the textbook algorithm it replaced, copied below verbatim:
 //! the same two groups, in the same order, over points, rectangles and
-//! heavy ties, at the two sizes a page split sees — `M + 1 = 101` entries,
-//! and 171, a full 170-point leaf plus one entry — with Guttman's `m = 40`
-//! and the larger min fill a rectangle entering a full point leaf needs.
+//! heavy ties, at the sizes a page split sees — `M + 1 = 101` entries, and
+//! a full point leaf plus one entry: 200 at M = 100 (199 slots), and 171 —
+//! with Guttman's `m = 40` and the larger min fill a rectangle entering a
+//! full point leaf needs.
 
 use proptest::prelude::*;
 use rtree_geom::{Point, Rect};
@@ -123,6 +124,15 @@ proptest! {
     #[test]
     fn cached_split_is_the_textbook_split_at_171(rects in entries(171)) {
         for min in [40, 71] {
+            let (g1, g2) = QuadraticSplit.split(&rects, min);
+            prop_assert!(g1.len() >= min && g2.len() >= min);
+            prop_assert_eq!((g1, g2), textbook(&rects, min));
+        }
+    }
+
+    #[test]
+    fn cached_split_is_the_textbook_split_at_200(rects in entries(200)) {
+        for min in [40, 100] {
             let (g1, g2) = QuadraticSplit.split(&rects, min);
             prop_assert!(g1.len() >= min && g2.len() >= min);
             prop_assert_eq!((g1, g2), textbook(&rects, min));

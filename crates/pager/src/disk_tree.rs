@@ -14,7 +14,7 @@
 
 use crate::concurrent::once;
 use crate::mutate::mbr;
-use crate::page::{is_point, point_capacity};
+use crate::page::{point_capacity, widen_point_span};
 use crate::{
     ConcurrentDiskRTree, ConcurrentPageStore, NodePage, PageMeta, PageStore, MAX_ENTRIES_PACKED,
     MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
@@ -346,9 +346,9 @@ pub(crate) fn materialize_empty<S: PageStore>(
 /// `compressed` (a format v4 image), the internal levels are *not* copied
 /// from the tree but rebuilt bottom-up by chunking consecutive children into
 /// full Packed pages, so the repacked tree is usually shallower and its
-/// internal footprint far smaller. When every item is a point, so are the
-/// leaves: the items, in leaf order, chunked into full point-body pages —
-/// their MBRs in one pass, the entries streamed to the pages in a second.
+/// internal footprint far smaller. When every item is a point (and each
+/// page's ids fit its deltas), so are the leaves: the items, in leaf order,
+/// chunked into full point-body pages — MBRs in one pass, entries in another.
 pub(crate) fn materialize<S: PageStore>(
     store: &mut S,
     tree: &RTree,
@@ -366,23 +366,28 @@ pub(crate) fn materialize<S: PageStore>(
         level.push(id);
     }
     let items = || levels[0].iter().flat_map(|id| tree.node(*id).entries());
-    let points = compressed && items().all(|(r, _)| is_point(&r));
     let chunk = point_capacity(tree.max_entries());
+    let mut points = compressed;
     // The levels above the leaves, as entries pointing into the level
     // below: small (a node per page-full of children), so held whole.
     let mut upper: Vec<Vec<Vec<(Rect, u64)>>> = Vec::new();
     let mut nodes = vec![levels[0].len()];
     if compressed {
+        // Point bodies of `chunk` items in leaf order, if each can hold its
+        // own: their MBRs and id spans (afresh per chunk) in one walk.
         let mut below: Vec<Rect> = Vec::new();
-        if points {
-            for (j, (r, _)) in items().enumerate() {
-                match below.last_mut() {
-                    Some(mbr) if j % chunk != 0 => *mbr = mbr.union(&r),
-                    _ => below.push(r),
-                }
+        let mut span = None;
+        for (j, e) in items().enumerate() {
+            match below.last_mut() {
+                Some(mbr) if j % chunk != 0 => *mbr = mbr.union(&e.0),
+                _ => below.push(e.0),
             }
-        } else {
-            below.extend(levels[0].iter().map(|id| tree.node(*id).mbr()));
+            span = span.filter(|_| j % chunk != 0);
+            if !widen_point_span(&mut span, &e) {
+                points = false;
+                below = levels[0].iter().map(|id| tree.node(*id).mbr()).collect();
+                break;
+            }
         }
         nodes[0] = below.len();
         while below.len() > 1 {
@@ -579,8 +584,8 @@ mod tests {
         let v3 = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(v3.into_store()), (204, 3_240_902_090), "clustered v3");
         let v4 = DiskRTree::create_compressed(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
-        // Every item is a point: 118 point-body leaves of up to 170.
-        assert_eq!(crc(v4.into_store()), (120, 501_257_686), "clustered v4");
+        // Every item is a point: 101 point-body leaves of up to 199.
+        assert_eq!(crc(v4.into_store()), (103, 2_471_138_826), "clustered v4");
         let empty = DiskRTree::create_empty(MemStore::new(), 16, 6, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(empty.into_store()), (2, 3_701_525_664), "empty");
         // The writable tree's empty image records no level table.

@@ -16,7 +16,7 @@
 //! of 100), and on compressed (v4) trees Packed internal pages (16-bit
 //! codes relative to the page's bounding rect, conservatively rounded,
 //! ≤ 253 entries) and the point body of a leaf of points (exact `x`, `y`
-//! and id planes, ≤ 170 entries). Checksums are verified once, where bytes
+//! planes and 4-byte id deltas from the page's least id, ≤ 203 entries). Checksums are verified once, where bytes
 //! enter a buffer pool; decoding returns a typed [`PageError`] on
 //! corruption.
 //!

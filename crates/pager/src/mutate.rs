@@ -45,24 +45,25 @@ pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
 /// is the root, and the tree grows a level.
 ///
 /// A node's capacity is its layout's ([`crate::PageMeta::format_of`]), so
-/// the node the entry lands in is judged with the entry in it, and a node
-/// `over` its capacity splits with min fill `max(m, over)`: each half then
-/// fits the layout it needs (a point leaf holds more than one with a rect).
+/// the node the entry lands in is judged with the entry in it; it splits
+/// with min fill `m`. Only a point leaf of over `M + m` that the entry made
+/// SoA can overflow a half, the one holding the entry, whose rest still
+/// fits the point body: the entry moves to the other half, which has room.
 pub(crate) fn insert_entry<W: PageWrite>(
     pages: &mut W,
     entry: (Rect, u64),
     target_level: u16,
 ) -> io::Result<()> {
-    let capacity = |pages: &mut W, node: &NodePage, incoming: Option<&Rect>| {
-        let rects = node.entries.iter().map(|e| &e.0).chain(incoming);
-        pages.meta(|m| m.format_of(node.level, rects).1)
+    let capacity = |pages: &mut W, node: &NodePage, incoming: Option<&(Rect, u64)>| {
+        let entries = node.entries.iter().chain(incoming);
+        pages.meta(|m| m.format_of(node.level, entries).1)
     };
     let (mut id, root_level) = pages.meta(|m| (m.root, m.root_level()));
     let mut node = pages.load(id, root_level)?;
     // The ancestors a split can still reach, with the slot taken in each.
     let mut path: Vec<(u64, NodePage, usize)> = Vec::new();
     loop {
-        let lands = (node.level == target_level).then_some(&entry.0);
+        let lands = (node.level == target_level).then_some(&entry);
         if node.entries.len() < capacity(pages, &node, lands) {
             pages.split_safe();
             path.clear();
@@ -87,15 +88,24 @@ pub(crate) fn insert_entry<W: PageWrite>(
 
     let excess =
         |pages: &mut W, n: &NodePage| n.entries.len().saturating_sub(capacity(pages, n, None));
-    while let over @ 1.. = excess(pages, &node) {
-        let min = pages.meta(|m| m.min_entries as usize).max(over);
+    while excess(pages, &node) > 0 {
+        let min = pages.meta(|m| m.min_entries as usize);
         let rects: Vec<Rect> = node.entries.iter().map(|e| e.0).collect();
         let (stay, go) = QuadraticSplit.split(&rects, min);
-        let sibling = NodePage {
+        let mut sibling = NodePage {
             level: node.level,
             entries: go.iter().map(|&i| node.entries[i]).collect(),
         };
         node.entries = stay.iter().map(|&i| node.entries[i]).collect();
+        // Only the half holding `entry` can overflow: it hands `entry` over.
+        if excess(pages, &sibling) > 0 {
+            std::mem::swap(&mut node.entries, &mut sibling.entries);
+        }
+        if excess(pages, &node) > 0 {
+            let k = node.entries.iter().position(|e| *e == entry);
+            let moved = node.entries.remove(k.expect("the half holding `entry`"));
+            sibling.entries.push(moved);
+        }
         pages.store(id, &node)?;
         let sibling_id = pages.alloc()?;
         pages.store(sibling_id, &sibling)?;
@@ -539,7 +549,7 @@ mod tests {
     fn assert_leaf_formats(disk: &DiskRTree<MemStore>, what: &str) {
         let meta = disk.meta().clone();
         for (layout, entries) in leaves(disk) {
-            let (want, capacity) = meta.format_of(0, entries.iter().map(|e| &e.0));
+            let (want, capacity) = meta.format_of(0, &entries);
             assert_eq!(layout, want, "{what}: {} entries", entries.len());
             assert!(
                 entries.len() <= capacity,
@@ -635,7 +645,8 @@ mod tests {
     /// each write. The rectangle that enters a leaf of 150 points finds it
     /// full for the SoA body it now needs: the descent must not call that
     /// leaf split-safe, or the split that follows grows a false root over
-    /// its two halves and the other leaf is lost.
+    /// its two halves and the other leaf is lost. A point whose id lies 2³³
+    /// from its leaf's ids needs the SoA body just as a rectangle does.
     #[test]
     fn point_leaves_take_the_layout_their_entries_need() {
         let (a, b) = (0.1, 0.7);
@@ -662,29 +673,29 @@ mod tests {
         let shape = |leaves: &[(PageLayout, Vec<(Rect, u64)>)]| -> Vec<(PageLayout, usize)> {
             leaves.iter().map(|(l, e)| (*l, e.len())).collect()
         };
-        // Points up to 170 in the root leaf, then a split into two point
-        // leaves, one per cluster.
+        // Points up to 2M − 1 = 199 in the root leaf, then a split into two
+        // point leaves, one per cluster.
         let mut last = Vec::new();
-        for e in [cluster(a, 50..85), cluster(b, 50..85)].concat() {
+        for e in [cluster(a, 50..85), cluster(b, 50..114)].concat() {
             last = write(&mut disk, e, true);
         }
-        assert_eq!(shape(&last), [(PageLayout::Points, 170)]);
+        assert_eq!(shape(&last), [(PageLayout::Points, 199)]);
         let last = write(&mut disk, cluster(a, 85..86)[0], true);
         assert_eq!(
             shape(&last),
-            [(PageLayout::Points, 86), (PageLayout::Points, 85)]
+            [(PageLayout::Points, 86), (PageLayout::Points, 114)]
         );
         // A rectangle into the point leaf of 86: re-encoded SoA, no split.
         let r1 = (Rect::new(0.15, 0.15, 0.16, 0.16), 9_001);
         let last = write(&mut disk, r1, true);
         assert_eq!(
             shape(&last),
-            [(PageLayout::Soa, 87), (PageLayout::Points, 85)]
+            [(PageLayout::Soa, 87), (PageLayout::Points, 114)]
         );
         // The other leaf up to 150 points, then a rectangle into it: two
         // halves between m and M, the rectangle's SoA.
         let mut last = Vec::new();
-        for e in cluster(b, 85..150) {
+        for e in cluster(b, 114..150) {
             last = write(&mut disk, e, true);
         }
         assert_eq!(
@@ -712,6 +723,79 @@ mod tests {
             "{:?}",
             shape(&last)
         );
+        // A point 2³³ ids away into the leaf of 86: SoA, no split; deleting
+        // it returns the leaf to the point body.
+        let (p, id) = cluster(a, 86..87)[0];
+        let far = (p, id + (1 << 33));
+        let last = write(&mut disk, far, true);
+        assert_eq!(last.len(), 3, "{:?}", shape(&last));
+        for (layout, entries) in &last {
+            let holds = entries.contains(&far);
+            assert_eq!(*layout == PageLayout::Soa, holds, "{:?}", shape(&last));
+            assert!(!holds || entries.len() == 87, "{:?}", shape(&last));
+        }
+        let last = write(&mut disk, far, false);
+        assert!(
+            last.iter().all(|l| l.0 == PageLayout::Points),
+            "{:?}",
+            shape(&last)
+        );
+    }
+
+    /// A rectangle into a full leaf of 2M − 1 = 199 points splits it at
+    /// min fill m. Where the rectangle lands in a half of at most M, that
+    /// half is SoA and the other keeps the point body; where it lands in a
+    /// larger half, it moves to the other one. Either way the SoA half has
+    /// room for the next rectangle.
+    #[test]
+    fn a_full_point_leaf_splits_with_room_beside_the_rectangle() {
+        let shape = |disk: &DiskRTree<MemStore>| -> Vec<(PageLayout, usize)> {
+            let mut s: Vec<_> = leaves(disk).iter().map(|(l, e)| (*l, e.len())).collect();
+            s.sort_unstable_by_key(|&(l, _)| l == PageLayout::Points);
+            s
+        };
+        // The cluster turned half a circle about its centre and listed in
+        // reverse: there the split's second half is the one that overflows.
+        let turned =
+            |(r, id): (Rect, u64)| (Rect::point(Point::new(0.4 - r.lo.x, 0.4 - r.lo.y)), id);
+        let runs = [
+            (
+                cluster(0.1, 0..199),
+                0.12,
+                0.25,
+                [(PageLayout::Soa, 91), (PageLayout::Points, 109)],
+            ),
+            (
+                cluster(0.1, 0..199),
+                0.12,
+                0.15,
+                [(PageLayout::Soa, 91), (PageLayout::Points, 109)],
+            ),
+            (
+                cluster(0.1, 0..199).into_iter().map(turned).rev().collect(),
+                0.27,
+                0.25,
+                [(PageLayout::Soa, 91), (PageLayout::Points, 109)],
+            ),
+        ];
+        for (points, x, y, want) in runs {
+            let bulk: Vec<Rect> = points[..100].iter().map(|e| e.0).collect();
+            let mut reference = BulkLoader::hilbert(100).load(&bulk);
+            let disk =
+                DiskRTree::create_compressed(MemStore::new(), &reference, 64, LruPolicy::new());
+            let mut disk = disk.unwrap();
+            for &(r, id) in &points[100..] {
+                disk.insert(r, id).unwrap();
+                reference.insert(r, id);
+            }
+            assert_eq!(shape(&disk), [(PageLayout::Points, 199)]);
+            let r = Rect::new(x, y, x + 0.01, y + 0.01);
+            disk.insert(r, 9_001).unwrap();
+            reference.insert(r, 9_001);
+            assert_eq!(shape(&disk), want);
+            probe(&disk, &reference, &r, "rectangle");
+            assert_leaf_formats(&disk, "rectangle");
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //! 0       2     magic 0x5254 ("RT")
 //! 2       2     node level (0 = leaf)
 //! 4       2     entry count
-//! 6       2     layout flag: 1 = SoA, 2 = Packed (v4), 3 = Points (v4)
+//! 6       2     layout flag: 1 = SoA, 2 = Packed (v4), 4 = Points (v4)
 //! 8       4     crc32 (whole page, this field zeroed)
 //! 12      4     reserved (0)
 //! ```
-//! Flag 0 was the array-of-structs body of format v2; it is rejected as
-//! [`PageError::UnsupportedLayout`] like any other unknown flag.
+//! Flags 0 (format v2's array-of-structs body) and 3 (the point body with
+//! 8-byte ids) are retired: [`PageError::UnsupportedLayout`], like 5 or 9.
 //!
 //! *SoA body* (layout 1, format v3): five fixed-stride arrays of
 //! `102 × 8 = 816` bytes each — the first `k` slots of each are live —
@@ -52,16 +52,19 @@
 //! [`PageView`]. At leaf level `ptr` is the item id; at internal levels it
 //! is the child *page* id.
 //!
-//! *Point body* (layout 3, format v4 leaves whose every entry is a point,
-//! `lo == hi` to the bit): three planes of `170 × 8 = 1360` bytes, tiling
-//! the page like SoA's five (`16 + 3·1360 = 4096`):
+//! *Point body* (layout 4, format v4 leaves whose every entry is a point,
+//! `lo == hi` to the bit, and whose ids lie within `u32::MAX` of the least):
+//! that least id, two coordinate planes and the ids as 4-byte deltas from
+//! it (`16 + 8 + 2·1624 + 812 = 4084`, the last 12 bytes zero):
 //! ```text
-//! 16      1360  x[0..170]
-//! 1376    1360  y[0..170]
-//! 2736    1360  ptr[0..170]
+//! 16      8     base u64 (the least item id)
+//! 24      1624  x[0..203]
+//! 1648    1624  y[0..203]
+//! 3272    812   id − base u32[0..203]
 //! ```
 //! Readers take the body as the SoA planes `[x, y, x, y]`, so every kernel,
-//! validation and distance is the SoA one, bit for bit.
+//! validation and distance is the SoA one, bit for bit; an id is `base +
+//! delta` (wrapping: on a crafted page any id may be garbage).
 //!
 //! *Packed body* (layout 2, format v4, internal pages of compressed trees):
 //! one full-precision *frame* rectangle — the page's own bounding rect —
@@ -149,11 +152,15 @@ pub const MAX_ENTRIES_PER_PAGE: usize = (PAGE_SIZE - NODE_HEADER) / ENTRY_SIZE;
 /// Byte stride of one SoA coordinate array: `102 × 8`.
 const SOA_STRIDE: usize = MAX_ENTRIES_PER_PAGE * 8;
 
-/// Maximum entries of a point-body leaf: `(4096 − 16) / (2 · 8 + 8)`.
-pub const MAX_ENTRIES_POINTS: usize = (PAGE_SIZE - NODE_HEADER) / 24;
+/// Maximum entries of a point-body leaf: `(4096 − 16 − 8) / (2 · 8 + 4)`.
+pub const MAX_ENTRIES_POINTS: usize = (PAGE_SIZE - POINT_PLANES_OFFSET) / 20;
 
-/// Byte stride of one point-body plane: `170 × 8`.
+/// Offset of a point body's `x` plane, past its `u64` id base.
+const POINT_PLANES_OFFSET: usize = NODE_HEADER + 8;
+/// Byte stride of one point-body coordinate plane: `203 × 8`.
 const POINT_STRIDE: usize = MAX_ENTRIES_POINTS * 8;
+/// Offset of a point body's id-delta plane.
+const POINT_DELTA_OFFSET: usize = POINT_PLANES_OFFSET + 2 * POINT_STRIDE;
 
 /// Maximum entries of a Packed (compressed, format v4) node page:
 /// `(4096 − 16 − 32) / (4·2 + 8) = 253`, ~2.5× the f64 layout.
@@ -184,10 +191,10 @@ const FREE_NEXT_OFFSET: usize = 16;
 
 // The five SoA arrays must tile the page body exactly.
 const _: () = assert!(NODE_HEADER + 5 * SOA_STRIDE == PAGE_SIZE);
-// The Packed frame + four code planes + pointer plane must, too, and the
-// three point-body planes.
+// The Packed frame + four code planes + pointer plane must, too; the
+// point body's base and planes fit.
 const _: () = assert!(PACKED_PTR_OFFSET + MAX_ENTRIES_PACKED * 8 == PAGE_SIZE);
-const _: () = assert!(NODE_HEADER + 3 * POINT_STRIDE == PAGE_SIZE);
+const _: () = assert!(POINT_DELTA_OFFSET + MAX_ENTRIES_POINTS * 4 <= PAGE_SIZE);
 
 /// Body layout of a node page (header byte 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,8 +206,8 @@ pub enum PageLayout {
     /// of compressed trees. Decoded rects conservatively contain the true
     /// ones (see the module docs).
     Packed,
-    /// `x`, `y` and pointer planes of point entries — format v4 leaves
-    /// whose every entry is a point, read as the SoA planes `[x, y, x, y]`.
+    /// `x`, `y` planes and 4-byte id deltas — format v4 leaves of points
+    /// whose ids span less than 2³², read as the SoA planes `[x, y, x, y]`.
     Points,
 }
 
@@ -209,7 +216,7 @@ impl PageLayout {
         match self {
             PageLayout::Soa => 1,
             PageLayout::Packed => 2,
-            PageLayout::Points => 3,
+            PageLayout::Points => 4,
         }
     }
 
@@ -217,7 +224,7 @@ impl PageLayout {
         match flag {
             1 => Ok(PageLayout::Soa),
             2 => Ok(PageLayout::Packed),
-            3 => Ok(PageLayout::Points),
+            4 => Ok(PageLayout::Points),
             other => Err(PageError::UnsupportedLayout(other)),
         }
     }
@@ -508,17 +515,18 @@ impl PageMeta {
     }
 
     /// The layout and entry capacity of a node at on-page `level` holding
-    /// `rects`: compressed trees write Packed internal pages and a leaf of
-    /// points only as a point body; everything else is SoA.
-    pub fn format_of<'r>(
+    /// `entries`: compressed trees write Packed internal pages and a leaf
+    /// of points whose ids span less than 2³² as a point body; everything
+    /// else is SoA.
+    pub fn format_of<'e>(
         &self,
         level: u16,
-        rects: impl IntoIterator<Item = &'r Rect>,
+        entries: impl IntoIterator<Item = &'e (Rect, u64)>,
     ) -> (PageLayout, usize) {
         let (max, points) = (self.max_entries as usize, PageLayout::Points);
         match (self.compressed, level) {
             (true, 1..) => (PageLayout::Packed, self.internal_max_entries as usize),
-            (true, 0) if rects.into_iter().all(is_point) => (points, point_capacity(max)),
+            (true, 0) if fits_point_body(entries) => (points, point_capacity(max)),
             _ => (PageLayout::Soa, max),
         }
     }
@@ -571,9 +579,20 @@ pub(crate) fn point_capacity(max: usize) -> usize {
     MAX_ENTRIES_POINTS.min((2 * max).saturating_sub(1))
 }
 
-/// Whether `r` is a point to the bit, as a point body stores it.
-pub(crate) fn is_point(r: &Rect) -> bool {
-    r.lo.x.to_bits() == r.hi.x.to_bits() && r.lo.y.to_bits() == r.hi.y.to_bits()
+/// Whether a point body can hold `entries`: points to the bit, with ids
+/// within `u32::MAX` of the least (deltas from the page's base).
+pub(crate) fn fits_point_body<'e>(entries: impl IntoIterator<Item = &'e (Rect, u64)>) -> bool {
+    let mut span = None;
+    entries.into_iter().all(|e| widen_point_span(&mut span, e))
+}
+
+/// Widens a point body's id span (least, greatest) by `(r, id)`: whether
+/// the body still holds its entries with this one.
+pub(crate) fn widen_point_span(span: &mut Option<(u64, u64)>, (r, id): &(Rect, u64)) -> bool {
+    let (lo, hi) = span.map_or((*id, *id), |(lo, hi)| (lo.min(*id), hi.max(*id)));
+    *span = Some((lo, hi));
+    let point = r.lo.x.to_bits() == r.hi.x.to_bits() && r.lo.y.to_bits() == r.hi.y.to_bits();
+    point && hi - lo <= u64::from(u32::MAX)
 }
 
 /// Decoded node page.
@@ -611,11 +630,11 @@ fn check_node_header(buf: &[u8], verify: bool) -> Result<(u16, usize, PageLayout
     Ok((level, count, layout))
 }
 
-/// Offset of the `f64`-body plane holding entry word `w` (0 = lo.x …
-/// 4 = ptr): a point body keeps `hi` in its `lo` planes.
+/// Offset of the `f64`-body plane holding entry word `w` (0 = lo.x … 3 =
+/// hi.y, 4 = SoA's ptr): a point body keeps `hi` in its `lo` planes.
 fn f64_plane_at(layout: PageLayout, w: usize) -> usize {
     match layout {
-        PageLayout::Points => NODE_HEADER + [0, 1, 0, 1, 2][w] * POINT_STRIDE,
+        PageLayout::Points => POINT_PLANES_OFFSET + w % 2 * POINT_STRIDE,
         _ => NODE_HEADER + w * SOA_STRIDE,
     }
 }
@@ -624,6 +643,39 @@ fn f64_plane_at(layout: PageLayout, w: usize) -> usize {
 #[inline]
 fn f64_plane(buf: &[u8], layout: PageLayout, w: usize, count: usize) -> &[u8] {
     &buf[f64_plane_at(layout, w)..][..count * 8]
+}
+
+/// The pointer plane of a node page's first `count` entries: `u64`s, or a
+/// point body's base and `u32` deltas.
+#[derive(Clone, Copy)]
+enum Ptrs<'a> {
+    Wide(&'a [u8]),
+    Deltas(u64, &'a [u8]),
+}
+
+impl<'a> Ptrs<'a> {
+    fn of(buf: &'a [u8], layout: PageLayout, count: usize) -> Self {
+        let base = &buf[NODE_HEADER..POINT_PLANES_OFFSET];
+        match layout {
+            PageLayout::Soa => Ptrs::Wide(f64_plane(buf, layout, 4, count)),
+            PageLayout::Packed => Ptrs::Wide(&buf[PACKED_PTR_OFFSET..][..count * 8]),
+            PageLayout::Points => Ptrs::Deltas(
+                u64::from_le_bytes(base.try_into().expect("8 bytes")),
+                &buf[POINT_DELTA_OFFSET..][..count * 4],
+            ),
+        }
+    }
+
+    #[inline]
+    fn get(self, i: usize) -> u64 {
+        match self {
+            Ptrs::Wide(p) => u64::from_le_bytes(p[i * 8..i * 8 + 8].try_into().expect("8 bytes")),
+            Ptrs::Deltas(base, d) => {
+                let delta = u32::from_le_bytes(d[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+                base.wrapping_add(u64::from(delta))
+            }
+        }
+    }
 }
 
 /// Reads and validates the Packed frame rectangle: finite and `lo <= hi`,
@@ -648,13 +700,6 @@ fn packed_frame(buf: &[u8]) -> Result<Rect, PageError> {
 fn packed_code(buf: &[u8], k: usize, i: usize) -> u16 {
     let off = PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE + i * 2;
     u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes"))
-}
-
-/// Pointer `i` of a Packed page.
-#[inline]
-fn packed_ptr(buf: &[u8], i: usize) -> u64 {
-    let off = PACKED_PTR_OFFSET + i * 8;
-    u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
 }
 
 /// The Packed inverted-rectangle check: per entry and axis the low-edge
@@ -724,7 +769,7 @@ impl NodePage {
     /// Encodes into a page buffer in the layout `meta`'s tree writes this
     /// node in ([`PageMeta::format_of`]), sealing it with a checksum.
     pub fn encode_for(&self, meta: &PageMeta, buf: &mut [u8]) {
-        let (layout, _) = meta.format_of(self.level, self.entries.iter().map(|e| &e.0));
+        let (layout, _) = meta.format_of(self.level, &self.entries);
         self.encode_with(buf, layout)
     }
 
@@ -735,7 +780,8 @@ impl NodePage {
     ///
     /// # Panics
     /// Panics if the entry count exceeds the layout's capacity
-    /// ([`MAX_ENTRIES_PER_PAGE`], or [`MAX_ENTRIES_PACKED`] for Packed).
+    /// ([`PageLayout::capacity`]), or if a point body cannot hold the
+    /// entries ([`PageMeta::format_of`]).
     pub fn encode_with(&self, buf: &mut [u8], layout: PageLayout) {
         assert_eq!(buf.len(), PAGE_SIZE);
         assert!(
@@ -750,15 +796,27 @@ impl NodePage {
         buf[4..6].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
         buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&layout.flag().to_le_bytes());
         match layout {
-            PageLayout::Soa | PageLayout::Points => {
-                let fits = layout == PageLayout::Soa || self.entries.iter().all(|e| is_point(&e.0));
-                assert!(fits, "a point body holds points only");
+            PageLayout::Soa => {
                 for (i, (r, p)) in self.entries.iter().enumerate() {
                     let words = [r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f64::to_bits);
                     for (w, v) in words.into_iter().chain([*p]).enumerate() {
                         let off = f64_plane_at(layout, w) + i * 8;
                         buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
                     }
+                }
+            }
+            PageLayout::Points => {
+                let fits = fits_point_body(&self.entries);
+                assert!(fits, "a point body holds points only, ids < 2³² apart");
+                let base = self.entries.iter().map(|e| e.1).min().unwrap_or(0);
+                buf[NODE_HEADER..POINT_PLANES_OFFSET].copy_from_slice(&base.to_le_bytes());
+                for (i, (r, p)) in self.entries.iter().enumerate() {
+                    for (w, v) in [r.lo.x, r.lo.y].into_iter().enumerate() {
+                        let off = f64_plane_at(layout, w) + i * 8;
+                        buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
+                    }
+                    let off = POINT_DELTA_OFFSET + i * 4;
+                    buf[off..off + 4].copy_from_slice(&((p - base) as u32).to_le_bytes());
                 }
             }
             PageLayout::Packed => {
@@ -810,6 +868,7 @@ impl NodePage {
     /// `lo <= hi` — inverted rectangles never get past decode).
     pub fn decode(buf: &[u8]) -> Result<Self, PageError> {
         let (level, count, layout) = check_node_header(buf, true)?;
+        let ptrs = Ptrs::of(buf, layout, count);
         let mut entries = Vec::with_capacity(count);
         match layout {
             PageLayout::Packed => {
@@ -827,16 +886,14 @@ impl NodePage {
                         lo: Point::new(x(0, i), y(1, i)),
                         hi: Point::new(x(2, i), y(3, i)),
                     };
-                    entries.push((rect, packed_ptr(buf, i)));
+                    entries.push((rect, ptrs.get(i)));
                 }
             }
             PageLayout::Soa | PageLayout::Points => {
-                let word = |k, i: usize| -> [u8; 8] {
-                    f64_plane(buf, layout, k, count)[i * 8..i * 8 + 8]
-                        .try_into()
-                        .expect("8 bytes")
+                let f = |k, i: usize| {
+                    let word = &f64_plane(buf, layout, k, count)[i * 8..i * 8 + 8];
+                    f64::from_le_bytes(word.try_into().expect("8 bytes"))
                 };
-                let f = |k, i| f64::from_le_bytes(word(k, i));
                 for i in 0..count {
                     let rect = Rect {
                         lo: Point::new(f(0, i), f(1, i)),
@@ -845,7 +902,7 @@ impl NodePage {
                     if !rect.is_valid() {
                         return Err(PageError::CorruptRect);
                     }
-                    entries.push((rect, u64::from_le_bytes(word(4, i))));
+                    entries.push((rect, ptrs.get(i)));
                 }
             }
         }
@@ -860,7 +917,8 @@ impl NodePage {
 #[derive(Clone, Copy)]
 pub struct PageView<'a> {
     pub(crate) planes: EntryPlanes<'a>,
-    ptrs: &'a [u8],
+    ptrs: Ptrs<'a>,
+    len: usize,
 }
 
 impl<'a> PageView<'a> {
@@ -876,22 +934,18 @@ impl<'a> PageView<'a> {
                 found,
             });
         }
-        Ok(match layout {
-            PageLayout::Packed => PageView {
-                planes: EntryPlanes::Codes {
-                    frame: packed_frame(buf)?,
-                    planes: std::array::from_fn(|k| {
-                        &buf[PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE..][..count * 2]
-                    }),
-                },
-                ptrs: &buf[PACKED_PTR_OFFSET..][..count * 8],
+        let planes = match layout {
+            PageLayout::Packed => EntryPlanes::Codes {
+                frame: packed_frame(buf)?,
+                planes: std::array::from_fn(|k| {
+                    &buf[PACKED_PLANES_OFFSET + k * PACKED_QSTRIDE..][..count * 2]
+                }),
             },
             // A point body's planes are `[x, y, x, y]`: aliased, not copied.
-            _ => PageView {
-                planes: EntryPlanes::F64(std::array::from_fn(|w| f64_plane(buf, layout, w, count))),
-                ptrs: f64_plane(buf, layout, 4, count),
-            },
-        })
+            _ => EntryPlanes::F64(std::array::from_fn(|w| f64_plane(buf, layout, w, count))),
+        };
+        let (ptrs, len) = (Ptrs::of(buf, layout, count), count);
+        Ok(PageView { planes, ptrs, len })
     }
 
     /// Appends the index of every entry intersecting `q` to `out`,
@@ -922,13 +976,14 @@ impl<'a> PageView<'a> {
         Ok(self.planes.mbr()?)
     }
 
-    /// Pointer of entry `i` (item id at a leaf, child page id above).
+    /// Pointer of entry `i` (item id at a leaf, child page id above); on a
+    /// point body, the page's base plus the entry's delta.
     ///
     /// # Panics
     /// Panics if the page has no entry `i`.
     #[inline]
     pub fn ptr(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.ptrs[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+        self.ptrs.get(i)
     }
 
     /// Rectangle of entry `i` (dequantized on a Packed page).
@@ -943,8 +998,7 @@ impl<'a> PageView<'a> {
     /// reads them; validates like [`PageView::intersecting`].
     pub(crate) fn entries(&self) -> Result<Vec<(Rect, u64)>, PageError> {
         self.mbr()?;
-        let count = self.ptrs.len() / 8;
-        Ok((0..count).map(|i| (self.rect(i), self.ptr(i))).collect())
+        Ok((0..self.len).map(|i| (self.rect(i), self.ptr(i))).collect())
     }
 }
 
@@ -1329,8 +1383,9 @@ mod tests {
             level: 0,
             entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1)],
         };
-        // Flag 0 is the retired v2 array-of-structs body: as unknown as 7.
-        for flag in [0u16, 7] {
+        // Flag 0 is the retired v2 array-of-structs body and flag 3 the
+        // retired point body with 8-byte ids: as unknown as 7.
+        for flag in [0u16, 3, 7] {
             let mut buf = vec![0u8; PAGE_SIZE];
             node.encode_with(&mut buf, PageLayout::Soa);
             buf[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&flag.to_le_bytes());
@@ -1558,19 +1613,47 @@ mod tests {
         let signed = Rect::new(-0.0, 0.5, 0.0, 0.5);
         let plain = sample_meta();
         for (level, rects) in [(0, vec![p]), (0, vec![p, r]), (2, vec![p])] {
-            assert_eq!(plain.format_of(level, &rects), (PageLayout::Soa, 100), "v3");
+            let entries: Vec<_> = rects.into_iter().zip(0..).collect();
+            assert_eq!(
+                plain.format_of(level, &entries),
+                (PageLayout::Soa, 100),
+                "v3"
+            );
         }
         let packed = PageMeta {
             internal_max_entries: 253,
             compressed: true,
             ..sample_meta()
         };
-        let points = (PageLayout::Points, MAX_ENTRIES_POINTS);
-        assert_eq!(packed.format_of(0, &[p, p]), points);
+        // M = 100: a point body holds 2M − 1 = 199 of its 203 slots.
+        let points = (PageLayout::Points, 199);
+        assert_eq!(packed.format_of(0, &[(p, 7), (p, 8)]), points);
         assert_eq!(packed.format_of(0, &[]), points, "an empty leaf");
-        assert_eq!(packed.format_of(0, &[p, r]), (PageLayout::Soa, 100));
-        assert_eq!(packed.format_of(0, &[signed]), (PageLayout::Soa, 100));
-        assert_eq!(packed.format_of(1, &[p]), (PageLayout::Packed, 253));
+        assert_eq!(
+            packed.format_of(0, &[(p, 1), (r, 2)]),
+            (PageLayout::Soa, 100)
+        );
+        assert_eq!(packed.format_of(0, &[(signed, 1)]), (PageLayout::Soa, 100));
+        assert_eq!(packed.format_of(1, &[(p, 1)]), (PageLayout::Packed, 253));
+        // Ids span at most `u32::MAX` from the least, in any order.
+        let top = u64::MAX;
+        for ids in [[5, 5 + u32::MAX as u64], [top, top - u32::MAX as u64]] {
+            assert_eq!(
+                packed.format_of(0, &ids.map(|id| (p, id))),
+                points,
+                "{ids:?}"
+            );
+        }
+        for ids in [[5, 5 + (1 << 32)], [top, top - (1 << 32)], [0, top]] {
+            let soa = (PageLayout::Soa, 100);
+            assert_eq!(packed.format_of(0, &ids.map(|id| (p, id))), soa, "{ids:?}");
+        }
+        let small = PageMeta {
+            max_entries: 8,
+            ..packed
+        };
+        assert_eq!(small.format_of(0, &[(p, 1)]), (PageLayout::Points, 15));
+        assert_eq!(MAX_ENTRIES_POINTS, 203);
     }
 
     /// Quantizes `rects` against exactly `frame` by putting the frame

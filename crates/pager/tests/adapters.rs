@@ -8,7 +8,8 @@ use rand::{Rng, SeedableRng};
 use rtree_buffer::{LruPolicy, PageId};
 use rtree_geom::Rect;
 use rtree_pager::{
-    BufferManager, MemStore, NodePage, NodeSoA, PageLayout, PageStore, PageView, PAGE_SIZE,
+    BufferManager, MemStore, NodePage, NodeSoA, PageError, PageLayout, PageStore, PageView,
+    PAGE_SIZE,
 };
 use rtree_wal::crc32;
 
@@ -19,22 +20,23 @@ fn encoded(node: &NodePage, layout: PageLayout) -> Vec<u8> {
     page
 }
 
-/// Full pages of every body layout: an SoA leaf, a point-body leaf and a
-/// Packed internal page.
+/// Full pages of every body layout: an SoA leaf, a point-body leaf (ids
+/// far from 0, so its base and deltas both matter) and a Packed internal
+/// page.
 fn templates() -> [Vec<u8>; 3] {
-    let node = |level, n: u64, side: f64| NodePage {
+    let node = |level, n: u64, side: f64, first: u64| NodePage {
         level,
         entries: (0..n)
             .map(|i| {
                 let (x, y) = ((i % 13) as f64 / 13.0, (i / 13) as f64 / 20.0);
-                (Rect::new(x, y, x + side, y + side), 100 + i)
+                (Rect::new(x, y, x + side, y + side), first + i * 7_919)
             })
             .collect(),
     };
     [
-        encoded(&node(0, 102, 0.03), PageLayout::Soa),
-        encoded(&node(0, 170, 0.0), PageLayout::Points),
-        encoded(&node(1, 253, 0.05), PageLayout::Packed),
+        encoded(&node(0, 102, 0.03, 100), PageLayout::Soa),
+        encoded(&node(0, 203, 0.0, 1 << 40), PageLayout::Points),
+        encoded(&node(1, 253, 0.05, 100), PageLayout::Packed),
     ]
 }
 
@@ -104,6 +106,14 @@ fn adapters_answer_like_the_production_code() {
             agrees(&page);
         }
     }
+
+    // Flag 3, the retired point body, is an unknown layout to the adapter.
+    let mut retired = templates()[1].clone();
+    retired[6..8].copy_from_slice(&3u16.to_le_bytes());
+    reseal(&mut retired);
+    let unsupported = Some(PageError::UnsupportedLayout(3));
+    assert_eq!(NodeSoA::decode(&retired).err(), unsupported);
+    agrees(&retired);
 
     // `write_buffered` writes through: the store and the resident frame
     // hold the new bytes at once, for one physical write and no read.

@@ -288,17 +288,11 @@ fn point_image() -> Vec<u8> {
         .snapshot()
 }
 
-/// Point leaves are read through the SoA kernels: a NaN or infinite
-/// coordinate is `CorruptRect` under every kernel, from every scan the view
-/// offers and from both decoders, and fails every walk on every visit; a
-/// count above the body's 170 slots is `EntryOverflow`.
-#[test]
-fn corrupt_point_leaf_fails_under_every_kernel() {
-    let image = point_image();
-    // The leaf holding the centre, so even the point walk meets it.
+/// The leaf of `image` holding the centre, so even the point walk meets it.
+fn centre_leaf(image: &[u8]) -> usize {
     let meta = PageMeta::decode(&image[..PAGE_SIZE]).unwrap();
     let centre = Rect::point(Point::new(0.5, 0.5));
-    let leaf = (meta.level_starts[1]..=meta.nodes)
+    (meta.level_starts[1]..=meta.nodes)
         .find(|&id| {
             let page = &image[id as usize * PAGE_SIZE..][..PAGE_SIZE];
             NodePage::decode(page)
@@ -307,15 +301,25 @@ fn corrupt_point_leaf_fails_under_every_kernel() {
                 .iter()
                 .any(|e| e.0 == centre)
         })
-        .expect("a leaf holds the centre") as usize;
+        .expect("a leaf holds the centre") as usize
+}
+
+/// Point leaves are read through the SoA kernels: a NaN or infinite
+/// coordinate is `CorruptRect` under every kernel, from every scan the view
+/// offers and from both decoders, and fails every walk on every visit; a
+/// count above the body's 203 slots is `EntryOverflow`.
+#[test]
+fn corrupt_point_leaf_fails_under_every_kernel() {
+    let image = point_image();
+    let leaf = centre_leaf(&image);
     let sound = &image[leaf * PAGE_SIZE..][..PAGE_SIZE];
     assert_eq!(PageLayout::of(sound).unwrap(), PageLayout::Points);
     let kept = NodePage::decode(sound).unwrap().entries[0];
-    // Point planes: x[0] at byte 16, y[0] at 16 + 1360; slot 1 is planted.
+    // Point planes: x[0] at byte 24, y[0] at 24 + 1624; slot 1 is planted.
     for (what, at, bad) in [
-        ("NaN x", 16 + 8, f64::NAN),
-        ("+inf y", 16 + 1360 + 8, f64::INFINITY),
-        ("-inf y", 16 + 1360 + 8, f64::NEG_INFINITY),
+        ("NaN x", 24 + 8, f64::NAN),
+        ("+inf y", 24 + 1624 + 8, f64::INFINITY),
+        ("-inf y", 24 + 1624 + 8, f64::NEG_INFINITY),
     ] {
         let mut image = image.clone();
         let page = &mut image[leaf * PAGE_SIZE..][..PAGE_SIZE];
@@ -342,9 +346,31 @@ fn corrupt_point_leaf_fails_under_every_kernel() {
         assert_every_walk_fails_every_time(what, image);
     }
     let mut page = sound.to_vec();
-    page[4..6].copy_from_slice(&171u16.to_le_bytes());
+    page[4..6].copy_from_slice(&204u16.to_le_bytes());
     reseal(&mut page);
-    let overflow = Err(PageError::EntryOverflow(171));
+    let overflow = Err(PageError::EntryOverflow(204));
     assert_eq!(NodePage::decode(&page).map(drop), overflow);
     assert_eq!(PageView::new(&page, 0).map(drop), overflow);
+}
+
+/// Layout flag 3, the retired point body with 8-byte ids, is an unknown
+/// layout: a sealed leaf carrying it is `UnsupportedLayout(3)` to the
+/// decoder and the view, and fails every walk and write on every visit.
+/// (`tests/adapters.rs` shows the adapter refuses it too.)
+#[test]
+fn a_retired_flag_3_leaf_is_an_unsupported_layout() {
+    let mut image = point_image();
+    let leaf = centre_leaf(&image);
+    let kept = NodePage::decode(&image[leaf * PAGE_SIZE..][..PAGE_SIZE])
+        .unwrap()
+        .entries[0];
+    let page = &mut image[leaf * PAGE_SIZE..][..PAGE_SIZE];
+    page[6..8].copy_from_slice(&3u16.to_le_bytes());
+    reseal(page);
+    let retired = PageError::UnsupportedLayout(3);
+    assert_eq!(NodePage::decode(page), Err(retired.clone()));
+    assert_eq!(PageView::new(page, 0).err(), Some(retired.clone()));
+    assert_eq!(PageLayout::of(page), Err(retired));
+    assert_delete_fails_every_time("flag 3", &image, kept);
+    assert_every_walk_fails_every_time("flag 3", image);
 }

@@ -23,7 +23,7 @@ use rtree_buffer::LruPolicy;
 use rtree_geom::{Point, Rect};
 use rtree_pager::{
     DiskRTree, MemStore, NodePage, PageError, PageLayout, PageMeta, PageView, MAX_ENTRIES_PACKED,
-    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    MAX_ENTRIES_PER_PAGE, MAX_ENTRIES_POINTS, PAGE_SIZE,
 };
 
 /// What `ask_view` collects: the MBR, the matches of each sample query, and
@@ -147,6 +147,18 @@ fn random_bytes_never_panic() {
         rng.fill_bytes(&mut page);
         decode_both(&page);
     }
+    // Random bodies behind a node header with a random layout flag (4, the
+    // point body, most often) and a count around that layout's capacity,
+    // so the bytes reach the planes; random coordinates are mostly finite.
+    for _ in 0..3_000 {
+        rng.fill_bytes(&mut page);
+        page[0..2].copy_from_slice(&0x5254u16.to_le_bytes());
+        page[2..4].copy_from_slice(&rng.gen_range(0..3u16).to_le_bytes());
+        page[4..6].copy_from_slice(&rng.gen_range(0..=260u16).to_le_bytes());
+        let flag = [1u16, 2, 3, 4, 4, 4][rng.gen_range(0..6usize)];
+        page[6..8].copy_from_slice(&flag.to_le_bytes());
+        decode_both_and_resealed(&mut page);
+    }
     // Wrong lengths must be rejected, not sliced out of bounds.
     for len in [
         0usize,
@@ -213,15 +225,18 @@ fn packed_page() -> Vec<u8> {
     page
 }
 
-/// A point-body leaf with more entries than an SoA page holds: 160 points,
-/// a few of them on a page-like grid so mutations also make ties.
+/// A full point-body leaf, 203 points on a page-like grid so mutations
+/// also make ties. Its ids span nearly the whole `u32` delta range just
+/// below `u64::MAX`, so a flipped bit in the base or a delta runs the
+/// id sum past the top.
 fn point_page() -> Vec<u8> {
     let node = NodePage {
         level: 0,
-        entries: (0..160)
+        entries: (0..MAX_ENTRIES_POINTS as u64)
             .map(|i| {
-                let (x, y) = ((i % 16) as f64 / 16.0, (i / 16) as f64 / 10.0);
-                (Rect::point(Point::new(x, y)), 3_000 + i)
+                let (x, y) = ((i % 16) as f64 / 16.0, (i / 16) as f64 / 13.0);
+                let id = u64::MAX - u64::from(u32::MAX) + i * 21_000_000;
+                (Rect::point(Point::new(x, y)), id)
             })
             .collect(),
     };
@@ -399,12 +414,12 @@ fn regression_v3_entry_count_overflow() {
     ));
 }
 
-/// A layout flag naming neither body layout — 0, the retired v2
-/// array-of-structs body, included — is a typed error, not an
-/// out-of-bounds plane read.
+/// A layout flag naming no body layout — 0, the retired v2
+/// array-of-structs body, and 3, the retired point body with 8-byte ids,
+/// included — is a typed error, not an out-of-bounds plane read.
 #[test]
 fn regression_unknown_layout_flag() {
-    for flag in [0u16, 7] {
+    for flag in [0u16, 3, 7] {
         let mut page = vec![0u8; PAGE_SIZE];
         sample_node().encode_with(&mut page, PageLayout::Soa);
         page[6..8].copy_from_slice(&flag.to_le_bytes());
@@ -433,6 +448,22 @@ fn regression_truncated_soa_planes() {
             matches!(NodePage::decode(cut), Err(PageError::WrongLength { .. })),
             "len {len}"
         );
+    }
+}
+
+/// Truncated point bodies: cuts around the base (16..24), the `x`, `y`
+/// and delta plane seams (24, 1648, 3272) and the body's end (4084) are
+/// length errors, never out-of-bounds plane reads.
+#[test]
+fn regression_truncated_point_planes() {
+    let page = point_page();
+    for len in [
+        16usize, 23, 24, 25, 1647, 1648, 3271, 3272, 4083, 4084, 4095,
+    ] {
+        let cut = &page[..len];
+        let short = Err(PageError::WrongLength { got: len });
+        assert_eq!(PageView::new(cut, 0).map(drop), short, "len {len}");
+        assert_eq!(NodePage::decode(cut).map(drop), short, "len {len}");
     }
 }
 

@@ -7,8 +7,8 @@ use rtree_buffer::{BufferPool, LruPolicy, PageId};
 use rtree_geom::quant::quantum;
 use rtree_geom::{Point, Rect};
 use rtree_pager::{
-    BufferManager, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore,
-    MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    BufferManager, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore, PageView,
+    MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE, MAX_ENTRIES_POINTS, PAGE_SIZE,
 };
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -48,7 +48,70 @@ fn arb_frame_and_rects() -> impl Strategy<Value = (Rect, Vec<Rect>)> {
         })
 }
 
+/// A compressed tree's meta at M = 102, whose point leaves hold all 203
+/// slots of the point body.
+fn v4_meta() -> PageMeta {
+    PageMeta {
+        root: 1,
+        height: 1,
+        max_entries: 102,
+        min_entries: 40,
+        items: 0,
+        nodes: 1,
+        free_head: 0,
+        level_starts: vec![1],
+        internal_max_entries: MAX_ENTRIES_PACKED as u32,
+        compressed: true,
+    }
+}
+
 proptest! {
+    #[test]
+    fn point_page_round_trips_at_any_base_and_span(
+        base in 0u64..=u64::MAX - (1 << 32),
+        span in 0u64..=u64::from(u32::MAX),
+        points in prop::collection::vec(
+            (-1e6f64..1e6, -1e6f64..1e6, 0.0f64..=1.0),
+            2..=MAX_ENTRIES_POINTS,
+        ),
+        at in 0usize..MAX_ENTRIES_POINTS,
+    ) {
+        // Ids from `base` to `base + span`, both ends present, anywhere on
+        // the page: the leaf is a point body, and it round-trips exactly
+        // through the decode and the view.
+        let n = points.len();
+        let (lo_at, hi_at) = (at % n, (at + 1) % n);
+        let id = |i: usize, f: f64| match i {
+            _ if i == lo_at => base,
+            _ if i == hi_at => base + span,
+            _ => base + ((f * span as f64) as u64).min(span),
+        };
+        let entries = points.iter().enumerate();
+        let entries = entries.map(|(i, &(x, y, f))| (Rect::point(Point::new(x, y)), id(i, f)));
+        let node = NodePage { level: 0, entries: entries.collect() };
+        let meta = v4_meta();
+        let points = (PageLayout::Points, MAX_ENTRIES_POINTS);
+        prop_assert_eq!(meta.format_of(0, &node.entries), points);
+        let mut buf = vec![0u8; PAGE_SIZE];
+        node.encode_for(&meta, &mut buf);
+        prop_assert_eq!(PageLayout::of(&buf), Ok(PageLayout::Points));
+        prop_assert_eq!(NodePage::decode(&buf).expect("decode own encoding"), node.clone());
+        let view = PageView::new(&buf, 0).expect("view own encoding");
+        for (i, (r, p)) in node.entries.iter().enumerate() {
+            prop_assert_eq!(view.rect(i), *r);
+            prop_assert_eq!(view.ptr(i), *p);
+        }
+        // A span of exactly 2³² is one id too many for the deltas: SoA.
+        let mut wide = node;
+        wide.entries[hi_at].1 = base + (1 << 32);
+        prop_assert_eq!(meta.format_of(0, &wide.entries), (PageLayout::Soa, 102));
+        if n <= MAX_ENTRIES_PER_PAGE {
+            wide.encode_for(&meta, &mut buf);
+            prop_assert_eq!(PageLayout::of(&buf), Ok(PageLayout::Soa));
+            prop_assert_eq!(NodePage::decode(&buf).expect("decode own encoding"), wide);
+        }
+    }
+
     #[test]
     fn node_page_round_trips(
         level in 0u16..32,

@@ -21,8 +21,9 @@
 //! * [`pager`] — page file + buffer manager + disk-backed R-tree execution
 //!   that counts physical reads.
 //! * [`obs`] — observability: I/O trace events and sinks, power-of-two
-//!   histograms, Prometheus-style export (hooks in `pager` are behind its
-//!   `trace` cargo feature).
+//!   histograms, Prometheus-style export (a `pager` tree emits events to a
+//!   sink attached at run time with `set_trace_sink`; without one it emits
+//!   none).
 //! * [`wal`] — the write-ahead log backing the durable write path.
 //! * [`model`] — the paper's analytic models: node-access cost
 //!   (Kamel–Faloutsos with the Pagel boundary correction), data-driven
