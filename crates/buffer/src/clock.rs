@@ -1,7 +1,6 @@
 //! Clock (second-chance) replacement (ablation baseline).
 
-use crate::{PageId, ReplacementPolicy};
-use std::collections::HashMap;
+use crate::{PageId, PageMap, ReplacementPolicy};
 
 #[derive(Clone, Copy)]
 struct Frame {
@@ -15,7 +14,7 @@ struct Frame {
 pub struct ClockPolicy {
     frames: Vec<Frame>,
     free: Vec<usize>,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     hand: usize,
 }
 
@@ -25,7 +24,7 @@ impl ClockPolicy {
         ClockPolicy {
             frames: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::default(),
             hand: 0,
         }
     }

@@ -1,14 +1,14 @@
 //! First-in/first-out replacement (ablation baseline).
 
-use crate::{PageId, ReplacementPolicy};
-use std::collections::{HashSet, VecDeque};
+use crate::{PageId, PageSet, ReplacementPolicy};
+use std::collections::VecDeque;
 
 /// FIFO policy: victims leave in arrival order; references do not refresh a
 /// page's position. Removals are lazy (tombstoned) so all operations stay
 /// amortized O(1).
 pub struct FifoPolicy {
     queue: VecDeque<PageId>,
-    live: HashSet<PageId>,
+    live: PageSet<PageId>,
 }
 
 impl FifoPolicy {
@@ -16,7 +16,7 @@ impl FifoPolicy {
     pub fn new() -> Self {
         FifoPolicy {
             queue: VecDeque::new(),
-            live: HashSet::new(),
+            live: PageSet::default(),
         }
     }
 }

@@ -26,10 +26,35 @@ pub use lruk::LruKPolicy;
 pub use pool::{AccessOutcome, BufferPool, BufferStats, PinError};
 pub use random::RandomPolicy;
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Identifier of a buffered page. In the R-tree study one page holds one
 /// tree node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct PageId(pub u64);
+
+/// The page-keyed maps' hasher: a multiply per `u64`, rotated so its high bits pick the
+/// bucket. Page ids are the engine's own, so SipHash's flood resistance buys nothing.
+#[derive(Clone, Copy, Default)]
+pub struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by page id ([`PageId`] or its `u64`), hashed by [`PageHasher`].
+pub type PageMap<K, V> = HashMap<K, V, BuildHasherDefault<PageHasher>>;
+/// A set of page ids, hashed by [`PageHasher`].
+pub type PageSet<K> = HashSet<K, BuildHasherDefault<PageHasher>>;
 
 /// A replacement policy tracks the set of *evictable* (resident, unpinned)
 /// pages and chooses victims.

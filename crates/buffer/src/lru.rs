@@ -1,7 +1,6 @@
 //! Least-recently-used replacement with O(1) operations.
 
-use crate::{PageId, ReplacementPolicy};
-use std::collections::HashMap;
+use crate::{PageId, PageMap, ReplacementPolicy};
 
 const NIL: u32 = u32::MAX;
 
@@ -16,7 +15,7 @@ struct Slot {
 pub struct LruPolicy {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    map: HashMap<PageId, u32>,
+    map: PageMap<PageId, u32>,
     head: u32, // most recently used
     tail: u32, // least recently used
 }
@@ -27,7 +26,7 @@ impl LruPolicy {
         LruPolicy {
             slots: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::default(),
             head: NIL,
             tail: NIL,
         }

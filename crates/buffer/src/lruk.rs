@@ -3,8 +3,8 @@
 //! LRU, and LRU-K quantifies how much a history-aware policy would change
 //! its conclusions.
 
-use crate::{PageId, ReplacementPolicy};
-use std::collections::{BTreeSet, HashMap};
+use crate::{PageId, PageMap, ReplacementPolicy};
+use std::collections::BTreeSet;
 
 /// Reference history of one page: the times of its last `K` references,
 /// most recent first.
@@ -20,7 +20,7 @@ struct History {
 pub struct LruKPolicy {
     k: usize,
     clock: u64,
-    pages: HashMap<PageId, History>,
+    pages: PageMap<PageId, History>,
     /// Eviction order: (k-th reference time or 0, last reference time, page).
     order: BTreeSet<(u64, u64, PageId)>,
 }
@@ -35,7 +35,7 @@ impl LruKPolicy {
         LruKPolicy {
             k,
             clock: 0,
-            pages: HashMap::new(),
+            pages: PageMap::default(),
             order: BTreeSet::new(),
         }
     }

@@ -1,7 +1,6 @@
 //! The buffer pool: residency tracking, eviction, pinning, statistics.
 
-use crate::{PageId, ReplacementPolicy};
-use std::collections::HashSet;
+use crate::{PageId, PageSet, ReplacementPolicy};
 use std::fmt;
 
 /// Result of one page access.
@@ -96,8 +95,8 @@ impl std::error::Error for PinError {}
 pub struct BufferPool {
     capacity: usize,
     policy: Box<dyn ReplacementPolicy>,
-    resident: HashSet<PageId>,
-    pinned: HashSet<PageId>,
+    resident: PageSet<PageId>,
+    pinned: PageSet<PageId>,
     stats: BufferStats,
 }
 
@@ -111,8 +110,8 @@ impl BufferPool {
         BufferPool {
             capacity,
             policy: Box::new(policy),
-            resident: HashSet::with_capacity(capacity + 1),
-            pinned: HashSet::new(),
+            resident: PageSet::with_capacity_and_hasher(capacity + 1, Default::default()),
+            pinned: PageSet::default(),
             stats: BufferStats::default(),
         }
     }
@@ -165,14 +164,11 @@ impl BufferPool {
 
     /// Accesses a page, updating residency, policy state and statistics.
     pub fn access(&mut self, page: PageId) -> AccessOutcome {
-        self.stats.accesses += 1;
         if self.resident.contains(&page) {
-            self.stats.hits += 1;
-            if !self.pinned.contains(&page) {
-                self.policy.on_hit(page);
-            }
+            self.hit(page);
             return AccessOutcome::Hit;
         }
+        self.stats.accesses += 1;
         self.stats.misses += 1;
         let evicted = if self.resident.len() >= self.capacity {
             if self.policy.is_empty() {
@@ -189,6 +185,17 @@ impl BufferPool {
         self.resident.insert(page);
         self.policy.on_insert(page);
         AccessOutcome::Miss { evicted }
+    }
+
+    /// The hit half of [`BufferPool::access`], for a caller whose own lookup
+    /// found `page` resident: counts it and tells the policy unless pinned.
+    #[inline]
+    pub fn hit(&mut self, page: PageId) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        if self.pinned.is_empty() || !self.pinned.contains(&page) {
+            self.policy.on_hit(page);
+        }
     }
 
     /// Pins a page: it becomes resident (loaded from disk if needed —

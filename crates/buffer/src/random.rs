@@ -1,15 +1,14 @@
 //! Random replacement (ablation baseline).
 
-use crate::{PageId, ReplacementPolicy};
+use crate::{PageId, PageMap, ReplacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Random policy: evicts a uniformly random tracked page. Deterministic for
 /// a given seed, like every randomized component in this workspace.
 pub struct RandomPolicy {
     pages: Vec<PageId>,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     rng: StdRng,
 }
 
@@ -18,7 +17,7 @@ impl RandomPolicy {
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
             pages: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }

@@ -556,9 +556,12 @@ fn run_mutator_phase(
         })
         .collect();
     let total_ops: usize = programs.iter().map(Vec::len).sum();
-    // Drawn after the programs, which it leaves as they were.
+    // Drawn after the programs, which it leaves as they were, among the writes
+    // any interleaving's checkpoint makes: the meta page and every leaf with a
+    // survivor (an SoA leaf, as a survivor has extent: at most M of them).
+    let floor = 1 + survivors.len().div_ceil(plan.max_entries) as u64;
     let crash = rng.gen_bool(0.5).then(|| FaultPlan::StoreCrash {
-        at: rng.gen_range(1..=24u64),
+        at: rng.gen_range(1..=floor),
         torn: rng.gen_bool(0.5),
     });
     let mut store = FaultStore::new(MemStore::from_bytes(image), CrashSwitch::new());
@@ -662,7 +665,10 @@ fn run_mutator_phase(
     let mut replays = total_ops as u64;
     if crash.is_some() {
         match tree.checkpoint() {
-            Ok(()) => replays = 0,
+            Ok(()) => {
+                replays = 0;
+                report.fail(Durability, format!("checkpoint {crash:?} did not fire"));
+            }
             Err(_) if tree.store().switch().is_tripped() => report.checkpoint_crash = crash,
             Err(e) => report.fail(Durability, format!("mutator checkpoint failed: {e}")),
         }

@@ -1,92 +1,7 @@
-//! Per-query cost estimation (extension).
-//!
-//! Fig. 9's warning is aimed at query optimizers: the bufferless metric
-//! makes a 300k-rectangle index look as cheap as a 25k one. This module is
-//! the API an optimizer would actually call: given the tree, the workload
-//! the buffer has equilibrated under, and the buffer size, estimate the
-//! disk cost of one *specific* query rectangle as
-//!
-//! `cost(Q) = Σ_{nodes ij : R_ij ∩ Q ≠ ∅} P(R_ij not resident)`
-//!
-//! with the steady-state residency probabilities of §3.3
-//! (`P(resident) = 1 − (1 − A^Q_ij)^{N*}`). Averaged over the workload this
-//! recovers `ED_T` exactly, but individual queries get individual prices —
-//! a query into a hot region is predicted nearly free, one into a cold
-//! region pays for every node it touches.
+//! Steady-state residency (§3.3): the probability that each node is in an
+//! LRU buffer of `B` pages once it has warmed up, and its miss probability.
 
-use crate::{BufferModel, TreeDescription, Workload};
-use rtree_geom::Rect;
-
-/// Estimated cost of one query.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueryCost {
-    /// Number of tree nodes the query touches (the bufferless metric).
-    pub nodes: usize,
-    /// Expected disk accesses given steady-state buffer contents.
-    pub expected_disk_accesses: f64,
-}
-
-/// Steady-state per-query cost estimator for a fixed tree, workload and
-/// buffer size.
-///
-/// # Examples
-///
-/// ```
-/// use rtree_core::{QueryCostEstimator, TreeDescription, Workload};
-/// use rtree_geom::Rect;
-///
-/// let desc = TreeDescription::from_levels(vec![
-///     vec![Rect::new(0.0, 0.0, 1.0, 1.0)],
-///     vec![Rect::new(0.0, 0.0, 0.9, 1.0), Rect::new(0.9, 0.0, 1.0, 1.0)],
-/// ]);
-/// let est = QueryCostEstimator::new(&desc, &Workload::uniform_point(), 2);
-/// // A query into the hot 90% region is predicted cheaper than one into
-/// // the cold 10% sliver, even though both touch two nodes.
-/// let hot = est.estimate(&Rect::new(0.1, 0.1, 0.2, 0.2));
-/// let cold = est.estimate(&Rect::new(0.95, 0.1, 0.96, 0.2));
-/// assert_eq!(hot.nodes, 2);
-/// assert!(cold.expected_disk_accesses > hot.expected_disk_accesses);
-/// ```
-#[derive(Clone, Debug)]
-pub struct QueryCostEstimator {
-    /// Node MBRs by level.
-    levels: Vec<Vec<Rect>>,
-    /// Per-node steady-state miss probability, aligned with `levels`.
-    miss: Vec<Vec<f64>>,
-}
-
-impl QueryCostEstimator {
-    /// Builds an estimator assuming the buffer has warmed up under
-    /// `workload` with `buffer` pages.
-    ///
-    /// # Panics
-    /// Panics if `buffer` is 0.
-    pub fn new(desc: &TreeDescription, workload: &Workload, buffer: usize) -> Self {
-        let model = BufferModel::new(desc, workload);
-        QueryCostEstimator {
-            levels: desc.levels().to_vec(),
-            miss: model.miss_probabilities(buffer),
-        }
-    }
-
-    /// Estimates the cost of one query rectangle.
-    pub fn estimate(&self, query: &Rect) -> QueryCost {
-        let mut nodes = 0usize;
-        let mut expected = 0.0;
-        for (level, misses) in self.levels.iter().zip(&self.miss) {
-            for (r, m) in level.iter().zip(misses) {
-                if r.intersects(query) {
-                    nodes += 1;
-                    expected += m;
-                }
-            }
-        }
-        QueryCost {
-            nodes,
-            expected_disk_accesses: expected,
-        }
-    }
-}
+use crate::BufferModel;
 
 impl BufferModel {
     /// Steady-state residency probability of every node under a buffer of
@@ -141,6 +56,8 @@ impl BufferModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TreeDescription, Workload};
+    use rtree_geom::Rect;
 
     fn toy_desc() -> TreeDescription {
         TreeDescription::from_levels(vec![
@@ -174,26 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn estimate_prices_hot_and_cold_queries_differently() {
-        let d = TreeDescription::from_levels(vec![
-            vec![Rect::new(0.0, 0.0, 1.0, 1.0)],
-            vec![Rect::new(0.0, 0.0, 0.9, 1.0), Rect::new(0.9, 0.0, 1.0, 1.0)],
-        ]);
-        let est = QueryCostEstimator::new(&d, &Workload::uniform_point(), 2);
-        let hot = est.estimate(&Rect::new(0.2, 0.2, 0.3, 0.3));
-        let cold = est.estimate(&Rect::new(0.95, 0.2, 0.96, 0.3));
-        assert_eq!(hot.nodes, 2);
-        assert_eq!(cold.nodes, 2);
-        assert!(
-            cold.expected_disk_accesses > hot.expected_disk_accesses,
-            "cold {cold:?} vs hot {hot:?}"
-        );
-    }
-
-    #[test]
     fn estimator_averages_back_to_ed() {
-        // E_q[estimate(q)] over the workload == expected_disk_accesses.
-        // Check by the algebraic identity: Σ_ij A_ij * miss_ij.
+        // The workload's access probabilities weight the miss probabilities
+        // back to the model's ED: Σ_ij A_ij * miss_ij.
         let d = toy_desc();
         let w = Workload::uniform_point();
         let m = BufferModel::new(&d, &w);
@@ -209,14 +109,5 @@ mod tests {
             let ed = m.expected_disk_accesses(b);
             assert!((avg - ed).abs() < 1e-12, "B={b}: {avg} vs {ed}");
         }
-    }
-
-    #[test]
-    fn query_outside_everything_is_free() {
-        let d = toy_desc();
-        let est = QueryCostEstimator::new(&d, &Workload::uniform_point(), 1);
-        let c = est.estimate(&Rect::new(1.5, 1.5, 1.6, 1.6));
-        assert_eq!(c.nodes, 0);
-        assert_eq!(c.expected_disk_accesses, 0.0);
     }
 }

@@ -31,7 +31,6 @@ mod tree_desc;
 mod workload;
 
 pub use buffer_model::{BufferModel, PinningError, WarmupOutcome};
-pub use estimate::{QueryCost, QueryCostEstimator};
 pub use mixed::MixedWorkload;
 pub use node_model::NodeAccessModel;
 pub use tree_desc::TreeDescription;

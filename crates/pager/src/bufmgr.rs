@@ -8,8 +8,7 @@
 
 use crate::trace::{EventKind, Span, Tracer};
 use crate::{PageStore, PAGE_SIZE};
-use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
-use std::collections::HashMap;
+use rtree_buffer::{AccessOutcome, BufferPool, PageId, PageMap, PinError, ReplacementPolicy};
 use std::io;
 use std::sync::Arc;
 
@@ -63,7 +62,7 @@ fn exclusive(frame: &mut Arc<[u8]>) -> &mut [u8] {
 pub struct BufferManager<S> {
     store: S,
     pool: BufferPool,
-    frames: HashMap<PageId, Arc<[u8]>>,
+    frames: PageMap<PageId, Arc<[u8]>>,
     /// Scratch frame for reads that bypass a fully pinned pool.
     scratch: Arc<[u8]>,
     stats: IoStats,
@@ -80,7 +79,7 @@ impl<S: PageStore> BufferManager<S> {
         BufferManager {
             store,
             pool: BufferPool::new(capacity, policy),
-            frames: HashMap::with_capacity(capacity + 1),
+            frames: PageMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             scratch: zeroed_frame(),
             stats: IoStats::default(),
             verify_reads: false,
@@ -170,11 +169,11 @@ impl<S: PageStore> BufferManager<S> {
     /// Completes an admission the pool has just made for `id` (a miss or a
     /// pin): reads the page into the frame the evicted victim gave up (a
     /// fresh one while the pool is filling, or when a reader still holds
-    /// the victim's), checks it ([`BufferManager::set_verify_reads`]), and
-    /// installs it. On any error the admission is backed out, so the next
-    /// access misses and re-reads instead of hitting a frameless resident
-    /// entry; the frame, whatever the failed read left in it, is dropped.
-    fn page_in(&mut self, id: PageId, evicted: Option<PageId>) -> io::Result<()> {
+    /// the victim's), checks it ([`BufferManager::set_verify_reads`]),
+    /// installs and returns it. On any error the admission is backed out, so
+    /// the next access misses and re-reads instead of hitting a frameless
+    /// resident entry; the frame, whatever the failed read left in it, is dropped.
+    fn page_in(&mut self, id: PageId, evicted: Option<PageId>) -> io::Result<Arc<[u8]>> {
         let mut frame = match evicted {
             Some(victim) => self
                 .frames
@@ -189,9 +188,9 @@ impl<S: PageStore> BufferManager<S> {
             return Err(e);
         }
         self.stats.reads += 1;
-        self.frames.insert(id, frame);
+        self.frames.insert(id, Arc::clone(&frame));
         self.tracer.emit(id, EventKind::Miss);
-        Ok(())
+        Ok(frame)
     }
 
     /// Reads a page into the scratch frame, bypassing the pool.
@@ -200,46 +199,43 @@ impl<S: PageStore> BufferManager<S> {
         self.verify_read(id, &self.scratch)
     }
 
-    /// One charged access, going to the store only on a miss. Afterwards
-    /// the page's bytes are in its frame (`true`) or, when every frame is
-    /// pinned, in the scratch frame (`false`).
-    fn access(&mut self, id: PageId) -> io::Result<bool> {
-        match self.pool.access(id) {
-            AccessOutcome::Hit => self.tracer.emit(id, EventKind::Hit),
-            AccessOutcome::Miss { evicted } => self.page_in(id, evicted)?,
-            AccessOutcome::MissBypass => {
-                self.fill_scratch(id)?;
-                self.stats.reads += 1;
-                self.tracer.emit(id, EventKind::Miss);
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// Fetches a raw or free-list page, going to the store only on a miss,
     /// under no span or level (span 0, level -1; node pages carry theirs).
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
-        Ok(self.fetch_in(id, -1, &mut Span::default())?)
+        self.fetch_in(id, -1, &mut Span::default())?;
+        Ok(self.frames.get(&id).unwrap_or(&self.scratch))
     }
 
     /// [`BufferManager::fetch`] for `span`, of a page at tree level `level`:
     /// the access is counted in the span and its events carry both. Hands
-    /// out the frame itself, so a latched caller can decode outside its latch.
+    /// out the frame itself (the scratch frame's bytes when every frame is
+    /// pinned), so a latched caller can decode outside its latch. A hit is
+    /// the one lookup that finds the frame; the pool only counts it.
     pub(crate) fn fetch_in(
         &mut self,
         id: PageId,
         level: i16,
         span: &mut Span,
-    ) -> io::Result<&Arc<[u8]>> {
+    ) -> io::Result<Arc<[u8]>> {
         self.tracer.at_level(span, level);
-        let reads = self.stats.reads;
-        let resident = self.access(id)?;
-        span.charge(self.stats.reads != reads);
-        if !resident {
-            return Ok(&self.scratch);
+        if let Some(frame) = self.frames.get(&id) {
+            self.pool.hit(id);
+            self.tracer.emit(id, EventKind::Hit);
+            span.charge(false);
+            return Ok(Arc::clone(frame));
         }
-        Ok(self.frames.get(&id).expect("resident page has a frame"))
+        let frame = match self.pool.access(id) {
+            AccessOutcome::Hit => unreachable!("a resident page has a frame"),
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted)?,
+            AccessOutcome::MissBypass => {
+                self.fill_scratch(id)?;
+                self.stats.reads += 1;
+                self.tracer.emit(id, EventKind::Miss);
+                Arc::clone(&self.scratch)
+            }
+        };
+        span.charge(true);
+        Ok(frame)
     }
 
     /// Pins a page: loads it (counting the read) and keeps it resident.
@@ -252,7 +248,7 @@ impl<S: PageStore> BufferManager<S> {
         if was_resident {
             return Ok(());
         }
-        self.page_in(id, evicted)
+        self.page_in(id, evicted).map(drop)
     }
 
     /// Unpins a page pinned by [`BufferManager::pin`]; it stays resident
@@ -473,7 +469,7 @@ mod tests {
     fn page_in_leaves_a_shared_victims_frame_to_its_reader() {
         let mut m = make(4, 2);
         // What a latched reader does: keep the frame past the fetch.
-        let held = Arc::clone(m.fetch_in(PageId(0), -1, &mut Span::default()).unwrap());
+        let held = m.fetch_in(PageId(0), -1, &mut Span::default()).unwrap();
         m.fetch(PageId(1)).unwrap();
         assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2, "evicts page 0");
         assert!(!m.pool.contains(PageId(0)));

@@ -47,11 +47,10 @@ use crate::trace::{EventKind, Span, TreeTrace};
 use crate::walk::{self, find_leaf, BatchOutput};
 use crate::{BufferManager, IoStats, NodePage, PageMeta, PageStore, PageView, PAGE_SIZE};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use rtree_buffer::{BufferStats, PageId, ReplacementPolicy};
+use rtree_buffer::{BufferStats, PageId, PageMap, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
 use rtree_wal::{GroupCommitStats, GroupWal, Lsn};
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -128,7 +127,7 @@ struct WriterState {
     meta: Mutex<PageMeta>,
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
-    overlay: RwLock<HashMap<u64, Arc<[u8]>>>,
+    overlay: RwLock<PageMap<u64, Arc<[u8]>>>,
     /// Session-local free list of dissolved pages (the next reused last),
     /// seeded at open from the image's on-disk list and written back as
     /// that list by every checkpoint.
@@ -148,7 +147,7 @@ impl WriterState {
             latches: LatchTable::new(),
             op_gate: RwLock::new(()),
             meta: Mutex::new(meta),
-            overlay: RwLock::new(HashMap::new()),
+            overlay: RwLock::default(),
             free: Mutex::new(free),
             wal,
             latch_waits: AtomicU64::new(0),
@@ -183,9 +182,9 @@ pub struct ConcurrentDiskRTree<S> {
     pub(crate) shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
-    /// Cached root frame for the uncharged MBR peek (a tree with a writer
-    /// never peeks).
-    root_frame: OnceLock<Arc<[u8]>>,
+    /// The uncharged root peek, cached: the root frame and its MBR (a tree
+    /// with a writer never peeks).
+    root_frame: OnceLock<(Arc<[u8]>, Option<Rect>)>,
     /// The metadata read at open, less its level table once a writer
     /// attaches; then the snapshot [`ConcurrentDiskRTree::sync_meta`] last
     /// took of the live copy.
@@ -439,13 +438,13 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(())
     }
 
-    /// The root frame for the uncharged MBR peek: taken from the root's
-    /// shard (or, if not resident there, read from the store) at most once
-    /// per tree and cached outside the pool, so the peek neither charges
+    /// The uncharged root peek: the root frame, taken from the root's shard
+    /// (or, if not resident there, read from the store) and its MBR, cached
+    /// outside the pool once the MBR is sound, so the peek neither charges
     /// nor perturbs replacement state.
-    fn root_frame(&self) -> io::Result<Arc<[u8]>> {
-        if let Some(frame) = self.root_frame.get() {
-            return Ok(Arc::clone(frame));
+    fn root_peek(&self) -> io::Result<&(Arc<[u8]>, Option<Rect>)> {
+        if let Some(peek) = self.root_frame.get() {
+            return Ok(peek);
         }
         let (root, level) = (PageId(self.meta.root), self.meta.root_level());
         // Two racing threads may both read; both transfers really happened,
@@ -455,13 +454,14 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             cache.tracer.at_level(&Span::default(), level as i16);
             Arc::clone(cache.fetch_uncharged(root)?)
         };
-        Ok(Arc::clone(self.root_frame.get_or_init(|| frame)))
+        let mbr = PageView::new(&frame, level)?.mbr()?;
+        Ok(self.root_frame.get_or_init(|| (frame, mbr)))
     }
 
     /// The root's MBR from the uncharged peek (`None` for an empty tree) —
     /// model semantics: a node is accessed iff its MBR intersects the query.
     fn root_mbr(&self) -> io::Result<Option<Rect>> {
-        Ok(PageView::new(&self.root_frame()?, self.meta.root_level())?.mbr()?)
+        Ok(self.root_peek()?.1)
     }
 
     /// Runs `f` on the live metadata: the writer's when writable (updated
@@ -512,7 +512,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let (root, root_level) = self.with_meta(|m| (m.root, m.root_level()));
         let mut cursor = Cursor::new(self);
         if self.writer.is_none() {
-            let root_node = NodePage::decode(&self.root_frame()?)?;
+            let root_node = NodePage::decode(&self.root_peek()?.0)?;
             if root_node.entries.is_empty() || !mbr(&root_node.entries).intersects(query) {
                 return Ok(results);
             }
@@ -673,7 +673,7 @@ impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
         let w = self.tree.writer.as_ref();
         let frame = match w.and_then(|w| w.overlay.read().get(&page).cloned()) {
             Some(frame) => frame,
-            None => Arc::clone(self.tree.latch(id).fetch_in(id, level, &mut self.span)?),
+            None => self.tree.latch(id).fetch_in(id, level, &mut self.span)?,
         };
         Ok(self.frame.insert(frame))
     }
@@ -1333,9 +1333,8 @@ mod tests {
     struct Bare(BufferManager<MemStore>);
 
     impl PageRead for Bare {
-        fn fetch(&mut self, page: u64, level: u16) -> io::Result<&[u8]> {
-            let (id, level) = (PageId(page), level as i16);
-            Ok(self.0.fetch_in(id, level, &mut Span::default())?)
+        fn fetch(&mut self, page: u64, _level: u16) -> io::Result<&[u8]> {
+            self.0.fetch(PageId(page))
         }
     }
 

@@ -21,12 +21,12 @@
 //! protocol cannot produce. Split propagation and condense walk **upward
 //! only through latches already held**, acquiring nothing.
 
-use std::collections::HashMap;
+use rtree_buffer::PageMap;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks the slot map, recovering from poisoning (a panicking holder must
 /// not wedge every other operation).
-fn lock(m: &Mutex<HashMap<u64, LatchSlot>>) -> MutexGuard<'_, HashMap<u64, LatchSlot>> {
+fn lock(m: &Mutex<PageMap<u64, LatchSlot>>) -> MutexGuard<'_, PageMap<u64, LatchSlot>> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -47,7 +47,7 @@ struct LatchSlot {
 /// on demand and freed when the last holder releases.
 #[derive(Default)]
 pub(crate) struct LatchTable {
-    slots: Mutex<HashMap<u64, LatchSlot>>,
+    slots: Mutex<PageMap<u64, LatchSlot>>,
     wake: Condvar,
 }
 

@@ -7,13 +7,15 @@
 //! best-first in a total order: nearer first, then earlier discovered,
 //! with items before pages at equal distance. `tests::*_order` pins all
 //! four against golden vectors.
+//! A walk allocates only its answer: it works in the thread's [`Scratch`].
 
 use crate::seam::PageRead;
-use crate::{PageView, MAX_ENTRIES_PACKED};
+use crate::PageView;
 use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::io;
 
 /// A leaf FindLeaf located, with its root-to-leaf `(page, slot)` path.
@@ -71,6 +73,49 @@ impl BatchOutput {
     }
 }
 
+/// The walks' working vectors, kept between calls on a thread and emptied
+/// before each use, so a walk that failed part-way leaves nothing behind:
+/// matched entries; the region walk's stack and answer; a level-synchronous
+/// walk's `(page, query or node)` pairs, this level's and the next's;
+/// FindLeaf's `(parent page, parent node, slot)` nodes, root first; kNN's
+/// entries in range, best items, runs (reused; a search counts its own) and heads.
+#[derive(Default)]
+struct Scratch {
+    matches: Vec<u32>,
+    stack: Vec<(u64, u16)>,
+    ids: Vec<u64>,
+    level: Vec<(u64, u32)>,
+    next: Vec<(u64, u32)>,
+    nodes: Vec<(u64, u32, u32)>,
+    within: Vec<(u32, f64)>,
+    best: Vec<(Key, Rect, u64)>,
+    runs: Vec<Run>,
+    heads: BinaryHeap<Reverse<(Key, usize)>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `walk` on this thread's scratch, every vector emptied first.
+fn with_scratch<R>(walk: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(|s| {
+        s.matches.clear();
+        s.stack.clear();
+        s.ids.clear();
+        s.level.clear();
+        s.next.clear();
+        s.nodes.clear();
+        s.within.clear();
+        s.best.clear();
+        s.heads.clear();
+        walk(s)
+    })
+}
+
+/// Longer answers are handed over whole, not copied out of the scratch.
+const COPY_OUT: usize = 4096;
+
 /// Depth-first region walk from `root`: every page whose MBR intersects
 /// `query` is fetched, in stack-pop order, and read in place.
 pub(crate) fn region<P: PageRead>(
@@ -79,30 +124,33 @@ pub(crate) fn region<P: PageRead>(
     root_level: u16,
     query: &Rect,
 ) -> io::Result<Vec<u64>> {
-    let mut results = Vec::new();
-    let mut matches: Vec<u32> = Vec::new();
-    // Each stack entry carries the node's level — children of a level-L
-    // node sit at L - 1 — so every fetch can be attributed to it and the
-    // view can refuse a page that claims another (which bounds the depth).
-    let mut stack = vec![(root, root_level)];
-    while let Some((pid, level)) = stack.pop() {
-        let view = PageView::new(src.fetch(pid, level)?, level)?;
-        matches.clear();
-        view.intersecting(query, &mut matches)?;
-        let ptrs = matches.iter().map(|&i| view.ptr(i as usize));
-        if level == 0 {
-            results.extend(ptrs);
-        } else {
-            stack.extend(ptrs.map(|child| (child, level - 1)));
+    with_scratch(|s| {
+        // Each stack entry carries the node's level — children of a level-L
+        // node sit at L - 1 — so every fetch can be attributed to it and the
+        // view can refuse a page that claims another (which bounds the depth).
+        s.stack.push((root, root_level));
+        while let Some((pid, level)) = s.stack.pop() {
+            let view = PageView::new(src.fetch(pid, level)?, level)?;
+            s.matches.clear();
+            view.intersecting(query, &mut s.matches)?;
+            let ptrs = s.matches.iter().map(|&i| view.ptr(i as usize));
+            if level == 0 {
+                s.ids.extend(ptrs);
+            } else {
+                s.stack.extend(ptrs.map(|child| (child, level - 1)));
+            }
         }
-    }
-    Ok(results)
+        Ok(match s.ids.len() {
+            n if n > COPY_OUT => std::mem::take(&mut s.ids),
+            _ => s.ids.to_vec(),
+        })
+    })
 }
 
-/// Level-synchronous walk of a whole batch. The frontier maps each page to
-/// the queries that need it, so a page shared by k queries is fetched
-/// once, when the walk consumes it, and each level is visited in ascending
-/// page id (sequential under the bulk-loaded layout).
+/// Level-synchronous walk of a whole batch. The frontier pairs each page
+/// with the queries that need it, sorted, so a page shared by k queries is
+/// fetched once, when the walk consumes it, and each level is visited in
+/// ascending page id (sequential under the bulk-loaded layout).
 ///
 /// Queries missing `root_mbr` never touch the buffer (`None` = all active).
 pub(crate) fn frontier<P: PageRead>(
@@ -113,44 +161,40 @@ pub(crate) fn frontier<P: PageRead>(
     queries: &[Rect],
     out: &mut BatchOutput,
 ) -> io::Result<()> {
-    let active: Vec<u32> = (0..queries.len() as u32)
-        .filter(|&q| match root_mbr {
-            Some(mbr) => mbr.intersects(&queries[q as usize]),
-            None => true,
-        })
-        .collect();
-    out.stats.active_queries = active.len() as u64;
-    if active.is_empty() {
-        return Ok(());
-    }
-    // The BTreeMap keys the dedup *and* yields each level in page order.
-    let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    frontier.insert(root, active);
-    let mut level = root_level;
-    let mut matched: Vec<u32> = Vec::new();
-    while !frontier.is_empty() {
-        out.stats.levels += 1;
-        for (page, qids) in std::mem::take(&mut frontier) {
-            let view = PageView::new(src.fetch(page, level)?, level)?;
-            out.stats.work_items += 1;
-            out.stats.page_requests += qids.len() as u64;
-            for qid in qids {
-                matched.clear();
-                view.intersecting(&queries[qid as usize], &mut matched)?;
-                for &e in &matched {
-                    let ptr = view.ptr(e as usize);
-                    if level == 0 {
-                        out.results[qid as usize].push(ptr);
-                    } else {
-                        frontier.entry(ptr).or_default().push(qid);
+    with_scratch(|s| {
+        let (matches, frontier, next) = (&mut s.matches, &mut s.level, &mut s.next);
+        let active = |q: &u32| root_mbr.is_none_or(|mbr| mbr.intersects(&queries[*q as usize]));
+        frontier.extend((0..queries.len() as u32).filter(active).map(|q| (root, q)));
+        out.stats.active_queries = frontier.len() as u64;
+        let mut level = root_level;
+        while !frontier.is_empty() {
+            out.stats.levels += 1;
+            for run in frontier.chunk_by(|a, b| a.0 == b.0) {
+                let view = PageView::new(src.fetch(run[0].0, level)?, level)?;
+                out.stats.work_items += 1;
+                out.stats.page_requests += run.len() as u64;
+                for &(_, qid) in run {
+                    matches.clear();
+                    view.intersecting(&queries[qid as usize], matches)?;
+                    for &e in matches.iter() {
+                        let ptr = view.ptr(e as usize);
+                        if level == 0 {
+                            out.results[qid as usize].push(ptr);
+                        } else {
+                            next.push((ptr, qid));
+                        }
                     }
                 }
             }
+            // Each page's queries stay ascending, as they came from the root.
+            next.sort_unstable();
+            src.level_done(next.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0));
+            std::mem::swap(frontier, next);
+            next.clear();
+            level = level.saturating_sub(1);
         }
-        src.level_done(frontier.keys().copied());
-        level = level.saturating_sub(1);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// FindLeaf: the leaf below `root` holding the exact entry `(rect, item)`.
@@ -166,33 +210,47 @@ pub(crate) fn find_leaf<P: PageRead>(
     rect: &Rect,
     item: u64,
 ) -> io::Result<Option<Found>> {
-    // A level's candidate pages, ascending, each with its path from the root.
-    let mut pages = BTreeMap::from([(root, Vec::new())]);
-    let mut level = root_level;
-    let mut matches: Vec<u32> = Vec::new();
-    loop {
-        let mut next = BTreeMap::new();
-        for (pid, path) in pages {
-            let view = PageView::new(src.fetch(pid, level)?, level)?;
-            matches.clear();
-            view.intersecting(rect, &mut matches)?;
-            for slot in matches.iter().map(|&i| i as usize) {
-                let r = view.rect(slot);
-                if level == 0 && view.ptr(slot) == item && r == *rect {
-                    return Ok(Some((pid, path)));
-                }
-                if level > 0 && r.contains_rect(rect) {
-                    let down = || [&path[..], &[(pid, slot)]].concat();
-                    next.entry(view.ptr(slot)).or_insert_with(down);
+    with_scratch(|s| {
+        // A level's candidate pages, ascending, each with its node.
+        s.nodes.push((root, 0, 0));
+        s.level.push((root, 0));
+        let mut level = root_level;
+        loop {
+            for &(pid, node) in s.level.iter() {
+                let view = PageView::new(src.fetch(pid, level)?, level)?;
+                s.matches.clear();
+                view.intersecting(rect, &mut s.matches)?;
+                for slot in s.matches.iter().map(|&i| i as usize) {
+                    let r = view.rect(slot);
+                    if level == 0 && view.ptr(slot) == item && r == *rect {
+                        // The node's chain of parents is its path from the root.
+                        let (mut path, mut n) = (Vec::new(), node);
+                        while n != 0 {
+                            let (page, parent, slot) = s.nodes[n as usize];
+                            path.insert(0, (page, slot as usize));
+                            n = parent;
+                        }
+                        return Ok(Some((pid, path)));
+                    }
+                    if level > 0 && r.contains_rect(rect) {
+                        s.next.push((view.ptr(slot), s.nodes.len() as u32));
+                        s.nodes.push((pid, node, slot as u32));
+                    }
                 }
             }
+            // Nodes are numbered in discovery order: a page reached twice
+            // keeps the path it was found by first.
+            s.next.sort_unstable();
+            s.next.dedup_by_key(|c| c.0);
+            if s.next.is_empty() {
+                return Ok(None);
+            }
+            src.level_done(s.next.iter().map(|c| c.0));
+            std::mem::swap(&mut s.level, &mut s.next);
+            s.next.clear();
+            level -= 1;
         }
-        if next.is_empty() {
-            return Ok(None);
-        }
-        src.level_done(next.keys().copied());
-        (pages, level) = (next, level - 1);
-    }
+    })
 }
 
 /// A kNN candidate's place in the walk's total order: `(min-distance² as
@@ -203,6 +261,7 @@ type Key = (u64, u64);
 
 /// The children an expanded internal page left unexpanded, each `(key,
 /// page)` at `level`; `head` indexes the nearest.
+#[derive(Default)]
 struct Run {
     children: Vec<(Key, u64)>,
     head: usize,
@@ -247,68 +306,64 @@ pub(crate) fn nearest<P: PageRead>(
     if k == 0 || items == 0 {
         return Ok(Vec::new());
     }
-    let mut best: Vec<(Key, Rect, u64)> = Vec::with_capacity(2 * k.min(items as usize));
-    let mut runs: Vec<Run> = Vec::new();
-    let mut heads: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    let mut within: Vec<(u32, f64)> = Vec::with_capacity(MAX_ENTRIES_PACKED);
-    let mut seq = 0u64;
-    let kth = |best: &[(Key, Rect, u64)]| (best.len() == k).then(|| best[k - 1].0 .0);
-    let (mut pid, mut level) = (root, root_level);
-    loop {
-        let view = PageView::new(src.fetch(pid, level)?, level)?;
-        within.clear();
-        let bound = kth(&best).map_or(f64::INFINITY, f64::from_bits);
-        view.min_dist2_within(p, bound, &mut within)?;
-        // Discovery order is page order, then entry order.
-        let base = seq;
-        seq += within.last().map_or(0, |&(i, _)| u64::from(i) + 1);
-        let key = |&(i, d2): &(u32, f64)| (d2.to_bits(), base + u64::from(i));
-        if level == 0 {
-            // Keys are unique: only the leaf's k nearest can be among the k
-            // nearest, and a later item displaces the k-th only if nearer.
-            if within.len() > k {
-                within.select_nth_unstable_by_key(k - 1, key);
-                within.truncate(k);
-            }
-            let item = |e: &(u32, f64)| (key(e), view.rect(e.0 as usize), view.ptr(e.0 as usize));
-            best.extend(within.iter().map(item));
-            best.sort_unstable_by_key(|b| b.0);
-            best.truncate(k);
-        } else {
-            let children = within
-                .iter()
-                .map(|e| (key(e), view.ptr(e.0 as usize)))
-                .collect();
-            let mut run = Run {
-                children,
-                head: 0,
-                level: level - 1,
-            };
-            if let Some(key) = run.rescan(None) {
-                heads.push(Reverse((key, runs.len())));
-            }
-            runs.push(run);
-        }
-        let bound = kth(&best);
-        match heads.pop() {
-            Some(Reverse((key, r))) if bound.is_none_or(|bound| key.0 < bound) => {
-                let run = &mut runs[r];
-                (pid, level) = (run.children.swap_remove(run.head).1, run.level);
-                if let Some(key) = run.rescan(bound) {
-                    heads.push(Reverse((key, r)));
+    with_scratch(|s| {
+        let (mut seq, mut runs) = (0u64, 0);
+        let kth = |best: &[(Key, Rect, u64)]| (best.len() == k).then(|| best[k - 1].0 .0);
+        let (mut pid, mut level) = (root, root_level);
+        loop {
+            let view = PageView::new(src.fetch(pid, level)?, level)?;
+            s.within.clear();
+            let bound = kth(&s.best).map_or(f64::INFINITY, f64::from_bits);
+            view.min_dist2_within(p, bound, &mut s.within)?;
+            // Discovery order is page order, then entry order.
+            let base = seq;
+            seq += s.within.last().map_or(0, |&(i, _)| u64::from(i) + 1);
+            let key = |&(i, d2): &(u32, f64)| (d2.to_bits(), base + u64::from(i));
+            if level == 0 {
+                // Keys are unique: only the leaf's k nearest can be among the
+                // k nearest, and a later item displaces the k-th only if nearer.
+                if s.within.len() > k {
+                    s.within.select_nth_unstable_by_key(k - 1, key);
+                    s.within.truncate(k);
                 }
+                let item =
+                    |e: &(u32, f64)| (key(e), view.rect(e.0 as usize), view.ptr(e.0 as usize));
+                s.best.extend(s.within.iter().map(item));
+                s.best.sort_unstable_by_key(|b| b.0);
+                s.best.truncate(k);
+            } else {
+                s.runs.resize_with(s.runs.len().max(runs + 1), Run::default);
+                let run = &mut s.runs[runs];
+                run.children.clear();
+                run.children
+                    .extend(s.within.iter().map(|e| (key(e), view.ptr(e.0 as usize))));
+                run.level = level - 1;
+                if let Some(key) = run.rescan(None) {
+                    s.heads.push(Reverse((key, runs)));
+                }
+                runs += 1;
             }
-            _ => break,
+            let bound = kth(&s.best);
+            match s.heads.pop() {
+                Some(Reverse((key, r))) if bound.is_none_or(|bound| key.0 < bound) => {
+                    let run = &mut s.runs[r];
+                    (pid, level) = (run.children.swap_remove(run.head).1, run.level);
+                    if let Some(key) = run.rescan(bound) {
+                        s.heads.push(Reverse((key, r)));
+                    }
+                }
+                _ => break,
+            }
         }
-    }
-    Ok(best
-        .into_iter()
-        .map(|((d2, _), rect, id)| Neighbor {
-            id,
-            rect,
-            distance: f64::from_bits(d2).sqrt(),
-        })
-        .collect())
+        Ok(s.best
+            .iter()
+            .map(|&((d2, _), rect, id)| Neighbor {
+                id,
+                rect,
+                distance: f64::from_bits(d2).sqrt(),
+            })
+            .collect())
+    })
 }
 
 #[cfg(test)]

@@ -16,15 +16,19 @@
 //!   walks read pages in place and validate inside the scan, so the visit
 //!   must fail on the first (page-in) *and* on every later (resident-hit)
 //!   visit — nothing is validated once and trusted afterwards.
+//!
+//! The walks keep their working vectors between calls on a thread, so a
+//! walk that fails part-way (a corrupt leaf, a read fault) is followed by
+//! good ones that must still return exactly the oracle's answer.
 
 use rtree_buffer::{LruPolicy, PageId};
 use rtree_geom::{Point, Rect};
-use rtree_index::BulkLoader;
+use rtree_index::{BulkLoader, RTree};
 use rtree_pager::{
-    ConcurrentDiskRTree, DiskRTree, MemStore, NodePage, PageError, PageLayout, PageMeta, PageStore,
-    PageView, PAGE_SIZE,
+    ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore, MemStore, NodePage, PageError,
+    PageLayout, PageMeta, PageStore, PageView, PAGE_SIZE,
 };
-use rtree_wal::{GroupWal, MemLog};
+use rtree_wal::{CrashSwitch, GroupWal, MemLog};
 use std::io;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -155,8 +159,8 @@ fn assert_delete_fails_every_time(what: &str, image: &[u8], (rect, item): (Rect,
     });
 }
 
-/// A 2 000-item compressed image (Packed root over SoA leaves) as bytes.
-fn sound_image() -> Vec<u8> {
+/// The in-memory tree of [`sound_image`]: 2 000 small rectangles.
+fn sound_tree() -> RTree {
     let rects: Vec<Rect> = (0..2_000)
         .map(|i| {
             let x = (i as f64 * 0.618_033) % 0.97;
@@ -164,8 +168,12 @@ fn sound_image() -> Vec<u8> {
             Rect::new(x, y, x + 0.01, y + 0.01)
         })
         .collect();
-    let tree = BulkLoader::hilbert(50).load(&rects);
-    DiskRTree::create_compressed(MemStore::new(), &tree, 64, LruPolicy::new())
+    BulkLoader::hilbert(50).load(&rects)
+}
+
+/// A 2 000-item compressed image (Packed root over SoA leaves) as bytes.
+fn sound_image() -> Vec<u8> {
+    DiskRTree::create_compressed(MemStore::new(), &sound_tree(), 64, LruPolicy::new())
         .unwrap()
         .into_store()
         .snapshot()
@@ -217,44 +225,40 @@ fn assert_every_walk_fails_every_time(what: &str, image: Vec<u8>) {
 #[test]
 fn corrupt_leaf_entry_fails_every_walk_on_every_visit() {
     let image = sound_image();
-    let meta = PageMeta::decode(&image[..PAGE_SIZE]).unwrap();
     // The leaf under the query point, so even the point walk meets it.
-    let centre = Point::new(0.5, 0.5);
-    let leaf = (meta.level_starts[1]..=meta.nodes)
-        .find(|&id| {
-            let page = &image[id as usize * PAGE_SIZE..][..PAGE_SIZE];
-            let node = NodePage::decode(page).unwrap();
-            node.level == 0 && node.entries.iter().any(|(r, _)| r.contains_point(&centre))
-        })
-        .expect("some leaf entry covers the centre") as usize;
+    let leaf = centre_leaf(&image);
     // The sound entry beside the planted one: deleting it reads the leaf.
     let kept = NodePage::decode(&image[leaf * PAGE_SIZE..][..PAGE_SIZE])
         .unwrap()
         .entries[0];
-    // SoA planes: lo.x[0] at byte 16, hi.x[0] at 16 + 2·816.
-    let (lo_x, hi_x) = (16usize, 16 + 2 * 816);
-    type Patch = fn(&mut [u8], usize, usize);
-    let patches: [(&str, Patch); 2] = [
-        ("inverted rect", |page, lo, hi| {
-            for i in 0..8 {
-                page.swap(lo + i, hi + i);
-            }
-        }),
-        ("non-finite rect", |page, _, hi| {
-            page[hi..hi + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
-        }),
-    ];
-    for (what, patch) in patches {
+    for (what, patch) in SOA_PATCHES {
         let mut image = image.clone();
         let page = &mut image[leaf * PAGE_SIZE..][..PAGE_SIZE];
         // Slot 1, so the planted entry is not the one the probe found.
-        patch(page, lo_x + 8, hi_x + 8);
+        patch(page, SOA_LO_X + 8, SOA_HI_X + 8);
         reseal(page);
         assert!(NodePage::decode(page).is_err(), "{what} must not decode");
         assert_delete_fails_every_time(what, &image, kept);
         assert_every_walk_fails_every_time(what, image);
     }
 }
+
+/// SoA planes: lo.x[0] at byte 16, hi.x[0] at 16 + 2·816.
+const SOA_LO_X: usize = 16;
+const SOA_HI_X: usize = 16 + 2 * 816;
+
+/// Corruptions of one SoA entry, given the offsets of its lo.x and hi.x.
+type Patch = fn(&mut [u8], usize, usize);
+const SOA_PATCHES: [(&str, Patch); 2] = [
+    ("inverted rect", |page, lo, hi| {
+        for i in 0..8 {
+            page.swap(lo + i, hi + i);
+        }
+    }),
+    ("non-finite rect", |page, _, hi| {
+        page[hi..hi + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+    }),
+];
 
 #[test]
 fn inverted_codes_on_a_packed_page_fail_every_walk_on_every_visit() {
@@ -288,20 +292,18 @@ fn point_image() -> Vec<u8> {
         .snapshot()
 }
 
-/// The leaf of `image` holding the centre, so even the point walk meets it.
+/// The first leaf of `image` with an entry covering the centre, so even the
+/// point walk meets it.
 fn centre_leaf(image: &[u8]) -> usize {
     let meta = PageMeta::decode(&image[..PAGE_SIZE]).unwrap();
-    let centre = Rect::point(Point::new(0.5, 0.5));
+    let centre = Point::new(0.5, 0.5);
     (meta.level_starts[1]..=meta.nodes)
         .find(|&id| {
             let page = &image[id as usize * PAGE_SIZE..][..PAGE_SIZE];
-            NodePage::decode(page)
-                .unwrap()
-                .entries
-                .iter()
-                .any(|e| e.0 == centre)
+            let node = NodePage::decode(page).unwrap();
+            node.level == 0 && node.entries.iter().any(|(r, _)| r.contains_point(&centre))
         })
-        .expect("a leaf holds the centre") as usize
+        .expect("a leaf covers the centre") as usize
 }
 
 /// Point leaves are read through the SoA kernels: a NaN or infinite
@@ -373,4 +375,107 @@ fn a_retired_flag_3_leaf_is_an_unsupported_layout() {
     assert_eq!(PageLayout::of(page), Err(retired));
     assert_delete_fails_every_time("flag 3", &image, kept);
     assert_every_walk_fails_every_time("flag 3", image);
+}
+
+/// Every walk, run on this thread over fresh trees of the sound image, gives
+/// exactly the oracle's answer: nothing a failed walk left in the thread's
+/// scratch reaches it.
+fn assert_good_walks_after(what: &str, image: &[u8], oracle: &RTree) {
+    let open = || DiskRTree::open(MemStore::from_bytes(image.to_vec()), 256, LruPolicy::new());
+    let sorted = |mut ids: Vec<u64>| {
+        ids.sort_unstable();
+        ids
+    };
+    let (q, r) = (Rect::new(0.3, 0.3, 0.6, 0.6), Rect::new(0.7, 0.1, 0.8, 0.5));
+    let centre = Point::new(0.5, 0.5);
+    let tree = open().unwrap();
+    assert_eq!(
+        sorted(tree.query(&q).unwrap()),
+        sorted(oracle.search(&q)),
+        "{what}: query"
+    );
+    let got = tree.query_point(&centre).unwrap();
+    assert_eq!(
+        sorted(got),
+        sorted(oracle.point_search(&centre)),
+        "{what}: query_point"
+    );
+    let batch = tree.query_batch(&[q, r], 1).unwrap().results;
+    let batch: Vec<Vec<u64>> = batch.into_iter().map(sorted).collect();
+    let want = [oracle.search(&q), oracle.search(&r)].map(sorted);
+    assert_eq!(batch, want, "{what}: query_batch");
+    let near = |n: Vec<rtree_index::Neighbor>| n.iter().map(|n| n.distance).collect::<Vec<_>>();
+    let got = near(tree.nearest_neighbors(&centre, 10).unwrap());
+    assert_eq!(
+        got,
+        near(oracle.nearest_neighbors(&centre, 10)),
+        "{what}: nearest"
+    );
+    // FindLeaf: the delete finds its entry, and only that entry goes.
+    let (rect, item) = oracle.items().find(|e| e.0.intersects(&q)).unwrap();
+    let mut tree = open().unwrap();
+    assert!(
+        tree.delete(&rect, item).unwrap(),
+        "{what}: delete found nothing"
+    );
+    let mut want = sorted(oracle.search(&q));
+    want.retain(|&id| id != item);
+    assert_eq!(
+        sorted(tree.query(&q).unwrap()),
+        want,
+        "{what}: after delete"
+    );
+}
+
+/// One walk over `tree`: the region, batch and kNN walks over everything,
+/// and a delete of `kept` (FindLeaf).
+fn walk<S: ConcurrentPageStore + Send + Sync>(
+    name: &str,
+    tree: &mut DiskRTree<S>,
+    kept: (Rect, u64),
+) -> io::Result<()> {
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    match name {
+        "query" => tree.query(&everything).map(drop),
+        "query_batch" => tree.query_batch(&[everything, kept.0], 1).map(drop),
+        "nearest_neighbors" => tree
+            .nearest_neighbors(&Point::new(0.5, 0.5), 5_000)
+            .map(drop),
+        _ => tree.delete(&kept.0, kept.1).map(drop),
+    }
+}
+
+#[test]
+fn a_walk_that_fails_part_way_leaves_no_scratch_behind() {
+    let (oracle, image) = (sound_tree(), sound_image());
+    let leaf = centre_leaf(&image);
+    let kept = NodePage::decode(&image[leaf * PAGE_SIZE..][..PAGE_SIZE])
+        .unwrap()
+        .entries[0];
+    let mut corrupt = image.clone();
+    let page = &mut corrupt[leaf * PAGE_SIZE..][..PAGE_SIZE];
+    let (what, invert) = SOA_PATCHES[0];
+    invert(page, SOA_LO_X + 8, SOA_HI_X + 8);
+    reseal(page);
+    for name in ["query", "query_batch", "nearest_neighbors", "delete"] {
+        // A corrupt leaf: the walk has read the pages before it.
+        let store = MemStore::from_bytes(corrupt.clone());
+        let mut tree = DiskRTree::open(store, 256, LruPolicy::new()).unwrap();
+        assert_invalid_data(&format!("{what}: {name}"), walk(name, &mut tree, kept));
+        assert_good_walks_after(&format!("{name} after {what}"), &image, &oracle);
+        // A read fault at every read the walk makes in turn, the last ones
+        // deep inside it (the first is the open's meta page).
+        let mut faults = 0;
+        for n in 2.. {
+            let store = MemStore::from_bytes(image.clone());
+            let store = FaultStore::new(store, CrashSwitch::new()).fail_read_at(n);
+            let mut tree = DiskRTree::open(store, 256, LruPolicy::new()).unwrap();
+            if walk(name, &mut tree, kept).is_ok() {
+                break;
+            }
+            faults += 1;
+            assert_good_walks_after(&format!("{name} after read fault {n}"), &image, &oracle);
+        }
+        assert!(faults >= 3, "{name}: only {faults} reads to fail");
+    }
 }
