@@ -58,9 +58,11 @@ use std::sync::{Arc, OnceLock};
 /// Fibonacci multiplier for the page → shard hash.
 const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The store's `&self` page write and durability barrier.
+/// The store's `&self` page write and durability barrier, and the root peek
+/// (the root frame, and its MBR or why the in-place view refused it).
 type Write<S> = fn(&S, PageId, &[u8]) -> io::Result<()>;
 type Flush<S> = fn(&S) -> io::Result<()>;
+type RootPeek = (Arc<[u8]>, Result<Option<Rect>, PageError>);
 
 /// The shards' handle on the tree's one store. Reads take the `&self`
 /// path; only a writable tree's shard has `writes` (its checkpoint writes
@@ -182,9 +184,9 @@ pub struct ConcurrentDiskRTree<S> {
     pub(crate) shards: Box<[Mutex<Shard<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
-    /// The uncharged root peek, cached: the root frame and its MBR (a tree
-    /// with a writer never peeks).
-    root_frame: OnceLock<(Arc<[u8]>, Option<Rect>)>,
+    /// The uncharged root peek, cached: the root frame and its MBR, or why
+    /// the in-place view refused it (a tree with a writer never peeks).
+    root_frame: OnceLock<RootPeek>,
     /// The metadata read at open, less its level table once a writer
     /// attaches; then the snapshot [`ConcurrentDiskRTree::sync_meta`] last
     /// took of the live copy.
@@ -439,10 +441,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     }
 
     /// The uncharged root peek: the root frame, taken from the root's shard
-    /// (or, if not resident there, read from the store) and its MBR, cached
-    /// outside the pool once the MBR is sound, so the peek neither charges
-    /// nor perturbs replacement state.
-    fn root_peek(&self) -> io::Result<&(Arc<[u8]>, Option<Rect>)> {
+    /// (or, if not resident there, read from the store) at most once per
+    /// tree and cached outside the pool with its MBR, so the peek neither
+    /// charges nor perturbs replacement state.
+    fn root_peek(&self) -> io::Result<&RootPeek> {
         if let Some(peek) = self.root_frame.get() {
             return Ok(peek);
         }
@@ -454,14 +456,14 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             cache.tracer.at_level(&Span::default(), level as i16);
             Arc::clone(cache.fetch_uncharged(root)?)
         };
-        let mbr = PageView::new(&frame, level)?.mbr()?;
+        let mbr = PageView::new(&frame, level).and_then(|view| view.mbr());
         Ok(self.root_frame.get_or_init(|| (frame, mbr)))
     }
 
     /// The root's MBR from the uncharged peek (`None` for an empty tree) —
     /// model semantics: a node is accessed iff its MBR intersects the query.
     fn root_mbr(&self) -> io::Result<Option<Rect>> {
-        Ok(self.root_peek()?.1)
+        Ok(self.root_peek()?.1.clone()?)
     }
 
     /// Runs `f` on the live metadata: the writer's when writable (updated

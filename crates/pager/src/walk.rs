@@ -7,7 +7,8 @@
 //! best-first in a total order: nearer first, then earlier discovered,
 //! with items before pages at equal distance. `tests::*_order` pins all
 //! four against golden vectors.
-//! A walk allocates only its answer: it works in the thread's [`Scratch`].
+//! The region and kNN walks allocate only their answer: they work in the
+//! thread's [`Scratch`].
 
 use crate::seam::PageRead;
 use crate::PageView;
@@ -15,7 +16,7 @@ use rtree_geom::{Point, Rect};
 use rtree_index::Neighbor;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::io;
 
 /// A leaf FindLeaf located, with its root-to-leaf `(page, slot)` path.
@@ -73,43 +74,53 @@ impl BatchOutput {
     }
 }
 
-/// The walks' working vectors, kept between calls on a thread and emptied
-/// before each use, so a walk that failed part-way leaves nothing behind:
-/// matched entries; the region walk's stack and answer; a level-synchronous
-/// walk's `(page, query or node)` pairs, this level's and the next's;
-/// FindLeaf's `(parent page, parent node, slot)` nodes, root first; kNN's
-/// entries in range, best items, runs (reused; a search counts its own) and heads.
+/// The region and kNN walks' working vectors, kept between walks on a
+/// thread: emptied before each (a walk that failed part-way leaves nothing
+/// behind) and dropped after one that left more than [`KEEP`] bytes of room.
 #[derive(Default)]
 struct Scratch {
     matches: Vec<u32>,
     stack: Vec<(u64, u16)>,
     ids: Vec<u64>,
-    level: Vec<(u64, u32)>,
-    next: Vec<(u64, u32)>,
-    nodes: Vec<(u64, u32, u32)>,
     within: Vec<(u32, f64)>,
     best: Vec<(Key, Rect, u64)>,
     runs: Vec<Run>,
     heads: BinaryHeap<Reverse<(Key, usize)>>,
 }
 
+impl Scratch {
+    /// The room the vectors hold, in bytes.
+    fn bytes(&self) -> usize {
+        fn room<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let runs: usize = self.runs.iter().map(|r| room(&r.children)).sum();
+        let heads = self.heads.capacity() * std::mem::size_of::<Reverse<(Key, usize)>>();
+        let region = room(&self.matches) + room(&self.stack) + room(&self.ids);
+        region + room(&self.within) + room(&self.best) + room(&self.runs) + runs + heads
+    }
+}
+
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// Runs `walk` on this thread's scratch, every vector emptied first.
+/// The room a thread's scratch keeps between walks: a long answer or a
+/// large k gives its room back.
+const KEEP: usize = 64 << 10;
+
+/// Runs `walk` on this thread's scratch; walks clear `matches` and `within` per page.
 fn with_scratch<R>(walk: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with_borrow_mut(|s| {
-        s.matches.clear();
         s.stack.clear();
         s.ids.clear();
-        s.level.clear();
-        s.next.clear();
-        s.nodes.clear();
-        s.within.clear();
         s.best.clear();
         s.heads.clear();
-        walk(s)
+        let answer = walk(s);
+        if s.bytes() > KEEP {
+            *s = Scratch::default();
+        }
+        answer
     })
 }
 
@@ -147,10 +158,10 @@ pub(crate) fn region<P: PageRead>(
     })
 }
 
-/// Level-synchronous walk of a whole batch. The frontier pairs each page
-/// with the queries that need it, sorted, so a page shared by k queries is
-/// fetched once, when the walk consumes it, and each level is visited in
-/// ascending page id (sequential under the bulk-loaded layout).
+/// Level-synchronous walk of a whole batch. The frontier maps each page to
+/// the queries that need it, so a page shared by k queries is fetched
+/// once, when the walk consumes it, and each level is visited in ascending
+/// page id (sequential under the bulk-loaded layout).
 ///
 /// Queries missing `root_mbr` never touch the buffer (`None` = all active).
 pub(crate) fn frontier<P: PageRead>(
@@ -161,40 +172,41 @@ pub(crate) fn frontier<P: PageRead>(
     queries: &[Rect],
     out: &mut BatchOutput,
 ) -> io::Result<()> {
-    with_scratch(|s| {
-        let (matches, frontier, next) = (&mut s.matches, &mut s.level, &mut s.next);
-        let active = |q: &u32| root_mbr.is_none_or(|mbr| mbr.intersects(&queries[*q as usize]));
-        frontier.extend((0..queries.len() as u32).filter(active).map(|q| (root, q)));
-        out.stats.active_queries = frontier.len() as u64;
-        let mut level = root_level;
-        while !frontier.is_empty() {
-            out.stats.levels += 1;
-            for run in frontier.chunk_by(|a, b| a.0 == b.0) {
-                let view = PageView::new(src.fetch(run[0].0, level)?, level)?;
-                out.stats.work_items += 1;
-                out.stats.page_requests += run.len() as u64;
-                for &(_, qid) in run {
-                    matches.clear();
-                    view.intersecting(&queries[qid as usize], matches)?;
-                    for &e in matches.iter() {
-                        let ptr = view.ptr(e as usize);
-                        if level == 0 {
-                            out.results[qid as usize].push(ptr);
-                        } else {
-                            next.push((ptr, qid));
-                        }
+    let active: Vec<u32> = (0..queries.len() as u32)
+        .filter(|&q| root_mbr.is_none_or(|mbr| mbr.intersects(&queries[q as usize])))
+        .collect();
+    out.stats.active_queries = active.len() as u64;
+    if active.is_empty() {
+        return Ok(());
+    }
+    // The BTreeMap keys the dedup *and* yields each level in page order.
+    let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+    frontier.insert(root, active);
+    let mut level = root_level;
+    let mut matched: Vec<u32> = Vec::new();
+    while !frontier.is_empty() {
+        out.stats.levels += 1;
+        for (page, qids) in std::mem::take(&mut frontier) {
+            let view = PageView::new(src.fetch(page, level)?, level)?;
+            out.stats.work_items += 1;
+            out.stats.page_requests += qids.len() as u64;
+            for qid in qids {
+                matched.clear();
+                view.intersecting(&queries[qid as usize], &mut matched)?;
+                for &e in &matched {
+                    let ptr = view.ptr(e as usize);
+                    if level == 0 {
+                        out.results[qid as usize].push(ptr);
+                    } else {
+                        frontier.entry(ptr).or_default().push(qid);
                     }
                 }
             }
-            // Each page's queries stay ascending, as they came from the root.
-            next.sort_unstable();
-            src.level_done(next.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0));
-            std::mem::swap(frontier, next);
-            next.clear();
-            level = level.saturating_sub(1);
         }
-        Ok(())
-    })
+        src.level_done(frontier.keys().copied());
+        level = level.saturating_sub(1);
+    }
+    Ok(())
 }
 
 /// FindLeaf: the leaf below `root` holding the exact entry `(rect, item)`.
@@ -210,47 +222,33 @@ pub(crate) fn find_leaf<P: PageRead>(
     rect: &Rect,
     item: u64,
 ) -> io::Result<Option<Found>> {
-    with_scratch(|s| {
-        // A level's candidate pages, ascending, each with its node.
-        s.nodes.push((root, 0, 0));
-        s.level.push((root, 0));
-        let mut level = root_level;
-        loop {
-            for &(pid, node) in s.level.iter() {
-                let view = PageView::new(src.fetch(pid, level)?, level)?;
-                s.matches.clear();
-                view.intersecting(rect, &mut s.matches)?;
-                for slot in s.matches.iter().map(|&i| i as usize) {
-                    let r = view.rect(slot);
-                    if level == 0 && view.ptr(slot) == item && r == *rect {
-                        // The node's chain of parents is its path from the root.
-                        let (mut path, mut n) = (Vec::new(), node);
-                        while n != 0 {
-                            let (page, parent, slot) = s.nodes[n as usize];
-                            path.insert(0, (page, slot as usize));
-                            n = parent;
-                        }
-                        return Ok(Some((pid, path)));
-                    }
-                    if level > 0 && r.contains_rect(rect) {
-                        s.next.push((view.ptr(slot), s.nodes.len() as u32));
-                        s.nodes.push((pid, node, slot as u32));
-                    }
+    // A level's candidate pages, ascending, each with its path from the root.
+    let mut pages = BTreeMap::from([(root, Vec::new())]);
+    let mut level = root_level;
+    let mut matches: Vec<u32> = Vec::new();
+    loop {
+        let mut next = BTreeMap::new();
+        for (pid, path) in pages {
+            let view = PageView::new(src.fetch(pid, level)?, level)?;
+            matches.clear();
+            view.intersecting(rect, &mut matches)?;
+            for slot in matches.iter().map(|&i| i as usize) {
+                let r = view.rect(slot);
+                if level == 0 && view.ptr(slot) == item && r == *rect {
+                    return Ok(Some((pid, path)));
+                }
+                if level > 0 && r.contains_rect(rect) {
+                    let down = || [&path[..], &[(pid, slot)]].concat();
+                    next.entry(view.ptr(slot)).or_insert_with(down);
                 }
             }
-            // Nodes are numbered in discovery order: a page reached twice
-            // keeps the path it was found by first.
-            s.next.sort_unstable();
-            s.next.dedup_by_key(|c| c.0);
-            if s.next.is_empty() {
-                return Ok(None);
-            }
-            src.level_done(s.next.iter().map(|c| c.0));
-            std::mem::swap(&mut s.level, &mut s.next);
-            s.next.clear();
-            level -= 1;
         }
-    })
+        if next.is_empty() {
+            return Ok(None);
+        }
+        src.level_done(next.keys().copied());
+        (pages, level) = (next, level - 1);
+    }
 }
 
 /// A kNN candidate's place in the walk's total order: `(min-distance² as
@@ -575,6 +573,30 @@ mod tests {
         s.fail_at = Some(4);
         assert!(nearest(&mut s, 1, 2, 8, &p, 2).is_err());
         assert_eq!(s.fetched, [1, 2, 6]);
+    }
+
+    #[test]
+    fn scratch_gives_back_a_large_walks_room() {
+        use crate::{DiskRTree, MemStore};
+        use rtree_buffer::LruPolicy;
+        use rtree_index::BulkLoader;
+        let rects: Vec<Rect> = (0..20_000)
+            .map(|i| {
+                let (x, y) = ((i as f64 * 0.618_034) % 1.0, (i as f64 * 0.414_214) % 1.0);
+                Rect::point(Point::new(x, y))
+            })
+            .collect();
+        let tree = BulkLoader::hilbert(50).load(&rects);
+        let disk = DiskRTree::create(MemStore::new(), &tree, 1_000, LruPolicy::new()).unwrap();
+        let held = || SCRATCH.with_borrow(Scratch::bytes);
+        let centre = Point::new(0.5, 0.5);
+        assert_eq!(disk.nearest_neighbors(&centre, 8).unwrap().len(), 8);
+        let small = held();
+        assert!(small > 0, "a small walk keeps its room");
+        assert_eq!(disk.nearest_neighbors(&centre, 5_000).unwrap().len(), 5_000);
+        assert!(held() <= KEEP, "large k: {} bytes kept", held());
+        assert_eq!(disk.query(&EVERYTHING).unwrap().len(), rects.len());
+        assert!(held() <= KEEP, "long answer: {} bytes kept", held());
     }
 
     #[test]

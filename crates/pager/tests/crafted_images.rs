@@ -272,6 +272,14 @@ fn inverted_codes_on_a_packed_page_fail_every_walk_on_every_visit() {
     root[hi..hi + 2].copy_from_slice(&100u16.to_le_bytes());
     reseal(root);
     assert!(NodePage::decode(root).is_err());
+    // The peek keeps the refused root: later queries fail without reading it again.
+    let store = MemStore::from_bytes(image.clone());
+    let tree = DiskRTree::open(store, 256, LruPolicy::new()).unwrap();
+    for _ in 0..3 {
+        let err = tree.query(&Rect::new(0.0, 0.0, 1.0, 1.0));
+        assert_invalid_data("inverted codes: peek", err);
+    }
+    assert_eq!(tree.io_stats().peek_reads, 1, "the root is read once");
     assert_every_walk_fails_every_time("inverted codes", image);
 }
 
