@@ -1,19 +1,17 @@
 //! Model-level extensions: validation against physical execution,
-//! ablations, update quality, accuracy sweeps, mixtures and N-D — every
+//! ablations, update quality, accuracy sweeps and mixtures — every
 //! experiment here reports page counts only, so its output is
 //! deterministic.
 
 use crate::{f, pct, say, seeds, synthetic_region, tiger, write_result, Loader, Opts, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtree_buffer::{BufferPool, LruPolicy, PageId, PolicyKind};
+use rtree_buffer::{LruPolicy, PolicyKind};
 use rtree_core::{BufferModel, MixedWorkload, TreeDescription, Workload};
 use rtree_datagen::ClusteredPoints;
-use rtree_index::{BulkLoader, LinearSplit, NodeId, RStarSplit, RTree, TupleAtATime};
-use rtree_nd::{buffer_model, PointN, RectN, WorkloadN};
+use rtree_index::{LinearSplit, RStarSplit, TupleAtATime};
 use rtree_pager::{DiskRTree, MemStore};
 use rtree_sim::{QuerySampler, SimTree, Simulation};
-use std::collections::HashMap;
 
 /// **End-to-end physical validation** — the same workload measured three
 /// ways:
@@ -388,96 +386,6 @@ pub(crate) fn mixed_workloads(opts: &Opts, out: &mut String) -> Result<(), Strin
     say!(
         out,
         "Per-node access probabilities mix linearly, so one model covers any blend."
-    );
-    Ok(())
-}
-
-/// **Extension** — the model in higher dimensions. The paper: "R-trees
-/// generalize easily to dimensions higher than two... Generalizations to
-/// higher dimensions are straightforward." This experiment makes that
-/// claim measurable: uniform point queries over STR-packed trees of the
-/// same cardinality in 2-D, 3-D and 4-D, model vs LRU simulation, plus the
-/// dimensionality trend (higher D → leakier MBR volumes → more expensive
-/// queries at every buffer size).
-pub(crate) fn nd_generalization(opts: &Opts, out: &mut String) -> Result<(), String> {
-    fn scattered<const D: usize>(n: usize, seed: u64) -> Vec<RectN<D>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let mut c = [0.0; D];
-                for v in c.iter_mut() {
-                    *v = rng.gen_range(0.02..0.98);
-                }
-                RectN::centered(PointN::new(c), [0.012; D])
-            })
-            .collect()
-    }
-
-    fn simulate<const D: usize>(tree: &RTree<RectN<D>>, buffer: usize, queries: usize) -> f64 {
-        // Level order, root first: the model's page numbering.
-        let pages: HashMap<NodeId, u64> = tree.node_ids().into_iter().zip(0..).collect();
-        let mut pool = BufferPool::new(buffer, LruPolicy::new());
-        let mut rng = StdRng::seed_from_u64(0xD1A6 + D as u64);
-        let warmup = queries / 4;
-        for i in 0..queries + warmup {
-            let mut c = [0.0; D];
-            for v in c.iter_mut() {
-                *v = rng.gen_range(0.0..1.0);
-            }
-            if i == warmup {
-                pool.reset_stats();
-            }
-            tree.search_with(
-                &RectN::point(PointN::new(c)),
-                |id, _| {
-                    pool.access(PageId(pages[&id]));
-                },
-                |_| {},
-            );
-        }
-        pool.stats().misses as f64 / queries as f64
-    }
-
-    fn row<const D: usize>(table: &mut Table, n: usize, cap: usize, buffer: usize, queries: usize) {
-        let rects = scattered::<D>(n, 1_000 + D as u64);
-        let tree = BulkLoader::str_pack(cap).load(&rects);
-        let model = buffer_model(&tree, &WorkloadN::uniform_point());
-        let predicted = model.expected_disk_accesses(buffer);
-        let simulated = simulate(&tree, buffer, queries);
-        let diff = (predicted - simulated) / simulated.max(1e-9);
-        table.row(vec![
-            D.to_string(),
-            tree.node_count().to_string(),
-            f(model.expected_node_accesses()),
-            f(simulated),
-            f(predicted),
-            pct(diff),
-        ]);
-    }
-
-    let n = 20_000;
-    let cap = 16;
-    let queries = if opts.quick { 20_000 } else { 120_000 };
-    for buffer in [50usize, 400] {
-        let mut table = Table::new(
-            format!(
-                "N-D generalization: model vs simulation, point queries, \
-                 {n} items, cap {cap}, B = {buffer}"
-            ),
-            &["D", "nodes", "visits", "sim", "model", "diff"],
-        );
-        row::<2>(&mut table, n, cap, buffer, queries);
-        row::<3>(&mut table, n, cap, buffer, queries);
-        row::<4>(&mut table, n, cap, buffer, queries);
-        table.emit(&format!("nd_generalization_b{buffer}"), opts, out)?;
-    }
-    say!(
-        out,
-        "The same dimension-free buffer model (eq. 5-6) prices every dimension;\n\
-         only the access probabilities change, and agreement stays at the 2-D\n\
-         level (~2%). At fixed cardinality, node-visit counts are nearly flat\n\
-         across D while per-node probabilities grow more skewed, so the buffer\n\
-         captures relatively more of the access mass in higher dimensions."
     );
     Ok(())
 }

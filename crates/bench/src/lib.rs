@@ -83,9 +83,10 @@ macro_rules! experiments {
     };
 }
 
-/// Every experiment, in `rtrees bench all` order: the eighteen the old
-/// `repro_all` driver ran (the paper's tables and figures, then the
-/// extensions, in the order it ran them), then the six it never listed.
+/// Every experiment, in `rtrees bench all` order: the seventeen the old
+/// `repro_all` driver ran and that still exist (the paper's tables and
+/// figures, then the extensions, in the order it ran them), then the six it
+/// never listed.
 pub const EXPERIMENTS: &[Experiment] = experiments! {
     paper::table1_validation => "Table 1: model vs LRU simulation, point queries",
     paper::table2_nodes_per_level => "Table 2: nodes per level of the pinning-study trees",
@@ -104,7 +105,6 @@ pub const EXPERIMENTS: &[Experiment] = experiments! {
     engine::write_amplification => "physical page writes per insert vs buffer size",
     extensions::model_accuracy_sweep => "model error over data skew and buffer size",
     extensions::mixed_workloads => "point/region query mixtures, model vs simulation",
-    extensions::nd_generalization => "the buffer model in 2-D, 3-D and 4-D",
     engine::batch_throughput => "batched execution: reads/query vs batch size",
     engine::concurrent_throughput => "shared buffer pool: reads/query vs model, throughput scaling",
     engine::simd_traversal => "SIMD traversal speedup on buffer-resident trees (gate)",

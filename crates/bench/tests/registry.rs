@@ -18,7 +18,7 @@ fn names_are_unique_and_described() {
         assert!(!exp.name.is_empty() && !exp.about.is_empty());
         assert!(seen.insert(exp.name), "duplicate experiment {}", exp.name);
     }
-    assert_eq!(EXPERIMENTS.len(), 24);
+    assert_eq!(EXPERIMENTS.len(), 23);
 }
 
 #[test]
@@ -42,8 +42,8 @@ fn all_starts_with_the_nineteen_repro_all_ran() {
         "model_accuracy_sweep",
         "mixed_workloads",
         // `concurrent_scaling` ran here; it is now the single-shard rows of
-        // `concurrent_throughput`.
-        "nd_generalization",
+        // `concurrent_throughput`. The N-dimensional model experiment ran
+        // last; it was deleted with the N-dimensional code.
     ];
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     assert_eq!(names[..repro_all.len()], repro_all);
@@ -79,8 +79,8 @@ golden!(
     fig8_cfd_datadriven,
 );
 
-// Captured from the build before the tree became generic over its bounding
-// box: these tables push STR, Morton, the linear and R* splits, forced
-// reinsertion and delete/reinsert churn through the generic code, which
-// must not move a digit in 2-D.
+// Captured from the build before the tree was made generic over its
+// bounding box, and held through that change and its undoing: these tables
+// push STR, Morton, the linear and R* splits, forced reinsertion and
+// delete/reinsert churn through the loader and insertion code.
 golden!(ablation_loaders, ablation_splits, update_quality);

@@ -14,18 +14,16 @@
 //! * **STR** — Sort-Tile-Recursive (Leutenegger, López & Edgington, the
 //!   authors' cited follow-up [7]; extension).
 //!
-//! The general algorithm is written once, for any [`Bounds`]: the orderings
-//! only read center coordinates and curve keys, so the same loader packs
-//! the 2-D trees of the paper and the N-d trees of `rtree-nd`.
+//! Every ordering reads only the rectangle centers: a coordinate, or the
+//! center's position along a space-filling curve.
 //!
 //! [`TupleAtATime`] wraps Guttman insertion so that TAT can be used through
 //! the same interface as the packing loaders.
 
-use crate::bounds::Bounds;
 use crate::node::NodeId;
 use crate::split::SplitPolicy;
 use crate::tree::RTree;
-use rtree_geom::{HilbertCurve, MortonCurve, Rect};
+use rtree_geom::{HilbertCurve, MortonCurve, Point, Rect};
 
 /// The ordering strategy used by the general packing algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,46 +53,41 @@ impl PackingOrder {
     /// Permutes `entries` into packing order for one level of the tree; the
     /// curve orders compute each key once and keep tied entries in input
     /// order. `cap` is the node capacity (needed by STR to shape its tiles).
-    pub fn arrange<B: Bounds>(&self, entries: &mut [(B, u64)], cap: usize) {
+    pub fn arrange(&self, entries: &mut [(Rect, u64)], cap: usize) {
         match *self {
-            Self::NearestX => sort_by_center(entries, 0),
-            Self::Hilbert { order } => entries.sort_by_cached_key(|e| e.0.hilbert_key(order)),
-            Self::Morton { order } => entries.sort_by_cached_key(|e| e.0.morton_key(order)),
-            Self::Str => str_tile(entries, cap, 0),
+            Self::NearestX => sort_by_center(entries, |c| c.x),
+            Self::Hilbert { order } => {
+                let curve = HilbertCurve::new(order);
+                entries.sort_by_cached_key(|e| curve.index_of(&e.0.center()));
+            }
+            Self::Morton { order } => {
+                let curve = MortonCurve::new(order);
+                entries.sort_by_cached_key(|e| curve.index_of(&e.0.center()));
+            }
+            Self::Str => str_tile(entries, cap),
         }
     }
 }
 
-/// STR as ref. [7] states it for `k` dimensions: sort the (non-empty)
-/// `entries` by center along `axis`; with `k` axes left and `P = ceil(r/n)`
-/// pages to fill, cut the run into `ceil(P^(1/k))` slabs of
-/// `n * ceil(P^((k-1)/k))` entries and tile each slab along the remaining
-/// axes. Consecutive runs of `n` then form the tiles. In 2-D this is the
-/// familiar `S = ceil(sqrt(P))` vertical slices of `S * n` rectangles,
-/// each sorted by y.
-fn str_tile<B: Bounds>(entries: &mut [(B, u64)], cap: usize, axis: usize) {
-    sort_by_center(entries, axis);
-    let k = B::DIM - axis;
-    if k == 1 {
-        return;
-    }
-    let pages = entries.len().div_ceil(cap) as f64;
-    // `sqrt`, not `powf(0.5)`: the arithmetic every recorded 2-D table was
+/// STR (ref. [7]) in 2-D: sort the (non-empty) `entries` by center x;
+/// with `P = ceil(r/n)` pages to fill, cut the run into
+/// `S = ceil(sqrt(P))` vertical slabs of `S * n` rectangles and sort each
+/// slab by center y. Consecutive runs of `n` then form the tiles.
+fn str_tile(entries: &mut [(Rect, u64)], cap: usize) {
+    sort_by_center(entries, |c| c.x);
+    // `sqrt`, not `powf(0.5)`: the arithmetic every recorded table was
     // produced with.
-    let pages_per_slab = if k == 2 {
-        pages.sqrt()
-    } else {
-        pages.powf((k - 1) as f64 / k as f64)
-    };
+    let pages_per_slab = (entries.len().div_ceil(cap) as f64).sqrt();
     for slab in entries.chunks_mut(pages_per_slab.ceil() as usize * cap) {
-        str_tile(slab, cap, axis + 1);
+        sort_by_center(slab, |c| c.y);
     }
 }
 
-fn sort_by_center<B: Bounds>(entries: &mut [(B, u64)], axis: usize) {
+/// Stable sort by one coordinate of the center.
+fn sort_by_center(entries: &mut [(Rect, u64)], coord: impl Fn(Point) -> f64) {
     entries.sort_by(|a, b| {
-        a.0.center_coord(axis)
-            .partial_cmp(&b.0.center_coord(axis))
+        coord(a.0.center())
+            .partial_cmp(&coord(b.0.center()))
             .expect("rect coordinates are finite")
     });
 }
@@ -172,13 +165,13 @@ impl BulkLoader {
     }
 
     /// Loads rectangles, assigning item ids `0..rects.len()`.
-    pub fn load<B: Bounds>(&self, rects: &[B]) -> RTree<B> {
-        let entries: Vec<(B, u64)> = rects.iter().copied().zip(0..rects.len() as u64).collect();
+    pub fn load(&self, rects: &[Rect]) -> RTree {
+        let entries: Vec<(Rect, u64)> = rects.iter().copied().zip(0..rects.len() as u64).collect();
         self.load_entries(entries)
     }
 
     /// Loads explicit `(rect, id)` items.
-    pub fn load_entries<B: Bounds>(&self, mut items: Vec<(B, u64)>) -> RTree<B> {
+    pub fn load_entries(&self, mut items: Vec<(Rect, u64)>) -> RTree {
         let mut tree = RTree::builder(self.cap.max(4)).build();
         // Packing never splits, so it keeps any cap >= 2 (the builder wants
         // >= 4) and a min fill an image can record, at most cap / 2.
@@ -198,7 +191,7 @@ impl BulkLoader {
         let mut level = 0u32;
         let root_id = loop {
             self.order.arrange(&mut items, self.cap);
-            let mut upper: Vec<(B, u64)> = Vec::with_capacity(items.len().div_ceil(self.cap));
+            let mut upper: Vec<(Rect, u64)> = Vec::with_capacity(items.len().div_ceil(self.cap));
             for chunk in items.chunks(self.cap) {
                 let id = tree.alloc(level);
                 for (r, p) in chunk {
@@ -429,9 +422,9 @@ mod tests {
                 packing.arrange(&mut got, 10);
                 let mut want = entries.clone();
                 if let PackingOrder::Hilbert { .. } = packing {
-                    want.sort_by_key(|(b, _)| b.hilbert_key(order));
+                    want.sort_by_key(|(r, _)| HilbertCurve::new(order).index_of(&r.center()));
                 } else {
-                    want.sort_by_key(|(b, _)| b.morton_key(order));
+                    want.sort_by_key(|(r, _)| MortonCurve::new(order).index_of(&r.center()));
                 }
                 prop_assert_eq!(got, want, "{}", packing.name());
             }

@@ -2,37 +2,37 @@
 //! plus the R*-tree insertion path (reference [1] of the paper) as an
 //! opt-in — overlap-aware ChooseSubtree and forced reinsertion.
 
-use crate::bounds::Bounds;
 use crate::node::NodeId;
 use crate::tree::RTree;
+use rtree_geom::Rect;
 use std::sync::Arc;
 
 /// Guttman's ChooseLeaf criterion over the entries of one node: the slot
-/// whose box needs the least enlargement to include `new`, ties broken by
-/// smaller volume, then lower slot. The pager's on-page insert descends by
-/// this function too.
-pub fn choose_subtree<'a, B: Bounds>(boxes: impl IntoIterator<Item = &'a B>, new: &B) -> usize {
+/// whose rectangle needs the least enlargement to include `new`, ties
+/// broken by smaller area, then lower slot. The pager's on-page insert
+/// descends by this function too.
+pub fn choose_subtree<'a>(rects: impl IntoIterator<Item = &'a Rect>, new: &Rect) -> usize {
     let mut best = 0usize;
     let mut best_enl = f64::INFINITY;
-    let mut best_vol = f64::INFINITY;
-    for (i, b) in boxes.into_iter().enumerate() {
-        let enl = b.enlargement(new);
-        let vol = b.volume();
-        if enl < best_enl || (enl == best_enl && vol < best_vol) {
+    let mut best_area = f64::INFINITY;
+    for (i, r) in rects.into_iter().enumerate() {
+        let enl = r.enlargement(new);
+        let area = r.area();
+        if enl < best_enl || (enl == best_enl && area < best_area) {
             best = i;
             best_enl = enl;
-            best_vol = vol;
+            best_area = area;
         }
     }
     best
 }
 
-impl<B: Bounds> RTree<B> {
+impl RTree {
     /// Inserts one item using the tree's configured insertion algorithm:
     /// Guttman by default (ChooseLeaf by least enlargement, split on
     /// overflow, AdjustTree upward), or the R* path when the tree was built
     /// with [`crate::RTreeBuilder::forced_reinsert`].
-    pub fn insert(&mut self, rect: B, id: u64) {
+    pub fn insert(&mut self, rect: Rect, id: u64) {
         assert!(rect.is_valid(), "cannot insert invalid rect {rect}");
         self.insert_at_level(rect, id, 0);
         self.len += 1;
@@ -41,7 +41,7 @@ impl<B: Bounds> RTree<B> {
     /// Inserts an entry at a given node level (level 0 = leaf). Levels above
     /// 0 are used by condense-tree and forced reinsertion to re-attach
     /// subtrees; `ptr` is then a child [`NodeId`] index.
-    pub(crate) fn insert_at_level(&mut self, rect: B, ptr: u64, level: u32) {
+    pub(crate) fn insert_at_level(&mut self, rect: Rect, ptr: u64, level: u32) {
         if self.reinsert_fraction.is_some() {
             // One forced reinsert per level per top-level insertion
             // (R* overflow treatment); levels fit in a u64 bitmask.
@@ -55,13 +55,14 @@ impl<B: Bounds> RTree<B> {
 
     /// Chooses the child slot to descend into from `node` for an entry with
     /// rectangle `rect` heading to `target_level`.
-    fn choose_subtree_slot(&self, node: NodeId, rect: &B, target_level: u32) -> usize {
+    fn choose_subtree_slot(&self, node: NodeId, rect: &Rect, target_level: u32) -> usize {
         let n = self.node(node);
         // R* refinement: when the children are at the target level, minimize
         // *overlap* enlargement (ties: area enlargement, then area). Only
         // active for R*-configured trees; Guttman always uses enlargement.
         if self.reinsert_fraction.is_some() && n.level() == target_level + 1 {
             let rects = n.rects();
+            let overlap = |a: &Rect, b: &Rect| a.intersection(b).map_or(0.0, |i| i.area());
             let mut best = 0usize;
             let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
             for (i, r) in rects.iter().enumerate() {
@@ -71,9 +72,9 @@ impl<B: Bounds> RTree<B> {
                     if i == j {
                         continue;
                     }
-                    overlap_delta += grown.overlap(other) - r.overlap(other);
+                    overlap_delta += overlap(&grown, other) - overlap(r, other);
                 }
-                let key = (overlap_delta, r.enlargement(rect), r.volume());
+                let key = (overlap_delta, r.enlargement(rect), r.area());
                 if key < best_key {
                     best_key = key;
                     best = i;
@@ -87,7 +88,7 @@ impl<B: Bounds> RTree<B> {
     /// Core insertion: descend to `level`, install, then resolve overflows
     /// walking back up (forced reinsert once per level if configured,
     /// otherwise split).
-    fn insert_entry(&mut self, rect: B, ptr: u64, level: u32, reinserted: &mut u64) {
+    fn insert_entry(&mut self, rect: Rect, ptr: u64, level: u32, reinserted: &mut u64) {
         debug_assert!(level <= self.node(self.root).level);
 
         let mut path: Vec<(NodeId, usize)> = Vec::new();
@@ -159,7 +160,7 @@ impl<B: Bounds> RTree<B> {
         node: NodeId,
         path: &[(NodeId, usize)],
         reinserted: &mut u64,
-    ) -> Option<Vec<(u32, B, u64)>> {
+    ) -> Option<Vec<(u32, Rect, u64)>> {
         let fraction = self.reinsert_fraction?;
         let level = self.node(node).level;
         let is_root = node == self.root;
@@ -177,12 +178,12 @@ impl<B: Bounds> RTree<B> {
 
         // Sort entry indices by distance of their center from the node MBR
         // center, farthest first ("far" candidates leave).
-        let mbr = self.node(node).mbr();
+        let center = self.node(node).mbr().center();
         let mut order: Vec<usize> = (0..len).collect();
         let n = self.node(node);
         order.sort_by(|&a, &b| {
-            let da = n.rect(a).center_distance(&mbr);
-            let db = n.rect(b).center_distance(&mbr);
+            let da = n.rect(a).center().distance(&center);
+            let db = n.rect(b).center().distance(&center);
             db.partial_cmp(&da).expect("finite distances")
         });
         let mut doomed: Vec<usize> = order[..p].to_vec();
@@ -195,8 +196,8 @@ impl<B: Bounds> RTree<B> {
         }
         // Close-reinsert (the R* paper's recommendation): nearest first.
         removed.sort_by(|a, b| {
-            let da = a.1.center_distance(&mbr);
-            let db = b.1.center_distance(&mbr);
+            let da = a.1.center().distance(&center);
+            let db = b.1.center().distance(&center);
             da.partial_cmp(&db).expect("finite distances")
         });
 
@@ -219,7 +220,7 @@ impl<B: Bounds> RTree<B> {
         }
     }
 
-    fn reinsert_entries(&mut self, removed: Vec<(u32, B, u64)>, reinserted: &mut u64) {
+    fn reinsert_entries(&mut self, removed: Vec<(u32, Rect, u64)>, reinserted: &mut u64) {
         for (level, r, ptr) in removed {
             // The tree may have grown/shrunk meanwhile; the level of an
             // entry is intrinsic, so re-attach at the same level.
@@ -260,7 +261,6 @@ mod tests {
     use super::*;
     use crate::split::{LinearSplit, QuadraticSplit};
     use crate::tree::RTreeBuilder;
-    use rtree_geom::Rect;
 
     fn grid_rects(n: usize) -> Vec<Rect> {
         // n x n grid of small squares.

@@ -19,26 +19,14 @@
 //! One tree node corresponds to one disk page throughout the study, so the
 //! node capacity (`max_entries`) is the paper's "n rectangles per node".
 //!
-//! # What is generic and what is 2-D only
+//! # Two dimensions
 //!
-//! The paper works in 2-D "for notational simplicity" and calls the
-//! generalization straightforward, so the tree takes its bounding box as a
-//! parameter: [`RTree<B>`](RTree), [`Node<B>`](Node) and
-//! [`SplitPolicy<B>`](SplitPolicy) over any [`Bounds`], defaulting to
-//! `rtree_geom::Rect` — `RTree` in type position is the 2-D tree. Written
-//! once for every dimension: Guttman insertion ([`choose_subtree`],
-//! [`QuadraticSplit`], and the R* ChooseSubtree / forced-reinsertion hooks
-//! inside the same descent), region search and tracing, the four packing
-//! orders of [`BulkLoader`], level MBRs and validation. `rtree-nd` supplies
-//! the N-d box; the pager reuses [`choose_subtree`] and [`QuadraticSplit`]
-//! for its on-page insert.
-//!
-//! Only on `RTree<Rect>`, because nothing outside the 2-D study uses them
-//! and each would widen [`Bounds`] (containment, point distance, margins,
-//! per-axis lower/upper keys): deletion with condense-tree, kNN,
-//! [`TreeStats`], [`LinearSplit`], [`RStarSplit`] and [`TupleAtATime`].
+//! The paper works in 2-D "for notational simplicity", and so does every
+//! layer here: the tree holds `rtree_geom::Rect`, the pager stores four
+//! coordinates per entry, and the model, simulator and benchmark read 2-D
+//! MBRs. The pager reuses [`choose_subtree`] and [`QuadraticSplit`] for its
+//! on-page insert.
 
-mod bounds;
 mod bulk;
 mod delete;
 mod insert;
@@ -50,7 +38,6 @@ mod split;
 mod stats;
 mod tree;
 
-pub use bounds::Bounds;
 pub use bulk::{BulkLoader, PackingOrder, TupleAtATime};
 pub use insert::choose_subtree;
 pub use knn::Neighbor;

@@ -5,7 +5,6 @@
 //! what is serialized into one disk page by `rtree-pager`. At leaf level the
 //! pointer is an opaque item id; at internal levels it is a child [`NodeId`].
 
-use crate::bounds::Bounds;
 use rtree_geom::Rect;
 
 /// Identifier of a node inside an [`crate::RTree`] arena.
@@ -32,13 +31,13 @@ impl NodeId {
 /// levels from the root down; the conversion happens in
 /// [`crate::RTree::level_mbrs`]).
 #[derive(Clone, Debug)]
-pub struct Node<B = Rect> {
+pub struct Node {
     pub(crate) level: u32,
-    pub(crate) rects: Vec<B>,
+    pub(crate) rects: Vec<Rect>,
     pub(crate) ptrs: Vec<u64>,
 }
 
-impl<B: Bounds> Node<B> {
+impl Node {
     pub(crate) fn new(level: u32, cap: usize) -> Self {
         Node {
             level,
@@ -73,13 +72,13 @@ impl<B: Bounds> Node<B> {
 
     /// The rectangle of entry `i`.
     #[inline]
-    pub fn rect(&self, i: usize) -> B {
+    pub fn rect(&self, i: usize) -> Rect {
         self.rects[i]
     }
 
     /// All entry rectangles.
     #[inline]
-    pub fn rects(&self) -> &[B] {
+    pub fn rects(&self) -> &[Rect] {
         &self.rects
     }
 
@@ -113,21 +112,21 @@ impl<B: Bounds> Node<B> {
     ///
     /// # Panics
     /// Panics if the node is empty.
-    pub fn mbr(&self) -> B {
-        B::mbr_of(&self.rects)
+    pub fn mbr(&self) -> Rect {
+        Rect::mbr_of(&self.rects)
     }
 
     /// Iterator over `(rect, pointer)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (B, u64)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (Rect, u64)> + '_ {
         self.rects.iter().copied().zip(self.ptrs.iter().copied())
     }
 
-    pub(crate) fn push(&mut self, rect: B, ptr: u64) {
+    pub(crate) fn push(&mut self, rect: Rect, ptr: u64) {
         self.rects.push(rect);
         self.ptrs.push(ptr);
     }
 
-    pub(crate) fn remove(&mut self, i: usize) -> (B, u64) {
+    pub(crate) fn remove(&mut self, i: usize) -> (Rect, u64) {
         (self.rects.swap_remove(i), self.ptrs.swap_remove(i))
     }
 }

@@ -5,7 +5,6 @@
 //! Guttman's *quadratic* heuristic; the *linear* heuristic is provided as an
 //! ablation baseline (`ablation_splits` experiment).
 
-use crate::bounds::Bounds;
 use rtree_geom::Rect;
 
 /// A node-split heuristic: partitions `rects` (of length `max_entries + 1`)
@@ -13,9 +12,9 @@ use rtree_geom::Rect;
 ///
 /// Returns the entry indices of each group; together they must cover
 /// `0..rects.len()` exactly once.
-pub trait SplitPolicy<B = Rect>: Send + Sync {
+pub trait SplitPolicy: Send + Sync {
     /// Partition `rects` into two groups of at least `min` entries each.
-    fn split(&self, rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>);
+    fn split(&self, rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>);
 
     /// Short name used in experiment output.
     fn name(&self) -> &'static str;
@@ -23,30 +22,30 @@ pub trait SplitPolicy<B = Rect>: Send + Sync {
 
 /// Guttman's quadratic split: pick the pair of seeds wasting the most area,
 /// then repeatedly assign the entry with the greatest affinity difference to
-/// the group whose MBR it enlarges least. The only split written for every
-/// [`Bounds`]; the pager splits its pages with it too.
+/// the group whose MBR it enlarges least. The pager splits its pages with it
+/// too.
 ///
-/// Each entry's volume, and its enlargement of each group's MBR until that
+/// Each entry's area, and its enlargement of each group's MBR until that
 /// MBR grows, are computed once: the textbook's groups at a fraction of
 /// the arithmetic (`tests/quadratic_split.rs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QuadraticSplit;
 
-impl<B: Bounds> SplitPolicy<B> for QuadraticSplit {
-    fn split(&self, rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>) {
+impl SplitPolicy for QuadraticSplit {
+    fn split(&self, rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>) {
         let n = rects.len();
         assert!(
             n >= 2 && 2 * min <= n,
             "cannot split {n} entries with min {min}"
         );
-        let volume: Vec<f64> = rects.iter().map(B::volume).collect();
+        let area: Vec<f64> = rects.iter().map(Rect::area).collect();
 
         // PickSeeds: maximize d = area(union) - area(a) - area(b).
         let (mut s1, mut s2) = (0usize, 1usize);
         let mut worst = f64::NEG_INFINITY;
         for i in 0..n {
             for j in (i + 1)..n {
-                let d = rects[i].union(&rects[j]).volume() - volume[i] - volume[j];
+                let d = rects[i].union(&rects[j]).area() - area[i] - area[j];
                 if d > worst {
                     worst = d;
                     s1 = i;
@@ -57,7 +56,7 @@ impl<B: Bounds> SplitPolicy<B> for QuadraticSplit {
 
         let mut groups = [vec![s1], vec![s2]];
         let mut mbr = [rects[s1], rects[s2]];
-        let mut mbr_volume = [volume[s1], volume[s2]];
+        let mut mbr_area = [area[s1], area[s2]];
         // Each remaining entry with its enlargement of either group's MBR.
         let enlargements = |i: usize| (i, mbr.map(|m| m.enlargement(&rects[i])));
         let mut remaining: Vec<(usize, [f64; 2])> = (0..n)
@@ -84,14 +83,14 @@ impl<B: Bounds> SplitPolicy<B> for QuadraticSplit {
             let (i, [d1, d2]) = remaining.swap_remove(best_k);
 
             // Resolve ties by smaller area, then fewer entries (Guttman).
-            let [v1, v2] = mbr_volume;
+            let [a1, a2] = mbr_area;
             let to_first = if d1 < d2 {
                 true
             } else if d2 < d1 {
                 false
-            } else if v1 < v2 {
+            } else if a1 < a2 {
                 true
-            } else if v2 < v1 {
+            } else if a2 < a1 {
                 false
             } else {
                 groups[0].len() <= groups[1].len()
@@ -100,7 +99,7 @@ impl<B: Bounds> SplitPolicy<B> for QuadraticSplit {
             groups[t].push(i);
             let grown = mbr[t].union(&rects[i]);
             if grown != mbr[t] {
-                mbr_volume[t] = grown.volume();
+                mbr_area[t] = grown.area();
                 for (j, d) in &mut remaining {
                     d[t] = grown.enlargement(&rects[*j]);
                 }

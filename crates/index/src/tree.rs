@@ -1,6 +1,5 @@
 //! The R-tree container: arena storage, construction, and invariant checks.
 
-use crate::bounds::Bounds;
 use crate::node::{Node, NodeId};
 use crate::split::{QuadraticSplit, SplitPolicy};
 use rtree_geom::Rect;
@@ -11,14 +10,14 @@ use std::sync::Arc;
 ///
 /// Defaults match the paper's TAT configuration: Guttman insertion with the
 /// quadratic split heuristic and a 40% minimum fill.
-pub struct RTreeBuilder<B = Rect> {
+pub struct RTreeBuilder {
     max_entries: usize,
     min_entries: Option<usize>,
-    split: Arc<dyn SplitPolicy<B>>,
+    split: Arc<dyn SplitPolicy>,
     reinsert_fraction: Option<f64>,
 }
 
-impl<B: Bounds> RTreeBuilder<B> {
+impl RTreeBuilder {
     /// Starts a builder with the given node capacity (the paper's `n`).
     ///
     /// # Panics
@@ -41,7 +40,7 @@ impl<B: Bounds> RTreeBuilder<B> {
     }
 
     /// Overrides the node split policy (default: [`QuadraticSplit`]).
-    pub fn split_policy(mut self, p: impl SplitPolicy<B> + 'static) -> Self {
+    pub fn split_policy(mut self, p: impl SplitPolicy + 'static) -> Self {
         self.split = Arc::new(p);
         self
     }
@@ -64,7 +63,7 @@ impl<B: Bounds> RTreeBuilder<B> {
     }
 
     /// Builds the empty tree.
-    pub fn build(self) -> RTree<B> {
+    pub fn build(self) -> RTree {
         let max = self.max_entries;
         let min = self.min_entries.unwrap_or_else(|| (max * 2 / 5).max(2));
         let nodes = vec![Node::new(0, max)];
@@ -81,23 +80,23 @@ impl<B: Bounds> RTreeBuilder<B> {
     }
 }
 
-/// An R-tree over `(B, u64)` items — `(Rect, u64)` unless said otherwise.
+/// An R-tree over `(Rect, u64)` items.
 ///
 /// Nodes live in an arena (`Vec<Node>`) and are addressed by [`NodeId`]; one
 /// node corresponds to one disk page in the buffering study.
 #[derive(Clone)]
-pub struct RTree<B = Rect> {
-    pub(crate) nodes: Vec<Node<B>>,
+pub struct RTree {
+    pub(crate) nodes: Vec<Node>,
     pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) max_entries: usize,
     pub(crate) min_entries: usize,
     pub(crate) len: usize,
-    pub(crate) split: Arc<dyn SplitPolicy<B>>,
+    pub(crate) split: Arc<dyn SplitPolicy>,
     pub(crate) reinsert_fraction: Option<f64>,
 }
 
-impl<B: Bounds> fmt::Debug for RTree<B> {
+impl fmt::Debug for RTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RTree")
             .field("len", &self.len)
@@ -109,9 +108,9 @@ impl<B: Bounds> fmt::Debug for RTree<B> {
     }
 }
 
-impl<B: Bounds> RTree<B> {
+impl RTree {
     /// Starts building an empty tree with the given node capacity.
-    pub fn builder(max_entries: usize) -> RTreeBuilder<B> {
+    pub fn builder(max_entries: usize) -> RTreeBuilder {
         RTreeBuilder::new(max_entries)
     }
 
@@ -158,12 +157,12 @@ impl<B: Bounds> RTree<B> {
 
     /// Borrows a node.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node<B> {
+    pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node<B> {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
 
@@ -207,7 +206,7 @@ impl<B: Bounds> RTree<B> {
 
     /// Iterates over all stored items as `(rect, id)` pairs, in arbitrary
     /// order.
-    pub fn items(&self) -> impl Iterator<Item = (B, u64)> + '_ {
+    pub fn items(&self) -> impl Iterator<Item = (Rect, u64)> + '_ {
         self.node_ids()
             .into_iter()
             .filter(|id| self.node(*id).is_leaf())
@@ -224,9 +223,9 @@ impl<B: Bounds> RTree<B> {
     /// This is the only input the analytic model needs (§3: "we compute the
     /// minimum bounding rectangles of tree nodes and use these as input to
     /// our buffer model").
-    pub fn level_mbrs(&self) -> Vec<Vec<B>> {
+    pub fn level_mbrs(&self) -> Vec<Vec<Rect>> {
         let height = self.height() as usize;
-        let mut levels: Vec<Vec<B>> = vec![Vec::new(); height];
+        let mut levels: Vec<Vec<Rect>> = vec![Vec::new(); height];
         for id in self.node_ids() {
             let n = self.node(id);
             if n.is_empty() {

@@ -1,4 +1,4 @@
-//! `QuadraticSplit` keeps a cache of volumes and enlargements; this suite
+//! `QuadraticSplit` keeps a cache of areas and enlargements; this suite
 //! holds it to the textbook algorithm it replaced, copied below verbatim:
 //! the same two groups, in the same order, over points, rectangles and
 //! heavy ties, at the sizes a page split sees — `M + 1 = 101` entries, and
@@ -8,17 +8,17 @@
 
 use proptest::prelude::*;
 use rtree_geom::{Point, Rect};
-use rtree_index::{Bounds, QuadraticSplit, SplitPolicy};
+use rtree_index::{QuadraticSplit, SplitPolicy};
 
 /// Guttman's quadratic split as written before the cache: every PickNext
 /// recomputes both enlargements of every remaining entry.
-fn textbook<B: Bounds>(rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>) {
+fn textbook(rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>) {
     let n = rects.len();
     let (mut s1, mut s2) = (0usize, 1usize);
     let mut worst = f64::NEG_INFINITY;
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = rects[i].union(&rects[j]).volume() - rects[i].volume() - rects[j].volume();
+            let d = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
             if d > worst {
                 worst = d;
                 s1 = i;
@@ -58,9 +58,9 @@ fn textbook<B: Bounds>(rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>) {
             true
         } else if d2 < d1 {
             false
-        } else if mbr1.volume() < mbr2.volume() {
+        } else if mbr1.area() < mbr2.area() {
             true
-        } else if mbr2.volume() < mbr1.volume() {
+        } else if mbr2.area() < mbr1.area() {
             false
         } else {
             g1.len() <= g2.len()
@@ -76,7 +76,7 @@ fn textbook<B: Bounds>(rects: &[B], min: usize) -> (Vec<usize>, Vec<usize>) {
     (g1, g2)
 }
 
-/// Coordinates on a coarse grid (ties in every enlargement and volume are
+/// Coordinates on a coarse grid (ties in every enlargement and area are
 /// common) or anywhere in the unit square.
 fn coord() -> impl Strategy<Value = f64> {
     prop_oneof![(0u8..=4).prop_map(|i| f64::from(i) / 4.0), 0.0f64..=1.0]

@@ -435,8 +435,8 @@ mod tests {
     use super::*;
     use crate::MemStore;
     use rtree_buffer::LruPolicy;
-    use rtree_geom::Point;
-    use rtree_index::{Bounds, BulkLoader};
+    use rtree_geom::{HilbertCurve, Point};
+    use rtree_index::BulkLoader;
 
     fn sample_rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -576,7 +576,9 @@ mod tests {
         // The lattice above has no tied Hilbert keys; tight clusters do, so
         // these images also pin the packer's order among tied entries.
         let rects = rtree_datagen::ClusteredPoints::new(20_000, 8, 0.002).generate(3);
-        let mut keys: Vec<u64> = rects.iter().map(|r| Bounds::hilbert_key(r, 16)).collect();
+        // The loader's key: the center's cell on the order-16 curve.
+        let curve = HilbertCurve::new(16);
+        let mut keys: Vec<u64> = rects.iter().map(|r| curve.index_of(&r.center())).collect();
         keys.sort_unstable();
         let ties = keys.windows(2).filter(|w| w[0] == w[1]).count();
         assert!(ties >= 100, "only {ties} tied keys");

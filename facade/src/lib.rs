@@ -14,8 +14,9 @@
 //! re-exports them under stable module names:
 //!
 //! * [`geom`] — rectangles, points, Hilbert/Morton curves.
-//! * [`index`] — the R-tree itself: Guttman insertion (quadratic/linear
-//!   splits), deletion, and the packing loaders TAT/NX/HS/Morton/STR.
+//! * [`index`] — the 2-D R-tree itself: Guttman insertion
+//!   (quadratic/linear splits), deletion, and the packing loaders
+//!   TAT/NX/HS/Morton/STR.
 //! * [`buffer`] — buffer pool with LRU/FIFO/Clock/Random replacement and
 //!   page pinning.
 //! * [`pager`] — page file + buffer manager + disk-backed R-tree execution
@@ -32,8 +33,6 @@
 //!   (batch means, confidence intervals).
 //! * [`datagen`] — deterministic synthetic data sets, including TIGER-like
 //!   and CFD-like substitutes for the paper's proprietary inputs.
-//! * [`nd`] — the N-dimensional generalization: const-generic geometry,
-//!   index and workloads feeding the same dimension-free buffer model.
 //!
 //! ## Quick start
 //!
@@ -61,7 +60,6 @@ pub use rtree_core as model;
 pub use rtree_datagen as datagen;
 pub use rtree_geom as geom;
 pub use rtree_index as index;
-pub use rtree_nd as nd;
 pub use rtree_obs as obs;
 pub use rtree_pager as pager;
 pub use rtree_sim as sim;
