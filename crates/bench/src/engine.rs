@@ -10,13 +10,12 @@ use rtree_core::{BufferModel, TreeDescription, Workload};
 use rtree_datagen::ClusteredPoints;
 use rtree_geom::{active_kernel, available_kernels, set_kernel, Rect};
 use rtree_index::RTree;
-use rtree_obs::TuneObserver;
 use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use rtree_server::{
     loadgen, serve, BatchPolicy, LoadConfig, SequentialEngine, ServerConfig, WriterEngine,
 };
 use rtree_sim::QuerySampler;
-use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
+use rtree_tune::{actuate, Controller, ControllerConfig, Setting};
 use rtree_wal::{GroupWal, LogBackend, MemLog};
 use std::io;
 use std::time::{Duration, Instant};
@@ -504,11 +503,11 @@ pub(crate) fn adaptive_buffer(opts: &Opts, out: &mut String) -> Result<(), Strin
         );
         let mut phase1 = 0;
         for (i, q) in stream.iter().enumerate() {
-            controller.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+            controller.observe_query(q);
             disk.query(q).expect("query");
             if (i + 1) % TICK == 0 {
                 controller
-                    .tick_with(|s| DiskActuator(&disk).apply(s))
+                    .tick_with(|s| actuate(&disk, s))
                     .expect("actuate");
             }
             if i + 1 == per_phase {

@@ -28,12 +28,12 @@ use rtree_buffer::LruPolicy;
 use rtree_core::TreeDescription;
 use rtree_geom::Rect;
 use rtree_index::{RTree, RTreeBuilder};
-use rtree_obs::{CountingSink, TraceSink, TuneObserver};
+use rtree_obs::{CountingSink, TraceSink};
 use rtree_pager::{
     recover, replay_committed, ConcurrentDiskRTree, DiskRTree, FaultStore, MemStore, StepSchedule,
     StepStore,
 };
-use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
+use rtree_tune::{actuate, Controller, ControllerConfig, Setting};
 use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, StagedLog};
 use std::fmt;
 use std::io;
@@ -872,7 +872,7 @@ fn run_adaptive_phase(
     let mut since_tick = 0usize;
     for round in 0..3 {
         for q in &queries {
-            controller.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+            controller.observe_query(q);
             let what = format!("adaptive-phase query {q} (round {round})");
             match disk.query(q) {
                 Ok(got) => report.check_ids(Differential, got, reference.search(q), |_, _| {
@@ -883,7 +883,7 @@ fn run_adaptive_phase(
             since_tick += 1;
             if since_tick == tick_every {
                 since_tick = 0;
-                let ticked = controller.tick_with(|s| DiskActuator(&disk).apply(s));
+                let ticked = controller.tick_with(|s| actuate(&disk, s));
                 must(ticked, Differential, "adaptive-phase actuation failed")?;
             }
         }

@@ -9,7 +9,7 @@ use crate::args::{err, Args, CliError};
 use rtree_bench::measure::{batch_curve, query_threads, warm_up, WalRun};
 use rtree_bench::Table;
 use rtree_geom::Rect;
-use rtree_obs::{PerLevelSink, PromText, TraceSink};
+use rtree_obs::{CountingSink, PromText, TraceSink};
 use rtree_pager::{ConcurrentDiskRTree, MemStore};
 use rtree_sim::QuerySampler;
 use std::fmt::Write as _;
@@ -156,7 +156,7 @@ pub(super) fn trace(args: &Args) -> Result<String, CliError> {
     };
     // One shard by default: the paper's sequential accounting, so the trace
     // reconciles against a single pool's counters.
-    let sink = Arc::new(PerLevelSink::new());
+    let sink = Arc::new(CountingSink::new());
     let traced = Some(Arc::clone(&sink) as Arc<dyn TraceSink>);
     let (sc, threads, disk) = shared_tree(args, defaults, 1, 1, traced)?;
     let queries = sc.queries;

@@ -120,31 +120,55 @@ fn run_server<E: rtree_server::QueryEngine>(
 type ReadEngine = rtree_server::WriterEngine<rtree_pager::MemStore>;
 
 /// Wraps the read-only engine with the online controller: every served
-/// query feeds the workload window, and when the background timer marks a
-/// tick due the controller runs its estimate → refit → actuate loop on the
+/// query feeds the workload window, and the first batch past the tick
+/// deadline runs the controller's estimate → refit → actuate loop on the
 /// serving path (so actuation is always between batches, never racing
-/// one). Actuation errors are swallowed — a failed resize must not fail the
-/// client batch; the controller retries at the next tick.
+/// one) and moves the deadline one interval on. Actuation errors are
+/// swallowed — a failed resize must not fail the client batch; the
+/// controller retries at the next tick.
 struct AdaptiveEngine {
     inner: ReadEngine,
     controller: std::sync::Arc<rtree_tune::Controller>,
-    tick_due: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    interval: std::time::Duration,
+    next_tick: std::sync::Mutex<std::time::Instant>,
+}
+
+impl AdaptiveEngine {
+    fn new(
+        inner: ReadEngine,
+        controller: std::sync::Arc<rtree_tune::Controller>,
+        interval: std::time::Duration,
+    ) -> Self {
+        let next_tick = std::sync::Mutex::new(std::time::Instant::now() + interval);
+        AdaptiveEngine {
+            inner,
+            controller,
+            interval,
+            next_tick,
+        }
+    }
 }
 
 impl rtree_server::QueryEngine for AdaptiveEngine {
     fn execute(&self, queries: &[Rect]) -> std::io::Result<Vec<Vec<u64>>> {
-        use rtree_obs::TuneObserver;
-        use rtree_tune::{Actuator, DiskActuator};
         for q in queries {
-            self.controller
-                .observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+            self.controller.observe_query(q);
         }
-        if self
-            .tick_due
-            .swap(false, std::sync::atomic::Ordering::Relaxed)
-        {
+        let due = {
+            let mut next = self
+                .next_tick
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let now = std::time::Instant::now();
+            let due = now >= *next;
+            if due {
+                *next = now + self.interval;
+            }
+            due
+        };
+        if due {
             let tree = self.inner.tree();
-            let _ = self.controller.tick_with(|s| DiskActuator(tree).apply(s));
+            let _ = self.controller.tick_with(|s| rtree_tune::actuate(tree, s));
         }
         self.inner.execute(queries)
     }
@@ -154,10 +178,6 @@ impl rtree_server::QueryEngine for AdaptiveEngine {
     }
 
     fn execute_writes(&self, ops: &[rtree_server::WriteOp]) -> Vec<std::io::Result<bool>> {
-        use rtree_obs::TuneObserver;
-        for _ in ops {
-            self.controller.observe_write();
-        }
         self.inner.execute_writes(ops)
     }
 
@@ -186,48 +206,27 @@ impl ServeOptions<'_> {
 
 /// Serves the read-only `engine` until shutdown. With `tuning`
 /// (`--adaptive`: a controller and its tick interval in ms) the engine is
-/// wrapped in the controller, a background thread marks a tuning tick due
-/// every interval, and the controller's decision log is appended to the
-/// exit summary (on both the success and the reconciliation-failure path).
+/// wrapped in the controller, which ticks at most once per interval, and
+/// the controller's decision log is appended to the exit summary (on both
+/// the success and the reconciliation-failure path).
 fn serve_engine(
     engine: ReadEngine,
     tuning: Option<(rtree_tune::Controller, u64)>,
     opts: ServeOptions<'_>,
 ) -> Result<String, CliError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let Some((controller, tune_interval_ms)) = tuning else {
         return opts.run(engine);
     };
     let controller = Arc::new(controller);
-    let tick_due = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let ticker = {
-        let tick_due = Arc::clone(&tick_due);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let interval = Duration::from_millis(tune_interval_ms);
-            let mut next = Instant::now() + interval;
-            while !stop.load(Ordering::Relaxed) {
-                // Sleep in short slices so shutdown never waits out a
-                // long interval.
-                std::thread::sleep(Duration::from_millis(25).min(interval));
-                if Instant::now() >= next {
-                    tick_due.store(true, Ordering::Relaxed);
-                    next += interval;
-                }
-            }
-        })
-    };
-    let result = opts.run(AdaptiveEngine {
-        inner: engine,
-        controller: Arc::clone(&controller),
-        tick_due,
-    });
-    stop.store(true, Ordering::Relaxed);
-    let _ = ticker.join();
+    let interval = Duration::from_millis(tune_interval_ms);
+    let result = opts.run(AdaptiveEngine::new(
+        engine,
+        Arc::clone(&controller),
+        interval,
+    ));
 
     let mut tail = format!(
         "tuning: {} ticks, {} decisions, final {}\n",
@@ -252,7 +251,7 @@ fn serve_engine(
 
 pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     use rtree_obs::{CountingSink, TraceSink};
-    use rtree_pager::{ConcurrentDiskRTree, MemStore};
+    use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
     use rtree_server::WriterEngine;
     use std::sync::Arc;
 
@@ -277,7 +276,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         "budget",
     ])?;
     let sc = Scenario::parse(args, Defaults::seed(0x7ACE))?;
-    let (cap, buffer) = (sc.cap, sc.buffer);
+    let buffer = sc.buffer;
     let rects = read_data(&args.positional)?;
     let sink = Arc::new(CountingSink::new());
     let trace = Arc::clone(&sink) as Arc<dyn TraceSink>;
@@ -298,6 +297,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     if budget == 0 {
         return Err(err("--budget must be positive"));
     }
+    let tree = sc.tree(&rects);
 
     if args.flag_bool("writers") {
         if adaptive {
@@ -311,38 +311,27 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
                 "--shards is not supported with --writers (the writable tree has one shard)",
             ));
         }
-        // Writer mode: an empty writable tree seeded through the insert
-        // path itself (every seed is WAL-logged and group-committed),
-        // then served read-write through the latch-crabbing engine.
+        // Writer mode: the bulk-loaded image, opened writable, then served
+        // read-write through the latch-crabbing engine.
         let write_threads: usize = args.flag_or("write-threads", 8usize)?;
         if write_threads == 0 {
             return Err(err("--write-threads must be at least 1"));
         }
-        let min_fill = (cap / 4).max(1);
         let wal = rtree_wal::GroupWal::open(rtree_wal::MemLog::new())
             .map_err(|e| err(format!("opening wal: {e}")))?;
         // Serving is batch-oriented anyway (the micro-batcher already
         // trades a sub-millisecond wait for locality), so hold commit
         // batches open briefly too: a burst of writers, one fsync.
         wal.set_commit_delay(std::time::Duration::from_micros(150));
-        let mut disk = ConcurrentDiskRTree::create_writable(
-            MemStore::new(),
-            cap,
-            min_fill,
-            buffer,
-            sc.new_policy(),
-            wal,
-        )
-        .map_err(|e| err(format!("creating tree: {e}")))?;
+        let image = DiskRTree::create(MemStore::new(), &tree, buffer, sc.new_policy())
+            .map_err(|e| err(format!("creating tree: {e}")))?
+            .into_store();
+        let mut disk = ConcurrentDiskRTree::open_writable(image, buffer, sc.new_policy(), wal)
+            .map_err(|e| err(format!("opening tree: {e}")))?;
         disk.set_trace_sink(Some(trace));
-        for (i, r) in rects.iter().enumerate() {
-            disk.insert(r, i as u64)
-                .map_err(|e| err(format!("seeding item {i}: {e}")))?;
-        }
         return opts.run(WriterEngine::new(disk, workers, write_threads, true));
     }
 
-    let tree = sc.tree(&rects);
     let tuning = adaptive.then(|| {
         use rtree_tune::{Controller, ControllerConfig, Setting};
         let start = Setting {
@@ -482,5 +471,67 @@ pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
         Ok(table.to_json())
     } else {
         Ok(table.render())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtree_server::QueryEngine;
+    use rtree_tune::{Controller, ControllerConfig, Setting};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The controller ticks on the first batch past the deadline, once:
+    /// not on a batch before it, nor on the batch right after. The interval
+    /// is an hour and the test moves the deadline into the past itself, so
+    /// no scheduling delay can make a batch late.
+    #[test]
+    fn adaptive_engine_ticks_once_on_the_first_batch_past_the_deadline() {
+        let rects: Vec<Rect> = (0..400)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033) % 0.97;
+                let y = (i as f64 * 0.414_213) % 0.97;
+                Rect::new(x, y, x + 0.01, y + 0.01)
+            })
+            .collect();
+        let tree = rtree_index::BulkLoader::hilbert(16).load(&rects);
+        let disk = rtree_pager::ConcurrentDiskRTree::create_sharded(
+            rtree_pager::MemStore::new(),
+            &tree,
+            32,
+            1,
+            rtree_buffer::LruPolicy::new,
+        )
+        .unwrap();
+        let start = Setting {
+            buffer: 32,
+            pin_levels: 0,
+        };
+        let controller = Controller::new(
+            TreeDescription::from_tree(&tree),
+            start,
+            ControllerConfig::new(32),
+        );
+        let controller = Arc::new(controller);
+        let interval = Duration::from_secs(3600);
+        let engine = AdaptiveEngine::new(
+            ReadEngine::new(disk, 1, 1, false),
+            Arc::clone(&controller),
+            interval,
+        );
+        let batch = [Rect::new(0.2, 0.2, 0.4, 0.4)];
+
+        engine.execute(&batch).unwrap();
+        assert_eq!(controller.ticks(), 0, "no tick before the interval");
+
+        *engine.next_tick.lock().unwrap() = Instant::now();
+        engine.execute(&batch).unwrap();
+        assert_eq!(controller.ticks(), 1, "the first batch past it ticks");
+        let next = *engine.next_tick.lock().unwrap();
+        assert!(next > Instant::now() + interval / 2, "deadline moved on");
+
+        engine.execute(&batch).unwrap();
+        assert_eq!(controller.ticks(), 1, "the batch right after does not");
     }
 }

@@ -114,15 +114,16 @@ USAGE:
       --duration seconds), drains, and prints queries/batches, physical
       reads per query, queue-wait quantiles, and whether the batcher and
       trace counters reconcile.
-      --writers serves read-write: an empty writable tree (one shard, so
-      no --shards) is seeded with the data set through its insert path, and
-      each batch's writes run on up to W threads (default 8) that
-      group-commit to the WAL.
-      --adaptive runs the self-tuning controller (read-only serving): a
-      background tick every MS milliseconds (default 250) re-estimates the
-      workload from served queries, refits the buffer model, and resizes /
-      re-pins the pool within --budget frames (default --buffer); the
-      tuning decisions are listed in the exit summary.
+      --writers serves read-write: the bulk-loaded tree (--loader applies)
+      is opened writable (one shard, so no --shards), and each batch's
+      writes run on up to W threads (default 8) that group-commit to the
+      WAL.
+      --adaptive runs the self-tuning controller (read-only serving): the
+      first batch after each MS-millisecond interval (default 250) ticks
+      it, re-estimating the workload from served queries, refitting the
+      buffer model, and resizing / re-pinning the pool within --budget
+      frames (default --buffer); the tuning decisions are listed in the
+      exit summary.
 
   rtrees loadgen <HOST:PORT> [--connections C] [--queries N] [--qps Q]
                  [--workload W] [--zipf THETA] [--count-fraction F]

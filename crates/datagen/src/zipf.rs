@@ -29,13 +29,7 @@ impl ZipfWeights {
     /// # Panics
     /// Panics if `n` is 0 or `theta` is negative or non-finite.
     pub fn new(n: usize, theta: f64) -> Self {
-        assert!(n >= 1, "need at least one rank");
-        assert!(theta >= 0.0 && theta.is_finite(), "theta must be >= 0");
-        let mut probs: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(theta)).collect();
-        let z: f64 = probs.iter().sum();
-        for p in &mut probs {
-            *p /= z;
-        }
+        let probs = zipf_probs(n, theta);
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for &p in &probs {
@@ -77,6 +71,18 @@ impl ZipfWeights {
     }
 }
 
+/// The normalized rank probabilities of [`ZipfWeights`]; see there.
+fn zipf_probs(n: usize, theta: f64) -> Vec<f64> {
+    assert!(n >= 1, "need at least one rank");
+    assert!(theta >= 0.0 && theta.is_finite(), "theta must be >= 0");
+    let mut probs: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(theta)).collect();
+    let z: f64 = probs.iter().sum();
+    for p in &mut probs {
+        *p /= z;
+    }
+    probs
+}
+
 /// Builds the Zipf-weighted center multiset: ranks are assigned to the
 /// centers by a seeded permutation (so "which object is hot" varies with
 /// the seed, not with input order), and each center is replicated by
@@ -110,7 +116,7 @@ impl ZipfPool {
         for i in (1..n).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
-        let mut ends = apportion(&ZipfWeights::new(n, theta), total);
+        let mut ends = apportion(&zipf_probs(n, theta), total);
         let mut end = 0;
         for copies in &mut ends {
             end += *copies;
@@ -140,18 +146,23 @@ impl ZipfPool {
     }
 }
 
-/// Largest-remainder apportionment of `total` copies over the ranks: each
-/// rank gets the floor of its share, and the `total - assigned` largest
-/// remainders (ties to the hotter rank) one more. That order is total, so
-/// selecting them needs no full sort.
-fn apportion(weights: &ZipfWeights, total: usize) -> Vec<usize> {
-    let shares = weights.probs.iter().map(|p| p * total as f64);
-    let (mut copies, remainders): (Vec<usize>, Vec<f64>) =
-        shares.map(|s| (s.floor() as usize, s - s.floor())).unzip();
+/// Largest-remainder apportionment of `total` copies over the ranks of
+/// `probs`: each rank gets the floor of its share, and the
+/// `total - assigned` largest remainders (ties to the hotter rank) one
+/// more. That order is total, so selecting them needs no full sort. The
+/// comparison recomputes each remainder, so set-up holds only the
+/// probabilities, the copies and the ranks.
+fn apportion(probs: &[f64], total: usize) -> Vec<usize> {
+    let share = |k: usize| probs[k] * total as f64;
+    // A share is never negative, so its fraction is `share - floor(share)`.
+    let remainder = |k: usize| share(k).fract();
+    let mut copies: Vec<usize> = (0..probs.len())
+        .map(|k| share(k).floor() as usize)
+        .collect();
     let extra = (total - copies.iter().sum::<usize>()).min(copies.len());
-    let mut order: Vec<usize> = (0..copies.len()).collect();
+    let mut order: Vec<usize> = (0..probs.len()).collect();
     order.select_nth_unstable_by(extra.saturating_sub(1), |&a, &b| {
-        remainders[b].total_cmp(&remainders[a]).then(a.cmp(&b))
+        remainder(b).total_cmp(&remainder(a)).then(a.cmp(&b))
     });
     for &k in &order[..extra] {
         copies[k] += 1;
@@ -324,6 +335,22 @@ mod tests {
                 assert_eq!(centers[pool.get(j)], *p, "θ {theta}, slot {j}");
             }
         }
+    }
+
+    /// The pool's slots for one small case whose largest remainders
+    /// decide copies, pinned: set-up may change how it computes, never
+    /// what.
+    #[test]
+    fn pool_slots_are_pinned() {
+        let pool = ZipfPool::new(12, 0.99, 40, 3);
+        let slots: Vec<usize> = (0..pool.len()).map(|j| pool.get(j)).collect();
+        assert_eq!(
+            slots,
+            [
+                4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 9, 9, 9, 9, 9, 9, 6, 6, 6, 6, 2, 2, 2, 3, 3,
+                3, 1, 1, 11, 11, 5, 5, 10, 10, 8, 7, 0
+            ]
+        );
     }
 
     #[test]

@@ -8,12 +8,11 @@ pub enum EventKind {
     /// A pool access satisfied from a resident frame (no disk transfer).
     Hit,
     /// A pool access that required a physical page read: a miss fill, a
-    /// bypass read against a fully pinned pool, a pin load, or the
-    /// before-image read of a buffered write. Reconciles with
-    /// `IoStats::reads`.
+    /// bypass read against a fully pinned pool, or a pin load. Reconciles
+    /// with `IoStats::reads`.
     Miss,
-    /// A physical page write: dirty eviction, flush, or write-through.
-    /// Reconciles with `IoStats::writes`.
+    /// A physical page write: a checkpoint writing an overlay page back
+    /// through the buffer manager. Reconciles with `IoStats::writes`.
     WriteBack,
     /// The uncharged root-MBR peek read. Reconciles with
     /// `IoStats::peek_reads`.
@@ -44,8 +43,6 @@ pub struct IoEvent {
     pub level: i16,
     /// What happened.
     pub kind: EventKind,
-    /// Timestamp from [`crate::now_ns`].
-    pub ns: u64,
 }
 
 impl Default for IoEvent {
@@ -55,7 +52,6 @@ impl Default for IoEvent {
             page_id: 0,
             level: -1,
             kind: EventKind::Hit,
-            ns: 0,
         }
     }
 }
@@ -91,69 +87,9 @@ impl EventCounts {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Every event, of any kind.
-    pub fn total(&self) -> u64 {
-        self.hits
-            + self.misses
-            + self.write_backs
-            + self.peek_reads
-            + self.wal_appends
-            + self.latch_waits
-            + self.group_commit_flushes
-    }
 }
 
-/// A sink that keeps one relaxed atomic counter per [`EventKind`] — the
-/// cheapest sink that still lets the differential suite reconcile a run
-/// against its `IoStats`.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    write_backs: AtomicU64,
-    peek_reads: AtomicU64,
-    wal_appends: AtomicU64,
-    latch_waits: AtomicU64,
-    group_commit_flushes: AtomicU64,
-}
-
-impl CountingSink {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// Snapshot of the per-kind totals.
-    pub fn counts(&self) -> EventCounts {
-        EventCounts {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            write_backs: self.write_backs.load(Ordering::Relaxed),
-            peek_reads: self.peek_reads.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            latch_waits: self.latch_waits.load(Ordering::Relaxed),
-            group_commit_flushes: self.group_commit_flushes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&self, event: IoEvent) {
-        let counter = match event.kind {
-            EventKind::Hit => &self.hits,
-            EventKind::Miss => &self.misses,
-            EventKind::WriteBack => &self.write_backs,
-            EventKind::PeekRead => &self.peek_reads,
-            EventKind::WalAppend => &self.wal_appends,
-            EventKind::LatchWait => &self.latch_waits,
-            EventKind::GroupCommitFlush => &self.group_commit_flushes,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Hit/miss totals for one tree level, from a [`PerLevelSink`].
+/// Hit/miss totals for one tree level, from a [`CountingSink`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LevelCounts {
     /// On-page node level (leaf = 0), or -1 for unattributed events.
@@ -176,33 +112,34 @@ impl LevelCounts {
     }
 }
 
-/// Number of level slots a [`PerLevelSink`] tracks (far above any real
+/// Number of level slots a [`CountingSink`] tracks (far above any real
 /// R-tree height); deeper levels and unknown levels land in the overflow
 /// slot reported as level -1.
 const LEVEL_SLOTS: usize = 32;
 
-/// A sink that aggregates [`EventKind::Hit`] / [`EventKind::Miss`] events
-/// per tree level with relaxed atomics — the per-level access breakdown the
-/// paper derives analytically, measured from a real trace. Other event
-/// kinds are counted in totals but not attributed to a level.
+/// The sink: one relaxed atomic counter per [`EventKind`], with
+/// [`EventKind::Hit`] and [`EventKind::Miss`] split by tree level — the
+/// per-level access breakdown the paper derives analytically, measured
+/// from a real trace, and the per-kind totals the differential suite
+/// reconciles a run's `IoStats` against.
 #[derive(Debug)]
-pub struct PerLevelSink {
+pub struct CountingSink {
     hits: [AtomicU64; LEVEL_SLOTS + 1],
     misses: [AtomicU64; LEVEL_SLOTS + 1],
-    peek_reads: AtomicU64,
     write_backs: AtomicU64,
+    peek_reads: AtomicU64,
     wal_appends: AtomicU64,
     latch_waits: AtomicU64,
     group_commit_flushes: AtomicU64,
 }
 
-impl Default for PerLevelSink {
+impl Default for CountingSink {
     fn default() -> Self {
-        PerLevelSink {
+        CountingSink {
             hits: std::array::from_fn(|_| AtomicU64::new(0)),
             misses: std::array::from_fn(|_| AtomicU64::new(0)),
-            peek_reads: AtomicU64::new(0),
             write_backs: AtomicU64::new(0),
+            peek_reads: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             latch_waits: AtomicU64::new(0),
             group_commit_flushes: AtomicU64::new(0),
@@ -210,10 +147,10 @@ impl Default for PerLevelSink {
     }
 }
 
-impl PerLevelSink {
-    /// Creates a zeroed sink.
+impl CountingSink {
+    /// Creates zeroed counters.
     pub fn new() -> Self {
-        PerLevelSink::default()
+        CountingSink::default()
     }
 
     fn slot(level: i16) -> usize {
@@ -221,6 +158,20 @@ impl PerLevelSink {
             level as usize
         } else {
             LEVEL_SLOTS
+        }
+    }
+
+    /// Snapshot of the per-kind totals; hits and misses sum every level.
+    pub fn counts(&self) -> EventCounts {
+        let sum = |slots: &[AtomicU64]| slots.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        EventCounts {
+            hits: sum(&self.hits),
+            misses: sum(&self.misses),
+            write_backs: self.write_backs.load(Ordering::Relaxed),
+            peek_reads: self.peek_reads.load(Ordering::Relaxed),
+            wal_appends: self.wal_appends.load(Ordering::Relaxed),
+            latch_waits: self.latch_waits.load(Ordering::Relaxed),
+            group_commit_flushes: self.group_commit_flushes.load(Ordering::Relaxed),
         }
     }
 
@@ -242,51 +193,20 @@ impl PerLevelSink {
         }
         out
     }
-
-    /// Totals across all levels (including unattributed), plus the
-    /// non-level-attributed kinds.
-    pub fn counts(&self) -> EventCounts {
-        let mut c = EventCounts {
-            peek_reads: self.peek_reads.load(Ordering::Relaxed),
-            write_backs: self.write_backs.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            latch_waits: self.latch_waits.load(Ordering::Relaxed),
-            group_commit_flushes: self.group_commit_flushes.load(Ordering::Relaxed),
-            ..EventCounts::default()
-        };
-        for i in 0..=LEVEL_SLOTS {
-            c.hits += self.hits[i].load(Ordering::Relaxed);
-            c.misses += self.misses[i].load(Ordering::Relaxed);
-        }
-        c
-    }
 }
 
-impl TraceSink for PerLevelSink {
+impl TraceSink for CountingSink {
     fn record(&self, event: IoEvent) {
-        match event.kind {
-            EventKind::Hit => {
-                self.hits[Self::slot(event.level)].fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Miss => {
-                self.misses[Self::slot(event.level)].fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::PeekRead => {
-                self.peek_reads.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::WriteBack => {
-                self.write_backs.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::WalAppend => {
-                self.wal_appends.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::LatchWait => {
-                self.latch_waits.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::GroupCommitFlush => {
-                self.group_commit_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = match event.kind {
+            EventKind::Hit => &self.hits[Self::slot(event.level)],
+            EventKind::Miss => &self.misses[Self::slot(event.level)],
+            EventKind::WriteBack => &self.write_backs,
+            EventKind::PeekRead => &self.peek_reads,
+            EventKind::WalAppend => &self.wal_appends,
+            EventKind::LatchWait => &self.latch_waits,
+            EventKind::GroupCommitFlush => &self.group_commit_flushes,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -300,7 +220,6 @@ mod tests {
             page_id: 7,
             level,
             kind,
-            ns: 0,
         }
     }
 
@@ -329,12 +248,11 @@ mod tests {
             }
         );
         assert_eq!(c.accesses(), 3);
-        assert_eq!(c.total(), 8);
     }
 
     #[test]
     fn per_level_sink_attributes_levels() {
-        let sink = PerLevelSink::new();
+        let sink = CountingSink::new();
         sink.record(ev(EventKind::Miss, 2)); // root
         sink.record(ev(EventKind::Hit, 1));
         sink.record(ev(EventKind::Miss, 0));
@@ -375,7 +293,7 @@ mod tests {
 
     #[test]
     fn deep_levels_land_in_overflow_slot() {
-        let sink = PerLevelSink::new();
+        let sink = CountingSink::new();
         sink.record(ev(EventKind::Miss, 100));
         sink.record(ev(EventKind::Miss, i16::MAX));
         let levels = sink.level_counts();

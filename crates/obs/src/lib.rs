@@ -1,5 +1,5 @@
 //! Observability for the buffered R-tree stack: per-query I/O trace events,
-//! lock-free event sinks, fixed-bucket histograms and metric export.
+//! a counting sink, fixed-bucket histograms and metric export.
 //!
 //! The paper's whole argument rests on *counting disk accesses precisely*;
 //! an uncounted read (like the root-peek fixed in an earlier revision) is
@@ -10,9 +10,7 @@
 //!   physical transfer, carrying the query id and tree level it happened
 //!   for.
 //! * [`TraceSink`] — where events go. [`CountingSink`] keeps per-kind
-//!   totals, [`RingSink`] keeps the events themselves in per-thread
-//!   lock-free rings, and [`PerLevelSink`] aggregates hit/miss counts by
-//!   tree level.
+//!   totals and splits hits and misses by tree level.
 //! * [`Histogram`] / [`AtomicHistogram`] — power-of-two-bucket histograms
 //!   whose `merge` is associative and commutative, plus [`QueryMetrics`]
 //!   bundling the three per-query distributions (latency, reads, pins).
@@ -31,10 +29,9 @@
 //! suite `facade/tests/trace_vs_stats.rs`):
 //!
 //! * `count(Miss) == IoStats::reads` — every physical read is a charged
-//!   pool miss (miss fill, fully-pinned bypass, pin load, or the
-//!   before-image read of a buffered write);
+//!   pool miss (miss fill, fully-pinned bypass, or pin load);
 //! * `count(WriteBack) == IoStats::writes` — every physical write is a
-//!   dirty eviction, a flush, or a write-through;
+//!   checkpoint writing a page back;
 //! * `count(PeekRead) == IoStats::peek_reads` — the uncharged root-MBR
 //!   peeks;
 //! * `count(Hit) + count(Miss) == BufferStats::accesses` — the event stream
@@ -45,16 +42,10 @@
 mod event;
 mod export;
 mod hist;
-mod ring;
-mod tune;
 
-pub use event::{
-    CountingSink, EventCounts, EventKind, IoEvent, LevelCounts, PerLevelSink, TraceSink,
-};
+pub use event::{CountingSink, EventCounts, EventKind, IoEvent, LevelCounts, TraceSink};
 pub use export::PromText;
 pub use hist::{AtomicHistogram, Histogram, QueryMetrics, QueryMetricsSnapshot, BUCKETS};
-pub use ring::RingSink;
-pub use tune::TuneObserver;
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -63,9 +54,9 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic nanoseconds since the process first asked for the time.
 ///
-/// Event timestamps only need to be mutually comparable within one run, so
-/// a process-local epoch avoids both wall-clock skew and the syscall cost
-/// of a real-time clock.
+/// Span latencies are differences of two readings, so a process-local
+/// epoch avoids both wall-clock skew and the syscall cost of a real-time
+/// clock.
 pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -61,7 +61,6 @@ impl Tracer {
                 page_id: page.0,
                 level,
                 kind,
-                ns: now_ns(),
             });
         }
     }

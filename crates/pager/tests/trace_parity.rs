@@ -9,15 +9,30 @@
 use rtree_buffer::LruPolicy;
 use rtree_geom::{Point, Rect};
 use rtree_index::{BulkLoader, RTree};
-use rtree_obs::{EventKind, RingSink, TraceSink};
+use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Keeps every event, in arrival order.
+#[derive(Default)]
+struct EventLog(Mutex<Vec<IoEvent>>);
+
+impl TraceSink for EventLog {
+    fn record(&self, event: IoEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+impl EventLog {
+    fn events(&self) -> Vec<IoEvent> {
+        self.0.lock().unwrap().clone()
+    }
+}
 
 /// Events per (span, kind). The root peek is left out: it happens once per
 /// root, outside any span, and charges nothing.
-fn per_span(sink: &RingSink) -> BTreeMap<(u64, String), u64> {
-    assert_eq!(sink.dropped(), 0, "ring sized for the whole run");
+fn per_span(sink: &EventLog) -> BTreeMap<(u64, String), u64> {
     let mut counts = BTreeMap::new();
     for e in sink.events() {
         if e.kind != EventKind::PeekRead {
@@ -52,10 +67,7 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
     let open = || MemStore::from_bytes(image.clone());
     let mut seq = DiskRTree::open(open(), 14, LruPolicy::new()).unwrap();
     let mut conc = ConcurrentDiskRTree::open_sharded(open(), 14, 1, LruPolicy::new).unwrap();
-    let (seq_sink, conc_sink) = (
-        Arc::new(RingSink::new(1 << 17)),
-        Arc::new(RingSink::new(1 << 17)),
-    );
+    let (seq_sink, conc_sink) = (Arc::new(EventLog::default()), Arc::new(EventLog::default()));
     seq.set_trace_sink(Some(Arc::clone(&seq_sink) as Arc<dyn TraceSink>));
     conc.set_trace_sink(Some(Arc::clone(&conc_sink) as Arc<dyn TraceSink>));
 
@@ -120,7 +132,7 @@ fn both_trees_open_the_same_spans_and_record_the_same_metrics() {
     );
 }
 
-/// 50 queries with no sink leave no span behind; then, with a ring
+/// 50 queries with no sink leave no span behind; then, with a sink
 /// attached, 10 more open spans 1..=10, and each span's miss events equal
 /// the physical reads its query did.
 macro_rules! spans_are_live_only_with_a_sink {
@@ -139,7 +151,7 @@ macro_rules! spans_are_live_only_with_a_sink {
             }
             assert_eq!(tree.query_metrics().latency_ns.count(), 0, "no sink");
 
-            let sink = Arc::new(RingSink::new(1 << 14));
+            let sink = Arc::new(EventLog::default());
             tree.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
             let mut reads = BTreeMap::new();
             for span in 1..=10u64 {

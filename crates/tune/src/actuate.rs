@@ -1,4 +1,4 @@
-//! Actuators: how a [`Setting`](crate::Setting) reaches a live tree.
+//! Actuation: how a [`Setting`](crate::Setting) reaches a live tree.
 //!
 //! The actuation order is always **unpin → resize → re-pin**: unpinning
 //! first means the resize never has to refuse a shrink because of stale
@@ -18,34 +18,25 @@ use rtree_buffer::LruPolicy;
 use rtree_pager::{ConcurrentDiskRTree, SharedPageStore};
 use std::io;
 
-/// Applies settings to some tree.
-pub trait Actuator {
-    /// Makes `setting` live. Must be safe to retry after an error.
-    fn apply(&mut self, setting: Setting) -> io::Result<()>;
-}
-
-/// The actuator: unpin → resize → re-pin on a shared borrow of the disk
-/// tree (a `DiskRTree` is one, by deref). A sharded tree's resize
-/// re-partitions the capacity across its shards; on a writable tree the
-/// operation gate serializes it against in-flight work.
-pub struct DiskActuator<'a, S>(pub &'a ConcurrentDiskRTree<S>);
-
-impl<S: SharedPageStore> Actuator for DiskActuator<'_, S> {
-    fn apply(&mut self, setting: Setting) -> io::Result<()> {
-        let tree = self.0;
-        // A mutated tree has no level table; pinning silently degrades to
-        // "none" rather than panicking mid-actuation.
-        let pin = setting.pin_levels.min(tree.meta().level_starts.len());
-        tree.set_pinned_levels(0)?;
-        tree.resize_buffer(setting.buffer, LruPolicy::new)?;
-        tree.set_pinned_levels(pin)
-    }
+/// Makes `setting` live on `tree` (a `DiskRTree` is one, by deref):
+/// unpin → resize → re-pin. A sharded tree's resize re-partitions the
+/// capacity across its shards; on a writable tree the operation gate
+/// serializes it against in-flight work. Safe to retry after an error.
+pub fn actuate<S: SharedPageStore>(
+    tree: &ConcurrentDiskRTree<S>,
+    setting: Setting,
+) -> io::Result<()> {
+    // A mutated tree has no level table; pinning silently degrades to
+    // "none" rather than panicking mid-actuation.
+    let pin = setting.pin_levels.min(tree.meta().level_starts.len());
+    tree.set_pinned_levels(0)?;
+    tree.resize_buffer(setting.buffer, LruPolicy::new)?;
+    tree.set_pinned_levels(pin)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree_buffer::LruPolicy;
     use rtree_geom::Rect;
     use rtree_index::BulkLoader;
     use rtree_pager::{DiskRTree, MemStore};
@@ -64,21 +55,25 @@ mod tests {
     fn actuator_applies_resize_and_pin() {
         let tree = BulkLoader::hilbert(16).load(&rects(1_500));
         let disk = DiskRTree::create(MemStore::new(), &tree, 64, LruPolicy::new()).unwrap();
-        DiskActuator(&disk)
-            .apply(Setting {
+        actuate(
+            &disk,
+            Setting {
                 buffer: 32,
                 pin_levels: 2,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(disk.buffer_capacity(), 32);
         assert!(disk.pinned_pages() > 0);
         // Re-target down to no pinning at a smaller size.
-        DiskActuator(&disk)
-            .apply(Setting {
+        actuate(
+            &disk,
+            Setting {
                 buffer: 8,
                 pin_levels: 0,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(disk.buffer_capacity(), 8);
         assert_eq!(disk.pinned_pages(), 0);
     }
@@ -89,20 +84,24 @@ mod tests {
         let disk =
             ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, 64, 4, LruPolicy::new)
                 .unwrap();
-        DiskActuator(&disk)
-            .apply(Setting {
+        actuate(
+            &disk,
+            Setting {
                 buffer: 32,
                 pin_levels: 1,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(disk.buffer_capacity(), 32);
         assert_eq!(disk.pinned_pages(), 1);
-        DiskActuator(&disk)
-            .apply(Setting {
+        actuate(
+            &disk,
+            Setting {
                 buffer: 16,
                 pin_levels: 0,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(disk.buffer_capacity(), 16);
         assert_eq!(disk.pinned_pages(), 0);
     }

@@ -3,7 +3,7 @@
 
 use crate::estimator::{WorkloadEstimate, WorkloadWindow};
 use rtree_core::{BufferModel, TreeDescription};
-use rtree_obs::TuneObserver;
+use rtree_geom::Rect;
 use std::fmt;
 use std::io;
 use std::sync::Mutex;
@@ -119,12 +119,13 @@ struct ControlState {
     decisions: Vec<DecisionRecord>,
 }
 
-/// The online tuner: accumulates workload observations (it *is* a
-/// [`TuneObserver`]), and on every [`Controller::tick_with`] refits the
-/// paper's [`BufferModel`] against the tree's real [`TreeDescription`],
-/// picks the knee-point buffer size and [`BufferModel::best_pinning`]
-/// depth, and actuates through the supplied closure — subject to a
-/// hysteresis band and a minimum actuation interval so it never thrashes.
+/// The online tuner: accumulates the executed queries
+/// ([`Controller::observe_query`]), and on every [`Controller::tick_with`]
+/// refits the paper's [`BufferModel`] against the tree's real
+/// [`TreeDescription`], picks the knee-point buffer size and
+/// [`BufferModel::best_pinning`] depth, and actuates through the supplied
+/// closure — subject to a hysteresis band and a minimum actuation interval
+/// so it never thrashes.
 pub struct Controller {
     desc: TreeDescription,
     cfg: ControllerConfig,
@@ -152,6 +153,16 @@ impl Controller {
     /// The configuration the controller believes is live.
     pub fn current(&self) -> Setting {
         self.lock_state().current
+    }
+
+    /// Records one executed query's rectangle in the workload window.
+    /// Cheap and non-blocking beyond one short lock: it sits on the
+    /// serving path.
+    pub fn observe_query(&self, q: &Rect) {
+        self.window
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .record_query(q);
     }
 
     /// Ticks observed so far.
@@ -217,8 +228,8 @@ impl Controller {
     /// records the committed decision.
     ///
     /// The caller supplies `apply` because only it knows how to quiesce
-    /// its tree; the expected actuation order is
-    /// [`crate::Actuator::apply`]: unpin, resize, re-pin.
+    /// its tree; the expected actuation is [`crate::actuate`]: unpin,
+    /// resize, re-pin.
     ///
     /// # Errors
     /// Propagates `apply`'s error; the decision is not recorded and the
@@ -293,26 +304,9 @@ impl Controller {
     }
 }
 
-impl TuneObserver for Controller {
-    fn observe_query(&self, lo_x: f64, lo_y: f64, hi_x: f64, hi_y: f64) {
-        self.window
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record_query(lo_x, lo_y, hi_x, hi_y);
-    }
-
-    fn observe_write(&self) {
-        self.window
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record_write();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree_geom::Rect;
 
     /// A three-level description with a hot top: 1 root, 4 internals, 64
     /// leaves, all covering the unit square evenly.
@@ -339,7 +333,7 @@ mod tests {
         for i in start..start + n {
             let cx = (i as f64 * 0.618_033_988) % 0.9;
             let cy = (i as f64 * 0.414_213_562) % 0.9;
-            c.observe_query(cx, cy, cx + 0.1, cy + 0.1);
+            c.observe_query(&Rect::new(cx, cy, cx + 0.1, cy + 0.1));
         }
     }
 

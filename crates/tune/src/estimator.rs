@@ -1,7 +1,6 @@
 //! Sliding-window workload estimation.
 //!
-//! The controller sees queries only through the [`rtree_obs::TuneObserver`]
-//! seam: four coordinates per query, one call per write. This module turns
+//! The controller sees each executed query's rectangle. This module turns
 //! that stream into a [`Workload`] the analytic model accepts:
 //!
 //! * the query **size** is the mean extent of the windowed rectangles;
@@ -18,7 +17,7 @@
 //! window length.
 
 use rtree_core::Workload;
-use rtree_geom::Point;
+use rtree_geom::{Point, Rect};
 use std::collections::VecDeque;
 
 /// Cells per axis of the uniformity test grid.
@@ -32,13 +31,11 @@ const UNIFORM_REJECT: f64 = 37.7;
 /// Below this mean extent the workload is treated as point queries.
 const POINT_EPS: f64 = 1e-9;
 
-/// A bounded sliding window over observed queries and writes.
+/// A bounded sliding window over observed queries.
 #[derive(Clone, Debug)]
 pub struct WorkloadWindow {
     cap: usize,
-    queries: VecDeque<[f64; 4]>,
-    writes: u64,
-    reads: u64,
+    queries: VecDeque<Rect>,
 }
 
 impl WorkloadWindow {
@@ -51,23 +48,15 @@ impl WorkloadWindow {
         WorkloadWindow {
             cap,
             queries: VecDeque::with_capacity(cap),
-            writes: 0,
-            reads: 0,
         }
     }
 
-    /// Records one query rectangle (`lo_x <= hi_x`, `lo_y <= hi_y`).
-    pub fn record_query(&mut self, lo_x: f64, lo_y: f64, hi_x: f64, hi_y: f64) {
+    /// Records one query rectangle (a point query has zero extent).
+    pub fn record_query(&mut self, q: &Rect) {
         if self.queries.len() == self.cap {
             self.queries.pop_front();
         }
-        self.queries.push_back([lo_x, lo_y, hi_x, hi_y]);
-        self.reads += 1;
-    }
-
-    /// Records one applied write.
-    pub fn record_write(&mut self) {
-        self.writes += 1;
+        self.queries.push_back(*q);
     }
 
     /// Queries currently in the window.
@@ -92,10 +81,10 @@ impl WorkloadWindow {
         let mut cells = [0.0f64; GRID * GRID];
         let mut centers = Vec::with_capacity(self.queries.len());
         for q in &self.queries {
-            qx += q[2] - q[0];
-            qy += q[3] - q[1];
-            let cx = ((q[0] + q[2]) / 2.0).clamp(0.0, 1.0);
-            let cy = ((q[1] + q[3]) / 2.0).clamp(0.0, 1.0);
+            qx += q.hi.x - q.lo.x;
+            qy += q.hi.y - q.lo.y;
+            let cx = ((q.lo.x + q.hi.x) / 2.0).clamp(0.0, 1.0);
+            let cy = ((q.lo.y + q.hi.y) / 2.0).clamp(0.0, 1.0);
             centers.push(Point::new(cx, cy));
             let gx = ((cx * GRID as f64) as usize).min(GRID - 1);
             let gy = ((cy * GRID as f64) as usize).min(GRID - 1);
@@ -124,14 +113,6 @@ impl WorkloadWindow {
             chi_square,
             uniform,
             samples: self.queries.len(),
-            write_fraction: {
-                let total = self.reads + self.writes;
-                if total == 0 {
-                    0.0
-                } else {
-                    self.writes as f64 / total as f64
-                }
-            },
         })
     }
 }
@@ -147,8 +128,6 @@ pub struct WorkloadEstimate {
     pub uniform: bool,
     /// Queries in the window when the fit was made.
     pub samples: usize,
-    /// Writes / (reads + writes) since the window was created.
-    pub write_fraction: f64,
 }
 
 #[cfg(test)]
@@ -167,7 +146,7 @@ mod tests {
         for i in 0..1000 {
             let cx = (i as f64 * 0.618_033_988) % 1.0;
             let cy = (i as f64 * 0.414_213_562) % 1.0;
-            w.record_query(cx - 0.05, cy - 0.025, cx + 0.05, cy + 0.025);
+            w.record_query(&Rect::new(cx - 0.05, cy - 0.025, cx + 0.05, cy + 0.025));
         }
         let e = w.estimate().unwrap();
         assert!(e.uniform, "chi-square {} over threshold", e.chi_square);
@@ -184,7 +163,7 @@ mod tests {
         for i in 0..500 {
             let cx = 0.05 + (i as f64 * 0.618_033_988) % 0.1;
             let cy = 0.05 + (i as f64 * 0.414_213_562) % 0.1;
-            w.record_query(cx, cy, cx, cy);
+            w.record_query(&Rect::new(cx, cy, cx, cy));
         }
         let e = w.estimate().unwrap();
         assert!(!e.uniform);
@@ -198,27 +177,16 @@ mod tests {
         let mut w = WorkloadWindow::new(100);
         // Phase one: clustered. Phase two: enough uniform to evict it.
         for _ in 0..100 {
-            w.record_query(0.1, 0.1, 0.1, 0.1);
+            w.record_query(&Rect::new(0.1, 0.1, 0.1, 0.1));
         }
         assert!(!w.estimate().unwrap().uniform);
         for i in 0..100 {
             let cx = (i as f64 * 0.618_033_988) % 1.0;
             let cy = (i as f64 * 0.414_213_562) % 1.0;
-            w.record_query(cx, cy, cx, cy);
+            w.record_query(&Rect::new(cx, cy, cx, cy));
         }
         assert_eq!(w.len(), 100);
         let e = w.estimate().unwrap();
         assert!(e.uniform, "old phase must fall off the window");
-    }
-
-    #[test]
-    fn write_fraction_counts_both_sides() {
-        let mut w = WorkloadWindow::new(8);
-        w.record_query(0.0, 0.0, 0.1, 0.1);
-        w.record_write();
-        w.record_write();
-        w.record_write();
-        let e = w.estimate().unwrap();
-        assert!((e.write_fraction - 0.75).abs() < 1e-12);
     }
 }

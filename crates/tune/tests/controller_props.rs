@@ -16,9 +16,8 @@ use rtree_buffer::LruPolicy;
 use rtree_core::TreeDescription;
 use rtree_geom::Rect;
 use rtree_index::BulkLoader;
-use rtree_obs::TuneObserver;
 use rtree_pager::{DiskRTree, MemStore};
-use rtree_tune::{Actuator, Controller, ControllerConfig, DiskActuator, Setting};
+use rtree_tune::{actuate, Controller, ControllerConfig, Setting};
 
 fn sample_rects(n: usize, stride: f64) -> Vec<Rect> {
     (0..n)
@@ -76,7 +75,7 @@ proptest! {
         for _ in 0..batches {
             for _ in 0..64 {
                 let q = query(fed, cluster);
-                c.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+                c.observe_query(&q);
                 fed += 1;
             }
             c.tick_with(|_| Ok(())).unwrap();
@@ -121,7 +120,7 @@ proptest! {
             let cluster = (t / flip_every) % 2 == 0;
             for _ in 0..48 {
                 let q = query(fed, cluster);
-                c.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+                c.observe_query(&q);
                 fed += 1;
             }
             if c.tick_with(|_| Ok(())).unwrap().is_some() {
@@ -162,11 +161,11 @@ fn stationary_workload_quiesces() {
         for _ in 0..60 {
             for _ in 0..32 {
                 let q = query(fed, cluster);
-                c.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+                c.observe_query(&q);
                 disk.query(&q).unwrap();
                 fed += 1;
             }
-            if let Some(d) = c.tick_with(|s| DiskActuator(&disk).apply(s)).unwrap() {
+            if let Some(d) = c.tick_with(|s| actuate(&disk, s)).unwrap() {
                 last_decision_tick = d.tick;
             }
         }
@@ -208,17 +207,13 @@ fn adaptive_results_equal_non_adaptive_results() {
     let mut decisions = 0usize;
     for i in 0..1_200 {
         let q = query(i, i >= 600);
-        c.observe_query(q.lo.x, q.lo.y, q.hi.x, q.hi.y);
+        c.observe_query(&q);
         let mut a = tuned.query(&q).unwrap();
         let mut b = plain.query(&q).unwrap();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "query {i} diverged");
-        if i % 20 == 0
-            && c.tick_with(|s| DiskActuator(&tuned).apply(s))
-                .unwrap()
-                .is_some()
-        {
+        if i % 20 == 0 && c.tick_with(|s| actuate(&tuned, s)).unwrap().is_some() {
             decisions += 1;
         }
     }

@@ -12,12 +12,28 @@ use buffered_rtrees::datagen::SyntheticRegion;
 use buffered_rtrees::geom::Rect;
 use buffered_rtrees::index::{BulkLoader, RTree};
 use buffered_rtrees::model::Workload;
-use buffered_rtrees::obs::{CountingSink, EventKind, RingSink, TraceSink};
+use buffered_rtrees::obs::{CountingSink, EventKind, IoEvent, TraceSink};
 use buffered_rtrees::pager::{ConcurrentDiskRTree, DiskRTree, MemStore};
 use buffered_rtrees::sim::QuerySampler;
 use buffered_rtrees::wal::{GroupWal, MemLog};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Keeps every event, in arrival order.
+#[derive(Default)]
+struct EventLog(Mutex<Vec<IoEvent>>);
+
+impl TraceSink for EventLog {
+    fn record(&self, event: IoEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+impl EventLog {
+    fn events(&self) -> Vec<IoEvent> {
+        self.0.lock().unwrap().clone()
+    }
+}
 
 fn policies(seed: u64) -> Vec<(&'static str, Box<dyn ReplacementPolicy>)> {
     vec![
@@ -99,7 +115,7 @@ fn write_path_trace_reconciles_with_io_stats() {
     }
 }
 
-/// Ring attribution: replaying queries one at a time, the per-query
+/// Span attribution: replaying queries one at a time, the per-query
 /// physical read delta reported by `query_counting` equals the number
 /// of Miss events carrying that query's id, and every traversal event
 /// has a known level.
@@ -107,7 +123,7 @@ fn write_path_trace_reconciles_with_io_stats() {
 fn ring_sink_attributes_reads_to_query_ids() {
     let tree = sample_tree(1_500, 3);
     let mut disk = DiskRTree::create(MemStore::new(), &tree, 20, LruPolicy::new()).unwrap();
-    let sink = Arc::new(RingSink::new(1 << 16));
+    let sink = Arc::new(EventLog::default());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
 
     let workload = Workload::uniform_region(0.05, 0.05);
@@ -138,7 +154,6 @@ fn ring_sink_attributes_reads_to_query_ids() {
             );
         }
     }
-    assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
     for (qid, reads) in &reads_by_query {
         assert_eq!(
             miss_events.get(qid).copied().unwrap_or(0),
@@ -193,7 +208,7 @@ fn batch_trace_reconciles_with_io_stats() {
 fn batch_ring_attributes_reads_to_spans() {
     let tree = sample_tree(1_500, 31);
     let mut disk = DiskRTree::create(MemStore::new(), &tree, 24, LruPolicy::new()).unwrap();
-    let sink = Arc::new(RingSink::new(1 << 16));
+    let sink = Arc::new(EventLog::default());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
 
     let workload = Workload::uniform_region(0.05, 0.05);
@@ -208,7 +223,6 @@ fn batch_ring_attributes_reads_to_spans() {
         reads_by_span.insert(span, disk.physical_reads() - before);
     }
 
-    assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
     let mut read_events: HashMap<u64, u64> = HashMap::new();
     for e in sink.events() {
         if e.kind == EventKind::Miss && e.query_id != 0 {
@@ -322,9 +336,9 @@ fn writable_concurrent_trace_reconciles_with_io_stats() {
     }
 }
 
-/// Concurrent ring soundness: after every worker joins, the merged
-/// per-thread rings hold exactly as many events as the sink's atomic
-/// admission counter, which in turn equals the counter totals.
+/// Concurrent counting soundness: after 4 workers join, the counting
+/// sink's per-level slots sum to its totals, and the totals reconcile with
+/// the shard counters.
 #[test]
 fn concurrent_ring_loses_nothing_after_join() {
     let tree = sample_tree(2_000, 29);
@@ -336,13 +350,12 @@ fn concurrent_ring_loses_nothing_after_join() {
         || -> Box<dyn ReplacementPolicy> { Box::new(LruPolicy::new()) },
     )
     .unwrap();
-    let sink = Arc::new(RingSink::new(1 << 17));
+    let sink = Arc::new(CountingSink::new());
     disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
     let disk = Arc::new(disk);
 
-    let threads = 4u64;
     std::thread::scope(|scope| {
-        for t in 0..threads {
+        for t in 0..4u64 {
             let disk = Arc::clone(&disk);
             scope.spawn(move || {
                 let workload = Workload::uniform_region(0.05, 0.05);
@@ -354,33 +367,35 @@ fn concurrent_ring_loses_nothing_after_join() {
         }
     });
 
-    let events = sink.events();
-    assert_eq!(sink.dropped(), 0, "ring sized for the whole run");
-    assert_eq!(events.len() as u64, sink.recorded(), "merged == admitted");
+    let c = sink.counts();
+    let levels = sink.level_counts();
+    let level_hits: u64 = levels.iter().map(|l| l.hits).sum();
+    let level_misses: u64 = levels.iter().map(|l| l.misses).sum();
+    assert_eq!(
+        (level_hits, level_misses),
+        (c.hits, c.misses),
+        "levels vs totals"
+    );
     assert!(
-        sink.threads() >= threads as usize,
-        "each worker registered its own ring"
+        levels.iter().all(|l| l.level >= 0),
+        "every traversal event knows its level"
     );
 
     let io = disk.io_stats();
     let pool = disk.buffer_stats();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut peeks = 0u64;
-    for e in &events {
-        match e.kind {
-            EventKind::Hit => hits += 1,
-            EventKind::Miss => misses += 1,
-            EventKind::PeekRead => peeks += 1,
-            _ => {}
-        }
-    }
-    assert_eq!(misses, io.reads, "ring misses vs physical reads");
-    assert_eq!(peeks, io.peek_reads, "ring peeks vs peek reads");
-    assert_eq!(hits + misses, pool.accesses, "ring events vs accesses");
+    assert_eq!(c.misses, io.reads, "misses vs physical reads");
+    assert_eq!(c.peek_reads, io.peek_reads, "peeks vs peek reads");
+    assert_eq!(c.hits, pool.hits, "hits vs pool hits");
+    assert_eq!(c.accesses(), pool.accesses, "events vs accesses");
+    assert!(c.misses > 0 && c.hits > 0, "the run both missed and hit");
     assert_eq!(
-        hits + misses + peeks,
-        sink.recorded(),
+        (
+            c.write_backs,
+            c.wal_appends,
+            c.latch_waits,
+            c.group_commit_flushes
+        ),
+        (0, 0, 0, 0),
         "read-only run emits only traversal events"
     );
 }
