@@ -321,13 +321,9 @@ fn run_phases(plan: &ChaosPlan, plant: bool, report: &mut ChaosReport) -> Phase 
     // reset (the machine came back up), and the tree restarts from the
     // surviving bytes: recover, open writable, replay the committed ops.
     switch.reset();
-    let mut store = disk.into_store().into_inner();
+    let store = disk.into_store().into_inner();
     let log_bytes = must(log.read_all(), Durability, "reading surviving log failed")?;
-    must(
-        recover(&mut store, &log_bytes),
-        Durability,
-        "recover failed",
-    )?;
+    must(recover(&store, &log_bytes), Durability, "recover failed")?;
     let wal = GroupWal::open(MemLog::new());
     let wal = must(wal, Durability, "restart WAL open failed")?;
     let reopened = ConcurrentDiskRTree::open_writable(store, 64, LruPolicy::new(), wal);
@@ -673,11 +669,11 @@ fn run_mutator_phase(
             Err(e) => report.fail(Durability, format!("mutator checkpoint failed: {e}")),
         }
     }
-    let mut store = MemStore::from_bytes(tree.store().inner().snapshot());
+    let store = MemStore::from_bytes(tree.store().inner().snapshot());
     drop(tree);
     let survived = durable.read_all();
     let survived = must(survived, Durability, "reading surviving mutator log failed")?;
-    let recovery = recover(&mut store, &survived);
+    let recovery = recover(&store, &survived);
     must(recovery, Durability, "recovering the mutator store failed")?;
     let wal = GroupWal::open(MemLog::new());
     let wal = must(wal, Durability, "post-crash WAL open failed")?;

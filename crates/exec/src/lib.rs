@@ -2,7 +2,7 @@
 //! adapter over [`rtree_pager::ConcurrentDiskRTree::query_batch`].
 
 use rtree_geom::Rect;
-use rtree_pager::{BatchOutput, ConcurrentPageStore, DiskRTree};
+use rtree_pager::{BatchOutput, DiskRTree, PageStore};
 
 /// Has no settings.
 #[doc(hidden)]
@@ -20,7 +20,7 @@ impl BatchExecutor {
     }
 
     /// `tree.query_batch(queries, 1)`.
-    pub fn execute<S: ConcurrentPageStore + Send>(
+    pub fn execute<S: PageStore>(
         &self,
         tree: &mut DiskRTree<S>,
         queries: &[Rect],

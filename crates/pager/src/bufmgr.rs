@@ -1,4 +1,4 @@
-//! The buffer manager: a [`BufferPool`] plus page frames over a
+//! The buffer manager: a [`BufferPool`] plus page frames over a shared
 //! [`PageStore`], counting physical reads and writes.
 //!
 //! A page is written one way: a tree's checkpoint, having logged the
@@ -54,21 +54,28 @@ fn exclusive(frame: &mut Arc<[u8]>) -> &mut [u8] {
     Arc::get_mut(frame).expect("a fresh frame is unshared")
 }
 
+/// The checksum check on every page read in — misses, pins and scratch
+/// reads alike — so corruption is caught once, at page-in, instead of on
+/// every traversal of a resident frame.
+fn verify_read(id: PageId, frame: &[u8]) -> io::Result<()> {
+    crate::page::verify_checksum(frame)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0)))
+}
+
 /// The buffer cache: page contents held according to the pool's replacement
 /// decisions, with every physical page transfer counted. One frame per
 /// resident page. Each shard of a [`crate::ConcurrentDiskRTree`] is one,
-/// behind a latch: reads clone the frame's `Arc` so that decoding runs
-/// outside the latch.
+/// behind a latch, over the tree's one store: reads clone the frame's `Arc`
+/// so that decoding runs outside the latch. Every page read in is checked
+/// against its checksum, so a frame served from the pool is known-good and
+/// readers skip their own checksum pass ([`crate::PageView`]).
 pub struct BufferManager<S> {
-    store: S,
+    store: Arc<S>,
     pool: BufferPool,
     frames: PageMap<PageId, Arc<[u8]>>,
     /// Scratch frame for reads that bypass a fully pinned pool.
     scratch: Arc<[u8]>,
     stats: IoStats,
-    /// Verify page checksums at read-in (see
-    /// [`BufferManager::set_verify_reads`]).
-    verify_reads: bool,
     /// The sink (if any) and current attribution of trace events.
     pub(crate) tracer: Tracer,
 }
@@ -76,38 +83,24 @@ pub struct BufferManager<S> {
 impl<S: PageStore> BufferManager<S> {
     /// Creates a manager with `capacity` frames and the given policy.
     pub fn new(store: S, capacity: usize, policy: impl ReplacementPolicy + 'static) -> Self {
+        BufferManager::over(Arc::new(store), capacity, policy)
+    }
+
+    /// [`BufferManager::new`] over a store other managers share (a tree's
+    /// shards).
+    pub(crate) fn over(
+        store: Arc<S>,
+        capacity: usize,
+        policy: impl ReplacementPolicy + 'static,
+    ) -> Self {
         BufferManager {
             store,
             pool: BufferPool::new(capacity, policy),
             frames: PageMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             scratch: zeroed_frame(),
             stats: IoStats::default(),
-            verify_reads: false,
             tracer: Tracer::default(),
         }
-    }
-
-    /// Enables (or disables) checksum verification of every page the
-    /// manager reads from the store on the *read* paths — misses, pins and
-    /// scratch reads alike. With this on, a frame served from the pool
-    /// is known-good, so readers may skip their own checksum pass
-    /// ([`crate::PageView`]): corruption is caught
-    /// exactly once, at page-in, instead of on every traversal of a
-    /// resident frame. The tree layers enable this; the default is off so
-    /// the manager stays format-agnostic for raw-page users.
-    pub fn set_verify_reads(&mut self, on: bool) {
-        self.verify_reads = on;
-    }
-
-    /// Checksum gate applied to freshly read bytes when
-    /// [`BufferManager::set_verify_reads`] is on.
-    fn verify_read(&self, id: PageId, frame: &[u8]) -> io::Result<()> {
-        if self.verify_reads {
-            crate::page::verify_checksum(frame).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0))
-            })?;
-        }
-        Ok(())
     }
 
     /// Physical I/O counters.
@@ -136,17 +129,12 @@ impl<S: PageStore> BufferManager<S> {
         &self.pool
     }
 
-    /// The underlying store.
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
     /// The one page write: `image` goes to the store as page `id`, counted
     /// and traced as a write-back, and becomes the page's frame if it is
     /// resident. A tree's caller has flushed the page's log records (the WAL
     /// rule).
     pub(crate) fn write_through(&mut self, id: PageId, image: &Arc<[u8]>) -> io::Result<()> {
-        self.store.write_page(id, image)?;
+        self.store.write_page_shared(id, image)?;
         self.stats.writes += 1;
         self.tracer.emit_at(id, -1, EventKind::WriteBack);
         if let Some(frame) = self.frames.get_mut(&id) {
@@ -162,15 +150,14 @@ impl<S: PageStore> BufferManager<S> {
             return Ok(Arc::clone(frame));
         }
         let mut frame = zeroed_frame();
-        self.store.read_page(id, exclusive(&mut frame))?;
+        self.store.read_page_shared(id, exclusive(&mut frame))?;
         Ok(frame)
     }
 
     /// Completes an admission the pool has just made for `id` (a miss or a
     /// pin): reads the page into the frame the evicted victim gave up (a
     /// fresh one while the pool is filling, or when a reader still holds
-    /// the victim's), checks it ([`BufferManager::set_verify_reads`]),
-    /// installs and returns it. On any error the admission is backed out, so
+    /// the victim's), checks its checksum, installs and returns it. On any error the admission is backed out, so
     /// the next access misses and re-reads instead of hitting a frameless
     /// resident entry; the frame, whatever the failed read left in it, is dropped.
     fn page_in(&mut self, id: PageId, evicted: Option<PageId>) -> io::Result<Arc<[u8]>> {
@@ -181,8 +168,8 @@ impl<S: PageStore> BufferManager<S> {
                 .expect("resident page has a frame"),
             None => zeroed_frame(),
         };
-        let loaded = self.store.read_page(id, exclusive(&mut frame));
-        if let Err(e) = loaded.and_then(|()| self.verify_read(id, &frame)) {
+        let loaded = self.store.read_page_shared(id, exclusive(&mut frame));
+        if let Err(e) = loaded.and_then(|()| verify_read(id, &frame)) {
             self.pool.unpin(id);
             self.pool.discard(id);
             return Err(e);
@@ -195,8 +182,9 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Reads a page into the scratch frame, bypassing the pool.
     fn fill_scratch(&mut self, id: PageId) -> io::Result<()> {
-        self.store.read_page(id, exclusive(&mut self.scratch))?;
-        self.verify_read(id, &self.scratch)
+        self.store
+            .read_page_shared(id, exclusive(&mut self.scratch))?;
+        verify_read(id, &self.scratch)
     }
 
     /// Fetches a raw or free-list page, going to the store only on a miss,
@@ -348,24 +336,27 @@ mod tests {
     use rtree_buffer::LruPolicy;
     use rtree_wal::{CrashSwitch, GroupWal, LogBackend, MemLog, WalRecord};
 
-    /// A store of `pages` pages, page `i` holding `i` in its first byte.
-    fn filled_store(pages: usize) -> MemStore {
-        let mut store = MemStore::new();
-        for i in 0..pages {
-            let id = store.allocate().unwrap();
-            store.write_page(id, &page(i as u8)).unwrap();
-        }
-        store
+    fn make(pages: u64, capacity: usize) -> BufferManager<MemStore> {
+        BufferManager::new(sealed_store(pages), capacity, LruPolicy::new())
     }
 
-    fn make(pages: usize, capacity: usize) -> BufferManager<MemStore> {
-        BufferManager::new(filled_store(pages), capacity, LruPolicy::new())
-    }
-
+    /// A sealed page (a free-list page) that carries `fill`.
     fn page(fill: u8) -> Vec<u8> {
         let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0] = fill;
+        crate::page::encode_free_page(u64::from(fill), &mut buf);
         buf
+    }
+
+    /// The `fill` a [`page`] carries.
+    fn fill(frame: &[u8]) -> u8 {
+        crate::page::decode_free_page(frame).expect("a sealed page") as u8
+    }
+
+    /// Page `id` as the store holds it.
+    fn stored<S: PageStore>(m: &BufferManager<S>, id: u64) -> io::Result<Vec<u8>> {
+        let mut raw = vec![0u8; PAGE_SIZE];
+        m.store.read_page_shared(PageId(id), &mut raw)?;
+        Ok(raw)
     }
 
     /// [`page`] as the image a write hands over.
@@ -384,15 +375,15 @@ mod tests {
     #[test]
     fn fetch_caches_and_counts() {
         let mut m = make(4, 2);
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
+        assert_eq!(fill(m.fetch(PageId(1)).unwrap()), 1);
+        assert_eq!(fill(m.fetch(PageId(1)).unwrap()), 1);
         assert_eq!(m.physical_reads(), 1, "second fetch must hit");
-        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2);
+        assert_eq!(fill(m.fetch(PageId(2)).unwrap()), 2);
         assert_eq!(m.physical_reads(), 2);
         // Capacity 2: fetching a third page evicts the LRU (page 1).
-        assert_eq!(m.fetch(PageId(3)).unwrap()[0], 3);
+        assert_eq!(fill(m.fetch(PageId(3)).unwrap()), 3);
         assert_eq!(m.physical_reads(), 3);
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
+        assert_eq!(fill(m.fetch(PageId(1)).unwrap()), 1);
         assert_eq!(m.physical_reads(), 4, "page 1 was evicted");
         assert_eq!(m.frames.len(), 2, "frames track residency");
     }
@@ -458,9 +449,9 @@ mod tests {
         let (first, second) = (frame_ptr(&m, 0), frame_ptr(&m, 1));
         assert_ne!(first, second);
         // A miss that evicts reads into the allocation the victim gave up.
-        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2);
+        assert_eq!(fill(m.fetch(PageId(2)).unwrap()), 2);
         assert_eq!(frame_ptr(&m, 2), first, "page 0's frame was not reused");
-        assert_eq!(m.fetch(PageId(3)).unwrap()[0], 3);
+        assert_eq!(fill(m.fetch(PageId(3)).unwrap()), 3);
         assert_eq!(frame_ptr(&m, 3), second);
         assert_eq!(m.frames.len(), 2);
     }
@@ -471,21 +462,18 @@ mod tests {
         // What a latched reader does: keep the frame past the fetch.
         let held = m.fetch_in(PageId(0), -1, &mut Span::default()).unwrap();
         m.fetch(PageId(1)).unwrap();
-        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2, "evicts page 0");
+        assert_eq!(fill(m.fetch(PageId(2)).unwrap()), 2, "evicts page 0");
         assert!(!m.pool.contains(PageId(0)));
         assert_eq!(held[..], page(0)[..], "the reader's frame changed under it");
         assert_ne!(frame_ptr(&m, 2), Arc::as_ptr(&held).cast());
     }
 
-    /// A store of `pages` sealed pages that all differ (free-list pages
-    /// chaining to `100 + i`), for a manager that verifies its reads.
+    /// A store of `pages` sealed pages, page `i` carrying `i` ([`page`]).
     fn sealed_store(pages: u64) -> MemStore {
         let mut store = MemStore::new();
-        let mut buf = vec![0u8; PAGE_SIZE];
         for i in 0..pages {
             let id = store.allocate().unwrap();
-            crate::page::encode_free_page(100 + i, &mut buf);
-            store.write_page(id, &buf).unwrap();
+            store.write_page(id, &page(i as u8)).unwrap();
         }
         store
     }
@@ -500,11 +488,9 @@ mod tests {
         inner.write_page(PageId(3), &corrupt).unwrap();
         let store = FaultStore::new(inner, CrashSwitch::new()).fail_read_at(3);
         let mut m = BufferManager::new(store, 2, LruPolicy::new());
-        m.set_verify_reads(true);
         // The next fetch of `id` misses and returns the store's bytes.
         fn assert_rereads(m: &mut BufferManager<FaultStore<MemStore>>, id: u64) {
-            let mut stored = vec![0u8; PAGE_SIZE];
-            m.store_mut().read_page(PageId(id), &mut stored).unwrap();
+            let stored = stored(m, id).unwrap();
             let reads = m.physical_reads();
             assert_eq!(m.fetch(PageId(id)).unwrap()[..], stored[..], "page {id}");
             assert_eq!(
@@ -542,7 +528,7 @@ mod tests {
             m.fetch(PageId(i)).unwrap();
         }
         let before = m.physical_reads();
-        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0);
+        assert_eq!(fill(m.fetch(PageId(0)).unwrap()), 0);
         assert_eq!(m.physical_reads(), before);
     }
 
@@ -551,8 +537,8 @@ mod tests {
         let mut m = make(4, 2);
         m.pin(PageId(0)).unwrap();
         m.pin(PageId(1)).unwrap();
-        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2);
-        assert_eq!(m.fetch(PageId(2)).unwrap()[0], 2);
+        assert_eq!(fill(m.fetch(PageId(2)).unwrap()), 2);
+        assert_eq!(fill(m.fetch(PageId(2)).unwrap()), 2);
         // Bypass reads are never cached.
         assert_eq!(m.physical_reads(), 4);
     }
@@ -603,7 +589,7 @@ mod tests {
                     before: b,
                     after: a,
                     ..
-                } => assert_eq!((*page_id, b[0], a[0]), (id, before, after)),
+                } => assert_eq!((*page_id, fill(b), fill(a)), (id, before, after)),
                 other => panic!("expected page image, got {other:?}"),
             }
         }
@@ -612,25 +598,27 @@ mod tests {
 
     /// The checkpoint's write sequence on one manager: the image logged and
     /// flushed, the page written through to the store and into its
-    /// resident frame, the store fsynced, the log checkpointed (truncated).
+    /// resident frame, the log checkpointed (truncated). The tree's
+    /// checkpoint fsyncs the store between the last two.
     #[test]
     fn checkpoint_flushes_and_truncates_log() {
         let log = MemLog::new();
         let wal = GroupWal::open(log.clone()).unwrap();
         let mut m = make(2, 2);
-        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0);
+        assert_eq!(fill(m.fetch(PageId(0)).unwrap()), 0);
         let after: Arc<[u8]> = Arc::from(page(0x42));
         wal.log_page_image(0, &m.current(PageId(0)).unwrap(), &after)
             .unwrap();
         wal.flush().unwrap();
         m.write_through(PageId(0), &after).unwrap();
-        m.store_mut().flush().unwrap();
         wal.checkpoint().unwrap();
         assert_eq!(log.read_all().unwrap().len(), 0, "log truncated");
-        let mut raw = vec![0u8; PAGE_SIZE];
-        m.store_mut().read_page(PageId(0), &mut raw).unwrap();
-        assert_eq!(raw[0], 0x42);
-        assert_eq!(m.fetch(PageId(0)).unwrap()[0], 0x42, "the frame is current");
+        assert_eq!(fill(&stored(&m, 0).unwrap()), 0x42);
+        assert_eq!(
+            fill(m.fetch(PageId(0)).unwrap()),
+            0x42,
+            "the frame is current"
+        );
         assert_eq!((m.physical_reads(), m.physical_writes()), (1, 1));
     }
 
@@ -643,9 +631,7 @@ mod tests {
         m.pin(PageId(1)).unwrap();
         m.write_through(PageId(2), &image(0x77)).unwrap();
         assert_eq!(m.physical_writes(), 1, "the write went through");
-        let mut raw = vec![0u8; PAGE_SIZE];
-        m.store_mut().read_page(PageId(2), &mut raw).unwrap();
-        assert_eq!(raw[0], 0x77);
+        assert_eq!(fill(&stored(&m, 2).unwrap()), 0x77);
     }
 
     #[test]
@@ -667,7 +653,7 @@ mod tests {
         assert_eq!(m.pool.pinned_count(), 2);
         assert_eq!(m.frames.len(), 2);
         let before = m.physical_reads();
-        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 0xC3);
+        assert_eq!(fill(m.fetch(PageId(1)).unwrap()), 0xC3);
         assert_eq!(m.physical_reads(), before, "pinned frame carried over");
         assert_eq!(m.physical_writes(), 1, "a resize writes nothing");
     }
@@ -711,7 +697,7 @@ mod tests {
             fail_write in 1u64..12,
             script in prop::collection::vec(step(), 1..60),
         ) {
-            let store = FaultStore::new(filled_store(8), CrashSwitch::new())
+            let store = FaultStore::new(sealed_store(8), CrashSwitch::new())
                 .fail_read_at(fail_read)
                 .fail_write_at(fail_write);
             let mut m = BufferManager::new(store, capacity, LruPolicy::new());
@@ -721,7 +707,7 @@ mod tests {
                 match step {
                     Step::Fetch(id) => {
                         if let Ok(frame) = m.fetch(PageId(id)) {
-                            prop_assert_eq!(frame[0], shadow[id as usize]);
+                            prop_assert_eq!(fill(frame), shadow[id as usize]);
                         }
                     }
                     Step::Pin(id) => drop(m.pin(PageId(id))),
@@ -737,12 +723,8 @@ mod tests {
                 prop_assert!(m.frames.keys().all(|&id| m.pool.contains(id)));
             }
             for id in 0..8 {
-                prop_assert_eq!(retry(|| m.fetch(PageId(id)).map(|f| f[0])), shadow[id as usize]);
-            }
-            let mut raw = vec![0u8; PAGE_SIZE];
-            for id in 0..8 {
-                retry(|| m.store_mut().read_page(PageId(id), &mut raw));
-                prop_assert_eq!(raw[0], shadow[id as usize]);
+                prop_assert_eq!(retry(|| m.fetch(PageId(id)).map(fill)), shadow[id as usize]);
+                prop_assert_eq!(fill(&retry(|| stored(&m, id))), shadow[id as usize]);
             }
         }
     }

@@ -12,8 +12,8 @@
 //! behind its own short [`parking_lot::Mutex`]. Threads querying disjoint
 //! subtrees therefore touch disjoint latches and never contend; a fetch
 //! clones the frame's `Arc<[u8]>` so decoding and geometry tests — the
-//! CPU-heavy part of a query — run outside every lock, and the store itself
-//! is read through [`SharedPageStore`] (`&self`), so even misses in
+//! CPU-heavy part of a query — run outside every lock, and every shard
+//! reads the tree's one store through its `&self` I/O, so even misses in
 //! different shards proceed in parallel.
 //!
 //! Counters live inside the shards; [`ConcurrentDiskRTree::io_stats`] and
@@ -42,7 +42,6 @@ use crate::latch::{LatchSet, LatchTable, META_LATCH};
 use crate::mutate::{insert_entry, mbr, remove_entry};
 use crate::page::{decode_free_page, encode_free_page, PageError};
 use crate::seam::{PageRead, PageWrite};
-use crate::store::{ConcurrentPageStore, SharedPageStore};
 use crate::trace::{EventKind, Span, TreeTrace};
 use crate::walk::{self, find_leaf, BatchOutput};
 use crate::{BufferManager, IoStats, NodePage, PageMeta, PageStore, PageView, PAGE_SIZE};
@@ -58,43 +57,9 @@ use std::sync::{Arc, OnceLock};
 /// Fibonacci multiplier for the page → shard hash.
 const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The store's `&self` page write and durability barrier, and the root peek
-/// (the root frame, and its MBR or why the in-place view refused it).
-type Write<S> = fn(&S, PageId, &[u8]) -> io::Result<()>;
-type Flush<S> = fn(&S) -> io::Result<()>;
+/// The root peek: the root frame, and its MBR or why the in-place view
+/// refused it.
 type RootPeek = (Arc<[u8]>, Result<Option<Rect>, PageError>);
-
-/// The shards' handle on the tree's one store. Reads take the `&self`
-/// path; only a writable tree's shard has `writes` (its checkpoint writes
-/// back through it, and fsyncs the store). Writers allocate from the
-/// store, not through here.
-pub(crate) struct ShardStore<S> {
-    store: Arc<S>,
-    writes: Option<(Write<S>, Flush<S>)>,
-}
-
-impl<S: SharedPageStore> PageStore for ShardStore<S> {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.store.read_page_shared(id, buf)
-    }
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        let (write, _) = self.writes.ok_or(io::ErrorKind::Unsupported)?;
-        write(&self.store, id, buf)
-    }
-    fn allocate(&mut self) -> io::Result<PageId> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn page_count(&self) -> u64 {
-        self.store.page_count()
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.writes.map_or(Ok(()), |(_, flush)| flush(&self.store))
-    }
-}
-
-/// One latch domain: the buffer cache over a slice of the capacity, to be
-/// kept behind its own `Mutex`.
-pub(crate) type Shard<S> = BufferManager<ShardStore<S>>;
 
 /// A policy factory for the single-shard constructors: yields `policy` the
 /// one time it is called.
@@ -181,7 +146,9 @@ fn resolve_shards(requested: usize, capacity: usize) -> usize {
 /// throughput.
 pub struct ConcurrentDiskRTree<S> {
     pub(crate) store: Arc<S>,
-    pub(crate) shards: Box<[Mutex<Shard<S>>]>,
+    /// The latch domains: each a buffer cache over a slice of the capacity
+    /// and over the one `store`.
+    pub(crate) shards: Box<[Mutex<BufferManager<S>>]>,
     /// `64 - log2(shard count)`: shift for the Fibonacci hash.
     shard_shift: u32,
     /// The uncharged root peek, cached: the root frame and its MBR, or why
@@ -198,7 +165,7 @@ pub struct ConcurrentDiskRTree<S> {
     writer: Option<WriterState>,
 }
 
-impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
+impl<S: PageStore> ConcurrentDiskRTree<S> {
     /// Serializes `tree` into `store` and returns a sharded handle:
     /// `shards` is rounded to a power of two and capped by the capacity;
     /// `0` means one shard per hardware thread. `policy` is invoked once
@@ -208,31 +175,31 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// Panics if the tree is empty or its node capacity exceeds
     /// [`crate::MAX_ENTRIES_PER_PAGE`].
     pub fn create_sharded<P: ReplacementPolicy + 'static>(
-        mut store: S,
+        store: S,
         tree: &RTree,
         buffer_capacity: usize,
         shards: usize,
         policy: impl FnMut() -> P,
     ) -> io::Result<Self> {
-        let meta = materialize(&mut store, tree, false)?;
+        let meta = materialize(&store, tree, false)?;
         Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
     /// Opens a previously materialized tree with a sharded pool (see
     /// [`ConcurrentDiskRTree::create_sharded`] for the shard semantics).
     pub fn open_sharded<P: ReplacementPolicy + 'static>(
-        mut store: S,
+        store: S,
         buffer_capacity: usize,
         shards: usize,
         policy: impl FnMut() -> P,
     ) -> io::Result<Self> {
-        let meta = Self::read_meta(&mut store)?;
+        let meta = Self::read_meta(&store)?;
         Ok(Self::assemble(store, meta, buffer_capacity, shards, policy))
     }
 
-    pub(crate) fn read_meta(store: &mut S) -> io::Result<PageMeta> {
+    pub(crate) fn read_meta(store: &S) -> io::Result<PageMeta> {
         let mut buf = vec![0u8; PAGE_SIZE];
-        store.read_page(PageId(0), &mut buf)?;
+        store.read_page_shared(PageId(0), &mut buf)?;
         Ok(PageMeta::decode(&buf)?)
     }
 
@@ -251,15 +218,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let shards = (0..n)
             .map(|i| {
                 let slice = capacity / n + usize::from(i < capacity % n);
-                let handle = ShardStore {
-                    store: Arc::clone(&store),
-                    writes: None,
-                };
-                let mut cache = BufferManager::new(handle, slice, policy());
-                // Checksums are verified once, at page-in, so the walks
-                // decode the frames a shard serves without re-checking.
-                cache.set_verify_reads(true);
-                Mutex::new(cache)
+                Mutex::new(BufferManager::over(Arc::clone(&store), slice, policy()))
             })
             .collect();
         ConcurrentDiskRTree {
@@ -274,7 +233,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     }
 
     /// Latches the shard owning `id`.
-    fn latch(&self, id: PageId) -> MutexGuard<'_, Shard<S>> {
+    fn latch(&self, id: PageId) -> MutexGuard<'_, BufferManager<S>> {
         // One shard: the shift is the full 64 bits, which selects shard 0.
         let hash = id.0.wrapping_mul(HASH).checked_shr(self.shard_shift);
         self.shards[hash.unwrap_or(0) as usize].lock()
@@ -570,10 +529,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// `threads = 1` the traversal runs inline on the caller's thread.
     /// On a writable tree the batch is one such walk on the caller's thread,
     /// from the live root with no peek, under the reader latch protocol.
-    pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<BatchOutput>
-    where
-        S: Send + Sync,
-    {
+    pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<BatchOutput> {
         if queries.is_empty() {
             return Ok(BatchOutput::new(0));
         }
@@ -625,7 +581,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 /// a writable tree, the write seam of a structure change. A traversal's
 /// cursor is also its span: its events carry one id, and its totals land
 /// in the tree's query metrics when it drops.
-struct Cursor<'a, S: SharedPageStore> {
+struct Cursor<'a, S: PageStore> {
     tree: &'a ConcurrentDiskRTree<S>,
     /// Latches held under the reader protocol (shared, coupled between
     /// levels: queries and the optimistic delete's FindLeaf) or the insert
@@ -637,7 +593,7 @@ struct Cursor<'a, S: SharedPageStore> {
     span: Span<'a>,
 }
 
-impl<'a, S: SharedPageStore> Cursor<'a, S> {
+impl<'a, S: PageStore> Cursor<'a, S> {
     /// A traversal's cursor: opens a span.
     fn new(tree: &'a ConcurrentDiskRTree<S>) -> Self {
         Cursor {
@@ -665,7 +621,7 @@ impl<'a, S: SharedPageStore> Cursor<'a, S> {
     }
 }
 
-impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
+impl<S: PageStore> PageRead for Cursor<'_, S> {
     /// On a writable tree the dirty overlay shadows both the shards and the
     /// store (no-steal — the store never holds a page newer than the
     /// overlay) and costs nothing; otherwise the access is charged to the
@@ -701,7 +657,7 @@ impl<S: SharedPageStore> PageRead for Cursor<'_, S> {
 /// store (no-steal); dissolved pages go on the session free list. Only
 /// CondenseTree frees, under the exclusive gate, so latched operations
 /// never race a page recycling.
-impl<S: ConcurrentPageStore> PageWrite for Cursor<'_, S> {
+impl<S: PageStore> PageWrite for Cursor<'_, S> {
     fn meta<R>(&mut self, f: impl FnOnce(&mut PageMeta) -> R) -> R {
         f(&mut self.w().meta.lock())
     }
@@ -759,7 +715,7 @@ enum FastDelete {
     Contended,
 }
 
-impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
+impl<S: PageStore> ConcurrentDiskRTree<S> {
     /// The underlying page store (chaos and recovery tests snapshot it;
     /// remember that dirty pages live in the overlay, not here, until a
     /// checkpoint).
@@ -831,7 +787,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     }
 }
 
-impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
+impl<S: PageStore> ConcurrentDiskRTree<S> {
     /// Creates an empty writable tree: a meta page, an empty root leaf,
     /// and an attached group-commit WAL. Writes go through per-page latch
     /// crabbing; dirty pages stay in a private overlay until
@@ -843,7 +799,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// Panics if the capacities are out of range (Guttman's
     /// `1 <= m <= M/2`).
     pub fn create_writable(
-        mut store: S,
+        store: S,
         max_entries: usize,
         min_entries: usize,
         buffer_capacity: usize,
@@ -852,7 +808,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     ) -> io::Result<Self> {
         // In-place updates invalidate the bulk-load layout immediately, so
         // the image records no level table.
-        let meta = materialize_empty(&mut store, max_entries, min_entries, false)?;
+        let meta = materialize_empty(&store, max_entries, min_entries, false)?;
         let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
         tree.attach_writer(wal)?;
         Ok(tree)
@@ -862,19 +818,19 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// responsible for replaying any committed WAL records that postdate
     /// the image (see [`crate::replay_committed`]).
     pub fn open_writable(
-        mut store: S,
+        store: S,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
         wal: GroupWal,
     ) -> io::Result<Self> {
-        let meta = Self::read_meta(&mut store)?;
+        let meta = Self::read_meta(&store)?;
         let mut tree = Self::assemble(store, meta, buffer_capacity, 1, once(policy));
         tree.attach_writer(wal)?;
         Ok(tree)
     }
 
-    /// Attaches the writer state to a one-shard tree, logging to `wal`,
-    /// and lets the shard write back through the store. The session free
+    /// Attaches the writer state to a one-shard tree, logging to `wal`.
+    /// The session free
     /// list starts as the image's on-disk list, walked head last so pages
     /// are reused in list order.
     pub(crate) fn attach_writer(&mut self, wal: GroupWal) -> io::Result<()> {
@@ -889,8 +845,6 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             next = decode_free_page(&buf)?;
         }
         free.reverse();
-        let handle = self.shards[0].get_mut().store_mut();
-        handle.writes = Some((S::write_page_shared, S::flush_shared));
         // Writes abandon the bulk-load layout: its level table goes.
         self.meta.level_starts.clear();
         self.writer = Some(WriterState::new(self.meta.clone(), free, wal));
@@ -1114,7 +1068,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, after) in &pages {
             shard.write_through(PageId(*id), after)?;
         }
-        shard.store_mut().flush()?;
+        self.store.flush_shared()?;
         w.wal.checkpoint()?;
         w.overlay.write().clear();
         Ok(())
@@ -1124,6 +1078,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{ConcurrentPageStore, SharedPageStore};
     use crate::{MemStore, PageLayout};
     use rtree_buffer::LruPolicy;
     use rtree_geom::Point;
@@ -1382,7 +1337,6 @@ mod tests {
                 let disk = crate::DiskRTree::open(store(), 25, policy()).unwrap();
                 let meta = disk.meta().clone();
                 let mut bare = Bare(BufferManager::new(store(), 25, policy()));
-                bare.0.set_verify_reads(true);
                 for frames in [25, 17] {
                     disk.set_pinned_levels(0).unwrap();
                     disk.resize_buffer(frames, &policy).unwrap();
@@ -1753,7 +1707,7 @@ mod tests {
         assert!(tree.logical_writes() > n, "deletes counted too");
     }
 
-    impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
+    impl<S: PageStore> ConcurrentDiskRTree<S> {
         /// Node `id` at `level` as the writer sees it (overlay first), with
         /// the layout it is stored in.
         pub(crate) fn node(&self, id: u64, level: u16) -> io::Result<(PageLayout, NodePage)> {
@@ -1855,8 +1809,8 @@ mod tests {
             })
             .collect();
         assert_eq!(logged, [next.1], "only the insert that succeeded");
-        let mut store = MemStore::from_bytes(image);
-        crate::recover(&mut store, &log).unwrap();
+        let store = MemStore::from_bytes(image);
+        crate::recover(&store, &log).unwrap();
         let recovered =
             ConcurrentDiskRTree::open_writable(store, 4, LruPolicy::new(), writer_wal()).unwrap();
         crate::replay_committed(&log, &recovered).unwrap();
@@ -2067,7 +2021,7 @@ mod tests {
         use crate::page::encode_free_page;
         let open = |patch: &dyn Fn(&mut MemStore) -> u64| {
             let mut store = MemStore::new();
-            let mut meta = materialize_empty(&mut store, 6, 2, false).unwrap();
+            let mut meta = materialize_empty(&store, 6, 2, false).unwrap();
             meta.free_head = patch(&mut store);
             let mut buf = vec![0u8; PAGE_SIZE];
             meta.encode(&mut buf);
@@ -2224,20 +2178,8 @@ mod tests {
     }
 
     impl PageStore for FailingFlush {
-        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-            self.inner.read_page(id, buf)
-        }
-        fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-            self.inner.write_page(id, buf)
-        }
-        fn allocate(&mut self) -> io::Result<PageId> {
-            self.inner.allocate()
-        }
         fn page_count(&self) -> u64 {
             self.inner.page_count()
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.flush_shared()
         }
     }
 

@@ -16,8 +16,8 @@ use crate::concurrent::once;
 use crate::mutate::mbr;
 use crate::page::{point_capacity, widen_point_span};
 use crate::{
-    ConcurrentDiskRTree, ConcurrentPageStore, NodePage, PageMeta, PageStore, MAX_ENTRIES_PACKED,
-    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
+    ConcurrentDiskRTree, NodePage, PageMeta, PageStore, MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE,
+    PAGE_SIZE,
 };
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::Rect;
@@ -69,13 +69,13 @@ use std::sync::Arc;
 /// assert_eq!(reads2, 0);
 /// assert_eq!(hits.len(), hits2.len());
 /// ```
-pub struct DiskRTree<S: ConcurrentPageStore> {
+pub struct DiskRTree<S: PageStore> {
     core: ConcurrentDiskRTree<S>,
     /// The log the writer will take at the first write.
     wal: Option<GroupWal>,
 }
 
-impl<S: ConcurrentPageStore> Deref for DiskRTree<S> {
+impl<S: PageStore> Deref for DiskRTree<S> {
     type Target = ConcurrentDiskRTree<S>;
 
     fn deref(&self) -> &ConcurrentDiskRTree<S> {
@@ -83,13 +83,13 @@ impl<S: ConcurrentPageStore> Deref for DiskRTree<S> {
     }
 }
 
-impl<S: ConcurrentPageStore> DerefMut for DiskRTree<S> {
+impl<S: PageStore> DerefMut for DiskRTree<S> {
     fn deref_mut(&mut self) -> &mut ConcurrentDiskRTree<S> {
         &mut self.core
     }
 }
 
-impl<S: ConcurrentPageStore> DiskRTree<S> {
+impl<S: PageStore> DiskRTree<S> {
     /// Assembles the one-shard tree over an image whose metadata is `meta`.
     fn assemble(
         store: S,
@@ -110,12 +110,12 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
     /// Panics if the tree is empty or its node capacity exceeds
     /// [`crate::MAX_ENTRIES_PER_PAGE`].
     pub fn create(
-        mut store: S,
+        store: S,
         tree: &RTree,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize(&mut store, tree, false)?;
+        let meta = materialize(&store, tree, false)?;
         Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
@@ -136,12 +136,12 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
     /// Panics if the tree is empty or its node capacity exceeds
     /// [`crate::MAX_ENTRIES_PER_PAGE`].
     pub fn create_compressed(
-        mut store: S,
+        store: S,
         tree: &RTree,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize(&mut store, tree, true)?;
+        let meta = materialize(&store, tree, true)?;
         Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
@@ -154,23 +154,23 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
     /// # Panics
     /// Panics if the capacities are out of range.
     pub fn create_empty(
-        mut store: S,
+        store: S,
         max_entries: usize,
         min_entries: usize,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = materialize_empty(&mut store, max_entries, min_entries, true)?;
+        let meta = materialize_empty(&store, max_entries, min_entries, true)?;
         Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
     /// Opens a previously materialized tree.
     pub fn open(
-        mut store: S,
+        store: S,
         buffer_capacity: usize,
         policy: impl ReplacementPolicy + 'static,
     ) -> io::Result<Self> {
-        let meta = ConcurrentDiskRTree::read_meta(&mut store)?;
+        let meta = ConcurrentDiskRTree::read_meta(&store)?;
         Ok(Self::assemble(store, meta, buffer_capacity, policy))
     }
 
@@ -263,7 +263,7 @@ impl<S: ConcurrentPageStore> DiskRTree<S> {
 /// Panics if a capacity is out of range: `2 <= M <= 102`, Guttman's
 /// `1 <= m <= M/2`.
 fn write_image<S: PageStore>(
-    store: &mut S,
+    store: &S,
     nodes: &[usize],
     mut entries_of: impl FnMut(usize, usize) -> Vec<(Rect, u64)>,
     [max_entries, min_entries]: [usize; 2],
@@ -308,10 +308,10 @@ fn write_image<S: PageStore>(
     };
 
     let mut buf = vec![0u8; PAGE_SIZE];
-    let meta_page = store.allocate()?;
+    let meta_page = store.allocate_shared()?;
     debug_assert_eq!(meta_page, PageId(0));
     meta.encode(&mut buf);
-    store.write_page(meta_page, &buf)?;
+    store.write_page_shared(meta_page, &buf)?;
     for k in (0..nodes.len()).rev() {
         for i in 0..nodes[k] {
             let mut entries = entries_of(k, i);
@@ -321,9 +321,9 @@ fn write_image<S: PageStore>(
                 }
             }
             let level = k as u16;
-            let pid = store.allocate()?;
+            let pid = store.allocate_shared()?;
             NodePage { level, entries }.encode_for(&meta, &mut buf);
-            store.write_page(pid, &buf)?;
+            store.write_page_shared(pid, &buf)?;
         }
     }
     Ok(meta)
@@ -332,7 +332,7 @@ fn write_image<S: PageStore>(
 /// Writes the image of an empty tree: an empty root leaf under the meta
 /// page.
 pub(crate) fn materialize_empty<S: PageStore>(
-    store: &mut S,
+    store: &S,
     max_entries: usize,
     min_entries: usize,
     level_table: bool,
@@ -350,7 +350,7 @@ pub(crate) fn materialize_empty<S: PageStore>(
 /// page's ids fit its deltas), so are the leaves: the items, in leaf order,
 /// chunked into full point-body pages — MBRs in one pass, entries in another.
 pub(crate) fn materialize<S: PageStore>(
-    store: &mut S,
+    store: &S,
     tree: &RTree,
     compressed: bool,
 ) -> io::Result<PageMeta> {
@@ -591,8 +591,8 @@ mod tests {
         let empty = DiskRTree::create_empty(MemStore::new(), 16, 6, 4, LruPolicy::new()).unwrap();
         assert_eq!(crc(empty.into_store()), (2, 3_701_525_664), "empty");
         // The writable tree's empty image records no level table.
-        let mut store = MemStore::new();
-        materialize_empty(&mut store, 16, 6, false).unwrap();
+        let store = MemStore::new();
+        materialize_empty(&store, 16, 6, false).unwrap();
         assert_eq!(crc(store), (2, 0x6d3a_a3ff), "empty, no level table");
     }
 

@@ -9,9 +9,7 @@ use rtree_wal::CrashSwitch;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A [`PageStore`] wrapper that injects storage faults. Every call takes
-/// the shared (`&self`) path, so a trigger fires at the same ordinal
-/// whether the sequential or the concurrent tree drives the store.
+/// A [`PageStore`] wrapper that injects storage faults.
 ///
 /// Fault triggers are counted per operation kind (1-based). When a trigger
 /// fires, the shared [`CrashSwitch`] trips, and from then on *every* mutating
@@ -103,25 +101,13 @@ fn transient(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-impl<S: ConcurrentPageStore> PageStore for FaultStore<S> {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.read_page_shared(id, buf)
-    }
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.write_page_shared(id, buf)
-    }
-    fn allocate(&mut self) -> io::Result<PageId> {
-        self.allocate_shared()
-    }
+impl<S: PageStore> PageStore for FaultStore<S> {
     fn page_count(&self) -> u64 {
         self.inner.page_count()
     }
-    fn flush(&mut self) -> io::Result<()> {
-        self.flush_shared()
-    }
 }
 
-impl<S: ConcurrentPageStore> SharedPageStore for FaultStore<S> {
+impl<S: PageStore> SharedPageStore for FaultStore<S> {
     /// Reads stay allowed after a crash: recovery must be able to inspect
     /// the surviving bytes.
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
@@ -132,7 +118,7 @@ impl<S: ConcurrentPageStore> SharedPageStore for FaultStore<S> {
     }
 }
 
-impl<S: ConcurrentPageStore> ConcurrentPageStore for FaultStore<S> {
+impl<S: PageStore> ConcurrentPageStore for FaultStore<S> {
     fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
         self.switch.check()?;
         let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;

@@ -272,7 +272,7 @@ mod tests {
             let (height, nodes) = (root.level as u32 + 1, children.len() as u64 + 1);
             pages.insert(1, root);
             pages.extend((2..).zip(children));
-            let mut meta = materialize_empty(&mut MemStore::new(), 4, 2, false).expect("meta");
+            let mut meta = materialize_empty(&MemStore::new(), 4, 2, false).expect("meta");
             (meta.height, meta.nodes) = (height, nodes);
             Script {
                 meta,

@@ -44,15 +44,15 @@ pub struct RecoveryReport {
 /// Pages referenced by the log but missing from the store (the crash hit
 /// before an allocation reached disk) are allocated first. The store is
 /// flushed before returning, so a recovered tree is durable immediately.
-pub fn recover<S: PageStore>(store: &mut S, log_bytes: &[u8]) -> io::Result<RecoveryReport> {
+pub fn recover<S: PageStore>(store: &S, log_bytes: &[u8]) -> io::Result<RecoveryReport> {
     let scan = rtree_wal::scan(log_bytes);
     let (records, horizon) = rtree_wal::commit_horizon(&scan.records);
-    let mut put = |page_id: u64, image: &[u8]| {
+    let put = |page_id: u64, image: &[u8]| {
         debug_assert_eq!(image.len(), PAGE_SIZE);
         while store.page_count() <= page_id {
-            store.allocate()?;
+            store.allocate_shared()?;
         }
-        store.write_page(PageId(page_id), image)
+        store.write_page_shared(PageId(page_id), image)
     };
     let mut undo = Vec::new();
     let mut pages_redone = 0;
@@ -75,7 +75,7 @@ pub fn recover<S: PageStore>(store: &mut S, log_bytes: &[u8]) -> io::Result<Reco
     for (page_id, before) in undo.iter().rev() {
         put(*page_id, before)?;
     }
-    store.flush()?;
+    store.flush_shared()?;
     Ok(RecoveryReport {
         pages_redone,
         pages_undone: undo.len(),
@@ -117,7 +117,7 @@ pub struct ReplaySummary {
 /// The target tree logs the replayed ops into its own WAL as a side effect,
 /// which keeps them durable going forward; checkpoint afterwards to start
 /// from a clean log.
-pub fn replay_committed<S: crate::ConcurrentPageStore>(
+pub fn replay_committed<S: PageStore>(
     log_bytes: &[u8],
     tree: &crate::ConcurrentDiskRTree<S>,
 ) -> io::Result<ReplaySummary> {
@@ -179,7 +179,7 @@ mod tests {
         wal.commit(lsn).unwrap();
         // Crash before any write-back: the store still has the old image.
         let mut store = store_with_pages(3);
-        let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
+        let report = recover(&store, &log.read_all().unwrap()).unwrap();
         assert_eq!(report.pages_redone, 1);
         assert_eq!(report.pages_undone, 0);
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -199,7 +199,7 @@ mod tests {
         let mut store = store_with_pages(3);
         store.write_page(PageId(1), &page(0xAA)).unwrap();
         store.write_page(PageId(2), &page(0xBB)).unwrap();
-        let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
+        let report = recover(&store, &log.read_all().unwrap()).unwrap();
         assert_eq!(report.pages_redone, 1);
         assert_eq!(report.pages_undone, 1);
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -221,7 +221,7 @@ mod tests {
         wal.log_page_image(1, &page(0xBB), &page(0xCC)).unwrap();
         wal.flush().unwrap();
         let mut store = store_with_pages(3);
-        let report = recover(&mut store, &log.read_all().unwrap()).unwrap();
+        let report = recover(&store, &log.read_all().unwrap()).unwrap();
         assert_eq!((report.pages_redone, report.pages_undone), (1, 2));
         assert_eq!(report.last_commit, Some(2));
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -236,7 +236,7 @@ mod tests {
         let lsn = wal.log_page_image(5, &page(0), &page(0x5A)).unwrap();
         wal.commit(lsn).unwrap();
         let mut store = store_with_pages(2);
-        recover(&mut store, &log.read_all().unwrap()).unwrap();
+        recover(&store, &log.read_all().unwrap()).unwrap();
         assert_eq!(store.page_count(), 6);
         let mut buf = vec![0u8; PAGE_SIZE];
         store.read_page(PageId(5), &mut buf).unwrap();
@@ -254,7 +254,7 @@ mod tests {
         let mut bytes = log.read_all().unwrap();
         bytes.truncate(bytes.len() - 7); // tear the last record
         let mut store = store_with_pages(3);
-        let report = recover(&mut store, &bytes).unwrap();
+        let report = recover(&store, &bytes).unwrap();
         assert!(!report.clean_log);
         assert_eq!(report.pages_redone, 1);
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -311,8 +311,8 @@ mod tests {
         drop(tree);
         let survived = durable.read_all().unwrap();
 
-        let mut store = MemStore::from_bytes(image_at_checkpoint);
-        recover(&mut store, &survived).unwrap();
+        let store = MemStore::from_bytes(image_at_checkpoint);
+        recover(&store, &survived).unwrap();
         let recovered = ConcurrentDiskRTree::open_writable(
             store,
             16,

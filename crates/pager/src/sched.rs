@@ -2,8 +2,8 @@
 //!
 //! The chaos harness wants to *steer* thread interleavings from a seed: the
 //! same seed must exercise the same logical schedule on every run. The hook
-//! point is the store itself — every concurrent page miss funnels through
-//! [`crate::SharedPageStore::read_page_shared`], so a wrapper that perturbs
+//! point is the store itself — every page miss funnels through the store's
+//! one shared read, so a wrapper that perturbs
 //! the caller right there reaches exactly the moments where shard latches,
 //! counters and frame publication interact.
 //!
@@ -77,13 +77,9 @@ impl StepSchedule {
     }
 }
 
-/// A [`SharedPageStore`] wrapper that subjects every shared read to its
+/// A [`PageStore`] wrapper that subjects every read and page write to its
 /// [`StepSchedule`] — the pager-side hook the chaos harness drives thread
 /// interleavings through.
-///
-/// Exclusive (`&mut`) operations pass straight through so the sequential
-/// write path keeps its exact accounting; only the concurrent read path is
-/// perturbed.
 pub struct StepStore<S> {
     inner: S,
     schedule: StepSchedule,
@@ -112,28 +108,12 @@ impl<S> StepStore<S> {
 }
 
 impl<S: PageStore> PageStore for StepStore<S> {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.read_page(id, buf)
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.inner.write_page(id, buf)
-    }
-
-    fn allocate(&mut self) -> io::Result<PageId> {
-        self.inner.allocate()
-    }
-
     fn page_count(&self) -> u64 {
         self.inner.page_count()
     }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
-impl<S: SharedPageStore> SharedPageStore for StepStore<S> {
+impl<S: PageStore> SharedPageStore for StepStore<S> {
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         let step = self.steps.fetch_add(1, Ordering::Relaxed);
         self.schedule.perturb(step);
@@ -141,7 +121,7 @@ impl<S: SharedPageStore> SharedPageStore for StepStore<S> {
     }
 }
 
-impl<S: ConcurrentPageStore> ConcurrentPageStore for StepStore<S> {
+impl<S: PageStore> ConcurrentPageStore for StepStore<S> {
     /// Shared writes are perturbed too: a writer stalled here holds its page
     /// latches open, which is exactly the window the mutator phase wants
     /// other writers and readers to pile into. Still bounded delays only —
@@ -196,10 +176,10 @@ mod tests {
             assert_eq!(buf[0], 0xAB);
         }
         assert_eq!(store.steps(), 10);
-        // Exclusive path is untouched (no step consumed).
+        // The `&mut` name is the same read: it takes a step too.
         let mut store = store;
         store.read_page(id, &mut buf).unwrap();
-        assert_eq!(store.steps(), 10);
+        assert_eq!(store.steps(), 11);
         assert_eq!(store.into_inner().page_count(), 1);
     }
 }

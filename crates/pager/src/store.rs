@@ -1,64 +1,76 @@
 //! Page stores: where pages physically live.
+//!
+//! Every page transfer goes through a shared (`&self`) handle, so one store
+//! serves every shard of a tree, its writer and its checkpoint at once, and
+//! each store writes its I/O once. The seam is three traits, each a
+//! supertrait of the next: [`SharedPageStore`] reads,
+//! [`ConcurrentPageStore`] writes, allocates and syncs, and [`PageStore`],
+//! the one bound the rest of the workspace names, adds the page count.
+//! `PageStore`'s `&mut self` methods forward to the `&self` ones; they stay
+//! only because the `rtree-perf` benchmark names them, and no library code
+//! calls them.
 
 use crate::PAGE_SIZE;
 use rtree_buffer::PageId;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
-/// Backing storage addressed in whole pages.
-pub trait PageStore {
+/// Page stores whose reads are safe from many threads at once (`&self`),
+/// so a miss in one shard never serializes against a miss in another. A
+/// shared read returns the page as of some completed write.
+pub trait SharedPageStore {
     /// Reads page `id` into `buf` (`buf.len() == PAGE_SIZE`).
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()>;
-    /// Writes page `id` from `buf`.
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()>;
-    /// Appends a zeroed page and returns its id.
-    fn allocate(&mut self) -> io::Result<PageId>;
-    /// Number of allocated pages.
-    fn page_count(&self) -> u64;
-    /// Durability barrier: all writes so far survive a crash. In-memory
-    /// stores are trivially durable and may no-op.
-    fn flush(&mut self) -> io::Result<()>;
-}
-
-/// Page stores whose reads are safe from many threads at once (`&self`).
-///
-/// The sharded [`crate::ConcurrentDiskRTree`] keeps its shard latches
-/// disjoint; this trait keeps the *store* off the critical path too, so a
-/// miss in one shard never serializes against a miss in another. A shared
-/// read must return the page as of some completed write.
-pub trait SharedPageStore: PageStore {
-    /// Reads page `id` into `buf` (`buf.len() == PAGE_SIZE`) without
-    /// exclusive access to the store.
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()>;
 }
 
-/// Page stores that additionally accept *writes and allocations* from many
-/// threads at once (`&self`) — the substrate both of the tree's writers
-/// need. Callers serialize conflicting writes to the *same* page
+/// Page stores that also accept writes and allocations from many threads at
+/// once (`&self`). Callers serialize conflicting writes to the *same* page
 /// themselves (the tree does so with per-page latches); the store only has
 /// to keep distinct pages independent and each page write atomic with
 /// respect to shared reads of that page.
-pub trait ConcurrentPageStore: SharedPageStore + Sync {
-    /// Writes page `id` from `buf` without exclusive access to the store.
+pub trait ConcurrentPageStore: SharedPageStore + Send + Sync {
+    /// Writes page `id` from `buf`.
     fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()>;
-    /// Appends a zeroed page and returns its id, without exclusive access.
+    /// Appends a zeroed page and returns its id.
     fn allocate_shared(&self) -> io::Result<PageId>;
-    /// Durability barrier without exclusive access.
+    /// Durability barrier: all writes so far survive a crash. In-memory
+    /// stores are trivially durable and may no-op.
     fn flush_shared(&self) -> io::Result<()>;
+}
+
+/// Backing storage addressed in whole pages: the bound every tree, buffer
+/// manager, engine and recovery procedure takes.
+pub trait PageStore: ConcurrentPageStore {
+    /// Number of allocated pages.
+    fn page_count(&self) -> u64;
+
+    /// [`SharedPageStore::read_page_shared`].
+    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+        self.read_page_shared(id, buf)
+    }
+    /// [`ConcurrentPageStore::write_page_shared`].
+    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
+        self.write_page_shared(id, buf)
+    }
+    /// [`ConcurrentPageStore::allocate_shared`].
+    fn allocate(&mut self) -> io::Result<PageId> {
+        self.allocate_shared()
+    }
+    /// [`ConcurrentPageStore::flush_shared`].
+    fn flush(&mut self) -> io::Result<()> {
+        self.flush_shared()
+    }
 }
 
 /// In-memory page store (the default substrate for simulations: the point
 /// of the study is *counting* accesses, not waiting for a spindle).
 ///
-/// The byte image sits behind a reader-writer lock so the store also has
-/// the shared read *and write* paths the concurrent tree's writer mode
-/// needs: distinct pages proceed in parallel up to the lock's reader-side
-/// concurrency; a page write takes the write lock, so a shared read always
-/// sees a whole page image. The exclusive (`&mut self`) paths, which an
-/// image writer takes, go around the lock.
+/// The byte image sits behind a reader-writer lock: distinct pages are read
+/// in parallel, and a page write takes the write lock, so a read always
+/// sees a whole page image.
 #[derive(Default)]
 pub struct MemStore {
     data: RwLock<Vec<u8>>,
@@ -91,10 +103,6 @@ impl MemStore {
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, Vec<u8>> {
         self.data.write().unwrap_or_else(PoisonError::into_inner)
     }
-
-    fn exclusive(&mut self) -> &mut Vec<u8> {
-        self.data.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// The byte range of page `id` in an image of whole pages.
@@ -109,60 +117,29 @@ fn page_of(data: &[u8], id: PageId) -> io::Result<std::ops::Range<usize>> {
     Ok(off..off + PAGE_SIZE)
 }
 
-fn read_from(data: &[u8], id: PageId, buf: &mut [u8]) -> io::Result<()> {
-    assert_eq!(buf.len(), PAGE_SIZE);
-    buf.copy_from_slice(&data[page_of(data, id)?]);
-    Ok(())
-}
-
-fn write_to(data: &mut [u8], id: PageId, buf: &[u8]) -> io::Result<()> {
-    assert_eq!(buf.len(), PAGE_SIZE);
-    let page = page_of(data, id)?;
-    data[page].copy_from_slice(buf);
-    Ok(())
-}
-
-fn grow(data: &mut Vec<u8>) -> PageId {
-    let id = PageId((data.len() / PAGE_SIZE) as u64);
-    data.resize(data.len() + PAGE_SIZE, 0);
-    id
-}
-
-impl PageStore for MemStore {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        read_from(self.exclusive(), id, buf)
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        write_to(self.exclusive(), id, buf)
-    }
-
-    fn allocate(&mut self) -> io::Result<PageId> {
-        Ok(grow(self.exclusive()))
-    }
-
-    fn page_count(&self) -> u64 {
-        (self.read().len() / PAGE_SIZE) as u64
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 impl SharedPageStore for MemStore {
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        read_from(&self.read(), id, buf)
+        assert_eq!(buf.len(), PAGE_SIZE);
+        let data = self.read();
+        buf.copy_from_slice(&data[page_of(&data, id)?]);
+        Ok(())
     }
 }
 
 impl ConcurrentPageStore for MemStore {
     fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        write_to(&mut self.write(), id, buf)
+        assert_eq!(buf.len(), PAGE_SIZE);
+        let mut data = self.write();
+        let page = page_of(&data, id)?;
+        data[page].copy_from_slice(buf);
+        Ok(())
     }
 
     fn allocate_shared(&self) -> io::Result<PageId> {
-        Ok(grow(&mut self.write()))
+        let mut data = self.write();
+        let len = data.len();
+        data.resize(len + PAGE_SIZE, 0);
+        Ok(PageId((len / PAGE_SIZE) as u64))
     }
 
     fn flush_shared(&self) -> io::Result<()> {
@@ -170,13 +147,19 @@ impl ConcurrentPageStore for MemStore {
     }
 }
 
-/// File-backed page store. The page count is atomic so allocation and
-/// bounds checks work from the shared (`&self`) paths too.
+impl PageStore for MemStore {
+    fn page_count(&self) -> u64 {
+        (self.read().len() / PAGE_SIZE) as u64
+    }
+}
+
+/// File-backed page store: positional reads and writes (`pread`/`pwrite`)
+/// share the file without touching the descriptor's seek cursor, and the
+/// page count is atomic, so allocation and bounds checks are shared too.
 pub struct FileStore {
     file: File,
     pages: AtomicU64,
 }
-
 impl FileStore {
     /// Creates (truncating) a page file.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
@@ -218,13 +201,7 @@ impl FileStore {
         Ok(id.0 * PAGE_SIZE as u64)
     }
 
-    fn seek_to(&mut self, id: PageId) -> io::Result<()> {
-        let off = self.check(id)?;
-        self.file.seek(SeekFrom::Start(off)).map(|_| ())
-    }
-
-    /// Positional write (`pwrite`/`seek_write`): shares the file without
-    /// touching the descriptor's seek cursor.
+    /// Positional write (`pwrite`/`seek_write`).
     fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()> {
         #[cfg(unix)]
         {
@@ -255,54 +232,8 @@ impl FileStore {
     }
 }
 
-impl PageStore for FileStore {
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        self.seek_to(id)?;
-        self.file.read_exact(buf)
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.write_page_shared(id, buf)
-    }
-
-    fn allocate(&mut self) -> io::Result<PageId> {
-        self.allocate_shared()
-    }
-
-    fn page_count(&self) -> u64 {
-        self.pages.load(Ordering::Acquire)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.flush_shared()
-    }
-}
-
-impl ConcurrentPageStore for FileStore {
-    fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        let off = self.check(id)?;
-        self.write_at(buf, off)
-    }
-
-    fn allocate_shared(&self) -> io::Result<PageId> {
-        // Reserve the slot first so concurrent allocations never collide,
-        // then extend the file by writing the zero page at its offset.
-        let id = self.pages.fetch_add(1, Ordering::AcqRel);
-        self.write_at(&[0u8; PAGE_SIZE], id * PAGE_SIZE as u64)?;
-        Ok(PageId(id))
-    }
-
-    fn flush_shared(&self) -> io::Result<()> {
-        self.file.sync_data()
-    }
-}
-
 impl SharedPageStore for FileStore {
-    /// Positional reads (`pread`/`seek_read`) share the file without
-    /// touching the descriptor's seek cursor, so concurrent shard misses
-    /// read in parallel.
+    /// Positional read (`pread`/`seek_read`).
     fn read_page_shared(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         assert_eq!(buf.len(), PAGE_SIZE);
         let off = self.check(id)?;
@@ -332,6 +263,32 @@ impl SharedPageStore for FileStore {
                 "no positional read primitive on this platform",
             ))
         }
+    }
+}
+
+impl ConcurrentPageStore for FileStore {
+    fn write_page_shared(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
+        assert_eq!(buf.len(), PAGE_SIZE);
+        let off = self.check(id)?;
+        self.write_at(buf, off)
+    }
+
+    fn allocate_shared(&self) -> io::Result<PageId> {
+        // Reserve the slot first so concurrent allocations never collide,
+        // then extend the file by writing the zero page at its offset.
+        let id = self.pages.fetch_add(1, Ordering::AcqRel);
+        self.write_at(&[0u8; PAGE_SIZE], id * PAGE_SIZE as u64)?;
+        Ok(PageId(id))
+    }
+
+    fn flush_shared(&self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+}
+
+impl PageStore for FileStore {
+    fn page_count(&self) -> u64 {
+        self.pages.load(Ordering::Acquire)
     }
 }
 
@@ -451,7 +408,7 @@ mod tests {
         let file = FileStore::create(&path).unwrap();
         let mem = MemStore::new();
 
-        for store in [&file as &(dyn ConcurrentPageStore + Send + Sync), &mem] {
+        for store in [&file as &dyn PageStore, &mem] {
             let ids: Vec<u64> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..4)
                     .map(|t| {

@@ -12,7 +12,7 @@
 //! a pin, a write-back, the concurrent tree's once-only root peek — carries
 //! span 0.
 
-use crate::{BufferManager, ConcurrentDiskRTree, PageStore, SharedPageStore};
+use crate::{BufferManager, ConcurrentDiskRTree, PageStore};
 use rtree_buffer::PageId;
 pub(crate) use rtree_obs::EventKind;
 use rtree_obs::{now_ns, IoEvent, QueryMetrics, QueryMetricsSnapshot, TraceSink};
@@ -130,7 +130,7 @@ impl<S: PageStore> BufferManager<S> {
     }
 }
 
-impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
+impl<S: PageStore> ConcurrentDiskRTree<S> {
     /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
     /// stops tracing). Takes `&mut self`: install the sink before sharing
     /// the tree across threads. While a sink is attached each read

@@ -1,6 +1,7 @@
 //! The names the stand-alone `rtree-perf` benchmark calls, held to the code
-//! they stand for: `NodeSoA` to the page checksum plus `PageView`, and
-//! `BufferManager::write_buffered` to a write through to the store. This
+//! they stand for: `NodeSoA` to the page checksum plus `PageView`,
+//! `BufferManager::write_buffered` to a write through to the store, and
+//! `BufferManager::set_verify_reads` to nothing. This
 //! is the one test in the workspace that calls them.
 
 use rand::rngs::StdRng;
@@ -117,21 +118,25 @@ fn adapters_answer_like_the_production_code() {
 
     // `write_buffered` writes through: the store and the resident frame
     // hold the new bytes at once, for one physical write and no read.
+    // `set_verify_reads(true)` changes nothing: every page-in verifies.
+    let (old, image) = (templates()[1].clone(), templates()[0].clone());
     let mut store = MemStore::new();
     for _ in 0..4 {
-        store.allocate().unwrap();
+        let id = store.allocate().unwrap();
+        store.write_page(id, &old).unwrap();
     }
     let mut m = BufferManager::new(store, 2, LruPolicy::new());
+    m.set_verify_reads(true);
     m.fetch(PageId(1)).unwrap();
-    let image = templates()[0].clone();
     m.write_buffered(PageId(1), &image).unwrap();
     m.write_buffered(PageId(3), &image).unwrap();
     assert_eq!((m.io_stats().reads, m.io_stats().writes), (1, 2));
     assert_eq!(m.fetch(PageId(1)).unwrap(), &image[..]);
-    let mut stored = vec![0u8; PAGE_SIZE];
-    for id in [1, 3] {
-        m.store_mut().read_page(PageId(id), &mut stored).unwrap();
-        assert_eq!(stored, image);
-    }
     assert_eq!(m.io_stats().reads, 1, "page 1 stayed resident");
+    // Read back from the store: page 3, then page 1 once page 2 evicts it.
+    for id in [3, 2, 1] {
+        let want = if id == 2 { &old } else { &image };
+        assert_eq!(m.fetch(PageId(id)).unwrap(), &want[..], "page {id}");
+    }
+    assert_eq!(m.io_stats().reads, 4);
 }

@@ -25,8 +25,8 @@ use rtree_buffer::{LruPolicy, PageId};
 use rtree_geom::{Point, Rect};
 use rtree_index::{BulkLoader, RTree};
 use rtree_pager::{
-    ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore, MemStore, NodePage, PageError,
-    PageLayout, PageMeta, PageStore, PageView, PAGE_SIZE,
+    ConcurrentDiskRTree, DiskRTree, FaultStore, MemStore, NodePage, PageError, PageLayout,
+    PageMeta, PageStore, PageView, PAGE_SIZE,
 };
 use rtree_wal::{CrashSwitch, GroupWal, MemLog};
 use std::io;
@@ -437,11 +437,7 @@ fn assert_good_walks_after(what: &str, image: &[u8], oracle: &RTree) {
 
 /// One walk over `tree`: the region, batch and kNN walks over everything,
 /// and a delete of `kept` (FindLeaf).
-fn walk<S: ConcurrentPageStore + Send + Sync>(
-    name: &str,
-    tree: &mut DiskRTree<S>,
-    kept: (Rect, u64),
-) -> io::Result<()> {
+fn walk<S: PageStore>(name: &str, tree: &mut DiskRTree<S>, kept: (Rect, u64)) -> io::Result<()> {
     let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
     match name {
         "query" => tree.query(&everything).map(drop),

@@ -16,8 +16,7 @@ use rtree_buffer::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
 use rtree_geom::Rect;
 use rtree_index::{BulkLoader, RTreeBuilder};
 use rtree_pager::{
-    recover, replay_committed, ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, FaultStore,
-    MemStore,
+    recover, replay_committed, ConcurrentDiskRTree, DiskRTree, FaultStore, MemStore, PageStore,
 };
 use rtree_wal::{CrashSwitch, FaultLog, GroupWal, LogBackend, MemLog, WalRecord};
 use std::io;
@@ -43,7 +42,7 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
 /// reboot: buffered state is discarded, the store is recovered from the
 /// log, opened writable and the log's committed ops replayed, and the
 /// recovered tree is swept against the reference.
-fn drive<S: ConcurrentPageStore>(
+fn drive<S: PageStore>(
     mut disk: DiskRTree<S>,
     log: MemLog,
     seed: u64,
@@ -100,9 +99,9 @@ fn drive<S: ConcurrentPageStore>(
     assert!(switch.is_tripped(), "the injected fault never fired");
 
     // Reboot: drop all buffered state (the overlay included) and restart.
-    let mut store = extract(disk.into_store());
+    let store = extract(disk.into_store());
     let log = log.read_all().unwrap();
-    recover(&mut store, &log).unwrap();
+    recover(&store, &log).unwrap();
     let wal = GroupWal::open(MemLog::new()).unwrap();
     let recovered = ConcurrentDiskRTree::open_writable(store, 64, LruPolicy::new(), wal).unwrap();
     replay_committed(&log, &recovered).unwrap();
@@ -273,7 +272,7 @@ fn replay_is_idempotent_across_the_checkpoint_crash_window() {
 
 /// `ops` seeded inserts and deletes on a writable concurrent tree; `live`
 /// holds every acknowledged entry.
-fn mutate<S: ConcurrentPageStore>(
+fn mutate<S: PageStore>(
     tree: &ConcurrentDiskRTree<S>,
     rng: &mut StdRng,
     ops: usize,
@@ -295,7 +294,7 @@ fn mutate<S: ConcurrentPageStore>(
 }
 
 /// A writable concurrent tree over `store`, with a fresh log over `log`.
-fn writable<S: ConcurrentPageStore, P: ReplacementPolicy + 'static>(
+fn writable<S: PageStore, P: ReplacementPolicy + 'static>(
     store: S,
     policy: P,
     log: impl LogBackend + 'static,
@@ -354,9 +353,9 @@ fn run_checkpoint_crash<P: ReplacementPolicy + 'static>(
     );
     crashed.expect_err("the store crashes inside the checkpoint");
 
-    let mut store = MemStore::from_bytes(tree.store().inner().snapshot());
+    let store = MemStore::from_bytes(tree.store().inner().snapshot());
     let log = log.read_all().unwrap();
-    recover(&mut store, &log).unwrap();
+    recover(&store, &log).unwrap();
     let recovered = writable(store, policy(), MemLog::new()).unwrap();
     replay_committed(&log, &recovered).unwrap();
     let what = format!("crash on write {at} of {writes}, torn {torn}");

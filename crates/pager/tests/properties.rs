@@ -256,12 +256,16 @@ proptest! {
     ) {
         // The buffer manager must read from the store exactly when a bare
         // pool with the same policy would miss.
+        // Sealed pages that differ: a page-in verifies its checksum.
         let mut store = MemStore::new();
-        let mut page = vec![0u8; PAGE_SIZE];
+        let mut pages = Vec::new();
         for i in 0..32u64 {
             let id = store.allocate().expect("alloc");
-            page[0] = i as u8;
+            let mut page = vec![0u8; PAGE_SIZE];
+            let entry = (Rect::new(0.0, 0.0, 1.0, 1.0), i);
+            NodePage { level: 0, entries: vec![entry] }.encode_with(&mut page, PageLayout::Soa);
             store.write_page(id, &page).expect("write");
+            pages.push(page);
         }
         let mut mgr = BufferManager::new(store, capacity, LruPolicy::new());
         let mut pool = BufferPool::new(capacity, LruPolicy::new());
@@ -271,7 +275,7 @@ proptest! {
                 expected_reads += 1;
             }
             let frame = mgr.fetch(PageId(p)).expect("fetch");
-            prop_assert_eq!(frame[0], p as u8, "frame content mismatch");
+            prop_assert_eq!(frame, &pages[p as usize][..], "frame content mismatch");
         }
         prop_assert_eq!(mgr.physical_reads(), expected_reads);
     }

@@ -14,7 +14,7 @@
 //!   mutex, each batch walked on one worker.
 
 use rtree_geom::Rect;
-use rtree_pager::{ConcurrentDiskRTree, ConcurrentPageStore, DiskRTree, IoStats};
+use rtree_pager::{ConcurrentDiskRTree, DiskRTree, IoStats, PageStore};
 use std::io;
 use std::sync::Mutex;
 
@@ -84,11 +84,11 @@ pub trait QueryEngine: Send + Sync + 'static {
 /// concurrent clients cost fewer pool accesses than k sequential queries,
 /// and once batches grow past a few queries fewer physical reads — the
 /// serving-side analogue of the paper's buffering result.
-pub struct SequentialEngine<S: ConcurrentPageStore + Send + 'static> {
+pub struct SequentialEngine<S: PageStore + 'static> {
     tree: Mutex<DiskRTree<S>>,
 }
 
-impl<S: ConcurrentPageStore + Send + 'static> SequentialEngine<S> {
+impl<S: PageStore + 'static> SequentialEngine<S> {
     /// Wraps `tree`. The second argument is ignored: it was a readahead
     /// window, and stays only because the `rtree-perf` benchmark passes
     /// one; it goes when that benchmark's names unfreeze.
@@ -108,7 +108,7 @@ impl<S: ConcurrentPageStore + Send + 'static> SequentialEngine<S> {
     }
 }
 
-impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for SequentialEngine<S> {
+impl<S: PageStore + 'static> QueryEngine for SequentialEngine<S> {
     fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
         let out = self.with_tree(|tree| tree.query_batch(queries, 1))?;
         Ok(out.results)
@@ -130,14 +130,14 @@ impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for SequentialEngine<S
 /// a time — every commit is a batch of one, the per-op-fsync baseline the
 /// `server_throughput` experiment compares against. On a read-only tree
 /// every write op answers a typed `PermissionDenied`.
-pub struct WriterEngine<S: ConcurrentPageStore + Send + 'static> {
+pub struct WriterEngine<S: PageStore + 'static> {
     tree: ConcurrentDiskRTree<S>,
     threads: usize,
     write_threads: usize,
     group_commit: bool,
 }
 
-impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
+impl<S: PageStore + 'static> WriterEngine<S> {
     /// Wraps `tree`. Queries fan out over `threads`; write batches over
     /// `write_threads` when `group_commit` is on, serially when it is off.
     pub fn new(
@@ -167,7 +167,7 @@ impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
     }
 }
 
-impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for WriterEngine<S> {
+impl<S: PageStore + 'static> QueryEngine for WriterEngine<S> {
     fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
         Ok(self.tree.query_batch(queries, self.threads)?.results)
     }

@@ -15,17 +15,14 @@
 
 use crate::Setting;
 use rtree_buffer::LruPolicy;
-use rtree_pager::{ConcurrentDiskRTree, SharedPageStore};
+use rtree_pager::{ConcurrentDiskRTree, PageStore};
 use std::io;
 
 /// Makes `setting` live on `tree` (a `DiskRTree` is one, by deref):
 /// unpin → resize → re-pin. A sharded tree's resize re-partitions the
 /// capacity across its shards; on a writable tree the operation gate
 /// serializes it against in-flight work. Safe to retry after an error.
-pub fn actuate<S: SharedPageStore>(
-    tree: &ConcurrentDiskRTree<S>,
-    setting: Setting,
-) -> io::Result<()> {
+pub fn actuate<S: PageStore>(tree: &ConcurrentDiskRTree<S>, setting: Setting) -> io::Result<()> {
     // A mutated tree has no level table; pinning silently degrades to
     // "none" rather than panicking mid-actuation.
     let pin = setting.pin_levels.min(tree.meta().level_starts.len());
